@@ -36,7 +36,7 @@
 
 use shadowdb::deploy::{DeployOptions, PbrDeployment};
 use shadowdb::diversity::DiversityPolicy;
-use shadowdb::msgs::{SNAPSHOT2_HEADER, SNAPSHOT_HEADER};
+use shadowdb::msgs::SNAPSHOT_HEADER;
 use shadowdb::pbr::PbrOptions;
 use shadowdb_bench::output;
 use shadowdb_eventml::Msg;
@@ -60,7 +60,7 @@ struct XferCost {
 impl CostModel for XferCost {
     fn handle_cost(&self, dest: Loc, msg: &Msg) -> Duration {
         let h = msg.header.name();
-        let chunk = if h == SNAPSHOT_HEADER || h == SNAPSHOT2_HEADER {
+        let chunk = if h == SNAPSHOT_HEADER {
             // Per-message fixed handling cost: what makes tiny batches bad.
             Duration::from_micros(400)
         } else {

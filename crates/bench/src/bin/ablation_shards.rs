@@ -15,7 +15,7 @@
 //! `BENCH_hotpaths.json` (group `sharding`).
 
 use parking_lot::Mutex;
-use shadowdb::deploy::{ShardedDeployment, ShardedOptions};
+use shadowdb::deploy::{DeployOptions, ShardedDeployment};
 use shadowdb::pbr::PbrOptions;
 use shadowdb::shard::check_two_pc_atomicity;
 use shadowdb_bench::{output, scaled};
@@ -85,7 +85,7 @@ fn run(shards: usize, n_clients: usize, cross_pct: usize, txns_each: usize) -> (
     let seed = (shards * 1_000 + n_clients * 10 + cross_pct) as u64;
     let mut sim = SimBuilder::new(seed).network(net).build();
     let probe = Arc::new(Mutex::new(Vec::new()));
-    let mut options = ShardedOptions::new(
+    let mut options = DeployOptions::sharded(
         shards,
         n_clients,
         move |c| txns(c, txns_each, cross_pct),

@@ -331,7 +331,7 @@ fn sqldb_cached_update_speedup() -> f64 {
 /// broadcast services. Virtual time makes both numbers deterministic, so
 /// the gate tracks protocol and routing changes, not host noise.
 fn sharded_bank_speedup() -> f64 {
-    use shadowdb::deploy::{ShardedDeployment, ShardedOptions};
+    use shadowdb::deploy::{DeployOptions, ShardedDeployment};
     use shadowdb::pbr::PbrOptions;
     use shadowdb_workloads::{bank, TxnRequest};
 
@@ -352,7 +352,7 @@ fn sharded_bank_speedup() -> f64 {
     }
     let run = |shards: usize| -> f64 {
         let mut sim = SimBuilder::new(11).network(NetworkConfig::lan()).build();
-        let options = ShardedOptions::new(
+        let options = DeployOptions::sharded(
             shards,
             CLIENTS,
             |client| {

@@ -30,14 +30,13 @@
 
 use crate::client::{DbClient, DbClientStats};
 use crate::deploy::{
-    DeployOptions, DurabilityOptions, PbrDeployment, ShardedDeployment, ShardedOptions,
-    SmrDeployment,
+    DeployOptions, DurabilityOptions, PbrDeployment, ShardGroup, ShardedDeployment, SmrDeployment,
 };
 use crate::diversity::DiversityPolicy;
 use crate::msgs::ReplicaConfig;
 use crate::pbr::{LeaseProbe, PbrOptions, PbrReplica, PrimaryProbe, TransferKind, TransferProbe};
 use crate::serializability::check_bank_history_concurrent;
-use crate::shard::{check_two_pc_atomicity, TwoPcProbe};
+use crate::shard::{check_two_pc_atomicity, ShardRole, TwoPcProbe};
 use crate::smr::{SmrLeaseOptions, SmrReplica};
 use parking_lot::Mutex;
 use shadowdb_eventml::Process;
@@ -47,7 +46,9 @@ use shadowdb_runtime::{
     schedule_node_faults, FaultPlan, FaultTopology, LazyRecover, Nemesis, NemesisProfile,
     NodeFaultKind, Runtime,
 };
-use shadowdb_tob::subscribe_msg;
+use shadowdb_sqldb::Database;
+use shadowdb_tob::{subscribe_msg, TobDeployment};
+use shadowdb_wal::Disk;
 use shadowdb_workloads::{bank, KvGen, KvOptions, ShardMap, TxnRequest};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -127,6 +128,23 @@ pub struct ChaosReport {
     pub primaries: Vec<(i64, Loc)>,
 }
 
+/// Assembles the report of a soak whose assertions have all passed.
+fn report<R: Runtime + ?Sized>(
+    rt: &R,
+    stats: &[Arc<Mutex<DbClientStats>>],
+    committed: usize,
+    primaries: Vec<(i64, Loc)>,
+) -> ChaosReport {
+    let (dropped, duplicated) = rt.fault_stats();
+    ChaosReport {
+        committed,
+        resends: stats.iter().map(|s| s.lock().resends).sum(),
+        dropped,
+        duplicated,
+        primaries,
+    }
+}
+
 /// The per-client transaction script: deposits with a read every third
 /// transaction, on a deterministic account, so the serializability
 /// checker has balances to pin the order with.
@@ -200,22 +218,27 @@ fn arm_nemesis<R: Runtime + ?Sized>(
     clients: &[Loc],
     groups: Vec<Vec<Loc>>,
 ) -> VTime {
-    arm_nemesis_at(rt, opts, victim, clients, groups, None, None)
+    arm_nemesis_at(rt, opts, victim, clients, groups, (None, None), |_, _| None).0
 }
 
-/// [`arm_nemesis`] with explicit reconfiguration targets: `joiner` may
-/// name a location that does not exist yet (plans address by location, so
-/// the schedule is expressible before the node is), `donor` the incumbent
-/// that will stream the joiner's snapshot.
+/// [`arm_nemesis`] in full: `reconfig` names a `(joiner, donor)` pair —
+/// the joiner may be a location that does not exist yet (plans address by
+/// location, so the schedule is expressible before the node is), the
+/// donor the incumbent that will stream its snapshot — and the plan's
+/// `RestartDurable` events are wired through `recover` (invoked at
+/// schedule time — wrap disk-reading constructors in [`LazyRecover`] so
+/// the disk is read at reboot time, after the crash tore it). Returns the
+/// epoch and the expanded plan, so a harness can schedule restart-time
+/// kick messages against its fault instants.
 fn arm_nemesis_at<R: Runtime + ?Sized>(
     rt: &mut R,
     opts: &ChaosOptions,
     victim: Loc,
     clients: &[Loc],
     groups: Vec<Vec<Loc>>,
-    joiner: Option<Loc>,
-    donor: Option<Loc>,
-) -> VTime {
+    reconfig: (Option<Loc>, Option<Loc>),
+    recover: impl FnMut(Loc, NodeFaultKind) -> Option<Box<dyn Process>>,
+) -> (VTime, FaultPlan) {
     // Core = every node that is not a client. (Sharded deployments lay
     // clients out *last*, unsharded ones first; membership, not position,
     // decides.)
@@ -228,19 +251,19 @@ fn arm_nemesis_at<R: Runtime + ?Sized>(
         core,
         victim,
         groups,
-        joiner,
-        donor,
+        joiner: reconfig.0,
+        donor: reconfig.1,
     };
     let epoch = rt.now() + Duration::from_millis(5);
     let plan = Nemesis::new(opts.seed, opts.profile, opts.duration)
         .plan(&topo)
         .shifted(Duration::from_micros(epoch.as_micros()));
-    schedule_node_faults(rt, &plan, |_loc, _kind| None);
-    rt.install_fault_plan(plan);
+    schedule_node_faults(rt, &plan, recover);
+    rt.install_fault_plan(plan.clone());
     for cl in clients {
         rt.send_at(epoch, *cl, DbClient::start_msg());
     }
-    epoch
+    (epoch, plan)
 }
 
 /// Runs the runtime in slices until every transaction is answered or the
@@ -317,28 +340,29 @@ pub fn soak_pbr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -> ChaosRe
     arm_nemesis(rt, opts, d.replicas[0], &d.clients, Vec::new());
     let answered = drive(rt, opts, &d.stats);
     let committed = assert_history(opts, "pbr", answered, &scripts, &d.stats);
-    let primaries = assert_one_primary_per_seq(opts, &probe);
-    let (dropped, duplicated) = rt.fault_stats();
-    ChaosReport {
-        committed,
-        resends: d.stats.iter().map(|s| s.lock().resends).sum(),
-        dropped,
-        duplicated,
-        primaries,
-    }
+    let primaries = assert_one_primary_per_seq(opts, &probe, &[]);
+    report(rt, &d.stats, committed, primaries)
 }
 
 /// Election safety, observed end to end: no configuration sequence
 /// number ever had two distinct replicas executing as its primary.
+/// Config sequence numbers are group-local, so in a sharded deployment
+/// uniqueness is asserted per `(group, seq)`; `groups` is empty for an
+/// unsharded one (every probe entry, joiners included, is one group's).
 /// Returns the probe's `(config seq, primary)` log for the report.
-fn assert_one_primary_per_seq(opts: &ChaosOptions, probe: &PrimaryProbe) -> Vec<(i64, Loc)> {
+fn assert_one_primary_per_seq(
+    opts: &ChaosOptions,
+    probe: &PrimaryProbe,
+    groups: &[ShardGroup],
+) -> Vec<(i64, Loc)> {
     let primaries = probe.lock().clone();
-    let mut by_seq: HashMap<i64, Loc> = HashMap::new();
+    let group_of = |loc: Loc| groups.iter().position(|g| g.replicas.contains(&loc));
+    let mut by_seq: HashMap<(Option<usize>, i64), Loc> = HashMap::new();
     for (seq, loc) in &primaries {
-        if let Some(prev) = by_seq.insert(*seq, *loc) {
+        if let Some(prev) = by_seq.insert((group_of(*loc), *seq), *loc) {
             assert_eq!(
                 prev, *loc,
-                "two primaries executed in config {seq}: {prev:?} and {loc:?} \
+                "two primaries executed in one group's config {seq}: {prev:?} and {loc:?} \
                  (seed {}, {:?})",
                 opts.seed, opts.profile
             );
@@ -351,7 +375,7 @@ fn sharded_deploy_options(
     opts: &ChaosOptions,
     shards: usize,
     probe: TwoPcProbe,
-) -> (Vec<Vec<TxnRequest>>, ShardedOptions) {
+) -> (Vec<Vec<TxnRequest>>, DeployOptions) {
     let scripts: Vec<Vec<TxnRequest>> = (0..opts.n_clients)
         .map(|i| {
             sharded_mixed_txns(
@@ -363,7 +387,7 @@ fn sharded_deploy_options(
         .collect();
     let per_client = scripts.clone();
     let rows = opts.rows;
-    let mut sopts = ShardedOptions::new(
+    let mut sopts = DeployOptions::sharded(
         shards,
         opts.n_clients,
         move |i| per_client[i].clone(),
@@ -380,8 +404,8 @@ fn sharded_deploy_options(
 /// group's broadcast servers, so a group-to-group partition severs every
 /// cross-group path (PBR routes 2PC records replica→replica, SMR routes
 /// them replica→target-group broadcast server).
-fn shard_groups(d: &ShardedDeployment) -> Vec<Vec<Loc>> {
-    d.groups
+fn shard_groups(groups: &[ShardGroup]) -> Vec<Vec<Loc>> {
+    groups
         .iter()
         .map(|g| g.replicas.iter().chain(&g.tob.servers).copied().collect())
         .collect()
@@ -437,41 +461,13 @@ pub fn soak_sharded_pbr<R: Runtime + ?Sized>(
         opts,
         d.groups[0].replicas[0],
         &d.clients,
-        shard_groups(&d),
+        shard_groups(&d.groups),
     );
     let answered = drive(rt, opts, &d.stats);
     let committed = assert_history(opts, "sharded-pbr", answered, &scripts, &d.stats);
     assert_two_pc(opts, "sharded-pbr", &twopc_probe, d.map);
-
-    // Election safety per group: config sequence numbers are group-local,
-    // so uniqueness is asserted per (group, seq), not globally.
-    let primaries = primaries_probe.lock().clone();
-    let group_of = |loc: Loc| {
-        d.groups
-            .iter()
-            .position(|g| g.replicas.contains(&loc))
-            .expect("probe entries come from replicas")
-    };
-    let mut by_seq: HashMap<(usize, i64), Loc> = HashMap::new();
-    for (seq, loc) in &primaries {
-        if let Some(prev) = by_seq.insert((group_of(*loc), *seq), *loc) {
-            assert_eq!(
-                prev, *loc,
-                "two primaries executed in one group's config {seq}: {prev:?} and {loc:?} \
-                 (seed {}, {:?})",
-                opts.seed, opts.profile
-            );
-        }
-    }
-
-    let (dropped, duplicated) = rt.fault_stats();
-    ChaosReport {
-        committed,
-        resends: d.stats.iter().map(|s| s.lock().resends).sum(),
-        dropped,
-        duplicated,
-        primaries,
-    }
+    let primaries = assert_one_primary_per_seq(opts, &primaries_probe, &d.groups);
+    report(rt, &d.stats, committed, primaries)
 }
 
 /// Soaks a sharded state-machine-replication deployment. The victim is a
@@ -491,19 +487,12 @@ pub fn soak_sharded_smr<R: Runtime + ?Sized>(
         opts,
         *d.groups[0].replicas.last().expect("replicas"),
         &d.clients,
-        shard_groups(&d),
+        shard_groups(&d.groups),
     );
     let answered = drive(rt, opts, &d.stats);
     let committed = assert_history(opts, "sharded-smr", answered, &scripts, &d.stats);
     assert_two_pc(opts, "sharded-smr", &twopc_probe, d.map);
-    let (dropped, duplicated) = rt.fault_stats();
-    ChaosReport {
-        committed,
-        resends: d.stats.iter().map(|s| s.lock().resends).sum(),
-        dropped,
-        duplicated,
-        primaries: Vec::new(),
-    }
+    report(rt, &d.stats, committed, Vec::new())
 }
 
 /// Drives the runtime in small slices until its clock reaches `until`.
@@ -545,14 +534,15 @@ pub fn soak_reconfig_pbr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -
     let joiner = Loc::new(rt.node_count());
     let donor = d.replicas[0]; // the incumbent primary streams the snapshot
     let victim = *d.replicas.last().expect("replicas");
-    let epoch = arm_nemesis_at(
+    let reconfig = (Some(joiner), Some(donor));
+    let (epoch, _) = arm_nemesis_at(
         rt,
         opts,
         victim,
         &d.clients,
         Vec::new(),
-        Some(joiner),
-        Some(donor),
+        reconfig,
+        |_, _| None,
     );
     // Start the replacement at ~0.10 of the nemesis window (the
     // CrashDuringTransfer joiner-crash window opens at 0.15, so the first
@@ -578,15 +568,8 @@ pub fn soak_reconfig_pbr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -
     );
     let answered = drive(rt, opts, &d.stats);
     let committed = assert_history(opts, "reconfig-pbr", answered, &scripts, &d.stats);
-    let primaries = assert_one_primary_per_seq(opts, &probe);
-    let (dropped, duplicated) = rt.fault_stats();
-    ChaosReport {
-        committed,
-        resends: d.stats.iter().map(|s| s.lock().resends).sum(),
-        dropped,
-        duplicated,
-        primaries,
-    }
+    let primaries = assert_one_primary_per_seq(opts, &probe, &[]);
+    report(rt, &d.stats, committed, primaries)
 }
 
 /// Soaks a state-machine-replication deployment through an online
@@ -604,64 +587,21 @@ pub fn soak_reconfig_smr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -
     let joiner = Loc::new(rt.node_count());
     let donor = d.replicas[0]; // first in the joiner's snapshot-fetch rotation
     let victim = *d.replicas.last().expect("replicas");
-    let epoch = arm_nemesis_at(
+    let reconfig = (Some(joiner), Some(donor));
+    let (epoch, _) = arm_nemesis_at(
         rt,
         opts,
         victim,
         &d.clients,
         Vec::new(),
-        Some(joiner),
-        Some(donor),
+        reconfig,
+        |_, _| None,
     );
     drive_until(rt, opts, epoch + opts.duration.mul_f64(0.10));
     handle.replace_replica(rt, victim, opts.duration);
     let answered = drive(rt, opts, &d.stats);
     let committed = assert_history(opts, "reconfig-smr", answered, &scripts, &d.stats);
-    let (dropped, duplicated) = rt.fault_stats();
-    ChaosReport {
-        committed,
-        resends: d.stats.iter().map(|s| s.lock().resends).sum(),
-        dropped,
-        duplicated,
-        primaries: Vec::new(),
-    }
-}
-
-/// [`arm_nemesis`] variant for durable-restart profiles: the plan's
-/// `RestartDurable` events are wired through `recover` (invoked at
-/// schedule time — wrap disk-reading constructors in [`LazyRecover`] so
-/// the disk is read at reboot time, after the crash tore it), and the
-/// expanded plan is returned so the harness can schedule restart-time
-/// kick messages against its fault instants.
-fn arm_nemesis_durable<R: Runtime + ?Sized>(
-    rt: &mut R,
-    opts: &ChaosOptions,
-    victim: Loc,
-    clients: &[Loc],
-    recover: impl FnMut(Loc, NodeFaultKind) -> Option<Box<dyn Process>>,
-) -> FaultPlan {
-    let core: Vec<Loc> = (0..rt.node_count())
-        .map(Loc::new)
-        .filter(|l| !clients.contains(l))
-        .collect();
-    let topo = FaultTopology {
-        clients: clients.to_vec(),
-        core,
-        victim,
-        groups: Vec::new(),
-        joiner: None,
-        donor: None,
-    };
-    let epoch = rt.now() + Duration::from_millis(5);
-    let plan = Nemesis::new(opts.seed, opts.profile, opts.duration)
-        .plan(&topo)
-        .shifted(Duration::from_micros(epoch.as_micros()));
-    schedule_node_faults(rt, &plan, recover);
-    rt.install_fault_plan(plan.clone());
-    for cl in clients {
-        rt.send_at(epoch, *cl, DbClient::start_msg());
-    }
-    plan
+    report(rt, &d.stats, committed, Vec::new())
 }
 
 /// Drives the runtime past the end of the workload until the rebooted
@@ -671,8 +611,15 @@ fn arm_nemesis_durable<R: Runtime + ?Sized>(
 /// machine can slide the whole power cycle past the last answered
 /// transaction — so the rejoin gets a settle window before the probe is
 /// asserted on.
-fn settle_rejoin<R: Runtime + ?Sized>(rt: &mut R, transfers: &TransferProbe, victim: Loc) {
-    let deadline = rt.now() + Duration::from_secs(10);
+fn settle_rejoin<R: Runtime + ?Sized>(
+    rt: &mut R,
+    opts: &ChaosOptions,
+    transfers: &TransferProbe,
+    victim: Loc,
+) {
+    // The wait is on the probe condition; the soak's own deadline only
+    // turns a rejoin that never happens into a failure instead of a hang.
+    let deadline = rt.now() + opts.deadline;
     let rejoined = |t: &TransferProbe| {
         t.lock()
             .iter()
@@ -717,6 +664,58 @@ fn assert_rejoined_without_snapshot(
     );
 }
 
+/// A durable deployment reduced to what a power-loss soak needs: its
+/// clients, its replica groups (one when unsharded), and — when sharded —
+/// the victim group's [`ShardRole`], which the reboot must carry.
+struct Durable {
+    clients: Vec<Loc>,
+    stats: Vec<Arc<Mutex<DbClientStats>>>,
+    groups: Vec<ShardGroup>,
+    role: Option<ShardRole>,
+}
+
+impl Durable {
+    fn single(
+        clients: Vec<Loc>,
+        stats: Vec<Arc<Mutex<DbClientStats>>>,
+        replicas: Vec<Loc>,
+        tob: TobDeployment,
+        disks: Vec<Disk>,
+    ) -> Durable {
+        let groups = vec![ShardGroup {
+            replicas,
+            tob,
+            disks,
+        }];
+        Durable {
+            clients,
+            stats,
+            groups,
+            role: None,
+        }
+    }
+
+    fn sharded(d: ShardedDeployment) -> Durable {
+        Durable {
+            role: Some(d.role(0)),
+            clients: d.clients,
+            stats: d.stats,
+            groups: d.groups,
+        }
+    }
+
+    /// A freshly loaded database for replica `i` of the victim group
+    /// (shard 0), as a real reboot would find before replaying its disk.
+    fn reload(&self, rows: usize) -> impl Fn(usize) -> Database + Clone + Send + Sync + 'static {
+        let shards = self.role.as_ref().map_or(1, |r| r.map.shards());
+        move |i| {
+            let db = DiversityPolicy::Uniform.database(i);
+            bank::load_shard(&db, rows, shards, 0).expect("bank loads");
+            db
+        }
+    }
+}
+
 /// Soaks a durability-enabled primary-backup deployment under
 /// [`NemesisProfile::PowerLoss`]: the backup is repeatedly killed and
 /// rebooted *from its disk* (WAL + snapshot, with a possibly torn
@@ -726,7 +725,32 @@ fn assert_rejoined_without_snapshot(
 /// path only — recovery from disk plus a short network suffix, never a
 /// full state transfer.
 pub fn soak_durability_pbr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -> ChaosReport {
+    durability_pbr(rt, opts, None)
+}
+
+/// Sharding × durability: [`soak_durability_pbr`] over `shards` PBR
+/// groups with cross-shard transfers in flight. The victim is shard 0's
+/// backup — a 2PC participant (and, shard 0 being the smallest,
+/// coordinator-group member) power-cycled mid-protocol; it reboots from
+/// its disk *with its [`ShardRole`]*, so the replayed WAL rebuilds the
+/// 2PC engine and emission counters it crashed with. Adds the 2PC
+/// atomicity assertion of [`soak_sharded_pbr`].
+pub fn soak_sharded_pbr_power_loss<R: Runtime + ?Sized>(
+    rt: &mut R,
+    opts: &ChaosOptions,
+    shards: usize,
+) -> ChaosReport {
+    durability_pbr(rt, opts, Some(shards))
+}
+
+fn durability_pbr<R: Runtime + ?Sized>(
+    rt: &mut R,
+    opts: &ChaosOptions,
+    shards: Option<usize>,
+) -> ChaosReport {
+    let kind = shards.map_or("durability-pbr", |_| "sharded-pbr-power-loss");
     let probe: PrimaryProbe = Arc::new(Mutex::new(Vec::new()));
+    let twopc: TwoPcProbe = Arc::new(Mutex::new(Vec::new()));
     let transfers: TransferProbe = Arc::new(Mutex::new(Vec::new()));
     let dur = DurabilityOptions {
         snapshot_every: 64,
@@ -739,56 +763,59 @@ pub fn soak_durability_pbr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions)
         probe: Some(probe.clone()),
         ..PbrOptions::default()
     };
-    let (scripts, mut dopts) = deploy_options(opts);
+    let (scripts, mut dopts) = match shards {
+        Some(n) => sharded_deploy_options(opts, n, twopc.clone()),
+        None => deploy_options(opts),
+    };
     dopts.durability = Some(dur.clone());
-    let d = PbrDeployment::build(rt, &dopts, pbr.clone());
+    let d = match shards {
+        Some(_) => Durable::sharded(ShardedDeployment::build_pbr(rt, &dopts, pbr.clone())),
+        None => {
+            let d = PbrDeployment::build(rt, &dopts, pbr.clone());
+            Durable::single(d.clients, d.stats, d.replicas, d.tob, d.disks)
+        }
+    };
     // Victim is the backup: outages are shorter than failure detection,
     // so the primary keeps serving and the rebooted backup must re-enter
     // the *same* configuration from its disk.
-    let victim = d.replicas[1];
-    let disk = d.disks[1].clone();
-    let config = ReplicaConfig::initial(d.replicas[..dopts.active_replicas].to_vec());
-    let spares = d.replicas[dopts.active_replicas..].to_vec();
-    let servers = d.tob.servers.clone();
-    let rows = opts.rows;
+    let g = &d.groups[0];
+    let victim = g.replicas[1];
+    let disk = g.disks[1].clone();
+    let config = ReplicaConfig::initial(g.replicas[..dopts.active_replicas].to_vec());
+    let spares = g.replicas[dopts.active_replicas..].to_vec();
+    let servers = g.tob.servers.clone();
+    let (reload, role) = (d.reload(opts.rows), d.role.clone());
     let seed = opts.seed;
     let mut reboots = 0u64;
-    let recover = {
-        let pbr = pbr.clone();
-        move |loc: Loc, kind: NodeFaultKind| {
-            if loc != victim || kind != NodeFaultKind::RestartDurable {
-                return None;
-            }
-            reboots += 1;
-            let n = reboots;
-            let disk = disk.clone();
-            let pbr = pbr.clone();
-            let config = config.clone();
-            let spares = spares.clone();
-            let servers = servers.clone();
-            let snapshot_every = dur.snapshot_every;
-            Some(Box::new(LazyRecover::new(move || {
-                // The power loss may have torn the unsynced tail; the
-                // replica then replays whatever survived on a freshly
-                // loaded database, as a real reboot would.
-                disk.begin_recovery(mix64(seed ^ n));
-                let db = DiversityPolicy::Uniform.database(1);
-                bank::load(&db, rows).expect("bank loads");
-                Box::new(PbrReplica::recover_from(
-                    db,
-                    config.clone(),
-                    spares.clone(),
-                    servers.clone(),
-                    pbr.clone(),
-                    None,
-                    victim,
-                    disk.clone(),
-                    snapshot_every,
-                ))
-            })) as Box<dyn Process>)
+    let recover = move |loc: Loc, kind: NodeFaultKind| {
+        if loc != victim || kind != NodeFaultKind::RestartDurable {
+            return None;
         }
+        reboots += 1;
+        let n = reboots;
+        let (disk, pbr, config, spares) =
+            (disk.clone(), pbr.clone(), config.clone(), spares.clone());
+        let (servers, reload, role) = (servers.clone(), reload.clone(), role.clone());
+        Some(Box::new(LazyRecover::new(move || {
+            // The power loss may have torn the unsynced tail; the
+            // replica then replays whatever survived on a freshly
+            // loaded database, as a real reboot would.
+            disk.begin_recovery(mix64(seed ^ n));
+            Box::new(PbrReplica::recover_from(
+                reload(1),
+                config.clone(),
+                spares.clone(),
+                servers.clone(),
+                pbr.clone(),
+                role.clone(),
+                victim,
+                disk.clone(),
+                dur.snapshot_every,
+            ))
+        })) as Box<dyn Process>)
     };
-    let plan = arm_nemesis_durable(rt, opts, victim, &d.clients, recover);
+    let groups = shard_groups(&d.groups);
+    let (_, plan) = arm_nemesis_at(rt, opts, victim, &d.clients, groups, (None, None), recover);
     // Each reboot needs its timer loop kicked; the refetch handshake runs
     // off the heartbeat timer.
     for f in &plan.node_faults {
@@ -801,18 +828,14 @@ pub fn soak_durability_pbr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions)
         }
     }
     let answered = drive(rt, opts, &d.stats);
-    settle_rejoin(rt, &transfers, victim);
-    let committed = assert_history(opts, "durability-pbr", answered, &scripts, &d.stats);
-    let primaries = assert_one_primary_per_seq(opts, &probe);
-    assert_rejoined_without_snapshot(opts, "durability-pbr", &transfers, victim);
-    let (dropped, duplicated) = rt.fault_stats();
-    ChaosReport {
-        committed,
-        resends: d.stats.iter().map(|s| s.lock().resends).sum(),
-        dropped,
-        duplicated,
-        primaries,
+    settle_rejoin(rt, opts, &transfers, victim);
+    let committed = assert_history(opts, kind, answered, &scripts, &d.stats);
+    let primaries = assert_one_primary_per_seq(opts, &probe, &d.groups);
+    if let Some(n) = shards {
+        assert_two_pc(opts, kind, &twopc, ShardMap::new(n));
     }
+    assert_rejoined_without_snapshot(opts, kind, &transfers, victim);
+    report(rt, &d.stats, committed, primaries)
 }
 
 /// Soaks a durability-enabled state-machine-replication deployment under
@@ -821,25 +844,57 @@ pub fn soak_durability_pbr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions)
 /// suffix it missed from a peer's recent-delivery cache. The transfer
 /// probe must show every rejoin was served as a delta, never a snapshot.
 pub fn soak_durability_smr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -> ChaosReport {
+    durability_smr(rt, opts, None)
+}
+
+/// Sharding × durability under SMR: [`soak_durability_smr`] over
+/// `shards` groups with cross-shard transfers in flight; the victim is
+/// shard 0's last replica, rebooted with its [`ShardRole`] (see
+/// [`soak_sharded_pbr_power_loss`]).
+pub fn soak_sharded_smr_power_loss<R: Runtime + ?Sized>(
+    rt: &mut R,
+    opts: &ChaosOptions,
+    shards: usize,
+) -> ChaosReport {
+    durability_smr(rt, opts, Some(shards))
+}
+
+fn durability_smr<R: Runtime + ?Sized>(
+    rt: &mut R,
+    opts: &ChaosOptions,
+    shards: Option<usize>,
+) -> ChaosReport {
+    let kind = shards.map_or("durability-smr", |_| "sharded-smr-power-loss");
+    let twopc: TwoPcProbe = Arc::new(Mutex::new(Vec::new()));
     let transfers: TransferProbe = Arc::new(Mutex::new(Vec::new()));
     let dur = DurabilityOptions {
         snapshot_every: 64,
         transfer_probe: Some(transfers.clone()),
         ..DurabilityOptions::default()
     };
-    let (scripts, mut dopts) = deploy_options(opts);
+    let (scripts, mut dopts) = match shards {
+        Some(n) => sharded_deploy_options(opts, n, twopc.clone()),
+        None => deploy_options(opts),
+    };
     dopts.durability = Some(dur.clone());
-    let d = SmrDeployment::build(rt, &dopts);
-    let vidx = d.replicas.len() - 1;
-    let victim = d.replicas[vidx];
-    let disk = d.disks[vidx].clone();
-    let donors: Vec<Loc> = d
+    let d = match shards {
+        Some(_) => Durable::sharded(ShardedDeployment::build_smr(rt, &dopts)),
+        None => {
+            let d = SmrDeployment::build(rt, &dopts);
+            Durable::single(d.clients, d.stats, d.replicas, d.tob, d.disks)
+        }
+    };
+    let g = &d.groups[0];
+    let vidx = g.replicas.len() - 1;
+    let victim = g.replicas[vidx];
+    let disk = g.disks[vidx].clone();
+    let donors: Vec<Loc> = g
         .replicas
         .iter()
         .copied()
         .filter(|r| *r != victim)
         .collect();
-    let rows = opts.rows;
+    let (reload, role) = (d.reload(opts.rows), d.role.clone());
     let seed = opts.seed;
     let mut reboots = 0u64;
     let recover = move |loc: Loc, kind: NodeFaultKind| {
@@ -848,48 +903,41 @@ pub fn soak_durability_smr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions)
         }
         reboots += 1;
         let n = reboots;
-        let disk = disk.clone();
-        let donors = donors.clone();
-        let snapshot_every = dur.snapshot_every;
-        let recent_limit = dur.recent_limit;
+        let (disk, donors, reload, role) =
+            (disk.clone(), donors.clone(), reload.clone(), role.clone());
         Some(Box::new(LazyRecover::new(move || {
             disk.begin_recovery(mix64(seed ^ n));
-            let db = DiversityPolicy::Uniform.database(vidx);
-            bank::load(&db, rows).expect("bank loads");
             Box::new(SmrReplica::recover_from(
-                db,
+                reload(vidx),
                 donors.clone(),
-                None,
+                role.clone(),
                 victim,
                 disk.clone(),
-                snapshot_every,
-                recent_limit,
+                dur.snapshot_every,
+                dur.recent_limit,
             ))
         })) as Box<dyn Process>)
     };
-    let plan = arm_nemesis_durable(rt, opts, victim, &d.clients, recover);
+    let groups = shard_groups(&d.groups);
+    let (_, plan) = arm_nemesis_at(rt, opts, victim, &d.clients, groups, (None, None), recover);
     // Each reboot re-subscribes at the broadcast service; the (idempotent)
     // ack carries the delivery frontier, which tells the recovered replica
     // how much its disk missed and starts the delta fetch.
     for f in &plan.node_faults {
         if f.kind == NodeFaultKind::RestartDurable {
-            for s in &d.tob.servers {
+            for s in &g.tob.servers {
                 rt.send_at(f.at + Duration::from_millis(2), *s, subscribe_msg(victim));
             }
         }
     }
     let answered = drive(rt, opts, &d.stats);
-    settle_rejoin(rt, &transfers, victim);
-    let committed = assert_history(opts, "durability-smr", answered, &scripts, &d.stats);
-    assert_rejoined_without_snapshot(opts, "durability-smr", &transfers, victim);
-    let (dropped, duplicated) = rt.fault_stats();
-    ChaosReport {
-        committed,
-        resends: d.stats.iter().map(|s| s.lock().resends).sum(),
-        dropped,
-        duplicated,
-        primaries: Vec::new(),
+    settle_rejoin(rt, opts, &transfers, victim);
+    let committed = assert_history(opts, kind, answered, &scripts, &d.stats);
+    if let Some(n) = shards {
+        assert_two_pc(opts, kind, &twopc, ShardMap::new(n));
     }
+    assert_rejoined_without_snapshot(opts, kind, &transfers, victim);
+    report(rt, &d.stats, committed, Vec::new())
 }
 
 /// [`deploy_options`] with a YCSB-B-shaped script: a 95%-read zipfian
@@ -972,16 +1020,9 @@ pub fn soak_reads_pbr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -> C
     arm_nemesis(rt, opts, d.replicas[0], &d.clients, Vec::new());
     let answered = drive(rt, opts, &d.stats);
     let committed = assert_history(opts, "reads-pbr", answered, &scripts, &d.stats);
-    let primaries = assert_one_primary_per_seq(opts, &probe);
+    let primaries = assert_one_primary_per_seq(opts, &probe, &[]);
     assert_lease_intervals_disjoint(opts, "reads-pbr", &leases);
-    let (dropped, duplicated) = rt.fault_stats();
-    ChaosReport {
-        committed,
-        resends: d.stats.iter().map(|s| s.lock().resends).sum(),
-        dropped,
-        duplicated,
-        primaries,
-    }
+    report(rt, &d.stats, committed, primaries)
 }
 
 /// Soaks a state-machine-replication deployment with the lease-read fast
@@ -1006,14 +1047,7 @@ pub fn soak_reads_smr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -> C
     let answered = drive(rt, opts, &d.stats);
     let committed = assert_history(opts, "reads-smr", answered, &scripts, &d.stats);
     assert_lease_intervals_disjoint(opts, "reads-smr", &leases);
-    let (dropped, duplicated) = rt.fault_stats();
-    ChaosReport {
-        committed,
-        resends: d.stats.iter().map(|s| s.lock().resends).sum(),
-        dropped,
-        duplicated,
-        primaries: Vec::new(),
-    }
+    report(rt, &d.stats, committed, Vec::new())
 }
 
 /// Soaks a state-machine-replication deployment under the nemesis and
@@ -1032,12 +1066,5 @@ pub fn soak_smr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -> ChaosRe
     );
     let answered = drive(rt, opts, &d.stats);
     let committed = assert_history(opts, "smr", answered, &scripts, &d.stats);
-    let (dropped, duplicated) = rt.fault_stats();
-    ChaosReport {
-        committed,
-        resends: d.stats.iter().map(|s| s.lock().resends).sum(),
-        dropped,
-        duplicated,
-        primaries: Vec::new(),
-    }
+    report(rt, &d.stats, committed, Vec::new())
 }

@@ -17,7 +17,7 @@ use crate::pbr::{PbrOptions, PbrReplica, TransferProbe};
 use crate::shard::{GroupRoute, ShardRole, TwoPcProbe};
 use crate::smr::{SmrLeaseOptions, SmrReplica};
 use parking_lot::Mutex;
-use shadowdb_eventml::Value;
+use shadowdb_eventml::{Process, Value};
 use shadowdb_loe::{Loc, VTime};
 use shadowdb_runtime::{PortRx, Runtime};
 use shadowdb_sqldb::Database;
@@ -29,31 +29,36 @@ use shadowdb_workloads::{ShardMap, TxnRequest};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Options shared by both deployment shapes.
+/// Loads schema and one shard's rows into a group database; the shard id
+/// comes first so the same closure serves every group.
+pub type ShardLoader = Box<dyn Fn(usize, &Database)>;
+
+/// Options shared by every deployment shape.
 pub struct DeployOptions {
     /// Number of clients (each gets its own location).
     pub n_clients: usize,
     /// Produces the transaction list for client `i`.
     pub client_txns: Box<dyn Fn(usize) -> Vec<TxnRequest>>,
-    /// Engine assignment across replicas.
+    /// Engine assignment across replicas (applied within each group).
     pub diversity: DiversityPolicy,
-    /// Loads schema and initial data into one replica's database.
-    pub loader: Box<dyn Fn(&Database)>,
+    /// Loads schema and **only shard `shard`'s rows** into one of that
+    /// group's databases (an unsharded deployment is shard 0 of 1).
+    pub loader: ShardLoader,
     /// Broadcast-service execution mode.
     pub mode: ExecutionMode,
     /// Client retransmission timeout.
     pub client_timeout: Duration,
-    /// Transactions-per-proposal bound in the broadcast service.
+    /// Transactions-per-proposal bound in each broadcast service.
     pub max_batch: usize,
     /// Broadcast-service pipelining window (concurrent slot proposals per
     /// server). `None` uses the backend default (8 for Paxos, 1 for
     /// TwoThird).
     pub window: Option<usize>,
-    /// PBR only: replicas in the active configuration (the paper runs 2,
-    /// "the third database is used to replace the backup"; overlapped
-    /// state transfer needs 3).
+    /// PBR only: replicas in each group's active configuration (the paper
+    /// runs 2, "the third database is used to replace the backup";
+    /// overlapped state transfer needs 3).
     pub active_replicas: usize,
-    /// Number of broadcast-service machines (the paper uses 3).
+    /// Number of broadcast-service machines per group (the paper uses 3).
     pub machines: u32,
     /// Consensus module of the broadcast service. Paxos matches the paper;
     /// TwoThird keeps the state space small enough for exhaustive model
@@ -73,9 +78,18 @@ pub struct DeployOptions {
     /// disks so harnesses can restart a replica from its durable state.
     pub durability: Option<DurabilityOptions>,
     /// SMR only: enable the lease-based read fast path on every replica
-    /// and route clients' read-only first attempts directly to the
-    /// believed holder. PBR leases ride [`PbrOptions`] instead.
+    /// and route clients' read-only (single-shard) first attempts directly
+    /// to the owning group's believed holder. PBR leases ride
+    /// [`PbrOptions`] instead.
     pub smr_leases: Option<SmrLeaseOptions>,
+    /// Number of replica groups, each with its own broadcast service,
+    /// partitioning one logical database by [`ShardMap`]. More than one
+    /// group needs the clients-last layout of [`ShardedDeployment`].
+    pub shards: usize,
+    /// Optional cross-shard commit observer, shared by every replica of a
+    /// [`ShardedDeployment`]; the chaos harness checks it with
+    /// [`crate::shard::check_two_pc_atomicity`].
+    pub probe: Option<TwoPcProbe>,
 }
 
 /// Per-replica durable-storage settings.
@@ -107,12 +121,23 @@ impl Default for DurabilityOptions {
 }
 
 impl DeployOptions {
-    /// A small default: `n_clients` clients running the given per-client
-    /// transaction scripts over an unloaded H2 database.
+    /// A small default: one replica group, `n_clients` clients running the
+    /// given per-client transaction scripts over an unloaded H2 database.
     pub fn new(
         n_clients: usize,
         client_txns: impl Fn(usize) -> Vec<TxnRequest> + 'static,
         loader: impl Fn(&Database) + 'static,
+    ) -> DeployOptions {
+        DeployOptions::sharded(1, n_clients, client_txns, move |_, db| loader(db))
+    }
+
+    /// The same defaults over `shards` replica groups, with a per-shard
+    /// loader (for [`ShardedDeployment`]).
+    pub fn sharded(
+        shards: usize,
+        n_clients: usize,
+        client_txns: impl Fn(usize) -> Vec<TxnRequest> + 'static,
+        loader: impl Fn(usize, &Database) + 'static,
     ) -> DeployOptions {
         DeployOptions {
             n_clients,
@@ -129,15 +154,222 @@ impl DeployOptions {
             start_clients: true,
             durability: None,
             smr_leases: None,
+            shards,
+            probe: None,
         }
     }
 }
 
-fn tob_per(backend: BackendKind) -> u32 {
-    match backend {
-        BackendKind::TwoThird => 2,
-        BackendKind::Paxos => 4,
+/// Where one replica group's nodes live: the broadcast servers (each
+/// followed by its co-located consensus roles), then the replicas. A pure
+/// function of the group's first location, so routes to *all* groups are
+/// known before any node exists.
+struct GroupLayout {
+    servers: Vec<Loc>,
+    replicas: Vec<Loc>,
+}
+
+impl GroupLayout {
+    fn at(options: &DeployOptions, pbr: bool, base: u32) -> GroupLayout {
+        let per = match options.backend {
+            BackendKind::TwoThird => 2,
+            BackendKind::Paxos => 4,
+        };
+        let n_replicas = if pbr {
+            options.active_replicas as u32 + 1 // plus one spare
+        } else {
+            options.machines // one state machine per service machine
+        };
+        let replica_base = base + options.machines * per;
+        GroupLayout {
+            servers: (0..options.machines)
+                .map(|i| Loc::new(base + i * per))
+                .collect(),
+            replicas: (0..n_replicas)
+                .map(|i| Loc::new(replica_base + i))
+                .collect(),
+        }
     }
+
+    /// How clients submit to this group.
+    fn submission(&self, options: &DeployOptions, pbr: bool) -> Submission {
+        if pbr {
+            return Submission::Pbr {
+                replicas: self.replicas.clone(),
+            };
+        }
+        Submission::Smr {
+            servers: self.servers.clone(),
+            replicas: match options.smr_leases {
+                Some(_) => self.replicas.clone(),
+                None => Vec::new(),
+            },
+        }
+    }
+}
+
+/// One deployed replica group.
+pub struct ShardGroup {
+    /// Replica locations; under PBR `[primary, backup, spare]`.
+    pub replicas: Vec<Loc>,
+    /// The group's broadcast service.
+    pub tob: TobDeployment,
+    /// One durable disk per replica (same order as `replicas`); empty
+    /// unless the deployment was built with [`DeployOptions::durability`].
+    pub disks: Vec<Disk>,
+}
+
+/// Instantiates one replica group at the runtime's next free locations —
+/// its broadcast service, then every replica with its loaded database,
+/// WAL disk, lease plane and shard role — for every deployment shape
+/// alike. `pbr` selects the ordering policy. Replicas are co-located with
+/// the service machines but run in their own JVM, which the quad-core
+/// testbed schedules on separate cores: they get their own CPU timeline.
+fn build_group<R: Runtime + ?Sized>(
+    rt: &mut R,
+    options: &DeployOptions,
+    pbr: Option<&PbrOptions>,
+    layout: &GroupLayout,
+    shard: usize,
+    role: Option<ShardRole>,
+) -> ShardGroup {
+    // PBR replicas subscribe for reconfigurations; SMR replicas *are* the
+    // state machines and take every delivery.
+    let tob = TobDeployment::build(
+        rt,
+        &TobOptions {
+            machines: options.machines,
+            backend: options.backend,
+            mode: options.mode,
+            max_batch: options.max_batch,
+            window: options.window,
+            ..TobOptions::default()
+        },
+        layout.replicas.clone(),
+    );
+    assert_eq!(tob.servers, layout.servers);
+    let (members, spares) = layout
+        .replicas
+        .split_at(options.active_replicas.min(layout.replicas.len()));
+    let storage = rt.storage_mode();
+    let mut disks = Vec::new();
+    for (i, r) in layout.replicas.iter().enumerate() {
+        let db = options.diversity.database(i);
+        (options.loader)(shard, &db);
+        let durable = options.durability.as_ref().map(|dur| {
+            let name = format!("replica-{}", shard * layout.replicas.len() + i);
+            (dur, Disk::open(&storage, &name, dur.fsync_cost))
+        });
+        disks.extend(durable.iter().map(|(_, disk)| disk.clone()));
+        let node: Box<dyn Process> = match pbr {
+            Some(pbr) => {
+                let mut replica = PbrReplica::new(
+                    db,
+                    ReplicaConfig::initial(members.to_vec()),
+                    spares.to_vec(),
+                    layout.servers.clone(),
+                    pbr.clone(),
+                );
+                if let Some(role) = &role {
+                    replica = replica.with_role(role.clone());
+                }
+                if let Some((dur, disk)) = durable {
+                    replica = replica.with_wal(disk, dur.snapshot_every);
+                    if let Some(p) = &dur.transfer_probe {
+                        replica = replica.with_transfer_probe(p.clone());
+                    }
+                }
+                Box::new(replica)
+            }
+            None => {
+                let mut replica = SmrReplica::new(db);
+                if let Some(role) = &role {
+                    replica = replica.with_role(role.clone());
+                }
+                if let Some((dur, disk)) = durable {
+                    replica = replica.with_wal(disk, dur.snapshot_every, dur.recent_limit);
+                    if let Some(p) = &dur.transfer_probe {
+                        replica = replica.with_transfer_probe(p.clone());
+                    }
+                }
+                if let Some(lease) = &options.smr_leases {
+                    replica =
+                        replica.with_read_leases(layout.servers.clone(), i as u64, lease.clone());
+                }
+                Box::new(replica)
+            }
+        };
+        assert_eq!(rt.add_node(node), *r);
+    }
+    if pbr.is_none() && options.smr_leases.is_some() {
+        for r in &layout.replicas {
+            rt.send_at(VTime::ZERO, *r, SmrReplica::lease_start_msg());
+        }
+    }
+    ShardGroup {
+        replicas: layout.replicas.clone(),
+        tob,
+        disks,
+    }
+}
+
+/// Client locations and their measurement handles (one per client).
+type Clients = (Vec<Loc>, Vec<Arc<Mutex<DbClientStats>>>);
+
+/// Adds the deployment's clients at the runtime's next free locations.
+fn build_clients<R: Runtime + ?Sized>(
+    rt: &mut R,
+    options: &DeployOptions,
+    submission: &Submission,
+) -> Clients {
+    let mut stats = Vec::new();
+    let mut clients = Vec::new();
+    for i in 0..options.n_clients {
+        let s = Arc::new(Mutex::new(DbClientStats::default()));
+        stats.push(s.clone());
+        let client = DbClient::new(submission.clone(), (options.client_txns)(i), s)
+            .with_timeout(options.client_timeout);
+        clients.push(rt.add_node(Box::new(client)));
+    }
+    (clients, stats)
+}
+
+/// Kicks off PBR replicas (their heartbeat timers) and — unless the
+/// harness starts them itself — the clients.
+fn start<R: Runtime + ?Sized>(
+    rt: &mut R,
+    options: &DeployOptions,
+    pbr_replicas: &[Loc],
+    clients: &[Loc],
+) {
+    for r in pbr_replicas {
+        rt.send_at(VTime::ZERO, *r, PbrReplica::start_msg());
+    }
+    if options.start_clients {
+        for cl in clients {
+            rt.send_at(VTime::from_millis(1), *cl, DbClient::start_msg());
+        }
+    }
+}
+
+/// Builds an unsharded deployment in the paper's layout: clients first,
+/// then the one replica group.
+fn build_unsharded<R: Runtime + ?Sized>(
+    rt: &mut R,
+    options: &DeployOptions,
+    pbr: Option<&PbrOptions>,
+) -> (Clients, ShardGroup) {
+    assert_eq!(
+        options.shards, 1,
+        "the clients-first layout hosts one group; use ShardedDeployment"
+    );
+    let base = rt.node_count() + options.n_clients as u32;
+    let layout = GroupLayout::at(options, pbr.is_some(), base);
+    let clients = build_clients(rt, options, &layout.submission(options, pbr.is_some()));
+    let group = build_group(rt, options, pbr, &layout, 0, None);
+    let starting: &[Loc] = if pbr.is_some() { &group.replicas } else { &[] };
+    start(rt, options, starting, &clients.0);
+    (clients, group)
 }
 
 /// A deployed primary-backup ShadowDB.
@@ -164,98 +396,13 @@ impl PbrDeployment {
         options: &DeployOptions,
         pbr: PbrOptions,
     ) -> PbrDeployment {
-        let backend = options.backend;
-        let per = tob_per(backend);
-        let base = rt.node_count();
-        let c = options.n_clients as u32;
-        let first_server = base + c;
-        let servers: Vec<Loc> = (0..options.machines)
-            .map(|i| Loc::new(first_server + i * per))
-            .collect();
-        let replica_base = first_server + options.machines * per;
-        let n_replicas = options.active_replicas as u32 + 1; // plus one spare
-        let replicas: Vec<Loc> = (0..n_replicas)
-            .map(|i| Loc::new(replica_base + i))
-            .collect();
-
-        // Clients first (locations 0..c).
-        let mut stats = Vec::new();
-        let mut clients = Vec::new();
-        for i in 0..options.n_clients {
-            let s = Arc::new(Mutex::new(DbClientStats::default()));
-            stats.push(s.clone());
-            let client = DbClient::new(
-                Submission::Pbr {
-                    replicas: replicas.clone(),
-                },
-                (options.client_txns)(i),
-                s,
-            )
-            .with_timeout(options.client_timeout);
-            clients.push(rt.add_node(Box::new(client)));
-        }
-
-        // The broadcast service; replicas subscribe (for reconfigurations).
-        let tob = TobDeployment::build(
-            rt,
-            &TobOptions {
-                machines: options.machines,
-                backend,
-                mode: options.mode,
-                max_batch: options.max_batch,
-                window: options.window,
-                ..TobOptions::default()
-            },
-            replicas.clone(),
-        );
-        assert_eq!(tob.servers, servers);
-
-        // Replicas are co-located with the service machines but run in
-        // their own JVM, which the quad-core testbed schedules on separate
-        // cores: model them with their own CPU timeline.
-        let config = ReplicaConfig::initial(replicas[..options.active_replicas].to_vec());
-        let spares = replicas[options.active_replicas..].to_vec();
-        let storage = rt.storage_mode();
-        let mut pbr = pbr;
-        if let Some(dur) = &options.durability {
-            if pbr.transfer_probe.is_none() {
-                pbr.transfer_probe = dur.transfer_probe.clone();
-            }
-        }
-        let mut disks = Vec::new();
-        for (i, r) in replicas.iter().enumerate() {
-            let db = options.diversity.database(i);
-            (options.loader)(&db);
-            let mut replica = PbrReplica::new(
-                db,
-                config.clone(),
-                spares.clone(),
-                servers.clone(),
-                pbr.clone(),
-            );
-            if let Some(dur) = &options.durability {
-                let disk = Disk::open(&storage, &format!("replica-{i}"), dur.fsync_cost);
-                replica = replica.with_wal(disk.clone(), dur.snapshot_every);
-                disks.push(disk);
-            }
-            let loc = rt.add_node(Box::new(replica));
-            assert_eq!(loc, *r);
-        }
-
-        for r in &replicas {
-            rt.send_at(VTime::ZERO, *r, PbrReplica::start_msg());
-        }
-        if options.start_clients {
-            for cl in &clients {
-                rt.send_at(VTime::from_millis(1), *cl, DbClient::start_msg());
-            }
-        }
+        let ((clients, stats), group) = build_unsharded(rt, options, Some(&pbr));
         PbrDeployment {
-            replicas,
+            replicas: group.replicas,
             clients,
             stats,
-            tob,
-            disks,
+            tob: group.tob,
+            disks: group.disks,
         }
     }
 
@@ -273,21 +420,8 @@ impl PbrDeployment {
         diversity: DiversityPolicy,
         loader: impl Fn(&Database) + 'static,
     ) -> ReconfigHandle {
-        let (port, rx) = rt.port();
-        ReconfigHandle {
-            port,
-            rx,
-            kind: ReconfigKind::Pbr {
-                options: pbr,
-                role: None,
-            },
-            servers: self.tob.servers.clone(),
-            replicas: self.replicas.clone(),
-            diversity,
-            loader: Box::new(loader),
-            next_db: self.replicas.len(),
-            bcast_seq: 0,
-        }
+        let kind = ReconfigKind::Pbr(pbr);
+        ReconfigHandle::new(rt, kind, None, &self.tob, &self.replicas, diversity, loader)
     }
 }
 
@@ -311,94 +445,13 @@ impl SmrDeployment {
     /// The paper runs the SMR broadcast service compiled (Lisp); the
     /// default [`ExecutionMode::Compiled`] matches.
     pub fn build<R: Runtime + ?Sized>(rt: &mut R, options: &DeployOptions) -> SmrDeployment {
-        let backend = options.backend;
-        let per = tob_per(backend);
-        let base = rt.node_count();
-        let c = options.n_clients as u32;
-        let first_server = base + c;
-        let servers: Vec<Loc> = (0..options.machines)
-            .map(|i| Loc::new(first_server + i * per))
-            .collect();
-        let replica_base = first_server + options.machines * per;
-        let replicas: Vec<Loc> = (0..options.machines)
-            .map(|i| Loc::new(replica_base + i))
-            .collect();
-
-        let mut stats = Vec::new();
-        let mut clients = Vec::new();
-        for i in 0..options.n_clients {
-            let s = Arc::new(Mutex::new(DbClientStats::default()));
-            stats.push(s.clone());
-            let client = DbClient::new(
-                Submission::Smr {
-                    servers: servers.clone(),
-                    replicas: if options.smr_leases.is_some() {
-                        replicas.clone()
-                    } else {
-                        Vec::new()
-                    },
-                },
-                (options.client_txns)(i),
-                s,
-            )
-            .with_timeout(options.client_timeout);
-            clients.push(rt.add_node(Box::new(client)));
-        }
-
-        // Replicas subscribe to every delivery (they *are* the state
-        // machines).
-        let tob = TobDeployment::build(
-            rt,
-            &TobOptions {
-                machines: options.machines,
-                backend,
-                mode: options.mode,
-                max_batch: options.max_batch,
-                window: options.window,
-                ..TobOptions::default()
-            },
-            replicas.clone(),
-        );
-        assert_eq!(tob.servers, servers);
-
-        // As under PBR: the database JVM gets its own core.
-        let storage = rt.storage_mode();
-        let mut disks = Vec::new();
-        for (i, r) in replicas.iter().enumerate() {
-            let db = options.diversity.database(i);
-            (options.loader)(&db);
-            let mut replica = SmrReplica::new(db);
-            if let Some(dur) = &options.durability {
-                let disk = Disk::open(&storage, &format!("replica-{i}"), dur.fsync_cost);
-                replica = replica.with_wal(disk.clone(), dur.snapshot_every, dur.recent_limit);
-                if let Some(p) = &dur.transfer_probe {
-                    replica = replica.with_transfer_probe(p.clone());
-                }
-                disks.push(disk);
-            }
-            if let Some(lease) = &options.smr_leases {
-                replica = replica.with_read_leases(servers.clone(), i as u64, lease.clone());
-            }
-            let loc = rt.add_node(Box::new(replica));
-            assert_eq!(loc, *r);
-        }
-        if options.smr_leases.is_some() {
-            for r in &replicas {
-                rt.send_at(VTime::ZERO, *r, SmrReplica::lease_start_msg());
-            }
-        }
-
-        if options.start_clients {
-            for cl in &clients {
-                rt.send_at(VTime::from_millis(1), *cl, DbClient::start_msg());
-            }
-        }
+        let ((clients, stats), group) = build_unsharded(rt, options, None);
         SmrDeployment {
-            replicas,
+            replicas: group.replicas,
             clients,
             stats,
-            tob,
-            disks,
+            tob: group.tob,
+            disks: group.disks,
         }
     }
 
@@ -418,18 +471,8 @@ impl SmrDeployment {
         diversity: DiversityPolicy,
         loader: impl Fn(&Database) + 'static,
     ) -> ReconfigHandle {
-        let (port, rx) = rt.port();
-        ReconfigHandle {
-            port,
-            rx,
-            kind: ReconfigKind::Smr { role: None },
-            servers: self.tob.servers.clone(),
-            replicas: self.replicas.clone(),
-            diversity,
-            loader: Box::new(loader),
-            next_db: self.replicas.len(),
-            bcast_seq: 0,
-        }
+        let kind = ReconfigKind::Smr;
+        ReconfigHandle::new(rt, kind, None, &self.tob, &self.replicas, diversity, loader)
     }
 }
 
@@ -441,14 +484,9 @@ const RECONFIG_SLICE: Duration = Duration::from_millis(5);
 enum ReconfigKind {
     /// Primary-backup: membership is replicated state, changed through
     /// CAS-guarded configuration commands ordered by the TOB.
-    Pbr {
-        options: PbrOptions,
-        /// Sharded deployments: the group's place in the shard map, so a
-        /// joiner participates in cross-shard 2PC.
-        role: Option<ShardRole>,
-    },
+    Pbr(PbrOptions),
     /// State-machine replication: membership is the subscriber set.
-    Smr { role: Option<ShardRole> },
+    Smr,
 }
 
 /// A driver-side handle exposing online reconfiguration of one replica
@@ -462,6 +500,9 @@ pub struct ReconfigHandle {
     port: Loc,
     rx: PortRx,
     kind: ReconfigKind,
+    /// Sharded deployments: the group's place in the shard map, so a
+    /// joiner participates in cross-shard 2PC once caught up.
+    role: Option<ShardRole>,
     /// The group's broadcast-service entry points.
     servers: Vec<Loc>,
     /// Every replica location known to the handle: deploy-time members,
@@ -482,6 +523,30 @@ pub struct ReconfigHandle {
 }
 
 impl ReconfigHandle {
+    fn new<R: Runtime + ?Sized>(
+        rt: &mut R,
+        kind: ReconfigKind,
+        role: Option<ShardRole>,
+        tob: &TobDeployment,
+        replicas: &[Loc],
+        diversity: DiversityPolicy,
+        loader: impl Fn(&Database) + 'static,
+    ) -> ReconfigHandle {
+        let (port, rx) = rt.port();
+        ReconfigHandle {
+            port,
+            rx,
+            kind,
+            role,
+            servers: tob.servers.clone(),
+            replicas: replicas.to_vec(),
+            diversity,
+            loader: Box::new(loader),
+            next_db: replicas.len(),
+            bcast_seq: 0,
+        }
+    }
+
     /// Every replica location the handle knows of (including removed
     /// ones).
     pub fn replicas(&self) -> &[Loc] {
@@ -585,9 +650,9 @@ impl ReconfigHandle {
         self.next_db += 1;
         (self.loader)(&db);
         match &self.kind {
-            ReconfigKind::Pbr { options, role } => {
+            ReconfigKind::Pbr(options) => {
                 let mut joiner = PbrReplica::joiner(db, self.servers.clone(), options.clone());
-                if let Some(role) = role {
+                if let Some(role) = &self.role {
                     joiner = joiner.with_role(role.clone());
                 }
                 let loc = rt.add_node_late(Box::new(joiner));
@@ -616,9 +681,9 @@ impl ReconfigHandle {
                 }
                 None
             }
-            ReconfigKind::Smr { role } => {
+            ReconfigKind::Smr => {
                 let mut joiner = SmrReplica::joining_from(db, self.replicas.clone());
-                if let Some(role) = role {
+                if let Some(role) = &self.role {
                     joiner = joiner.with_role(role.clone());
                 }
                 let loc = rt.add_node_late(Box::new(joiner));
@@ -644,7 +709,7 @@ impl ReconfigHandle {
         deadline: Duration,
     ) -> bool {
         match &self.kind {
-            ReconfigKind::Pbr { .. } => {
+            ReconfigKind::Pbr(_) => {
                 let slices = (deadline.as_micros() / (RECONFIG_SLICE.as_micros() * 8)).max(1);
                 for _ in 0..slices {
                     let Some(rep) = self.query_config(rt, RECONFIG_SLICE * 4) else {
@@ -660,7 +725,7 @@ impl ReconfigHandle {
                 }
                 false
             }
-            ReconfigKind::Smr { .. } => {
+            ReconfigKind::Smr => {
                 for s in self.servers.clone() {
                     let now = rt.now();
                     rt.send_at(now, s, unsubscribe_msg(loc));
@@ -685,7 +750,7 @@ impl ReconfigHandle {
         deadline: Duration,
     ) -> bool {
         match &self.kind {
-            ReconfigKind::Pbr { .. } => {
+            ReconfigKind::Pbr(_) => {
                 let Some(start) = self.query_config(rt, deadline) else {
                     return false;
                 };
@@ -706,7 +771,7 @@ impl ReconfigHandle {
                 }
                 false
             }
-            ReconfigKind::Smr { .. } => true,
+            ReconfigKind::Smr => true,
         }
     }
 
@@ -724,98 +789,17 @@ impl ReconfigHandle {
         let share = deadline / 3;
         let added = self.add_replica(rt, share)?;
         match &self.kind {
-            ReconfigKind::Pbr { .. } => {
+            ReconfigKind::Pbr(_) => {
                 if !self.await_member(rt, added, share) {
                     return None;
                 }
             }
             // SMR joins converge on their own; the delivery stream the
             // joiner subscribed to is the group's state.
-            ReconfigKind::Smr { .. } => rt.run_for(share),
+            ReconfigKind::Smr => rt.run_for(share),
         }
         self.remove_replica(rt, victim, share).then_some(added)
     }
-}
-
-/// Loads schema and one shard's rows into a group database; the shard id
-/// comes first so the same closure serves every group.
-pub type ShardLoader = Box<dyn Fn(usize, &Database)>;
-
-/// Options for a horizontally sharded deployment: `shards` independent
-/// replica groups (each with its own broadcast service), one logical
-/// database partitioned by [`ShardMap`].
-pub struct ShardedOptions {
-    /// Number of replica groups.
-    pub shards: usize,
-    /// Number of clients (each routes across all groups).
-    pub n_clients: usize,
-    /// Produces the transaction list for client `i`.
-    pub client_txns: Box<dyn Fn(usize) -> Vec<TxnRequest>>,
-    /// Engine assignment across replicas (applied within each group).
-    pub diversity: DiversityPolicy,
-    /// Loads schema and **only shard `shard`'s rows** into one of that
-    /// group's databases. Unlike the unsharded [`DeployOptions::loader`],
-    /// the shard id comes first so the same closure serves every group.
-    pub loader: ShardLoader,
-    /// Broadcast-service execution mode.
-    pub mode: ExecutionMode,
-    /// Client retransmission timeout.
-    pub client_timeout: Duration,
-    /// Transactions-per-proposal bound in each broadcast service.
-    pub max_batch: usize,
-    /// Broadcast-service pipelining window.
-    pub window: Option<usize>,
-    /// PBR only: active replicas per group.
-    pub active_replicas: usize,
-    /// Broadcast-service machines per group.
-    pub machines: u32,
-    /// Consensus module for every group's broadcast service.
-    pub backend: BackendKind,
-    /// Whether the builder schedules client kick-off itself.
-    pub start_clients: bool,
-    /// Optional cross-shard commit observer, shared by every replica; the
-    /// chaos harness checks it with
-    /// [`crate::shard::check_two_pc_atomicity`].
-    pub probe: Option<TwoPcProbe>,
-    /// SMR groups only: per-group read leases; single-shard read-only
-    /// transactions go directly to the owning group's believed holder.
-    pub smr_leases: Option<SmrLeaseOptions>,
-}
-
-impl ShardedOptions {
-    /// Defaults mirroring [`DeployOptions::new`], with a per-shard loader.
-    pub fn new(
-        shards: usize,
-        n_clients: usize,
-        client_txns: impl Fn(usize) -> Vec<TxnRequest> + 'static,
-        loader: impl Fn(usize, &Database) + 'static,
-    ) -> ShardedOptions {
-        ShardedOptions {
-            shards,
-            n_clients,
-            client_txns: Box::new(client_txns),
-            diversity: DiversityPolicy::Uniform,
-            loader: Box::new(loader),
-            mode: ExecutionMode::Compiled,
-            client_timeout: Duration::from_secs(20),
-            max_batch: 64,
-            window: None,
-            active_replicas: 2,
-            machines: 3,
-            backend: BackendKind::Paxos,
-            start_clients: true,
-            probe: None,
-            smr_leases: None,
-        }
-    }
-}
-
-/// One replica group of a sharded deployment.
-pub struct ShardGroup {
-    /// Replica locations; under PBR `[primary, backup, spare]`.
-    pub replicas: Vec<Loc>,
-    /// The group's broadcast service.
-    pub tob: TobDeployment,
 }
 
 /// A deployed sharded ShadowDB: `shards` independent replica groups over
@@ -844,181 +828,80 @@ pub struct ShardedDeployment {
 }
 
 impl ShardedDeployment {
-    /// Builds `shards` primary-backup groups.
+    /// Builds `options.shards` primary-backup groups.
     pub fn build_pbr<R: Runtime + ?Sized>(
         rt: &mut R,
-        options: &ShardedOptions,
+        options: &DeployOptions,
         pbr: PbrOptions,
     ) -> ShardedDeployment {
         Self::build(rt, options, Some(pbr))
     }
 
-    /// Builds `shards` state-machine-replicated groups.
+    /// Builds `options.shards` state-machine-replicated groups.
     pub fn build_smr<R: Runtime + ?Sized>(
         rt: &mut R,
-        options: &ShardedOptions,
+        options: &DeployOptions,
     ) -> ShardedDeployment {
         Self::build(rt, options, None)
     }
 
     fn build<R: Runtime + ?Sized>(
         rt: &mut R,
-        options: &ShardedOptions,
+        options: &DeployOptions,
         pbr: Option<PbrOptions>,
     ) -> ShardedDeployment {
         let map = ShardMap::new(options.shards);
-        let backend = options.backend;
-        let per = tob_per(backend);
         let base = rt.node_count();
-        let n_replicas = match &pbr {
-            Some(_) => options.active_replicas as u32 + 1, // plus one spare
-            None => options.machines,
-        };
-        let group_span = options.machines * per + n_replicas;
-
-        // Every group's layout is a pure function of `base`, so routes to
-        // *all* groups are known before any node exists — replicas need
-        // them to address 2PC records at peers.
-        let mut server_locs: Vec<Vec<Loc>> = Vec::new();
-        let mut replica_locs: Vec<Vec<Loc>> = Vec::new();
-        for g in 0..options.shards {
-            let gbase = base + g as u32 * group_span;
-            server_locs.push(
-                (0..options.machines)
-                    .map(|i| Loc::new(gbase + i * per))
-                    .collect(),
-            );
-            replica_locs.push(
-                (0..n_replicas)
-                    .map(|i| Loc::new(gbase + options.machines * per + i))
-                    .collect(),
-            );
-        }
-        let routes: Vec<GroupRoute> = (0..options.shards)
-            .map(|g| match &pbr {
+        let first = GroupLayout::at(options, pbr.is_some(), base);
+        let span = (first.replicas.last().expect("replicas").index() + 1) - base;
+        let layouts: Vec<GroupLayout> = (0..options.shards as u32)
+            .map(|g| GroupLayout::at(options, pbr.is_some(), base + g * span))
+            .collect();
+        // Replicas need routes to every group to address 2PC records at
+        // peers.
+        let routes: Vec<GroupRoute> = layouts
+            .iter()
+            .map(|l| match &pbr {
                 Some(_) => GroupRoute::Pbr {
-                    replicas: replica_locs[g].clone(),
+                    replicas: l.replicas.clone(),
                 },
                 None => GroupRoute::Smr {
-                    servers: server_locs[g].clone(),
+                    servers: l.servers.clone(),
                 },
             })
             .collect();
-
         let mut groups = Vec::new();
-        for g in 0..options.shards {
-            let tob = TobDeployment::build(
-                rt,
-                &TobOptions {
-                    machines: options.machines,
-                    backend,
-                    mode: options.mode,
-                    max_batch: options.max_batch,
-                    window: options.window,
-                    ..TobOptions::default()
-                },
-                replica_locs[g].clone(),
-            );
-            assert_eq!(tob.servers, server_locs[g]);
+        for (shard, layout) in layouts.iter().enumerate() {
             let role = ShardRole {
                 map,
-                shard: g,
+                shard,
                 routes: routes.clone(),
                 probe: options.probe.clone(),
             };
-            match &pbr {
-                Some(pbr_opts) => {
-                    let config =
-                        ReplicaConfig::initial(replica_locs[g][..options.active_replicas].to_vec());
-                    let spares = replica_locs[g][options.active_replicas..].to_vec();
-                    for (i, r) in replica_locs[g].iter().enumerate() {
-                        let db = options.diversity.database(i);
-                        (options.loader)(g, &db);
-                        let replica = PbrReplica::new(
-                            db,
-                            config.clone(),
-                            spares.clone(),
-                            server_locs[g].clone(),
-                            pbr_opts.clone(),
-                        )
-                        .with_role(role.clone());
-                        let loc = rt.add_node(Box::new(replica));
-                        assert_eq!(loc, *r);
-                    }
-                }
-                None => {
-                    for (i, r) in replica_locs[g].iter().enumerate() {
-                        let db = options.diversity.database(i);
-                        (options.loader)(g, &db);
-                        let mut replica = SmrReplica::new(db).with_role(role.clone());
-                        if let Some(lease) = &options.smr_leases {
-                            replica = replica.with_read_leases(
-                                server_locs[g].clone(),
-                                i as u64,
-                                lease.clone(),
-                            );
-                        }
-                        let loc = rt.add_node(Box::new(replica));
-                        assert_eq!(loc, *r);
-                    }
-                    if options.smr_leases.is_some() {
-                        for r in &replica_locs[g] {
-                            rt.send_at(VTime::ZERO, *r, SmrReplica::lease_start_msg());
-                        }
-                    }
-                }
-            }
-            groups.push(ShardGroup {
-                replicas: replica_locs[g].clone(),
-                tob,
-            });
+            groups.push(build_group(
+                rt,
+                options,
+                pbr.as_ref(),
+                layout,
+                shard,
+                Some(role),
+            ));
         }
 
         // Clients last.
-        let sub_groups: Vec<Submission> = (0..options.shards)
-            .map(|g| match &pbr {
-                Some(_) => Submission::Pbr {
-                    replicas: replica_locs[g].clone(),
-                },
-                None => Submission::Smr {
-                    servers: server_locs[g].clone(),
-                    replicas: if options.smr_leases.is_some() {
-                        replica_locs[g].clone()
-                    } else {
-                        Vec::new()
-                    },
-                },
-            })
-            .collect();
-        let mut stats = Vec::new();
-        let mut clients = Vec::new();
-        for i in 0..options.n_clients {
-            let s = Arc::new(Mutex::new(DbClientStats::default()));
-            stats.push(s.clone());
-            let client = DbClient::new(
-                Submission::Sharded {
-                    map,
-                    groups: sub_groups.clone(),
-                },
-                (options.client_txns)(i),
-                s,
-            )
-            .with_timeout(options.client_timeout);
-            clients.push(rt.add_node(Box::new(client)));
-        }
-
-        if pbr.is_some() {
-            for group in &groups {
-                for r in &group.replicas {
-                    rt.send_at(VTime::ZERO, *r, PbrReplica::start_msg());
-                }
-            }
-        }
-        if options.start_clients {
-            for cl in &clients {
-                rt.send_at(VTime::from_millis(1), *cl, DbClient::start_msg());
-            }
-        }
+        let submission = Submission::Sharded {
+            map,
+            groups: layouts
+                .iter()
+                .map(|l| l.submission(options, pbr.is_some()))
+                .collect(),
+        };
+        let (clients, stats) = build_clients(rt, options, &submission);
+        let starting: Vec<Loc> = match pbr {
+            Some(_) => groups.iter().flat_map(|g| g.replicas.clone()).collect(),
+            None => Vec::new(),
+        };
+        start(rt, options, &starting, &clients);
         ShardedDeployment {
             map,
             groups,
@@ -1043,6 +926,18 @@ impl ShardedDeployment {
             .collect()
     }
 
+    /// Shard group `group`'s place in the deployment: what a joiner — or a
+    /// replica rebooted from its disk — must be built with to take part
+    /// in cross-shard 2PC.
+    pub fn role(&self, group: usize) -> ShardRole {
+        ShardRole {
+            map: self.map,
+            shard: group,
+            routes: self.routes.clone(),
+            probe: self.probe.clone(),
+        }
+    }
+
     /// A reconfiguration handle scoped to shard group `group`: replace
     /// one replica of that group while every other group serves
     /// untouched. The joiner is built with the group's [`ShardRole`], so
@@ -1054,31 +949,12 @@ impl ShardedDeployment {
         diversity: DiversityPolicy,
         loader: impl Fn(&Database) + 'static,
     ) -> ReconfigHandle {
-        let role = ShardRole {
-            map: self.map,
-            shard: group,
-            routes: self.routes.clone(),
-            probe: self.probe.clone(),
-        };
-        let (port, rx) = rt.port();
         let kind = match &self.pbr {
-            Some(options) => ReconfigKind::Pbr {
-                options: options.clone(),
-                role: Some(role),
-            },
-            None => ReconfigKind::Smr { role: Some(role) },
+            Some(options) => ReconfigKind::Pbr(options.clone()),
+            None => ReconfigKind::Smr,
         };
-        ReconfigHandle {
-            port,
-            rx,
-            kind,
-            servers: self.groups[group].tob.servers.clone(),
-            replicas: self.groups[group].replicas.clone(),
-            diversity,
-            loader: Box::new(loader),
-            next_db: self.groups[group].replicas.len(),
-            bcast_seq: 0,
-        }
+        let (g, role) = (&self.groups[group], Some(self.role(group)));
+        ReconfigHandle::new(rt, kind, role, &g.tob, &g.replicas, diversity, loader)
     }
 }
 
@@ -1166,9 +1042,9 @@ mod tests {
         n_clients: usize,
         txns_each: usize,
         transfer_every: usize,
-    ) -> ShardedOptions {
+    ) -> DeployOptions {
         const ROWS: usize = 64;
-        ShardedOptions::new(
+        DeployOptions::sharded(
             shards,
             n_clients,
             move |i| {

@@ -19,6 +19,10 @@
 //!   transaction; clients take the first answer. A replica crash is
 //!   invisible to clients.
 //!
+//! Both are *ordering policies* over one [`replica_core`]: the database
+//! handle, the per-client reply cache, grouped apply, 2PC hosting, the
+//! WAL policy and the single state image a replica is rebuilt from.
+//!
 //! Supporting modules: [`msgs`] (wire messages), [`client`] (closed-loop
 //! clients with resend and duplicate suppression), [`deploy`] (full
 //! deployments inside the simulator, with databases co-located with
@@ -32,13 +36,15 @@ pub mod deploy;
 pub mod diversity;
 pub mod msgs;
 pub mod pbr;
+pub mod replica_core;
 pub mod serializability;
 pub mod shard;
 pub mod smr;
 
 pub use chaos::{
-    soak_durability_pbr, soak_durability_smr, soak_pbr, soak_sharded_pbr, soak_sharded_smr,
-    soak_smr, ChaosOptions, ChaosReport,
+    soak_durability_pbr, soak_durability_smr, soak_pbr, soak_sharded_pbr,
+    soak_sharded_pbr_power_loss, soak_sharded_smr, soak_sharded_smr_power_loss, soak_smr,
+    ChaosOptions, ChaosReport,
 };
 pub use client::{DbClient, DbClientStats};
 pub use deploy::{PbrDeployment, ShardedDeployment, SmrDeployment};

@@ -25,12 +25,11 @@ pub const HB_TIMER_HEADER: &str = "sdb/hbtimer";
 pub const ELECT_HEADER: &str = "sdb/elect";
 /// Missing-transaction catch-up: body `<config, <start_index, [txn entries]>>`.
 pub const CATCHUP_HEADER: &str = "sdb/catchup";
-/// Snapshot chunk during state transfer:
-/// body `<config, <chunk_index, <total_chunks, bytes>>>`.
+/// Snapshot chunk during state transfer: body `<config, chunk>`, where
+/// `chunk` is the replica core's transfer format
+/// (`<chunk_index, <<total_chunks, executed>, data>>`, the first chunk's
+/// `data` carrying the state image's head alongside its rows).
 pub const SNAPSHOT_HEADER: &str = "sdb/snapshot";
-/// Snapshot chunk carrying sharded-deployment protocol state alongside the
-/// rows: body `<config, <chunk_index, <<total, executed>, <state, bytes>>>>`.
-pub const SNAPSHOT2_HEADER: &str = "sdb/snapshot2";
 /// Backup → primary recovery acknowledgment: body `<config, from>`.
 pub const RECOVERY_ACK_HEADER: &str = "sdb/recack";
 /// A disk-recovered replica asks the primary for the suffix its WAL

@@ -25,19 +25,20 @@
 //!    replicas), else after all of them.
 
 use crate::msgs::{
-    config_reply_msg, reply_msg, sql_to_value, stale_config_msg, value_to_sql, ConfigCommand,
-    ReplicaConfig, TxnEnvelope, ACK_HEADER, CATCHUP_HEADER, CONFIG_QUERY_HEADER, ELECT_HEADER,
-    FORWARD_HEADER, HB_TIMER_HEADER, HEARTBEAT_HEADER, RECOVERY_ACK_HEADER, REFETCH_HEADER,
-    SNAPSHOT2_HEADER, SNAPSHOT_HEADER, SUBMIT_HEADER,
+    config_reply_msg, reply_msg, stale_config_msg, ConfigCommand, ReplicaConfig, TxnEnvelope,
+    ACK_HEADER, CATCHUP_HEADER, CONFIG_QUERY_HEADER, ELECT_HEADER, FORWARD_HEADER, HB_TIMER_HEADER,
+    HEARTBEAT_HEADER, RECOVERY_ACK_HEADER, REFETCH_HEADER, SNAPSHOT_HEADER, SUBMIT_HEADER,
 };
-use crate::shard::{ShardRole, TwoPcEngine};
+pub use crate::replica_core::{LeaseProbe, TransferKind, TransferProbe};
+use crate::replica_core::{LeaseWatch, ReplicaCore, Seen};
+use crate::shard::ShardRole;
 use shadowdb_eventml::process::HasherAdapter;
 use shadowdb_eventml::{cached_header, Ctx, Msg, Process, SendInstr, Value};
 use shadowdb_loe::{Loc, VTime};
-use shadowdb_sqldb::{Database, RowBatch, SqlValue};
+use shadowdb_sqldb::Database;
 use shadowdb_tob::{broadcast_msg, parse_deliver, parse_subok, Delivery, InOrderBuffer};
-use shadowdb_wal::{Disk, Wal};
-use shadowdb_workloads::{apply_group, TxnOutcome, TxnRequest};
+use shadowdb_wal::Disk;
+use shadowdb_workloads::{TxnOutcome, TxnRequest};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -47,30 +48,6 @@ use std::time::Duration;
 /// first time a replica executes a client transaction as primary in a
 /// configuration. Safety harnesses assert at most one replica per seq.
 pub type PrimaryProbe = Arc<parking_lot::Mutex<Vec<(i64, Loc)>>>;
-
-/// A shared log of `(config seq or lease term, replica, served_us,
-/// lease_until_us)` rows, appended each time a replica serves a read on
-/// the lease-protected fast path. Safety harnesses assert that rows from
-/// *different* replicas carry pairwise-disjoint `[served, until]`
-/// intervals — no two nodes ever believe they hold the lease at once.
-pub type LeaseProbe = Arc<parking_lot::Mutex<Vec<(i64, Loc, i64, i64)>>>;
-
-/// Which transfer path a donor used to bring a rejoining replica up to
-/// date. Durability soaks assert that a disk-recovered replica took the
-/// suffix-only `Catchup` path and never needed a full `Snapshot` — the
-/// point of the WAL is that restart-from-disk misses only a suffix.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TransferKind {
-    /// The donor replayed missing transactions from its cache (or, under
-    /// SMR, its recent-delivery cache).
-    Catchup,
-    /// The donor streamed a full state snapshot.
-    Snapshot,
-}
-
-/// A shared log of `(receiver, transfer kind)` pairs, appended by the
-/// donor each time it answers a state-transfer request.
-pub type TransferProbe = Arc<parking_lot::Mutex<Vec<(Loc, TransferKind)>>>;
 
 /// Tag of a WAL record holding an executed transaction envelope.
 pub(crate) const WREC_TXN: i64 = 0;
@@ -98,9 +75,6 @@ pub struct PbrOptions {
     /// time this replica executes as primary in each configuration.
     /// Excluded from the digest (it observes state, it is not state).
     pub probe: Option<PrimaryProbe>,
-    /// Optional transfer probe: the donor records which transfer path it
-    /// used per rejoin request. Excluded from the digest likewise.
-    pub transfer_probe: Option<TransferProbe>,
     /// Enable the lease-based read fast path: the primary answers
     /// read-only transactions from local state, without forwarding, while
     /// it provably holds the group's read lease. Off by default — the
@@ -134,7 +108,6 @@ impl Default for PbrOptions {
             transfer_batch_bytes: 50_000,
             overlapped_transfer: false,
             probe: None,
-            transfer_probe: None,
             read_leases: false,
             lease_duration: Duration::from_secs(4),
             lease_margin: Duration::ZERO,
@@ -156,6 +129,7 @@ enum Mode {
     Idle,
 }
 
+#[derive(Clone)]
 struct Pending {
     env: TxnEnvelope,
     outcome: TxnOutcome,
@@ -169,22 +143,22 @@ struct Pending {
     suppress_reply: bool,
 }
 
-/// A primary-backup ShadowDB replica.
+/// A primary-backup ShadowDB replica: the PBR ordering policy over a
+/// [`ReplicaCore`].
+#[derive(Clone)]
 pub struct PbrReplica {
-    db: Database,
+    /// The replicated service: database, reply cache, executed counter,
+    /// 2PC engine, WAL, state transfer.
+    core: ReplicaCore,
     options: PbrOptions,
     config: ReplicaConfig,
     spares: Vec<Loc>,
     tob_servers: Vec<Loc>,
     mode: Mode,
-    /// Number of transactions executed (the election criterion).
-    executed: i64,
     /// Cache of executed transactions for catch-up; `log[0]` has index
     /// `log_start`.
     log: VecDeque<TxnEnvelope>,
     log_start: i64,
-    /// client -> (last cseq, its outcome) for duplicate suppression.
-    last_reply: HashMap<Loc, (i64, bool, Vec<SqlValue>)>,
     /// Primary: transactions awaiting backup acks, by index.
     pending: BTreeMap<i64, Pending>,
     /// Primary: backups currently participating in acknowledgments.
@@ -205,35 +179,14 @@ pub struct PbrReplica {
     /// A joiner created mid-run awaits its first `tob/subok` to anchor
     /// `tob_in` at the broadcast seq its dynamic subscription starts at.
     join_sync: bool,
-    /// Snapshot reception state: chunks received so far.
-    snap_chunks: BTreeMap<i64, bytes::Bytes>,
-    snap_total: Option<(i64, i64)>, // (total chunks, executed count)
     /// Last configuration seq this replica reported to the probe.
     probe_last: Option<i64>,
-    /// Sharded deployments: this group's place in the shard map.
-    role: Option<ShardRole>,
-    /// The replicated 2PC state machine (present iff `role` is).
-    engine: Option<TwoPcEngine>,
-    /// Per-target-shard emission counters, advanced in lockstep at every
-    /// member so a promoted primary continues the sequence monotonically.
-    twopc_seq: Vec<i64>,
     /// Sends rendered while executing 2PC records; the primary attaches
     /// them to the pending entry (ack-gated), everyone else drops them.
     twopc_outbox: Vec<SendInstr>,
-    /// Engine state received alongside a sharded snapshot.
-    snap_engine: Option<Value>,
-    /// Durability plane: the write-ahead log, when this replica persists
-    /// its execution. Appends accumulate across a step and are fsynced
-    /// once at the end of it (group commit at the group-apply boundary),
-    /// before any reply the step produced is released.
-    wal: Option<Wal>,
     /// Monotone WAL record index (transactions and config adoptions share
     /// one sequence; `executed` alone cannot index config records).
     wal_index: i64,
-    /// WAL index of the last durable snapshot (truncation point).
-    wal_snap_at: i64,
-    /// Take a durable snapshot every this many WAL records.
-    snapshot_every: i64,
     /// Set by disk recovery: ask the group for the suffix the disk missed
     /// (re-sent on the heartbeat timer until recovery completes).
     need_refetch: bool,
@@ -251,8 +204,6 @@ pub struct PbrReplica {
     /// recovery waits out the previous configuration's largest possible
     /// outstanding lease.
     lease_wait_until: VTime,
-    /// Deferred CPU cost (transaction execution, snapshot work).
-    step_cost: Duration,
 }
 
 impl PbrReplica {
@@ -266,17 +217,17 @@ impl PbrReplica {
         tob_servers: Vec<Loc>,
         options: PbrOptions,
     ) -> PbrReplica {
+        let mut core = ReplicaCore::new(db);
+        core.set_transfer_batch_bytes(options.transfer_batch_bytes);
         PbrReplica {
-            db,
+            core,
             options,
             config,
             spares,
             tob_servers,
             mode: Mode::Normal,
-            executed: 0,
             log: VecDeque::new(),
             log_start: 0,
-            last_reply: HashMap::new(),
             pending: BTreeMap::new(),
             active_backups: BTreeSet::new(),
             forward_buf: BTreeMap::new(),
@@ -288,23 +239,13 @@ impl PbrReplica {
             recovery_acks: BTreeSet::new(),
             promote_pref: None,
             join_sync: false,
-            snap_chunks: BTreeMap::new(),
-            snap_total: None,
             probe_last: None,
-            role: None,
-            engine: None,
-            twopc_seq: Vec::new(),
             twopc_outbox: Vec::new(),
-            snap_engine: None,
-            wal: None,
             wal_index: 0,
-            wal_snap_at: 0,
-            snapshot_every: i64::MAX,
             need_refetch: false,
             lease_echo: HashMap::new(),
             primary_ts: VTime::ZERO,
             lease_wait_until: VTime::ZERO,
-            step_cost: Duration::ZERO,
         }
     }
 
@@ -335,9 +276,14 @@ impl PbrReplica {
     /// the shard map, and routes to every other group. Activates the 2PC
     /// engine on the replicated execution path.
     pub fn with_role(mut self, role: ShardRole) -> PbrReplica {
-        self.engine = Some(TwoPcEngine::new(role.map, role.shard, role.probe.clone()));
-        self.twopc_seq = vec![0; role.map.shards()];
-        self.role = Some(role);
+        self.core.set_role(role);
+        self
+    }
+
+    /// Installs a donor-side transfer probe: this replica records which
+    /// transfer path it used per rejoin request.
+    pub fn with_transfer_probe(mut self, probe: TransferProbe) -> PbrReplica {
+        self.core.set_transfer_probe(probe);
         self
     }
 
@@ -346,8 +292,7 @@ impl PbrReplica {
     /// with a durable snapshot (and log truncation) every
     /// `snapshot_every` records.
     pub fn with_wal(mut self, disk: Disk, snapshot_every: i64) -> PbrReplica {
-        self.snapshot_every = snapshot_every.max(1);
-        self.wal = Some(Wal::open(disk));
+        self.core.attach_wal(disk, snapshot_every, 0);
         self
     }
 
@@ -371,21 +316,26 @@ impl PbrReplica {
         disk: Disk,
         snapshot_every: i64,
     ) -> PbrReplica {
-        let rec = shadowdb_wal::recover(&disk);
         let mut r = PbrReplica::new(db, config, spares, tob_servers, options);
         if let Some(role) = role {
             r = r.with_role(role);
         }
-        if let Some((_, blob)) = &rec.snapshot {
-            r.install_durable_blob(blob);
+        let rec = r.core.recover(&disk);
+        let mut snap_at = 0;
+        if let Some((idx, header)) = &rec.snapshot {
+            // The durable image's policy header is the replica's position
+            // on the config chain.
+            if let Some(c) = ReplicaConfig::from_value(header) {
+                r.config = c;
+            }
+            r.log_start = r.core.executed();
+            snap_at = *idx;
         }
         for (_, body) in &rec.records {
             r.replay_record(slf, body);
         }
         r.wal_index = rec.high_index().max(0);
-        r.wal_snap_at = rec.snapshot.as_ref().map(|(i, _)| *i).unwrap_or(0);
-        r.snapshot_every = snapshot_every.max(1);
-        r.wal = Some(Wal::open(disk));
+        r.core.attach_wal(disk, snapshot_every, snap_at);
         // The disk knows everything up to the crash; the group has moved
         // on. Rejoin: re-anchor the TOB subscription and ask the primary
         // for the missed suffix.
@@ -393,84 +343,6 @@ impl PbrReplica {
         r.join_sync = true;
         r.need_refetch = true;
         r
-    }
-
-    /// Serializes everything a durable snapshot must carry: `executed`,
-    /// the config-chain position, the per-client reply cache (without it
-    /// a recovered replica would re-execute a retransmitted transaction
-    /// it already answered), 2PC protocol state when sharded, and the row
-    /// data. Reply-cache entries are sorted so the blob is deterministic.
-    fn durable_blob(&self, snapshot: &shadowdb_sqldb::Snapshot) -> Value {
-        type ReplyEntry = (i64, bool, Vec<SqlValue>);
-        let mut entries: Vec<(&Loc, &ReplyEntry)> = self.last_reply.iter().collect();
-        entries.sort_by_key(|(l, _)| **l);
-        let replies = Value::list(entries.into_iter().map(
-            |(client, (cseq, committed, result))| {
-                Value::pair(
-                    Value::Loc(*client),
-                    Value::pair(
-                        Value::Int(*cseq),
-                        Value::pair(
-                            Value::Bool(*committed),
-                            Value::list(result.iter().map(sql_to_value)),
-                        ),
-                    ),
-                )
-            },
-        ));
-        let shard = match &self.engine {
-            Some(e) => Value::pair(
-                Value::list(self.twopc_seq.iter().map(|s| Value::Int(*s))),
-                e.to_value(),
-            ),
-            None => Value::Unit,
-        };
-        Value::pair(
-            Value::Int(self.executed),
-            Value::pair(
-                self.config.to_value(),
-                Value::pair(
-                    replies,
-                    Value::pair(shard, Value::Bytes(snapshot.to_bytes())),
-                ),
-            ),
-        )
-    }
-
-    /// Restores the state [`Self::durable_blob`] captured. Tolerant of
-    /// malformed pieces (a corrupt snapshot file never reaches here — the
-    /// WAL checksums it — but recovery stays total regardless).
-    fn install_durable_blob(&mut self, blob: &Value) {
-        let (executed, rest) = blob.unpair();
-        let (config, rest) = rest.unpair();
-        let (replies, rest) = rest.unpair();
-        let (shard, db_bytes) = rest.unpair();
-        if let Some(c) = ReplicaConfig::from_value(config) {
-            self.config = c;
-        }
-        if let Some(bytes) = db_bytes.as_bytes() {
-            if let Ok(snapshot) = shadowdb_sqldb::Snapshot::from_bytes(bytes.clone()) {
-                let _ = self.db.restore(&snapshot);
-            }
-        }
-        self.executed = executed.int();
-        self.log.clear();
-        self.log_start = self.executed;
-        if let Some(list) = replies.as_list() {
-            for e in list {
-                let (client, rest) = e.unpair();
-                let (cseq, rest) = rest.unpair();
-                let (committed, result) = rest.unpair();
-                let vals: Vec<SqlValue> = result.elems().iter().filter_map(value_to_sql).collect();
-                self.last_reply.insert(
-                    client.loc(),
-                    (cseq.int(), committed.as_bool().unwrap_or(false), vals),
-                );
-            }
-        }
-        if self.role.is_some() && !matches!(shard, Value::Unit) {
-            self.adopt_shard_state(shard.clone());
-        }
     }
 
     /// Replays one WAL record onto local state. Nothing is sent: 2PC
@@ -481,7 +353,7 @@ impl PbrReplica {
         match tag.int() {
             WREC_TXN => {
                 if let Some(env) = TxnEnvelope::from_value(payload) {
-                    self.execute_txn(slf, &env);
+                    self.execute_txn_group(slf, std::slice::from_ref(&env));
                     self.twopc_outbox.clear();
                 }
             }
@@ -501,7 +373,7 @@ impl PbrReplica {
 
     /// Number of transactions executed (for assertions in tests).
     pub fn executed(&self) -> i64 {
-        self.executed
+        self.core.executed()
     }
 
     /// Current configuration (for assertions in tests).
@@ -511,145 +383,53 @@ impl PbrReplica {
 
     /// A handle to this replica's database.
     pub fn database(&self) -> &Database {
-        &self.db
+        self.core.db()
     }
 
     fn is_primary(&self, slf: Loc) -> bool {
         self.config.primary() == slf
     }
 
-    fn charge(&mut self, d: Duration) {
-        self.step_cost += d;
-    }
-
-    /// Executes a transaction locally, recording it in the log and reply
-    /// cache.
-    fn execute_txn(&mut self, slf: Loc, env: &TxnEnvelope) -> (bool, Vec<SqlValue>) {
-        self.execute_txn_group(slf, std::slice::from_ref(env))
-            .pop()
-            .expect("one outcome per envelope")
-    }
-
     /// Executes a run of transactions, group-applying consecutive plain
-    /// requests under ONE engine transaction (one commit for the whole
-    /// run), with per-transaction log and reply bookkeeping identical to
-    /// sequential execution. Replica execution is single-threaded, so the
-    /// grouped answers match unbatched ones. In a sharded deployment, 2PC
-    /// records break the run and step the protocol engine instead.
-    fn execute_txn_group(&mut self, slf: Loc, envs: &[TxnEnvelope]) -> Vec<(bool, Vec<SqlValue>)> {
-        let mut outcomes = Vec::with_capacity(envs.len());
+    /// requests under one engine commit, with per-transaction log and
+    /// reply-cache bookkeeping identical to sequential execution. In a
+    /// sharded deployment, 2PC records break the run and step the protocol
+    /// engine instead: the rendered sends land in the outbox and the
+    /// emission counters advance — at every member, so counters stay in
+    /// lockstep; non-primaries drop the rendered sends afterwards.
+    fn execute_txn_group(&mut self, slf: Loc, envs: &[TxnEnvelope]) {
         let mut run_start = 0usize;
         for (i, env) in envs.iter().enumerate() {
-            if self.engine.is_some() && matches!(env.txn, TxnRequest::TwoPc(_)) {
-                self.apply_plain_run(&envs[run_start..i], &mut outcomes);
+            if self.core.is_twopc(env) {
+                self.apply_plain_run(&envs[run_start..i]);
                 run_start = i + 1;
-                outcomes.push(self.execute_twopc(slf, env));
+                let instrs = self.core.step_twopc(slf, env);
+                self.twopc_outbox.extend(instrs);
+                self.record_executed(env);
             }
         }
-        self.apply_plain_run(&envs[run_start..], &mut outcomes);
-        outcomes
+        self.apply_plain_run(&envs[run_start..]);
     }
 
-    fn apply_plain_run(&mut self, envs: &[TxnEnvelope], outcomes: &mut Vec<(bool, Vec<SqlValue>)>) {
-        if envs.is_empty() {
-            return;
-        }
-        let reqs: Vec<&TxnRequest> = envs.iter().map(|e| &e.txn).collect();
-        let results = apply_group(&self.db, &reqs);
-        for (env, res) in envs.iter().zip(results) {
-            let (committed, result, cost) = res
-                .map(|o| (o.committed, o.result, o.cost))
-                .unwrap_or_else(|e| (false, vec![SqlValue::Text(e.to_string())], Duration::ZERO));
-            self.charge(cost);
+    fn apply_plain_run(&mut self, envs: &[TxnEnvelope]) {
+        self.core.apply_run(envs);
+        for env in envs {
             self.record_executed(env);
-            self.last_reply
-                .insert(env.client, (env.cseq, committed, result.clone()));
-            outcomes.push((committed, result));
         }
     }
 
-    /// Steps the 2PC engine on an ordered record and renders the owed
-    /// actions into the outbox, advancing the emission counters — at every
-    /// member, so counters stay in lockstep; non-primaries drop the
-    /// rendered sends afterwards.
-    fn execute_twopc(&mut self, slf: Loc, env: &TxnEnvelope) -> (bool, Vec<SqlValue>) {
-        let TxnRequest::TwoPc(rec) = &env.txn else {
-            unreachable!("caller matched TwoPc");
-        };
-        let (actions, cost) = self
-            .engine
-            .as_mut()
-            .expect("engine present on the 2PC path")
-            .step(rec, &self.db);
-        self.charge(cost);
-        self.record_executed(env);
-        // Placeholder entry: duplicates of 2PC records re-drive the
-        // protocol (see `reply_duplicate`), never this cached value. The
-        // recorded cseq is a high-water mark — a reordered older record
-        // must not regress it, or a genuine duplicate of the newer one
-        // would be mistaken for fresh work forever.
-        let hw = self
-            .last_reply
-            .get(&env.client)
-            .map_or(env.cseq, |(l, _, _)| env.cseq.max(*l));
-        self.last_reply.insert(env.client, (hw, true, Vec::new()));
-        let role = self.role.as_ref().expect("role present on the 2PC path");
-        let instrs = role.render(slf, &actions, &mut self.twopc_seq);
-        self.twopc_outbox.extend(instrs);
-        (true, Vec::new())
-    }
-
+    /// What a PBR WAL record is: the executed envelope itself. The same
+    /// envelope enters the catch-up cache.
     fn record_executed(&mut self, env: &TxnEnvelope) {
-        self.executed += 1;
-        if let Some(wal) = self.wal.as_mut() {
+        if self.core.has_wal() {
             let body = Value::pair(Value::Int(WREC_TXN), env.to_value());
             self.wal_index += 1;
-            wal.append(self.wal_index, &body);
+            self.core.wal_append(self.wal_index, &body);
         }
         self.log.push_back(env.clone());
         while self.log.len() > self.options.cache_limit {
             self.log.pop_front();
             self.log_start += 1;
-        }
-    }
-
-    /// End-of-step durability: one fsync covers every append the step
-    /// made (group commit at the group-apply boundary — a drained batch
-    /// of N forwards costs one fsync, not N), and it runs before the
-    /// runtime dispatches the step's sends, so no reply escapes ahead of
-    /// the log. Every `snapshot_every` records the log is folded into a
-    /// durable snapshot instead (which truncates it).
-    fn flush_wal(&mut self) {
-        if self.wal.is_none() {
-            return;
-        }
-        if self.wal_index - self.wal_snap_at >= self.snapshot_every {
-            let snapshot = self.db.snapshot();
-            let costs = self.db.profile().costs;
-            self.charge(Duration::from_micros(
-                costs.scan_row_us * snapshot.row_count() as u64,
-            ));
-            let blob = self.durable_blob(&snapshot);
-            let idx = self.wal_index;
-            let cost = self
-                .wal
-                .as_mut()
-                .expect("checked")
-                .save_snapshot(idx, &blob);
-            self.wal_snap_at = idx;
-            self.charge(cost);
-        } else {
-            let w = self.wal.as_mut().expect("checked");
-            if w.pending() > 0 {
-                let cost = w.commit();
-                self.charge(cost);
-            }
-        }
-    }
-
-    fn note_transfer(&mut self, to: Loc, kind: TransferKind) {
-        if let Some(p) = &self.options.transfer_probe {
-            p.lock().push((to, kind));
         }
     }
 
@@ -687,21 +467,6 @@ impl PbrReplica {
         Some(until)
     }
 
-    /// Records a served fast-path read with the probe and audit sink.
-    fn note_lease_read(&mut self, ctx: &Ctx, until: VTime, outs: &mut Vec<SendInstr>) {
-        let (served_us, until_us) = (ctx.now.as_micros() as i64, until.as_micros() as i64);
-        if let Some(p) = &self.options.lease_probe {
-            p.lock()
-                .push((self.config.seq, ctx.slf, served_us, until_us));
-        }
-        if let Some(sink) = self.options.lease_audit {
-            outs.push(SendInstr::now(
-                sink,
-                crate::msgs::lease_audit_msg(self.config.seq, ctx.slf, served_us, until_us),
-            ));
-        }
-    }
-
     // -- normal case -------------------------------------------------------
 
     fn on_submit(&mut self, ctx: &Ctx, body: &Value, outs: &mut Vec<SendInstr>) {
@@ -732,21 +497,17 @@ impl PbrReplica {
         // engine has never seen. Stepping it is safe — the engine is
         // idempotent — while dropping it would stall the transaction
         // until a client retransmission re-drives the protocol.
-        let is_2pc = self.engine.is_some() && matches!(env.txn, TxnRequest::TwoPc(_));
-        if let Some((last, _, _)) = self.last_reply.get(&env.client) {
-            if env.cseq == *last {
-                self.reply_duplicate(ctx, &env, outs);
-                return;
-            }
-            if env.cseq < *last && !is_2pc {
-                return;
-            }
+        let is_2pc = self.core.is_twopc(&env);
+        match self.core.seen(env.client, env.cseq) {
+            Seen::Duplicate => return self.reply_duplicate(ctx, &env, outs),
+            Seen::Stale if !is_2pc => return,
+            _ => {}
         }
         // Lease-protected read fast path: answer from local state, no
         // forwarding, no ack round. Three gates beyond the lease itself:
-        // the client's read-only claim, re-checked by `apply_read_only`
-        // (which refuses anything that isn't a lockless SELECT — a
-        // mis-flagged transaction falls through to ordered execution);
+        // the client's read-only claim, re-checked by the core (which
+        // refuses anything that isn't a lockless SELECT — a mis-flagged
+        // transaction falls through to ordered execution);
         // and no unacknowledged *write* pending — an executed write the
         // backups have not all acked is visible locally but could be lost
         // in a failover, and a read that observed it would go
@@ -758,13 +519,14 @@ impl PbrReplica {
         // would never open.
         if env.read_only && self.pending.values().all(|p| p.env.read_only) {
             if let Some(until) = self.lease_until(ctx) {
-                if let Some(out) = env.txn.apply_read_only(&self.db) {
-                    self.charge(out.cost);
-                    self.note_lease_read(ctx, until, outs);
-                    outs.push(SendInstr::now(
-                        env.client,
-                        reply_msg(ctx.slf, env.cseq, out.committed, &out.result),
-                    ));
+                let watch = LeaseWatch {
+                    probe: &self.options.lease_probe,
+                    audit: self.options.lease_audit,
+                };
+                if self
+                    .core
+                    .serve_lease_read(ctx, &env, self.config.seq, until, watch, outs)
+                {
                     return;
                 }
             }
@@ -777,9 +539,13 @@ impl PbrReplica {
                 probe.lock().push((self.config.seq, ctx.slf));
             }
         }
-        let (committed, result) = self.execute_txn(ctx.slf, &env);
+        self.execute_txn_group(ctx.slf, std::slice::from_ref(&env));
         let extra = std::mem::take(&mut self.twopc_outbox);
-        let idx = self.executed;
+        let idx = self.core.executed();
+        let (_, committed, result) = self
+            .core
+            .cached_reply(env.client)
+            .expect("just executed this client's request");
         if self.active_backups.is_empty() {
             if is_2pc {
                 // No backups to wait for: the engine's sends go out now.
@@ -787,7 +553,7 @@ impl PbrReplica {
             } else {
                 outs.push(SendInstr::now(
                     env.client,
-                    reply_msg(ctx.slf, env.cseq, committed, &result),
+                    reply_msg(ctx.slf, env.cseq, committed, result),
                 ));
             }
         } else {
@@ -803,15 +569,16 @@ impl PbrReplica {
                     ),
                 ));
             }
+            let outcome = TxnOutcome {
+                committed,
+                result: result.to_vec(),
+                cost: Duration::ZERO,
+            };
             self.pending.insert(
                 idx,
                 Pending {
                     env,
-                    outcome: TxnOutcome {
-                        committed,
-                        result,
-                        cost: Duration::ZERO,
-                    },
+                    outcome,
                     waiting: self.active_backups.clone(),
                     extra,
                     suppress_reply: is_2pc,
@@ -825,11 +592,8 @@ impl PbrReplica {
     /// protocol sends from replicated state (the cached entry is a
     /// placeholder — the real answer flows through the protocol).
     fn reply_duplicate(&mut self, ctx: &Ctx, env: &TxnEnvelope, outs: &mut Vec<SendInstr>) {
-        if self.engine.is_some() {
-            if let TxnRequest::TwoPc(rec) = &env.txn {
-                self.redrive_twopc(ctx, rec.txnid(), outs);
-                return;
-            }
+        if let (true, TxnRequest::TwoPc(rec)) = (self.core.is_twopc(env), &env.txn) {
+            return self.redrive_twopc(ctx, rec.txnid(), outs);
         }
         // `last_reply` is written at *execution* time, but the answer is
         // only owed once the backups acknowledged. While the client's
@@ -842,10 +606,10 @@ impl PbrReplica {
         if self.pending.values().any(|p| p.env.client == env.client) {
             return;
         }
-        if let Some((last, committed, result)) = self.last_reply.get(&env.client) {
+        if let Some((last, committed, result)) = self.core.cached_reply(env.client) {
             outs.push(SendInstr::now(
                 env.client,
-                reply_msg(ctx.slf, *last, *committed, result),
+                reply_msg(ctx.slf, last, committed, result),
             ));
         }
     }
@@ -862,11 +626,7 @@ impl PbrReplica {
         txnid: shadowdb_workloads::TxnId,
         outs: &mut Vec<SendInstr>,
     ) {
-        let (Some(role), Some(engine)) = (&self.role, &self.engine) else {
-            return;
-        };
-        let actions = engine.emissions(txnid);
-        let instrs = role.render(ctx.slf, &actions, &mut self.twopc_seq);
+        let instrs = self.core.redrive_twopc(ctx.slf, txnid);
         if let Some(p) = self.pending.values_mut().next_back() {
             p.extra.extend(instrs);
         } else {
@@ -901,7 +661,7 @@ impl PbrReplica {
         loop {
             let mut batch: Vec<TxnEnvelope> = Vec::new();
             loop {
-                let idx = self.executed + 1 + batch.len() as i64;
+                let idx = self.core.executed() + 1 + batch.len() as i64;
                 let Some(env) = self.forward_buf.remove(&idx) else {
                     break;
                 };
@@ -914,24 +674,29 @@ impl PbrReplica {
             if batch.is_empty() {
                 return;
             }
-            let first = self.executed + 1;
+            let first = self.core.executed() + 1;
             self.execute_txn_group(ctx.slf, &batch);
             // Backups advance the 2PC emission counters in lockstep but
             // never send: emission is the (acked) primary's job.
             self.twopc_outbox.clear();
             for off in 0..batch.len() as i64 {
-                outs.push(SendInstr::now(
-                    self.config.primary(),
-                    Msg::new(
-                        ACK_HEADER,
-                        Value::pair(
-                            Value::Int(self.config.seq),
-                            Value::pair(Value::Int(first + off), Value::Loc(ctx.slf)),
-                        ),
-                    ),
-                ));
+                outs.push(self.ack(ctx.slf, first + off));
             }
         }
+    }
+
+    /// This backup's acknowledgment of forward `idx` to the primary.
+    fn ack(&self, slf: Loc, idx: i64) -> SendInstr {
+        SendInstr::now(
+            self.config.primary(),
+            Msg::new(
+                ACK_HEADER,
+                Value::pair(
+                    Value::Int(self.config.seq),
+                    Value::pair(Value::Int(idx), Value::Loc(slf)),
+                ),
+            ),
+        )
     }
 
     fn on_ack(&mut self, ctx: &Ctx, body: &Value, outs: &mut Vec<SendInstr>) {
@@ -1061,7 +826,7 @@ impl PbrReplica {
                     m,
                     Msg::new(
                         REFETCH_HEADER,
-                        Value::pair(Value::Loc(ctx.slf), Value::Int(self.executed)),
+                        Value::pair(Value::Loc(ctx.slf), Value::Int(self.core.executed())),
                     ),
                 ));
             }
@@ -1077,32 +842,40 @@ impl PbrReplica {
         }
         let (from, behind) = body.unpair();
         let (from, behind) = (from.loc(), behind.int());
-        if !self.config.contains(from) {
-            return;
+        if self.config.contains(from) {
+            self.send_state(from, behind, outs);
         }
+    }
+
+    /// Brings `to`, which has executed `behind` transactions, up to date:
+    /// replay the missing transactions from the cache when it reaches
+    /// back far enough (an already-caught-up requester gets an empty
+    /// catch-up — a no-op transfer that still completes the handshake),
+    /// else stream the full state image in ~50 KB chunks.
+    fn send_state(&mut self, to: Loc, behind: i64, outs: &mut Vec<SendInstr>) {
+        let seq = Value::Int(self.config.seq);
         if behind >= self.log_start {
-            // An already-caught-up requester gets an empty catch-up: the
-            // transfer is a no-op but it completes the rejoin handshake.
             let missing: Vec<Value> = self
                 .log
                 .iter()
                 .skip((behind - self.log_start) as usize)
                 .map(TxnEnvelope::to_value)
                 .collect();
-            self.note_transfer(from, TransferKind::Catchup);
-            outs.push(SendInstr::now(
-                from,
-                Msg::new(
-                    CATCHUP_HEADER,
-                    Value::pair(
-                        Value::Int(self.config.seq),
-                        Value::pair(Value::Int(behind), Value::list(missing)),
-                    ),
-                ),
-            ));
+            self.core.note_transfer(to, TransferKind::Catchup);
+            let body = Value::pair(seq, Value::pair(Value::Int(behind), Value::list(missing)));
+            outs.push(SendInstr::now(to, Msg::new(CATCHUP_HEADER, body)));
         } else {
-            self.note_transfer(from, TransferKind::Snapshot);
-            self.send_snapshot(from, outs);
+            self.core.note_transfer(to, TransferKind::Snapshot);
+            // The image's policy header is the config-chain position: a
+            // disk restore needs it; a network joiner already holds it
+            // from the TOB and checks only the seq wrapped around each
+            // chunk, which drops stragglers from older configurations.
+            let chunks = self
+                .core
+                .snapshot_chunks(self.core.executed(), self.config.to_value());
+            outs.extend(chunks.into_iter().map(|c| {
+                SendInstr::now(to, Msg::new(SNAPSHOT_HEADER, Value::pair(seq.clone(), c)))
+            }));
         }
     }
 
@@ -1198,10 +971,10 @@ impl PbrReplica {
 
     fn adopt_config(&mut self, ctx: &Ctx, config: ReplicaConfig, outs: &mut Vec<SendInstr>) {
         self.config = config;
-        if let Some(wal) = self.wal.as_mut() {
+        if self.core.has_wal() {
             let body = Value::pair(Value::Int(WREC_CONFIG), self.config.to_value());
             self.wal_index += 1;
-            wal.append(self.wal_index, &body);
+            self.core.wal_append(self.wal_index, &body);
         }
         // An adopted configuration supersedes any in-flight refetch: the
         // election's own catch-up brings this replica up to date.
@@ -1211,8 +984,7 @@ impl PbrReplica {
         self.election.clear();
         self.recovery_acks.clear();
         self.active_backups.clear();
-        self.snap_chunks.clear();
-        self.snap_total = None;
+        self.core.abandon_transfer();
         // Grants and echoes are per-configuration: from here on our
         // heartbeats carry the new seq, so the old primary's lease starves.
         self.lease_echo.clear();
@@ -1229,7 +1001,7 @@ impl PbrReplica {
         // Step 3 (election): send (g+1, seq_r) to all members.
         for m in &self.config.members {
             if *m == ctx.slf {
-                self.election.insert(ctx.slf, self.executed);
+                self.election.insert(ctx.slf, self.core.executed());
             } else {
                 outs.push(SendInstr::now(
                     *m,
@@ -1237,7 +1009,7 @@ impl PbrReplica {
                         ELECT_HEADER,
                         Value::pair(
                             Value::Int(self.config.seq),
-                            Value::pair(Value::Loc(ctx.slf), Value::Int(self.executed)),
+                            Value::pair(Value::Loc(ctx.slf), Value::Int(self.core.executed())),
                         ),
                     ),
                 ));
@@ -1289,29 +1061,7 @@ impl PbrReplica {
         }
         // Step 5: bring the backups up to date.
         for b in self.config.backups().to_vec() {
-            let behind = self.election[&b];
-            if behind >= self.log_start {
-                let missing: Vec<Value> = self
-                    .log
-                    .iter()
-                    .skip((behind - self.log_start) as usize)
-                    .map(TxnEnvelope::to_value)
-                    .collect();
-                self.note_transfer(b, TransferKind::Catchup);
-                outs.push(SendInstr::now(
-                    b,
-                    Msg::new(
-                        CATCHUP_HEADER,
-                        Value::pair(
-                            Value::Int(self.config.seq),
-                            Value::pair(Value::Int(behind), Value::list(missing)),
-                        ),
-                    ),
-                ));
-            } else {
-                self.note_transfer(b, TransferKind::Snapshot);
-                self.send_snapshot(b, outs);
-            }
+            self.send_state(b, self.election[&b], outs);
         }
         if self.config.backups().is_empty() {
             self.enter_normal_as_primary(ctx);
@@ -1333,57 +1083,6 @@ impl PbrReplica {
         }
     }
 
-    /// Streams a full snapshot in ~50 KB batches, charging serialization
-    /// cost per the engine profile.
-    fn send_snapshot(&mut self, to: Loc, outs: &mut Vec<SendInstr>) {
-        let snapshot = self.db.snapshot();
-        let batches = snapshot.to_batches(self.options.transfer_batch_bytes);
-        let costs = self.db.profile().costs;
-        // Snapshot preparation: session setup plus scanning every row.
-        self.charge(
-            Duration::from_millis(300)
-                + Duration::from_micros(costs.scan_row_us * snapshot.row_count() as u64),
-        );
-        let col_values: usize = batches.iter().map(RowBatch::column_values).sum();
-        self.charge(Duration::from_micros(
-            costs.serialize_col_us * col_values as u64,
-        ));
-        let total = batches.len() as i64;
-        // Sharded groups must also transfer the 2PC protocol state and
-        // emission counters: the row snapshot alone would lose in-flight
-        // cross-shard transactions. Attached to every chunk (the state is
-        // small — in-flight transactions only) so arrival order is moot.
-        let shard_state = self.engine.as_ref().map(|e| {
-            Value::pair(
-                Value::list(self.twopc_seq.iter().map(|s| Value::Int(*s))),
-                e.to_value(),
-            )
-        });
-        for (i, b) in batches.iter().enumerate() {
-            let meta = Value::pair(Value::Int(total), Value::Int(self.executed));
-            let payload = match &shard_state {
-                Some(state) => {
-                    Value::pair(meta, Value::pair(state.clone(), Value::Bytes(b.encode())))
-                }
-                None => Value::pair(meta, Value::Bytes(b.encode())),
-            };
-            outs.push(SendInstr::now(
-                to,
-                Msg::new(
-                    if shard_state.is_some() {
-                        SNAPSHOT2_HEADER
-                    } else {
-                        SNAPSHOT_HEADER
-                    },
-                    Value::pair(
-                        Value::Int(self.config.seq),
-                        Value::pair(Value::Int(i as i64), payload),
-                    ),
-                ),
-            ));
-        }
-    }
-
     fn on_catchup(&mut self, ctx: &Ctx, body: &Value, outs: &mut Vec<SendInstr>) {
         let (cfg, rest) = body.unpair();
         if cfg.int() != self.config.seq || self.mode != Mode::Recovering {
@@ -1396,7 +1095,7 @@ impl PbrReplica {
         // repeated clients inside the run are fine).
         let mut batch: Vec<TxnEnvelope> = Vec::new();
         for (off, t) in txns.elems().iter().enumerate() {
-            if start + off as i64 == self.executed + batch.len() as i64 {
+            if start + off as i64 == self.core.executed() + batch.len() as i64 {
                 if let Some(env) = TxnEnvelope::from_value(t) {
                     batch.push(env);
                 }
@@ -1414,95 +1113,22 @@ impl PbrReplica {
         // pending entries stalled on this replica, including ones whose
         // execution the WAL already held but whose acks died with the
         // connection at the power cut.
-        outs.push(SendInstr::now(
-            self.config.primary(),
-            Msg::new(
-                ACK_HEADER,
-                Value::pair(
-                    Value::Int(self.config.seq),
-                    Value::pair(Value::Int(self.executed), Value::Loc(ctx.slf)),
-                ),
-            ),
-        ));
+        outs.push(self.ack(ctx.slf, self.core.executed()));
         self.finish_recovery(ctx, outs);
     }
 
-    fn on_snapshot(&mut self, ctx: &Ctx, body: &Value, sharded: bool, outs: &mut Vec<SendInstr>) {
-        let (cfg, rest) = body.unpair();
+    fn on_snapshot(&mut self, ctx: &Ctx, body: &Value, outs: &mut Vec<SendInstr>) {
+        let (cfg, chunk) = body.unpair();
         if cfg.int() != self.config.seq || self.mode != Mode::Recovering {
             return;
         }
-        let (i, rest) = rest.unpair();
-        let (meta, rest) = rest.unpair();
-        let data = if sharded {
-            let (state, data) = rest.unpair();
-            self.snap_engine = Some(state.clone());
-            data
-        } else {
-            rest
-        };
-        let (total, executed) = meta.unpair();
-        self.snap_total = Some((total.int(), executed.int()));
-        if let Some(b) = data.as_bytes() {
-            self.snap_chunks.insert(i.int(), b.clone());
-        }
-        let (total, executed) = self.snap_total.expect("just set");
-        if (self.snap_chunks.len() as i64) < total {
-            return;
-        }
-        // All chunks arrived: decode, restore, charge insertion cost.
-        let decoded: Result<Vec<RowBatch>, _> = self
-            .snap_chunks
-            .values()
-            .map(|b| RowBatch::decode(b.clone()))
-            .collect();
-        let Ok(batches) = decoded else { return };
-        let Ok(snapshot) = shadowdb_sqldb::Snapshot::from_batches(&batches) else {
-            return;
-        };
-        let costs = self.db.profile().costs;
-        let rows: usize = batches.iter().map(|b| b.rows.len()).sum();
-        let bytes: usize = batches.iter().map(RowBatch::encoded_len).sum();
-        self.charge(Duration::from_micros(
-            costs.bulk_insert_us * rows as u64 + costs.bulk_insert_byte_ns * bytes as u64 / 1_000,
-        ));
-        if self.db.restore(&snapshot).is_err() {
-            return;
-        }
-        self.executed = executed;
-        self.log.clear();
-        self.log_start = executed;
-        self.snap_chunks.clear();
-        self.snap_total = None;
-        if self.wal.is_some() {
-            // The network snapshot jumped execution past what the log
-            // holds; force an immediate durable snapshot (end of this
-            // step) so the disk never replays a log with a gap in it.
-            self.wal_snap_at = self.wal_index - self.snapshot_every;
-        }
-        // Sharded: adopt the donor's 2PC state and emission counters, so
-        // this replica resumes the protocol exactly where the group is.
-        if let Some(state) = self.snap_engine.take() {
-            self.adopt_shard_state(state);
-        }
-        self.finish_recovery(ctx, outs);
-    }
-
-    /// Adopts a donor's (or a durable snapshot's) 2PC protocol state and
-    /// emission counters.
-    fn adopt_shard_state(&mut self, state: Value) {
-        let Some(role) = &self.role else { return };
-        let (seqs, engine) = state.unpair();
-        let restored: Option<Vec<i64>> = seqs
-            .as_list()
-            .map(|l| l.iter().filter_map(Value::as_int).collect());
-        if let Some(seqs) = restored {
-            if seqs.len() == role.map.shards() {
-                self.twopc_seq = seqs;
-            }
-        }
-        if let Some(e) = TwoPcEngine::from_value(engine, role.map, role.shard, role.probe.clone()) {
-            self.engine = Some(e);
+        // The image carries the donor's reply cache, `executed` and — in a
+        // sharded group — its 2PC state and emission counters, so this
+        // replica resumes exactly where the group is.
+        if self.core.accept_chunk(chunk).is_some() {
+            self.log.clear();
+            self.log_start = self.core.executed();
+            self.finish_recovery(ctx, outs);
         }
     }
 
@@ -1533,7 +1159,7 @@ impl PbrReplica {
             config_reply_msg(
                 ctx.slf,
                 &self.config,
-                self.executed,
+                self.core.executed(),
                 self.mode == Mode::Normal,
             ),
         ));
@@ -1598,9 +1224,7 @@ impl Process for PbrReplica {
         } else if h == cached_header!(CATCHUP_HEADER) {
             self.on_catchup(ctx, &msg.body, out);
         } else if h == cached_header!(SNAPSHOT_HEADER) {
-            self.on_snapshot(ctx, &msg.body, false, out);
-        } else if h == cached_header!(SNAPSHOT2_HEADER) {
-            self.on_snapshot(ctx, &msg.body, true, out);
+            self.on_snapshot(ctx, &msg.body, out);
         } else if h == cached_header!(RECOVERY_ACK_HEADER) {
             self.on_recovery_ack(ctx, &msg.body);
         } else if h == cached_header!(REFETCH_HEADER) {
@@ -1614,84 +1238,22 @@ impl Process for PbrReplica {
         }
         // Durability before visibility: fsync whatever this step logged
         // before the runtime dispatches the step's sends.
-        self.flush_wal();
+        self.core
+            .end_step(self.wal_index, || self.config.to_value());
     }
 
     fn take_step_cost(&mut self) -> Duration {
-        std::mem::take(&mut self.step_cost)
+        self.core.take_step_cost()
     }
 
     fn clone_box(&self) -> Box<dyn Process> {
-        // Deep-copy the database so the fork is independent (model checking
-        // forks executions).
-        let db = Database::new(self.db.profile().clone());
-        db.restore(&self.db.snapshot())
-            .expect("snapshot of a valid database restores");
-        Box::new(PbrReplica {
-            db,
-            options: self.options.clone(),
-            config: self.config.clone(),
-            spares: self.spares.clone(),
-            tob_servers: self.tob_servers.clone(),
-            mode: self.mode,
-            executed: self.executed,
-            log: self.log.clone(),
-            log_start: self.log_start,
-            last_reply: self.last_reply.clone(),
-            pending: self
-                .pending
-                .iter()
-                .map(|(k, v)| {
-                    (
-                        *k,
-                        Pending {
-                            env: v.env.clone(),
-                            outcome: v.outcome.clone(),
-                            waiting: v.waiting.clone(),
-                            extra: v.extra.clone(),
-                            suppress_reply: v.suppress_reply,
-                        },
-                    )
-                })
-                .collect(),
-            active_backups: self.active_backups.clone(),
-            forward_buf: self.forward_buf.clone(),
-            last_heard: self.last_heard.clone(),
-            hb_armed: self.hb_armed,
-            tob_in: self.tob_in.clone(),
-            tob_msgid: self.tob_msgid,
-            election: self.election.clone(),
-            recovery_acks: self.recovery_acks.clone(),
-            promote_pref: self.promote_pref,
-            join_sync: self.join_sync,
-            snap_chunks: self.snap_chunks.clone(),
-            snap_total: self.snap_total,
-            probe_last: self.probe_last,
-            role: self.role.clone(),
-            engine: self.engine.clone(),
-            twopc_seq: self.twopc_seq.clone(),
-            twopc_outbox: self.twopc_outbox.clone(),
-            snap_engine: self.snap_engine.clone(),
-            // The fork shares the original's disk: model checking never
-            // runs durable replicas, and a shared-append fork would
-            // corrupt the index sequence — reopening keeps the clone
-            // well-formed for read-only use.
-            wal: self.wal.as_ref().map(|w| Wal::open(w.disk().clone())),
-            wal_index: self.wal_index,
-            wal_snap_at: self.wal_snap_at,
-            snapshot_every: self.snapshot_every,
-            need_refetch: self.need_refetch,
-            lease_echo: self.lease_echo.clone(),
-            primary_ts: self.primary_ts,
-            lease_wait_until: self.lease_wait_until,
-            step_cost: self.step_cost,
-        })
+        Box::new(self.clone())
     }
 
     fn digest(&self, hasher: &mut dyn Hasher) {
         let mut h = HasherAdapter(hasher);
-        (self.executed, self.config.seq, self.mode).hash(&mut h);
+        (self.core.executed(), self.config.seq, self.mode).hash(&mut h);
         (self.promote_pref, self.join_sync, self.need_refetch).hash(&mut h);
-        self.twopc_seq.hash(&mut h);
+        self.core.twopc_seq().hash(&mut h);
     }
 }

@@ -12,19 +12,17 @@
 //! sequence number of the last ordered transaction, and the new replica
 //! fetches the snapshot from the proposer.
 
-use crate::msgs::{
-    lease_audit_msg, reply_msg, sql_to_value, value_to_sql, TxnEnvelope, SUBMIT_HEADER,
-};
-use crate::pbr::{LeaseProbe, TransferKind, TransferProbe};
-use crate::shard::{ShardRole, TwoPcEngine};
+use crate::msgs::{reply_msg, TxnEnvelope, SUBMIT_HEADER};
+use crate::replica_core::{LeaseProbe, LeaseWatch, ReplicaCore, Seen, TransferKind, TransferProbe};
+use crate::shard::ShardRole;
 use shadowdb_eventml::process::HasherAdapter;
 use shadowdb_eventml::{cached_header, Ctx, Msg, Process, SendInstr, Value};
 use shadowdb_loe::{Loc, VTime};
-use shadowdb_sqldb::{Database, RowBatch, Snapshot, SqlValue};
+use shadowdb_sqldb::Database;
 use shadowdb_tob::{broadcast_msg, parse_deliver, parse_subok, Delivery, InOrderBuffer};
-use shadowdb_wal::{Disk, Wal};
-use shadowdb_workloads::{apply_group, TxnRequest};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use shadowdb_wal::Disk;
+use shadowdb_workloads::TxnRequest;
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
@@ -33,7 +31,8 @@ use std::time::Duration;
 /// least `min_seq` deliveries, so the snapshot can never undershoot the
 /// requester's subscription point).
 pub const FETCH_SNAPSHOT_HEADER: &str = "smr/fetchsnap";
-/// A snapshot chunk: body `<chunk, <<total, next_seq>, bytes>>`.
+/// A snapshot chunk: body `<chunk, <<total, next_seq>, data>>` (the core's
+/// transfer format; the image's policy header is `next_seq`).
 pub const SNAPSHOT_CHUNK_HEADER: &str = "smr/snapchunk";
 /// Joiner-internal retry timer: if the snapshot has not landed (donor
 /// crashed mid-stream), re-request from the next donor on the list.
@@ -136,13 +135,14 @@ fn parse_lease_marker(v: &Value) -> Option<(Loc, i64)> {
 }
 
 /// An SMR ShadowDB replica: a broadcast-service subscriber executing every
-/// delivered transaction.
+/// delivered transaction — the SMR ordering policy over a [`ReplicaCore`].
+#[derive(Clone)]
 pub struct SmrReplica {
-    db: Database,
+    /// The replicated service: database, reply cache, executed counter,
+    /// 2PC engine, WAL (one record per in-order delivery, keyed by its TOB
+    /// sequence number), state transfer.
+    core: ReplicaCore,
     incoming: InOrderBuffer,
-    /// client -> (last cseq, committed, results) for duplicate suppression.
-    last_reply: HashMap<Loc, (i64, bool, Vec<SqlValue>)>,
-    executed: i64,
     /// Snapshot-joining state: deliveries buffer inside `incoming` until
     /// the snapshot establishes the starting sequence number.
     joining: bool,
@@ -154,29 +154,9 @@ pub struct SmrReplica {
     sub_seq: Option<i64>,
     /// Fetch attempts so far (indexes the donor rotation).
     join_attempts: u64,
-    snap_chunks: BTreeMap<i64, bytes::Bytes>,
-    snap_total: Option<(i64, i64)>,
-    transfer_batch_bytes: usize,
-    step_cost: Duration,
     /// Reusable envelope buffer for group apply (always empty between
-    /// steps; excluded from digests and cloned empty).
+    /// steps; excluded from digests).
     group_scratch: Vec<TxnEnvelope>,
-    /// Sharded deployments: this group's place in the shard map.
-    role: Option<ShardRole>,
-    /// The replicated 2PC state machine (present iff `role` is).
-    engine: Option<TwoPcEngine>,
-    /// Per-target-shard emission counters. Under SMR *every* replica
-    /// emits (there is no primary); receivers deduplicate semantically,
-    /// since each replica's envelopes carry its own location.
-    twopc_seq: Vec<i64>,
-    /// Durability plane: the write-ahead log, when this replica persists
-    /// the delivery stream. One fsync per step covers every delivery the
-    /// step executed (group commit), before any reply escapes.
-    wal: Option<Wal>,
-    /// `next_seq` at the last durable snapshot (truncation point).
-    wal_snap_at: i64,
-    /// Take a durable snapshot every this many deliveries.
-    snapshot_every: i64,
     /// Disk-recovered and waiting to fetch the delivery suffix the disk
     /// missed from a donor.
     rejoin: bool,
@@ -185,9 +165,6 @@ pub struct SmrReplica {
     recent: VecDeque<(i64, Value)>,
     /// Bound on `recent` (0 disables the cache).
     recent_limit: usize,
-    /// Optional donor-side probe recording which transfer path each
-    /// rejoin request took.
-    transfer_probe: Option<TransferProbe>,
     /// Lease-based read fast path, when enabled.
     lease: Option<LeaseState>,
 }
@@ -196,29 +173,16 @@ impl SmrReplica {
     /// Creates a replica that executes from sequence number 0.
     pub fn new(db: Database) -> SmrReplica {
         SmrReplica {
-            db,
+            core: ReplicaCore::new(db),
             incoming: InOrderBuffer::new(),
-            last_reply: HashMap::new(),
-            executed: 0,
             joining: false,
             donors: Vec::new(),
             sub_seq: None,
             join_attempts: 0,
-            snap_chunks: BTreeMap::new(),
-            snap_total: None,
-            transfer_batch_bytes: 50_000,
-            step_cost: Duration::ZERO,
             group_scratch: Vec::new(),
-            role: None,
-            engine: None,
-            twopc_seq: Vec::new(),
-            wal: None,
-            wal_snap_at: 0,
-            snapshot_every: i64::MAX,
             rejoin: false,
             recent: VecDeque::new(),
             recent_limit: 0,
-            transfer_probe: None,
             lease: None,
         }
     }
@@ -263,14 +227,11 @@ impl SmrReplica {
 
     /// Places this replica's group inside a sharded deployment: its shard,
     /// the shard map, and routes to every other group. Activates the 2PC
-    /// engine on the delivery path. Snapshot joins do not yet transfer
-    /// engine state, so sharded deployments must not add SMR replicas via
-    /// [`SmrReplica::joining`] while cross-shard transactions are in
-    /// flight.
+    /// engine on the delivery path. A snapshot joiner built with the
+    /// group's role adopts the donor's engine state and emission counters
+    /// along with the rows.
     pub fn with_role(mut self, role: ShardRole) -> SmrReplica {
-        self.engine = Some(TwoPcEngine::new(role.map, role.shard, role.probe.clone()));
-        self.twopc_seq = vec![0; role.map.shards()];
-        self.role = Some(role);
+        self.core.set_role(role);
         self
     }
 
@@ -305,15 +266,15 @@ impl SmrReplica {
     /// replicas also keep `recent_limit` recent deliveries in memory so
     /// they can serve suffix-only rejoins as donors.
     pub fn with_wal(mut self, disk: Disk, snapshot_every: i64, recent_limit: usize) -> SmrReplica {
-        self.snapshot_every = snapshot_every.max(1);
         self.recent_limit = recent_limit;
-        self.wal = Some(Wal::open(disk));
+        // Deliveries are logged under their own sequence numbers, from 0.
+        self.core.attach_wal(disk, snapshot_every, -1);
         self
     }
 
     /// Installs a donor-side transfer probe.
     pub fn with_transfer_probe(mut self, probe: TransferProbe) -> SmrReplica {
-        self.transfer_probe = Some(probe);
+        self.core.set_transfer_probe(probe);
         self
     }
 
@@ -332,19 +293,16 @@ impl SmrReplica {
         snapshot_every: i64,
         recent_limit: usize,
     ) -> SmrReplica {
-        let rec = shadowdb_wal::recover(&disk);
         let mut r = SmrReplica::new(db);
         if let Some(role) = role {
             r = r.with_role(role);
         }
-        r.snapshot_every = snapshot_every.max(1);
         r.recent_limit = recent_limit;
-        let mut start = 0i64;
-        if let Some((idx, blob)) = &rec.snapshot {
-            r.install_durable_blob(blob);
-            start = idx + 1; // snapshots are taken at `next_seq - 1`
-        }
-        r.incoming = InOrderBuffer::starting_at(start);
+        let rec = r.core.recover(&disk);
+        // Snapshots are taken at `next_seq - 1` (the image's policy header
+        // repeats the frontier; the WAL index already implies it).
+        let snap_at = rec.snapshot.as_ref().map_or(-1, |(idx, _)| *idx);
+        r.incoming = InOrderBuffer::starting_at(snap_at + 1);
         // Replay the logged suffix through the normal execution path
         // (replies and 2PC sends are rendered and dropped; counters and
         // the reply cache advance exactly as they did pre-crash). The
@@ -361,131 +319,11 @@ impl SmrReplica {
             let ready = r.incoming.offer(d);
             r.execute_deliveries(slf, None, ready, &mut discard);
         }
-        r.wal_snap_at = r.incoming.next_seq();
-        r.wal = Some(Wal::open(disk));
+        r.core.attach_wal(disk, snapshot_every, snap_at);
         r.rejoin = true;
         r.donors = donors;
         r.sub_seq = None;
         r
-    }
-
-    /// Serializes a durable snapshot: `next_seq`, `executed`, the
-    /// per-client reply cache, 2PC protocol state when sharded, and the
-    /// row data. Reply-cache entries are sorted for determinism.
-    fn durable_blob(&self, snapshot: &Snapshot) -> Value {
-        type ReplyEntry = (i64, bool, Vec<SqlValue>);
-        let mut entries: Vec<(&Loc, &ReplyEntry)> = self.last_reply.iter().collect();
-        entries.sort_by_key(|(l, _)| **l);
-        let replies = Value::list(entries.into_iter().map(
-            |(client, (cseq, committed, result))| {
-                Value::pair(
-                    Value::Loc(*client),
-                    Value::pair(
-                        Value::Int(*cseq),
-                        Value::pair(
-                            Value::Bool(*committed),
-                            Value::list(result.iter().map(sql_to_value)),
-                        ),
-                    ),
-                )
-            },
-        ));
-        let shard = match &self.engine {
-            Some(e) => Value::pair(
-                Value::list(self.twopc_seq.iter().map(|s| Value::Int(*s))),
-                e.to_value(),
-            ),
-            None => Value::Unit,
-        };
-        Value::pair(
-            Value::Int(self.incoming.next_seq()),
-            Value::pair(
-                Value::Int(self.executed),
-                Value::pair(
-                    replies,
-                    Value::pair(shard, Value::Bytes(snapshot.to_bytes())),
-                ),
-            ),
-        )
-    }
-
-    /// Restores the state [`Self::durable_blob`] captured.
-    fn install_durable_blob(&mut self, blob: &Value) {
-        let (_next_seq, rest) = blob.unpair();
-        let (executed, rest) = rest.unpair();
-        let (replies, rest) = rest.unpair();
-        let (shard, db_bytes) = rest.unpair();
-        if let Some(bytes) = db_bytes.as_bytes() {
-            if let Ok(snapshot) = Snapshot::from_bytes(bytes.clone()) {
-                let _ = self.db.restore(&snapshot);
-            }
-        }
-        self.executed = executed.int();
-        if let Some(list) = replies.as_list() {
-            for e in list {
-                let (client, rest) = e.unpair();
-                let (cseq, rest) = rest.unpair();
-                let (committed, result) = rest.unpair();
-                let vals: Vec<SqlValue> = result.elems().iter().filter_map(value_to_sql).collect();
-                self.last_reply.insert(
-                    client.loc(),
-                    (cseq.int(), committed.as_bool().unwrap_or(false), vals),
-                );
-            }
-        }
-        if let Some(role) = &self.role {
-            if !matches!(shard, Value::Unit) {
-                let (seqs, engine) = shard.unpair();
-                let restored: Option<Vec<i64>> = seqs
-                    .as_list()
-                    .map(|l| l.iter().filter_map(Value::as_int).collect());
-                if let Some(seqs) = restored {
-                    if seqs.len() == role.map.shards() {
-                        self.twopc_seq = seqs;
-                    }
-                }
-                if let Some(e) =
-                    TwoPcEngine::from_value(engine, role.map, role.shard, role.probe.clone())
-                {
-                    self.engine = Some(e);
-                }
-            }
-        }
-    }
-
-    /// End-of-step durability, mirroring the PBR side: one fsync per
-    /// step, a durable snapshot (with log truncation) every
-    /// `snapshot_every` deliveries.
-    fn flush_wal(&mut self) {
-        if self.wal.is_none() {
-            return;
-        }
-        let next = self.incoming.next_seq();
-        if next - self.wal_snap_at >= self.snapshot_every {
-            let snapshot = self.db.snapshot();
-            let costs = self.db.profile().costs;
-            self.step_cost +=
-                Duration::from_micros(costs.scan_row_us * snapshot.row_count() as u64);
-            let blob = self.durable_blob(&snapshot);
-            let cost = self
-                .wal
-                .as_mut()
-                .expect("checked")
-                .save_snapshot(next - 1, &blob);
-            self.wal_snap_at = next;
-            self.step_cost += cost;
-        } else {
-            let w = self.wal.as_mut().expect("checked");
-            if w.pending() > 0 {
-                self.step_cost += w.commit();
-            }
-        }
-    }
-
-    fn note_transfer(&mut self, to: Loc, kind: TransferKind) {
-        if let Some(p) = &self.transfer_probe {
-            p.lock().push((to, kind));
-        }
     }
 
     /// Builds the snapshot-fetch request sent to the donor replica.
@@ -504,24 +342,23 @@ impl SmrReplica {
 
     /// Overrides the state-transfer batch bound (~50 KB by default).
     pub fn set_transfer_batch_bytes(&mut self, bytes: usize) {
-        assert!(bytes > 0, "batches need at least one byte");
-        self.transfer_batch_bytes = bytes;
+        self.core.set_transfer_batch_bytes(bytes);
     }
 
     /// Number of transactions executed.
     pub fn executed(&self) -> i64 {
-        self.executed
+        self.core.executed()
     }
 
     /// A handle to this replica's database.
     pub fn database(&self) -> &Database {
-        &self.db
+        self.core.db()
     }
 
     /// Executes a run of in-order deliveries, group-applying consecutive
     /// transactions under one engine commit. A group flushes when a client
-    /// reappears: duplicate suppression consults `last_reply`, which must
-    /// reflect the client's earlier request before its next one is
+    /// reappears: duplicate suppression consults the reply cache, which
+    /// must reflect the client's earlier request before its next one is
     /// examined.
     fn execute_deliveries<I>(
         &mut self,
@@ -544,9 +381,7 @@ impl SmrReplica {
                     self.recent.pop_front();
                 }
             }
-            if let Some(w) = self.wal.as_mut() {
-                w.append(d.seq, &d.payload);
-            }
+            self.core.wal_append(d.seq, &d.payload);
             if let Some((holder, send_us)) = parse_lease_marker(&d.payload) {
                 // Suppression is evaluated at each group's flush, so the
                 // envelopes before the marker must answer under the old
@@ -561,7 +396,7 @@ impl SmrReplica {
             // 2PC records break the run and step the protocol engine:
             // they must see the database outside the group's shared
             // engine transaction.
-            if self.engine.is_some() && matches!(env.txn, TxnRequest::TwoPc(_)) {
+            if self.core.is_twopc(&env) {
                 self.flush_group(slf, now, &mut group, outs);
                 self.step_twopc(slf, &env, outs);
                 continue;
@@ -573,16 +408,11 @@ impl SmrReplica {
             // broadcast msgids but identical cseq — or as duplicate
             // deliveries filtered by the InOrderBuffer already; both are
             // covered).
-            if let Some((last, committed, results)) = self.last_reply.get(&env.client) {
-                if env.cseq <= *last {
-                    if !self.replies_suppressed(slf, now) {
-                        outs.push(SendInstr::now(
-                            env.client,
-                            reply_msg(slf, *last, *committed, results),
-                        ));
-                    }
-                    continue;
+            if self.core.seen(env.client, env.cseq) != Seen::Fresh {
+                if !self.replies_suppressed(slf, now) {
+                    outs.extend(self.cached_reply(slf, env.client));
                 }
+                continue;
             }
             group.push(env);
         }
@@ -659,28 +489,29 @@ impl SmrReplica {
         if group.is_empty() {
             return;
         }
-        let suppressed = self.replies_suppressed(slf, now);
-        let reqs: Vec<&shadowdb_workloads::TxnRequest> = group.iter().map(|e| &e.txn).collect();
-        let results = apply_group(&self.db, &reqs);
-        drop(reqs);
-        for (env, res) in group.drain(..).zip(results) {
-            let (committed, results, cost) = res
-                .map(|o| (o.committed, o.result, o.cost))
-                .unwrap_or_else(|e| (false, vec![SqlValue::Text(e.to_string())], Duration::ZERO));
-            self.step_cost += cost;
-            self.executed += 1;
-            self.last_reply
-                .insert(env.client, (env.cseq, committed, results.clone()));
-            // A suppressed reply is not lost: the reply cache advanced, so
-            // the client's resend is answered the moment suppression
-            // lapses (or by the holder meanwhile).
-            if !suppressed {
-                outs.push(SendInstr::now(
-                    env.client,
-                    reply_msg(slf, env.cseq, committed, &results),
-                ));
-            }
+        self.core.apply_run(group);
+        // A suppressed reply is not lost: the reply cache advanced, so the
+        // client's resend is answered the moment suppression lapses (or
+        // by the holder meanwhile).
+        if !self.replies_suppressed(slf, now) {
+            // No client appears twice in a group, so each cache entry is
+            // exactly this group's answer.
+            outs.extend(
+                group
+                    .iter()
+                    .filter_map(|e| self.cached_reply(slf, e.client)),
+            );
         }
+        group.clear();
+    }
+
+    /// The reply-cache answer for `client`'s last request, as a send.
+    fn cached_reply(&self, slf: Loc, client: Loc) -> Option<SendInstr> {
+        let (cseq, committed, result) = self.core.cached_reply(client)?;
+        Some(SendInstr::now(
+            client,
+            reply_msg(slf, cseq, committed, result),
+        ))
     }
 
     /// Steps the 2PC engine on an ordered record and emits the owed
@@ -697,33 +528,10 @@ impl SmrReplica {
         // of order (each source replica sequences its own sends), so an
         // "old" record may carry a protocol step this group never saw.
         // Stepping it again is safe — the engine is idempotent.
-        if let Some((last, _, _)) = self.last_reply.get(&env.client) {
-            if env.cseq == *last {
-                let (Some(role), Some(engine)) = (&self.role, &self.engine) else {
-                    return;
-                };
-                let actions = engine.emissions(rec.txnid());
-                outs.extend(role.render(slf, &actions, &mut self.twopc_seq));
-                return;
-            }
-        }
-        let (actions, cost) = self
-            .engine
-            .as_mut()
-            .expect("engine present on the 2PC path")
-            .step(rec, &self.db);
-        self.step_cost += cost;
-        self.executed += 1;
-        // Placeholder entry: duplicates re-drive the protocol above,
-        // never this cached value. The cseq is a high-water mark so a
-        // reordered older record cannot regress it.
-        let hw = self
-            .last_reply
-            .get(&env.client)
-            .map_or(env.cseq, |(l, _, _)| env.cseq.max(*l));
-        self.last_reply.insert(env.client, (hw, true, Vec::new()));
-        let role = self.role.as_ref().expect("role present on the 2PC path");
-        outs.extend(role.render(slf, &actions, &mut self.twopc_seq));
+        outs.extend(match self.core.seen(env.client, env.cseq) {
+            Seen::Duplicate => self.core.redrive_twopc(slf, rec.txnid()),
+            _ => self.core.step_twopc(slf, env),
+        });
     }
 
     fn on_fetch_snapshot(&mut self, slf: Loc, body: &Value, outs: &mut Vec<SendInstr>) {
@@ -748,73 +556,36 @@ impl SmrReplica {
             ));
             return;
         }
-        let snapshot = self.db.snapshot();
-        let batches = snapshot.to_batches(self.transfer_batch_bytes);
-        let costs = self.db.profile().costs;
-        // Snapshot preparation: session setup plus scanning every row.
-        self.step_cost += Duration::from_millis(300)
-            + Duration::from_micros(costs.scan_row_us * snapshot.row_count() as u64);
-        let cols: usize = batches.iter().map(RowBatch::column_values).sum();
-        self.step_cost += Duration::from_micros(costs.serialize_col_us * cols as u64);
-        let total = batches.len() as i64;
-        for (i, b) in batches.iter().enumerate() {
-            outs.push(SendInstr::now(
-                requester,
-                Msg::new(
-                    SNAPSHOT_CHUNK_HEADER,
-                    Value::pair(
-                        Value::Int(i as i64),
-                        Value::pair(
-                            Value::pair(Value::Int(total), Value::Int(self.incoming.next_seq())),
-                            Value::Bytes(b.encode()),
-                        ),
-                    ),
-                ),
-            ));
-        }
+        // The image's identity and policy header are both the delivery
+        // frontier: the joiner resumes the stream exactly there.
+        let next = self.incoming.next_seq();
+        let chunks = self.core.snapshot_chunks(next, Value::Int(next));
+        outs.extend(
+            chunks
+                .into_iter()
+                .map(|c| SendInstr::now(requester, Msg::new(SNAPSHOT_CHUNK_HEADER, c))),
+        );
     }
 
-    /// Fires (or retries) the snapshot fetch once the subscription point
-    /// is known, rotating through the donor list and re-arming the retry
-    /// timer — a donor crash mid-stream must not strand the joiner.
-    fn kick_fetch(&mut self, slf: Loc, outs: &mut Vec<SendInstr>) {
+    /// Fires (or retries) the join request once the subscription point is
+    /// known — a snapshot fetch for a fresh joiner, the missed suffix
+    /// `[next_seq, sub_seq)` for a disk-recovered replica — rotating
+    /// through the donor list and re-arming the retry timer: a donor
+    /// crash mid-stream must not strand the joiner.
+    fn kick_join(&mut self, slf: Loc, outs: &mut Vec<SendInstr>) {
         let Some(seq) = self.sub_seq else { return };
         if self.donors.is_empty() {
             return;
         }
         let donor = self.donors[(self.join_attempts as usize) % self.donors.len()];
         self.join_attempts += 1;
-        outs.push(SendInstr::now(
-            donor,
-            SmrReplica::fetch_snapshot_after_msg(slf, seq),
-        ));
-        outs.push(SendInstr::after(
-            Duration::from_secs(1),
-            slf,
-            Msg::new(JOIN_RETRY_HEADER, Value::Unit),
-        ));
-    }
-
-    /// Fires (or retries) the missed-suffix fetch for a disk-recovered
-    /// replica: ask a donor for deliveries `[next_seq, sub_seq)`,
-    /// rotating through the donor list on retry.
-    fn kick_delta(&mut self, slf: Loc, outs: &mut Vec<SendInstr>) {
-        let Some(seq) = self.sub_seq else { return };
-        if self.donors.is_empty() {
-            return;
-        }
-        let donor = self.donors[(self.join_attempts as usize) % self.donors.len()];
-        self.join_attempts += 1;
-        outs.push(SendInstr::now(
-            donor,
-            Msg::new(
-                FETCH_DELTA_HEADER,
-                Value::pair(
-                    Value::Loc(slf),
-                    Value::pair(Value::Int(self.incoming.next_seq()), Value::Int(seq)),
-                ),
-            ),
-        ));
+        let request = if self.joining {
+            SmrReplica::fetch_snapshot_after_msg(slf, seq)
+        } else {
+            let range = Value::pair(Value::Int(self.incoming.next_seq()), Value::Int(seq));
+            Msg::new(FETCH_DELTA_HEADER, Value::pair(Value::Loc(slf), range))
+        };
+        outs.push(SendInstr::now(donor, request));
         outs.push(SendInstr::after(
             Duration::from_secs(1),
             slf,
@@ -848,7 +619,7 @@ impl SmrReplica {
                 .filter(|(s, _)| *s >= from)
                 .map(|(_, p)| p.clone())
                 .collect();
-            self.note_transfer(requester, TransferKind::Catchup);
+            self.core.note_transfer(requester, TransferKind::Catchup);
             outs.push(SendInstr::now(
                 requester,
                 Msg::new(
@@ -857,7 +628,7 @@ impl SmrReplica {
                 ),
             ));
         } else {
-            self.note_transfer(requester, TransferKind::Snapshot);
+            self.core.note_transfer(requester, TransferKind::Snapshot);
             self.on_fetch_snapshot(
                 slf,
                 &Value::pair(Value::Loc(requester), Value::Int(min_seq)),
@@ -898,66 +669,25 @@ impl SmrReplica {
         if !self.joining && !self.rejoin {
             return;
         }
-        let (i, rest) = body.unpair();
-        let (meta, data) = rest.unpair();
-        let (total, next_seq) = meta.unpair();
-        // Chunks are keyed by their snapshot identity `(total, next_seq)`:
-        // a retried fetch produces a later snapshot, and mixing chunk sets
-        // across snapshots would restore garbage. Replicas are
-        // deterministic state machines, so two snapshots with equal
-        // identity have identical content and their chunks interchange.
-        let id = (total.int(), next_seq.int());
-        if self.snap_total != Some(id) {
-            self.snap_chunks.clear();
-            self.snap_total = Some(id);
-        }
-        if let Some(b) = data.as_bytes() {
-            self.snap_chunks.insert(i.int(), b.clone());
-        }
-        let (total, next_seq) = self.snap_total.expect("just set");
-        if (self.snap_chunks.len() as i64) < total {
-            return;
-        }
-        let decoded: Result<Vec<RowBatch>, _> = self
-            .snap_chunks
-            .values()
-            .map(|b| RowBatch::decode(b.clone()))
-            .collect();
-        let Ok(batches) = decoded else { return };
-        let Ok(snapshot) = Snapshot::from_batches(&batches) else {
+        // The image carries the donor's `executed`, reply cache and — in a
+        // sharded group — 2PC state, so this replica deduplicates and
+        // drives cross-shard commits exactly as its donors do.
+        let Some(next_seq) = self.core.accept_chunk(body).and_then(|h| h.as_int()) else {
             return;
         };
-        let costs = self.db.profile().costs;
-        let rows: usize = batches.iter().map(|b| b.rows.len()).sum();
-        let bytes: usize = batches.iter().map(RowBatch::encoded_len).sum();
-        self.step_cost += Duration::from_micros(
-            costs.bulk_insert_us * rows as u64 + costs.bulk_insert_byte_ns * bytes as u64 / 1_000,
-        );
-        if self.db.restore(&snapshot).is_err() {
-            return;
-        }
         self.joining = false;
         self.rejoin = false;
         // Skip everything the snapshot already covers, then replay whatever
         // arrived while joining.
-        self.executed = next_seq;
         let held = std::mem::replace(&mut self.incoming, InOrderBuffer::starting_at(next_seq));
         // The cache must stay consecutive up to `next_seq`; pre-restore
         // entries no longer are.
         self.recent.clear();
-        if self.wal.is_some() {
-            // The network snapshot jumped execution past what the log
-            // holds; force an immediate durable snapshot (end of this
-            // step) so the disk never shows a log with a delivery gap.
-            self.wal_snap_at = next_seq - self.snapshot_every;
-        }
         let mut ready = Vec::new();
         for d in held.into_pending() {
             ready.extend(self.incoming.offer(d));
         }
         self.execute_deliveries(slf, Some(now), ready, outs);
-        self.snap_chunks.clear();
-        self.snap_total = None;
     }
 
     /// The holder's remaining fast window, if this replica may serve a
@@ -973,30 +703,6 @@ impl SmrReplica {
         (ctx.now < until).then_some(until)
     }
 
-    /// Records a served fast read on the probe and/or the audit stream.
-    fn note_lease_read(&mut self, ctx: &Ctx, until: VTime, outs: &mut Vec<SendInstr>) {
-        let Some(l) = &self.lease else { return };
-        if let Some(p) = &l.opts.lease_probe {
-            p.lock().push((
-                l.marker_send_us,
-                ctx.slf,
-                ctx.now.as_micros() as i64,
-                until.as_micros() as i64,
-            ));
-        }
-        if let Some(audit) = l.opts.lease_audit {
-            outs.push(SendInstr::now(
-                audit,
-                lease_audit_msg(
-                    l.marker_send_us,
-                    ctx.slf,
-                    ctx.now.as_micros() as i64,
-                    until.as_micros() as i64,
-                ),
-            ));
-        }
-    }
-
     /// A transaction submitted *directly* to this replica (not through the
     /// TOB): the client's read fast path. A valid holder answers read-only
     /// transactions from its local database; everything else is forwarded
@@ -1008,14 +714,15 @@ impl SmrReplica {
             return;
         };
         if env.read_only && !self.joining && !self.rejoin {
-            if let Some(until) = self.lease_until(ctx) {
-                if let Some(out) = env.txn.apply_read_only(&self.db) {
-                    self.step_cost += out.cost;
-                    self.note_lease_read(ctx, until, outs);
-                    outs.push(SendInstr::now(
-                        env.client,
-                        reply_msg(ctx.slf, env.cseq, out.committed, &out.result),
-                    ));
+            if let (Some(until), Some(l)) = (self.lease_until(ctx), &self.lease) {
+                let watch = LeaseWatch {
+                    probe: &l.opts.lease_probe,
+                    audit: l.opts.lease_audit,
+                };
+                if self
+                    .core
+                    .serve_lease_read(ctx, &env, l.marker_send_us, until, watch, outs)
+                {
                     return;
                 }
             }
@@ -1111,27 +818,23 @@ impl Process for SmrReplica {
         } else if h == cached_header!(LEASE_TIMER_HEADER) {
             self.on_lease_timer(ctx, out);
         } else if h == cached_header!(JOIN_RETRY_HEADER) {
-            if self.joining {
-                self.kick_fetch(ctx.slf, out);
-            } else if self.rejoin {
-                self.kick_delta(ctx.slf, out);
+            if self.joining || self.rejoin {
+                self.kick_join(ctx.slf, out);
             }
         } else if let Some(seq) = parse_subok(msg) {
             // The subscription ack pins the join's `min_seq`: the first
             // ack wins (every broadcast server acks its own sequence, and
             // each covers all slots from its ack onward, so any single ack
             // is a safe lower bound for the fetch).
-            if self.rejoin && self.sub_seq.is_none() {
+            if (self.rejoin || self.joining) && self.sub_seq.is_none() {
                 self.sub_seq = Some(seq);
-                // Run the delta handshake even when the disk already
-                // reaches the subscription point (the suffix is then
-                // empty): the donor's answer is the observable record
-                // that the rejoin took the suffix path, and feeding an
-                // empty delta completes the rejoin immediately.
-                self.kick_delta(ctx.slf, out);
-            } else if self.joining && self.sub_seq.is_none() {
-                self.sub_seq = Some(seq);
-                self.kick_fetch(ctx.slf, out);
+                // A disk-recovered replica runs the delta handshake even
+                // when its disk already reaches the subscription point
+                // (the suffix is then empty): the donor's answer is the
+                // observable record that the rejoin took the suffix path,
+                // and feeding an empty delta completes the rejoin
+                // immediately.
+                self.kick_join(ctx.slf, out);
             }
         } else if let Some(d) = parse_deliver(msg) {
             let ready = self.incoming.offer(d);
@@ -1141,52 +844,23 @@ impl Process for SmrReplica {
         }
         // Durability before visibility: fsync whatever this step logged
         // before the runtime dispatches the step's sends.
-        self.flush_wal();
+        let next = self.incoming.next_seq();
+        self.core.end_step(next - 1, || Value::Int(next));
     }
 
     fn take_step_cost(&mut self) -> Duration {
-        std::mem::take(&mut self.step_cost)
+        self.core.take_step_cost()
     }
 
     fn clone_box(&self) -> Box<dyn Process> {
-        let db = Database::new(self.db.profile().clone());
-        db.restore(&self.db.snapshot())
-            .expect("snapshot of a valid database restores");
-        Box::new(SmrReplica {
-            db,
-            incoming: self.incoming.clone(),
-            last_reply: self.last_reply.clone(),
-            executed: self.executed,
-            joining: self.joining,
-            donors: self.donors.clone(),
-            sub_seq: self.sub_seq,
-            join_attempts: self.join_attempts,
-            snap_chunks: self.snap_chunks.clone(),
-            snap_total: self.snap_total,
-            transfer_batch_bytes: self.transfer_batch_bytes,
-            step_cost: self.step_cost,
-            group_scratch: Vec::new(),
-            role: self.role.clone(),
-            engine: self.engine.clone(),
-            twopc_seq: self.twopc_seq.clone(),
-            // As in PBR: model checking never runs durable replicas;
-            // reopening keeps the fork well-formed for read-only use.
-            wal: self.wal.as_ref().map(|w| Wal::open(w.disk().clone())),
-            wal_snap_at: self.wal_snap_at,
-            snapshot_every: self.snapshot_every,
-            rejoin: self.rejoin,
-            recent: self.recent.clone(),
-            recent_limit: self.recent_limit,
-            transfer_probe: self.transfer_probe.clone(),
-            lease: self.lease.clone(),
-        })
+        Box::new(self.clone())
     }
 
     fn digest(&self, hasher: &mut dyn Hasher) {
         let mut h = HasherAdapter(hasher);
-        (self.executed, self.joining, self.incoming.next_seq()).hash(&mut h);
+        (self.core.executed(), self.joining, self.incoming.next_seq()).hash(&mut h);
         (self.sub_seq, self.join_attempts, self.rejoin).hash(&mut h);
-        self.twopc_seq.hash(&mut h);
+        self.core.twopc_seq().hash(&mut h);
         if let Some(l) = &self.lease {
             // Replicated lease state only: the holder sequence and its
             // stamps are functions of the delivered TOB prefix; the local

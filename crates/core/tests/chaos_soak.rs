@@ -14,8 +14,8 @@
 
 use shadowdb::chaos::{
     soak_durability_pbr, soak_durability_smr, soak_pbr, soak_reads_pbr, soak_reads_smr,
-    soak_reconfig_pbr, soak_reconfig_smr, soak_sharded_pbr, soak_sharded_smr, soak_smr,
-    ChaosOptions,
+    soak_reconfig_pbr, soak_reconfig_smr, soak_sharded_pbr, soak_sharded_pbr_power_loss,
+    soak_sharded_smr, soak_sharded_smr_power_loss, soak_smr, ChaosOptions,
 };
 use shadowdb_livenet::LiveNet;
 use shadowdb_runtime::NemesisProfile;
@@ -501,6 +501,41 @@ fn tcpnet_sharded_smr_shard_crash_soak() {
     net.shutdown();
 }
 
+/// Sharding × durability: two durable replica groups with cross-shard
+/// transfers in flight while shard 0's participant replica is
+/// power-cycled and rebooted from its disk *with its shard role*. On top
+/// of the unsharded power-loss assertions (convergence, strict
+/// serializability, suffix-only rejoin on the transfer probe), the 2PC
+/// probe must stay atomic across the replayed engine state.
+#[test]
+fn simnet_sharded_pbr_power_loss() {
+    let mut sim = shadowdb_simnet::testing::default_net(1_500);
+    let opts = sim_opts(46, NemesisProfile::PowerLoss);
+    let report = soak_sharded_pbr_power_loss(&mut sim, &opts, 2);
+    assert_eq!(report.committed, 300);
+}
+
+#[test]
+fn simnet_sharded_smr_power_loss() {
+    let mut sim = shadowdb_simnet::testing::default_net(1_501);
+    let opts = sim_opts(47, NemesisProfile::PowerLoss);
+    let report = soak_sharded_smr_power_loss(&mut sim, &opts, 2);
+    assert_eq!(report.committed, 300);
+}
+
+/// The same composition over real sockets and real files (window
+/// compressed as for `tcpnet_durability_pbr_power_loss`).
+#[test]
+fn tcpnet_sharded_pbr_power_loss() {
+    let mut net = TcpNet::builder().seeded(37).spawn();
+    let mut opts = live_opts(37, NemesisProfile::PowerLoss);
+    opts.duration = Duration::from_millis(300);
+    opts.txns_per_client = 100;
+    let report = soak_sharded_pbr_power_loss(&mut net, &opts, 2);
+    assert_eq!(report.committed, 200);
+    net.shutdown();
+}
+
 /// Opt-in long soak: `CHAOS_SEEDS=n` sweeps seeds `0..n` across every
 /// profile on the simulator — PBR, SMR, and both sharded variants (two
 /// groups each). Off (a no-op) by default so the tier-1 suite stays fast.
@@ -521,5 +556,12 @@ fn long_soak_seed_sweep() {
             let mut sim = shadowdb_simnet::testing::default_net(seed * 43 + i as u64);
             soak_sharded_smr(&mut sim, &sim_opts(seed, profile), 2);
         }
+        // PowerLoss needs the durable-restart harness, so it sits outside
+        // `ALL`: sweep its sharded legs per seed here.
+        let opts = sim_opts(seed, NemesisProfile::PowerLoss);
+        let mut sim = shadowdb_simnet::testing::default_net(seed * 47);
+        soak_sharded_pbr_power_loss(&mut sim, &opts, 2);
+        let mut sim = shadowdb_simnet::testing::default_net(seed * 53);
+        soak_sharded_smr_power_loss(&mut sim, &opts, 2);
     }
 }

@@ -23,7 +23,7 @@
 //! non-vacuity asserts guarantee the explored prefix contains complete
 //! protocol runs, not just stalled ones.
 
-use shadowdb::deploy::{ShardedDeployment, ShardedOptions};
+use shadowdb::deploy::{DeployOptions, ShardedDeployment};
 use shadowdb::msgs::{parse_reply, TxnEnvelope};
 use shadowdb_loe::VTime;
 use shadowdb_mck::{Options, WorldBuilder};
@@ -37,8 +37,8 @@ use std::cell::Cell;
 const ACCOUNTS: usize = 4;
 const SHARDS: usize = 2;
 
-fn checker_options() -> ShardedOptions {
-    let mut options = ShardedOptions::new(
+fn checker_options() -> DeployOptions {
+    let mut options = DeployOptions::sharded(
         SHARDS,
         0, // clients are environment ports, not deployed processes
         |_| Vec::new(),
