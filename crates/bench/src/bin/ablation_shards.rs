@@ -18,7 +18,7 @@ use parking_lot::Mutex;
 use shadowdb::deploy::{DeployOptions, ShardedDeployment};
 use shadowdb::pbr::PbrOptions;
 use shadowdb::shard::check_two_pc_atomicity;
-use shadowdb_bench::{output, scaled};
+use shadowdb_bench::{mix, output, scaled};
 use shadowdb_loe::VTime;
 use shadowdb_simnet::{NetworkConfig, SimBuilder};
 use shadowdb_workloads::{bank, TxnRequest};
@@ -26,22 +26,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const ROWS: usize = 256;
-
-/// Deterministic account mixer. A *linear* account formula would walk
-/// every client through the shards with the same stride, so clients that
-/// queue together at one primary move to the next group together — a
-/// stable rotating convoy that serializes the groups and hides the
-/// parallelism being measured. Hashing `(k, client)` decorrelates the
-/// walks.
-fn mix(k: usize, client: usize) -> usize {
-    let mut x = (k as u64)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add((client as u64) << 32 | 0xDEAD_BEEF);
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    x ^= x >> 33;
-    x as usize
-}
 
 /// The per-client transaction list: `cross_pct`% cross-shard transfers
 /// (the destination account lives on the next shard over, so at

@@ -338,18 +338,6 @@ fn sharded_bank_speedup() -> f64 {
     const ROWS: usize = 256;
     const CLIENTS: usize = 48;
     const TXNS: usize = 50;
-    // Deterministic account mixer: a linear account formula would walk
-    // every client through the shards with the same stride, forming
-    // rotating convoys that serialize the groups (see ablation_shards).
-    fn mix(k: usize, client: usize) -> usize {
-        let mut x = (k as u64)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add((client as u64) << 32 | 0xDEAD_BEEF);
-        x ^= x >> 33;
-        x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        x ^= x >> 33;
-        x as usize
-    }
     let run = |shards: usize| -> f64 {
         let mut sim = SimBuilder::new(11).network(NetworkConfig::lan()).build();
         let options = DeployOptions::sharded(
@@ -358,7 +346,7 @@ fn sharded_bank_speedup() -> f64 {
             |client| {
                 (0..TXNS)
                     .map(|k| TxnRequest::BankDeposit {
-                        account: (mix(k, client) % ROWS) as i64,
+                        account: (shadowdb_bench::mix(k, client) % ROWS) as i64,
                         amount: 1 + (k % 50) as i64,
                     })
                     .collect()

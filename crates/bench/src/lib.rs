@@ -30,3 +30,19 @@ pub fn scaled(paper: usize, divisor: usize) -> usize {
         (paper / divisor).max(1)
     }
 }
+
+/// Deterministic account mixer for the sharded bank loads. A *linear*
+/// account formula would walk every client through the shards with the
+/// same stride, so clients that queue together at one primary move to the
+/// next group together — a stable rotating convoy that serializes the
+/// groups and hides the parallelism being measured. Hashing `(k, client)`
+/// decorrelates the walks.
+pub fn mix(k: usize, client: usize) -> usize {
+    let mut x = (k as u64)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add((client as u64) << 32 | 0xDEAD_BEEF);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    x ^= x >> 33;
+    x as usize
+}

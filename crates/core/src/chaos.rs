@@ -3,8 +3,8 @@
 //!
 //! The harness is generic over the [`Runtime`] seam, so the *same*
 //! `(seed, profile, duration)` triple exercises the simulator (virtual
-//! time), the thread runtime, and the TCP runtime — the nemesis expands
-//! to a byte-identical [`FaultPlan`] on each. After the schedule's last
+//! time) and the TCP runtime (real time) — the nemesis expands to a
+//! byte-identical [`FaultPlan`] on each. After the schedule's last
 //! fault heals (by `0.85 × duration`), the harness requires:
 //!
 //! * **Convergence** — every client eventually gets an answer for every

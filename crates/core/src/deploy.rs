@@ -5,8 +5,8 @@
 //! broadcast service", and clients run on a separate machine. PBR deploys
 //! two active replicas plus a spare; SMR deploys replicas at every service
 //! machine. The builders are generic over the execution substrate: the
-//! same deployment graph runs under the simulator, on real threads
-//! (`shadowdb-livenet`), and inside the model checker (`shadowdb-mck`).
+//! same deployment graph runs under the simulator, on real sockets
+//! (`shadowdb-tcpnet`), and inside the model checker (`shadowdb-mck`).
 
 use crate::client::{DbClient, DbClientStats, Submission};
 use crate::diversity::DiversityPolicy;

@@ -1,5 +1,5 @@
-//! Chaos soaks: the bank workload under seeded nemesis schedules, on all
-//! three runtimes.
+//! Chaos soaks: the bank workload under seeded nemesis schedules, on the
+//! simulator (virtual time) and on tcpnet (real time, real sockets).
 //!
 //! Every run asserts (in `shadowdb::chaos`) that the system converges
 //! after the last fault heals, that the observed history is strictly
@@ -8,16 +8,15 @@
 //! same configuration.
 //!
 //! The simulator legs sweep every nemesis profile in virtual time; the
-//! livenet and tcpnet legs run a representative subset in real time with
-//! fixed seeds. Set `CHAOS_SEEDS=n` to additionally sweep seeds `0..n`
-//! across every profile on the simulator (the opt-in long soak).
+//! tcpnet legs run a representative subset in real time with fixed seeds.
+//! Set `CHAOS_SEEDS=n` to additionally sweep seeds `0..n` across every
+//! profile on the simulator (the opt-in long soak).
 
 use shadowdb::chaos::{
     soak_durability_pbr, soak_durability_smr, soak_pbr, soak_reads_pbr, soak_reads_smr,
     soak_reconfig_pbr, soak_reconfig_smr, soak_sharded_pbr, soak_sharded_pbr_power_loss,
-    soak_sharded_smr, soak_sharded_smr_power_loss, soak_smr, ChaosOptions,
+    soak_sharded_smr, soak_sharded_smr_power_loss, soak_smr, ChaosOptions, ChaosReport,
 };
-use shadowdb_livenet::LiveNet;
 use shadowdb_runtime::NemesisProfile;
 use shadowdb_tcpnet::TcpNet;
 use std::time::Duration;
@@ -83,25 +82,53 @@ fn simnet_nemesis_actually_injects() {
     );
 }
 
+/// The primary cut off from everyone mid-run. As in
+/// `tcpnet_pbr_crash_soak` the window is compressed so the cut lands
+/// inside the run: at 100 ms, seed 21 isolates the primary from 18 ms to
+/// 38 ms, and 2 000 loopback transactions take several times that. The
+/// cut is shorter than failure detection, so this is the transport's leg
+/// — frames parked, links force-closed, reconnect and FIFO flush under
+/// load; failover under partition is protocol behaviour, swept on the
+/// simulator.
 #[test]
-fn livenet_pbr_partition_soak() {
-    let mut net = LiveNet::builder()
-        .latency(Duration::from_micros(100))
-        .seeded(21)
-        .spawn();
-    let report = soak_pbr(&mut net, &live_opts(21, NemesisProfile::PartitionVictim));
-    assert_eq!(report.committed, 50);
+fn tcpnet_pbr_partition_soak() {
+    let mut net = TcpNet::builder().seeded(21).spawn();
+    let mut opts = live_opts(21, NemesisProfile::PartitionVictim);
+    opts.duration = Duration::from_millis(100);
+    opts.txns_per_client = 1_000;
+    let report = soak_pbr(&mut net, &opts);
+    assert_eq!(report.committed, 2_000);
     net.shutdown();
 }
 
+/// Real-runtime sizing for the lossy-client legs: a 300 ms window opens
+/// the first burst by 100 ms for both seeds used below, a third of the
+/// way into a 1 000-transaction SMR run, and a short client timeout keeps
+/// the closed-loop clients sending through the bursts — at the default
+/// 150 ms one dropped frame parks a client past the end of the burst,
+/// leaving the drop/duplicate path almost no traffic.
+fn tcp_lossy_opts(seed: u64) -> ChaosOptions {
+    let mut o = live_opts(seed, NemesisProfile::LossyClientLinks);
+    o.duration = Duration::from_millis(300);
+    o.client_timeout = Duration::from_millis(30);
+    o.txns_per_client = 500;
+    o
+}
+
+/// The real-deployment counterpart of `simnet_nemesis_actually_injects`:
+/// tcpnet's frame-write drop and write-twice paths must actually bite.
+fn assert_lossy_bit(report: &ChaosReport) {
+    assert_eq!(report.committed, 1_000);
+    assert!(
+        report.dropped > 0 && report.duplicated > 0,
+        "lossy profile should drop and duplicate frames: {report:?}"
+    );
+}
+
 #[test]
-fn livenet_smr_lossy_clients_soak() {
-    let mut net = LiveNet::builder()
-        .latency(Duration::from_micros(100))
-        .seeded(22)
-        .spawn();
-    let report = soak_smr(&mut net, &live_opts(22, NemesisProfile::LossyClientLinks));
-    assert_eq!(report.committed, 50);
+fn tcpnet_smr_lossy_clients_soak() {
+    let mut net = TcpNet::builder().seeded(22).spawn();
+    assert_lossy_bit(&soak_smr(&mut net, &tcp_lossy_opts(22)));
     net.shutdown();
 }
 
@@ -156,38 +183,6 @@ fn simnet_durability_smr_power_loss() {
     assert_eq!(report.committed, 300);
 }
 
-#[test]
-fn livenet_durability_pbr_power_loss() {
-    let mut net = LiveNet::builder()
-        .latency(Duration::from_micros(100))
-        .seeded(33)
-        .spawn();
-    // Compressed window (as for tcpnet): power cycles must land inside
-    // the workload, and the outages must be long enough to actually miss
-    // traffic — a sub-millisecond blink misses nothing and the rejoin is
-    // trivially complete.
-    let mut opts = live_opts(33, NemesisProfile::PowerLoss);
-    opts.duration = Duration::from_millis(300);
-    opts.txns_per_client = 100;
-    let report = soak_durability_pbr(&mut net, &opts);
-    assert_eq!(report.committed, 200);
-    net.shutdown();
-}
-
-#[test]
-fn livenet_durability_smr_power_loss() {
-    let mut net = LiveNet::builder()
-        .latency(Duration::from_micros(100))
-        .seeded(34)
-        .spawn();
-    let mut opts = live_opts(34, NemesisProfile::PowerLoss);
-    opts.duration = Duration::from_millis(300);
-    opts.txns_per_client = 100;
-    let report = soak_durability_smr(&mut net, &opts);
-    assert_eq!(report.committed, 200);
-    net.shutdown();
-}
-
 /// On tcpnet the replicas write through *real files*: every group commit
 /// is an actual `write + fsync`, and the reboot re-reads actual bytes.
 /// As with the crash soak, the window is compressed so the power cycles
@@ -239,14 +234,9 @@ fn simnet_windowed_pbr_soak_three_seeds() {
 }
 
 #[test]
-fn livenet_windowed_smr_soak() {
-    let mut net = LiveNet::builder()
-        .latency(Duration::from_micros(100))
-        .seeded(25)
-        .spawn();
-    let opts = live_opts(25, NemesisProfile::LossyClientLinks).with_window(8);
-    let report = soak_smr(&mut net, &opts);
-    assert_eq!(report.committed, 50);
+fn tcpnet_windowed_smr_lossy_clients_soak() {
+    let mut net = TcpNet::builder().seeded(25).spawn();
+    assert_lossy_bit(&soak_smr(&mut net, &tcp_lossy_opts(25).with_window(8)));
     net.shutdown();
 }
 
@@ -289,34 +279,6 @@ fn simnet_reconfig_pbr_under_delay_spikes() {
     let mut sim = shadowdb_simnet::testing::default_net(1_502);
     let report = soak_reconfig_pbr(&mut sim, &sim_opts(48, NemesisProfile::DelaySpikes));
     assert_eq!(report.committed, 300);
-}
-
-#[test]
-fn livenet_reconfig_pbr_crash_during_transfer() {
-    let mut net = LiveNet::builder()
-        .latency(Duration::from_micros(100))
-        .seeded(29)
-        .spawn();
-    let report = soak_reconfig_pbr(
-        &mut net,
-        &live_opts(29, NemesisProfile::CrashDuringTransfer),
-    );
-    assert_eq!(report.committed, 50);
-    net.shutdown();
-}
-
-#[test]
-fn livenet_reconfig_smr_crash_during_transfer() {
-    let mut net = LiveNet::builder()
-        .latency(Duration::from_micros(100))
-        .seeded(30)
-        .spawn();
-    let report = soak_reconfig_smr(
-        &mut net,
-        &live_opts(30, NemesisProfile::CrashDuringTransfer),
-    );
-    assert_eq!(report.committed, 50);
-    net.shutdown();
 }
 
 #[test]
@@ -390,41 +352,21 @@ fn simnet_reads_smr_stale_primary() {
 /// (4 × heartbeat) go fresh within the first few round trips — the
 /// workload must overlap the lease-granted regime, not finish before the
 /// first echo — and enough transactions to keep reads flowing while
-/// faults land.
+/// faults land. On loopback TCP the first grant-and-echo takes about
+/// 20 ms, roughly what 100 transactions per client last; 1 000 outlast
+/// it several times over.
 fn live_read_opts(seed: u64) -> ChaosOptions {
     let mut o = live_opts(seed, NemesisProfile::StalePrimaryReads);
     o.heartbeat_every = Duration::from_millis(10);
-    o.txns_per_client = 100;
+    o.txns_per_client = 1_000;
     o
-}
-
-#[test]
-fn livenet_reads_pbr_stale_primary_soak() {
-    let mut net = LiveNet::builder()
-        .latency(Duration::from_micros(100))
-        .seeded(37)
-        .spawn();
-    let report = soak_reads_pbr(&mut net, &live_read_opts(37));
-    assert_eq!(report.committed, 200);
-    net.shutdown();
-}
-
-#[test]
-fn livenet_reads_smr_stale_primary_soak() {
-    let mut net = LiveNet::builder()
-        .latency(Duration::from_micros(100))
-        .seeded(38)
-        .spawn();
-    let report = soak_reads_smr(&mut net, &live_read_opts(38));
-    assert_eq!(report.committed, 200);
-    net.shutdown();
 }
 
 #[test]
 fn tcpnet_reads_pbr_stale_primary_soak() {
     let mut net = TcpNet::builder().seeded(39).spawn();
     let report = soak_reads_pbr(&mut net, &live_read_opts(39));
-    assert_eq!(report.committed, 200);
+    assert_eq!(report.committed, 2_000);
     net.shutdown();
 }
 
@@ -432,7 +374,7 @@ fn tcpnet_reads_pbr_stale_primary_soak() {
 fn tcpnet_reads_smr_stale_primary_soak() {
     let mut net = TcpNet::builder().seeded(40).spawn();
     let report = soak_reads_smr(&mut net, &live_read_opts(40));
-    assert_eq!(report.committed, 200);
+    assert_eq!(report.committed, 2_000);
     net.shutdown();
 }
 
@@ -473,18 +415,18 @@ fn simnet_sharded_smr_survives_2pc_profiles() {
     }
 }
 
+/// The two groups cut off from each other with cross-shard transfers in
+/// flight: at 100 ms, seed 27 partitions them from 23 ms to 40 ms, and
+/// 2 000 loopback transactions (one in six cross-shard) take several
+/// times that.
 #[test]
-fn livenet_sharded_pbr_coordinator_partition_soak() {
-    let mut net = LiveNet::builder()
-        .latency(Duration::from_micros(100))
-        .seeded(27)
-        .spawn();
-    let report = soak_sharded_pbr(
-        &mut net,
-        &live_opts(27, NemesisProfile::CoordinatorPartition),
-        2,
-    );
-    assert_eq!(report.committed, 50);
+fn tcpnet_sharded_pbr_coordinator_partition_soak() {
+    let mut net = TcpNet::builder().seeded(27).spawn();
+    let mut opts = live_opts(27, NemesisProfile::CoordinatorPartition);
+    opts.duration = Duration::from_millis(100);
+    opts.txns_per_client = 1_000;
+    let report = soak_sharded_pbr(&mut net, &opts, 2);
+    assert_eq!(report.committed, 2_000);
     net.shutdown();
 }
 

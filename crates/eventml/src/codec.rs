@@ -3,11 +3,10 @@
 //!
 //! This module is the **single codec boundary** of the system: everything
 //! that crosses a byte boundary — TCP links in `shadowdb-tcpnet`, the
-//! wire-framed mode of `shadowdb-livenet`, the ~50 KB state-transfer
-//! batches of Fig. 10(b), and the 140-byte payloads of the
-//! broadcast-service benchmark (Fig. 8) — goes through `encode_msg_into`
-//! and `decode_msg` with [`FrameEncoder`]/[`FrameReader`] supplying frame
-//! boundaries on top.
+//! ~50 KB state-transfer batches of Fig. 10(b), and the 140-byte payloads
+//! of the broadcast-service benchmark (Fig. 8) — goes through
+//! `encode_msg_into` and `decode_msg` with [`FrameEncoder`]/[`FrameReader`]
+//! supplying frame boundaries on top.
 //!
 //! # Robustness contract
 //!

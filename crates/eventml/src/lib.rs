@@ -19,8 +19,7 @@
 //! * [`process`] — the [`Process`] trait every runnable node implements;
 //! * [`value`] — the untyped value universe and message format;
 //! * [`codec`] — the binary wire format and length-prefixed framing every
-//!   byte-crossing transport shares (TCP links, wire-framed livenet,
-//!   state-transfer batches);
+//!   byte-crossing transport shares (TCP links, state-transfer batches);
 //! * [`clk`] — the paper's running example, Lamport clocks (Fig. 3).
 //!
 //! # Quick start

@@ -1,4 +1,4 @@
-//! The fault-injection plane: one seeded schedule, three substrates.
+//! The fault-injection plane: one seeded schedule, every substrate.
 //!
 //! The paper's claim is not that ShadowDB is fast but that it is *correct
 //! under failures*: the failure detector suspects silent peers, in-flight
@@ -18,7 +18,7 @@
 //! * [`Nemesis`] — expands `(seed, profile, duration)` into a
 //!   [`FaultPlan`] for a concrete topology. The expansion is a pure
 //!   function of its inputs, so the *same schedule bytes* replay on
-//!   simnet, livenet, and tcpnet.
+//!   simnet and tcpnet.
 //!
 //! # Determinism, precisely
 //!

@@ -13,8 +13,8 @@
 //!
 //! * `shadowdb_simnet::Simulation` — deterministic virtual time (the
 //!   experiment testbed),
-//! * `shadowdb_livenet::LiveNet` — operating-system threads and real
-//!   clocks (the demo/production substrate), and
+//! * `shadowdb_tcpnet::TcpNet` — real time over loopback TCP sockets
+//!   (the deployment substrate, and the one the benchmark measures), and
 //! * `shadowdb_mck::WorldBuilder` — the bounded model checker, which then
 //!   verifies the deployment graph that actually ships instead of a
 //!   hand-mirrored copy.
@@ -119,7 +119,7 @@ impl CostModel for Box<dyn CostModel> {
 /// The receive side of a driver-visible mailbox created by
 /// [`Runtime::port`].
 ///
-/// Under `livenet` messages arrive asynchronously and
+/// Under `tcpnet` messages arrive asynchronously and
 /// [`PortRx::recv_timeout`] blocks in real time; under the simulator
 /// messages appear as virtual time advances and drivers read them with
 /// [`PortRx::try_recv`]/[`PortRx::drain`] between `run` calls; under the

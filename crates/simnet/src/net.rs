@@ -6,7 +6,7 @@
 //! Faults — partitions with heal times, lossy windows, duplication, delay
 //! spikes, reordering — come from the substrate-independent
 //! [`FaultPlan`] (`shadowdb_runtime::fault`), so the same seeded schedule
-//! that runs here replays on livenet and tcpnet. Protocols that assume
+//! that runs here replays on tcpnet. Protocols that assume
 //! reliable channels are only exercised under crash faults and
 //! partitions-with-heal.
 

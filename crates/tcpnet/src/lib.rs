@@ -3,10 +3,10 @@
 //!
 //! This is the repository's counterpart of the paper's testbed wiring —
 //! ShadowDB's generated processes exchanging framed messages over real
-//! sockets — and the fourth substrate behind the [`Runtime`] seam: the
+//! sockets — and the real-time substrate behind the [`Runtime`] seam: the
 //! same unmodified `PbrDeployment`/`SmrDeployment`/TOB builders that run
-//! under the simulator, on thread channels, and inside the model checker
-//! deploy here onto actual TCP connections.
+//! under the simulator and inside the model checker deploy here onto
+//! actual TCP connections.
 //!
 //! # Architecture
 //!
@@ -134,7 +134,7 @@ impl TcpNetBuilder {
     /// Sets the deployment seed: reconnect-backoff jitter becomes a pure
     /// function of `(seed, origin, dest, attempt)`, making chaos-soak
     /// reconnect schedules byte-identical across runs with the same seed
-    /// (livenet and simnet already derive their jitter this way).
+    /// (simnet derives its jitter the same way).
     pub fn seeded(mut self, seed: u64) -> TcpNetBuilder {
         self.seed = seed;
         self
@@ -612,7 +612,7 @@ mod tests {
     }
 
     /// A seeded net with an explicit shard count behaves identically at
-    /// the API level: the builder mirrors `LiveNet::builder().seeded(..)`.
+    /// the API level.
     #[test]
     fn builder_seed_and_shards_echo() {
         let mut net = TcpNet::builder().seeded(42).shards(2).spawn();

@@ -27,6 +27,7 @@
 use crate::registry::Registry;
 use shadowdb_eventml::{FrameEncoder, Msg};
 use shadowdb_loe::Loc;
+use shadowdb_runtime::fault::mix64;
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Write};
 use std::net::TcpStream;
@@ -53,21 +54,11 @@ const POOL_BUF_CAP: usize = 64 * 1024;
 /// Most buffers the recycle pool holds.
 const POOL_LEN: usize = 32;
 
-/// SplitMix64-style bit mixer: the jitter source for the seeded backoff.
-/// A pure function of its input, so runs with equal seeds see equal
-/// reconnect schedules.
-pub(crate) fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// The delay before reconnect attempt `attempt` of the `(origin, dest)`
 /// link: capped exponential backoff plus a jitter that is a pure function
 /// of the deployment seed — chaos-soak reconnect schedules are
-/// byte-identical across runs with the same seed (satellite of ISSUE 6;
-/// livenet and simnet already derive their jitter this way).
+/// byte-identical across runs with the same seed (simnet derives its
+/// jitter the same way).
 pub(crate) fn backoff_delay(seed: u64, origin: u32, dest: u32, attempt: u32) -> Duration {
     let base = BACKOFF_START
         .saturating_mul(1u32 << attempt.min(6))

@@ -5,8 +5,8 @@
 //! machine co-hosting the TOB server process and its consensus roles —
 //! the processes share the machine's CPU, which is what eventually makes
 //! the service CPU-bound. The builder is generic over the execution
-//! substrate: the same graph deploys into the simulator, onto real threads
-//! (`shadowdb-livenet`), or into the model checker (`shadowdb-mck`).
+//! substrate: the same graph deploys into the simulator, onto real
+//! sockets (`shadowdb-tcpnet`), or into the model checker (`shadowdb-mck`).
 
 use crate::mode::{ExecutionMode, ModeCost};
 use crate::service::{service_class, Backend, TobConfig};

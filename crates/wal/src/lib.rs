@@ -43,6 +43,7 @@ use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
 use shadowdb_eventml::codec::{decode_value, encode_value};
 use shadowdb_eventml::Value;
+use shadowdb_runtime::fault::mix64;
 use shadowdb_runtime::StorageMode;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -67,14 +68,6 @@ fn checksum(bytes: &[u8]) -> u32 {
         h = h.wrapping_mul(0x0100_0193);
     }
     h
-}
-
-/// SplitMix64 — the tear emulator's deterministic randomness source.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 enum Backend {

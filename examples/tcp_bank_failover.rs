@@ -1,11 +1,11 @@
 //! Primary failover over real TCP sockets.
 //!
 //! The same `PbrDeployment` graph the simulator example (`bank_failover`)
-//! and the thread example (`live_bank_failover`) build deploys here onto
-//! `shadowdb-tcpnet`: every replica and service process runs on its own
-//! operating-system thread behind a loopback `TcpListener`, and every
-//! message between them — client requests, broadcasts, heartbeats,
-//! answers — crosses a kernel socket as length-prefixed codec frames.
+//! builds deploys here onto `shadowdb-tcpnet`: every replica and service
+//! process runs on its own operating-system thread behind a loopback
+//! `TcpListener`, and every message between them — client requests,
+//! broadcasts, heartbeats, answers — crosses a kernel socket as
+//! length-prefixed codec frames.
 //! Mid-run the primary is crashed (its thread dropped, its connections
 //! severed); the verified recovery — suspicion, totally ordered
 //! configuration change, election, state transfer, resumption — plays

@@ -14,15 +14,13 @@
 //! * [`tob`] — the total-order broadcast service with batching;
 //! * [`sqldb`] — the embedded SQL engine with pluggable personalities;
 //! * [`workloads`] — the bank micro-benchmark and TPC-C;
-//! * [`shadowdb`] — the replicated database itself (PBR and SMR);
-//! * [`livenet`] — a real-thread runtime for the same processes.
+//! * [`shadowdb`] — the replicated database itself (PBR and SMR).
 //!
 //! Start with `examples/quickstart.rs`.
 
 pub use shadowdb;
 pub use shadowdb_consensus as consensus;
 pub use shadowdb_eventml as eventml;
-pub use shadowdb_livenet as livenet;
 pub use shadowdb_loe as loe;
 pub use shadowdb_mck as mck;
 pub use shadowdb_simnet as simnet;
