@@ -509,7 +509,7 @@ fn reconfig_catchup_ms() -> f64 {
 /// transaction: the same 2 000 bank-sized records appended to a
 /// file-backed log under the OS temp dir, once committing every append
 /// (the naive durable design) and once committing at 64-record group
-/// boundaries (what the replicas do — one fsync per applied group). The
+/// boundaries (what the replicas do — one fsync per batch of arrivals). The
 /// leg reports the grouped rate and asserts the tentpole claim directly:
 /// group commit must be at least 5× the per-transaction-fsync rate. The
 /// ratio is host-independent to first order — both runs pay the same
@@ -667,6 +667,57 @@ fn restart_from_disk_ms() -> f64 {
     (sim.now().as_micros() - reboot.as_micros()) as f64 / 1_000.0
 }
 
+/// WAL syncs per committed transaction of the shipping durable PBR
+/// deployment on tcpnet — real sockets, real files, `sync_all` for real —
+/// under 8 closed-loop bank clients. The microbench above shows what
+/// group commit is worth; this leg shows that a deployment gets it. A
+/// replica that syncs at the end of every appending step scores exactly
+/// 2.0 (primary plus backup, per transaction, whatever the load); with the
+/// durability point at `sdb/sync`, once per event-loop turn, whatever
+/// arrives while a replica sits in `sync_all` shares the next one. It is a
+/// count, not a speed, so the in-leg gate (< 1.0) holds on any host whose
+/// sync takes long enough for a second request to arrive.
+fn deployed_syncs_per_txn() -> f64 {
+    use shadowdb::deploy::{DeployOptions, DurabilityOptions, PbrDeployment};
+    use shadowdb::pbr::PbrOptions;
+    use shadowdb_workloads::bank;
+
+    const ACCOUNTS: usize = 10_000;
+    const CLIENTS: usize = 8;
+    const TXNS_EACH: usize = 400;
+    let options = DeployOptions {
+        durability: Some(DurabilityOptions::default()),
+        ..DeployOptions::new(
+            CLIENTS,
+            |client| {
+                let mut g = bank::BankGen::new(71 + client as u64, ACCOUNTS);
+                (0..TXNS_EACH).map(|_| g.next_txn()).collect()
+            },
+            |db| bank::load(db, ACCOUNTS).expect("loads"),
+        )
+    };
+    let mut net = TcpNet::builder().seeded(17).spawn();
+    let d = PbrDeployment::build(&mut net, &options, PbrOptions::default());
+    let t0 = Instant::now();
+    while d.committed() < CLIENTS * TXNS_EACH {
+        assert!(
+            t0.elapsed() < Duration::from_secs(120),
+            "durable deployment stalled at {} transactions",
+            d.committed()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let syncs: u64 = d.disks.iter().map(|k| k.sync_count()).sum();
+    net.shutdown();
+    let per_txn = syncs as f64 / (CLIENTS * TXNS_EACH) as f64;
+    assert!(
+        per_txn < 1.0,
+        "group commit must engage in a deployment: {per_txn:.2} WAL syncs per transaction \
+         ({syncs} syncs; 2.0 means one per replica per transaction)"
+    );
+    per_txn
+}
+
 /// Minimal extraction of `"key": <number>` from the baseline JSON — the
 /// file is machine-written with a fixed shape, so no JSON library needed.
 fn read_baseline(json: &str, key: &str) -> Option<f64> {
@@ -807,6 +858,11 @@ fn main() {
             "wal_group_commit_txns_per_sec",
             wal_group_commit_txns_per_sec(),
             Gate::HigherBetter,
+        ),
+        (
+            "deployed_syncs_per_txn",
+            deployed_syncs_per_txn(),
+            Gate::LowerBetter,
         ),
         (
             "restart_from_disk_ms",

@@ -51,6 +51,12 @@ pub const LEASE_AUDIT_HEADER: &str = "sdb/lease";
 pub const CONFIG_QUERY_HEADER: &str = "sdb/confq";
 /// Configuration-status report: body `<from, <config, <executed, normal>>>`.
 pub const CONFIG_REPLY_HEADER: &str = "sdb/confr";
+/// A durable replica's durability point, sent to itself (zero delay, body
+/// unit) by a step that left log records unsynced: handling it syncs the
+/// log and releases every acknowledgment parked behind it. A runtime that
+/// delivers self-sends after the other input it has ready makes one sync
+/// cover all of that input's records (group commit).
+pub const SYNC_HEADER: &str = "sdb/sync";
 
 /// A replica-group configuration ("Each configuration is identified by a
 /// sequence number. The initial configuration has sequence number 0.").

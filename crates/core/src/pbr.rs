@@ -5,7 +5,11 @@
 //! `T` and forwards it to the backups; (iii) the backups execute, commit,
 //! and acknowledge; (iv) the primary replies to the client once *all*
 //! (recovered) backups acknowledged. Execution is sequential at every
-//! replica; duplicates are no-ops via per-client sequence numbers.
+//! replica; duplicates are no-ops via per-client sequence numbers. With a
+//! write-ahead log attached, "commit" includes the fsync: a backup's ack
+//! and the primary's reply each wait for the `sdb/sync` that covers their
+//! record, while the forward leaves ahead of the primary's — the two
+//! replicas sync in parallel.
 //!
 //! Failure handling runs through the verified broadcast service:
 //!
@@ -28,6 +32,7 @@ use crate::msgs::{
     config_reply_msg, reply_msg, stale_config_msg, ConfigCommand, ReplicaConfig, TxnEnvelope,
     ACK_HEADER, CATCHUP_HEADER, CONFIG_QUERY_HEADER, ELECT_HEADER, FORWARD_HEADER, HB_TIMER_HEADER,
     HEARTBEAT_HEADER, RECOVERY_ACK_HEADER, REFETCH_HEADER, SNAPSHOT_HEADER, SUBMIT_HEADER,
+    SYNC_HEADER,
 };
 pub use crate::replica_core::{LeaseProbe, TransferKind, TransferProbe};
 use crate::replica_core::{LeaseWatch, ReplicaCore, Seen};
@@ -134,6 +139,9 @@ struct Pending {
     env: TxnEnvelope,
     outcome: TxnOutcome,
     waiting: BTreeSet<Loc>,
+    /// WAL index of this transaction's own record: the entry is released
+    /// only once the local log is durable through it, too.
+    wal: i64,
     /// Sends computed at execute time (2PC votes, decisions, replies to
     /// other groups) that must not escape before the backups acknowledged:
     /// they reflect state the group has not durably replicated yet.
@@ -288,11 +296,12 @@ impl PbrReplica {
     }
 
     /// Attaches a write-ahead log: every executed transaction and adopted
-    /// configuration is appended, fsynced once per step (group commit),
-    /// with a durable snapshot (and log truncation) every
-    /// `snapshot_every` records.
+    /// configuration is appended and synced at the replica's next
+    /// `sdb/sync` (group commit), which its acknowledgments wait for, with
+    /// a durable snapshot (and log truncation) every `snapshot_every`
+    /// records.
     pub fn with_wal(mut self, disk: Disk, snapshot_every: i64) -> PbrReplica {
-        self.core.attach_wal(disk, snapshot_every, 0);
+        self.core.attach_wal(disk, snapshot_every, 0, 0);
         self
     }
 
@@ -335,7 +344,8 @@ impl PbrReplica {
             r.replay_record(slf, body);
         }
         r.wal_index = rec.high_index().max(0);
-        r.core.attach_wal(disk, snapshot_every, snap_at);
+        r.core
+            .attach_wal(disk, snapshot_every, snap_at, r.wal_index);
         // The disk knows everything up to the crash; the group has moved
         // on. Rejoin: re-anchor the TOB subscription and ask the primary
         // for the missed suffix.
@@ -548,7 +558,8 @@ impl PbrReplica {
             .expect("just executed this client's request");
         if self.active_backups.is_empty() {
             if is_2pc {
-                // No backups to wait for: the engine's sends go out now.
+                // No backups to wait for: the engine's sends go out with
+                // this step (behind its sync, on a durable replica).
                 outs.extend(extra);
             } else {
                 outs.push(SendInstr::now(
@@ -580,6 +591,7 @@ impl PbrReplica {
                     env,
                     outcome,
                     waiting: self.active_backups.clone(),
+                    wal: self.wal_index,
                     extra,
                     suppress_reply: is_2pc,
                 },
@@ -718,17 +730,37 @@ impl PbrReplica {
             .map(|(i, _)| *i)
             .collect();
         for i in stalled {
-            let p = self.pending.get_mut(&i).expect("present");
-            p.waiting.remove(&from);
-            if p.waiting.is_empty() {
-                let p = self.pending.remove(&i).expect("present");
-                if !p.suppress_reply {
-                    outs.push(SendInstr::now(
-                        p.env.client,
-                        reply_msg(ctx.slf, p.env.cseq, p.outcome.committed, &p.outcome.result),
-                    ));
-                }
-                outs.extend(p.extra);
+            self.pending
+                .get_mut(&i)
+                .expect("present")
+                .waiting
+                .remove(&from);
+        }
+        self.release_pending(ctx.slf, outs);
+    }
+
+    /// Releases every pending entry that all its backups acknowledged and
+    /// whose own record the local log holds durably — client reply, then
+    /// the sends parked on it. An entry stays in `pending` until *both*
+    /// hold (called when either may have changed: an ack, a sync), so the
+    /// silence of `reply_duplicate` and the lease-read gate cover a
+    /// transaction until a power cut here could no longer erase it.
+    fn release_pending(&mut self, slf: Loc, outs: &mut Vec<SendInstr>) {
+        let ready: Vec<i64> = self
+            .pending
+            .iter()
+            .filter(|(_, p)| p.waiting.is_empty() && self.core.is_durable(p.wal))
+            .map(|(i, _)| *i)
+            .collect();
+        for i in ready {
+            let p = self.pending.remove(&i).expect("present");
+            if !p.suppress_reply {
+                let reply = reply_msg(slf, p.env.cseq, p.outcome.committed, &p.outcome.result);
+                self.core
+                    .gate(p.wal, SendInstr::now(p.env.client, reply), outs);
+            }
+            for send in p.extra {
+                self.core.gate(p.wal, send, outs);
             }
         }
     }
@@ -1184,6 +1216,21 @@ impl PbrReplica {
     }
 }
 
+/// The sends that never wait for the local sync: those that carry
+/// transactions *to* a backup rather than vouch for them. The forward
+/// acknowledges nothing, and leaving ahead of the primary's fsync lets the
+/// backups log and sync while the primary does (commit latency is the
+/// slower of the two syncs, not their sum). Catch-up and snapshot chunks
+/// are the same kind of traffic and share the forwards' FIFO link: held
+/// back, a later forward would overtake the state it builds on, and a
+/// backup that lost that forward would never be sent it again.
+fn replicates_ahead(msg: &Msg) -> bool {
+    let h = msg.header;
+    h == cached_header!(FORWARD_HEADER)
+        || h == cached_header!(CATCHUP_HEADER)
+        || h == cached_header!(SNAPSHOT_HEADER)
+}
+
 impl PbrReplica {
     /// First-step initialization: learn our own identity from the context.
     fn ensure_init(&mut self, ctx: &Ctx) {
@@ -1208,13 +1255,21 @@ impl PbrReplica {
 impl Process for PbrReplica {
     fn step_into(&mut self, ctx: &Ctx, msg: &Msg, out: &mut Vec<SendInstr>) {
         self.ensure_init(ctx);
+        let first = out.len();
         let h = msg.header;
         if h == cached_header!(SUBMIT_HEADER) {
             self.on_submit(ctx, &msg.body, out);
         } else if h == cached_header!(FORWARD_HEADER) {
             self.on_forward(ctx, &msg.body, out);
         } else if h == cached_header!(ACK_HEADER) {
-            self.on_ack(ctx, &msg.body, out);
+            // Logs nothing, and what it releases was checked against the
+            // log entry by entry: holding it for the step's newest index
+            // would make every reply wait out the *next* sync as well.
+            return self.on_ack(ctx, &msg.body, out);
+        } else if h == cached_header!(SYNC_HEADER) {
+            self.core
+                .sync(self.wal_index, || self.config.to_value(), out);
+            self.release_pending(ctx.slf, out);
         } else if h == cached_header!(HB_TIMER_HEADER) {
             self.on_hb_timer(ctx, out);
         } else if h == cached_header!(HEARTBEAT_HEADER) {
@@ -1236,10 +1291,11 @@ impl Process for PbrReplica {
         } else {
             self.on_tob_deliver(ctx, msg, out);
         }
-        // Durability before visibility: fsync whatever this step logged
-        // before the runtime dispatches the step's sends.
+        // Durability before visibility: whatever this step sent waits for
+        // the sync that covers what the replica has logged — except the
+        // forwards and state transfer, which replicate ahead of it.
         self.core
-            .end_step(self.wal_index, || self.config.to_value());
+            .gate_step(ctx.slf, self.wal_index, first, out, replicates_ahead);
     }
 
     fn take_step_cost(&mut self) -> Duration {

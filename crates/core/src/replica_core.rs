@@ -5,9 +5,10 @@
 //! per-client-sequence-number duplicate suppression. [`ReplicaCore`] is
 //! that thing, once: the database handle, the reply cache, the executed
 //! counter, grouped apply, 2PC engine hosting, the write-ahead log's
-//! group-commit/snapshot policy, and chunked state transfer. `pbr` and
-//! `smr` keep only their ordering policy (who orders, who replies, who may
-//! serve a fast read, what a WAL record is) and call into this module.
+//! durability point and the acknowledgments parked behind it, and chunked
+//! state transfer. `pbr` and `smr` keep only their ordering policy (who
+//! orders, who replies, who may serve a fast read, what a WAL record is)
+//! and call into this module.
 //!
 //! The core defines the **one state image** a replica is rebuilt from,
 //! whether it comes off the local disk or over the network:
@@ -24,9 +25,11 @@
 //! snapshot stores the head beside one row blob; a network transfer sends
 //! the head once, with the first of the ~50 KB row chunks.
 
-use crate::msgs::{lease_audit_msg, reply_msg, sql_to_value, value_to_sql, TxnEnvelope};
+use crate::msgs::{
+    lease_audit_msg, reply_msg, sql_to_value, value_to_sql, TxnEnvelope, SYNC_HEADER,
+};
 use crate::shard::{ShardRole, TwoPcEngine};
-use shadowdb_eventml::{Ctx, SendInstr, Value};
+use shadowdb_eventml::{cached_header, Ctx, Msg, SendInstr, Value};
 use shadowdb_loe::{Loc, VTime};
 use shadowdb_sqldb::{Database, RowBatch, Snapshot, SqlValue};
 use shadowdb_wal::{Disk, Recovered, Wal};
@@ -80,6 +83,12 @@ pub(crate) struct LeaseWatch<'a> {
     pub audit: Option<Loc>,
 }
 
+/// `ReplicaCore::durable` after a network image install: the disk's log
+/// and snapshot describe a state this replica has jumped past, so nothing
+/// gates open and the next sync takes a durable snapshot regardless of the
+/// interval — the disk never shows a log with a gap in it.
+const NOTHING_DURABLE: i64 = i64::MIN;
+
 /// A snapshot being reassembled from transfer chunks.
 #[derive(Clone, Default)]
 struct Assembly {
@@ -114,18 +123,23 @@ pub(crate) struct ReplicaCore {
     /// own location.
     twopc_seq: Vec<i64>,
     /// Durability plane: the write-ahead log, when this replica persists
-    /// its execution. Appends accumulate across a step and are fsynced
-    /// once at the end of it (group commit at the group-apply boundary),
-    /// before any reply the step produced is released.
+    /// its execution. Appends stay unsynced until the replica's next
+    /// `sdb/sync` ([`Self::sync`]), which covers all of them at once.
     wal: Option<Wal>,
     /// WAL index the last durable snapshot covers (truncation point).
     wal_snap_at: i64,
     /// Take a durable snapshot every this many WAL records.
     snapshot_every: i64,
-    /// A network image jumped execution past what the log holds: the next
-    /// end-of-step takes a durable snapshot regardless of the interval,
-    /// so the disk never shows a log with a gap in it.
-    force_snapshot: bool,
+    /// The log index through which the disk holds this replica's state:
+    /// what a power cut cannot take back. `i64::MAX` without a log, so
+    /// every gate is open; [`NOTHING_DURABLE`] once a network image jumped
+    /// execution past what the log holds.
+    durable: i64,
+    /// Sends held back until `durable` reaches their index. They die with
+    /// the process, like the unsynced records they acknowledge.
+    parked: Vec<(i64, SendInstr)>,
+    /// An `sdb/sync` is on its way to this replica.
+    sync_scheduled: bool,
     /// State-transfer batch size in bytes (~50 KB in the paper).
     transfer_batch_bytes: usize,
     transfer_probe: Option<TransferProbe>,
@@ -145,7 +159,9 @@ impl ReplicaCore {
             wal: None,
             wal_snap_at: 0,
             snapshot_every: i64::MAX,
-            force_snapshot: false,
+            durable: i64::MAX,
+            parked: Vec::new(),
+            sync_scheduled: false,
             transfer_batch_bytes: 50_000,
             transfer_probe: None,
             assembly: Assembly::default(),
@@ -399,11 +415,19 @@ impl ReplicaCore {
 
     /// Attaches a write-ahead log over `disk`, with a durable snapshot
     /// (and log truncation) every `snapshot_every` records. `snap_at` is
-    /// the index the disk's snapshot covers — one below the policy's
-    /// first record index on an empty disk.
-    pub(crate) fn attach_wal(&mut self, disk: Disk, snapshot_every: i64, snap_at: i64) {
+    /// the index the disk's snapshot covers and `durable` the highest
+    /// index the disk holds — both one below the policy's first record
+    /// index on an empty disk.
+    pub(crate) fn attach_wal(
+        &mut self,
+        disk: Disk,
+        snapshot_every: i64,
+        snap_at: i64,
+        durable: i64,
+    ) {
         self.snapshot_every = snapshot_every.max(1);
         self.wal_snap_at = snap_at;
+        self.durable = durable;
         self.wal = Some(Wal::open(disk));
     }
 
@@ -427,43 +451,101 @@ impl ReplicaCore {
     }
 
     /// Appends one record to the log's unsynced tail (no-op without a
-    /// log). Durable only after the step's [`Self::end_step`].
+    /// log). Durable only after the replica's next [`Self::sync`].
     pub(crate) fn wal_append(&mut self, index: i64, body: &Value) {
         if let Some(w) = self.wal.as_mut() {
             w.append(index, body);
         }
     }
 
-    /// The end-of-step hook: both policies call it after handling a
-    /// message, before the runtime dispatches the step's sends. `last` is
-    /// the index of the newest record logged; `header` renders the policy
-    /// header, only if a durable snapshot is actually taken.
-    pub(crate) fn end_step(&mut self, last: i64, header: impl FnOnce() -> Value) {
-        if self.wal.is_some() {
-            self.flush_wal(last, header);
+    /// Whether the disk holds this replica's state through log `index`.
+    pub(crate) fn is_durable(&self, index: i64) -> bool {
+        index <= self.durable
+    }
+
+    /// The one way out for a send that acknowledges log record `index`
+    /// (or state that reflects it): it leaves now if the record is
+    /// durable, else it is parked until the sync that covers it. This is
+    /// the durability invariant — *no acknowledgment leaves before the
+    /// fsync that covers its record* — and it holds whenever, and in
+    /// whatever order, the runtime delivers `sdb/sync`.
+    pub(crate) fn gate(&mut self, index: i64, send: SendInstr, out: &mut Vec<SendInstr>) {
+        if self.is_durable(index) {
+            out.push(send);
+        } else {
+            self.parked.push((index, send));
         }
     }
 
-    /// End-of-step durability: one fsync covers every append the step
-    /// made (group commit at the group-apply boundary — a drained batch
-    /// of N transactions costs one fsync, not N), and it runs before the
-    /// step's sends leave, so no reply escapes ahead of the log. Every
-    /// `snapshot_every` records the log is folded into a durable snapshot
-    /// instead (which truncates it).
-    fn flush_wal(&mut self, last: i64, header: impl FnOnce() -> Value) {
-        let cost = if self.force_snapshot || last - self.wal_snap_at >= self.snapshot_every {
-            let snapshot = self.db.snapshot();
-            let scan = self.db.profile().costs.scan_row_us * snapshot.row_count() as u64;
-            let blob = self.durable_blob(header(), &snapshot);
-            self.wal_snap_at = last;
-            self.force_snapshot = false;
-            let w = self.wal.as_mut().expect("end_step checked");
-            Duration::from_micros(scan) + w.save_snapshot(last, &blob)
-        } else {
-            // Zero when the step logged nothing.
-            self.wal.as_mut().expect("end_step checked").commit()
-        };
+    /// The end-of-step hook: both policies call it after handling a
+    /// message, with `last` the newest log index and `out[first..]` the
+    /// step's sends. While anything up to `last` is unsynced the sends are
+    /// gated there — default-deny: whatever a step says may reflect what
+    /// it (or an earlier step) just logged — and a sync is scheduled. Only
+    /// self-sends pass, and what the policy lists as `ahead`: traffic that
+    /// carries records *to* a peer rather than vouching for them. Costs
+    /// one compare when the log is synced, and always without a log.
+    pub(crate) fn gate_step(
+        &mut self,
+        slf: Loc,
+        last: i64,
+        first: usize,
+        out: &mut Vec<SendInstr>,
+        ahead: fn(&Msg) -> bool,
+    ) {
+        if self.is_durable(last) {
+            return;
+        }
+        let mut i = first;
+        while i < out.len() {
+            if out[i].dest == slf || ahead(&out[i].msg) {
+                i += 1;
+            } else {
+                self.parked.push((last, out.remove(i)));
+            }
+        }
+        if !self.sync_scheduled {
+            self.sync_scheduled = true;
+            let sync = Msg::new(cached_header!(SYNC_HEADER), Value::Unit);
+            out.push(SendInstr::now(slf, sync));
+        }
+    }
+
+    /// The durability point, run on `sdb/sync`: one fsync covers every
+    /// record appended since the previous one (group commit — however
+    /// many steps the runtime delivered in between, they cost one sync,
+    /// not one each), then everything parked behind it is released into
+    /// `out`. Every `snapshot_every` records, and after a network image,
+    /// the log is folded into a durable snapshot instead (which truncates
+    /// it). `last` is the newest log index; `header` renders the policy
+    /// header, only if a snapshot is actually taken.
+    pub(crate) fn sync(
+        &mut self,
+        last: i64,
+        header: impl FnOnce() -> Value,
+        out: &mut Vec<SendInstr>,
+    ) {
+        self.sync_scheduled = false;
+        if self.wal.is_none() {
+            return;
+        }
+        let cost =
+            if self.durable == NOTHING_DURABLE || last - self.wal_snap_at >= self.snapshot_every {
+                let snapshot = self.db.snapshot();
+                let scan = self.db.profile().costs.scan_row_us * snapshot.row_count() as u64;
+                let blob = self.durable_blob(header(), &snapshot);
+                self.wal_snap_at = last;
+                let w = self.wal.as_mut().expect("checked above");
+                Duration::from_micros(scan) + w.save_snapshot(last, &blob)
+            } else {
+                // Zero when nothing was appended since the last sync.
+                self.wal.as_mut().expect("checked above").commit()
+            };
         self.step_cost += cost;
+        self.durable = last;
+        for (index, send) in std::mem::take(&mut self.parked) {
+            self.gate(index, send, out);
+        }
     }
 
     // -- chunked state transfer ----------------------------------------------
@@ -510,7 +592,7 @@ impl ReplicaCore {
     /// Receives one transfer chunk. Once every chunk of one snapshot
     /// identity has arrived the image is installed (charging bulk-insert
     /// cost) and its policy header returned; a durable replica then takes
-    /// a durable snapshot at the end of the step.
+    /// a durable snapshot at its next sync.
     pub(crate) fn accept_chunk(&mut self, body: &Value) -> Option<Value> {
         let (i, rest) = body.fst().zip(body.snd())?;
         let (meta, data) = rest.fst().zip(rest.snd())?;
@@ -547,7 +629,9 @@ impl ReplicaCore {
         self.step_cost += Duration::from_micros(
             costs.bulk_insert_us * rows as u64 + costs.bulk_insert_byte_ns * bytes as u64 / 1_000,
         );
-        self.force_snapshot = self.wal.is_some();
+        if self.wal.is_some() {
+            self.durable = NOTHING_DURABLE;
+        }
         self.assembly = Assembly::default();
         Some(header)
     }
@@ -588,7 +672,9 @@ impl Clone for ReplicaCore {
             wal: self.wal.as_ref().map(|w| Wal::open(w.disk().clone())),
             wal_snap_at: self.wal_snap_at,
             snapshot_every: self.snapshot_every,
-            force_snapshot: self.force_snapshot,
+            durable: self.durable,
+            parked: self.parked.clone(),
+            sync_scheduled: self.sync_scheduled,
             transfer_batch_bytes: self.transfer_batch_bytes,
             transfer_probe: self.transfer_probe.clone(),
             assembly: self.assembly.clone(),

@@ -12,7 +12,7 @@
 //! sequence number of the last ordered transaction, and the new replica
 //! fetches the snapshot from the proposer.
 
-use crate::msgs::{reply_msg, TxnEnvelope, SUBMIT_HEADER};
+use crate::msgs::{reply_msg, TxnEnvelope, SUBMIT_HEADER, SYNC_HEADER};
 use crate::replica_core::{LeaseProbe, LeaseWatch, ReplicaCore, Seen, TransferKind, TransferProbe};
 use crate::shard::ShardRole;
 use shadowdb_eventml::process::HasherAdapter;
@@ -261,14 +261,15 @@ impl SmrReplica {
     }
 
     /// Attaches a write-ahead log: every in-order delivery is appended
-    /// (keyed by its TOB sequence number) and fsynced once per step, with
-    /// a durable snapshot every `snapshot_every` deliveries. Durable
-    /// replicas also keep `recent_limit` recent deliveries in memory so
-    /// they can serve suffix-only rejoins as donors.
+    /// (keyed by its TOB sequence number) and synced at the replica's next
+    /// `sdb/sync`, which its replies wait for, with a durable snapshot
+    /// every `snapshot_every` deliveries. Durable replicas also keep
+    /// `recent_limit` recent deliveries in memory so they can serve
+    /// suffix-only rejoins as donors.
     pub fn with_wal(mut self, disk: Disk, snapshot_every: i64, recent_limit: usize) -> SmrReplica {
         self.recent_limit = recent_limit;
         // Deliveries are logged under their own sequence numbers, from 0.
-        self.core.attach_wal(disk, snapshot_every, -1);
+        self.core.attach_wal(disk, snapshot_every, -1, -1);
         self
     }
 
@@ -319,7 +320,8 @@ impl SmrReplica {
             let ready = r.incoming.offer(d);
             r.execute_deliveries(slf, None, ready, &mut discard);
         }
-        r.core.attach_wal(disk, snapshot_every, snap_at);
+        let durable = r.incoming.next_seq() - 1;
+        r.core.attach_wal(disk, snapshot_every, snap_at, durable);
         r.rejoin = true;
         r.donors = donors;
         r.sub_seq = None;
@@ -804,6 +806,7 @@ impl Process for SmrReplica {
                 l.marker_deliv = Some(ctx.now);
             }
         }
+        let first = out.len();
         let h = msg.header;
         if h == cached_header!(FETCH_SNAPSHOT_HEADER) {
             self.on_fetch_snapshot(ctx.slf, &msg.body, out);
@@ -815,6 +818,9 @@ impl Process for SmrReplica {
             self.on_delta(ctx.slf, ctx.now, &msg.body, out);
         } else if h == cached_header!(SUBMIT_HEADER) {
             self.on_submit(ctx, &msg.body, out);
+        } else if h == cached_header!(SYNC_HEADER) {
+            let next = self.incoming.next_seq();
+            self.core.sync(next - 1, || Value::Int(next), out);
         } else if h == cached_header!(LEASE_TIMER_HEADER) {
             self.on_lease_timer(ctx, out);
         } else if h == cached_header!(JOIN_RETRY_HEADER) {
@@ -842,10 +848,12 @@ impl Process for SmrReplica {
                 self.execute_deliveries(ctx.slf, Some(ctx.now), ready, out);
             }
         }
-        // Durability before visibility: fsync whatever this step logged
-        // before the runtime dispatches the step's sends.
-        let next = self.incoming.next_seq();
-        self.core.end_step(next - 1, || Value::Int(next));
+        // Durability before visibility: whatever this step sent — replies,
+        // 2PC emissions, fast-path reads — waits for the sync that covers
+        // every delivery logged so far. Nothing replicates ahead: the
+        // broadcast service, not this replica, carries the records.
+        let last = self.incoming.next_seq() - 1;
+        self.core.gate_step(ctx.slf, last, first, out, |_| false);
     }
 
     fn take_step_cost(&mut self) -> Duration {

@@ -20,7 +20,9 @@
 //!   directly into each connection's reassembly buffer and decoded
 //!   message bodies are zero-copy `Bytes`/string views of that buffer
 //!   (`shadowdb_eventml::codec`). Decoding steps the destination process
-//!   inline on its own shard.
+//!   inline on its own shard; a process's zero-delay self-sends are
+//!   stepped at the top of the next turn, once everything readable this
+//!   turn was delivered and the links those steps wrote are flushed.
 //! * Outbound links are nonblocking with vectored writes: frames drain
 //!   through a per-link queue; when the kernel pushes back the link
 //!   parks on write readiness. Reconnect backoff jitter is a pure
@@ -530,6 +532,163 @@ mod tests {
             t0.elapsed() >= Duration::from_millis(75),
             "{:?}",
             t0.elapsed()
+        );
+        net.shutdown();
+    }
+
+    /// Zero-delay self-sends wait for the top of the next turn: a node that
+    /// self-sends on every input and finds frames on three connections in
+    /// one turn steps all three before the first self-send — so work it
+    /// defers to the self-send covers the whole turn.
+    #[test]
+    fn self_sends_run_after_the_turns_inputs() {
+        // One shard per location: the senders and the port keep running
+        // while the target's shard is held inside a step.
+        let mut net = TcpNet::builder().shards(5).spawn();
+        let log = Arc::new(parking_lot::Mutex::new(Vec::<&'static str>::new()));
+        let (blocked_tx, blocked_rx) = channel::unbounded::<()>();
+        let (release_tx, release_rx) = channel::unbounded::<()>();
+        let release_rx = Arc::new(parking_lot::Mutex::new(release_rx));
+        let target = {
+            let log = log.clone();
+            net.add_node(Box::new(FnProcess::new(
+                (),
+                move |_s, ctx: &Ctx, m: &Msg| {
+                    let name = m.header.name();
+                    log.lock().push(name);
+                    match name {
+                        "self" => vec![],
+                        "hold" => {
+                            blocked_tx.send(()).unwrap();
+                            let release = release_rx.lock();
+                            release.recv_timeout(Duration::from_secs(10)).unwrap();
+                            vec![]
+                        }
+                        _ => vec![SendInstr::now(ctx.slf, Msg::new("self", Value::Unit))],
+                    }
+                },
+            )))
+        };
+        // A sender passes its input on to the target and, a later turn (so
+        // after the frame is written), reports to the port.
+        let senders: Vec<Loc> = (0..3)
+            .map(|_| {
+                net.add_node(Box::new(FnProcess::new(
+                    (),
+                    move |_s, ctx: &Ctx, m: &Msg| match m.body.as_loc() {
+                        Some(port) if m.header.name() == "go" => vec![
+                            SendInstr::now(target, Msg::new("in", Value::Unit)),
+                            SendInstr::after(
+                                Duration::from_millis(5),
+                                ctx.slf,
+                                Msg::new("sent", Value::Loc(port)),
+                            ),
+                        ],
+                        Some(port) => vec![SendInstr::now(port, Msg::new("sent", Value::Unit))],
+                        None => vec![],
+                    },
+                )))
+            })
+            .collect();
+        let (port, rx) = TcpNet::port(&mut net);
+        let round = |net: &TcpNet| {
+            for s in &senders {
+                net.send(*s, Msg::new("go", Value::Loc(port)));
+            }
+            for _ in &senders {
+                rx.recv_timeout(Duration::from_secs(10)).expect("sent");
+            }
+        };
+        let await_selfs = |n: usize| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while log.lock().iter().filter(|h| **h == "self").count() < n {
+                assert!(Instant::now() < deadline, "log: {:?}", *log.lock());
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+        // Round one establishes the three connections into the target.
+        round(&net);
+        await_selfs(3);
+        // Round two lands while the target's shard is held inside a step,
+        // so all three frames are waiting when it next polls.
+        net.send(target, Msg::new("hold", Value::Unit));
+        blocked_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        round(&net);
+        release_tx.send(()).unwrap();
+        await_selfs(6);
+        let log = log.lock().clone();
+        let held = log.iter().position(|n| *n == "hold").expect("held");
+        assert_eq!(
+            log[held + 1..],
+            ["in", "in", "in", "self", "self", "self"],
+            "whole log: {log:?}"
+        );
+        net.shutdown();
+    }
+
+    /// `INBOX_BUDGET`: a node that re-arms a zero-delay self-send on every
+    /// step never empties its inbox, yet its sockets are still served.
+    #[test]
+    fn self_send_loop_cannot_starve_sockets() {
+        let mut net = TcpNet::builder().shards(1).spawn();
+        let node = net.add_node(Box::new(FnProcess::new(
+            (),
+            |_s, ctx: &Ctx, m: &Msg| match m.body.as_loc() {
+                Some(from) => vec![SendInstr::now(from, Msg::new("pong", Value::Unit))],
+                None => vec![SendInstr::now(ctx.slf, Msg::new("spin", Value::Unit))],
+            },
+        )));
+        let (port, rx) = TcpNet::port(&mut net);
+        net.send(node, Msg::new("spin", Value::Unit));
+        std::thread::sleep(Duration::from_millis(20)); // let it spin
+        net.send(node, Msg::new("ping", Value::Loc(port)));
+        let reply = rx.recv_timeout(Duration::from_secs(10)).expect("served");
+        assert_eq!(reply.header.name(), "pong");
+        net.shutdown();
+    }
+
+    /// A link written during a turn is flushed before the turn's
+    /// self-sends are stepped: the step a node defers to a self-send waits
+    /// (up to 5 s) for the peer to confirm receipt of the frame the same
+    /// input produced — were the frame still queued behind that step, the
+    /// confirmation could never come.
+    #[test]
+    fn links_flush_before_self_sends_run() {
+        let mut net = TcpNet::builder().shards(2).spawn();
+        let (got_tx, got_rx) = channel::unbounded::<()>();
+        let got_rx = Arc::new(parking_lot::Mutex::new(got_rx));
+        let (port, rx) = TcpNet::port(&mut net); // loc 0
+        let peer = Loc::new(2); // the other shard from the node at loc 1
+        let node = net.add_node(Box::new(FnProcess::new(
+            (),
+            move |_s, ctx: &Ctx, m: &Msg| match m.header.name() {
+                "go" => vec![
+                    SendInstr::now(peer, Msg::new("fwd", Value::Unit)),
+                    SendInstr::now(ctx.slf, Msg::new("sync", Value::Unit)),
+                ],
+                _ => {
+                    let on_the_wire = got_rx.lock().recv_timeout(Duration::from_secs(5)).is_ok();
+                    vec![SendInstr::now(
+                        port,
+                        Msg::new("done", Value::Bool(on_the_wire)),
+                    )]
+                }
+            },
+        )));
+        let added = net.add_node(Box::new(FnProcess::new(
+            (),
+            move |_s, _c: &Ctx, _m: &Msg| {
+                got_tx.send(()).unwrap();
+                vec![]
+            },
+        )));
+        assert_eq!((node, added), (Loc::new(1), peer));
+        net.send(node, Msg::new("go", Value::Unit));
+        let done = rx.recv_timeout(Duration::from_secs(10)).expect("done");
+        assert_eq!(
+            done.body,
+            Value::Bool(true),
+            "the forward sat queued behind the self-send's step"
         );
         net.shutdown();
     }

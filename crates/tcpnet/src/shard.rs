@@ -7,11 +7,14 @@
 //!
 //! Delivery is inline: a frame decoded off an inbound connection steps
 //! the destination process on the spot (the connection was accepted by
-//! the destination's own shard), and the sends that step produces are
-//! written nonblocking before the loop returns to the poller. The decoded
-//! message bodies are zero-copy views of the connection's reassembly
-//! buffer (`FrameReader`), so the receive path allocates nothing in
-//! steady state.
+//! the destination's own shard); its sends are queued on nonblocking
+//! links and written before the loop returns to the poller. Zero-delay
+//! self-sends instead wait in the host's inbox for the top of the next
+//! turn — after everything readable this turn was stepped and the links
+//! those steps wrote are flushed — so work a process defers to one (a
+//! replica's `sdb/sync`) runs once per turn. Decoded message bodies are
+//! zero-copy views of the connection's reassembly buffer (`FrameReader`),
+//! so the receive path allocates nothing in steady state.
 
 use crate::link::{try_connect, OutLink};
 use crate::node::NodeHost;
@@ -41,8 +44,8 @@ const READ_CHUNK: usize = 16 * 1024;
 /// yielding to the rest of the shard (level-triggered: the poller fires
 /// again if more remain).
 const READ_BUDGET: usize = 256 * 1024;
-/// Most zero-delay self-sends stepped per host between polls, so a
-/// self-send loop cannot starve the shard's sockets.
+/// Most zero-delay self-sends stepped per host per turn, so a self-send
+/// loop cannot starve the shard's sockets.
 const INBOX_BUDGET: usize = 256;
 /// The loop's idle tick: pending links retry and heal within this bound,
 /// matching the threaded runtime's cadence.
@@ -223,10 +226,13 @@ impl Shard {
                 return;
             }
             self.fire_timers();
+            // The turn's deliveries go on the wire before the self-sends
+            // they left behind are stepped: such a step may block (a
+            // replica's fsync), and its peers should be working meanwhile.
+            self.flush_dirty();
             self.drain_inboxes();
             self.tick_links();
-            // Everything queued since the last poll — decoded deliveries,
-            // timer fires, inbox drains — leaves now, batched per link.
+            // Everything queued since, batched per link.
             self.flush_dirty();
             let timeout = self.poll_timeout();
             let mut events = std::mem::take(&mut self.events);
@@ -512,14 +518,6 @@ impl Shard {
                             Ok(Some(msg)) => {
                                 if let Some(h) = host.as_mut() {
                                     self.run_step(h, &msg, now);
-                                    let mut ib = INBOX_BUDGET;
-                                    while ib > 0 {
-                                        let Some(m) = h.inbox.pop_front() else {
-                                            break;
-                                        };
-                                        self.run_step(h, &m, now);
-                                        ib -= 1;
-                                    }
                                 } else if let Some(tx) = &port {
                                     let _ = tx.send(msg);
                                 }

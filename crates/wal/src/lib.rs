@@ -1,12 +1,12 @@
 //! Per-replica write-ahead log: the durability plane.
 //!
-//! Replicas log every executed transaction here *before* the reply leaves
-//! the process, fsync-batched at group-apply boundaries (one sync per
-//! delivered run — the batched group-apply of the command path doubles as
-//! group commit), take periodic snapshots, and truncate the log to the
-//! snapshot point. A replica restarted after power loss reconstructs its
-//! state from snapshot + log replay and rejoins the group by fetching only
-//! the suffix it missed — no full state transfer.
+//! Replicas log every executed transaction here and hold its
+//! acknowledgment until the record is synced — one sync covers every
+//! record appended since the previous one (group commit) — take periodic
+//! snapshots, and truncate the log to the snapshot point. A replica
+//! restarted after power loss reconstructs its state from snapshot + log
+//! replay and rejoins the group by fetching only the suffix it missed — no
+//! full state transfer.
 //!
 //! # Record format
 //!
@@ -45,7 +45,7 @@ use shadowdb_eventml::codec::{decode_value, encode_value};
 use shadowdb_eventml::Value;
 use shadowdb_runtime::fault::mix64;
 use shadowdb_runtime::StorageMode;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -76,7 +76,7 @@ enum Backend {
     /// because the harness keeps the [`Disk`] handle across restart.
     Mem,
     /// Real files under `dir`: commit is `write + sync_all`, snapshot
-    /// install is write-tmp + atomic rename.
+    /// install is write-tmp + `sync_all` + atomic rename + directory sync.
     File { dir: PathBuf },
 }
 
@@ -235,6 +235,17 @@ impl Disk {
     }
 }
 
+/// Writes `bytes` to `dir/tmp`, forces them to storage, then renames the
+/// file over `dir/name`: whichever name a crash leaves behind holds whole,
+/// synced contents — never a renamed-but-empty file.
+fn install_synced(dir: &Path, tmp: &str, name: &str, bytes: &[u8]) -> std::io::Result<()> {
+    use std::io::Write;
+    let mut f = std::fs::File::create(dir.join(tmp))?;
+    f.write_all(bytes)?;
+    f.sync_all()?;
+    std::fs::rename(dir.join(tmp), dir.join(name))
+}
+
 fn encode_snapshot_file(index: i64, blob: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + blob.len());
     out.extend_from_slice(&index.to_le_bytes());
@@ -288,6 +299,11 @@ impl Recovered {
 /// non-increasing index. Records at or below `floor` are skipped (already
 /// covered by the snapshot).
 pub fn scan_log(log: &[u8], floor: i64) -> Vec<(i64, Value)> {
+    scan(log, floor).0
+}
+
+/// [`scan_log`], also returning the byte length of the valid prefix.
+fn scan(log: &[u8], floor: i64) -> (Vec<(i64, Value)>, usize) {
     let mut out = Vec::new();
     let mut at = 0usize;
     let mut last = i64::MIN;
@@ -319,7 +335,7 @@ pub fn scan_log(log: &[u8], floor: i64) -> Vec<(i64, Value)> {
         }
         at += 8 + len;
     }
-    out
+    (out, at)
 }
 
 /// The write-ahead log over a [`Disk`]: framed appends, group commit,
@@ -331,8 +347,19 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Opens a log over the disk.
+    /// Opens a log over the disk, cutting the synced log back to its valid
+    /// prefix first: whatever a power cut tore must not stay *inside* the
+    /// log, or every record appended behind it would be invisible to the
+    /// next recovery scan.
     pub fn open(disk: Disk) -> Wal {
+        {
+            let mut d = disk.inner.lock();
+            let valid = scan(&d.synced, i64::MIN).1;
+            if valid < d.synced.len() {
+                d.synced.truncate(valid);
+                d.sync_to_file();
+            }
+        }
         Wal {
             disk,
             scratch: BytesMut::new(),
@@ -385,10 +412,11 @@ impl Wal {
 
     /// Installs a snapshot covering everything through `index` and
     /// truncates the log to the records above it. On the file backend the
-    /// snapshot lands via write-tmp + atomic rename, then the log is
-    /// rewritten — a crash between the two leaves the new snapshot with
-    /// stale low records, which recovery skips by index. Returns the
-    /// modeled cost (one sync).
+    /// snapshot lands via write-tmp + fsync + atomic rename, then the log
+    /// is rewritten the same way and the directory synced — a crash
+    /// between the two renames leaves the new snapshot with stale low
+    /// records, which recovery skips by index. Returns the modeled cost
+    /// (one sync).
     pub fn save_snapshot(&mut self, index: i64, blob: &Value) -> Duration {
         self.scratch.clear();
         encode_value(blob, &mut self.scratch);
@@ -412,10 +440,13 @@ impl Wal {
         }
         if let Backend::File { dir } = &d.backend {
             let snap = encode_snapshot_file(index, &blob_bytes);
-            std::fs::write(dir.join(SNAP_TMP), &snap).expect("snap tmp write");
-            std::fs::rename(dir.join(SNAP_TMP), dir.join(SNAP_FILE)).expect("snap rename");
-            std::fs::write(dir.join(LOG_TMP), &log).expect("log tmp write");
-            std::fs::rename(dir.join(LOG_TMP), dir.join(LOG_FILE)).expect("log rename");
+            install_synced(dir, SNAP_TMP, SNAP_FILE, &snap).expect("snapshot install");
+            install_synced(dir, LOG_TMP, LOG_FILE, &log).expect("log install");
+            // The renames themselves live in the directory: without this a
+            // power cut could bring back the old names over the new files.
+            std::fs::File::open(dir)
+                .and_then(|d| d.sync_all())
+                .expect("wal dir sync");
         }
         d.snapshot = Some((index, Bytes::from(blob_bytes)));
         d.synced = log;
@@ -498,6 +529,29 @@ mod tests {
             for (k, (i, body)) in got.records.iter().enumerate() {
                 assert_eq!((*i, body.clone()), (k as i64, rec(k as i64)), "seed {seed}");
             }
+        }
+    }
+
+    /// A torn tail is cut off when the log is reopened: what the next
+    /// incarnation appends and syncs is there for the recovery after it.
+    #[test]
+    fn records_synced_after_a_torn_recovery_survive_the_next_one() {
+        for seed in 0..64 {
+            let disk = Disk::in_memory(Duration::ZERO);
+            let mut wal = Wal::open(disk.clone());
+            for i in 0..4 {
+                wal.append(i, &rec(i));
+            }
+            disk.begin_recovery(seed); // power cut before any sync
+            let next = recover(&disk).high_index() + 1;
+            let mut wal = Wal::open(disk.clone());
+            for i in next..next + 3 {
+                wal.append(i, &rec(i));
+            }
+            wal.commit();
+            let got = recover(&disk);
+            assert_eq!(got.high_index(), next + 2, "seed {seed}");
+            assert_eq!(got.records.len() as i64, next + 3, "seed {seed}");
         }
     }
 
