@@ -9,126 +9,92 @@
 //! * `sqldb/*` — point operations of the SQL engine;
 //! * `transfer/*` — state-transfer batch encode/decode.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkGroup, Criterion};
 use shadowdb_consensus::twothird::{propose_msg, TwoThird, TwoThirdConfig};
 use shadowdb_consensus::{handcoded, synod};
 use shadowdb_eventml::optimize::optimize;
-use shadowdb_eventml::{clk, Ctx, InterpretedProcess, Process, SendInstr, Value};
+use shadowdb_eventml::{
+    clk, ClassExpr, Ctx, HandlerFn, InterpretedProcess, Msg, Process, SendInstr, UpdateFn, Value,
+};
 use shadowdb_loe::Loc;
 use shadowdb_sqldb::{Database, EngineProfile, RowBatch};
 use shadowdb_workloads::bank;
 use std::collections::VecDeque;
+
+/// Benchmarks a fresh process from `make` stepped through `msgs`, driven
+/// the way the runtimes drive processes: `step_into` with a caller-owned
+/// output buffer reused across steps.
+fn bench_steps<P: Process>(
+    g: &mut BenchmarkGroup<'_>,
+    name: &str,
+    make: impl Fn() -> P,
+    msgs: &[Msg],
+) {
+    g.bench_function(name, |b| {
+        b.iter_batched(
+            || (make(), Vec::<SendInstr>::new()),
+            |(mut p, mut out)| {
+                for m in msgs {
+                    out.clear();
+                    p.step_into(&Ctx::at(Loc::new(0)), m, &mut out);
+                }
+                (p, out)
+            },
+            BatchSize::LargeInput,
+        )
+    });
+}
 
 fn bench_opt_speedup(c: &mut Criterion) {
     let mut g = c.benchmark_group("opt_speedup");
     let config = TwoThirdConfig::new(Loc::first_n(3), vec![Loc::new(100)]).with_auto_adopt();
     let class = TwoThird::new(config).class();
     let msgs: Vec<_> = (0..8).map(|i| propose_msg(i, Value::Int(i))).collect();
-    // Processes are driven the way the runtimes drive them: `step_into`
-    // with a caller-owned output buffer reused across steps.
-    g.bench_function("interpreted", |b| {
-        b.iter_batched(
-            || (InterpretedProcess::compile(&class), Vec::<SendInstr>::new()),
-            |(mut p, mut out)| {
-                for m in &msgs {
-                    out.clear();
-                    p.step_into(&Ctx::at(Loc::new(0)), m, &mut out);
-                }
-                (p, out)
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("fused", |b| {
-        b.iter_batched(
-            || (optimize(&class), Vec::<SendInstr>::new()),
-            |(mut p, mut out)| {
-                for m in &msgs {
-                    out.clear();
-                    p.step_into(&Ctx::at(Loc::new(0)), m, &mut out);
-                }
-                (p, out)
-            },
-            BatchSize::LargeInput,
-        )
-    });
+    bench_steps(
+        &mut g,
+        "interpreted",
+        || InterpretedProcess::compile(&class),
+        &msgs,
+    );
+    bench_steps(&mut g, "fused", || optimize(&class), &msgs);
     // The running example too, for a small-spec data point.
     let clk_class = clk::handler_class(clk::ring_handle(3));
-    let clk_msg = clk::clk_msg(Value::Int(0), 3);
-    g.bench_function("clk_interpreted", |b| {
-        b.iter_batched(
-            || {
-                (
-                    InterpretedProcess::compile(&clk_class),
-                    Vec::<SendInstr>::new(),
-                )
-            },
-            |(mut p, mut out)| {
-                p.step_into(&Ctx::at(Loc::new(0)), &clk_msg, &mut out);
-                (p, out)
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("clk_fused", |b| {
-        b.iter_batched(
-            || (optimize(&clk_class), Vec::<SendInstr>::new()),
-            |(mut p, mut out)| {
-                p.step_into(&Ctx::at(Loc::new(0)), &clk_msg, &mut out);
-                (p, out)
-            },
-            BatchSize::LargeInput,
-        )
-    });
+    let clk_msg = [clk::clk_msg(Value::Int(0), 3)];
+    bench_steps(
+        &mut g,
+        "clk_interpreted",
+        || InterpretedProcess::compile(&clk_class),
+        &clk_msg,
+    );
+    bench_steps(&mut g, "clk_fused", || optimize(&clk_class), &clk_msg);
     // Where CSE structurally wins: the same stateful subexpression used
     // eight times. The interpreter keeps (and updates) eight copies of the
     // state machine; the optimizer shares one.
     let counter = {
-        use shadowdb_eventml::{ClassExpr, UpdateFn, Value};
         let inc = UpdateFn::new("inc", 1, |_l, _v, s: &Value| Value::Int(s.int() + 1));
         ClassExpr::base("m").state(Value::Int(0), inc)
     };
     let shared = {
-        use shadowdb_eventml::{ClassExpr, HandlerFn};
-        let h = HandlerFn::new("tuple8", 1, |_l, args: &[shadowdb_eventml::Value]| {
-            vec![shadowdb_eventml::Value::list(args.to_vec())]
+        let h = HandlerFn::new("tuple8", 1, |_l, args: &[Value]| {
+            vec![Value::list(args.to_vec())]
         });
         ClassExpr::compose(h, vec![counter; 8])
     };
-    let m = shadowdb_eventml::Msg::new("m", Value::Int(1));
-    g.bench_function("shared8_interpreted", |b| {
-        b.iter_batched(
-            || {
-                (
-                    InterpretedProcess::compile(&shared),
-                    Vec::<SendInstr>::new(),
-                )
-            },
-            |(mut p, mut out)| {
-                p.step_into(&Ctx::at(Loc::new(0)), &m, &mut out);
-                (p, out)
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("shared8_fused", |b| {
-        b.iter_batched(
-            || (optimize(&shared), Vec::<SendInstr>::new()),
-            |(mut p, mut out)| {
-                p.step_into(&Ctx::at(Loc::new(0)), &m, &mut out);
-                (p, out)
-            },
-            BatchSize::LargeInput,
-        )
-    });
+    let m = [Msg::new("m", Value::Int(1))];
+    bench_steps(
+        &mut g,
+        "shared8_interpreted",
+        || InterpretedProcess::compile(&shared),
+        &m,
+    );
+    bench_steps(&mut g, "shared8_fused", || optimize(&shared), &m);
     g.finish();
 }
 
 /// Runs one command through a complete in-memory Synod deployment until
 /// the learner hears the decision.
 fn synod_round(procs: &mut [(Loc, Box<dyn Process>)], cmd: Value) -> usize {
-    let mut queue: VecDeque<(Loc, shadowdb_eventml::Msg)> =
-        VecDeque::from([(Loc::new(0), synod::request_msg(cmd))]);
+    let mut queue: VecDeque<(Loc, Msg)> = VecDeque::from([(Loc::new(0), synod::request_msg(cmd))]);
     let mut outs: Vec<SendInstr> = Vec::new();
     let mut hops = 0;
     while let Some((dest, msg)) = queue.pop_front() {

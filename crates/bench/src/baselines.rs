@@ -16,12 +16,18 @@
 //! Both execute the submitted transactions against a real engine, so the
 //! functional path is genuine; only the timing is modelled.
 
+use parking_lot::Mutex;
+use shadowdb::client::{DbClient, Submission};
 use shadowdb::msgs::{reply_msg, TxnEnvelope, SUBMIT_HEADER};
+use shadowdb::DbClientStats;
 use shadowdb_eventml::process::HasherAdapter;
 use shadowdb_eventml::{cached_header, Ctx, Msg, Process, SendInstr};
-use shadowdb_loe::VTime;
+use shadowdb_loe::{Loc, VTime};
+use shadowdb_simnet::testing::default_net;
 use shadowdb_sqldb::{Database, SqlValue};
+use shadowdb_workloads::TxnRequest;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Per-request overhead of the client/server path (JDBC marshalling,
@@ -123,7 +129,6 @@ pub struct LockCoupledReplServer {
     coupling: LockCoupling,
     /// When the (virtual) critical lock becomes free.
     lock_free_at: VTime,
-    step_cost: Duration,
 }
 
 impl LockCoupledReplServer {
@@ -133,7 +138,6 @@ impl LockCoupledReplServer {
             db,
             coupling,
             lock_free_at: VTime::ZERO,
-            step_cost: Duration::ZERO,
         }
     }
 
@@ -187,9 +191,6 @@ impl Process for LockCoupledReplServer {
             reply_msg(ctx.slf, env.cseq, committed, &result),
         ));
     }
-    fn take_step_cost(&mut self) -> Duration {
-        std::mem::take(&mut self.step_cost)
-    }
     fn clone_box(&self) -> Box<dyn Process> {
         let db = Database::new(self.db.profile().clone());
         db.restore(&self.db.snapshot()).expect("valid snapshot");
@@ -197,7 +198,6 @@ impl Process for LockCoupledReplServer {
             db,
             coupling: self.coupling,
             lock_free_at: self.lock_free_at,
-            step_cost: self.step_cost,
         })
     }
     fn digest(&self, hasher: &mut dyn Hasher) {
@@ -206,51 +206,57 @@ impl Process for LockCoupledReplServer {
     }
 }
 
+/// Runs `n_clients` closed-loop database clients (client `i` submitting
+/// `txns_for(i)`) against one baseline `server` on a fresh simulated LAN,
+/// to quiescence.
+pub fn drive(
+    seed: u64,
+    n_clients: usize,
+    txns_for: impl Fn(usize) -> Vec<TxnRequest>,
+    server: Box<dyn Process>,
+) -> Vec<Arc<Mutex<DbClientStats>>> {
+    let mut sim = default_net(seed);
+    let server_loc = Loc::new(n_clients as u32);
+    let mut stats = Vec::new();
+    for i in 0..n_clients {
+        let s = Arc::new(Mutex::new(DbClientStats::default()));
+        stats.push(s.clone());
+        let c = DbClient::new(
+            Submission::Pbr {
+                replicas: vec![server_loc],
+            },
+            txns_for(i),
+            s,
+        )
+        .with_timeout(Duration::from_secs(600));
+        sim.add_node(Box::new(c));
+    }
+    let added = sim.add_node(server);
+    assert_eq!(added, server_loc);
+    for i in 0..n_clients {
+        sim.send_at(VTime::ZERO, Loc::new(i as u32), DbClient::start_msg());
+    }
+    sim.run_until_quiescent(VTime::from_secs(36_000));
+    stats
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
-    use shadowdb::client::{DbClient, Submission};
-    use shadowdb::DbClientStats;
-    use shadowdb_simnet::{NetworkConfig, SimBuilder};
+    use crate::measure::steady_state;
     use shadowdb_sqldb::EngineProfile;
     use shadowdb_workloads::bank;
-    use std::sync::Arc;
 
     fn drive(
         server: Box<dyn Process>,
         n_clients: usize,
         txns: usize,
     ) -> Vec<Arc<Mutex<DbClientStats>>> {
-        let mut sim = SimBuilder::new(1).network(NetworkConfig::lan()).build();
-        let server_loc = shadowdb_loe::Loc::new(n_clients as u32);
-        let mut stats = Vec::new();
-        for i in 0..n_clients {
-            let s = Arc::new(Mutex::new(DbClientStats::default()));
-            stats.push(s.clone());
+        let txns_for = |i| {
             let mut g = bank::BankGen::new(i as u64, 1_000);
-            let list = (0..txns).map(|_| g.next_txn()).collect();
-            let c = DbClient::new(
-                Submission::Pbr {
-                    replicas: vec![server_loc],
-                },
-                list,
-                s,
-            )
-            .with_timeout(Duration::from_secs(30));
-            sim.add_node(Box::new(c));
-        }
-        let added = sim.add_node(server);
-        assert_eq!(added, server_loc);
-        for i in 0..n_clients {
-            sim.send_at(
-                VTime::ZERO,
-                shadowdb_loe::Loc::new(i as u32),
-                DbClient::start_msg(),
-            );
-        }
-        sim.run_until_quiescent(VTime::from_secs(3_600));
-        stats
+            (0..txns).map(|_| g.next_txn()).collect()
+        };
+        super::drive(1, n_clients, txns_for, server)
     }
 
     fn bank_db() -> Database {
@@ -270,7 +276,7 @@ mod tests {
     #[test]
     fn standalone_saturates_near_calibration() {
         let stats = drive(Box::new(StandaloneServer::new(bank_db())), 16, 400);
-        let p = crate::measure::aggregate(16, &stats);
+        let p = steady_state(&stats, true);
         // 1 / (exec ≈ 36 µs + 120 µs overhead) ≈ 6.4 k/s.
         assert!(p.throughput > 4_500.0 && p.throughput < 8_000.0, "{p:?}");
     }
@@ -286,7 +292,7 @@ mod tests {
                 1,
                 200,
             );
-            crate::measure::aggregate(1, &s)
+            steady_state(&s, true)
         };
         let many = {
             let s = drive(
@@ -297,7 +303,7 @@ mod tests {
                 16,
                 200,
             );
-            crate::measure::aggregate(16, &s)
+            steady_state(&s, true)
         };
         // Saturation is flat: 16 clients get at most ~the hold-rate…
         assert!(many.throughput < 2_200.0, "{many:?}");
@@ -313,8 +319,8 @@ mod tests {
                 LockCoupling::mysql_replication(),
             ))
         };
-        let at8 = crate::measure::aggregate(8, &drive(mk(), 8, 300));
-        let at32 = crate::measure::aggregate(32, &drive(mk(), 32, 300));
+        let at8 = steady_state(&drive(mk(), 8, 300), true);
+        let at32 = steady_state(&drive(mk(), 32, 300), true);
         assert!(
             at8.throughput > at32.throughput,
             "decline: {at8:?} vs {at32:?}"

@@ -1,7 +1,12 @@
 //! Allocation profile of the per-message hot paths: counts heap
 //! allocations (and bytes) per step for the interpreted and fused forms of
 //! the shipped specifications. A development aid for keeping the fused
-//! path allocation-light; run with `cargo run --release --bin alloc_profile`.
+//! path allocation-light; run with
+//! `cargo run --release -p shadowdb-bench --bin alloc_profile`.
+//!
+//! The one binary beside the experiment runner: it installs a counting
+//! `#[global_allocator]`, which is process-wide, so it cannot share a
+//! process with experiments whose numbers must not pay for the counters.
 
 use shadowdb_consensus::twothird::{propose_msg, TwoThird, TwoThirdConfig};
 use shadowdb_eventml::optimize::optimize;

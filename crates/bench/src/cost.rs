@@ -4,6 +4,7 @@ use shadowdb_eventml::Msg;
 use shadowdb_loe::Loc;
 use shadowdb_simnet::CostModel;
 use shadowdb_tob::mode::ModeCost;
+use shadowdb_tob::{ExecutionMode, TobDeployment};
 use std::time::Duration;
 
 /// ShadowDB replica-side request overheads layered over the broadcast
@@ -17,13 +18,19 @@ pub struct ShadowDbCost {
 }
 
 impl ShadowDbCost {
-    /// Creates the model; `deliver_us` is the per-delivery-notification
+    /// Creates the model for a deployed group whose broadcast service
+    /// `tob` runs in `mode`; `deliver_us` is the per-delivery-notification
     /// handling cost at a replica (400 µs for the tiny-payload micro
     /// benchmark, 60 µs for execution-dominated TPC-C).
-    pub fn new(tob: ModeCost, replicas: Vec<Loc>, deliver_us: u64) -> ShadowDbCost {
+    pub fn new(
+        mode: ExecutionMode,
+        tob: &TobDeployment,
+        replicas: &[Loc],
+        deliver_us: u64,
+    ) -> ShadowDbCost {
         ShadowDbCost {
-            tob,
-            replicas,
+            tob: ModeCost::new(mode, tob.service_locs.clone()),
+            replicas: replicas.to_vec(),
             deliver: Duration::from_micros(deliver_us),
         }
     }

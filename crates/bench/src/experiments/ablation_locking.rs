@@ -7,9 +7,10 @@
 //! proceed. This harness runs actual threads against the actual lock
 //! manager — no simulation.
 
-use shadowdb_bench::output;
+use crate::output;
 use shadowdb_sqldb::{Database, EngineProfile, LockGranularity, SqlError};
 use shadowdb_workloads::bank;
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -65,27 +66,28 @@ fn run(granularity: LockGranularity, threads: usize, txns_each: usize) -> (f64, 
     )
 }
 
-fn main() {
-    output::banner(
-        "Ablation — table vs row locking under real concurrency",
-        "the contention mechanism behind Fig. 9(a)'s baselines",
-    );
+/// Compares the two granularities at 1, 4 and 8 threads.
+pub fn report(out: &mut dyn Write) -> io::Result<()> {
     let txns = 200;
     for threads in [1usize, 4, 8] {
         let (t_tput, t_commits, t_aborts) = run(LockGranularity::Table, threads, txns);
         let (r_tput, r_commits, r_aborts) = run(LockGranularity::Row, threads, txns);
-        println!();
-        output::kv("threads", threads);
+        writeln!(out)?;
+        output::kv(out, "threads", threads)?;
         output::kv(
+            out,
             "table locks",
             format!("{t_tput:>8.0} commits/s ({t_commits} ok, {t_aborts} lock timeouts)"),
-        );
+        )?;
         output::kv(
+            out,
             "row locks  ",
             format!("{r_tput:>8.0} commits/s ({r_commits} ok, {r_aborts} lock timeouts)"),
-        );
+        )?;
     }
-    println!();
-    println!("row-level locking scales with threads on disjoint rows; table-level");
-    println!("locking serializes them and aborts waiters — H2's Fig. 9(a) collapse.");
+    output::note(
+        out,
+        "row-level locking scales with threads on disjoint rows; table-level\n\
+         locking serializes them and aborts waiters — H2's Fig. 9(a) collapse.",
+    )
 }

@@ -16,17 +16,15 @@
 //! (`{"pairs":p,"depth":d,"echoes_per_sec":r}`) for the record in
 //! `BENCH_hotpaths.json` (group `netplane`).
 
-use shadowdb_bench::{netload, output, scaled};
+use crate::{netload, output, scaled};
+use std::io::{self, Write};
 
-fn main() {
-    output::banner(
-        "Ablation — connections × pipelining over the TCP event loop",
-        "thread-per-core shards, zero-copy frame decode",
-    );
+/// Runs the connections × depth sweep.
+pub fn report(out: &mut dyn Write) -> io::Result<()> {
     let echoes = scaled(20_000, 10) as u64;
     let warm = (echoes / 10).max(100);
-    output::kv("measured echoes per pair", echoes);
-    output::kv("warm-up echoes per pair", warm);
+    output::kv(out, "measured echoes per pair", echoes)?;
+    output::kv(out, "warm-up echoes per pair", warm)?;
     let mut json = Vec::new();
     for &depth in &[1usize, 8, 64] {
         let rows: Vec<(String, String)> = [1usize, 2, 4, 8]
@@ -40,21 +38,21 @@ fn main() {
             })
             .collect();
         output::pairs(
+            out,
             &format!("echo throughput (depth {depth})"),
             "connections",
             "echoes/s",
             &rows,
-        );
+        )?;
     }
-    println!();
-    for line in &json {
-        println!("{line}");
-    }
-    println!();
-    println!("depth 1 is RTT-bound: each echo pays a full readiness round");
-    println!("trip, so adding pairs scales throughput almost linearly until");
-    println!("the shards saturate. deeper pipelines batch many frames into");
-    println!("each readiness event — one read() drains several pings, their");
-    println!("pongs leave in one writev — so a single pair already runs");
-    println!("orders above the RTT bound and extra pairs buy less.");
+    output::json_lines(out, &json)?;
+    output::note(
+        out,
+        "depth 1 is RTT-bound: each echo pays a full readiness round\n\
+         trip, so adding pairs scales throughput almost linearly until\n\
+         the shards saturate. deeper pipelines batch many frames into\n\
+         each readiness event — one read() drains several pings, their\n\
+         pongs leave in one writev — so a single pair already runs\n\
+         orders above the RTT bound and extra pairs buy less.",
+    )
 }

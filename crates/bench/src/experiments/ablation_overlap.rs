@@ -6,36 +6,30 @@
 //! backups in parallel." This harness crashes the primary and measures the
 //! client-visible outage with and without the optimization.
 
+use crate::output;
+use crate::scenario::bank_options;
 use shadowdb::deploy::{DeployOptions, PbrDeployment};
 use shadowdb::diversity::DiversityPolicy;
 use shadowdb::pbr::PbrOptions;
-use shadowdb_bench::output;
 use shadowdb_loe::VTime;
-use shadowdb_simnet::{NetworkConfig, SimBuilder};
-use shadowdb_tob::ExecutionMode;
-use shadowdb_workloads::bank;
+use shadowdb_simnet::testing::default_net;
+use std::io::{self, Write};
 use std::time::Duration;
 
 const ROWS: usize = 200_000;
+const CLIENTS: usize = 4;
+const TXNS_EACH: usize = 8_000;
 
 /// Runs the crash scenario; returns the longest client-visible gap (ms).
 fn run(overlapped: bool) -> f64 {
-    let mut sim = SimBuilder::new(21).network(NetworkConfig::lan()).build();
+    let mut sim = default_net(21);
     let options = DeployOptions {
         diversity: DiversityPolicy::Trio,
-        mode: ExecutionMode::Compiled,
         client_timeout: Duration::from_millis(400),
         // Three active replicas: after the crash, one up-to-date backup
         // remains — the precondition for overlapping the spare's transfer.
         active_replicas: 3,
-        ..DeployOptions::new(
-            4,
-            |client| {
-                let mut g = bank::BankGen::new(400 + client as u64, ROWS);
-                (0..8_000).map(|_| g.next_txn()).collect()
-            },
-            |db| bank::load(db, ROWS).expect("loads"),
-        )
+        ..bank_options(ROWS, CLIENTS, TXNS_EACH, 400)
     };
     let pbr = PbrOptions {
         heartbeat_every: Duration::from_millis(100),
@@ -51,11 +45,11 @@ fn run(overlapped: bool) -> f64 {
     sim.run_until(VTime::from_millis(300));
     sim.crash_at(sim.now(), d.replicas[0]);
     sim.run_until_quiescent(VTime::from_secs(600));
-    if d.committed() != 4 * 8_000 {
+    if d.committed() != CLIENTS * TXNS_EACH {
         eprintln!(
             "WARN overlapped={overlapped}: committed {} of {}",
             d.committed(),
-            4 * 8_000
+            CLIENTS * TXNS_EACH
         );
     }
 
@@ -70,28 +64,30 @@ fn run(overlapped: bool) -> f64 {
         .fold(0.0, f64::max)
 }
 
-fn main() {
-    output::banner(
-        "Ablation — overlapped state transfer",
-        "the Sec. III-A recovery optimization",
-    );
+/// Measures the outage with and without the optimization.
+pub fn report(out: &mut dyn Write) -> io::Result<()> {
     output::kv(
+        out,
         "database",
         format!("{ROWS} rows × 16 B; spare needs a full snapshot"),
-    );
+    )?;
     let blocking = run(false);
     let overlapped = run(true);
     output::kv(
+        out,
         "client outage, blocking transfer  ",
         format!("{blocking:.0} ms"),
-    );
+    )?;
     output::kv(
+        out,
         "client outage, overlapped transfer",
         format!("{overlapped:.0} ms"),
-    );
-    output::kv("improvement", format!("{:.1}×", blocking / overlapped));
-    println!();
-    println!("with overlap, the primary resumes after the first recovered backup");
-    println!("acknowledges (the up-to-date survivor), while the spare's snapshot");
-    println!("streams in parallel; without it, clients wait out the full transfer.");
+    )?;
+    output::kv(out, "improvement", format!("{:.1}×", blocking / overlapped))?;
+    output::note(
+        out,
+        "with overlap, the primary resumes after the first recovered backup\n\
+         acknowledges (the up-to-date survivor), while the spare's snapshot\n\
+         streams in parallel; without it, clients wait out the full transfer.",
+    )
 }

@@ -34,18 +34,20 @@
 //! stays flat across load levels while commits keep landing in every
 //! loaded cell — the group never pauses.
 
+use crate::measure::answered;
+use crate::output;
+use crate::scenario::bank_options;
 use shadowdb::deploy::{DeployOptions, PbrDeployment};
 use shadowdb::diversity::DiversityPolicy;
 use shadowdb::msgs::SNAPSHOT_HEADER;
 use shadowdb::pbr::PbrOptions;
-use shadowdb_bench::output;
 use shadowdb_eventml::Msg;
 use shadowdb_loe::Loc;
 use shadowdb_runtime::{CostModel, Runtime};
-use shadowdb_simnet::{NetworkConfig, SimBuilder};
+use shadowdb_simnet::testing::default_net;
 use shadowdb_tob::mode::ModeCost;
-use shadowdb_tob::ExecutionMode;
 use shadowdb_workloads::bank;
+use std::io::{self, Write};
 use std::time::Duration;
 
 const ROWS: usize = 50_000;
@@ -70,25 +72,50 @@ impl CostModel for XferCost {
     }
 }
 
-/// Replaces a backup with the given transfer batch bound; `live` clients
-/// keep submitting during the transfer (0 = the workload fully drains
-/// first, isolating the pure transfer time). Returns (rejoin ms, commits
-/// during the replacement window).
+/// Deploys a PBR bank group over `rows` accounts, lets the clients get
+/// `warm` answers, then replaces the backup with a fresh replica through
+/// `ReconfigHandle::replace_replica` while the remaining load keeps
+/// running; `chunk_cost` composes [`XferCost`] onto the service's model.
+/// Returns (rejoin ms, answers during the replacement window).
+/// `perf_smoke`'s `reconfig_catchup_ms` leg is this run at smoke size.
+pub fn replace(
+    seed: u64,
+    rows: usize,
+    options: &DeployOptions,
+    pbr: PbrOptions,
+    chunk_cost: bool,
+    warm: usize,
+) -> (f64, usize) {
+    let mut sim = default_net(seed);
+    let d = PbrDeployment::build(&mut sim, options, pbr.clone());
+    if chunk_cost {
+        sim.set_cost_model(XferCost {
+            inner: ModeCost::new(options.mode, d.tob.service_locs.clone()),
+        });
+    }
+    let mut handle = d.reconfig(&mut sim, pbr, DiversityPolicy::Uniform, move |db| {
+        bank::load(db, rows).expect("loads")
+    });
+    while answered(&d.stats) < warm {
+        sim.run_for(Duration::from_millis(5));
+    }
+    let before = answered(&d.stats);
+    let t0 = sim.now();
+    handle
+        .replace_replica(&mut sim, d.replicas[1], Duration::from_secs(600))
+        .expect("replacement completes");
+    let ms = (sim.now().as_micros() - t0.as_micros()) as f64 / 1_000.0;
+    (ms, answered(&d.stats) - before)
+}
+
+/// One cell of the sweep: the given transfer batch bound with `live`
+/// clients submitting during the transfer (0 = the workload fully drains
+/// first, isolating the pure transfer time).
 fn run(batch_bytes: usize, live: usize) -> (f64, usize) {
     let clients = live.max(2);
-    let mut sim = SimBuilder::new(0x5EC0 ^ (batch_bytes as u64) ^ ((live as u64) << 40))
-        .network(NetworkConfig::lan())
-        .build();
     let options = DeployOptions {
         client_timeout: Duration::from_millis(400),
-        ..DeployOptions::new(
-            clients,
-            |client| {
-                let mut g = bank::BankGen::new(23 + client as u64, ROWS);
-                (0..TXNS_PER_CLIENT).map(|_| g.next_txn()).collect()
-            },
-            |db| bank::load(db, ROWS).expect("loads"),
-        )
+        ..bank_options(ROWS, clients, TXNS_PER_CLIENT, 23)
     };
     let pbr = PbrOptions {
         heartbeat_every: Duration::from_millis(50),
@@ -105,15 +132,6 @@ fn run(batch_bytes: usize, live: usize) -> (f64, usize) {
         overlapped_transfer: true,
         ..PbrOptions::default()
     };
-    let d = PbrDeployment::build(&mut sim, &options, pbr.clone());
-    sim.set_cost_model(XferCost {
-        inner: ModeCost::new(ExecutionMode::Compiled, d.tob.service_locs.clone()),
-    });
-    let mut handle = d.reconfig(&mut sim, pbr, DiversityPolicy::Uniform, |db| {
-        bank::load(db, ROWS).expect("loads")
-    });
-    let committed =
-        |d: &PbrDeployment| -> usize { d.stats.iter().map(|s| s.lock().completed.len()).sum() };
     // Execute well past the cache limit so the join cannot replay the
     // log; with `live == 0`, drain the workload entirely first.
     let warm = if live == 0 {
@@ -121,23 +139,12 @@ fn run(batch_bytes: usize, live: usize) -> (f64, usize) {
     } else {
         (clients * TXNS_PER_CLIENT / 4).max(200)
     };
-    while committed(&d) < warm {
-        sim.run_for(Duration::from_millis(5));
-    }
-    let before = committed(&d);
-    let t0 = sim.now();
-    handle
-        .replace_replica(&mut sim, d.replicas[1], Duration::from_secs(600))
-        .expect("replacement completes");
-    let ms = (sim.now().as_micros() - t0.as_micros()) as f64 / 1_000.0;
-    (ms, committed(&d) - before)
+    let seed = 0x5EC0 ^ (batch_bytes as u64) ^ ((live as u64) << 40);
+    replace(seed, ROWS, &options, pbr, true, warm)
 }
 
-fn main() {
-    output::banner(
-        "Ablation — online replacement: batch size × concurrent load",
-        "Sec. IV-B's ~50 KB transfer batches under Sec. III-A's overlapped recovery",
-    );
+/// Runs the batch × load sweep.
+pub fn report(out: &mut dyn Write) -> io::Result<()> {
     let batches = [4 * 1024usize, 50 * 1024, 500 * 1024];
     let loads = [0usize, 2, 8];
     let mut rows: Vec<(String, String)> = Vec::new();
@@ -151,13 +158,16 @@ fn main() {
         }
     }
     output::pairs(
+        out,
         "replace one backup of a serving 3-replica group (50,000 rows)",
         "batch × load",
         "rejoin",
         &rows,
-    );
-    println!();
-    println!("Tiny batches pay per-message handling on every chunk; past the ~50 KB");
-    println!("knee the fixed serialize/insert costs dominate. Overlapped transfer");
-    println!("absorbs live load: rejoin stays flat and the group never pauses.");
+    )?;
+    output::note(
+        out,
+        "Tiny batches pay per-message handling on every chunk; past the ~50 KB\n\
+         knee the fixed serialize/insert costs dominate. Overlapped transfer\n\
+         absorbs live load: rejoin stays flat and the group never pauses.",
+    )
 }

@@ -14,14 +14,16 @@
 //! "latency_ms":l,"cross_committed":n}`) for the record in
 //! `BENCH_hotpaths.json` (group `sharding`).
 
+use crate::measure::{steady_state, Point};
+use crate::{mix, output, scaled};
 use parking_lot::Mutex;
 use shadowdb::deploy::{DeployOptions, ShardedDeployment};
 use shadowdb::pbr::PbrOptions;
 use shadowdb::shard::check_two_pc_atomicity;
-use shadowdb_bench::{mix, output, scaled};
 use shadowdb_loe::VTime;
-use shadowdb_simnet::{NetworkConfig, SimBuilder};
+use shadowdb_simnet::testing::default_net;
 use shadowdb_workloads::{bank, TxnRequest};
+use std::io::{self, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -56,18 +58,23 @@ fn txns(client: usize, n: usize, cross_pct: usize) -> Vec<TxnRequest> {
         .collect()
 }
 
-/// Runs one configuration to quiescence; returns
-/// `(throughput/s, mean latency ms, cross-shard commits observed)`.
-fn run(shards: usize, n_clients: usize, cross_pct: usize, txns_each: usize) -> (f64, f64, usize) {
-    // LAN latency, unlike the window ablation's 2 ms hops: sharding buys
-    // *CPU* parallelism (one primary and one broadcast service per
-    // group), so the network must be fast enough for the engine cost
-    // model — not the round trip — to be the binding resource. On a WAN
-    // every closed-loop client is latency-bound and no shard count can
-    // help.
-    let net = NetworkConfig::lan();
-    let seed = (shards * 1_000 + n_clients * 10 + cross_pct) as u64;
-    let mut sim = SimBuilder::new(seed).network(net).build();
+/// Runs one configuration to quiescence; returns its steady-state point
+/// and the cross-shard commits observed. `perf_smoke`'s
+/// `sharded_bank_speedup_4x1` leg is this run at 0 % cross-shard.
+///
+/// LAN latency, unlike the window ablation's 2 ms hops: sharding buys
+/// *CPU* parallelism (one primary and one broadcast service per group),
+/// so the network must be fast enough for the engine cost model — not the
+/// round trip — to be the binding resource. On a WAN every closed-loop
+/// client is latency-bound and no shard count can help.
+pub fn run(
+    seed: u64,
+    shards: usize,
+    n_clients: usize,
+    cross_pct: usize,
+    txns_each: usize,
+) -> (Point, usize) {
+    let mut sim = default_net(seed);
     let probe = Arc::new(Mutex::new(Vec::new()));
     let mut options = DeployOptions::sharded(
         shards,
@@ -100,39 +107,23 @@ fn run(shards: usize, n_clients: usize, cross_pct: usize, txns_each: usize) -> (
         })
         .collect::<std::collections::BTreeSet<_>>()
         .len();
-
-    let mut all: Vec<(VTime, VTime)> = Vec::new();
-    for s in &d.stats {
-        let s = s.lock();
-        let warm = s.completed.len() / 10;
-        all.extend(s.completed.iter().skip(warm).map(|(a, b, _)| (*a, *b)));
-    }
-    let first = all.iter().map(|(a, _)| *a).min().expect("commits");
-    let last = all.iter().map(|(_, b)| *b).max().expect("commits");
-    let span = last.saturating_since(first).as_secs_f64().max(1e-9);
-    let lat = all
-        .iter()
-        .map(|(a, b)| b.saturating_since(*a).as_secs_f64() * 1e3)
-        .sum::<f64>()
-        / all.len() as f64;
-    (all.len() as f64 / span, lat, cross)
+    (steady_state(&d.stats, true), cross)
 }
 
-fn main() {
-    output::banner(
-        "Ablation — replica groups × clients × cross-shard fraction",
-        "horizontal sharding with deterministic 2PC-over-TOB",
-    );
+/// Runs the shards × clients × cross-fraction sweep.
+pub fn report(out: &mut dyn Write) -> io::Result<()> {
     let txns_each = scaled(100, 5);
-    output::kv("accounts", ROWS);
-    output::kv("transactions per client", txns_each);
+    output::kv(out, "accounts", ROWS)?;
+    output::kv(out, "transactions per client", txns_each)?;
     let mut json = Vec::new();
     for &clients in &[8usize, 32] {
         for &cross in &[0usize, 10, 30] {
             let rows: Vec<(String, String)> = [1usize, 2, 4]
                 .iter()
                 .map(|&s| {
-                    let (tput, lat, ncross) = run(s, clients, cross, txns_each);
+                    let seed = (s * 1_000 + clients * 10 + cross) as u64;
+                    let (p, ncross) = run(seed, s, clients, cross, txns_each);
+                    let (tput, lat) = (p.throughput, p.latency_ms);
                     json.push(format!(
                         "{{\"shards\":{s},\"clients\":{clients},\"cross_pct\":{cross},\
                          \"throughput_per_sec\":{tput:.1},\"latency_ms\":{lat:.2},\
@@ -145,24 +136,24 @@ fn main() {
                 })
                 .collect();
             output::pairs(
+                out,
                 &format!("{clients} clients, {cross}% cross-shard"),
                 "shards",
                 "committed/s, latency, 2PC commits",
                 &rows,
-            );
+            )?;
         }
     }
-    println!();
-    for line in &json {
-        println!("{line}");
-    }
-    println!();
-    println!("single-shard transactions scale with the group count: each group");
-    println!("runs its own broadcast service and primary, so at 0% cross-shard");
-    println!("four groups carry roughly four single-group loads in parallel.");
-    println!("cross-shard transfers pay the extra 2PC hops (prepare, votes,");
-    println!("decision — all through the participants' own TOB services), so");
-    println!("as the cross fraction grows the speedup flattens: the ablation");
-    println!("quantifies how far the fraction can rise before coordination");
-    println!("overhead eats the parallelism.");
+    output::json_lines(out, &json)?;
+    output::note(
+        out,
+        "single-shard transactions scale with the group count: each group\n\
+         runs its own broadcast service and primary, so at 0% cross-shard\n\
+         four groups carry roughly four single-group loads in parallel.\n\
+         cross-shard transfers pay the extra 2PC hops (prepare, votes,\n\
+         decision — all through the participants' own TOB services), so\n\
+         as the cross fraction grows the speedup flattens: the ablation\n\
+         quantifies how far the fraction can rise before coordination\n\
+         overhead eats the parallelism.",
+    )
 }

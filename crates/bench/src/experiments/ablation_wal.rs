@@ -22,10 +22,11 @@
 //! last snapshot — about half the interval on average — while the
 //! snapshot count during the run is inversely proportional to it.
 
-use shadowdb_bench::output;
+use crate::output;
 use shadowdb_eventml::Value;
 use shadowdb_runtime::StorageMode;
 use shadowdb_wal::{recover, Disk, Wal};
+use std::io::{self, Write};
 use std::time::{Duration, Instant};
 
 /// A bank transaction's framed apply record is ~100 bytes.
@@ -37,8 +38,9 @@ fn record() -> Value {
 }
 
 /// Appends `txns` records committing every `group`, on a fresh
-/// file-backed disk. Returns (txns/sec, syncs performed).
-fn commit_run(mode: &StorageMode, txns: usize, group: usize) -> (f64, u64) {
+/// file-backed disk. Returns (txns/sec, syncs performed). `perf_smoke`'s
+/// `wal_group_commit_txns_per_sec` leg is this run at groups of 1 and 64.
+pub fn commit_run(mode: &StorageMode, txns: usize, group: usize) -> (f64, u64) {
     let disk = Disk::open(mode, &format!("commit-g{group}"), Duration::ZERO);
     let mut wal = Wal::open(disk.clone());
     let body = record();
@@ -83,11 +85,8 @@ fn snapshot_run(mode: &StorageMode, txns: usize, every: usize) -> (usize, usize,
     (snaps, log_bytes, rec.records.len(), us)
 }
 
-fn main() {
-    output::banner(
-        "Ablation — WAL durability: fsync batch size × snapshot interval",
-        "the durability plane's group commit and log-truncation knobs",
-    );
+/// Runs the fsync-batch sweep, then the snapshot-interval sweep.
+pub fn report(out: &mut dyn Write) -> io::Result<()> {
     let root = StorageMode::fresh_file_root("ablation-wal");
     let mode = StorageMode::File { root: root.clone() };
 
@@ -101,11 +100,12 @@ fn main() {
         ));
     }
     output::pairs(
+        out,
         &format!("{TXNS} appends, one fsync per commit group"),
         "fsync batch",
         "throughput",
         &rows,
-    );
+    )?;
 
     // Not a multiple of any interval, so the crash point always leaves a
     // genuine suffix past the last snapshot — the replay work the sweep
@@ -121,17 +121,20 @@ fn main() {
         ));
     }
     output::pairs(
+        out,
         &format!("{HISTORY}-record history, then recover from disk"),
         "snapshot",
         "recovery",
         &rows,
-    );
+    )?;
 
     let _ = std::fs::remove_dir_all(&root);
-    println!();
-    println!("Group commit amortizes the sync: throughput climbs with the batch until");
-    println!("the append write itself dominates. The snapshot interval trades snapshot");
-    println!("writes during the run for replay work at recovery: the log suffix past");
-    println!("the last snapshot — what restart-from-disk must re-execute — shrinks");
-    println!("linearly with the interval, as do the bytes recovery has to scan.");
+    output::note(
+        out,
+        "Group commit amortizes the sync: throughput climbs with the batch until\n\
+         the append write itself dominates. The snapshot interval trades snapshot\n\
+         writes during the run for replay work at recovery: the log suffix past\n\
+         the last snapshot — what restart-from-disk must re-execute — shrinks\n\
+         linearly with the interval, as do the bytes recovery has to scan.",
+    )
 }

@@ -12,41 +12,31 @@
 //! bin — the curve of Fig. 10(a) — plus the timeline of the three
 //! annotated phases.
 
+use crate::cost::ShadowDbCost;
+use crate::measure::throughput_timeline;
+use crate::output;
+use crate::scenario::bank_options;
+use shadowdb::deploy::{DeployOptions, PbrDeployment};
 use shadowdb::diversity::DiversityPolicy;
 use shadowdb::pbr::PbrOptions;
-use shadowdb::PbrDeployment;
-use shadowdb_bench::cost::ShadowDbCost;
-use shadowdb_bench::measure::throughput_timeline;
-use shadowdb_bench::output;
 use shadowdb_loe::VTime;
-use shadowdb_simnet::{NetworkConfig, SimBuilder};
-use shadowdb_tob::mode::ModeCost;
+use shadowdb_simnet::testing::default_net;
 use shadowdb_tob::ExecutionMode;
-use shadowdb_workloads::bank;
+use std::io::{self, Write};
 use std::time::Duration;
 
 const ROWS: usize = 50_000;
 const HORIZON_S: usize = 60;
 
-fn main() {
-    output::banner(
-        "Fig. 10(a) — ShadowDB-PBR throughput across a primary crash",
-        "Fig. 10(a) (Sec. IV-B): 10 clients; H2 primary, HSQLDB backup, Derby spare",
-    );
-    let mut sim = SimBuilder::new(77).network(NetworkConfig::lan()).build();
-    let options = shadowdb::deploy::DeployOptions {
+/// Runs the crash timeline and writes the per-second throughput curve.
+pub fn report(out: &mut dyn Write) -> io::Result<()> {
+    let mut sim = default_net(77);
+    let options = DeployOptions {
         mode: ExecutionMode::InterpretedOpt,
         diversity: DiversityPolicy::Trio,
         client_timeout: Duration::from_secs(5),
-        ..shadowdb::deploy::DeployOptions::new(
-            10,
-            // Enough work to span the whole 60 s horizon.
-            |i| {
-                let mut g = bank::BankGen::new(900 + i as u64, ROWS);
-                (0..40_000).map(|_| g.next_txn()).collect()
-            },
-            |db| bank::load(db, ROWS).expect("loads"),
-        )
+        // Enough work to span the whole 60 s horizon.
+        ..bank_options(ROWS, 10, 40_000, 900)
     };
     let pbr = PbrOptions {
         detect_after: Duration::from_secs(10), // the paper's configured value
@@ -55,11 +45,7 @@ fn main() {
         ..PbrOptions::default()
     };
     let d = PbrDeployment::build(&mut sim, &options, pbr);
-    sim.set_cost_model(ShadowDbCost::new(
-        ModeCost::new(ExecutionMode::InterpretedOpt, d.tob.service_locs.clone()),
-        d.replicas.clone(),
-        400,
-    ));
+    sim.set_cost_model(ShadowDbCost::new(options.mode, &d.tob, &d.replicas, 400));
     // Crash the primary after 15 seconds of execution.
     sim.crash_at(VTime::from_secs(15), d.replicas[0]);
     sim.run_until(VTime::from_secs(HORIZON_S as u64));
@@ -70,11 +56,12 @@ fn main() {
         .map(|(sec, commits)| (format!("{sec}"), format!("{commits}")))
         .collect();
     output::pairs(
+        out,
         "instantaneous throughput",
         "second",
         "committed txns",
         &rows,
-    );
+    )?;
 
     // Phase annotations (the 1/2/3 markers of the figure).
     let crash_s = 15;
@@ -87,20 +74,23 @@ fn main() {
         .iter()
         .find(|(s, c)| *s > crash_s + 1 && *c > 0)
         .map(|(s, _)| *s);
-    println!();
+    writeln!(out)?;
     output::kv(
+        out,
         "1: crash at",
         format!("{crash_s} s; detection configured at 10 s"),
-    );
+    )?;
     output::kv(
+        out,
         "2: outage window (zero-commit seconds)",
         format!("{:?}..{:?}", outage.first(), outage.last()),
-    );
-    output::kv("3: clients resume at", format!("{resume:?} s"));
+    )?;
+    output::kv(out, "3: clients resume at", format!("{resume:?} s"))?;
     output::kv(
+        out,
         "paper timeline",
         "crash @15 s; detect @25 s; config delivered +69 ms; transfer 3.8 s; resume ≈@29–40 s",
-    );
+    )?;
     let total: u64 = timeline.iter().map(|(_, c)| *c).sum();
-    output::kv("total committed over 60 s", total);
+    output::kv(out, "total committed over 60 s", total)
 }

@@ -19,24 +19,18 @@
 //! measured time is virtual (serialization + insertion costs per the
 //! engine profile, plus network).
 
+use crate::output;
+use crate::scenario::state_transfer;
 use shadowdb::smr::SmrReplica;
-use shadowdb_bench::output;
-use shadowdb_loe::VTime;
-use shadowdb_simnet::{NetworkConfig, SimBuilder};
 use shadowdb_sqldb::{Database, EngineProfile};
 use shadowdb_workloads::{bank, tpcc};
+use std::io::{self, Write};
+use std::time::Duration;
 
 /// Transfers the state of `db` to a fresh joining replica; returns the
 /// virtual transfer time in seconds.
 fn transfer_time(db: Database) -> f64 {
-    let mut sim = SimBuilder::new(5).network(NetworkConfig::lan()).build();
-    let donor = sim.add_node(Box::new(SmrReplica::new(db)));
-    let joiner = sim.add_node(Box::new(SmrReplica::joining(Database::new(
-        EngineProfile::h2(),
-    ))));
-    sim.send_at(VTime::ZERO, donor, SmrReplica::fetch_snapshot_msg(joiner));
-    let end = sim.run_until_quiescent(VTime::from_secs(36_000));
-    end.as_secs_f64()
+    state_transfer(5, SmrReplica::new(db), Duration::ZERO).0
 }
 
 fn sized_db(rows: usize, row_bytes: usize) -> Database {
@@ -45,11 +39,8 @@ fn sized_db(rows: usize, row_bytes: usize) -> Database {
     db
 }
 
-fn main() {
-    output::banner(
-        "Fig. 10(b) — state transfer time vs database size",
-        "Fig. 10(b) (Sec. IV-B): ~50 KB batches, insertion-bound",
-    );
+/// Runs the row-count sweep for both row sizes, then TPC-C.
+pub fn report(out: &mut dyn Write) -> io::Result<()> {
     // Virtual time makes the full sweep cheap, so --full changes nothing.
     let row_counts: &[usize] = &[500, 5_000, 50_000, 500_000];
 
@@ -72,8 +63,8 @@ fn main() {
                 (format!("{n}"), format!("{t:.2} s"))
             })
             .collect();
-        output::pairs(label, "rows", "transfer time", &rows);
-        output::kv("anchor", anchors);
+        output::pairs(out, label, "rows", "transfer time", &rows)?;
+        output::kv(out, "anchor", anchors)?;
     }
 
     // TPC-C, 1 warehouse (spec sizing regardless of --full, as above).
@@ -82,9 +73,10 @@ fn main() {
     tpcc::load(&db, &scale, 3).expect("loads");
     let mb = db.byte_size() as f64 / 1e6;
     let t = transfer_time(db);
-    println!();
+    writeln!(out)?;
     output::kv(
+        out,
         "TPC-C 1 warehouse",
         format!("{mb:.0} MB transferred in {t:.1} s (paper: ≈100 MB in 54.5 s)"),
-    );
+    )
 }

@@ -15,120 +15,86 @@
 //! (states explored by the model checker and the number of
 //! machine-checked invariants vs hand-scripted scenario checks).
 
-use shadowdb_bench::output;
+use crate::output;
 use shadowdb_consensus::synod::{SynodConfig, SynodSpec};
-use shadowdb_consensus::twothird::{TwoThird, TwoThirdConfig};
+use shadowdb_consensus::twothird::{propose_msg, TwoThird, TwoThirdConfig};
 use shadowdb_eventml::optimize::optimize;
-use shadowdb_eventml::{clk, InterpretedProcess, Spec};
+use shadowdb_eventml::{clk, InterpretedProcess, Spec, Value};
 use shadowdb_loe::Loc;
 use shadowdb_tob::service::{service_spec, Backend, TobConfig};
+use std::io::{self, Write};
 
-struct Row {
-    module: &'static str,
-    spec: usize,
-    gpm: usize,
-    opt: usize,
+/// (EventML AST nodes, GPM program nodes, optimized GPM ops), summed over
+/// a module's specifications.
+fn measure(specs: &[&Spec]) -> (usize, usize, usize) {
+    specs.iter().fold((0, 0, 0), |(s, g, o), spec| {
+        let interp = InterpretedProcess::compile_spec(spec);
+        let fused = optimize(spec.main());
+        (
+            s + spec.ast_nodes(),
+            g + interp.program_nodes(),
+            o + fused.program_nodes(),
+        )
+    })
 }
 
-fn measure(spec: &Spec) -> (usize, usize, usize) {
-    let interp = InterpretedProcess::compile_spec(spec);
-    let fused = optimize(spec.main());
-    (
-        spec.ast_nodes(),
-        interp.program_nodes(),
-        fused.program_nodes(),
-    )
-}
-
-fn main() {
-    output::banner(
-        "Table I — specification and program sizes",
-        "Table I of the paper",
-    );
-
+/// Measures the four modules and the checker effort.
+pub fn report(out: &mut dyn Write) -> io::Result<()> {
     let clk_spec = clk::clk_spec(clk::ring_handle(3));
-    let (s, g, o) = measure(&clk_spec);
-    let mut rows = vec![Row {
-        module: "CLK",
-        spec: s,
-        gpm: g,
-        opt: o,
-    }];
-
     let tt =
         TwoThird::new(TwoThirdConfig::new(Loc::first_n(3), vec![Loc::new(100)]).with_auto_adopt())
             .spec();
-    let (s, g, o) = measure(&tt);
-    rows.push(Row {
-        module: "TwoThird Consensus",
-        spec: s,
-        gpm: g,
-        opt: o,
-    });
-
-    let config = SynodConfig::compact(3, vec![Loc::new(100)]);
-    let synod = SynodSpec::new(&config);
-    let parts = [&synod.replica, &synod.leader, &synod.acceptor];
-    let (mut s, mut g, mut o) = (0, 0, 0);
-    for p in parts {
-        let (a, b, c) = measure(p);
-        s += a;
-        g += b;
-        o += c;
-    }
-    rows.push(Row {
-        module: "Paxos-Synod (3 roles)",
-        spec: s,
-        gpm: g,
-        opt: o,
-    });
-
+    let synod = SynodSpec::new(&SynodConfig::compact(3, vec![Loc::new(100)]));
     let tob = service_spec(&TobConfig::new(
         Backend::Paxos {
             replica: Loc::new(1),
         },
         vec![Loc::new(100)],
     ));
-    let (s, g, o) = measure(&tob);
-    rows.push(Row {
-        module: "Broadcast Service",
-        spec: s,
-        gpm: g,
-        opt: o,
-    });
+    let rows = [
+        ("CLK", measure(&[&clk_spec])),
+        ("TwoThird Consensus", measure(&[&tt])),
+        (
+            "Paxos-Synod (3 roles)",
+            measure(&[&synod.replica, &synod.leader, &synod.acceptor]),
+        ),
+        ("Broadcast Service", measure(&[&tob])),
+    ];
 
-    println!();
-    println!(
+    writeln!(out)?;
+    writeln!(
+        out,
         "{:<24} {:>12} {:>12} {:>14}",
         "module", "EventML AST", "GPM nodes", "opt. GPM ops"
-    );
-    for r in &rows {
-        println!(
-            "{:<24} {:>12} {:>12} {:>14}",
-            r.module, r.spec, r.gpm, r.opt
-        );
+    )?;
+    for (module, (spec, gpm, opt)) in rows {
+        writeln!(out, "{module:<24} {spec:>12} {gpm:>12} {opt:>14}")?;
     }
 
-    println!();
-    println!("paper's Nuprl-node counts, for shape comparison:");
-    println!(
+    writeln!(out)?;
+    writeln!(out, "paper's Nuprl-node counts, for shape comparison:")?;
+    writeln!(
+        out,
         "{:<24} {:>12} {:>12} {:>14}",
         "module", "EventML", "GPM", "opt. GPM"
-    );
+    )?;
     for (m, e, g, o) in [
         ("CLK", 79, 452, 249),
         ("TwoThird Consensus", 646, 1343, 1752),
         ("Paxos-Synod", 1729, 2625, 3165),
         ("Broadcast Service", 820, 1352, 1245),
     ] {
-        println!("{m:<24} {e:>12} {g:>12} {o:>14}");
+        writeln!(out, "{m:<24} {e:>12} {g:>12} {o:>14}")?;
     }
 
     // Verification statistics: run the small exhaustive checks and report
     // their effort, our analogue of the paper's A(utomatic)/M(anual) lemma
     // counts.
-    println!();
-    println!("verification statistics (this repo's analogue of lemma counts):");
+    writeln!(out)?;
+    writeln!(
+        out,
+        "verification statistics (this repo's analogue of lemma counts):"
+    )?;
     let tt_member = || {
         Box::new(InterpretedProcess::compile(
             &TwoThird::new(TwoThirdConfig::new(Loc::first_n(3), vec![Loc::new(100)])).class(),
@@ -137,20 +103,11 @@ fn main() {
     let spec = shadowdb_mck::Spec {
         procs: (0..3).map(|_| tt_member()).collect(),
         env: vec![Loc::new(100)],
-        init_msgs: vec![
-            (
-                Loc::new(0),
-                shadowdb_consensus::twothird::propose_msg(0, shadowdb_eventml::Value::Int(1)),
-            ),
-            (
-                Loc::new(1),
-                shadowdb_consensus::twothird::propose_msg(0, shadowdb_eventml::Value::Int(2)),
-            ),
-            (
-                Loc::new(2),
-                shadowdb_consensus::twothird::propose_msg(0, shadowdb_eventml::Value::Int(1)),
-            ),
-        ],
+        // Split proposals: members 0 and 2 propose 1, member 1 proposes 2.
+        init_msgs: [(0, 1), (1, 2), (2, 1)]
+            .into_iter()
+            .map(|(member, v)| (Loc::new(member), propose_msg(0, Value::Int(v))))
+            .collect(),
     };
     let outcome = shadowdb_mck::explore(
         spec,
@@ -162,15 +119,17 @@ fn main() {
         |_| Ok(()),
     );
     output::kv(
+        out,
         "TwoThird agreement check",
         format!(
             "{} states explored exhaustively (truncated: {})",
             outcome.states_visited, outcome.truncated
         ),
-    );
-    output::kv("automatically checked invariants (mck + proptest)", 14);
+    )?;
+    output::kv(out, "automatically checked invariants (mck + proptest)", 14)?;
     output::kv(
+        out,
         "hand-scripted scenario checks (e.g. Paxos-made-live bug)",
         8,
-    );
+    )
 }

@@ -1,21 +1,34 @@
-//! Shared harness machinery for the experiment binaries.
+//! The experiment runner: every table, figure and ablation of the
+//! evaluation, and the perf gate over them.
 //!
-//! One binary per table/figure of the paper (see `src/bin/`); this library
-//! holds what they share: closed-loop sweep drivers, steady-state
-//! measurement, the analytic baseline servers of Fig. 9, and plain-text
-//! series output.
+//! One binary over one registry ([`experiments::EXPERIMENTS`]):
 //!
-//! Run `cargo run --release -p shadowdb-bench --bin <name>` with
-//! `table1`, `fig8`, `fig9a`, `fig9b`, `fig10a`, `fig10b`, or one of the
-//! `ablation_*` binaries. Every binary accepts `--full` to run at the
-//! paper's original scale (the default is scaled down ~10× to finish in
-//! seconds; shapes are unaffected).
+//! ```text
+//! cargo run --release -p shadowdb-bench -- <name>…    # e.g. fig8 table1
+//! cargo run --release -p shadowdb-bench -- all
+//! cargo run --release -p shadowdb-bench -- list
+//! cargo run --release -p shadowdb-bench -- perf_smoke
+//! ```
+//!
+//! `--full` runs at the paper's original scale (the default is scaled
+//! down ~10× to finish in seconds; shapes are unaffected). Each
+//! experiment is a function in [`experiments`] writing its tables to a
+//! `&mut dyn Write`; what they share lives here: the deployments they
+//! measure ([`scenario`]), steady-state measurement ([`measure`]), the
+//! replica-side cost model and the analytic baseline servers of Fig. 9
+//! ([`cost`], [`baselines`]), and plain-text series output ([`output`]).
+//! [`perf_smoke`] gates one point of several sweeps against a checked-in
+//! baseline. Outputs of the deterministic experiments are checked in
+//! under `results/` and diffed by CI.
 
 pub mod baselines;
 pub mod cost;
+pub mod experiments;
 pub mod measure;
 pub mod netload;
 pub mod output;
+pub mod perf_smoke;
+pub mod scenario;
 
 /// Returns true when `--full` was passed (paper-scale runs).
 pub fn full_scale() -> bool {

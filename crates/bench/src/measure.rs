@@ -3,6 +3,7 @@
 use parking_lot::Mutex;
 use shadowdb::DbClientStats;
 use shadowdb_loe::VTime;
+use shadowdb_tob::ClientStats;
 use std::sync::Arc;
 
 /// One point of a latency-vs-throughput curve.
@@ -18,27 +19,47 @@ pub struct Point {
     pub abort_rate: f64,
 }
 
-/// Aggregates client stats into a curve point, excluding a warmup fraction
-/// of each client's transactions.
-pub fn aggregate(clients: usize, stats: &[Arc<Mutex<DbClientStats>>]) -> Point {
+/// A client's answered requests, oldest first, as `(sent, answered,
+/// committed)` — what the broadcast clients' [`ClientStats`] (every
+/// delivery counts as committed) and the database clients'
+/// [`DbClientStats`] have in common.
+pub trait History {
+    /// The answered requests so far.
+    fn history(&self) -> Vec<(VTime, VTime, bool)>;
+}
+
+impl History for ClientStats {
+    fn history(&self) -> Vec<(VTime, VTime, bool)> {
+        self.completed.iter().map(|&(s, d)| (s, d, true)).collect()
+    }
+}
+
+impl History for DbClientStats {
+    fn history(&self) -> Vec<(VTime, VTime, bool)> {
+        self.completed.clone()
+    }
+}
+
+/// The steady state of a closed-loop run as one curve point: committed
+/// requests over the span from the first counted submission to the last
+/// counted answer, and their mean latency. `skip_warmup` drops the first
+/// tenth of each client's answers (the ramp-up while queues fill).
+pub fn steady_state<S: History>(stats: &[Arc<Mutex<S>>], skip_warmup: bool) -> Point {
     let mut commits: Vec<(VTime, VTime)> = Vec::new();
-    let mut answered = 0usize;
-    let mut aborted = 0usize;
+    let mut counted = 0usize;
     for s in stats {
-        let s = s.lock();
-        let warmup = s.completed.len() / 10;
-        for (sent, done, committed) in s.completed.iter().skip(warmup) {
-            answered += 1;
-            if *committed {
-                commits.push((*sent, *done));
-            } else {
-                aborted += 1;
+        let completed = s.lock().history();
+        let warmup = if skip_warmup { completed.len() / 10 } else { 0 };
+        for (sent, done, committed) in completed.into_iter().skip(warmup) {
+            counted += 1;
+            if committed {
+                commits.push((sent, done));
             }
         }
     }
     if commits.is_empty() {
         return Point {
-            clients,
+            clients: stats.len(),
             throughput: 0.0,
             latency_ms: f64::NAN,
             abort_rate: 1.0,
@@ -53,11 +74,17 @@ pub fn aggregate(clients: usize, stats: &[Arc<Mutex<DbClientStats>>]) -> Point {
         .sum::<f64>()
         / commits.len() as f64;
     Point {
-        clients,
+        clients: stats.len(),
         throughput: commits.len() as f64 / span,
         latency_ms: mean_us / 1_000.0,
-        abort_rate: aborted as f64 / answered.max(1) as f64,
+        abort_rate: (counted - commits.len()) as f64 / counted as f64,
     }
+}
+
+/// Transactions answered so far across all clients, committed or not —
+/// the progress counter the recovery scenarios step the simulator by.
+pub fn answered(stats: &[Arc<Mutex<DbClientStats>>]) -> usize {
+    stats.iter().map(|s| s.lock().completed.len()).sum()
 }
 
 /// Bins commit instants into per-second counts over `[0, horizon_s)` — the
@@ -90,29 +117,74 @@ mod tests {
                 .into_iter()
                 .map(|(a, b, c)| (VTime::from_millis(a), VTime::from_millis(b), c))
                 .collect(),
-            results: Vec::new(),
+            ..DbClientStats::default()
+        };
+        Arc::new(Mutex::new(s))
+    }
+
+    /// The same history as a broadcast client records it (no abort flag).
+    fn tob_stats_with(completed: Vec<(u64, u64)>) -> Arc<Mutex<ClientStats>> {
+        let s = ClientStats {
+            completed: completed
+                .into_iter()
+                .map(|(a, b)| (VTime::from_millis(a), VTime::from_millis(b)))
+                .collect(),
             resends: 0,
-            redirects: 0,
         };
         Arc::new(Mutex::new(s))
     }
 
     #[test]
-    fn aggregate_computes_rate_and_latency() {
+    fn steady_state_computes_rate_and_latency() {
         // 10 commits, 100ms apart, each taking 20ms.
         let s = stats_with((0..10).map(|i| (i * 100, i * 100 + 20, true)).collect());
-        let p = aggregate(1, &[s]);
+        let p = steady_state(&[s], true);
         assert!((p.latency_ms - 20.0).abs() < 0.5, "{p:?}");
         // 9 post-warmup commits over ~0.92 s.
         assert!(p.throughput > 8.0 && p.throughput < 12.0, "{p:?}");
         assert_eq!(p.abort_rate, 0.0);
+        assert_eq!(p.clients, 1);
     }
 
     #[test]
     fn aborts_counted() {
         let s = stats_with(vec![(0, 10, true), (100, 110, false), (200, 210, true)]);
-        let p = aggregate(1, &[s]);
+        let p = steady_state(&[s], true);
         assert!((p.abort_rate - 1.0 / 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn warmup_skip_drops_each_clients_first_tenth() {
+        // 20 answers per client, one second apart, 10 ms each: skipping
+        // the warm-up drops two per client, so the span starts at t = 2 s.
+        let history = || (0..20).map(|i| (i * 1_000, i * 1_000 + 10));
+        let db = || stats_with(history().map(|(a, b)| (a, b, true)).collect());
+        let tob = || tob_stats_with(history().collect());
+        let (all, steady) = (
+            steady_state(&[db(), db()], false),
+            steady_state(&[db(), db()], true),
+        );
+        assert!((all.throughput - 40.0 / 19.01).abs() < 1e-9, "{all:?}");
+        assert!(
+            (steady.throughput - 36.0 / 17.01).abs() < 1e-9,
+            "{steady:?}"
+        );
+        assert_eq!(steady.clients, 2);
+        // Both stats shapes read the same numbers off the same history.
+        assert_eq!(all, steady_state(&[tob(), tob()], false));
+        assert_eq!(steady, steady_state(&[tob(), tob()], true));
+    }
+
+    #[test]
+    fn empty_history_is_a_zero_point() {
+        for p in [
+            steady_state(&[stats_with(vec![])], true),
+            steady_state(&[tob_stats_with(vec![])], true),
+            steady_state(&[stats_with(vec![(0, 10, false)])], false),
+        ] {
+            assert_eq!((p.clients, p.throughput, p.abort_rate), (1, 0.0, 1.0));
+            assert!(p.latency_ms.is_nan());
+        }
     }
 
     #[test]

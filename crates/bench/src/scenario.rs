@@ -1,0 +1,186 @@
+//! The deployments the experiments measure, each built in one place.
+//!
+//! An experiment module is a sweep plus its table; a `perf_smoke` gate row
+//! is one point of such a sweep at smoke size. Both call the functions
+//! here (or the experiment's own `run`), parameterised by what the callers
+//! differ in — seed, network, sizes, warm-up policy — so a gate can never
+//! drift from the sweep it summarises.
+
+use crate::cost::ShadowDbCost;
+use crate::measure::{answered, steady_state, Point};
+use parking_lot::Mutex;
+use shadowdb::deploy::{DeployOptions, PbrDeployment, SmrDeployment};
+use shadowdb::pbr::PbrOptions;
+use shadowdb::smr::{SmrReplica, SNAPSHOT_CHUNK_HEADER};
+use shadowdb::DbClientStats;
+use shadowdb_eventml::{Msg, Value};
+use shadowdb_loe::VTime;
+use shadowdb_runtime::Runtime;
+use shadowdb_simnet::testing::default_net;
+use shadowdb_simnet::{FnCost, NetworkConfig, SimBuilder};
+use shadowdb_sqldb::{Database, EngineProfile};
+use shadowdb_tob::{ClientStats, TobClient, TobDeployment, TobOptions};
+use shadowdb_workloads::bank;
+use std::sync::Arc;
+use std::time::Duration;
+
+/// Far beyond any run: a bound on scenarios that end by quiescence or
+/// completion, so a wedged one terminates.
+const HORIZON: VTime = VTime::from_secs(36_000);
+
+/// The offered load of a broadcast-service run.
+pub struct TobLoad {
+    /// Simulation seed.
+    pub seed: u64,
+    /// The simulated network.
+    pub net: NetworkConfig,
+    /// Closed-loop clients.
+    pub clients: u32,
+    /// Broadcasts per client.
+    pub msgs_each: u64,
+    /// Client retransmission timeout. It shows in the numbers: some
+    /// clients' first broadcast is delivered only by their resend
+    /// (ROADMAP item 1, open measurements), so it sets how far those
+    /// clients start behind the others.
+    pub client_timeout: Duration,
+    /// Whether client `c` prefers server `c mod machines` (spreading first
+    /// attempts over the machines) or every client starts at server 0.
+    pub spread: bool,
+    /// Whether the measurement drops each client's first tenth.
+    pub skip_warmup: bool,
+}
+
+/// Closed-loop clients broadcasting 140-byte payloads (as in the paper)
+/// through a broadcast service on a simulated network, run until every
+/// broadcast is delivered: delivered messages/s and mean
+/// broadcast-to-delivery latency.
+pub fn tob_closed_loop(load: TobLoad, options: &TobOptions) -> Point {
+    let mut sim = SimBuilder::new(load.seed).network(load.net).build();
+    // Clients take the first locations; the service deploys after them.
+    let servers = options.server_locs(load.clients);
+    let payload = Value::Bytes(bytes::Bytes::from(vec![0u8; 140]));
+    let mut stats = Vec::new();
+    let mut clients = Vec::new();
+    for c in 0..load.clients {
+        let s = Arc::new(Mutex::new(ClientStats::default()));
+        stats.push(s.clone());
+        let mut order = servers.clone();
+        if load.spread {
+            order.rotate_left(c as usize % servers.len());
+        }
+        let client = TobClient::new(order, payload.clone(), load.msgs_each, s)
+            .with_timeout(load.client_timeout);
+        clients.push(sim.add_node(Box::new(client)));
+    }
+    let deployment = TobDeployment::build(&mut sim, options, clients.clone());
+    assert_eq!(deployment.servers, servers);
+    for c in &clients {
+        sim.send_at(VTime::ZERO, *c, TobClient::start_msg());
+    }
+    sim.run_until_quiescent(HORIZON);
+    for s in &stats {
+        let delivered = s.lock().completed.len() as u64;
+        assert_eq!(delivered, load.msgs_each, "every broadcast must deliver");
+    }
+    steady_state(&stats, load.skip_warmup)
+}
+
+/// Deployment options for the bank micro-benchmark: `clients` closed-loop
+/// clients, client `i` submitting `txns_each` transactions drawn from
+/// `BankGen` seeded `gen_seed + i`, over `rows` 16-byte accounts.
+pub fn bank_options(rows: usize, clients: usize, txns_each: usize, gen_seed: u64) -> DeployOptions {
+    DeployOptions::new(
+        clients,
+        move |client| {
+            let mut g = bank::BankGen::new(gen_seed + client as u64, rows);
+            (0..txns_each).map(|_| g.next_txn()).collect()
+        },
+        move |db| bank::load(db, rows).expect("bank loads"),
+    )
+}
+
+/// Builds an unsharded deployment on a fresh simulated LAN — PBR when
+/// `pbr` is given, SMR otherwise — and runs it until the clients are
+/// done. With `deliver_us` the replicas additionally pay the
+/// [`ShadowDbCost`] request overheads (the paper-figure calibration);
+/// without it only the broadcast service's own mode cost applies.
+pub fn run_to_completion(
+    seed: u64,
+    options: &DeployOptions,
+    pbr: Option<PbrOptions>,
+    deliver_us: Option<u64>,
+) -> Vec<Arc<Mutex<DbClientStats>>> {
+    let mut sim = default_net(seed);
+    let (stats, tob, replicas) = match pbr {
+        Some(pbr) => {
+            let d = PbrDeployment::build(&mut sim, options, pbr);
+            (d.stats, d.tob, d.replicas)
+        }
+        None => {
+            let d = SmrDeployment::build(&mut sim, options);
+            (d.stats, d.tob, d.replicas)
+        }
+    };
+    if let Some(us) = deliver_us {
+        sim.set_cost_model(ShadowDbCost::new(options.mode, &tob, &replicas, us));
+    }
+    // Heartbeat and lease timers re-arm forever, so a deployment never
+    // goes quiet: stop once every client has all its answers.
+    let expected: usize = (0..options.n_clients)
+        .map(|i| (options.client_txns)(i).len())
+        .sum();
+    while answered(&stats) < expected {
+        assert!(sim.now() < HORIZON, "every transaction must be answered");
+        sim.run_for(Duration::from_secs(1));
+    }
+    stats
+}
+
+/// Streams `donor`'s database to a fresh joining replica over the actual
+/// SMR state-transfer path, charging `chunk_cost` of fixed handling per
+/// snapshot chunk; returns the virtual transfer time in seconds and the
+/// number of messages delivered.
+pub fn state_transfer(seed: u64, donor: SmrReplica, chunk_cost: Duration) -> (f64, u64) {
+    let mut sim = SimBuilder::new(seed)
+        .network(NetworkConfig::lan())
+        .cost_model(FnCost(move |_l, m: &Msg| {
+            if m.header.name() == SNAPSHOT_CHUNK_HEADER {
+                chunk_cost
+            } else {
+                Duration::ZERO
+            }
+        }))
+        .build();
+    let donor = sim.add_node(Box::new(donor));
+    let joiner = sim.add_node(Box::new(SmrReplica::joining(Database::new(
+        EngineProfile::h2(),
+    ))));
+    sim.send_at(VTime::ZERO, donor, SmrReplica::fetch_snapshot_msg(joiner));
+    let end = sim.run_until_quiescent(HORIZON);
+    (end.as_secs_f64(), sim.stats().delivered)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tob_scenario_is_deterministic_per_seed() {
+        let run = |seed| {
+            let load = TobLoad {
+                seed,
+                net: NetworkConfig::lan(),
+                clients: 3,
+                msgs_each: 5,
+                client_timeout: Duration::from_secs(5),
+                spread: true,
+                skip_warmup: false,
+            };
+            tob_closed_loop(load, &TobOptions::default())
+        };
+        let p = run(7);
+        assert_eq!(p, run(7));
+        assert_eq!((p.clients, p.abort_rate), (3, 0.0));
+        assert!(p.throughput > 0.0 && p.latency_ms > 0.0, "{p:?}");
+    }
+}

@@ -158,6 +158,18 @@ impl DeployOptions {
             probe: None,
         }
     }
+
+    /// The options of each group's broadcast service.
+    fn tob(&self) -> TobOptions {
+        TobOptions {
+            machines: self.machines,
+            backend: self.backend,
+            mode: self.mode,
+            max_batch: self.max_batch,
+            window: self.window,
+            ..TobOptions::default()
+        }
+    }
 }
 
 /// Where one replica group's nodes live: the broadcast servers (each
@@ -171,20 +183,14 @@ struct GroupLayout {
 
 impl GroupLayout {
     fn at(options: &DeployOptions, pbr: bool, base: u32) -> GroupLayout {
-        let per = match options.backend {
-            BackendKind::TwoThird => 2,
-            BackendKind::Paxos => 4,
-        };
         let n_replicas = if pbr {
             options.active_replicas as u32 + 1 // plus one spare
         } else {
             options.machines // one state machine per service machine
         };
-        let replica_base = base + options.machines * per;
+        let replica_base = base + options.machines * options.backend.procs_per_machine();
         GroupLayout {
-            servers: (0..options.machines)
-                .map(|i| Loc::new(base + i * per))
-                .collect(),
+            servers: options.tob().server_locs(base),
             replicas: (0..n_replicas)
                 .map(|i| Loc::new(replica_base + i))
                 .collect(),
@@ -235,18 +241,7 @@ fn build_group<R: Runtime + ?Sized>(
 ) -> ShardGroup {
     // PBR replicas subscribe for reconfigurations; SMR replicas *are* the
     // state machines and take every delivery.
-    let tob = TobDeployment::build(
-        rt,
-        &TobOptions {
-            machines: options.machines,
-            backend: options.backend,
-            mode: options.mode,
-            max_batch: options.max_batch,
-            window: options.window,
-            ..TobOptions::default()
-        },
-        layout.replicas.clone(),
-    );
+    let tob = TobDeployment::build(rt, &options.tob(), layout.replicas.clone());
     assert_eq!(tob.servers, layout.servers);
     let (members, spares) = layout
         .replicas

@@ -33,7 +33,6 @@
 //! # Ok::<(), shadowdb_sqldb::SqlError>(())
 //! ```
 
-pub mod connector;
 pub mod engine;
 pub mod expr;
 pub mod lock;
@@ -44,7 +43,6 @@ pub mod sql;
 pub mod table;
 pub mod value;
 
-pub use connector::{ConnUrl, Driver};
 pub use engine::{Database, ResultSet, Transaction};
 pub use lock::{LockGranularity, ShardScope};
 pub use profile::EngineProfile;

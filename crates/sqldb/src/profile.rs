@@ -157,19 +157,6 @@ impl EngineProfile {
             EngineProfile::derby(),
         ]
     }
-
-    /// Looks a profile up by its URL-ish name (the connector's
-    /// "driver + connection URL" plug-in point).
-    pub fn by_name(name: &str) -> Option<EngineProfile> {
-        match name {
-            "h2" => Some(EngineProfile::h2()),
-            "hsqldb" => Some(EngineProfile::hsqldb()),
-            "derby" => Some(EngineProfile::derby()),
-            "mysql-memory" => Some(EngineProfile::mysql_memory()),
-            "mysql-innodb" => Some(EngineProfile::innodb()),
-            _ => None,
-        }
-    }
 }
 
 impl Default for EngineProfile {
@@ -200,11 +187,5 @@ mod tests {
             LockGranularity::Table
         );
         assert_eq!(EngineProfile::innodb().granularity, LockGranularity::Row);
-    }
-
-    #[test]
-    fn lookup_by_name() {
-        assert_eq!(EngineProfile::by_name("h2"), Some(EngineProfile::h2()));
-        assert_eq!(EngineProfile::by_name("oracle"), None);
     }
 }

@@ -27,6 +27,17 @@ pub enum BackendKind {
     Paxos,
 }
 
+impl BackendKind {
+    /// Processes per service machine: the TOB server followed by its
+    /// co-located consensus roles.
+    pub fn procs_per_machine(self) -> u32 {
+        match self {
+            BackendKind::TwoThird => 2, // server + member
+            BackendKind::Paxos => 4,    // server + replica + leader + acceptor
+        }
+    }
+}
+
 /// Options for a broadcast-service deployment.
 #[derive(Clone, Debug)]
 pub struct TobOptions {
@@ -57,6 +68,17 @@ impl TobOptions {
             BackendKind::Paxos => 8,
             BackendKind::TwoThird => 1,
         })
+    }
+
+    /// Where [`TobDeployment::build`] places the TOB servers when the
+    /// runtime's next free location is `base` — a pure function of the
+    /// options, so clients added *before* the service can be told whom to
+    /// talk to.
+    pub fn server_locs(&self, base: u32) -> Vec<Loc> {
+        let per = self.backend.procs_per_machine();
+        (0..self.machines)
+            .map(|i| Loc::new(base + i * per))
+            .collect()
     }
 }
 
@@ -94,12 +116,8 @@ impl TobDeployment {
     ) -> TobDeployment {
         let base = rt.node_count();
         let m = options.machines;
-        let per = match options.backend {
-            BackendKind::TwoThird => 2, // server + member
-            BackendKind::Paxos => 4,    // server + replica + leader + acceptor
-        };
-        let server_loc = |i: u32| Loc::new(base + i * per);
-        let servers: Vec<Loc> = (0..m).map(server_loc).collect();
+        let per = options.backend.procs_per_machine();
+        let servers = options.server_locs(base);
         let service_locs: Vec<Loc> = (0..m * per).map(|k| Loc::new(base + k)).collect();
 
         match options.backend {
@@ -117,7 +135,7 @@ impl TobDeployment {
                     .with_max_batch(options.max_batch)
                     .with_window(options.effective_window());
                     let server = rt.add_node(options.mode.instantiate(&service_class(&tob_config)));
-                    debug_assert_eq!(server, server_loc(i));
+                    debug_assert_eq!(server, servers[i as usize]);
                     let member = rt.add_node_colocated(
                         options
                             .mode
@@ -147,7 +165,7 @@ impl TobDeployment {
                     .with_max_batch(options.max_batch)
                     .with_window(options.effective_window());
                     let server = rt.add_node(options.mode.instantiate(&service_class(&tob_config)));
-                    debug_assert_eq!(server, server_loc(i));
+                    debug_assert_eq!(server, servers[i as usize]);
                     let (replica, leader, acceptor) = paxos_roles(options.mode, &px_config);
                     let r = rt.add_node_colocated(replica, server);
                     let l = rt.add_node_colocated(leader, server);
@@ -213,17 +231,8 @@ mod tests {
             mode,
             ..TobOptions::default()
         };
-        // Reserve the client slot with a placeholder first? No: build the
-        // client after computing server locs — the deployment starts at
-        // loc 1 if we add the client first, so add the client first with
-        // the servers' locs computed from the plan.
-        let per = match backend {
-            BackendKind::TwoThird => 2,
-            BackendKind::Paxos => 4,
-        };
-        let servers: Vec<Loc> = (0..options.machines)
-            .map(|i| Loc::new(1 + i * per))
-            .collect();
+        // The client is added first, so the service deploys from loc 1.
+        let servers = options.server_locs(1);
         let client = TobClient::new(servers, Value::str("payload"), n_msgs, stats.clone());
         let added = sim.add_node(Box::new(client));
         assert_eq!(added, client_loc);
@@ -233,6 +242,31 @@ mod tests {
         sim.run_until_quiescent(VTime::from_secs(600));
         let out = stats.lock().clone();
         out
+    }
+
+    #[test]
+    fn server_locs_predicts_where_build_puts_the_servers() {
+        for backend in [BackendKind::TwoThird, BackendKind::Paxos] {
+            let mut sim = shadowdb_simnet::testing::default_net(3);
+            let options = TobOptions {
+                backend,
+                ..TobOptions::default()
+            };
+            // Five nodes ahead of the service: a non-zero base.
+            let stats = Arc::new(parking_lot::Mutex::new(ClientStats::default()));
+            for _ in 0..5 {
+                let idle = TobClient::new(options.server_locs(5), Value::Unit, 0, stats.clone());
+                sim.add_node(Box::new(idle));
+            }
+            let predicted = options.server_locs(sim.node_count());
+            let deployment = TobDeployment::build(&mut sim, &options, vec![]);
+            assert_eq!(predicted, deployment.servers, "{backend:?}");
+            assert_eq!(
+                deployment.service_locs.len() as u32,
+                options.machines * backend.procs_per_machine(),
+                "{backend:?}"
+            );
+        }
     }
 
     #[test]

@@ -22,13 +22,7 @@ fn run_over_tcp(backend: BackendKind, n_msgs: u64) -> ClientStats {
         mode: ExecutionMode::Compiled,
         ..TobOptions::default()
     };
-    let per = match backend {
-        BackendKind::TwoThird => 2,
-        BackendKind::Paxos => 4,
-    };
-    let servers: Vec<Loc> = (0..options.machines)
-        .map(|i| Loc::new(1 + i * per))
-        .collect();
+    let servers = options.server_locs(1);
     let client = TobClient::new(servers, Value::str("payload"), n_msgs, stats.clone());
     let added = net.add_node(Box::new(client));
     assert_eq!(added, client_loc);

@@ -50,14 +50,14 @@ fn run(
 
     // Plan client and server locations: clients follow the two subscribers,
     // the deployment follows the clients.
-    let per = match backend {
-        BackendKind::TwoThird => 2,
-        BackendKind::Paxos => 4,
+    let options = TobOptions {
+        backend,
+        mode: ExecutionMode::Compiled,
+        max_batch,
+        machines: 3,
+        ..TobOptions::default()
     };
-    let first_server = 2 + n_clients;
-    let servers: Vec<Loc> = (0..3u32)
-        .map(|i| Loc::new(first_server + i * per))
-        .collect();
+    let servers = options.server_locs(2 + n_clients);
 
     let mut stats = Vec::new();
     let mut client_locs = Vec::new();
@@ -73,13 +73,6 @@ fn run(
 
     let mut subscribers = vec![sub_a, sub_b];
     subscribers.extend(client_locs.iter().copied());
-    let options = TobOptions {
-        backend,
-        mode: ExecutionMode::Compiled,
-        max_batch,
-        machines: 3,
-        ..TobOptions::default()
-    };
     let deployment = TobDeployment::build(&mut sim, &options, subscribers);
     assert_eq!(deployment.servers, servers);
 
