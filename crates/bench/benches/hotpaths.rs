@@ -4,22 +4,24 @@
 //! * `opt_speedup/*` — interpreted vs fused evaluation of the same
 //!   specification (the paper's program optimizer is worth "a factor of
 //!   two or more");
-//! * `consensus/*` — a full hand-coded Paxos decision round vs the
-//!   spec-generated one;
+//! * `consensus/*` — a full Paxos decision round in each of the three
+//!   execution modes' programs, all derived from the one Synod description;
+//! * `tob/*` — one broadcast-service step pair (submission, then the
+//!   decision that delivers it) in each mode;
 //! * `sqldb/*` — point operations of the SQL engine;
 //! * `transfer/*` — state-transfer batch encode/decode.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkGroup, Criterion};
+use shadowdb_bench::scenario::{form, SynodRounds, TobSteps};
 use shadowdb_consensus::twothird::{propose_msg, TwoThird, TwoThirdConfig};
-use shadowdb_consensus::{handcoded, synod};
 use shadowdb_eventml::optimize::optimize;
 use shadowdb_eventml::{
     clk, ClassExpr, Ctx, HandlerFn, InterpretedProcess, Msg, Process, SendInstr, UpdateFn, Value,
 };
 use shadowdb_loe::Loc;
 use shadowdb_sqldb::{Database, EngineProfile, RowBatch};
+use shadowdb_tob::ExecutionMode;
 use shadowdb_workloads::bank;
-use std::collections::VecDeque;
 
 /// Benchmarks a fresh process from `make` stepped through `msgs`, driven
 /// the way the runtimes drive processes: `step_into` with a caller-owned
@@ -91,96 +93,31 @@ fn bench_opt_speedup(c: &mut Criterion) {
     g.finish();
 }
 
-/// Runs one command through a complete in-memory Synod deployment until
-/// the learner hears the decision.
-fn synod_round(procs: &mut [(Loc, Box<dyn Process>)], cmd: Value) -> usize {
-    let mut queue: VecDeque<(Loc, Msg)> = VecDeque::from([(Loc::new(0), synod::request_msg(cmd))]);
-    let mut outs: Vec<SendInstr> = Vec::new();
-    let mut hops = 0;
-    while let Some((dest, msg)) = queue.pop_front() {
-        hops += 1;
-        if dest == Loc::new(100) {
-            continue;
-        }
-        if let Some((_, p)) = procs.iter_mut().find(|(l, _)| *l == dest) {
-            outs.clear();
-            p.step_into(&Ctx::at(dest), &msg, &mut outs);
-            for o in outs.drain(..) {
-                queue.push_back((o.dest, o.msg));
-            }
-        }
-    }
-    hops
-}
-
 fn bench_consensus(c: &mut Criterion) {
     let mut g = c.benchmark_group("consensus");
-    let config = synod::SynodConfig {
-        replicas: vec![Loc::new(0)],
-        leaders: vec![Loc::new(1)],
-        acceptors: vec![Loc::new(2), Loc::new(3), Loc::new(4)],
-        learners: vec![Loc::new(100)],
-    };
-    g.bench_function("handcoded_round", |b| {
-        b.iter_batched(
-            || {
-                let mut procs = handcoded::deployment(&config);
-                synod_round(&mut procs, Value::str("warm")); // adopt a ballot
-                procs
-            },
-            |mut procs| {
-                synod_round(&mut procs, Value::str("cmd"));
-                procs
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    // The generated program as deployed: the optimizer's fused output
-    // (interpreted-vs-fused for the same specs is covered by opt_speedup).
-    g.bench_function("generated_round", |b| {
-        b.iter_batched(
-            || {
-                let mut procs: Vec<(Loc, Box<dyn Process>)> = vec![
-                    (
-                        Loc::new(0),
-                        Box::new(optimize(&synod::replica_class(&config))),
-                    ),
-                    (
-                        Loc::new(1),
-                        Box::new(optimize(&synod::leader_class(&config))),
-                    ),
-                ];
-                for a in &config.acceptors {
-                    procs.push((*a, Box::new(optimize(&synod::acceptor_class(&config)))));
-                }
-                let mut procs = {
-                    // Kick the leader's first scout.
-                    let (l, p) = &mut procs[1];
-                    for o in p.step(&Ctx::at(*l), &synod::start_msg()) {
-                        let dest = o.dest;
-                        let msg = o.msg;
-                        // Deliver scout messages inline.
-                        if let Some((_, q)) = procs.iter_mut().find(|(x, _)| *x == dest) {
-                            for o2 in q.step(&Ctx::at(dest), &msg) {
-                                let d2 = o2.dest;
-                                if let Some((_, r)) = procs.iter_mut().find(|(x, _)| *x == d2) {
-                                    r.step(&Ctx::at(d2), &o2.msg);
-                                }
-                            }
-                        }
-                    }
-                    procs
-                };
-                synod_round(&mut procs, Value::str("warm"));
-                procs
-            },
-            |mut procs| {
-                synod_round(&mut procs, Value::str("cmd"));
-                procs
-            },
-            BatchSize::LargeInput,
-        )
-    });
+    for mode in ExecutionMode::ALL {
+        g.bench_function(&format!("{}_round", form(mode)), |b| {
+            b.iter_batched(
+                || SynodRounds::warm(mode),
+                |mut synod| {
+                    synod.decide(Value::str("cmd"));
+                    synod
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    g.finish();
+}
+
+fn bench_tob(c: &mut Criterion) {
+    let mut g = c.benchmark_group("tob");
+    for mode in ExecutionMode::ALL {
+        let mut server = TobSteps::new(mode);
+        g.bench_function(&format!("service_step_{}", form(mode)), |b| {
+            b.iter(|| server.submit_and_deliver())
+        });
+    }
     g.finish();
 }
 
@@ -237,6 +174,7 @@ criterion_group!(
     benches,
     bench_opt_speedup,
     bench_consensus,
+    bench_tob,
     bench_sqldb,
     bench_transfer
 );

@@ -1,17 +1,19 @@
 //! Allocation profile of the per-message hot paths: counts heap
-//! allocations (and bytes) per step for the interpreted and fused forms of
-//! the shipped specifications. A development aid for keeping the fused
-//! path allocation-light; run with
+//! allocations (and bytes) per step for the interpreted, fused and compiled
+//! forms of the shipped specifications. A development aid for keeping the
+//! fused and compiled paths allocation-light; run with
 //! `cargo run --release -p shadowdb-bench --bin alloc_profile`.
 //!
 //! The one binary beside the experiment runner: it installs a counting
 //! `#[global_allocator]`, which is process-wide, so it cannot share a
 //! process with experiments whose numbers must not pay for the counters.
 
+use shadowdb_bench::scenario::{form, SynodRounds, TobSteps};
 use shadowdb_consensus::twothird::{propose_msg, TwoThird, TwoThirdConfig};
 use shadowdb_eventml::optimize::optimize;
 use shadowdb_eventml::{clk, Ctx, InterpretedProcess, Process, SendInstr, Value};
 use shadowdb_loe::Loc;
+use shadowdb_tob::ExecutionMode;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -57,9 +59,34 @@ fn measure<F: FnMut()>(label: &str, steps: u64, mut f: F) {
     );
 }
 
+/// The steady-state rows of the two protocols every default deployment
+/// runs, in the fused and the compiled form.
+fn deployed_protocols() {
+    let modes = [ExecutionMode::InterpretedOpt, ExecutionMode::Compiled];
+    for mode in modes {
+        let mut synod = SynodRounds::warm(mode);
+        let mut cmd = 0i64;
+        measure(&format!("synod/{}_steady", form(mode)), 16 * 9, || {
+            for _ in 0..16 {
+                cmd += 1;
+                synod.decide(Value::Int(cmd));
+            }
+        });
+    }
+    for mode in modes {
+        let mut server = TobSteps::new(mode);
+        measure(&format!("tob/{}_steady", form(mode)), 2 * 64, || {
+            for _ in 0..64 {
+                server.submit_and_deliver();
+            }
+        });
+    }
+}
+
 fn main() {
     let config = TwoThirdConfig::new(Loc::first_n(3), vec![Loc::new(100)]).with_auto_adopt();
-    let class = TwoThird::new(config).class();
+    let member = TwoThird::new(config).member();
+    let class = member.class();
     let msgs: Vec<_> = (0..8).map(|i| propose_msg(i, Value::Int(i))).collect();
     let ctx = Ctx::at(Loc::new(0));
     let mut out: Vec<SendInstr> = Vec::with_capacity(16);
@@ -88,6 +115,17 @@ fn main() {
             i += 1;
         }
     });
+
+    let mut p = member.process();
+    let mut i = 0i64;
+    measure("twothird/compiled_steady", 64, || {
+        for _ in 0..64 {
+            out.clear();
+            p.step_into(&ctx, &propose_msg(i, Value::Int(i)), &mut out);
+            i += 1;
+        }
+    });
+    deployed_protocols();
 
     let clk_class = clk::handler_class(clk::ring_handle(3));
     let clk_msg = clk::clk_msg(Value::Int(0), 3);

@@ -4,7 +4,9 @@
 //! is one point of such a sweep at smoke size. Both call the functions
 //! here (or the experiment's own `run`), parameterised by what the callers
 //! differ in — seed, network, sizes, warm-up policy — so a gate can never
-//! drift from the sweep it summarises.
+//! drift from the sweep it summarises. The hand-stepped protocol hot
+//! paths the criterion benches and `alloc_profile` share ([`SynodRounds`],
+//! [`TobSteps`]) are here for the same reason.
 
 use crate::cost::ShadowDbCost;
 use crate::measure::{answered, steady_state, Point};
@@ -13,14 +15,19 @@ use shadowdb::deploy::{DeployOptions, PbrDeployment, SmrDeployment};
 use shadowdb::pbr::PbrOptions;
 use shadowdb::smr::{SmrReplica, SNAPSHOT_CHUNK_HEADER};
 use shadowdb::DbClientStats;
-use shadowdb_eventml::{Msg, Value};
-use shadowdb_loe::VTime;
+use shadowdb_consensus::{decide_body, synod, DECIDE_HEADER};
+use shadowdb_eventml::{Ctx, Msg, Process, SendInstr, Value};
+use shadowdb_loe::{Loc, VTime};
 use shadowdb_runtime::Runtime;
 use shadowdb_simnet::testing::default_net;
 use shadowdb_simnet::{FnCost, NetworkConfig, SimBuilder};
 use shadowdb_sqldb::{Database, EngineProfile};
-use shadowdb_tob::{ClientStats, TobClient, TobDeployment, TobOptions};
+use shadowdb_tob::service::{service, Backend};
+use shadowdb_tob::{
+    broadcast_msg, ClientStats, ExecutionMode, TobClient, TobConfig, TobDeployment, TobOptions,
+};
 use shadowdb_workloads::bank;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -158,6 +165,114 @@ pub fn state_transfer(seed: u64, donor: SmrReplica, chunk_cost: Duration) -> (f6
     sim.send_at(VTime::ZERO, donor, SmrReplica::fetch_snapshot_msg(joiner));
     let end = sim.run_until_quiescent(HORIZON);
     (end.as_secs_f64(), sim.stats().delivered)
+}
+
+/// What the hot-path tables (criterion rows, `alloc_profile`) call the
+/// program an execution mode runs.
+pub fn form(mode: ExecutionMode) -> &'static str {
+    match mode {
+        ExecutionMode::Interpreted => "interpreted",
+        ExecutionMode::InterpretedOpt => "fused",
+        ExecutionMode::Compiled => "compiled",
+    }
+}
+
+/// A warm in-memory Synod deployment in one execution mode — one replica
+/// (loc 0), one leader (loc 1), three acceptors (locs 2–4), learner at
+/// loc 100 — stepped by hand, FIFO: what the criterion `consensus` rows
+/// and `alloc_profile`'s `synod` rows measure.
+pub struct SynodRounds {
+    procs: Vec<Box<dyn Process>>,
+    queue: VecDeque<(Loc, Msg)>,
+    out: Vec<SendInstr>,
+}
+
+impl SynodRounds {
+    /// Builds the roles through [`ExecutionMode::instantiate`], lets the
+    /// leader get its ballot adopted and decides one command.
+    pub fn warm(mode: ExecutionMode) -> SynodRounds {
+        let config = synod::SynodConfig {
+            replicas: vec![Loc::new(0)],
+            leaders: vec![Loc::new(1)],
+            acceptors: (2..5).map(Loc::new).collect(),
+            learners: vec![Loc::new(100)],
+        };
+        let mut procs = vec![
+            mode.instantiate(&synod::replica(&config)),
+            mode.instantiate(&synod::leader(&config)),
+        ];
+        procs.extend((0..3).map(|_| mode.instantiate(&synod::acceptor())));
+        let mut rounds = SynodRounds {
+            procs,
+            queue: VecDeque::new(),
+            out: Vec::new(),
+        };
+        rounds.drain(Loc::new(1), synod::start_msg());
+        // Nine steps a round: request, propose, 3 × p2a, 3 × p2b, decision.
+        assert_eq!(rounds.decide(Value::str("warm")), 9);
+        rounds
+    }
+
+    /// Submits `cmd` to the replica and runs the deployment until the
+    /// learner has its decision; returns the steps taken.
+    pub fn decide(&mut self, cmd: Value) -> usize {
+        self.drain(Loc::new(0), synod::request_msg(cmd))
+    }
+
+    fn drain(&mut self, dest: Loc, msg: Msg) -> usize {
+        self.queue.push_back((dest, msg));
+        let mut steps = 0;
+        while let Some((dest, msg)) = self.queue.pop_front() {
+            if let Some(p) = self.procs.get_mut(dest.index() as usize) {
+                steps += 1;
+                self.out.clear();
+                p.step_into(&Ctx::at(dest), &msg, &mut self.out);
+                self.queue
+                    .extend(self.out.drain(..).map(|o| (o.dest, o.msg)));
+            }
+        }
+        steps
+    }
+}
+
+/// One long-lived broadcast server (Paxos backend, window 8, three
+/// subscribers) in one execution mode, stepped by hand in steady state:
+/// eight clients take turns, each submission is proposed at once and the
+/// decision for its batch delivers it. The criterion `tob` rows and
+/// `alloc_profile`'s `tob` rows.
+pub struct TobSteps {
+    server: Box<dyn Process>,
+    out: Vec<SendInstr>,
+    slot: i64,
+}
+
+impl TobSteps {
+    /// Builds the server through [`ExecutionMode::instantiate`].
+    pub fn new(mode: ExecutionMode) -> TobSteps {
+        let replica = Loc::new(1);
+        let config = TobConfig::new(Backend::Paxos { replica }, (40..43).map(Loc::new).collect())
+            .with_window(8);
+        TobSteps {
+            server: mode.instantiate(&service(&config)),
+            out: Vec::new(),
+            slot: 0,
+        }
+    }
+
+    /// Two steps: the next client's submission, then the decision that
+    /// delivers it. Returns the number of delivery notifications.
+    pub fn submit_and_deliver(&mut self) -> usize {
+        let ctx = Ctx::at(Loc::new(0));
+        let client = Loc::new(50 + (self.slot % 8) as u32);
+        self.out.clear();
+        let submission = broadcast_msg(client, self.slot / 8, Value::Unit);
+        self.server.step_into(&ctx, &submission, &mut self.out);
+        let decide = Msg::new(DECIDE_HEADER, decide_body(self.slot, &self.out[0].msg.body));
+        self.out.clear();
+        self.server.step_into(&ctx, &decide, &mut self.out);
+        self.slot += 1;
+        self.out.len()
+    }
 }
 
 #[cfg(test)]

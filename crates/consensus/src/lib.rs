@@ -11,21 +11,23 @@
 //!   *Paxos Made Moderately Complex* (replicas, leaders with scout and
 //!   commander sub-roles, acceptors); tolerates a minority of crash
 //!   failures among acceptors.
-//! * [`handcoded`] — a hand-written native Paxos used as the performance
-//!   baseline the paper mentions ("performance remains one order of
-//!   magnitude slower than a hand-coded Paxos").
 //!
-//! All protocol state machines are Mealy specifications
-//! ([`shadowdb_eventml::patterns::mealy`]); their safety properties are
-//! checked exhaustively on small instances by `shadowdb-mck` (see
-//! `tests/safety.rs`) — including the *Paxos Made Live* disk-corruption
-//! scenario, where an acceptor that forgets its promises breaks agreement.
+//! All protocol state machines are Mealy descriptions
+//! ([`shadowdb_eventml::patterns::Mealy`]): each role's transition is
+//! written once, over typed state, and every program that runs — the
+//! interpreted class, the optimizer's fused program and the compiled native
+//! process — is derived from it, so there is no hand-written twin of any
+//! protocol to keep in step (the all-forms bisimulation in
+//! `tests/three_form_bisim.rs` checks the derivations against each other).
+//! Their safety properties are checked exhaustively on small instances by
+//! `shadowdb-mck` (see `tests/safety.rs`) — including the *Paxos Made Live*
+//! disk-corruption scenario, where an acceptor that forgets its promises
+//! breaks agreement.
 //!
 //! Every protocol here is **multi-instance**: messages carry an instance
 //! (slot) number and each process multiplexes per-instance state, which is
 //! what lets the broadcast service run one consensus per slot.
 
-pub mod handcoded;
 pub mod synod;
 pub mod twothird;
 pub mod vmap;

@@ -21,10 +21,9 @@
 
 use crate::vmap;
 use crate::{decide_body, DECIDE_HEADER};
-use shadowdb_eventml::patterns::{mealy, tagged_union};
-use shadowdb_eventml::{cached_header, ClassExpr, Msg, SendInstr, Spec, Value};
+use shadowdb_eventml::patterns::Mealy;
+use shadowdb_eventml::{cached_header, ClassExpr, Header, Msg, SendInstr, Spec, Value};
 use shadowdb_loe::Loc;
-use std::sync::Arc;
 
 /// Header of a proposal submission: body `<instance, value>`.
 pub const PROPOSE_HEADER: &str = "tt/propose";
@@ -152,88 +151,90 @@ impl TwoThird {
 
     /// The main class of the specification.
     pub fn class(&self) -> ClassExpr {
+        self.member().class()
+    }
+
+    /// The member state machine. Its state is the instance table
+    /// `instance -> Inst` kept in canonical form (a [`vmap`]): a transition
+    /// touches one instance, so only that entry is decoded and re-encoded.
+    pub fn member(&self) -> Mealy<Value> {
         let config = self.config.clone();
-        mealy(
+        Mealy::new(
             "tt_transition",
             // Declared weight approximating the transition's AST size (the
             // EventML source of TwoThird in the paper is 646 nodes total).
             560,
+            &[PROPOSE_HEADER, VOTE_HEADER, INTERNAL_DECIDE_HEADER],
             vmap::empty(),
-            tagged_union(&[PROPOSE_HEADER, VOTE_HEADER, INTERNAL_DECIDE_HEADER]),
-            Arc::new(move |slf, input, state| transition(&config, slf, input, state)),
+            move |slf, header, body, state, outs| {
+                transition(&config, slf, header, body, state, outs)
+            },
         )
     }
 }
 
-/// One protocol transition: dispatch on the tagged input, update the
-/// instance state, emit sends.
+/// One protocol transition: dispatch on the header, update the instance
+/// state, emit sends.
 fn transition(
     config: &TwoThirdConfig,
     slf: Loc,
-    input: &Value,
-    state: &Value,
-) -> (Value, Vec<SendInstr>) {
-    let (tag, body) = input.unpair();
+    header: Header,
+    body: &Value,
+    state: &mut Value,
+    outs: &mut Vec<SendInstr>,
+) {
     let (inst_v, payload) = body.unpair();
     let instance = inst_v.int();
     let mut inst = vmap::get(state, inst_v)
         .map(Inst::from_value)
         .unwrap_or_default();
-    let mut outs = Vec::new();
 
-    match tag.as_str().expect("tagged input") {
-        PROPOSE_HEADER => {
-            if let Some(v) = &inst.decided {
-                // A proposal for an already-decided instance: repeat the
-                // decision so the proposer's server learns it lost the slot.
-                notify_learners(config, instance, &v.clone(), &mut outs);
-            } else if !inst.proposed {
+    if header == cached_header!(PROPOSE_HEADER) {
+        if let Some(v) = &inst.decided {
+            // A proposal for an already-decided instance: repeat the
+            // decision so the proposer's server learns it lost the slot.
+            notify_learners(config, instance, v, outs);
+        } else if !inst.proposed {
+            inst.proposed = true;
+            inst.round = 1;
+            inst.est = payload.clone();
+            inst.record_vote(1, slf, payload.clone());
+            broadcast_vote(config, slf, instance, 1, payload, outs);
+            advance(config, slf, instance, &mut inst, outs);
+        }
+    } else if header == cached_header!(VOTE_HEADER) {
+        let (round, rest) = payload.unpair();
+        let (voter, value) = rest.unpair();
+        if let Some(v) = &inst.decided {
+            // Help a laggard: repeat the decision to the voter.
+            outs.push(SendInstr::now(
+                voter.loc(),
+                Msg::new(
+                    cached_header!(INTERNAL_DECIDE_HEADER),
+                    Value::pair(Value::Int(instance), v.clone()),
+                ),
+            ));
+        } else {
+            inst.record_vote(round.int(), voter.loc(), value.clone());
+            if config.auto_adopt && !inst.proposed {
+                // Adopt the received value as our own proposal so the
+                // instance can reach its vote quorum.
                 inst.proposed = true;
                 inst.round = 1;
-                inst.est = payload.clone();
-                inst.record_vote(1, slf, payload.clone());
-                broadcast_vote(config, slf, instance, 1, payload, &mut outs);
-                advance(config, slf, instance, &mut inst, &mut outs);
+                inst.est = value.clone();
+                inst.record_vote(1, slf, value.clone());
+                broadcast_vote(config, slf, instance, 1, value, outs);
             }
+            advance(config, slf, instance, &mut inst, outs);
         }
-        VOTE_HEADER => {
-            let (round, rest) = payload.unpair();
-            let (voter, value) = rest.unpair();
-            if inst.decided.is_some() {
-                // Help a laggard: repeat the decision to the voter.
-                let v = inst.decided.clone().expect("checked");
-                outs.push(SendInstr::now(
-                    voter.loc(),
-                    Msg::new(
-                        cached_header!(INTERNAL_DECIDE_HEADER),
-                        Value::pair(Value::Int(instance), v),
-                    ),
-                ));
-            } else {
-                inst.record_vote(round.int(), voter.loc(), value.clone());
-                if config.auto_adopt && !inst.proposed {
-                    // Adopt the received value as our own proposal so the
-                    // instance can reach its vote quorum.
-                    inst.proposed = true;
-                    inst.round = 1;
-                    inst.est = value.clone();
-                    inst.record_vote(1, slf, value.clone());
-                    broadcast_vote(config, slf, instance, 1, value, &mut outs);
-                }
-                advance(config, slf, instance, &mut inst, &mut outs);
-            }
-        }
-        INTERNAL_DECIDE_HEADER => {
-            if inst.decided.is_none() {
-                inst.decided = Some(payload.clone());
-                inst.est = payload.clone();
-                notify_learners(config, instance, payload, &mut outs);
-            }
-        }
-        other => panic!("unexpected tag {other}"),
+    } else if inst.decided.is_none() {
+        // INTERNAL_DECIDE.
+        inst.decided = Some(payload.clone());
+        inst.est = payload.clone();
+        notify_learners(config, instance, payload, outs);
     }
 
-    (vmap::set(state, inst_v.clone(), inst.to_value()), outs)
+    *state = vmap::set(state, inst_v.clone(), inst.to_value());
 }
 
 /// Advances rounds while a quorum is available; decides when possible.

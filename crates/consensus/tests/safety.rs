@@ -9,9 +9,9 @@
 //! the *Paxos Made Live* disk-corruption regression, where the checker
 //! finds the agreement violation an amnesiac acceptor causes.
 
+use shadowdb_consensus::parse_decide;
 use shadowdb_consensus::synod::{self, SynodConfig};
 use shadowdb_consensus::twothird::{propose_msg, TwoThird, TwoThirdConfig};
-use shadowdb_consensus::{handcoded, parse_decide};
 use shadowdb_eventml::process::HasherAdapter;
 use shadowdb_eventml::{Ctx, InterpretedProcess, Msg, Process, SendInstr, Value};
 use shadowdb_loe::Loc;
@@ -46,6 +46,11 @@ fn tt_invariant(proposed: &'static [i64]) -> impl Fn(&World) -> Result<(), Strin
 fn tt_member(n: u32) -> Box<dyn Process> {
     let config = TwoThirdConfig::new(Loc::first_n(n), vec![Loc::new(100)]);
     Box::new(InterpretedProcess::compile(&TwoThird::new(config).class()))
+}
+
+/// The acceptor as deployed: the specification's compiled form.
+fn acceptor() -> Box<dyn Process> {
+    Box::new(synod::acceptor().process())
 }
 
 /// TwoThird with n = 3 and split proposals: agreement and validity hold in
@@ -136,12 +141,12 @@ fn synod_per_slot_agreement_under_all_interleavings() {
         learners: vec![Loc::new(100)],
     };
     let procs: Vec<Box<dyn Process>> = vec![
-        Box::new(handcoded::HandReplica::new(config.clone())),
-        Box::new(handcoded::HandReplica::new(config.clone())),
-        Box::new(handcoded::HandLeader::new(config.clone())),
-        Box::new(handcoded::HandAcceptor::new()),
-        Box::new(handcoded::HandAcceptor::new()),
-        Box::new(handcoded::HandAcceptor::new()),
+        Box::new(synod::replica(&config).process()),
+        Box::new(synod::replica(&config).process()),
+        Box::new(synod::leader(&config).process()),
+        acceptor(),
+        acceptor(),
+        acceptor(),
     ];
     let spec = Spec {
         procs,
@@ -186,21 +191,19 @@ fn synod_per_slot_agreement_under_all_interleavings() {
 /// participating — exactly the failure mode of the buggy Google extension
 /// described in Sec. II-D of the paper.
 struct AmnesiacAcceptor {
-    inner: handcoded::HandAcceptor,
+    inner: Box<dyn Process>,
 }
 
 impl AmnesiacAcceptor {
     fn new() -> AmnesiacAcceptor {
-        AmnesiacAcceptor {
-            inner: handcoded::HandAcceptor::new(),
-        }
+        AmnesiacAcceptor { inner: acceptor() }
     }
 }
 
 impl Process for AmnesiacAcceptor {
     fn step_into(&mut self, ctx: &Ctx, msg: &Msg, out: &mut Vec<SendInstr>) {
         if msg.header.name() == "corrupt" {
-            self.inner = handcoded::HandAcceptor::new();
+            self.inner = acceptor();
             return;
         }
         self.inner.step_into(ctx, msg, out)
@@ -301,20 +304,14 @@ fn corruption_scenario(faulty: bool) -> Scripted {
     let mid: Box<dyn Process> = if faulty {
         Box::new(AmnesiacAcceptor::new())
     } else {
-        Box::new(handcoded::HandAcceptor::new())
+        acceptor()
     };
     let procs: Vec<(Loc, Box<dyn Process>)> = vec![
-        (
-            Loc::new(0),
-            Box::new(handcoded::HandLeader::new(config.clone())),
-        ),
-        (
-            Loc::new(1),
-            Box::new(handcoded::HandLeader::new(config.clone())),
-        ),
-        (Loc::new(2), Box::new(handcoded::HandAcceptor::new())),
+        (Loc::new(0), Box::new(synod::leader(&config).process())),
+        (Loc::new(1), Box::new(synod::leader(&config).process())),
+        (Loc::new(2), acceptor()),
         (Loc::new(3), mid),
-        (Loc::new(4), Box::new(handcoded::HandAcceptor::new())),
+        (Loc::new(4), acceptor()),
     ];
     let l0 = Loc::new(0);
     let l1 = Loc::new(1);

@@ -7,7 +7,7 @@
 
 use parking_lot::Mutex;
 use shadowdb_consensus::twothird::{propose_msg, TwoThird, TwoThirdConfig};
-use shadowdb_consensus::{handcoded, parse_decide, synod};
+use shadowdb_consensus::{parse_decide, synod};
 use shadowdb_eventml::{Ctx, FnProcess, InterpretedProcess, Msg, Process, Value};
 use shadowdb_loe::{Loc, VTime};
 use shadowdb_simnet::{Latency, NetworkConfig, SimBuilder};
@@ -108,15 +108,15 @@ fn synod_with_competing_leaders_across_seeds() {
             learners: vec![learner_loc],
         };
         for r in &config.replicas {
-            let loc = sim.add_node(Box::new(handcoded::HandReplica::new(config.clone())));
+            let loc = sim.add_node(Box::new(synod::replica(&config).process()));
             assert_eq!(loc, *r);
         }
         for l in &config.leaders {
-            let loc = sim.add_node(Box::new(handcoded::HandLeader::new(config.clone())));
+            let loc = sim.add_node(Box::new(synod::leader(&config).process()));
             assert_eq!(loc, *l);
         }
         for a in &config.acceptors {
-            let loc = sim.add_node(Box::new(handcoded::HandAcceptor::new()));
+            let loc = sim.add_node(Box::new(synod::acceptor().process()));
             assert_eq!(loc, *a);
         }
         // Both leaders start: ballots compete, preemption exercises the
@@ -169,10 +169,10 @@ fn synod_survives_minority_acceptor_crashes() {
         acceptors: (3..8).map(Loc::new).collect(),
         learners: vec![learner_loc],
     };
-    sim.add_node(Box::new(handcoded::HandReplica::new(config.clone())));
-    sim.add_node(Box::new(handcoded::HandLeader::new(config.clone())));
+    sim.add_node(Box::new(synod::replica(&config).process()));
+    sim.add_node(Box::new(synod::leader(&config).process()));
     for _ in 0..5 {
-        sim.add_node(Box::new(handcoded::HandAcceptor::new()));
+        sim.add_node(Box::new(synod::acceptor().process()));
     }
     sim.send_at(VTime::ZERO, config.leaders[0], synod::start_msg());
     for i in 0..40 {

@@ -913,14 +913,6 @@ impl ShardedDeployment {
         self.stats.iter().map(|s| s.lock().committed()).sum()
     }
 
-    /// Every replica location, flattened in shard order.
-    pub fn all_replicas(&self) -> Vec<Loc> {
-        self.groups
-            .iter()
-            .flat_map(|g| g.replicas.clone())
-            .collect()
-    }
-
     /// Shard group `group`'s place in the deployment: what a joiner — or a
     /// replica rebooted from its disk — must be built with to take part
     /// in cross-shard 2PC.

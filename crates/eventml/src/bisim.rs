@@ -104,37 +104,45 @@ pub fn check_complies_with_loe(expr: &ClassExpr, slf: Loc, msgs: &[Msg]) -> Resu
     Ok(())
 }
 
-/// Checks that the **three program forms** of `expr` — interpreted (tree
-/// walk), fused-linear (flat op list, no dispatch table), and dispatch-fused
-/// (header-indexed op slices) — produce identical output bags over the whole
-/// message stream.
+/// Checks that **every program form** of a specification produces identical
+/// output bags over the whole message stream: the three forms of `expr` —
+/// interpreted (tree walk), fused-linear (flat op list, no dispatch table)
+/// and dispatch-fused (header-indexed op slices) — and, when the
+/// specification is a [`crate::patterns::Mealy`] description, the
+/// `compiled` native process lowered from it.
 ///
-/// This is the executable form of the optimizer's correctness argument: the
-/// dispatch table may only *skip* ops whose recognizers cannot fire on the
-/// incoming header, so a dispatch-fused step must equal a full linear walk,
-/// which in turn must equal the interpreted tree.
-pub fn check_three_forms(expr: &ClassExpr, slf: Loc, msgs: &[Msg]) -> Result<(), Divergence> {
+/// This is the executable form of two correctness arguments. The
+/// optimizer's: the dispatch table may only *skip* ops whose recognizers
+/// cannot fire on the incoming header, so a dispatch-fused step must equal a
+/// full linear walk, which in turn must equal the interpreted tree. And the
+/// lowering's: a process that keeps its typed state across steps must equal
+/// the forms that round-trip the state through its canonical encoding.
+pub fn check_all_forms(
+    expr: &ClassExpr,
+    mut compiled: Option<&mut dyn Observable>,
+    slf: Loc,
+    msgs: &[Msg],
+) -> Result<(), Divergence> {
     let mut interp = InterpretedProcess::compile(expr);
     let mut linear = optimize(expr).linear();
     let mut dispatch = optimize(expr);
     assert!(dispatch.dispatches() && !linear.dispatches());
     for (step, m) in msgs.iter().enumerate() {
         let base = interp.observe_step(slf, m);
-        let lin = linear.observe_step(slf, m);
-        if base != lin {
-            return Err(Divergence {
-                step,
-                left: base,
-                right: lin,
-            });
-        }
-        let dis = dispatch.observe_step(slf, m);
-        if base != dis {
-            return Err(Divergence {
-                step,
-                left: base,
-                right: dis,
-            });
+        let others: [Option<&mut dyn Observable>; 3] = [
+            Some(&mut linear),
+            Some(&mut dispatch),
+            compiled.as_deref_mut(),
+        ];
+        for form in others.into_iter().flatten() {
+            let right = form.observe_step(slf, m);
+            if base != right {
+                return Err(Divergence {
+                    step,
+                    left: base,
+                    right,
+                });
+            }
         }
     }
     Ok(())
@@ -145,6 +153,8 @@ mod tests {
     use super::*;
     use crate::ast::{HandlerFn, UpdateFn};
     use crate::clk::{clk_msg, clock_class, handler_class, ring_handle};
+    use crate::patterns::{Mealy, MealyState};
+    use crate::value::SendInstr;
 
     /// Deterministic xorshift64* stream — no external RNG dependency, stable
     /// across runs so failures are reproducible.
@@ -225,14 +235,20 @@ mod tests {
     #[test]
     fn clk_three_forms_agree_on_random_streams() {
         for seed in 1..=8u64 {
-            check_three_forms(
+            check_all_forms(
                 &handler_class(ring_handle(4)),
+                None,
                 Loc::new(1),
                 &clk_stream(seed, 200),
             )
             .unwrap_or_else(|d| panic!("seed {seed}: {d}"));
-            check_three_forms(&clock_class(), Loc::new(2), &clk_stream(seed * 77, 200))
-                .unwrap_or_else(|d| panic!("seed {seed}: {d}"));
+            check_all_forms(
+                &clock_class(),
+                None,
+                Loc::new(2),
+                &clk_stream(seed * 77, 200),
+            )
+            .unwrap_or_else(|d| panic!("seed {seed}: {d}"));
         }
     }
 
@@ -246,7 +262,7 @@ mod tests {
                     Msg::new(h, Value::Int(rng.below(64) as i64))
                 })
                 .collect();
-            check_three_forms(&shared_counter_expr(), Loc::new(0), &stream)
+            check_all_forms(&shared_counter_expr(), None, Loc::new(0), &stream)
                 .unwrap_or_else(|d| panic!("seed {seed}: {d}"));
         }
     }
@@ -259,14 +275,14 @@ mod tests {
         // three forms — the stream keeps delivering long past the halt.
         let inc = UpdateFn::new("inc", 1, |_l, _v, s| Value::Int(s.int() + 1));
         let once = ClassExpr::base("m").state(Value::Int(0), inc).once();
-        check_three_forms(&once, Loc::new(0), &clk_stream(42, 100)).unwrap();
+        check_all_forms(&once, None, Loc::new(0), &clk_stream(42, 100)).unwrap();
 
         // Foreign-header prefix: the inner class does not fire, so `Once`
         // must stay armed until the first recognized delivery.
         let mut stream: Vec<Msg> = (0..10).map(|i| Msg::new("noise", Value::Int(i))).collect();
         stream.extend((0..10).map(|i| Msg::new("m", Value::Int(i))));
         let once2 = ClassExpr::base("m").state(Value::Int(0), inc2()).once();
-        check_three_forms(&once2, Loc::new(3), &stream).unwrap();
+        check_all_forms(&once2, None, Loc::new(3), &stream).unwrap();
 
         // Once under composition: the composed handler sees the once-side
         // argument only while it is live.
@@ -275,7 +291,7 @@ mod tests {
         });
         let counter = ClassExpr::base("m").state(Value::Int(0), inc2());
         let composed = ClassExpr::compose(h, vec![counter.clone().once(), counter]);
-        check_three_forms(&composed, Loc::new(0), &clk_stream(7, 120)).unwrap();
+        check_all_forms(&composed, None, Loc::new(0), &clk_stream(7, 120)).unwrap();
     }
 
     fn inc2() -> UpdateFn {
@@ -295,6 +311,65 @@ mod tests {
                 Msg::new(h, Value::Int(rng.below(10) as i64))
             })
             .collect();
-        check_three_forms(&par, Loc::new(0), &stream).unwrap();
+        check_all_forms(&par, None, Loc::new(0), &stream).unwrap();
+    }
+    /// A running tally whose state is `<count, total>`. With `forgetful`
+    /// set, the decoder drops `total` — the kind of codec slip that makes
+    /// the compiled form (which never decodes) drift from the interpreted
+    /// ones (which decode every step).
+    #[derive(Clone)]
+    struct Tally<const FORGETFUL: bool> {
+        count: i64,
+        total: i64,
+    }
+
+    impl<const FORGETFUL: bool> MealyState for Tally<FORGETFUL> {
+        fn encode(&self) -> Value {
+            Value::pair(Value::Int(self.count), Value::Int(self.total))
+        }
+        fn decode(v: &Value) -> Self {
+            let (count, total) = v.unpair();
+            Tally {
+                count: count.int(),
+                total: if FORGETFUL { 0 } else { total.int() },
+            }
+        }
+    }
+
+    fn tally<const FORGETFUL: bool>() -> Mealy<Tally<FORGETFUL>> {
+        let init = Tally { count: 0, total: 0 };
+        Mealy::new("tally", 6, &["m"], init, |slf, _h, body, st, out| {
+            st.count += 1;
+            st.total += body.int();
+            out.push(SendInstr::now(slf, Msg::new("tally", st.encode())));
+        })
+    }
+
+    #[test]
+    fn compiled_form_agrees_with_the_class_forms() {
+        let spec = tally::<false>();
+        check_all_forms(
+            &spec.class(),
+            Some(&mut spec.process()),
+            Loc::new(0),
+            &msgs(30),
+        )
+        .unwrap();
+    }
+
+    #[test]
+    fn decoder_that_forgets_a_field_is_caught() {
+        let spec = tally::<true>();
+        let err = check_all_forms(
+            &spec.class(),
+            Some(&mut spec.process()),
+            Loc::new(0),
+            &msgs(30),
+        )
+        .unwrap_err();
+        // The first delivery to find a non-zero total to lose: `m 0`, `m 1`
+        // and the unrecognized `x 2` precede it.
+        assert_eq!(err.step, 3);
+        assert_ne!(err.left, err.right);
     }
 }

@@ -54,12 +54,6 @@ impl SharedStr {
         std::str::from_utf8(&bytes)?;
         Ok(SharedStr(Repr::View(bytes)))
     }
-
-    /// Whether this string borrows a shared byte buffer (diagnostic hook
-    /// for zero-copy tests).
-    pub fn is_view(&self) -> bool {
-        matches!(self.0, Repr::View(_))
-    }
 }
 
 impl std::ops::Deref for SharedStr {

@@ -204,11 +204,6 @@ impl Database {
         self.inner.locks.set_scope(scope);
     }
 
-    /// The shard scope, if one was set.
-    pub fn shard_scope(&self) -> Option<crate::lock::ShardScope> {
-        self.inner.locks.scope()
-    }
-
     /// Begins a transaction.
     ///
     /// # Errors
@@ -249,13 +244,6 @@ impl Database {
             .get(&table.to_lowercase())
             .map(Table::len)
             .unwrap_or(0)
-    }
-
-    /// Names of all tables.
-    pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.inner.tables.read().keys().cloned().collect();
-        names.sort();
-        names
     }
 
     /// Total data size in bytes across all tables.

@@ -156,11 +156,6 @@ impl LockManager {
         *self.scope.lock() = Some(scope);
     }
 
-    /// The current shard scope, if any.
-    pub fn scope(&self) -> Option<ShardScope> {
-        self.scope.lock().clone()
-    }
-
     /// Whether a row of `table` keyed `key` is inside the shard scope
     /// (vacuously true when unscoped).
     pub fn admits(&self, table: &str, key: &[SqlValue]) -> bool {

@@ -40,14 +40,6 @@ impl SqlValue {
         }
     }
 
-    /// The value as text, if a string.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            SqlValue::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Whether this is NULL.
     pub fn is_null(&self) -> bool {
         matches!(self, SqlValue::Null)

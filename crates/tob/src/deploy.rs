@@ -9,11 +9,9 @@
 //! sockets (`shadowdb-tcpnet`), or into the model checker (`shadowdb-mck`).
 
 use crate::mode::{ExecutionMode, ModeCost};
-use crate::service::{service_class, Backend, TobConfig};
-use shadowdb_consensus::handcoded;
+use crate::service::{service, Backend, TobConfig};
 use shadowdb_consensus::synod::{self, SynodConfig};
 use shadowdb_consensus::twothird::{TwoThird, TwoThirdConfig};
-use shadowdb_eventml::Process;
 use shadowdb_loe::{Loc, VTime};
 use shadowdb_runtime::Runtime;
 
@@ -134,12 +132,12 @@ impl TobDeployment {
                     )
                     .with_max_batch(options.max_batch)
                     .with_window(options.effective_window());
-                    let server = rt.add_node(options.mode.instantiate(&service_class(&tob_config)));
+                    let server = rt.add_node(options.mode.instantiate(&service(&tob_config)));
                     debug_assert_eq!(server, servers[i as usize]);
                     let member = rt.add_node_colocated(
                         options
                             .mode
-                            .instantiate(&TwoThird::new(tt_config.clone()).class()),
+                            .instantiate(&TwoThird::new(tt_config.clone()).member()),
                         server,
                     );
                     debug_assert_eq!(member, members[i as usize]);
@@ -164,12 +162,14 @@ impl TobDeployment {
                     )
                     .with_max_batch(options.max_batch)
                     .with_window(options.effective_window());
-                    let server = rt.add_node(options.mode.instantiate(&service_class(&tob_config)));
+                    let mode = options.mode;
+                    let server = rt.add_node(mode.instantiate(&service(&tob_config)));
                     debug_assert_eq!(server, servers[i as usize]);
-                    let (replica, leader, acceptor) = paxos_roles(options.mode, &px_config);
-                    let r = rt.add_node_colocated(replica, server);
-                    let l = rt.add_node_colocated(leader, server);
-                    let a = rt.add_node_colocated(acceptor, server);
+                    let r = rt
+                        .add_node_colocated(mode.instantiate(&synod::replica(&px_config)), server);
+                    let l =
+                        rt.add_node_colocated(mode.instantiate(&synod::leader(&px_config)), server);
+                    let a = rt.add_node_colocated(mode.instantiate(&synod::acceptor()), server);
                     debug_assert_eq!(r, replicas[i as usize]);
                     debug_assert_eq!(l, leaders[i as usize]);
                     debug_assert_eq!(a, acceptors[i as usize]);
@@ -190,27 +190,6 @@ impl TobDeployment {
             servers,
             service_locs,
         }
-    }
-}
-
-/// Builds one machine's Paxos roles in the given execution mode. `Compiled`
-/// uses the hand-optimized native implementations (the Lisp-translation
-/// analogue); the interpreter modes run the generated programs.
-fn paxos_roles(
-    mode: ExecutionMode,
-    config: &SynodConfig,
-) -> (Box<dyn Process>, Box<dyn Process>, Box<dyn Process>) {
-    match mode {
-        ExecutionMode::Compiled => (
-            Box::new(handcoded::HandReplica::new(config.clone())),
-            Box::new(handcoded::HandLeader::new(config.clone())),
-            Box::new(handcoded::HandAcceptor::new()),
-        ),
-        _ => (
-            mode.instantiate(&synod::replica_class(config)),
-            mode.instantiate(&synod::leader_class(config)),
-            mode.instantiate(&synod::acceptor_class(config)),
-        ),
     }
 }
 

@@ -19,7 +19,8 @@
 //!   inside a `shadowdb-simnet` simulation.
 //! * [`mode`] — the three execution backends of Fig. 8 (SML-interpreted,
 //!   interpreter + optimizer, Lisp-compiled), reproduced as the choice of
-//!   generated program (interpreted vs fused vs hand-coded) plus a
+//!   program derived from each protocol's one description (interpreted vs
+//!   fused vs lowered to a native process over typed state) plus a
 //!   calibrated per-message CPU cost.
 
 pub mod client;

@@ -13,15 +13,19 @@
 //! | Compiled      | 8.8 ms           | 900 msg/s      |
 //!
 //! This module reproduces the mechanism: the choice of generated program
-//! (tree-interpreted vs fused vs hand-coded native) selects *real* code
-//! paths, and a calibrated [`CostModel`] charges the per-message CPU time
+//! (tree-interpreted vs fused vs lowered to a native process over typed
+//! state — all three derived from the one [`Mealy`] description of each
+//! protocol) selects *real* code paths, and a calibrated [`CostModel`]
+//! charges the per-message CPU time
 //! that the simulated 3.6 GHz Xeon would spend. The calibration uses a
 //! `base + per_batch_entry` cost: handling a consensus message that carries
 //! a k-entry batch costs `base + k·per_entry`, which makes saturation
 //! CPU-bound (as measured in the paper) while batching still amortizes the
 //! fixed consensus overhead.
 
-use shadowdb_eventml::{ClassExpr, InterpretedProcess, Msg, Process, Value};
+use shadowdb_eventml::optimize::optimize;
+use shadowdb_eventml::patterns::{Mealy, MealyState};
+use shadowdb_eventml::{InterpretedProcess, Msg, Process, Value};
 use shadowdb_loe::Loc;
 use shadowdb_runtime::CostModel;
 use std::time::Duration;
@@ -35,7 +39,8 @@ pub enum ExecutionMode {
     /// The interpreter over the optimizer's fused program
     /// (the paper's "Inter.-Opt.").
     InterpretedOpt,
-    /// Native compiled execution (the paper's Lisp translation).
+    /// Native compiled execution (the paper's Lisp translation): the
+    /// specification's transition lowered to a process over typed state.
     Compiled,
 }
 
@@ -81,15 +86,13 @@ impl ExecutionMode {
         }
     }
 
-    /// Compiles a class expression according to this mode. `Compiled` also
-    /// uses the fused program — callers that have a hand-coded native
-    /// equivalent (the Paxos roles) should prefer it for `Compiled`.
-    pub fn instantiate(self, class: &ClassExpr) -> Box<dyn Process> {
+    /// Builds the program this mode runs for `spec`: the one constructor
+    /// behind every process of a deployed service.
+    pub fn instantiate<S: MealyState>(self, spec: &Mealy<S>) -> Box<dyn Process> {
         match self {
-            ExecutionMode::Interpreted => Box::new(InterpretedProcess::compile(class)),
-            ExecutionMode::InterpretedOpt | ExecutionMode::Compiled => {
-                Box::new(shadowdb_eventml::optimize::optimize(class))
-            }
+            ExecutionMode::Interpreted => Box::new(InterpretedProcess::compile(&spec.class())),
+            ExecutionMode::InterpretedOpt => Box::new(optimize(&spec.class())),
+            ExecutionMode::Compiled => Box::new(spec.process()),
         }
     }
 }

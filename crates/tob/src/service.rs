@@ -30,10 +30,9 @@
 
 use crate::{BROADCAST_HEADER, DELIVER_HEADER, SUBOK_HEADER, SUBSCRIBE_HEADER, UNSUBSCRIBE_HEADER};
 use shadowdb_consensus::{synod, twothird, vmap, DECIDE_HEADER};
-use shadowdb_eventml::patterns::{mealy, tagged_union};
-use shadowdb_eventml::{cached_header, ClassExpr, Msg, SendInstr, Spec, Value};
+use shadowdb_eventml::patterns::{Mealy, MealyState};
+use shadowdb_eventml::{cached_header, Header, Msg, SendInstr, Spec, Value};
 use shadowdb_loe::Loc;
-use std::sync::Arc;
 
 /// Which consensus module a TOB server submits its batches to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,9 +91,9 @@ impl TobConfig {
     }
 }
 
-/// Decoded server state.
+/// Server state.
 #[derive(Clone, Debug)]
-struct ServerState {
+pub struct ServerState {
     /// Next slot to deliver.
     deliver_next: i64,
     /// Gapless global delivery sequence number.
@@ -119,22 +118,8 @@ struct ServerState {
     subs: Vec<Loc>,
 }
 
-impl ServerState {
-    fn init() -> ServerState {
-        ServerState {
-            deliver_next: 0,
-            seq: 0,
-            batch_ctr: 0,
-            decided: vmap::empty(),
-            pending: Value::list(std::iter::empty()),
-            in_flight: Vec::new(),
-            last_enq: vmap::empty(),
-            last_del: vmap::empty(),
-            subs: Vec::new(),
-        }
-    }
-
-    fn to_value(&self) -> Value {
+impl MealyState for ServerState {
+    fn encode(&self) -> Value {
         let in_flight = Value::list(self.in_flight.iter().map(|(slot, batch)| {
             Value::pair(
                 match slot {
@@ -162,7 +147,7 @@ impl ServerState {
         )
     }
 
-    fn from_value(v: &Value) -> ServerState {
+    fn decode(v: &Value) -> ServerState {
         let (a, rest) = v.unpair();
         let (deliver_next, seq) = a.unpair();
         let (b, rest) = rest.unpair();
@@ -278,98 +263,102 @@ fn batch_entries(batch: &Value) -> &[Value] {
 
 /// The broadcast-service specification for one server.
 pub fn service_spec(config: &TobConfig) -> Spec {
-    Spec::new("BroadcastService", service_class(config))
+    Spec::new("BroadcastService", service(config).class())
 }
 
-/// The main class of the broadcast service.
-pub fn service_class(config: &TobConfig) -> ClassExpr {
+/// The broadcast-service state machine for one server.
+pub fn service(config: &TobConfig) -> Mealy<ServerState> {
     let config = config.clone();
-    mealy(
+    let init = ServerState {
+        deliver_next: 0,
+        seq: 0,
+        batch_ctr: 0,
+        decided: vmap::empty(),
+        pending: Value::list(std::iter::empty()),
+        in_flight: Vec::new(),
+        last_enq: vmap::empty(),
+        last_del: vmap::empty(),
+        subs: Vec::new(),
+    };
+    Mealy::new(
         "tob_transition",
         // Declared weight approximating the transition's AST size (the
         // EventML broadcast service in the paper is 820 nodes).
         700,
-        ServerState::init().to_value(),
-        tagged_union(&[
+        &[
             BROADCAST_HEADER,
             DECIDE_HEADER,
             SUBSCRIBE_HEADER,
             UNSUBSCRIBE_HEADER,
-        ]),
-        Arc::new(move |slf, input, state| transition(&config, slf, input, state)),
+        ],
+        init,
+        move |slf, header, body, st, outs| transition(&config, slf, header, body, st, outs),
     )
 }
 
 fn transition(
     config: &TobConfig,
     slf: Loc,
-    input: &Value,
-    state: &Value,
-) -> (Value, Vec<SendInstr>) {
-    let (tag, body) = input.unpair();
-    let mut st = ServerState::from_value(state);
-    let mut outs = Vec::new();
-    match tag.as_str().expect("tag") {
-        BROADCAST_HEADER => {
-            let (client, rest) = body.unpair();
-            let (msgid, _payload) = rest.unpair();
-            if let Some(seen) = note_msgid(vmap::get(&st.last_enq, client), msgid.int()) {
-                st.last_enq = vmap::set(&st.last_enq, client.clone(), seen);
-                let mut pending: Vec<Value> = st.pending.elems().to_vec();
-                pending.push(body.clone());
+    header: Header,
+    body: &Value,
+    st: &mut ServerState,
+    outs: &mut Vec<SendInstr>,
+) {
+    if header == cached_header!(BROADCAST_HEADER) {
+        let (client, rest) = body.unpair();
+        let (msgid, _payload) = rest.unpair();
+        if let Some(seen) = note_msgid(vmap::get(&st.last_enq, client), msgid.int()) {
+            st.last_enq = vmap::set(&st.last_enq, client.clone(), seen);
+            let mut pending: Vec<Value> = st.pending.elems().to_vec();
+            pending.push(body.clone());
+            st.pending = Value::list(pending);
+        }
+    } else if header == cached_header!(DECIDE_HEADER) {
+        let (slot, batch) = body.unpair();
+        // Slots below the delivery frontier have been delivered and
+        // garbage-collected; a late duplicate decision for one is a
+        // no-op.
+        if slot.int() >= st.deliver_next && !vmap::contains(&st.decided, slot) {
+            st.decided = vmap::set(&st.decided, slot.clone(), batch.clone());
+            // Resolve whichever in-flight proposal this decision
+            // settles: our batch winning (at any slot) retires its
+            // entry; a TwoThird slot race lost to a foreign batch
+            // re-queues ours at the head of the pending queue, to be
+            // re-proposed at the next free slot.
+            if let Some(i) = st.in_flight.iter().position(|(_, b)| b == batch) {
+                st.in_flight.remove(i);
+            } else if let Some(i) = st
+                .in_flight
+                .iter()
+                .position(|(s, _)| s.is_some() && *s == slot.as_int())
+            {
+                let (_, our_batch) = st.in_flight.remove(i);
+                let mut pending: Vec<Value> = batch_entries(&our_batch).to_vec();
+                pending.extend(st.pending.elems().iter().cloned());
                 st.pending = Value::list(pending);
             }
+            deliver_ready(config, st, outs);
         }
-        DECIDE_HEADER => {
-            let (slot, batch) = body.unpair();
-            // Slots below the delivery frontier have been delivered and
-            // garbage-collected; a late duplicate decision for one is a
-            // no-op.
-            if slot.int() >= st.deliver_next && !vmap::contains(&st.decided, slot) {
-                st.decided = vmap::set(&st.decided, slot.clone(), batch.clone());
-                // Resolve whichever in-flight proposal this decision
-                // settles: our batch winning (at any slot) retires its
-                // entry; a TwoThird slot race lost to a foreign batch
-                // re-queues ours at the head of the pending queue, to be
-                // re-proposed at the next free slot.
-                if let Some(i) = st.in_flight.iter().position(|(_, b)| b == batch) {
-                    st.in_flight.remove(i);
-                } else if let Some(i) = st
-                    .in_flight
-                    .iter()
-                    .position(|(s, _)| s.is_some() && *s == slot.as_int())
-                {
-                    let (_, our_batch) = st.in_flight.remove(i);
-                    let mut pending: Vec<Value> = batch_entries(&our_batch).to_vec();
-                    pending.extend(st.pending.elems().iter().cloned());
-                    st.pending = Value::list(pending);
-                }
-                deliver_ready(config, &mut st, &mut outs);
-            }
+    } else if header == cached_header!(SUBSCRIBE_HEADER) {
+        // A joining replica wires itself into this server's delivery
+        // fan-out. The acknowledgement carries the seq of the first
+        // delivery it will see, so the joiner knows exactly which
+        // prefix its snapshot must cover. Idempotent: re-subscribing
+        // re-acks with the current frontier.
+        let sub = body.loc();
+        if !st.subs.contains(&sub) && !config.subscribers.contains(&sub) {
+            st.subs.push(sub);
         }
-        SUBSCRIBE_HEADER => {
-            // A joining replica wires itself into this server's delivery
-            // fan-out. The acknowledgement carries the seq of the first
-            // delivery it will see, so the joiner knows exactly which
-            // prefix its snapshot must cover. Idempotent: re-subscribing
-            // re-acks with the current frontier.
-            let sub = body.loc();
-            if !st.subs.contains(&sub) && !config.subscribers.contains(&sub) {
-                st.subs.push(sub);
-            }
-            outs.push(SendInstr::now(
-                sub,
-                Msg::new(cached_header!(SUBOK_HEADER), Value::Int(st.seq)),
-            ));
-        }
-        UNSUBSCRIBE_HEADER => {
-            let sub = body.loc();
-            st.subs.retain(|l| *l != sub);
-        }
-        other => panic!("unexpected tag {other}"),
+        outs.push(SendInstr::now(
+            sub,
+            Msg::new(cached_header!(SUBOK_HEADER), Value::Int(st.seq)),
+        ));
+    } else {
+        // UNSUBSCRIBE.
+        let sub = body.loc();
+        st.subs.retain(|l| *l != sub);
     }
-    try_propose(config, slf, &mut st, &mut outs);
-    (st.to_value(), outs)
+    try_propose(config, slf, st, outs);
 }
 
 /// Delivers decided batches in slot order, garbage-collecting each slot
@@ -459,7 +448,10 @@ mod tests {
         )
         .with_max_batch(max_batch)
         .with_window(window);
-        (InterpretedProcess::compile(&service_class(&config)), config)
+        (
+            InterpretedProcess::compile(&service(&config).class()),
+            config,
+        )
     }
 
     #[test]

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use shadowdb_consensus::{decide_body, twothird, DECIDE_HEADER};
 use shadowdb_eventml::{cached_header, Ctx, InterpretedProcess, Msg, Process, Value};
 use shadowdb_loe::Loc;
-use shadowdb_tob::service::{service_class, Backend, TobConfig};
+use shadowdb_tob::service::{service, Backend, TobConfig};
 use shadowdb_tob::{broadcast_msg, parse_deliver};
 use std::collections::BTreeMap;
 
@@ -47,7 +47,7 @@ impl Harness {
                 let config = TobConfig::new(Backend::TwoThird { member: *m }, vec![SUB_A, SUB_B])
                     .with_max_batch(max_batch)
                     .with_window(window);
-                InterpretedProcess::compile(&service_class(&config))
+                InterpretedProcess::compile(&service(&config).class())
             })
             .collect();
         Harness {
