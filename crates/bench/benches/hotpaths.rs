@@ -5,7 +5,8 @@
 //!   specification (the paper's program optimizer is worth "a factor of
 //!   two or more");
 //! * `consensus/*` — a full Paxos decision round in each of the three
-//!   execution modes' programs, all derived from the one Synod description;
+//!   execution modes' programs, all derived from the one Synod description,
+//!   and a replica's request + decision steps 50 000 slots into a run;
 //! * `tob/*` — one broadcast-service step pair (submission, then the
 //!   decision that delivers it) in each mode;
 //! * `sqldb/*` — point operations of the SQL engine;
@@ -13,6 +14,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkGroup, Criterion};
 use shadowdb_bench::scenario::{form, SynodRounds, TobSteps};
+use shadowdb_consensus::synod;
 use shadowdb_consensus::twothird::{propose_msg, TwoThird, TwoThirdConfig};
 use shadowdb_eventml::optimize::optimize;
 use shadowdb_eventml::{
@@ -107,6 +109,28 @@ fn bench_consensus(c: &mut Criterion) {
             )
         });
     }
+    // Stationarity: the compiled replica after 50 000 slots decided and
+    // delivered in order, one fresh request and its decision per iteration.
+    let config = synod::SynodConfig::compact(1, vec![Loc::new(100)]);
+    let (origin, ctx) = (Loc::new(100), Ctx::at(Loc::new(0)));
+    let mut replica = ExecutionMode::Compiled.instantiate(&synod::replica(&config));
+    let mut out = Vec::new();
+    let mut slot = 0i64;
+    let mut request_and_decision = || {
+        let cmd = synod::command(origin, slot, Value::str("cmd"));
+        let decision = Value::pair(Value::Int(slot), cmd.clone());
+        slot += 1;
+        out.clear();
+        replica.step_into(&ctx, &synod::request_msg(cmd), &mut out);
+        replica.step_into(&ctx, &Msg::new(synod::DECISION_HEADER, decision), &mut out);
+        out.len()
+    };
+    for _ in 0..50_000 {
+        assert_eq!(request_and_decision(), 2);
+    }
+    g.bench_function("replica_step_at_50k_slots", |b| {
+        b.iter(&mut request_and_decision)
+    });
     g.finish();
 }
 

@@ -185,6 +185,7 @@ pub struct SynodRounds {
     procs: Vec<Box<dyn Process>>,
     queue: VecDeque<(Loc, Msg)>,
     out: Vec<SendInstr>,
+    next_cid: i64,
 }
 
 impl SynodRounds {
@@ -206,6 +207,7 @@ impl SynodRounds {
             procs,
             queue: VecDeque::new(),
             out: Vec::new(),
+            next_cid: 0,
         };
         rounds.drain(Loc::new(1), synod::start_msg());
         // Nine steps a round: request, propose, 3 × p2a, 3 × p2b, decision.
@@ -213,9 +215,12 @@ impl SynodRounds {
         rounds
     }
 
-    /// Submits `cmd` to the replica and runs the deployment until the
-    /// learner has its decision; returns the steps taken.
-    pub fn decide(&mut self, cmd: Value) -> usize {
+    /// Submits `op` to the replica as the next command of one origin and
+    /// runs the deployment until the learner has its decision; returns the
+    /// steps taken.
+    pub fn decide(&mut self, op: Value) -> usize {
+        let cmd = synod::command(Loc::new(100), self.next_cid, op);
+        self.next_cid += 1;
         self.drain(Loc::new(0), synod::request_msg(cmd))
     }
 

@@ -28,6 +28,7 @@
 //! (slot) number and each process multiplexes per-instance state, which is
 //! what lets the broadcast service run one consensus per slot.
 
+pub mod dedup;
 pub mod synod;
 pub mod twothird;
 pub mod vmap;

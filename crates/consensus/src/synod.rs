@@ -18,6 +18,27 @@
 //! disk-corruption bug by restarting an acceptor with empty state and
 //! watching agreement fail.
 //!
+//! **Command identity.** A command is `<origin, <cid, op>>` ([`command`]):
+//! `origin` names who issued it and `cid` is that origin's own counter, so
+//! `(origin, cid)` identifies the command without looking at `op` — the
+//! paper's "sequence number of the last transaction submitted by each
+//! client", PMMC's `⟨κ, cid, op⟩`, and exactly the
+//! `<proposer, <batchid, entries>>` batch a broadcast server submits. A
+//! replica never proposes a command twice; it knows a command was decided
+//! from a per-origin [`SeenIds`] detector noted as decisions arrive, not
+//! from the decisions themselves, so it keeps only the decisions it has
+//! not delivered yet and its state stays O(window) however long it runs.
+//! (Acceptors' accepted pvalues and leaders' proposals still grow with the
+//! slots decided; forgetting those safely needs a decided watermark.)
+//!
+//! Like the promise, the detector must not be contradicted by an origin
+//! that forgets: an origin that restarted with `cid` = 0 would find its
+//! new commands at or below the floor swallowed as already decided (the
+//! broadcast service treats a client that restarts its msgids the same
+//! way). Nothing restarts a broadcast server with amnesia today — crashed
+//! ones stay down — and `reused_origin_ids_below_the_floor_are_swallowed`
+//! pins the behaviour for whoever adds that.
+//!
 //! Decisions are announced to learners with the crate-level
 //! [`DECIDE_HEADER`] `(slot, command)` notification,
 //! the same interface TwoThird uses — which is what lets the broadcast
@@ -25,6 +46,7 @@
 //!
 //! [`DECIDE_HEADER`]: crate::DECIDE_HEADER
 
+use crate::dedup::SeenIds;
 use crate::vmap;
 use crate::{decide_body, DECIDE_HEADER};
 use shadowdb_eventml::patterns::{Mealy, MealyState};
@@ -33,7 +55,7 @@ use shadowdb_loe::Loc;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
-/// Client request to a replica: body `<command>`.
+/// Client request to a replica: body `<origin, <cid, op>>`, a [`command`].
 pub const REQUEST_HEADER: &str = "px/request";
 /// Replica proposal to leaders: body `<slot, command>`.
 pub const PROPOSE_HEADER: &str = "px/propose";
@@ -87,7 +109,19 @@ impl SynodConfig {
     }
 }
 
-/// Builds a client request message carrying `command`.
+/// Builds the command `<origin, <cid, op>>`: `cid` is `origin`'s own
+/// counter, and the pair identifies the command (see the module docs).
+pub fn command(origin: Loc, cid: i64, op: Value) -> Value {
+    Value::pair(Value::Loc(origin), Value::pair(Value::Int(cid), op))
+}
+
+/// The `(origin, cid)` identity of a [`command`].
+fn command_id(cmd: &Value) -> (Loc, i64) {
+    let (origin, rest) = cmd.unpair();
+    (origin.loc(), rest.unpair().0.int())
+}
+
+/// Builds a client request message carrying a [`command`].
 pub fn request_msg(command: Value) -> Msg {
     Msg::new(cached_header!(REQUEST_HEADER), command)
 }
@@ -488,7 +522,8 @@ fn leader_transition(
 // Replica
 // ---------------------------------------------------------------------------
 
-/// Replica state, encoded `<slot_in, <slot_out, <proposals, decisions>>>`.
+/// Replica state, encoded
+/// `<slot_in, <slot_out, <proposals, <decisions, decided>>>>`.
 #[derive(Clone, Debug)]
 pub struct ReplicaState {
     /// Next slot this replica will propose into.
@@ -497,19 +532,26 @@ pub struct ReplicaState {
     slot_out: i64,
     /// slot -> cmd, our outstanding proposals.
     proposals: BTreeMap<i64, Value>,
-    /// slot -> cmd, decided.
+    /// slot -> cmd, decided and not yet delivered: slots `>= slot_out` only.
     decisions: BTreeMap<i64, Value>,
+    /// origin -> the cids of every command a decision has arrived for.
+    decided: BTreeMap<Loc, SeenIds>,
 }
 
 impl MealyState for ReplicaState {
     fn encode(&self) -> Value {
+        let decided = Value::list(
+            self.decided
+                .iter()
+                .map(|(origin, seen)| Value::pair(Value::Loc(*origin), seen.to_value())),
+        );
         Value::pair(
             Value::Int(self.slot_in),
             Value::pair(
                 Value::Int(self.slot_out),
                 Value::pair(
                     slots_value(&self.proposals, Value::clone),
-                    slots_value(&self.decisions, Value::clone),
+                    Value::pair(slots_value(&self.decisions, Value::clone), decided),
                 ),
             ),
         )
@@ -518,12 +560,16 @@ impl MealyState for ReplicaState {
     fn decode(v: &Value) -> ReplicaState {
         let (slot_in, rest) = v.unpair();
         let (slot_out, rest) = rest.unpair();
-        let (proposals, decisions) = rest.unpair();
+        let (proposals, rest) = rest.unpair();
+        let (decisions, decided) = rest.unpair();
         ReplicaState {
             slot_in: slot_in.int(),
             slot_out: slot_out.int(),
             proposals: slots_from(proposals, Value::clone),
             decisions: slots_from(decisions, Value::clone),
+            decided: vmap::iter(decided)
+                .map(|(origin, seen)| (origin.loc(), SeenIds::from_value(seen)))
+                .collect(),
         }
     }
 }
@@ -537,6 +583,7 @@ pub fn replica(config: &SynodConfig) -> Mealy<ReplicaState> {
         slot_out: 0,
         proposals: BTreeMap::new(),
         decisions: BTreeMap::new(),
+        decided: BTreeMap::new(),
     };
     Mealy::new(
         "replica_transition",
@@ -548,10 +595,12 @@ pub fn replica(config: &SynodConfig) -> Mealy<ReplicaState> {
 }
 
 fn propose(config: &SynodConfig, st: &mut ReplicaState, cmd: &Value, outs: &mut Vec<SendInstr>) {
-    if st.decisions.values().any(|c| c == cmd) {
+    let (origin, cid) = command_id(cmd);
+    if st.decided.get(&origin).is_some_and(|d| d.contains(cid)) {
         return;
     }
-    // Skip slots already used.
+    // Skip slots already used: every slot below `slot_out` is decided.
+    st.slot_in = st.slot_in.max(st.slot_out);
     while st.proposals.contains_key(&st.slot_in) || st.decisions.contains_key(&st.slot_in) {
         st.slot_in += 1;
     }
@@ -569,26 +618,33 @@ fn replica_transition(
 ) {
     if header == cached_header!(REQUEST_HEADER) {
         // Duplicate submissions of an outstanding proposal are no-ops.
-        if !st.proposals.values().any(|c| c == body) {
+        let id = command_id(body);
+        if !st.proposals.values().any(|c| command_id(c) == id) {
             propose(config, st, body, outs);
         }
     } else {
-        // DECISION.
+        // DECISION. One for a slot already delivered is late and ignored.
         let (slot, cmd) = body.unpair();
-        st.decisions
-            .entry(slot.int())
-            .or_insert_with(|| cmd.clone());
+        if slot.int() >= st.slot_out {
+            let entry = st.decisions.entry(slot.int());
+            if let std::collections::btree_map::Entry::Vacant(e) = entry {
+                e.insert(cmd.clone());
+                let (origin, cid) = command_id(cmd);
+                st.decided.entry(origin).or_default().note(cid);
+            }
+        }
         // Deliver in slot order, re-proposing our commands that lost
         // their slot to someone else's command.
-        while let Some(decided) = st.decisions.get(&st.slot_out).cloned() {
-            if let Some(ours) = st.proposals.remove(&st.slot_out) {
-                if ours != decided {
+        while let Some(decided) = st.decisions.remove(&st.slot_out) {
+            let slot = st.slot_out;
+            st.slot_out += 1;
+            if let Some(ours) = st.proposals.remove(&slot) {
+                if command_id(&ours) != command_id(&decided) {
                     propose(config, st, &ours, outs);
                 }
             }
-            let body = decide_body(st.slot_out, &decided);
+            let body = decide_body(slot, &decided);
             send_all(&config.learners, cached_header!(DECIDE_HEADER), body, outs);
-            st.slot_out += 1;
         }
     }
 }
@@ -709,6 +765,15 @@ mod tests {
         }
     }
 
+    /// The broadcast server co-located with replica 0, the origin of the
+    /// commands these tests submit.
+    const ORIGIN: Loc = Loc::new(9);
+
+    /// `ORIGIN`'s `cid`-th command.
+    fn cmd(cid: i64) -> Value {
+        command(ORIGIN, cid, Value::Int(cid * 7))
+    }
+
     fn config() -> SynodConfig {
         // 1 replica, 1 leader, 3 acceptors, learner at 100.
         SynodConfig {
@@ -723,7 +788,7 @@ mod tests {
     fn ten_commands(mut net: Net, cfg: &SynodConfig) -> Vec<(i64, Value)> {
         net.inject(cfg.leaders[0], start_msg());
         for i in 0..10 {
-            net.inject(cfg.replicas[0], request_msg(Value::Int(i)));
+            net.inject(cfg.replicas[0], request_msg(cmd(i)));
         }
         net.run();
         net.decisions
@@ -735,9 +800,9 @@ mod tests {
             let cfg = config();
             let mut net = Net::new(&cfg, form);
             net.inject(cfg.leaders[0], start_msg());
-            net.inject(cfg.replicas[0], request_msg(Value::str("cmd-a")));
+            net.inject(cfg.replicas[0], request_msg(cmd(0)));
             net.run();
-            assert_eq!(net.decisions, vec![(0, Value::str("cmd-a"))], "{form:?}");
+            assert_eq!(net.decisions, vec![(0, cmd(0))], "{form:?}");
         }
     }
 
@@ -748,7 +813,7 @@ mod tests {
             let decisions = ten_commands(Net::new(&cfg, form), &cfg);
             let slots: Vec<i64> = decisions.iter().map(|(s, _)| *s).collect();
             assert_eq!(slots, (0..10).collect::<Vec<_>>(), "{form:?}");
-            let cmds: BTreeSet<i64> = decisions.iter().map(|(_, c)| c.int()).collect();
+            let cmds: BTreeSet<i64> = decisions.iter().map(|(_, c)| command_id(c).1).collect();
             assert_eq!(
                 cmds.len(),
                 10,
@@ -784,12 +849,12 @@ mod tests {
         for form in FORMS {
             let cfg = config();
             let mut net = Net::new(&cfg, form);
-            net.inject(cfg.replicas[0], request_msg(Value::str("early")));
+            net.inject(cfg.replicas[0], request_msg(cmd(0)));
             net.run();
             assert!(net.decisions.is_empty(), "{form:?}: no active leader yet");
             net.inject(cfg.leaders[0], start_msg());
             net.run();
-            assert_eq!(net.decisions, vec![(0, Value::str("early"))], "{form:?}");
+            assert_eq!(net.decisions, vec![(0, cmd(0))], "{form:?}");
         }
     }
 
@@ -802,7 +867,7 @@ mod tests {
             net.inject(cfg.leaders[0], start_msg());
             net.inject(cfg.leaders[1], start_msg());
             for i in 0..3 {
-                net.inject(cfg.replicas[0], request_msg(Value::Int(i)));
+                net.inject(cfg.replicas[0], request_msg(cmd(i)));
             }
             net.run();
             // All slots decided exactly once; no slot with two different values.
@@ -813,7 +878,7 @@ mod tests {
                 }
                 by_slot.insert(*s, c.clone());
             }
-            let decided: BTreeSet<i64> = by_slot.values().map(Value::int).collect();
+            let decided: BTreeSet<i64> = by_slot.values().map(|c| command_id(c).1).collect();
             assert_eq!(decided, (0..3).collect(), "{form:?}");
         }
     }
@@ -824,9 +889,9 @@ mod tests {
             let cfg = config();
             let mut net = Net::new(&cfg, form);
             net.inject(cfg.leaders[0], start_msg());
-            net.inject(cfg.replicas[0], request_msg(Value::str("once")));
+            net.inject(cfg.replicas[0], request_msg(cmd(0)));
             net.run();
-            net.inject(cfg.replicas[0], request_msg(Value::str("once")));
+            net.inject(cfg.replicas[0], request_msg(cmd(0)));
             net.run();
             assert_eq!(net.decisions.len(), 1, "{form:?}");
         }
@@ -863,6 +928,357 @@ mod tests {
             took < Duration::from_millis(500),
             "P1B over {SLOTS} slots took {took:?}"
         );
+    }
+
+    /// The replica's own stationarity, beside the acceptor's one-pass
+    /// promise: after 50 000 slots decided and delivered in order a step
+    /// costs what it cost at slot 0, and the state — typed and encoded, so
+    /// the interpreted and fused forms too — holds the undelivered window
+    /// and one bounded detector per origin, not the history. What still
+    /// grows with the slots decided is the acceptors' `accepted` and the
+    /// leaders' `proposals`; forgetting those needs the decided watermark
+    /// of ROADMAP item 1b.
+    #[test]
+    fn replica_steps_and_state_stay_flat_after_50k_slots() {
+        const SLOTS: i64 = 50_000;
+        let cfg = config();
+        let ctx = Ctx::at(cfg.replicas[0]);
+        let mut replica = replica(&cfg).process();
+        let mut outs = Vec::new();
+        let decision =
+            |slot: i64, c: Value| Msg::new(DECISION_HEADER, Value::pair(Value::Int(slot), c));
+        for slot in 0..SLOTS {
+            // Two origins: ours through request + decision, a foreign one
+            // through its decisions alone.
+            let c = if slot % 2 == 0 {
+                replica.step_into(&ctx, &request_msg(cmd(slot / 2)), &mut outs);
+                cmd(slot / 2)
+            } else {
+                command(Loc::new(8), slot / 2, Value::Unit)
+            };
+            replica.step_into(&ctx, &decision(slot, c), &mut outs);
+            outs.clear();
+        }
+        let fresh = request_msg(cmd(SLOTS));
+        let started = std::time::Instant::now();
+        replica.step_into(&ctx, &fresh, &mut outs);
+        let request_took = started.elapsed();
+        assert_eq!(outs.len(), 1, "a fresh command is proposed");
+        assert_eq!(outs[0].msg.body.unpair().0.int(), SLOTS);
+        let started = std::time::Instant::now();
+        replica.step_into(&ctx, &decision(SLOTS, cmd(SLOTS)), &mut outs);
+        let decision_took = started.elapsed();
+        assert_eq!(outs.len(), 2, "and delivered when decided");
+        for took in [request_took, decision_took] {
+            assert!(took < Duration::from_millis(1), "a step took {took:?}");
+        }
+        // A command decided 50 000 slots ago is still known.
+        outs.clear();
+        replica.step_into(&ctx, &request_msg(cmd(0)), &mut outs);
+        assert!(outs.is_empty());
+
+        // What the interpreted and fused forms decode on every step.
+        let state = replica.state().encode();
+        let decoded = ReplicaState::decode(&state);
+        assert_eq!(decoded.proposals.len() + decoded.decisions.len(), 0);
+        assert_eq!(decoded.decided.len(), 2, "one detector per origin");
+        for seen in decoded.decided.values() {
+            let ids_above_floor = seen.to_value().unpair().1.elems().len();
+            assert!(ids_above_floor <= crate::dedup::DEDUP_WINDOW);
+        }
+        assert!(shadowdb_eventml::codec::encoded_len(&state) < 256);
+    }
+
+    /// Identity dedup trusts an origin never to reuse a `cid`. One that
+    /// restarted with amnesia — its counter back at 0 — gets its new
+    /// commands swallowed as already decided while they are at or below the
+    /// detector's floor, exactly as the broadcast service swallows a client
+    /// that restarts its msgids. Nothing restarts an origin that way today;
+    /// this pins what such a change would meet.
+    #[test]
+    fn reused_origin_ids_below_the_floor_are_swallowed() {
+        let cfg = config();
+        let ctx = Ctx::at(cfg.replicas[0]);
+        let mut replica = replica(&cfg).process();
+        for cid in 0..3 {
+            replica.step(&ctx, &request_msg(cmd(cid)));
+            let body = Value::pair(Value::Int(cid), cmd(cid));
+            replica.step(&ctx, &Msg::new(DECISION_HEADER, body));
+        }
+        // The restarted origin's first command: a different op under a
+        // used identity.
+        let reborn = command(ORIGIN, 0, Value::str("after restart"));
+        assert!(replica.step(&ctx, &request_msg(reborn)).is_empty());
+        // Past the floor its commands are proposed again.
+        let outs = replica.step(&ctx, &request_msg(cmd(3)));
+        assert_eq!(outs.len(), 1);
+    }
+
+    // -----------------------------------------------------------------
+    // Dedup equivalence: the whole safety argument of command identity
+    // -----------------------------------------------------------------
+
+    /// The replica as it was before command identity, kept as the
+    /// reference: every decision ever made stays in `decisions`, and
+    /// whether a command was decided is answered by `is_decided` over them.
+    #[derive(Clone)]
+    struct ScanReplica {
+        slot_in: i64,
+        slot_out: i64,
+        proposals: BTreeMap<i64, Value>,
+        decisions: BTreeMap<i64, Value>,
+        is_decided: fn(&BTreeMap<i64, Value>, &Value) -> bool,
+    }
+
+    /// The reference predicate: compare the command against every decision.
+    fn by_value_scan(decisions: &BTreeMap<i64, Value>, cmd: &Value) -> bool {
+        decisions.values().any(|c| c == cmd)
+    }
+
+    /// The broken predicate: a per-origin high-water mark. Ids of one
+    /// origin are decided out of order (a window of batches is in consensus
+    /// at once), and the mark calls the stragglers decided.
+    fn by_high_water_mark(decisions: &BTreeMap<i64, Value>, cmd: &Value) -> bool {
+        let (origin, cid) = command_id(cmd);
+        decisions
+            .values()
+            .map(command_id)
+            .any(|(o, decided)| o == origin && decided >= cid)
+    }
+
+    impl ScanReplica {
+        fn new(is_decided: fn(&BTreeMap<i64, Value>, &Value) -> bool) -> ScanReplica {
+            ScanReplica {
+                slot_in: 0,
+                slot_out: 0,
+                proposals: BTreeMap::new(),
+                decisions: BTreeMap::new(),
+                is_decided,
+            }
+        }
+
+        fn propose(&mut self, config: &SynodConfig, cmd: &Value, outs: &mut Vec<SendInstr>) {
+            if (self.is_decided)(&self.decisions, cmd) {
+                return;
+            }
+            while self.proposals.contains_key(&self.slot_in)
+                || self.decisions.contains_key(&self.slot_in)
+            {
+                self.slot_in += 1;
+            }
+            self.proposals.insert(self.slot_in, cmd.clone());
+            let body = Value::pair(Value::Int(self.slot_in), cmd.clone());
+            send_all(&config.leaders, cached_header!(PROPOSE_HEADER), body, outs);
+        }
+
+        fn step(&mut self, config: &SynodConfig, msg: &Msg) -> Vec<SendInstr> {
+            let mut outs = Vec::new();
+            if msg.header == cached_header!(REQUEST_HEADER) {
+                if !self.proposals.values().any(|c| *c == msg.body) {
+                    self.propose(config, &msg.body, &mut outs);
+                }
+            } else {
+                let (slot, cmd) = msg.body.unpair();
+                self.decisions
+                    .entry(slot.int())
+                    .or_insert_with(|| cmd.clone());
+                while let Some(decided) = self.decisions.get(&self.slot_out).cloned() {
+                    if let Some(ours) = self.proposals.remove(&self.slot_out) {
+                        if ours != decided {
+                            self.propose(config, &ours, &mut outs);
+                        }
+                    }
+                    let body = decide_body(self.slot_out, &decided);
+                    send_all(
+                        &config.learners,
+                        cached_header!(DECIDE_HEADER),
+                        body,
+                        &mut outs,
+                    );
+                    self.slot_out += 1;
+                }
+            }
+            outs
+        }
+    }
+
+    /// How far one origin's ids run ahead of each other in the streams.
+    const ID_WINDOW: i64 = 8;
+
+    /// Hands out one origin's ids, each once, out of order within
+    /// [`ID_WINDOW`] of the lowest not yet handed out.
+    #[derive(Default)]
+    struct Ids {
+        base: i64,
+        used: BTreeSet<i64>,
+    }
+
+    impl Ids {
+        fn pick(&mut self, choice: u8) -> i64 {
+            let free: Vec<i64> = (self.base..self.base + ID_WINDOW)
+                .filter(|id| !self.used.contains(id))
+                .collect();
+            let id = free[choice as usize % free.len()];
+            self.used.insert(id);
+            while self.used.remove(&self.base) {
+                self.base += 1;
+            }
+            id
+        }
+    }
+
+    /// What a stream exercised (summed over streams by the coverage test).
+    #[derive(Default, Debug)]
+    struct Coverage {
+        duplicate_requests: usize,
+        reordered_ids: usize,
+        lost_slots: usize,
+        reordered_decisions: usize,
+        late_decisions: usize,
+    }
+
+    impl Coverage {
+        fn cases(&self) -> [(&'static str, usize); 5] {
+            [
+                ("duplicate requests", self.duplicate_requests),
+                ("ids out of order", self.reordered_ids),
+                ("lost slots", self.lost_slots),
+                ("decisions out of order", self.reordered_decisions),
+                ("late decisions", self.late_decisions),
+            ]
+        }
+    }
+
+    /// Drives the shipped replica and `double` with the stream `actions`
+    /// spell out — each action a `(kind, choice)` pair read against what
+    /// the replica has proposed so far — and reports the first step at
+    /// which their outputs differ.
+    fn drive(actions: &[(u8, u8)], mut double: ScanReplica) -> Result<Coverage, String> {
+        let cfg = config();
+        let ctx = Ctx::at(cfg.replicas[0]);
+        let mut shipped = replica(&cfg).process();
+        let foreign = [Loc::new(7), Loc::new(8)];
+        let mut ids: BTreeMap<Loc, Ids> = BTreeMap::new();
+        let mut requested: Vec<Value> = Vec::new();
+        // slot -> our command proposed there; slot -> what it decided.
+        let mut proposed: BTreeMap<i64, Value> = BTreeMap::new();
+        let mut decided: BTreeMap<i64, Value> = BTreeMap::new();
+        // Our commands that lost a slot already: losing twice in a row
+        // could hold one id open past the detector's window.
+        let mut lost_once: BTreeSet<Value> = BTreeSet::new();
+        let mut delivered = 0;
+        let mut cover = Coverage::default();
+        for (step, (kind, choice)) in actions.iter().copied().enumerate() {
+            let msg = match kind {
+                0 | 1 if proposed.len() < ID_WINDOW as usize => {
+                    let ids = ids.entry(ORIGIN).or_default();
+                    let (base, cid) = (ids.base, ids.pick(choice));
+                    cover.reordered_ids += usize::from(cid != base);
+                    requested.push(cmd(cid));
+                    request_msg(cmd(cid))
+                }
+                2 if !requested.is_empty() => {
+                    cover.duplicate_requests += 1;
+                    request_msg(requested[choice as usize % requested.len()].clone())
+                }
+                3 | 4 => {
+                    let open: Vec<i64> =
+                        (0..).filter(|s| !decided.contains_key(s)).take(4).collect();
+                    let slot = open[choice as usize % 4];
+                    cover.reordered_decisions += usize::from(slot != open[0]);
+                    let ours = proposed.remove(&slot);
+                    let c = match ours {
+                        Some(ours) if choice & 4 == 0 || lost_once.contains(&ours) => ours,
+                        ours => {
+                            if let Some(ours) = ours {
+                                cover.lost_slots += 1;
+                                lost_once.insert(ours);
+                            }
+                            let origin = foreign[(choice >> 3) as usize % 2];
+                            let cid = ids.entry(origin).or_default().pick(choice >> 4);
+                            command(origin, cid, Value::Int(cid))
+                        }
+                    };
+                    decided.insert(slot, c.clone());
+                    Msg::new(DECISION_HEADER, Value::pair(Value::Int(slot), c))
+                }
+                5 if !decided.is_empty() => {
+                    let (slot, c) = decided
+                        .iter()
+                        .nth(choice as usize % decided.len())
+                        .expect("in range");
+                    cover.late_decisions += usize::from(*slot < delivered);
+                    Msg::new(DECISION_HEADER, Value::pair(Value::Int(*slot), c.clone()))
+                }
+                _ => continue,
+            };
+            let expected = double.step(&cfg, &msg);
+            let got = shipped.step(&ctx, &msg);
+            if got != expected {
+                return Err(format!(
+                    "step {step}, {msg:?}: shipped {got:?}, reference {expected:?}"
+                ));
+            }
+            for o in &got {
+                let (slot, c) = o.msg.body.unpair();
+                if o.msg.header == cached_header!(PROPOSE_HEADER) {
+                    proposed.insert(slot.int(), c.clone());
+                } else {
+                    delivered = slot.int() + 1;
+                }
+            }
+        }
+        Ok(cover)
+    }
+
+    fn arb_actions() -> impl proptest::strategy::Strategy<Value = Vec<(u8, u8)>> {
+        proptest::collection::vec((0u8..6, proptest::prelude::any::<u8>()), 1..400)
+    }
+
+    fn seeded_actions(seed: u64) -> Vec<(u8, u8)> {
+        use proptest::strategy::Strategy;
+        arb_actions().new_value(&mut proptest::test_runner::TestRng::from_seed(seed))
+    }
+
+    proptest::proptest! {
+        /// Identity dedup answers exactly what the value scan answered: over
+        /// duplicate requests, duplicate, late and out-of-order decisions,
+        /// lost slots and ids out of order within a window, the replica
+        /// sends the same messages in the same order at every step.
+        #[test]
+        fn replica_matches_the_value_scan_reference(actions in arb_actions()) {
+            if let Err(divergence) = drive(&actions, ScanReplica::new(by_value_scan)) {
+                return Err(proptest::test_runner::TestCaseError::fail(divergence));
+            }
+        }
+    }
+
+    /// The streams reach every case the equivalence is claimed over.
+    #[test]
+    fn equivalence_streams_cover_every_case() {
+        let mut totals = [0; 5];
+        for seed in 0..32 {
+            let c = drive(&seeded_actions(seed), ScanReplica::new(by_value_scan)).expect("equal");
+            for (total, (_, n)) in totals.iter_mut().zip(c.cases()) {
+                *total += n;
+            }
+        }
+        for ((what, _), n) in Coverage::default().cases().iter().zip(totals) {
+            assert!(n >= 32, "{what}: only {n} over 32 streams");
+        }
+    }
+
+    /// The broken double: the same harness must tell a high-water-mark
+    /// detector — the bug the broadcast service once had — from the real
+    /// one, or passing it proves nothing.
+    #[test]
+    fn high_water_mark_double_is_rejected() {
+        let caught = (0..32)
+            .filter(|seed| {
+                drive(&seeded_actions(*seed), ScanReplica::new(by_high_water_mark)).is_err()
+            })
+            .count();
+        assert!(caught >= 16, "caught on {caught} of 32 streams");
     }
 
     #[test]

@@ -153,8 +153,14 @@ fn synod_per_slot_agreement_under_all_interleavings() {
         env: vec![Loc::new(100)],
         init_msgs: vec![
             (Loc::new(2), synod::start_msg()),
-            (Loc::new(0), synod::request_msg(Value::str("A"))),
-            (Loc::new(1), synod::request_msg(Value::str("B"))),
+            (
+                Loc::new(0),
+                synod::request_msg(synod::command(Loc::new(0), 0, Value::str("A"))),
+            ),
+            (
+                Loc::new(1),
+                synod::request_msg(synod::command(Loc::new(1), 0, Value::str("B"))),
+            ),
         ],
     };
     let outcome = explore(

@@ -26,6 +26,16 @@ fn learner(log: DecisionLog) -> Box<dyn Process> {
     }))
 }
 
+/// The `i`-th command of a run, issued by `origin` as its `cid`-th.
+fn command(origin: Loc, cid: i64, i: i64) -> Value {
+    synod::command(origin, cid, Value::Int(i))
+}
+
+/// The run-wide index a [`command`] carries.
+fn index_of(command: &Value) -> i64 {
+    command.unpair().1.unpair().1.int()
+}
+
 fn jittery(drop_probability: f64) -> NetworkConfig {
     NetworkConfig {
         latency: Latency::Jittered {
@@ -129,7 +139,7 @@ fn synod_with_competing_leaders_across_seeds() {
             sim.send_at(
                 VTime::from_millis(i as u64),
                 replica,
-                synod::request_msg(Value::Int(i)),
+                synod::request_msg(command(replica, i / 3, i)),
             );
         }
         sim.run_until_quiescent(VTime::from_secs(300));
@@ -142,7 +152,7 @@ fn synod_with_competing_leaders_across_seeds() {
             }
             by_slot.insert(*slot, v.clone());
         }
-        let mut decided: Vec<i64> = by_slot.values().map(Value::int).collect();
+        let mut decided: Vec<i64> = by_slot.values().map(index_of).collect();
         decided.sort_unstable();
         decided.dedup();
         assert_eq!(decided, (0..30).collect::<Vec<_>>(), "seed {seed}");
@@ -179,7 +189,7 @@ fn synod_survives_minority_acceptor_crashes() {
         sim.send_at(
             VTime::from_millis(i as u64 * 2),
             config.replicas[0],
-            synod::request_msg(Value::Int(i)),
+            synod::request_msg(command(config.replicas[0], i, i)),
         );
     }
     // Two of five acceptors die mid-stream: still a majority left.
@@ -198,4 +208,66 @@ fn synod_survives_minority_acceptor_crashes() {
         40,
         "all commands decided despite two crashes"
     );
+}
+
+/// Stationarity, end to end: a Synod deployment (one replica, one leader,
+/// three acceptors) orders 50 000 commands — hundreds of times the other
+/// soaks' length — in five equal stages, each run to quiescence, and the
+/// last stage costs no more wall-clock time per command than the first.
+/// Before command identity the replica compared every request against every
+/// decision ever made, and the last fifth of such a run took several times
+/// the first.
+///
+/// What still grows with the slots decided: the acceptors' `accepted` and
+/// the leader's `proposals` maps (an O(log n) insert per command here, and
+/// the whole map in every P1B). Forgetting them needs the decided watermark
+/// and snapshot-fetch edge of ROADMAP item 1b, which owns that.
+#[test]
+fn synod_time_per_command_is_flat_over_a_long_run() {
+    const STAGE: i64 = 10_000;
+    // Wall-clock time on a shared host: a disturbed attempt is retried,
+    // a real regression fails every attempt.
+    let mut ratios = Vec::new();
+    for attempt in 0..3 {
+        let log: DecisionLog = Arc::new(Mutex::new(Vec::new()));
+        let mut sim = SimBuilder::new(77 + attempt).network(jittery(0.0)).build();
+        sim.add_node(learner(log.clone()));
+        let config = synod::SynodConfig {
+            replicas: vec![Loc::new(1)],
+            leaders: vec![Loc::new(2)],
+            acceptors: (3..6).map(Loc::new).collect(),
+            learners: vec![Loc::new(0)],
+        };
+        sim.add_node(Box::new(synod::replica(&config).process()));
+        sim.add_node(Box::new(synod::leader(&config).process()));
+        for _ in 0..3 {
+            sim.add_node(Box::new(synod::acceptor().process()));
+        }
+        sim.send_at(VTime::ZERO, config.leaders[0], synod::start_msg());
+        let mut stage_times = Vec::new();
+        for stage in 0..5 {
+            // Paced like a closed loop: a handful of commands in flight.
+            let now = sim.now();
+            for i in 0..STAGE {
+                let cid = stage * STAGE + i;
+                let request = synod::request_msg(command(config.replicas[0], cid, cid));
+                let at = now + Duration::from_micros(200 * i as u64);
+                sim.send_at(at, config.replicas[0], request);
+            }
+            let started = std::time::Instant::now();
+            sim.run_until_quiescent(VTime::from_secs(36_000));
+            stage_times.push(started.elapsed());
+            assert_eq!(log.lock().len() as i64, (stage + 1) * STAGE);
+        }
+        let decided: Vec<i64> = log.lock().iter().map(|(_, c)| index_of(c)).collect();
+        let mut sorted = decided.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..5 * STAGE).collect::<Vec<_>>());
+        let ratio = stage_times[4].as_secs_f64() / stage_times[0].as_secs_f64();
+        ratios.push(ratio);
+        if ratio <= 1.5 {
+            return;
+        }
+    }
+    panic!("last fifth over first fifth, per command: {ratios:?} (every attempt above 1.5)");
 }

@@ -30,7 +30,6 @@ use crate::value::{Header, Msg, Value};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use shadowdb_loe::Loc;
 use std::fmt;
-use std::sync::Arc;
 
 /// Deepest value nesting the decoder accepts (and the encoder is expected
 /// to produce). Protocol messages are a handful of levels deep; the bound
@@ -187,14 +186,14 @@ fn decode_value_at(buf: &mut Bytes, depth: u32) -> Result<Value, DecodeError> {
         }
         TAG_STR => {
             // Borrowing decode: the string is a zero-copy UTF-8 view of
-            // the input buffer (validated once), sharing its storage.
+            // the input (validated once), sharing its storage.
             let len = claimed_len(buf)?;
             let raw = buf.split_to(len);
             let s = crate::value::SharedStr::from_utf8(raw).map_err(|_| DecodeError::BadUtf8)?;
             Ok(Value::Str(s))
         }
         TAG_BYTES => {
-            // Zero-copy: the payload body aliases the input buffer.
+            // Zero-copy: the payload body aliases the input.
             let len = claimed_len(buf)?;
             Ok(Value::Bytes(buf.split_to(len)))
         }
@@ -334,10 +333,6 @@ const MIN_STORAGE: usize = 16 * 1024;
 /// high-water allocation for the connection's lifetime.
 const SHRINK_AT: usize = 256 * 1024;
 
-fn oversized(cap: usize, needed: usize) -> bool {
-    cap > SHRINK_AT && needed <= cap / 4
-}
-
 /// Reassembles frames from a byte stream fed in arbitrary chunks, the
 /// receive half of [`FrameEncoder`].
 ///
@@ -348,21 +343,20 @@ fn oversized(cap: usize, needed: usize) -> bool {
 /// cap is rejected *from its header alone* — the reader never buffers
 /// toward an impossible length.
 ///
-/// # Zero-copy ownership
+/// # Ownership: a message owns its frame, the reader owns its buffer
 ///
-/// The buffer is shared storage (`Arc<Vec<u8>>`): `next_msg` hands the
-/// decoder a [`Bytes`] *view* of the frame in place, so decoded
-/// `Value::Bytes`/`Value::Str` bodies alias the reassembly buffer rather
-/// than copying out of it. Writing new bytes requires unique ownership
-/// (`Arc::get_mut`): while any decoded view is still alive the next write
-/// swaps in fresh storage and copies only the unconsumed tail, so views
-/// remain valid forever and the steady state — views dropped before the
-/// next read — reuses the buffer allocation-free.
+/// `next_msg` copies each complete frame's payload into a right-sized
+/// [`Bytes`] of its own and decodes from that, so decoded
+/// `Value::Bytes`/`Value::Str` bodies are views of *their frame* — one
+/// allocation per message, none per body. Nothing ever aliases the
+/// reassembly buffer: it is always unique, compacted and reused in place,
+/// and a value kept for the life of the process (an accepted pvalue, a
+/// decision) keeps alive its own frame's bytes, not a socket read's worth
+/// of its neighbours'.
 pub struct FrameReader {
-    storage: Arc<Vec<u8>>,
-    /// First unconsumed byte; `storage[start..filled]` is live.
+    /// `buf[start..filled]` is live; `buf[filled..]` is spare room.
+    buf: Vec<u8>,
     start: usize,
-    /// One past the last byte received.
     filled: usize,
     max_frame: usize,
 }
@@ -376,7 +370,7 @@ impl FrameReader {
     /// A reader capping frame payloads at `max_frame` bytes.
     pub fn with_max_frame(max_frame: usize) -> FrameReader {
         FrameReader {
-            storage: Arc::new(Vec::new()),
+            buf: Vec::new(),
             start: 0,
             filled: 0,
             max_frame,
@@ -398,14 +392,12 @@ impl FrameReader {
     /// [`FrameReader::commit`] for however many bytes landed.
     pub fn spare_mut(&mut self, min: usize) -> &mut [u8] {
         self.reserve(min.max(1));
-        let filled = self.filled;
-        let vec = Arc::get_mut(&mut self.storage).expect("reserve leaves storage unique");
-        &mut vec[filled..]
+        &mut self.buf[self.filled..]
     }
 
     /// Marks `n` bytes of [`FrameReader::spare_mut`] as received.
     pub fn commit(&mut self, n: usize) {
-        assert!(self.filled + n <= self.storage.len(), "commit past spare");
+        assert!(self.filled + n <= self.buf.len(), "commit past spare");
         self.filled += n;
     }
 
@@ -414,42 +406,33 @@ impl FrameReader {
         self.filled - self.start
     }
 
-    /// Identity of the current backing allocation — lets tests observe
-    /// when decoded views alias the reassembly buffer and when a write
-    /// swapped in fresh storage.
-    pub fn storage_id(&self) -> usize {
-        Arc::as_ptr(&self.storage) as usize
+    /// Size of the reassembly buffer — lets tests observe that it settles
+    /// at the connection's working set and is reused, not regrown.
+    pub fn capacity(&self) -> usize {
+        self.buf.len()
     }
 
-    /// Ensures unique storage with at least `extra` bytes of spare room,
-    /// compacting in place when possible and reallocating right-sized
-    /// when views pin the buffer, it is too small, or it ballooned past
-    /// the working set.
+    /// Ensures at least `extra` bytes of spare room: as is when there is
+    /// room, else compacted in place, grown when the live tail needs more,
+    /// and cut back to size when it ballooned past the working set.
     fn reserve(&mut self, extra: usize) {
         let live = self.filled - self.start;
         let needed = live + extra;
-        if let Some(vec) = Arc::get_mut(&mut self.storage) {
-            // Reclaim check first: a ballooned buffer is replaced even
-            // when it has plenty of spare room — spare is exactly what an
-            // oversized buffer has too much of.
-            if !oversized(vec.len(), needed) {
-                if vec.len() - self.filled >= extra {
-                    return;
-                }
-                if vec.len() >= needed {
-                    vec.copy_within(self.start..self.filled, 0);
-                    self.start = 0;
-                    self.filled = live;
-                    return;
-                }
-            }
+        // Reclaim check first: a ballooned buffer is cut back even when it
+        // has plenty of spare room — spare is exactly what an oversized
+        // buffer has too much of.
+        let oversized = self.buf.len() > SHRINK_AT && needed <= self.buf.len() / 4;
+        if !oversized && self.buf.len() - self.filled >= extra {
+            return;
         }
-        let new_cap = needed.next_power_of_two().max(MIN_STORAGE);
-        let mut fresh = vec![0u8; new_cap];
-        fresh[..live].copy_from_slice(&self.storage[self.start..self.filled]);
-        self.storage = Arc::new(fresh);
+        self.buf.copy_within(self.start..self.filled, 0);
         self.start = 0;
         self.filled = live;
+        if oversized || self.buf.len() < needed {
+            self.buf
+                .resize(needed.next_power_of_two().max(MIN_STORAGE), 0);
+            self.buf.shrink_to_fit();
+        }
     }
 
     /// Extracts the next complete message, if a full frame has arrived.
@@ -465,7 +448,7 @@ impl FrameReader {
         if self.buffered() < 4 {
             return Ok(None);
         }
-        let head = &self.storage[self.start..];
+        let head = &self.buf[self.start..];
         let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
         if len > self.max_frame {
             return Err(DecodeError::FrameTooLarge {
@@ -477,12 +460,9 @@ impl FrameReader {
             return Ok(None);
         }
         let body = self.start + 4;
-        let payload = Bytes::from_shared(self.storage.clone(), body, body + len);
+        let payload = Bytes::copy_from_slice(&self.buf[body..body + len]);
         self.start = body + len;
         if self.start == self.filled {
-            // Empty: rewind the indices. Writes stay safe regardless of
-            // live views because they go through `reserve`'s uniqueness
-            // check, not these offsets.
             self.start = 0;
             self.filled = 0;
         }
@@ -654,29 +634,28 @@ mod tests {
     }
 
     #[test]
-    fn decoded_bytes_alias_reassembly_buffer() {
+    fn decoded_bodies_alias_their_frame_never_the_reassembly_buffer() {
         let mut enc = FrameEncoder::new();
         let mut rdr = FrameReader::new();
-        let m = Msg::new("blob", Value::Bytes(Bytes::from(vec![7u8; 512])));
+        let blob = Value::Bytes(Bytes::from(vec![7u8; 512]));
+        let m = Msg::new("blob", Value::pair(blob.clone(), blob));
+        let frame_len = enc.encode(&m).len() - 4;
         rdr.extend(enc.encode(&m));
-        let before = rdr.storage_id();
+        let capacity = rdr.capacity();
         let got = rdr.next_msg().unwrap().unwrap();
-        let Value::Bytes(view) = &got.body else {
-            panic!("expected bytes body")
+        let (Value::Bytes(a), Value::Bytes(b)) = got.body.unpair() else {
+            panic!("expected two bytes bodies")
         };
-        // Zero-copy: the decoded body is a view of the reader's storage.
-        assert_eq!(view.storage_id(), before);
-        // While the view lives, the next write must swap in fresh storage
-        // rather than scribble under it.
-        rdr.extend(enc.encode(&m));
-        assert_ne!(rdr.storage_id(), before);
-        assert_eq!(&view[..], &[7u8; 512][..]);
-        drop(got);
-        // With views gone, further writes reuse the buffer in place.
-        let stable = rdr.storage_id();
-        assert!(rdr.next_msg().unwrap().is_some());
+        // Zero-copy within the frame: both bodies are views of one
+        // allocation, and that allocation is the frame, nothing larger.
+        assert_eq!(a.storage_id(), b.storage_id());
+        assert_eq!(a.storage_len(), frame_len);
+        // With the views alive the next write still lands in the same
+        // buffer, and cannot scribble under them.
         rdr.extend(enc.encode(&Msg::new("ack", Value::Unit)));
-        assert_eq!(rdr.storage_id(), stable);
+        assert_eq!(rdr.capacity(), capacity);
+        assert_eq!(&a[..], &[7u8; 512][..]);
+        assert_eq!(rdr.next_msg().unwrap(), Some(Msg::new("ack", Value::Unit)));
     }
 
     /// Satellite regression: one oversized frame must not pin its
@@ -688,12 +667,12 @@ mod tests {
         let big = Msg::new("big", Value::Bytes(Bytes::from(vec![1u8; 1 << 20])));
         rdr.extend(enc.encode(&big));
         assert!(rdr.next_msg().unwrap().is_some());
-        let ballooned = rdr.storage_id();
+        assert!(rdr.capacity() > 1 << 20);
         // Steady small traffic: the next reserve sees a live tail far
-        // below the high-water mark and swaps in right-sized storage.
+        // below the high-water mark and cuts the buffer back to size.
         let small = Msg::new("s", Value::Int(1));
         rdr.extend(enc.encode(&small));
-        assert_ne!(rdr.storage_id(), ballooned, "storage not reclaimed");
+        assert_eq!(rdr.capacity(), MIN_STORAGE, "storage not reclaimed");
         assert_eq!(rdr.next_msg().unwrap(), Some(small));
     }
 

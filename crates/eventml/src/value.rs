@@ -38,8 +38,8 @@ impl SharedStr {
         match &self.0 {
             Repr::Owned(s) => s,
             // SAFETY: validated as UTF-8 at construction, and `Bytes` is
-            // immutable — no API mutates shared storage while a view is
-            // alive (`Arc::get_mut` fails for any would-be writer).
+            // immutable — it has no API that writes to storage a view
+            // shares.
             Repr::View(b) => unsafe { std::str::from_utf8_unchecked(b) },
         }
     }
@@ -53,6 +53,16 @@ impl SharedStr {
     pub fn from_utf8(bytes: bytes::Bytes) -> Result<SharedStr, std::str::Utf8Error> {
         std::str::from_utf8(&bytes)?;
         Ok(SharedStr(Repr::View(bytes)))
+    }
+
+    /// Bytes of storage this string keeps alive: its own length when
+    /// owned, the whole frame it is a view of when decoded. Diagnostic/test
+    /// hook for asserting what a retained string pins.
+    pub fn storage_len(&self) -> usize {
+        match &self.0 {
+            Repr::Owned(s) => s.len(),
+            Repr::View(b) => b.storage_len(),
+        }
     }
 }
 

@@ -16,9 +16,11 @@
 //!   inbound connection to them, the hosted processes with their timer
 //!   heaps, and the hosts' outbound links — there are no per-node or
 //!   per-connection threads.
-//! * The receive path is allocation-free in steady state: sockets read
-//!   directly into each connection's reassembly buffer and decoded
-//!   message bodies are zero-copy `Bytes`/string views of that buffer
+//! * The receive path costs one allocation per frame: sockets read
+//!   directly into each connection's reassembly buffer, each complete
+//!   frame is copied out right-sized, and decoded message bodies are
+//!   zero-copy `Bytes`/string views of that frame — never of the buffer,
+//!   which is reused in place whatever a process keeps
 //!   (`shadowdb_eventml::codec`). Decoding steps the destination process
 //!   inline on its own shard; a process's zero-delay self-sends are
 //!   stepped at the top of the next turn, once everything readable this

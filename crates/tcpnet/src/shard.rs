@@ -13,8 +13,9 @@
 //! turn — after everything readable this turn was stepped and the links
 //! those steps wrote are flushed — so work a process defers to one (a
 //! replica's `sdb/sync`) runs once per turn. Decoded message bodies are
-//! zero-copy views of the connection's reassembly buffer (`FrameReader`),
-//! so the receive path allocates nothing in steady state.
+//! zero-copy views of their own frame, which `FrameReader` copies out of
+//! the connection's reassembly buffer right-sized: one allocation per
+//! frame, and the buffer itself is never pinned by what a process keeps.
 
 use crate::link::{try_connect, OutLink};
 use crate::node::NodeHost;

@@ -29,6 +29,7 @@
 //! [`DELIVER_HEADER`]: crate::DELIVER_HEADER
 
 use crate::{BROADCAST_HEADER, DELIVER_HEADER, SUBOK_HEADER, SUBSCRIBE_HEADER, UNSUBSCRIBE_HEADER};
+use shadowdb_consensus::dedup::SeenIds;
 use shadowdb_consensus::{synod, twothird, vmap, DECIDE_HEADER};
 use shadowdb_eventml::patterns::{Mealy, MealyState};
 use shadowdb_eventml::{cached_header, Header, Msg, SendInstr, Spec, Value};
@@ -108,9 +109,9 @@ pub struct ServerState {
     /// TwoThird entries carry the slot the server claimed; Paxos entries
     /// carry `None` (the Synod replica owns slot assignment).
     in_flight: Vec<(Option<i64>, Value)>,
-    /// client -> enqueue duplicate-detector state (see [`note_msgid`]).
+    /// client -> enqueue duplicate-detector state (an encoded [`SeenIds`]).
     last_enq: Value,
-    /// client -> delivery duplicate-detector state (see [`note_msgid`]).
+    /// client -> delivery duplicate-detector state (an encoded [`SeenIds`]).
     last_del: Value,
     /// Dynamic subscribers (joining replicas), added at runtime through
     /// [`SUBSCRIBE_HEADER`]; they receive every delivery alongside the
@@ -185,72 +186,22 @@ impl MealyState for ServerState {
     }
 }
 
-/// Msgids further than this behind a source's newest are assumed seen.
-/// A stop-and-wait client never has two msgids in flight, and a replica
-/// pipelining lease forwards reorders only within the network's jitter —
-/// a handful of messages — so 64 is far beyond any real reorder depth.
-const DEDUP_WINDOW: usize = 64;
-
-/// Sliding-window duplicate detection for one source.
-///
-/// The per-source entry is `<floor, sorted msgids above floor>`: every
-/// msgid `<= floor` has been seen, plus the listed ones above it. For a
-/// stop-and-wait source whose msgids arrive in order the list stays
-/// empty and this degenerates to the classic last-msgid high-water mark
-/// (the paper's "sequence number of the last transaction submitted by
-/// each client"). A plain high-water mark is *wrong* for a source with
-/// several msgids in flight at once — the lease-holder replica funnels
-/// every forwarded read through one counter — because jittered links
-/// can reorder the arrivals, and the mark would then swallow the
-/// stragglers as stale with nothing on that path to retransmit them.
-///
-/// Returns the updated entry, or `None` when `msgid` is a duplicate.
-fn note_msgid(entry: Option<&Value>, msgid: i64) -> Option<Value> {
-    let (mut floor, mut above) = match entry {
-        Some(v) => {
-            let (f, l) = v.unpair();
-            (
-                f.int(),
-                l.as_list()
-                    .expect("msgid list")
-                    .iter()
-                    .map(|m| m.int())
-                    .collect::<Vec<i64>>(),
-            )
-        }
-        None => (-1, Vec::new()),
-    };
-    if msgid <= floor {
-        return None;
+/// Sliding-window duplicate detection in a `source -> SeenIds` table (the
+/// encoded form of [`SeenIds`] per source): records `msgid` and returns
+/// true when it is fresh from `source`.
+fn note_msgid(table: &mut Value, source: &Value, msgid: i64) -> bool {
+    let mut seen = vmap::get(table, source).map_or_else(SeenIds::default, SeenIds::from_value);
+    let fresh = seen.note(msgid);
+    if fresh {
+        *table = vmap::set(table, source.clone(), seen.to_value());
     }
-    let Err(i) = above.binary_search(&msgid) else {
-        return None;
-    };
-    above.insert(i, msgid);
-    while above.first() == Some(&(floor + 1)) {
-        floor += 1;
-        above.remove(0);
-    }
-    // Bound the gap set: sources that jump their counter (a recovered
-    // replica restarts far past its pre-crash msgids) must not pin an
-    // unclosable gap forever. Sliding the floor up writes off msgids
-    // more than a window behind the newest — by then they are either
-    // lost or stale duplicates from a dead incarnation.
-    while above.len() > DEDUP_WINDOW {
-        floor = above.remove(0);
-    }
-    Some(Value::pair(
-        Value::Int(floor),
-        Value::list(above.into_iter().map(Value::Int)),
-    ))
+    fresh
 }
 
-/// Builds a batch value `<proposer, <batchid, entries>>`.
+/// Builds a batch value `<proposer, <batchid, entries>>` — a Synod
+/// [`synod::command`], identified by `(proposer, batchid)`.
 fn batch_value(proposer: Loc, batchid: i64, entries: &[Value]) -> Value {
-    Value::pair(
-        Value::Loc(proposer),
-        Value::pair(Value::Int(batchid), Value::list(entries.to_vec())),
-    )
+    synod::command(proposer, batchid, Value::list(entries.to_vec()))
 }
 
 fn batch_entries(batch: &Value) -> &[Value] {
@@ -307,8 +258,7 @@ fn transition(
     if header == cached_header!(BROADCAST_HEADER) {
         let (client, rest) = body.unpair();
         let (msgid, _payload) = rest.unpair();
-        if let Some(seen) = note_msgid(vmap::get(&st.last_enq, client), msgid.int()) {
-            st.last_enq = vmap::set(&st.last_enq, client.clone(), seen);
+        if note_msgid(&mut st.last_enq, client, msgid.int()) {
             let mut pending: Vec<Value> = st.pending.elems().to_vec();
             pending.push(body.clone());
             st.pending = Value::list(pending);
@@ -370,10 +320,9 @@ fn deliver_ready(config: &TobConfig, st: &mut ServerState, outs: &mut Vec<SendIn
         for entry in batch_entries(&batch) {
             let (client, rest) = entry.unpair();
             let (msgid, _payload) = rest.unpair();
-            let Some(seen) = note_msgid(vmap::get(&st.last_del, client), msgid.int()) else {
+            if !note_msgid(&mut st.last_del, client, msgid.int()) {
                 continue; // duplicate of an already-delivered message
-            };
-            st.last_del = vmap::set(&st.last_del, client.clone(), seen);
+            }
             for sub in config.subscribers.iter().chain(dynamic.iter()) {
                 outs.push(SendInstr::now(
                     *sub,
@@ -537,32 +486,6 @@ mod tests {
         // Four distinct msgids → four single-entry batches proposed; the
         // two repeats are dropped as duplicates.
         assert_eq!(proposals, 4, "each distinct msgid proposed exactly once");
-    }
-
-    #[test]
-    fn dedup_floor_slides_past_counter_jumps() {
-        // A source that restarts its counter far ahead (a recovered
-        // replica) must not pin an unclosable gap: the window caps the
-        // tracked set, and msgids at or below the slid floor stay
-        // recognised as stale.
-        let mut entry = None;
-        for id in 0..3i64 {
-            entry = Some(note_msgid(entry.as_ref(), id).expect("fresh"));
-        }
-        for id in 1_000_000..(1_000_000 + DEDUP_WINDOW as i64 + 8) {
-            entry = Some(note_msgid(entry.as_ref(), id).expect("fresh past the jump"));
-        }
-        let v = entry.as_ref().expect("entry");
-        let (floor, above) = v.unpair();
-        assert!(floor.int() >= 1_000_000, "floor slid into the new range");
-        assert!(
-            above.as_list().expect("list").len() <= DEDUP_WINDOW,
-            "gap set stays bounded"
-        );
-        assert!(
-            note_msgid(entry.as_ref(), 2).is_none(),
-            "pre-jump stragglers written off as stale"
-        );
     }
 
     #[test]

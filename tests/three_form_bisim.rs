@@ -151,19 +151,32 @@ fn ballot(rng: &mut Rng, leaders: u64) -> Value {
     )
 }
 
+/// A well-formed command `<origin, <cid, op>>` out of three origins and
+/// ten ids each, so identities repeat — under the same op and, now and
+/// then, under another one (an origin that reused an id).
+fn command(rng: &mut Rng) -> Value {
+    let (origin, cid) = (rng.loc(3), rng.below(10) as i64);
+    let op = if rng.below(8) == 0 {
+        rng.int(5)
+    } else {
+        Value::Int(cid)
+    };
+    synod::command(origin, cid, op)
+}
+
 fn synod_stream(seed: u64, n: usize) -> Vec<Msg> {
     let mut rng = Rng(seed);
     (0..n)
         .map(|_| match rng.below(10) {
-            0 => synod::request_msg(rng.int(5)),
+            0 => synod::request_msg(command(&mut rng)),
             1 => synod::start_msg(),
             2 => Msg::new(
                 cached_header!(synod::PROPOSE_HEADER),
-                Value::pair(rng.int(3), rng.int(5)),
+                Value::pair(rng.int(3), command(&mut rng)),
             ),
             3 => Msg::new(
                 cached_header!(synod::DECISION_HEADER),
-                Value::pair(rng.int(3), rng.int(5)),
+                Value::pair(rng.int(6), command(&mut rng)),
             ),
             4 => {
                 // p1a: <leader, ballot>
@@ -180,7 +193,7 @@ fn synod_stream(seed: u64, n: usize) -> Vec<Msg> {
                 let b = ballot(&mut rng, 3);
                 let accepted: Vec<Value> = (0..3)
                     .filter_map(|slot| {
-                        let pvalue = Value::pair(ballot(&mut rng, 3), rng.int(5));
+                        let pvalue = Value::pair(ballot(&mut rng, 3), command(&mut rng));
                         (rng.below(3) == 0).then(|| Value::pair(Value::Int(slot), pvalue))
                     })
                     .collect();
@@ -199,7 +212,7 @@ fn synod_stream(seed: u64, n: usize) -> Vec<Msg> {
                     cached_header!(synod::P2A_HEADER),
                     Value::pair(
                         Value::Loc(rng.loc(9)),
-                        Value::pair(b, Value::pair(rng.int(3), rng.int(5))),
+                        Value::pair(b, Value::pair(rng.int(3), command(&mut rng))),
                     ),
                 )
             }
@@ -223,7 +236,9 @@ fn synod_stream(seed: u64, n: usize) -> Vec<Msg> {
 /// What `slf` receives in a live deployment: the random streams above
 /// rarely get a leader past phase 1 (a ballot must match exactly), so the
 /// roles are also driven by the traffic of a real run — two competing
-/// leaders, twelve commands, messages delivered in a seeded random order
+/// leaders, twelve requests over ten commands (each replica the origin of
+/// its own, two of them submitted twice), messages delivered in a seeded
+/// random order
 /// (preemptions, rescouts, adoptions of accepted pvalues, re-proposals
 /// after lost slots) — salted with noise. Returns at most 400 messages.
 fn live_stream(seed: u64, config: &synod::SynodConfig, slf: Loc) -> Vec<Msg> {
@@ -242,10 +257,19 @@ fn live_stream(seed: u64, config: &synod::SynodConfig, slf: Loc) -> Vec<Msg> {
         .iter()
         .map(|l| (*l, synod::start_msg()))
         .collect();
+    let mut next_cid = vec![0i64; config.replicas.len()];
+    let mut requests: Vec<(Loc, Msg)> = Vec::new();
     for i in 0..12 {
-        let replica = config.replicas[rng.below(config.replicas.len() as u64) as usize];
-        queue.push((replica, synod::request_msg(Value::Int(i % 10))));
+        if i >= 10 {
+            requests.push(requests[i - 10].clone());
+            continue;
+        }
+        let r = rng.below(config.replicas.len() as u64) as usize;
+        let cmd = synod::command(config.replicas[r], next_cid[r], Value::Int(i as i64));
+        next_cid[r] += 1;
+        requests.push((config.replicas[r], synod::request_msg(cmd)));
     }
+    queue.extend(requests);
     let (mut stream, mut decided) = (Vec::new(), false);
     for _ in 0..20_000 {
         if queue.is_empty() {
