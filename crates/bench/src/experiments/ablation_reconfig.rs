@@ -38,7 +38,6 @@ use crate::measure::answered;
 use crate::output;
 use crate::scenario::bank_options;
 use shadowdb::deploy::{DeployOptions, PbrDeployment};
-use shadowdb::diversity::DiversityPolicy;
 use shadowdb::msgs::SNAPSHOT_HEADER;
 use shadowdb::pbr::PbrOptions;
 use shadowdb_eventml::Msg;
@@ -46,7 +45,6 @@ use shadowdb_loe::Loc;
 use shadowdb_runtime::{CostModel, Runtime};
 use shadowdb_simnet::testing::default_net;
 use shadowdb_tob::mode::ModeCost;
-use shadowdb_workloads::bank;
 use std::io::{self, Write};
 use std::time::Duration;
 
@@ -72,30 +70,27 @@ impl CostModel for XferCost {
     }
 }
 
-/// Deploys a PBR bank group over `rows` accounts, lets the clients get
-/// `warm` answers, then replaces the backup with a fresh replica through
+/// Deploys a PBR bank group, lets the clients get `warm` answers, then
+/// replaces the backup with a fresh replica through
 /// `ReconfigHandle::replace_replica` while the remaining load keeps
 /// running; `chunk_cost` composes [`XferCost`] onto the service's model.
 /// Returns (rejoin ms, answers during the replacement window).
 /// `perf_smoke`'s `reconfig_catchup_ms` leg is this run at smoke size.
 pub fn replace(
     seed: u64,
-    rows: usize,
     options: &DeployOptions,
     pbr: PbrOptions,
     chunk_cost: bool,
     warm: usize,
 ) -> (f64, usize) {
     let mut sim = default_net(seed);
-    let d = PbrDeployment::build(&mut sim, options, pbr.clone());
+    let d = PbrDeployment::build(&mut sim, options, pbr);
     if chunk_cost {
         sim.set_cost_model(XferCost {
             inner: ModeCost::new(options.mode, d.tob.service_locs.clone()),
         });
     }
-    let mut handle = d.reconfig(&mut sim, pbr, DiversityPolicy::Uniform, move |db| {
-        bank::load(db, rows).expect("loads")
-    });
+    let mut handle = d.reconfig(&mut sim);
     while answered(&d.stats) < warm {
         sim.run_for(Duration::from_millis(5));
     }
@@ -140,7 +135,7 @@ fn run(batch_bytes: usize, live: usize) -> (f64, usize) {
         (clients * TXNS_PER_CLIENT / 4).max(200)
     };
     let seed = 0x5EC0 ^ (batch_bytes as u64) ^ ((live as u64) << 40);
-    replace(seed, ROWS, &options, pbr, true, warm)
+    replace(seed, &options, pbr, true, warm)
 }
 
 /// Runs the batch × load sweep.

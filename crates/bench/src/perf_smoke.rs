@@ -381,7 +381,7 @@ fn reconfig_catchup_ms() -> f64 {
     let (options, pbr) = small_bank(17, Duration::from_millis(300));
     // Let the service reach steady state (100 answers), then replace a
     // backup mid-load.
-    let (ms, during) = ablation_reconfig::replace(641, ACCOUNTS, &options, pbr, false, 100);
+    let (ms, during) = ablation_reconfig::replace(641, &options, pbr, false, 100);
     assert!(
         during > 0,
         "clients must keep committing during the replacement (no full-group pause)"
@@ -425,11 +425,7 @@ fn wal_group_commit_txns_per_sec() -> f64 {
 /// by comparing against `reconfig_catchup_ms`, which replaces a replica
 /// *without* a disk and must stream the whole state.
 fn restart_from_disk_ms() -> f64 {
-    use shadowdb::diversity::DiversityPolicy;
-    use shadowdb::msgs::ReplicaConfig;
-    use shadowdb::pbr::{PbrReplica, TransferKind, TransferProbe};
-    use shadowdb_runtime::{schedule_node_faults, FaultPlan, LazyRecover, NodeFaultKind};
-    use shadowdb_workloads::bank;
+    use shadowdb::pbr::{TransferKind, TransferProbe};
     use std::sync::Arc;
 
     const SNAPSHOT_EVERY: i64 = 64;
@@ -441,54 +437,18 @@ fn restart_from_disk_ms() -> f64 {
         transfer_probe: Some(transfers.clone()),
         ..DurabilityOptions::default()
     });
-    let d = PbrDeployment::build(&mut sim, &options, pbr.clone());
+    let d = PbrDeployment::build(&mut sim, &options, pbr);
     // Let the backup's WAL accumulate real state before the power cycle.
     while answered(&d.stats) < 100 {
         sim.run_for(Duration::from_millis(5));
     }
     let victim = d.replicas[1];
-    let disk = d.disks[1].clone();
     let crash = sim.now() + Duration::from_millis(5);
     let reboot = crash + Duration::from_millis(40);
-    let plan = FaultPlan::new(0)
-        .with_crash(crash, victim)
-        .with_durable_restart(reboot, victim);
-    let config = ReplicaConfig::initial(d.replicas[..2].to_vec());
-    let spares = d.replicas[2..].to_vec();
-    let servers = d.tob.servers.clone();
-    let recover = move |loc: Loc, kind: NodeFaultKind| {
-        assert_eq!((loc, kind), (victim, NodeFaultKind::RestartDurable));
-        let (disk, config, spares) = (disk.clone(), config.clone(), spares.clone());
-        let (servers, pbr) = (servers.clone(), pbr.clone());
-        Some(Box::new(LazyRecover::new(move || {
-            disk.begin_recovery(13);
-            let db = DiversityPolicy::Uniform.database(1);
-            bank::load(&db, ACCOUNTS).expect("loads");
-            Box::new(PbrReplica::recover_from(
-                db,
-                config.clone(),
-                spares.clone(),
-                servers.clone(),
-                pbr.clone(),
-                None,
-                victim,
-                disk.clone(),
-                SNAPSHOT_EVERY,
-            ))
-        })) as Box<dyn Process>)
-    };
-    schedule_node_faults(&mut sim, &plan, recover);
-    sim.send_at(
-        reboot + Duration::from_millis(2),
-        victim,
-        PbrReplica::start_msg(),
-    );
-    let rejoined = |t: &TransferProbe| {
-        t.lock()
-            .iter()
-            .any(|(l, k)| (*l, *k) == (victim, TransferKind::Catchup))
-    };
-    while !rejoined(&transfers) {
+    sim.crash_at(crash, victim);
+    d.reboot(&mut sim, victim, reboot, 13);
+    let served = |kind| transfers.lock().contains(&(victim, kind));
+    while !served(TransferKind::Catchup) {
         sim.run_for(Duration::from_millis(1));
         assert!(
             sim.now() < reboot + Duration::from_secs(60),
@@ -496,10 +456,7 @@ fn restart_from_disk_ms() -> f64 {
         );
     }
     assert!(
-        !transfers
-            .lock()
-            .iter()
-            .any(|(l, k)| (*l, *k) == (victim, TransferKind::Snapshot)),
+        !served(TransferKind::Snapshot),
         "restart from disk fell back to a full state transfer"
     );
     (sim.now().as_micros() - reboot.as_micros()) as f64 / 1_000.0

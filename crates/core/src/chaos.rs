@@ -22,33 +22,27 @@
 //!   [`PrimaryProbe`], no two replicas ever execute client transactions
 //!   as primary of the same configuration sequence number.
 //!
-//! Restart node-faults in a plan are deliberately skipped: a PBR replica
-//! restarted from scratch would rejoin in the initial configuration with
-//! empty state, which the protocol only supports through the
-//! reconfiguration path (spares), not amnesiac resurrection. Crashes are
-//! applied as scheduled.
+//! Crashes are applied as scheduled, and a plan's durable restarts
+//! (`RestartDurable`, the power-loss profile) go through the deployment's
+//! own reboot call, which brings the replica back from its disk and kicks
+//! it into rejoining. Only the amnesiac `Restart` is skipped: a replica
+//! restarted with neither state nor disk would rejoin in the initial
+//! configuration with an empty database, which the protocols support only
+//! through the reconfiguration path (a spare, a joiner), not amnesiac
+//! resurrection.
 
 use crate::client::{DbClient, DbClientStats};
 use crate::deploy::{
     DeployOptions, DurabilityOptions, PbrDeployment, ShardGroup, ShardedDeployment, SmrDeployment,
 };
-use crate::diversity::DiversityPolicy;
-use crate::msgs::ReplicaConfig;
-use crate::pbr::{LeaseProbe, PbrOptions, PbrReplica, PrimaryProbe, TransferKind, TransferProbe};
+use crate::pbr::{LeaseProbe, PbrOptions, PrimaryProbe, TransferKind, TransferProbe};
 use crate::serializability::check_bank_history_concurrent;
-use crate::shard::{check_two_pc_atomicity, ShardRole, TwoPcProbe};
-use crate::smr::{SmrLeaseOptions, SmrReplica};
+use crate::shard::{check_two_pc_atomicity, TwoPcProbe};
+use crate::smr::SmrLeaseOptions;
 use parking_lot::Mutex;
-use shadowdb_eventml::Process;
 use shadowdb_loe::{Loc, VTime};
 use shadowdb_runtime::fault::mix64;
-use shadowdb_runtime::{
-    schedule_node_faults, FaultPlan, FaultTopology, LazyRecover, Nemesis, NemesisProfile,
-    NodeFaultKind, Runtime,
-};
-use shadowdb_sqldb::Database;
-use shadowdb_tob::{subscribe_msg, TobDeployment};
-use shadowdb_wal::Disk;
+use shadowdb_runtime::{FaultTopology, Nemesis, NemesisProfile, NodeFaultKind, Runtime};
 use shadowdb_workloads::{bank, KvGen, KvOptions, ShardMap, TxnRequest};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -181,22 +175,38 @@ pub fn sharded_mixed_txns(seed: u64, n: usize, rows: usize) -> Vec<TxnRequest> {
         .collect()
 }
 
-fn deploy_options(opts: &ChaosOptions) -> (Vec<Vec<TxnRequest>>, DeployOptions) {
+/// A 95%-read zipfian read/update mix (YCSB-B-shaped) instead of the
+/// deposit-heavy bank scripts, so most transactions are eligible for the
+/// lease fast path while the updates still give the serializability
+/// checker balances to pin the order with.
+fn read_mostly_txns(seed: u64, n: usize, rows: usize) -> Vec<TxnRequest> {
+    KvGen::new(seed, KvOptions::ycsb_b(rows)).script(n)
+}
+
+/// The scripts every client runs (`script` per client seed) and the
+/// options of the deployment that runs them, over `shards` groups
+/// (`None`: an unsharded deployment).
+fn deploy_options(
+    opts: &ChaosOptions,
+    shards: Option<usize>,
+    script: fn(u64, usize, usize) -> Vec<TxnRequest>,
+) -> (Vec<Vec<TxnRequest>>, DeployOptions) {
+    let seed = |i: usize| opts.seed.wrapping_add(7919 * (i as u64 + 1));
     let scripts: Vec<Vec<TxnRequest>> = (0..opts.n_clients)
-        .map(|i| {
-            mixed_txns(
-                opts.seed.wrapping_add(7919 * (i as u64 + 1)),
-                opts.txns_per_client,
-                opts.rows,
-            )
-        })
+        .map(|i| script(seed(i), opts.txns_per_client, opts.rows))
         .collect();
-    let per_client = scripts.clone();
-    let rows = opts.rows;
-    let mut dopts = DeployOptions::new(
+    let (per_client, rows) = (scripts.clone(), opts.rows);
+    let mut dopts = DeployOptions::sharded(
+        shards.unwrap_or(1),
         opts.n_clients,
         move |i| per_client[i].clone(),
-        move |db| bank::load(db, rows).expect("bank loads"),
+        move |shard, db| {
+            let loaded = match shards {
+                Some(n) => bank::load_shard(db, rows, n, shard),
+                None => bank::load(db, rows),
+            };
+            loaded.expect("bank loads")
+        },
     );
     dopts.client_timeout = opts.client_timeout;
     dopts.window = opts.window;
@@ -208,37 +218,34 @@ fn deploy_options(opts: &ChaosOptions) -> (Vec<Vec<TxnRequest>>, DeployOptions) 
     (scripts, dopts)
 }
 
-/// Installs the expanded plan (anchored at `epoch`, the workload start)
-/// and applies its crash schedule, then kicks off the clients at `epoch`.
-/// Restarts are skipped (see the module docs).
+/// The soak's failure-detection timing, observed by the primary probe.
+fn pbr_options(opts: &ChaosOptions, probe: &PrimaryProbe) -> PbrOptions {
+    PbrOptions {
+        heartbeat_every: opts.heartbeat_every,
+        detect_after: opts.detect_after,
+        probe: Some(probe.clone()),
+        ..PbrOptions::default()
+    }
+}
+
+/// Installs the expanded plan (anchored at `epoch`, the workload start),
+/// applies its node schedule, then kicks off the clients at `epoch`;
+/// returns the epoch. `reconfig` names a `(joiner, donor)` pair — the
+/// joiner may be a location that does not exist yet (plans address by
+/// location, so the schedule is expressible before the node is), the
+/// donor the incumbent that will stream its snapshot. Crashes are applied
+/// as scheduled; each durable restart of the victim is handed to `reboot`
+/// — the deployment's own reboot call — with its instant and a fresh tear
+/// seed; amnesiac restarts are skipped (see the module docs).
 fn arm_nemesis<R: Runtime + ?Sized>(
     rt: &mut R,
     opts: &ChaosOptions,
     victim: Loc,
     clients: &[Loc],
     groups: Vec<Vec<Loc>>,
+    reconfig: Option<(Loc, Loc)>,
+    reboot: impl Fn(&mut R, VTime, u64),
 ) -> VTime {
-    arm_nemesis_at(rt, opts, victim, clients, groups, (None, None), |_, _| None).0
-}
-
-/// [`arm_nemesis`] in full: `reconfig` names a `(joiner, donor)` pair —
-/// the joiner may be a location that does not exist yet (plans address by
-/// location, so the schedule is expressible before the node is), the
-/// donor the incumbent that will stream its snapshot — and the plan's
-/// `RestartDurable` events are wired through `recover` (invoked at
-/// schedule time — wrap disk-reading constructors in [`LazyRecover`] so
-/// the disk is read at reboot time, after the crash tore it). Returns the
-/// epoch and the expanded plan, so a harness can schedule restart-time
-/// kick messages against its fault instants.
-fn arm_nemesis_at<R: Runtime + ?Sized>(
-    rt: &mut R,
-    opts: &ChaosOptions,
-    victim: Loc,
-    clients: &[Loc],
-    groups: Vec<Vec<Loc>>,
-    reconfig: (Option<Loc>, Option<Loc>),
-    recover: impl FnMut(Loc, NodeFaultKind) -> Option<Box<dyn Process>>,
-) -> (VTime, FaultPlan) {
     // Core = every node that is not a client. (Sharded deployments lay
     // clients out *last*, unsharded ones first; membership, not position,
     // decides.)
@@ -251,19 +258,30 @@ fn arm_nemesis_at<R: Runtime + ?Sized>(
         core,
         victim,
         groups,
-        joiner: reconfig.0,
-        donor: reconfig.1,
+        joiner: reconfig.map(|(joiner, _)| joiner),
+        donor: reconfig.map(|(_, donor)| donor),
     };
     let epoch = rt.now() + Duration::from_millis(5);
     let plan = Nemesis::new(opts.seed, opts.profile, opts.duration)
         .plan(&topo)
         .shifted(Duration::from_micros(epoch.as_micros()));
-    schedule_node_faults(rt, &plan, recover);
-    rt.install_fault_plan(plan.clone());
+    let mut reboots = 0u64;
+    for f in &plan.node_faults {
+        match f.kind {
+            NodeFaultKind::Crash => rt.crash_at(f.at, f.loc),
+            NodeFaultKind::RestartDurable => {
+                assert_eq!(f.loc, victim, "power loss is the victim's");
+                reboots += 1;
+                reboot(rt, f.at, mix64(opts.seed ^ reboots));
+            }
+            NodeFaultKind::Restart => {}
+        }
+    }
+    rt.install_fault_plan(plan);
     for cl in clients {
         rt.send_at(epoch, *cl, DbClient::start_msg());
     }
-    (epoch, plan)
+    epoch
 }
 
 /// Runs the runtime in slices until every transaction is answered or the
@@ -326,22 +344,10 @@ fn assert_history(
 }
 
 /// Soaks a primary-backup deployment under the nemesis and asserts the
-/// safety properties listed in the module docs.
+/// safety properties listed in the module docs. The victim is the
+/// primary.
 pub fn soak_pbr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -> ChaosReport {
-    let probe: PrimaryProbe = Arc::new(Mutex::new(Vec::new()));
-    let pbr = PbrOptions {
-        heartbeat_every: opts.heartbeat_every,
-        detect_after: opts.detect_after,
-        probe: Some(probe.clone()),
-        ..PbrOptions::default()
-    };
-    let (scripts, dopts) = deploy_options(opts);
-    let d = PbrDeployment::build(rt, &dopts, pbr);
-    arm_nemesis(rt, opts, d.replicas[0], &d.clients, Vec::new());
-    let answered = drive(rt, opts, &d.stats);
-    let committed = assert_history(opts, "pbr", answered, &scripts, &d.stats);
-    let primaries = assert_one_primary_per_seq(opts, &probe, &[]);
-    report(rt, &d.stats, committed, primaries)
+    soak(rt, opts, "pbr", true, None, Stress::Faults)
 }
 
 /// Election safety, observed end to end: no configuration sequence
@@ -369,35 +375,6 @@ fn assert_one_primary_per_seq(
         }
     }
     primaries
-}
-
-fn sharded_deploy_options(
-    opts: &ChaosOptions,
-    shards: usize,
-    probe: TwoPcProbe,
-) -> (Vec<Vec<TxnRequest>>, DeployOptions) {
-    let scripts: Vec<Vec<TxnRequest>> = (0..opts.n_clients)
-        .map(|i| {
-            sharded_mixed_txns(
-                opts.seed.wrapping_add(7919 * (i as u64 + 1)),
-                opts.txns_per_client,
-                opts.rows,
-            )
-        })
-        .collect();
-    let per_client = scripts.clone();
-    let rows = opts.rows;
-    let mut sopts = DeployOptions::sharded(
-        shards,
-        opts.n_clients,
-        move |i| per_client[i].clone(),
-        move |shard, db| bank::load_shard(db, rows, shards, shard).expect("bank shard loads"),
-    );
-    sopts.client_timeout = opts.client_timeout;
-    sopts.window = opts.window;
-    sopts.start_clients = false;
-    sopts.probe = Some(probe);
-    (scripts, sopts)
 }
 
 /// The nodes of each shard for the nemesis topology: replicas *and* the
@@ -446,28 +423,7 @@ pub fn soak_sharded_pbr<R: Runtime + ?Sized>(
     opts: &ChaosOptions,
     shards: usize,
 ) -> ChaosReport {
-    let primaries_probe: PrimaryProbe = Arc::new(Mutex::new(Vec::new()));
-    let twopc_probe: TwoPcProbe = Arc::new(Mutex::new(Vec::new()));
-    let pbr = PbrOptions {
-        heartbeat_every: opts.heartbeat_every,
-        detect_after: opts.detect_after,
-        probe: Some(primaries_probe.clone()),
-        ..PbrOptions::default()
-    };
-    let (scripts, sopts) = sharded_deploy_options(opts, shards, twopc_probe.clone());
-    let d = ShardedDeployment::build_pbr(rt, &sopts, pbr);
-    arm_nemesis(
-        rt,
-        opts,
-        d.groups[0].replicas[0],
-        &d.clients,
-        shard_groups(&d.groups),
-    );
-    let answered = drive(rt, opts, &d.stats);
-    let committed = assert_history(opts, "sharded-pbr", answered, &scripts, &d.stats);
-    assert_two_pc(opts, "sharded-pbr", &twopc_probe, d.map);
-    let primaries = assert_one_primary_per_seq(opts, &primaries_probe, &d.groups);
-    report(rt, &d.stats, committed, primaries)
+    soak(rt, opts, "sharded-pbr", true, Some(shards), Stress::Faults)
 }
 
 /// Soaks a sharded state-machine-replication deployment. The victim is a
@@ -479,20 +435,7 @@ pub fn soak_sharded_smr<R: Runtime + ?Sized>(
     opts: &ChaosOptions,
     shards: usize,
 ) -> ChaosReport {
-    let twopc_probe: TwoPcProbe = Arc::new(Mutex::new(Vec::new()));
-    let (scripts, sopts) = sharded_deploy_options(opts, shards, twopc_probe.clone());
-    let d = ShardedDeployment::build_smr(rt, &sopts);
-    arm_nemesis(
-        rt,
-        opts,
-        *d.groups[0].replicas.last().expect("replicas"),
-        &d.clients,
-        shard_groups(&d.groups),
-    );
-    let answered = drive(rt, opts, &d.stats);
-    let committed = assert_history(opts, "sharded-smr", answered, &scripts, &d.stats);
-    assert_two_pc(opts, "sharded-smr", &twopc_probe, d.map);
-    report(rt, &d.stats, committed, Vec::new())
+    soak(rt, opts, "sharded-smr", false, Some(shards), Stress::Faults)
 }
 
 /// Drives the runtime in small slices until its clock reaches `until`.
@@ -515,61 +458,7 @@ fn drive_until<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions, until: VTim
 /// electing past the dead donor) with the usual [`soak_pbr`] safety
 /// assertions holding *across* the configuration changes.
 pub fn soak_reconfig_pbr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -> ChaosReport {
-    let probe: PrimaryProbe = Arc::new(Mutex::new(Vec::new()));
-    let pbr = PbrOptions {
-        heartbeat_every: opts.heartbeat_every,
-        detect_after: opts.detect_after,
-        probe: Some(probe.clone()),
-        ..PbrOptions::default()
-    };
-    let (scripts, dopts) = deploy_options(opts);
-    let d = PbrDeployment::build(rt, &dopts, pbr.clone());
-    let rows = opts.rows;
-    let mut handle = d.reconfig(rt, pbr, DiversityPolicy::Uniform, move |db| {
-        bank::load(db, rows).expect("bank loads")
-    });
-    // Locations are allocated sequentially on every runtime, so the
-    // first joiner's location is knowable before the node exists — which
-    // is how the fault plan can target a node born mid-run.
-    let joiner = Loc::new(rt.node_count());
-    let donor = d.replicas[0]; // the incumbent primary streams the snapshot
-    let victim = *d.replicas.last().expect("replicas");
-    let reconfig = (Some(joiner), Some(donor));
-    let (epoch, _) = arm_nemesis_at(
-        rt,
-        opts,
-        victim,
-        &d.clients,
-        Vec::new(),
-        reconfig,
-        |_, _| None,
-    );
-    // Start the replacement at ~0.10 of the nemesis window (the
-    // CrashDuringTransfer joiner-crash window opens at 0.15, so the first
-    // transfer is in flight when it lands) and retry until a replacement
-    // succeeds: a joiner lost mid-transfer is abandoned by the group and
-    // the harness re-replaces — the operator behavior the profile
-    // stresses.
-    drive_until(rt, opts, epoch + opts.duration.mul_f64(0.10));
-    // A replacement that trips over a crash cannot finish faster than
-    // failure detection, so each attempt gets at least several detection
-    // periods regardless of how short the nemesis window is.
-    let attempt = opts.duration.max(opts.detect_after * 4);
-    let mut added = None;
-    let give_up = epoch + attempt * 3;
-    while added.is_none() && rt.now() < give_up {
-        added = handle.replace_replica(rt, victim, attempt);
-    }
-    assert!(
-        added.is_some(),
-        "reconfig-pbr soak never completed a replacement (seed {}, {:?})",
-        opts.seed,
-        opts.profile
-    );
-    let answered = drive(rt, opts, &d.stats);
-    let committed = assert_history(opts, "reconfig-pbr", answered, &scripts, &d.stats);
-    let primaries = assert_one_primary_per_seq(opts, &probe, &[]);
-    report(rt, &d.stats, committed, primaries)
+    soak(rt, opts, "reconfig-pbr", true, None, Stress::Replace)
 }
 
 /// Soaks a state-machine-replication deployment through an online
@@ -578,141 +467,59 @@ pub fn soak_reconfig_pbr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -
 /// subscriber — and the assertion is the survivors' convergence and the
 /// history's strict serializability across the subscription change.
 pub fn soak_reconfig_smr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -> ChaosReport {
-    let (scripts, dopts) = deploy_options(opts);
-    let d = SmrDeployment::build(rt, &dopts);
-    let rows = opts.rows;
-    let mut handle = d.reconfig(rt, DiversityPolicy::Uniform, move |db| {
-        bank::load(db, rows).expect("bank loads")
-    });
-    let joiner = Loc::new(rt.node_count());
-    let donor = d.replicas[0]; // first in the joiner's snapshot-fetch rotation
-    let victim = *d.replicas.last().expect("replicas");
-    let reconfig = (Some(joiner), Some(donor));
-    let (epoch, _) = arm_nemesis_at(
-        rt,
-        opts,
-        victim,
-        &d.clients,
-        Vec::new(),
-        reconfig,
-        |_, _| None,
-    );
-    drive_until(rt, opts, epoch + opts.duration.mul_f64(0.10));
-    handle.replace_replica(rt, victim, opts.duration);
-    let answered = drive(rt, opts, &d.stats);
-    let committed = assert_history(opts, "reconfig-smr", answered, &scripts, &d.stats);
-    report(rt, &d.stats, committed, Vec::new())
-}
-
-/// Drives the runtime past the end of the workload until the rebooted
-/// victim's catch-up shows on the transfer probe (bounded). The clients
-/// can finish before the last reboot's handshake completes — the refetch
-/// runs off the heartbeat timer, and on the real-time runtimes a loaded
-/// machine can slide the whole power cycle past the last answered
-/// transaction — so the rejoin gets a settle window before the probe is
-/// asserted on.
-fn settle_rejoin<R: Runtime + ?Sized>(
-    rt: &mut R,
-    opts: &ChaosOptions,
-    transfers: &TransferProbe,
-    victim: Loc,
-) {
-    // The wait is on the probe condition; the soak's own deadline only
-    // turns a rejoin that never happens into a failure instead of a hang.
-    let deadline = rt.now() + opts.deadline;
-    let rejoined = |t: &TransferProbe| {
-        t.lock()
-            .iter()
-            .any(|(l, k)| (*l, *k) == (victim, TransferKind::Catchup))
-    };
-    while !rejoined(transfers) && rt.now() < deadline {
-        rt.run_for(Duration::from_millis(20));
-    }
+    soak(rt, opts, "reconfig-smr", false, None, Stress::Replace)
 }
 
 /// The durability plane's central claim, asserted on the donor-side
 /// transfer probe: every time the rebooted victim rejoined, it was served
 /// the *suffix it missed* (catch-up / delta), never a full state
-/// transfer.
-fn assert_rejoined_without_snapshot(
+/// transfer. The runtime is first driven past the end of the workload
+/// until a catch-up shows (bounded by the soak's deadline, which only
+/// turns a rejoin that never happens into a failure instead of a hang):
+/// the clients can finish before the last reboot's handshake completes —
+/// the refetch runs off the heartbeat timer, and on the real-time runtimes
+/// a loaded machine can slide the whole power cycle past the last
+/// answered transaction.
+fn assert_rejoined_without_snapshot<R: Runtime + ?Sized>(
+    rt: &mut R,
     opts: &ChaosOptions,
     kind: &str,
     transfers: &TransferProbe,
     victim: Loc,
 ) {
-    let log = transfers.lock().clone();
-    let catchups = log
-        .iter()
-        .filter(|(l, k)| *l == victim && *k == TransferKind::Catchup)
-        .count();
-    let snapshots = log
-        .iter()
-        .filter(|(l, k)| *l == victim && *k == TransferKind::Snapshot)
-        .count();
+    let served = |as_a: TransferKind| {
+        let log = transfers.lock();
+        log.iter().filter(|t| **t == (victim, as_a)).count()
+    };
+    let deadline = rt.now() + opts.deadline;
+    while served(TransferKind::Catchup) == 0 && rt.now() < deadline {
+        rt.run_for(Duration::from_millis(20));
+    }
     assert!(
-        catchups >= 1,
+        served(TransferKind::Catchup) >= 1,
         "{kind} soak: rebooted replica never completed a suffix catch-up \
          (seed {}, {:?})",
         opts.seed,
         opts.profile
     );
     assert_eq!(
-        snapshots, 0,
+        served(TransferKind::Snapshot),
+        0,
         "{kind} soak: restart-from-disk fell back to a full state transfer \
          (seed {}, {:?})",
-        opts.seed, opts.profile
+        opts.seed,
+        opts.profile
     );
 }
 
-/// A durable deployment reduced to what a power-loss soak needs: its
-/// clients, its replica groups (one when unsharded), and — when sharded —
-/// the victim group's [`ShardRole`], which the reboot must carry.
-struct Durable {
-    clients: Vec<Loc>,
-    stats: Vec<Arc<Mutex<DbClientStats>>>,
-    groups: Vec<ShardGroup>,
-    role: Option<ShardRole>,
-}
-
-impl Durable {
-    fn single(
-        clients: Vec<Loc>,
-        stats: Vec<Arc<Mutex<DbClientStats>>>,
-        replicas: Vec<Loc>,
-        tob: TobDeployment,
-        disks: Vec<Disk>,
-    ) -> Durable {
-        let groups = vec![ShardGroup {
-            replicas,
-            tob,
-            disks,
-        }];
-        Durable {
-            clients,
-            stats,
-            groups,
-            role: None,
-        }
-    }
-
-    fn sharded(d: ShardedDeployment) -> Durable {
-        Durable {
-            role: Some(d.role(0)),
-            clients: d.clients,
-            stats: d.stats,
-            groups: d.groups,
-        }
-    }
-
-    /// A freshly loaded database for replica `i` of the victim group
-    /// (shard 0), as a real reboot would find before replaying its disk.
-    fn reload(&self, rows: usize) -> impl Fn(usize) -> Database + Clone + Send + Sync + 'static {
-        let shards = self.role.as_ref().map_or(1, |r| r.map.shards());
-        move |i| {
-            let db = DiversityPolicy::Uniform.database(i);
-            bank::load_shard(&db, rows, shards, 0).expect("bank loads");
-            db
-        }
+/// The durable-storage settings of every power-loss soak: snapshots
+/// often enough to land inside the run, and the probe the rejoin
+/// assertions read.
+fn power_loss_durability(transfers: &TransferProbe) -> DurabilityOptions {
+    DurabilityOptions {
+        snapshot_every: 64,
+        transfer_probe: Some(transfers.clone()),
+        ..DurabilityOptions::default()
     }
 }
 
@@ -725,117 +532,29 @@ impl Durable {
 /// path only — recovery from disk plus a short network suffix, never a
 /// full state transfer.
 pub fn soak_durability_pbr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -> ChaosReport {
-    durability_pbr(rt, opts, None)
+    soak(rt, opts, "durability-pbr", true, None, Stress::PowerLoss)
 }
 
 /// Sharding × durability: [`soak_durability_pbr`] over `shards` PBR
 /// groups with cross-shard transfers in flight. The victim is shard 0's
 /// backup — a 2PC participant (and, shard 0 being the smallest,
-/// coordinator-group member) power-cycled mid-protocol; it reboots from
-/// its disk *with its [`ShardRole`]*, so the replayed WAL rebuilds the
-/// 2PC engine and emission counters it crashed with. Adds the 2PC
-/// atomicity assertion of [`soak_sharded_pbr`].
+/// coordinator-group member) power-cycled mid-protocol; the deployment
+/// reboots it from its disk *with its shard role*, so the replayed WAL
+/// rebuilds the 2PC engine and emission counters it crashed with. Adds
+/// the 2PC atomicity assertion of [`soak_sharded_pbr`].
 pub fn soak_sharded_pbr_power_loss<R: Runtime + ?Sized>(
     rt: &mut R,
     opts: &ChaosOptions,
     shards: usize,
 ) -> ChaosReport {
-    durability_pbr(rt, opts, Some(shards))
-}
-
-fn durability_pbr<R: Runtime + ?Sized>(
-    rt: &mut R,
-    opts: &ChaosOptions,
-    shards: Option<usize>,
-) -> ChaosReport {
-    let kind = shards.map_or("durability-pbr", |_| "sharded-pbr-power-loss");
-    let probe: PrimaryProbe = Arc::new(Mutex::new(Vec::new()));
-    let twopc: TwoPcProbe = Arc::new(Mutex::new(Vec::new()));
-    let transfers: TransferProbe = Arc::new(Mutex::new(Vec::new()));
-    let dur = DurabilityOptions {
-        snapshot_every: 64,
-        transfer_probe: Some(transfers.clone()),
-        ..DurabilityOptions::default()
-    };
-    let pbr = PbrOptions {
-        heartbeat_every: opts.heartbeat_every,
-        detect_after: opts.detect_after,
-        probe: Some(probe.clone()),
-        ..PbrOptions::default()
-    };
-    let (scripts, mut dopts) = match shards {
-        Some(n) => sharded_deploy_options(opts, n, twopc.clone()),
-        None => deploy_options(opts),
-    };
-    dopts.durability = Some(dur.clone());
-    let d = match shards {
-        Some(_) => Durable::sharded(ShardedDeployment::build_pbr(rt, &dopts, pbr.clone())),
-        None => {
-            let d = PbrDeployment::build(rt, &dopts, pbr.clone());
-            Durable::single(d.clients, d.stats, d.replicas, d.tob, d.disks)
-        }
-    };
-    // Victim is the backup: outages are shorter than failure detection,
-    // so the primary keeps serving and the rebooted backup must re-enter
-    // the *same* configuration from its disk.
-    let g = &d.groups[0];
-    let victim = g.replicas[1];
-    let disk = g.disks[1].clone();
-    let config = ReplicaConfig::initial(g.replicas[..dopts.active_replicas].to_vec());
-    let spares = g.replicas[dopts.active_replicas..].to_vec();
-    let servers = g.tob.servers.clone();
-    let (reload, role) = (d.reload(opts.rows), d.role.clone());
-    let seed = opts.seed;
-    let mut reboots = 0u64;
-    let recover = move |loc: Loc, kind: NodeFaultKind| {
-        if loc != victim || kind != NodeFaultKind::RestartDurable {
-            return None;
-        }
-        reboots += 1;
-        let n = reboots;
-        let (disk, pbr, config, spares) =
-            (disk.clone(), pbr.clone(), config.clone(), spares.clone());
-        let (servers, reload, role) = (servers.clone(), reload.clone(), role.clone());
-        Some(Box::new(LazyRecover::new(move || {
-            // The power loss may have torn the unsynced tail; the
-            // replica then replays whatever survived on a freshly
-            // loaded database, as a real reboot would.
-            disk.begin_recovery(mix64(seed ^ n));
-            Box::new(PbrReplica::recover_from(
-                reload(1),
-                config.clone(),
-                spares.clone(),
-                servers.clone(),
-                pbr.clone(),
-                role.clone(),
-                victim,
-                disk.clone(),
-                dur.snapshot_every,
-            ))
-        })) as Box<dyn Process>)
-    };
-    let groups = shard_groups(&d.groups);
-    let (_, plan) = arm_nemesis_at(rt, opts, victim, &d.clients, groups, (None, None), recover);
-    // Each reboot needs its timer loop kicked; the refetch handshake runs
-    // off the heartbeat timer.
-    for f in &plan.node_faults {
-        if f.kind == NodeFaultKind::RestartDurable {
-            rt.send_at(
-                f.at + Duration::from_millis(2),
-                f.loc,
-                PbrReplica::start_msg(),
-            );
-        }
-    }
-    let answered = drive(rt, opts, &d.stats);
-    settle_rejoin(rt, opts, &transfers, victim);
-    let committed = assert_history(opts, kind, answered, &scripts, &d.stats);
-    let primaries = assert_one_primary_per_seq(opts, &probe, &d.groups);
-    if let Some(n) = shards {
-        assert_two_pc(opts, kind, &twopc, ShardMap::new(n));
-    }
-    assert_rejoined_without_snapshot(opts, kind, &transfers, victim);
-    report(rt, &d.stats, committed, primaries)
+    soak(
+        rt,
+        opts,
+        "sharded-pbr-power-loss",
+        true,
+        Some(shards),
+        Stress::PowerLoss,
+    )
 }
 
 /// Soaks a durability-enabled state-machine-replication deployment under
@@ -844,124 +563,130 @@ fn durability_pbr<R: Runtime + ?Sized>(
 /// suffix it missed from a peer's recent-delivery cache. The transfer
 /// probe must show every rejoin was served as a delta, never a snapshot.
 pub fn soak_durability_smr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -> ChaosReport {
-    durability_smr(rt, opts, None)
+    soak(rt, opts, "durability-smr", false, None, Stress::PowerLoss)
 }
 
 /// Sharding × durability under SMR: [`soak_durability_smr`] over
 /// `shards` groups with cross-shard transfers in flight; the victim is
-/// shard 0's last replica, rebooted with its [`ShardRole`] (see
+/// shard 0's last replica, rebooted with its shard role (see
 /// [`soak_sharded_pbr_power_loss`]).
 pub fn soak_sharded_smr_power_loss<R: Runtime + ?Sized>(
     rt: &mut R,
     opts: &ChaosOptions,
     shards: usize,
 ) -> ChaosReport {
-    durability_smr(rt, opts, Some(shards))
+    soak(
+        rt,
+        opts,
+        "sharded-smr-power-loss",
+        false,
+        Some(shards),
+        Stress::PowerLoss,
+    )
 }
 
-fn durability_smr<R: Runtime + ?Sized>(
+/// What a soak does to the deployment besides running the nemesis.
+#[derive(Clone, Copy, PartialEq)]
+enum Stress {
+    /// Nothing: the nemesis' link faults and crashes only. Its victim is
+    /// the PBR primary, or the last SMR replica (any single one is
+    /// expendable: clients take the first answer from a survivor).
+    Faults,
+    /// The deployment has disks, and the victim's power cycles go through
+    /// the deployment's own reboot call. Under PBR that victim is the
+    /// *backup*: outages are shorter than failure detection, so the
+    /// primary keeps serving and the rebooted backup must re-enter the
+    /// same configuration from its disk.
+    PowerLoss,
+    /// Shortly after the workload starts the last replica is replaced
+    /// online; the nemesis aims at the joiner and at replica 0, the donor
+    /// (the incumbent primary, or the first in an SMR joiner's
+    /// snapshot-fetch rotation).
+    Replace,
+}
+
+/// The one soak body, for every deployment shape: either ordering policy,
+/// sharded or not, under each [`Stress`].
+fn soak<R: Runtime + ?Sized>(
     rt: &mut R,
     opts: &ChaosOptions,
+    kind: &str,
+    primary_backup: bool,
     shards: Option<usize>,
+    stress: Stress,
 ) -> ChaosReport {
-    let kind = shards.map_or("durability-smr", |_| "sharded-smr-power-loss");
+    let probe: PrimaryProbe = Arc::new(Mutex::new(Vec::new()));
     let twopc: TwoPcProbe = Arc::new(Mutex::new(Vec::new()));
     let transfers: TransferProbe = Arc::new(Mutex::new(Vec::new()));
-    let dur = DurabilityOptions {
-        snapshot_every: 64,
-        transfer_probe: Some(transfers.clone()),
-        ..DurabilityOptions::default()
+    let durable = stress == Stress::PowerLoss;
+    let script = shards.map_or(mixed_txns as fn(_, _, _) -> _, |_| sharded_mixed_txns);
+    let (scripts, mut dopts) = deploy_options(opts, shards, script);
+    dopts.probe = shards.map(|_| twopc.clone());
+    dopts.durability = durable.then(|| power_loss_durability(&transfers));
+    let pbr = primary_backup.then(|| pbr_options(opts, &probe));
+    // An unsharded deployment is its one group.
+    let d: ShardedDeployment = match (pbr, shards) {
+        (Some(pbr), Some(_)) => ShardedDeployment::build_pbr(rt, &dopts, pbr),
+        (None, Some(_)) => ShardedDeployment::build_smr(rt, &dopts),
+        (Some(pbr), None) => PbrDeployment::build(rt, &dopts, pbr).into(),
+        (None, None) => SmrDeployment::build(rt, &dopts).into(),
     };
-    let (scripts, mut dopts) = match shards {
-        Some(n) => sharded_deploy_options(opts, n, twopc.clone()),
-        None => deploy_options(opts),
+    // Shard 0 coordinates every 2PC it participates in, so its replicas
+    // are where crash and partition profiles hit the protocol hardest.
+    let replicas = &d.groups[0].replicas;
+    let victim = match (primary_backup, stress) {
+        (true, Stress::Faults) => replicas[0],
+        (true, Stress::PowerLoss) => replicas[1],
+        _ => replicas[replicas.len() - 1],
     };
-    dopts.durability = Some(dur.clone());
-    let d = match shards {
-        Some(_) => Durable::sharded(ShardedDeployment::build_smr(rt, &dopts)),
-        None => {
-            let d = SmrDeployment::build(rt, &dopts);
-            Durable::single(d.clients, d.stats, d.replicas, d.tob, d.disks)
-        }
-    };
-    let g = &d.groups[0];
-    let vidx = g.replicas.len() - 1;
-    let victim = g.replicas[vidx];
-    let disk = g.disks[vidx].clone();
-    let donors: Vec<Loc> = g
-        .replicas
-        .iter()
-        .copied()
-        .filter(|r| *r != victim)
-        .collect();
-    let (reload, role) = (d.reload(opts.rows), d.role.clone());
-    let seed = opts.seed;
-    let mut reboots = 0u64;
-    let recover = move |loc: Loc, kind: NodeFaultKind| {
-        if loc != victim || kind != NodeFaultKind::RestartDurable {
-            return None;
-        }
-        reboots += 1;
-        let n = reboots;
-        let (disk, donors, reload, role) =
-            (disk.clone(), donors.clone(), reload.clone(), role.clone());
-        Some(Box::new(LazyRecover::new(move || {
-            disk.begin_recovery(mix64(seed ^ n));
-            Box::new(SmrReplica::recover_from(
-                reload(vidx),
-                donors.clone(),
-                role.clone(),
-                victim,
-                disk.clone(),
-                dur.snapshot_every,
-                dur.recent_limit,
-            ))
-        })) as Box<dyn Process>)
-    };
+    // Locations are allocated sequentially on every runtime, so the first
+    // joiner's location is knowable before the node exists — which is how
+    // the fault plan can target a node born mid-run.
+    let mut handle = (stress == Stress::Replace).then(|| d.reconfig_group(rt, 0));
+    let reconfig = handle
+        .as_ref()
+        .map(|_| (Loc::new(rt.node_count()), replicas[0]));
     let groups = shard_groups(&d.groups);
-    let (_, plan) = arm_nemesis_at(rt, opts, victim, &d.clients, groups, (None, None), recover);
-    // Each reboot re-subscribes at the broadcast service; the (idempotent)
-    // ack carries the delivery frontier, which tells the recovered replica
-    // how much its disk missed and starts the delta fetch.
-    for f in &plan.node_faults {
-        if f.kind == NodeFaultKind::RestartDurable {
-            for s in &g.tob.servers {
-                rt.send_at(f.at + Duration::from_millis(2), *s, subscribe_msg(victim));
-            }
+    let reboot = |rt: &mut R, at, tear| d.reboot(rt, victim, at, tear);
+    let epoch = arm_nemesis(rt, opts, victim, &d.clients, groups, reconfig, reboot);
+    if let Some(handle) = handle.as_mut() {
+        // Start the replacement at ~0.10 of the nemesis window (the
+        // CrashDuringTransfer joiner-crash window opens at 0.15, so the
+        // first transfer is in flight when it lands) and retry until a
+        // replacement succeeds: a joiner lost mid-transfer is abandoned by
+        // the group and the harness re-replaces — the operator behavior
+        // the profile stresses. An SMR replace cannot fail (a joiner lost
+        // mid-fetch is just a dead subscriber); a PBR one that trips over
+        // a crash cannot finish faster than failure detection, so each
+        // attempt gets at least several detection periods regardless of
+        // how short the nemesis window is.
+        drive_until(rt, opts, epoch + opts.duration.mul_f64(0.10));
+        let attempt = match primary_backup {
+            true => opts.duration.max(opts.detect_after * 4),
+            false => opts.duration,
+        };
+        let mut added = None;
+        while added.is_none() && rt.now() < epoch + attempt * 3 {
+            added = handle.replace_replica(rt, victim, attempt);
         }
+        assert!(
+            added.is_some(),
+            "{kind} soak never completed a replacement (seed {}, {:?})",
+            opts.seed,
+            opts.profile
+        );
     }
     let answered = drive(rt, opts, &d.stats);
-    settle_rejoin(rt, opts, &transfers, victim);
-    let committed = assert_history(opts, kind, answered, &scripts, &d.stats);
-    if let Some(n) = shards {
-        assert_two_pc(opts, kind, &twopc, ShardMap::new(n));
+    if durable {
+        assert_rejoined_without_snapshot(rt, opts, kind, &transfers, victim);
     }
-    assert_rejoined_without_snapshot(opts, kind, &transfers, victim);
-    report(rt, &d.stats, committed, Vec::new())
-}
-
-/// [`deploy_options`] with a YCSB-B-shaped script: a 95%-read zipfian
-/// read/update mix instead of the deposit-heavy bank script, so most
-/// transactions are eligible for the lease fast path while the updates
-/// still give the serializability checker balances to pin the order with.
-fn read_deploy_options(opts: &ChaosOptions) -> (Vec<Vec<TxnRequest>>, DeployOptions) {
-    let scripts: Vec<Vec<TxnRequest>> = (0..opts.n_clients)
-        .map(|i| {
-            let seed = opts.seed.wrapping_add(7919 * (i as u64 + 1));
-            KvGen::new(seed, KvOptions::ycsb_b(opts.rows)).script(opts.txns_per_client)
-        })
-        .collect();
-    let per_client = scripts.clone();
-    let rows = opts.rows;
-    let mut dopts = DeployOptions::new(
-        opts.n_clients,
-        move |i| per_client[i].clone(),
-        move |db| bank::load(db, rows).expect("bank loads"),
-    );
-    dopts.client_timeout = opts.client_timeout;
-    dopts.window = opts.window;
-    dopts.start_clients = false;
-    (scripts, dopts)
+    let committed = assert_history(opts, kind, answered, &scripts, &d.stats);
+    // Joiners belong to no deploy-time group: an unsharded deployment's
+    // probe entries are all one group's.
+    let probed = shards.map_or(&[][..], |_| &d.groups[..]);
+    let primaries = assert_one_primary_per_seq(opts, &probe, probed);
+    assert_two_pc(opts, kind, &twopc, d.map);
+    report(rt, &d.stats, committed, primaries)
 }
 
 /// The single-holder guarantee, asserted on the lease probe: no two
@@ -1007,17 +732,16 @@ pub fn soak_reads_pbr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -> C
     let probe: PrimaryProbe = Arc::new(Mutex::new(Vec::new()));
     let leases: LeaseProbe = Arc::new(Mutex::new(Vec::new()));
     let pbr = PbrOptions {
-        heartbeat_every: opts.heartbeat_every,
-        detect_after: opts.detect_after,
-        probe: Some(probe.clone()),
         read_leases: true,
         lease_duration: opts.heartbeat_every * 4,
         lease_probe: Some(leases.clone()),
-        ..PbrOptions::default()
+        ..pbr_options(opts, &probe)
     };
-    let (scripts, dopts) = read_deploy_options(opts);
+    let (scripts, dopts) = deploy_options(opts, None, read_mostly_txns);
     let d = PbrDeployment::build(rt, &dopts, pbr);
-    arm_nemesis(rt, opts, d.replicas[0], &d.clients, Vec::new());
+    // No disks, and no durable restart in the read-soak profiles.
+    let victim = d.replicas[0];
+    arm_nemesis(rt, opts, victim, &d.clients, Vec::new(), None, |_, _, _| {});
     let answered = drive(rt, opts, &d.stats);
     let committed = assert_history(opts, "reads-pbr", answered, &scripts, &d.stats);
     let primaries = assert_one_primary_per_seq(opts, &probe, &[]);
@@ -1033,38 +757,41 @@ pub fn soak_reads_pbr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -> C
 /// run out before a surviving replica's claim takes effect. Assertions
 /// as in [`soak_smr`], plus the lease probe's non-emptiness and
 /// holder-interval disjointness.
+///
+/// Under [`NemesisProfile::PowerLoss`] the deployment is durable as well
+/// (durability × leases): the holder itself loses power and the
+/// deployment reboots it from its disk, lease plane included — for one
+/// lease length after the reboot it must neither serve fast reads nor
+/// acknowledge writes, whatever markers its WAL replayed — and every
+/// rejoin must be served as a delta.
 pub fn soak_reads_smr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -> ChaosReport {
     let leases: LeaseProbe = Arc::new(Mutex::new(Vec::new()));
-    let (scripts, mut dopts) = read_deploy_options(opts);
+    let transfers: TransferProbe = Arc::new(Mutex::new(Vec::new()));
+    let power_loss = opts.profile == NemesisProfile::PowerLoss;
+    let (scripts, mut dopts) = deploy_options(opts, None, read_mostly_txns);
     dopts.smr_leases = Some(SmrLeaseOptions {
         lease_duration: opts.heartbeat_every * 4,
         renew_every: opts.heartbeat_every,
         lease_probe: Some(leases.clone()),
         ..SmrLeaseOptions::default()
     });
+    dopts.durability = power_loss.then(|| power_loss_durability(&transfers));
     let d = SmrDeployment::build(rt, &dopts);
-    arm_nemesis(rt, opts, d.replicas[0], &d.clients, Vec::new());
+    let victim = d.replicas[0];
+    let reboot = |rt: &mut R, at, tear| d.reboot(rt, victim, at, tear);
+    arm_nemesis(rt, opts, victim, &d.clients, Vec::new(), None, reboot);
     let answered = drive(rt, opts, &d.stats);
+    if power_loss {
+        assert_rejoined_without_snapshot(rt, opts, "reads-smr", &transfers, victim);
+    }
     let committed = assert_history(opts, "reads-smr", answered, &scripts, &d.stats);
     assert_lease_intervals_disjoint(opts, "reads-smr", &leases);
     report(rt, &d.stats, committed, Vec::new())
 }
 
 /// Soaks a state-machine-replication deployment under the nemesis and
-/// asserts convergence plus strict serializability.
+/// asserts convergence plus strict serializability. The victim is the
+/// last replica.
 pub fn soak_smr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -> ChaosReport {
-    let (scripts, dopts) = deploy_options(opts);
-    let d = SmrDeployment::build(rt, &dopts);
-    // Victim is the last replica: under SMR any single replica is
-    // expendable (clients take the first answer from a survivor).
-    arm_nemesis(
-        rt,
-        opts,
-        *d.replicas.last().expect("replicas"),
-        &d.clients,
-        Vec::new(),
-    );
-    let answered = drive(rt, opts, &d.stats);
-    let committed = assert_history(opts, "smr", answered, &scripts, &d.stats);
-    report(rt, &d.stats, committed, Vec::new())
+    soak(rt, opts, "smr", false, None, Stress::Faults)
 }

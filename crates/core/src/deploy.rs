@@ -19,19 +19,23 @@ use crate::smr::{SmrLeaseOptions, SmrReplica};
 use parking_lot::Mutex;
 use shadowdb_eventml::{Process, Value};
 use shadowdb_loe::{Loc, VTime};
-use shadowdb_runtime::{PortRx, Runtime};
+use shadowdb_runtime::{PortRx, Runtime, StorageMode};
 use shadowdb_sqldb::Database;
 use shadowdb_tob::deploy::BackendKind;
 use shadowdb_tob::{broadcast_msg, subscribe_msg, unsubscribe_msg};
 use shadowdb_tob::{ExecutionMode, TobDeployment, TobOptions};
 use shadowdb_wal::Disk;
 use shadowdb_workloads::{ShardMap, TxnRequest};
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Loads schema and one shard's rows into a group database; the shard id
-/// comes first so the same closure serves every group.
-pub type ShardLoader = Box<dyn Fn(usize, &Database)>;
+/// comes first so the same closure serves every group. Shared: the
+/// deployment keeps it to load the database of every replica it later
+/// reboots or adds.
+pub type ShardLoader = Rc<dyn Fn(usize, &Database)>;
 
 /// Options shared by every deployment shape.
 pub struct DeployOptions {
@@ -74,8 +78,9 @@ pub struct DeployOptions {
     /// Durability plane: when set, every replica runs a per-replica WAL
     /// over the runtime's [`shadowdb_runtime::StorageMode`] (virtual
     /// bytes with modeled fsync cost under the simulator; real files
-    /// under the thread and socket runtimes). The deployment exposes the
-    /// disks so harnesses can restart a replica from its durable state.
+    /// under the thread and socket runtimes). The deployment keeps the
+    /// disks and reboots a replica from its durable state itself
+    /// ([`PbrDeployment::reboot`] and its twins).
     pub durability: Option<DurabilityOptions>,
     /// SMR only: enable the lease-based read fast path on every replica
     /// and route clients' read-only (single-shard) first attempts directly
@@ -143,7 +148,7 @@ impl DeployOptions {
             n_clients,
             client_txns: Box::new(client_txns),
             diversity: DiversityPolicy::Uniform,
-            loader: Box::new(loader),
+            loader: Rc::new(loader),
             mode: ExecutionMode::Compiled,
             client_timeout: Duration::from_secs(20),
             max_batch: 64,
@@ -223,14 +228,174 @@ pub struct ShardGroup {
     /// One durable disk per replica (same order as `replicas`); empty
     /// unless the deployment was built with [`DeployOptions::durability`].
     pub disks: Vec<Disk>,
+    /// How this group's replicas are made — and re-made.
+    recipe: Rc<Recipe>,
+}
+
+/// How a replica built by a [`Recipe`] comes into the world.
+enum Boot {
+    /// At deployment, on an empty disk.
+    First,
+    /// Back from a power loss, onto the disk it crashed with; the seed
+    /// tears that disk's unsynced tail ([`Disk::begin_recovery`]).
+    Reboot(u64),
+    /// Into a serving group; under SMR it fetches its snapshot from these
+    /// donors.
+    Join(Vec<Loc>),
+}
+
+/// How long after a reboot its kick is delivered: the restarted process
+/// must exist before the message that starts it moving arrives.
+const REBOOT_KICK: Duration = Duration::from_millis(2);
+
+/// Everything the replicas of one group are made of: engine rotation,
+/// loader, ordering policy, shard role, disks, lease plane and probes.
+/// Replicas are indexed in engine-rotation order — the deploy-time ones,
+/// then every joiner — and the one body, [`Recipe::replica`], builds all
+/// three of a replica's lives: first boot, reboot from its disk, join.
+struct Recipe {
+    diversity: DiversityPolicy,
+    loader: ShardLoader,
+    shard: usize,
+    role: Option<ShardRole>,
+    /// `Some` selects primary-backup; `None` state-machine replication.
+    pbr: Option<PbrOptions>,
+    durability: Option<DurabilityOptions>,
+    storage: StorageMode,
+    /// The SMR lease plane (`None` under PBR, whose leases ride `pbr`).
+    smr_leases: Option<SmrLeaseOptions>,
+    /// The group's broadcast-service entry points.
+    servers: Vec<Loc>,
+    /// How many of the deploy-time replicas form PBR's initial
+    /// configuration (the rest are spares), and how many there are.
+    active: usize,
+    deployed: usize,
+    /// Every replica the group ever had, by index; removed ones keep
+    /// their slot (and their disk).
+    replicas: RefCell<Vec<Loc>>,
+    disks: RefCell<Vec<Disk>>,
+}
+
+impl Recipe {
+    /// The process replica `i` runs as.
+    fn replica(&self, i: usize, boot: Boot) -> Box<dyn Process> {
+        let db = self.diversity.database(i);
+        (self.loader)(self.shard, &db);
+        // Replica `i`'s disk is opened the first time it is built.
+        let durable = self.durability.as_ref().map(|dur| {
+            let mut disks = self.disks.borrow_mut();
+            if i == disks.len() {
+                let name = match i < self.deployed {
+                    true => format!("replica-{}", self.shard * self.deployed + i),
+                    false => format!("joiner-{}-{i}", self.shard),
+                };
+                disks.push(Disk::open(&self.storage, &name, dur.fsync_cost));
+            }
+            (dur, disks[i].clone())
+        });
+        let replicas = self.replicas.borrow();
+        match &self.pbr {
+            Some(pbr) => {
+                let mut replica = if i < self.deployed {
+                    let (members, spares) = replicas[..self.deployed].split_at(self.active);
+                    PbrReplica::new(
+                        db,
+                        ReplicaConfig::initial(members.to_vec()),
+                        spares.to_vec(),
+                        self.servers.clone(),
+                        pbr.clone(),
+                    )
+                } else {
+                    PbrReplica::joiner(db, self.servers.clone(), pbr.clone())
+                };
+                if let Some(role) = &self.role {
+                    replica = replica.with_role(role.clone());
+                }
+                if let Some((dur, disk)) = durable {
+                    replica = replica.with_wal(disk, dur.snapshot_every);
+                    if let Some(p) = &dur.transfer_probe {
+                        replica = replica.with_transfer_probe(p.clone());
+                    }
+                }
+                if let Boot::Reboot(tear) = boot {
+                    replica = replica.rebooted(tear);
+                }
+                Box::new(replica)
+            }
+            None => {
+                let mut replica = match &boot {
+                    Boot::Join(donors) => SmrReplica::joining_from(db, donors.clone()),
+                    _ => SmrReplica::new(db),
+                };
+                if let Some(role) = &self.role {
+                    replica = replica.with_role(role.clone());
+                }
+                if let Some((dur, disk)) = durable {
+                    replica = replica.with_wal(disk, dur.snapshot_every, dur.recent_limit);
+                    if let Some(p) = &dur.transfer_probe {
+                        replica = replica.with_transfer_probe(p.clone());
+                    }
+                }
+                if let Some(lease) = &self.smr_leases {
+                    replica =
+                        replica.with_read_leases(self.servers.clone(), i as u64, lease.clone());
+                }
+                if let Boot::Reboot(tear) = boot {
+                    let donors = replicas.iter().copied().filter(|r| *r != replicas[i]);
+                    replica = replica.rebooted(donors.collect(), tear);
+                }
+                Box::new(replica)
+            }
+        }
+    }
+
+    /// Power-cycles the replica at `loc`: at `at` it comes back as the
+    /// process that recovers from its disk, and right after it gets the
+    /// kick its policy needs — PBR's timer loop (the refetch handshake
+    /// runs off heartbeats), or SMR's re-subscription (idempotent; the ack
+    /// carries the delivery frontier, which starts the delta fetch) and
+    /// lease tick.
+    fn reboot<R: Runtime + ?Sized>(&self, rt: &mut R, loc: Loc, at: VTime, tear: u64) {
+        assert!(self.durability.is_some(), "a reboot needs a disk");
+        let i = self.replicas.borrow().iter().position(|r| *r == loc);
+        let i = i.expect("reboot: not a replica of this group");
+        rt.restart_at(at, loc, self.replica(i, Boot::Reboot(tear)));
+        let kick = at + REBOOT_KICK;
+        if self.pbr.is_some() {
+            rt.send_at(kick, loc, PbrReplica::start_msg());
+            return;
+        }
+        for s in &self.servers {
+            rt.send_at(kick, *s, subscribe_msg(loc));
+        }
+        if self.smr_leases.is_some() {
+            rt.send_at(kick, loc, SmrReplica::lease_start_msg());
+        }
+    }
+
+    /// Deploys a joiner into the serving group and starts its timers;
+    /// subscribing it (and, under PBR, the configuration change) is the
+    /// [`ReconfigHandle`]'s part.
+    fn join<R: Runtime + ?Sized>(&self, rt: &mut R, donors: Vec<Loc>) -> Loc {
+        let i = self.replicas.borrow().len();
+        let loc = rt.add_node_late(self.replica(i, Boot::Join(donors)));
+        self.replicas.borrow_mut().push(loc);
+        let now = rt.now();
+        if self.pbr.is_some() {
+            rt.send_at(now, loc, PbrReplica::start_msg());
+        } else if self.smr_leases.is_some() {
+            rt.send_at(now, loc, SmrReplica::lease_start_msg());
+        }
+        loc
+    }
 }
 
 /// Instantiates one replica group at the runtime's next free locations —
-/// its broadcast service, then every replica with its loaded database,
-/// WAL disk, lease plane and shard role — for every deployment shape
-/// alike. `pbr` selects the ordering policy. Replicas are co-located with
-/// the service machines but run in their own JVM, which the quad-core
-/// testbed schedules on separate cores: they get their own CPU timeline.
+/// its broadcast service, then every replica as the group's [`Recipe`]
+/// makes it — for every deployment shape alike. `pbr` selects the
+/// ordering policy. Replicas are co-located with the service machines but
+/// run in their own JVM, which the quad-core testbed schedules on separate
+/// cores: they get their own CPU timeline.
 fn build_group<R: Runtime + ?Sized>(
     rt: &mut R,
     options: &DeployOptions,
@@ -243,68 +408,35 @@ fn build_group<R: Runtime + ?Sized>(
     // state machines and take every delivery.
     let tob = TobDeployment::build(rt, &options.tob(), layout.replicas.clone());
     assert_eq!(tob.servers, layout.servers);
-    let (members, spares) = layout
-        .replicas
-        .split_at(options.active_replicas.min(layout.replicas.len()));
-    let storage = rt.storage_mode();
-    let mut disks = Vec::new();
+    let recipe = Rc::new(Recipe {
+        diversity: options.diversity.clone(),
+        loader: options.loader.clone(),
+        shard,
+        role,
+        pbr: pbr.cloned(),
+        durability: options.durability.clone(),
+        storage: rt.storage_mode(),
+        smr_leases: options.smr_leases.clone().filter(|_| pbr.is_none()),
+        servers: layout.servers.clone(),
+        active: options.active_replicas.min(layout.replicas.len()),
+        deployed: layout.replicas.len(),
+        replicas: RefCell::new(layout.replicas.clone()),
+        disks: RefCell::new(Vec::new()),
+    });
     for (i, r) in layout.replicas.iter().enumerate() {
-        let db = options.diversity.database(i);
-        (options.loader)(shard, &db);
-        let durable = options.durability.as_ref().map(|dur| {
-            let name = format!("replica-{}", shard * layout.replicas.len() + i);
-            (dur, Disk::open(&storage, &name, dur.fsync_cost))
-        });
-        disks.extend(durable.iter().map(|(_, disk)| disk.clone()));
-        let node: Box<dyn Process> = match pbr {
-            Some(pbr) => {
-                let mut replica = PbrReplica::new(
-                    db,
-                    ReplicaConfig::initial(members.to_vec()),
-                    spares.to_vec(),
-                    layout.servers.clone(),
-                    pbr.clone(),
-                );
-                if let Some(role) = &role {
-                    replica = replica.with_role(role.clone());
-                }
-                if let Some((dur, disk)) = durable {
-                    replica = replica.with_wal(disk, dur.snapshot_every);
-                    if let Some(p) = &dur.transfer_probe {
-                        replica = replica.with_transfer_probe(p.clone());
-                    }
-                }
-                Box::new(replica)
-            }
-            None => {
-                let mut replica = SmrReplica::new(db);
-                if let Some(role) = &role {
-                    replica = replica.with_role(role.clone());
-                }
-                if let Some((dur, disk)) = durable {
-                    replica = replica.with_wal(disk, dur.snapshot_every, dur.recent_limit);
-                    if let Some(p) = &dur.transfer_probe {
-                        replica = replica.with_transfer_probe(p.clone());
-                    }
-                }
-                if let Some(lease) = &options.smr_leases {
-                    replica =
-                        replica.with_read_leases(layout.servers.clone(), i as u64, lease.clone());
-                }
-                Box::new(replica)
-            }
-        };
-        assert_eq!(rt.add_node(node), *r);
+        assert_eq!(rt.add_node(recipe.replica(i, Boot::First)), *r);
     }
-    if pbr.is_none() && options.smr_leases.is_some() {
+    if recipe.smr_leases.is_some() {
         for r in &layout.replicas {
             rt.send_at(VTime::ZERO, *r, SmrReplica::lease_start_msg());
         }
     }
+    let disks = recipe.disks.borrow().clone();
     ShardGroup {
         replicas: layout.replicas.clone(),
         tob,
         disks,
+        recipe,
     }
 }
 
@@ -380,6 +512,7 @@ pub struct PbrDeployment {
     /// One durable disk per replica (same order as `replicas`); empty
     /// unless the deployment was built with [`DeployOptions::durability`].
     pub disks: Vec<Disk>,
+    recipe: Rc<Recipe>,
 }
 
 impl PbrDeployment {
@@ -398,6 +531,7 @@ impl PbrDeployment {
             stats,
             tob: group.tob,
             disks: group.disks,
+            recipe: group.recipe,
         }
     }
 
@@ -408,15 +542,19 @@ impl PbrDeployment {
 
     /// A driver-side handle for reconfiguring this group online: add,
     /// remove, promote, and replace replicas while the deployment serves.
-    pub fn reconfig<R: Runtime + ?Sized>(
-        &self,
-        rt: &mut R,
-        pbr: PbrOptions,
-        diversity: DiversityPolicy,
-        loader: impl Fn(&Database) + 'static,
-    ) -> ReconfigHandle {
-        let kind = ReconfigKind::Pbr(pbr);
-        ReconfigHandle::new(rt, kind, None, &self.tob, &self.replicas, diversity, loader)
+    /// Joiners are made as the deployment made its own replicas — same
+    /// options, loader, engine rotation, and every plane it runs.
+    pub fn reconfig<R: Runtime + ?Sized>(&self, rt: &mut R) -> ReconfigHandle {
+        ReconfigHandle::new(rt, &self.recipe)
+    }
+
+    /// Power-cycles the replica at `loc` (a deploy-time one or a joiner):
+    /// at `at` it restarts from its disk — whose unsynced tail `tear`
+    /// tears, as the power loss did — as the replica it was built as, and
+    /// is kicked into rejoining the group. Crash it first
+    /// ([`Runtime::crash_at`]); needs [`DeployOptions::durability`].
+    pub fn reboot<R: Runtime + ?Sized>(&self, rt: &mut R, loc: Loc, at: VTime, tear: u64) {
+        self.recipe.reboot(rt, loc, at, tear);
     }
 }
 
@@ -433,6 +571,7 @@ pub struct SmrDeployment {
     /// One durable disk per replica (same order as `replicas`); empty
     /// unless the deployment was built with [`DeployOptions::durability`].
     pub disks: Vec<Disk>,
+    recipe: Rc<Recipe>,
 }
 
 impl SmrDeployment {
@@ -447,6 +586,7 @@ impl SmrDeployment {
             stats,
             tob: group.tob,
             disks: group.disks,
+            recipe: group.recipe,
         }
     }
 
@@ -460,29 +600,47 @@ impl SmrDeployment {
     /// replica subscribes a snapshot-joining node, removing one
     /// unsubscribes it; there is no configuration command and promotion
     /// is meaningless (every replica executes everything).
-    pub fn reconfig<R: Runtime + ?Sized>(
-        &self,
-        rt: &mut R,
-        diversity: DiversityPolicy,
-        loader: impl Fn(&Database) + 'static,
-    ) -> ReconfigHandle {
-        let kind = ReconfigKind::Smr;
-        ReconfigHandle::new(rt, kind, None, &self.tob, &self.replicas, diversity, loader)
+    pub fn reconfig<R: Runtime + ?Sized>(&self, rt: &mut R) -> ReconfigHandle {
+        ReconfigHandle::new(rt, &self.recipe)
+    }
+
+    /// Power-cycles the replica at `loc`; see [`PbrDeployment::reboot`].
+    pub fn reboot<R: Runtime + ?Sized>(&self, rt: &mut R, loc: Loc, at: VTime, tear: u64) {
+        self.recipe.reboot(rt, loc, at, tear);
     }
 }
+
+/// An unsharded deployment *is* shard 0 of 1: the same group, seen
+/// through the sharded deployment's fields (clients stay where the
+/// unsharded layout put them — first).
+macro_rules! into_one_group {
+    ($unsharded:ty) => {
+        impl From<$unsharded> for ShardedDeployment {
+            fn from(d: $unsharded) -> ShardedDeployment {
+                let (replicas, tob, disks, recipe) = (d.replicas, d.tob, d.disks, d.recipe);
+                let (map, clients, stats) = (ShardMap::new(1), d.clients, d.stats);
+                let groups = vec![ShardGroup {
+                    replicas,
+                    tob,
+                    disks,
+                    recipe,
+                }];
+                ShardedDeployment {
+                    map,
+                    groups,
+                    clients,
+                    stats,
+                }
+            }
+        }
+    };
+}
+into_one_group!(PbrDeployment);
+into_one_group!(SmrDeployment);
 
 /// How long each polling slice of a [`ReconfigHandle`] drives the runtime
 /// before draining replies.
 const RECONFIG_SLICE: Duration = Duration::from_millis(5);
-
-/// The per-operation configuration kind of a [`ReconfigHandle`].
-enum ReconfigKind {
-    /// Primary-backup: membership is replicated state, changed through
-    /// CAS-guarded configuration commands ordered by the TOB.
-    Pbr(PbrOptions),
-    /// State-machine replication: membership is the subscriber set.
-    Smr,
-}
 
 /// A driver-side handle exposing online reconfiguration of one replica
 /// group: adding a fresh replica (with live overlapped state transfer),
@@ -490,56 +648,43 @@ enum ReconfigKind {
 /// replace. Operations drive the runtime in small slices ([`Runtime::
 /// run_for`]) while polling replica configuration reports, so the same
 /// handle works under the simulator, threads, and real sockets.
+///
+/// Primary-backup membership is replicated state, changed through
+/// CAS-guarded configuration commands ordered by the TOB; under
+/// state-machine replication it is the subscriber set.
 pub struct ReconfigHandle {
     /// The handle's own mailbox; configuration replies land here.
     port: Loc,
     rx: PortRx,
-    kind: ReconfigKind,
-    /// Sharded deployments: the group's place in the shard map, so a
-    /// joiner participates in cross-shard 2PC once caught up.
-    role: Option<ShardRole>,
-    /// The group's broadcast-service entry points.
-    servers: Vec<Loc>,
+    /// The group's recipe: what a joiner is made of, exactly as the
+    /// deployment made the original replicas — a catch-up replay from
+    /// sequence zero must land on the same starting state.
+    recipe: Rc<Recipe>,
     /// Every replica location known to the handle: deploy-time members,
     /// spares, and joiners added since. Queries fan out to all of them;
     /// removed replicas stay addressable (they answer with the
     /// configuration that excluded them, which is still evidence).
     replicas: Vec<Loc>,
-    diversity: DiversityPolicy,
-    /// Loads schema (and initial data) into a joiner's database, exactly
-    /// as the deployment loaded the original replicas — a catch-up replay
-    /// from sequence zero must land on the same starting state.
-    loader: Box<dyn Fn(&Database)>,
-    /// Engine index for the next joiner's database (continues the
-    /// deployment's diversity rotation).
-    next_db: usize,
     /// Monotone msgid for configuration-command broadcasts.
     bcast_seq: i64,
 }
 
 impl ReconfigHandle {
-    fn new<R: Runtime + ?Sized>(
-        rt: &mut R,
-        kind: ReconfigKind,
-        role: Option<ShardRole>,
-        tob: &TobDeployment,
-        replicas: &[Loc],
-        diversity: DiversityPolicy,
-        loader: impl Fn(&Database) + 'static,
-    ) -> ReconfigHandle {
+    fn new<R: Runtime + ?Sized>(rt: &mut R, recipe: &Rc<Recipe>) -> ReconfigHandle {
         let (port, rx) = rt.port();
         ReconfigHandle {
             port,
             rx,
-            kind,
-            role,
-            servers: tob.servers.clone(),
-            replicas: replicas.to_vec(),
-            diversity,
-            loader: Box::new(loader),
-            next_db: replicas.len(),
+            recipe: recipe.clone(),
+            replicas: recipe.replicas.borrow().clone(),
             bcast_seq: 0,
         }
+    }
+
+    /// Whether the group is primary-backup (else state-machine
+    /// replication).
+    fn is_pbr(&self) -> bool {
+        self.recipe.pbr.is_some()
     }
 
     /// Every replica location the handle knows of (including removed
@@ -549,7 +694,8 @@ impl ReconfigHandle {
     }
 
     fn broadcast<R: Runtime + ?Sized>(&mut self, rt: &mut R, payload: Value) {
-        let server = self.servers[(self.bcast_seq as usize) % self.servers.len()];
+        let servers = &self.recipe.servers;
+        let server = servers[(self.bcast_seq as usize) % servers.len()];
         let msgid = self.bcast_seq;
         self.bcast_seq += 1;
         let now = rt.now();
@@ -625,6 +771,35 @@ impl ReconfigHandle {
         false
     }
 
+    /// CAS-broadcasts the command `next` derives from the group's current
+    /// membership — tagged with the configuration sequence it was read
+    /// at, so a concurrent change makes it a no-op and the next round
+    /// re-derives it — until `done` holds of the adopted configuration.
+    /// `false` when `deadline` passes first, or no command applies.
+    fn cas_until<R: Runtime + ?Sized>(
+        &mut self,
+        rt: &mut R,
+        deadline: Duration,
+        done: impl Fn(&ReplicaConfig) -> bool,
+        next: impl Fn(&[Loc]) -> Option<ConfigCommand>,
+    ) -> bool {
+        let slices = (deadline.as_micros() / (RECONFIG_SLICE.as_micros() * 8)).max(1);
+        for _ in 0..slices {
+            let Some(rep) = self.query_config(rt, RECONFIG_SLICE * 4) else {
+                continue;
+            };
+            if done(&rep.config) {
+                return true;
+            }
+            let Some(cmd) = next(&rep.config.members) else {
+                return false;
+            };
+            self.broadcast(rt, cmd.to_payload(rep.config.seq));
+            rt.run_for(RECONFIG_SLICE * 4);
+        }
+        false
+    }
+
     /// Adds a fresh replica to the group while it serves, returning the
     /// new location. Under PBR this deploys a joiner, subscribes it at
     /// every broadcast server (so the configuration command that names it
@@ -641,55 +816,25 @@ impl ReconfigHandle {
         rt: &mut R,
         deadline: Duration,
     ) -> Option<Loc> {
-        let db = self.diversity.database(self.next_db);
-        self.next_db += 1;
-        (self.loader)(&db);
-        match &self.kind {
-            ReconfigKind::Pbr(options) => {
-                let mut joiner = PbrReplica::joiner(db, self.servers.clone(), options.clone());
-                if let Some(role) = &self.role {
-                    joiner = joiner.with_role(role.clone());
-                }
-                let loc = rt.add_node_late(Box::new(joiner));
-                let now = rt.now();
-                rt.send_at(now, loc, PbrReplica::start_msg());
-                for s in self.servers.clone() {
-                    let now = rt.now();
-                    rt.send_at(now, s, subscribe_msg(loc));
-                }
-                // Let the subscription land before the command's slot can
-                // decide: the joiner must see its own `AddReplica`.
-                rt.run_for(RECONFIG_SLICE * 4);
-                self.replicas.push(loc);
-                let slices = (deadline.as_micros() / (RECONFIG_SLICE.as_micros() * 8)).max(1);
-                for _ in 0..slices {
-                    let Some(rep) = self.query_config(rt, RECONFIG_SLICE * 4) else {
-                        continue;
-                    };
-                    if rep.config.contains(loc) {
-                        return Some(loc);
-                    }
-                    if let Some(cmd) = ConfigCommand::add(&rep.config.members, loc) {
-                        self.broadcast(rt, cmd.to_payload(rep.config.seq));
-                    }
-                    rt.run_for(RECONFIG_SLICE * 4);
-                }
-                None
-            }
-            ReconfigKind::Smr => {
-                let mut joiner = SmrReplica::joining_from(db, self.replicas.clone());
-                if let Some(role) = &self.role {
-                    joiner = joiner.with_role(role.clone());
-                }
-                let loc = rt.add_node_late(Box::new(joiner));
-                for s in self.servers.clone() {
-                    let now = rt.now();
-                    rt.send_at(now, s, subscribe_msg(loc));
-                }
-                self.replicas.push(loc);
-                Some(loc)
-            }
+        let loc = self.recipe.join(rt, self.replicas.clone());
+        for s in &self.recipe.servers {
+            let now = rt.now();
+            rt.send_at(now, *s, subscribe_msg(loc));
         }
+        if self.is_pbr() {
+            // Let the subscription land before the command's slot can
+            // decide: the joiner must see its own `AddReplica`.
+            rt.run_for(RECONFIG_SLICE * 4);
+        }
+        self.replicas.push(loc);
+        let adopted = !self.is_pbr()
+            || self.cas_until(
+                rt,
+                deadline,
+                |config| config.contains(loc),
+                |members| ConfigCommand::add(members, loc),
+            );
+        adopted.then_some(loc)
     }
 
     /// Removes `loc` from the group's membership while it serves. Under
@@ -703,32 +848,20 @@ impl ReconfigHandle {
         loc: Loc,
         deadline: Duration,
     ) -> bool {
-        match &self.kind {
-            ReconfigKind::Pbr(_) => {
-                let slices = (deadline.as_micros() / (RECONFIG_SLICE.as_micros() * 8)).max(1);
-                for _ in 0..slices {
-                    let Some(rep) = self.query_config(rt, RECONFIG_SLICE * 4) else {
-                        continue;
-                    };
-                    if !rep.config.contains(loc) {
-                        return true;
-                    }
-                    if let Some(cmd) = ConfigCommand::remove(&rep.config.members, loc) {
-                        self.broadcast(rt, cmd.to_payload(rep.config.seq));
-                    }
-                    rt.run_for(RECONFIG_SLICE * 4);
-                }
-                false
-            }
-            ReconfigKind::Smr => {
-                for s in self.servers.clone() {
-                    let now = rt.now();
-                    rt.send_at(now, s, unsubscribe_msg(loc));
-                }
-                self.replicas.retain(|r| *r != loc);
-                true
-            }
+        if self.is_pbr() {
+            return self.cas_until(
+                rt,
+                deadline,
+                |config| !config.contains(loc),
+                |members| ConfigCommand::remove(members, loc),
+            );
         }
+        for s in &self.recipe.servers {
+            let now = rt.now();
+            rt.send_at(now, *s, unsubscribe_msg(loc));
+        }
+        self.replicas.retain(|r| *r != loc);
+        true
     }
 
     /// CAS-broadcasts `Promote` until the configuration sequence
@@ -737,37 +870,26 @@ impl ReconfigHandle {
     /// promoted-but-behind replica must not cost committed transactions —
     /// so the new primary is `loc` only if it is fully caught up. Under
     /// SMR this is a no-op (there is no primary). Returns whether the
-    /// command was adopted before `deadline`.
+    /// command was adopted before `deadline` (`false` at once if `loc` is
+    /// not a member: nothing to promote).
     pub fn promote<R: Runtime + ?Sized>(
         &mut self,
         rt: &mut R,
         loc: Loc,
         deadline: Duration,
     ) -> bool {
-        match &self.kind {
-            ReconfigKind::Pbr(_) => {
-                let Some(start) = self.query_config(rt, deadline) else {
-                    return false;
-                };
-                let slices = (deadline.as_micros() / (RECONFIG_SLICE.as_micros() * 8)).max(1);
-                for _ in 0..slices {
-                    let Some(rep) = self.query_config(rt, RECONFIG_SLICE * 4) else {
-                        continue;
-                    };
-                    if rep.config.seq > start.config.seq {
-                        return true;
-                    }
-                    if let Some(cmd) = ConfigCommand::promote(&rep.config.members, loc) {
-                        self.broadcast(rt, cmd.to_payload(rep.config.seq));
-                    } else {
-                        return false; // not a member: nothing to promote
-                    }
-                    rt.run_for(RECONFIG_SLICE * 4);
-                }
-                false
-            }
-            ReconfigKind::Smr => true,
+        if !self.is_pbr() {
+            return true;
         }
+        let Some(start) = self.query_config(rt, deadline) else {
+            return false;
+        };
+        self.cas_until(
+            rt,
+            deadline,
+            |config| config.seq > start.config.seq,
+            |members| ConfigCommand::promote(members, loc),
+        )
     }
 
     /// The acceptance scenario's composite: add a fresh replica, wait for
@@ -783,15 +905,12 @@ impl ReconfigHandle {
     ) -> Option<Loc> {
         let share = deadline / 3;
         let added = self.add_replica(rt, share)?;
-        match &self.kind {
-            ReconfigKind::Pbr(_) => {
-                if !self.await_member(rt, added, share) {
-                    return None;
-                }
-            }
+        if !self.is_pbr() {
             // SMR joins converge on their own; the delivery stream the
             // joiner subscribed to is the group's state.
-            ReconfigKind::Smr => rt.run_for(share),
+            rt.run_for(share);
+        } else if !self.await_member(rt, added, share) {
+            return None;
         }
         self.remove_replica(rt, victim, share).then_some(added)
     }
@@ -814,12 +933,6 @@ pub struct ShardedDeployment {
     pub clients: Vec<Loc>,
     /// Client measurement handles.
     pub stats: Vec<Arc<Mutex<DbClientStats>>>,
-    /// Routes to every group (for rebuilding a joiner's [`ShardRole`]).
-    routes: Vec<GroupRoute>,
-    /// The deployment's cross-shard commit observer, if any.
-    probe: Option<TwoPcProbe>,
-    /// The PBR options groups were built with (`None` for SMR groups).
-    pbr: Option<PbrOptions>,
 }
 
 impl ShardedDeployment {
@@ -902,9 +1015,6 @@ impl ShardedDeployment {
             groups,
             clients,
             stats,
-            routes,
-            probe: options.probe.clone(),
-            pbr,
         }
     }
 
@@ -913,41 +1023,35 @@ impl ShardedDeployment {
         self.stats.iter().map(|s| s.lock().committed()).sum()
     }
 
-    /// Shard group `group`'s place in the deployment: what a joiner — or a
-    /// replica rebooted from its disk — must be built with to take part
-    /// in cross-shard 2PC.
-    pub fn role(&self, group: usize) -> ShardRole {
-        ShardRole {
-            map: self.map,
-            shard: group,
-            routes: self.routes.clone(),
-            probe: self.probe.clone(),
-        }
-    }
-
     /// A reconfiguration handle scoped to shard group `group`: replace
     /// one replica of that group while every other group serves
     /// untouched. The joiner is built with the group's [`ShardRole`], so
     /// it participates in cross-shard 2PC once caught up.
-    pub fn reconfig_group<R: Runtime + ?Sized>(
-        &self,
-        rt: &mut R,
-        group: usize,
-        diversity: DiversityPolicy,
-        loader: impl Fn(&Database) + 'static,
-    ) -> ReconfigHandle {
-        let kind = match &self.pbr {
-            Some(options) => ReconfigKind::Pbr(options.clone()),
-            None => ReconfigKind::Smr,
-        };
-        let (g, role) = (&self.groups[group], Some(self.role(group)));
-        ReconfigHandle::new(rt, kind, role, &g.tob, &g.replicas, diversity, loader)
+    pub fn reconfig_group<R: Runtime + ?Sized>(&self, rt: &mut R, group: usize) -> ReconfigHandle {
+        ReconfigHandle::new(rt, &self.groups[group].recipe)
+    }
+
+    /// Power-cycles the replica at `loc`, whichever group it belongs to;
+    /// see [`PbrDeployment::reboot`]. It comes back with its group's
+    /// [`ShardRole`], so the replayed WAL rebuilds the 2PC engine and
+    /// emission counters it crashed with.
+    pub fn reboot<R: Runtime + ?Sized>(&self, rt: &mut R, loc: Loc, at: VTime, tear: u64) {
+        let group = self
+            .groups
+            .iter()
+            .find(|g| g.recipe.replicas.borrow().contains(&loc));
+        group
+            .expect("reboot: not a replica of this deployment")
+            .recipe
+            .reboot(rt, loc, at, tear);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shadowdb_eventml::{Ctx, Msg};
+    use shadowdb_tob::SUBOK_HEADER;
     use shadowdb_workloads::bank;
 
     fn bank_options(n_clients: usize, txns_each: usize) -> DeployOptions {
@@ -1112,10 +1216,8 @@ mod tests {
         };
         let mut options = bank_options(2, 120);
         options.client_timeout = Duration::from_secs(2);
-        let d = PbrDeployment::build(&mut sim, &options, pbr.clone());
-        let mut handle = d.reconfig(&mut sim, pbr, DiversityPolicy::Uniform, |db| {
-            bank::load(db, 1_000).expect("bank loads")
-        });
+        let d = PbrDeployment::build(&mut sim, &options, pbr);
+        let mut handle = d.reconfig(&mut sim);
         // Let the group serve before touching membership.
         let mut ms = 5;
         while d.committed() < 10 {
@@ -1156,11 +1258,7 @@ mod tests {
             },
         );
         let d = SmrDeployment::build(&mut sim, &options);
-        let captured = dbs.clone();
-        let mut handle = d.reconfig(&mut sim, DiversityPolicy::Uniform, move |db| {
-            bank::load(db, 1_000).expect("bank loads");
-            captured.lock().push(db.clone());
-        });
+        let mut handle = d.reconfig(&mut sim);
         let mut ms = 5;
         while d.committed() < 10 {
             sim.run_until(VTime::from_millis(ms));
@@ -1188,6 +1286,88 @@ mod tests {
             sums.windows(2).all(|w| w[0] == w[1]),
             "joiner agrees with the group: {sums:?}"
         );
+    }
+
+    /// A durable bank deployment under the paper's diverse engine trio
+    /// whose loader records the engine each replica was built on, in
+    /// build order.
+    fn durable_trio_options(engines: &Arc<Mutex<Vec<&'static str>>>) -> DeployOptions {
+        let engines = engines.clone();
+        let mut options = DeployOptions::new(
+            2,
+            |i| {
+                let mut g = bank::BankGen::new(100 + i as u64, 1_000);
+                (0..40).map(|_| g.next_txn()).collect()
+            },
+            move |db| {
+                bank::load(db, 1_000).expect("bank loads");
+                engines.lock().push(db.profile().name);
+            },
+        );
+        options.diversity = DiversityPolicy::Trio;
+        options.durability = Some(DurabilityOptions::default());
+        options
+    }
+
+    /// A reboot keeps its engine, and a joiner continues the rotation:
+    /// the recipe indexes the diversity policy by the replica's slot,
+    /// never by how many replicas it has built.
+    #[test]
+    fn reboot_keeps_its_engine_and_a_joiner_continues_the_rotation() {
+        let mut sim = shadowdb_simnet::testing::default_net(13);
+        let engines = Arc::default();
+        let d = SmrDeployment::build(&mut sim, &durable_trio_options(&engines));
+        let trio = DiversityPolicy::Trio;
+        let name = |i: usize| trio.profile(i).name;
+        assert_eq!(*engines.lock(), [name(0), name(1), name(2)]);
+        d.recipe.replica(1, Boot::Reboot(7));
+        assert_eq!(engines.lock()[3], name(1), "rebooted on its own engine");
+        let mut handle = d.reconfig(&mut sim);
+        let joiner = handle.add_replica(&mut sim, Duration::from_secs(1));
+        assert_eq!(engines.lock()[4], name(3), "the rotation continues");
+        d.recipe.replica(3, Boot::Reboot(7));
+        assert_eq!(engines.lock()[5], name(3), "joiners reboot alike");
+        assert_eq!(d.recipe.replicas.borrow()[3], joiner.expect("added"));
+        assert_eq!(d.recipe.disks.borrow().len(), 4, "a disk per replica");
+    }
+
+    /// Recovery is lazy — a rebooted replica reads its disk in its first
+    /// step — and lazy recovery is fork-safe: a clone taken before that
+    /// step recovers the same state from the same disk and answers the
+    /// same message with the same sends.
+    #[test]
+    fn a_rebooted_replica_forks_before_its_first_step() {
+        use shadowdb_eventml::process::fingerprint;
+        let engines = Arc::default();
+        let options = durable_trio_options(&engines);
+        let mut sim = shadowdb_simnet::testing::default_net(14);
+        let pbr = PbrDeployment::build(&mut sim, &options, PbrOptions::default());
+        let smr = SmrDeployment::build(&mut sim, &options);
+        while pbr.committed().min(smr.committed()) < 10 {
+            sim.run_for(Duration::from_millis(5));
+            assert!(sim.now() < VTime::from_secs(60), "no progress to recover");
+        }
+        let forks = [
+            (&pbr.recipe, pbr.replicas[1], PbrReplica::start_msg()),
+            (
+                &smr.recipe,
+                smr.replicas[2],
+                Msg::new(SUBOK_HEADER, Value::Int(99)),
+            ),
+        ];
+        for (recipe, loc, msg) in forks {
+            let i = recipe.replicas.borrow().iter().position(|r| *r == loc);
+            let mut original = recipe.replica(i.expect("deployed"), Boot::Reboot(9));
+            let mut fork = original.clone_box();
+            assert_eq!(fingerprint(&*original), fingerprint(&*fork));
+            let unstepped = fingerprint(&*original);
+            let ctx = Ctx::new(loc, sim.now());
+            let sends = original.step(&ctx, &msg);
+            assert!(!sends.is_empty(), "the reboot's kick starts the rejoin");
+            assert_ne!(fingerprint(&*original), unstepped, "the disk was read");
+            assert_eq!(fork.step(&ctx, &msg), sends);
+            assert_eq!(fingerprint(&*original), fingerprint(&*fork));
+        }
     }
 
     #[test]

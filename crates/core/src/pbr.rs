@@ -212,6 +212,9 @@ pub struct PbrReplica {
     /// recovery waits out the previous configuration's largest possible
     /// outstanding lease.
     lease_wait_until: VTime,
+    /// Rebooted after a power loss: the first step recovers from the
+    /// attached disk, tearing its unsynced tail from this seed.
+    reboot: Option<u64>,
 }
 
 impl PbrReplica {
@@ -254,6 +257,7 @@ impl PbrReplica {
             lease_echo: HashMap::new(),
             primary_ts: VTime::ZERO,
             lease_wait_until: VTime::ZERO,
+            reboot: None,
         }
     }
 
@@ -305,54 +309,43 @@ impl PbrReplica {
         self
     }
 
-    /// Rebuilds a replica from its durable state after a crash: install
-    /// the latest snapshot, replay the logged suffix, then rejoin the
-    /// group for whatever the disk missed (the `sdb/refetch` handshake —
-    /// catch-up only, unless the primary's cache no longer reaches back
-    /// far enough). The caller passes the arguments the original replica
-    /// was built with; `slf` is the location the replica runs at (replay
-    /// of 2PC records renders protocol sends, which need an identity,
-    /// before the first step supplies a context).
-    #[allow(clippy::too_many_arguments)]
-    pub fn recover_from(
-        db: Database,
-        config: ReplicaConfig,
-        spares: Vec<Loc>,
-        tob_servers: Vec<Loc>,
-        options: PbrOptions,
-        role: Option<ShardRole>,
-        slf: Loc,
-        disk: Disk,
-        snapshot_every: i64,
-    ) -> PbrReplica {
-        let mut r = PbrReplica::new(db, config, spares, tob_servers, options);
-        if let Some(role) = role {
-            r = r.with_role(role);
-        }
-        let rec = r.core.recover(&disk);
+    /// Marks this replica — configured like the one that crashed,
+    /// [`PbrReplica::with_wal`] included — as rebooted after a power loss.
+    /// Its **first step** reads the disk back, at restart time and under
+    /// the location the context supplies: `tear` resolves the torn unsynced
+    /// tail, the latest snapshot is installed, the logged suffix replayed,
+    /// and the replica rejoins for whatever the disk missed (`sdb/refetch`:
+    /// catch-up only, unless the primary's cache no longer reaches back).
+    pub fn rebooted(mut self, tear: u64) -> PbrReplica {
+        self.reboot = Some(tear);
+        self
+    }
+
+    /// The recovery a [`PbrReplica::rebooted`] replica runs before
+    /// handling its first message.
+    fn recover(&mut self, slf: Loc, tear: u64) {
+        let (disk, rec) = self.core.recover(tear);
         let mut snap_at = 0;
         if let Some((idx, header)) = &rec.snapshot {
             // The durable image's policy header is the replica's position
             // on the config chain.
             if let Some(c) = ReplicaConfig::from_value(header) {
-                r.config = c;
+                self.config = c;
             }
-            r.log_start = r.core.executed();
+            self.log_start = self.core.executed();
             snap_at = *idx;
         }
         for (_, body) in &rec.records {
-            r.replay_record(slf, body);
+            self.replay_record(slf, body);
         }
-        r.wal_index = rec.high_index().max(0);
-        r.core
-            .attach_wal(disk, snapshot_every, snap_at, r.wal_index);
+        self.wal_index = rec.high_index().max(0);
+        self.core.resume_wal(disk, snap_at, self.wal_index);
         // The disk knows everything up to the crash; the group has moved
         // on. Rejoin: re-anchor the TOB subscription and ask the primary
         // for the missed suffix.
-        r.mode = Mode::Recovering;
-        r.join_sync = true;
-        r.need_refetch = true;
-        r
+        self.mode = Mode::Recovering;
+        self.join_sync = true;
+        self.need_refetch = true;
     }
 
     /// Replays one WAL record onto local state. Nothing is sent: 2PC
@@ -1232,12 +1225,16 @@ fn replicates_ahead(msg: &Msg) -> bool {
 }
 
 impl PbrReplica {
-    /// First-step initialization: learn our own identity from the context.
+    /// First-step initialization: learn our own identity from the context
+    /// and, after a reboot, read the disk back under it.
     fn ensure_init(&mut self, ctx: &Ctx) {
         if self.hb_armed {
             return;
         }
         self.hb_armed = true;
+        if let Some(tear) = self.reboot.take() {
+            self.recover(ctx.slf, tear);
+        }
         if !self.config.contains(ctx.slf) {
             self.mode = Mode::Idle; // a spare, until a configuration adds us
             return;

@@ -431,17 +431,29 @@ impl ReplicaCore {
         self.wal = Some(Wal::open(disk));
     }
 
-    /// Reads `disk` back after a crash and installs the latest durable
-    /// image, if any. In the returned recovery the snapshot's blob is
-    /// replaced by its policy header; the logged suffix is the policy's to
-    /// replay through its own execution path. Call [`Self::attach_wal`]
-    /// *after* the replay, or the replay would be logged again.
-    pub(crate) fn recover(&mut self, disk: &Disk) -> Recovered {
-        let mut rec = shadowdb_wal::recover(disk);
+    /// The first step of a rebooted replica: resolves what the power loss
+    /// tore off the attached disk's unsynced tail (`tear` seeds
+    /// [`Disk::begin_recovery`]), reads the disk back and installs the
+    /// latest durable image, if any. In the returned recovery the
+    /// snapshot's blob is replaced by its policy header; the logged suffix
+    /// is the policy's to replay through its own execution path. The log
+    /// comes back *detached* — the replay must not be logged again — so
+    /// hand the disk to [`Self::resume_wal`] afterwards.
+    pub(crate) fn recover(&mut self, tear: u64) -> (Disk, Recovered) {
+        let wal = self.wal.take().expect("a rebooted replica has a disk");
+        let disk = wal.disk().clone();
+        disk.begin_recovery(tear);
+        let mut rec = shadowdb_wal::recover(&disk);
         rec.snapshot = rec
             .snapshot
             .and_then(|(idx, blob)| Some((idx, self.install_durable_blob(&blob)?)));
-        rec
+        (disk, rec)
+    }
+
+    /// Re-attaches the log after [`Self::recover`]'s replay, at the
+    /// positions the disk was found to hold.
+    pub(crate) fn resume_wal(&mut self, disk: Disk, snap_at: i64, durable: i64) {
+        self.attach_wal(disk, self.snapshot_every, snap_at, durable);
     }
 
     /// Whether this replica persists its execution (policies skip building

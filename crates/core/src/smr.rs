@@ -110,17 +110,13 @@ struct LeaseState {
     marker_send_us: i64,
     /// Local delivery time of that marker. `None` means the marker was
     /// WAL-replayed: its receipt time is unknown, so it anchors no live
-    /// suppression window (see `post_recovery`).
+    /// suppression window (see [`SmrReplica::reanchor_lease`]).
     marker_deliv: Option<VTime>,
     /// Holder-side wait-out: no fast reads before this. Covers the
     /// previous holder's entire window across a hand-off.
     fast_from: VTime,
     /// msgid counter for this replica's own broadcasts.
     msgid: i64,
-    /// Disk-recovered: the first live step re-anchors suppression at its
-    /// own clock and forgets any replayed holder identity, conservatively
-    /// covering whatever lease was outstanding at the crash.
-    post_recovery: bool,
 }
 
 /// Decodes a lease marker payload, if `v` is one (transaction envelopes
@@ -167,6 +163,9 @@ pub struct SmrReplica {
     recent_limit: usize,
     /// Lease-based read fast path, when enabled.
     lease: Option<LeaseState>,
+    /// Rebooted after a power loss: the first step recovers from the
+    /// attached disk, tearing its unsynced tail from this seed.
+    reboot: Option<u64>,
 }
 
 impl SmrReplica {
@@ -184,16 +183,18 @@ impl SmrReplica {
             recent: VecDeque::new(),
             recent_limit: 0,
             lease: None,
+            reboot: None,
         }
     }
 
     /// Enables the lease-based read fast path: markers broadcast through
     /// `tob_servers` elect a holder that answers read-only transactions
     /// from its local database without a broadcast round. `claim_rank`
-    /// staggers lapse claims (rank 0 moves first). On a disk-recovered
-    /// replica this must be chained *after* [`SmrReplica::recover_from`]:
-    /// replayed markers carry no receipt time, so the first live step
-    /// conservatively re-anchors suppression at its own clock.
+    /// staggers lapse claims (rank 0 moves first). A replica that adopts
+    /// state it did not watch being ordered — a reboot's WAL replay, a
+    /// joiner's snapshot — re-anchors the plane itself
+    /// ([`SmrReplica::reanchor_lease`]), so the builder steps chain in any
+    /// order.
     pub fn with_read_leases(
         mut self,
         tob_servers: Vec<Loc>,
@@ -201,10 +202,6 @@ impl SmrReplica {
         opts: SmrLeaseOptions,
     ) -> SmrReplica {
         assert!(!tob_servers.is_empty(), "leases need a TOB entry point");
-        // This replica's broadcast msgids must not collide with any it
-        // used before a crash (the service dedups per source); restart
-        // the counter well past anything plausibly used.
-        let msgid = self.incoming.next_seq().max(0).saturating_mul(1_000_000);
         self.lease = Some(LeaseState {
             opts,
             tob_servers,
@@ -213,8 +210,7 @@ impl SmrReplica {
             marker_send_us: 0,
             marker_deliv: None,
             fast_from: VTime::ZERO,
-            msgid,
-            post_recovery: self.rejoin,
+            msgid: 0,
         });
         self
     }
@@ -279,31 +275,28 @@ impl SmrReplica {
         self
     }
 
-    /// Rebuilds a replica from its durable state after a crash: install
-    /// the latest snapshot, replay the logged delivery suffix, then
-    /// rejoin — the subscription ack tells it how far the group has
-    /// moved on, and `donors` serve the missed range from their
-    /// recent-delivery caches (full snapshot only if no cache reaches
-    /// back far enough).
-    pub fn recover_from(
-        db: Database,
-        donors: Vec<Loc>,
-        role: Option<ShardRole>,
-        slf: Loc,
-        disk: Disk,
-        snapshot_every: i64,
-        recent_limit: usize,
-    ) -> SmrReplica {
-        let mut r = SmrReplica::new(db);
-        if let Some(role) = role {
-            r = r.with_role(role);
-        }
-        r.recent_limit = recent_limit;
-        let rec = r.core.recover(&disk);
+    /// Marks this replica — configured like the one that crashed,
+    /// [`SmrReplica::with_wal`] included — as rebooted after a power loss.
+    /// Its **first step** reads the disk back, at restart time and under
+    /// the location the context supplies: `tear` resolves the torn unsynced
+    /// tail, the latest snapshot is installed, the logged deliveries
+    /// replayed, and the replica rejoins — the subscription ack tells it
+    /// how far the group moved on, and `donors` serve the missed range from
+    /// their recent-delivery caches (a snapshot only if none reaches back).
+    pub fn rebooted(mut self, donors: Vec<Loc>, tear: u64) -> SmrReplica {
+        self.donors = donors;
+        self.reboot = Some(tear);
+        self
+    }
+
+    /// The recovery a [`SmrReplica::rebooted`] replica runs before
+    /// handling its first message.
+    fn recover(&mut self, ctx: &Ctx, tear: u64) {
+        let (disk, rec) = self.core.recover(tear);
         // Snapshots are taken at `next_seq - 1` (the image's policy header
         // repeats the frontier; the WAL index already implies it).
         let snap_at = rec.snapshot.as_ref().map_or(-1, |(idx, _)| *idx);
-        r.incoming = InOrderBuffer::starting_at(snap_at + 1);
+        self.incoming = InOrderBuffer::starting_at(snap_at + 1);
         // Replay the logged suffix through the normal execution path
         // (replies and 2PC sends are rendered and dropped; counters and
         // the reply cache advance exactly as they did pre-crash). The
@@ -313,19 +306,39 @@ impl SmrReplica {
         for (seq, payload) in &rec.records {
             let d = Delivery {
                 seq: *seq,
-                client: slf,
+                client: ctx.slf,
                 msgid: 0,
                 payload: payload.clone(),
             };
-            let ready = r.incoming.offer(d);
-            r.execute_deliveries(slf, None, ready, &mut discard);
+            let ready = self.incoming.offer(d);
+            self.execute_deliveries(ctx.slf, None, ready, &mut discard);
         }
-        let durable = r.incoming.next_seq() - 1;
-        r.core.attach_wal(disk, snapshot_every, snap_at, durable);
-        r.rejoin = true;
-        r.donors = donors;
-        r.sub_seq = None;
-        r
+        let next = self.incoming.next_seq();
+        self.core.resume_wal(disk, snap_at, next - 1);
+        self.rejoin = true;
+        self.sub_seq = None;
+        if let Some(l) = self.lease.as_mut() {
+            // This replica's broadcast msgids must not collide with any it
+            // used before the crash (the service dedups per source);
+            // restart the counter well past anything plausibly used.
+            l.msgid = next.max(0).saturating_mul(1_000_000);
+        }
+        self.reanchor_lease(ctx.now);
+    }
+
+    /// Re-anchors the lease plane after adopting state this replica did
+    /// not watch being ordered — a WAL replay after a reboot, a snapshot
+    /// installed by a joiner. Markers inside that state carry no receipt
+    /// time, and any of them may name a holder whose window is still
+    /// running. Forget the holder identity and start suppression at `now`:
+    /// for one lease length this replica neither serves fast reads nor
+    /// acknowledges writes, which covers every window granted by a marker
+    /// sent before `now` (suppressing too long is always safe).
+    fn reanchor_lease(&mut self, now: VTime) {
+        if let Some(l) = self.lease.as_mut() {
+            l.holder = None;
+            l.marker_deliv = Some(now);
+        }
     }
 
     /// Builds the snapshot-fetch request sent to the donor replica.
@@ -679,6 +692,8 @@ impl SmrReplica {
         };
         self.joining = false;
         self.rejoin = false;
+        // The image may cover a marker whose window is still running.
+        self.reanchor_lease(now);
         // Skip everything the snapshot already covers, then replay whatever
         // arrived while joining.
         let held = std::mem::replace(&mut self.incoming, InOrderBuffer::starting_at(next_seq));
@@ -792,19 +807,8 @@ impl SmrReplica {
 
 impl Process for SmrReplica {
     fn step_into(&mut self, ctx: &Ctx, msg: &Msg, out: &mut Vec<SendInstr>) {
-        if let Some(l) = self.lease.as_mut() {
-            if l.post_recovery {
-                // Replayed markers carry no receipt time, and a lease may
-                // have been outstanding at the crash. Re-anchor suppression
-                // at the first live instant and forget any replayed holder
-                // identity: for one lease length this replica neither
-                // serves fast reads nor acknowledges writes, which covers
-                // every window that could have been granted before the
-                // crash (suppressing too long is always safe).
-                l.post_recovery = false;
-                l.holder = None;
-                l.marker_deliv = Some(ctx.now);
-            }
+        if let Some(tear) = self.reboot.take() {
+            self.recover(ctx, tear);
         }
         let first = out.len();
         let h = msg.header;
@@ -875,5 +879,86 @@ impl Process for SmrReplica {
             // receipt times (`marker_deliv`, `fast_from`) are not.
             (l.holder, l.marker_send_us, l.msgid).hash(&mut h);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::msgs::REPLY_HEADER;
+    use shadowdb_sqldb::EngineProfile;
+    use shadowdb_tob::DELIVER_HEADER;
+    use shadowdb_workloads::bank;
+
+    const TOB: Loc = Loc::new(9);
+    const SLF: Loc = Loc::new(1);
+    const CLIENT: Loc = Loc::new(20);
+
+    /// A durable lease replica over `disk`, as the deployment's recipe
+    /// chains the builder steps.
+    fn replica(disk: &Disk) -> SmrReplica {
+        let db = Database::new(EngineProfile::h2());
+        bank::load(&db, 4).expect("bank loads");
+        SmrReplica::new(db)
+            .with_wal(disk.clone(), 1_000, 16)
+            .with_read_leases(vec![TOB], 1, SmrLeaseOptions::default())
+    }
+
+    fn deliver(seq: i64, payload: Value) -> Msg {
+        let rest = Value::pair(Value::Loc(TOB), Value::pair(Value::Int(0), payload));
+        Msg::new(DELIVER_HEADER, Value::pair(Value::Int(seq), rest))
+    }
+
+    fn deposit(cseq: i64) -> Value {
+        let txn = TxnRequest::BankDeposit {
+            account: 0,
+            amount: 5,
+        };
+        TxnEnvelope::new(CLIENT, cseq, txn).to_value()
+    }
+
+    /// Steps `r` on `msg` and then on the `sdb/sync` it scheduled, if any;
+    /// returns how many client replies left.
+    fn replies(r: &mut SmrReplica, at: VTime, msg: &Msg) -> usize {
+        let ctx = Ctx::new(SLF, at);
+        let mut outs = r.step(&ctx, msg);
+        if outs.iter().any(|s| s.msg.header.name() == SYNC_HEADER) {
+            outs.extend(r.step(&ctx, &Msg::new(SYNC_HEADER, Value::Unit)));
+        }
+        let reply = |s: &&SendInstr| s.msg.header.name() == REPLY_HEADER;
+        outs.iter().filter(reply).count()
+    }
+
+    /// Durability × leases, pinned: a marker the WAL replays carries no
+    /// receipt time, so it opens no suppression window by itself — the
+    /// rebooted replica must re-anchor at its first live step and sit out
+    /// one whole lease length, whatever its own clock said when the
+    /// replayed marker was first delivered.
+    #[test]
+    fn a_rebooted_replica_acknowledges_nothing_for_one_lease_length() {
+        let disk = Disk::in_memory(Duration::ZERO);
+        let lease = SmrLeaseOptions::default().lease_duration;
+        let holder = Value::pair(Value::Loc(Loc::new(0)), Value::Int(1_000_000));
+        let marker = Value::pair(Value::str(LEASE_MARKER_TAG), holder);
+
+        // Before the crash: another replica's marker, then a write inside
+        // its window — executed, logged, not acknowledged.
+        let mut first = replica(&disk);
+        let t = VTime::from_secs(1);
+        assert_eq!(replies(&mut first, t, &deliver(0, marker)), 0);
+        assert_eq!(replies(&mut first, t, &deliver(1, deposit(0))), 0);
+
+        // The reboot lands after that window ran out on the old clock. Its
+        // first step replays both records and re-anchors at its own now.
+        let mut second = replica(&disk).rebooted(vec![Loc::new(0)], 7);
+        let boot = t + lease + lease;
+        assert_eq!(replies(&mut second, boot, &deliver(2, deposit(1))), 0);
+        assert_eq!(second.executed(), 2, "replayed one write, executed one");
+        let inside = boot + (lease - Duration::from_millis(1));
+        assert_eq!(replies(&mut second, inside, &deliver(3, deposit(2))), 0);
+        assert_eq!(
+            replies(&mut second, boot + lease, &deliver(4, deposit(3))),
+            1
+        );
     }
 }

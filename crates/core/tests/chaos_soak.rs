@@ -321,11 +321,11 @@ fn tcpnet_reconfig_smr_crash_during_transfer() {
 /// regime, with the nemesis window compressed to put the partition in
 /// the middle of the run rather than after it.
 fn sim_read_opts(seed: u64) -> ChaosOptions {
-    let mut o = ChaosOptions::quick(
-        seed,
-        NemesisProfile::StalePrimaryReads,
-        Duration::from_millis(200),
-    );
+    sim_read_opts_under(seed, NemesisProfile::StalePrimaryReads)
+}
+
+fn sim_read_opts_under(seed: u64, profile: NemesisProfile) -> ChaosOptions {
+    let mut o = ChaosOptions::quick(seed, profile, Duration::from_millis(200));
     o.heartbeat_every = Duration::from_millis(5);
     o.detect_after = Duration::from_millis(25);
     o.client_timeout = Duration::from_millis(20);
@@ -345,6 +345,20 @@ fn simnet_reads_pbr_stale_primary() {
 fn simnet_reads_smr_stale_primary() {
     let mut sim = shadowdb_simnet::testing::default_net(1_601);
     let report = soak_reads_smr(&mut sim, &sim_read_opts(52));
+    assert_eq!(report.committed, 1_200);
+}
+
+/// Durability × leases: the lease deployment is durable as well and the
+/// *holder* is what loses power, rebooted by the deployment from its disk
+/// with the lease plane attached. Its WAL replays lease markers that
+/// carry no receipt time, so the rebooted holder must sit out one lease
+/// length before it serves a fast read or acknowledges a write; on top
+/// of the read-soak assertions, every rejoin is a delta.
+#[test]
+fn simnet_reads_smr_power_loss() {
+    let mut sim = shadowdb_simnet::testing::default_net(1_602);
+    let opts = sim_read_opts_under(53, NemesisProfile::PowerLoss);
+    let report = soak_reads_smr(&mut sim, &opts);
     assert_eq!(report.committed, 1_200);
 }
 
@@ -498,12 +512,18 @@ fn long_soak_seed_sweep() {
             let mut sim = shadowdb_simnet::testing::default_net(seed * 43 + i as u64);
             soak_sharded_smr(&mut sim, &sim_opts(seed, profile), 2);
         }
-        // PowerLoss needs the durable-restart harness, so it sits outside
-        // `ALL`: sweep its sharded legs per seed here.
+        // PowerLoss needs a durable deployment, so it sits outside `ALL`:
+        // sweep its sharded and lease legs per seed here.
         let opts = sim_opts(seed, NemesisProfile::PowerLoss);
         let mut sim = shadowdb_simnet::testing::default_net(seed * 47);
         soak_sharded_pbr_power_loss(&mut sim, &opts, 2);
         let mut sim = shadowdb_simnet::testing::default_net(seed * 53);
         soak_sharded_smr_power_loss(&mut sim, &opts, 2);
+        // Durability × leases: the holder is what loses power.
+        let mut sim = shadowdb_simnet::testing::default_net(seed * 59);
+        soak_reads_smr(
+            &mut sim,
+            &sim_read_opts_under(seed, NemesisProfile::PowerLoss),
+        );
     }
 }

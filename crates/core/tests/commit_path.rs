@@ -62,6 +62,14 @@ impl From<Violation> for TestCaseError {
     }
 }
 
+/// One of the pair over its disk, through the builder steps the
+/// deployment's recipe takes.
+fn replica(disk: &Disk, snapshot_every: i64) -> PbrReplica {
+    let options = PbrOptions::default();
+    PbrReplica::new(database(), config(), Vec::new(), vec![TOB], options)
+        .with_wal(disk.clone(), snapshot_every)
+}
+
 /// The pair, their disks, and the wires between them.
 struct World {
     replicas: [PbrReplica; 2],
@@ -89,18 +97,8 @@ impl World {
             Disk::in_memory(Duration::ZERO),
             Disk::in_memory(Duration::ZERO),
         ];
-        let replica = |i: usize| {
-            PbrReplica::new(
-                database(),
-                config(),
-                Vec::new(),
-                vec![TOB],
-                PbrOptions::default(),
-            )
-            .with_wal(disks[i].clone(), snapshot_every)
-        };
         World {
-            replicas: [replica(PRIMARY), replica(BACKUP)],
+            replicas: [PRIMARY, BACKUP].map(|i| replica(&disks[i], snapshot_every)),
             disks: disks.clone(),
             snapshot_every,
             wire: [VecDeque::new(), VecDeque::new()],
@@ -211,22 +209,11 @@ impl World {
 
     /// The backup loses power: its process, its self-sends and the frames
     /// in flight to it are gone, the disk keeps a `seed`-chosen prefix of
-    /// the unsynced tail, and a new incarnation recovers from it and asks
-    /// the primary for what it missed. What the dead incarnation had
-    /// already put on the wire still arrives.
+    /// the unsynced tail, and a new incarnation recovers from it (in its
+    /// first step) and asks the primary for what it missed. What the dead
+    /// incarnation had already put on the wire still arrives.
     fn power_cut_backup(&mut self, seed: u64) -> Result<(), Violation> {
-        self.disks[BACKUP].begin_recovery(seed);
-        self.replicas[BACKUP] = PbrReplica::recover_from(
-            database(),
-            config(),
-            Vec::new(),
-            vec![TOB],
-            PbrOptions::default(),
-            None,
-            Loc::new(BACKUP as u32),
-            self.disks[BACKUP].clone(),
-            self.snapshot_every,
-        );
+        self.replicas[BACKUP] = replica(&self.disks[BACKUP], self.snapshot_every).rebooted(seed);
         self.wire[BACKUP].clear();
         self.inbox[BACKUP].clear();
         self.step(BACKUP, &PbrReplica::start_msg())

@@ -15,15 +15,10 @@ use parking_lot::Mutex;
 use shadowdb::chaos::mixed_txns;
 use shadowdb::client::{DbClient, DbClientStats};
 use shadowdb::deploy::{DeployOptions, DurabilityOptions, PbrDeployment, SmrDeployment};
-use shadowdb::diversity::DiversityPolicy;
-use shadowdb::msgs::ReplicaConfig;
-use shadowdb::pbr::{PbrOptions, PbrReplica, TransferKind, TransferProbe};
+use shadowdb::pbr::{PbrOptions, TransferKind, TransferProbe};
 use shadowdb::serializability::check_bank_history_concurrent;
-use shadowdb::smr::SmrReplica;
-use shadowdb_eventml::Process;
 use shadowdb_loe::{Loc, VTime};
-use shadowdb_runtime::{schedule_node_faults, FaultPlan, LazyRecover, NodeFaultKind, Runtime};
-use shadowdb_tob::subscribe_msg;
+use shadowdb_runtime::Runtime;
 use shadowdb_workloads::{bank, TxnRequest};
 use std::sync::Arc;
 use std::time::Duration;
@@ -56,29 +51,42 @@ fn options(scripts: Vec<Vec<TxnRequest>>, transfers: &TransferProbe) -> DeployOp
     o
 }
 
-fn drive<R: Runtime + ?Sized>(rt: &mut R, stats: &[Arc<Mutex<DbClientStats>>]) -> usize {
-    let total = CLIENTS * TXNS;
-    let deadline = rt.now() + Duration::from_secs(120);
-    let answered =
-        |stats: &[Arc<Mutex<DbClientStats>>]| stats.iter().map(|s| s.lock().completed.len()).sum();
-    let mut done: usize = answered(stats);
-    while done < total && rt.now() < deadline {
-        rt.run_for(Duration::from_millis(50));
-        done = answered(stats);
+/// Detection far slower than the 80 ms outages below, so membership never
+/// changes and a stalled primary simply waits for its backup.
+fn pbr_options(cache_limit: usize) -> PbrOptions {
+    PbrOptions {
+        heartbeat_every: Duration::from_millis(50),
+        detect_after: Duration::from_millis(400),
+        cache_limit,
+        ..PbrOptions::default()
     }
-    done
 }
 
-fn assert_serializable(scripts: &[Vec<TxnRequest>], stats: &[Arc<Mutex<DbClientStats>>]) {
+fn start_clients(sim: &mut shadowdb_simnet::Simulation, clients: &[Loc]) {
+    for c in clients {
+        sim.send_at(VTime::from_millis(1), *c, DbClient::start_msg());
+    }
+}
+
+/// Drives the workload to its end: every transaction answered, and the
+/// history strictly serializable across the power cycle.
+fn assert_converged<R: Runtime + ?Sized>(
+    rt: &mut R,
+    scripts: &[Vec<TxnRequest>],
+    stats: &[Arc<Mutex<DbClientStats>>],
+) {
+    let total = CLIENTS * TXNS;
+    let deadline = rt.now() + Duration::from_secs(120);
+    let answered = || -> usize { stats.iter().map(|s| s.lock().completed.len()).sum() };
+    while answered() < total && rt.now() < deadline {
+        rt.run_for(Duration::from_millis(50));
+    }
+    assert_eq!(answered(), total, "did not converge after the reboot");
     let mut observations = Vec::new();
     for (i, s) in stats.iter().enumerate() {
         observations.extend(s.lock().observations(&scripts[i]));
     }
-    assert_eq!(
-        observations.len(),
-        CLIENTS * TXNS,
-        "some transactions aborted"
-    );
+    assert_eq!(observations.len(), total, "some transactions aborted");
     if let Err(v) = check_bank_history_concurrent(&observations, INITIAL_BALANCE) {
         panic!("history not strictly serializable across the power cycle: {v}");
     }
@@ -100,13 +108,11 @@ fn assert_disk_exercised(disk: &shadowdb_wal::Disk) {
 fn assert_catchup_only(transfers: &TransferProbe, victim: Loc) {
     let log = transfers.lock().clone();
     assert!(
-        log.iter()
-            .any(|(l, k)| (*l, *k) == (victim, TransferKind::Catchup)),
+        log.contains(&(victim, TransferKind::Catchup)),
         "rebooted replica never completed a suffix catch-up: {log:?}"
     );
     assert!(
-        !log.iter()
-            .any(|(l, k)| (*l, *k) == (victim, TransferKind::Snapshot)),
+        !log.contains(&(victim, TransferKind::Snapshot)),
         "restart-from-disk fell back to a full state transfer: {log:?}"
     );
 }
@@ -115,73 +121,21 @@ fn assert_catchup_only(transfers: &TransferProbe, victim: Loc) {
 fn pbr_power_cycle_replays_wal_and_rejoins_by_catchup() {
     let mut sim = shadowdb_simnet::testing::default_net(4_242);
     let transfers: TransferProbe = Arc::new(Mutex::new(Vec::new()));
-    let pbr = PbrOptions {
-        heartbeat_every: Duration::from_millis(50),
-        detect_after: Duration::from_millis(400),
-        ..PbrOptions::default()
-    };
+    let pbr = pbr_options(PbrOptions::default().cache_limit);
     let scripts = scripts(97);
-    let d = PbrDeployment::build(&mut sim, &options(scripts.clone(), &transfers), pbr.clone());
+    let d = PbrDeployment::build(&mut sim, &options(scripts.clone(), &transfers), pbr);
 
-    // Kill the backup mid-workload; reboot it from its disk 80 ms later —
-    // well under the 400 ms detection threshold, so membership never
-    // changes and the primary simply stalls until the backup acks again.
+    // Kill the backup mid-workload; the deployment reboots it from its
+    // disk 80 ms later — well under the 400 ms detection threshold, so
+    // membership never changes and the primary simply stalls until the
+    // backup acks again. The power loss may have torn the unsynced tail.
     let victim = d.replicas[1];
     let disk = d.disks[1].clone();
-    let crash = VTime::from_millis(80);
-    let reboot = VTime::from_millis(160);
-    let plan = FaultPlan::new(0)
-        .with_crash(crash, victim)
-        .with_durable_restart(reboot, victim);
-    let recover = {
-        let disk = disk.clone();
-        let config = ReplicaConfig::initial(d.replicas[..2].to_vec());
-        let spares = d.replicas[2..].to_vec();
-        let servers = d.tob.servers.clone();
-        move |loc: Loc, kind: NodeFaultKind| {
-            assert_eq!((loc, kind), (victim, NodeFaultKind::RestartDurable));
-            let disk = disk.clone();
-            let config = config.clone();
-            let spares = spares.clone();
-            let servers = servers.clone();
-            let pbr = pbr.clone();
-            Some(Box::new(LazyRecover::new(move || {
-                // The power loss may have torn the unsynced tail.
-                disk.begin_recovery(9);
-                let db = DiversityPolicy::Uniform.database(1);
-                bank::load(&db, ROWS).expect("bank loads");
-                Box::new(PbrReplica::recover_from(
-                    db,
-                    config.clone(),
-                    spares.clone(),
-                    servers.clone(),
-                    pbr.clone(),
-                    None,
-                    victim,
-                    disk.clone(),
-                    SNAPSHOT_EVERY,
-                ))
-            })) as Box<dyn Process>)
-        }
-    };
-    schedule_node_faults(&mut sim, &plan, recover);
-    // The reboot's timer kick: the refetch handshake runs off heartbeats.
-    sim.send_at(
-        reboot + Duration::from_millis(2),
-        victim,
-        PbrReplica::start_msg(),
-    );
-    for c in &d.clients {
-        sim.send_at(VTime::from_millis(1), *c, DbClient::start_msg());
-    }
+    sim.crash_at(VTime::from_millis(80), victim);
+    d.reboot(&mut sim, victim, VTime::from_millis(160), 9);
+    start_clients(&mut sim, &d.clients);
 
-    let answered = drive(&mut sim, &d.stats);
-    assert_eq!(
-        answered,
-        CLIENTS * TXNS,
-        "did not converge after the reboot"
-    );
-    assert_serializable(&scripts, &d.stats);
+    assert_converged(&mut sim, &scripts, &d.stats);
     assert_disk_exercised(&disk);
     assert_catchup_only(&transfers, victim);
 }
@@ -196,59 +150,58 @@ fn smr_power_cycle_replays_wal_and_rejoins_by_delta() {
     // Kill the last replica mid-workload. Under SMR the survivors keep
     // answering, so the group's frontier moves on during the outage and
     // the rebooted replica genuinely has a suffix to fetch.
-    let vidx = d.replicas.len() - 1;
-    let victim = d.replicas[vidx];
-    let disk = d.disks[vidx].clone();
-    let crash = VTime::from_millis(80);
-    let reboot = VTime::from_millis(160);
-    let plan = FaultPlan::new(0)
-        .with_crash(crash, victim)
-        .with_durable_restart(reboot, victim);
-    let recover = {
-        let disk = disk.clone();
-        let donors: Vec<Loc> = d
-            .replicas
-            .iter()
-            .copied()
-            .filter(|r| *r != victim)
-            .collect();
-        move |loc: Loc, kind: NodeFaultKind| {
-            assert_eq!((loc, kind), (victim, NodeFaultKind::RestartDurable));
-            let disk = disk.clone();
-            let donors = donors.clone();
-            Some(Box::new(LazyRecover::new(move || {
-                disk.begin_recovery(9);
-                let db = DiversityPolicy::Uniform.database(vidx);
-                bank::load(&db, ROWS).expect("bank loads");
-                Box::new(SmrReplica::recover_from(
-                    db,
-                    donors.clone(),
-                    None,
-                    victim,
-                    disk.clone(),
-                    SNAPSHOT_EVERY,
-                    4_096,
-                ))
-            })) as Box<dyn Process>)
-        }
-    };
-    schedule_node_faults(&mut sim, &plan, recover);
-    // The reboot's kick: re-subscribing is idempotent and re-acks with
-    // the delivery frontier, which starts the delta fetch.
-    for s in &d.tob.servers {
-        sim.send_at(reboot + Duration::from_millis(2), *s, subscribe_msg(victim));
-    }
-    for c in &d.clients {
-        sim.send_at(VTime::from_millis(1), *c, DbClient::start_msg());
-    }
+    let victim = d.replicas[d.replicas.len() - 1];
+    let disk = d.disks[d.replicas.len() - 1].clone();
+    sim.crash_at(VTime::from_millis(80), victim);
+    d.reboot(&mut sim, victim, VTime::from_millis(160), 9);
+    start_clients(&mut sim, &d.clients);
 
-    let answered = drive(&mut sim, &d.stats);
-    assert_eq!(
-        answered,
-        CLIENTS * TXNS,
-        "did not converge after the reboot"
-    );
-    assert_serializable(&scripts, &d.stats);
+    assert_converged(&mut sim, &scripts, &d.stats);
     assert_disk_exercised(&disk);
     assert_catchup_only(&transfers, victim);
+}
+
+/// Reconfiguration × durability: a replica added to a durable deployment
+/// gets a disk of its own, like every replica the deployment built. The
+/// joiner replaces the backup, settles as a member, and then loses power
+/// — it must come back from *its* disk (the network image it joined by,
+/// folded into a durable snapshot, plus the logged suffix) and rejoin by
+/// catch-up, never by a second full state transfer.
+#[test]
+fn pbr_joiner_power_cycle_rejoins_from_its_own_disk() {
+    let mut sim = shadowdb_simnet::testing::default_net(6_464);
+    let transfers: TransferProbe = Arc::new(Mutex::new(Vec::new()));
+    // A cache small enough that the join cannot be served from it, large
+    // enough to cover what the group executes during an outage.
+    let pbr = pbr_options(64);
+    let scripts = scripts(99);
+    let d = PbrDeployment::build(&mut sim, &options(scripts.clone(), &transfers), pbr);
+    let mut handle = d.reconfig(&mut sim);
+    start_clients(&mut sim, &d.clients);
+    while d.committed() < 100 {
+        sim.run_for(Duration::from_millis(5));
+    }
+
+    let minute = Duration::from_secs(60);
+    let joiner = handle
+        .replace_replica(&mut sim, d.replicas[1], minute)
+        .expect("replacement adopted under load");
+    assert!(handle.await_member(&mut sim, joiner, minute));
+    assert!(
+        transfers.lock().contains(&(joiner, TransferKind::Snapshot)),
+        "the join itself is a full state transfer"
+    );
+    transfers.lock().clear();
+
+    assert!(
+        d.committed() < CLIENTS * TXNS,
+        "the power cycle must overlap the workload"
+    );
+    let crash = sim.now() + Duration::from_millis(20);
+    sim.crash_at(crash, joiner);
+    d.reboot(&mut sim, joiner, crash + Duration::from_millis(80), 9);
+
+    assert_converged(&mut sim, &scripts, &d.stats);
+    assert!(handle.await_member(&mut sim, joiner, minute));
+    assert_catchup_only(&transfers, joiner);
 }

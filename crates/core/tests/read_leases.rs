@@ -7,14 +7,19 @@
 //! read carries exactly the same real-time obligations as an ordered
 //! one. A deliberately broken "stale holder" double shows the checker
 //! has teeth: a read served from a frozen database after a covering
-//! write *must* fail it.
+//! write *must* fail it. The reconfiguration × leases legs add a replica
+//! to a serving lease deployment: the joiner carries the lease plane, so
+//! it stays silent while the holder's lease is live.
 
 use parking_lot::Mutex;
 use shadowdb::deploy::{DeployOptions, PbrDeployment, SmrDeployment};
+use shadowdb::msgs::REPLY_HEADER;
 use shadowdb::pbr::{LeaseProbe, PbrOptions};
 use shadowdb::serializability::{check_bank_history_concurrent, Observation, Violation};
 use shadowdb::smr::SmrLeaseOptions;
-use shadowdb_loe::VTime;
+use shadowdb_loe::{Loc, VTime};
+use shadowdb_runtime::Runtime;
+use shadowdb_simnet::{NetworkConfig, SimBuilder, Simulation};
 use shadowdb_sqldb::Database;
 use shadowdb_workloads::kv::{KvGen, KvOptions};
 use shadowdb_workloads::{apply_group, bank, TxnRequest};
@@ -105,6 +110,125 @@ fn smr_read_leases_serve_fast_reads_and_stay_linearizable() {
     assert_single_holder(&probe);
     check_bank_history_concurrent(&collect(&d.stats), 1_000)
         .expect("fast-path reads are strictly serializable");
+}
+
+/// Every database the deployment loaded, in engine-rotation order: the
+/// deploy-time replicas, then joiners.
+type Dbs = Arc<Mutex<Vec<Database>>>;
+
+/// An SMR lease deployment (default 4 s leases renewed every second)
+/// whose loader keeps a handle on each replica's database.
+fn lease_options(
+    txns: impl Fn(usize) -> Vec<TxnRequest> + 'static,
+    dbs: &Dbs,
+    probe: &LeaseProbe,
+) -> DeployOptions {
+    let dbs = dbs.clone();
+    let mut options = DeployOptions::new(CLIENTS, txns, move |db| {
+        bank::load(db, ROWS).expect("bank loads");
+        dbs.lock().push(db.clone());
+    });
+    options.smr_leases = Some(SmrLeaseOptions {
+        lease_probe: Some(probe.clone()),
+        ..SmrLeaseOptions::default()
+    });
+    options
+}
+
+fn run_until_committed(sim: &mut Simulation, d: &SmrDeployment, n: usize) {
+    while d.committed() < n {
+        sim.run_for(Duration::from_millis(5));
+        assert!(sim.now() < VTime::from_secs(120), "the workload stalled");
+    }
+}
+
+fn total_balance(db: &Database) -> i64 {
+    let sum = db.execute("SELECT SUM(balance) FROM accounts");
+    sum.expect("sums").rows[0][0].as_int().expect("int")
+}
+
+/// Reconfiguration × leases: a replica added to a serving lease
+/// deployment carries the lease plane like the replicas the deployment
+/// was built with. The holder (replica 0, the rank-0 claimant) keeps its
+/// lease live for the whole run, so from the moment the joiner installs
+/// its snapshot every write it executes lands inside a suppression
+/// window: it must acknowledge none of them — "during the lease only the
+/// holder acknowledges" is the invariant the fast read path rests on.
+/// A joiner built without the plane answers every one.
+#[test]
+fn smr_joiner_acknowledges_nothing_while_the_holders_lease_is_live() {
+    const DEPOSITS: usize = 600;
+    let net = NetworkConfig::lan();
+    let mut sim = SimBuilder::new(24).network(net).capture_trace(true).build();
+    let (dbs, probe): (Dbs, LeaseProbe) = Default::default();
+    let deposits = |i: usize| {
+        let mut g = bank::BankGen::new(300 + i as u64, ROWS);
+        (0..DEPOSITS).map(|_| g.next_txn()).collect()
+    };
+    let d = SmrDeployment::build(&mut sim, &lease_options(deposits, &dbs, &probe));
+    let mut handle = d.reconfig(&mut sim);
+    run_until_committed(&mut sim, &d, 10);
+    let joiner = handle
+        .add_replica(&mut sim, Duration::from_secs(10))
+        .expect("smr adds unconditionally");
+    run_until_committed(&mut sim, &d, CLIENTS * DEPOSITS);
+    sim.run_for(Duration::from_millis(50));
+
+    // The joiner joined under load and executed the writes that followed…
+    let joined = dbs.lock()[3].snapshot().row_count();
+    assert_eq!(joined, ROWS, "the snapshot landed");
+    let sums: Vec<i64> = dbs.lock().iter().map(total_balance).collect();
+    assert!(sums.windows(2).all(|w| w[0] == w[1]), "diverged: {sums:?}");
+    // …and answered none of them, while the holder answered throughout.
+    let trace = sim.trace().expect("trace capture enabled");
+    let replies = |from: Loc| {
+        let sent = |e: &&shadowdb_loe::Event<_>| e.sender() == Some(from);
+        let all = trace.iter().filter(sent);
+        all.filter(|e| e.msg().header.name() == REPLY_HEADER)
+            .count()
+    };
+    assert!(replies(d.replicas[0]) >= CLIENTS * DEPOSITS - 10);
+    assert_eq!(
+        replies(joiner),
+        0,
+        "the joiner acknowledged writes inside the holder's lease"
+    );
+}
+
+/// The same composition under the read-mostly mix, across a whole
+/// replacement: a joiner is added, catches up, and an original replica
+/// is unsubscribed while clients keep reading through the holder. Fast
+/// reads keep flowing, no two holders' intervals overlap, and the
+/// history stays strictly serializable.
+#[test]
+fn smr_replace_replica_under_read_leases_stays_linearizable() {
+    const TXNS: usize = 4_000;
+    let script = |i: usize| KvGen::new(7_100 + i as u64, KvOptions::ycsb_b(ROWS)).script(TXNS);
+    let mut sim = shadowdb_simnet::testing::default_net(25);
+    let (dbs, probe): (Dbs, LeaseProbe) = Default::default();
+    let d = SmrDeployment::build(&mut sim, &lease_options(script, &dbs, &probe));
+    let mut handle = d.reconfig(&mut sim);
+    run_until_committed(&mut sim, &d, 100);
+    let fast_before = probe.lock().len();
+    assert!(fast_before > 0, "fast reads flow before the change");
+    handle
+        .replace_replica(&mut sim, d.replicas[2], Duration::from_millis(1_500))
+        .expect("smr replaces unconditionally");
+    assert!(
+        d.committed() < CLIENTS * TXNS,
+        "the replacement must overlap the workload"
+    );
+    run_until_committed(&mut sim, &d, CLIENTS * TXNS);
+    assert!(
+        probe.lock().len() > fast_before,
+        "fast reads must keep flowing across the replacement"
+    );
+    assert_single_holder(&probe);
+    let observations: Vec<Observation> = (d.stats.iter().enumerate())
+        .flat_map(|(i, s)| s.lock().observations(&script(i)))
+        .collect();
+    check_bank_history_concurrent(&observations, 1_000)
+        .expect("strictly serializable across the replacement");
 }
 
 /// The deliberately broken double: a "holder" that keeps serving reads

@@ -131,7 +131,7 @@ fn smr_joiner_answers_pre_snapshot_resend_from_cache() {
     assert_eq!(rx.drain().len(), 3, "every replica answered the deposit");
     let executed = (2 * TXNS + 1) as i64;
 
-    let mut handle = d.reconfig(&mut sim, DiversityPolicy::Uniform, capture_loader(&dbs));
+    let mut handle = d.reconfig(&mut sim);
     let added = handle
         .add_replica(&mut sim, Duration::from_secs(10))
         .expect("smr adds unconditionally");
@@ -199,8 +199,7 @@ fn pbr_promoted_snapshot_joiner_answers_pre_snapshot_resend_from_cache() {
     assert_eq!(rx.drain().len(), 1, "the primary answered the deposit");
     let executed = (2 * TXNS + 1) as i64;
 
-    let load = capture_loader(&dbs);
-    let mut handle = d.reconfig(&mut sim, pbr, DiversityPolicy::Uniform, load);
+    let mut handle = d.reconfig(&mut sim);
     let minute = Duration::from_secs(60);
     let added = handle
         .add_replica(&mut sim, minute)
@@ -263,11 +262,7 @@ fn replace_in_shard_under_cross_shard_load(pbr: Option<PbrOptions>, seed: u64) {
         Some(pbr) => ShardedDeployment::build_pbr(&mut sim, &options, pbr),
         None => ShardedDeployment::build_smr(&mut sim, &options),
     };
-    let captured = group0.clone();
-    let mut handle = d.reconfig_group(&mut sim, 0, DiversityPolicy::Uniform, move |db| {
-        bank::load_shard(db, ROWS, SHARDS, 0).expect("bank shard loads");
-        captured.lock().push(db.clone());
-    });
+    let mut handle = d.reconfig_group(&mut sim, 0);
     let mut ms = 5;
     while d.committed() < 20 {
         sim.run_until(VTime::from_millis(ms));

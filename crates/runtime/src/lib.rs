@@ -33,7 +33,6 @@ use shadowdb_eventml::{Ctx, Msg, Process, SendInstr};
 use shadowdb_loe::{Loc, VTime};
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
 
 pub mod fault;
@@ -196,61 +195,6 @@ impl Process for PortProcess {
         // Stateless: a constant tag suffices.
         let mut h = HasherAdapter(hasher);
         "runtime/port".hash(&mut h);
-    }
-}
-
-/// A process that materializes from a factory on its first delivery.
-///
-/// This is the restart seam for *durable* recovery: when a fault plan
-/// reboots a node with [`NodeFaultKind::RestartDurable`], the replacement
-/// process must rebuild itself from the on-disk state as it exists at
-/// **restart time**, not at plan-installation time (the plan is installed
-/// before the crash, when the disk holds almost nothing). Harnesses wrap
-/// the recovery constructor in a `LazyRecover`; the factory runs when the
-/// rebooted node handles its first message.
-pub struct LazyRecover {
-    factory: Arc<dyn Fn() -> Box<dyn Process> + Send + Sync>,
-    inner: Option<Box<dyn Process>>,
-}
-
-impl LazyRecover {
-    /// Wraps a recovery constructor; `factory` is invoked once, lazily.
-    pub fn new(factory: impl Fn() -> Box<dyn Process> + Send + Sync + 'static) -> LazyRecover {
-        LazyRecover {
-            factory: Arc::new(factory),
-            inner: None,
-        }
-    }
-}
-
-impl Process for LazyRecover {
-    fn step_into(&mut self, ctx: &Ctx, msg: &Msg, out: &mut Vec<SendInstr>) {
-        let inner = self.inner.get_or_insert_with(|| (self.factory)());
-        inner.step_into(ctx, msg, out);
-    }
-
-    fn halted(&self) -> bool {
-        self.inner.as_ref().is_some_and(|p| p.halted())
-    }
-
-    fn take_step_cost(&mut self) -> Duration {
-        self.inner
-            .as_mut()
-            .map_or(Duration::ZERO, |p| p.take_step_cost())
-    }
-
-    fn clone_box(&self) -> Box<dyn Process> {
-        Box::new(LazyRecover {
-            factory: self.factory.clone(),
-            inner: self.inner.as_ref().map(|p| p.clone_box()),
-        })
-    }
-
-    fn digest(&self, hasher: &mut dyn Hasher) {
-        match &self.inner {
-            Some(p) => p.digest(hasher),
-            None => "runtime/lazy-recover".hash(&mut HasherAdapter(hasher)),
-        }
     }
 }
 

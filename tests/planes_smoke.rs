@@ -8,14 +8,9 @@
 use shadowdb::chaos::sharded_mixed_txns;
 use shadowdb::client::DbClient;
 use shadowdb::deploy::{DeployOptions, DurabilityOptions, ShardedDeployment, SmrDeployment};
-use shadowdb::diversity::DiversityPolicy;
 use shadowdb::pbr::{PbrOptions, TransferKind, TransferProbe};
 use shadowdb::shard::{check_two_pc_atomicity, TwoPcProbe};
-use shadowdb::smr::SmrReplica;
-use shadowdb_eventml::Process;
 use shadowdb_loe::VTime;
-use shadowdb_runtime::{schedule_node_faults, FaultPlan, LazyRecover};
-use shadowdb_tob::subscribe_msg;
 use shadowdb_workloads::bank;
 use std::sync::Arc;
 use std::time::Duration;
@@ -69,29 +64,12 @@ fn power_loss_rejoins_by_catch_up() {
     });
     let d = SmrDeployment::build(&mut sim, &options);
 
-    // Power-cycle the last replica mid-workload; it reboots from its WAL
-    // and snapshot and fetches only the suffix it missed.
+    // Power-cycle the last replica mid-workload; the deployment reboots it
+    // from its WAL and snapshot (the power loss may have torn the tail)
+    // and it fetches only the suffix it missed.
     let victim = d.replicas[2];
-    let (disk, donors) = (d.disks[2].clone(), d.replicas[..2].to_vec());
-    let reboot = VTime::from_millis(60);
-    let plan = FaultPlan::new(0)
-        .with_crash(VTime::from_millis(30), victim)
-        .with_durable_restart(reboot, victim);
-    schedule_node_faults(&mut sim, &plan, move |_, _| {
-        let (disk, donors) = (disk.clone(), donors.clone());
-        Some(Box::new(LazyRecover::new(move || {
-            disk.begin_recovery(9); // the power loss may have torn the tail
-            let db = DiversityPolicy::Uniform.database(2);
-            bank::load(&db, ROWS).expect("bank loads");
-            let (donors, disk) = (donors.clone(), disk.clone());
-            Box::new(SmrReplica::recover_from(
-                db, donors, None, victim, disk, 16, 4_096,
-            ))
-        })) as Box<dyn Process>)
-    });
-    for s in &d.tob.servers {
-        sim.send_at(reboot + Duration::from_millis(2), *s, subscribe_msg(victim));
-    }
+    sim.crash_at(VTime::from_millis(30), victim);
+    d.reboot(&mut sim, victim, VTime::from_millis(60), 9);
     for c in &d.clients {
         sim.send_at(VTime::from_millis(1), *c, DbClient::start_msg());
     }
