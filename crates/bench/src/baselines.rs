@@ -17,8 +17,9 @@
 //! functional path is genuine; only the timing is modelled.
 
 use parking_lot::Mutex;
-use shadowdb::client::{DbClient, Submission};
+use shadowdb::client::DbClient;
 use shadowdb::msgs::{reply_msg, TxnEnvelope, SUBMIT_HEADER};
+use shadowdb::route::{GroupRoute, Policy, Routes};
 use shadowdb::DbClientStats;
 use shadowdb_eventml::process::HasherAdapter;
 use shadowdb_eventml::{cached_header, Ctx, Msg, Process, SendInstr};
@@ -221,14 +222,10 @@ pub fn drive(
     for i in 0..n_clients {
         let s = Arc::new(Mutex::new(DbClientStats::default()));
         stats.push(s.clone());
-        let c = DbClient::new(
-            Submission::Pbr {
-                replicas: vec![server_loc],
-            },
-            txns_for(i),
-            s,
-        )
-        .with_timeout(Duration::from_secs(600));
+        // The baseline server is a primary with no backups and no TOB.
+        let route = GroupRoute::new(Policy::Pbr, Vec::new(), vec![server_loc]);
+        let c = DbClient::new(Routes::single(route), txns_for(i), s)
+            .with_timeout(Duration::from_secs(600));
         sim.add_node(Box::new(c));
     }
     let added = sim.add_node(server);

@@ -377,15 +377,13 @@ fn assert_one_primary_per_seq(
     primaries
 }
 
-/// The nodes of each shard for the nemesis topology: replicas *and* the
-/// group's broadcast servers, so a group-to-group partition severs every
-/// cross-group path (PBR routes 2PC records replica→replica, SMR routes
-/// them replica→target-group broadcast server).
+/// The nodes of each shard for the nemesis topology: everything the
+/// group's route addresses — replicas *and* broadcast servers — so a
+/// group-to-group partition severs every cross-group path (PBR routes 2PC
+/// records replica→replica, SMR routes them replica→target-group
+/// broadcast server).
 fn shard_groups(groups: &[ShardGroup]) -> Vec<Vec<Loc>> {
-    groups
-        .iter()
-        .map(|g| g.replicas.iter().chain(&g.tob.servers).copied().collect())
-        .collect()
+    groups.iter().map(|g| g.route().locs().collect()).collect()
 }
 
 /// Asserts the cross-shard invariants on the 2PC probe: the event log is
@@ -468,6 +466,45 @@ pub fn soak_reconfig_pbr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -
 /// history's strict serializability across the subscription change.
 pub fn soak_reconfig_smr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -> ChaosReport {
     soak(rt, opts, "reconfig-smr", false, None, Stress::Replace)
+}
+
+/// Sharding × reconfiguration under PBR: [`soak_reconfig_pbr`] over
+/// `shards` groups with cross-shard transfers in flight, replacing shard
+/// 0's **primary** — so the group elects a new one (possibly the joiner)
+/// while it coordinates every 2PC it takes part in, and the other groups'
+/// votes and completion marks must follow its configuration chain. Adds
+/// the 2PC atomicity assertion of [`soak_sharded_pbr`].
+pub fn soak_sharded_reconfig_pbr<R: Runtime + ?Sized>(
+    rt: &mut R,
+    opts: &ChaosOptions,
+    shards: usize,
+) -> ChaosReport {
+    soak(
+        rt,
+        opts,
+        "sharded-reconfig-pbr",
+        true,
+        Some(shards),
+        Stress::Replace,
+    )
+}
+
+/// Sharding × reconfiguration under SMR: [`soak_reconfig_smr`] over
+/// `shards` groups; the joiner adopts the group's 2PC engine with its
+/// snapshot and emits under its own location from then on.
+pub fn soak_sharded_reconfig_smr<R: Runtime + ?Sized>(
+    rt: &mut R,
+    opts: &ChaosOptions,
+    shards: usize,
+) -> ChaosReport {
+    soak(
+        rt,
+        opts,
+        "sharded-reconfig-smr",
+        false,
+        Some(shards),
+        Stress::Replace,
+    )
 }
 
 /// The durability plane's central claim, asserted on the donor-side
@@ -598,10 +635,12 @@ enum Stress {
     /// primary keeps serving and the rebooted backup must re-enter the
     /// same configuration from its disk.
     PowerLoss,
-    /// Shortly after the workload starts the last replica is replaced
-    /// online; the nemesis aims at the joiner and at replica 0, the donor
-    /// (the incumbent primary, or the first in an SMR joiner's
-    /// snapshot-fetch rotation).
+    /// Shortly after the workload starts a replica is replaced online —
+    /// the last one, or in a sharded PBR deployment shard 0's primary, so
+    /// that the group other shards address changes its leader; the
+    /// nemesis aims at the joiner and at replica 0, the donor (the
+    /// incumbent primary, or the first in an SMR joiner's snapshot-fetch
+    /// rotation).
     Replace,
 }
 
@@ -637,6 +676,7 @@ fn soak<R: Runtime + ?Sized>(
     let victim = match (primary_backup, stress) {
         (true, Stress::Faults) => replicas[0],
         (true, Stress::PowerLoss) => replicas[1],
+        (true, Stress::Replace) if shards.is_some() => replicas[0],
         _ => replicas[replicas.len() - 1],
     };
     // Locations are allocated sequentially on every runtime, so the first
@@ -675,6 +715,14 @@ fn soak<R: Runtime + ?Sized>(
             opts.seed,
             opts.profile
         );
+        if let Some(added) = added.filter(|_| victim == replicas[0]) {
+            // The primary was replaced: the survivors elect the smallest
+            // id among the caught-up, never the joiner. Prefer it, so the
+            // group the other shards address is led from a location none
+            // of them was deployed with. Best effort — a crash racing the
+            // command may leave the preference unadopted.
+            handle.promote(rt, added, attempt);
+        }
     }
     let answered = drive(rt, opts, &d.stats);
     if durable {

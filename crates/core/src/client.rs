@@ -7,22 +7,24 @@
 //! contract: per-client sequence numbers, resend on timeout, first answer
 //! wins.
 //!
-//! One client type covers both configurations:
-//!
-//! * **PBR targets** are the replicas themselves; submissions go to the
-//!   believed primary, and on timeout to every replica (only the primary
-//!   answers).
-//! * **SMR targets** are the TOB servers; submissions are broadcast and the
-//!   client takes the first answer from any replica.
+//! One client type covers every deployment: it holds a
+//! [`crate::route::GroupRoute`] per replica group and reaches each group
+//! the way its ordering policy asks — a PBR group at its believed primary
+//! (on timeout, every replica; only the primary answers), an SMR group
+//! through its TOB servers (first answer from any replica wins). A
+//! single-shard transaction goes straight to the owning group; a
+//! cross-shard one is fanned out as a 2PC Prepare to every participant
+//! group, and the coordinator group answers through the ordinary reply
+//! path.
 
-use crate::msgs::{parse_reply, parse_stale_config, submit_msg, TxnEnvelope};
+use crate::msgs::{parse_reply, parse_stale_config, TxnEnvelope};
+use crate::route::Routes;
 use parking_lot::Mutex;
 use shadowdb_eventml::process::HasherAdapter;
 use shadowdb_eventml::{cached_header, Ctx, Msg, Process, SendInstr, Value};
 use shadowdb_loe::{Loc, VTime};
 use shadowdb_runtime::fault::mix64;
-use shadowdb_tob::broadcast_msg;
-use shadowdb_workloads::{ShardMap, TwoPcRecord, TxnRequest};
+use shadowdb_workloads::{TwoPcRecord, TxnRequest};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Duration;
@@ -35,39 +37,6 @@ const START_HEADER: &str = "sdbclient/start";
 /// Retransmission backoff ceiling, as a multiple of the base timeout.
 /// With doubling per resend round, the cap is reached after three rounds.
 const BACKOFF_CAP_MULT: u32 = 8;
-
-/// How submissions reach the system.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Submission {
-    /// Send to the (believed) primary directly; resend to all replicas.
-    Pbr {
-        /// All replicas (primary first).
-        replicas: Vec<Loc>,
-    },
-    /// Broadcast through the TOB service.
-    Smr {
-        /// TOB server entry points.
-        servers: Vec<Loc>,
-        /// Replica locations for the lease-based read fast path: a
-        /// read-only transaction's first attempt goes *directly* to the
-        /// believed lease holder, skipping the broadcast round entirely.
-        /// A non-holder forwards it into the TOB, so correctness never
-        /// depends on the guess; resends always broadcast. Empty when
-        /// leases are disabled: every submission broadcasts.
-        replicas: Vec<Loc>,
-    },
-    /// A sharded deployment: route single-shard transactions straight to
-    /// their owning group (the fast path — untouched by sharding), and fan
-    /// cross-shard transactions out as a 2PC Prepare to every participant
-    /// group. The coordinator group answers through the ordinary reply
-    /// path. Groups must not themselves be `Sharded`.
-    Sharded {
-        /// The keyspace partitioning.
-        map: ShardMap,
-        /// Per-shard submission routes, indexed by shard id.
-        groups: Vec<Submission>,
-    },
-}
 
 /// Per-transaction measurements shared with the experiment driver.
 #[derive(Clone, Debug, Default)]
@@ -131,8 +100,11 @@ impl DbClientStats {
 
 /// A closed-loop database client: submits, waits for the answer, submits
 /// the next transaction.
+#[derive(Clone)]
 pub struct DbClient {
-    submission: Submission,
+    /// Where each group is believed to be reachable: updated from replies
+    /// and from `StaleConfig` NACKs.
+    routes: Routes,
     txns: Vec<TxnRequest>,
     next: usize,
     outstanding: Option<(i64, VTime)>,
@@ -144,17 +116,6 @@ pub struct DbClient {
     /// cseq and re-send the cached answer, which is the reply-recovery
     /// path when the original answer was lost.
     bcast_seq: i64,
-    /// PBR: the replica believed to be primary (updated from replies).
-    believed_primary: Option<Loc>,
-    /// SMR: the replica believed to hold the read lease (updated from
-    /// replies — during a lease only the holder answers, so the latest
-    /// answer's sender is the best guess).
-    believed_reader: Option<Loc>,
-    /// Sharded: per-group believed primaries (PBR groups only).
-    believed_groups: Vec<Option<Loc>>,
-    /// Highest configuration sequence learned from `StaleConfig` NACKs;
-    /// older NACKs never roll the target set back.
-    config_seq: i64,
     timeout: Duration,
     stats: Arc<Mutex<DbClientStats>>,
 }
@@ -162,25 +123,17 @@ pub struct DbClient {
 impl DbClient {
     /// Creates a client that will submit `txns` in order.
     pub fn new(
-        submission: Submission,
+        routes: Routes,
         txns: Vec<TxnRequest>,
         stats: Arc<Mutex<DbClientStats>>,
     ) -> DbClient {
-        let believed_groups = match &submission {
-            Submission::Sharded { groups, .. } => vec![None; groups.len()],
-            _ => Vec::new(),
-        };
         DbClient {
-            submission,
+            routes,
             txns,
             next: 0,
             outstanding: None,
             resend_round: 0,
             bcast_seq: 0,
-            believed_primary: None,
-            believed_reader: None,
-            believed_groups,
-            config_seq: -1,
             timeout: Duration::from_secs(5),
             stats,
         }
@@ -228,163 +181,44 @@ impl DbClient {
     /// second chain would multiply resend storms.
     fn send_submits(&mut self, ctx: &Ctx, cseq: i64, resend: bool, outs: &mut Vec<SendInstr>) {
         let txn = self.txns[cseq as usize].clone();
+        let Routes { map, groups } = &mut self.routes;
+        let sharded;
+        let parts: &[usize] = match groups.len() {
+            1 => &[0], // one group owns every key: nothing to partition
+            _ => {
+                sharded = map.participants(&txn);
+                &sharded
+            }
+        };
+        let txn = match parts {
+            [_] => txn, // single-shard: the original request, fast path
+            _ => TxnRequest::TwoPc(TwoPcRecord::Prepare {
+                txnid: (ctx.slf, cseq),
+                participants: parts.to_vec(),
+                txn: Box::new(txn),
+            }),
+        };
         let env = TxnEnvelope::new(ctx.slf, cseq, txn);
-        match &self.submission {
-            Submission::Pbr { replicas } => {
-                if resend {
-                    // We no longer know who the primary is: ask everyone.
-                    self.believed_primary = None;
-                    for r in replicas {
-                        outs.push(SendInstr::now(*r, submit_msg(&env)));
-                    }
-                } else {
-                    let target = self.believed_primary.unwrap_or(replicas[0]);
-                    outs.push(SendInstr::now(target, submit_msg(&env)));
-                }
-            }
-            Submission::Smr { servers, replicas } => {
-                if !resend && env.read_only && !replicas.is_empty() {
-                    // Read fast path: one hop to the believed holder. If
-                    // the guess is wrong (no lease, expired, not holder)
-                    // the replica forwards into the TOB itself.
-                    let target = self.believed_reader.unwrap_or(replicas[0]);
-                    outs.push(SendInstr::now(target, submit_msg(&env)));
-                } else {
-                    if resend {
-                        self.believed_reader = None;
-                    }
-                    let idx = (self.resend_round as usize) % servers.len();
-                    let msgid = self.bcast_seq;
-                    self.bcast_seq += 1;
-                    outs.push(SendInstr::now(
-                        servers[idx],
-                        broadcast_msg(ctx.slf, msgid, env.to_value()),
-                    ));
-                }
-            }
-            Submission::Sharded { map, groups } => {
-                let parts = map.participants(&env.txn);
-                let env = if parts.len() == 1 {
-                    env // single-shard: the original request, fast path
-                } else {
-                    TxnEnvelope::new(
-                        ctx.slf,
-                        cseq,
-                        TxnRequest::TwoPc(TwoPcRecord::Prepare {
-                            txnid: (ctx.slf, cseq),
-                            participants: parts.clone(),
-                            txn: Box::new(env.txn),
-                        }),
-                    )
-                };
-                for p in &parts {
-                    match &groups[*p] {
-                        Submission::Pbr { replicas } => {
-                            if resend {
-                                self.believed_groups[*p] = None;
-                                for r in replicas {
-                                    outs.push(SendInstr::now(*r, submit_msg(&env)));
-                                }
-                            } else {
-                                let target = self.believed_groups[*p].unwrap_or(replicas[0]);
-                                outs.push(SendInstr::now(target, submit_msg(&env)));
-                            }
-                        }
-                        Submission::Smr { servers, replicas } => {
-                            // Single-shard reads take the group-local
-                            // lease fast path; anything cross-shard is a
-                            // 2PC Prepare by now and broadcasts.
-                            if !resend && parts.len() == 1 && env.read_only && !replicas.is_empty()
-                            {
-                                let target = self.believed_groups[*p].unwrap_or(replicas[0]);
-                                outs.push(SendInstr::now(target, submit_msg(&env)));
-                            } else {
-                                if resend {
-                                    self.believed_groups[*p] = None;
-                                }
-                                let idx = (self.resend_round as usize) % servers.len();
-                                let msgid = self.bcast_seq;
-                                self.bcast_seq += 1;
-                                outs.push(SendInstr::now(
-                                    servers[idx],
-                                    broadcast_msg(ctx.slf, msgid, env.to_value()),
-                                ));
-                            }
-                        }
-                        Submission::Sharded { .. } => {
-                            unreachable!("sharded groups cannot nest");
-                        }
-                    }
-                }
-            }
+        // A resend no longer knows who leads: it asks everyone, through
+        // the next server of the rotation.
+        let rotation = self.resend_round as usize;
+        for p in parts {
+            let spent = groups[*p].submit(ctx.slf, &env, resend, self.bcast_seq, rotation, outs);
+            self.bcast_seq += i64::from(spent);
         }
     }
 
     /// Handles a `StaleConfig` NACK: the addressed replica refused the
     /// submission because it is not the primary of the configuration it
-    /// knows. Adopt the reported membership (never rolling back to an
-    /// older config sequence), retarget the believed primary, and
-    /// resubmit the outstanding transaction to the new target. Replicas
-    /// deduplicate by cseq, so an over-eager resubmission is a no-op.
+    /// knows. The route of the group it names adopts the report, and if
+    /// that moved it the outstanding transaction is resubmitted at once.
     fn on_stale_config(
         &mut self,
         ctx: &Ctx,
         st: crate::msgs::StaleConfig,
         outs: &mut Vec<SendInstr>,
     ) {
-        let adopted = st.config.seq > self.config_seq;
-        let new_primary = st.config.primary();
-        let mut retarget = false;
-        match &mut self.submission {
-            Submission::Pbr { replicas } => {
-                if adopted {
-                    // The reported members become the head of the target
-                    // list; previously known locations stay at the tail so
-                    // timeout resends can still reach a yet-newer config
-                    // through any replica that knows it.
-                    let mut members = st.config.members.clone();
-                    for r in replicas.iter() {
-                        if !members.contains(r) {
-                            members.push(*r);
-                        }
-                    }
-                    *replicas = members;
-                }
-                if self.believed_primary != Some(new_primary) {
-                    self.believed_primary = Some(new_primary);
-                    retarget = true;
-                }
-            }
-            Submission::Sharded { groups, .. } => {
-                for (i, g) in groups.iter_mut().enumerate() {
-                    if let Submission::Pbr { replicas } = g {
-                        let ours = replicas.contains(&st.from)
-                            || st.config.members.iter().any(|m| replicas.contains(m));
-                        if !ours {
-                            continue;
-                        }
-                        if adopted {
-                            let mut members = st.config.members.clone();
-                            for r in replicas.iter() {
-                                if !members.contains(r) {
-                                    members.push(*r);
-                                }
-                            }
-                            *replicas = members;
-                        }
-                        if self.believed_groups[i] != Some(new_primary) {
-                            self.believed_groups[i] = Some(new_primary);
-                            retarget = true;
-                        }
-                    }
-                }
-            }
-            Submission::Smr { .. } => return, // SMR clients never see NACKs
-        }
-        if adopted {
-            self.config_seq = st.config.seq;
-        }
-        if (adopted || retarget) && self.outstanding.map(|(c, _)| c) == Some(st.cseq) {
+        if self.routes.adopt(&st) && self.outstanding.map(|(c, _)| c) == Some(st.cseq) {
             self.stats.lock().redirects += 1;
             self.send_submits(ctx, st.cseq, false, outs);
         }
@@ -419,22 +253,7 @@ impl Process for DbClient {
         } else if let Some(st) = parse_stale_config(msg) {
             self.on_stale_config(ctx, st, out);
         } else if let Some(reply) = parse_reply(msg) {
-            match &self.submission {
-                Submission::Pbr { .. } => self.believed_primary = Some(reply.from),
-                Submission::Smr { .. } => self.believed_reader = Some(reply.from),
-                Submission::Sharded { groups, .. } => {
-                    for (i, g) in groups.iter().enumerate() {
-                        let members = match g {
-                            Submission::Pbr { replicas } => replicas,
-                            Submission::Smr { replicas, .. } => replicas,
-                            Submission::Sharded { .. } => continue,
-                        };
-                        if members.contains(&reply.from) {
-                            self.believed_groups[i] = Some(reply.from);
-                        }
-                    }
-                }
-            }
+            self.routes.note_reply(reply.from);
             if let Some((outstanding, sent)) = self.outstanding {
                 if reply.cseq == outstanding {
                     self.outstanding = None;
@@ -449,34 +268,17 @@ impl Process for DbClient {
     }
 
     fn clone_box(&self) -> Box<dyn Process> {
-        Box::new(DbClient {
-            submission: self.submission.clone(),
-            txns: self.txns.clone(),
-            next: self.next,
-            outstanding: self.outstanding,
-            resend_round: self.resend_round,
-            bcast_seq: self.bcast_seq,
-            believed_primary: self.believed_primary,
-            believed_reader: self.believed_reader,
-            believed_groups: self.believed_groups.clone(),
-            config_seq: self.config_seq,
-            timeout: self.timeout,
-            stats: self.stats.clone(),
-        })
+        Box::new(self.clone())
     }
 
     fn digest(&self, hasher: &mut dyn Hasher) {
         let mut h = HasherAdapter(hasher);
-        (
-            self.next,
-            self.resend_round,
-            self.bcast_seq,
-            self.config_seq,
-        )
-            .hash(&mut h);
+        (self.next, self.resend_round, self.bcast_seq).hash(&mut h);
         self.outstanding
             .map(|(c, t)| (c, t.as_micros()))
             .hash(&mut h);
+        // Where the next send goes is state too.
+        self.routes.hash(&mut h);
     }
 }
 
@@ -484,6 +286,7 @@ impl Process for DbClient {
 mod tests {
     use super::*;
     use crate::msgs::reply_msg;
+    use crate::route::{GroupRoute, Policy};
     use shadowdb_sqldb::SqlValue;
 
     fn client(n: usize) -> (DbClient, Arc<Mutex<DbClientStats>>) {
@@ -496,9 +299,11 @@ mod tests {
             .collect();
         (
             DbClient::new(
-                Submission::Pbr {
-                    replicas: vec![Loc::new(5), Loc::new(6)],
-                },
+                Routes::single(GroupRoute::new(
+                    Policy::Pbr,
+                    Vec::new(),
+                    vec![Loc::new(5), Loc::new(6)],
+                )),
                 txns,
                 stats.clone(),
             ),
@@ -676,10 +481,7 @@ mod tests {
             &Ctx::new(slf, VTime::from_millis(3)),
             &stale_config_msg(Loc::new(6), 0, &cfg0),
         );
-        // Believed primary flips to 5 only if the NACK retargets; seq 0 is
-        // older, so membership stays — but the believed-primary retarget
-        // still resubmits (replicas dedup by cseq, so this is harmless).
-        let _ = outs;
+        assert!(outs.is_empty(), "an older report moves nothing: {outs:?}");
         // The new primary answers and the next transaction goes straight
         // to it.
         let outs = c.step(
@@ -705,6 +507,27 @@ mod tests {
             vec![Loc::new(6), Loc::new(7), Loc::new(5)],
             "new members lead, old locations stay reachable at the tail"
         );
+    }
+
+    /// Where the client will send next is part of its state: the model
+    /// checker must not merge two clients that will address different
+    /// replicas.
+    #[test]
+    fn clients_that_differ_only_in_the_believed_primary_have_different_fingerprints() {
+        use shadowdb_eventml::process::fingerprint;
+        let slf = Loc::new(0);
+        let answered_by = |replica: u32| {
+            let (mut c, _stats) = client(2);
+            c.step(&Ctx::new(slf, VTime::ZERO), &DbClient::start_msg());
+            c.step(
+                &Ctx::new(slf, VTime::from_millis(5)),
+                &reply_msg(Loc::new(replica), 0, true, &[]),
+            );
+            c
+        };
+        let (a, b) = (answered_by(5), answered_by(6));
+        assert_ne!(fingerprint(&a), fingerprint(&b));
+        assert_eq!(fingerprint(&a), fingerprint(&*a.clone_box()));
     }
 
     #[test]

@@ -8,13 +8,14 @@
 //! same deployment graph runs under the simulator, on real sockets
 //! (`shadowdb-tcpnet`), and inside the model checker (`shadowdb-mck`).
 
-use crate::client::{DbClient, DbClientStats, Submission};
+use crate::client::{DbClient, DbClientStats};
 use crate::diversity::DiversityPolicy;
 use crate::msgs::{
     config_query_msg, parse_config_reply, ConfigCommand, ConfigReport, ReplicaConfig,
 };
 use crate::pbr::{PbrOptions, PbrReplica, TransferProbe};
-use crate::shard::{GroupRoute, ShardRole, TwoPcProbe};
+use crate::route::{GroupRoute, Policy, Routes};
+use crate::shard::{ShardRole, TwoPcProbe};
 use crate::smr::{SmrLeaseOptions, SmrReplica};
 use parking_lot::Mutex;
 use shadowdb_eventml::{Process, Value};
@@ -177,46 +178,23 @@ impl DeployOptions {
     }
 }
 
-/// Where one replica group's nodes live: the broadcast servers (each
-/// followed by its co-located consensus roles), then the replicas. A pure
-/// function of the group's first location, so routes to *all* groups are
-/// known before any node exists.
-struct GroupLayout {
-    servers: Vec<Loc>,
-    replicas: Vec<Loc>,
-}
-
-impl GroupLayout {
-    fn at(options: &DeployOptions, pbr: bool, base: u32) -> GroupLayout {
-        let n_replicas = if pbr {
-            options.active_replicas as u32 + 1 // plus one spare
-        } else {
-            options.machines // one state machine per service machine
-        };
-        let replica_base = base + options.machines * options.backend.procs_per_machine();
-        GroupLayout {
-            servers: options.tob().server_locs(base),
-            replicas: (0..n_replicas)
-                .map(|i| Loc::new(replica_base + i))
-                .collect(),
+/// The route to a replica group whose first node is at `base`: the
+/// broadcast servers (each followed by its co-located consensus roles),
+/// then the replicas. A pure function of `base`, so routes to *all* groups
+/// are known before any node exists; clients and every group's replicas
+/// start from clones of it.
+fn group_route(options: &DeployOptions, pbr: bool, base: u32) -> GroupRoute {
+    let (policy, n_replicas) = match pbr {
+        true => (Policy::Pbr, options.active_replicas as u32 + 1), // plus one spare
+        false => {
+            let read_leases = options.smr_leases.is_some();
+            // One state machine per service machine.
+            (Policy::Smr { read_leases }, options.machines)
         }
-    }
-
-    /// How clients submit to this group.
-    fn submission(&self, options: &DeployOptions, pbr: bool) -> Submission {
-        if pbr {
-            return Submission::Pbr {
-                replicas: self.replicas.clone(),
-            };
-        }
-        Submission::Smr {
-            servers: self.servers.clone(),
-            replicas: match options.smr_leases {
-                Some(_) => self.replicas.clone(),
-                None => Vec::new(),
-            },
-        }
-    }
+    };
+    let replica_base = base + options.machines * options.backend.procs_per_machine();
+    let replicas = (0..n_replicas).map(|i| Loc::new(replica_base + i));
+    GroupRoute::new(policy, options.tob().server_locs(base), replicas.collect())
 }
 
 /// One deployed replica group.
@@ -230,6 +208,13 @@ pub struct ShardGroup {
     pub disks: Vec<Disk>,
     /// How this group's replicas are made — and re-made.
     recipe: Rc<Recipe>,
+}
+
+impl ShardGroup {
+    /// The route to this group as deployed (joiners are not on it).
+    pub fn route(&self) -> &GroupRoute {
+        &self.recipe.route
+    }
 }
 
 /// How a replica built by a [`Recipe`] comes into the world.
@@ -264,8 +249,9 @@ struct Recipe {
     storage: StorageMode,
     /// The SMR lease plane (`None` under PBR, whose leases ride `pbr`).
     smr_leases: Option<SmrLeaseOptions>,
-    /// The group's broadcast-service entry points.
-    servers: Vec<Loc>,
+    /// The route to this group as deployed: its broadcast-service entry
+    /// points and deploy-time replicas.
+    route: GroupRoute,
     /// How many of the deploy-time replicas form PBR's initial
     /// configuration (the rest are spares), and how many there are.
     active: usize,
@@ -302,11 +288,11 @@ impl Recipe {
                         db,
                         ReplicaConfig::initial(members.to_vec()),
                         spares.to_vec(),
-                        self.servers.clone(),
+                        self.route.servers().to_vec(),
                         pbr.clone(),
                     )
                 } else {
-                    PbrReplica::joiner(db, self.servers.clone(), pbr.clone())
+                    PbrReplica::joiner(db, self.route.servers().to_vec(), pbr.clone())
                 };
                 if let Some(role) = &self.role {
                     replica = replica.with_role(role.clone());
@@ -337,8 +323,8 @@ impl Recipe {
                     }
                 }
                 if let Some(lease) = &self.smr_leases {
-                    replica =
-                        replica.with_read_leases(self.servers.clone(), i as u64, lease.clone());
+                    let servers = self.route.servers().to_vec();
+                    replica = replica.with_read_leases(servers, i as u64, lease.clone());
                 }
                 if let Boot::Reboot(tear) = boot {
                     let donors = replicas.iter().copied().filter(|r| *r != replicas[i]);
@@ -365,7 +351,7 @@ impl Recipe {
             rt.send_at(kick, loc, PbrReplica::start_msg());
             return;
         }
-        for s in &self.servers {
+        for s in self.route.servers() {
             rt.send_at(kick, *s, subscribe_msg(loc));
         }
         if self.smr_leases.is_some() {
@@ -400,14 +386,15 @@ fn build_group<R: Runtime + ?Sized>(
     rt: &mut R,
     options: &DeployOptions,
     pbr: Option<&PbrOptions>,
-    layout: &GroupLayout,
+    route: GroupRoute,
     shard: usize,
     role: Option<ShardRole>,
 ) -> ShardGroup {
+    let replicas = route.replicas().to_vec();
     // PBR replicas subscribe for reconfigurations; SMR replicas *are* the
     // state machines and take every delivery.
-    let tob = TobDeployment::build(rt, &options.tob(), layout.replicas.clone());
-    assert_eq!(tob.servers, layout.servers);
+    let tob = TobDeployment::build(rt, &options.tob(), replicas.clone());
+    assert_eq!(tob.servers, route.servers());
     let recipe = Rc::new(Recipe {
         diversity: options.diversity.clone(),
         loader: options.loader.clone(),
@@ -417,23 +404,23 @@ fn build_group<R: Runtime + ?Sized>(
         durability: options.durability.clone(),
         storage: rt.storage_mode(),
         smr_leases: options.smr_leases.clone().filter(|_| pbr.is_none()),
-        servers: layout.servers.clone(),
-        active: options.active_replicas.min(layout.replicas.len()),
-        deployed: layout.replicas.len(),
-        replicas: RefCell::new(layout.replicas.clone()),
+        route,
+        active: options.active_replicas.min(replicas.len()),
+        deployed: replicas.len(),
+        replicas: RefCell::new(replicas.clone()),
         disks: RefCell::new(Vec::new()),
     });
-    for (i, r) in layout.replicas.iter().enumerate() {
+    for (i, r) in replicas.iter().enumerate() {
         assert_eq!(rt.add_node(recipe.replica(i, Boot::First)), *r);
     }
     if recipe.smr_leases.is_some() {
-        for r in &layout.replicas {
+        for r in &replicas {
             rt.send_at(VTime::ZERO, *r, SmrReplica::lease_start_msg());
         }
     }
     let disks = recipe.disks.borrow().clone();
     ShardGroup {
-        replicas: layout.replicas.clone(),
+        replicas,
         tob,
         disks,
         recipe,
@@ -447,14 +434,14 @@ type Clients = (Vec<Loc>, Vec<Arc<Mutex<DbClientStats>>>);
 fn build_clients<R: Runtime + ?Sized>(
     rt: &mut R,
     options: &DeployOptions,
-    submission: &Submission,
+    routes: &Routes,
 ) -> Clients {
     let mut stats = Vec::new();
     let mut clients = Vec::new();
     for i in 0..options.n_clients {
         let s = Arc::new(Mutex::new(DbClientStats::default()));
         stats.push(s.clone());
-        let client = DbClient::new(submission.clone(), (options.client_txns)(i), s)
+        let client = DbClient::new(routes.clone(), (options.client_txns)(i), s)
             .with_timeout(options.client_timeout);
         clients.push(rt.add_node(Box::new(client)));
     }
@@ -491,9 +478,9 @@ fn build_unsharded<R: Runtime + ?Sized>(
         "the clients-first layout hosts one group; use ShardedDeployment"
     );
     let base = rt.node_count() + options.n_clients as u32;
-    let layout = GroupLayout::at(options, pbr.is_some(), base);
-    let clients = build_clients(rt, options, &layout.submission(options, pbr.is_some()));
-    let group = build_group(rt, options, pbr, &layout, 0, None);
+    let route = group_route(options, pbr.is_some(), base);
+    let clients = build_clients(rt, options, &Routes::single(route.clone()));
+    let group = build_group(rt, options, pbr, route, 0, None);
     let starting: &[Loc] = if pbr.is_some() { &group.replicas } else { &[] };
     start(rt, options, starting, &clients.0);
     (clients, group)
@@ -694,7 +681,7 @@ impl ReconfigHandle {
     }
 
     fn broadcast<R: Runtime + ?Sized>(&mut self, rt: &mut R, payload: Value) {
-        let servers = &self.recipe.servers;
+        let servers = self.recipe.route.servers();
         let server = servers[(self.bcast_seq as usize) % servers.len()];
         let msgid = self.bcast_seq;
         self.bcast_seq += 1;
@@ -817,7 +804,7 @@ impl ReconfigHandle {
         deadline: Duration,
     ) -> Option<Loc> {
         let loc = self.recipe.join(rt, self.replicas.clone());
-        for s in &self.recipe.servers {
+        for s in self.recipe.route.servers() {
             let now = rt.now();
             rt.send_at(now, *s, subscribe_msg(loc));
         }
@@ -856,7 +843,7 @@ impl ReconfigHandle {
                 |members| ConfigCommand::remove(members, loc),
             );
         }
-        for s in &self.recipe.servers {
+        for s in self.recipe.route.servers() {
             let now = rt.now();
             rt.send_at(now, *s, unsubscribe_msg(loc));
         }
@@ -960,28 +947,17 @@ impl ShardedDeployment {
     ) -> ShardedDeployment {
         let map = ShardMap::new(options.shards);
         let base = rt.node_count();
-        let first = GroupLayout::at(options, pbr.is_some(), base);
-        let span = (first.replicas.last().expect("replicas").index() + 1) - base;
-        let layouts: Vec<GroupLayout> = (0..options.shards as u32)
-            .map(|g| GroupLayout::at(options, pbr.is_some(), base + g * span))
+        let first = group_route(options, pbr.is_some(), base);
+        let span = (first.replicas().last().expect("replicas").index() + 1) - base;
+        let groups = (0..options.shards as u32)
+            .map(|g| group_route(options, pbr.is_some(), base + g * span))
             .collect();
-        // Replicas need routes to every group to address 2PC records at
-        // peers.
-        let routes: Vec<GroupRoute> = layouts
-            .iter()
-            .map(|l| match &pbr {
-                Some(_) => GroupRoute::Pbr {
-                    replicas: l.replicas.clone(),
-                },
-                None => GroupRoute::Smr {
-                    servers: l.servers.clone(),
-                },
-            })
-            .collect();
+        // One set of routes: every replica starts from it to address 2PC
+        // records at its peers, and so does every client.
+        let routes = Routes::new(map, groups);
         let mut groups = Vec::new();
-        for (shard, layout) in layouts.iter().enumerate() {
+        for (shard, route) in routes.groups().iter().enumerate() {
             let role = ShardRole {
-                map,
                 shard,
                 routes: routes.clone(),
                 probe: options.probe.clone(),
@@ -990,21 +966,14 @@ impl ShardedDeployment {
                 rt,
                 options,
                 pbr.as_ref(),
-                layout,
+                route.clone(),
                 shard,
                 Some(role),
             ));
         }
 
         // Clients last.
-        let submission = Submission::Sharded {
-            map,
-            groups: layouts
-                .iter()
-                .map(|l| l.submission(options, pbr.is_some()))
-                .collect(),
-        };
-        let (clients, stats) = build_clients(rt, options, &submission);
+        let (clients, stats) = build_clients(rt, options, &routes);
         let starting: Vec<Loc> = match pbr {
             Some(_) => groups.iter().flat_map(|g| g.replicas.clone()).collect(),
             None => Vec::new(),

@@ -23,12 +23,14 @@
 //! handle, the per-client reply cache, grouped apply, 2PC hosting, the
 //! WAL policy and the single state image a replica is rebuilt from.
 //!
-//! Supporting modules: [`msgs`] (wire messages), [`client`] (closed-loop
-//! clients with resend and duplicate suppression), [`deploy`] (full
-//! deployments inside the simulator, with databases co-located with
-//! broadcast-service processes as on the paper's testbed), and
-//! [`diversity`] (each replica can run a different database engine — H2,
-//! HSQLDB, Derby — to mask correlated environment failures).
+//! Supporting modules: [`msgs`] (wire messages), [`route`] (how a sender —
+//! client or peer replica — reaches a group and follows its
+//! configuration), [`client`] (closed-loop clients with resend and
+//! duplicate suppression), [`deploy`] (full deployments inside the
+//! simulator, with databases co-located with broadcast-service processes
+//! as on the paper's testbed), and [`diversity`] (each replica can run a
+//! different database engine — H2, HSQLDB, Derby — to mask correlated
+//! environment failures).
 
 pub mod chaos;
 pub mod client;
@@ -37,6 +39,7 @@ pub mod diversity;
 pub mod msgs;
 pub mod pbr;
 pub mod replica_core;
+pub mod route;
 pub mod serializability;
 pub mod shard;
 pub mod smr;
@@ -49,4 +52,5 @@ pub use chaos::{
 pub use client::{DbClient, DbClientStats};
 pub use deploy::{PbrDeployment, ShardedDeployment, SmrDeployment};
 pub use msgs::ReplicaConfig;
-pub use shard::{check_two_pc_atomicity, GroupRoute, ShardRole, TwoPcEngine, TwoPcProbe};
+pub use route::{GroupRoute, Routes};
+pub use shard::{check_two_pc_atomicity, ShardRole, TwoPcEngine, TwoPcProbe};

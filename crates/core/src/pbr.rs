@@ -31,8 +31,8 @@
 use crate::msgs::{
     config_reply_msg, reply_msg, stale_config_msg, ConfigCommand, ReplicaConfig, TxnEnvelope,
     ACK_HEADER, CATCHUP_HEADER, CONFIG_QUERY_HEADER, ELECT_HEADER, FORWARD_HEADER, HB_TIMER_HEADER,
-    HEARTBEAT_HEADER, RECOVERY_ACK_HEADER, REFETCH_HEADER, SNAPSHOT_HEADER, SUBMIT_HEADER,
-    SYNC_HEADER,
+    HEARTBEAT_HEADER, RECOVERY_ACK_HEADER, REFETCH_HEADER, SNAPSHOT_HEADER, STALE_CONFIG_HEADER,
+    SUBMIT_HEADER, SYNC_HEADER,
 };
 pub use crate::replica_core::{LeaseProbe, TransferKind, TransferProbe};
 use crate::replica_core::{LeaseWatch, ReplicaCore, Seen};
@@ -1283,6 +1283,8 @@ impl Process for PbrReplica {
             self.on_refetch(ctx, &msg.body, out);
         } else if h == cached_header!(CONFIG_QUERY_HEADER) {
             self.on_config_query(ctx, &msg.body, out);
+        } else if h == cached_header!(STALE_CONFIG_HEADER) {
+            self.core.on_stale_config(msg);
         } else if let Some(seq) = parse_subok(msg) {
             self.on_subok(ctx, seq, out);
         } else {

@@ -26,7 +26,8 @@
 //! the head once, with the first of the ~50 KB row chunks.
 
 use crate::msgs::{
-    lease_audit_msg, reply_msg, sql_to_value, value_to_sql, TxnEnvelope, SYNC_HEADER,
+    lease_audit_msg, parse_stale_config, reply_msg, sql_to_value, value_to_sql, TxnEnvelope,
+    SYNC_HEADER,
 };
 use crate::shard::{ShardRole, TwoPcEngine};
 use shadowdb_eventml::{cached_header, Ctx, Msg, SendInstr, Value};
@@ -171,8 +172,8 @@ impl ReplicaCore {
     /// Places the replica's group inside a sharded deployment and
     /// activates the 2PC engine on the execution path.
     pub(crate) fn set_role(&mut self, role: ShardRole) {
-        self.engine = Some(TwoPcEngine::new(role.map, role.shard, role.probe.clone()));
-        self.twopc_seq = vec![0; role.map.shards()];
+        self.engine = Some(TwoPcEngine::new(role.map(), role.shard, role.probe.clone()));
+        self.twopc_seq = vec![0; role.map().shards()];
         self.role = Some(role);
     }
 
@@ -266,7 +267,7 @@ impl ReplicaCore {
         let TxnRequest::TwoPc(rec) = &env.txn else {
             return Vec::new();
         };
-        let (Some(role), Some(engine)) = (&self.role, &mut self.engine) else {
+        let (Some(role), Some(engine)) = (&mut self.role, &mut self.engine) else {
             return Vec::new();
         };
         let (actions, cost) = engine.step(rec, &self.db);
@@ -288,10 +289,20 @@ impl ReplicaCore {
     /// Re-derives whatever the group currently owes for `txnid` from
     /// replicated state, without mutating the engine.
     pub(crate) fn redrive_twopc(&mut self, slf: Loc, txnid: TxnId) -> Vec<SendInstr> {
-        let (Some(role), Some(engine)) = (&self.role, &self.engine) else {
+        let (Some(role), Some(engine)) = (&mut self.role, &self.engine) else {
             return Vec::new();
         };
         role.render(slf, &engine.emissions(txnid), &mut self.twopc_seq)
+    }
+
+    /// A replica of another group refused a 2PC record this replica sent
+    /// it and reported its configuration (`sdb/stale`): the route to that
+    /// group adopts it. Nothing is resent — the client's retransmitted
+    /// Prepare re-drives the emissions, which now reach the right place.
+    pub(crate) fn on_stale_config(&mut self, msg: &Msg) {
+        if let (Some(role), Some(st)) = (&mut self.role, parse_stale_config(msg)) {
+            role.routes.adopt(&st);
+        }
     }
 
     /// Answers `env` from local state on the lease-protected fast path,
@@ -658,8 +669,8 @@ fn adopt_shard_state(role: &ShardRole, state: &Value) -> Option<(Vec<i64>, TwoPc
         .iter()
         .map(Value::as_int)
         .collect::<Option<_>>()?;
-    let engine = TwoPcEngine::from_value(state.snd()?, role.map, role.shard, role.probe.clone())?;
-    (seqs.len() == role.map.shards()).then_some((seqs, engine))
+    let engine = TwoPcEngine::from_value(state.snd()?, role.map(), role.shard, role.probe.clone())?;
+    (seqs.len() == role.map().shards()).then_some((seqs, engine))
 }
 
 impl Clone for ReplicaCore {
@@ -697,7 +708,7 @@ impl Clone for ReplicaCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::GroupRoute;
+    use crate::route::{GroupRoute, Policy, Routes};
     use proptest::prelude::*;
     use shadowdb_sqldb::EngineProfile;
     use shadowdb_workloads::{bank, ShardMap, TwoPcRecord};
@@ -709,11 +720,11 @@ mod tests {
         let mut c = ReplicaCore::new(db);
         c.set_transfer_batch_bytes(128); // several chunks per image
         if shards > 1 {
-            let servers = vec![Loc::new(90)];
+            let policy = Policy::Smr { read_leases: false };
+            let group = GroupRoute::new(policy, vec![Loc::new(90)], vec![Loc::new(91)]);
             c.set_role(ShardRole {
-                map: ShardMap::new(shards),
                 shard: 0,
-                routes: vec![GroupRoute::Smr { servers }; shards],
+                routes: Routes::new(ShardMap::new(shards), vec![group; shards]),
                 probe: None,
             });
         }

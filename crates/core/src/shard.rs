@@ -30,53 +30,52 @@
 //! decisions, done, or the final reply) without mutating anything.
 //! Liveness is driven entirely by client retransmission of the Prepare.
 
-use crate::msgs::{reply_msg, sql_to_value, submit_msg, value_to_sql, TxnEnvelope};
+use crate::msgs::{reply_msg, sql_to_value, value_to_sql, TxnEnvelope};
+use crate::route::Routes;
 use shadowdb_eventml::{SendInstr, Value};
 use shadowdb_loe::Loc;
 use shadowdb_sqldb::{Database, SqlValue};
-use shadowdb_tob::broadcast_msg;
-use shadowdb_workloads::{ShardMap, TwoPcRecord, TxnId, TxnRequest};
+use shadowdb_workloads::{
+    txnid_from_value, txnid_to_value, ShardMap, TwoPcRecord, TxnId, TxnRequest,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How to reach one shard's replica group.
-#[derive(Clone, Debug)]
-pub enum GroupRoute {
-    /// A primary-backup group: submissions go to every replica (only the
-    /// primary acts; the sender cannot know who that is after failovers).
-    Pbr {
-        /// All replicas of the group.
-        replicas: Vec<Loc>,
-    },
-    /// An SMR group: submissions are broadcast through its TOB service.
-    Smr {
-        /// TOB server entry points of the group.
-        servers: Vec<Loc>,
-    },
-}
-
 /// A replica's view of the sharded deployment: which shard it serves and
-/// how to reach every other group.
+/// how to reach every group.
 #[derive(Clone, Debug)]
 pub struct ShardRole {
-    /// The keyspace partitioning.
-    pub map: ShardMap,
     /// The shard this replica's group owns.
     pub shard: usize,
-    /// Per-shard routes, indexed by shard id.
-    pub routes: Vec<GroupRoute>,
+    /// The keyspace partitioning and the route to each shard's group.
+    /// Learned state, like a client's: a peer that NACKs a record with its
+    /// configuration moves the route to its group.
+    pub routes: Routes,
     /// Optional safety probe recording protocol events.
     pub probe: Option<TwoPcProbe>,
 }
 
 impl ShardRole {
+    /// The keyspace partitioning.
+    pub fn map(&self) -> ShardMap {
+        self.routes.map
+    }
+
     /// Renders engine actions into wire sends. `seqs` are this replica's
     /// per-target-shard emission counters: every member of a group advances
     /// them in lockstep (backups render and drop), so a promoted primary
     /// continues the sequence monotonically and the receiving group's
-    /// per-client duplicate suppression stays sound.
-    pub fn render(&self, slf: Loc, actions: &[TwoPcAction], seqs: &mut [i64]) -> Vec<SendInstr> {
+    /// per-client duplicate suppression stays sound. A record fans out —
+    /// to every known replica of a PBR group (the sender cannot wait out a
+    /// wrong guess at its primary), or through this replica's TOB server
+    /// of an SMR group under the emission counter as msgid.
+    pub fn render(
+        &mut self,
+        slf: Loc,
+        actions: &[TwoPcAction],
+        seqs: &mut [i64],
+    ) -> Vec<SendInstr> {
         let mut outs = Vec::new();
         for a in actions {
             match a {
@@ -84,20 +83,9 @@ impl ShardRole {
                     let cseq = seqs[*to_shard];
                     seqs[*to_shard] += 1;
                     let env = TxnEnvelope::new(slf, cseq, TxnRequest::TwoPc(record.clone()));
-                    match &self.routes[*to_shard] {
-                        GroupRoute::Pbr { replicas } => {
-                            for r in replicas {
-                                outs.push(SendInstr::now(*r, submit_msg(&env)));
-                            }
-                        }
-                        GroupRoute::Smr { servers } => {
-                            let server = servers[(slf.index() as usize) % servers.len()];
-                            outs.push(SendInstr::now(
-                                server,
-                                broadcast_msg(slf, cseq, env.to_value()),
-                            ));
-                        }
-                    }
+                    let rotation = slf.index() as usize;
+                    self.routes.groups[*to_shard]
+                        .submit(slf, &env, true, cseq, rotation, &mut outs);
                 }
                 TwoPcAction::Reply {
                     client,
@@ -530,7 +518,7 @@ impl TwoPcEngine {
         let txnmap = |m: &BTreeMap<TxnId, Value>| -> Value {
             Value::list(
                 m.iter()
-                    .map(|(id, v)| Value::pair(txnid_value(id), v.clone())),
+                    .map(|(id, v)| Value::pair(txnid_to_value(id), v.clone())),
             )
         };
         let parked: BTreeMap<TxnId, Value> = self
@@ -666,17 +654,10 @@ impl TwoPcEngine {
     }
 }
 
-fn txnid_value(id: &TxnId) -> Value {
-    Value::pair(Value::Loc(id.0), Value::Int(id.1))
-}
-
 fn txn_entries(v: &Value) -> Option<Vec<(TxnId, &Value)>> {
     v.as_list()?
         .iter()
-        .map(|e| {
-            let id = e.fst()?;
-            Some(((id.fst()?.as_loc()?, id.snd()?.as_int()?), e.snd()?))
-        })
+        .map(|e| Some((txnid_from_value(e.fst()?)?, e.snd()?)))
         .collect()
 }
 

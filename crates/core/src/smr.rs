@@ -12,7 +12,7 @@
 //! sequence number of the last ordered transaction, and the new replica
 //! fetches the snapshot from the proposer.
 
-use crate::msgs::{reply_msg, TxnEnvelope, SUBMIT_HEADER, SYNC_HEADER};
+use crate::msgs::{reply_msg, TxnEnvelope, STALE_CONFIG_HEADER, SUBMIT_HEADER, SYNC_HEADER};
 use crate::replica_core::{LeaseProbe, LeaseWatch, ReplicaCore, Seen, TransferKind, TransferProbe};
 use crate::shard::ShardRole;
 use shadowdb_eventml::process::HasherAdapter;
@@ -831,6 +831,8 @@ impl Process for SmrReplica {
             if self.joining || self.rejoin {
                 self.kick_join(ctx.slf, out);
             }
+        } else if h == cached_header!(STALE_CONFIG_HEADER) {
+            self.core.on_stale_config(msg);
         } else if let Some(seq) = parse_subok(msg) {
             // The subscription ack pins the join's `min_seq`: the first
             // ack wins (every broadcast server acks its own sequence, and

@@ -15,7 +15,8 @@
 use shadowdb::chaos::{
     soak_durability_pbr, soak_durability_smr, soak_pbr, soak_reads_pbr, soak_reads_smr,
     soak_reconfig_pbr, soak_reconfig_smr, soak_sharded_pbr, soak_sharded_pbr_power_loss,
-    soak_sharded_smr, soak_sharded_smr_power_loss, soak_smr, ChaosOptions, ChaosReport,
+    soak_sharded_reconfig_pbr, soak_sharded_reconfig_smr, soak_sharded_smr,
+    soak_sharded_smr_power_loss, soak_smr, ChaosOptions, ChaosReport,
 };
 use shadowdb_runtime::NemesisProfile;
 use shadowdb_tcpnet::TcpNet;
@@ -492,9 +493,83 @@ fn tcpnet_sharded_pbr_power_loss() {
     net.shutdown();
 }
 
+/// Sharding × reconfiguration: two replica groups with cross-shard
+/// transfers in flight while a replica of shard 0 is replaced online —
+/// under PBR its *primary*, with the joiner then promoted, so the group
+/// that coordinates every 2PC it takes part in ends up led from a location
+/// no other shard was deployed with. Shard 1's votes and completion marks
+/// must follow shard 0's configuration chain there, as the clients do; on
+/// top of the reconfig assertions the 2PC probe must stay atomic. The
+/// replacement and the promotion take about a second of virtual time, so
+/// the workload is sized to outlast them.
+fn sim_sharded_reconfig_opts(seed: u64, profile: NemesisProfile) -> ChaosOptions {
+    let mut o = sim_opts(seed, profile);
+    o.txns_per_client = 600;
+    o
+}
+
+/// Whether a replica born mid-run executed client transactions as
+/// primary. Locations are allocated in order — two groups of fifteen
+/// nodes, two clients — so anything past them is a joiner.
+fn a_joiner_led(report: &ChaosReport) -> bool {
+    report
+        .primaries
+        .iter()
+        .any(|(_, p)| p.index() >= 2 * 15 + 2)
+}
+
+/// `CrashDuringTransfer` kills the first joiner (mid-transfer, or while
+/// it leads), then the donor.
+#[test]
+fn simnet_sharded_reconfig_pbr_crash_during_transfer() {
+    let mut sim = shadowdb_simnet::testing::default_net(1_700);
+    let opts = sim_sharded_reconfig_opts(61, NemesisProfile::CrashDuringTransfer);
+    let report = soak_sharded_reconfig_pbr(&mut sim, &opts, 2);
+    assert_eq!(report.committed, 1_200);
+}
+
+#[test]
+fn simnet_sharded_reconfig_smr_crash_during_transfer() {
+    let mut sim = shadowdb_simnet::testing::default_net(1_701);
+    let opts = sim_sharded_reconfig_opts(62, NemesisProfile::CrashDuringTransfer);
+    let report = soak_sharded_reconfig_smr(&mut sim, &opts, 2);
+    assert_eq!(report.committed, 1_200);
+}
+
+/// The benign profile is the one where the joiner *keeps* leading: nothing
+/// crashes it, so cross-shard commits flow only if shard 1 learns where
+/// shard 0's primary went.
+#[test]
+fn simnet_sharded_reconfig_pbr_under_delay_spikes() {
+    let mut sim = shadowdb_simnet::testing::default_net(1_702);
+    let opts = sim_sharded_reconfig_opts(63, NemesisProfile::DelaySpikes);
+    let report = soak_sharded_reconfig_pbr(&mut sim, &opts, 2);
+    assert_eq!(report.committed, 1_200);
+    assert!(a_joiner_led(&report), "{report:?}");
+}
+
+/// Real-runtime sizing: the window of `tcpnet_reconfig_pbr_crash_during_
+/// transfer`, and enough transactions that the joiner is leading shard 0
+/// with most of them still to run.
+fn live_sharded_reconfig_opts(seed: u64) -> ChaosOptions {
+    let mut opts = live_opts(seed, NemesisProfile::CrashDuringTransfer);
+    opts.duration = Duration::from_millis(200);
+    opts.txns_per_client = 1_000;
+    opts
+}
+
+#[test]
+fn tcpnet_sharded_reconfig_pbr_crash_during_transfer() {
+    let mut net = TcpNet::builder().seeded(41).spawn();
+    let report = soak_sharded_reconfig_pbr(&mut net, &live_sharded_reconfig_opts(41), 2);
+    assert_eq!(report.committed, 2_000);
+    net.shutdown();
+}
+
 /// Opt-in long soak: `CHAOS_SEEDS=n` sweeps seeds `0..n` across every
 /// profile on the simulator — PBR, SMR, and both sharded variants (two
-/// groups each). Off (a no-op) by default so the tier-1 suite stays fast.
+/// groups each) — plus the sharded power-loss, lease and reconfiguration
+/// legs. Off (a no-op) by default so the tier-1 suite stays fast.
 #[test]
 fn long_soak_seed_sweep() {
     let n: u64 = match std::env::var("CHAOS_SEEDS") {
@@ -525,5 +600,17 @@ fn long_soak_seed_sweep() {
             &mut sim,
             &sim_read_opts_under(seed, NemesisProfile::PowerLoss),
         );
+        // Sharding × reconfiguration: CrashDuringTransfer needs a harness
+        // that replaces a replica, so it too sits outside `ALL`. The PBR
+        // leg also runs on real sockets, where the crashes land at
+        // different points of the replacement every run.
+        let opts = sim_sharded_reconfig_opts(seed, NemesisProfile::CrashDuringTransfer);
+        let mut sim = shadowdb_simnet::testing::default_net(seed * 61);
+        soak_sharded_reconfig_pbr(&mut sim, &opts, 2);
+        let mut sim = shadowdb_simnet::testing::default_net(seed * 67);
+        soak_sharded_reconfig_smr(&mut sim, &opts, 2);
+        let mut net = TcpNet::builder().seeded(seed).spawn();
+        soak_sharded_reconfig_pbr(&mut net, &live_sharded_reconfig_opts(seed), 2);
+        net.shutdown();
     }
 }

@@ -228,31 +228,50 @@ fn pbr_promoted_snapshot_joiner_answers_pre_snapshot_resend_from_cache() {
     }
 }
 
+/// What happens to shard 0 once the joiner has replaced its backup.
+#[derive(Clone, Copy, PartialEq)]
+enum Then {
+    /// Nothing more: the joiner stays a backup.
+    Follows,
+    /// `promote(joiner)`: it leads with the old primary still a member, so
+    /// what a peer group sends to the deploy-time locations is NACKed by
+    /// live backups.
+    Promoted,
+    /// `remove_replica(primary)`: the configuration becomes `[joiner]`, and
+    /// every location the peer group was deployed with is a replica the
+    /// chain left behind.
+    Alone,
+}
+
 /// Replaces one replica of shard 0 through `reconfig_group` while both
 /// groups serve a workload whose every third transaction is a transfer
 /// (half of them cross-shard): the joiner adopts the group's 2PC engine
 /// state with its snapshot, so transactions prepared before the join
 /// still resolve on it, and the history stays atomic and strictly
-/// serializable across the membership change.
-fn replace_in_shard_under_cross_shard_load(pbr: Option<PbrOptions>, seed: u64) {
+/// serializable across the membership change. With `then` the joiner goes
+/// on to lead the group: shard 1's votes and completion marks must follow
+/// the configuration chain to it, as the clients' submissions do.
+fn replace_in_shard_under_cross_shard_load(
+    pbr: Option<PbrOptions>,
+    seed: u64,
+    per_client: usize,
+    then: Then,
+) {
     const SHARDS: usize = 2;
-    const PER_CLIENT: usize = 90;
     let mut sim = shadowdb_simnet::testing::default_net(seed);
     let probe: TwoPcProbe = Arc::default();
-    let group0: Dbs = Arc::default();
+    let by_shard: [Dbs; SHARDS] = Default::default();
     let scripts: Vec<Vec<TxnRequest>> = (0..2)
-        .map(|i| sharded_mixed_txns(seed + 7919 * (i + 1), PER_CLIENT, ROWS))
+        .map(|i| sharded_mixed_txns(seed + 7919 * (i + 1), per_client, ROWS))
         .collect();
-    let (per_client, captured) = (scripts.clone(), group0.clone());
+    let (per_client_txns, captured) = (scripts.clone(), by_shard.clone());
     let mut options = DeployOptions::sharded(
         SHARDS,
         2,
-        move |i| per_client[i].clone(),
+        move |i| per_client_txns[i].clone(),
         move |shard, db| {
             bank::load_shard(db, ROWS, SHARDS, shard).expect("bank shard loads");
-            if shard == 0 {
-                captured.lock().push(db.clone());
-            }
+            captured[shard].lock().push(db.clone());
         },
     );
     options.client_timeout = Duration::from_secs(2);
@@ -272,19 +291,29 @@ fn replace_in_shard_under_cross_shard_load(pbr: Option<PbrOptions>, seed: u64) {
     // PBR groups are `[primary, backup, spare]`: replace the backup. Under
     // SMR any replica will do.
     let victim = d.groups[0].replicas[if is_pbr { 1 } else { 2 }];
+    let share = Duration::from_secs(6);
     let added = handle
-        .replace_replica(&mut sim, victim, Duration::from_secs(6))
+        .replace_replica(&mut sim, victim, share)
         .expect("replacement adopted under load");
+    match then {
+        Then::Follows => {}
+        Then::Promoted => assert!(handle.promote(&mut sim, added, share)),
+        Then::Alone => assert!(handle.remove_replica(&mut sim, d.groups[0].replicas[0], share)),
+    }
+    if then != Then::Follows {
+        let rep = handle.query_config(&mut sim, share).expect("a report");
+        assert_eq!(rep.config.primary(), added, "the joiner leads: {rep:?}");
+    }
     assert!(
-        d.committed() < 2 * PER_CLIENT,
-        "the replacement must overlap the workload"
+        d.committed() < 2 * per_client,
+        "the membership changes must overlap the workload"
     );
     let deadline = sim.now() + Duration::from_secs(300);
-    while d.committed() < 2 * PER_CLIENT && sim.now() < deadline {
+    while d.committed() < 2 * per_client && sim.now() < deadline {
         run_for(&mut sim, Duration::from_millis(50));
     }
     run_for(&mut sim, Duration::from_secs(2)); // let the last decisions land
-    assert_eq!(d.committed(), 2 * PER_CLIENT, "every transaction answered");
+    assert_eq!(d.committed(), 2 * per_client, "every transaction answered");
     assert!(handle.replicas().contains(&added));
 
     let events = probe.lock();
@@ -297,23 +326,61 @@ fn replace_in_shard_under_cross_shard_load(pbr: Option<PbrOptions>, seed: u64) {
     check_bank_history_concurrent(&observations, 1_000).expect("strictly serializable");
     // The joiner holds exactly the group's state: it resolved every
     // transaction that was prepared before it joined.
-    let group0 = group0.lock();
+    let (group0, group1) = (by_shard[0].lock(), by_shard[1].lock());
     let joiner = group0.last().expect("joiner database");
-    assert_eq!(accounts(joiner), accounts(&group0[0]));
+    if then == Then::Alone {
+        // Its donors stopped executing when the chain left them behind;
+        // the bank itself is the witness. Everything committed and
+        // transfers conserve money, so the joiner and shard 1 together
+        // hold the initial total plus every scripted deposit.
+        let deposited: i64 = scripts
+            .iter()
+            .flatten()
+            .map(|t| match t {
+                TxnRequest::BankDeposit { amount, .. } => *amount,
+                _ => 0,
+            })
+            .sum();
+        let held = total(joiner) + total(&group1[0]);
+        assert_eq!(held, ROWS as i64 * 1_000 + deposited);
+    } else {
+        assert_eq!(accounts(joiner), accounts(&group0[0]));
+    }
 }
 
-#[test]
-fn sharded_pbr_reconfig_group_replaces_replica_under_cross_shard_load() {
-    let pbr = PbrOptions {
+/// The failure-detection cadence and cache of the sharded PBR legs.
+fn sharded_pbr_options() -> PbrOptions {
+    PbrOptions {
         detect_after: Duration::from_millis(500),
         heartbeat_every: Duration::from_millis(100),
         cache_limit: 4, // joiners take the snapshot path
         ..PbrOptions::default()
-    };
-    replace_in_shard_under_cross_shard_load(Some(pbr), 71);
+    }
+}
+
+#[test]
+fn sharded_pbr_reconfig_group_replaces_replica_under_cross_shard_load() {
+    replace_in_shard_under_cross_shard_load(Some(sharded_pbr_options()), 71, 90, Then::Follows);
 }
 
 #[test]
 fn sharded_smr_reconfig_group_replaces_replica_under_cross_shard_load() {
-    replace_in_shard_under_cross_shard_load(None, 72);
+    replace_in_shard_under_cross_shard_load(None, 72, 90, Then::Follows);
+}
+
+/// Sharding × reconfiguration, the half the replacement legs never
+/// reached: once the joiner *leads* shard 0 — alone, every deploy-time
+/// member removed — shard 1 must learn where shard 0's primary is from the
+/// NACKs of the replicas it still addresses, or its votes never arrive and
+/// every cross-shard commit stalls behind the first one.
+#[test]
+fn sharded_pbr_joiner_that_becomes_primary_keeps_cross_shard_commits_flowing() {
+    replace_in_shard_under_cross_shard_load(Some(sharded_pbr_options()), 71, 400, Then::Alone);
+}
+
+/// The same with the old members still present: the NACKs come from live
+/// backups of the current configuration.
+#[test]
+fn sharded_pbr_promoted_joiner_keeps_cross_shard_commits_flowing() {
+    replace_in_shard_under_cross_shard_load(Some(sharded_pbr_options()), 71, 400, Then::Promoted);
 }

@@ -23,5 +23,5 @@ pub mod tpcc;
 pub mod txn;
 
 pub use kv::{KvGen, KvOptions};
-pub use shard::{ShardMap, TwoPcRecord, TxnId};
+pub use shard::{txnid_from_value, txnid_to_value, ShardMap, TwoPcRecord, TxnId};
 pub use txn::{apply_group, TxnOutcome, TxnRequest};

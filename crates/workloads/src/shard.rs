@@ -21,11 +21,13 @@ use shadowdb_loe::Loc;
 /// for duplicate suppression.
 pub type TxnId = (Loc, i64);
 
-fn txnid_to_value(id: &TxnId) -> Value {
+/// The wire encoding of a [`TxnId`]: `<client, cseq>`.
+pub fn txnid_to_value(id: &TxnId) -> Value {
     Value::pair(Value::Loc(id.0), Value::Int(id.1))
 }
 
-fn txnid_from_value(v: &Value) -> Option<TxnId> {
+/// Decodes what [`txnid_to_value`] encoded.
+pub fn txnid_from_value(v: &Value) -> Option<TxnId> {
     Some((v.fst()?.as_loc()?, v.snd()?.as_int()?))
 }
 
@@ -35,7 +37,7 @@ fn txnid_from_value(v: &Value) -> Option<TxnId> {
 /// `(w_id - 1) mod shards` (warehouse ids are 1-based). The item catalog
 /// is replicated reference data present on every shard, so NewOrder's
 /// invalid-item rollback stays deterministic everywhere.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ShardMap {
     shards: usize,
 }
