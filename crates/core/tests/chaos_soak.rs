@@ -256,12 +256,21 @@ fn tcpnet_windowed_smr_soak() {
 /// The harness asserts convergence, strict serializability of the whole
 /// history spanning the configuration changes, one primary per
 /// configuration sequence (PBR), and that a replacement eventually
-/// landed (PBR).
+/// landed (PBR). The replacement takes about a second of virtual time,
+/// so the PBR leg is sized as the sharded ones are — 300 transactions
+/// finish before the first configuration command lands — and its probe
+/// must show a primary of a later configuration.
 #[test]
 fn simnet_reconfig_pbr_crash_during_transfer() {
     let mut sim = shadowdb_simnet::testing::default_net(1_500);
-    let report = soak_reconfig_pbr(&mut sim, &sim_opts(46, NemesisProfile::CrashDuringTransfer));
-    assert_eq!(report.committed, 300);
+    let mut opts = sim_opts(46, NemesisProfile::CrashDuringTransfer);
+    opts.txns_per_client = 600;
+    let report = soak_reconfig_pbr(&mut sim, &opts);
+    assert_eq!(report.committed, 1_200);
+    assert!(
+        report.primaries.iter().any(|(seq, _)| *seq > 0),
+        "the workload ended before a configuration change: {report:?}"
+    );
 }
 
 #[test]

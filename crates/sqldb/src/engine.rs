@@ -1,21 +1,34 @@
 //! The database engine: transactions, execution, undo, and a
-//! per-database statement/plan cache.
+//! per-database plan cache keyed by statement shape.
 //!
-//! Replicated execution re-runs a small set of statement *shapes*
-//! thousands of times. The engine therefore keeps a bounded cache keyed
-//! by exact SQL text, holding the parsed [`Statement`] and — for
-//! `SELECT`/`UPDATE`/`DELETE` — a resolved [`Plan`]: bound expressions,
-//! fixed column positions, and the chosen [`AccessPath`]. Plans depend
-//! only on the catalog (schemas and indexes), never on row data, so they
-//! are invalidated by a monotone *DDL epoch* bumped on `CREATE TABLE`,
-//! `CREATE INDEX`, `DROP TABLE`, snapshot restore, and rollback of DDL.
+//! Replicated execution re-runs a small set of stored procedures
+//! thousands of times, each formatting its arguments into fixed SQL. The
+//! engine therefore keeps a bounded cache keyed by a statement's *shape*
+//! ([`crate::sql::shape`]: the text with every numeric and string literal
+//! replaced by `?`), holding the shape's parsed [`Statement`] and — for
+//! `SELECT`/`UPDATE`/`DELETE` — a resolved `Plan`: bound expressions,
+//! fixed column positions, and the chosen [`AccessPath`], with parameter
+//! slots where the literals were. Each execution binds its own literals
+//! to those slots. Plans depend only on the catalog (schemas and
+//! indexes), never on row data or literal values, so they are invalidated
+//! by a monotone *DDL epoch* bumped on `CREATE TABLE`, `CREATE INDEX`,
+//! `DROP TABLE`, snapshot restore, and rollback of DDL; DDL itself
+//! bypasses the cache.
+//!
+//! A plan reads only the rows its predicate can match: an index range
+//! pinned by `=` on leading key columns and bounded by `<`, `<=`, `>`,
+//! `>=` on the next one, and — for `MIN`/`MAX` of that column, or `ORDER
+//! BY` it with `LIMIT` — only one end of that range; a range that is the
+//! whole predicate is counted without reading its rows. The virtual cost
+//! charged does not depend on the path: `point_read_us` per matched row,
+//! or `scan_row_us` per table row when the walk visits the whole table.
 
 use crate::expr::Expr;
 use crate::lock::{LockGranularity, LockManager, LockMode, Resource, TxnId};
 use crate::profile::EngineProfile;
 use crate::schema::TableSchema;
 use crate::snapshot::Snapshot;
-use crate::sql::{parse, Aggregate, Projection, Statement};
+use crate::sql::{parse, parse_shape, shape, Aggregate, Projection, Statement};
 use crate::table::{AccessPath, RowId, Table};
 use crate::value::{Row, SqlValue};
 use crate::{Result, SqlError};
@@ -25,11 +38,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How many distinct statement texts the plan cache holds.
+/// How many distinct statement shapes the plan cache holds.
 const PLAN_CACHE_CAPACITY: usize = 128;
 
 /// A resolved execution plan: everything name resolution and binding
-/// produce for a statement, computed once per `(SQL text, DDL epoch)`.
+/// produce for a statement shape, computed once per `(shape, DDL epoch)`.
 struct Plan {
     /// The DDL epoch the plan was resolved under.
     epoch: u64,
@@ -39,18 +52,42 @@ struct Plan {
 enum PlanKind {
     Select(SelectPlan),
     Update(UpdatePlan),
-    Delete(DeletePlan),
+    Delete(Access),
 }
 
-struct SelectPlan {
+/// What every planned statement reads: its table, its predicate bound to
+/// column positions, and the access path chosen for that predicate.
+struct Access {
     table: String,
     schema: TableSchema,
     filter: Option<Expr>,
     path: AccessPath,
+}
+
+struct SelectPlan {
+    access: Access,
+    read: Read,
     proj: ProjPlan,
     order_by: Option<(usize, bool)>,
     limit: Option<usize>,
     for_update: bool,
+}
+
+/// Which of the matches a select's walk finds it keeps.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Read {
+    /// Every match, in walk order.
+    All,
+    /// The first `n` matches from one end of an ordered range — the low
+    /// end, or the high end when `desc` — passing over rows whose
+    /// `skip_null` column is NULL: `ORDER BY` the range column with
+    /// `LIMIT n`, or its `MIN`/`MAX`. Every match is still counted for the
+    /// virtual charge; only the kept rows are cloned.
+    End {
+        desc: bool,
+        n: usize,
+        skip_null: Option<usize>,
+    },
 }
 
 enum ProjPlan {
@@ -62,54 +99,58 @@ enum ProjPlan {
 }
 
 struct UpdatePlan {
-    table: String,
-    schema: TableSchema,
+    access: Access,
     sets: Vec<(usize, Expr)>,
-    filter: Option<Expr>,
-    path: AccessPath,
 }
 
-struct DeletePlan {
-    table: String,
-    schema: TableSchema,
-    filter: Option<Expr>,
-    path: AccessPath,
-}
-
-/// One cached statement: the parse always, the plan when resolvable.
+/// One cached statement shape: the parse always, the plan when resolvable.
 struct CacheSlot {
     last_use: u64,
     stmt: Arc<Statement>,
     plan: Option<Arc<Plan>>,
 }
 
-/// Bounded statement/plan cache keyed by exact SQL text.
+/// Plan-cache counters since the database was created.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PlanCacheStats {
+    /// Statements looked up by shape (everything but DDL).
+    pub lookups: u64,
+    /// Lookups that found the shape parsed and planned for the current
+    /// catalog.
+    pub hits: u64,
+}
+
+/// Bounded statement/plan cache keyed by statement shape.
 #[derive(Default)]
 struct StmtCache {
     map: HashMap<String, CacheSlot>,
     tick: u64,
+    stats: PlanCacheStats,
 }
 
 impl StmtCache {
-    fn lookup(&mut self, sql: &str, epoch: u64) -> Option<(Arc<Statement>, Option<Arc<Plan>>)> {
+    fn lookup(&mut self, shape: &str, epoch: u64) -> Option<(Arc<Statement>, Option<Arc<Plan>>)> {
         self.tick += 1;
+        self.stats.lookups += 1;
         let tick = self.tick;
-        let slot = self.map.get_mut(sql)?;
+        let slot = self.map.get_mut(shape)?;
         slot.last_use = tick;
         // A plan from an older DDL epoch may carry stale column positions
         // or name a dropped index: hand back only the parse, and replan.
         let plan = slot.plan.clone().filter(|p| p.epoch == epoch);
+        let planless = matches!(*slot.stmt, Statement::Insert { .. });
+        self.stats.hits += u64::from(plan.is_some() || planless);
         Some((slot.stmt.clone(), plan))
     }
 
-    fn attach_plan(&mut self, sql: &str, plan: Arc<Plan>) {
-        if let Some(slot) = self.map.get_mut(sql) {
+    fn attach_plan(&mut self, shape: &str, plan: Arc<Plan>) {
+        if let Some(slot) = self.map.get_mut(shape) {
             slot.plan = Some(plan);
         }
     }
 
-    fn insert(&mut self, sql: &str, stmt: Arc<Statement>, plan: Option<Arc<Plan>>) {
-        if self.map.len() >= PLAN_CACHE_CAPACITY && !self.map.contains_key(sql) {
+    fn insert(&mut self, shape: String, stmt: Arc<Statement>, plan: Option<Arc<Plan>>) {
+        if self.map.len() >= PLAN_CACHE_CAPACITY && !self.map.contains_key(&shape) {
             // Evict the least-recently-used of a small sample, keeping the
             // miss path O(sample) instead of O(capacity).
             let victim = self
@@ -124,7 +165,7 @@ impl StmtCache {
         }
         self.tick += 1;
         self.map.insert(
-            sql.to_owned(),
+            shape,
             CacheSlot {
                 last_use: self.tick,
                 stmt,
@@ -132,6 +173,59 @@ impl StmtCache {
             },
         );
     }
+}
+
+/// A statement ready to run: its parse, its plan when the statement kind
+/// has one, and the literals this execution binds to the plan's slots.
+struct Prepared {
+    stmt: Arc<Statement>,
+    plan: Option<Arc<Plan>>,
+    params: Vec<SqlValue>,
+}
+
+/// Whether `sql` is DDL (`CREATE …`, `DROP …`), which bypasses the cache.
+fn is_ddl(sql: &str) -> bool {
+    let head = sql.trim_start().as_bytes();
+    let starts = |kw: &[u8]| head.len() >= kw.len() && head[..kw.len()].eq_ignore_ascii_case(kw);
+    starts(b"create") || starts(b"drop")
+}
+
+/// The one way from SQL text to something runnable, for
+/// [`Transaction::execute`] and [`Database::execute_read_only`] alike:
+/// look the statement's shape up, parse and plan it on a miss, replan a
+/// plan that predates the catalog. DDL is parsed on its own, uncached.
+fn prepare(db: &Inner, sql: &str) -> Result<Prepared> {
+    let shaped = if is_ddl(sql) { None } else { shape(sql) };
+    let Some((shape, params)) = shaped else {
+        // DDL, or text no shape stands for — which `parse` rejects.
+        return Ok(Prepared {
+            stmt: Arc::new(parse(sql)?),
+            plan: None,
+            params: Vec::new(),
+        });
+    };
+    let epoch = db.ddl_epoch.load(Ordering::Acquire);
+    let cached = db.plans.lock().lookup(&shape, epoch);
+    let (stmt, plan) = match cached {
+        Some((stmt, Some(plan))) => (stmt, Some(plan)),
+        Some((stmt, None)) => {
+            let plan = resolve_plan(db, &stmt)?.map(Arc::new);
+            if let Some(plan) = &plan {
+                db.plans.lock().attach_plan(&shape, plan.clone());
+            }
+            (stmt, plan)
+        }
+        None => {
+            let stmt = Arc::new(parse_shape(&shape)?);
+            let plan = resolve_plan(db, &stmt).map(|p| p.map(Arc::new));
+            // A failed resolution (unknown table or column) still caches
+            // the parse: the object may exist next time.
+            let cached = plan.as_ref().ok().cloned().flatten();
+            db.plans.lock().insert(shape, stmt.clone(), cached);
+            (stmt, plan?)
+        }
+    };
+    Ok(Prepared { stmt, plan, params })
 }
 
 /// The result of executing a statement.
@@ -256,6 +350,27 @@ impl Database {
             .sum()
     }
 
+    /// The plan cache's counters since this database was created.
+    pub fn plan_cache_stats(&self) -> PlanCacheStats {
+        self.inner.plans.lock().stats
+    }
+
+    /// The statement shapes in the plan cache, sorted, each with its
+    /// plan's access path — `pk(=,=,>=)`, `full scan`, … (see
+    /// [`AccessPath`]'s `Display`) — followed by `min`, `max`, `first n`
+    /// or `last n` when a select reads one end of its range; `None` for a
+    /// shape without a plan (`INSERT`, or not resolved yet).
+    pub fn cached_plans(&self) -> Vec<(String, Option<String>)> {
+        let cache = self.inner.plans.lock();
+        let mut out: Vec<(String, Option<String>)> = cache
+            .map
+            .iter()
+            .map(|(shape, slot)| (shape.clone(), slot.plan.as_deref().map(describe)))
+            .collect();
+        out.sort();
+        out
+    }
+
     /// Bulk-inserts rows directly (loader fast path; bypasses SQL parsing
     /// and locking — callers must have exclusive use of the database, as
     /// during initial load or state transfer).
@@ -277,11 +392,11 @@ impl Database {
     }
 
     /// Executes a single read-only `SELECT` without touching the lock
-    /// table: the statement is planned through the shared statement/plan
-    /// cache and evaluated under the catalog's reader guard only, so it
-    /// can never block behind (or be blocked by) a write transaction's
-    /// locks. Returns the result set and the virtual CPU cost charged,
-    /// which is identical to what the locking path would charge.
+    /// table: the statement is planned through the shared plan cache and
+    /// evaluated under the catalog's reader guard only, so it can never
+    /// block behind (or be blocked by) a write transaction's locks.
+    /// Returns the result set and the virtual CPU cost charged, which is
+    /// identical to what the locking path would charge.
     ///
     /// Isolation: this reads the *current* table contents. Replicated
     /// execution applies writes strictly serially and serves fast-path
@@ -294,46 +409,15 @@ impl Database {
     /// Fails on anything that is not a plain `SELECT` (DML, DDL,
     /// `SELECT … FOR UPDATE`) and on unknown tables/columns.
     pub fn execute_read_only(&self, sql: &str) -> Result<(ResultSet, Duration)> {
-        let epoch = self.inner.ddl_epoch.load(Ordering::Acquire);
-        let hit = self.inner.plans.lock().lookup(sql, epoch);
-        let plan = match hit {
-            Some((_, Some(plan))) => plan,
-            Some((stmt, None)) => {
-                let plan =
-                    Arc::new(resolve_plan_on(&self.inner, &stmt)?.ok_or_else(not_read_only)?);
-                self.inner.plans.lock().attach_plan(sql, plan.clone());
-                plan
-            }
-            None => {
-                let stmt = Arc::new(parse(sql)?);
-                match resolve_plan_on(&self.inner, &stmt) {
-                    Ok(Some(plan)) => {
-                        let plan = Arc::new(plan);
-                        self.inner
-                            .plans
-                            .lock()
-                            .insert(sql, stmt.clone(), Some(plan.clone()));
-                        plan
-                    }
-                    Ok(None) => {
-                        self.inner.plans.lock().insert(sql, stmt, None);
-                        return Err(not_read_only());
-                    }
-                    Err(e) => {
-                        self.inner.plans.lock().insert(sql, stmt, None);
-                        return Err(e);
-                    }
-                }
-            }
-        };
-        let PlanKind::Select(p) = &plan.kind else {
+        let Prepared { plan, params, .. } = prepare(&self.inner, sql)?;
+        let Some(PlanKind::Select(p)) = plan.as_deref().map(|plan| &plan.kind) else {
             return Err(not_read_only());
         };
         if p.for_update {
             return Err(not_read_only());
         }
         let mut us = self.inner.profile.costs.per_statement_us;
-        let matched = matched_rows_on(&self.inner, &p.table, &p.filter, &p.path, &mut us)?;
+        let matched = matched_rows_on(&self.inner, &p.access, p.read, &params, &mut us)?;
         let rs = project_select(p, matched)?;
         Ok((rs, Duration::from_micros(us)))
     }
@@ -402,9 +486,10 @@ impl Transaction {
         Duration::from_micros(self.virtual_us)
     }
 
-    /// Executes one statement, going through the database's
-    /// statement/plan cache: a repeated SQL text skips parsing, name
-    /// resolution, expression binding, and access-path selection.
+    /// Executes one statement, going through the database's plan cache:
+    /// a statement whose shape was seen before skips parsing, name
+    /// resolution, expression binding, and access-path selection, and
+    /// binds its literals to the cached plan.
     ///
     /// # Errors
     ///
@@ -414,7 +499,10 @@ impl Transaction {
         if self.finished {
             return Err(SqlError::TransactionClosed);
         }
-        let r = self.execute_cached(sql);
+        let r = prepare(&self.db, sql).and_then(|p| match &p.plan {
+            Some(plan) => self.run_plan(plan, &p.params),
+            None => self.dispatch(&p.stmt, &p.params),
+        });
         if matches!(r, Err(SqlError::LockTimeout { .. })) {
             // Timeout aborts the transaction, like H2/MySQL.
             let _ = self.rollback_internal();
@@ -422,8 +510,9 @@ impl Transaction {
         r
     }
 
-    /// Parses and executes without consulting the statement/plan cache —
-    /// the comparator used to measure what the cache saves.
+    /// Parses and executes without consulting the plan cache — the
+    /// reference the cache is checked against, and the comparator that
+    /// measures what it saves.
     ///
     /// # Errors
     ///
@@ -431,45 +520,6 @@ impl Transaction {
     pub fn execute_uncached(&mut self, sql: &str) -> Result<ResultSet> {
         let stmt = parse(sql)?;
         self.run(stmt)
-    }
-
-    fn execute_cached(&mut self, sql: &str) -> Result<ResultSet> {
-        let epoch = self.db.ddl_epoch.load(Ordering::Acquire);
-        let hit = self.db.plans.lock().lookup(sql, epoch);
-        match hit {
-            Some((_, Some(plan))) => self.run_plan(&plan),
-            Some((stmt, None)) => match self.resolve_plan(&stmt)? {
-                Some(plan) => {
-                    let plan = Arc::new(plan);
-                    self.db.plans.lock().attach_plan(sql, plan.clone());
-                    self.run_plan(&plan)
-                }
-                None => self.dispatch(&stmt),
-            },
-            None => {
-                let stmt = Arc::new(parse(sql)?);
-                match self.resolve_plan(&stmt) {
-                    Ok(Some(plan)) => {
-                        let plan = Arc::new(plan);
-                        self.db
-                            .plans
-                            .lock()
-                            .insert(sql, stmt.clone(), Some(plan.clone()));
-                        self.run_plan(&plan)
-                    }
-                    Ok(None) => {
-                        self.db.plans.lock().insert(sql, stmt.clone(), None);
-                        self.dispatch(&stmt)
-                    }
-                    Err(e) => {
-                        // Resolution failed (unknown table or column): keep
-                        // the parse — the object may exist next time.
-                        self.db.plans.lock().insert(sql, stmt, None);
-                        Err(e)
-                    }
-                }
-            }
-        }
     }
 
     /// Executes a `SELECT` and returns its rows (convenience alias).
@@ -483,7 +533,7 @@ impl Transaction {
         if self.finished {
             return Err(SqlError::TransactionClosed);
         }
-        let r = self.dispatch(&stmt);
+        let r = self.dispatch(&stmt, &[]);
         if matches!(r, Err(SqlError::LockTimeout { .. })) {
             // Timeout aborts the transaction, like H2/MySQL.
             let _ = self.rollback_internal();
@@ -634,7 +684,9 @@ impl Transaction {
         Ok(())
     }
 
-    fn dispatch(&mut self, stmt: &Statement) -> Result<ResultSet> {
+    /// Runs a statement from its parse: DDL and `INSERT` directly, the
+    /// rest through a plan resolved for this one execution.
+    fn dispatch(&mut self, stmt: &Statement, params: &[SqlValue]) -> Result<ResultSet> {
         match stmt {
             Statement::CreateTable(schema) => self.create_table(schema.clone()),
             Statement::CreateIndex {
@@ -643,54 +695,41 @@ impl Transaction {
                 columns,
             } => self.create_index(name, table, columns),
             Statement::DropTable { table } => self.drop_table(table),
-            Statement::Insert { table, rows } => self.insert(table, rows),
+            Statement::Insert { table, rows } => self.insert(table, rows, params),
             _ => {
-                let plan = self
-                    .resolve_plan(stmt)?
+                let plan = resolve_plan(&self.db, stmt)?
                     .expect("select/update/delete always resolve to a plan");
-                self.run_plan(&plan)
+                self.run_plan(&plan, params)
             }
         }
-    }
-
-    /// Resolves a statement against the current catalog: binds
-    /// expressions, fixes column positions, and chooses the access path.
-    /// Returns `None` for statement kinds executed directly from the AST
-    /// (DDL, `INSERT`).
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown tables or columns, mirroring what execution of
-    /// the same statement would report.
-    fn resolve_plan(&self, stmt: &Statement) -> Result<Option<Plan>> {
-        resolve_plan_on(&self.db, stmt)
     }
 
     /// Collects the `(rid, row)` pairs a planned predicate matches,
     /// charging index or scan cost per the access path actually taken.
     fn matched_rows(
         &mut self,
-        table: &str,
-        filter: &Option<Expr>,
-        path: &AccessPath,
+        access: &Access,
+        read: Read,
+        params: &[SqlValue],
     ) -> Result<Vec<(RowId, Row)>> {
-        matched_rows_on(&self.db, table, filter, path, &mut self.virtual_us)
+        matched_rows_on(&self.db, access, read, params, &mut self.virtual_us)
     }
 
-    fn run_select(&mut self, p: &SelectPlan) -> Result<ResultSet> {
+    fn run_select(&mut self, p: &SelectPlan, params: &[SqlValue]) -> Result<ResultSet> {
         let costs = self.db.profile.costs;
         self.charge(costs.per_statement_us);
+        let a = &p.access;
         if p.for_update {
             // FOR UPDATE takes exclusive locks up front, then re-reads
             // under the locks.
-            let rows = self.matched_rows(&p.table, &p.filter, &p.path)?;
+            let rows = self.matched_rows(a, Read::All, params)?;
             for (_, row) in &rows {
-                self.lock_write(&p.table, &p.schema.key_of(row))?;
+                self.lock_write(&a.table, &a.schema.key_of(row))?;
             }
         } else {
-            self.lock_read(&p.table)?;
+            self.lock_read(&a.table)?;
         }
-        let matched = self.matched_rows(&p.table, &p.filter, &p.path)?;
+        let matched = self.matched_rows(a, p.read, params)?;
         project_select(p, matched)
     }
 }
@@ -700,25 +739,41 @@ fn not_read_only() -> SqlError {
 }
 
 /// Resolves a statement against the current catalog: binds expressions,
-/// fixes column positions, and chooses the access path. Returns `None`
-/// for statement kinds executed directly from the AST (DDL, `INSERT`).
-fn resolve_plan_on(db: &Inner, stmt: &Statement) -> Result<Option<Plan>> {
+/// fixes column positions, and chooses the access path and how a select
+/// reads it. Returns `None` for statement kinds executed directly from
+/// the parse (DDL, `INSERT`).
+///
+/// # Errors
+///
+/// Fails on unknown tables or columns, mirroring what execution of the
+/// same statement would report.
+fn resolve_plan(db: &Inner, stmt: &Statement) -> Result<Option<Plan>> {
+    let (table, filter) = match stmt {
+        Statement::Select(sel) => (&sel.table, &sel.filter),
+        Statement::Update { table, filter, .. } | Statement::Delete { table, filter } => {
+            (table, filter)
+        }
+        _ => return Ok(None),
+    };
     let epoch = db.ddl_epoch.load(Ordering::Acquire);
     let tables = db.tables.read();
-    let lookup = |name: &str| -> Result<&Table> {
-        tables
-            .get(&name.to_lowercase())
-            .ok_or_else(|| SqlError::Unknown(format!("table {name}")))
+    let name = table.to_lowercase();
+    let t = tables
+        .get(&name)
+        .ok_or_else(|| SqlError::Unknown(format!("table {table}")))?;
+    let schema = t.schema().clone();
+    let filter = filter.as_ref().map(|f| f.bind(&schema)).transpose()?;
+    let path = t.plan_path(filter.as_ref());
+    let range_order = t.range_order(&path);
+    let access = Access {
+        table: name,
+        schema,
+        filter,
+        path,
     };
+    let schema = &access.schema;
     let kind = match stmt {
         Statement::Select(sel) => {
-            let t = lookup(&sel.table)?;
-            let schema = t.schema().clone();
-            let filter = match &sel.filter {
-                Some(f) => Some(f.bind(&schema)?),
-                None => None,
-            };
-            let path = t.plan_path(filter.as_ref());
             let order_by = match &sel.order_by {
                 Some((c, desc)) => Some((schema.col(c)?, *desc)),
                 None => None,
@@ -733,98 +788,147 @@ fn resolve_plan_on(db: &Inner, stmt: &Statement) -> Result<Option<Plan>> {
                 }
                 Projection::Aggregates(aggs) => ProjPlan::Aggregates(aggs.clone()),
             };
+            let read = match range_order {
+                Some(order) if !sel.for_update => {
+                    one_end(order, &proj, order_by, sel.limit, schema)
+                }
+                _ => Read::All,
+            };
             PlanKind::Select(SelectPlan {
-                table: sel.table.to_lowercase(),
-                schema,
-                filter,
-                path,
+                access,
+                read,
                 proj,
                 order_by,
                 limit: sel.limit,
                 for_update: sel.for_update,
             })
         }
-        Statement::Update {
-            table,
-            sets,
-            filter,
-        } => {
-            let t = lookup(table)?;
-            let schema = t.schema().clone();
-            let bound_filter = match filter {
-                Some(f) => Some(f.bind(&schema)?),
-                None => None,
-            };
-            let path = t.plan_path(bound_filter.as_ref());
-            let bound_sets: Result<Vec<(usize, Expr)>> = sets
+        Statement::Update { sets, .. } => {
+            let sets: Result<Vec<(usize, Expr)>> = sets
                 .iter()
-                .map(|(c, e)| Ok((schema.col(c)?, e.bind(&schema)?)))
+                .map(|(c, e)| Ok((schema.col(c)?, e.bind(schema)?)))
                 .collect();
             PlanKind::Update(UpdatePlan {
-                table: table.to_lowercase(),
-                schema,
-                sets: bound_sets?,
-                filter: bound_filter,
-                path,
+                sets: sets?,
+                access,
             })
         }
-        Statement::Delete { table, filter } => {
-            let t = lookup(table)?;
-            let schema = t.schema().clone();
-            let bound_filter = match filter {
-                Some(f) => Some(f.bind(&schema)?),
-                None => None,
-            };
-            let path = t.plan_path(bound_filter.as_ref());
-            PlanKind::Delete(DeletePlan {
-                table: table.to_lowercase(),
-                schema,
-                filter: bound_filter,
-                path,
-            })
-        }
-        _ => return Ok(None),
+        _ => PlanKind::Delete(access),
     };
     Ok(Some(Plan { epoch, kind }))
 }
 
+/// Whether a select over a range ordered by column `col` — with no two
+/// rows tying on it when `unique` — can read one end of the range
+/// instead of every match: for `MIN(col)` or `MAX(col)` alone, or for
+/// `ORDER BY col` with `LIMIT n`. Descending order needs `unique`: a
+/// stable sort keeps tied rows in walk order, which the high end of the
+/// range reverses.
+fn one_end(
+    (col, unique): (usize, bool),
+    proj: &ProjPlan,
+    order_by: Option<(usize, bool)>,
+    limit: Option<usize>,
+    schema: &TableSchema,
+) -> Read {
+    let extreme = |c: &String, desc| {
+        (schema.col(c).ok() == Some(col)).then_some(Read::End {
+            desc,
+            n: 1,
+            skip_null: Some(col),
+        })
+    };
+    let read = match (proj, order_by, limit) {
+        (ProjPlan::Aggregates(aggs), None, None) => match aggs.as_slice() {
+            [Aggregate::Min(c)] => extreme(c, false),
+            [Aggregate::Max(c)] => extreme(c, true),
+            _ => None,
+        },
+        (ProjPlan::Star(_) | ProjPlan::Cols(..), Some((c, desc)), Some(n))
+            if c == col && (unique || !desc) =>
+        {
+            Some(Read::End {
+                desc,
+                n,
+                skip_null: None,
+            })
+        }
+        _ => None,
+    };
+    read.unwrap_or(Read::All)
+}
+
+/// A plan in [`Database::cached_plans`]' words.
+fn describe(plan: &Plan) -> String {
+    let (access, read) = match &plan.kind {
+        PlanKind::Select(p) => (&p.access, p.read),
+        PlanKind::Update(p) => (&p.access, Read::All),
+        PlanKind::Delete(a) => (a, Read::All),
+    };
+    let path = &access.path;
+    match read {
+        Read::All => path.to_string(),
+        Read::End {
+            desc,
+            skip_null: Some(_),
+            ..
+        } => format!("{path} {}", if desc { "max" } else { "min" }),
+        Read::End { desc, n, .. } => format!("{path} {} {n}", if desc { "last" } else { "first" }),
+    }
+}
+
 /// Collects the `(rid, row)` pairs a planned predicate matches against
-/// `db`'s current contents, charging index or scan cost into
-/// `virtual_us` per the access path actually taken. Takes only the
-/// catalog's reader guard — never the lock table.
+/// `db`'s current contents — all of them, or those `read` keeps — and
+/// charges into `virtual_us` what the match cost: `scan_row_us` per row
+/// when the walk visits the whole table, else `point_read_us` per match.
+/// Takes only the catalog's reader guard — never the lock table.
 fn matched_rows_on(
     db: &Inner,
-    table: &str,
-    filter: &Option<Expr>,
-    path: &AccessPath,
+    access: &Access,
+    read: Read,
+    params: &[SqlValue],
     virtual_us: &mut u64,
 ) -> Result<Vec<(RowId, Row)>> {
     let costs = db.profile.costs;
     let tables = db.tables.read();
     let t = tables
-        .get(table)
-        .ok_or_else(|| SqlError::Unknown(format!("table {table}")))?;
-    let candidates = t.candidates_via(path);
-    let indexed = candidates.len() < t.len() || t.is_empty();
+        .get(&access.table)
+        .ok_or_else(|| SqlError::Unknown(format!("table {}", access.table)))?;
+    let walk = t.walk(&access.path, params)?;
+    let (desc, keep, skip_null) = match read {
+        Read::All => (false, usize::MAX, None),
+        Read::End { desc, n, skip_null } => (desc, n, skip_null),
+    };
+    // Without a filter to re-check, the walk is its own count and rows
+    // are fetched only to be kept.
+    let filter = access.filter.as_ref().filter(|_| !walk.exact);
+    let mut rids = walk.rids;
+    if desc {
+        rids.reverse();
+    }
+    let mut matched = if filter.is_none() { rids.len() } else { 0 };
     let mut out = Vec::new();
-    for rid in candidates {
-        if let Some(row) = t.get(rid) {
-            let keep = match filter {
-                Some(f) => f.matches(row)?,
-                None => true,
-            };
-            if keep {
-                out.push((rid, row.clone()));
+    for rid in rids {
+        if filter.is_none() && out.len() == keep {
+            break;
+        }
+        let Some(row) = t.get(rid) else { continue };
+        if let Some(f) = filter {
+            if !f.matches(row, params)? {
+                continue;
             }
+            matched += 1;
+        }
+        if out.len() < keep && skip_null.is_none_or(|c| !row[c].is_null()) {
+            out.push((rid, row.clone()));
         }
     }
-    let scanned = t.len();
+    let scanned = (walk.whole_table && !t.is_empty()).then(|| t.len());
     drop(tables);
-    if indexed {
-        *virtual_us += costs.point_read_us * out.len().max(1) as u64;
-    } else {
-        *virtual_us += costs.scan_row_us * scanned as u64;
-    }
+    *virtual_us += match scanned {
+        Some(rows) => costs.scan_row_us * rows as u64,
+        None => costs.point_read_us * matched.max(1) as u64,
+    };
     Ok(out)
 }
 
@@ -863,7 +967,7 @@ fn project_select(p: &SelectPlan, mut matched: Vec<(RowId, Row)>) -> Result<Resu
             let mut out = Vec::with_capacity(aggs.len());
             let mut labels = Vec::with_capacity(aggs.len());
             for agg in aggs {
-                let (label, v) = eval_aggregate(agg, &p.schema, &rows)?;
+                let (label, v) = eval_aggregate(agg, &p.access.schema, &rows)?;
                 labels.push(label);
                 out.push(v);
             }
@@ -877,11 +981,11 @@ fn project_select(p: &SelectPlan, mut matched: Vec<(RowId, Row)>) -> Result<Resu
 }
 
 impl Transaction {
-    fn run_plan(&mut self, plan: &Plan) -> Result<ResultSet> {
+    fn run_plan(&mut self, plan: &Plan, params: &[SqlValue]) -> Result<ResultSet> {
         match &plan.kind {
-            PlanKind::Select(p) => self.run_select(p),
-            PlanKind::Update(p) => self.run_update(p),
-            PlanKind::Delete(p) => self.run_delete(p),
+            PlanKind::Select(p) => self.run_select(p, params),
+            PlanKind::Update(p) => self.run_update(p, params),
+            PlanKind::Delete(a) => self.run_delete(a, params),
         }
     }
 
@@ -944,7 +1048,12 @@ impl Transaction {
         Ok(ResultSet::default())
     }
 
-    fn insert(&mut self, table: &str, rows: &[Vec<crate::sql::ExprAst>]) -> Result<ResultSet> {
+    fn insert(
+        &mut self,
+        table: &str,
+        rows: &[Vec<crate::sql::ExprAst>],
+        params: &[SqlValue],
+    ) -> Result<ResultSet> {
         let table = table.to_lowercase();
         let costs = self.db.profile.costs;
         self.charge(costs.per_statement_us);
@@ -953,7 +1062,7 @@ impl Transaction {
         for row in rows {
             let mut out = Vec::with_capacity(row.len());
             for e in row {
-                out.push(e.eval_const()?);
+                out.push(e.eval_const(params)?);
             }
             values.push(out);
         }
@@ -986,36 +1095,37 @@ impl Transaction {
         })
     }
 
-    fn run_update(&mut self, p: &UpdatePlan) -> Result<ResultSet> {
+    fn run_update(&mut self, p: &UpdatePlan, params: &[SqlValue]) -> Result<ResultSet> {
         let costs = self.db.profile.costs;
         self.charge(costs.per_statement_us);
-        let matched = self.matched_rows(&p.table, &p.filter, &p.path)?;
+        let a = &p.access;
+        let matched = self.matched_rows(a, Read::All, params)?;
         let mut affected = 0;
         for (rid, old_row) in matched {
-            self.lock_write(&p.table, &p.schema.key_of(&old_row))?;
+            self.lock_write(&a.table, &a.schema.key_of(&old_row))?;
             // Matching ran before the lock was held: re-read the row and
             // re-validate the predicate against its *current* contents, or
             // concurrent writers would be lost.
             let current = {
                 let tables = self.db.tables.read();
-                tables.get(&p.table).and_then(|t| t.get(rid).cloned())
+                tables.get(&a.table).and_then(|t| t.get(rid).cloned())
             };
             let Some(current) = current else { continue };
-            if let Some(f) = &p.filter {
-                if !f.matches(&current)? {
+            if let Some(f) = &a.filter {
+                if !f.matches(&current, params)? {
                     continue;
                 }
             }
             let mut new_row = current.clone();
             for (ci, e) in &p.sets {
-                new_row[*ci] = e.eval(&current)?;
+                new_row[*ci] = e.eval(&current, params)?;
             }
             {
                 let mut tables = self.db.tables.write();
-                let t = tables.get_mut(&p.table).expect("checked");
+                let t = tables.get_mut(&a.table).expect("checked");
                 let old = t.update(rid, new_row)?;
                 self.undo.push(Undo::Update {
-                    table: p.table.clone(),
+                    table: a.table.clone(),
                     rid,
                     old,
                 });
@@ -1029,25 +1139,25 @@ impl Transaction {
         })
     }
 
-    fn run_delete(&mut self, p: &DeletePlan) -> Result<ResultSet> {
+    fn run_delete(&mut self, a: &Access, params: &[SqlValue]) -> Result<ResultSet> {
         let costs = self.db.profile.costs;
         self.charge(costs.per_statement_us);
-        let matched = self.matched_rows(&p.table, &p.filter, &p.path)?;
+        let matched = self.matched_rows(a, Read::All, params)?;
         let mut affected = 0;
         for (rid, row) in matched {
-            self.lock_write(&p.table, &p.schema.key_of(&row))?;
+            self.lock_write(&a.table, &a.schema.key_of(&row))?;
             let mut tables = self.db.tables.write();
-            let t = tables.get_mut(&p.table).expect("checked");
+            let t = tables.get_mut(&a.table).expect("checked");
             // Re-validate under the lock (see update).
-            let still_matches = match (t.get(rid), &p.filter) {
+            let still_matches = match (t.get(rid), &a.filter) {
                 (None, _) => false,
                 (Some(_), None) => true,
-                (Some(r), Some(f)) => f.matches(r)?,
+                (Some(r), Some(f)) => f.matches(r, params)?,
             };
             if still_matches {
                 if let Some(old) = t.delete(rid) {
                     self.undo.push(Undo::Delete {
-                        table: p.table.clone(),
+                        table: a.table.clone(),
                         rid,
                         row: old,
                     });
@@ -1340,10 +1450,12 @@ mod tests {
         let db = bank();
         let sql = "UPDATE accounts SET balance = balance + 1 WHERE id = 4";
         let read = "SELECT balance FROM accounts WHERE id = 4";
-        // Prime the cache, then compare a cached run against an uncached
-        // run: same results, same virtual cost (the cache must not change
-        // the simulated cost model, only real parse/bind work).
-        db.execute(sql).unwrap();
+        // Prime the cache with the shape (other literals), then compare a
+        // cached run against an uncached run: same results, same virtual
+        // cost (the cache must not change the simulated cost model, only
+        // real parse/bind work).
+        db.execute("UPDATE accounts SET balance = balance + 5 WHERE id = 7")
+            .unwrap();
         let mut cached = db.begin().unwrap();
         cached.execute(sql).unwrap();
         let cost_cached = cached.virtual_cost();
@@ -1354,8 +1466,120 @@ mod tests {
         assert_eq!(uncached.virtual_cost(), cost_cached);
         let r2 = uncached.execute_uncached(read).unwrap();
         uncached.commit().unwrap();
-        assert_eq!(r1.rows[0][0], SqlValue::Int(402));
-        assert_eq!(r2.rows[0][0], SqlValue::Int(403));
+        assert_eq!(r1.rows[0][0], SqlValue::Int(401));
+        assert_eq!(r2.rows[0][0], SqlValue::Int(402));
+    }
+
+    #[test]
+    fn one_plan_serves_every_literal_of_a_shape() {
+        let db = bank();
+        let before = db.plan_cache_stats();
+        for (id, delta) in [(4, 1), (5, 7), (6, -2)] {
+            let sql = if delta < 0 {
+                format!(
+                    "UPDATE accounts SET balance = balance - {} WHERE id = {id}",
+                    -delta
+                )
+            } else {
+                format!("UPDATE accounts SET balance = balance + {delta} WHERE id = {id}")
+            };
+            assert_eq!(db.execute(&sql).unwrap().affected, 1);
+        }
+        for (id, want) in [(4, 401), (5, 507), (6, 598)] {
+            let r = db
+                .execute(&format!("SELECT balance FROM accounts WHERE id = {id}"))
+                .unwrap();
+            assert_eq!(r.rows, vec![vec![SqlValue::Int(want)]]);
+        }
+        // Six lookups over three shapes (`+`, `-`, the select): three hits.
+        let after = db.plan_cache_stats();
+        assert_eq!(after.lookups - before.lookups, 6);
+        assert_eq!(after.hits - before.hits, 3);
+        let plans = db.cached_plans();
+        assert!(plans.contains(&(
+            "UPDATE accounts SET balance = balance + ? WHERE id = ?".into(),
+            Some("pk(=)".into())
+        )));
+        assert!(plans.contains(&("INSERT INTO accounts VALUES (?, ?, ?)".into(), None)));
+    }
+
+    #[test]
+    fn ddl_bypasses_the_cache() {
+        let db = Database::new(EngineProfile::h2());
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, name VARCHAR(16), r DECIMAL(12, 2))")
+            .unwrap();
+        db.execute("CREATE INDEX by_name ON t (name)").unwrap();
+        assert_eq!(db.plan_cache_stats(), PlanCacheStats::default());
+        assert!(db.cached_plans().is_empty());
+        db.execute("INSERT INTO t VALUES (1, 'a', 2.5)").unwrap();
+        db.execute("DROP TABLE t").unwrap();
+        assert_eq!(db.plan_cache_stats().lookups, 1);
+    }
+
+    #[test]
+    fn one_end_reads_keep_the_charge_of_every_match() {
+        let db = Database::new(EngineProfile::h2());
+        db.execute("CREATE TABLE o (w INT, id INT, v INT, PRIMARY KEY (w, id))")
+            .unwrap();
+        for w in 1..=2 {
+            for id in 1..=10 {
+                db.execute(&format!("INSERT INTO o VALUES ({w}, {id}, {})", id * w))
+                    .unwrap();
+            }
+        }
+        let costs = EngineProfile::h2().costs;
+        // w = 1 matches ten of the twenty rows: each read charges the
+        // statement plus ten point reads, however few rows it keeps.
+        let ten = Duration::from_micros(costs.per_statement_us + 10 * costs.point_read_us);
+        for (sql, want, plan) in [
+            (
+                "SELECT MIN(id) FROM o WHERE w = 1",
+                vec![vec![SqlValue::Int(1)]],
+                "pk(=) min",
+            ),
+            (
+                "SELECT MAX(id) FROM o WHERE w = 1",
+                vec![vec![SqlValue::Int(10)]],
+                "pk(=) max",
+            ),
+            (
+                "SELECT id FROM o WHERE w = 1 ORDER BY id DESC LIMIT 2",
+                vec![vec![SqlValue::Int(10)], vec![SqlValue::Int(9)]],
+                "pk(=) last 2",
+            ),
+            (
+                "SELECT id FROM o WHERE w = 1 ORDER BY id LIMIT 1",
+                vec![vec![SqlValue::Int(1)]],
+                "pk(=) first 1",
+            ),
+            // Ordered by a column the range is not: every match is kept.
+            (
+                "SELECT id FROM o WHERE w = 1 ORDER BY v DESC LIMIT 1",
+                vec![vec![SqlValue::Int(10)]],
+                "pk(=)",
+            ),
+        ] {
+            let (rs, cost) = db.execute_read_only(sql).unwrap();
+            assert_eq!(rs.rows, want, "{sql}");
+            assert_eq!(cost, ten, "{sql}");
+            let mut txn = db.begin().unwrap();
+            assert_eq!(txn.execute_uncached(sql).unwrap().rows, want, "{sql}");
+            assert_eq!(txn.virtual_cost(), ten, "{sql}");
+            let (shape, _) = crate::sql::shape(sql).unwrap();
+            let described = db.cached_plans().into_iter().find(|(s, _)| *s == shape);
+            assert_eq!(described, Some((shape, Some(plan.into()))), "{sql}");
+        }
+        // A bounded range charges only what it matches; the walk takes
+        // the bound inclusively and the filter drops the equal row.
+        let (rs, cost) = db
+            .execute_read_only("SELECT id FROM o WHERE w = 2 AND id > 8")
+            .unwrap();
+        assert_eq!(
+            rs.rows,
+            vec![vec![SqlValue::Int(9)], vec![SqlValue::Int(10)]]
+        );
+        let two = costs.per_statement_us + 2 * costs.point_read_us;
+        assert_eq!(cost, Duration::from_micros(two));
     }
 
     #[test]

@@ -6,6 +6,13 @@
 //! conjunctions/disjunctions, `ORDER BY`, `LIMIT`, `FOR UPDATE`, and
 //! aggregates (`COUNT(*)`, `COUNT(DISTINCT c)`, `SUM`, `MIN`, `MAX`,
 //! `AVG`), plus `UPDATE` and `DELETE`.
+//!
+//! [`shape`] splits a statement into its *shape* — the text with every
+//! numeric and string literal replaced by `?` — and the literals, in
+//! order; [`parse_shape`] parses that text into a [`Statement`] whose
+//! literal slots are [`ExprAst::Param`]s. The engine's plan cache is keyed
+//! by the shape, so a stored procedure that formats its arguments into
+//! its SQL parses and plans each statement once.
 
 use crate::expr::{ArithOp, CmpOp, Expr};
 use crate::schema::{Column, DataType, TableSchema};
@@ -19,20 +26,28 @@ use crate::{Result, SqlError};
 #[derive(Clone, Debug, PartialEq)]
 enum Tok {
     Ident(String),
-    Int(i64),
-    Real(f64),
-    Str(String),
+    /// A numeric or string literal.
+    Lit(SqlValue),
     Sym(&'static str),
+    /// The `n`th `?` of a statement shape.
+    Param(usize),
 }
 
-fn lex(input: &str) -> Result<Vec<Tok>> {
+/// Lexes `input`; a `?` is a parameter slot only in a statement shape.
+fn lex(input: &str, params: bool) -> Result<Vec<Tok>> {
     let mut out = Vec::new();
     let b = input.as_bytes();
     let mut i = 0;
+    let mut slots = 0;
     while i < b.len() {
         let c = b[i] as char;
         match c {
             ' ' | '\t' | '\n' | '\r' => i += 1,
+            '?' if params => {
+                out.push(Tok::Param(slots));
+                slots += 1;
+                i += 1;
+            }
             '(' | ')' | ',' | '+' | '-' | '*' | '/' | '.' | ';' => {
                 out.push(Tok::Sym(match c {
                     '(' => "(",
@@ -80,48 +95,10 @@ fn lex(input: &str) -> Result<Vec<Tok>> {
                     return Err(SqlError::Parse("stray '!'".into()));
                 }
             }
-            '\'' => {
-                let mut s = String::new();
-                i += 1;
-                loop {
-                    match b.get(i) {
-                        Some(b'\'') if b.get(i + 1) == Some(&b'\'') => {
-                            s.push('\'');
-                            i += 2;
-                        }
-                        Some(b'\'') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(&ch) => {
-                            s.push(ch as char);
-                            i += 1;
-                        }
-                        None => return Err(SqlError::Parse("unterminated string".into())),
-                    }
-                }
-                out.push(Tok::Str(s));
-            }
-            '0'..='9' => {
-                let start = i;
-                while i < b.len() && (b[i] as char).is_ascii_digit() {
-                    i += 1;
-                }
-                if i < b.len() && b[i] == b'.' && b.get(i + 1).is_some_and(|c| c.is_ascii_digit()) {
-                    i += 1;
-                    while i < b.len() && (b[i] as char).is_ascii_digit() {
-                        i += 1;
-                    }
-                    let r: f64 = input[start..i]
-                        .parse()
-                        .map_err(|_| SqlError::Parse(format!("bad number {}", &input[start..i])))?;
-                    out.push(Tok::Real(r));
-                } else {
-                    let n: i64 = input[start..i]
-                        .parse()
-                        .map_err(|_| SqlError::Parse(format!("bad number {}", &input[start..i])))?;
-                    out.push(Tok::Int(n));
-                }
+            '\'' | '0'..='9' => {
+                let (lit, end) = literal(input, i)?;
+                out.push(Tok::Lit(lit));
+                i = end;
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
                 let start = i;
@@ -136,6 +113,93 @@ fn lex(input: &str) -> Result<Vec<Tok>> {
     Ok(out)
 }
 
+/// Reads the numeric or string literal starting at byte `i` of `input`:
+/// its value and the index just past it.
+fn literal(input: &str, mut i: usize) -> Result<(SqlValue, usize)> {
+    let b = input.as_bytes();
+    if b[i] == b'\'' {
+        let mut s = String::new();
+        i += 1;
+        loop {
+            match b.get(i) {
+                Some(b'\'') if b.get(i + 1) == Some(&b'\'') => {
+                    s.push('\'');
+                    i += 2;
+                }
+                Some(b'\'') => return Ok((SqlValue::Text(s), i + 1)),
+                Some(&ch) => {
+                    s.push(ch as char);
+                    i += 1;
+                }
+                None => return Err(SqlError::Parse("unterminated string".into())),
+            }
+        }
+    }
+    let start = i;
+    let digits = |mut i: usize| {
+        while b.get(i).is_some_and(u8::is_ascii_digit) {
+            i += 1;
+        }
+        i
+    };
+    i = digits(i);
+    let real = b.get(i) == Some(&b'.') && b.get(i + 1).is_some_and(u8::is_ascii_digit);
+    if real {
+        i = digits(i + 1);
+    }
+    let text = &input[start..i];
+    let bad = || SqlError::Parse(format!("bad number {text}"));
+    let v = if real {
+        SqlValue::Real(text.parse().map_err(|_| bad())?)
+    } else {
+        SqlValue::Int(text.parse().map_err(|_| bad())?)
+    };
+    Ok((v, i))
+}
+
+/// Splits `sql` into its shape — the text with each numeric and string
+/// literal replaced by `?` — and those literals in order, in one pass over
+/// the bytes. A `LIMIT` count stays in the text: it is part of the
+/// statement's plan, not a value it reads. Returns `None` for text no
+/// shape can stand for (a malformed literal, or a `?` of its own), which
+/// [`parse`] then rejects with its usual error.
+pub fn shape(sql: &str) -> Option<(String, Vec<SqlValue>)> {
+    let b = sql.as_bytes();
+    let mut text = String::with_capacity(sql.len());
+    let mut params = Vec::new();
+    let (mut i, mut copied) = (0, 0);
+    let mut after_limit = false;
+    while i < b.len() {
+        match b[i] {
+            b'?' => return None,
+            b'\'' | b'0'..=b'9' if !(after_limit && b[i].is_ascii_digit()) => {
+                let (lit, end) = literal(sql, i).ok()?;
+                text.push_str(&sql[copied..i]);
+                text.push('?');
+                params.push(lit);
+                (i, copied) = (end, end);
+                after_limit = false;
+            }
+            c if c.is_ascii_alphanumeric() || c == b'_' => {
+                let start = i;
+                while b
+                    .get(i)
+                    .is_some_and(|c| c.is_ascii_alphanumeric() || *c == b'_')
+                {
+                    i += 1;
+                }
+                after_limit = sql[start..i].eq_ignore_ascii_case("limit");
+            }
+            c => {
+                after_limit &= c.is_ascii_whitespace();
+                i += 1;
+            }
+        }
+    }
+    text.push_str(&sql[copied..]);
+    Some((text, params))
+}
+
 // ---------------------------------------------------------------------------
 // AST
 // ---------------------------------------------------------------------------
@@ -147,6 +211,8 @@ pub enum ExprAst {
     Col(String),
     /// Literal value.
     Lit(SqlValue),
+    /// The `n`th literal of a statement shape, bound at execution.
+    Param(usize),
     /// Arithmetic.
     Arith(ArithOp, Box<ExprAst>, Box<ExprAst>),
     /// Comparison.
@@ -165,6 +231,7 @@ impl ExprAst {
         Ok(match self {
             ExprAst::Col(name) => Expr::Col(schema.col(name)?),
             ExprAst::Lit(v) => Expr::Lit(v.clone()),
+            ExprAst::Param(n) => Expr::Param(*n),
             ExprAst::Arith(op, a, b) => {
                 Expr::Arith(*op, Box::new(a.bind(schema)?), Box::new(b.bind(schema)?))
             }
@@ -177,8 +244,9 @@ impl ExprAst {
         })
     }
 
-    /// Evaluates a schema-free expression (literals and arithmetic only).
-    pub fn eval_const(&self) -> Result<SqlValue> {
+    /// Evaluates a schema-free expression (literals, parameters and
+    /// arithmetic only).
+    pub fn eval_const(&self, params: &[SqlValue]) -> Result<SqlValue> {
         self.bind(&TableSchema::new(
             "const",
             vec![Column {
@@ -187,7 +255,7 @@ impl ExprAst {
             }],
             vec![0],
         )?)
-        .and_then(|e| e.eval(&[]))
+        .and_then(|e| e.eval(&[], params))
     }
 }
 
@@ -290,7 +358,20 @@ pub enum Statement {
 ///
 /// Returns [`SqlError::Parse`] on any lexical or grammatical problem.
 pub fn parse(input: &str) -> Result<Statement> {
-    let toks = lex(input)?;
+    parse_tokens(lex(input, false)?)
+}
+
+/// Parses a statement shape made by [`shape`]: its `?`s become
+/// [`ExprAst::Param`]s, numbered in order.
+///
+/// # Errors
+///
+/// As [`parse`].
+pub fn parse_shape(shape: &str) -> Result<Statement> {
+    parse_tokens(lex(shape, true)?)
+}
+
+fn parse_tokens(toks: Vec<Tok>) -> Result<Statement> {
     let mut p = Parser { toks, pos: 0 };
     let stmt = p.statement()?;
     p.eat_sym(";").ok();
@@ -461,7 +542,7 @@ impl Parser {
         if self.try_sym("(") {
             loop {
                 match self.next()? {
-                    Tok::Int(_) => {}
+                    Tok::Lit(SqlValue::Int(_)) => {}
                     other => return Err(SqlError::Parse(format!("bad type argument {other:?}"))),
                 }
                 if !self.try_sym(",") {
@@ -517,7 +598,7 @@ impl Parser {
         };
         let limit = if self.try_kw("limit") {
             match self.next()? {
-                Tok::Int(n) if n >= 0 => Some(n as usize),
+                Tok::Lit(SqlValue::Int(n)) if n >= 0 => Some(n as usize),
                 other => return Err(SqlError::Parse(format!("bad LIMIT {other:?}"))),
             }
         } else {
@@ -693,9 +774,8 @@ impl Parser {
 
     fn primary(&mut self) -> Result<ExprAst> {
         match self.next()? {
-            Tok::Int(n) => Ok(ExprAst::Lit(SqlValue::Int(n))),
-            Tok::Real(r) => Ok(ExprAst::Lit(SqlValue::Real(r))),
-            Tok::Str(s) => Ok(ExprAst::Lit(SqlValue::Text(s))),
+            Tok::Lit(v) => Ok(ExprAst::Lit(v)),
+            Tok::Param(n) => Ok(ExprAst::Param(n)),
             Tok::Ident(w) if w == "null" => Ok(ExprAst::Lit(SqlValue::Null)),
             Tok::Ident(w) => Ok(ExprAst::Col(w)),
             Tok::Sym("(") => {
@@ -753,7 +833,7 @@ mod tests {
                 assert_eq!(table, "t");
                 assert_eq!(rows.len(), 2);
                 assert_eq!(rows[0][1], ExprAst::Lit(SqlValue::Text("a'b".into())));
-                assert_eq!(rows[1][2].eval_const().unwrap(), SqlValue::Int(-3));
+                assert_eq!(rows[1][2].eval_const(&[]).unwrap(), SqlValue::Int(-3));
             }
             other => panic!("{other:?}"),
         }
@@ -859,6 +939,74 @@ mod tests {
             parse("SELECT a FROM t extra junk"),
             Err(SqlError::Parse(_))
         ));
+    }
+
+    #[test]
+    fn shape_replaces_literals_in_order() {
+        let (text, params) = shape(
+            "SELECT o_id FROM orders WHERE o_w_id = 1 AND o_d_id=10 AND c_last = 'O''Neil' \
+             AND x > -2.5 ORDER BY o_id DESC LIMIT 3",
+        )
+        .unwrap();
+        assert_eq!(
+            text,
+            "SELECT o_id FROM orders WHERE o_w_id = ? AND o_d_id=? AND c_last = ? \
+             AND x > -? ORDER BY o_id DESC LIMIT 3"
+        );
+        assert_eq!(
+            params,
+            vec![
+                SqlValue::Int(1),
+                SqlValue::Int(10),
+                SqlValue::Text("O'Neil".into()),
+                SqlValue::Real(2.5),
+            ]
+        );
+        // Two texts differing only in literals share a shape; NULL is part
+        // of it, as is the LIMIT count.
+        let a = shape("INSERT INTO t VALUES (1, 'a', NULL)").unwrap();
+        let b = shape("INSERT INTO t VALUES (22, 'bb', NULL)").unwrap();
+        assert_eq!(a.0, b.0);
+        assert_ne!(a.1, b.1);
+        assert_ne!(
+            shape("SELECT a FROM t LIMIT 1"),
+            shape("SELECT a FROM t LIMIT 2")
+        );
+    }
+
+    #[test]
+    fn shape_parses_into_parameter_slots() {
+        let (text, params) = shape("UPDATE t SET v = v + 7 WHERE id = 3").unwrap();
+        let Statement::Update { sets, filter, .. } = parse_shape(&text).unwrap() else {
+            panic!()
+        };
+        assert_eq!(
+            sets[0].1,
+            ExprAst::Arith(
+                ArithOp::Add,
+                Box::new(ExprAst::Col("v".into())),
+                Box::new(ExprAst::Param(0))
+            )
+        );
+        let Some(ExprAst::Cmp(CmpOp::Eq, _, rhs)) = filter else {
+            panic!()
+        };
+        assert_eq!(*rhs, ExprAst::Param(1));
+        assert_eq!(rhs.eval_const(&params).unwrap(), SqlValue::Int(3));
+    }
+
+    #[test]
+    fn text_a_shape_cannot_stand_for_is_left_to_parse() {
+        // A `?` of its own, or a malformed literal: no shape, and `parse`
+        // reports the error as it always has.
+        for bad in [
+            "SELECT a FROM t WHERE a = ?",
+            "SELECT a FROM t WHERE a = 'open",
+            "SELECT a FROM t WHERE a = 99999999999999999999",
+        ] {
+            assert_eq!(shape(bad), None, "{bad}");
+            assert!(matches!(parse(bad), Err(SqlError::Parse(_))), "{bad}");
+        }
     }
 
     #[test]

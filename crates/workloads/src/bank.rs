@@ -113,9 +113,10 @@ pub fn deposit_in(
     })
 }
 
-/// Negative amounts (transfer debits) render as subtraction so the
-/// statement stays within the parser's literal grammar.
-fn deposit_sql(account: i64, amount: i64) -> String {
+/// The deposit statement the procedures send. Negative amounts (transfer
+/// debits) render as subtraction so the statement stays within the
+/// parser's literal grammar.
+pub fn deposit_sql(account: i64, amount: i64) -> String {
     if amount < 0 {
         let abs = amount.unsigned_abs();
         format!("UPDATE accounts SET balance = balance - {abs} WHERE id = {account}")
