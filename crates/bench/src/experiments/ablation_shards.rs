@@ -16,15 +16,14 @@
 
 use crate::measure::{steady_state, Point};
 use crate::{mix, output, scaled};
-use parking_lot::Mutex;
 use shadowdb::deploy::{DeployOptions, ShardedDeployment};
 use shadowdb::pbr::PbrOptions;
-use shadowdb::shard::check_two_pc_atomicity;
+use shadowdb::probe::{check_two_pc_atomicity, Event, Probe};
+use shadowdb::shard::TwoPcEvent;
 use shadowdb_loe::VTime;
 use shadowdb_simnet::testing::default_net;
 use shadowdb_workloads::{bank, TxnRequest};
 use std::io::{self, Write};
-use std::sync::Arc;
 use std::time::Duration;
 
 const ROWS: usize = 256;
@@ -75,7 +74,7 @@ pub fn run(
     txns_each: usize,
 ) -> (Point, usize) {
     let mut sim = default_net(seed);
-    let probe = Arc::new(Mutex::new(Vec::new()));
+    let probe = Probe::default();
     let mut options = DeployOptions::sharded(
         shards,
         n_clients,
@@ -91,18 +90,18 @@ pub fn run(
         n_clients * txns_each,
         "shards {shards} clients {n_clients} cross {cross_pct}%: every txn must commit"
     );
-    let events = probe.lock();
+    let events = probe.events();
     check_two_pc_atomicity(&events).expect("cross-shard commits are atomic");
     // Distinct transactions that committed through 2PC (the probe logs
     // one `Decided` per replica per participant shard).
     let cross = events
         .iter()
         .filter_map(|e| match e {
-            shadowdb::shard::TwoPcEvent::Decided {
+            Event::TwoPc(TwoPcEvent::Decided {
                 txnid,
                 commit: true,
                 ..
-            } => Some(*txnid),
+            }) => Some(*txnid),
             _ => None,
         })
         .collect::<std::collections::BTreeSet<_>>()

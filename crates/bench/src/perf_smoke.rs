@@ -437,23 +437,22 @@ fn wal_group_commit_txns_per_sec() -> f64 {
 /// deployment with durability runs a bank workload, the backup is
 /// power-cycled mid-run, and the leg measures from the reboot to the
 /// completed rejoin — WAL replay plus the network suffix catch-up. The
-/// probe also proves the rejoin went through the catch-up path, never a
-/// full state transfer; `main` asserts the durability tentpole's payoff
-/// by comparing against `reconfig_catchup_ms`, which replaces a replica
-/// *without* a disk and must stream the whole state.
+/// deployment's probe also proves the rejoin went through the catch-up
+/// path, never a full state transfer; `main` asserts the durability
+/// tentpole's payoff by comparing against `reconfig_catchup_ms`, which
+/// replaces a replica *without* a disk and must stream the whole state.
 fn restart_from_disk_ms() -> f64 {
-    use shadowdb::pbr::{TransferKind, TransferProbe};
-    use std::sync::Arc;
+    use shadowdb::probe::{check_catchup_only, Event, Probe, TransferKind};
 
     const SNAPSHOT_EVERY: i64 = 64;
     let mut sim = default_net(642);
-    let transfers: TransferProbe = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let probe = Probe::default();
     let (mut options, pbr) = small_bank(23, Duration::from_millis(400));
     options.durability = Some(DurabilityOptions {
         snapshot_every: SNAPSHOT_EVERY,
-        transfer_probe: Some(transfers.clone()),
         ..DurabilityOptions::default()
     });
+    options.probe = Some(probe.clone());
     let d = PbrDeployment::build(&mut sim, &options, pbr);
     // Let the backup's WAL accumulate real state before the power cycle.
     while answered(&d.stats) < 100 {
@@ -464,18 +463,18 @@ fn restart_from_disk_ms() -> f64 {
     let reboot = crash + Duration::from_millis(40);
     sim.crash_at(crash, victim);
     d.reboot(&mut sim, victim, reboot, 13);
-    let served = |kind| transfers.lock().contains(&(victim, kind));
-    while !served(TransferKind::Catchup) {
+    let caught_up = Event::Transfer {
+        to: victim,
+        kind: TransferKind::Catchup,
+    };
+    while !probe.events().contains(&caught_up) {
         sim.run_for(Duration::from_millis(1));
         assert!(
             sim.now() < reboot + Duration::from_secs(60),
             "restart from disk never rejoined"
         );
     }
-    assert!(
-        !served(TransferKind::Snapshot),
-        "restart from disk fell back to a full state transfer"
-    );
+    check_catchup_only(&probe.events(), victim).expect("restart from disk rejoins by catch-up");
     (sim.now().as_micros() - reboot.as_micros()) as f64 / 1_000.0
 }
 

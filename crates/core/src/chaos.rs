@@ -18,14 +18,23 @@
 //!   deduplicated by cseq) inflates a balance that a post-heal read
 //!   exposes, so this assertion doubles as the no-duplicate-execution
 //!   check;
-//! * **PBR only: at most one primary per configuration** — via the
-//!   [`PrimaryProbe`], no two replicas ever execute client transactions
-//!   as primary of the same configuration sequence number.
+//! * **The probe invariants.** Every soak installs one [`Probe`] in its
+//!   deployment — every replica, joiners and reboots included, records
+//!   into it — and checks every invariant of [`crate::probe`] over it:
+//!   at most one primary per configuration sequence number (per group
+//!   when sharded), pairwise-disjoint lease intervals, 2PC atomicity and,
+//!   after a power loss, a rejoin by catch-up only. A check holds
+//!   vacuously where the log has no evidence for it (SMR records no
+//!   primaries), so the legs that exist to exercise one also require
+//!   evidence: the lease-read legs must serve fast reads, the sharded legs
+//!   must run cross-shard commits. A failed check prints the log's last
+//!   [`crate::probe::TAIL`] events.
 //!
 //! Crashes are applied as scheduled, and a plan's durable restarts
-//! (`RestartDurable`, the power-loss profile) go through the deployment's
-//! own reboot call, which brings the replica back from its disk and kicks
-//! it into rejoining. Only the amnesiac `Restart` is skipped: a replica
+//! (`RestartDurable`, the power-loss profile, which also gives the
+//! deployment its disks) go through the deployment's own reboot call,
+//! which brings the replica back from its disk and kicks it into
+//! rejoining. Only the amnesiac `Restart` is skipped: a replica
 //! restarted with neither state nor disk would rejoin in the initial
 //! configuration with an empty database, which the protocols support only
 //! through the reconfiguration path (a spare, a joiner), not amnesiac
@@ -35,16 +44,18 @@ use crate::client::{DbClient, DbClientStats};
 use crate::deploy::{
     DeployOptions, DurabilityOptions, PbrDeployment, ShardGroup, ShardedDeployment, SmrDeployment,
 };
-use crate::pbr::{LeaseProbe, PbrOptions, PrimaryProbe, TransferKind, TransferProbe};
+use crate::pbr::PbrOptions;
+use crate::probe::{
+    check_catchup_only, check_lease_intervals_disjoint, check_one_primary_per_seq,
+    check_two_pc_atomicity, timeline, Event, Probe, ProbeViolation, TransferKind,
+};
 use crate::serializability::check_bank_history_concurrent;
-use crate::shard::{check_two_pc_atomicity, TwoPcProbe};
 use crate::smr::SmrLeaseOptions;
 use parking_lot::Mutex;
 use shadowdb_loe::{Loc, VTime};
 use shadowdb_runtime::fault::mix64;
 use shadowdb_runtime::{FaultTopology, Nemesis, NemesisProfile, NodeFaultKind, Runtime};
-use shadowdb_workloads::{bank, KvGen, KvOptions, ShardMap, TxnRequest};
-use std::collections::HashMap;
+use shadowdb_workloads::{bank, KvGen, KvOptions, TxnRequest};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -118,25 +129,9 @@ pub struct ChaosReport {
     pub dropped: u64,
     /// Runtime fault-plane counters: messages/frames duplicated.
     pub duplicated: u64,
-    /// PBR: the probe's `(config seq, primary)` log (empty for SMR).
+    /// PBR: the probe's `(config seq, primary)` rows, in recording order
+    /// (empty for SMR).
     pub primaries: Vec<(i64, Loc)>,
-}
-
-/// Assembles the report of a soak whose assertions have all passed.
-fn report<R: Runtime + ?Sized>(
-    rt: &R,
-    stats: &[Arc<Mutex<DbClientStats>>],
-    committed: usize,
-    primaries: Vec<(i64, Loc)>,
-) -> ChaosReport {
-    let (dropped, duplicated) = rt.fault_stats();
-    ChaosReport {
-        committed,
-        resends: stats.iter().map(|s| s.lock().resends).sum(),
-        dropped,
-        duplicated,
-        primaries,
-    }
 }
 
 /// The per-client transaction script: deposits with a read every third
@@ -216,16 +211,6 @@ fn deploy_options(
     // nemesis installation.
     dopts.start_clients = false;
     (scripts, dopts)
-}
-
-/// The soak's failure-detection timing, observed by the primary probe.
-fn pbr_options(opts: &ChaosOptions, probe: &PrimaryProbe) -> PbrOptions {
-    PbrOptions {
-        heartbeat_every: opts.heartbeat_every,
-        detect_after: opts.detect_after,
-        probe: Some(probe.clone()),
-        ..PbrOptions::default()
-    }
 }
 
 /// Installs the expanded plan (anchored at `epoch`, the workload start),
@@ -346,35 +331,15 @@ fn assert_history(
 /// Soaks a primary-backup deployment under the nemesis and asserts the
 /// safety properties listed in the module docs. The victim is the
 /// primary.
+///
+/// Under [`NemesisProfile::PowerLoss`] the deployment is durable and the
+/// victim is the *backup*, repeatedly killed and rebooted from its disk
+/// (WAL + snapshot, with a possibly torn unsynced tail) below the
+/// failure-detection window, so membership never changes; the probe must
+/// show it rejoined through the catch-up path only — recovery from disk
+/// plus a short network suffix, never a full state transfer.
 pub fn soak_pbr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -> ChaosReport {
     soak(rt, opts, "pbr", true, None, Stress::Faults)
-}
-
-/// Election safety, observed end to end: no configuration sequence
-/// number ever had two distinct replicas executing as its primary.
-/// Config sequence numbers are group-local, so in a sharded deployment
-/// uniqueness is asserted per `(group, seq)`; `groups` is empty for an
-/// unsharded one (every probe entry, joiners included, is one group's).
-/// Returns the probe's `(config seq, primary)` log for the report.
-fn assert_one_primary_per_seq(
-    opts: &ChaosOptions,
-    probe: &PrimaryProbe,
-    groups: &[ShardGroup],
-) -> Vec<(i64, Loc)> {
-    let primaries = probe.lock().clone();
-    let group_of = |loc: Loc| groups.iter().position(|g| g.replicas.contains(&loc));
-    let mut by_seq: HashMap<(Option<usize>, i64), Loc> = HashMap::new();
-    for (seq, loc) in &primaries {
-        if let Some(prev) = by_seq.insert((group_of(*loc), *seq), *loc) {
-            assert_eq!(
-                prev, *loc,
-                "two primaries executed in one group's config {seq}: {prev:?} and {loc:?} \
-                 (seed {}, {:?})",
-                opts.seed, opts.profile
-            );
-        }
-    }
-    primaries
 }
 
 /// The nodes of each shard for the nemesis topology: everything the
@@ -386,28 +351,6 @@ fn shard_groups(groups: &[ShardGroup]) -> Vec<Vec<Loc>> {
     groups.iter().map(|g| g.route().locs().collect()).collect()
 }
 
-/// Asserts the cross-shard invariants on the 2PC probe: the event log is
-/// internally consistent (no conflicting votes/decisions/applies) and no
-/// transaction committed on one shard while aborting — or never landing —
-/// on another.
-fn assert_two_pc(opts: &ChaosOptions, kind: &str, probe: &TwoPcProbe, map: ShardMap) {
-    let events = probe.lock();
-    if map.shards() > 1 {
-        assert!(
-            !events.is_empty(),
-            "{kind} soak never exercised cross-shard commit (seed {}, {:?})",
-            opts.seed,
-            opts.profile
-        );
-    }
-    if let Err(e) = check_two_pc_atomicity(&events) {
-        panic!(
-            "{kind} soak violated cross-shard atomicity (seed {}, {:?}): {e}",
-            opts.seed, opts.profile
-        );
-    }
-}
-
 /// Soaks a sharded primary-backup deployment — `shards` independent PBR
 /// groups plus the deterministic 2PC-over-TOB cross-shard path — under
 /// the nemesis. The victim handed to the nemesis is **shard 0's
@@ -416,6 +359,11 @@ fn assert_two_pc(opts: &ChaosOptions, kind: &str, probe: &TwoPcProbe, map: Shard
 /// lives. On top of the unsharded assertions, the run must keep the 2PC
 /// probe's event log atomic: no transaction half-committed across
 /// groups.
+///
+/// Under [`NemesisProfile::PowerLoss`] the victim is shard 0's backup — a
+/// 2PC participant power-cycled mid-protocol; the deployment reboots it
+/// from its disk *with its shard role*, so the replayed WAL rebuilds the
+/// 2PC engine and emission counters it crashed with.
 pub fn soak_sharded_pbr<R: Runtime + ?Sized>(
     rt: &mut R,
     opts: &ChaosOptions,
@@ -427,7 +375,8 @@ pub fn soak_sharded_pbr<R: Runtime + ?Sized>(
 /// Soaks a sharded state-machine-replication deployment. The victim is a
 /// replica of shard 0 (the coordinator group); under SMR any single
 /// replica is expendable, so the interesting profiles are the
-/// group-to-group partitions.
+/// group-to-group partitions. Under [`NemesisProfile::PowerLoss`] it is
+/// rebooted from its disk with its shard role (see [`soak_sharded_pbr`]).
 pub fn soak_sharded_smr<R: Runtime + ?Sized>(
     rt: &mut R,
     opts: &ChaosOptions,
@@ -507,134 +456,34 @@ pub fn soak_sharded_reconfig_smr<R: Runtime + ?Sized>(
     )
 }
 
-/// The durability plane's central claim, asserted on the donor-side
-/// transfer probe: every time the rebooted victim rejoined, it was served
-/// the *suffix it missed* (catch-up / delta), never a full state
-/// transfer. The runtime is first driven past the end of the workload
-/// until a catch-up shows (bounded by the soak's deadline, which only
-/// turns a rejoin that never happens into a failure instead of a hang):
-/// the clients can finish before the last reboot's handshake completes —
-/// the refetch runs off the heartbeat timer, and on the real-time runtimes
-/// a loaded machine can slide the whole power cycle past the last
-/// answered transaction.
-fn assert_rejoined_without_snapshot<R: Runtime + ?Sized>(
-    rt: &mut R,
-    opts: &ChaosOptions,
-    kind: &str,
-    transfers: &TransferProbe,
-    victim: Loc,
-) {
-    let served = |as_a: TransferKind| {
-        let log = transfers.lock();
-        log.iter().filter(|t| **t == (victim, as_a)).count()
+/// Drives the runtime past the end of the workload until the probe shows
+/// a catch-up served to the rebooted `victim` (bounded by the soak's
+/// deadline, which only turns a rejoin that never happens into a failed
+/// check instead of a hang): the clients can finish before the last
+/// reboot's handshake completes — the refetch runs off the heartbeat
+/// timer, and on the real-time runtimes a loaded machine can slide the
+/// whole power cycle past the last answered transaction.
+fn await_catchup<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions, probe: &Probe, victim: Loc) {
+    let caught_up = Event::Transfer {
+        to: victim,
+        kind: TransferKind::Catchup,
     };
     let deadline = rt.now() + opts.deadline;
-    while served(TransferKind::Catchup) == 0 && rt.now() < deadline {
+    while !probe.events().contains(&caught_up) && rt.now() < deadline {
         rt.run_for(Duration::from_millis(20));
     }
-    assert!(
-        served(TransferKind::Catchup) >= 1,
-        "{kind} soak: rebooted replica never completed a suffix catch-up \
-         (seed {}, {:?})",
-        opts.seed,
-        opts.profile
-    );
-    assert_eq!(
-        served(TransferKind::Snapshot),
-        0,
-        "{kind} soak: restart-from-disk fell back to a full state transfer \
-         (seed {}, {:?})",
-        opts.seed,
-        opts.profile
-    );
-}
-
-/// The durable-storage settings of every power-loss soak: snapshots
-/// often enough to land inside the run, and the probe the rejoin
-/// assertions read.
-fn power_loss_durability(transfers: &TransferProbe) -> DurabilityOptions {
-    DurabilityOptions {
-        snapshot_every: 64,
-        transfer_probe: Some(transfers.clone()),
-        ..DurabilityOptions::default()
-    }
-}
-
-/// Soaks a durability-enabled primary-backup deployment under
-/// [`NemesisProfile::PowerLoss`]: the backup is repeatedly killed and
-/// rebooted *from its disk* (WAL + snapshot, with a possibly torn
-/// unsynced tail), below the failure-detection window so membership
-/// never changes. On top of the [`soak_pbr`] assertions, the transfer
-/// probe must show the rebooted backup rejoined through the catch-up
-/// path only — recovery from disk plus a short network suffix, never a
-/// full state transfer.
-pub fn soak_durability_pbr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -> ChaosReport {
-    soak(rt, opts, "durability-pbr", true, None, Stress::PowerLoss)
-}
-
-/// Sharding × durability: [`soak_durability_pbr`] over `shards` PBR
-/// groups with cross-shard transfers in flight. The victim is shard 0's
-/// backup — a 2PC participant (and, shard 0 being the smallest,
-/// coordinator-group member) power-cycled mid-protocol; the deployment
-/// reboots it from its disk *with its shard role*, so the replayed WAL
-/// rebuilds the 2PC engine and emission counters it crashed with. Adds
-/// the 2PC atomicity assertion of [`soak_sharded_pbr`].
-pub fn soak_sharded_pbr_power_loss<R: Runtime + ?Sized>(
-    rt: &mut R,
-    opts: &ChaosOptions,
-    shards: usize,
-) -> ChaosReport {
-    soak(
-        rt,
-        opts,
-        "sharded-pbr-power-loss",
-        true,
-        Some(shards),
-        Stress::PowerLoss,
-    )
-}
-
-/// Soaks a durability-enabled state-machine-replication deployment under
-/// [`NemesisProfile::PowerLoss`]: one replica is repeatedly power-cycled
-/// and recovers from its WAL + snapshot, then fetches the delivery
-/// suffix it missed from a peer's recent-delivery cache. The transfer
-/// probe must show every rejoin was served as a delta, never a snapshot.
-pub fn soak_durability_smr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -> ChaosReport {
-    soak(rt, opts, "durability-smr", false, None, Stress::PowerLoss)
-}
-
-/// Sharding × durability under SMR: [`soak_durability_smr`] over
-/// `shards` groups with cross-shard transfers in flight; the victim is
-/// shard 0's last replica, rebooted with its shard role (see
-/// [`soak_sharded_pbr_power_loss`]).
-pub fn soak_sharded_smr_power_loss<R: Runtime + ?Sized>(
-    rt: &mut R,
-    opts: &ChaosOptions,
-    shards: usize,
-) -> ChaosReport {
-    soak(
-        rt,
-        opts,
-        "sharded-smr-power-loss",
-        false,
-        Some(shards),
-        Stress::PowerLoss,
-    )
 }
 
 /// What a soak does to the deployment besides running the nemesis.
 #[derive(Clone, Copy, PartialEq)]
 enum Stress {
-    /// Nothing: the nemesis' link faults and crashes only. Its victim is
-    /// the PBR primary, or the last SMR replica (any single one is
-    /// expendable: clients take the first answer from a survivor).
+    /// Nothing: the nemesis' link faults, crashes and power cycles only.
+    /// Its victim is the PBR primary — or, under power loss, the *backup*:
+    /// outages are shorter than failure detection, so the primary keeps
+    /// serving and the rebooted backup must re-enter the same
+    /// configuration from its disk — or the last SMR replica (any single
+    /// one is expendable: clients take the first answer from a survivor).
     Faults,
-    /// The deployment has disks, and the victim's power cycles go through
-    /// the deployment's own reboot call. Under PBR that victim is the
-    /// *backup*: outages are shorter than failure detection, so the
-    /// primary keeps serving and the rebooted backup must re-enter the
-    /// same configuration from its disk.
-    PowerLoss,
     /// Shortly after the workload starts a replica is replaced online —
     /// the last one, or in a sharded PBR deployment shard 0's primary, so
     /// that the group other shards address changes its leader; the
@@ -642,10 +491,19 @@ enum Stress {
     /// incumbent primary, or the first in an SMR joiner's snapshot-fetch
     /// rotation).
     Replace,
+    /// The clients run a 95%-read mix instead of the bank scripts, with
+    /// the lease read fast path on: leases of four heartbeats, renewed
+    /// every heartbeat under SMR. The victim is the lease holder — the PBR
+    /// primary, SMR's rank-0 claimant — so the partition profiles cut
+    /// exactly the node whose lease must run out before a successor
+    /// serves, while clients keep sending it reads.
+    LeaseReads,
 }
 
 /// The one soak body, for every deployment shape: either ordering policy,
-/// sharded or not, under each [`Stress`].
+/// sharded or not, under each [`Stress`]. The deployment gets disks
+/// exactly when the profile is [`NemesisProfile::PowerLoss`], whose plan
+/// reboots its victim from them.
 fn soak<R: Runtime + ?Sized>(
     rt: &mut R,
     opts: &ChaosOptions,
@@ -654,15 +512,37 @@ fn soak<R: Runtime + ?Sized>(
     shards: Option<usize>,
     stress: Stress,
 ) -> ChaosReport {
-    let probe: PrimaryProbe = Arc::new(Mutex::new(Vec::new()));
-    let twopc: TwoPcProbe = Arc::new(Mutex::new(Vec::new()));
-    let transfers: TransferProbe = Arc::new(Mutex::new(Vec::new()));
-    let durable = stress == Stress::PowerLoss;
-    let script = shards.map_or(mixed_txns as fn(_, _, _) -> _, |_| sharded_mixed_txns);
+    let probe = Probe::default();
+    let durable = opts.profile == NemesisProfile::PowerLoss;
+    let leases = stress == Stress::LeaseReads;
+    let script = match (leases, shards) {
+        (true, _) => read_mostly_txns as fn(_, _, _) -> _,
+        (false, Some(_)) => sharded_mixed_txns,
+        (false, None) => mixed_txns,
+    };
     let (scripts, mut dopts) = deploy_options(opts, shards, script);
-    dopts.probe = shards.map(|_| twopc.clone());
-    dopts.durability = durable.then(|| power_loss_durability(&transfers));
-    let pbr = primary_backup.then(|| pbr_options(opts, &probe));
+    dopts.probe = Some(probe.clone());
+    // Snapshots often enough to land inside the run.
+    dopts.durability = durable.then(|| DurabilityOptions {
+        snapshot_every: 64,
+        ..DurabilityOptions::default()
+    });
+    // Leases of four heartbeats: below failure detection, so a deposed
+    // holder has stopped serving by the time a successor can finish
+    // recovery.
+    let lease_duration = opts.heartbeat_every * 4;
+    dopts.smr_leases = (leases && !primary_backup).then(|| SmrLeaseOptions {
+        lease_duration,
+        renew_every: opts.heartbeat_every,
+        ..SmrLeaseOptions::default()
+    });
+    let pbr = primary_backup.then(|| PbrOptions {
+        heartbeat_every: opts.heartbeat_every,
+        detect_after: opts.detect_after,
+        read_leases: leases,
+        lease_duration,
+        ..PbrOptions::default()
+    });
     // An unsharded deployment is its one group.
     let d: ShardedDeployment = match (pbr, shards) {
         (Some(pbr), Some(_)) => ShardedDeployment::build_pbr(rt, &dopts, pbr),
@@ -674,8 +554,9 @@ fn soak<R: Runtime + ?Sized>(
     // are where crash and partition profiles hit the protocol hardest.
     let replicas = &d.groups[0].replicas;
     let victim = match (primary_backup, stress) {
+        (_, Stress::LeaseReads) => replicas[0],
+        (true, Stress::Faults) if durable => replicas[1],
         (true, Stress::Faults) => replicas[0],
-        (true, Stress::PowerLoss) => replicas[1],
         (true, Stress::Replace) if shards.is_some() => replicas[0],
         _ => replicas[replicas.len() - 1],
     };
@@ -726,85 +607,79 @@ fn soak<R: Runtime + ?Sized>(
     }
     let answered = drive(rt, opts, &d.stats);
     if durable {
-        assert_rejoined_without_snapshot(rt, opts, kind, &transfers, victim);
+        await_catchup(rt, opts, &probe, victim);
     }
     let committed = assert_history(opts, kind, answered, &scripts, &d.stats);
-    // Joiners belong to no deploy-time group: an unsharded deployment's
-    // probe entries are all one group's.
-    let probed = shards.map_or(&[][..], |_| &d.groups[..]);
-    let primaries = assert_one_primary_per_seq(opts, &probe, probed);
-    assert_two_pc(opts, kind, &twopc, d.map);
-    report(rt, &d.stats, committed, primaries)
-}
 
-/// The single-holder guarantee, asserted on the lease probe: no two
-/// nodes ever served fast-path reads under overlapping lease intervals.
-/// Intervals are compared across *all* configurations — a successor must
-/// wait out its predecessor's lease, so even cross-config overlap is a
-/// violation — and the probe must be non-empty (the nemesis must not
-/// have silently pushed every read onto the ordered path).
-fn assert_lease_intervals_disjoint(opts: &ChaosOptions, kind: &str, probe: &LeaseProbe) {
-    let rows = probe.lock();
-    assert!(
-        !rows.is_empty(),
-        "{kind} soak never served a fast-path read (seed {}, {:?})",
-        opts.seed,
-        opts.profile
-    );
-    for a in rows.iter() {
-        for b in rows.iter() {
-            if a.1 != b.1 {
-                assert!(
-                    !(a.2 < b.3 && b.2 < a.3),
-                    "{kind} soak: two holders served fast reads under overlapping \
-                     lease intervals: {a:?} vs {b:?} (seed {}, {:?})",
-                    opts.seed,
-                    opts.profile
-                );
-            }
-        }
+    let events = probe.events();
+    let fail =
+        |v: ProbeViolation| panic!("{kind} soak (seed {}, {:?}): {v}", opts.seed, opts.profile);
+    // Joiners belong to no deploy-time group: an unsharded deployment's
+    // primaries are all one group's.
+    let primary_groups: Vec<Vec<Loc>> = match shards {
+        Some(_) => d.groups.iter().map(|g| g.replicas.clone()).collect(),
+        None => Vec::new(),
+    };
+    check_one_primary_per_seq(&events, &primary_groups).unwrap_or_else(fail);
+    check_lease_intervals_disjoint(&events).unwrap_or_else(fail);
+    check_two_pc_atomicity(&events).unwrap_or_else(fail);
+    if durable {
+        check_catchup_only(&events, victim).unwrap_or_else(fail);
+    }
+    // The legs that exist to exercise a check must hand it evidence: the
+    // nemesis must not have silently pushed every read onto the ordered
+    // path, nor every transfer onto one shard.
+    let never = |what: &str, seen: fn(&Event) -> bool| {
+        assert!(
+            events.iter().any(seen),
+            "{kind} soak never {what} (seed {}, {:?})\n{}",
+            opts.seed,
+            opts.profile,
+            timeline(&events)
+        );
+    };
+    if leases {
+        never("served a fast-path read", |e| {
+            matches!(e, Event::LeaseRead { .. })
+        });
+    }
+    if d.map.shards() > 1 {
+        never("exercised cross-shard commit", |e| {
+            matches!(e, Event::TwoPc(_))
+        });
+    }
+    let primaries = events.iter().filter_map(|e| match *e {
+        Event::Primary { seq, loc } => Some((seq, loc)),
+        _ => None,
+    });
+    let (dropped, duplicated) = rt.fault_stats();
+    ChaosReport {
+        committed,
+        resends: d.stats.iter().map(|s| s.lock().resends).sum(),
+        dropped,
+        duplicated,
+        primaries: primaries.collect(),
     }
 }
 
 /// Soaks a primary-backup deployment with the lease-read fast path
-/// enabled under a 95%-read mix. The victim handed to the nemesis is the
-/// initial primary — the lease holder — so [`NemesisProfile::
-/// StalePrimaryReads`] cuts exactly the node whose stale lease must
-/// self-expire before the promoted successor starts answering. Leases
-/// are sized *below* the failure-detection window: by the time a
-/// successor can possibly finish recovery, the deposed holder has
-/// already stopped serving. On top of the [`soak_pbr`] assertions, the
-/// lease probe must show fast reads were served and that no two holders'
-/// intervals ever overlapped.
+/// enabled under a 95%-read mix: under [`NemesisProfile::
+/// StalePrimaryReads`] the initial primary — the lease holder — is cut
+/// off, and its stale lease must self-expire before the promoted
+/// successor starts answering. On top of the [`soak_pbr`] assertions,
+/// fast reads must have been served under pairwise-disjoint lease
+/// intervals.
 pub fn soak_reads_pbr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -> ChaosReport {
-    let probe: PrimaryProbe = Arc::new(Mutex::new(Vec::new()));
-    let leases: LeaseProbe = Arc::new(Mutex::new(Vec::new()));
-    let pbr = PbrOptions {
-        read_leases: true,
-        lease_duration: opts.heartbeat_every * 4,
-        lease_probe: Some(leases.clone()),
-        ..pbr_options(opts, &probe)
-    };
-    let (scripts, dopts) = deploy_options(opts, None, read_mostly_txns);
-    let d = PbrDeployment::build(rt, &dopts, pbr);
-    // No disks, and no durable restart in the read-soak profiles.
-    let victim = d.replicas[0];
-    arm_nemesis(rt, opts, victim, &d.clients, Vec::new(), None, |_, _, _| {});
-    let answered = drive(rt, opts, &d.stats);
-    let committed = assert_history(opts, "reads-pbr", answered, &scripts, &d.stats);
-    let primaries = assert_one_primary_per_seq(opts, &probe, &[]);
-    assert_lease_intervals_disjoint(opts, "reads-pbr", &leases);
-    report(rt, &d.stats, committed, primaries)
+    soak(rt, opts, "reads-pbr", true, None, Stress::LeaseReads)
 }
 
 /// Soaks a state-machine-replication deployment with the lease-read fast
-/// path enabled under a 95%-read mix. The victim is replica 0 — the
-/// rank-0 claimant, i.e. the steady-state lease holder — so the
-/// partition profiles separate the holder from the broadcast service
-/// while clients keep sending it reads; its marker-stamped window must
-/// run out before a surviving replica's claim takes effect. Assertions
-/// as in [`soak_smr`], plus the lease probe's non-emptiness and
-/// holder-interval disjointness.
+/// path enabled under a 95%-read mix. The victim is replica 0, the
+/// steady-state holder: the partition profiles separate it from the
+/// broadcast service while clients keep sending it reads, and its
+/// marker-stamped window must run out before a surviving replica's claim
+/// takes effect. Assertions as in [`soak_smr`], plus served fast reads
+/// under disjoint intervals.
 ///
 /// Under [`NemesisProfile::PowerLoss`] the deployment is durable as well
 /// (durability × leases): the holder itself loses power and the
@@ -813,33 +688,15 @@ pub fn soak_reads_pbr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -> C
 /// acknowledge writes, whatever markers its WAL replayed — and every
 /// rejoin must be served as a delta.
 pub fn soak_reads_smr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -> ChaosReport {
-    let leases: LeaseProbe = Arc::new(Mutex::new(Vec::new()));
-    let transfers: TransferProbe = Arc::new(Mutex::new(Vec::new()));
-    let power_loss = opts.profile == NemesisProfile::PowerLoss;
-    let (scripts, mut dopts) = deploy_options(opts, None, read_mostly_txns);
-    dopts.smr_leases = Some(SmrLeaseOptions {
-        lease_duration: opts.heartbeat_every * 4,
-        renew_every: opts.heartbeat_every,
-        lease_probe: Some(leases.clone()),
-        ..SmrLeaseOptions::default()
-    });
-    dopts.durability = power_loss.then(|| power_loss_durability(&transfers));
-    let d = SmrDeployment::build(rt, &dopts);
-    let victim = d.replicas[0];
-    let reboot = |rt: &mut R, at, tear| d.reboot(rt, victim, at, tear);
-    arm_nemesis(rt, opts, victim, &d.clients, Vec::new(), None, reboot);
-    let answered = drive(rt, opts, &d.stats);
-    if power_loss {
-        assert_rejoined_without_snapshot(rt, opts, "reads-smr", &transfers, victim);
-    }
-    let committed = assert_history(opts, "reads-smr", answered, &scripts, &d.stats);
-    assert_lease_intervals_disjoint(opts, "reads-smr", &leases);
-    report(rt, &d.stats, committed, Vec::new())
+    soak(rt, opts, "reads-smr", false, None, Stress::LeaseReads)
 }
 
 /// Soaks a state-machine-replication deployment under the nemesis and
 /// asserts convergence plus strict serializability. The victim is the
-/// last replica.
+/// last replica. Under [`NemesisProfile::PowerLoss`] it is repeatedly
+/// power-cycled, recovers from its WAL + snapshot and fetches the
+/// delivery suffix it missed from a peer's recent-delivery cache; the
+/// probe must show every rejoin was served as a delta, never a snapshot.
 pub fn soak_smr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -> ChaosReport {
     soak(rt, opts, "smr", false, None, Stress::Faults)
 }

@@ -13,9 +13,10 @@ use crate::diversity::DiversityPolicy;
 use crate::msgs::{
     config_query_msg, parse_config_reply, ConfigCommand, ConfigReport, ReplicaConfig,
 };
-use crate::pbr::{PbrOptions, PbrReplica, TransferProbe};
+use crate::pbr::{PbrOptions, PbrReplica};
+use crate::probe::Probe;
 use crate::route::{GroupRoute, Policy, Routes};
-use crate::shard::{ShardRole, TwoPcProbe};
+use crate::shard::ShardRole;
 use crate::smr::{SmrLeaseOptions, SmrReplica};
 use parking_lot::Mutex;
 use shadowdb_eventml::{Process, Value};
@@ -92,10 +93,15 @@ pub struct DeployOptions {
     /// partitioning one logical database by [`ShardMap`]. More than one
     /// group needs the clients-last layout of [`ShardedDeployment`].
     pub shards: usize,
-    /// Optional cross-shard commit observer, shared by every replica of a
-    /// [`ShardedDeployment`]; the chaos harness checks it with
-    /// [`crate::shard::check_two_pc_atomicity`].
-    pub probe: Option<TwoPcProbe>,
+    /// The event log every replica the deployment makes — first boot,
+    /// reboot and join — records into; the checks of [`crate::probe`]
+    /// read it.
+    pub probe: Option<Probe>,
+    /// The model checker's lease-audit sink: every lease read is also
+    /// announced to this location as an `sdb/lease` message. Under state
+    /// forking a shared log would mix branches; messages fork with the
+    /// execution.
+    pub lease_audit: Option<Loc>,
 }
 
 /// Per-replica durable-storage settings.
@@ -110,9 +116,6 @@ pub struct DurabilityOptions {
     /// SMR: recent-delivery cache entries a durable replica keeps so it
     /// can serve suffix-only rejoins as a donor.
     pub recent_limit: usize,
-    /// Donor-side probe recording which transfer path each rejoin took
-    /// (soaks assert disk recovery never needs a full snapshot).
-    pub transfer_probe: Option<TransferProbe>,
 }
 
 impl Default for DurabilityOptions {
@@ -121,7 +124,6 @@ impl Default for DurabilityOptions {
             snapshot_every: 512,
             fsync_cost: Duration::from_micros(250),
             recent_limit: 4_096,
-            transfer_probe: None,
         }
     }
 }
@@ -162,6 +164,7 @@ impl DeployOptions {
             smr_leases: None,
             shards,
             probe: None,
+            lease_audit: None,
         }
     }
 
@@ -234,7 +237,7 @@ enum Boot {
 const REBOOT_KICK: Duration = Duration::from_millis(2);
 
 /// Everything the replicas of one group are made of: engine rotation,
-/// loader, ordering policy, shard role, disks, lease plane and probes.
+/// loader, ordering policy, shard role, disks, lease plane and observers.
 /// Replicas are indexed in engine-rotation order — the deploy-time ones,
 /// then every joiner — and the one body, [`Recipe::replica`], builds all
 /// three of a replica's lives: first boot, reboot from its disk, join.
@@ -249,6 +252,9 @@ struct Recipe {
     storage: StorageMode,
     /// The SMR lease plane (`None` under PBR, whose leases ride `pbr`).
     smr_leases: Option<SmrLeaseOptions>,
+    /// The deployment's event log and lease-audit sink.
+    probe: Option<Probe>,
+    lease_audit: Option<Loc>,
     /// The route to this group as deployed: its broadcast-service entry
     /// points and deploy-time replicas.
     route: GroupRoute,
@@ -294,14 +300,12 @@ impl Recipe {
                 } else {
                     PbrReplica::joiner(db, self.route.servers().to_vec(), pbr.clone())
                 };
+                replica = replica.with_observers(self.probe.clone(), self.lease_audit);
                 if let Some(role) = &self.role {
                     replica = replica.with_role(role.clone());
                 }
                 if let Some((dur, disk)) = durable {
                     replica = replica.with_wal(disk, dur.snapshot_every);
-                    if let Some(p) = &dur.transfer_probe {
-                        replica = replica.with_transfer_probe(p.clone());
-                    }
                 }
                 if let Boot::Reboot(tear) = boot {
                     replica = replica.rebooted(tear);
@@ -312,15 +316,13 @@ impl Recipe {
                 let mut replica = match &boot {
                     Boot::Join(donors) => SmrReplica::joining_from(db, donors.clone()),
                     _ => SmrReplica::new(db),
-                };
+                }
+                .with_observers(self.probe.clone(), self.lease_audit);
                 if let Some(role) = &self.role {
                     replica = replica.with_role(role.clone());
                 }
                 if let Some((dur, disk)) = durable {
                     replica = replica.with_wal(disk, dur.snapshot_every, dur.recent_limit);
-                    if let Some(p) = &dur.transfer_probe {
-                        replica = replica.with_transfer_probe(p.clone());
-                    }
                 }
                 if let Some(lease) = &self.smr_leases {
                     let servers = self.route.servers().to_vec();
@@ -404,6 +406,8 @@ fn build_group<R: Runtime + ?Sized>(
         durability: options.durability.clone(),
         storage: rt.storage_mode(),
         smr_leases: options.smr_leases.clone().filter(|_| pbr.is_none()),
+        probe: options.probe.clone(),
+        lease_audit: options.lease_audit,
         route,
         active: options.active_replicas.min(replicas.len()),
         deployed: replicas.len(),
@@ -960,7 +964,6 @@ impl ShardedDeployment {
             let role = ShardRole {
                 shard,
                 routes: routes.clone(),
-                probe: options.probe.clone(),
             };
             groups.push(build_group(
                 rt,
@@ -1019,6 +1022,7 @@ impl ShardedDeployment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::{check_two_pc_atomicity, Event};
     use shadowdb_eventml::{Ctx, Msg};
     use shadowdb_tob::SUBOK_HEADER;
     use shadowdb_workloads::bank;
@@ -1123,17 +1127,27 @@ mod tests {
         )
     }
 
+    /// The 2PC steps a deployment's log recorded.
+    fn two_pc_steps(probe: &Probe) -> usize {
+        let events = probe.events();
+        events
+            .iter()
+            .filter(|e| matches!(e, Event::TwoPc(_)))
+            .count()
+    }
+
     #[test]
     fn sharded_single_shard_never_runs_two_pc() {
         let mut sim = shadowdb_simnet::testing::default_net(8);
-        let probe: TwoPcProbe = Arc::new(Mutex::new(Vec::new()));
+        let probe = Probe::default();
         let mut options = sharded_bank_options(1, 2, 12, 3);
         options.probe = Some(probe.clone());
         let d = ShardedDeployment::build_pbr(&mut sim, &options, PbrOptions::default());
         sim.run_until_quiescent(VTime::from_secs(120));
         assert_eq!(d.committed(), 24);
-        assert!(
-            probe.lock().is_empty(),
+        assert_eq!(
+            two_pc_steps(&probe),
+            0,
             "one shard means every transaction is single-shard: no 2PC"
         );
     }
@@ -1141,32 +1155,33 @@ mod tests {
     #[test]
     fn sharded_pbr_cross_shard_commits_atomically() {
         let mut sim = shadowdb_simnet::testing::default_net(9);
-        let probe: TwoPcProbe = Arc::new(Mutex::new(Vec::new()));
+        let probe = Probe::default();
         let mut options = sharded_bank_options(2, 2, 12, 2);
         options.probe = Some(probe.clone());
         let d = ShardedDeployment::build_pbr(&mut sim, &options, PbrOptions::default());
         sim.run_until_quiescent(VTime::from_secs(300));
         assert_eq!(d.committed(), 24);
-        let events = probe.lock();
         assert!(
-            !events.is_empty(),
+            two_pc_steps(&probe) > 0,
             "the workload must actually exercise cross-shard commit"
         );
-        crate::shard::check_two_pc_atomicity(&events).expect("atomic cross-shard histories");
+        check_two_pc_atomicity(&probe.events()).expect("atomic cross-shard histories");
     }
 
     #[test]
     fn sharded_smr_cross_shard_commits_atomically() {
         let mut sim = shadowdb_simnet::testing::default_net(10);
-        let probe: TwoPcProbe = Arc::new(Mutex::new(Vec::new()));
+        let probe = Probe::default();
         let mut options = sharded_bank_options(2, 2, 10, 2);
         options.probe = Some(probe.clone());
         let d = ShardedDeployment::build_smr(&mut sim, &options);
         sim.run_until_quiescent(VTime::from_secs(300));
         assert_eq!(d.committed(), 20);
-        let events = probe.lock();
-        assert!(!events.is_empty(), "cross-shard transfers must appear");
-        crate::shard::check_two_pc_atomicity(&events).expect("atomic cross-shard histories");
+        assert!(
+            two_pc_steps(&probe) > 0,
+            "cross-shard transfers must appear"
+        );
+        check_two_pc_atomicity(&probe.events()).expect("atomic cross-shard histories");
     }
 
     /// The tentpole acceptance path in miniature: a serving PBR group has

@@ -28,9 +28,10 @@
 //! configuration), [`client`] (closed-loop clients with resend and
 //! duplicate suppression), [`deploy`] (full deployments inside the
 //! simulator, with databases co-located with broadcast-service processes
-//! as on the paper's testbed), and [`diversity`] (each replica can run a
+//! as on the paper's testbed), [`diversity`] (each replica can run a
 //! different database engine — H2, HSQLDB, Derby — to mask correlated
-//! environment failures).
+//! environment failures), and [`probe`] (the one event log a deployment's
+//! replicas record into, and the safety checks written over it).
 
 pub mod chaos;
 pub mod client;
@@ -38,6 +39,7 @@ pub mod deploy;
 pub mod diversity;
 pub mod msgs;
 pub mod pbr;
+pub mod probe;
 pub mod replica_core;
 pub mod route;
 pub mod serializability;
@@ -45,12 +47,11 @@ pub mod shard;
 pub mod smr;
 
 pub use chaos::{
-    soak_durability_pbr, soak_durability_smr, soak_pbr, soak_sharded_pbr,
-    soak_sharded_pbr_power_loss, soak_sharded_smr, soak_sharded_smr_power_loss, soak_smr,
-    ChaosOptions, ChaosReport,
+    soak_pbr, soak_sharded_pbr, soak_sharded_smr, soak_smr, ChaosOptions, ChaosReport,
 };
 pub use client::{DbClient, DbClientStats};
 pub use deploy::{PbrDeployment, ShardedDeployment, SmrDeployment};
 pub use msgs::ReplicaConfig;
+pub use probe::{Event, Probe};
 pub use route::{GroupRoute, Routes};
-pub use shard::{check_two_pc_atomicity, ShardRole, TwoPcEngine, TwoPcProbe};
+pub use shard::{ShardRole, TwoPcEngine};

@@ -1,5 +1,6 @@
 //! ShadowDB wire messages and configurations.
 
+use crate::probe::Event;
 use shadowdb_eventml::{cached_header, Msg, Value};
 use shadowdb_loe::Loc;
 use shadowdb_workloads::TxnRequest;
@@ -451,12 +452,13 @@ pub fn parse_config_reply(msg: &Msg) -> Option<ConfigReport> {
 }
 
 /// Builds a lease-audit record: replica `from` served a fast-path read at
-/// `served_us` under a lease (for configuration `seq`) valid to `until_us`.
-pub fn lease_audit_msg(seq: i64, from: Loc, served_us: i64, until_us: i64) -> Msg {
+/// `served_us` under lease `term` (PBR: its configuration) valid to
+/// `until_us`.
+pub fn lease_audit_msg(term: i64, from: Loc, served_us: i64, until_us: i64) -> Msg {
     Msg::new(
         cached_header!(LEASE_AUDIT_HEADER),
         Value::pair(
-            Value::Int(seq),
+            Value::Int(term),
             Value::pair(
                 Value::Loc(from),
                 Value::pair(Value::Int(served_us), Value::Int(until_us)),
@@ -465,30 +467,18 @@ pub fn lease_audit_msg(seq: i64, from: Loc, served_us: i64, until_us: i64) -> Ms
     )
 }
 
-/// A parsed lease-audit record.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LeaseAudit {
-    /// The configuration (PBR) or lease term (SMR) the lease is tied to.
-    pub seq: i64,
-    /// The replica that served the read.
-    pub from: Loc,
-    /// When it served, on its local clock (microseconds).
-    pub served_us: i64,
-    /// When its lease expires, on its local clock (microseconds).
-    pub until_us: i64,
-}
-
-/// Parses a lease-audit record.
-pub fn parse_lease_audit(msg: &Msg) -> Option<LeaseAudit> {
+/// Parses a lease-audit record into the [`Event::LeaseRead`] row a
+/// deployment's probe would have recorded for the same read.
+pub fn parse_lease_audit(msg: &Msg) -> Option<Event> {
     if msg.header != cached_header!(LEASE_AUDIT_HEADER) {
         return None;
     }
-    let (seq, rest) = msg.body.fst().zip(msg.body.snd())?;
-    let (from, rest) = rest.fst().zip(rest.snd())?;
+    let (term, rest) = msg.body.fst().zip(msg.body.snd())?;
+    let (loc, rest) = rest.fst().zip(rest.snd())?;
     let (served_us, until_us) = rest.fst().zip(rest.snd())?;
-    Some(LeaseAudit {
-        seq: seq.as_int()?,
-        from: from.as_loc()?,
+    Some(Event::LeaseRead {
+        term: term.as_int()?,
+        loc: loc.as_loc()?,
         served_us: served_us.as_int()?,
         until_us: until_us.as_int()?,
     })

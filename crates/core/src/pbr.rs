@@ -34,8 +34,8 @@ use crate::msgs::{
     HEARTBEAT_HEADER, RECOVERY_ACK_HEADER, REFETCH_HEADER, SNAPSHOT_HEADER, STALE_CONFIG_HEADER,
     SUBMIT_HEADER, SYNC_HEADER,
 };
-pub use crate::replica_core::{LeaseProbe, TransferKind, TransferProbe};
-use crate::replica_core::{LeaseWatch, ReplicaCore, Seen};
+use crate::probe::{Event, Probe, TransferKind};
+use crate::replica_core::{ReplicaCore, Seen};
 use crate::shard::ShardRole;
 use shadowdb_eventml::process::HasherAdapter;
 use shadowdb_eventml::{cached_header, Ctx, Msg, Process, SendInstr, Value};
@@ -46,13 +46,7 @@ use shadowdb_wal::Disk;
 use shadowdb_workloads::{TxnOutcome, TxnRequest};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 use std::time::Duration;
-
-/// A shared log of `(configuration seq, replica)` pairs, appended the
-/// first time a replica executes a client transaction as primary in a
-/// configuration. Safety harnesses assert at most one replica per seq.
-pub type PrimaryProbe = Arc<parking_lot::Mutex<Vec<(i64, Loc)>>>;
 
 /// Tag of a WAL record holding an executed transaction envelope.
 pub(crate) const WREC_TXN: i64 = 0;
@@ -76,10 +70,6 @@ pub struct PbrOptions {
     /// Resume normal processing after the first recovered backup instead
     /// of all of them (Sec. III-A's overlapped state transfer).
     pub overlapped_transfer: bool,
-    /// Optional safety probe: records `(config seq, replica)` the first
-    /// time this replica executes as primary in each configuration.
-    /// Excluded from the digest (it observes state, it is not state).
-    pub probe: Option<PrimaryProbe>,
     /// Enable the lease-based read fast path: the primary answers
     /// read-only transactions from local state, without forwarding, while
     /// it provably holds the group's read lease. Off by default — the
@@ -93,15 +83,6 @@ pub struct PbrOptions {
     /// every wait-out. Zero is sound on simnet (one virtual clock);
     /// real-clock runtimes must set it to cover their worst-case skew.
     pub lease_margin: Duration,
-    /// Optional safety probe recording every fast-path read's lease
-    /// interval. Excluded from the digest (observes state, is not state).
-    pub lease_probe: Option<LeaseProbe>,
-    /// Optional audit sink: every fast-path read additionally emits an
-    /// `sdb/lease` record to this location. The model checker points this
-    /// at its observation port — under state forking a shared in-memory
-    /// probe would leak writes across branches, while emitted messages
-    /// fork with the execution.
-    pub lease_audit: Option<Loc>,
 }
 
 impl Default for PbrOptions {
@@ -112,12 +93,9 @@ impl Default for PbrOptions {
             cache_limit: 10_000,
             transfer_batch_bytes: 50_000,
             overlapped_transfer: false,
-            probe: None,
             read_leases: false,
             lease_duration: Duration::from_secs(4),
             lease_margin: Duration::ZERO,
-            lease_probe: None,
-            lease_audit: None,
         }
     }
 }
@@ -292,10 +270,11 @@ impl PbrReplica {
         self
     }
 
-    /// Installs a donor-side transfer probe: this replica records which
-    /// transfer path it used per rejoin request.
-    pub fn with_transfer_probe(mut self, probe: TransferProbe) -> PbrReplica {
-        self.core.set_transfer_probe(probe);
+    /// Installs the deployment's observers: `probe` records this replica's
+    /// primaryships, lease reads, transfers and 2PC steps; `lease_audit`
+    /// is the model checker's sink for lease reads.
+    pub fn with_observers(mut self, probe: Option<Probe>, lease_audit: Option<Loc>) -> PbrReplica {
+        self.core.observe(probe, lease_audit);
         self
     }
 
@@ -522,25 +501,22 @@ impl PbrReplica {
         // would never open.
         if env.read_only && self.pending.values().all(|p| p.env.read_only) {
             if let Some(until) = self.lease_until(ctx) {
-                let watch = LeaseWatch {
-                    probe: &self.options.lease_probe,
-                    audit: self.options.lease_audit,
-                };
                 if self
                     .core
-                    .serve_lease_read(ctx, &env, self.config.seq, until, watch, outs)
+                    .serve_lease_read(ctx, &env, self.config.seq, until, outs)
                 {
                     return;
                 }
             }
         }
-        // Safety probe: this replica just executed a client transaction
-        // while believing itself primary of the current configuration.
+        // This replica is about to execute a client transaction while
+        // believing itself primary of the current configuration.
         if self.probe_last != Some(self.config.seq) {
             self.probe_last = Some(self.config.seq);
-            if let Some(probe) = &self.options.probe {
-                probe.lock().push((self.config.seq, ctx.slf));
-            }
+            self.core.note(Event::Primary {
+                seq: self.config.seq,
+                loc: ctx.slf,
+            });
         }
         self.execute_txn_group(ctx.slf, std::slice::from_ref(&env));
         let extra = std::mem::take(&mut self.twopc_outbox);
@@ -886,11 +862,17 @@ impl PbrReplica {
                 .skip((behind - self.log_start) as usize)
                 .map(TxnEnvelope::to_value)
                 .collect();
-            self.core.note_transfer(to, TransferKind::Catchup);
+            self.core.note(Event::Transfer {
+                to,
+                kind: TransferKind::Catchup,
+            });
             let body = Value::pair(seq, Value::pair(Value::Int(behind), Value::list(missing)));
             outs.push(SendInstr::now(to, Msg::new(CATCHUP_HEADER, body)));
         } else {
-            self.core.note_transfer(to, TransferKind::Snapshot);
+            self.core.note(Event::Transfer {
+                to,
+                kind: TransferKind::Snapshot,
+            });
             // The image's policy header is the config-chain position: a
             // disk restore needs it; a network joiner already holds it
             // from the TOB and checks only the seq wrapped around each

@@ -29,6 +29,7 @@ use crate::msgs::{
     lease_audit_msg, parse_stale_config, reply_msg, sql_to_value, value_to_sql, TxnEnvelope,
     SYNC_HEADER,
 };
+use crate::probe::{Event, Probe};
 use crate::shard::{ShardRole, TwoPcEngine};
 use shadowdb_eventml::{cached_header, Ctx, Msg, SendInstr, Value};
 use shadowdb_loe::{Loc, VTime};
@@ -36,32 +37,7 @@ use shadowdb_sqldb::{Database, RowBatch, Snapshot, SqlValue};
 use shadowdb_wal::{Disk, Recovered, Wal};
 use shadowdb_workloads::{apply_group, TxnId, TxnRequest};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 use std::time::Duration;
-
-/// A shared log of `(config seq or lease term, replica, served_us,
-/// lease_until_us)` rows, appended each time a replica serves a read on
-/// the lease-protected fast path. Safety harnesses assert that rows from
-/// *different* replicas carry pairwise-disjoint `[served, until]`
-/// intervals — no two nodes ever believe they hold the lease at once.
-pub type LeaseProbe = Arc<parking_lot::Mutex<Vec<(i64, Loc, i64, i64)>>>;
-
-/// Which transfer path a donor used to bring a rejoining replica up to
-/// date. Durability soaks assert that a disk-recovered replica took the
-/// suffix-only `Catchup` path and never needed a full `Snapshot` — the
-/// point of the WAL is that restart-from-disk misses only a suffix.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TransferKind {
-    /// The donor replayed missing transactions from its cache (or, under
-    /// SMR, its recent-delivery cache).
-    Catchup,
-    /// The donor streamed a full state snapshot.
-    Snapshot,
-}
-
-/// A shared log of `(receiver, transfer kind)` pairs, appended by the
-/// donor each time it answers a state-transfer request.
-pub type TransferProbe = Arc<parking_lot::Mutex<Vec<(Loc, TransferKind)>>>;
 
 /// How a request's client sequence number relates to the reply cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -72,16 +48,6 @@ pub(crate) enum Seen {
     Duplicate,
     /// Below the last one seen.
     Stale,
-}
-
-/// Where served fast-path reads are recorded (both sinks optional; they
-/// observe state and are never part of it).
-pub(crate) struct LeaseWatch<'a> {
-    pub probe: &'a Option<LeaseProbe>,
-    /// Audit sink: the model checker points this at its observation port —
-    /// under state forking a shared in-memory probe would leak writes
-    /// across branches, while emitted messages fork with the execution.
-    pub audit: Option<Loc>,
 }
 
 /// `ReplicaCore::durable` after a network image install: the disk's log
@@ -143,8 +109,12 @@ pub(crate) struct ReplicaCore {
     sync_scheduled: bool,
     /// State-transfer batch size in bytes (~50 KB in the paper).
     transfer_batch_bytes: usize,
-    transfer_probe: Option<TransferProbe>,
     assembly: Assembly,
+    /// The deployment's event log (observes state, is not state).
+    probe: Option<Probe>,
+    /// The model checker's lease-audit sink: every lease read is also
+    /// announced to it as a message, which forks with the execution.
+    lease_audit: Option<Loc>,
 }
 
 impl ReplicaCore {
@@ -164,21 +134,25 @@ impl ReplicaCore {
             parked: Vec::new(),
             sync_scheduled: false,
             transfer_batch_bytes: 50_000,
-            transfer_probe: None,
             assembly: Assembly::default(),
+            probe: None,
+            lease_audit: None,
         }
     }
 
     /// Places the replica's group inside a sharded deployment and
     /// activates the 2PC engine on the execution path.
     pub(crate) fn set_role(&mut self, role: ShardRole) {
-        self.engine = Some(TwoPcEngine::new(role.map(), role.shard, role.probe.clone()));
+        self.engine = Some(TwoPcEngine::new(role.map(), role.shard));
         self.twopc_seq = vec![0; role.map().shards()];
         self.role = Some(role);
     }
 
-    pub(crate) fn set_transfer_probe(&mut self, probe: TransferProbe) {
-        self.transfer_probe = Some(probe);
+    /// Installs the deployment's observers: the event log and the model
+    /// checker's lease-audit sink.
+    pub(crate) fn observe(&mut self, probe: Option<Probe>, lease_audit: Option<Loc>) {
+        self.probe = probe;
+        self.lease_audit = lease_audit;
     }
 
     pub(crate) fn set_transfer_batch_bytes(&mut self, bytes: usize) {
@@ -203,9 +177,10 @@ impl ReplicaCore {
         std::mem::take(&mut self.step_cost)
     }
 
-    pub(crate) fn note_transfer(&self, to: Loc, kind: TransferKind) {
-        if let Some(p) = &self.transfer_probe {
-            p.lock().push((to, kind));
+    /// Records `event` in the deployment's log, if one is installed.
+    pub(crate) fn note(&self, event: Event) {
+        if let Some(p) = &self.probe {
+            p.record(event);
         }
     }
 
@@ -270,7 +245,7 @@ impl ReplicaCore {
         let (Some(role), Some(engine)) = (&mut self.role, &mut self.engine) else {
             return Vec::new();
         };
-        let (actions, cost) = engine.step(rec, &self.db);
+        let (actions, cost) = engine.step(rec, &self.db, self.probe.as_ref());
         self.step_cost += cost;
         self.executed += 1;
         // Placeholder entry: duplicates of 2PC records re-drive the
@@ -306,17 +281,16 @@ impl ReplicaCore {
     }
 
     /// Answers `env` from local state on the lease-protected fast path,
-    /// recording the served read with `watch`. Refuses (returns false)
-    /// anything that is not a lockless SELECT — the client's read-only
-    /// flag is advisory, and a mis-flagged transaction falls through to
-    /// ordered execution.
+    /// recording the served read (lease `term`, valid to `until`) with the
+    /// deployment's observers. Refuses (returns false) anything that is
+    /// not a lockless SELECT — the client's read-only flag is advisory,
+    /// and a mis-flagged transaction falls through to ordered execution.
     pub(crate) fn serve_lease_read(
         &mut self,
         ctx: &Ctx,
         env: &TxnEnvelope,
         term: i64,
         until: VTime,
-        watch: LeaseWatch<'_>,
         outs: &mut Vec<SendInstr>,
     ) -> bool {
         let Some(out) = env.txn.apply_read_only(&self.db) else {
@@ -324,10 +298,13 @@ impl ReplicaCore {
         };
         self.step_cost += out.cost;
         let (served_us, until_us) = (ctx.now.as_micros() as i64, until.as_micros() as i64);
-        if let Some(p) = watch.probe {
-            p.lock().push((term, ctx.slf, served_us, until_us));
-        }
-        if let Some(sink) = watch.audit {
+        self.note(Event::LeaseRead {
+            term,
+            loc: ctx.slf,
+            served_us,
+            until_us,
+        });
+        if let Some(sink) = self.lease_audit {
             outs.push(SendInstr::now(
                 sink,
                 lease_audit_msg(term, ctx.slf, served_us, until_us),
@@ -669,7 +646,7 @@ fn adopt_shard_state(role: &ShardRole, state: &Value) -> Option<(Vec<i64>, TwoPc
         .iter()
         .map(Value::as_int)
         .collect::<Option<_>>()?;
-    let engine = TwoPcEngine::from_value(state.snd()?, role.map(), role.shard, role.probe.clone())?;
+    let engine = TwoPcEngine::from_value(state.snd()?, role.map(), role.shard)?;
     (seqs.len() == role.map().shards()).then_some((seqs, engine))
 }
 
@@ -699,8 +676,9 @@ impl Clone for ReplicaCore {
             parked: self.parked.clone(),
             sync_scheduled: self.sync_scheduled,
             transfer_batch_bytes: self.transfer_batch_bytes,
-            transfer_probe: self.transfer_probe.clone(),
             assembly: self.assembly.clone(),
+            probe: self.probe.clone(),
+            lease_audit: self.lease_audit,
         }
     }
 }
@@ -725,7 +703,6 @@ mod tests {
             c.set_role(ShardRole {
                 shard: 0,
                 routes: Routes::new(ShardMap::new(shards), vec![group; shards]),
-                probe: None,
             });
         }
         c

@@ -322,7 +322,6 @@ mod tests {
         let mut role = ShardRole {
             shard: 1,
             routes: two_groups(Policy::Pbr),
-            probe: None,
         };
         let vote = TwoPcAction::SendRecord {
             to_shard: 0,

@@ -3,25 +3,25 @@
 //! ShadowDB promises that "to clients it appears as if transactions were
 //! executed sequentially, each at some point between the time that a
 //! client submitted the transaction and the client received the result"
-//! (Sec. III). For the bank workload this is checkable: given every
-//! client's observed `(submit, answer, transaction, result)` records, the
-//! checker searches for a single sequential order of all committed
-//! transactions that (a) respects real-time precedence — if transaction A
-//! was answered before B was submitted, A must come first — and
-//! (b) reproduces every observed read result when replayed against the
-//! bank semantics.
+//! (Sec. III). For the bank workload this is checkable from every
+//! client's observed `(submit, answer, transaction, result)` records: a
+//! sequential order of the committed transactions must (a) respect
+//! real-time precedence — if transaction A was answered before B was
+//! submitted, A comes first — and (b) reproduce every observed read result
+//! under the bank semantics.
 //!
-//! Deposits commute on distinct accounts and their results carry no state,
-//! so the hard constraints come from `BankRead` results; the checker
-//! greedily schedules by answer time and then verifies reads by replay,
-//! which is sound and complete for histories whose reads pin the order (a
-//! read that could be explained by several interleavings accepts any of
-//! them).
+//! Deposits and transfers carry no state in their results, so the
+//! constraints come from `BankRead` results, and
+//! [`check_bank_history_concurrent`] checks each read against the
+//! real-time bounds every such order must satisfy. It stays sound when
+//! answers reach clients out of execution order (a reply lost and only
+//! delivered on a retransmission), where replaying in answer order would
+//! not be.
 
 use shadowdb_loe::VTime;
 use shadowdb_sqldb::SqlValue;
 use shadowdb_workloads::TxnRequest;
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 /// One client-observed operation.
 #[derive(Clone, Debug)]
@@ -39,15 +39,6 @@ pub struct Observation {
 /// A strict-serializability violation.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Violation {
-    /// A read returned a balance no real-time-respecting order explains.
-    UnexplainedRead {
-        /// Index of the offending observation (in answer order).
-        index: usize,
-        /// The balance the replay predicts.
-        expected: i64,
-        /// The balance the client observed.
-        observed: i64,
-    },
     /// A read's balance falls outside the window spanned by its real-time
     /// predecessor deposits (minimum) and those plus every concurrent
     /// deposit (maximum).
@@ -79,14 +70,6 @@ pub enum Violation {
 impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Violation::UnexplainedRead {
-                index,
-                expected,
-                observed,
-            } => write!(
-                f,
-                "read #{index}: observed balance {observed} but the serial order implies {expected}"
-            ),
             Violation::ReadOutOfBounds {
                 index,
                 observed,
@@ -111,64 +94,16 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Checks a set of committed bank observations for strict serializability
-/// against initial per-account balances of `initial_balance`.
-///
-/// Returns `Ok(())` with the witnessing serial order implicitly being
-/// answer-time order, or the first violation found.
-pub fn check_bank_history(
-    observations: &[Observation],
-    initial_balance: i64,
-) -> Result<(), Violation> {
-    // Strictly serializable bank histories are witnessed by answer-time
-    // order: every transaction takes effect at some point inside its
-    // [submitted, answered] window, and for single-row deposits/reads the
-    // answer instant is such a point (the replica executed it before
-    // answering; anything answered earlier was executed earlier on the
-    // same sequential replica).
-    let mut ordered: Vec<&Observation> = observations.iter().collect();
-    ordered.sort_by_key(|o| o.answered);
-    let mut balances: HashMap<i64, i64> = HashMap::new();
-    for (index, o) in ordered.iter().enumerate() {
-        match &o.txn {
-            TxnRequest::BankDeposit { account, amount } => {
-                *balances.entry(*account).or_insert(initial_balance) += amount;
-            }
-            TxnRequest::BankTransfer { from, to, amount } => {
-                *balances.entry(*from).or_insert(initial_balance) -= amount;
-                *balances.entry(*to).or_insert(initial_balance) += amount;
-            }
-            TxnRequest::BankRead { account } => {
-                let expected = *balances.entry(*account).or_insert(initial_balance);
-                let observed = o
-                    .result
-                    .first()
-                    .and_then(SqlValue::as_int)
-                    .unwrap_or(i64::MIN);
-                if observed != expected {
-                    return Err(Violation::UnexplainedRead {
-                        index,
-                        expected,
-                        observed,
-                    });
-                }
-            }
-            _ => {} // only bank semantics are modelled
-        }
-    }
-    Ok(())
-}
-
 /// Checks a committed bank history for strict serializability when
 /// answers may be *reordered* relative to execution — the situation under
 /// fault injection, where a reply can be lost and only reach the client
 /// on a later retransmission, long after concurrent transactions from
 /// other clients completed.
 ///
-/// Answer-time replay ([`check_bank_history`]) is then unsound: a read
-/// executed early but answered late would be replayed after deposits it
-/// legitimately never saw. This checker instead verifies, per read, the
-/// real-time bounds every strictly serializable order must satisfy:
+/// Answer-time replay is then unsound: a read executed early but answered
+/// late would be replayed after deposits it legitimately never saw. This
+/// checker instead verifies, per read, the real-time bounds every strictly
+/// serializable order must satisfy:
 ///
 /// * **lower** — deposits to the account whose answer preceded the read's
 ///   submission *must* be serialized before it;
@@ -215,7 +150,7 @@ pub fn check_bank_history_concurrent(
     ordered.sort_by_key(|o| o.answered);
     // Accounts some transaction can shrink: their reads have no
     // monotonicity guarantee.
-    let shrinkable: std::collections::HashSet<i64> = ordered
+    let shrinkable: HashSet<i64> = ordered
         .iter()
         .flat_map(|o| match &o.txn {
             TxnRequest::BankDeposit { account, amount } if *amount < 0 => vec![*account],
@@ -334,39 +269,7 @@ mod tests {
                 vec![SqlValue::Int(115)],
             ),
         ];
-        check_bank_history(&h, 100).expect("serializable");
-    }
-
-    #[test]
-    fn stale_read_rejected() {
-        let h = vec![
-            obs(
-                0,
-                1,
-                TxnRequest::BankDeposit {
-                    account: 1,
-                    amount: 10,
-                },
-                vec![],
-            ),
-            // Submitted and answered strictly after the deposit's answer,
-            // yet reads the old balance: a strict-serializability violation.
-            obs(
-                2,
-                3,
-                TxnRequest::BankRead { account: 1 },
-                vec![SqlValue::Int(100)],
-            ),
-        ];
-        let v = check_bank_history(&h, 100).expect_err("stale read");
-        assert_eq!(
-            v,
-            Violation::UnexplainedRead {
-                index: 1,
-                expected: 110,
-                observed: 100
-            }
-        );
+        check_bank_history_concurrent(&h, 100).expect("serializable");
     }
 
     #[test]
@@ -404,15 +307,15 @@ mod tests {
                 vec![SqlValue::Int(102)],
             ),
         ];
-        check_bank_history(&h, 100).expect("serializable");
+        check_bank_history_concurrent(&h, 100).expect("serializable");
     }
 
     #[test]
     fn late_answered_read_tolerated_by_concurrent_checker() {
         // The read executed before the deposit but its answer was lost and
         // only arrived on a retransmission, after the deposit completed.
-        // Answer-order replay rejects this; the real-time-bounds checker
-        // accepts it (the two transactions overlap).
+        // Answer-order replay would reject this; the two transactions
+        // overlap, so the real-time bounds accept it.
         let h = vec![
             obs(
                 0,
@@ -430,7 +333,6 @@ mod tests {
                 vec![],
             ),
         ];
-        assert!(check_bank_history(&h, 100).is_err());
         check_bank_history_concurrent(&h, 100).expect("overlapping, legal");
     }
 
@@ -466,6 +368,7 @@ mod tests {
         ));
     }
 
+    /// A read submitted after a deposit's answer that misses it: stale.
     #[test]
     fn concurrent_checker_rejects_lost_update() {
         let h = vec![
@@ -485,7 +388,16 @@ mod tests {
                 vec![SqlValue::Int(100)],
             ),
         ];
-        assert!(check_bank_history_concurrent(&h, 100).is_err());
+        let v = check_bank_history_concurrent(&h, 100).expect_err("stale read");
+        assert_eq!(
+            v,
+            Violation::ReadOutOfBounds {
+                index: 1,
+                observed: 100,
+                min: 110,
+                max: 110
+            }
+        );
     }
 
     #[test]
@@ -521,7 +433,7 @@ mod tests {
     }
 
     #[test]
-    fn transfer_history_accepted_by_both_checkers() {
+    fn transfer_history_accepted() {
         let h = vec![
             obs(
                 0,
@@ -546,7 +458,6 @@ mod tests {
                 vec![SqlValue::Int(130)],
             ),
         ];
-        check_bank_history(&h, 100).expect("serializable");
         check_bank_history_concurrent(&h, 100).expect("serializable");
     }
 
@@ -695,6 +606,6 @@ mod tests {
                 vec![SqlValue::Int(110)],
             ),
         ];
-        assert!(check_bank_history(&h, 100).is_err());
+        assert!(check_bank_history_concurrent(&h, 100).is_err());
     }
 }

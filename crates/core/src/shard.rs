@@ -31,6 +31,7 @@
 //! Liveness is driven entirely by client retransmission of the Prepare.
 
 use crate::msgs::{reply_msg, sql_to_value, value_to_sql, TxnEnvelope};
+use crate::probe::{Event, Probe};
 use crate::route::Routes;
 use shadowdb_eventml::{SendInstr, Value};
 use shadowdb_loe::Loc;
@@ -39,7 +40,6 @@ use shadowdb_workloads::{
     txnid_from_value, txnid_to_value, ShardMap, TwoPcRecord, TxnId, TxnRequest,
 };
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// A replica's view of the sharded deployment: which shard it serves and
@@ -52,8 +52,6 @@ pub struct ShardRole {
     /// Learned state, like a client's: a peer that NACKs a record with its
     /// configuration moves the route to its group.
     pub routes: Routes,
-    /// Optional safety probe recording protocol events.
-    pub probe: Option<TwoPcProbe>,
 }
 
 impl ShardRole {
@@ -128,7 +126,8 @@ pub enum TwoPcAction {
     },
 }
 
-/// Protocol events recorded by the optional safety probe.
+/// A 2PC step at one replica, as the deployment's [`Probe`] records it
+/// ([`crate::probe::check_two_pc_atomicity`] reads these).
 #[derive(Clone, Debug, PartialEq)]
 pub enum TwoPcEvent {
     /// A shard voted on a transaction.
@@ -158,89 +157,6 @@ pub enum TwoPcEvent {
         /// Whether the part committed locally.
         committed: bool,
     },
-}
-
-/// A shared log of [`TwoPcEvent`]s from every replica of every group.
-pub type TwoPcProbe = Arc<parking_lot::Mutex<Vec<TwoPcEvent>>>;
-
-/// Checks cross-shard atomicity over a probe log: all replicas agree on
-/// each decision, a committed transaction applied on *every* participant
-/// shard, and an aborted one applied on *none*. Transactions still
-/// undecided at the end of the log are skipped (the client never got an
-/// answer for them, so nothing was promised).
-///
-/// # Errors
-///
-/// A description of the first violation found.
-pub fn check_two_pc_atomicity(events: &[TwoPcEvent]) -> Result<(), String> {
-    let mut participants: BTreeMap<TxnId, Vec<usize>> = BTreeMap::new();
-    let mut decisions: BTreeMap<TxnId, BTreeSet<bool>> = BTreeMap::new();
-    let mut applied: BTreeMap<(TxnId, usize), BTreeSet<bool>> = BTreeMap::new();
-    for e in events {
-        match e {
-            TwoPcEvent::Prepared {
-                txnid,
-                participants: ps,
-                ..
-            } => {
-                let prev = participants.entry(*txnid).or_insert_with(|| ps.clone());
-                if prev != ps {
-                    return Err(format!(
-                        "txn {txnid:?}: conflicting participant sets {prev:?} vs {ps:?}"
-                    ));
-                }
-            }
-            TwoPcEvent::Decided { txnid, commit, .. } => {
-                decisions.entry(*txnid).or_default().insert(*commit);
-            }
-            TwoPcEvent::Applied {
-                txnid,
-                shard,
-                committed,
-            } => {
-                applied
-                    .entry((*txnid, *shard))
-                    .or_default()
-                    .insert(*committed);
-            }
-        }
-    }
-    for ((txnid, shard), outcomes) in &applied {
-        if outcomes.len() > 1 {
-            return Err(format!(
-                "txn {txnid:?}: replicas of shard {shard} diverged on its part's outcome"
-            ));
-        }
-    }
-    for (txnid, ds) in &decisions {
-        if ds.len() > 1 {
-            return Err(format!("txn {txnid:?}: conflicting commit decisions"));
-        }
-        let commit = ds.iter().next().copied().expect("non-empty");
-        if commit {
-            if let Some(ps) = participants.get(txnid) {
-                for p in ps {
-                    if applied
-                        .get(&(*txnid, *p))
-                        .is_none_or(|o| !o.contains(&true))
-                    {
-                        return Err(format!(
-                            "txn {txnid:?}: decided commit but shard {p} never applied"
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    // Aborted transactions must not have applied anywhere.
-    for ((txnid, shard), outcomes) in &applied {
-        if outcomes.contains(&true) && decisions.get(txnid).is_some_and(|ds| ds.contains(&false)) {
-            return Err(format!(
-                "txn {txnid:?}: decided abort but shard {shard} applied its part"
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// The coordinator's replicated voting ledger for one transaction.
@@ -274,13 +190,11 @@ pub struct TwoPcEngine {
     coord: BTreeMap<TxnId, CoordState>,
     /// The coordinator shard of each transaction seen (for addressing).
     coord_of: BTreeMap<TxnId, usize>,
-    /// Optional safety probe (observes state, is not state).
-    probe: Option<TwoPcProbe>,
 }
 
 impl TwoPcEngine {
     /// A fresh engine for `shard` under `map`.
-    pub fn new(map: ShardMap, shard: usize, probe: Option<TwoPcProbe>) -> TwoPcEngine {
+    pub fn new(map: ShardMap, shard: usize) -> TwoPcEngine {
         TwoPcEngine {
             map,
             shard,
@@ -291,19 +205,6 @@ impl TwoPcEngine {
             applied: BTreeMap::new(),
             coord: BTreeMap::new(),
             coord_of: BTreeMap::new(),
-            probe: None,
-        }
-        .with_probe(probe)
-    }
-
-    fn with_probe(mut self, probe: Option<TwoPcProbe>) -> TwoPcEngine {
-        self.probe = probe;
-        self
-    }
-
-    fn probe_event(&self, e: TwoPcEvent) {
-        if let Some(p) = &self.probe {
-            p.lock().push(e);
         }
     }
 
@@ -313,9 +214,15 @@ impl TwoPcEngine {
     }
 
     /// Processes one ordered record and returns the actions the group now
-    /// owes, plus the virtual CPU cost incurred. Idempotent: re-processing
-    /// any record mutates nothing and re-returns the owed actions.
-    pub fn step(&mut self, record: &TwoPcRecord, db: &Database) -> (Vec<TwoPcAction>, Duration) {
+    /// owes, plus the virtual CPU cost incurred; the hosting replica's
+    /// `probe`, if any, records each step. Idempotent: re-processing any
+    /// record mutates nothing and re-returns the owed actions.
+    pub fn step(
+        &mut self,
+        record: &TwoPcRecord,
+        db: &Database,
+        probe: Option<&Probe>,
+    ) -> (Vec<TwoPcAction>, Duration) {
         let txnid = record.txnid();
         let mut cost = Duration::ZERO;
         match record {
@@ -342,11 +249,13 @@ impl TwoPcEngine {
                     }
                     let coord = participants.first().copied().unwrap_or(0);
                     self.coord_of.insert(*txnid, coord);
-                    self.probe_event(TwoPcEvent::Prepared {
-                        txnid: *txnid,
-                        shard: self.shard,
-                        participants: participants.clone(),
-                    });
+                    if let Some(p) = probe {
+                        p.record(Event::TwoPc(TwoPcEvent::Prepared {
+                            txnid: *txnid,
+                            shard: self.shard,
+                            participants: participants.clone(),
+                        }));
+                    }
                     if coord == self.shard {
                         let early = self.early_votes.remove(txnid).unwrap_or_default();
                         let cs = self.coord.entry(*txnid).or_insert_with(|| CoordState {
@@ -361,7 +270,7 @@ impl TwoPcEngine {
                                 cs.votes.entry(s).or_insert(g);
                             }
                         }
-                        cost += self.try_decide(*txnid, db);
+                        cost += self.try_decide(*txnid, db, probe);
                     }
                 }
             }
@@ -374,7 +283,7 @@ impl TwoPcEngine {
                     if cs.participants.contains(shard) {
                         cs.votes.entry(*shard).or_insert(*granted);
                     }
-                    cost += self.try_decide(*txnid, db);
+                    cost += self.try_decide(*txnid, db, probe);
                 } else {
                     // The Prepare has not been ordered here yet: buffer.
                     self.early_votes
@@ -387,13 +296,15 @@ impl TwoPcEngine {
             TwoPcRecord::Decision { txnid, commit } => {
                 if !self.decided.contains_key(txnid) {
                     self.decided.insert(*txnid, *commit);
-                    self.probe_event(TwoPcEvent::Decided {
-                        txnid: *txnid,
-                        shard: self.shard,
-                        commit: *commit,
-                    });
+                    if let Some(p) = probe {
+                        p.record(Event::TwoPc(TwoPcEvent::Decided {
+                            txnid: *txnid,
+                            shard: self.shard,
+                            commit: *commit,
+                        }));
+                    }
                 }
-                cost += self.ensure_applied(*txnid, db);
+                cost += self.ensure_applied(*txnid, db, probe);
             }
             TwoPcRecord::Done { txnid, shard } => {
                 if let Some(cs) = self.coord.get_mut(txnid) {
@@ -405,7 +316,7 @@ impl TwoPcEngine {
     }
 
     /// Declares the decision once every participant voted.
-    fn try_decide(&mut self, txnid: TxnId, db: &Database) -> Duration {
+    fn try_decide(&mut self, txnid: TxnId, db: &Database, probe: Option<&Probe>) -> Duration {
         let Some(cs) = self.coord.get_mut(&txnid) else {
             return Duration::ZERO;
         };
@@ -419,19 +330,19 @@ impl TwoPcEngine {
                 }
                 std::collections::btree_map::Entry::Occupied(_) => false,
             };
-            if newly {
-                self.probe_event(TwoPcEvent::Decided {
+            if let (true, Some(p)) = (newly, probe) {
+                p.record(Event::TwoPc(TwoPcEvent::Decided {
                     txnid,
                     shard: self.shard,
                     commit,
-                });
+                }));
             }
         }
-        self.ensure_applied(txnid, db)
+        self.ensure_applied(txnid, db, probe)
     }
 
     /// Resolves the parked part once a decision is known.
-    fn ensure_applied(&mut self, txnid: TxnId, db: &Database) -> Duration {
+    fn ensure_applied(&mut self, txnid: TxnId, db: &Database, probe: Option<&Probe>) -> Duration {
         let Some(&commit) = self.decided.get(&txnid) else {
             return Duration::ZERO;
         };
@@ -452,11 +363,13 @@ impl TwoPcEngine {
         } else {
             (false, Vec::new())
         };
-        self.probe_event(TwoPcEvent::Applied {
-            txnid,
-            shard: self.shard,
-            committed: outcome.0,
-        });
+        if let Some(p) = probe {
+            p.record(Event::TwoPc(TwoPcEvent::Applied {
+                txnid,
+                shard: self.shard,
+                committed: outcome.0,
+            }));
+        }
         self.applied.insert(txnid, outcome);
         if let Some(cs) = self.coord.get_mut(&txnid) {
             cs.done.insert(self.shard);
@@ -586,19 +499,14 @@ impl TwoPcEngine {
     }
 
     /// Restores engine state serialized by [`TwoPcEngine::to_value`].
-    pub fn from_value(
-        v: &Value,
-        map: ShardMap,
-        shard: usize,
-        probe: Option<TwoPcProbe>,
-    ) -> Option<TwoPcEngine> {
+    pub fn from_value(v: &Value, map: ShardMap, shard: usize) -> Option<TwoPcEngine> {
         let (parked_v, rest) = (v.fst()?, v.snd()?);
         let (voted_v, rest) = (rest.fst()?, rest.snd()?);
         let (early_v, rest) = (rest.fst()?, rest.snd()?);
         let (decided_v, rest) = (rest.fst()?, rest.snd()?);
         let (applied_v, rest) = (rest.fst()?, rest.snd()?);
         let (coord_v, coord_of_v) = (rest.fst()?, rest.snd()?);
-        let mut e = TwoPcEngine::new(map, shard, probe);
+        let mut e = TwoPcEngine::new(map, shard);
         for (id, t) in txn_entries(parked_v)? {
             e.parked.insert(id, TxnRequest::from_value(t)?);
         }
@@ -693,6 +601,7 @@ fn tentative_outcome(part: &TxnRequest, db: &Database) -> (bool, Duration) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::check_two_pc_atomicity;
     use shadowdb_sqldb::EngineProfile;
     use shadowdb_workloads::bank;
 
@@ -707,11 +616,12 @@ mod tests {
     }
 
     /// Drives two engines to completion by hand-routing their actions,
-    /// returning the final client reply.
+    /// recording into `probe`, and returns the final client reply.
     fn drive(
         engines: &mut [TwoPcEngine],
         dbs: &[Database],
         prepare: &TwoPcRecord,
+        probe: &Probe,
     ) -> Option<(bool, Vec<SqlValue>)> {
         let TwoPcRecord::Prepare { participants, .. } = prepare else {
             panic!("drive starts from a Prepare");
@@ -723,7 +633,7 @@ mod tests {
         while let Some((shard, rec)) = queue.pop() {
             steps += 1;
             assert!(steps < 100, "protocol must terminate");
-            let (actions, _) = engines[shard].step(&rec, &dbs[shard]);
+            let (actions, _) = engines[shard].step(&rec, &dbs[shard], Some(probe));
             for a in actions {
                 match a {
                     TwoPcAction::SendRecord { to_shard, record } => {
@@ -742,11 +652,8 @@ mod tests {
     fn cross_shard_transfer_commits_atomically() {
         let map = ShardMap::new(2);
         let dbs = [shard_db(2, 0), shard_db(2, 1)];
-        let probe: TwoPcProbe = Arc::default();
-        let mut engines = [
-            TwoPcEngine::new(map, 0, Some(probe.clone())),
-            TwoPcEngine::new(map, 1, Some(probe.clone())),
-        ];
+        let probe = Probe::default();
+        let mut engines = [TwoPcEngine::new(map, 0), TwoPcEngine::new(map, 1)];
         let txn = TxnRequest::BankTransfer {
             from: 2,
             to: 5,
@@ -757,23 +664,20 @@ mod tests {
             participants: map.participants(&txn),
             txn: Box::new(txn),
         };
-        let (committed, _) = drive(&mut engines, &dbs, &prep).expect("a reply");
+        let (committed, _) = drive(&mut engines, &dbs, &prep, &probe).expect("a reply");
         assert!(committed);
         assert_eq!(balance(&dbs[0], 2), SqlValue::Int(700));
         assert_eq!(balance(&dbs[1], 5), SqlValue::Int(1_300));
         assert_eq!(engines[0].in_flight() + engines[1].in_flight(), 0);
-        check_two_pc_atomicity(&probe.lock()).unwrap();
+        check_two_pc_atomicity(&probe.events()).unwrap();
     }
 
     #[test]
     fn refused_vote_aborts_everywhere() {
         let map = ShardMap::new(2);
         let dbs = [shard_db(2, 0), shard_db(2, 1)];
-        let probe: TwoPcProbe = Arc::default();
-        let mut engines = [
-            TwoPcEngine::new(map, 0, Some(probe.clone())),
-            TwoPcEngine::new(map, 1, Some(probe.clone())),
-        ];
+        let probe = Probe::default();
+        let mut engines = [TwoPcEngine::new(map, 0), TwoPcEngine::new(map, 1)];
         // A participant list naming a shard the transaction does not
         // actually touch: that shard's part is None, so it votes no.
         let txn = TxnRequest::BankDeposit {
@@ -785,24 +689,21 @@ mod tests {
             participants: vec![0, 1],
             txn: Box::new(txn),
         };
-        let (committed, _) = drive(&mut engines, &dbs, &prep).expect("a reply");
+        let (committed, _) = drive(&mut engines, &dbs, &prep, &probe).expect("a reply");
         assert!(!committed);
         assert_eq!(
             balance(&dbs[0], 2),
             SqlValue::Int(1_000),
             "abort rolled back"
         );
-        check_two_pc_atomicity(&probe.lock()).unwrap();
+        check_two_pc_atomicity(&probe.events()).unwrap();
     }
 
     #[test]
     fn steps_are_idempotent_and_emissions_pure() {
         let map = ShardMap::new(2);
         let dbs = [shard_db(2, 0), shard_db(2, 1)];
-        let mut engines = [
-            TwoPcEngine::new(map, 0, None),
-            TwoPcEngine::new(map, 1, None),
-        ];
+        let mut engines = [TwoPcEngine::new(map, 0), TwoPcEngine::new(map, 1)];
         let txn = TxnRequest::BankTransfer {
             from: 0,
             to: 1,
@@ -814,10 +715,10 @@ mod tests {
             participants: map.participants(&txn),
             txn: Box::new(txn),
         };
-        drive(&mut engines, &dbs, &prep).expect("a reply");
+        drive(&mut engines, &dbs, &prep, &Probe::default()).expect("a reply");
         // Re-delivering the Prepare re-emits the reply without touching
         // the database (the part is no longer parked).
-        let (acts, _) = engines[0].step(&prep, &dbs[0]);
+        let (acts, _) = engines[0].step(&prep, &dbs[0], None);
         assert!(
             acts.iter().any(|a| matches!(
                 a,
@@ -830,7 +731,7 @@ mod tests {
         );
         assert_eq!(balance(&dbs[0], 0), SqlValue::Int(990), "no double debit");
         // And at the non-coordinator it re-emits Done.
-        let (acts, _) = engines[1].step(&prep, &dbs[1]);
+        let (acts, _) = engines[1].step(&prep, &dbs[1], None);
         assert!(
             acts.iter().any(|a| matches!(
                 a,
@@ -847,7 +748,7 @@ mod tests {
     fn early_vote_before_prepare_is_buffered() {
         let map = ShardMap::new(2);
         let db = shard_db(2, 0);
-        let mut e = TwoPcEngine::new(map, 0, None);
+        let mut e = TwoPcEngine::new(map, 0);
         let id = (Loc::new(1), 7);
         let txn = TxnRequest::BankTransfer {
             from: 0,
@@ -862,6 +763,7 @@ mod tests {
                 granted: true,
             },
             &db,
+            None,
         );
         assert!(acts.is_empty(), "nothing owed before the Prepare");
         let (acts, _) = e.step(
@@ -871,6 +773,7 @@ mod tests {
                 txn: Box::new(txn),
             },
             &db,
+            None,
         );
         // Both votes present: the decision goes straight out.
         assert!(
@@ -889,8 +792,8 @@ mod tests {
     fn engine_state_roundtrips_the_wire() {
         let map = ShardMap::new(2);
         let dbs = [shard_db(2, 0), shard_db(2, 1)];
-        let mut e0 = TwoPcEngine::new(map, 0, None);
-        let mut e1 = TwoPcEngine::new(map, 1, None);
+        let mut e0 = TwoPcEngine::new(map, 0);
+        let mut e1 = TwoPcEngine::new(map, 1);
         let txn = TxnRequest::BankTransfer {
             from: 2,
             to: 5,
@@ -903,9 +806,9 @@ mod tests {
             txn: Box::new(txn),
         };
         // Freeze mid-protocol: both prepared, no votes exchanged yet.
-        e0.step(&prep, &dbs[0]);
-        e1.step(&prep, &dbs[1]);
-        let restored = TwoPcEngine::from_value(&e0.to_value(), map, 0, None).unwrap();
+        e0.step(&prep, &dbs[0], None);
+        e1.step(&prep, &dbs[1], None);
+        let restored = TwoPcEngine::from_value(&e0.to_value(), map, 0).unwrap();
         assert_eq!(restored.parked, e0.parked);
         assert_eq!(restored.voted, e0.voted);
         assert_eq!(restored.coord, e0.coord);
@@ -918,6 +821,7 @@ mod tests {
                 granted: true,
             },
             &dbs[0],
+            None,
         );
         let (acts_o, _) = e0.step(
             &TwoPcRecord::Vote {
@@ -926,38 +830,8 @@ mod tests {
                 granted: true,
             },
             &dbs[0],
+            None,
         );
         assert_eq!(acts_r, acts_o);
-    }
-
-    #[test]
-    fn atomicity_checker_flags_partial_commit() {
-        let id = (Loc::new(1), 1);
-        let events = vec![
-            TwoPcEvent::Prepared {
-                txnid: id,
-                shard: 0,
-                participants: vec![0, 1],
-            },
-            TwoPcEvent::Decided {
-                txnid: id,
-                shard: 0,
-                commit: true,
-            },
-            TwoPcEvent::Applied {
-                txnid: id,
-                shard: 0,
-                committed: true,
-            },
-            // Shard 1 never applied.
-        ];
-        assert!(check_two_pc_atomicity(&events).is_err());
-        // Undecided transactions are skipped.
-        let undecided = vec![TwoPcEvent::Prepared {
-            txnid: id,
-            shard: 0,
-            participants: vec![0, 1],
-        }];
-        check_two_pc_atomicity(&undecided).unwrap();
     }
 }

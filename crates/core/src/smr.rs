@@ -13,7 +13,8 @@
 //! fetches the snapshot from the proposer.
 
 use crate::msgs::{reply_msg, TxnEnvelope, STALE_CONFIG_HEADER, SUBMIT_HEADER, SYNC_HEADER};
-use crate::replica_core::{LeaseProbe, LeaseWatch, ReplicaCore, Seen, TransferKind, TransferProbe};
+use crate::probe::{Event, Probe, TransferKind};
+use crate::replica_core::{ReplicaCore, Seen};
 use crate::shard::ShardRole;
 use shadowdb_eventml::process::HasherAdapter;
 use shadowdb_eventml::{cached_header, Ctx, Msg, Process, SendInstr, Value};
@@ -73,12 +74,6 @@ pub struct SmrLeaseOptions {
     /// Holder renewal period, also the unit of the claim stagger; `D/4`
     /// keeps the lease continuously covered with slack for TOB latency.
     pub renew_every: Duration,
-    /// Test probe recording `(term, loc, served_at, until)` per fast read.
-    pub lease_probe: Option<LeaseProbe>,
-    /// When set, every fast read is also announced to this location as a
-    /// [`crate::msgs::LEASE_AUDIT_HEADER`] message — unlike the probe,
-    /// messages fork soundly under the model checker.
-    pub lease_audit: Option<Loc>,
 }
 
 impl Default for SmrLeaseOptions {
@@ -87,8 +82,6 @@ impl Default for SmrLeaseOptions {
             lease_duration: Duration::from_secs(4),
             lease_margin: Duration::ZERO,
             renew_every: Duration::from_secs(1),
-            lease_probe: None,
-            lease_audit: None,
         }
     }
 }
@@ -269,9 +262,11 @@ impl SmrReplica {
         self
     }
 
-    /// Installs a donor-side transfer probe.
-    pub fn with_transfer_probe(mut self, probe: TransferProbe) -> SmrReplica {
-        self.core.set_transfer_probe(probe);
+    /// Installs the deployment's observers: `probe` records this replica's
+    /// lease reads, transfers and 2PC steps; `lease_audit` is the model
+    /// checker's sink for lease reads.
+    pub fn with_observers(mut self, probe: Option<Probe>, lease_audit: Option<Loc>) -> SmrReplica {
+        self.core.observe(probe, lease_audit);
         self
     }
 
@@ -634,7 +629,10 @@ impl SmrReplica {
                 .filter(|(s, _)| *s >= from)
                 .map(|(_, p)| p.clone())
                 .collect();
-            self.core.note_transfer(requester, TransferKind::Catchup);
+            self.core.note(Event::Transfer {
+                to: requester,
+                kind: TransferKind::Catchup,
+            });
             outs.push(SendInstr::now(
                 requester,
                 Msg::new(
@@ -643,7 +641,10 @@ impl SmrReplica {
                 ),
             ));
         } else {
-            self.core.note_transfer(requester, TransferKind::Snapshot);
+            self.core.note(Event::Transfer {
+                to: requester,
+                kind: TransferKind::Snapshot,
+            });
             self.on_fetch_snapshot(
                 slf,
                 &Value::pair(Value::Loc(requester), Value::Int(min_seq)),
@@ -732,13 +733,9 @@ impl SmrReplica {
         };
         if env.read_only && !self.joining && !self.rejoin {
             if let (Some(until), Some(l)) = (self.lease_until(ctx), &self.lease) {
-                let watch = LeaseWatch {
-                    probe: &l.opts.lease_probe,
-                    audit: l.opts.lease_audit,
-                };
                 if self
                     .core
-                    .serve_lease_read(ctx, &env, l.marker_send_us, until, watch, outs)
+                    .serve_lease_read(ctx, &env, l.marker_send_us, until, outs)
                 {
                     return;
                 }

@@ -4,8 +4,9 @@
 //! Every run asserts (in `shadowdb::chaos`) that the system converges
 //! after the last fault heals, that the observed history is strictly
 //! serializable (which also catches duplicated transaction execution),
-//! and — for PBR — that no two replicas ever executed as primary of the
-//! same configuration.
+//! and that every invariant of `shadowdb::probe` holds over the event log
+//! the run's deployment recorded — among them, for PBR, that no two
+//! replicas ever executed as primary of the same configuration.
 //!
 //! The simulator legs sweep every nemesis profile in virtual time; the
 //! tcpnet legs run a representative subset in real time with fixed seeds.
@@ -13,10 +14,9 @@
 //! profile on the simulator (the opt-in long soak).
 
 use shadowdb::chaos::{
-    soak_durability_pbr, soak_durability_smr, soak_pbr, soak_reads_pbr, soak_reads_smr,
-    soak_reconfig_pbr, soak_reconfig_smr, soak_sharded_pbr, soak_sharded_pbr_power_loss,
-    soak_sharded_reconfig_pbr, soak_sharded_reconfig_smr, soak_sharded_smr,
-    soak_sharded_smr_power_loss, soak_smr, ChaosOptions, ChaosReport,
+    soak_pbr, soak_reads_pbr, soak_reads_smr, soak_reconfig_pbr, soak_reconfig_smr,
+    soak_sharded_pbr, soak_sharded_reconfig_pbr, soak_sharded_reconfig_smr, soak_sharded_smr,
+    soak_smr, ChaosOptions, ChaosReport,
 };
 use shadowdb_runtime::NemesisProfile;
 use shadowdb_tcpnet::TcpNet;
@@ -168,19 +168,19 @@ fn tcpnet_smr_partition_soak() {
 /// from its WAL + snapshot. The harness asserts (in `shadowdb::chaos`)
 /// that the run converges, the history stays strictly serializable (no
 /// acked transaction lost, none executed twice across the replay), and
-/// — via the donor-side transfer probe — that every rejoin was served
-/// as a suffix catch-up, never a full state transfer.
+/// — via the donors' transfer rows in the event log — that every rejoin
+/// was served as a suffix catch-up, never a full state transfer.
 #[test]
 fn simnet_durability_pbr_power_loss() {
     let mut sim = shadowdb_simnet::testing::default_net(1_300);
-    let report = soak_durability_pbr(&mut sim, &sim_opts(31, NemesisProfile::PowerLoss));
+    let report = soak_pbr(&mut sim, &sim_opts(31, NemesisProfile::PowerLoss));
     assert_eq!(report.committed, 300);
 }
 
 #[test]
 fn simnet_durability_smr_power_loss() {
     let mut sim = shadowdb_simnet::testing::default_net(1_301);
-    let report = soak_durability_smr(&mut sim, &sim_opts(32, NemesisProfile::PowerLoss));
+    let report = soak_smr(&mut sim, &sim_opts(32, NemesisProfile::PowerLoss));
     assert_eq!(report.committed, 300);
 }
 
@@ -194,7 +194,7 @@ fn tcpnet_durability_pbr_power_loss() {
     let mut opts = live_opts(35, NemesisProfile::PowerLoss);
     opts.duration = Duration::from_millis(300);
     opts.txns_per_client = 100;
-    let report = soak_durability_pbr(&mut net, &opts);
+    let report = soak_pbr(&mut net, &opts);
     assert_eq!(report.committed, 200);
     net.shutdown();
 }
@@ -205,7 +205,7 @@ fn tcpnet_durability_smr_power_loss() {
     let mut opts = live_opts(36, NemesisProfile::PowerLoss);
     opts.duration = Duration::from_millis(300);
     opts.txns_per_client = 100;
-    let report = soak_durability_smr(&mut net, &opts);
+    let report = soak_smr(&mut net, &opts);
     assert_eq!(report.committed, 200);
     net.shutdown();
 }
@@ -258,7 +258,7 @@ fn tcpnet_windowed_smr_soak() {
 /// configuration sequence (PBR), and that a replacement eventually
 /// landed (PBR). The replacement takes about a second of virtual time,
 /// so the PBR leg is sized as the sharded ones are — 300 transactions
-/// finish before the first configuration command lands — and its probe
+/// finish before the first configuration command lands — and its log
 /// must show a primary of a later configuration.
 #[test]
 fn simnet_reconfig_pbr_crash_during_transfer() {
@@ -322,7 +322,7 @@ fn tcpnet_reconfig_smr_crash_during_transfer() {
 /// receiving reads it could answer from stale state. The harness asserts
 /// (in `shadowdb::chaos`) convergence, strict serializability of the
 /// whole history — which catches any read served after the holder's
-/// lease should have expired — and, on the lease probe, that fast reads
+/// lease should have expired — and, on the event log, that fast reads
 /// were actually served and no two holders' intervals ever overlapped.
 /// Simulator sizing for the read soaks. Leases are 4 × heartbeat, and a
 /// PBR lease needs roughly two heartbeat periods to go fresh (grant out,
@@ -407,7 +407,7 @@ fn tcpnet_reads_smr_stale_primary_soak() {
 /// 2PC path directly — crash shard 0's primary mid-protocol, or partition
 /// the coordinator group from the participant group — and the harness
 /// asserts convergence, strict serializability of the transfer-bearing
-/// history, and atomicity of every cross-shard commit on the 2PC probe.
+/// history, and atomicity of every cross-shard commit on the event log.
 #[test]
 fn simnet_sharded_pbr_survives_2pc_profiles() {
     for (i, profile) in [
@@ -471,13 +471,13 @@ fn tcpnet_sharded_smr_shard_crash_soak() {
 /// transfers in flight while shard 0's participant replica is
 /// power-cycled and rebooted from its disk *with its shard role*. On top
 /// of the unsharded power-loss assertions (convergence, strict
-/// serializability, suffix-only rejoin on the transfer probe), the 2PC
-/// probe must stay atomic across the replayed engine state.
+/// serializability, suffix-only rejoin), the 2PC steps in the event log
+/// must stay atomic across the replayed engine state.
 #[test]
 fn simnet_sharded_pbr_power_loss() {
     let mut sim = shadowdb_simnet::testing::default_net(1_500);
     let opts = sim_opts(46, NemesisProfile::PowerLoss);
-    let report = soak_sharded_pbr_power_loss(&mut sim, &opts, 2);
+    let report = soak_sharded_pbr(&mut sim, &opts, 2);
     assert_eq!(report.committed, 300);
 }
 
@@ -485,7 +485,7 @@ fn simnet_sharded_pbr_power_loss() {
 fn simnet_sharded_smr_power_loss() {
     let mut sim = shadowdb_simnet::testing::default_net(1_501);
     let opts = sim_opts(47, NemesisProfile::PowerLoss);
-    let report = soak_sharded_smr_power_loss(&mut sim, &opts, 2);
+    let report = soak_sharded_smr(&mut sim, &opts, 2);
     assert_eq!(report.committed, 300);
 }
 
@@ -497,7 +497,7 @@ fn tcpnet_sharded_pbr_power_loss() {
     let mut opts = live_opts(37, NemesisProfile::PowerLoss);
     opts.duration = Duration::from_millis(300);
     opts.txns_per_client = 100;
-    let report = soak_sharded_pbr_power_loss(&mut net, &opts, 2);
+    let report = soak_sharded_pbr(&mut net, &opts, 2);
     assert_eq!(report.committed, 200);
     net.shutdown();
 }
@@ -508,7 +508,7 @@ fn tcpnet_sharded_pbr_power_loss() {
 /// that coordinates every 2PC it takes part in ends up led from a location
 /// no other shard was deployed with. Shard 1's votes and completion marks
 /// must follow shard 0's configuration chain there, as the clients do; on
-/// top of the reconfig assertions the 2PC probe must stay atomic. The
+/// top of the reconfig assertions the 2PC steps must stay atomic. The
 /// replacement and the promotion take about a second of virtual time, so
 /// the workload is sized to outlast them.
 fn sim_sharded_reconfig_opts(seed: u64, profile: NemesisProfile) -> ChaosOptions {
@@ -600,9 +600,9 @@ fn long_soak_seed_sweep() {
         // sweep its sharded and lease legs per seed here.
         let opts = sim_opts(seed, NemesisProfile::PowerLoss);
         let mut sim = shadowdb_simnet::testing::default_net(seed * 47);
-        soak_sharded_pbr_power_loss(&mut sim, &opts, 2);
+        soak_sharded_pbr(&mut sim, &opts, 2);
         let mut sim = shadowdb_simnet::testing::default_net(seed * 53);
-        soak_sharded_smr_power_loss(&mut sim, &opts, 2);
+        soak_sharded_smr(&mut sim, &opts, 2);
         // Durability × leases: the holder is what loses power.
         let mut sim = shadowdb_simnet::testing::default_net(seed * 59);
         soak_reads_smr(

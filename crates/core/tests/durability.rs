@@ -15,7 +15,8 @@ use parking_lot::Mutex;
 use shadowdb::chaos::mixed_txns;
 use shadowdb::client::{DbClient, DbClientStats};
 use shadowdb::deploy::{DeployOptions, DurabilityOptions, PbrDeployment, SmrDeployment};
-use shadowdb::pbr::{PbrOptions, TransferKind, TransferProbe};
+use shadowdb::pbr::PbrOptions;
+use shadowdb::probe::{check_catchup_only, Event, Probe, TransferKind};
 use shadowdb::serializability::check_bank_history_concurrent;
 use shadowdb_loe::{Loc, VTime};
 use shadowdb_runtime::Runtime;
@@ -35,7 +36,7 @@ fn scripts(seed: u64) -> Vec<Vec<TxnRequest>> {
         .collect()
 }
 
-fn options(scripts: Vec<Vec<TxnRequest>>, transfers: &TransferProbe) -> DeployOptions {
+fn options(scripts: Vec<Vec<TxnRequest>>, probe: &Probe) -> DeployOptions {
     let mut o = DeployOptions::new(
         CLIENTS,
         move |i| scripts[i].clone(),
@@ -45,9 +46,9 @@ fn options(scripts: Vec<Vec<TxnRequest>>, transfers: &TransferProbe) -> DeployOp
     o.start_clients = false; // started explicitly, after faults are armed
     o.durability = Some(DurabilityOptions {
         snapshot_every: SNAPSHOT_EVERY,
-        transfer_probe: Some(transfers.clone()),
         ..DurabilityOptions::default()
     });
+    o.probe = Some(probe.clone());
     o
 }
 
@@ -105,25 +106,13 @@ fn assert_disk_exercised(disk: &shadowdb_wal::Disk) {
     );
 }
 
-fn assert_catchup_only(transfers: &TransferProbe, victim: Loc) {
-    let log = transfers.lock().clone();
-    assert!(
-        log.contains(&(victim, TransferKind::Catchup)),
-        "rebooted replica never completed a suffix catch-up: {log:?}"
-    );
-    assert!(
-        !log.contains(&(victim, TransferKind::Snapshot)),
-        "restart-from-disk fell back to a full state transfer: {log:?}"
-    );
-}
-
 #[test]
 fn pbr_power_cycle_replays_wal_and_rejoins_by_catchup() {
     let mut sim = shadowdb_simnet::testing::default_net(4_242);
-    let transfers: TransferProbe = Arc::new(Mutex::new(Vec::new()));
+    let probe = Probe::default();
     let pbr = pbr_options(PbrOptions::default().cache_limit);
     let scripts = scripts(97);
-    let d = PbrDeployment::build(&mut sim, &options(scripts.clone(), &transfers), pbr);
+    let d = PbrDeployment::build(&mut sim, &options(scripts.clone(), &probe), pbr);
 
     // Kill the backup mid-workload; the deployment reboots it from its
     // disk 80 ms later — well under the 400 ms detection threshold, so
@@ -137,15 +126,15 @@ fn pbr_power_cycle_replays_wal_and_rejoins_by_catchup() {
 
     assert_converged(&mut sim, &scripts, &d.stats);
     assert_disk_exercised(&disk);
-    assert_catchup_only(&transfers, victim);
+    check_catchup_only(&probe.events(), victim).expect("rejoined by catch-up");
 }
 
 #[test]
 fn smr_power_cycle_replays_wal_and_rejoins_by_delta() {
     let mut sim = shadowdb_simnet::testing::default_net(5_353);
-    let transfers: TransferProbe = Arc::new(Mutex::new(Vec::new()));
+    let probe = Probe::default();
     let scripts = scripts(98);
-    let d = SmrDeployment::build(&mut sim, &options(scripts.clone(), &transfers));
+    let d = SmrDeployment::build(&mut sim, &options(scripts.clone(), &probe));
 
     // Kill the last replica mid-workload. Under SMR the survivors keep
     // answering, so the group's frontier moves on during the outage and
@@ -158,7 +147,7 @@ fn smr_power_cycle_replays_wal_and_rejoins_by_delta() {
 
     assert_converged(&mut sim, &scripts, &d.stats);
     assert_disk_exercised(&disk);
-    assert_catchup_only(&transfers, victim);
+    check_catchup_only(&probe.events(), victim).expect("rejoined by catch-up");
 }
 
 /// Reconfiguration × durability: a replica added to a durable deployment
@@ -170,12 +159,12 @@ fn smr_power_cycle_replays_wal_and_rejoins_by_delta() {
 #[test]
 fn pbr_joiner_power_cycle_rejoins_from_its_own_disk() {
     let mut sim = shadowdb_simnet::testing::default_net(6_464);
-    let transfers: TransferProbe = Arc::new(Mutex::new(Vec::new()));
+    let probe = Probe::default();
     // A cache small enough that the join cannot be served from it, large
     // enough to cover what the group executes during an outage.
     let pbr = pbr_options(64);
     let scripts = scripts(99);
-    let d = PbrDeployment::build(&mut sim, &options(scripts.clone(), &transfers), pbr);
+    let d = PbrDeployment::build(&mut sim, &options(scripts.clone(), &probe), pbr);
     let mut handle = d.reconfig(&mut sim);
     start_clients(&mut sim, &d.clients);
     while d.committed() < 100 {
@@ -187,11 +176,16 @@ fn pbr_joiner_power_cycle_rejoins_from_its_own_disk() {
         .replace_replica(&mut sim, d.replicas[1], minute)
         .expect("replacement adopted under load");
     assert!(handle.await_member(&mut sim, joiner, minute));
+    let joined = Event::Transfer {
+        to: joiner,
+        kind: TransferKind::Snapshot,
+    };
     assert!(
-        transfers.lock().contains(&(joiner, TransferKind::Snapshot)),
+        probe.events().contains(&joined),
         "the join itself is a full state transfer"
     );
-    transfers.lock().clear();
+    // The power cycle is judged on what the log records from here on.
+    let rebooted = probe.events().len();
 
     assert!(
         d.committed() < CLIENTS * TXNS,
@@ -203,5 +197,5 @@ fn pbr_joiner_power_cycle_rejoins_from_its_own_disk() {
 
     assert_converged(&mut sim, &scripts, &d.stats);
     assert!(handle.await_member(&mut sim, joiner, minute));
-    assert_catchup_only(&transfers, joiner);
+    check_catchup_only(&probe.events()[rebooted..], joiner).expect("rejoined by catch-up");
 }

@@ -3,26 +3,29 @@
 //! The shipping deployment builders assemble into `shadowdb_mck::
 //! WorldBuilder` with microsecond-scale lease timing (the checker's
 //! clock advances one microsecond per delivery), read-only submissions
-//! are injected at several replicas, and every fast-path read emits a
-//! `lease_audit` record to an environment port — audit messages rather
-//! than `Arc` probes, because the explorer forks world states and a
-//! shared-memory probe would blend observations across branches. The
-//! invariant over every explored interleaving of heartbeats, echoes,
-//! markers, and reads: **no two replicas ever serve fast-path reads
-//! under overlapping lease intervals** — not merely per configuration;
-//! a successor's wait-out must keep even cross-configuration intervals
-//! disjoint — and a replica that is not the holder never emits an audit
-//! at all.
+//! are injected at several replicas, and every fast-path read emits an
+//! audit record to the deployment's `lease_audit` port — messages rather
+//! than the deployment's shared `Probe` log, because the explorer forks
+//! world states and a shared log would blend observations across
+//! branches. Each path's audits decode to the same `Event::LeaseRead`
+//! rows a probe records, and the one `probe::check_lease_intervals_
+//! disjoint` judges them. The invariant over every explored interleaving
+//! of heartbeats, echoes, markers, and reads: **no two replicas ever
+//! serve fast-path reads under overlapping lease intervals** — not merely
+//! per configuration; a successor's wait-out must keep even
+//! cross-configuration intervals disjoint — and a replica that is not the
+//! holder never emits an audit at all.
 //!
 //! Depth/state bounds make this a bounded smoke proof, not an
 //! exhaustive one (heartbeat and renewal timers re-arm forever).
 
 use shadowdb::deploy::{DeployOptions, PbrDeployment, SmrDeployment};
-use shadowdb::msgs::{parse_lease_audit, submit_msg, LeaseAudit, TxnEnvelope};
+use shadowdb::msgs::{parse_lease_audit, submit_msg, TxnEnvelope};
 use shadowdb::pbr::PbrOptions;
+use shadowdb::probe::{check_lease_intervals_disjoint, timeline, Event};
 use shadowdb::smr::SmrLeaseOptions;
-use shadowdb_loe::VTime;
-use shadowdb_mck::{Options, WorldBuilder};
+use shadowdb_loe::{Loc, VTime};
+use shadowdb_mck::{Options, Outcome, World, WorldBuilder};
 use shadowdb_runtime::Runtime;
 use shadowdb_tob::deploy::BackendKind;
 use shadowdb_workloads::{bank, TxnRequest};
@@ -31,7 +34,7 @@ use std::time::Duration;
 
 const ACCOUNTS: usize = 4;
 
-fn checker_options() -> DeployOptions {
+fn checker_options(audit_sink: Loc) -> DeployOptions {
     let mut options = DeployOptions::new(
         0, // clients are environment ports, not deployed processes
         |_| Vec::new(),
@@ -39,22 +42,24 @@ fn checker_options() -> DeployOptions {
     );
     options.machines = 2;
     options.backend = BackendKind::TwoThird;
+    options.lease_audit = Some(audit_sink);
     options
 }
 
-/// Rejects any pair of audits from different replicas whose lease
-/// intervals `[served, until)` overlap.
-fn check_disjoint(audits: &[LeaseAudit]) -> Result<(), String> {
-    for a in audits {
-        for b in audits {
-            if a.from != b.from && a.served_us < b.until_us && b.served_us < a.until_us {
-                return Err(format!(
-                    "two holders served fast reads under overlapping leases: {a:?} vs {b:?}"
-                ));
-            }
-        }
+/// The lease reads one explored path announced, as the rows a probe
+/// would have recorded.
+fn audits(w: &World) -> Vec<Event> {
+    let audits = w.observations.iter();
+    audits
+        .filter_map(|(_, _, m)| parse_lease_audit(m))
+        .collect()
+}
+
+/// Fails the test with the violating path's message and schedule.
+fn assert_no_violation(outcome: &Outcome) {
+    if let Some(v) = &outcome.violation {
+        panic!("{}\nschedule: {:?}", v.message, v.schedule);
     }
-    Ok(())
 }
 
 /// PBR: reads land on the primary, a backup, and the spare while grant
@@ -72,10 +77,9 @@ fn mck_pbr_no_overlapping_lease_reads() {
         heartbeat_every: Duration::from_micros(2),
         read_leases: true,
         lease_duration: Duration::from_micros(200),
-        lease_audit: Some(audit_sink),
         ..PbrOptions::default()
     };
-    let d = PbrDeployment::build(&mut world, &checker_options(), pbr);
+    let d = PbrDeployment::build(&mut world, &checker_options(audit_sink), pbr);
 
     // Read-only submissions to the primary (may serve fast once echoed)
     // and the backup (must never). The checker abstracts `send_at` times
@@ -101,21 +105,18 @@ fn mck_pbr_no_overlapping_lease_reads() {
             ..Options::default()
         },
         |w| {
-            let audits: Vec<LeaseAudit> = w
-                .observations
-                .iter()
-                .filter_map(|(_, _, m)| parse_lease_audit(m))
-                .collect();
-            for a in &audits {
-                if a.from != primary {
-                    return Err(format!("non-primary served a fast read: {a:?}"));
-                }
+            let audits = audits(w);
+            let by_primary =
+                |e: &&Event| matches!(e, Event::LeaseRead { loc, .. } if *loc == primary);
+            if let Some(a) = audits.iter().find(|e| !by_primary(e)) {
+                let log = timeline(&audits);
+                return Err(format!("non-primary served a fast read: {a:?}\n{log}"));
             }
             served.set(served.get() + audits.len() as u64);
-            check_disjoint(&audits)
+            check_lease_intervals_disjoint(&audits).map_err(|v| v.to_string())
         },
     );
-    assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
+    assert_no_violation(&outcome);
     assert!(
         served.get() > 0,
         "vacuous: no explored interleaving served a fast read"
@@ -137,11 +138,10 @@ fn mck_smr_no_overlapping_lease_reads() {
     let mut world = WorldBuilder::new();
     let (client, _rx) = world.port();
     let (audit_sink, _arx) = world.port();
-    let mut options = checker_options();
+    let mut options = checker_options(audit_sink);
     options.smr_leases = Some(SmrLeaseOptions {
         lease_duration: Duration::from_micros(200),
         renew_every: Duration::from_micros(3),
-        lease_audit: Some(audit_sink),
         ..SmrLeaseOptions::default()
     });
     let d = SmrDeployment::build(&mut world, &options);
@@ -165,16 +165,12 @@ fn mck_smr_no_overlapping_lease_reads() {
             ..Options::default()
         },
         |w| {
-            let audits: Vec<LeaseAudit> = w
-                .observations
-                .iter()
-                .filter_map(|(_, _, m)| parse_lease_audit(m))
-                .collect();
+            let audits = audits(w);
             served.set(served.get() + audits.len() as u64);
-            check_disjoint(&audits)
+            check_lease_intervals_disjoint(&audits).map_err(|v| v.to_string())
         },
     );
-    assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
+    assert_no_violation(&outcome);
     assert!(
         served.get() > 0,
         "vacuous: no explored interleaving served a fast read"

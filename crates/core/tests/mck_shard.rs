@@ -8,9 +8,11 @@
 //! replicas, and every 2PC record (Prepare, Vote, Decision, Done) as an
 //! ordinary in-flight message the adversary may reorder.
 //!
-//! The shared `TwoPcProbe` is *unsound* under the checker (forked branches
-//! would all push into one `Arc`), so atomicity is stated over what the
-//! environment observes: replies to the client port. The abort test is the
+//! No `Probe` is installed: the deployment's event log is shared memory,
+//! *unsound* under the checker (forked branches would all append to one
+//! log), so `probe::check_two_pc_atomicity` cannot judge a path here.
+//! Atomicity is stated over what the environment observes instead:
+//! replies to the client port. The abort test is the
 //! sharp one — a Prepare whose participant list names a shard the
 //! transaction never touches makes that shard vote no, so the decision
 //! must be abort *everywhere*; a racing read on the yes-voting shard must

@@ -1,8 +1,9 @@
 //! End-to-end coverage of the lease-based read fast path.
 //!
 //! Both shipping deployments run a YCSB-B-shaped read/update mix with
-//! leases enabled; the probes prove fast reads were actually served
-//! (not silently falling back to the ordered path), and every client's
+//! leases enabled; the deployment's probe proves fast reads were actually
+//! served (not silently falling back to the ordered path) under disjoint
+//! lease intervals, and every client's
 //! history passes the concurrent strict-serializability checker — a fast
 //! read carries exactly the same real-time obligations as an ordered
 //! one. A deliberately broken "stale holder" double shows the checker
@@ -14,7 +15,8 @@
 use parking_lot::Mutex;
 use shadowdb::deploy::{DeployOptions, PbrDeployment, SmrDeployment};
 use shadowdb::msgs::REPLY_HEADER;
-use shadowdb::pbr::{LeaseProbe, PbrOptions};
+use shadowdb::pbr::PbrOptions;
+use shadowdb::probe::{check_lease_intervals_disjoint, Event, Probe};
 use shadowdb::serializability::{check_bank_history_concurrent, Observation, Violation};
 use shadowdb::smr::SmrLeaseOptions;
 use shadowdb_loe::{Loc, VTime};
@@ -35,10 +37,12 @@ fn kv_script(client: usize) -> Vec<TxnRequest> {
     g.script(TXNS_EACH)
 }
 
-fn kv_options() -> DeployOptions {
-    DeployOptions::new(CLIENTS, kv_script, |db| {
+fn kv_options(probe: &Probe) -> DeployOptions {
+    let mut options = DeployOptions::new(CLIENTS, kv_script, |db| {
         bank::load(db, ROWS).expect("bank loads")
-    })
+    });
+    options.probe = Some(probe.clone());
+    options
 }
 
 /// Collects every client's committed observations against the scripts
@@ -51,42 +55,32 @@ fn collect(stats: &[Arc<Mutex<shadowdb::client::DbClientStats>>]) -> Vec<Observa
         .collect()
 }
 
-/// No two locations may ever serve fast reads under overlapping lease
-/// intervals — the single-holder guarantee, as the probes recorded it.
-fn assert_single_holder(probe: &LeaseProbe) {
-    let rows = probe.lock();
-    for a in rows.iter() {
-        for b in rows.iter() {
-            if a.1 != b.1 {
-                assert!(
-                    !(a.2 < b.3 && b.2 < a.3),
-                    "two holders served overlapping lease intervals: {a:?} vs {b:?}"
-                );
-            }
-        }
-    }
+/// How many lease reads the log recorded.
+fn lease_reads(probe: &Probe) -> usize {
+    let events = probe.events();
+    let read = |e: &&Event| matches!(e, Event::LeaseRead { .. });
+    events.iter().filter(read).count()
 }
 
 #[test]
 fn pbr_read_leases_serve_fast_reads_and_stay_linearizable() {
     let mut sim = shadowdb_simnet::testing::default_net(21);
-    let probe: LeaseProbe = Arc::new(Mutex::new(Vec::new()));
+    let probe = Probe::default();
     let pbr = PbrOptions {
         read_leases: true,
-        lease_probe: Some(probe.clone()),
         // Tight heartbeats so echoes go fresh while clients are still
         // submitting; the default 1 s cadence outlives this short mix.
         heartbeat_every: Duration::from_millis(10),
         ..PbrOptions::default()
     };
-    let d = PbrDeployment::build(&mut sim, &kv_options(), pbr);
+    let d = PbrDeployment::build(&mut sim, &kv_options(&probe), pbr);
     sim.run_until_quiescent(VTime::from_secs(300));
     assert_eq!(d.committed(), CLIENTS * TXNS_EACH, "every txn answered");
     assert!(
-        !probe.lock().is_empty(),
+        lease_reads(&probe) > 0,
         "the 95%-read mix must actually exercise the fast path"
     );
-    assert_single_holder(&probe);
+    check_lease_intervals_disjoint(&probe.events()).expect("one holder at a time");
     check_bank_history_concurrent(&collect(&d.stats), 1_000)
         .expect("fast-path reads are strictly serializable");
 }
@@ -94,20 +88,17 @@ fn pbr_read_leases_serve_fast_reads_and_stay_linearizable() {
 #[test]
 fn smr_read_leases_serve_fast_reads_and_stay_linearizable() {
     let mut sim = shadowdb_simnet::testing::default_net(22);
-    let probe: LeaseProbe = Arc::new(Mutex::new(Vec::new()));
-    let mut options = kv_options();
-    options.smr_leases = Some(SmrLeaseOptions {
-        lease_probe: Some(probe.clone()),
-        ..SmrLeaseOptions::default()
-    });
+    let probe = Probe::default();
+    let mut options = kv_options(&probe);
+    options.smr_leases = Some(SmrLeaseOptions::default());
     let d = SmrDeployment::build(&mut sim, &options);
     sim.run_until_quiescent(VTime::from_secs(300));
     assert_eq!(d.committed(), CLIENTS * TXNS_EACH, "every txn answered");
     assert!(
-        !probe.lock().is_empty(),
+        lease_reads(&probe) > 0,
         "the holder must serve fast reads without a broadcast round"
     );
-    assert_single_holder(&probe);
+    check_lease_intervals_disjoint(&probe.events()).expect("one holder at a time");
     check_bank_history_concurrent(&collect(&d.stats), 1_000)
         .expect("fast-path reads are strictly serializable");
 }
@@ -121,17 +112,15 @@ type Dbs = Arc<Mutex<Vec<Database>>>;
 fn lease_options(
     txns: impl Fn(usize) -> Vec<TxnRequest> + 'static,
     dbs: &Dbs,
-    probe: &LeaseProbe,
+    probe: &Probe,
 ) -> DeployOptions {
     let dbs = dbs.clone();
     let mut options = DeployOptions::new(CLIENTS, txns, move |db| {
         bank::load(db, ROWS).expect("bank loads");
         dbs.lock().push(db.clone());
     });
-    options.smr_leases = Some(SmrLeaseOptions {
-        lease_probe: Some(probe.clone()),
-        ..SmrLeaseOptions::default()
-    });
+    options.smr_leases = Some(SmrLeaseOptions::default());
+    options.probe = Some(probe.clone());
     options
 }
 
@@ -160,7 +149,7 @@ fn smr_joiner_acknowledges_nothing_while_the_holders_lease_is_live() {
     const DEPOSITS: usize = 600;
     let net = NetworkConfig::lan();
     let mut sim = SimBuilder::new(24).network(net).capture_trace(true).build();
-    let (dbs, probe): (Dbs, LeaseProbe) = Default::default();
+    let (dbs, probe): (Dbs, Probe) = Default::default();
     let deposits = |i: usize| {
         let mut g = bank::BankGen::new(300 + i as u64, ROWS);
         (0..DEPOSITS).map(|_| g.next_txn()).collect()
@@ -205,11 +194,11 @@ fn smr_replace_replica_under_read_leases_stays_linearizable() {
     const TXNS: usize = 4_000;
     let script = |i: usize| KvGen::new(7_100 + i as u64, KvOptions::ycsb_b(ROWS)).script(TXNS);
     let mut sim = shadowdb_simnet::testing::default_net(25);
-    let (dbs, probe): (Dbs, LeaseProbe) = Default::default();
+    let (dbs, probe): (Dbs, Probe) = Default::default();
     let d = SmrDeployment::build(&mut sim, &lease_options(script, &dbs, &probe));
     let mut handle = d.reconfig(&mut sim);
     run_until_committed(&mut sim, &d, 100);
-    let fast_before = probe.lock().len();
+    let fast_before = lease_reads(&probe);
     assert!(fast_before > 0, "fast reads flow before the change");
     handle
         .replace_replica(&mut sim, d.replicas[2], Duration::from_millis(1_500))
@@ -220,10 +209,10 @@ fn smr_replace_replica_under_read_leases_stays_linearizable() {
     );
     run_until_committed(&mut sim, &d, CLIENTS * TXNS);
     assert!(
-        probe.lock().len() > fast_before,
+        lease_reads(&probe) > fast_before,
         "fast reads must keep flowing across the replacement"
     );
-    assert_single_holder(&probe);
+    check_lease_intervals_disjoint(&probe.events()).expect("one holder at a time");
     let observations: Vec<Observation> = (d.stats.iter().enumerate())
         .flat_map(|(i, s)| s.lock().observations(&script(i)))
         .collect();

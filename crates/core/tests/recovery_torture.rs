@@ -161,21 +161,19 @@ fn three_active_replicas_tolerate_one_crash() {
 mod election_safety_props {
     //! Property: under an *arbitrary* seeded nemesis schedule, no two PBR
     //! replicas ever execute client transactions as primary of the same
-    //! configuration epoch. The [`shadowdb::pbr::PrimaryProbe`] records
-    //! `(config seq, replica)` the first time a replica executes as
+    //! configuration epoch. The deployment's [`shadowdb::probe::Probe`]
+    //! records an `Event::Primary` the first time a replica executes as
     //! primary of an epoch; split-brain would surface as one config seq
-    //! mapped to two locations.
+    //! with two locations, which `check_one_primary_per_seq` rejects.
 
     use super::{ACCOUNTS, CLIENTS, TXNS};
-    use parking_lot::Mutex;
     use proptest::prelude::*;
     use shadowdb::deploy::{DeployOptions, PbrDeployment};
-    use shadowdb::pbr::{PbrOptions, PrimaryProbe};
+    use shadowdb::pbr::PbrOptions;
+    use shadowdb::probe::{check_one_primary_per_seq, Probe};
     use shadowdb_loe::{Loc, VTime};
     use shadowdb_runtime::{schedule_node_faults, FaultTopology, Nemesis, NemesisProfile};
     use shadowdb_workloads::bank;
-    use std::collections::HashMap;
-    use std::sync::Arc;
     use std::time::Duration;
 
     proptest! {
@@ -189,10 +187,11 @@ mod election_safety_props {
         ) {
             let profile = NemesisProfile::ALL[profile_idx];
             let duration = Duration::from_millis(duration_ms);
-            let probe: PrimaryProbe = Arc::new(Mutex::new(Vec::new()));
+            let probe = Probe::default();
             let mut sim = shadowdb_simnet::testing::default_net(seed ^ 0x5eed);
             let options = DeployOptions {
                 client_timeout: Duration::from_millis(400),
+                probe: Some(probe.clone()),
                 ..DeployOptions::new(
                     CLIENTS,
                     |client| {
@@ -205,7 +204,6 @@ mod election_safety_props {
             let pbr = PbrOptions {
                 heartbeat_every: Duration::from_millis(50),
                 detect_after: Duration::from_millis(300),
-                probe: Some(probe.clone()),
                 ..PbrOptions::default()
             };
             let d = PbrDeployment::build(&mut sim, &options, pbr);
@@ -224,15 +222,9 @@ mod election_safety_props {
             // *observed*, not convergence (the chaos soaks assert that).
             sim.run_until(VTime::ZERO + duration + Duration::from_secs(20));
 
-            let mut by_epoch: HashMap<i64, Loc> = HashMap::new();
-            for (epoch, loc) in probe.lock().iter() {
-                if let Some(prev) = by_epoch.insert(*epoch, *loc) {
-                    prop_assert!(
-                        prev == *loc,
-                        "two primaries in epoch {}: {:?} and {:?} (seed {}, {:?}, {} ms)",
-                        epoch, prev, loc, seed, profile, duration_ms
-                    );
-                }
+            if let Err(v) = check_one_primary_per_seq(&probe.events(), &[]) {
+                let case = format!("seed {seed}, {profile:?}, {duration_ms} ms");
+                return Err(TestCaseError::fail(format!("{case}: {v}")));
             }
         }
     }

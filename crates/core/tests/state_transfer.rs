@@ -14,9 +14,9 @@ use shadowdb::deploy::{
 };
 use shadowdb::diversity::DiversityPolicy;
 use shadowdb::msgs::{parse_reply, submit_msg, TxnEnvelope};
-use shadowdb::pbr::{PbrOptions, TransferKind, TransferProbe};
+use shadowdb::pbr::PbrOptions;
+use shadowdb::probe::{check_two_pc_atomicity, Event, Probe, TransferKind};
 use shadowdb::serializability::check_bank_history_concurrent;
-use shadowdb::shard::{check_two_pc_atomicity, TwoPcProbe};
 use shadowdb::smr::SmrReplica;
 use shadowdb_eventml::{Ctx, Msg, Process, SendInstr};
 use shadowdb_loe::{Loc, VTime};
@@ -178,7 +178,7 @@ fn smr_joiner_answers_pre_snapshot_resend_from_cache() {
 fn pbr_promoted_snapshot_joiner_answers_pre_snapshot_resend_from_cache() {
     let mut sim = shadowdb_simnet::testing::default_net(62);
     let dbs: Dbs = Arc::default();
-    let transfers: TransferProbe = Arc::default();
+    let probe = Probe::default();
     let pbr = PbrOptions {
         detect_after: Duration::from_millis(500),
         heartbeat_every: Duration::from_millis(100),
@@ -186,10 +186,8 @@ fn pbr_promoted_snapshot_joiner_answers_pre_snapshot_resend_from_cache() {
         ..PbrOptions::default()
     };
     let mut options = transfer_options(&dbs);
-    options.durability = Some(DurabilityOptions {
-        transfer_probe: Some(transfers.clone()),
-        ..DurabilityOptions::default()
-    });
+    options.durability = Some(DurabilityOptions::default());
+    options.probe = Some(probe.clone());
     let d = PbrDeployment::build(&mut sim, &options, pbr.clone());
     let (port, rx) = Runtime::port(&mut sim);
     let env = deposit_from(port);
@@ -205,8 +203,12 @@ fn pbr_promoted_snapshot_joiner_answers_pre_snapshot_resend_from_cache() {
         .add_replica(&mut sim, minute)
         .expect("joiner adopted");
     assert!(handle.await_member(&mut sim, added, minute));
+    let restored = Event::Transfer {
+        to: added,
+        kind: TransferKind::Snapshot,
+    };
     assert!(
-        transfers.lock().contains(&(added, TransferKind::Snapshot)),
+        probe.events().contains(&restored),
         "the joiner must have been restored from a snapshot"
     );
     assert!(handle.promote(&mut sim, added, minute));
@@ -259,7 +261,7 @@ fn replace_in_shard_under_cross_shard_load(
 ) {
     const SHARDS: usize = 2;
     let mut sim = shadowdb_simnet::testing::default_net(seed);
-    let probe: TwoPcProbe = Arc::default();
+    let probe = Probe::default();
     let by_shard: [Dbs; SHARDS] = Default::default();
     let scripts: Vec<Vec<TxnRequest>> = (0..2)
         .map(|i| sharded_mixed_txns(seed + 7919 * (i + 1), per_client, ROWS))
@@ -316,8 +318,11 @@ fn replace_in_shard_under_cross_shard_load(
     assert_eq!(d.committed(), 2 * per_client, "every transaction answered");
     assert!(handle.replicas().contains(&added));
 
-    let events = probe.lock();
-    assert!(!events.is_empty(), "cross-shard transfers must appear");
+    let events = probe.events();
+    assert!(
+        events.iter().any(|e| matches!(e, Event::TwoPc(_))),
+        "cross-shard transfers must appear"
+    );
     check_two_pc_atomicity(&events).expect("atomic cross-shard histories");
     let mut observations = Vec::new();
     for (i, s) in d.stats.iter().enumerate() {

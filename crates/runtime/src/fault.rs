@@ -819,6 +819,27 @@ mod tests {
         }
     }
 
+    /// Naming an unsharded deployment's one group changes no plan: only
+    /// `CoordinatorPartition` reads `groups`, and it needs two of them.
+    #[test]
+    fn one_group_plans_as_no_groups() {
+        let profiles = NemesisProfile::ALL.into_iter().chain([
+            NemesisProfile::PowerLoss,
+            NemesisProfile::StalePrimaryReads,
+            NemesisProfile::CrashDuringTransfer,
+        ]);
+        let one = FaultTopology {
+            groups: vec![topo().core],
+            ..topo()
+        };
+        for profile in profiles {
+            for seed in 0..16 {
+                let nemesis = Nemesis::new(seed, profile, Duration::from_secs(2));
+                assert_eq!(nemesis.plan(&topo()), nemesis.plan(&one), "{profile:?}");
+            }
+        }
+    }
+
     #[test]
     fn different_seeds_differ() {
         let a =

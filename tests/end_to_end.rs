@@ -230,7 +230,7 @@ fn smr_exactly_once_despite_duplicate_submissions() {
 /// [`shadowdb::serializability`].
 #[test]
 fn smr_history_is_strictly_serializable() {
-    use shadowdb::serializability::{check_bank_history, Observation};
+    use shadowdb::serializability::{check_bank_history_concurrent, Observation};
     const ACCOUNTS: usize = 20; // few accounts → reads really constrain order
 
     let mut sim = shadowdb_simnet::testing::default_net(5);
@@ -271,7 +271,7 @@ fn smr_history_is_strictly_serializable() {
         observations.extend(s.observations(&txn_scripts[client]));
     }
     observations.sort_by_key(|o| o.answered);
-    check_bank_history(&observations, 1_000).expect("strictly serializable");
+    check_bank_history_concurrent(&observations, 1_000).expect("strictly serializable");
     // Replay the deposits to predict final balances for the cross-check
     // against replica state below.
     let mut balances = std::collections::HashMap::new();

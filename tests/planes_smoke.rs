@@ -8,11 +8,10 @@
 use shadowdb::chaos::sharded_mixed_txns;
 use shadowdb::client::DbClient;
 use shadowdb::deploy::{DeployOptions, DurabilityOptions, ShardedDeployment, SmrDeployment};
-use shadowdb::pbr::{PbrOptions, TransferKind, TransferProbe};
-use shadowdb::shard::{check_two_pc_atomicity, TwoPcProbe};
+use shadowdb::pbr::PbrOptions;
+use shadowdb::probe::{check_catchup_only, check_two_pc_atomicity, Event, Probe};
 use shadowdb_loe::VTime;
 use shadowdb_workloads::bank;
-use std::sync::Arc;
 use std::time::Duration;
 
 const ROWS: usize = 32;
@@ -20,7 +19,7 @@ const SHARDS: usize = 2;
 
 /// Two clients over two shards: deposits, reads, and a transfer every
 /// third transaction (half of them cross-shard).
-fn sharded_options(txns: usize, probe: &TwoPcProbe) -> DeployOptions {
+fn sharded_options(txns: usize, probe: &Probe) -> DeployOptions {
     let mut o = DeployOptions::sharded(
         SHARDS,
         2,
@@ -34,19 +33,22 @@ fn sharded_options(txns: usize, probe: &TwoPcProbe) -> DeployOptions {
 #[test]
 fn cross_shard_2pc_commits_atomically() {
     let mut sim = shadowdb_simnet::testing::default_net(21);
-    let probe: TwoPcProbe = Arc::default();
+    let probe = Probe::default();
     let d = ShardedDeployment::build_smr(&mut sim, &sharded_options(12, &probe));
     sim.run_until_quiescent(VTime::from_secs(300));
     assert_eq!(d.committed(), 24);
-    let events = probe.lock();
-    assert!(!events.is_empty(), "cross-shard transfers must appear");
+    let events = probe.events();
+    assert!(
+        events.iter().any(|e| matches!(e, Event::TwoPc(_))),
+        "cross-shard transfers must appear"
+    );
     check_two_pc_atomicity(&events).expect("atomic cross-shard histories");
 }
 
 #[test]
 fn power_loss_rejoins_by_catch_up() {
     let mut sim = shadowdb_simnet::testing::default_net(22);
-    let transfers: TransferProbe = Arc::default();
+    let probe = Probe::default();
     let mut options = DeployOptions::new(
         2,
         |i| {
@@ -59,9 +61,9 @@ fn power_loss_rejoins_by_catch_up() {
     options.start_clients = false; // started after the faults are armed
     options.durability = Some(DurabilityOptions {
         snapshot_every: 16,
-        transfer_probe: Some(transfers.clone()),
         ..DurabilityOptions::default()
     });
+    options.probe = Some(probe.clone());
     let d = SmrDeployment::build(&mut sim, &options);
 
     // Power-cycle the last replica mid-workload; the deployment reboots it
@@ -75,21 +77,19 @@ fn power_loss_rejoins_by_catch_up() {
     }
     sim.run_until(VTime::from_secs(30));
     assert_eq!(d.committed(), 120, "did not converge after the reboot");
-    let log = transfers.lock().clone();
-    assert!(log.contains(&(victim, TransferKind::Catchup)), "{log:?}");
-    assert!(!log.contains(&(victim, TransferKind::Snapshot)), "{log:?}");
+    check_catchup_only(&probe.events(), victim).expect("rejoined by catch-up");
 }
 
 #[test]
 fn sharded_durable_deployment_builds_and_commits() {
     let mut sim = shadowdb_simnet::testing::default_net(23);
-    let probe: TwoPcProbe = Arc::default();
+    let probe = Probe::default();
     let mut options = sharded_options(12, &probe);
     options.durability = Some(DurabilityOptions::default());
     let d = ShardedDeployment::build_pbr(&mut sim, &options, PbrOptions::default());
     sim.run_until(VTime::from_secs(30));
     assert_eq!(d.committed(), 24);
-    check_two_pc_atomicity(&probe.lock()).expect("atomic cross-shard histories");
+    check_two_pc_atomicity(&probe.events()).expect("atomic cross-shard histories");
     for g in &d.groups {
         assert_eq!(g.disks.len(), g.replicas.len(), "one disk per replica");
         // Primary and backup log (and group-commit) everything they execute.
