@@ -58,6 +58,12 @@ pub const CONFIG_REPLY_HEADER: &str = "sdb/confr";
 /// delivers self-sends after the other input it has ready makes one sync
 /// cover all of that input's records (group commit).
 pub const SYNC_HEADER: &str = "sdb/sync";
+/// A durable replica's sync completion, posted by its disk's syncer once
+/// the handed-off bytes are durable (real-time runtimes only; a virtual
+/// disk syncs inside `sdb/sync`): body `<generation, through>`, the log
+/// opening the sync belongs to and the index it makes durable. Handling it
+/// is the only place a handed-off sync advances the durability point.
+pub const SYNCED_HEADER: &str = "sdb/synced";
 
 /// A replica-group configuration ("Each configuration is identified by a
 /// sequence number. The initial configuration has sequence number 0.").

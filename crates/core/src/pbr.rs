@@ -32,7 +32,7 @@ use crate::msgs::{
     config_reply_msg, reply_msg, stale_config_msg, ConfigCommand, ReplicaConfig, TxnEnvelope,
     ACK_HEADER, CATCHUP_HEADER, CONFIG_QUERY_HEADER, ELECT_HEADER, FORWARD_HEADER, HB_TIMER_HEADER,
     HEARTBEAT_HEADER, RECOVERY_ACK_HEADER, REFETCH_HEADER, SNAPSHOT_HEADER, STALE_CONFIG_HEADER,
-    SUBMIT_HEADER, SYNC_HEADER,
+    SUBMIT_HEADER, SYNCED_HEADER, SYNC_HEADER,
 };
 use crate::probe::{Event, Probe, TransferKind};
 use crate::replica_core::{ReplicaCore, Seen};
@@ -1249,6 +1249,12 @@ impl Process for PbrReplica {
             self.core
                 .sync(self.wal_index, || self.config.to_value(), out);
             self.release_pending(ctx.slf, out);
+        } else if h == cached_header!(SYNCED_HEADER) {
+            // Like an ack: what it releases was checked entry by entry.
+            let config = &self.config;
+            self.core
+                .on_synced(&msg.body, self.wal_index, || config.to_value(), out);
+            return self.release_pending(ctx.slf, out);
         } else if h == cached_header!(HB_TIMER_HEADER) {
             self.on_hb_timer(ctx, out);
         } else if h == cached_header!(HEARTBEAT_HEADER) {

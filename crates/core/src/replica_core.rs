@@ -27,12 +27,15 @@
 
 use crate::msgs::{
     lease_audit_msg, parse_stale_config, reply_msg, sql_to_value, value_to_sql, TxnEnvelope,
-    SYNC_HEADER,
+    SYNCED_HEADER, SYNC_HEADER,
 };
 use crate::probe::{Event, Probe};
 use crate::shard::{ShardRole, TwoPcEngine};
+use bytes::BytesMut;
+use shadowdb_eventml::codec::encode_pair_with_bytes;
 use shadowdb_eventml::{cached_header, Ctx, Msg, SendInstr, Value};
 use shadowdb_loe::{Loc, VTime};
+use shadowdb_runtime::completion;
 use shadowdb_sqldb::{Database, RowBatch, Snapshot, SqlValue};
 use shadowdb_wal::{Disk, Recovered, Wal};
 use shadowdb_workloads::{apply_group, TxnId, TxnRequest};
@@ -93,6 +96,10 @@ pub(crate) struct ReplicaCore {
     /// its execution. Appends stay unsynced until the replica's next
     /// `sdb/sync` ([`Self::sync`]), which covers all of them at once.
     wal: Option<Wal>,
+    /// The sync handed to the disk's syncer and not yet reported
+    /// (`sdb/synced`): the index it makes durable — [`NOTHING_DURABLE`]
+    /// once a network image voided it. At most one is in flight.
+    syncing: Option<i64>,
     /// WAL index the last durable snapshot covers (truncation point).
     wal_snap_at: i64,
     /// Take a durable snapshot every this many WAL records.
@@ -128,6 +135,7 @@ impl ReplicaCore {
             engine: None,
             twopc_seq: Vec::new(),
             wal: None,
+            syncing: None,
             wal_snap_at: 0,
             snapshot_every: i64::MAX,
             durable: i64::MAX,
@@ -386,12 +394,19 @@ impl ReplicaCore {
         Some(header.clone())
     }
 
-    /// Serializes a durable snapshot: the image head beside one row blob.
-    fn durable_blob(&self, header: Value, snapshot: &Snapshot) -> Value {
-        Value::pair(self.image_head(header), Value::Bytes(snapshot.to_bytes()))
+    /// A durable snapshot of the current state, captured now and
+    /// serialized (the image head beside one row blob) by the returned
+    /// closure into the buffer it is given, on whichever thread runs it.
+    fn durable_image(
+        &self,
+        header: Value,
+        rows: Snapshot,
+    ) -> impl FnOnce(&mut BytesMut) + Send + 'static {
+        let head = self.image_head(header);
+        move |buf| encode_pair_with_bytes(&head, buf, |blob| rows.write_bytes(blob))
     }
 
-    /// Restores what [`Self::durable_blob`] captured (a corrupt snapshot
+    /// Restores what [`Self::durable_image`] captured (a corrupt snapshot
     /// file never reaches here — the WAL checksums it — but recovery
     /// stays total regardless).
     fn install_durable_blob(&mut self, blob: &Value) -> Option<Value> {
@@ -416,12 +431,14 @@ impl ReplicaCore {
         self.snapshot_every = snapshot_every.max(1);
         self.wal_snap_at = snap_at;
         self.durable = durable;
+        self.syncing = None;
         self.wal = Some(Wal::open(disk));
     }
 
     /// The first step of a rebooted replica: resolves what the power loss
     /// tore off the attached disk's unsynced tail (`tear` seeds
-    /// [`Disk::begin_recovery`]), reads the disk back and installs the
+    /// [`Disk::begin_recovery`], which first lets a sync the previous
+    /// incarnation handed off finish), reads the disk back and installs the
     /// latest durable image, if any. In the returned recovery the
     /// snapshot's blob is replaced by its policy header; the logged suffix
     /// is the policy's to replay through its own execution path. The log
@@ -468,7 +485,7 @@ impl ReplicaCore {
     /// durable, else it is parked until the sync that covers it. This is
     /// the durability invariant — *no acknowledgment leaves before the
     /// fsync that covers its record* — and it holds whenever, and in
-    /// whatever order, the runtime delivers `sdb/sync`.
+    /// whatever order, the runtime delivers `sdb/sync` and `sdb/synced`.
     pub(crate) fn gate(&mut self, index: i64, send: SendInstr, out: &mut Vec<SendInstr>) {
         if self.is_durable(index) {
             out.push(send);
@@ -504,21 +521,32 @@ impl ReplicaCore {
                 self.parked.push((last, out.remove(i)));
             }
         }
-        if !self.sync_scheduled {
+        // A sync in flight starts the next one when it completes.
+        if !self.sync_scheduled && self.syncing.is_none() {
             self.sync_scheduled = true;
             let sync = Msg::new(cached_header!(SYNC_HEADER), Value::Unit);
             out.push(SendInstr::now(slf, sync));
         }
     }
 
-    /// The durability point, run on `sdb/sync`: one fsync covers every
+    /// The durability point, run on `sdb/sync`: one sync covers every
     /// record appended since the previous one (group commit — however
     /// many steps the runtime delivered in between, they cost one sync,
-    /// not one each), then everything parked behind it is released into
-    /// `out`. Every `snapshot_every` records, and after a network image,
-    /// the log is folded into a durable snapshot instead (which truncates
-    /// it). `last` is the newest log index; `header` renders the policy
-    /// header, only if a snapshot is actually taken.
+    /// not one each). Every `snapshot_every` records, and after a network
+    /// image, the log is folded into a durable snapshot instead (which
+    /// truncates it). `last` is the newest log index; `header` renders the
+    /// policy header, only if a snapshot is actually taken.
+    ///
+    /// A virtual disk syncs here, and everything parked behind the sync is
+    /// released into `out`. A file-backed disk hands the sync to its
+    /// syncer thread instead — the unsynced tail, plus the state captured
+    /// here at `last` for a snapshot — and the replica keeps executing;
+    /// the release waits for the `sdb/synced` the syncer posts back
+    /// ([`Self::on_synced`]). A periodic snapshot is written behind the
+    /// tail's commit, so it holds up no acknowledgment, and one falling due
+    /// while the previous image is still being written waits for a later
+    /// sync. While a sync is in flight this is a no-op: its completion
+    /// starts the next one.
     pub(crate) fn sync(
         &mut self,
         last: i64,
@@ -526,23 +554,79 @@ impl ReplicaCore {
         out: &mut Vec<SendInstr>,
     ) {
         self.sync_scheduled = false;
-        if self.wal.is_none() {
+        let Some(wal) = &self.wal else { return };
+        if self.syncing.is_some() {
             return;
         }
-        let cost =
-            if self.durable == NOTHING_DURABLE || last - self.wal_snap_at >= self.snapshot_every {
-                let snapshot = self.db.snapshot();
-                let scan = self.db.profile().costs.scan_row_us * snapshot.row_count() as u64;
-                let blob = self.durable_blob(header(), &snapshot);
-                self.wal_snap_at = last;
-                let w = self.wal.as_mut().expect("checked above");
-                Duration::from_micros(scan) + w.save_snapshot(last, &blob)
-            } else {
-                // Zero when nothing was appended since the last sync.
-                self.wal.as_mut().expect("checked above").commit()
+        let checkpoint = self.durable == NOTHING_DURABLE
+            || (last - self.wal_snap_at >= self.snapshot_every && !wal.disk().image_in_flight());
+        let off_thread = (checkpoint || wal.pending() > 0) && wal.disk().syncs_off_thread();
+        let route = off_thread.then(completion::route).flatten();
+        let image = checkpoint.then(|| {
+            let rows = self.db.snapshot();
+            let scan = self.db.profile().costs.scan_row_us * rows.row_count() as u64;
+            self.step_cost += Duration::from_micros(scan);
+            self.wal_snap_at = last;
+            self.durable_image(header(), rows)
+        });
+        let wal = self.wal.as_mut().expect("checked above");
+        let Some(route) = route else {
+            // Zero when nothing was appended since the last sync.
+            self.step_cost += match image {
+                Some(image) => wal.save_image(last, image),
+                None => wal.commit(),
             };
-        self.step_cost += cost;
-        self.durable = last;
+            return self.durable_through(last, out);
+        };
+        let done = {
+            let body = Value::pair(Value::Int(wal.generation() as i64), Value::Int(last));
+            move || route.post(Msg::new(cached_header!(SYNCED_HEADER), body))
+        };
+        match image {
+            // The log has a gap below a network image: only the snapshot
+            // can make the state durable.
+            Some(image) if self.durable == NOTHING_DURABLE => {
+                wal.hand_off_snapshot(last, image, done)
+            }
+            Some(image) => wal.hand_off_checkpoint(last, image, done),
+            None => wal.hand_off(done),
+        }
+        self.syncing = Some(last);
+    }
+
+    /// Handles `sdb/synced <generation, through>`, the syncer's report
+    /// that the sync [`Self::sync`] handed off is durable: the only place
+    /// such a sync advances `durable` and releases what was parked behind
+    /// it. A report for another opening of the log (an earlier
+    /// incarnation's) is ignored. Records appended while the sync was in
+    /// flight go straight into the next one. The release is checked entry
+    /// by entry, so the caller must not gate this step's sends behind
+    /// `last` again.
+    pub(crate) fn on_synced(
+        &mut self,
+        body: &Value,
+        last: i64,
+        header: impl FnOnce() -> Value,
+        out: &mut Vec<SendInstr>,
+    ) {
+        let generation = body.fst().and_then(Value::as_int);
+        let Some(wal) = &self.wal else { return };
+        if generation != Some(wal.generation() as i64) {
+            return;
+        }
+        let Some(through) = self.syncing.take() else {
+            return;
+        };
+        self.durable_through(through.max(self.durable), out);
+        if !self.is_durable(last) {
+            self.sync(last, header, out);
+        }
+    }
+
+    /// The disk now holds everything through `index`: releases the sends
+    /// parked behind it into `out`.
+    fn durable_through(&mut self, index: i64, out: &mut Vec<SendInstr>) {
+        self.durable = index;
         for (index, send) in std::mem::take(&mut self.parked) {
             self.gate(index, send, out);
         }
@@ -631,6 +715,10 @@ impl ReplicaCore {
         );
         if self.wal.is_some() {
             self.durable = NOTHING_DURABLE;
+            // A sync in flight covers a log the image jumped past.
+            if let Some(through) = &mut self.syncing {
+                *through = NOTHING_DURABLE;
+            }
         }
         self.assembly = Assembly::default();
         Some(header)
@@ -670,6 +758,7 @@ impl Clone for ReplicaCore {
             // corrupt the index sequence — reopening keeps the clone
             // well-formed for read-only use.
             wal: self.wal.as_ref().map(|w| Wal::open(w.disk().clone())),
+            syncing: self.syncing,
             wal_snap_at: self.wal_snap_at,
             snapshot_every: self.snapshot_every,
             durable: self.durable,
@@ -722,6 +811,13 @@ mod tests {
             c.db.snapshot().to_bytes(),
             c.image_head(Value::Unit), // the sorted reply cache
         )
+    }
+
+    /// The blob value a durable image renders.
+    fn rendered(image: impl FnOnce(&mut BytesMut)) -> Value {
+        let mut buf = BytesMut::new();
+        image(&mut buf);
+        shadowdb_eventml::codec::decode_value(&mut buf.freeze()).expect("an image decodes")
     }
 
     /// A sharded donor mid-protocol: plain work executed, one cross-shard
@@ -778,7 +874,7 @@ mod tests {
         ) {
             let mut donor = busy_donor(cache);
             let header = Value::Int(77);
-            let blob = donor.durable_blob(header.clone(), &donor.db.snapshot());
+            let blob = rendered(donor.durable_image(header.clone(), donor.db.snapshot()));
             let mut from_disk = core(2);
             prop_assert_eq!(from_disk.install_durable_blob(&blob), Some(header.clone()));
             prop_assert_eq!(state(&from_disk), state(&donor));
@@ -802,7 +898,7 @@ mod tests {
     #[test]
     fn malformed_images_are_rejected_whole() {
         let donor = busy_donor(vec![(100, 4, true, vec![1])]);
-        let good = donor.durable_blob(Value::Int(1), &donor.db.snapshot());
+        let good = rendered(donor.durable_image(Value::Int(1), donor.db.snapshot()));
         let (head, rows) = good.unpair();
         let (executed, rest) = head.unpair();
         let (header, rest) = rest.unpair();

@@ -12,7 +12,9 @@
 //! sequence number of the last ordered transaction, and the new replica
 //! fetches the snapshot from the proposer.
 
-use crate::msgs::{reply_msg, TxnEnvelope, STALE_CONFIG_HEADER, SUBMIT_HEADER, SYNC_HEADER};
+use crate::msgs::{
+    reply_msg, TxnEnvelope, STALE_CONFIG_HEADER, SUBMIT_HEADER, SYNCED_HEADER, SYNC_HEADER,
+};
 use crate::probe::{Event, Probe, TransferKind};
 use crate::replica_core::{ReplicaCore, Seen};
 use crate::shard::ShardRole;
@@ -822,6 +824,12 @@ impl Process for SmrReplica {
         } else if h == cached_header!(SYNC_HEADER) {
             let next = self.incoming.next_seq();
             self.core.sync(next - 1, || Value::Int(next), out);
+        } else if h == cached_header!(SYNCED_HEADER) {
+            // What it releases was checked entry by entry: no step gate.
+            let next = self.incoming.next_seq();
+            return self
+                .core
+                .on_synced(&msg.body, next - 1, || Value::Int(next), out);
         } else if h == cached_header!(LEASE_TIMER_HEADER) {
             self.on_lease_timer(ctx, out);
         } else if h == cached_header!(JOIN_RETRY_HEADER) {

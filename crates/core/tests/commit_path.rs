@@ -15,7 +15,16 @@
 //! The observer returns `Err` instead of panicking so that its teeth can
 //! be shown: against a disk that lied about a sync (rolled back one group
 //! with `Disk::truncate_synced` after the ack left) it must fail.
+//!
+//! The asynchronous-disk leg runs the same pair over deferred disks: a
+//! sync handed to the disk completes only when the test says so — late,
+//! after further appends and forwards, or never before a power cut — and
+//! its completion comes back as an `sdb/synced` message, through a
+//! completion sink the test installs as a runtime would. Against a syncer
+//! that reports at hand-off instead of at completion the observer must
+//! fail too.
 
+use parking_lot::Mutex;
 use proptest::prelude::*;
 use shadowdb::msgs::{
     parse_reply, submit_msg, ReplicaConfig, TxnEnvelope, ACK_HEADER, FORWARD_HEADER, REPLY_HEADER,
@@ -24,10 +33,12 @@ use shadowdb::msgs::{
 use shadowdb::pbr::{PbrOptions, PbrReplica};
 use shadowdb_eventml::{Ctx, Msg, Process, SendInstr, Value};
 use shadowdb_loe::{Loc, VTime};
+use shadowdb_runtime::completion::{self, CompletionSink};
 use shadowdb_sqldb::{Database, EngineProfile};
 use shadowdb_wal::{recover, Disk};
 use shadowdb_workloads::{bank, TxnRequest};
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 use std::time::Duration;
 
 const PRIMARY: usize = 0;
@@ -70,6 +81,17 @@ fn replica(disk: &Disk, snapshot_every: i64) -> PbrReplica {
         .with_wal(disk.clone(), snapshot_every)
 }
 
+/// Completions the disks posted, `(location, incarnation, message)`, as a
+/// runtime's command channel would hold them.
+#[derive(Default)]
+struct Posted(Mutex<Vec<(Loc, u64, Msg)>>);
+
+impl CompletionSink for Posted {
+    fn post(&self, loc: Loc, epoch: u64, msg: Msg) {
+        self.0.lock().push((loc, epoch, msg));
+    }
+}
+
 /// The pair, their disks, and the wires between them.
 struct World {
     replicas: [PbrReplica; 2],
@@ -78,8 +100,13 @@ struct World {
     /// Frames on their way to each replica from the other, FIFO like the
     /// TCP connection they model.
     wire: [VecDeque<Msg>; 2],
-    /// Each replica's zero-delay self-sends (its scheduled `sdb/sync`s).
+    /// Each replica's zero-delay self-sends (its scheduled `sdb/sync`s)
+    /// and the sync completions its disk reported (`sdb/synced`).
     inbox: [VecDeque<Msg>; 2],
+    /// The completion sink installed on this thread, and each replica's
+    /// incarnation: a completion for a dead one is dropped.
+    posted: Arc<Posted>,
+    incarnation: [u64; 2],
     /// Per client: the last submission sent and its sequence number.
     submitted: Vec<Option<(i64, Msg)>>,
     /// `(client, cseq)` → execution index, read off the primary's forwards.
@@ -92,17 +119,29 @@ struct World {
 }
 
 impl World {
+    /// The pair over virtual disks, which sync inside `sdb/sync`.
     fn new(snapshot_every: i64) -> World {
-        let disks = [
-            Disk::in_memory(Duration::ZERO),
-            Disk::in_memory(Duration::ZERO),
-        ];
+        World::over(snapshot_every, || Disk::in_memory(Duration::ZERO))
+    }
+
+    /// The pair over deferred disks: each sync completes when the test
+    /// calls [`World::complete`].
+    fn deferred(snapshot_every: i64) -> World {
+        World::over(snapshot_every, || Disk::in_memory_deferred(Duration::ZERO))
+    }
+
+    fn over(snapshot_every: i64, disk: impl Fn() -> Disk) -> World {
+        let disks = [disk(), disk()];
+        let posted = Arc::new(Posted::default());
+        completion::install_sink(posted.clone());
         World {
             replicas: [PRIMARY, BACKUP].map(|i| replica(&disks[i], snapshot_every)),
             disks: disks.clone(),
             snapshot_every,
             wire: [VecDeque::new(), VecDeque::new()],
             inbox: [VecDeque::new(), VecDeque::new()],
+            posted,
+            incarnation: [1, 1],
             submitted: vec![None; CLIENTS],
             index_of: HashMap::new(),
             answered: vec![-1; CLIENTS],
@@ -156,7 +195,10 @@ impl World {
     /// Steps replica `who` on `msg`, observes every send, and routes them.
     fn step(&mut self, who: usize, msg: &Msg) -> Result<(), Violation> {
         let slf = Loc::new(who as u32);
-        let outs = self.replicas[who].step(&Ctx::new(slf, VTime::from_millis(1)), msg);
+        let ctx = Ctx::new(slf, VTime::from_millis(1));
+        let replica = &mut self.replicas[who];
+        let outs = completion::stepping(slf, self.incarnation[who], || replica.step(&ctx, msg));
+        self.collect_completions();
         for send in outs {
             self.observe(who, &send)?;
             if send.dest == slf {
@@ -198,6 +240,24 @@ impl World {
         }
     }
 
+    /// Moves what the disks reported into the inboxes of the incarnations
+    /// that handed the syncs off, dropping reports for dead ones.
+    fn collect_completions(&mut self) {
+        for (loc, epoch, msg) in self.posted.0.lock().drain(..) {
+            let who = loc.index() as usize;
+            if epoch == self.incarnation[who] {
+                self.inbox[who].push_back(msg);
+            }
+        }
+    }
+
+    /// `who`'s disk completes the sync handed to it, if one is in flight.
+    fn complete(&mut self, who: usize) -> bool {
+        let done = self.disks[who].complete_next();
+        self.collect_completions();
+        done
+    }
+
     /// Delivers `who`'s scheduled `sdb/sync` — or, when none is scheduled,
     /// a stray one (a previous incarnation's can outlive a restart).
     fn sync(&mut self, who: usize) -> Result<(), Violation> {
@@ -214,15 +274,21 @@ impl World {
     /// incarnation had already put on the wire still arrives.
     fn power_cut_backup(&mut self, seed: u64) -> Result<(), Violation> {
         self.replicas[BACKUP] = replica(&self.disks[BACKUP], self.snapshot_every).rebooted(seed);
+        self.incarnation[BACKUP] += 1;
         self.wire[BACKUP].clear();
         self.inbox[BACKUP].clear();
         self.step(BACKUP, &PbrReplica::start_msg())
     }
 
-    /// Delivers everything outstanding until nothing is.
+    /// Delivers everything outstanding, and completes every sync in
+    /// flight, until nothing is.
     fn quiesce(&mut self) -> Result<(), Violation> {
-        while self.wire.iter().chain(&self.inbox).any(|q| !q.is_empty()) {
+        let mut busy = true;
+        while busy {
+            busy = false;
             for who in [PRIMARY, BACKUP] {
+                busy |= self.complete(who);
+                busy |= !self.wire[who].is_empty() || !self.inbox[who].is_empty();
                 self.deliver(who)?;
                 if !self.inbox[who].is_empty() {
                     self.sync(who)?;
@@ -239,18 +305,66 @@ enum Op {
     Resubmit(usize),
     Deliver(usize),
     Sync(usize),
+    Complete(usize),
     PowerCutBackup(u64),
+}
+
+impl Op {
+    fn apply(self, w: &mut World) -> Result<(), Violation> {
+        match self {
+            Op::Submit(k) => w.submit(k),
+            Op::Resubmit(k) => w.resubmit(k),
+            Op::Deliver(who) => w.deliver(who),
+            Op::Sync(who) => w.sync(who),
+            Op::Complete(who) => {
+                w.complete(who);
+                Ok(())
+            }
+            Op::PowerCutBackup(seed) => w.power_cut_backup(seed),
+        }
+    }
 }
 
 /// Deliveries dominate, power cuts are rare: weights 4/1/8/4/1 of 18.
 fn op() -> impl Strategy<Value = Op> {
-    (0u32..18, any::<u64>()).prop_map(|(kind, x)| match kind {
+    ops(18)
+}
+
+/// [`op`] over deferred disks: disk completions join in, as often as the
+/// syncs that deliver what they report (weights 4/1/8/4/1/4 of 22).
+fn async_op() -> impl Strategy<Value = Op> {
+    ops(22)
+}
+
+fn ops(kinds: u32) -> impl Strategy<Value = Op> {
+    (0..kinds, any::<u64>()).prop_map(|(kind, x)| match kind {
         0..=3 => Op::Submit(x as usize % CLIENTS),
         4 => Op::Resubmit(x as usize % CLIENTS),
         5..=12 => Op::Deliver(x as usize % 2),
         13..=16 => Op::Sync(x as usize % 2),
-        _ => Op::PowerCutBackup(x),
+        17 => Op::PowerCutBackup(x),
+        _ => Op::Complete(x as usize % 2),
     })
+}
+
+/// Runs `ops` on `w` from a fresh start and checks the end state: every
+/// ack and reply passed the observer on the way, and once the dust
+/// settles every client has its answer.
+fn run_ops(mut w: World, ops: Vec<Op>) -> Result<(), TestCaseError> {
+    w.step(PRIMARY, &PbrReplica::start_msg())?;
+    w.step(BACKUP, &PbrReplica::start_msg())?;
+    for op in ops {
+        op.apply(&mut w)?;
+    }
+    w.quiesce()?;
+    for k in 0..CLIENTS {
+        let last = w.submitted[k].as_ref().map_or(-1, |(c, _)| *c);
+        prop_assert!(w.answered[k] == last, "client {k} left unanswered");
+    }
+    if w.submitted.iter().any(Option::is_some) {
+        prop_assert!(w.acks > 0, "replies without a single ack");
+    }
+    Ok(())
 }
 
 proptest! {
@@ -266,26 +380,19 @@ proptest! {
     ) {
         // A short snapshot interval puts the fold-into-snapshot sync (and
         // its log truncation) on the path as well.
-        let mut w = World::new(8);
-        w.step(PRIMARY, &PbrReplica::start_msg())?;
-        w.step(BACKUP, &PbrReplica::start_msg())?;
-        for op in ops {
-            match op {
-                Op::Submit(k) => w.submit(k),
-                Op::Resubmit(k) => w.resubmit(k),
-                Op::Deliver(who) => w.deliver(who),
-                Op::Sync(who) => w.sync(who),
-                Op::PowerCutBackup(seed) => w.power_cut_backup(seed),
-            }?;
-        }
-        w.quiesce()?;
-        for k in 0..CLIENTS {
-            let last = w.submitted[k].as_ref().map_or(-1, |(c, _)| *c);
-            prop_assert!(w.answered[k] == last, "client {k} left unanswered");
-        }
-        if w.submitted.iter().any(Option::is_some) {
-            prop_assert!(w.acks > 0, "replies without a single ack");
-        }
+        run_ops(World::new(8), ops)?;
+    }
+
+    /// The same, with every sync handed to a disk that completes it
+    /// whenever the schedule says: immediately, after further appends
+    /// and forwards at either replica, or never before the backup loses
+    /// power. Completions are messages like any other — delivered late,
+    /// or to an incarnation that is gone.
+    #[test]
+    fn no_acknowledgment_leaves_before_its_fsync_on_asynchronous_disks(
+        ops in proptest::collection::vec(async_op(), 1..160),
+    ) {
+        run_ops(World::deferred(8), ops)?;
     }
 
     /// Group commit, counted: k forwards followed by one `sdb/sync` cost
@@ -338,6 +445,64 @@ proptest! {
     }
 }
 
+/// A sync that completes late releases exactly what it covers: the
+/// backup's first forward is acknowledged when its sync reports, the
+/// forward that arrived while that sync was in flight goes into the next
+/// one and waits for that report.
+#[test]
+fn a_late_completion_releases_only_what_it_covers() {
+    let mut w = World::deferred(1_000);
+    w.submit(0).unwrap();
+    w.deliver(BACKUP).unwrap();
+    w.sync(BACKUP).unwrap(); // hands record 1 off
+    w.submit(1).unwrap();
+    w.deliver(BACKUP).unwrap(); // record 2, appended meanwhile
+    assert_eq!(
+        (w.acks, w.inbox[BACKUP].len()),
+        (0, 0),
+        "nothing reported yet"
+    );
+    assert!(w.complete(BACKUP));
+    w.sync(BACKUP).unwrap(); // `sdb/synced` for 1; record 2 handed off
+    assert_eq!(w.acks, 1, "the ack for 1, not for 2");
+    assert!(w.complete(BACKUP));
+    w.sync(BACKUP).unwrap();
+    assert_eq!(w.acks, 2);
+    assert_eq!(w.disks[BACKUP].sync_count(), 2);
+}
+
+/// A completion names the opening of the log it belongs to: replayed into
+/// the incarnation that rebooted from the same disk — here claiming more
+/// than any sync of the old one covered — it releases nothing, and the new
+/// incarnation's own sync still does.
+#[test]
+fn a_stale_generation_is_ignored() {
+    let mut w = World::deferred(1_000);
+    w.submit(0).unwrap();
+    w.deliver(BACKUP).unwrap();
+    w.sync(BACKUP).unwrap();
+    assert!(w.complete(BACKUP));
+    let old = w.inbox[BACKUP]
+        .front()
+        .cloned()
+        .expect("`sdb/synced` posted");
+    w.sync(BACKUP).unwrap();
+    assert_eq!(w.acks, 1);
+
+    w.power_cut_backup(0).unwrap();
+    w.quiesce().unwrap(); // the reboot catches up
+    let acks = w.acks;
+    w.submit(1).unwrap();
+    w.deliver(BACKUP).unwrap(); // record 2, into the new incarnation's log
+    w.sync(BACKUP).unwrap(); // handed off, not completed
+    let claim = Value::pair(old.body.fst().expect("generation").clone(), Value::Int(100));
+    w.step(BACKUP, &Msg::new(old.header, claim)).unwrap();
+    assert_eq!(w.acks, acks, "a stale completion released an ack");
+    assert!(w.complete(BACKUP));
+    w.sync(BACKUP).unwrap();
+    assert_eq!(w.acks, acks + 1);
+}
+
 /// The observer has teeth: run against a disk that lied about a sync — the
 /// backup acknowledged, then the group it had "synced" turned out not to
 /// be there — the same checks must fail, at the reply that vouches for the
@@ -358,5 +523,22 @@ fn a_lying_disk_fails_the_observer() {
         Err(Violation(
             "reply for 1 left without the record on the backup's disk".into()
         ))
+    );
+}
+
+/// And on asynchronous disks: a syncer that reports a sync at hand-off,
+/// before its bytes are durable, lets the backup's ack out ahead of the
+/// fsync — which the same observer catches.
+#[test]
+fn a_syncer_reporting_at_hand_off_fails_the_observer() {
+    let mut w = World::deferred(1_000);
+    w.disks[BACKUP].report_at_hand_off();
+    w.submit(0).unwrap();
+    w.deliver(BACKUP).unwrap();
+    w.sync(BACKUP).unwrap(); // hands off, and "completes" at once
+    let verdict = w.sync(BACKUP); // the premature `sdb/synced`
+    assert_eq!(
+        verdict,
+        Err(Violation("ack for 1 left before the backup's sync".into()))
     );
 }

@@ -149,6 +149,24 @@ pub fn encode_value(v: &Value, buf: &mut BytesMut) {
     }
 }
 
+/// Appends the encoding of `Value::pair(first, Value::Bytes(b))`, where `b`
+/// is whatever `second` appends: a large payload is written in place, not
+/// built apart and copied in.
+pub fn encode_pair_with_bytes(
+    first: &Value,
+    buf: &mut BytesMut,
+    second: impl FnOnce(&mut BytesMut),
+) {
+    buf.put_u8(TAG_PAIR);
+    encode_value(first, buf);
+    buf.put_u8(TAG_BYTES);
+    let at = buf.len();
+    buf.put_u32_le(0);
+    second(buf);
+    let len = (buf.len() - at - 4) as u32;
+    buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
 /// Decodes one value from the front of `buf`, advancing it.
 ///
 /// Total on arbitrary input: never panics, never allocates proportionally
@@ -506,6 +524,19 @@ mod tests {
             Value::list([Value::Unit, Value::Bool(false)]),
         ));
         roundtrip(Value::list((0..100).map(Value::from)));
+    }
+
+    #[test]
+    fn a_pair_with_bytes_written_in_place_encodes_like_the_value() {
+        let head = Value::pair(Value::Int(7), Value::str("h"));
+        let payload = (0..=255u8).cycle().take(70_000).collect::<Vec<u8>>();
+        let mut in_place = BytesMut::new();
+        in_place.put_slice(b"prefix");
+        encode_pair_with_bytes(&head, &mut in_place, |b| b.put_slice(&payload));
+        let mut built = BytesMut::new();
+        built.put_slice(b"prefix");
+        encode_value(&Value::pair(head, Value::Bytes(payload.into())), &mut built);
+        assert_eq!(in_place, built);
     }
 
     #[test]

@@ -35,8 +35,10 @@ use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 use std::time::Duration;
 
+pub mod completion;
 pub mod fault;
 
+pub use completion::{CompletionSink, Route};
 pub use fault::{
     FaultPlan, FaultRule, FaultTopology, LinkFault, LinkSel, LinkVerdict, Nemesis, NemesisProfile,
     NodeFault, NodeFaultKind,
@@ -53,7 +55,9 @@ pub use fault::{
 /// the harness keeps the disk handle across restart. The real-time
 /// runtimes report [`StorageMode::File`] with a per-instance scratch
 /// root, so commits pay an actual `write + fsync` and restarted replicas
-/// re-read actual files.
+/// re-read actual files. A file-backed disk syncs on a thread of its own,
+/// so a runtime that reports `File` also carries the syncer's completions
+/// back into the replica that handed the work off ([`completion`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StorageMode {
     /// In-memory storage with modeled sync cost (simulated substrates).

@@ -30,7 +30,7 @@ use crate::schema::TableSchema;
 use crate::snapshot::Snapshot;
 use crate::sql::{parse, parse_shape, shape, Aggregate, Projection, Statement};
 use crate::table::{AccessPath, RowId, Table};
-use crate::value::{Row, SqlValue};
+use crate::value::{Row, SharedRow, SqlValue};
 use crate::{Result, SqlError};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeSet, HashMap};
@@ -444,7 +444,7 @@ impl Database {
         for dump in snapshot.tables() {
             let mut t = Table::new(dump.schema.clone());
             for row in &dump.rows {
-                t.insert(row.clone())?;
+                t.insert(row.to_vec())?;
             }
             tables.insert(dump.schema.name.clone(), t);
         }
@@ -457,11 +457,26 @@ impl Database {
 
 /// One operation's undo record.
 enum Undo {
-    Insert { table: String, rid: RowId },
-    Delete { table: String, rid: RowId, row: Row },
-    Update { table: String, rid: RowId, old: Row },
-    CreateTable { table: String },
-    DropTable { dropped: Box<Table> },
+    Insert {
+        table: String,
+        rid: RowId,
+    },
+    Delete {
+        table: String,
+        rid: RowId,
+        row: SharedRow,
+    },
+    Update {
+        table: String,
+        rid: RowId,
+        old: SharedRow,
+    },
+    CreateTable {
+        table: String,
+    },
+    DropTable {
+        dropped: Box<Table>,
+    },
 }
 
 /// An open transaction. Dropped without [`Transaction::commit`], it rolls
@@ -920,7 +935,7 @@ fn matched_rows_on(
             matched += 1;
         }
         if out.len() < keep && skip_null.is_none_or(|c| !row[c].is_null()) {
-            out.push((rid, row.clone()));
+            out.push((rid, row.to_vec()));
         }
     }
     let scanned = (walk.whole_table && !t.is_empty()).then(|| t.len());
@@ -1108,7 +1123,9 @@ impl Transaction {
             // concurrent writers would be lost.
             let current = {
                 let tables = self.db.tables.read();
-                tables.get(&a.table).and_then(|t| t.get(rid).cloned())
+                tables
+                    .get(&a.table)
+                    .and_then(|t| t.get(rid).map(<[_]>::to_vec))
             };
             let Some(current) = current else { continue };
             if let Some(f) = &a.filter {

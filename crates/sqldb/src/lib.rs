@@ -57,7 +57,7 @@ pub use lock::{LockGranularity, ShardScope};
 pub use profile::EngineProfile;
 pub use schema::{Column, DataType, TableSchema};
 pub use snapshot::{RowBatch, Snapshot};
-pub use value::SqlValue;
+pub use value::{SharedRow, SqlValue};
 
 use std::fmt;
 

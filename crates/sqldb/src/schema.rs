@@ -1,6 +1,6 @@
 //! Table schemas.
 
-use crate::value::{Row, SqlValue};
+use crate::value::SqlValue;
 use crate::{Result, SqlError};
 
 /// Column data types.
@@ -94,12 +94,12 @@ impl TableSchema {
     }
 
     /// Extracts the primary-key values of a row.
-    pub fn key_of(&self, row: &Row) -> Vec<SqlValue> {
+    pub fn key_of(&self, row: &[SqlValue]) -> Vec<SqlValue> {
         self.primary_key.iter().map(|&i| row[i].clone()).collect()
     }
 
     /// Validates a row against the schema (arity and types).
-    pub fn check_row(&self, row: &Row) -> Result<()> {
+    pub fn check_row(&self, row: &[SqlValue]) -> Result<()> {
         if row.len() != self.columns.len() {
             return Err(SqlError::Constraint(format!(
                 "table {} expects {} values, got {}",
@@ -120,7 +120,7 @@ impl TableSchema {
     }
 
     /// Approximate byte size of a row under this schema.
-    pub fn row_bytes(&self, row: &Row) -> usize {
+    pub fn row_bytes(&self, row: &[SqlValue]) -> usize {
         row.iter().map(SqlValue::byte_size).sum()
     }
 }
@@ -170,15 +170,11 @@ mod tests {
     fn row_validation() {
         let s = schema();
         assert!(s
-            .check_row(&vec![
-                SqlValue::Int(1),
-                SqlValue::from("x"),
-                SqlValue::Int(2)
-            ])
+            .check_row(&[SqlValue::Int(1), SqlValue::from("x"), SqlValue::Int(2)])
             .is_ok());
-        assert!(s.check_row(&vec![SqlValue::Int(1)]).is_err());
+        assert!(s.check_row(&[SqlValue::Int(1)]).is_err());
         assert!(s
-            .check_row(&vec![
+            .check_row(&[
                 SqlValue::from("oops"),
                 SqlValue::from("x"),
                 SqlValue::Int(2)
@@ -194,8 +190,8 @@ mod tests {
             vec![0],
         )
         .unwrap();
-        assert!(real.check_row(&vec![SqlValue::Int(3)]).is_ok());
-        assert!(real.check_row(&vec![SqlValue::Null]).is_ok());
+        assert!(real.check_row(&[SqlValue::Int(3)]).is_ok());
+        assert!(real.check_row(&[SqlValue::Null]).is_ok());
     }
 
     #[test]

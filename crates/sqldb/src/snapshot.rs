@@ -12,17 +12,19 @@
 
 use crate::schema::{Column, DataType, TableSchema};
 use crate::table::Table;
-use crate::value::{Row, SqlValue};
+use crate::value::{Row, SharedRow, SqlValue};
 use crate::{Result, SqlError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::borrow::Borrow;
 
 /// A full-table dump within a snapshot.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TableDump {
     /// The table's schema.
     pub schema: TableSchema,
-    /// All rows.
-    pub rows: Vec<Row>,
+    /// All rows, shared with the table they were taken from: the table
+    /// replaces a row it writes, so these stay as they were.
+    pub rows: Vec<SharedRow>,
 }
 
 /// A consistent full-database snapshot.
@@ -38,7 +40,7 @@ impl Snapshot {
             tables: tables
                 .map(|t| TableDump {
                     schema: t.schema().clone(),
-                    rows: t.iter().map(|(_, r)| r.clone()).collect(),
+                    rows: t.shared_rows(),
                 })
                 .collect(),
         }
@@ -78,7 +80,7 @@ impl Snapshot {
                     };
                     size = 0;
                 }
-                current.rows.push(row.clone());
+                current.rows.push(row.to_vec());
                 size += row_size;
             }
             batches.push(current);
@@ -91,12 +93,20 @@ impl Snapshot {
     /// [`Snapshot::to_batches`]'s wire form for streaming transfer.
     pub fn to_bytes(&self) -> Bytes {
         let mut buf = BytesMut::new();
-        for b in self.to_batches(usize::MAX) {
-            let enc = b.encode();
-            buf.put_u32_le(enc.len() as u32);
-            buf.put_slice(&enc);
-        }
+        self.write_bytes(&mut buf);
         buf.freeze()
+    }
+
+    /// Appends [`Snapshot::to_bytes`]'s blob to `buf`, each table's batch
+    /// encoded straight from the dump into place.
+    pub fn write_bytes(&self, buf: &mut BytesMut) {
+        for dump in &self.tables {
+            let at = buf.len();
+            buf.put_u32_le(0);
+            encode_batch(buf, &dump.schema.name, Some(&dump.schema), &dump.rows);
+            let len = (buf.len() - at - 4) as u32;
+            buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        }
     }
 
     /// Reassembles a snapshot from a [`Snapshot::to_bytes`] blob.
@@ -137,7 +147,8 @@ impl Snapshot {
                 .iter_mut()
                 .find(|t| t.schema.name == b.table)
                 .ok_or_else(|| SqlError::Unknown(format!("batch for unknown table {}", b.table)))?;
-            dump.rows.extend(b.rows.iter().cloned());
+            dump.rows
+                .extend(b.rows.iter().map(|r| SharedRow::from(r.as_slice())));
         }
         Ok(snapshot)
     }
@@ -159,21 +170,7 @@ impl RowBatch {
     /// Serializes the batch to wire bytes.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();
-        put_str(&mut buf, &self.table);
-        match &self.schema {
-            Some(s) => {
-                buf.put_u8(1);
-                encode_schema(s, &mut buf);
-            }
-            None => buf.put_u8(0),
-        }
-        buf.put_u32_le(self.rows.len() as u32);
-        for row in &self.rows {
-            buf.put_u16_le(row.len() as u16);
-            for v in row {
-                encode_value(v, &mut buf);
-            }
-        }
+        encode_batch(&mut buf, &self.table, self.schema.as_ref(), &self.rows);
         buf.freeze()
     }
 
@@ -217,8 +214,33 @@ impl RowBatch {
     }
 }
 
+/// Appends the wire form of one [`RowBatch`], from its parts, to `buf`.
+fn encode_batch(
+    buf: &mut BytesMut,
+    table: &str,
+    schema: Option<&TableSchema>,
+    rows: &[impl Borrow<[SqlValue]>],
+) {
+    put_str(buf, table);
+    match schema {
+        Some(s) => {
+            buf.put_u8(1);
+            encode_schema(s, buf);
+        }
+        None => buf.put_u8(0),
+    }
+    buf.put_u32_le(rows.len() as u32);
+    for row in rows {
+        let row = row.borrow();
+        buf.put_u16_le(row.len() as u16);
+        for v in row {
+            encode_value(v, buf);
+        }
+    }
+}
+
 /// The serialized size of one row.
-pub fn encoded_row_len(row: &Row) -> usize {
+pub fn encoded_row_len(row: &[SqlValue]) -> usize {
     2 + row.iter().map(|v| 1 + v.byte_size().max(8)).sum::<usize>()
 }
 

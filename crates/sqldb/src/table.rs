@@ -2,7 +2,7 @@
 
 use crate::expr::{CmpOp, Expr};
 use crate::schema::TableSchema;
-use crate::value::{Row, SqlValue};
+use crate::value::{Row, SharedRow, SqlValue};
 use crate::{Result, SqlError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -152,10 +152,13 @@ pub struct SecondaryIndex {
 }
 
 /// A table: schema, heap, primary-key index, secondary indexes.
+///
+/// Heap rows are immutable and shared: a write replaces the row, so a
+/// snapshot holds the rows it saw for the cost of one reference each.
 #[derive(Clone, Debug)]
 pub struct Table {
     schema: TableSchema,
-    rows: BTreeMap<RowId, Row>,
+    rows: BTreeMap<RowId, SharedRow>,
     next_rowid: RowId,
     pk: BTreeMap<Vec<SqlValue>, RowId>,
     secondary: Vec<SecondaryIndex>,
@@ -232,13 +235,13 @@ impl Table {
             idx.map.entry(ikey).or_default().insert(rid);
         }
         self.pk.insert(key, rid);
-        self.rows.insert(rid, row);
+        self.rows.insert(rid, row.into());
         Ok(rid)
     }
 
     /// Fetches a row by id.
-    pub fn get(&self, rid: RowId) -> Option<&Row> {
-        self.rows.get(&rid)
+    pub fn get(&self, rid: RowId) -> Option<&[SqlValue]> {
+        self.rows.get(&rid).map(|r| &**r)
     }
 
     /// Re-inserts a previously deleted row under its *original* id (the
@@ -249,7 +252,8 @@ impl Table {
     ///
     /// Fails if the id or primary key is already in use, or on schema
     /// violations.
-    pub fn restore(&mut self, rid: RowId, row: Row) -> Result<()> {
+    pub fn restore(&mut self, rid: RowId, row: impl Into<SharedRow>) -> Result<()> {
+        let row = row.into();
         self.schema.check_row(&row)?;
         if self.rows.contains_key(&rid) {
             return Err(SqlError::Constraint(format!(
@@ -273,7 +277,7 @@ impl Table {
     }
 
     /// Deletes a row by id, returning it.
-    pub fn delete(&mut self, rid: RowId) -> Option<Row> {
+    pub fn delete(&mut self, rid: RowId) -> Option<SharedRow> {
         let row = self.rows.remove(&rid)?;
         self.pk.remove(&self.schema.key_of(&row));
         for idx in &mut self.secondary {
@@ -294,7 +298,8 @@ impl Table {
     ///
     /// Fails on schema violations or if the new primary key collides with a
     /// different row.
-    pub fn update(&mut self, rid: RowId, new_row: Row) -> Result<Row> {
+    pub fn update(&mut self, rid: RowId, new_row: impl Into<SharedRow>) -> Result<SharedRow> {
+        let new_row = new_row.into();
         self.schema.check_row(&new_row)?;
         let old = self
             .rows
@@ -459,8 +464,13 @@ impl Table {
     }
 
     /// Iterates over `(row id, row)` pairs in heap order.
-    pub fn iter(&self) -> impl Iterator<Item = (RowId, &Row)> {
-        self.rows.iter().map(|(rid, row)| (*rid, row))
+    pub fn iter(&self) -> impl Iterator<Item = (RowId, &[SqlValue])> {
+        self.rows.iter().map(|(rid, row)| (*rid, &**row))
+    }
+
+    /// The rows in heap order, shared rather than copied.
+    pub(crate) fn shared_rows(&self) -> Vec<SharedRow> {
+        self.rows.values().cloned().collect()
     }
 
     /// Approximate total data size in bytes.

@@ -151,6 +151,11 @@ impl From<String> for SqlValue {
 /// A row: one value per schema column.
 pub type Row = Vec<SqlValue>;
 
+/// A stored row: immutable and shared. A table replaces the row it
+/// writes, so whoever holds one — a snapshot, an undo record — keeps the
+/// row as it was for the cost of one reference.
+pub type SharedRow = std::sync::Arc<[SqlValue]>;
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -758,6 +758,72 @@ mod tests {
         net.shutdown();
     }
 
+    /// A completion route reaches the incarnation it was taken in — from
+    /// another thread, through the shard's command channel — and nothing
+    /// else: posted after that location crashed and restarted, it is
+    /// dropped rather than delivered to the new incarnation.
+    #[test]
+    fn a_completion_for_a_restarted_location_is_dropped() {
+        use parking_lot::Mutex;
+        use shadowdb_runtime::completion::{self, Route};
+        use std::sync::Arc;
+
+        let routes: Arc<Mutex<Vec<Route>>> = Arc::default();
+        let mut net = TcpNet::new();
+        let (port, rx) = TcpNet::port(&mut net);
+        // "grab" hands a route out of the step; "done" (a completion) and
+        // "ping" are answered to the port, tagged with the incarnation.
+        let node = |incarnation: i64| -> Box<dyn Process> {
+            let routes = routes.clone();
+            Box::new(FnProcess::new((), move |_s, _c: &Ctx, m: &Msg| {
+                let answer = |body| vec![SendInstr::now(port, Msg::new("seen", body))];
+                match m.header.name() {
+                    "grab" => {
+                        routes
+                            .lock()
+                            .push(completion::route().expect("a routing loop"));
+                        answer(Value::Unit)
+                    }
+                    "done" => answer(Value::pair(Value::Int(incarnation), m.body.clone())),
+                    _ => answer(Value::Int(incarnation)),
+                }
+            }))
+        };
+        let loc = net.add_node(node(1));
+        let recv = || {
+            rx.recv_timeout(Duration::from_secs(5))
+                .expect("answered")
+                .body
+        };
+        let grab = || {
+            net.send(loc, Msg::new("grab", Value::Unit));
+            assert_eq!(recv(), Value::Unit);
+            routes.lock().pop().expect("route handed out")
+        };
+        let post = |route: Route, id: i64| {
+            std::thread::spawn(move || route.post(Msg::new("done", Value::Int(id))))
+                .join()
+                .unwrap();
+        };
+
+        post(grab(), 7);
+        assert_eq!(recv(), Value::pair(Value::Int(1), Value::Int(7)));
+
+        let stale = grab();
+        net.crash_at(VTime::ZERO, loc);
+        net.restart_at(VTime::ZERO, loc, node(2));
+        std::thread::sleep(Duration::from_millis(50));
+        net.send(loc, Msg::new("ping", Value::Unit));
+        assert_eq!(recv(), Value::Int(2), "the new incarnation runs");
+        post(stale, 8);
+        post(grab(), 9);
+        // The command channel is FIFO: had the stale completion been
+        // delivered, it would have arrived first.
+        assert_eq!(recv(), Value::pair(Value::Int(2), Value::Int(9)));
+        assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
+        net.shutdown();
+    }
+
     /// Nodes and ports share one location sequence, as the deployment
     /// builders require for precomputing locations.
     #[test]

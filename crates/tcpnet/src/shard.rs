@@ -16,6 +16,12 @@
 //! zero-copy views of their own frame, which `FrameReader` copies out of
 //! the connection's reassembly buffer right-sized: one allocation per
 //! frame, and the buffer itself is never pinned by what a process keeps.
+//!
+//! Work a process hands to another thread (a disk's syncer) reports back
+//! through the command channel: each shard thread installs itself as the
+//! completion sink of the steps it runs, and a completion lands in the
+//! inbox of the incarnation that handed the work off — or nowhere, if that
+//! incarnation has crashed since.
 
 use crate::link::{try_connect, OutLink};
 use crate::node::NodeHost;
@@ -24,6 +30,7 @@ use crate::registry::Registry;
 use crossbeam::channel::{self, Receiver, Sender};
 use shadowdb_eventml::{Ctx, FrameReader, Msg, Process, SendInstr};
 use shadowdb_loe::{Loc, VTime};
+use shadowdb_runtime::completion::{self, CompletionSink};
 use shadowdb_runtime::LinkVerdict;
 use std::collections::{BinaryHeap, HashMap};
 use std::io::{Read, Write};
@@ -79,6 +86,16 @@ pub enum ShardCmd {
     Crash(u32),
     /// Install a fresh incarnation at `loc` (no-op for unknown locs).
     Restart(u32, Box<dyn Process>),
+    /// Deliver `msg` into `loc`'s inbox if incarnation `epoch` still runs
+    /// there (a completion of work the process handed off).
+    Complete {
+        /// The location's index.
+        loc: u32,
+        /// The incarnation that handed the work off.
+        epoch: u64,
+        /// The completion message.
+        msg: Msg,
+    },
     /// Exit the shard thread.
     Shutdown,
 }
@@ -100,13 +117,31 @@ impl ShardHandle {
     }
 }
 
+/// A shard's own handle, as the completion sink of the steps it runs.
+impl CompletionSink for ShardHandle {
+    fn post(&self, loc: Loc, epoch: u64, msg: Msg) {
+        self.send(ShardCmd::Complete {
+            loc: loc.index(),
+            epoch,
+            msg,
+        });
+    }
+}
+
 /// Spawns one shard thread; the returned handle feeds it commands.
 pub fn spawn_shard(registry: Arc<Registry>) -> (ShardHandle, JoinHandle<()>) {
     let (cmd_tx, cmd_rx) = channel::unbounded::<ShardCmd>();
     let (wake_tx, wake_rx) = UnixStream::pair().expect("wake pipe");
     wake_tx.set_nonblocking(true).expect("nonblocking wake");
     wake_rx.set_nonblocking(true).expect("nonblocking wake");
-    let handle = std::thread::spawn(move || Shard::new(registry, wake_rx, cmd_rx).run());
+    let sink = ShardHandle {
+        tx: cmd_tx.clone(),
+        wake: wake_tx.try_clone().expect("wake pipe clone"),
+    };
+    let handle = std::thread::spawn(move || {
+        completion::install_sink(Arc::new(sink));
+        Shard::new(registry, wake_rx, cmd_rx).run()
+    });
     (
         ShardHandle {
             tx: cmd_tx,
@@ -228,8 +263,9 @@ impl Shard {
             }
             self.fire_timers();
             // The turn's deliveries go on the wire before the self-sends
-            // they left behind are stepped: such a step may block (a
-            // replica's fsync), and its peers should be working meanwhile.
+            // they left behind are stepped: such a step may be long (a
+            // replica capturing a checkpoint), and its peers should be
+            // working meanwhile.
             self.flush_dirty();
             self.drain_inboxes();
             self.tick_links();
@@ -292,6 +328,13 @@ impl Shard {
                 let epoch = self.bump_epoch(loc);
                 self.hosts
                     .insert(loc, NodeHost::new(Loc::new(loc), epoch, process));
+            }
+            ShardCmd::Complete { loc, epoch, msg } => {
+                if let Some(host) = self.hosts.get_mut(&loc) {
+                    if host.epoch == epoch {
+                        host.inbox.push_back(msg);
+                    }
+                }
             }
             ShardCmd::Shutdown => self.stop = true,
         }
@@ -557,8 +600,10 @@ impl Shard {
     fn run_step(&mut self, host: &mut NodeHost, msg: &Msg, now: VTime) {
         let mut outs = std::mem::take(&mut self.outs);
         outs.clear();
-        host.process
-            .step_into(&Ctx::new(host.slf, now), msg, &mut outs);
+        completion::stepping(host.slf, host.epoch, || {
+            host.process
+                .step_into(&Ctx::new(host.slf, now), msg, &mut outs)
+        });
         for SendInstr { dest, delay, msg } in outs.drain(..) {
             if delay > Duration::ZERO {
                 self.timer_seq += 1;

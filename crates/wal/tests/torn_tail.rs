@@ -15,10 +15,16 @@
 //! 3. **Idempotence**: recovering twice — including re-tearing an
 //!    already-recovered disk — yields the same state. A power loss
 //!    *during* recovery is just another recovery.
+//! 4. **Completion is the durability line**: a sync handed to the disk's
+//!    syncer covers nothing until it completes. What is still in flight
+//!    at a power cut tears like the unsynced tail; a record whose
+//!    completion was reported never does.
 
 use proptest::prelude::*;
 use shadowdb_eventml::Value;
 use shadowdb_wal::{recover, Disk, Wal};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Distinguishable record bodies (index is carried separately by the
@@ -180,4 +186,77 @@ proptest! {
         }
         prop_assert!(rec.high_index() >= snap_at);
     }
+
+    /// A power cut with a sync in flight: the records whose completion
+    /// was reported survive, those handed off since may tear (with the
+    /// unsynced tail behind them), and the cut-off sync never reports.
+    #[test]
+    fn handed_off_records_may_tear_but_reported_ones_never_do(
+        reported in 0usize..20,
+        in_flight in 0usize..20,
+        unsynced in 0usize..20,
+        seed in any::<u64>(),
+    ) {
+        let (disk, late) = power_cut_mid_hand_off(reported, in_flight, unsynced, seed);
+        prop_assert!(!late.load(Ordering::SeqCst), "a cut-off sync reported");
+        prop_assert!(!disk.complete_next(), "the cut ended the sync in flight");
+        let rec = recover(&disk);
+        prop_assert!(rec.records.len() >= reported, "lost a reported record");
+        assert_prefix(&rec.records, reported + in_flight + unsynced)?;
+    }
+}
+
+/// A deferred disk with `reported` records synced and reported, the next
+/// `in_flight` handed off without completing, `unsynced` more appended —
+/// and then the power goes. Returns the disk and whether the in-flight
+/// sync ever reported.
+fn power_cut_mid_hand_off(
+    reported: usize,
+    in_flight: usize,
+    unsynced: usize,
+    seed: u64,
+) -> (Disk, Arc<AtomicBool>) {
+    let disk = Disk::in_memory_deferred(Duration::ZERO);
+    let mut wal = Wal::open(disk.clone());
+    let flag = || Arc::new(AtomicBool::new(false));
+    let (first, late) = (flag(), flag());
+    let mut n = 0;
+    let mut append = |wal: &mut Wal, k: usize| {
+        for _ in 0..k {
+            wal.append(n, &body(n));
+            n += 1;
+        }
+    };
+    append(&mut wal, reported);
+    let f = first.clone();
+    wal.hand_off(move || f.store(true, Ordering::SeqCst));
+    assert!(disk.complete_next() && first.load(Ordering::SeqCst));
+    append(&mut wal, in_flight);
+    let l = late.clone();
+    wal.hand_off(move || l.store(true, Ordering::SeqCst));
+    append(&mut wal, unsynced);
+    disk.begin_recovery(seed);
+    (disk, late)
+}
+
+/// The property above is not vacuous: over a few seeds, a cut both tears
+/// into the in-flight records and keeps some of them.
+#[test]
+fn in_flight_records_tear_for_some_seeds_and_survive_for_others() {
+    let kept: Vec<usize> = (0..64)
+        .map(|seed| {
+            recover(&power_cut_mid_hand_off(3, 6, 0, seed).0)
+                .records
+                .len()
+        })
+        .collect();
+    assert!(kept.iter().all(|k| (3..=9).contains(k)));
+    assert!(
+        kept.iter().any(|k| *k < 9),
+        "no seed tore an in-flight record"
+    );
+    assert!(
+        kept.iter().any(|k| *k > 3),
+        "no seed kept an in-flight record"
+    );
 }
