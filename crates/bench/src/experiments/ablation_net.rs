@@ -30,7 +30,7 @@ pub fn report(out: &mut dyn Write) -> io::Result<()> {
         let rows: Vec<(String, String)> = [1usize, 2, 4, 8]
             .iter()
             .map(|&pairs| {
-                let rate = netload::echo_rate(pairs, depth, warm, echoes);
+                let rate = netload::echo_rate(pairs, depth, warm, echoes, false);
                 json.push(format!(
                     "{{\"pairs\":{pairs},\"depth\":{depth},\"echoes_per_sec\":{rate:.0}}}"
                 ));

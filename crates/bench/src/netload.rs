@@ -10,17 +10,22 @@
 //! The driver port only sees two control messages per pair ("warm" when a
 //! pair finishes its warm-up echoes, "done" at the end), so the measured
 //! rate is the transport's, not the port channel's.
+//!
+//! With `colocated` each pinger joins its echo's machine
+//! (`TcpNet::add_node_colocated`), so the pair shares a shard thread and
+//! every ping and pong is an in-memory hand-off instead of a socket hop.
 
-use shadowdb_eventml::{Ctx, FnProcess, Msg, SendInstr, Value};
+use shadowdb_eventml::{Ctx, FnProcess, Msg, Process, SendInstr, Value};
 use shadowdb_loe::Loc;
 use shadowdb_tcpnet::TcpNet;
 use std::time::{Duration, Instant};
 
 /// Sustained echoes/sec across `pairs` closed-loop pinger/echo pairs at
 /// the given pipelining `depth`. Each completed echo is one ping plus one
-/// pong — two framed messages over two sockets. `warm` echoes per pair
-/// run before the clock starts; `echoes` per pair are measured.
-pub fn echo_rate(pairs: usize, depth: usize, warm: u64, echoes: u64) -> f64 {
+/// pong — two framed messages over two sockets, or two hand-offs when the
+/// pair is `colocated`. `warm` echoes per pair run before the clock
+/// starts; `echoes` per pair are measured.
+pub fn echo_rate(pairs: usize, depth: usize, warm: u64, echoes: u64, colocated: bool) -> f64 {
     assert!(pairs > 0 && depth > 0 && echoes > 0);
     let mut net = TcpNet::builder().seeded(11).spawn();
     let port_loc = Loc::new(2 * pairs as u32);
@@ -35,7 +40,7 @@ pub fn echo_rate(pairs: usize, depth: usize, warm: u64, echoes: u64) -> f64 {
             },
         )));
         assert_eq!(echo, echo_loc);
-        let pinger = net.add_node(Box::new(FnProcess::new(
+        let pinger: Box<dyn Process> = Box::new(FnProcess::new(
             (warm, echoes),
             move |s: &mut (u64, u64), ctx: &Ctx, m: &Msg| {
                 let ping = || SendInstr::now(echo_loc, Msg::new("ping", Value::Loc(ctx.slf)));
@@ -65,7 +70,12 @@ pub fn echo_rate(pairs: usize, depth: usize, warm: u64, echoes: u64) -> f64 {
                     _ => vec![],
                 }
             },
-        )));
+        ));
+        let pinger = if colocated {
+            net.add_node_colocated(pinger, echo)
+        } else {
+            net.add_node(pinger)
+        };
         assert_eq!(pinger, Loc::new(2 * i + 1));
         pingers.push(pinger);
     }

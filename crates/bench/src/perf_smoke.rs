@@ -210,7 +210,17 @@ fn tcp_echo_msgs_per_sec() -> f64 {
 /// tentpole means it; `tcp_echo_msgs_per_sec` above keeps measuring the
 /// injection-path figure for continuity.
 fn tcp_echo_evloop_msgs_per_sec() -> f64 {
-    crate::netload::echo_rate(4, 64, 2_000, 25_000)
+    crate::netload::echo_rate(4, 64, 2_000, 25_000, false)
+}
+
+/// The same self-driving echo with each pinger on its echo's machine
+/// (`add_node_colocated`, as a broadcast machine's roles are placed): a
+/// pair shares a shard thread and every ping and pong is an in-memory
+/// hand-off into the peer's inbox, stepped at the top of the next loop
+/// turn — no encoder, no socket. A cliff here means colocated traffic fell
+/// back onto the wire, or the hand-off grew a per-message cost.
+fn tcp_colocated_echo_msgs_per_sec() -> f64 {
+    crate::netload::echo_rate(4, 64, 2_000, 25_000, true)
 }
 
 /// Virtual-time msgs/sec of the Paxos broadcast service with the slot
@@ -585,6 +595,7 @@ const GATES: &[Gate] = &[
     gate!(Host, Higher, codec_roundtrip_msgs_per_sec),
     gate!(Host, Higher, tcp_echo_msgs_per_sec),
     gate!(Host, Higher, tcp_echo_evloop_msgs_per_sec),
+    gate!(Host, Higher, tcp_colocated_echo_msgs_per_sec),
     gate!(Virtual, Higher, tob_pipeline_msgs_per_sec),
     gate!(Host, Higher, sqldb_cached_update_speedup),
     gate!(Virtual, Higher, sharded_bank_speedup_4x1),
@@ -630,6 +641,8 @@ pub fn run() -> ExitCode {
     let evloop = rate_of("tcp_echo_evloop_msgs_per_sec");
     let ratio = codec / evloop;
     println!("codec/evloop ratio: {ratio:.2}x (gate: <= 4x)");
+    let colocated = rate_of("tcp_colocated_echo_msgs_per_sec");
+    println!("colocated/evloop echo ratio: {:.2}x", colocated / evloop);
     assert!(
         ratio <= 4.0,
         "event-loop echo must stay within 4x of the codec roundtrip, got {ratio:.2}x \

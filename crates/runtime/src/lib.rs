@@ -218,9 +218,14 @@ pub trait Runtime {
     /// substrate models CPUs) and returns that location.
     fn add_node(&mut self, process: Box<dyn Process>) -> Loc;
 
-    /// Hosts `process` at the next location, sharing the CPU of `peer`.
-    /// Substrates without a CPU model treat this as [`Runtime::add_node`];
-    /// the location sequence is identical either way.
+    /// Hosts `process` at the next location, on the same machine as
+    /// `peer` — the paper's composed broadcast machine, whose roles are
+    /// separate locations. The simulator charges both to one CPU; tcpnet
+    /// runs both on `peer`'s shard thread and hands messages between them
+    /// in memory instead of over a socket, with the fault plane's verdicts
+    /// unchanged. The model checker ignores placement (the default here,
+    /// which is [`Runtime::add_node`]). The location sequence is identical
+    /// on every substrate.
     fn add_node_colocated(&mut self, process: Box<dyn Process>, peer: Loc) -> Loc {
         let _ = peer;
         self.add_node(process)

@@ -1,5 +1,5 @@
-//! A real TCP runtime for GPM processes: every inter-node message crosses
-//! a byte boundary over a `std::net` loopback socket.
+//! A real TCP runtime for GPM processes: every message between machines
+//! crosses a byte boundary over a `std::net` loopback socket.
 //!
 //! This is the repository's counterpart of the paper's testbed wiring —
 //! ShadowDB's generated processes exchanging framed messages over real
@@ -10,7 +10,13 @@
 //!
 //! # Architecture
 //!
-//! * N sharded executor threads (thread-per-core, `loc % shards`) each
+//! * Every location lives on a *machine*. [`TcpNet::add_node`],
+//!   [`Runtime::add_node_late`] and [`TcpNet::port`] each open a new one;
+//!   [`TcpNet::add_node_colocated`] joins its peer's — the paper's
+//!   broadcast machine, whose server and consensus roles are one composed
+//!   process.
+//! * N sharded executor threads (thread-per-core; machine `m` lives on
+//!   shard `m % shards`, so machines go round-robin over the shards) each
 //!   run a readiness event loop over a std-only poller (epoll on Linux,
 //!   `poll(2)` elsewhere). A shard owns its locations' listeners, every
 //!   inbound connection to them, the hosted processes with their timer
@@ -25,6 +31,12 @@
 //!   inline on its own shard; a process's zero-delay self-sends are
 //!   stepped at the top of the next turn, once everything readable this
 //!   turn was delivered and the links those steps wrote are flushed.
+//! * A message to another location of the sender's machine takes the
+//!   self-send path: it is handed into that host's inbox, with no encoder,
+//!   link or socket. A pair of locations always takes the same path, so
+//!   FIFO per pair holds either way, and the fault plane gives a colocated
+//!   pair the verdict it gives a link (see
+//!   [`TcpNet::install_fault_plan`]).
 //! * Outbound links are nonblocking with vectored writes: frames drain
 //!   through a per-link queue; when the kernel pushes back the link
 //!   parks on write readiness. Reconnect backoff jitter is a pure
@@ -32,11 +44,11 @@
 //!   chaos-soak schedules are byte-identical across runs.
 //! * A control thread schedules external injections ([`TcpNet::send_at`],
 //!   over the injector's own loopback connections) and fault actions:
-//!   [`TcpNet::crash_at`] *removes the host* (volatile state, timers, and
-//!   outbound connections die with it) and [`TcpNet::restart_at`]
-//!   installs a fresh incarnation behind the same listener, so
-//!   crash-recovery behaves like a process restart behind a stable
-//!   address.
+//!   [`TcpNet::crash_at`] *removes the host* (volatile state, inbox,
+//!   timers, and outbound connections die with it) and
+//!   [`TcpNet::restart_at`] installs a fresh incarnation behind the same
+//!   listener, so crash-recovery behaves like a process restart behind a
+//!   stable address. Both act on one location, never its whole machine.
 //! * Driver ports ([`TcpNet::port`]) are loopback listeners too: replies
 //!   to a client port travel over a socket like any other message.
 //!
@@ -72,7 +84,7 @@ mod shard;
 
 use crossbeam::channel::{self, Receiver, Sender};
 use link::Injector;
-use registry::{Registry, SlotInfo};
+use registry::Registry;
 use shadowdb_eventml::{Msg, Process};
 use shadowdb_loe::{Loc, VTime};
 use shadowdb_runtime::{FaultPlan, PortRx, Runtime, StorageMode};
@@ -160,7 +172,7 @@ impl TcpNetBuilder {
                 .clamp(1, 8)
         });
         let start = Instant::now();
-        let registry = Registry::new(start, self.seed);
+        let registry = Registry::new(start, self.seed, shards);
         let mut handles = Vec::with_capacity(shards);
         let mut joins = Vec::with_capacity(shards);
         for _ in 0..shards {
@@ -213,27 +225,37 @@ impl TcpNet {
         TcpNet::builder().spawn()
     }
 
-    fn shard_of(&self, loc: Loc) -> &ShardHandle {
-        &self.shards[loc.index() as usize % self.shards.len()]
-    }
-
-    fn bind_slot(&self) -> (Loc, TcpListener) {
+    /// Binds the next location's listener, on `peer`'s machine or a new
+    /// one, and returns the shard that owns it.
+    fn bind_slot(&self, peer: Option<Loc>) -> (Loc, TcpListener, &ShardHandle) {
         let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback listener");
         let addr = listener.local_addr().expect("listener address");
-        let loc = {
-            let mut slots = self.registry.slots.lock();
-            let loc = Loc::new(slots.len() as u32);
-            slots.push(SlotInfo { addr });
-            loc
-        };
-        (loc, listener)
+        let loc = self.registry.allocate(addr, peer);
+        let shard = self.registry.shard_of(loc.index()).expect("allocated");
+        (loc, listener, &self.shards[shard])
     }
 
-    /// Hosts `process` at the next location: binds its listener, then
-    /// hands both to the location's shard.
+    /// Hosts `process` at the next location, on a machine of its own:
+    /// binds its listener, then hands both to the machine's shard.
     pub fn add_node(&mut self, process: Box<dyn Process>) -> Loc {
-        let (loc, listener) = self.bind_slot();
-        self.shard_of(loc).send(ShardCmd::AddNode {
+        self.host(process, None)
+    }
+
+    /// Hosts `process` at the next location, on `peer`'s machine: the two
+    /// share `peer`'s shard thread and hand each other messages in memory
+    /// instead of over a socket. The new location still has a listener of
+    /// its own for every other machine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `peer` is not an allocated location.
+    pub fn add_node_colocated(&mut self, process: Box<dyn Process>, peer: Loc) -> Loc {
+        self.host(process, Some(peer))
+    }
+
+    fn host(&mut self, process: Box<dyn Process>, peer: Option<Loc>) -> Loc {
+        let (loc, listener, shard) = self.bind_slot(peer);
+        shard.send(ShardCmd::AddNode {
             loc: loc.index(),
             listener,
             process,
@@ -243,7 +265,7 @@ impl TcpNet {
 
     /// Number of locations allocated so far (nodes and ports).
     pub fn node_count(&self) -> u32 {
-        self.registry.slots.lock().len() as u32
+        self.registry.allocated()
     }
 
     /// Elapsed time since the network started, as the runtime clock.
@@ -290,21 +312,22 @@ impl TcpNet {
     }
 
     /// Installs (or replaces) the fault plan consulted by every node's
-    /// frame layer. Severed links force-close their connections and park
-    /// frames in bounded pending queues until heal; lossy windows drop
-    /// frames; duplication windows write them twice. Delay spikes and
-    /// reorder windows are not reproducible on a real FIFO stream and are
-    /// ignored (the schedule itself is byte-identical with the other
-    /// substrates). External injections from the driver are never faulted.
+    /// sends, over a link or to a machine-mate alike. Severed links
+    /// force-close their connections and park frames in bounded pending
+    /// queues until heal, and a cut colocated pair holds its messages the
+    /// same way; lossy windows drop messages; duplication windows deliver
+    /// them twice. Delay spikes and reorder windows are not reproducible
+    /// on a real FIFO stream and are ignored (the schedule itself is
+    /// byte-identical with the other substrates). External injections
+    /// from the driver are never faulted.
     pub fn install_fault_plan(&self, plan: FaultPlan) {
         *self.registry.faults.plan.lock() = Some(plan);
         self.registry.faults.engaged.store(true, Ordering::SeqCst);
     }
 
-    /// Snapshot of the frame-layer counters (`reconnects`,
-    /// `frames_dropped`, `frames_duplicated`) aggregated over all links.
+    /// Snapshot of the frame-layer counters, summed over every thread.
     pub fn link_stats(&self) -> LinkStats {
-        self.registry.faults.stats()
+        self.registry.stats()
     }
 
     /// Creates an external mailbox at the next location, backed by its own
@@ -312,8 +335,8 @@ impl TcpNet {
     /// the returned receiver.
     pub fn port(&mut self) -> (Loc, Receiver<Msg>) {
         let (tx, rx) = channel::unbounded();
-        let (loc, listener) = self.bind_slot();
-        self.shard_of(loc).send(ShardCmd::AddPort {
+        let (loc, listener, shard) = self.bind_slot(None);
+        shard.send(ShardCmd::AddPort {
             loc: loc.index(),
             listener,
             tx,
@@ -361,8 +384,13 @@ impl Drop for TcpNet {
 /// The control thread: a timer heap of scheduled injections and fault
 /// actions, with its own blocking outbound links for external deliveries.
 fn control_loop(registry: Arc<Registry>, shards: Arc<Vec<ShardHandle>>, rx: Receiver<Ctl>) {
-    let mut injector = Injector::new(registry);
-    let shard_of = |loc: Loc| &shards[loc.index() as usize % shards.len()];
+    let mut injector = Injector::new(registry.clone());
+    // Crash and restart of a location not allocated (yet) are no-ops.
+    let to_owner = |loc: Loc, cmd: ShardCmd| {
+        if let Some(shard) = registry.shard_of(loc.index()) {
+            shards[shard].send(cmd);
+        }
+    };
     let mut heap: BinaryHeap<Due> = BinaryHeap::new();
     let mut seq = 0u64;
     loop {
@@ -371,9 +399,9 @@ fn control_loop(registry: Arc<Registry>, shards: Arc<Vec<ShardHandle>>, rx: Rece
             let due = heap.pop().expect("peeked");
             match due.act {
                 Act::Deliver(dest, msg) => injector.send(dest, &msg),
-                Act::Crash(loc) => shard_of(loc).send(ShardCmd::Crash(loc.index())),
+                Act::Crash(loc) => to_owner(loc, ShardCmd::Crash(loc.index())),
                 Act::Restart(loc, process) => {
-                    shard_of(loc).send(ShardCmd::Restart(loc.index(), process))
+                    to_owner(loc, ShardCmd::Restart(loc.index(), process))
                 }
             }
         }
@@ -397,6 +425,10 @@ fn control_loop(registry: Arc<Registry>, shards: Arc<Vec<ShardHandle>>, rx: Rece
 impl Runtime for TcpNet {
     fn add_node(&mut self, process: Box<dyn Process>) -> Loc {
         TcpNet::add_node(self, process)
+    }
+
+    fn add_node_colocated(&mut self, process: Box<dyn Process>, peer: Loc) -> Loc {
+        TcpNet::add_node_colocated(self, process, peer)
     }
 
     fn node_count(&self) -> u32 {
@@ -978,6 +1010,291 @@ mod tests {
             rx.recv_timeout(Duration::from_secs(5)).unwrap().body,
             Value::Int(1)
         );
+        net.shutdown();
+    }
+
+    /// A process that passes every message body on to `to`.
+    fn forward_to(to: Loc) -> Box<dyn Process> {
+        Box::new(FnProcess::new((), move |_s, _c: &Ctx, m: &Msg| {
+            vec![SendInstr::now(to, Msg::new("fwd", m.body.clone()))]
+        }))
+    }
+
+    /// A process that, given `<from, to>`, sends each of `from..to` to
+    /// `dest` in order.
+    fn numbers_to(dest: Loc) -> Box<dyn Process> {
+        Box::new(FnProcess::new((), move |_s, _c: &Ctx, m: &Msg| {
+            let (from, to) = m.body.unpair();
+            (from.int()..to.int())
+                .map(|i| SendInstr::now(dest, Msg::new("n", Value::Int(i))))
+                .collect()
+        }))
+    }
+
+    fn range(from: i64, to: i64) -> Msg {
+        Msg::new("send", Value::pair(Value::Int(from), Value::Int(to)))
+    }
+
+    /// Colocated pairs stay FIFO whichever path of the loop sends: 10 000
+    /// numbered messages to a machine-mate, alternate chunks sent straight
+    /// from a step and from due timers, arrive in order — and none of them
+    /// crosses a socket.
+    #[test]
+    fn colocated_pairs_stay_fifo_across_steps_and_timers() {
+        const N: i64 = 10_000;
+        const CHUNK: i64 = 100;
+        let mut net = TcpNet::builder().shards(2).spawn();
+        let (port, rx) = TcpNet::port(&mut net);
+        let receiver = net.add_node(Box::new(FnProcess::new(
+            0i64,
+            move |next: &mut i64, _c: &Ctx, m: &Msg| {
+                let got = m.body.int();
+                if got != *next {
+                    let gap = Value::pair(Value::Int(*next), Value::Int(got));
+                    return vec![SendInstr::now(port, Msg::new("gap", gap))];
+                }
+                *next += 1;
+                match *next {
+                    N => vec![SendInstr::now(port, Msg::new("done", Value::Unit))],
+                    _ => vec![],
+                }
+            },
+        )));
+        // Chunk k goes out from the step when k is even and from 100 µs
+        // timers when it is odd; chunk k + 1 follows 200 µs later, after
+        // those timers.
+        let sender = net.add_node_colocated(
+            Box::new(FnProcess::new((), move |_s, ctx: &Ctx, m: &Msg| {
+                let k = m.body.int();
+                let delay = Duration::from_micros(100 * (k % 2) as u64);
+                let mut out: Vec<SendInstr> = (k * CHUNK..(k + 1) * CHUNK)
+                    .map(|i| SendInstr::after(delay, receiver, Msg::new("n", Value::Int(i))))
+                    .collect();
+                if (k + 1) * CHUNK < N {
+                    out.push(SendInstr::after(
+                        Duration::from_micros(200),
+                        ctx.slf,
+                        Msg::new("chunk", Value::Int(k + 1)),
+                    ));
+                }
+                out
+            })),
+            receiver,
+        );
+        net.send(sender, Msg::new("chunk", Value::Int(0)));
+        let m = rx.recv_timeout(Duration::from_secs(30)).expect("an answer");
+        assert_eq!(m.header.name(), "done", "out of order: {:?}", m.body);
+        let stats = net.link_stats();
+        assert_eq!(stats.colocated, N as u64, "{stats:?}");
+        // The injection and the answer; nothing between the pair.
+        assert_eq!(stats.frames_written, 2, "{stats:?}");
+        net.shutdown();
+    }
+
+    /// A cut between two locations of one machine holds the pair's
+    /// messages rather than losing them — the partition-with-heal a core
+    /// link gets — and hands them over in order at heal, none dropped.
+    #[test]
+    fn a_cut_colocated_pair_holds_its_messages_until_heal() {
+        let mut net = TcpNet::new();
+        let (port, rx) = TcpNet::port(&mut net);
+        let sink = net.add_node(forward_to(port));
+        let source = net.add_node_colocated(numbers_to(sink), sink);
+        net.send(source, range(0, 1));
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)).unwrap().body,
+            Value::Int(0)
+        );
+        let before = net.link_stats();
+
+        let start = net.now();
+        net.install_fault_plan(FaultPlan::new(7).with_rule(
+            LinkSel::Pair(source, sink),
+            start,
+            start + Duration::from_millis(400),
+            LinkFault::partition(),
+        ));
+        for burst in 0..4 {
+            net.send(source, range(1 + 50 * burst, 51 + 50 * burst));
+        }
+        assert!(
+            rx.recv_timeout(Duration::from_millis(250)).is_err(),
+            "a cut pair must not deliver"
+        );
+        for i in 1..=200 {
+            let m = rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("released after heal");
+            assert_eq!(m.body, Value::Int(i), "release must preserve FIFO");
+        }
+        let stats = net.link_stats();
+        assert_eq!(stats.frames_dropped, before.frames_dropped, "{stats:?}");
+        assert_eq!(stats.colocated - before.colocated, 200, "{stats:?}");
+        net.shutdown();
+    }
+
+    /// Loss and duplication windows act on a colocated pair as on a link,
+    /// and are counted the same way.
+    #[test]
+    fn lossy_and_duplicating_windows_count_on_colocated_pairs() {
+        let mut net = TcpNet::new();
+        let (port, rx) = TcpNet::port(&mut net);
+        let sink = net.add_node(forward_to(port));
+        let source = net.add_node_colocated(numbers_to(sink), sink);
+        let window = |fault| {
+            let start = net.now();
+            FaultPlan::new(5).with_rule(
+                LinkSel::Pair(source, sink),
+                start,
+                start + Duration::from_secs(30),
+                fault,
+            )
+        };
+
+        net.install_fault_plan(window(LinkFault::duplicating(1.0)));
+        net.send(source, range(0, 50));
+        for i in 0..50 {
+            for _ in 0..2 {
+                let m = rx.recv_timeout(Duration::from_secs(5)).expect("twice");
+                assert_eq!(m.body, Value::Int(i));
+            }
+        }
+        assert_eq!(net.link_stats().frames_duplicated, 50);
+
+        net.install_fault_plan(window(LinkFault::lossy(0.5)));
+        net.send(source, range(0, 200));
+        let mut arrived = 0;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while arrived + net.link_stats().frames_dropped < 200 {
+            assert!(Instant::now() < deadline, "{:?}", net.link_stats());
+            if rx.recv_timeout(Duration::from_millis(20)).is_ok() {
+                arrived += 1;
+            }
+        }
+        let stats = net.link_stats();
+        assert_eq!(arrived + stats.frames_dropped, 200, "{stats:?}");
+        assert!(arrived > 0 && stats.frames_dropped > 0, "{stats:?}");
+        net.shutdown();
+    }
+
+    /// Crashing one location of a machine crashes only that location.
+    /// What its mates hand it while it is down is dropped, and so is what
+    /// sat in its inbox when it crashed: its restart hears nothing
+    /// addressed to the old incarnation. Its mates keep running.
+    #[test]
+    fn a_crashed_colocated_location_drops_its_inbound_and_its_mates_run_on() {
+        // The port on shard 0, the sender's machine on shard 1.
+        let mut net = TcpNet::builder().shards(2).spawn();
+        let (port, rx) = TcpNet::port(&mut net);
+        // A recorder answers `<who, <incarnation, body>>` for every message.
+        let recorder = |who: i64, incarnation: i64| -> Box<dyn Process> {
+            Box::new(FnProcess::new((), move |_s, _c: &Ctx, m: &Msg| {
+                let seen = Value::pair(
+                    Value::Int(who),
+                    Value::pair(Value::Int(incarnation), m.body.clone()),
+                );
+                vec![SendInstr::now(port, Msg::new("seen", seen))]
+            }))
+        };
+        let (blocked_tx, blocked_rx) = channel::unbounded::<()>();
+        let (release_tx, release_rx) = channel::unbounded::<()>();
+        let release_rx = Arc::new(parking_lot::Mutex::new(release_rx));
+        let (b, c) = (Loc::new(2), Loc::new(3));
+        // The sender tells both mates every number it is given; "hold"
+        // parks its shard in the step until released, then tells -1.
+        let sender = net.add_node(Box::new(FnProcess::new(
+            (),
+            move |_s, _c: &Ctx, m: &Msg| {
+                let n = if m.header.name() == "hold" {
+                    blocked_tx.send(()).unwrap();
+                    let release = release_rx.lock();
+                    release.recv_timeout(Duration::from_secs(10)).unwrap();
+                    -1
+                } else {
+                    m.body.int()
+                };
+                let tell = |to| SendInstr::now(to, Msg::new("n", Value::Int(n)));
+                vec![tell(b), tell(c)]
+            },
+        )));
+        assert_eq!(net.add_node_colocated(recorder(1, 1), sender), b);
+        assert_eq!(net.add_node_colocated(recorder(2, 1), sender), c);
+        // On shard 0: answers once every control action scheduled before
+        // its ping was handed to its shard.
+        let echo = net.add_node(echo_counter());
+        let seen = |n: usize| -> Vec<(i64, i64, i64)> {
+            let mut got: Vec<_> = (0..n)
+                .map(|_| {
+                    let m = rx.recv_timeout(Duration::from_secs(5)).expect("seen");
+                    let (who, rest) = m.body.unpair();
+                    let (inc, body) = rest.unpair();
+                    (who.int(), inc.int(), body.int())
+                })
+                .collect();
+            got.sort();
+            got
+        };
+        let tell = |n: i64| net.send(sender, Msg::new("n", Value::Int(n)));
+
+        tell(1);
+        assert_eq!(seen(2), [(1, 1, 1), (2, 1, 1)]);
+        // The hand-offs of the held step land in the inboxes after the
+        // crash command is queued, so the shard takes the crash first.
+        net.send(sender, Msg::new("hold", Value::Unit));
+        blocked_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        net.crash_at(VTime::ZERO, b);
+        net.send(echo, Msg::new("ping", Value::Loc(port)));
+        let pong = rx.recv_timeout(Duration::from_secs(5)).expect("pong");
+        assert_eq!(pong.header.name(), "pong");
+        release_tx.send(()).unwrap();
+        assert_eq!(seen(1), [(2, 1, -1)]);
+        tell(2);
+        assert_eq!(seen(1), [(2, 1, 2)]);
+        net.restart_at(VTime::ZERO, b, recorder(1, 2));
+        std::thread::sleep(Duration::from_millis(100));
+        tell(3);
+        assert_eq!(seen(2), [(1, 2, 3), (2, 1, 3)]);
+        assert!(rx.recv_timeout(Duration::from_millis(200)).is_err());
+        net.shutdown();
+    }
+
+    /// A colocated location lands on its peer's shard, and every new
+    /// machine — a node, a late node or a port — takes the next shard
+    /// round-robin.
+    #[test]
+    fn colocated_locations_share_their_peers_shard_and_machines_round_robin() {
+        // Answers the name of the thread it runs on.
+        let thread = || -> Box<dyn Process> {
+            Box::new(FnProcess::new((), |_s, _c: &Ctx, m: &Msg| {
+                let name = format!("{:?}", std::thread::current().id());
+                vec![SendInstr::now(
+                    m.body.loc(),
+                    Msg::new("on", Value::str(&name)),
+                )]
+            }))
+        };
+        let mut net = TcpNet::builder().shards(3).spawn();
+        let a = net.add_node(thread());
+        let (port, rx) = TcpNet::port(&mut net);
+        let b = net.add_node_colocated(thread(), a);
+        let c = Runtime::add_node_late(&mut net, thread());
+        let d = net.add_node_colocated(thread(), c);
+        let e = net.add_node(thread());
+        let shards: Vec<_> = [a, port, b, c, d, e]
+            .iter()
+            .map(|l| net.registry.shard_of(l.index()).unwrap())
+            .collect();
+        assert_eq!(shards, [0, 1, 0, 2, 2, 0]);
+        let mut on = |loc| {
+            net.send(loc, Msg::new("which", Value::Loc(port)));
+            let m = rx.recv_timeout(Duration::from_secs(5)).expect("answered");
+            m.body.as_str().unwrap().to_string()
+        };
+        let threads: Vec<String> = [a, b, c, d, e].into_iter().map(&mut on).collect();
+        assert_eq!(threads[0], threads[1]);
+        assert_eq!(threads[0], threads[4]);
+        assert_eq!(threads[2], threads[3]);
+        assert_ne!(threads[0], threads[2]);
         net.shutdown();
     }
 

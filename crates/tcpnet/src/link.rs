@@ -24,7 +24,7 @@
 //! Eviction never removes a partially written front frame, which would
 //! desynchronize the stream.
 
-use crate::registry::Registry;
+use crate::registry::{bump, Counters, Registry};
 use shadowdb_eventml::{FrameEncoder, Msg};
 use shadowdb_loe::Loc;
 use shadowdb_runtime::fault::mix64;
@@ -129,15 +129,18 @@ impl OutQueue {
     }
 
     /// Writes queued bytes to `w` with `writev` until the queue drains or
-    /// the writer refuses. `Ok(())` covers both outcomes — check
-    /// [`OutQueue::is_empty`]; a nonempty queue after `Ok` means
-    /// `WouldBlock` and the caller should wait for write readiness.
+    /// the writer refuses, and returns how many frames it finished. `Ok`
+    /// covers both outcomes — check [`OutQueue::is_empty`]; a nonempty
+    /// queue after `Ok` means `WouldBlock` and the caller should wait for
+    /// write readiness.
     ///
     /// # Errors
     ///
     /// A hard I/O error means the connection is gone; the caller drops it
-    /// and calls [`OutQueue::reset_front`] before the retransmit.
-    pub fn flush_into<W: Write + ?Sized>(&mut self, w: &mut W) -> io::Result<()> {
+    /// and calls [`OutQueue::reset_front`] before the retransmit. Frames
+    /// finished before the error are not reported.
+    pub fn flush_into<W: Write + ?Sized>(&mut self, w: &mut W) -> io::Result<u64> {
+        let mut finished = 0;
         while !self.frames.is_empty() {
             let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(self.frames.len().min(MAX_IOV));
             for (i, f) in self.frames.iter().take(MAX_IOV).enumerate() {
@@ -146,18 +149,20 @@ impl OutQueue {
             }
             match w.write_vectored(&slices) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => self.consume(n),
+                Ok(n) => finished += self.consume(n),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(finished),
                 Err(e) => return Err(e),
             }
         }
-        Ok(())
+        Ok(finished)
     }
 
     /// Marks `n` written bytes consumed: whole frames recycle to the
-    /// pool, a partial front frame advances its offset.
-    fn consume(&mut self, mut n: usize) {
+    /// pool, a partial front frame advances its offset. Returns the number
+    /// of frames finished.
+    fn consume(&mut self, mut n: usize) -> u64 {
+        let mut finished = 0;
         while n > 0 {
             let front_len = self.frames[0].len() - self.front_off;
             if n >= front_len {
@@ -165,11 +170,13 @@ impl OutQueue {
                 let old = self.frames.pop_front().expect("front exists");
                 self.recycle(old);
                 self.front_off = 0;
+                finished += 1;
             } else {
                 self.front_off += n;
                 n = 0;
             }
         }
+        finished
     }
 
     /// Forgets the partial-write offset: the next flush retransmits the
@@ -218,9 +225,6 @@ pub struct OutLink {
     pub attempts: u32,
     /// Whether this link ever connected (distinguishes a *re*connect).
     pub ever_connected: bool,
-    /// Per-link fault counter: the `n` fed to `FaultPlan::decide`, making
-    /// the coin sequence deterministic per (sender, dest) link.
-    pub fault_seq: u64,
 }
 
 impl OutLink {
@@ -235,7 +239,6 @@ impl OutLink {
             next_attempt: Instant::now(),
             attempts: 0,
             ever_connected: false,
-            fault_seq: 0,
         }
     }
 }
@@ -248,8 +251,15 @@ impl Default for OutLink {
 
 /// One connection attempt for the `(origin, dest)` link, gated by the
 /// seeded backoff. On success the stream is nonblocking with Nagle off
-/// and `link.conn` is set. Returns whether the link is now connected.
-pub fn try_connect(registry: &Registry, origin: u32, dest: u32, link: &mut OutLink) -> bool {
+/// and `link.conn` is set; a reconnect is counted in the caller's
+/// `counters`. Returns whether the link is now connected.
+pub fn try_connect(
+    registry: &Registry,
+    counters: &Counters,
+    origin: u32,
+    dest: u32,
+    link: &mut OutLink,
+) -> bool {
     let now = Instant::now();
     if now < link.next_attempt || registry.shutdown.load(Ordering::SeqCst) {
         return false;
@@ -262,7 +272,7 @@ pub fn try_connect(registry: &Registry, origin: u32, dest: u32, link: &mut OutLi
             let _ = stream.set_nodelay(true);
             let _ = stream.set_nonblocking(true);
             if link.ever_connected {
-                registry.faults.reconnects.fetch_add(1, Ordering::Relaxed);
+                bump(&counters.reconnects, 1);
             }
             link.ever_connected = true;
             link.attempts = 0;
@@ -280,9 +290,10 @@ pub fn try_connect(registry: &Registry, origin: u32, dest: u32, link: &mut OutLi
 /// The control thread's outbound half: blocking per-destination links for
 /// externally injected messages. The injector bypasses the fault plane —
 /// the driver must always be able to reach the system it is testing —
-/// but shares the seeded backoff and the reconnect counter.
+/// but shares the seeded backoff and counts into the link statistics.
 pub struct Injector {
     registry: Arc<Registry>,
+    counters: Arc<Counters>,
     links: Vec<OutLink>,
     enc: FrameEncoder,
 }
@@ -295,6 +306,7 @@ impl Injector {
     /// No connections yet; established on first send per destination.
     pub fn new(registry: Arc<Registry>) -> Injector {
         Injector {
+            counters: registry.counters(),
             registry,
             links: Vec::new(),
             enc: FrameEncoder::new(),
@@ -311,10 +323,7 @@ impl Injector {
         }
         let frame = self.enc.encode(msg);
         if self.links[idx].queue.push(frame) {
-            self.registry
-                .faults
-                .frames_dropped
-                .fetch_add(1, Ordering::Relaxed);
+            bump(&self.counters.frames_dropped, 1);
         }
         self.flush(idx);
     }
@@ -334,7 +343,13 @@ impl Injector {
         let mut breaks = 0;
         while !link.queue.is_empty() && breaks < 2 {
             if link.conn.is_none()
-                && !try_connect(&self.registry, INJECTOR_ORIGIN, idx as u32, link)
+                && !try_connect(
+                    &self.registry,
+                    &self.counters,
+                    INJECTOR_ORIGIN,
+                    idx as u32,
+                    link,
+                )
             {
                 return;
             }
@@ -343,7 +358,10 @@ impl Injector {
             let conn = link.conn.as_mut().expect("connected");
             let _ = conn.set_nonblocking(false);
             match link.queue.flush_into(conn) {
-                Ok(()) => return,
+                Ok(written) => {
+                    bump(&self.counters.frames_written, written);
+                    return;
+                }
                 Err(_) => {
                     link.conn = None;
                     link.queue.reset_front();

@@ -1,9 +1,10 @@
 //! The shard event loops: N per-core executor threads, each owning a
-//! partition of the net's locations (`loc % shards`). A shard's poller
-//! watches its listeners, every inbound connection to its locations, a
-//! wake pipe for commands, and any outbound link currently blocked on
-//! write readiness. Node timer heaps run off the same loop — there are no
-//! per-node or per-connection threads anywhere.
+//! partition of the net's machines (`machine % shards`), and with them
+//! every location on those machines. A shard's poller watches its
+//! listeners, every inbound connection to its locations, a wake pipe for
+//! commands, and any outbound link currently blocked on write readiness.
+//! Node timer heaps run off the same loop — there are no per-node or
+//! per-connection threads anywhere.
 //!
 //! Delivery is inline: a frame decoded off an inbound connection steps
 //! the destination process on the spot (the connection was accepted by
@@ -12,10 +13,13 @@
 //! self-sends instead wait in the host's inbox for the top of the next
 //! turn — after everything readable this turn was stepped and the links
 //! those steps wrote are flushed — so work a process defers to one (a
-//! replica's `sdb/sync`) runs once per turn. Decoded message bodies are
-//! zero-copy views of their own frame, which `FrameReader` copies out of
-//! the connection's reassembly buffer right-sized: one allocation per
-//! frame, and the buffer itself is never pinned by what a process keeps.
+//! replica's `sdb/sync`) runs once per turn. A send to another location
+//! of the same machine takes that path too: no encoder, no link, no
+//! socket, and the same fault verdict a link would get. Decoded message
+//! bodies are zero-copy views of their own frame, which `FrameReader`
+//! copies out of the connection's reassembly buffer right-sized: one
+//! allocation per frame, and the buffer itself is never pinned by what a
+//! process keeps.
 //!
 //! Work a process hands to another thread (a disk's syncer) reports back
 //! through the command channel: each shard thread installs itself as the
@@ -23,16 +27,16 @@
 //! inbox of the incarnation that handed the work off — or nowhere, if that
 //! incarnation has crashed since.
 
-use crate::link::{try_connect, OutLink};
-use crate::node::NodeHost;
+use crate::link::{try_connect, OutLink, MAX_IOV};
+use crate::node::{hold, NodeHost, Path, Peer};
 use crate::poll::{Interest, PollEvent, Poller};
-use crate::registry::Registry;
+use crate::registry::{bump, Counters, Registry};
 use crossbeam::channel::{self, Receiver, Sender};
-use shadowdb_eventml::{Ctx, FrameReader, Msg, Process, SendInstr};
+use shadowdb_eventml::{Ctx, FrameEncoder, FrameReader, Msg, Process, SendInstr};
 use shadowdb_loe::{Loc, VTime};
 use shadowdb_runtime::completion::{self, CompletionSink};
 use shadowdb_runtime::LinkVerdict;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::net::TcpStream;
@@ -52,8 +56,9 @@ const READ_CHUNK: usize = 16 * 1024;
 /// yielding to the rest of the shard (level-triggered: the poller fires
 /// again if more remain).
 const READ_BUDGET: usize = 256 * 1024;
-/// Most zero-delay self-sends stepped per host per turn, so a self-send
-/// loop cannot starve the shard's sockets.
+/// Most inbox messages (self-sends and hand-offs from machine-mates)
+/// stepped per host per turn, so a self-send loop cannot starve the
+/// shard's sockets.
 const INBOX_BUDGET: usize = 256;
 /// The loop's idle tick: pending links retry and heal within this bound,
 /// matching the threaded runtime's cadence.
@@ -200,8 +205,21 @@ impl Ord for TimerDue {
     }
 }
 
+/// The fault plane's verdict on one message, as a shard acts on it — the
+/// same for a link and a colocated pair.
+enum Fate {
+    /// Deliver this many copies (two under a duplication window).
+    Deliver(usize),
+    /// Lost to a lossy window (already counted).
+    Lost,
+    /// Cut: held in order until heal.
+    Held,
+}
+
 struct Shard {
     registry: Arc<Registry>,
+    /// This thread's share of the link statistics.
+    counters: Arc<Counters>,
     poller: Poller,
     wake_rx: UnixStream,
     cmds: Receiver<ShardCmd>,
@@ -214,6 +232,9 @@ struct Shard {
     /// Incarnation counters, persisting across crash so a restart renders
     /// the previous incarnation's timers inert.
     epochs: HashMap<u32, u64>,
+    /// Hand-offs to a machine-mate allocated but not yet added here (its
+    /// `AddNode` is still in the command channel); they open its inbox.
+    unborn: HashMap<u32, VecDeque<Msg>>,
     timers: BinaryHeap<TimerDue>,
     timer_seq: u64,
     /// Links with frames queued this iteration, flushed once before the
@@ -233,6 +254,7 @@ impl Shard {
             .register(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::READ)
             .expect("register wake");
         Shard {
+            counters: registry.counters(),
             registry,
             poller,
             wake_rx,
@@ -244,6 +266,7 @@ impl Shard {
             hosts: HashMap::new(),
             ports: HashMap::new(),
             epochs: HashMap::new(),
+            unborn: HashMap::new(),
             timers: BinaryHeap::new(),
             timer_seq: 0,
             dirty: Vec::new(),
@@ -310,12 +333,13 @@ impl Shard {
                 process,
             } => {
                 self.add_listener(loc, listener);
-                let epoch = self.bump_epoch(loc);
-                self.hosts
-                    .insert(loc, NodeHost::new(Loc::new(loc), epoch, process));
+                self.install(loc, process);
             }
             ShardCmd::AddPort { loc, listener, tx } => {
                 self.add_listener(loc, listener);
+                for msg in self.unborn.remove(&loc).unwrap_or_default() {
+                    let _ = tx.send(msg);
+                }
                 self.ports.insert(loc, tx);
             }
             ShardCmd::Crash(loc) => self.drop_host(loc),
@@ -325,9 +349,7 @@ impl Shard {
                     return;
                 }
                 self.drop_host(loc);
-                let epoch = self.bump_epoch(loc);
-                self.hosts
-                    .insert(loc, NodeHost::new(Loc::new(loc), epoch, process));
+                self.install(loc, process);
             }
             ShardCmd::Complete { loc, epoch, msg } => {
                 if let Some(host) = self.hosts.get_mut(&loc) {
@@ -351,20 +373,27 @@ impl Shard {
         // registration reports them, no extra accept pass needed.
     }
 
-    fn bump_epoch(&mut self, loc: u32) -> u64 {
-        let e = self.epochs.entry(loc).or_insert(0);
-        *e += 1;
-        *e
+    /// Hosts a new incarnation of `process` at `loc`. A first incarnation
+    /// starts with whatever its machine-mates handed it before it arrived.
+    fn install(&mut self, loc: u32, process: Box<dyn Process>) {
+        let epoch = self.epochs.entry(loc).or_insert(0);
+        *epoch += 1;
+        let machine = self.registry.machine_of(loc).expect("allocated");
+        let mut host = NodeHost::new(Loc::new(loc), machine, *epoch, process);
+        host.inbox = self.unborn.remove(&loc).unwrap_or_default();
+        self.hosts.insert(loc, host);
     }
 
-    /// Removes the host at `loc`: volatile state, timers (via epoch), and
-    /// outbound connections die with it. Inbound connections and the
-    /// listener survive — deliveries are dropped while no host exists,
-    /// exactly as a dead process behind a live address would.
+    /// Removes the host at `loc`: volatile state, its inbox, timers (via
+    /// epoch), and outbound connections die with it. Inbound connections
+    /// and the listener survive — deliveries are dropped while no host
+    /// exists, exactly as a dead process behind a live address would.
     fn drop_host(&mut self, loc: u32) {
         if let Some(mut host) = self.hosts.remove(&loc) {
-            for link in host.links.values_mut() {
-                close_link(&mut self.poller, &mut self.tokens, link);
+            for peer in host.peers.values_mut() {
+                if let Path::Link(link) = &mut peer.path {
+                    close_link(&mut self.poller, &mut self.tokens, link);
+                }
             }
         }
     }
@@ -378,11 +407,7 @@ impl Shard {
                 continue;
             };
             if host.epoch == t.epoch {
-                if t.dest == host.slf {
-                    host.inbox.push_back(t.msg);
-                } else {
-                    self.link_send(&mut host, t.dest, &t.msg, vnow);
-                }
+                self.route(&mut host, t.dest, t.msg, vnow);
             }
             self.hosts.insert(t.origin, host);
         }
@@ -415,14 +440,16 @@ impl Shard {
         }
     }
 
-    /// Retries links with parked frames: reconnects (respecting the
-    /// seeded backoff) and flushes in FIFO order, skipping links the
-    /// fault plane still holds severed. Cheap when nothing is pending.
+    /// Retries what waits on a peer: links with parked frames reconnect
+    /// (respecting the seeded backoff) and flush in FIFO order, and a
+    /// machine-mate's held messages are handed over, oldest first — in
+    /// both cases only once the fault plane no longer cuts the pair.
+    /// Cheap when nothing is pending.
     fn tick_links(&mut self) {
         let locs: Vec<u32> = self
             .hosts
             .iter()
-            .filter(|(_, h)| h.links.values().any(|l| !l.queue.is_empty()))
+            .filter(|(_, h)| h.peers.values().any(Peer::pending))
             .map(|(l, _)| *l)
             .collect();
         if locs.is_empty() {
@@ -434,28 +461,22 @@ impl Shard {
             let Some(mut host) = self.hosts.remove(&loc) else {
                 continue;
             };
-            let dests: Vec<u32> = host
-                .links
-                .iter()
-                .filter(|(_, l)| !l.queue.is_empty())
-                .map(|(d, _)| *d)
-                .collect();
-            for d in dests {
-                if let Some(plan) = plan.as_ref() {
-                    if plan.cut(host.slf, Loc::new(d), now) {
-                        continue;
+            for (&d, peer) in host.peers.iter_mut() {
+                if !peer.pending()
+                    || plan
+                        .as_ref()
+                        .is_some_and(|p| p.cut(host.slf, Loc::new(d), now))
+                {
+                    continue;
+                }
+                match &mut peer.path {
+                    Path::Link(link) => self.flush_link(loc, d, link),
+                    Path::Mate(held) => {
+                        for msg in std::mem::take(held) {
+                            self.hand_off(d, msg);
+                        }
                     }
                 }
-                let link = host.links.get_mut(&d).expect("link exists");
-                flush_link(
-                    &mut self.poller,
-                    &mut self.tokens,
-                    &mut self.next_token,
-                    &self.registry,
-                    loc,
-                    d,
-                    link,
-                );
             }
             self.hosts.insert(loc, host);
         }
@@ -593,10 +614,10 @@ impl Shard {
         }
     }
 
-    /// One delivered message: step the process, then fan its outputs out
-    /// to the timer heap (delayed), the host inbox (self), or the
-    /// nonblocking links (remote). `now` is the batch's clock reading —
-    /// computed once per readiness event, not per message.
+    /// One delivered message: step the process, then send its outputs —
+    /// delayed ones to the timer heap, the rest by [`Shard::route`].
+    /// `now` is the batch's clock reading — computed once per readiness
+    /// event, not per message.
     fn run_step(&mut self, host: &mut NodeHost, msg: &Msg, now: VTime) {
         let mut outs = std::mem::take(&mut self.outs);
         outs.clear();
@@ -615,97 +636,147 @@ impl Shard {
                     dest,
                     msg,
                 });
-            } else if dest == host.slf {
-                host.inbox.push_back(msg);
             } else {
-                self.link_send(host, dest, &msg, now);
+                self.route(host, dest, msg, now);
             }
         }
         self.outs = outs;
     }
 
-    /// Encodes and writes one message on the `(host, dest)` link,
-    /// consulting the fault plane per frame: a severed link force-closes
-    /// its connection and parks the frame for the post-heal flush, lossy
-    /// windows drop, duplication windows write twice. Delay spikes and
-    /// reorder windows are not reproducible on a real FIFO stream and are
-    /// ignored (the schedule itself stays byte-identical with the other
-    /// substrates).
-    fn link_send(&mut self, host: &mut NodeHost, dest: Loc, msg: &Msg, now: VTime) {
-        let origin = host.slf;
+    /// Sends one message from `host`, by the one routing decision every
+    /// output and every due timer takes: to the host's own inbox; to a
+    /// location of the same machine, by hand-off into its inbox; or to
+    /// anywhere else, over the pair's socket link. The path is settled on
+    /// the pair's first message (the destination's machine is read from
+    /// the registry then) and kept, so a pair never mixes paths and stays
+    /// FIFO.
+    fn route(&mut self, host: &mut NodeHost, dest: Loc, msg: Msg, now: VTime) {
+        if dest == host.slf {
+            host.inbox.push_back(msg);
+            return;
+        }
         let didx = dest.index();
-        let link = host.links.entry(didx).or_default();
-        let mut copies = 1usize;
-        let verdict = if self.registry.faults.engaged.load(Ordering::Relaxed) {
-            let guard = self.registry.faults.plan.lock();
-            guard.as_ref().and_then(|plan| {
-                plan.active(origin, dest, now).then(|| {
-                    let k = link.fault_seq;
-                    link.fault_seq += 1;
-                    plan.decide(origin, dest, now, k)
-                })
-            })
-        } else {
-            None
+        let machine = host.machine;
+        let peer = host
+            .peers
+            .entry(didx)
+            .or_insert_with(|| Peer::new(self.registry.machine_of(didx) == Some(machine)));
+        let fate = self.fate(host.slf, dest, now, &mut peer.fault_seq);
+        match &mut peer.path {
+            Path::Mate(held) => self.mate_send(held, didx, msg, fate),
+            Path::Link(link) => self.link_send(host.slf, &mut host.enc, didx, link, &msg, fate),
+        }
+    }
+
+    /// What the fault plane does to the `seq`-th message from `origin` to
+    /// `dest`, counting losses and duplicates. Delay spikes and reorder
+    /// windows are not reproducible on a real FIFO stream and are ignored
+    /// (the schedule itself stays byte-identical with the other
+    /// substrates).
+    fn fate(&self, origin: Loc, dest: Loc, now: VTime, seq: &mut u64) -> Fate {
+        if !self.registry.faults.engaged.load(Ordering::Relaxed) {
+            return Fate::Deliver(1);
+        }
+        let guard = self.registry.faults.plan.lock();
+        let Some(plan) = guard.as_ref().filter(|p| p.active(origin, dest, now)) else {
+            return Fate::Deliver(1);
         };
-        match verdict {
-            None => {}
-            Some(LinkVerdict::Drop { severed: false }) => {
-                self.registry
-                    .faults
-                    .frames_dropped
-                    .fetch_add(1, Ordering::Relaxed);
+        *seq += 1;
+        match plan.decide(origin, dest, now, *seq - 1) {
+            LinkVerdict::Drop { severed: true } => Fate::Held,
+            LinkVerdict::Drop { severed: false } => {
+                bump(&self.counters.frames_dropped, 1);
+                Fate::Lost
+            }
+            LinkVerdict::Deliver {
+                duplicate: true, ..
+            } => {
+                bump(&self.counters.frames_duplicated, 1);
+                Fate::Deliver(2)
+            }
+            LinkVerdict::Deliver { .. } => Fate::Deliver(1),
+        }
+    }
+
+    /// Sends to a machine-mate. Once the pair holds messages (a cut), later
+    /// ones queue behind them until the tick after heal hands them over.
+    fn mate_send(&mut self, held: &mut VecDeque<Msg>, dest: u32, msg: Msg, fate: Fate) {
+        let copies = match fate {
+            Fate::Lost => return,
+            Fate::Held => 1,
+            Fate::Deliver(n) if held.is_empty() => {
+                for _ in 1..n {
+                    self.hand_off(dest, msg.clone());
+                }
+                self.hand_off(dest, msg);
                 return;
             }
-            Some(LinkVerdict::Drop { severed: true }) => {
+            Fate::Deliver(n) => n,
+        };
+        for _ in 0..copies {
+            if hold(held, msg.clone()) {
+                bump(&self.counters.frames_dropped, 1);
+            }
+        }
+    }
+
+    /// Puts `msg` in the inbox of the machine-mate at `dest`, stepped at
+    /// the top of the next turn like a self-send. A crashed mate drops it,
+    /// as a dead process behind a live listener drops frames; one not yet
+    /// added here finds it waiting when it arrives.
+    fn hand_off(&mut self, dest: u32, msg: Msg) {
+        if let Some(host) = self.hosts.get_mut(&dest) {
+            host.inbox.push_back(msg);
+        } else if let Some(tx) = self.ports.get(&dest) {
+            let _ = tx.send(msg);
+        } else if !self.epochs.contains_key(&dest) {
+            self.unborn.entry(dest).or_default().push_back(msg);
+        } else {
+            return;
+        }
+        bump(&self.counters.colocated, 1);
+    }
+
+    /// Encodes and queues one message on the `(origin, dest)` link: a cut
+    /// force-closes its connection and parks the frame for the post-heal
+    /// flush, a lossy verdict sends nothing, a duplicating one queues the
+    /// frame twice.
+    fn link_send(
+        &mut self,
+        origin: Loc,
+        enc: &mut FrameEncoder,
+        dest: u32,
+        link: &mut OutLink,
+        msg: &Msg,
+        fate: Fate,
+    ) {
+        let copies = match fate {
+            Fate::Lost => return,
+            Fate::Held => {
                 // Partition: force-close so the peer's loop sees the
                 // break, and park the frame for the post-heal flush.
                 close_link(&mut self.poller, &mut self.tokens, link);
-                let frame = host.enc.encode(msg);
-                if link.queue.push(frame) {
-                    self.registry
-                        .faults
-                        .frames_dropped
-                        .fetch_add(1, Ordering::Relaxed);
+                if link.queue.push(enc.encode(msg)) {
+                    bump(&self.counters.frames_dropped, 1);
                 }
                 return;
             }
-            Some(LinkVerdict::Deliver {
-                duplicate: true, ..
-            }) => {
-                copies = 2;
-                self.registry
-                    .faults
-                    .frames_duplicated
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            Some(LinkVerdict::Deliver { .. }) => {}
-        }
-        let frame = host.enc.encode(msg);
+            Fate::Deliver(n) => n,
+        };
+        let frame = enc.encode(msg);
         for _ in 0..copies {
             if link.queue.push(frame) {
-                self.registry
-                    .faults
-                    .frames_dropped
-                    .fetch_add(1, Ordering::Relaxed);
+                bump(&self.counters.frames_dropped, 1);
             }
         }
-        if link.queue.len() >= crate::link::MAX_IOV {
+        if link.queue.len() >= MAX_IOV {
             // A full writev batch is queued: flush now rather than let a
             // long read burst pile frames toward the eviction cap.
-            flush_link(
-                &mut self.poller,
-                &mut self.tokens,
-                &mut self.next_token,
-                &self.registry,
-                origin.index(),
-                didx,
-                link,
-            );
+            self.flush_link(origin.index(), dest, link);
         }
         if !link.dirty && !link.queue.is_empty() {
             link.dirty = true;
-            self.dirty.push((origin.index(), didx));
+            self.dirty.push((origin.index(), dest));
         }
     }
 
@@ -722,21 +793,13 @@ impl Shard {
             let Some(mut host) = self.hosts.remove(&origin) else {
                 continue;
             };
-            if let Some(link) = host.links.get_mut(&dest) {
+            if let Some(link) = host.link_mut(dest) {
                 link.dirty = false;
                 let cut = plan
                     .as_ref()
-                    .is_some_and(|p| p.cut(host.slf, Loc::new(dest), now));
+                    .is_some_and(|p| p.cut(Loc::new(origin), Loc::new(dest), now));
                 if !cut {
-                    flush_link(
-                        &mut self.poller,
-                        &mut self.tokens,
-                        &mut self.next_token,
-                        &self.registry,
-                        origin,
-                        dest,
-                        link,
-                    );
+                    self.flush_link(origin, dest, link);
                 }
             }
             self.hosts.insert(origin, host);
@@ -752,7 +815,7 @@ impl Shard {
         let Some(mut host) = self.hosts.remove(&origin) else {
             return;
         };
-        if let Some(link) = host.links.get_mut(&dest) {
+        if let Some(link) = host.link_mut(dest) {
             let mut broken = ev.hangup;
             if !broken && ev.readable {
                 if let Some(conn) = link.conn.as_mut() {
@@ -779,18 +842,74 @@ impl Shard {
                 // honoring the seeded backoff.
                 close_link(&mut self.poller, &mut self.tokens, link);
             } else if ev.writable {
-                flush_link(
-                    &mut self.poller,
-                    &mut self.tokens,
-                    &mut self.next_token,
-                    &self.registry,
-                    origin,
-                    dest,
-                    link,
-                );
+                self.flush_link(origin, dest, link);
             }
         }
         self.hosts.insert(origin, host);
+    }
+
+    /// Drives one link as far as the kernel allows: connect (respecting
+    /// the seeded backoff), drain the queue with vectored writes, and park
+    /// on write readiness when the kernel pushes back. Connections stay
+    /// registered read-side their whole life, so a peer close wakes the
+    /// loop immediately; write interest is toggled with `modify`, never
+    /// re-registered. On a broken connection the partial-write offset
+    /// resets so the reconnect retransmits the whole front frame — the
+    /// peer discarded the partial tail with the dead connection.
+    fn flush_link(&mut self, origin: u32, dest: u32, link: &mut OutLink) {
+        let mut breaks = 0;
+        loop {
+            if link.queue.is_empty() {
+                // Fully drained: back to read-only interest (peer-close
+                // watch) — leaving write armed would spin a
+                // level-triggered poller on an always-writable idle
+                // socket.
+                if link.write_armed {
+                    if let (Some(tok), Some(conn)) = (link.token, link.conn.as_ref()) {
+                        let _ = self.poller.modify(conn.as_raw_fd(), tok, Interest::READ);
+                    }
+                    link.write_armed = false;
+                }
+                return;
+            }
+            if link.conn.is_none() {
+                if breaks >= 2 || !try_connect(&self.registry, &self.counters, origin, dest, link) {
+                    return;
+                }
+                // Newly connected: watch for peer close from the start.
+                let fd = link.conn.as_ref().expect("connected").as_raw_fd();
+                let tok = self.alloc_token(Token::Out { origin, dest });
+                if self.poller.register(fd, tok, Interest::READ).is_ok() {
+                    link.token = Some(tok);
+                } else {
+                    self.tokens.remove(&tok);
+                }
+                link.write_armed = false;
+            }
+            let conn = link.conn.as_mut().expect("connected");
+            match link.queue.flush_into(conn) {
+                Ok(written) => {
+                    bump(&self.counters.frames_written, written);
+                    if link.queue.is_empty() {
+                        continue; // loop falls into the disarm arm
+                    }
+                    // WouldBlock: arm write readiness and wait for the
+                    // kernel.
+                    if !link.write_armed {
+                        if let Some(tok) = link.token {
+                            let fd = link.conn.as_ref().expect("connected").as_raw_fd();
+                            let _ = self.poller.modify(fd, tok, Interest::RW);
+                            link.write_armed = true;
+                        }
+                    }
+                    return;
+                }
+                Err(_) => {
+                    close_link(&mut self.poller, &mut self.tokens, link);
+                    breaks += 1;
+                }
+            }
+        }
     }
 }
 
@@ -805,77 +924,4 @@ fn close_link(poller: &mut Poller, tokens: &mut HashMap<usize, Token>, link: &mu
     }
     link.write_armed = false;
     link.queue.reset_front();
-}
-
-/// Drives one link as far as the kernel allows: connect (respecting the
-/// seeded backoff), drain the queue with vectored writes, and park on
-/// write readiness when the kernel pushes back. Connections stay
-/// registered read-side their whole life, so a peer close wakes the loop
-/// immediately; write interest is toggled with `modify`, never
-/// re-registered. On a broken connection the partial-write offset resets
-/// so the reconnect retransmits the whole front frame — the peer
-/// discarded the partial tail with the dead connection.
-fn flush_link(
-    poller: &mut Poller,
-    tokens: &mut HashMap<usize, Token>,
-    next_token: &mut usize,
-    registry: &Registry,
-    origin: u32,
-    dest: u32,
-    link: &mut OutLink,
-) {
-    let mut breaks = 0;
-    loop {
-        if link.queue.is_empty() {
-            // Fully drained: back to read-only interest (peer-close
-            // watch) — leaving write armed would spin a level-triggered
-            // poller on an always-writable idle socket.
-            if link.write_armed {
-                if let (Some(tok), Some(conn)) = (link.token, link.conn.as_ref()) {
-                    let _ = poller.modify(conn.as_raw_fd(), tok, Interest::READ);
-                }
-                link.write_armed = false;
-            }
-            return;
-        }
-        if link.conn.is_none() {
-            if breaks >= 2 || !try_connect(registry, origin, dest, link) {
-                return;
-            }
-            // Newly connected: watch for peer close from the start.
-            let conn = link.conn.as_ref().expect("connected");
-            *next_token += 1;
-            let tok = *next_token;
-            if poller
-                .register(conn.as_raw_fd(), tok, Interest::READ)
-                .is_ok()
-            {
-                tokens.insert(tok, Token::Out { origin, dest });
-                link.token = Some(tok);
-            }
-            link.write_armed = false;
-        }
-        let conn = link.conn.as_mut().expect("connected");
-        match link.queue.flush_into(conn) {
-            Ok(()) => {
-                if link.queue.is_empty() {
-                    continue; // loop falls into the disarm arm
-                }
-                // WouldBlock: arm write readiness and wait for the
-                // kernel.
-                if !link.write_armed {
-                    if let Some(tok) = link.token {
-                        let fd = link.conn.as_ref().expect("connected").as_raw_fd();
-                        let _ = poller.modify(fd, tok, Interest::RW);
-                        link.write_armed = true;
-                    }
-                }
-                return;
-            }
-            Err(_) => {
-                close_link(poller, tokens, link);
-                breaks += 1;
-            }
-        }
-    }
 }
