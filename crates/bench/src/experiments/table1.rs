@@ -126,10 +126,10 @@ pub fn report(out: &mut dyn Write) -> io::Result<()> {
             outcome.states_visited, outcome.truncated
         ),
     )?;
-    output::kv(out, "automatically checked invariants (mck + proptest)", 14)?;
+    output::kv(out, "automatically checked invariants (mck + proptest)", 19)?;
     output::kv(
         out,
         "hand-scripted scenario checks (e.g. Paxos-made-live bug)",
-        8,
+        10,
     )
 }

@@ -28,8 +28,26 @@
 //! from a per-origin [`SeenIds`] detector noted as decisions arrive, not
 //! from the decisions themselves, so it keeps only the decisions it has
 //! not delivered yet and its state stays O(window) however long it runs.
-//! (Acceptors' accepted pvalues and leaders' proposals still grow with the
-//! slots decided; forgetting those safely needs a decided watermark.)
+//!
+//! **The delivered watermark.** A replica's *frontier* is its `slot_out`:
+//! every slot below it has been delivered. It rides on every proposal the
+//! replica sends, and a replica that delivers [`FRONTIER_EVERY`] slots
+//! without proposing sends it on its own ([`FRONTIER_HEADER`]). Every
+//! leader keeps the last frontier of each replica of the configuration;
+//! their minimum is the leader's watermark `w`, below which it drops its
+//! proposals and commanders, and `w` rides on every P2A. An acceptor's
+//! `floor` is the largest `w` it has heard: it drops the pvalues below it,
+//! refuses to accept below it, and its P1B carries the floor and only the
+//! pvalues at or above it — so a leader change costs O(window), not
+//! O(history). A leader raises its `w` to every floor a P1B brings.
+//! Safety: every slot below any `w` or `floor` has been delivered by every
+//! replica, and no acceptor helps choose a value below its floor, so a
+//! second value can never be chosen there (`tests/safety.rs` scripts the
+//! schedule where an acceptor accepting below its floor breaks agreement).
+//! No learner is ever behind `w`, so nothing needs a snapshot to catch up.
+//! The limit: a replica that stops reporting — crashed or cut off — pins
+//! `w`, and pruning pauses (memory grows as if there were no watermark)
+//! until it reports again.
 //!
 //! Like the promise, the detector must not be contradicted by an origin
 //! that forgets: an origin that restarted with `cid` = 0 would find its
@@ -57,15 +75,20 @@ use std::time::Duration;
 
 /// Client request to a replica: body `<origin, <cid, op>>`, a [`command`].
 pub const REQUEST_HEADER: &str = "px/request";
-/// Replica proposal to leaders: body `<slot, command>`.
+/// Replica proposal to leaders: body `<<replica, slot_out>, <slot,
+/// command>>`, the proposer's frontier report in front of the proposal.
 pub const PROPOSE_HEADER: &str = "px/propose";
+/// Replica frontier report to leaders: body `<replica, slot_out>`.
+pub const FRONTIER_HEADER: &str = "px/frontier";
 /// Commander decision to replicas: body `<slot, command>`.
 pub const DECISION_HEADER: &str = "px/decision";
 /// Phase-1a: body `<leader, ballot>`.
 pub const P1A_HEADER: &str = "px/p1a";
-/// Phase-1b: body `<acceptor, <ballot, accepted-pvalues>>`.
+/// Phase-1b: body `<acceptor, <ballot, <floor, accepted-pvalues>>>`, the
+/// pvalues at or above `floor` only.
 pub const P1B_HEADER: &str = "px/p1b";
-/// Phase-2a: body `<leader, <ballot, <slot, command>>>`.
+/// Phase-2a: body `<w, <leader, <ballot, <slot, command>>>>`, the leader's
+/// watermark in front of the pvalue.
 pub const P2A_HEADER: &str = "px/p2a";
 /// Phase-2b: body `<acceptor, <ballot, slot>>`.
 pub const P2B_HEADER: &str = "px/p2b";
@@ -76,6 +99,10 @@ pub const RESCOUT_HEADER: &str = "px/rescout";
 
 /// Backoff before a preempted leader retries phase 1.
 pub const RESCOUT_BACKOFF: Duration = Duration::from_millis(20);
+
+/// A replica that delivers this many slots without proposing reports its
+/// frontier to the leaders.
+pub const FRONTIER_EVERY: i64 = 64;
 
 /// Configuration of a Synod deployment.
 #[derive(Clone, Debug)]
@@ -129,6 +156,43 @@ pub fn request_msg(command: Value) -> Msg {
 /// Builds the message that starts a leader's first scout.
 pub fn start_msg() -> Msg {
     Msg::new(cached_header!(START_HEADER), Value::Unit)
+}
+
+/// `replica`'s report that it has delivered every slot below `slot_out`.
+fn frontier(replica: Loc, slot_out: i64) -> Value {
+    Value::pair(Value::Loc(replica), Value::Int(slot_out))
+}
+
+/// Builds `replica`'s frontier report to a leader.
+pub fn frontier_msg(replica: Loc, slot_out: i64) -> Msg {
+    Msg::new(cached_header!(FRONTIER_HEADER), frontier(replica, slot_out))
+}
+
+fn proposal_body(replica: Loc, slot_out: i64, slot: i64, command: Value) -> Value {
+    Value::pair(
+        frontier(replica, slot_out),
+        Value::pair(Value::Int(slot), command),
+    )
+}
+
+/// Builds `replica`'s proposal of `command` for `slot`, sent at frontier
+/// `slot_out`.
+pub fn propose_msg(replica: Loc, slot_out: i64, slot: i64, command: Value) -> Msg {
+    Msg::new(
+        cached_header!(PROPOSE_HEADER),
+        proposal_body(replica, slot_out, slot, command),
+    )
+}
+
+/// Drops every entry of a slot-keyed map below `w`, smallest first: an
+/// entry is removed once, so pruning costs what inserting it did.
+fn prune_below<T>(map: &mut BTreeMap<i64, T>, w: i64) {
+    while let Some(first) = map.first_entry() {
+        if *first.key() >= w {
+            break;
+        }
+        first.remove();
+    }
 }
 
 /// Appends one message per destination, all sharing `body`: per-recipient
@@ -218,23 +282,39 @@ fn waitfor_from(v: &Value) -> BTreeSet<Loc> {
 // Acceptor
 // ---------------------------------------------------------------------------
 
-/// Acceptor state, encoded `<ballot, accepted-pvalues>`.
+/// Acceptor state, encoded `<ballot, <floor, accepted-pvalues>>`.
 #[derive(Clone, Debug)]
 pub struct AcceptorState {
     /// The highest ballot promised.
     ballot: Ballot,
+    /// The largest watermark heard: every slot below it has been delivered
+    /// by every replica. Only rises.
+    floor: i64,
+    /// Accepted pvalues, at slots `>= floor` only.
     accepted: PValues,
+}
+
+impl AcceptorState {
+    /// How many pvalues it holds.
+    pub fn accepted_len(&self) -> usize {
+        self.accepted.len()
+    }
 }
 
 impl MealyState for AcceptorState {
     fn encode(&self) -> Value {
-        Value::pair(self.ballot.to_value(), pvalues_value(&self.accepted))
+        Value::pair(
+            self.ballot.to_value(),
+            Value::pair(Value::Int(self.floor), pvalues_value(&self.accepted)),
+        )
     }
 
     fn decode(v: &Value) -> AcceptorState {
-        let (ballot, accepted) = v.unpair();
+        let (ballot, rest) = v.unpair();
+        let (floor, accepted) = rest.unpair();
         AcceptorState {
             ballot: Ballot::from_value(ballot),
+            floor: floor.int(),
             accepted: pvalues_from(accepted),
         }
     }
@@ -244,11 +324,12 @@ impl MealyState for AcceptorState {
 pub fn acceptor() -> Mealy<AcceptorState> {
     let init = AcceptorState {
         ballot: Ballot::BOTTOM,
+        floor: 0,
         accepted: PValues::new(),
     };
     Mealy::new(
         "acceptor_transition",
-        180,
+        210,
         &[P1A_HEADER, P2A_HEADER],
         init,
         acceptor_transition,
@@ -265,20 +346,30 @@ fn acceptor_transition(
     if header == cached_header!(P1A_HEADER) {
         let (leader, b) = body.unpair();
         st.ballot = st.ballot.max(Ballot::from_value(b));
-        // Reply with the promise and everything accepted so far.
-        let promise = Value::pair(st.ballot.to_value(), pvalues_value(&st.accepted));
+        // Reply with the promise, the floor and everything accepted at or
+        // above it: the state's own encoding.
         outs.push(SendInstr::now(
             leader.loc(),
             Msg::new(
                 cached_header!(P1B_HEADER),
-                Value::pair(Value::Loc(slf), promise),
+                Value::pair(Value::Loc(slf), st.encode()),
             ),
         ));
     } else {
-        // P2A.
-        let (leader, rest) = body.unpair();
+        // P2A. The watermark is a fact about the replicas, whatever the
+        // ballot it came with.
+        let (w, rest) = body.unpair();
+        if w.int() > st.floor {
+            st.floor = w.int();
+            prune_below(&mut st.accepted, st.floor);
+        }
+        let (leader, rest) = rest.unpair();
         let (b, sc) = rest.unpair();
         let (slot, cmd) = sc.unpair();
+        if slot.int() < st.floor {
+            // Delivered everywhere: help choose nothing there.
+            return;
+        }
         let b = Ballot::from_value(b);
         if b >= st.ballot {
             st.ballot = b;
@@ -301,20 +392,27 @@ fn acceptor_transition(
 // Leader (with scout and commander sub-state)
 // ---------------------------------------------------------------------------
 
-/// Leader state, encoded
-/// `<round, <active, <proposals, <scout, commanders>>>>` with `scout`
-/// `<true, <waitfor, pvalues>>` while one runs and `<false, ()>` otherwise.
+/// Leader state, encoded `<round, <active, <<w, frontiers>, <proposals,
+/// <scout, commanders>>>>>` with `scout` `<true, <waitfor, pvalues>>`
+/// while one runs and `<false, ()>` otherwise.
 #[derive(Clone, Debug)]
 pub struct LeaderState {
     /// Round of the leader's current ballot `(round, slf)`.
     round: i64,
     active: bool,
-    /// slot -> command
+    /// The watermark: every slot below it has been delivered by every
+    /// replica. Only rises.
+    w: i64,
+    /// The last frontier each replica of the configuration reported, in
+    /// `config.replicas` order.
+    frontiers: Vec<i64>,
+    /// slot -> command, at slots `>= w` only.
     proposals: BTreeMap<i64, Value>,
     /// The acceptors still awaited and the pvalues gathered so far, while a
     /// scout runs.
     scout: Option<(BTreeSet<Loc>, PValues)>,
-    /// slot -> acceptors still awaited, while a commander runs.
+    /// slot -> acceptors still awaited, while a commander runs; slots
+    /// `>= w` only.
     commanders: BTreeMap<i64, BTreeSet<Loc>>,
 }
 
@@ -323,6 +421,20 @@ impl LeaderState {
         Ballot {
             round: self.round,
             leader: slf,
+        }
+    }
+
+    /// How many proposals it holds.
+    pub fn proposals_len(&self) -> usize {
+        self.proposals.len()
+    }
+
+    /// Raises the watermark to `w` and forgets what lies below it.
+    fn raise_watermark(&mut self, w: i64) {
+        if w > self.w {
+            self.w = w;
+            prune_below(&mut self.proposals, w);
+            prune_below(&mut self.commanders, w);
         }
     }
 }
@@ -336,13 +448,20 @@ impl MealyState for LeaderState {
             ),
             None => Value::pair(Value::Bool(false), Value::Unit),
         };
+        let watermark = Value::pair(
+            Value::Int(self.w),
+            Value::list(self.frontiers.iter().map(|f| Value::Int(*f))),
+        );
         Value::pair(
             Value::Int(self.round),
             Value::pair(
                 Value::Bool(self.active),
                 Value::pair(
-                    slots_value(&self.proposals, Value::clone),
-                    Value::pair(scout, slots_value(&self.commanders, waitfor_value)),
+                    watermark,
+                    Value::pair(
+                        slots_value(&self.proposals, Value::clone),
+                        Value::pair(scout, slots_value(&self.commanders, waitfor_value)),
+                    ),
                 ),
             ),
         )
@@ -351,12 +470,16 @@ impl MealyState for LeaderState {
     fn decode(v: &Value) -> LeaderState {
         let (round, rest) = v.unpair();
         let (active, rest) = rest.unpair();
+        let (watermark, rest) = rest.unpair();
+        let (w, frontiers) = watermark.unpair();
         let (proposals, rest) = rest.unpair();
         let (scout, commanders) = rest.unpair();
         let (has_scout, sc) = scout.unpair();
         LeaderState {
             round: round.int(),
             active: active.as_bool().expect("bool"),
+            w: w.int(),
+            frontiers: frontiers.elems().iter().map(Value::int).collect(),
             proposals: slots_from(proposals, Value::clone),
             scout: has_scout.as_bool().expect("bool").then(|| {
                 let (waitfor, pvals) = sc.unpair();
@@ -373,17 +496,20 @@ pub fn leader(config: &SynodConfig) -> Mealy<LeaderState> {
     let init = LeaderState {
         round: -1,
         active: false,
+        w: 0,
+        frontiers: vec![0; config.replicas.len()],
         proposals: BTreeMap::new(),
         scout: None,
         commanders: BTreeMap::new(),
     };
     Mealy::new(
         "leader_transition",
-        650,
+        740,
         &[
             START_HEADER,
             RESCOUT_HEADER,
             PROPOSE_HEADER,
+            FRONTIER_HEADER,
             P1B_HEADER,
             P2B_HEADER,
         ],
@@ -398,9 +524,11 @@ fn spawn_scout(config: &SynodConfig, slf: Loc, st: &mut LeaderState, outs: &mut 
     send_all(&config.acceptors, cached_header!(P1A_HEADER), body, outs);
 }
 
+/// Sends the P2As of `<ballot, slot, cmd>`, behind the watermark `w`.
 fn spawn_commander(
     config: &SynodConfig,
     ballot: Ballot,
+    w: i64,
     commanders: &mut BTreeMap<i64, BTreeSet<Loc>>,
     slot: i64,
     cmd: &Value,
@@ -408,13 +536,29 @@ fn spawn_commander(
 ) {
     commanders.insert(slot, config.acceptors.iter().copied().collect());
     let body = Value::pair(
-        Value::Loc(ballot.leader),
+        Value::Int(w),
         Value::pair(
-            ballot.to_value(),
-            Value::pair(Value::Int(slot), cmd.clone()),
+            Value::Loc(ballot.leader),
+            Value::pair(
+                ballot.to_value(),
+                Value::pair(Value::Int(slot), cmd.clone()),
+            ),
         ),
     );
     send_all(&config.acceptors, cached_header!(P2A_HEADER), body, outs);
+}
+
+/// Notes a replica's frontier report `<replica, slot_out>` and raises the
+/// watermark to the least frontier reported. A report from outside the
+/// configuration changes nothing.
+fn note_frontier(config: &SynodConfig, st: &mut LeaderState, report: &Value) {
+    let (replica, slot_out) = report.unpair();
+    let Some(i) = config.replicas.iter().position(|r| *r == replica.loc()) else {
+        return;
+    };
+    st.frontiers[i] = st.frontiers[i].max(slot_out.int());
+    let least = *st.frontiers.iter().min().expect("a reporting replica");
+    st.raise_watermark(least);
 }
 
 fn preempt(slf: Loc, st: &mut LeaderState, seen: Ballot, outs: &mut Vec<SendInstr>) {
@@ -448,17 +592,29 @@ fn leader_transition(
             spawn_scout(config, slf, st, outs);
         }
     } else if header == cached_header!(PROPOSE_HEADER) {
-        let (slot, cmd) = body.unpair();
+        let (report, proposal) = body.unpair();
+        note_frontier(config, st, report);
+        let (slot, cmd) = proposal.unpair();
         let slot = slot.int();
+        // A slot below the watermark is delivered everywhere already.
+        if slot < st.w {
+            return;
+        }
         if let std::collections::btree_map::Entry::Vacant(e) = st.proposals.entry(slot) {
             e.insert(cmd.clone());
             if st.active {
-                spawn_commander(config, our, &mut st.commanders, slot, cmd, outs);
+                spawn_commander(config, our, st.w, &mut st.commanders, slot, cmd, outs);
             }
         }
+    } else if header == cached_header!(FRONTIER_HEADER) {
+        note_frontier(config, st, body);
     } else if header == cached_header!(P1B_HEADER) {
         let (acceptor, rest) = body.unpair();
-        let (b, accepted) = rest.unpair();
+        let (b, rest) = rest.unpair();
+        let (floor, accepted) = rest.unpair();
+        // An acceptor's floor was some leader's watermark: whatever the
+        // ballot, every slot below it is delivered everywhere.
+        st.raise_watermark(floor.int());
         let b = Ballot::from_value(b);
         if b > our {
             preempt(slf, st, b, outs);
@@ -477,13 +633,14 @@ fn leader_transition(
             waitfor.remove(&acceptor.loc());
             let heard = config.acceptors.len() - waitfor.len();
             if heard >= config.acceptor_majority() {
-                // Adopted: graft pmax(pvals) over our proposals.
+                // Adopted: graft pmax(pvals) at or above the watermark over
+                // our proposals.
                 st.active = true;
-                for (slot, (_, cmd)) in pvals {
+                for (slot, (_, cmd)) in pvals.split_off(&st.w) {
                     st.proposals.insert(slot, cmd);
                 }
                 for (slot, cmd) in &st.proposals {
-                    spawn_commander(config, our, &mut st.commanders, *slot, cmd, outs);
+                    spawn_commander(config, our, st.w, &mut st.commanders, *slot, cmd, outs);
                 }
             } else {
                 st.scout = Some((waitfor, pvals));
@@ -523,13 +680,15 @@ fn leader_transition(
 // ---------------------------------------------------------------------------
 
 /// Replica state, encoded
-/// `<slot_in, <slot_out, <proposals, <decisions, decided>>>>`.
+/// `<slot_in, <slot_out, <reported, <proposals, <decisions, decided>>>>>`.
 #[derive(Clone, Debug)]
 pub struct ReplicaState {
     /// Next slot this replica will propose into.
     slot_in: i64,
-    /// Next slot to deliver.
+    /// Next slot to deliver: the replica's frontier.
     slot_out: i64,
+    /// The frontier last reported to the leaders.
+    reported: i64,
     /// slot -> cmd, our outstanding proposals.
     proposals: BTreeMap<i64, Value>,
     /// slot -> cmd, decided and not yet delivered: slots `>= slot_out` only.
@@ -550,8 +709,11 @@ impl MealyState for ReplicaState {
             Value::pair(
                 Value::Int(self.slot_out),
                 Value::pair(
-                    slots_value(&self.proposals, Value::clone),
-                    Value::pair(slots_value(&self.decisions, Value::clone), decided),
+                    Value::Int(self.reported),
+                    Value::pair(
+                        slots_value(&self.proposals, Value::clone),
+                        Value::pair(slots_value(&self.decisions, Value::clone), decided),
+                    ),
                 ),
             ),
         )
@@ -560,11 +722,13 @@ impl MealyState for ReplicaState {
     fn decode(v: &Value) -> ReplicaState {
         let (slot_in, rest) = v.unpair();
         let (slot_out, rest) = rest.unpair();
+        let (reported, rest) = rest.unpair();
         let (proposals, rest) = rest.unpair();
         let (decisions, decided) = rest.unpair();
         ReplicaState {
             slot_in: slot_in.int(),
             slot_out: slot_out.int(),
+            reported: reported.int(),
             proposals: slots_from(proposals, Value::clone),
             decisions: slots_from(decisions, Value::clone),
             decided: vmap::iter(decided)
@@ -581,20 +745,27 @@ pub fn replica(config: &SynodConfig) -> Mealy<ReplicaState> {
     let init = ReplicaState {
         slot_in: 0,
         slot_out: 0,
+        reported: 0,
         proposals: BTreeMap::new(),
         decisions: BTreeMap::new(),
         decided: BTreeMap::new(),
     };
     Mealy::new(
         "replica_transition",
-        320,
+        350,
         &[REQUEST_HEADER, DECISION_HEADER],
         init,
-        move |_slf, header, body, st, outs| replica_transition(&config, header, body, st, outs),
+        move |slf, header, body, st, outs| replica_transition(&config, slf, header, body, st, outs),
     )
 }
 
-fn propose(config: &SynodConfig, st: &mut ReplicaState, cmd: &Value, outs: &mut Vec<SendInstr>) {
+fn propose(
+    config: &SynodConfig,
+    slf: Loc,
+    st: &mut ReplicaState,
+    cmd: &Value,
+    outs: &mut Vec<SendInstr>,
+) {
     let (origin, cid) = command_id(cmd);
     if st.decided.get(&origin).is_some_and(|d| d.contains(cid)) {
         return;
@@ -605,12 +776,14 @@ fn propose(config: &SynodConfig, st: &mut ReplicaState, cmd: &Value, outs: &mut 
         st.slot_in += 1;
     }
     st.proposals.insert(st.slot_in, cmd.clone());
-    let body = Value::pair(Value::Int(st.slot_in), cmd.clone());
+    st.reported = st.slot_out;
+    let body = proposal_body(slf, st.slot_out, st.slot_in, cmd.clone());
     send_all(&config.leaders, cached_header!(PROPOSE_HEADER), body, outs);
 }
 
 fn replica_transition(
     config: &SynodConfig,
+    slf: Loc,
     header: Header,
     body: &Value,
     st: &mut ReplicaState,
@@ -620,7 +793,7 @@ fn replica_transition(
         // Duplicate submissions of an outstanding proposal are no-ops.
         let id = command_id(body);
         if !st.proposals.values().any(|c| command_id(c) == id) {
-            propose(config, st, body, outs);
+            propose(config, slf, st, body, outs);
         }
     } else {
         // DECISION. One for a slot already delivered is late and ignored.
@@ -640,11 +813,22 @@ fn replica_transition(
             st.slot_out += 1;
             if let Some(ours) = st.proposals.remove(&slot) {
                 if command_id(&ours) != command_id(&decided) {
-                    propose(config, st, &ours, outs);
+                    propose(config, slf, st, &ours, outs);
                 }
             }
             let body = decide_body(slot, &decided);
             send_all(&config.learners, cached_header!(DECIDE_HEADER), body, outs);
+        }
+        // A replica that only learns still reports how far it has come.
+        if st.slot_out - st.reported >= FRONTIER_EVERY {
+            st.reported = st.slot_out;
+            let report = frontier(slf, st.slot_out);
+            send_all(
+                &config.leaders,
+                cached_header!(FRONTIER_HEADER),
+                report,
+                outs,
+            );
         }
     }
 }
@@ -682,6 +866,7 @@ mod tests {
     use super::*;
     use crate::parse_decide;
     use shadowdb_eventml::optimize::optimize;
+    use shadowdb_eventml::patterns::MealyProcess;
     use shadowdb_eventml::{Ctx, InterpretedProcess, Process};
     use std::collections::VecDeque;
 
@@ -897,31 +1082,46 @@ mod tests {
         }
     }
 
-    /// The promise carries every accepted pvalue, so answering a P1A must be
-    /// one pass over the accepted map: rebuilding the association list one
-    /// `vmap::set` at a time is a list copy per slot — over 10⁹ element
-    /// copies at this size — on every leader start, rescout and failover.
+    /// The P2A body of `<ballot, slot, cmd>` behind watermark `w`.
+    fn p2a_body(w: i64, ballot: Ballot, slot: i64, cmd: Value) -> Value {
+        Value::pair(
+            Value::Int(w),
+            Value::pair(
+                Value::Loc(ballot.leader),
+                Value::pair(ballot.to_value(), Value::pair(Value::Int(slot), cmd)),
+            ),
+        )
+    }
+
+    /// The promise carries every pvalue at or above the floor — all of
+    /// them while a silent replica pins the watermark — so answering a P1A
+    /// must be one pass over the accepted map: rebuilding the association
+    /// list one `vmap::set` at a time is a list copy per slot — over 10⁹
+    /// element copies at this size — on every leader start, rescout and
+    /// failover.
     #[test]
     fn promise_over_many_accepted_slots_is_one_pass() {
         const SLOTS: i64 = 50_000;
         let (slf, leader) = (Loc::new(2), Loc::new(1));
         let ctx = Ctx::at(slf);
-        let ballot = Ballot { round: 0, leader }.to_value();
+        let ballot = Ballot { round: 0, leader };
         let mut acceptor = acceptor().process();
         let mut outs = Vec::new();
         for slot in 0..SLOTS {
-            let pvalue = Value::pair(Value::Int(slot), Value::Int(slot * 7));
-            let body = Value::pair(Value::Loc(leader), Value::pair(ballot.clone(), pvalue));
+            let body = p2a_body(0, ballot, slot, Value::Int(slot * 7));
             outs.clear();
             acceptor.step_into(&ctx, &Msg::new(P2A_HEADER, body), &mut outs);
         }
+        let ballot = ballot.to_value();
         let p1a = Msg::new(P1A_HEADER, Value::pair(Value::Loc(leader), ballot.clone()));
         let started = std::time::Instant::now();
         let outs = acceptor.step(&ctx, &p1a);
         let took = started.elapsed();
         let (_, promise) = outs[0].msg.body.unpair();
-        let (promised, accepted) = promise.unpair();
+        let (promised, rest) = promise.unpair();
+        let (floor, accepted) = rest.unpair();
         assert_eq!(*promised, ballot);
+        assert_eq!(floor.int(), 0);
         let slots: Vec<i64> = vmap::iter(accepted).map(|(s, _)| s.int()).collect();
         assert_eq!(slots, (0..SLOTS).collect::<Vec<_>>());
         assert!(
@@ -934,10 +1134,9 @@ mod tests {
     /// promise: after 50 000 slots decided and delivered in order a step
     /// costs what it cost at slot 0, and the state — typed and encoded, so
     /// the interpreted and fused forms too — holds the undelivered window
-    /// and one bounded detector per origin, not the history. What still
-    /// grows with the slots decided is the acceptors' `accepted` and the
-    /// leaders' `proposals`; forgetting those needs the decided watermark
-    /// of ROADMAP item 1b.
+    /// and one bounded detector per origin, not the history. (The leaders'
+    /// and acceptors' half is `soak.rs`'s
+    /// `synod_state_is_bounded_over_a_long_run`.)
     #[test]
     fn replica_steps_and_state_stay_flat_after_50k_slots() {
         const SLOTS: i64 = 50_000;
@@ -964,7 +1163,9 @@ mod tests {
         replica.step_into(&ctx, &fresh, &mut outs);
         let request_took = started.elapsed();
         assert_eq!(outs.len(), 1, "a fresh command is proposed");
-        assert_eq!(outs[0].msg.body.unpair().0.int(), SLOTS);
+        let (report, proposal) = outs[0].msg.body.unpair();
+        assert_eq!(proposal.unpair().0.int(), SLOTS);
+        assert_eq!(*report, frontier(cfg.replicas[0], SLOTS));
         let started = std::time::Instant::now();
         replica.step_into(&ctx, &decision(SLOTS, cmd(SLOTS)), &mut outs);
         let decision_took = started.elapsed();
@@ -1021,10 +1222,12 @@ mod tests {
     /// The replica as it was before command identity, kept as the
     /// reference: every decision ever made stays in `decisions`, and
     /// whether a command was decided is answered by `is_decided` over them.
+    /// It reports its frontier as the shipped replica does.
     #[derive(Clone)]
     struct ScanReplica {
         slot_in: i64,
         slot_out: i64,
+        reported: i64,
         proposals: BTreeMap<i64, Value>,
         decisions: BTreeMap<i64, Value>,
         is_decided: fn(&BTreeMap<i64, Value>, &Value) -> bool,
@@ -1051,6 +1254,7 @@ mod tests {
             ScanReplica {
                 slot_in: 0,
                 slot_out: 0,
+                reported: 0,
                 proposals: BTreeMap::new(),
                 decisions: BTreeMap::new(),
                 is_decided,
@@ -1067,8 +1271,9 @@ mod tests {
                 self.slot_in += 1;
             }
             self.proposals.insert(self.slot_in, cmd.clone());
-            let body = Value::pair(Value::Int(self.slot_in), cmd.clone());
-            send_all(&config.leaders, cached_header!(PROPOSE_HEADER), body, outs);
+            self.reported = self.slot_out;
+            let msg = propose_msg(config.replicas[0], self.slot_out, self.slot_in, cmd.clone());
+            send_all(&config.leaders, msg.header, msg.body, outs);
         }
 
         fn step(&mut self, config: &SynodConfig, msg: &Msg) -> Vec<SendInstr> {
@@ -1083,19 +1288,25 @@ mod tests {
                     .entry(slot.int())
                     .or_insert_with(|| cmd.clone());
                 while let Some(decided) = self.decisions.get(&self.slot_out).cloned() {
-                    if let Some(ours) = self.proposals.remove(&self.slot_out) {
+                    let slot = self.slot_out;
+                    self.slot_out += 1;
+                    if let Some(ours) = self.proposals.remove(&slot) {
                         if ours != decided {
                             self.propose(config, &ours, &mut outs);
                         }
                     }
-                    let body = decide_body(self.slot_out, &decided);
+                    let body = decide_body(slot, &decided);
                     send_all(
                         &config.learners,
                         cached_header!(DECIDE_HEADER),
                         body,
                         &mut outs,
                     );
-                    self.slot_out += 1;
+                }
+                if self.slot_out - self.reported >= FRONTIER_EVERY {
+                    self.reported = self.slot_out;
+                    let msg = frontier_msg(config.replicas[0], self.slot_out);
+                    send_all(&config.leaders, msg.header, msg.body, &mut outs);
                 }
             }
             outs
@@ -1220,11 +1431,11 @@ mod tests {
                 ));
             }
             for o in &got {
-                let (slot, c) = o.msg.body.unpair();
                 if o.msg.header == cached_header!(PROPOSE_HEADER) {
+                    let (slot, c) = o.msg.body.unpair().1.unpair();
                     proposed.insert(slot.int(), c.clone());
-                } else {
-                    delivered = slot.int() + 1;
+                } else if o.msg.header == cached_header!(DECIDE_HEADER) {
+                    delivered = o.msg.body.unpair().0.int() + 1;
                 }
             }
         }
@@ -1279,6 +1490,270 @@ mod tests {
             })
             .count();
         assert!(caught >= 16, "caught on {caught} of 32 streams");
+    }
+
+    // -----------------------------------------------------------------
+    // The watermark, one transition at a time
+    // -----------------------------------------------------------------
+
+    /// The leader under test (loc 3) and three acceptors (5–7), stepped by
+    /// a property's actions. The three replicas (0–2) and a foreign leader
+    /// (4) are the environment, and say only what a run could: a replica
+    /// reports at most how far it has come (now and then an older report,
+    /// overtaken on the way), and the foreign leader's watermark is at most
+    /// the least of those.
+    struct Watermarked {
+        cfg: SynodConfig,
+        leader: MealyProcess<LeaderState>,
+        acceptors: Vec<MealyProcess<AcceptorState>>,
+        in_flight: Vec<(Loc, Msg)>,
+        /// How far each replica has come and reported.
+        reported: Vec<i64>,
+        cover: WatermarkCoverage,
+    }
+
+    /// What a stream exercised.
+    #[derive(Default, Debug)]
+    struct WatermarkCoverage {
+        adoptions: usize,
+        leader_prunes: usize,
+        acceptor_prunes: usize,
+        refused_p2as: usize,
+        floored_p1bs: usize,
+    }
+
+    impl Watermarked {
+        fn new() -> Watermarked {
+            let cfg = SynodConfig {
+                replicas: (0..3).map(Loc::new).collect(),
+                leaders: vec![Loc::new(3), Loc::new(4)],
+                acceptors: (5..8).map(Loc::new).collect(),
+                learners: vec![Loc::new(100)],
+            };
+            Watermarked {
+                leader: leader(&cfg).process(),
+                acceptors: (0..3).map(|_| acceptor().process()).collect(),
+                cfg,
+                in_flight: Vec::new(),
+                reported: vec![0; 3],
+                cover: WatermarkCoverage::default(),
+            }
+        }
+
+        fn least_reported(&self) -> i64 {
+            *self.reported.iter().min().expect("replicas")
+        }
+
+        /// Takes one action and checks the invariants of whatever stepped.
+        fn act(&mut self, kind: u8, a: u8, b: u8) -> Result<(), String> {
+            let least = self.least_reported();
+            // Slots from a little below the watermark to a window above it.
+            let near = |x: u8| (least - 4 + i64::from(x % 16)).max(0);
+            let me = self.cfg.leaders[0];
+            let foreign = Ballot {
+                round: i64::from(b % 3),
+                leader: self.cfg.leaders[1],
+            };
+            match kind {
+                0 => {
+                    let r = usize::from(a % 3);
+                    self.reported[r] += i64::from(b % 8);
+                    let f = if b >= 0xc0 {
+                        (self.reported[r] - 9).max(0)
+                    } else {
+                        self.reported[r]
+                    };
+                    self.in_flight
+                        .push((me, frontier_msg(Loc::new(r as u32), f)));
+                }
+                1 => {
+                    let r = usize::from(a % 3);
+                    let c = command(Loc::new(r as u32), i64::from(b), Value::Int(i64::from(b)));
+                    let msg = propose_msg(Loc::new(r as u32), self.reported[r], near(b), c);
+                    self.in_flight.push((me, msg));
+                }
+                2 => {
+                    let kick = if a.is_multiple_of(2) {
+                        start_msg()
+                    } else {
+                        Msg::new(RESCOUT_HEADER, Value::Unit)
+                    };
+                    self.in_flight.push((me, kick));
+                }
+                3 => {
+                    let body = Value::pair(Value::Loc(foreign.leader), foreign.to_value());
+                    let dest = self.cfg.acceptors[usize::from(a % 3)];
+                    self.in_flight.push((dest, Msg::new(P1A_HEADER, body)));
+                }
+                4 => {
+                    let w = (least - i64::from(a % 4)).max(0);
+                    let body = p2a_body(w, foreign, near(a / 4), Value::Int(i64::from(b)));
+                    let dest = self.cfg.acceptors[usize::from(b % 3)];
+                    self.in_flight.push((dest, Msg::new(P2A_HEADER, body)));
+                }
+                5 if !self.in_flight.is_empty() => {
+                    // Lost on the way.
+                    let i = usize::from(a) % self.in_flight.len();
+                    self.in_flight.swap_remove(i);
+                }
+                _ if !self.in_flight.is_empty() => {
+                    let i = usize::from(a) % self.in_flight.len();
+                    let (dest, msg) = self.in_flight.swap_remove(i);
+                    self.deliver(dest, &msg)?;
+                }
+                _ => {}
+            }
+            Ok(())
+        }
+
+        fn deliver(&mut self, dest: Loc, msg: &Msg) -> Result<(), String> {
+            let ctx = Ctx::at(dest);
+            let outs = if dest == self.cfg.leaders[0] {
+                let (active, held) = (
+                    self.leader.state().active,
+                    self.leader.state().proposals_len(),
+                );
+                let outs = self.leader.step(&ctx, msg);
+                let st = self.leader.state();
+                self.cover.adoptions += usize::from(!active && st.active);
+                self.cover.leader_prunes += usize::from(st.proposals_len() < held);
+                check_leader(st, &self.reported)?;
+                outs
+            } else {
+                let i = self
+                    .cfg
+                    .acceptors
+                    .iter()
+                    .position(|a| *a == dest)
+                    .expect("acceptor");
+                let before = self.acceptors[i].state().clone();
+                let outs = self.acceptors[i].step(&ctx, msg);
+                let st = self.acceptors[i].state();
+                self.cover.acceptor_prunes +=
+                    usize::from(st.accepted_len() < before.accepted_len());
+                self.cover.refused_p2as +=
+                    usize::from(msg.header == cached_header!(P2A_HEADER) && outs.is_empty());
+                self.cover.floored_p1bs +=
+                    usize::from(msg.header == cached_header!(P1A_HEADER) && st.floor > 0);
+                check_acceptor(before.floor, st, &outs)?;
+                outs
+            };
+            for o in outs {
+                if o.dest == self.cfg.leaders[0] || self.cfg.acceptors.contains(&o.dest) {
+                    self.in_flight.push((o.dest, o.msg));
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// An acceptor's floor never falls, nothing below it is kept, no P2B
+    /// answers a slot below it, and a P1B carries no pvalue below the floor
+    /// it reports.
+    fn check_acceptor(
+        floor_before: i64,
+        st: &AcceptorState,
+        outs: &[SendInstr],
+    ) -> Result<(), String> {
+        if st.floor < floor_before {
+            return Err(format!("floor fell from {floor_before} to {}", st.floor));
+        }
+        if let Some(slot) = st.accepted.keys().next().filter(|s| **s < st.floor) {
+            return Err(format!("slot {slot} kept below floor {}", st.floor));
+        }
+        for o in outs {
+            let (_, reply) = o.msg.body.unpair();
+            if o.msg.header == cached_header!(P2B_HEADER) {
+                let slot = reply.unpair().1.int();
+                if slot < st.floor {
+                    return Err(format!("P2B for slot {slot} below floor {}", st.floor));
+                }
+            } else {
+                let (floor, pvals) = reply.unpair().1.unpair();
+                if let Some((slot, _)) = vmap::iter(pvals).find(|(s, _)| s.int() < floor.int()) {
+                    return Err(format!("P1B pvalue at {slot:?} below its floor {floor:?}"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A leader keeps no proposal or commander below its watermark, and the
+    /// watermark is no higher than any replica has reported.
+    fn check_leader(st: &LeaderState, reported: &[i64]) -> Result<(), String> {
+        let first = [st.proposals.keys().next(), st.commanders.keys().next()];
+        if let Some(slot) = first.into_iter().flatten().find(|s| **s < st.w) {
+            return Err(format!("slot {slot} kept below watermark {}", st.w));
+        }
+        if let Some(r) = reported.iter().position(|f| st.w > *f) {
+            return Err(format!(
+                "watermark {} above replica {r}'s {reported:?}",
+                st.w
+            ));
+        }
+        Ok(())
+    }
+
+    fn arb_watermark_actions() -> impl proptest::strategy::Strategy<Value = Vec<(u8, u8, u8)>> {
+        use proptest::prelude::any;
+        proptest::collection::vec((0u8..10, any::<u8>(), any::<u8>()), 1..400)
+    }
+
+    fn run_watermarked(actions: &[(u8, u8, u8)]) -> Result<WatermarkCoverage, String> {
+        let mut world = Watermarked::new();
+        for (step, (kind, a, b)) in actions.iter().copied().enumerate() {
+            world
+                .act(kind, a, b)
+                .map_err(|e| format!("step {step}: {e}"))?;
+        }
+        Ok(world.cover)
+    }
+
+    proptest::proptest! {
+        /// Every transition of a leader and of an acceptor preserves the
+        /// watermark invariants, over frontier reports (stale ones too),
+        /// proposals below and above the watermark, phase 1 and 2 from a
+        /// competing leader, lost messages and any delivery order.
+        #[test]
+        fn watermark_invariants_hold_after_every_step(actions in arb_watermark_actions()) {
+            if let Err(violation) = run_watermarked(&actions) {
+                return Err(proptest::test_runner::TestCaseError::fail(violation));
+            }
+        }
+    }
+
+    /// The streams adopt, prune on both sides, refuse P2As below a floor
+    /// and carry floors in P1Bs — the transitions the property is about.
+    #[test]
+    fn watermark_streams_cover_every_case() {
+        use proptest::strategy::Strategy;
+        let mut totals = WatermarkCoverage::default();
+        for seed in 0..32 {
+            let mut rng = proptest::test_runner::TestRng::from_seed(seed);
+            let actions = arb_watermark_actions().new_value(&mut rng);
+            let c = run_watermarked(&actions).expect("invariants hold");
+            totals.adoptions += c.adoptions;
+            totals.leader_prunes += c.leader_prunes;
+            totals.acceptor_prunes += c.acceptor_prunes;
+            totals.refused_p2as += c.refused_p2as;
+            totals.floored_p1bs += c.floored_p1bs;
+        }
+        let WatermarkCoverage {
+            adoptions,
+            leader_prunes,
+            acceptor_prunes,
+            refused_p2as,
+            floored_p1bs,
+        } = totals;
+        for (what, n) in [
+            ("adoptions", adoptions),
+            ("leader prunes", leader_prunes),
+            ("acceptor prunes", acceptor_prunes),
+            ("refused P2As", refused_p2as),
+            ("P1Bs with a floor", floored_p1bs),
+        ] {
+            assert!(n >= 16, "{what}: only {n} over 32 streams");
+        }
     }
 
     #[test]

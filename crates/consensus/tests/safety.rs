@@ -7,7 +7,10 @@
 //! deadlock in TwoThird and a bug in an early Synod spec that testing had
 //! missed; the corresponding failure-finding power here is demonstrated by
 //! the *Paxos Made Live* disk-corruption regression, where the checker
-//! finds the agreement violation an amnesiac acceptor causes.
+//! finds the agreement violation an amnesiac acceptor causes, and by its
+//! watermark twin: an acceptor that forgets below its floor but still
+//! accepts there lets a stale leader choose a second value for a slot
+//! every replica has delivered.
 
 use shadowdb_consensus::parse_decide;
 use shadowdb_consensus::synod::{self, SynodConfig};
@@ -319,30 +322,19 @@ fn corruption_scenario(faulty: bool) -> Scripted {
         (Loc::new(3), mid),
         (Loc::new(4), acceptor()),
     ];
-    let l0 = Loc::new(0);
-    let l1 = Loc::new(1);
-    let slot0 = Value::Int(0);
+    let (l0, l1, observer) = (Loc::new(0), Loc::new(1), Loc::new(100));
     let pending = vec![
-        (l0, Msg::new(synod::START_HEADER, Value::Unit)),
-        (l1, Msg::new(synod::START_HEADER, Value::Unit)),
-        (
-            l0,
-            Msg::new(
-                synod::PROPOSE_HEADER,
-                Value::pair(slot0.clone(), Value::str("v1")),
-            ),
-        ),
-        (
-            l1,
-            Msg::new(synod::PROPOSE_HEADER, Value::pair(slot0, Value::str("v2"))),
-        ),
+        (l0, synod::start_msg()),
+        (l1, synod::start_msg()),
+        (l0, synod::propose_msg(observer, 0, 0, Value::str("v1"))),
+        (l1, synod::propose_msg(observer, 0, 0, Value::str("v2"))),
         (Loc::new(3), Msg::new("corrupt", Value::Unit)),
     ];
     Scripted {
         procs,
         pending,
         decisions: Vec::new(),
-        learner: Loc::new(100),
+        learner: observer,
     }
 }
 
@@ -406,5 +398,211 @@ fn durable_acceptor_preserves_agreement_on_same_schedule() {
         s.decisions,
         vec![(0, Value::str("v1")), (0, Value::str("v1"))],
         "with durable promises, slot 0 is re-decided with the same value"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// The delivered watermark: no acceptor helps choose below its floor
+// ---------------------------------------------------------------------------
+
+/// A leader from before the watermark: it adopts without reading the floor
+/// each P1B carries, so it keeps — and re-proposes — a value for a slot
+/// every replica has delivered. (The real leader raises its watermark to
+/// those floors and drops the slot; this double is how a P2A below an
+/// acceptor's floor can still be sent.)
+struct StaleLeader {
+    inner: Box<dyn Process>,
+}
+
+impl Process for StaleLeader {
+    fn step_into(&mut self, ctx: &Ctx, msg: &Msg, out: &mut Vec<SendInstr>) {
+        if msg.header.name() != synod::P1B_HEADER {
+            return self.inner.step_into(ctx, msg, out);
+        }
+        let (acceptor, rest) = msg.body.unpair();
+        let (ballot, rest) = rest.unpair();
+        let pvalues = rest.unpair().1.clone();
+        let unfloored = Value::pair(ballot.clone(), Value::pair(Value::Int(0), pvalues));
+        let body = Value::pair(acceptor.clone(), unfloored);
+        self.inner.step_into(ctx, &Msg::new(msg.header, body), out)
+    }
+    fn clone_box(&self) -> Box<dyn Process> {
+        Box::new(StaleLeader {
+            inner: self.inner.clone(),
+        })
+    }
+    fn digest(&self, hasher: &mut dyn Hasher) {
+        self.inner.digest(&mut HasherAdapter(hasher));
+    }
+}
+
+/// A pruning acceptor without the refusal: it keeps a floor and forgets
+/// what lies below it — its P1B carries the floor and only the pvalues at
+/// or above it — but it still accepts a P2A below the floor. Built as the
+/// real acceptor, never shown a watermark, behind a shim that keeps the
+/// floor and cuts the P1Bs.
+struct AcceptsBelowFloor {
+    inner: Box<dyn Process>,
+    floor: i64,
+}
+
+impl Process for AcceptsBelowFloor {
+    fn step_into(&mut self, ctx: &Ctx, msg: &Msg, out: &mut Vec<SendInstr>) {
+        if msg.header.name() == synod::P2A_HEADER {
+            let (w, pvalue) = msg.body.unpair();
+            self.floor = self.floor.max(w.int());
+            let unwatermarked = Value::pair(Value::Int(0), pvalue.clone());
+            return self
+                .inner
+                .step_into(ctx, &Msg::new(msg.header, unwatermarked), out);
+        }
+        let mut replies = Vec::new();
+        self.inner.step_into(ctx, msg, &mut replies);
+        for mut r in replies {
+            let (acceptor, rest) = r.msg.body.unpair();
+            let (ballot, rest) = rest.unpair();
+            let kept = rest
+                .unpair()
+                .1
+                .elems()
+                .iter()
+                .filter(|pv| pv.unpair().0.int() >= self.floor)
+                .cloned()
+                .collect::<Vec<_>>();
+            let promise = Value::pair(Value::Int(self.floor), Value::list(kept));
+            let body = Value::pair(acceptor.clone(), Value::pair(ballot.clone(), promise));
+            r.msg = Msg::new(r.msg.header, body);
+            out.push(r);
+        }
+    }
+    fn clone_box(&self) -> Box<dyn Process> {
+        Box::new(AcceptsBelowFloor {
+            inner: self.inner.clone(),
+            floor: self.floor,
+        })
+    }
+    fn digest(&self, hasher: &mut dyn Hasher) {
+        let mut h = HasherAdapter(hasher);
+        self.inner.digest(&mut h);
+        h.write_i64(self.floor);
+    }
+}
+
+/// The watermark scenario: the real leader 0, the stale leader 1, acceptors
+/// 2, 3, 4 (acceptor 3 accepting below its floor if `faulty`), and one
+/// replica, the observer at loc 100, whose delivery reports the test
+/// injects.
+fn watermark_scenario(faulty: bool) -> Scripted {
+    let observer = Loc::new(100);
+    let config = SynodConfig {
+        replicas: vec![observer],
+        leaders: vec![Loc::new(0), Loc::new(1)],
+        acceptors: vec![Loc::new(2), Loc::new(3), Loc::new(4)],
+        learners: vec![observer],
+    };
+    let mid: Box<dyn Process> = if faulty {
+        Box::new(AcceptsBelowFloor {
+            inner: acceptor(),
+            floor: 0,
+        })
+    } else {
+        acceptor()
+    };
+    let stale = StaleLeader {
+        inner: Box::new(synod::leader(&config).process()),
+    };
+    let (l0, l1) = (Loc::new(0), Loc::new(1));
+    Scripted {
+        procs: vec![
+            (l0, Box::new(synod::leader(&config).process())),
+            (l1, Box::new(stale)),
+            (Loc::new(2), acceptor()),
+            (Loc::new(3), mid),
+            (Loc::new(4), acceptor()),
+        ],
+        pending: vec![
+            (l0, synod::start_msg()),
+            (l0, synod::propose_msg(observer, 0, 0, Value::str("v1"))),
+            (l0, synod::frontier_msg(observer, 1)),
+            (l0, synod::propose_msg(observer, 1, 1, Value::str("v3"))),
+            (l1, synod::start_msg()),
+            // The replica's proposal of v2 for slot 0, long delayed.
+            (l1, synod::propose_msg(observer, 0, 0, Value::str("v2"))),
+        ],
+        decisions: Vec::new(),
+        learner: observer,
+    }
+}
+
+/// Slot 0 is chosen and delivered; the watermark passes it and acceptors
+/// 2 and 3 drop it; then the stale leader gets a ballot adopted on {3, 4}
+/// — acceptor 3 no longer shows v1, acceptor 4 never saw it — and sends
+/// its old v2 for slot 0.
+fn run_watermark_schedule(s: &mut Scripted) {
+    let (l0, l1) = (Loc::new(0), Loc::new(1));
+    let (a2, a3, a4) = (Loc::new(2), Loc::new(3), Loc::new(4));
+    // Leader 0 chooses v1 for slot 0 on {2, 3}; acceptor 4 hears nothing.
+    s.deliver_next(l0, synod::START_HEADER);
+    s.deliver_next(l0, synod::PROPOSE_HEADER);
+    s.deliver_next(a2, synod::P1A_HEADER);
+    s.deliver_next(a3, synod::P1A_HEADER);
+    s.drop_all_for(a4);
+    s.deliver_all(l0, synod::P1B_HEADER);
+    s.deliver_next(a2, synod::P2A_HEADER);
+    s.deliver_next(a3, synod::P2A_HEADER);
+    s.drop_all_for(a4);
+    s.deliver_all(l0, synod::P2B_HEADER);
+    assert_eq!(s.decisions, vec![(0, Value::str("v1"))]);
+    // Every replica has delivered slot 0: the watermark reaches 1 and rides
+    // leader 0's next P2A to acceptors 2 and 3, which drop slot 0.
+    s.deliver_next(l0, synod::FRONTIER_HEADER);
+    s.deliver_next(l0, synod::PROPOSE_HEADER);
+    s.deliver_next(a2, synod::P2A_HEADER);
+    s.deliver_next(a3, synod::P2A_HEADER);
+    s.drop_all_for(a4);
+    s.deliver_all(l0, synod::P2B_HEADER);
+    // The stale leader's higher ballot is adopted on {3, 4}.
+    s.deliver_next(l1, synod::START_HEADER);
+    s.deliver_next(l1, synod::PROPOSE_HEADER);
+    s.deliver_next(a3, synod::P1A_HEADER);
+    s.deliver_next(a4, synod::P1A_HEADER);
+    s.drop_all_for(a2);
+    s.deliver_all(l1, synod::P1B_HEADER);
+    // Its P2As — v2 for slot 0 among them — reach {3, 4}.
+    s.deliver_all(a3, synod::P2A_HEADER);
+    s.deliver_all(a4, synod::P2A_HEADER);
+    s.drop_all_for(a2);
+    s.deliver_all(l1, synod::P2B_HEADER);
+}
+
+#[test]
+fn accepting_below_the_floor_breaks_agreement() {
+    let mut s = watermark_scenario(true);
+    run_watermark_schedule(&mut s);
+    assert_eq!(
+        s.decisions,
+        vec![
+            (0, Value::str("v1")),
+            (1, Value::str("v3")),
+            (0, Value::str("v2")),
+            (1, Value::str("v3")),
+        ],
+        "an acceptor that accepts below its floor lets v2 be chosen for delivered slot 0"
+    );
+}
+
+#[test]
+fn refusing_below_the_floor_preserves_agreement_on_same_schedule() {
+    let mut s = watermark_scenario(false);
+    run_watermark_schedule(&mut s);
+    // Acceptor 3 refuses slot 0, so v2 gets one acceptance of the two it
+    // needs; slot 1 is re-decided with the value it had.
+    assert_eq!(
+        s.decisions,
+        vec![
+            (0, Value::str("v1")),
+            (1, Value::str("v3")),
+            (1, Value::str("v3")),
+        ],
     );
 }

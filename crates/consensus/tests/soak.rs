@@ -8,10 +8,13 @@
 use parking_lot::Mutex;
 use shadowdb_consensus::twothird::{propose_msg, TwoThird, TwoThirdConfig};
 use shadowdb_consensus::{parse_decide, synod};
-use shadowdb_eventml::{Ctx, FnProcess, InterpretedProcess, Msg, Process, Value};
+use shadowdb_eventml::patterns::{MealyProcess, MealyState};
+use shadowdb_eventml::{Ctx, FnProcess, InterpretedProcess, Msg, Process, SendInstr, Value};
 use shadowdb_loe::{Loc, VTime};
 use shadowdb_simnet::{Latency, NetworkConfig, SimBuilder};
 use std::collections::BTreeMap;
+use std::hash::Hasher;
+use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -216,12 +219,7 @@ fn synod_survives_minority_acceptor_crashes() {
 /// last stage costs no more wall-clock time per command than the first.
 /// Before command identity the replica compared every request against every
 /// decision ever made, and the last fifth of such a run took several times
-/// the first.
-///
-/// What still grows with the slots decided: the acceptors' `accepted` and
-/// the leader's `proposals` maps (an O(log n) insert per command here, and
-/// the whole map in every P1B). Forgetting them needs the decided watermark
-/// and snapshot-fetch edge of ROADMAP item 1b, which owns that.
+/// the first. Its memory half is `synod_state_is_bounded_over_a_long_run`.
 #[test]
 fn synod_time_per_command_is_flat_over_a_long_run() {
     const STAGE: i64 = 10_000;
@@ -270,4 +268,129 @@ fn synod_time_per_command_is_flat_over_a_long_run() {
         }
     }
     panic!("last fifth over first fifth, per command: {ratios:?} (every attempt above 1.5)");
+}
+
+/// A role that records the most entries its slot map has held after any
+/// step.
+struct Recorded<S> {
+    inner: MealyProcess<S>,
+    entries: fn(&S) -> usize,
+    most: Arc<AtomicUsize>,
+}
+
+impl<S: MealyState> Process for Recorded<S> {
+    fn step_into(&mut self, ctx: &Ctx, msg: &Msg, out: &mut Vec<SendInstr>) {
+        self.inner.step_into(ctx, msg, out);
+        let held = (self.entries)(self.inner.state());
+        self.most.fetch_max(held, Ordering::Relaxed);
+    }
+    fn clone_box(&self) -> Box<dyn Process> {
+        Box::new(Recorded {
+            inner: self.inner.clone(),
+            entries: self.entries,
+            most: self.most.clone(),
+        })
+    }
+    fn digest(&self, hasher: &mut dyn Hasher) {
+        self.inner.digest(hasher);
+    }
+}
+
+/// Bounded state, the memory half of the stationarity soak: 50 000
+/// decisions in `smr_bank`'s shape — three replicas of which one proposes
+/// and two only learn, three leaders of which one is active, three
+/// acceptors — with a closed loop keeping `WINDOW` commands in flight. In
+/// every stage, after every step, no leader holds more than `WINDOW +
+/// FRONTIER_EVERY` proposals and no acceptor more than that many pvalues:
+/// the watermark trails the learning replicas' reports, sent every
+/// `FRONTIER_EVERY` slots, and the proposer's, which ride on its
+/// proposals. Every link has the same latency, so the replicas deliver in
+/// step, as on one LAN.
+#[test]
+fn synod_state_is_bounded_over_a_long_run() {
+    const STAGE: i64 = 10_000;
+    const WINDOW: i64 = 8;
+    let bound = (WINDOW + synod::FRONTIER_EVERY) as usize;
+    let config = synod::SynodConfig {
+        replicas: (1..4).map(Loc::new).collect(),
+        leaders: (4..7).map(Loc::new).collect(),
+        acceptors: (7..10).map(Loc::new).collect(),
+        learners: vec![Loc::new(0)],
+    };
+    let mut sim = SimBuilder::new(5)
+        .network(NetworkConfig {
+            latency: Latency::Fixed(Duration::from_micros(100)),
+            drop_probability: 0.0,
+            faults: Default::default(),
+        })
+        .build();
+    // The client: the next command on the first delivery of each slot, up
+    // to the stage's limit; a kick opens the window.
+    let (limit, delivered) = (Arc::new(AtomicI64::new(0)), Arc::new(AtomicI64::new(0)));
+    let proposer = config.replicas[0];
+    let client = {
+        let (limit, delivered) = (limit.clone(), delivered.clone());
+        FnProcess::new(
+            (0i64, 0i64),
+            move |(next_cid, next_slot): &mut (i64, i64), _c: &Ctx, m: &Msg| {
+                let submit = match parse_decide(m) {
+                    Some((slot, _)) if slot >= *next_slot => {
+                        *next_slot = slot + 1;
+                        delivered.store(*next_slot, Ordering::Relaxed);
+                        1
+                    }
+                    Some(_) => 0,
+                    None => WINDOW,
+                };
+                let upto = (*next_cid + submit).min(limit.load(Ordering::Relaxed));
+                let requests = (*next_cid..upto).map(|cid| {
+                    let request = synod::request_msg(command(Loc::new(0), cid, cid));
+                    SendInstr::now(proposer, request)
+                });
+                let outs = requests.collect();
+                *next_cid = (*next_cid).max(upto);
+                outs
+            },
+        )
+    };
+    assert_eq!(sim.add_node(Box::new(client)), Loc::new(0));
+    for _ in &config.replicas {
+        sim.add_node(Box::new(synod::replica(&config).process()));
+    }
+    let proposals: Vec<Arc<AtomicUsize>> = config.leaders.iter().map(|_| Arc::default()).collect();
+    for most in &proposals {
+        sim.add_node(Box::new(Recorded {
+            inner: synod::leader(&config).process(),
+            entries: synod::LeaderState::proposals_len,
+            most: most.clone(),
+        }));
+    }
+    let accepted: Vec<Arc<AtomicUsize>> = config.acceptors.iter().map(|_| Arc::default()).collect();
+    for most in &accepted {
+        sim.add_node(Box::new(Recorded {
+            inner: synod::acceptor().process(),
+            entries: synod::AcceptorState::accepted_len,
+            most: most.clone(),
+        }));
+    }
+    sim.send_at(VTime::ZERO, config.leaders[0], synod::start_msg());
+    for stage in 1..=5 {
+        limit.store(stage * STAGE, Ordering::Relaxed);
+        sim.send_at(sim.now(), Loc::new(0), Msg::new("soak/kick", Value::Unit));
+        sim.run_until_quiescent(VTime::from_secs(36_000));
+        assert_eq!(delivered.load(Ordering::Relaxed), stage * STAGE);
+        let held: Vec<usize> = proposals
+            .iter()
+            .chain(&accepted)
+            .map(|most| most.swap(0, Ordering::Relaxed))
+            .collect();
+        assert!(
+            held.iter().all(|n| *n <= bound),
+            "stage {stage}: most entries held by leaders then acceptors {held:?}, bound {bound}"
+        );
+        assert!(
+            held.iter().all(|n| *n > WINDOW as usize),
+            "stage {stage}: {held:?} — every role should hold a window's worth"
+        );
+    }
 }

@@ -164,16 +164,20 @@ fn command(rng: &mut Rng) -> Value {
     synod::command(origin, cid, op)
 }
 
+/// Synod traffic over slots 0–5, with frontier reports, floors and
+/// watermarks up to 4 so that leaders and acceptors prune.
 fn synod_stream(seed: u64, n: usize) -> Vec<Msg> {
     let mut rng = Rng(seed);
     (0..n)
-        .map(|_| match rng.below(10) {
+        .map(|_| match rng.below(11) {
             0 => synod::request_msg(command(&mut rng)),
             1 => synod::start_msg(),
-            2 => Msg::new(
-                cached_header!(synod::PROPOSE_HEADER),
-                Value::pair(rng.int(3), command(&mut rng)),
-            ),
+            2 => {
+                let (replica, slot_out) = (rng.loc(3), rng.below(5) as i64);
+                let slot = rng.below(6) as i64;
+                synod::propose_msg(replica, slot_out, slot, command(&mut rng))
+            }
+            9 => synod::frontier_msg(rng.loc(3), rng.below(5) as i64),
             3 => Msg::new(
                 cached_header!(synod::DECISION_HEADER),
                 Value::pair(rng.int(6), command(&mut rng)),
@@ -187,33 +191,31 @@ fn synod_stream(seed: u64, n: usize) -> Vec<Msg> {
                 )
             }
             5 => {
-                // p1b: <acceptor, <ballot, accepted-pvalues>>, the pvalues a
-                // sorted `slot -> <ballot, command>` list over a few slots
-                // so the leader's max-ballot merge is exercised.
+                // p1b: <acceptor, <ballot, <floor, accepted-pvalues>>>, the
+                // pvalues a sorted `slot -> <ballot, command>` list over a
+                // few slots at or above the floor so the leader's
+                // max-ballot merge is exercised.
                 let b = ballot(&mut rng, 3);
-                let accepted: Vec<Value> = (0..3)
+                let floor = rng.below(3) as i64;
+                let accepted: Vec<Value> = (floor..floor + 3)
                     .filter_map(|slot| {
                         let pvalue = Value::pair(ballot(&mut rng, 3), command(&mut rng));
                         (rng.below(3) == 0).then(|| Value::pair(Value::Int(slot), pvalue))
                     })
                     .collect();
+                let promise = Value::pair(b, Value::pair(Value::Int(floor), Value::list(accepted)));
                 Msg::new(
                     cached_header!(synod::P1B_HEADER),
-                    Value::pair(
-                        Value::Loc(Loc::new(6 + rng.below(3) as u32)),
-                        Value::pair(b, Value::list(accepted)),
-                    ),
+                    Value::pair(Value::Loc(Loc::new(6 + rng.below(3) as u32)), promise),
                 )
             }
             6 => {
-                // p2a: <leader, <ballot, <slot, command>>>
-                let b = ballot(&mut rng, 3);
+                // p2a: <w, <leader, <ballot, <slot, command>>>>
+                let (w, b) = (rng.int(4), ballot(&mut rng, 3));
+                let pvalue = Value::pair(b, Value::pair(rng.int(6), command(&mut rng)));
                 Msg::new(
                     cached_header!(synod::P2A_HEADER),
-                    Value::pair(
-                        Value::Loc(rng.loc(9)),
-                        Value::pair(b, Value::pair(rng.int(3), command(&mut rng))),
-                    ),
+                    Value::pair(w, Value::pair(Value::Loc(rng.loc(9)), pvalue)),
                 )
             }
             7 => {
@@ -223,7 +225,7 @@ fn synod_stream(seed: u64, n: usize) -> Vec<Msg> {
                     cached_header!(synod::P2B_HEADER),
                     Value::pair(
                         Value::Loc(Loc::new(6 + rng.below(3) as u32)),
-                        Value::pair(b, rng.int(3)),
+                        Value::pair(b, rng.int(6)),
                     ),
                 )
             }
