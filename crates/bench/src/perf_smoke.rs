@@ -163,11 +163,12 @@ fn codec_roundtrip_msgs_per_sec() -> f64 {
     })
 }
 
-/// msgs/sec of a ping/pong echo over real loopback TCP sockets: every
-/// message is framed, crosses the kernel, and is decoded on the other
-/// side. Requests are pipelined in one burst, so the rate measures the
-/// transport's sustained throughput (including the injection path through
-/// the control thread), not a per-message RTT.
+/// msgs/sec of a driver-injected ping answered over a real loopback TCP
+/// socket: each ping goes to the echo's shard as a scheduled action on its
+/// command channel and is stepped inline there; each pong is framed,
+/// crosses the kernel, and is decoded on the port's side. Requests are
+/// pipelined in one burst, so the rate measures the injection path and the
+/// transport's sustained throughput together, not a per-message RTT.
 fn tcp_echo_msgs_per_sec() -> f64 {
     let mut net = TcpNet::new();
     let echo = net.add_node(Box::new(FnProcess::new(

@@ -1,7 +1,6 @@
 //! Outbound-link machinery: the vectored-write frame queue every link
 //! drains through, the per-destination link state the shard event loops
-//! own, the seeded reconnect backoff, and the control thread's blocking
-//! injector.
+//! own, and the seeded reconnect backoff.
 //!
 //! A link is a single TCP stream written by a single shard thread, so
 //! frames on one link arrive in FIFO order. All sends go through the
@@ -25,14 +24,11 @@
 //! desynchronize the stream.
 
 use crate::registry::{bump, Counters, Registry};
-use shadowdb_eventml::{FrameEncoder, Msg};
-use shadowdb_loe::Loc;
 use shadowdb_runtime::fault::mix64;
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// First reconnect delay; doubles per failed attempt up to
@@ -243,12 +239,6 @@ impl OutLink {
     }
 }
 
-impl Default for OutLink {
-    fn default() -> OutLink {
-        OutLink::new()
-    }
-}
-
 /// One connection attempt for the `(origin, dest)` link, gated by the
 /// seeded backoff. On success the stream is nonblocking with Nagle off
 /// and `link.conn` is set; a reconnect is counted in the caller's
@@ -283,91 +273,6 @@ pub fn try_connect(
             link.next_attempt = now + backoff_delay(registry.seed, origin, dest, link.attempts);
             link.attempts = link.attempts.saturating_add(1);
             false
-        }
-    }
-}
-
-/// The control thread's outbound half: blocking per-destination links for
-/// externally injected messages. The injector bypasses the fault plane —
-/// the driver must always be able to reach the system it is testing —
-/// but shares the seeded backoff and counts into the link statistics.
-pub struct Injector {
-    registry: Arc<Registry>,
-    counters: Arc<Counters>,
-    links: Vec<OutLink>,
-    enc: FrameEncoder,
-}
-
-/// The pseudo-origin the injector's backoff jitter is salted with (no
-/// real location sends these frames).
-const INJECTOR_ORIGIN: u32 = u32::MAX;
-
-impl Injector {
-    /// No connections yet; established on first send per destination.
-    pub fn new(registry: Arc<Registry>) -> Injector {
-        Injector {
-            counters: registry.counters(),
-            registry,
-            links: Vec::new(),
-            enc: FrameEncoder::new(),
-        }
-    }
-
-    /// Encodes `msg` and writes it to `dest`, blocking on the socket.
-    /// Frames that cannot be written park in the link's bounded queue and
-    /// are flushed by [`Injector::tick`] or a later send.
-    pub fn send(&mut self, dest: Loc, msg: &Msg) {
-        let idx = dest.index() as usize;
-        if self.links.len() <= idx {
-            self.links.resize_with(idx + 1, OutLink::new);
-        }
-        let frame = self.enc.encode(msg);
-        if self.links[idx].queue.push(frame) {
-            bump(&self.counters.frames_dropped, 1);
-        }
-        self.flush(idx);
-    }
-
-    /// Retries destinations with parked frames, respecting backoff.
-    /// Cheap when nothing is pending; called from the control loop.
-    pub fn tick(&mut self) {
-        for idx in 0..self.links.len() {
-            if !self.links[idx].queue.is_empty() {
-                self.flush(idx);
-            }
-        }
-    }
-
-    fn flush(&mut self, idx: usize) {
-        let link = &mut self.links[idx];
-        let mut breaks = 0;
-        while !link.queue.is_empty() && breaks < 2 {
-            if link.conn.is_none()
-                && !try_connect(
-                    &self.registry,
-                    &self.counters,
-                    INJECTOR_ORIGIN,
-                    idx as u32,
-                    link,
-                )
-            {
-                return;
-            }
-            // The injector's streams stay blocking: write_all either
-            // lands the queue or reports the break.
-            let conn = link.conn.as_mut().expect("connected");
-            let _ = conn.set_nonblocking(false);
-            match link.queue.flush_into(conn) {
-                Ok(written) => {
-                    bump(&self.counters.frames_written, written);
-                    return;
-                }
-                Err(_) => {
-                    link.conn = None;
-                    link.queue.reset_front();
-                    breaks += 1;
-                }
-            }
         }
     }
 }

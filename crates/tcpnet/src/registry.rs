@@ -1,7 +1,7 @@
 //! Shared bookkeeping: the location → listener-address and machine map,
 //! the fault plan, the frame-layer counters, and the deployment seed —
-//! the state every shard event loop, the control thread, and the runtime
-//! handle share.
+//! the state the shard event loops and the runtime handle share; the
+//! handle finds the one shard that owns a location here.
 
 use parking_lot::Mutex;
 use shadowdb_loe::Loc;
@@ -45,18 +45,18 @@ pub struct LinkStats {
     pub frames_dropped: u64,
     /// Messages delivered twice by a duplication window.
     pub frames_duplicated: u64,
-    /// Frames written whole to a socket — node-to-node links and the
-    /// driver's injections. A frame rewritten after a broken connection
-    /// counts once.
+    /// Frames written whole to a socket by node-to-node links. The
+    /// driver's injections cross no socket and are not counted. A frame
+    /// rewritten after a broken connection counts once.
     pub frames_written: u64,
     /// Messages handed to a location of the sender's own machine, which
     /// cross no socket.
     pub colocated: u64,
 }
 
-/// One thread's share of [`LinkStats`]. Each shard and the injector own
-/// one and are its only writer, so counting on the hot path touches no
-/// cache line another thread writes; a read sums them all.
+/// One thread's share of [`LinkStats`]. Each shard owns one and is its
+/// only writer, so counting on the hot path touches no cache line another
+/// thread writes; a read sums them all.
 #[derive(Default)]
 #[repr(align(64))]
 pub struct Counters {
@@ -88,8 +88,7 @@ pub struct FaultPlane {
     pub plan: Mutex<Option<FaultPlan>>,
 }
 
-/// State shared by the runtime handle, the shard event loops, and the
-/// control thread.
+/// State shared by the runtime handle and the shard event loops.
 pub struct Registry {
     slots: Mutex<Slots>,
     /// Every thread's counters, summed by [`Registry::stats`].

@@ -3,23 +3,26 @@
 //! every location on those machines. A shard's poller watches its
 //! listeners, every inbound connection to its locations, a wake pipe for
 //! commands, and any outbound link currently blocked on write readiness.
-//! Node timer heaps run off the same loop — there are no per-node or
-//! per-connection threads anywhere.
+//! One heap per shard holds everything due at a time — process timers and
+//! the driver's injections, crashes and restarts — so there are no
+//! per-node, per-connection or control threads anywhere.
 //!
 //! Delivery is inline: a frame decoded off an inbound connection steps
 //! the destination process on the spot (the connection was accepted by
-//! the destination's own shard); its sends are queued on nonblocking
-//! links and written before the loop returns to the poller. Zero-delay
-//! self-sends instead wait in the host's inbox for the top of the next
-//! turn — after everything readable this turn was stepped and the links
-//! those steps wrote are flushed — so work a process defers to one (a
-//! replica's `sdb/sync`) runs once per turn. A send to another location
-//! of the same machine takes that path too: no encoder, no link, no
-//! socket, and the same fault verdict a link would get. Decoded message
-//! bodies are zero-copy views of their own frame, which `FrameReader`
-//! copies out of the connection's reassembly buffer right-sized: one
-//! allocation per frame, and the buffer itself is never pinned by what a
-//! process keeps.
+//! the destination's own shard), and so does a due injection; their sends
+//! are queued on nonblocking links and written before the loop returns to
+//! the poller. Zero-delay self-sends instead wait in the host's inbox for
+//! the top of the next turn — after everything readable this turn was
+//! stepped and the links those steps wrote are flushed — so work a process
+//! defers to one (a replica's `sdb/sync`) runs once per turn. A send to
+//! another location of the same machine takes that path too: no encoder,
+//! no link, no socket, and the same fault verdict a link would get. A
+//! self-send made by an inbox-delivered step (hand-off, completion,
+//! self-send) runs in that same drain, up to `INBOX_BUDGET`. Decoded
+//! message bodies are zero-copy views of their own frame, which
+//! `FrameReader` copies out of the connection's reassembly buffer
+//! right-sized: one allocation per frame, and the buffer itself is never
+//! pinned by what a process keeps.
 //!
 //! Work a process hands to another thread (a disk's syncer) reports back
 //! through the command channel: each shard thread installs itself as the
@@ -64,10 +67,7 @@ const INBOX_BUDGET: usize = 256;
 /// matching the threaded runtime's cadence.
 const TICK: Duration = Duration::from_millis(20);
 
-/// What a shard can be told to do. Crash and restart are not inbox
-/// messages: a crash *removes the host* (volatile state, pending timers,
-/// and outbound connections die with it) and a restart installs a fresh
-/// incarnation behind the same listener.
+/// What a shard can be told to do.
 pub enum ShardCmd {
     /// Host `process` at `loc`, accepting on `listener`.
     AddNode {
@@ -87,10 +87,13 @@ pub enum ShardCmd {
         /// Where decoded messages land.
         tx: Sender<Msg>,
     },
-    /// Drop the host at `loc`; deliveries are discarded until restart.
-    Crash(u32),
-    /// Install a fresh incarnation at `loc` (no-op for unknown locs).
-    Restart(u32, Box<dyn Process>),
+    /// Put `due` on the shard's heap for `at` (a driver's action).
+    At {
+        /// When it is due.
+        at: Instant,
+        /// What then happens.
+        due: TimerDue,
+    },
     /// Deliver `msg` into `loc`'s inbox if incarnation `epoch` still runs
     /// there (a completion of work the process handed off).
     Complete {
@@ -103,6 +106,30 @@ pub enum ShardCmd {
     },
     /// Exit the shard thread.
     Shutdown,
+}
+
+/// What comes due on a shard's heap: a process's timer, or an action the
+/// driver scheduled on one location (never its whole machine).
+pub enum TimerDue {
+    /// A delayed send armed by a hosted process, held at the sender until
+    /// due (Fig. 4's "period of time the process must wait before
+    /// sending"). Fires only into the incarnation that armed it.
+    Timer {
+        origin: u32,
+        epoch: u64,
+        dest: Loc,
+        msg: Msg,
+    },
+    /// An injected message: stepped inline, like a decoded frame, and
+    /// never faulted — the driver must always reach the system it tests.
+    Deliver(u32, Msg),
+    /// Remove the host: volatile state, inbox, pending timers, and
+    /// outbound connections die with it; deliveries are dropped until
+    /// restart.
+    Crash(u32),
+    /// Install a fresh incarnation behind the same listener (a no-op for
+    /// a location that never hosted a node).
+    Restart(u32, Box<dyn Process>),
 }
 
 /// The sending half of a shard: enqueue a command, then poke the wake
@@ -135,6 +162,9 @@ impl CompletionSink for ShardHandle {
 
 /// Spawns one shard thread; the returned handle feeds it commands.
 pub fn spawn_shard(registry: Arc<Registry>) -> (ShardHandle, JoinHandle<()>) {
+    // Unbounded on purpose: a bound would stall a disk's syncer (and its
+    // later syncs) behind a busy shard, or drop a completion its replica
+    // waits for forever; the driver's load is admission control's to shape.
     let (cmd_tx, cmd_rx) = channel::unbounded::<ShardCmd>();
     let (wake_tx, wake_rx) = UnixStream::pair().expect("wake pipe");
     wake_tx.set_nonblocking(true).expect("nonblocking wake");
@@ -175,32 +205,28 @@ struct InConn {
     dest: u32,
 }
 
-/// A delayed send armed by a hosted process, held at the sender until due
-/// (Fig. 4's "period of time the process must wait before sending").
-/// Fires only into the incarnation that armed it.
-struct TimerDue {
+/// An entry of a shard's heap, ordered by `(at, seq)`: due instant, then
+/// arrival.
+struct Entry {
     at: Instant,
     seq: u64,
-    origin: u32,
-    epoch: u64,
-    dest: Loc,
-    msg: Msg,
+    due: TimerDue,
 }
 
-impl PartialEq for TimerDue {
+impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        (self.at, self.seq) == (other.at, other.seq)
     }
 }
-impl Eq for TimerDue {}
-impl PartialOrd for TimerDue {
+impl Eq for Entry {}
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for TimerDue {
+impl Ord for Entry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, the earliest timer first.
+        // Reversed: BinaryHeap is a max-heap, the earliest entry first.
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
@@ -235,7 +261,7 @@ struct Shard {
     /// Hand-offs to a machine-mate allocated but not yet added here (its
     /// `AddNode` is still in the command channel); they open its inbox.
     unborn: HashMap<u32, VecDeque<Msg>>,
-    timers: BinaryHeap<TimerDue>,
+    timers: BinaryHeap<Entry>,
     timer_seq: u64,
     /// Links with frames queued this iteration, flushed once before the
     /// next poll so a burst of sends leaves in one `writev` instead of a
@@ -278,13 +304,10 @@ impl Shard {
 
     fn run(mut self) {
         loop {
-            while let Ok(cmd) = self.cmds.try_recv() {
-                self.handle_cmd(cmd);
-            }
+            self.fire_due();
             if self.stop {
                 return;
             }
-            self.fire_timers();
             // The turn's deliveries go on the wire before the self-sends
             // they left behind are stepped: such a step may be long (a
             // replica capturing a checkpoint), and its peers should be
@@ -342,15 +365,7 @@ impl Shard {
                 }
                 self.ports.insert(loc, tx);
             }
-            ShardCmd::Crash(loc) => self.drop_host(loc),
-            ShardCmd::Restart(loc, process) => {
-                // Only locations that ever hosted a node can restart.
-                if !self.epochs.contains_key(&loc) {
-                    return;
-                }
-                self.drop_host(loc);
-                self.install(loc, process);
-            }
+            ShardCmd::At { at, due } => self.schedule(at, due),
             ShardCmd::Complete { loc, epoch, msg } => {
                 if let Some(host) = self.hosts.get_mut(&loc) {
                     if host.epoch == epoch {
@@ -385,31 +400,75 @@ impl Shard {
     }
 
     /// Removes the host at `loc`: volatile state, its inbox, timers (via
-    /// epoch), and outbound connections die with it. Inbound connections
-    /// and the listener survive — deliveries are dropped while no host
-    /// exists, exactly as a dead process behind a live address would.
+    /// epoch), and outbound connections die with it — after what its steps
+    /// sent this turn leaves, as a real process's sends would. Inbound
+    /// connections and the listener survive — deliveries are dropped while
+    /// no host exists, exactly as a dead process behind a live address
+    /// would.
     fn drop_host(&mut self, loc: u32) {
         if let Some(mut host) = self.hosts.remove(&loc) {
-            for peer in host.peers.values_mut() {
+            for (&dest, peer) in host.peers.iter_mut() {
                 if let Path::Link(link) = &mut peer.path {
+                    if link.dirty {
+                        self.flush_link(loc, dest, link);
+                    }
                     close_link(&mut self.poller, &mut self.tokens, link);
                 }
             }
         }
     }
 
-    fn fire_timers(&mut self) {
-        let now = Instant::now();
-        let vnow = self.now_v();
-        while self.timers.peek().map(|t| t.at <= now).unwrap_or(false) {
-            let t = self.timers.pop().expect("peeked");
-            let Some(mut host) = self.hosts.remove(&t.origin) else {
-                continue;
-            };
-            if host.epoch == t.epoch {
-                self.route(&mut host, t.dest, t.msg, vnow);
+    fn schedule(&mut self, at: Instant, due: TimerDue) {
+        self.timer_seq += 1;
+        let seq = self.timer_seq;
+        self.timers.push(Entry { at, seq, due });
+    }
+
+    /// Takes the waiting commands, then fires every due heap entry,
+    /// earliest first. Commands are taken again after each entry, so one
+    /// that arrives during a long step (a crash, say) is ordered before
+    /// what that step left in the inboxes.
+    fn fire_due(&mut self) {
+        loop {
+            while let Ok(cmd) = self.cmds.try_recv() {
+                self.handle_cmd(cmd);
             }
-            self.hosts.insert(t.origin, host);
+            if self.stop || self.timers.peek().is_none_or(|e| e.at > Instant::now()) {
+                return;
+            }
+            let now = self.now_v();
+            match self.timers.pop().expect("peeked").due {
+                TimerDue::Timer {
+                    origin,
+                    epoch,
+                    dest,
+                    msg,
+                } => {
+                    let Some(mut host) = self.hosts.remove(&origin) else {
+                        continue;
+                    };
+                    if host.epoch == epoch {
+                        self.route(&mut host, dest, msg, now);
+                    }
+                    self.hosts.insert(origin, host);
+                }
+                TimerDue::Deliver(loc, msg) => {
+                    if let Some(mut host) = self.hosts.remove(&loc) {
+                        self.run_step(&mut host, &msg, now);
+                        self.hosts.insert(loc, host);
+                    } else if let Some(tx) = self.ports.get(&loc) {
+                        let _ = tx.send(msg);
+                    }
+                }
+                TimerDue::Crash(loc) => self.drop_host(loc),
+                // Only locations that ever hosted a node can restart.
+                TimerDue::Restart(loc, process) => {
+                    if self.epochs.contains_key(&loc) {
+                        self.drop_host(loc);
+                        self.install(loc, process);
+                    }
+                }
+            }
         }
     }
 
@@ -487,7 +546,7 @@ impl Shard {
             return Duration::ZERO;
         }
         match self.timers.peek() {
-            Some(t) => t.at.saturating_duration_since(Instant::now()).min(TICK),
+            Some(e) => e.at.saturating_duration_since(Instant::now()).min(TICK),
             None => TICK,
         }
     }
@@ -615,7 +674,7 @@ impl Shard {
     }
 
     /// One delivered message: step the process, then send its outputs —
-    /// delayed ones to the timer heap, the rest by [`Shard::route`].
+    /// delayed ones to the shard's heap, the rest by [`Shard::route`].
     /// `now` is the batch's clock reading — computed once per readiness
     /// event, not per message.
     fn run_step(&mut self, host: &mut NodeHost, msg: &Msg, now: VTime) {
@@ -627,15 +686,13 @@ impl Shard {
         });
         for SendInstr { dest, delay, msg } in outs.drain(..) {
             if delay > Duration::ZERO {
-                self.timer_seq += 1;
-                self.timers.push(TimerDue {
-                    at: Instant::now() + delay,
-                    seq: self.timer_seq,
+                let timer = TimerDue::Timer {
                     origin: host.slf.index(),
                     epoch: host.epoch,
                     dest,
                     msg,
-                });
+                };
+                self.schedule(Instant::now() + delay, timer);
             } else {
                 self.route(host, dest, msg, now);
             }

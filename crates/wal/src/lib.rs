@@ -59,7 +59,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use shadowdb_eventml::codec::{decode_value, encode_value};
 use shadowdb_eventml::Value;
 use shadowdb_runtime::fault::mix64;
-use shadowdb_runtime::StorageMode;
+use shadowdb_runtime::{FileDisk, StorageMode};
 use std::collections::VecDeque;
 use std::io::Write;
 use std::os::unix::fs::FileExt;
@@ -163,6 +163,9 @@ struct DiskInner {
     /// A snapshot image is being written behind the commits (at most one
     /// is).
     imaging: bool,
+    /// A worker thread has exited — the disk is being dropped, or the
+    /// thread panicked and will never finish what it owes.
+    stopped: bool,
     /// A deferred disk's in-flight sync, waiting for the test.
     deferred: Option<Job>,
 }
@@ -240,6 +243,16 @@ impl Shared {
             if let Ok(f) = std::fs::File::open(&path) {
                 let _ = f.sync_all();
             }
+        }
+    }
+}
+
+/// The substrate waits for this before it removes the storage root.
+impl FileDisk for Shared {
+    fn settle(&self) {
+        let mut d = self.state.lock();
+        while (d.busy || d.imaging) && !d.stopped {
+            self.changed.wait(&mut d);
         }
     }
 }
@@ -376,9 +389,13 @@ impl Workers {
         let (jobs, job_rx) = mpsc::channel::<Job>();
         let (images, image_rx) = mpsc::channel::<Behind>();
         let spawn = |what: &str, body: Box<dyn FnOnce() + Send>| {
+            let exit = Exit(shared.clone());
             std::thread::Builder::new()
                 .name(format!("wal-{what}-{name}"))
-                .spawn(body)
+                .spawn(move || {
+                    let _exit = exit;
+                    body()
+                })
                 .expect("spawn wal worker")
         };
         let syncer = {
@@ -435,6 +452,18 @@ fn run_at_idle_priority() {
 #[cfg(not(target_os = "linux"))]
 fn run_at_idle_priority() {}
 
+/// Marks the disk's workers stopped when a worker thread exits, by a
+/// panic too, so [`FileDisk::settle`] stops waiting for work that will
+/// never complete.
+struct Exit(Arc<Shared>);
+
+impl Drop for Exit {
+    fn drop(&mut self) {
+        self.0.state.lock().stopped = true;
+        self.0.changed.notify_all();
+    }
+}
+
 impl Drop for Workers {
     fn drop(&mut self) {
         // The syncer exits first and drops the image writer's sender.
@@ -476,6 +505,7 @@ impl Disk {
                     .and_then(|raw| decode_snapshot_file(&raw));
                 let mut disk = Disk::new(Backend::File { dir }, synced, snapshot, Duration::ZERO);
                 disk.workers = Some(Arc::new(Workers::spawn(&disk.shared, name)));
+                StorageMode::register_disk(root, Arc::downgrade(&disk.shared) as _);
                 disk
             }
         }
@@ -498,6 +528,7 @@ impl Disk {
             syncs: 0,
             busy: false,
             imaging: false,
+            stopped: false,
             deferred: None,
         };
         Disk {
@@ -1226,6 +1257,34 @@ mod tests {
         disk.wipe();
         drop(disk);
         let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// A substrate settles its storage root before removing it: that
+    /// waits for a sync in flight, and stops waiting once the worker that
+    /// owed the work died. Here the image writer panics (the expected
+    /// `snapshot install` message on stderr) because the directory was
+    /// removed under it.
+    #[test]
+    fn settling_waits_for_work_in_flight_but_not_for_a_dead_worker() {
+        let root = std::env::temp_dir().join(format!("shadowdb-wal-settle-{}", std::process::id()));
+        let mode = StorageMode::File { root: root.clone() };
+        let disk = Disk::open(&mode, "r1", Duration::ZERO);
+        let mut wal = Wal::open(disk.clone());
+        wal.append(0, &rec(0));
+        wal.hand_off(|| {});
+        StorageMode::settle_disks(&root);
+        assert_eq!(disk.sync_count(), 1, "settled before the sync completed");
+
+        std::fs::remove_dir_all(&root).unwrap();
+        wal.append(1, &rec(1));
+        wal.hand_off_checkpoint(1, image("state@1"), || {});
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            StorageMode::settle_disks(&root);
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("settling returns once the image writer died");
     }
 
     #[test]
