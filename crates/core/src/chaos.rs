@@ -386,6 +386,9 @@ pub fn soak_sharded_smr<R: Runtime + ?Sized>(
 }
 
 /// Drives the runtime in small slices until its clock reaches `until`.
+/// How many times a soak promotes the joiner that replaced a primary.
+const PROMOTE_TRIES: usize = 4;
+
 fn drive_until<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions, until: VTime) {
     let slice = (opts.duration / 50).max(Duration::from_millis(1));
     while rt.now() < until {
@@ -600,9 +603,21 @@ fn soak<R: Runtime + ?Sized>(
             // The primary was replaced: the survivors elect the smallest
             // id among the caught-up, never the joiner. Prefer it, so the
             // group the other shards address is led from a location none
-            // of them was deployed with. Best effort — a crash racing the
-            // command may leave the preference unadopted.
-            handle.promote(rt, added, attempt);
+            // of them was deployed with. The preference only breaks a
+            // tie, and a joiner still a transaction behind when the
+            // command lands loses the election, so promote it again, a
+            // few times. Best effort — a crash racing the command may
+            // leave the preference unadopted.
+            for _ in 0..PROMOTE_TRIES {
+                if !handle.promote(rt, added, attempt)
+                    || handle.await_member(rt, added, attempt)
+                        && handle
+                            .query_config(rt, attempt)
+                            .is_some_and(|r| r.config.primary() == added)
+                {
+                    break;
+                }
+            }
         }
     }
     let answered = drive(rt, opts, &d.stats);

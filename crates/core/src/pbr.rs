@@ -158,6 +158,14 @@ pub struct PbrReplica {
     tob_in: InOrderBuffer,
     tob_msgid: i64,
     election: HashMap<Loc, i64>,
+    /// Election reports for a configuration not adopted yet, `(seq,
+    /// member, executed)`: a member whose broadcast delivery came first
+    /// may report before the command reaches this replica.
+    early_reports: Vec<(i64, Loc, i64)>,
+    /// Catch-up and snapshot chunks the new primary sent before this
+    /// replica's election finished. Until the last report is in, it cannot
+    /// tell which member that primary is, so it takes them only then.
+    early_state: Vec<Msg>,
     recovery_acks: BTreeSet<Loc>,
     /// Election tie-break preference installed by the last `Promote`
     /// command; cleared by every other configuration adoption.
@@ -225,6 +233,8 @@ impl PbrReplica {
             tob_in: InOrderBuffer::new(),
             tob_msgid: 0,
             election: HashMap::new(),
+            early_reports: Vec::new(),
+            early_state: Vec::new(),
             recovery_acks: BTreeSet::new(),
             promote_pref: None,
             join_sync: false,
@@ -978,6 +988,15 @@ impl PbrReplica {
 
     fn adopt_config(&mut self, ctx: &Ctx, config: ReplicaConfig, outs: &mut Vec<SendInstr>) {
         self.config = config;
+        let seq = self.config.seq;
+        let early: Vec<(Loc, i64)> = self
+            .early_reports
+            .iter()
+            .filter(|r| r.0 == seq && self.config.contains(r.1))
+            .map(|r| (r.1, r.2))
+            .collect();
+        self.early_reports.retain(|r| r.0 > seq);
+        self.early_state.clear();
         if self.core.has_wal() {
             let body = Value::pair(Value::Int(WREC_CONFIG), self.config.to_value());
             self.wal_index += 1;
@@ -1022,15 +1041,21 @@ impl PbrReplica {
                 ));
             }
         }
+        self.election.extend(early);
         self.maybe_elect(ctx, outs);
     }
 
     fn on_elect(&mut self, ctx: &Ctx, body: &Value, outs: &mut Vec<SendInstr>) {
         let (cfg, rest) = body.unpair();
+        let (from, executed) = rest.unpair();
+        if cfg.int() > self.config.seq {
+            self.early_reports
+                .push((cfg.int(), from.loc(), executed.int()));
+            return;
+        }
         if cfg.int() != self.config.seq || self.mode != Mode::Recovering {
             return;
         }
-        let (from, executed) = rest.unpair();
         self.election.insert(from.loc(), executed.int());
         self.maybe_elect(ctx, outs);
     }
@@ -1064,7 +1089,11 @@ impl PbrReplica {
         members.insert(0, primary);
         self.config.members = members;
         if primary != ctx.slf {
-            return; // wait for catch-up from the new primary
+            // Catch-up from the new primary, if it came first.
+            for m in std::mem::take(&mut self.early_state) {
+                self.on_state(ctx, &m, outs);
+            }
+            return;
         }
         // Step 5: bring the backups up to date.
         for b in self.config.backups().to_vec() {
@@ -1087,6 +1116,24 @@ impl PbrReplica {
         if self.options.read_leases {
             self.lease_wait_until =
                 ctx.now + self.options.lease_duration + self.options.lease_margin;
+        }
+    }
+
+    /// State from the new primary: catch-up or a snapshot chunk. It is
+    /// held while this replica's own election is still missing reports
+    /// (they are on their way from the other members): finishing recovery
+    /// before would acknowledge, and follow, whichever member the adopted
+    /// command happens to list first.
+    fn on_state(&mut self, ctx: &Ctx, msg: &Msg, outs: &mut Vec<SendInstr>) {
+        let electing = self.mode == Mode::Recovering
+            && !self.need_refetch
+            && self.election.len() < self.config.members.len();
+        if electing && msg.body.fst().and_then(Value::as_int) == Some(self.config.seq) {
+            self.early_state.push(msg.clone());
+        } else if msg.header == cached_header!(CATCHUP_HEADER) {
+            self.on_catchup(ctx, &msg.body, outs);
+        } else {
+            self.on_snapshot(ctx, &msg.body, outs);
         }
     }
 
@@ -1261,10 +1308,8 @@ impl Process for PbrReplica {
             self.on_heartbeat(ctx, &msg.body);
         } else if h == cached_header!(ELECT_HEADER) {
             self.on_elect(ctx, &msg.body, out);
-        } else if h == cached_header!(CATCHUP_HEADER) {
-            self.on_catchup(ctx, &msg.body, out);
-        } else if h == cached_header!(SNAPSHOT_HEADER) {
-            self.on_snapshot(ctx, &msg.body, out);
+        } else if h == cached_header!(CATCHUP_HEADER) || h == cached_header!(SNAPSHOT_HEADER) {
+            self.on_state(ctx, msg, out);
         } else if h == cached_header!(RECOVERY_ACK_HEADER) {
             self.on_recovery_ack(ctx, &msg.body);
         } else if h == cached_header!(REFETCH_HEADER) {

@@ -32,8 +32,7 @@ use shadowdb_eventml::process::HasherAdapter;
 use shadowdb_eventml::{Ctx, Msg, Process, SendInstr};
 use shadowdb_loe::{Loc, VTime};
 use std::hash::{Hash, Hasher};
-use std::path::{Path, PathBuf};
-use std::sync::{Mutex, PoisonError, Weak};
+use std::path::PathBuf;
 use std::time::Duration;
 
 pub mod completion;
@@ -79,42 +78,7 @@ impl StorageMode {
         let n = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         std::env::temp_dir().join(format!("shadowdb-{label}-{}-{n}", std::process::id()))
     }
-
-    /// Records a disk opened under `root`, for
-    /// [`StorageMode::settle_disks`]; the record dies with the disk.
-    pub fn register_disk(root: &Path, disk: Weak<dyn FileDisk>) {
-        let mut disks = FILE_DISKS.lock().unwrap_or_else(PoisonError::into_inner);
-        disks.retain(|(_, d)| d.strong_count() > 0);
-        disks.push((root.to_path_buf(), disk));
-    }
-
-    /// Waits until no disk still open under `root` has work in flight. A
-    /// substrate calls it before removing `root`, once nothing can hand
-    /// its disks new work: a disk the harness keeps may still be writing
-    /// there on its own threads.
-    pub fn settle_disks(root: &Path) {
-        let open: Vec<_> = FILE_DISKS
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .filter(|(r, _)| r == root)
-            .filter_map(|(_, d)| d.upgrade())
-            .collect();
-        for disk in open {
-            disk.settle();
-        }
-    }
 }
-
-/// A file-backed disk, as the substrate owning its storage root sees it:
-/// syncs and snapshot images may be in flight on the disk's own threads.
-pub trait FileDisk: Send + Sync {
-    /// Blocks until nothing is in flight.
-    fn settle(&self);
-}
-
-/// Every file-backed disk open in the process, with its storage root.
-static FILE_DISKS: Mutex<Vec<(PathBuf, Weak<dyn FileDisk>)>> = Mutex::new(Vec::new());
 
 /// A per-message CPU service-time model (simulated substrates only).
 ///

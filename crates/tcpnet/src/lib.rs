@@ -151,8 +151,8 @@ pub struct TcpNet {
     registry: Arc<Registry>,
     shards: Vec<ShardHandle>,
     shard_joins: Vec<JoinHandle<()>>,
-    /// Injections for locations not allocated yet, each handed to its
-    /// shard right after the location is added there.
+    /// Actions for locations not allocated yet, handed to the location's
+    /// shard right after it is added there.
     unborn: Mutex<HashMap<u32, Vec<(Instant, TimerDue)>>>,
     storage_root: std::path::PathBuf,
 }
@@ -174,15 +174,23 @@ impl TcpNet {
 
     /// Binds the next location's listener, on `peer`'s machine or a new
     /// one, and hands it to the owning shard in the command `cmd` makes —
-    /// followed by the injections held for the location until now.
+    /// followed by the actions held for the location until now.
     fn add(&self, peer: Option<Loc>, cmd: impl FnOnce(u32, TcpListener) -> ShardCmd) -> Loc {
         let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback listener");
         let addr = listener.local_addr().expect("listener address");
+        // Held across allocating and adding, so `schedule` sends nothing
+        // for the location before the shard hosts it.
+        let mut unborn = self.unborn.lock();
         let loc = self.registry.allocate(addr, peer);
         let shard = &self.shards[self.registry.shard_of(loc.index()).expect("allocated")];
         shard.send(cmd(loc.index(), listener));
-        for (at, due) in self.unborn.lock().remove(&loc.index()).unwrap_or_default() {
-            shard.send(ShardCmd::At { at, due });
+        let now = Instant::now();
+        for (at, due) in unborn.remove(&loc.index()).unwrap_or_default() {
+            // A crash or restart acts on the location it finds when due:
+            // one whose time passed before the location existed is void.
+            if matches!(due, TimerDue::Deliver(..)) || at > now {
+                shard.send(ShardCmd::At(at, due));
+            }
         }
         loc
     }
@@ -224,17 +232,17 @@ impl TcpNet {
     }
 
     /// Puts `due` on the heap of the shard that owns `loc`, at `at` on the
-    /// runtime clock (clamped to now if already past). An injection for a
+    /// runtime clock (clamped to now if already past). An action for a
     /// location not allocated yet waits in the handle until the location
-    /// is added; a crash or restart of one is a no-op.
+    /// is added; then an injection goes to its shard, and a crash or
+    /// restart only if it is not yet due — one due before the location
+    /// existed is a no-op.
     fn schedule(&self, at: VTime, loc: Loc, due: TimerDue) {
-        let at = Duration::from_micros(at.as_micros());
-        let at = (self.registry.start + at).max(Instant::now());
-        if let Some(shard) = self.registry.shard_of(loc.index()) {
-            self.shards[shard].send(ShardCmd::At { at, due });
-        } else if matches!(due, TimerDue::Deliver(..)) {
-            let mut unborn = self.unborn.lock();
-            unborn.entry(loc.index()).or_default().push((at, due));
+        let at = (self.registry.start + Duration::from_micros(at.as_micros())).max(Instant::now());
+        let mut unborn = self.unborn.lock();
+        match self.registry.shard_of(loc.index()) {
+            Some(shard) => self.shards[shard].send(ShardCmd::At(at, due)),
+            None => unborn.entry(loc.index()).or_default().push((at, due)),
         }
     }
 
@@ -322,7 +330,7 @@ impl TcpNet {
         // dropped every replica, so no new disk work starts; what is in
         // flight on a disk's own threads, which the deployment may keep
         // alive, finishes first.
-        StorageMode::settle_disks(&self.storage_root);
+        shadowdb_wal::settle_disks(&self.storage_root);
         let _ = std::fs::remove_dir_all(&self.storage_root);
     }
 }
@@ -938,6 +946,34 @@ mod tests {
             Value::Int(1)
         );
         assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
+        net.shutdown();
+    }
+
+    /// A crash scheduled before its location exists acts on the location
+    /// it finds when due: a nemesis arms the crash of a joiner before the
+    /// reconfiguration adds it, and the joiner must still go down.
+    #[test]
+    fn a_crash_scheduled_before_its_location_exists_hits_it_when_due() {
+        let mut net = TcpNet::new();
+        let (port, rx) = TcpNet::port(&mut net);
+        let next = Loc::new(net.node_count());
+        let t = net.now() + Duration::from_millis(300);
+        net.crash_at(t, next);
+        assert_eq!(net.add_node(echo_counter()), next);
+        net.send(next, Msg::new("ping", Value::Loc(port)));
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)).unwrap().body,
+            Value::Int(1),
+            "up until the crash is due"
+        );
+        while net.now() < t + Duration::from_millis(50) {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        net.send(next, Msg::new("ping", Value::Loc(port)));
+        assert!(
+            rx.recv_timeout(Duration::from_millis(300)).is_err(),
+            "the crash never reached the location"
+        );
         net.shutdown();
     }
 

@@ -63,6 +63,9 @@ const READ_BUDGET: usize = 256 * 1024;
 /// stepped per host per turn, so a self-send loop cannot starve the
 /// shard's sockets.
 const INBOX_BUDGET: usize = 256;
+/// Most heap entries fired per turn, so timers and injections that keep
+/// coming due cannot starve the shard's sockets and inboxes.
+const DUE_BUDGET: usize = 256;
 /// The loop's idle tick: pending links retry and heal within this bound,
 /// matching the threaded runtime's cadence.
 const TICK: Duration = Duration::from_millis(20);
@@ -87,13 +90,8 @@ pub enum ShardCmd {
         /// Where decoded messages land.
         tx: Sender<Msg>,
     },
-    /// Put `due` on the shard's heap for `at` (a driver's action).
-    At {
-        /// When it is due.
-        at: Instant,
-        /// What then happens.
-        due: TimerDue,
-    },
+    /// Put a driver's action on the shard's heap, due at the instant.
+    At(Instant, TimerDue),
     /// Deliver `msg` into `loc`'s inbox if incarnation `epoch` still runs
     /// there (a completion of work the process handed off).
     Complete {
@@ -365,7 +363,7 @@ impl Shard {
                 }
                 self.ports.insert(loc, tx);
             }
-            ShardCmd::At { at, due } => self.schedule(at, due),
+            ShardCmd::At(at, due) => self.schedule(at, due),
             ShardCmd::Complete { loc, epoch, msg } => {
                 if let Some(host) = self.hosts.get_mut(&loc) {
                     if host.epoch == epoch {
@@ -424,12 +422,27 @@ impl Shard {
         self.timers.push(Entry { at, seq, due });
     }
 
-    /// Takes the waiting commands, then fires every due heap entry,
-    /// earliest first. Commands are taken again after each entry, so one
-    /// that arrives during a long step (a crash, say) is ordered before
-    /// what that step left in the inboxes.
+    /// Runs `f` on the host at `loc`, taken out of the map meanwhile so
+    /// `f` may use the rest of the shard; `None` if no host runs there.
+    fn with_host<R>(
+        &mut self,
+        loc: u32,
+        f: impl FnOnce(&mut Self, &mut NodeHost) -> R,
+    ) -> Option<R> {
+        let mut host = self.hosts.remove(&loc)?;
+        let r = f(self, &mut host);
+        self.hosts.insert(loc, host);
+        Some(r)
+    }
+
+    /// Takes the waiting commands, then fires due heap entries, earliest
+    /// first, up to `DUE_BUDGET` of them. Commands are taken again after
+    /// each entry, and the clock read again, so one that arrives during a
+    /// long step (a crash, say) is ordered before what that step left in
+    /// the inboxes; the budget keeps timers armed meanwhile, and a driver
+    /// that keeps injecting, from holding the sockets and inboxes off.
     fn fire_due(&mut self) {
-        loop {
+        for _ in 0..DUE_BUDGET {
             while let Ok(cmd) = self.cmds.try_recv() {
                 self.handle_cmd(cmd);
             }
@@ -444,20 +457,20 @@ impl Shard {
                     dest,
                     msg,
                 } => {
-                    let Some(mut host) = self.hosts.remove(&origin) else {
-                        continue;
-                    };
-                    if host.epoch == epoch {
-                        self.route(&mut host, dest, msg, now);
-                    }
-                    self.hosts.insert(origin, host);
+                    self.with_host(origin, |s, host| {
+                        if host.epoch == epoch {
+                            s.route(host, dest, msg, now);
+                        }
+                    });
                 }
                 TimerDue::Deliver(loc, msg) => {
-                    if let Some(mut host) = self.hosts.remove(&loc) {
-                        self.run_step(&mut host, &msg, now);
-                        self.hosts.insert(loc, host);
-                    } else if let Some(tx) = self.ports.get(&loc) {
-                        let _ = tx.send(msg);
+                    if self
+                        .with_host(loc, |s, h| s.run_step(h, &msg, now))
+                        .is_none()
+                    {
+                        if let Some(tx) = self.ports.get(&loc) {
+                            let _ = tx.send(msg);
+                        }
                     }
                 }
                 TimerDue::Crash(loc) => self.drop_host(loc),
@@ -484,18 +497,14 @@ impl Shard {
         }
         let now = self.now_v();
         for loc in locs {
-            let Some(mut host) = self.hosts.remove(&loc) else {
-                continue;
-            };
-            let mut budget = INBOX_BUDGET;
-            while budget > 0 {
-                let Some(m) = host.inbox.pop_front() else {
-                    break;
-                };
-                self.run_step(&mut host, &m, now);
-                budget -= 1;
-            }
-            self.hosts.insert(loc, host);
+            self.with_host(loc, |s, host| {
+                for _ in 0..INBOX_BUDGET {
+                    let Some(m) = host.inbox.pop_front() else {
+                        break;
+                    };
+                    s.run_step(host, &m, now);
+                }
+            });
         }
     }
 
@@ -517,27 +526,25 @@ impl Shard {
         let now = self.now_v();
         let plan = self.fault_plan();
         for loc in locs {
-            let Some(mut host) = self.hosts.remove(&loc) else {
-                continue;
-            };
-            for (&d, peer) in host.peers.iter_mut() {
-                if !peer.pending()
-                    || plan
-                        .as_ref()
-                        .is_some_and(|p| p.cut(host.slf, Loc::new(d), now))
-                {
-                    continue;
-                }
-                match &mut peer.path {
-                    Path::Link(link) => self.flush_link(loc, d, link),
-                    Path::Mate(held) => {
-                        for msg in std::mem::take(held) {
-                            self.hand_off(d, msg);
+            self.with_host(loc, |s, host| {
+                for (&d, peer) in host.peers.iter_mut() {
+                    if !peer.pending()
+                        || plan
+                            .as_ref()
+                            .is_some_and(|p| p.cut(host.slf, Loc::new(d), now))
+                    {
+                        continue;
+                    }
+                    match &mut peer.path {
+                        Path::Link(link) => s.flush_link(loc, d, link),
+                        Path::Mate(held) => {
+                            for msg in std::mem::take(held) {
+                                s.hand_off(d, msg);
+                            }
                         }
                     }
                 }
-            }
-            self.hosts.insert(loc, host);
+            });
         }
     }
 
@@ -568,13 +575,7 @@ impl Shard {
 
     fn drain_wake(&mut self) {
         let mut buf = [0u8; 256];
-        loop {
-            match self.wake_rx.read(&mut buf) {
-                Ok(0) => return,
-                Ok(_) => {}
-                Err(_) => return,
-            }
-        }
+        while matches!(self.wake_rx.read(&mut buf), Ok(n) if n > 0) {}
     }
 
     fn accept_ready(&mut self, token: usize, loc: u32) {
@@ -847,19 +848,17 @@ impl Shard {
         let now = self.now_v();
         let plan = self.fault_plan();
         while let Some((origin, dest)) = self.dirty.pop() {
-            let Some(mut host) = self.hosts.remove(&origin) else {
-                continue;
-            };
-            if let Some(link) = host.link_mut(dest) {
-                link.dirty = false;
-                let cut = plan
-                    .as_ref()
-                    .is_some_and(|p| p.cut(Loc::new(origin), Loc::new(dest), now));
-                if !cut {
-                    self.flush_link(origin, dest, link);
+            self.with_host(origin, |s, host| {
+                if let Some(link) = host.link_mut(dest) {
+                    link.dirty = false;
+                    let cut = plan
+                        .as_ref()
+                        .is_some_and(|p| p.cut(Loc::new(origin), Loc::new(dest), now));
+                    if !cut {
+                        s.flush_link(origin, dest, link);
+                    }
                 }
-            }
-            self.hosts.insert(origin, host);
+            });
         }
     }
 
@@ -869,40 +868,19 @@ impl Shard {
     /// expect inbound data, so readable without hangup is probed — EOF
     /// and errors break the link, stray bytes are discarded.
     fn out_event(&mut self, origin: u32, dest: u32, ev: PollEvent) {
-        let Some(mut host) = self.hosts.remove(&origin) else {
-            return;
-        };
-        if let Some(link) = host.link_mut(dest) {
-            let mut broken = ev.hangup;
-            if !broken && ev.readable {
-                if let Some(conn) = link.conn.as_mut() {
-                    let mut probe = [0u8; 64];
-                    loop {
-                        match conn.read(&mut probe) {
-                            Ok(0) => {
-                                broken = true;
-                                break;
-                            }
-                            Ok(_) => {}
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                            Err(_) => {
-                                broken = true;
-                                break;
-                            }
-                        }
-                    }
+        self.with_host(origin, |s, host| {
+            if let Some(link) = host.link_mut(dest) {
+                let broken =
+                    ev.hangup || ev.readable && link.conn.as_mut().is_some_and(closed_by_peer);
+                if broken {
+                    // The reconnect happens on the next send or link tick,
+                    // honoring the seeded backoff.
+                    close_link(&mut s.poller, &mut s.tokens, link);
+                } else if ev.writable {
+                    s.flush_link(origin, dest, link);
                 }
             }
-            if broken {
-                // The reconnect happens on the next send or link tick,
-                // honoring the seeded backoff.
-                close_link(&mut self.poller, &mut self.tokens, link);
-            } else if ev.writable {
-                self.flush_link(origin, dest, link);
-            }
-        }
-        self.hosts.insert(origin, host);
+        });
     }
 
     /// Drives one link as far as the kernel allows: connect (respecting
@@ -966,6 +944,21 @@ impl Shard {
                     breaks += 1;
                 }
             }
+        }
+    }
+}
+
+/// Reads an outbound connection dry: EOF or an error means the peer closed
+/// it; stray bytes are discarded.
+fn closed_by_peer(conn: &mut TcpStream) -> bool {
+    let mut probe = [0u8; 64];
+    loop {
+        match conn.read(&mut probe) {
+            Ok(0) => return true,
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return false,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => return true,
         }
     }
 }

@@ -59,13 +59,13 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use shadowdb_eventml::codec::{decode_value, encode_value};
 use shadowdb_eventml::Value;
 use shadowdb_runtime::fault::mix64;
-use shadowdb_runtime::{FileDisk, StorageMode};
+use shadowdb_runtime::StorageMode;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -247,12 +247,24 @@ impl Shared {
     }
 }
 
-/// The substrate waits for this before it removes the storage root.
-impl FileDisk for Shared {
-    fn settle(&self) {
-        let mut d = self.state.lock();
+/// Every file-backed disk open in the process, with its storage root.
+static FILE_DISKS: Mutex<Vec<(PathBuf, Weak<Shared>)>> = Mutex::new(Vec::new());
+
+/// Waits until no disk still open under `root` has a sync or a snapshot
+/// image in flight, or until its worker died. A substrate calls it before
+/// removing `root`, once nothing can hand its disks new work: a disk the
+/// harness keeps may still be writing there on its own threads.
+pub fn settle_disks(root: &Path) {
+    let open: Vec<Arc<Shared>> = FILE_DISKS
+        .lock()
+        .iter()
+        .filter(|(r, _)| r == root)
+        .filter_map(|(_, d)| d.upgrade())
+        .collect();
+    for shared in open {
+        let mut d = shared.state.lock();
         while (d.busy || d.imaging) && !d.stopped {
-            self.changed.wait(&mut d);
+            shared.changed.wait(&mut d);
         }
     }
 }
@@ -453,7 +465,7 @@ fn run_at_idle_priority() {
 fn run_at_idle_priority() {}
 
 /// Marks the disk's workers stopped when a worker thread exits, by a
-/// panic too, so [`FileDisk::settle`] stops waiting for work that will
+/// panic too, so [`settle_disks`] stops waiting for work that will
 /// never complete.
 struct Exit(Arc<Shared>);
 
@@ -505,7 +517,9 @@ impl Disk {
                     .and_then(|raw| decode_snapshot_file(&raw));
                 let mut disk = Disk::new(Backend::File { dir }, synced, snapshot, Duration::ZERO);
                 disk.workers = Some(Arc::new(Workers::spawn(&disk.shared, name)));
-                StorageMode::register_disk(root, Arc::downgrade(&disk.shared) as _);
+                let mut disks = FILE_DISKS.lock();
+                disks.retain(|(_, d)| d.strong_count() > 0);
+                disks.push((root.clone(), Arc::downgrade(&disk.shared)));
                 disk
             }
         }
@@ -1272,7 +1286,7 @@ mod tests {
         let mut wal = Wal::open(disk.clone());
         wal.append(0, &rec(0));
         wal.hand_off(|| {});
-        StorageMode::settle_disks(&root);
+        settle_disks(&root);
         assert_eq!(disk.sync_count(), 1, "settled before the sync completed");
 
         std::fs::remove_dir_all(&root).unwrap();
@@ -1280,7 +1294,7 @@ mod tests {
         wal.hand_off_checkpoint(1, image("state@1"), || {});
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || {
-            StorageMode::settle_disks(&root);
+            settle_disks(&root);
             tx.send(()).unwrap();
         });
         rx.recv_timeout(Duration::from_secs(10))
