@@ -2,7 +2,7 @@
 
 use shadowdb_eventml::Msg;
 use shadowdb_loe::Loc;
-use shadowdb_simnet::CostModel;
+use shadowdb_runtime::CostModel;
 use shadowdb_tob::mode::ModeCost;
 use shadowdb_tob::{ExecutionMode, TobDeployment};
 use std::time::Duration;

@@ -18,9 +18,9 @@ use shadowdb::DbClientStats;
 use shadowdb_consensus::{decide_body, synod, DECIDE_HEADER};
 use shadowdb_eventml::{Ctx, Msg, Process, SendInstr, Value};
 use shadowdb_loe::{Loc, VTime};
-use shadowdb_runtime::Runtime;
+use shadowdb_runtime::{FnCost, Runtime};
 use shadowdb_simnet::testing::default_net;
-use shadowdb_simnet::{FnCost, NetworkConfig, SimBuilder};
+use shadowdb_simnet::{NetworkConfig, SimBuilder};
 use shadowdb_sqldb::{Database, EngineProfile};
 use shadowdb_tob::service::{service, Backend};
 use shadowdb_tob::{
@@ -46,9 +46,11 @@ pub struct TobLoad {
     /// Broadcasts per client.
     pub msgs_each: u64,
     /// Client retransmission timeout. It shows in the numbers: some
-    /// clients' first broadcast is delivered only by their resend
-    /// (ROADMAP item 1, open measurements), so it sets how far those
-    /// clients start behind the others.
+    /// clients' first broadcast is starved of a Synod slot — its batch
+    /// loses slot after slot to the other servers' proposals (ROADMAP
+    /// item 2) — and under a long load is delivered only after their
+    /// resend, so the timeout sets how far those clients start behind
+    /// the others.
     pub client_timeout: Duration,
     /// Whether client `c` prefers server `c mod machines` (spreading first
     /// attempts over the machines) or every client starts at server 0.

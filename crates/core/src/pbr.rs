@@ -312,7 +312,8 @@ impl PbrReplica {
 
     /// The recovery a [`PbrReplica::rebooted`] replica runs before
     /// handling its first message.
-    fn recover(&mut self, slf: Loc, tear: u64) {
+    fn recover(&mut self, ctx: &Ctx, tear: u64) {
+        let slf = ctx.slf;
         let (disk, rec) = self.core.recover(tear);
         let mut snap_at = 0;
         if let Some((idx, header)) = &rec.snapshot {
@@ -335,6 +336,13 @@ impl PbrReplica {
         self.mode = Mode::Recovering;
         self.join_sync = true;
         self.need_refetch = true;
+        // The broadcast service drops a `(source, msgid)` it has seen, so
+        // this incarnation must not count from 0 again. An incarnation
+        // proposes at most once per heartbeat tick, and not at its first
+        // step, so every msgid an earlier one used is below the clock (in
+        // µs) at which this one reads its disk. (The disk cannot bound
+        // them: the tail recording the last proposals may be what tore.)
+        self.tob_msgid = ctx.now.as_micros() as i64;
     }
 
     /// Replays one WAL record onto local state. Nothing is sent: 2PC
@@ -1262,7 +1270,7 @@ impl PbrReplica {
         }
         self.hb_armed = true;
         if let Some(tear) = self.reboot.take() {
-            self.recover(ctx.slf, tear);
+            self.recover(ctx, tear);
         }
         if !self.config.contains(ctx.slf) {
             self.mode = Mode::Idle; // a spare, until a configuration adds us

@@ -10,7 +10,8 @@ use shadowdb_eventml::bisim::{check_bisimilar, check_complies_with_loe};
 use shadowdb_eventml::codec::{decode_msg, decode_value, encode_msg, encode_value, encoded_len};
 use shadowdb_eventml::optimize::optimize;
 use shadowdb_eventml::{clk, ClassExpr, HandlerFn, InterpretedProcess, Msg, UpdateFn, Value};
-use shadowdb_loe::Loc;
+use shadowdb_loe::props::{check_clock_condition, check_strictly_increasing, Violation};
+use shadowdb_loe::{EventId, EventOrder, Loc};
 
 /// A pool of deterministic leaf functions the generator can pick from.
 /// Names identify behaviour, as the optimizer requires.
@@ -140,51 +141,174 @@ fn arb_value() -> BoxedStrategy<Value> {
     .boxed()
 }
 
-/// CLK end-to-end: running the compiled spec over a random multi-process
-/// schedule yields clocks satisfying Lamport's Clock Condition.
-#[test]
-fn clk_satisfies_clock_condition_on_random_runs() {
-    use shadowdb_eventml::{Ctx, Process};
-    use shadowdb_loe::{props::check_clock_condition, EventOrder, VTime};
+/// One step of a CLK schedule: an external input enters the network, or
+/// one of the messages in flight is delivered.
+#[derive(Clone, Debug)]
+enum Step {
+    /// A client message `<value, timestamp>` to a location (taken mod n).
+    Inject { loc: u32, ts: i64 },
+    /// Delivers the in-flight message at this index (taken mod the pool).
+    Deliver(usize),
+}
 
-    let n = 4u32;
+/// Runs the shipped CLK program, one process per location of a ring of
+/// `n`, through `schedule`, and returns the trace of receive events.
+///
+/// Every message a process sends must carry, as its timestamp, the clock
+/// `clk::clock_class()` denotes at the event that sent it: the program
+/// and its LoE reading agree along the whole run.
+fn run_clk(n: u32, schedule: &[Step]) -> EventOrder<Msg> {
+    use shadowdb_eventml::denote::denote;
+    use shadowdb_eventml::{Ctx, Process};
+    use shadowdb_loe::VTime;
+
     let spec = clk::clk_spec(clk::ring_handle(n));
-    // One process per location; drive a ring exchange plus random injections.
+    let clock = clk::clock_class();
     let mut procs: Vec<InterpretedProcess> = (0..n)
         .map(|_| InterpretedProcess::compile_spec(&spec))
         .collect();
     let mut eo: EventOrder<Msg> = EventOrder::new();
-    let mut now = 0u64;
-    // queue of (dest, msg, cause)
-    let mut queue = vec![
-        (Loc::new(0), clk::clk_msg(Value::Int(0), 0), None),
-        (Loc::new(2), clk::clk_msg(Value::Int(9), 0), None),
-    ];
-    let mut hops = 0;
-    while let Some((dest, msg, cause)) = queue.pop() {
-        if hops > 40 {
-            break;
-        }
-        hops += 1;
-        now += 1;
-        let sender = cause.map(|c: shadowdb_loe::EventId| eo.event(c).loc());
-        let e = eo.record(dest, VTime::from_micros(now), msg.clone(), cause, sender);
-        let outs =
-            procs[dest.index() as usize].step(&Ctx::new(dest, VTime::from_micros(now)), &msg);
+    // Messages in flight: (dest, msg, the event that sent it).
+    let mut pool: Vec<(Loc, Msg, Option<EventId>)> = Vec::new();
+    for step in schedule {
+        let (dest, msg, cause) = match *step {
+            Step::Inject { loc, ts } => {
+                let loc = Loc::new(loc % n);
+                pool.push((loc, clk::clk_msg(Value::Int(ts), ts), None));
+                continue;
+            }
+            Step::Deliver(_) if pool.is_empty() => continue,
+            Step::Deliver(i) => pool.remove(i % pool.len()),
+        };
+        let now = VTime::from_micros(eo.len() as u64 + 1);
+        let sender = cause.map(|c| eo.event(c).loc());
+        let e = eo.record(dest, now, msg.clone(), cause, sender);
+        let outs = procs[dest.index() as usize].step(&Ctx::new(dest, now), &msg);
+        let lc = denote(&clock, &eo, e).pop().map(|v| v.int());
         for o in outs {
-            queue.push((o.dest, o.msg, Some(e)));
+            assert_eq!(
+                clk::timestamp_of(&o.msg),
+                lc,
+                "send at {e} carries its clock"
+            );
+            pool.push((o.dest, o.msg, Some(e)));
         }
     }
-    assert!(eo.len() > 10, "the ring should keep forwarding");
-    let clock = clk::clock_class();
-    let mut checker = InterpretedProcess::compile(&clock);
-    let _ = &mut checker;
-    // Clock value at each event, via the denotational reading.
-    let violation = check_clock_condition(&eo, |eo, e| {
-        shadowdb_eventml::denote::denote(&clock, eo, e)
-            .into_iter()
-            .next()
-            .map(|v| v.int())
+    eo
+}
+
+/// Both CLK obligations of the paper — `progress` (`strict_inc`, Sec.
+/// II-C2) and Lamport's Clock Condition (Fig. 6) — on `trace`, for
+/// `class` read through `eventml::denote`.
+fn clk_obligations(
+    class: &ClassExpr,
+    trace: &EventOrder<Msg>,
+) -> (Option<Violation>, Option<Violation>) {
+    let observe = |eo: &EventOrder<Msg>, e| -> Vec<i64> {
+        shadowdb_eventml::denote::denote(class, eo, e)
+            .iter()
+            .map(Value::int)
+            .collect()
+    };
+    (
+        check_strictly_increasing(trace, observe),
+        check_clock_condition(trace, |eo, e| observe(eo, e).pop()),
+    )
+}
+
+/// A CLK state class over `msg'base` with the given update.
+fn clock_double(name: &'static str, update: fn(i64, i64) -> i64) -> ClassExpr {
+    let upd = UpdateFn::new(name, 8, move |_slf, input, clock| {
+        let ts = input.snd().and_then(Value::as_int).unwrap_or(0);
+        Value::Int(update(ts, clock.int()))
     });
-    assert_eq!(violation, None);
+    ClassExpr::base(clk::MSG_HEADER).state(Value::Int(0), upd)
+}
+
+fn arb_schedule() -> impl Strategy<Value = (u32, Vec<Step>)> {
+    // One step in five is an injection.
+    let step = (0u32..5, 0u32..8, 0i64..20, 0usize..16).prop_map(|(kind, loc, ts, i)| {
+        if kind == 0 {
+            Step::Inject { loc, ts }
+        } else {
+            Step::Deliver(i)
+        }
+    });
+    (
+        4u32..7,
+        (0u32..8, 0i64..20),
+        proptest::collection::vec(step, 10..60),
+    )
+        .prop_map(|(n, (loc, ts), rest)| {
+            let mut schedule = vec![Step::Inject { loc, ts }];
+            schedule.extend(rest);
+            (n, schedule)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// CLK end-to-end: the shipped program, run over a random schedule of
+    /// external inputs and delivery orders on four to six locations,
+    /// yields clocks — `clk::clock_class()` read through `eventml::denote`
+    /// — that strictly increase at every location and satisfy Lamport's
+    /// Clock Condition.
+    #[test]
+    fn clk_satisfies_progress_and_the_clock_condition_on_random_schedules(
+        (n, schedule) in arb_schedule()
+    ) {
+        let trace = run_clk(n, &schedule);
+        prop_assert!(!trace.is_empty());
+        prop_assert_eq!(clk_obligations(&clk::clock_class(), &trace), (None, None));
+    }
+}
+
+/// A "clock" that echoes the incoming timestamp can go backwards: a later
+/// input with an older timestamp fails progress, while the real clock
+/// passes both obligations on the same run.
+#[test]
+fn echoing_clock_fails_progress() {
+    let schedule = [
+        Step::Inject { loc: 0, ts: 10 },
+        Step::Inject { loc: 0, ts: 0 },
+        Step::Deliver(0),
+        Step::Deliver(0),
+    ];
+    let trace = run_clk(4, &schedule);
+    let (first, second) = (EventId::new(0), EventId::new(1));
+    let echo = clock_double("echo_ts", |ts, _clock| ts);
+    assert_eq!(
+        clk_obligations(&echo, &trace).0,
+        Some(Violation { first, second })
+    );
+    assert_eq!(clk_obligations(&clk::clock_class(), &trace), (None, None));
+}
+
+/// A clock that counts local events and ignores timestamps fails the
+/// Clock Condition: loc0 steps twice, its second send reaches loc1 first,
+/// and loc1's clock there (1) does not exceed loc0's first (1).
+#[test]
+fn counting_clock_fails_the_clock_condition() {
+    let schedule = [
+        Step::Inject { loc: 0, ts: 0 },
+        Step::Inject { loc: 0, ts: 0 },
+        Step::Deliver(0),
+        Step::Deliver(0),
+        Step::Deliver(1),
+    ];
+    let trace = run_clk(4, &schedule);
+    let (e0, e1, e2) = (EventId::new(0), EventId::new(1), EventId::new(2));
+    assert_eq!(trace.event(e2).cause(), Some(e1));
+    let counting = clock_double("count_events", |_ts, clock| clock + 1);
+    let (progress, condition) = clk_obligations(&counting, &trace);
+    assert_eq!(progress, None, "a counter does increase locally");
+    assert_eq!(
+        condition,
+        Some(Violation {
+            first: e0,
+            second: e2
+        })
+    );
+    assert_eq!(clk_obligations(&clk::clock_class(), &trace), (None, None));
 }

@@ -12,16 +12,14 @@
 //! * [`EventOrder`] — a concrete event ordering (a trace) recording, for each
 //!   event, its location, time, message, and the event that caused it;
 //! * [`causal`] — Lamport's happens-before and LoE's causal-order relations;
-//! * [`classes`] — denotational semantics of the EventML combinators as
-//!   functions over traces;
-//! * [`props`] — reusable property checkers (progress, clock condition).
+//! * [`props`] — reusable property checkers (progress, clock condition),
+//!   each over an observer closure that reads a value off an event.
 //!
-//! The denotational semantics in [`classes`] is deliberately *independent* of
-//! the executable process implementation in the `shadowdb-eventml` crate.
-//! Where the paper proves in Nuprl that the generated GPM program implements
-//! the LoE specification, we check trace-by-trace that the two produce the
-//! same observations (see the `gpm_complies_with_loe` tests in
-//! `shadowdb-eventml`).
+//! The meaning of an event class over a trace is given once, by
+//! `shadowdb_eventml::denote`; the generated programs are checked
+//! trace-by-trace against it (`gpm_complies_with_loe` in
+//! `shadowdb-eventml`), and the checkers here take that reading as their
+//! observer.
 //!
 //! # Example
 //!
@@ -38,7 +36,6 @@
 //! ```
 
 pub mod causal;
-pub mod classes;
 pub mod event;
 pub mod ids;
 pub mod props;

@@ -371,4 +371,23 @@ mod tests {
             Duration::ZERO
         );
     }
+
+    #[test]
+    fn fn_cost_dispatches_on_header() {
+        let model = FnCost(|_d: Loc, m: &Msg| {
+            if m.header.name() == "slow" {
+                Duration::from_millis(5)
+            } else {
+                Duration::from_micros(10)
+            }
+        });
+        assert_eq!(
+            model.handle_cost(Loc::new(0), &Msg::new("slow", Value::Unit)),
+            Duration::from_millis(5)
+        );
+        assert_eq!(
+            model.handle_cost(Loc::new(0), &Msg::new("fast", Value::Unit)),
+            Duration::from_micros(10)
+        );
+    }
 }

@@ -49,11 +49,9 @@
 //! assert_eq!(pongs.load(std::sync::atomic::Ordering::Relaxed), 1);
 //! ```
 
-pub mod cost;
 pub mod net;
 pub mod sim;
 pub mod testing;
 
-pub use cost::{CostModel, FnCost, ZeroCost};
-pub use net::{FaultPlan, FaultRule, Latency, LinkFault, LinkSel, LinkVerdict, NetworkConfig};
+pub use net::{Latency, NetworkConfig};
 pub use sim::{SimBuilder, SimStats, Simulation};

@@ -15,7 +15,7 @@ use rand::Rng;
 use shadowdb_loe::{Loc, VTime};
 use std::time::Duration;
 
-pub use shadowdb_runtime::fault::{FaultPlan, FaultRule, LinkFault, LinkSel, LinkVerdict};
+use shadowdb_runtime::fault::{FaultPlan, LinkFault, LinkSel};
 
 /// A point-to-point latency model.
 #[derive(Clone, Debug)]

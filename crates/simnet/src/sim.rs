@@ -1,11 +1,12 @@
 //! The discrete-event simulation engine.
 
-use crate::cost::{CostModel, ZeroCost};
-use crate::net::{FaultPlan, LinkVerdict, NetworkConfig};
+use crate::net::NetworkConfig;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use shadowdb_eventml::{Ctx, Msg, Process};
 use shadowdb_loe::{EventId, EventOrder, Loc, VTime};
+use shadowdb_runtime::fault::{FaultPlan, LinkVerdict};
+use shadowdb_runtime::{CostModel, ZeroCost};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::time::Duration;
@@ -208,7 +209,7 @@ impl Simulation {
     }
 
     /// Replaces the CPU cost model (e.g. once service locations are known).
-    pub fn set_cost_model(&mut self, cost: impl crate::cost::CostModel + 'static) {
+    pub fn set_cost_model(&mut self, cost: impl CostModel + 'static) {
         self.cost = Box::new(cost);
     }
 
@@ -679,7 +680,7 @@ mod tests {
             vec![]
         });
         let mut sim = SimBuilder::new(1)
-            .cost_model(crate::cost::FnCost(|_l: Loc, _m: &Msg| {
+            .cost_model(shadowdb_runtime::FnCost(|_l: Loc, _m: &Msg| {
                 Duration::from_millis(10)
             }))
             .build();
@@ -779,7 +780,7 @@ mod tests {
 
     #[test]
     fn fault_plan_duplicates_deliveries() {
-        use crate::net::{LinkFault, LinkSel};
+        use shadowdb_runtime::fault::{LinkFault, LinkSel};
         let seen = Arc::new(AtomicU64::new(0));
         let s2 = seen.clone();
         let recv = FnProcess::new((), move |_s, _ctx: &Ctx, _m: &Msg| {
@@ -813,7 +814,7 @@ mod tests {
 
     #[test]
     fn fault_plan_reorder_window_breaks_fifo() {
-        use crate::net::{LinkFault, LinkSel};
+        use shadowdb_runtime::fault::{LinkFault, LinkSel};
         let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
         let s2 = seen.clone();
         let recv = FnProcess::new((), move |_s, _ctx: &Ctx, m: &Msg| {

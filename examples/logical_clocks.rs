@@ -5,15 +5,16 @@
 //! 2. compilation to a runnable GPM program;
 //! 3. the program optimizer, with the bisimulation check of Fig. 7;
 //! 4. compliance of the runnable program with the LoE semantics;
-//! 5. an actual distributed run in the simulator, checked against
-//!    Lamport's Clock Condition (Fig. 6).
+//! 5. an actual distributed run in the simulator, checked against the
+//!    spec's `progress` property (`strict_inc`) and Lamport's Clock
+//!    Condition (Fig. 6).
 //!
 //! Run with: `cargo run --release --example logical_clocks`
 
 use shadowdb_eventml::bisim::{check_bisimilar, check_complies_with_loe};
 use shadowdb_eventml::optimize::optimize;
 use shadowdb_eventml::{clk, InterpretedProcess, Value};
-use shadowdb_loe::props::check_clock_condition;
+use shadowdb_loe::props::{check_clock_condition, check_strictly_increasing};
 use shadowdb_loe::{Loc, VTime};
 use shadowdb_simnet::{NetworkConfig, SimBuilder};
 
@@ -70,22 +71,22 @@ fn main() {
 
     // Clock values via the denotational (LoE) reading of the Clock class.
     let clock = clk::clock_class();
-    let violation = check_clock_condition(trace, |eo, e| {
+    let clocks = |eo: &_, e| -> Vec<i64> {
         shadowdb_eventml::denote::denote(&clock, eo, e)
-            .into_iter()
-            .next()
-            .map(|v| v.int())
-    });
+            .iter()
+            .map(Value::int)
+            .collect()
+    };
+    let violation = check_strictly_increasing(trace, clocks);
+    assert_eq!(violation, None, "CLK's progress property must hold");
+    println!("progress (clocks strictly increase at every location): ok on the whole trace");
+    let violation = check_clock_condition(trace, |eo, e| clocks(eo, e).pop());
     assert_eq!(violation, None, "Lamport's Clock Condition must hold");
     println!("clock condition (e1 -> e2 ==> LC(e1) < LC(e2)): ok on the whole trace");
 
     // Show the first few events with their clocks.
     for event in trace.iter().take(8) {
-        let lc = shadowdb_eventml::denote::denote(&clock, trace, event.id())
-            .into_iter()
-            .next()
-            .map(|v| v.int())
-            .unwrap_or(-1);
+        let lc = clocks(trace, event.id()).pop().unwrap_or(-1);
         println!(
             "  {:>4} at {} t={} LC={}",
             event.id().to_string(),

@@ -1,15 +1,18 @@
 //! Primary failover over real TCP sockets.
 //!
 //! The same `PbrDeployment` graph the simulator example (`bank_failover`)
-//! builds deploys here onto `shadowdb-tcpnet`: every replica and service
-//! process runs on its own operating-system thread behind a loopback
-//! `TcpListener`, and every message between them — client requests,
+//! builds deploys here onto `shadowdb-tcpnet`: every replica and client
+//! is a machine of its own behind a loopback `TcpListener`, and the
+//! broadcast service's server and consensus roles share one machine per
+//! server. The machines run on a few executor threads (one per shard,
+//! thread-per-core). Every message between machines — client requests,
 //! broadcasts, heartbeats, answers — crosses a kernel socket as
-//! length-prefixed codec frames.
-//! Mid-run the primary is crashed (its thread dropped, its connections
-//! severed); the verified recovery — suspicion, totally ordered
-//! configuration change, election, state transfer, resumption — plays
-//! out over the sockets, and every submitted transaction is still
+//! length-prefixed codec frames; a message between the roles of one
+//! broadcast machine is handed over in memory.
+//! Mid-run the primary is crashed (its process removed from its shard,
+//! its connections severed); the verified recovery — suspicion, totally
+//! ordered configuration change, election, state transfer, resumption —
+//! plays out over the sockets, and every submitted transaction is still
 //! answered exactly once.
 //!
 //! Run with: `cargo run --release --example tcp_bank_failover`
@@ -51,8 +54,8 @@ fn main() {
         deployment.replicas[0], deployment.replicas[1], deployment.replicas[2]
     );
 
-    // Let transactions flow, then kill the primary's process: its thread
-    // is dropped and its TCP connections die with it.
+    // Let transactions flow, then kill the primary's process: its shard
+    // drops it, and its TCP connections die with it.
     let t0 = Instant::now();
     while deployment.committed() < 20 {
         assert!(
