@@ -856,13 +856,12 @@ impl ReconfigHandle {
     }
 
     /// CAS-broadcasts `Promote` until the configuration sequence
-    /// advances, installing `loc` as the election's tie-break preference.
-    /// The highest-executed member still wins outright — a
-    /// promoted-but-behind replica must not cost committed transactions —
-    /// so the new primary is `loc` only if it is fully caught up. Under
-    /// SMR this is a no-op (there is no primary). Returns whether the
-    /// command was adopted before `deadline` (`false` at once if `loc` is
-    /// not a member: nothing to promote).
+    /// advances: the election that follows makes `loc` primary, once the
+    /// member with the highest report has brought it up to date, so no
+    /// acknowledged transaction is lost. Under SMR this is a no-op (there
+    /// is no primary). Returns whether the command was adopted before
+    /// `deadline` (`false` at once if `loc` is not a member: nothing to
+    /// promote).
     pub fn promote<R: Runtime + ?Sized>(
         &mut self,
         rt: &mut R,

@@ -22,12 +22,12 @@ pub const REPLY_HEADER: &str = "sdb/reply";
 pub const HEARTBEAT_HEADER: &str = "sdb/hb";
 /// A replica's periodic self-check timer: body `<config>`.
 pub const HB_TIMER_HEADER: &str = "sdb/hbtimer";
-/// Election message during recovery: body `<config, <from, executed>>`.
-pub const ELECT_HEADER: &str = "sdb/elect";
-/// Missing-transaction catch-up: body `<config, <start_index, [txn entries]>>`.
+/// Missing-transaction catch-up: body `<config, <elected_at, <start_index,
+/// [txn entries]>>>`; `elected_at` is the TOB seq that completed the
+/// sender's election (-1: none ran).
 pub const CATCHUP_HEADER: &str = "sdb/catchup";
-/// Snapshot chunk during state transfer: body `<config, chunk>`, where
-/// `chunk` is the replica core's transfer format
+/// Snapshot chunk during state transfer: body `<config, <elected_at,
+/// chunk>>`, where `chunk` is the replica core's transfer format
 /// (`<chunk_index, <<total_chunks, executed>, data>>`, the first chunk's
 /// `data` carrying the state image's head alongside its rows).
 pub const SNAPSHOT_HEADER: &str = "sdb/snapshot";
@@ -147,10 +147,10 @@ pub enum ConfigCommand {
         /// Successor membership, excluding `loc`.
         members: Vec<Loc>,
     },
-    /// Re-run primary election with `loc` preferred on ties; the highest
-    /// executed-txn replica still wins outright (Sec. III-A).
+    /// Re-run the election with `loc` as its winner. A member that
+    /// reported more executed transactions first brings `loc` up to date.
     Promote {
-        /// The tie-break preference.
+        /// The member to elect.
         loc: Loc,
         /// The (unchanged) membership.
         members: Vec<Loc>,
@@ -198,7 +198,7 @@ impl ConfigCommand {
         }
     }
 
-    /// The election tie-break preference this command installs, if any.
+    /// The member this command elects, if it names one.
     pub fn preferred(&self) -> Option<Loc> {
         match self {
             ConfigCommand::Promote { loc, .. } => Some(*loc),

@@ -18,11 +18,17 @@
 //! 2. it broadcasts a new-configuration proposal tagged with the current
 //!    configuration's sequence number;
 //! 3. replicas adopt only the **first** delivered proposal per
-//!    configuration, then exchange `(g+1, seq_r)` election messages;
-//! 4. the member with the largest executed-transaction sequence number
-//!    (ties → smallest identifier) becomes primary;
-//! 5. the new primary sends missing transactions from its cache, or a full
-//!    snapshot in ~50 KB batches when the cache does not reach far enough;
+//!    configuration, then broadcast `(g+1, member, seq_r)` election reports
+//!    through the same service (a proposal or report is re-sent every
+//!    heartbeat until the stream delivers it);
+//! 4. the report completing the set elects the `Promote` target, if any,
+//!    else the largest executed-transaction sequence number (ties →
+//!    smallest identifier) — at the same delivery at every member;
+//! 5. the new primary — first brought up by the highest report's member,
+//!    if it is a `Promote` target behind it — sends missing transactions
+//!    from its cache, or a full snapshot in ~50 KB batches when the cache
+//!    does not reach far enough, stamped with the stream seq its election
+//!    completed at (a member holds them until it has delivered that seq);
 //! 6. backups acknowledge;
 //! 7. the primary resumes — immediately after the *first* acknowledgment
 //!    when overlapped state transfer is enabled (possible with ≥3
@@ -30,7 +36,7 @@
 
 use crate::msgs::{
     config_reply_msg, reply_msg, stale_config_msg, ConfigCommand, ReplicaConfig, TxnEnvelope,
-    ACK_HEADER, CATCHUP_HEADER, CONFIG_QUERY_HEADER, ELECT_HEADER, FORWARD_HEADER, HB_TIMER_HEADER,
+    ACK_HEADER, CATCHUP_HEADER, CONFIG_QUERY_HEADER, FORWARD_HEADER, HB_TIMER_HEADER,
     HEARTBEAT_HEADER, RECOVERY_ACK_HEADER, REFETCH_HEADER, SNAPSHOT_HEADER, STALE_CONFIG_HEADER,
     SUBMIT_HEADER, SYNCED_HEADER, SYNC_HEADER,
 };
@@ -157,18 +163,20 @@ pub struct PbrReplica {
     /// Reconfiguration machinery.
     tob_in: InOrderBuffer,
     tob_msgid: i64,
-    election: HashMap<Loc, i64>,
-    /// Election reports for a configuration not adopted yet, `(seq,
-    /// member, executed)`: a member whose broadcast delivery came first
-    /// may report before the command reaches this replica.
-    early_reports: Vec<(i64, Loc, i64)>,
-    /// Catch-up and snapshot chunks the new primary sent before this
-    /// replica's election finished. Until the last report is in, it cannot
-    /// tell which member that primary is, so it takes them only then.
-    early_state: Vec<Msg>,
+    /// This replica's configuration broadcast (a proposal or a report)
+    /// the stream has not delivered yet: its msgid, and the send.
+    unordered: Option<(i64, SendInstr)>,
+    /// The reports the stream has delivered for the current configuration.
+    election: BTreeMap<Loc, i64>,
+    /// The stream seq whose delivery completed the current
+    /// configuration's election (-1: none has run).
+    elected_at: i64,
+    /// Catch-up and snapshot chunks stamped with an election seq this
+    /// replica's stream has not delivered yet.
+    held: Vec<Msg>,
     recovery_acks: BTreeSet<Loc>,
-    /// Election tie-break preference installed by the last `Promote`
-    /// command; cleared by every other configuration adoption.
+    /// The member the last `Promote` command elects; cleared by every
+    /// other configuration adoption.
     promote_pref: Option<Loc>,
     /// A joiner created mid-run awaits its first `tob/subok` to anchor
     /// `tob_in` at the broadcast seq its dynamic subscription starts at.
@@ -232,9 +240,10 @@ impl PbrReplica {
             hb_armed: false,
             tob_in: InOrderBuffer::new(),
             tob_msgid: 0,
-            election: HashMap::new(),
-            early_reports: Vec::new(),
-            early_state: Vec::new(),
+            unordered: None,
+            election: BTreeMap::new(),
+            elected_at: -1,
+            held: Vec::new(),
             recovery_acks: BTreeSet::new(),
             promote_pref: None,
             join_sync: false,
@@ -789,6 +798,8 @@ impl PbrReplica {
                 ));
             }
         }
+        // A configuration broadcast the stream has not delivered: again.
+        outs.extend(self.unordered.as_ref().map(|u| u.1.clone()));
         if self.need_refetch && self.mode == Mode::Recovering {
             self.send_refetch(ctx, outs);
         }
@@ -870,9 +881,11 @@ impl PbrReplica {
     /// replay the missing transactions from the cache when it reaches
     /// back far enough (an already-caught-up requester gets an empty
     /// catch-up — a no-op transfer that still completes the handshake),
-    /// else stream the full state image in ~50 KB chunks.
+    /// else stream the full state image in ~50 KB chunks. Each message is
+    /// `<config, <elected_at, ...>>`: see [`PbrReplica::on_state`].
     fn send_state(&mut self, to: Loc, behind: i64, outs: &mut Vec<SendInstr>) {
         let seq = Value::Int(self.config.seq);
+        let at = Value::Int(self.elected_at);
         if behind >= self.log_start {
             let missing: Vec<Value> = self
                 .log
@@ -884,7 +897,8 @@ impl PbrReplica {
                 to,
                 kind: TransferKind::Catchup,
             });
-            let body = Value::pair(seq, Value::pair(Value::Int(behind), Value::list(missing)));
+            let missing = Value::pair(Value::Int(behind), Value::list(missing));
+            let body = Value::pair(seq, Value::pair(at, missing));
             outs.push(SendInstr::now(to, Msg::new(CATCHUP_HEADER, body)));
         } else {
             self.core.note(Event::Transfer {
@@ -899,7 +913,8 @@ impl PbrReplica {
                 .core
                 .snapshot_chunks(self.core.executed(), self.config.to_value());
             outs.extend(chunks.into_iter().map(|c| {
-                SendInstr::now(to, Msg::new(SNAPSHOT_HEADER, Value::pair(seq.clone(), c)))
+                let body = Value::pair(seq.clone(), Value::pair(at.clone(), c));
+                SendInstr::now(to, Msg::new(SNAPSHOT_HEADER, body))
             }));
         }
     }
@@ -929,26 +944,49 @@ impl PbrReplica {
             }
         }
         let proposal = ConfigCommand::NewConfig { members }.to_payload(self.config.seq);
-        let msgid = self.tob_msgid;
+        self.broadcast(ctx.slf, proposal, outs);
+    }
+
+    /// Broadcasts `payload` through the TOB as this replica's one
+    /// unordered configuration broadcast, replacing any earlier one. The
+    /// heartbeat timer re-sends it until the stream delivers it; the
+    /// service drops the copies it has already seen.
+    fn broadcast(&mut self, slf: Loc, payload: Value, outs: &mut Vec<SendInstr>) {
+        let server = self.tob_servers[(slf.index() as usize) % self.tob_servers.len()];
+        let send = SendInstr::now(server, broadcast_msg(slf, self.tob_msgid, payload));
+        outs.push(send.clone());
+        self.unordered = Some((self.tob_msgid, send));
         self.tob_msgid += 1;
-        let server = self.tob_servers[(ctx.slf.index() as usize) % self.tob_servers.len()];
-        outs.push(SendInstr::now(
-            server,
-            broadcast_msg(ctx.slf, msgid, proposal),
-        ));
     }
 
     // -- recovery ------------------------------------------------------------
 
-    /// Step 3: a totally ordered configuration command arrives.
-    fn on_tob_deliver(&mut self, ctx: &Ctx, msg: &Msg, outs: &mut Vec<SendInstr>) {
-        let Some(d) = parse_deliver(msg) else { return };
-        for d in self.tob_in.offer(d) {
-            self.on_config_delivery(ctx, &d, outs);
+    /// Steps 3–4: deliveries from the TOB (a `tob/deliver`, or those a
+    /// late subscription held back), handled in stream order; then the
+    /// held state they may have caught up with.
+    fn offer(
+        &mut self,
+        ctx: &Ctx,
+        ds: impl IntoIterator<Item = Delivery>,
+        outs: &mut Vec<SendInstr>,
+    ) {
+        for d in ds {
+            for d in self.tob_in.offer(d) {
+                self.on_config_delivery(ctx, &d, outs);
+            }
+        }
+        for m in std::mem::take(&mut self.held) {
+            self.on_state(ctx, &m, outs);
         }
     }
 
     fn on_config_delivery(&mut self, ctx: &Ctx, d: &Delivery, outs: &mut Vec<SendInstr>) {
+        if d.client == ctx.slf && self.unordered.as_ref().is_some_and(|u| u.0 == d.msgid) {
+            self.unordered = None;
+        }
+        if let Some(report) = parse_report(&d.payload) {
+            return self.on_report(ctx, d.seq, report, outs);
+        }
         let Some((old_seq, cmd)) = ConfigCommand::parse(&d.payload) else {
             return;
         };
@@ -987,24 +1025,11 @@ impl PbrReplica {
         }
         self.join_sync = false;
         let old = std::mem::replace(&mut self.tob_in, InOrderBuffer::starting_at(seq));
-        for d in old.into_pending() {
-            for d in self.tob_in.offer(d) {
-                self.on_config_delivery(ctx, &d, outs);
-            }
-        }
+        self.offer(ctx, old.into_pending(), outs);
     }
 
     fn adopt_config(&mut self, ctx: &Ctx, config: ReplicaConfig, outs: &mut Vec<SendInstr>) {
         self.config = config;
-        let seq = self.config.seq;
-        let early: Vec<(Loc, i64)> = self
-            .early_reports
-            .iter()
-            .filter(|r| r.0 == seq && self.config.contains(r.1))
-            .map(|r| (r.1, r.2))
-            .collect();
-        self.early_reports.retain(|r| r.0 > seq);
-        self.early_state.clear();
         if self.core.has_wal() {
             let body = Value::pair(Value::Int(WREC_CONFIG), self.config.to_value());
             self.wal_index += 1;
@@ -1032,80 +1057,57 @@ impl PbrReplica {
             return;
         }
         self.mode = Mode::Recovering;
-        // Step 3 (election): send (g+1, seq_r) to all members.
-        for m in &self.config.members {
-            if *m == ctx.slf {
-                self.election.insert(ctx.slf, self.core.executed());
-            } else {
-                outs.push(SendInstr::now(
-                    *m,
-                    Msg::new(
-                        ELECT_HEADER,
-                        Value::pair(
-                            Value::Int(self.config.seq),
-                            Value::pair(Value::Loc(ctx.slf), Value::Int(self.core.executed())),
-                        ),
-                    ),
-                ));
-            }
-        }
-        self.election.extend(early);
-        self.maybe_elect(ctx, outs);
+        // Step 3 (election): report through the stream, behind the command.
+        let report = report_payload(self.config.seq, ctx.slf, self.core.executed());
+        self.broadcast(ctx.slf, report, outs);
     }
 
-    fn on_elect(&mut self, ctx: &Ctx, body: &Value, outs: &mut Vec<SendInstr>) {
-        let (cfg, rest) = body.unpair();
-        let (from, executed) = rest.unpair();
-        if cfg.int() > self.config.seq {
-            self.early_reports
-                .push((cfg.int(), from.loc(), executed.int()));
+    /// Step 4: a member's report, delivered at stream seq `at` (ignored
+    /// unless it is for the current configuration). Every member counts
+    /// the same reports in stream order, so the one completing the set
+    /// elects the same primary everywhere.
+    fn on_report(&mut self, ctx: &Ctx, at: i64, r: (i64, Loc, i64), outs: &mut Vec<SendInstr>) {
+        let (seq, member, executed) = r;
+        if seq != self.config.seq || !self.config.contains(member) {
             return;
         }
-        if cfg.int() != self.config.seq || self.mode != Mode::Recovering {
-            return;
-        }
-        self.election.insert(from.loc(), executed.int());
-        self.maybe_elect(ctx, outs);
-    }
-
-    /// Step 4: once every member reported, the one with the largest
-    /// executed sequence number (ties → the `Promote` preference, then
-    /// smallest id) is primary. The preference only breaks ties: a
-    /// promoted-but-behind replica must not win, or committed transactions
-    /// it never executed would be lost.
-    fn maybe_elect(&mut self, ctx: &Ctx, outs: &mut Vec<SendInstr>) {
+        self.election.insert(member, executed);
         if self.election.len() < self.config.members.len() {
             return;
         }
-        let pref = self.promote_pref;
-        let primary = self
-            .config
-            .members
+        self.elected_at = at;
+        // The highest report (ties → smallest id) has executed every
+        // acknowledged transaction.
+        let (&highest, &top) = self
+            .election
             .iter()
-            .copied()
-            .max_by_key(|m| {
-                (
-                    self.election[m],
-                    Some(*m) == pref,
-                    std::cmp::Reverse(m.index()),
-                )
-            })
-            .expect("non-empty membership");
+            .max_by_key(|(m, e)| (**e, std::cmp::Reverse(**m)))
+            .expect("every member reported");
+        let promoted = self.promote_pref.filter(|p| self.config.contains(*p));
+        let primary = promoted.unwrap_or(highest);
         // Reorder the configuration so members[0] is the primary.
-        let mut members = self.config.members.clone();
-        members.retain(|m| *m != primary);
-        members.insert(0, primary);
-        self.config.members = members;
-        if primary != ctx.slf {
-            // Catch-up from the new primary, if it came first.
-            for m in std::mem::take(&mut self.early_state) {
-                self.on_state(ctx, &m, outs);
-            }
-            return;
+        self.config.members.retain(|m| *m != primary);
+        self.config.members.insert(0, primary);
+        if self.mode != Mode::Recovering {
+            return; // stopped: a proposal for the next configuration is out
         }
-        // Step 5: bring the backups up to date.
+        let behind = self.election[&primary];
+        if primary == ctx.slf && behind == top {
+            self.lead(ctx, outs);
+        } else if highest == ctx.slf && behind < top {
+            // The `Promote` target is behind: bring it up before it leads,
+            // or acknowledged transactions it never executed would be lost.
+            self.send_state(primary, behind, outs);
+        }
+    }
+
+    /// Step 5: the elected primary, holding every acknowledged
+    /// transaction, brings the backups up to date.
+    fn lead(&mut self, ctx: &Ctx, outs: &mut Vec<SendInstr>) {
         for b in self.config.backups().to_vec() {
-            self.send_state(b, self.election[&b], outs);
+            if let Some(&behind) = self.election.get(&b) {
+                self.send_state(b, behind, outs);
+            }
         }
         if self.config.backups().is_empty() {
             self.enter_normal_as_primary(ctx);
@@ -1127,30 +1129,25 @@ impl PbrReplica {
         }
     }
 
-    /// State from the new primary: catch-up or a snapshot chunk. It is
-    /// held while this replica's own election is still missing reports
-    /// (they are on their way from the other members): finishing recovery
-    /// before would acknowledge, and follow, whichever member the adopted
-    /// command happens to list first.
+    /// Catch-up or a snapshot chunk, held until this replica's stream has
+    /// delivered the seq its sender's election completed at: it has then
+    /// elected the same primary. A refetch answer (no election) is not.
     fn on_state(&mut self, ctx: &Ctx, msg: &Msg, outs: &mut Vec<SendInstr>) {
-        let electing = self.mode == Mode::Recovering
-            && !self.need_refetch
-            && self.election.len() < self.config.members.len();
-        if electing && msg.body.fst().and_then(Value::as_int) == Some(self.config.seq) {
-            self.early_state.push(msg.clone());
+        let (cfg, rest) = msg.body.unpair();
+        let (at, state) = rest.unpair();
+        if !self.need_refetch && at.int() >= self.tob_in.next_seq() {
+            self.held.push(msg.clone());
+        } else if cfg.int() != self.config.seq || self.mode != Mode::Recovering {
+            // From a configuration this replica has left, or a duplicate.
         } else if msg.header == cached_header!(CATCHUP_HEADER) {
-            self.on_catchup(ctx, &msg.body, outs);
+            self.on_catchup(ctx, state, outs);
         } else {
-            self.on_snapshot(ctx, &msg.body, outs);
+            self.on_snapshot(ctx, state, outs);
         }
     }
 
     fn on_catchup(&mut self, ctx: &Ctx, body: &Value, outs: &mut Vec<SendInstr>) {
-        let (cfg, rest) = body.unpair();
-        if cfg.int() != self.config.seq || self.mode != Mode::Recovering {
-            return;
-        }
-        let (start, txns) = rest.unpair();
+        let (start, txns) = body.unpair();
         let start = start.int();
         // Collect the run of missing transactions, then group-apply it
         // under one engine commit (no replies are sent during catch-up, so
@@ -1175,15 +1172,13 @@ impl PbrReplica {
         // pending entries stalled on this replica, including ones whose
         // execution the WAL already held but whose acks died with the
         // connection at the power cut.
-        outs.push(self.ack(ctx.slf, self.core.executed()));
+        if !self.is_primary(ctx.slf) {
+            outs.push(self.ack(ctx.slf, self.core.executed()));
+        }
         self.finish_recovery(ctx, outs);
     }
 
-    fn on_snapshot(&mut self, ctx: &Ctx, body: &Value, outs: &mut Vec<SendInstr>) {
-        let (cfg, chunk) = body.unpair();
-        if cfg.int() != self.config.seq || self.mode != Mode::Recovering {
-            return;
-        }
+    fn on_snapshot(&mut self, ctx: &Ctx, chunk: &Value, outs: &mut Vec<SendInstr>) {
         // The image carries the donor's reply cache, `executed` and — in a
         // sharded group — its 2PC state and emission counters, so this
         // replica resumes exactly where the group is.
@@ -1194,9 +1189,13 @@ impl PbrReplica {
         }
     }
 
-    /// Step 6: acknowledge recovery to the primary and resume.
+    /// Step 6: acknowledge recovery to the primary and resume — or, at a
+    /// `Promote` target the highest report's member just brought up, lead.
     fn finish_recovery(&mut self, ctx: &Ctx, outs: &mut Vec<SendInstr>) {
         self.need_refetch = false;
+        if self.is_primary(ctx.slf) {
+            return self.lead(ctx, outs);
+        }
         outs.push(SendInstr::now(
             self.config.primary(),
             Msg::new(
@@ -1204,11 +1203,7 @@ impl PbrReplica {
                 Value::pair(Value::Int(self.config.seq), Value::Loc(ctx.slf)),
             ),
         ));
-        if self.is_primary(ctx.slf) {
-            self.enter_normal_as_primary(ctx);
-        } else {
-            self.mode = Mode::Normal;
-        }
+        self.mode = Mode::Normal;
         self.drain_forwards(ctx, outs);
     }
 
@@ -1244,6 +1239,23 @@ impl PbrReplica {
             self.enter_normal_as_primary(ctx);
         }
     }
+}
+
+/// An election report's TOB payload: `<"report", <seq, <member,
+/// executed>>>` — `member` adopted configuration `seq` having executed
+/// `executed` transactions.
+fn report_payload(seq: i64, member: Loc, executed: i64) -> Value {
+    let report = Value::pair(Value::Loc(member), Value::Int(executed));
+    Value::pair(Value::str("report"), Value::pair(Value::Int(seq), report))
+}
+
+/// Decodes [`report_payload`]; `None` for any other payload.
+fn parse_report(payload: &Value) -> Option<(i64, Loc, i64)> {
+    let (tag, rest) = payload.fst().zip(payload.snd())?;
+    let (seq, report) = rest.fst().zip(rest.snd())?;
+    let (member, executed) = report.fst().zip(report.snd())?;
+    let report = (seq.as_int()?, member.as_loc()?, executed.as_int()?);
+    (tag.as_str()? == "report").then_some(report)
 }
 
 /// The sends that never wait for the local sync: those that carry
@@ -1314,8 +1326,6 @@ impl Process for PbrReplica {
             self.on_hb_timer(ctx, out);
         } else if h == cached_header!(HEARTBEAT_HEADER) {
             self.on_heartbeat(ctx, &msg.body);
-        } else if h == cached_header!(ELECT_HEADER) {
-            self.on_elect(ctx, &msg.body, out);
         } else if h == cached_header!(CATCHUP_HEADER) || h == cached_header!(SNAPSHOT_HEADER) {
             self.on_state(ctx, msg, out);
         } else if h == cached_header!(RECOVERY_ACK_HEADER) {
@@ -1329,7 +1339,7 @@ impl Process for PbrReplica {
         } else if let Some(seq) = parse_subok(msg) {
             self.on_subok(ctx, seq, out);
         } else {
-            self.on_tob_deliver(ctx, msg, out);
+            self.offer(ctx, parse_deliver(msg), out);
         }
         // Durability before visibility: whatever this step sent waits for
         // the sync that covers what the replica has logged — except the
@@ -1350,6 +1360,7 @@ impl Process for PbrReplica {
         let mut h = HasherAdapter(hasher);
         (self.core.executed(), self.config.seq, self.mode).hash(&mut h);
         (self.promote_pref, self.join_sync, self.need_refetch).hash(&mut h);
+        (self.tob_in.next_seq(), &self.election, &self.recovery_acks).hash(&mut h);
         self.core.twopc_seq().hash(&mut h);
     }
 }

@@ -105,18 +105,18 @@ pub fn check_complies_with_loe(expr: &ClassExpr, slf: Loc, msgs: &[Msg]) -> Resu
 }
 
 /// Checks that **every program form** of a specification produces identical
-/// output bags over the whole message stream: the three forms of `expr` —
-/// interpreted (tree walk), fused-linear (flat op list, no dispatch table)
-/// and dispatch-fused (header-indexed op slices) — and, when the
-/// specification is a [`crate::patterns::Mealy`] description, the
-/// `compiled` native process lowered from it.
+/// output bags over the whole message stream: the two forms of `expr` —
+/// interpreted (tree walk) and dispatch-fused (header-indexed op slices) —
+/// and, when the specification is a [`crate::patterns::Mealy`]
+/// description, the `compiled` native process lowered from it.
 ///
 /// This is the executable form of two correctness arguments. The
-/// optimizer's: the dispatch table may only *skip* ops whose recognizers
-/// cannot fire on the incoming header, so a dispatch-fused step must equal a
-/// full linear walk, which in turn must equal the interpreted tree. And the
-/// lowering's: a process that keeps its typed state across steps must equal
-/// the forms that round-trip the state through its canonical encoding.
+/// optimizer's: fusion and CSE share subresults, and the dispatch table
+/// may only *skip* ops whose recognizers cannot fire on the incoming
+/// header, so a dispatch-fused step must equal the interpreted tree. And
+/// the lowering's: a process that keeps its typed state across steps must
+/// equal the forms that round-trip the state through its canonical
+/// encoding.
 pub fn check_all_forms(
     expr: &ClassExpr,
     mut compiled: Option<&mut dyn Observable>,
@@ -124,16 +124,10 @@ pub fn check_all_forms(
     msgs: &[Msg],
 ) -> Result<(), Divergence> {
     let mut interp = InterpretedProcess::compile(expr);
-    let mut linear = optimize(expr).linear();
-    let mut dispatch = optimize(expr);
-    assert!(dispatch.dispatches() && !linear.dispatches());
+    let mut fused = optimize(expr);
     for (step, m) in msgs.iter().enumerate() {
         let base = interp.observe_step(slf, m);
-        let others: [Option<&mut dyn Observable>; 3] = [
-            Some(&mut linear),
-            Some(&mut dispatch),
-            compiled.as_deref_mut(),
-        ];
+        let others: [Option<&mut dyn Observable>; 2] = [Some(&mut fused), compiled.as_deref_mut()];
         for form in others.into_iter().flatten() {
             let right = form.observe_step(slf, m);
             if base != right {
@@ -271,8 +265,8 @@ mod tests {
     fn once_three_forms_agree_including_halted_tail() {
         // `Once` emits the inner class's first output then halts; the fused
         // evaluator models this with a flag, the interpreter by rewriting the
-        // tree. After the first hit every later step must be empty in all
-        // three forms — the stream keeps delivering long past the halt.
+        // tree. After the first hit every later step must be empty in every
+        // form — the stream keeps delivering long past the halt.
         let inc = UpdateFn::new("inc", 1, |_l, _v, s| Value::Int(s.int() + 1));
         let once = ClassExpr::base("m").state(Value::Int(0), inc).once();
         check_all_forms(&once, None, Loc::new(0), &clk_stream(42, 100)).unwrap();

@@ -30,8 +30,9 @@
 //! empty, a skipped op's buffer stays empty, and every op (`State`'s update,
 //! `Once`'s flag, `Compose`'s handler) only acts when its inputs are
 //! non-empty. The bisimulation proof becomes the executable check in
-//! [`crate::bisim`], run for every shipped specification across all three
-//! program forms (interpreted, fused-linear, dispatch-fused).
+//! [`crate::bisim`], run for every shipped specification across its
+//! program forms (interpreted, dispatch-fused and, for a `Mealy`
+//! description, compiled).
 
 use crate::ast::{ClassExpr, HandlerFn, Spec, UpdateFn};
 use crate::process::{Ctx, HasherAdapter, Process};
@@ -107,8 +108,6 @@ struct Program {
     init_slots: Vec<Value>,
     n_flags: usize,
     dispatch: Dispatch,
-    /// All op ids in order, for the dispatch-disabled (linear) form.
-    all_ops: Vec<OpId>,
 }
 
 impl Program {
@@ -348,9 +347,6 @@ pub struct FusedProcess {
     scratch: Vec<Vec<Value>>,
     /// Reused cross-product prefix buffer for `Compose` ops.
     cross_buf: Vec<Value>,
-    /// When false, ignore the dispatch table and walk every op (the
-    /// "fused-linear" form used by bisimulation checks and ablations).
-    use_dispatch: bool,
 }
 
 impl Clone for FusedProcess {
@@ -361,7 +357,6 @@ impl Clone for FusedProcess {
             flags: self.flags.clone(),
             scratch: fresh_scratch(self.program.ops.len()),
             cross_buf: Vec::with_capacity(4),
-            use_dispatch: self.use_dispatch,
         }
     }
 }
@@ -378,7 +373,6 @@ impl std::fmt::Debug for FusedProcess {
             .field("ops", &self.program.ops.len())
             .field("slots", &self.slots)
             .field("flags", &self.flags)
-            .field("use_dispatch", &self.use_dispatch)
             .finish()
     }
 }
@@ -394,21 +388,18 @@ pub fn optimize(expr: &ClassExpr) -> FusedProcess {
     let main = b.lower(expr);
     let (ops, main, init_slots, n_flags) = eliminate_dead_ops(b.ops, main, b.init_slots);
     let dispatch = build_dispatch(&ops);
-    let all_ops = (0..ops.len()).collect();
     let program = Program {
         ops,
         main,
         init_slots,
         n_flags,
         dispatch,
-        all_ops,
     };
     FusedProcess {
         slots: program.init_slots.clone(),
         flags: vec![false; program.n_flags],
         scratch: fresh_scratch(program.ops.len()),
         cross_buf: Vec::with_capacity(4),
-        use_dispatch: true,
         program: Arc::new(program),
     }
 }
@@ -419,19 +410,6 @@ pub fn optimize_spec(spec: &Spec) -> FusedProcess {
 }
 
 impl FusedProcess {
-    /// Disables header-indexed dispatch: every step walks the whole op
-    /// list, as the fused evaluator did before dispatch tables. Used to
-    /// check all three program forms against each other.
-    pub fn linear(mut self) -> FusedProcess {
-        self.use_dispatch = false;
-        self
-    }
-
-    /// Whether header-indexed dispatch is enabled.
-    pub fn dispatches(&self) -> bool {
-        self.use_dispatch
-    }
-
     /// Evaluates one message into the per-op scratch buffers; `main`'s
     /// buffer holds the output bag afterwards.
     fn run(&mut self, slf: Loc, msg: &Msg) {
@@ -444,14 +422,9 @@ impl FusedProcess {
             flags,
             scratch,
             cross_buf,
-            use_dispatch,
         } = self;
         let ops = &program.ops;
-        let active: &[OpId] = if *use_dispatch {
-            program.active_ops(msg)
-        } else {
-            &program.all_ops
-        };
+        let active = program.active_ops(msg);
         // Clearing every buffer (not just the active ones) is what makes
         // skipping an op sound: a skipped op's output reads as empty.
         // `clear` keeps capacity, so steady-state steps never allocate.
@@ -610,19 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn linear_form_matches_dispatch_form() {
-        let expr = counter_expr();
-        let mut a = optimize(&expr);
-        let mut b = optimize(&expr).linear();
-        assert!(a.dispatches());
-        assert!(!b.dispatches());
-        for i in 0..6 {
-            let m = Msg::new(if i % 2 == 0 { "m" } else { "unknown" }, Value::Int(i));
-            assert_eq!(a.step_values(l(0), &m), b.step_values(l(0), &m));
-        }
-    }
-
-    #[test]
     fn cse_shares_duplicate_state_machines() {
         // The same counter used twice: unoptimized keeps two copies of the
         // state; optimized keeps one op (and one slot).
@@ -732,7 +692,6 @@ mod tests {
         });
         let expr = ClassExpr::compose(h, vec![counter_expr(), counter_expr().once()]).once();
         let p = optimize(&expr);
-        assert_eq!(p.program.all_ops.len(), p.program.ops.len());
         assert_eq!(p.program.main, p.program.ops.len() - 1);
     }
 

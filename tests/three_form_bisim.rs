@@ -1,21 +1,20 @@
 //! All-forms trace equivalence for every shipped protocol specification.
 //!
-//! Each protocol is one `Mealy` description from which four executable
-//! forms are derived: the interpreted tree, the fused-linear flat program
-//! (no dispatch table), the dispatch-fused program (header-indexed op
-//! slices) — the three forms of its class, which round-trip the state
-//! through its canonical encoding on every step — and the compiled native
-//! process, which keeps the typed state across steps and is what a default
-//! deployment runs. This file drives long deterministic pseudo-random
-//! message streams — well-formed protocol traffic salted with unrecognized
-//! headers — through all four forms of TwoThird, Synod (all three roles),
-//! and the TOB broadcast service, and requires identical output bags at
-//! every step: the checked refinement link between the specification and
-//! the program that runs. It is the cross-crate extension of
-//! `shadowdb_eventml::bisim`'s CLK/combinator checks, whose
-//! `decoder_that_forgets_a_field_is_caught` is this suite's broken double.
-//! (The file and its tests keep the names the tier-1 floor pins; "three
-//! forms" are the three execution modes' programs plus the linear ablation.)
+//! Each protocol is one `Mealy` description from which three executable
+//! forms are derived: the interpreted tree and the dispatch-fused program
+//! (header-indexed op slices) — the two forms of its class, which
+//! round-trip the state through its canonical encoding on every step — and
+//! the compiled native process, which keeps the typed state across steps
+//! and is what a default deployment runs. This file drives long
+//! deterministic pseudo-random message streams — well-formed protocol
+//! traffic salted with unrecognized headers — through all three forms of
+//! TwoThird, Synod (all three roles), and the TOB broadcast service, and
+//! requires identical output bags at every step: the checked refinement
+//! link between the specification and the program that runs. It is the
+//! cross-crate extension of `shadowdb_eventml::bisim`'s CLK/combinator
+//! checks, whose `decoder_that_forgets_a_field_is_caught` is this suite's
+//! broken double. (The file and its tests keep the names the tier-1 floor
+//! pins.)
 
 use shadowdb_consensus::{synod, twothird, DECIDE_HEADER};
 use shadowdb_eventml::bisim::check_all_forms;
