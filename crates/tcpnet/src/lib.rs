@@ -38,9 +38,12 @@
 //!   FIFO per pair holds either way, and the fault plane gives a colocated
 //!   pair the verdict it gives a link (see
 //!   [`TcpNet::install_fault_plan`]).
-//! * Outbound links are nonblocking with vectored writes: frames drain
-//!   through a per-link queue; when the kernel pushes back the link
-//!   parks on write readiness. Reconnect backoff jitter is a pure
+//! * Outbound links are nonblocking with vectored writes: a send queues
+//!   its frame, and the shard drains every queued link once per turn, so
+//!   a turn's short steps share one `writev` per link; a step that runs
+//!   longer than 100 µs flushes them right after it instead, so a long
+//!   step never holds the turn's frames back from their peers. When the
+//!   kernel pushes back the link parks on write readiness. Reconnect backoff jitter is a pure
 //!   function of the deployment seed ([`TcpNetBuilder::seeded`]), so
 //!   chaos-soak schedules are byte-identical across runs.
 //! * A location has one entry point, its shard: injections
@@ -649,6 +652,123 @@ mod tests {
             Value::Bool(true),
             "the forward sat queued behind the self-send's step"
         );
+        net.shutdown();
+    }
+
+    /// A step longer than `LONG_STEP` puts the frames queued so far on the
+    /// wire before the next step of the same turn: `x` and `y` are due at
+    /// one instant, `x` runs 2 ms and forwards to a peer on the other
+    /// shard, and `y` waits (up to 5 s) for the peer to confirm receipt —
+    /// were the frame still queued behind `y`, the confirmation could
+    /// never come.
+    #[test]
+    fn a_long_step_puts_the_turns_frames_on_the_wire() {
+        let mut net = TcpNet::builder().shards(2).spawn();
+        let (got_tx, got_rx) = channel::unbounded::<()>();
+        let got_rx = Arc::new(parking_lot::Mutex::new(got_rx));
+        let (port, rx) = TcpNet::port(&mut net); // loc 0
+        let peer = Loc::new(2); // the other shard from the node at loc 1
+        let node = net.add_node(Box::new(FnProcess::new(
+            (),
+            move |_s, _c: &Ctx, m: &Msg| match m.header.name() {
+                "x" => {
+                    std::thread::sleep(Duration::from_millis(2));
+                    vec![SendInstr::now(peer, Msg::new("fwd", Value::Unit))]
+                }
+                _ => {
+                    let on_the_wire = got_rx.lock().recv_timeout(Duration::from_secs(5)).is_ok();
+                    vec![SendInstr::now(
+                        port,
+                        Msg::new("done", Value::Bool(on_the_wire)),
+                    )]
+                }
+            },
+        )));
+        let added = net.add_node(Box::new(FnProcess::new(
+            (),
+            move |_s, _c: &Ctx, _m: &Msg| {
+                got_tx.send(()).unwrap();
+                vec![]
+            },
+        )));
+        assert_eq!((node, added), (Loc::new(1), peer));
+        let t = net.now() + Duration::from_millis(50);
+        net.send_at(t, node, Msg::new("x", Value::Unit));
+        net.send_at(t, node, Msg::new("y", Value::Unit));
+        let done = rx.recv_timeout(Duration::from_secs(10)).expect("done");
+        assert_eq!(
+            done.body,
+            Value::Bool(true),
+            "the forward sat queued behind the next step of the turn"
+        );
+        net.shutdown();
+    }
+
+    /// Short steps keep the turn-end batching: 32 injections due at one
+    /// instant each queue a frame on one link, and the frames leave in far
+    /// fewer `writev` calls (one, unless a step was preempted for longer
+    /// than `LONG_STEP`).
+    #[test]
+    fn short_steps_in_one_turn_share_a_write() {
+        const N: usize = 32;
+        let mut net = TcpNet::builder().shards(2).spawn();
+        let (port, rx) = TcpNet::port(&mut net);
+        let relay = net.add_node(Box::new(FnProcess::new(
+            (),
+            move |_s, _c: &Ctx, m: &Msg| vec![SendInstr::now(port, m.clone())],
+        )));
+        let t = net.now() + Duration::from_millis(50);
+        for i in 0..N {
+            net.send_at(t, relay, Msg::new("n", Value::Int(i as i64)));
+        }
+        for i in 0..N {
+            let m = rx.recv_timeout(Duration::from_secs(10)).expect("relayed");
+            assert_eq!(m.body, Value::Int(i as i64));
+        }
+        // The sender counts its writes after they return; wait for them.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while net.link_stats().frames_written < N as u64 {
+            assert!(Instant::now() < deadline, "{:?}", net.link_stats());
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let stats = net.link_stats();
+        assert_eq!(stats.frames_written, N as u64, "{stats:?}");
+        assert!(stats.writes <= 8, "{stats:?}");
+        net.shutdown();
+    }
+
+    /// Every step reads the clock at its own start: `a` and `b` are
+    /// self-sends stepped in one drain, and `b` sees the 5 ms `a` ran.
+    #[test]
+    fn every_step_sees_the_clock_at_its_own_start() {
+        let mut net = TcpNet::new();
+        let (port, rx) = TcpNet::port(&mut net);
+        let node = net.add_node(Box::new(FnProcess::new(
+            (),
+            move |_s, ctx: &Ctx, m: &Msg| {
+                let now = Msg::new("now", Value::Int(ctx.now.as_micros() as i64));
+                match m.header.name() {
+                    "go" => vec![
+                        SendInstr::now(ctx.slf, Msg::new("a", Value::Unit)),
+                        SendInstr::now(ctx.slf, Msg::new("b", Value::Unit)),
+                    ],
+                    "a" => {
+                        std::thread::sleep(Duration::from_millis(5));
+                        vec![SendInstr::now(port, now)]
+                    }
+                    _ => vec![SendInstr::now(port, now)],
+                }
+            },
+        )));
+        net.send(node, Msg::new("go", Value::Unit));
+        let at = || {
+            rx.recv_timeout(Duration::from_secs(5))
+                .expect("now")
+                .body
+                .int()
+        };
+        let (a, b) = (at(), at());
+        assert!(b >= a + 5_000, "a stepped at {a} µs, b at {b} µs");
         net.shutdown();
     }
 

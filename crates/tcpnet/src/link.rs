@@ -4,13 +4,15 @@
 //!
 //! A link is a single TCP stream written by a single shard thread, so
 //! frames on one link arrive in FIFO order. All sends go through the
-//! link's [`OutQueue`]: the fast path pushes one frame and immediately
-//! drains it with `writev`, so in steady state the queue holds nothing
-//! and sends cost one vectored syscall per readiness window. When the
-//! kernel pushes back (`EAGAIN` mid-frame) the queue keeps the tail and
-//! the shard parks the link on write-readiness; when a link is severed by
-//! the fault plane or its peer is down, frames park in the queue —
-//! bounded by [`PENDING_CAP`] with drop-oldest eviction — until
+//! link's [`OutQueue`]: a send only pushes its frame and marks the link
+//! dirty, and the shard drains every dirty link with `writev` — at the
+//! end of the loop turn, after any step longer than its `LONG_STEP`, or
+//! as soon as a full `writev` batch (`MAX_IOV` frames) is queued — so
+//! the frames of a turn's short steps share one vectored syscall. When
+//! the kernel pushes back (`EAGAIN` mid-frame) the queue keeps the tail
+//! and the shard parks the link on write-readiness; when a link is
+//! severed by the fault plane or its peer is down, frames park in the
+//! queue — bounded by [`PENDING_CAP`] with drop-oldest eviction — until
 //! reconnect.
 //!
 //! # Retransmit discipline
@@ -125,18 +127,18 @@ impl OutQueue {
     }
 
     /// Writes queued bytes to `w` with `writev` until the queue drains or
-    /// the writer refuses, and returns how many frames it finished. `Ok`
-    /// covers both outcomes — check [`OutQueue::is_empty`]; a nonempty
-    /// queue after `Ok` means `WouldBlock` and the caller should wait for
-    /// write readiness.
+    /// the writer refuses, and returns how many frames it finished and how
+    /// many `writev` calls wrote bytes. `Ok` covers both outcomes — check
+    /// [`OutQueue::is_empty`]; a nonempty queue after `Ok` means
+    /// `WouldBlock` and the caller should wait for write readiness.
     ///
     /// # Errors
     ///
     /// A hard I/O error means the connection is gone; the caller drops it
     /// and calls [`OutQueue::reset_front`] before the retransmit. Frames
-    /// finished before the error are not reported.
-    pub fn flush_into<W: Write + ?Sized>(&mut self, w: &mut W) -> io::Result<u64> {
-        let mut finished = 0;
+    /// finished and writes made before the error are not reported.
+    pub fn flush_into<W: Write + ?Sized>(&mut self, w: &mut W) -> io::Result<(u64, u64)> {
+        let (mut finished, mut writes) = (0, 0);
         while !self.frames.is_empty() {
             let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(self.frames.len().min(MAX_IOV));
             for (i, f) in self.frames.iter().take(MAX_IOV).enumerate() {
@@ -145,13 +147,16 @@ impl OutQueue {
             }
             match w.write_vectored(&slices) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => finished += self.consume(n),
+                Ok(n) => {
+                    finished += self.consume(n);
+                    writes += 1;
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(finished),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok((finished, writes)),
                 Err(e) => return Err(e),
             }
         }
-        Ok(finished)
+        Ok((finished, writes))
     }
 
     /// Marks `n` written bytes consumed: whole frames recycle to the
@@ -212,8 +217,9 @@ pub struct OutLink {
     /// Whether write interest is currently armed on `token`.
     pub write_armed: bool,
     /// Whether the link is on its shard's deferred-flush list. Sends only
-    /// queue frames; the shard flushes every dirty link once per loop
-    /// iteration, so a burst of sends leaves in one `writev`.
+    /// queue frames; the shard flushes every dirty link at the end of the
+    /// loop turn, or right after a step longer than `LONG_STEP`, so a
+    /// burst of short steps' sends leaves in one `writev`.
     pub dirty: bool,
     /// Earliest instant the next connection attempt is permitted.
     pub next_attempt: Instant,

@@ -32,9 +32,9 @@ struct Slots {
 }
 
 /// Link-state counters summed over every thread of the net: how often the
-/// frame layer reconnected, dropped, duplicated or wrote a frame, and how
-/// many messages never needed a socket. Tests assert on these through
-/// `TcpNet::link_stats`.
+/// frame layer reconnected, dropped, duplicated or wrote a frame, how many
+/// `writev` calls carried them, and how many messages never needed a
+/// socket. Tests assert on these through `TcpNet::link_stats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LinkStats {
     /// Successful re-establishments of a previously connected link
@@ -49,6 +49,9 @@ pub struct LinkStats {
     /// driver's injections cross no socket and are not counted. A frame
     /// rewritten after a broken connection counts once.
     pub frames_written: u64,
+    /// `writev` calls on node-to-node links that wrote bytes: with
+    /// `frames_written`, how well the shards batch frames per syscall.
+    pub writes: u64,
     /// Messages handed to a location of the sender's own machine, which
     /// cross no socket.
     pub colocated: u64,
@@ -68,6 +71,8 @@ pub struct Counters {
     pub frames_duplicated: AtomicU64,
     /// See [`LinkStats::frames_written`].
     pub frames_written: AtomicU64,
+    /// See [`LinkStats::writes`].
+    pub writes: AtomicU64,
     /// See [`LinkStats::colocated`].
     pub colocated: AtomicU64,
 }
@@ -189,6 +194,7 @@ impl Registry {
             s.frames_dropped += read(&c.frames_dropped);
             s.frames_duplicated += read(&c.frames_duplicated);
             s.frames_written += read(&c.frames_written);
+            s.writes += read(&c.writes);
             s.colocated += read(&c.colocated);
         }
         s

@@ -11,7 +11,10 @@
 //! the destination process on the spot (the connection was accepted by
 //! the destination's own shard), and so does a due injection; their sends
 //! are queued on nonblocking links and written before the loop returns to
-//! the poller. Zero-delay self-sends instead wait in the host's inbox for
+//! the poller — or, after a step longer than `LONG_STEP`, before anything
+//! else is stepped, so a long step holds no frame of its turn back from a
+//! peer that could be working on it. Each step sees the clock read at its
+//! own start. Zero-delay self-sends instead wait in the host's inbox for
 //! the top of the next turn — after everything readable this turn was
 //! stepped and the links those steps wrote are flushed — so work a process
 //! defers to one (a replica's `sdb/sync`) runs once per turn. A send to
@@ -69,6 +72,11 @@ const DUE_BUDGET: usize = 256;
 /// The loop's idle tick: pending links retry and heal within this bound,
 /// matching the threaded runtime's cadence.
 const TICK: Duration = Duration::from_millis(20);
+/// A step longer than this flushes every dirty link of its shard before
+/// anything else is stepped: a frame it or an earlier step of the turn
+/// queued would otherwise wait out the rest of the turn while its peer
+/// idles. Shorter steps keep the turn-end batching.
+const LONG_STEP: Duration = Duration::from_micros(100);
 
 /// What a shard can be told to do.
 pub enum ShardCmd {
@@ -261,9 +269,9 @@ struct Shard {
     unborn: HashMap<u32, VecDeque<Msg>>,
     timers: BinaryHeap<Entry>,
     timer_seq: u64,
-    /// Links with frames queued this iteration, flushed once before the
-    /// next poll so a burst of sends leaves in one `writev` instead of a
-    /// syscall per message.
+    /// Links with frames queued since the last flush, flushed before the
+    /// next poll (or after a long step) so a burst of sends leaves in one
+    /// `writev` instead of a syscall per message.
     dirty: Vec<(u32, u32)>,
     /// Reused step-output scratch.
     outs: Vec<SendInstr>,
@@ -310,11 +318,11 @@ impl Shard {
             // they left behind are stepped: such a step may be long (a
             // replica capturing a checkpoint), and its peers should be
             // working meanwhile.
-            self.flush_dirty();
+            self.flush_dirty(None);
             self.drain_inboxes();
             self.tick_links();
             // Everything queued since, batched per link.
-            self.flush_dirty();
+            self.flush_dirty(None);
             let timeout = self.poll_timeout();
             let mut events = std::mem::take(&mut self.events);
             events.clear();
@@ -449,7 +457,6 @@ impl Shard {
             if self.stop || self.timers.peek().is_none_or(|e| e.at > Instant::now()) {
                 return;
             }
-            let now = self.now_v();
             match self.timers.pop().expect("peeked").due {
                 TimerDue::Timer {
                     origin,
@@ -457,6 +464,7 @@ impl Shard {
                     dest,
                     msg,
                 } => {
+                    let now = self.now_v();
                     self.with_host(origin, |s, host| {
                         if host.epoch == epoch {
                             s.route(host, dest, msg, now);
@@ -464,10 +472,7 @@ impl Shard {
                     });
                 }
                 TimerDue::Deliver(loc, msg) => {
-                    if self
-                        .with_host(loc, |s, h| s.run_step(h, &msg, now))
-                        .is_none()
-                    {
+                    if self.with_host(loc, |s, h| s.run_step(h, &msg)).is_none() {
                         if let Some(tx) = self.ports.get(&loc) {
                             let _ = tx.send(msg);
                         }
@@ -492,17 +497,13 @@ impl Shard {
             .filter(|(_, h)| !h.inbox.is_empty())
             .map(|(l, _)| *l)
             .collect();
-        if locs.is_empty() {
-            return;
-        }
-        let now = self.now_v();
         for loc in locs {
             self.with_host(loc, |s, host| {
                 for _ in 0..INBOX_BUDGET {
                     let Some(m) = host.inbox.pop_front() else {
                         break;
                     };
-                    s.run_step(host, &m, now);
+                    s.run_step(host, &m);
                 }
             });
         }
@@ -625,7 +626,6 @@ impl Shard {
             // messages are dropped, exactly as a dead process would.
             None => self.ports.get(&conn.dest).cloned(),
         };
-        let now = self.now_v();
         let mut alive = true;
         let mut budget = READ_BUDGET;
         'conn: while budget > 0 {
@@ -642,7 +642,7 @@ impl Shard {
                         match conn.rdr.next_msg() {
                             Ok(Some(msg)) => {
                                 if let Some(h) = host.as_mut() {
-                                    self.run_step(h, &msg, now);
+                                    self.run_step(h, &msg);
                                 } else if let Some(tx) = &port {
                                     let _ = tx.send(msg);
                                 }
@@ -676,9 +676,16 @@ impl Shard {
 
     /// One delivered message: step the process, then send its outputs —
     /// delayed ones to the shard's heap, the rest by [`Shard::route`].
-    /// `now` is the batch's clock reading — computed once per readiness
-    /// event, not per message.
-    fn run_step(&mut self, host: &mut NodeHost, msg: &Msg, now: VTime) {
+    /// The step sees the clock at its own start, however long the steps
+    /// before it in the batch ran. A step longer than [`LONG_STEP`]
+    /// flushes the shard's dirty links before anything else is stepped.
+    fn run_step(&mut self, host: &mut NodeHost, msg: &Msg) {
+        let start = Instant::now();
+        let now = VTime::from_micros(
+            start
+                .saturating_duration_since(self.registry.start)
+                .as_micros() as u64,
+        );
         let mut outs = std::mem::take(&mut self.outs);
         outs.clear();
         completion::stepping(host.slf, host.epoch, || {
@@ -699,6 +706,9 @@ impl Shard {
             }
         }
         self.outs = outs;
+        if start.elapsed() > LONG_STEP {
+            self.flush_dirty(Some(host));
+        }
     }
 
     /// Sends one message from `host`, by the one routing decision every
@@ -838,27 +848,36 @@ impl Shard {
         }
     }
 
-    /// Flushes every link that queued frames this iteration, one `writev`
-    /// burst per link. A link the fault plane severed mid-iteration keeps
-    /// its frames parked — `tick_links` flushes them after heal.
-    fn flush_dirty(&mut self) {
+    /// Flushes every link that queued frames since the last flush, one
+    /// `writev` burst per link. A link the fault plane severed meanwhile
+    /// keeps its frames parked — `tick_links` flushes them after heal.
+    /// `held` is a host taken out of `hosts` by the caller (the one being
+    /// stepped); its links are flushed through it.
+    fn flush_dirty(&mut self, mut held: Option<&mut NodeHost>) {
         if self.dirty.is_empty() {
             return;
         }
         let now = self.now_v();
         let plan = self.fault_plan();
-        while let Some((origin, dest)) = self.dirty.pop() {
-            self.with_host(origin, |s, host| {
-                if let Some(link) = host.link_mut(dest) {
-                    link.dirty = false;
-                    let cut = plan
-                        .as_ref()
-                        .is_some_and(|p| p.cut(Loc::new(origin), Loc::new(dest), now));
-                    if !cut {
-                        s.flush_link(origin, dest, link);
-                    }
+        let flush = |s: &mut Self, host: &mut NodeHost, dest: u32| {
+            let origin = host.slf;
+            if let Some(link) = host.link_mut(dest) {
+                link.dirty = false;
+                if !plan
+                    .as_ref()
+                    .is_some_and(|p| p.cut(origin, Loc::new(dest), now))
+                {
+                    s.flush_link(origin.index(), dest, link);
                 }
-            });
+            }
+        };
+        while let Some((origin, dest)) = self.dirty.pop() {
+            match held.as_deref_mut() {
+                Some(host) if host.slf.index() == origin => flush(self, host, dest),
+                _ => {
+                    self.with_host(origin, |s, host| flush(s, host, dest));
+                }
+            }
         }
     }
 
@@ -923,8 +942,9 @@ impl Shard {
             }
             let conn = link.conn.as_mut().expect("connected");
             match link.queue.flush_into(conn) {
-                Ok(written) => {
-                    bump(&self.counters.frames_written, written);
+                Ok((frames, writes)) => {
+                    bump(&self.counters.frames_written, frames);
+                    bump(&self.counters.writes, writes);
                     if link.queue.is_empty() {
                         continue; // loop falls into the disarm arm
                     }
