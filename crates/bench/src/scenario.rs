@@ -12,8 +12,9 @@ use crate::cost::ShadowDbCost;
 use crate::measure::{answered, steady_state, Point};
 use parking_lot::Mutex;
 use shadowdb::deploy::{DeployOptions, PbrDeployment, SmrDeployment};
+use shadowdb::msgs::SNAPSHOT_HEADER;
 use shadowdb::pbr::PbrOptions;
-use shadowdb::smr::{SmrReplica, SNAPSHOT_CHUNK_HEADER};
+use shadowdb::smr::SmrReplica;
 use shadowdb::DbClientStats;
 use shadowdb_consensus::{decide_body, synod, DECIDE_HEADER};
 use shadowdb_eventml::{Ctx, Msg, Process, SendInstr, Value};
@@ -146,14 +147,15 @@ pub fn run_to_completion(
 }
 
 /// Streams `donor`'s database to a fresh joining replica over the actual
-/// SMR state-transfer path, charging `chunk_cost` of fixed handling per
-/// snapshot chunk; returns the virtual transfer time in seconds and the
-/// number of messages delivered.
+/// SMR state-transfer path — one image fetch, answered in chunks; the
+/// joiner is never subscribed, so it arms no retry — charging
+/// `chunk_cost` of fixed handling per snapshot chunk; returns the virtual
+/// transfer time in seconds and the number of messages delivered.
 pub fn state_transfer(seed: u64, donor: SmrReplica, chunk_cost: Duration) -> (f64, u64) {
     let mut sim = SimBuilder::new(seed)
         .network(NetworkConfig::lan())
         .cost_model(FnCost(move |_l, m: &Msg| {
-            if m.header.name() == SNAPSHOT_CHUNK_HEADER {
+            if m.header.name() == SNAPSHOT_HEADER {
                 chunk_cost
             } else {
                 Duration::ZERO
@@ -161,10 +163,9 @@ pub fn state_transfer(seed: u64, donor: SmrReplica, chunk_cost: Duration) -> (f6
         }))
         .build();
     let donor = sim.add_node(Box::new(donor));
-    let joiner = sim.add_node(Box::new(SmrReplica::joining(Database::new(
-        EngineProfile::h2(),
-    ))));
-    sim.send_at(VTime::ZERO, donor, SmrReplica::fetch_snapshot_msg(joiner));
+    let db = Database::new(EngineProfile::h2());
+    let joiner = sim.add_node(Box::new(SmrReplica::joining_from(db, vec![donor])));
+    sim.send_at(VTime::ZERO, donor, SmrReplica::fetch_msg(joiner, -1, 0));
     let end = sim.run_until_quiescent(HORIZON);
     (end.as_secs_f64(), sim.stats().delivered)
 }

@@ -687,7 +687,7 @@ pub fn soak_reads_pbr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -> C
 /// deployment reboots it from its disk, lease plane included — for one
 /// lease length after the reboot it must neither serve fast reads nor
 /// acknowledge writes, whatever markers its WAL replayed — and every
-/// rejoin must be served as a delta.
+/// rejoin must be served as a catch-up.
 pub fn soak_reads_smr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -> ChaosReport {
     soak(rt, opts, "reads-smr", false, None, Stress::LeaseReads)
 }
@@ -696,8 +696,8 @@ pub fn soak_reads_smr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -> C
 /// asserts convergence plus strict serializability. The victim is the
 /// last replica. Under [`NemesisProfile::PowerLoss`] it is repeatedly
 /// power-cycled, recovers from its WAL + snapshot and fetches the
-/// delivery suffix it missed from a peer's recent-delivery cache; the
-/// probe must show every rejoin was served as a delta, never a snapshot.
+/// delivery suffix it missed from a peer's window; the probe must show
+/// every rejoin was served as a catch-up, never a snapshot.
 pub fn soak_smr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -> ChaosReport {
     soak(rt, opts, "smr", false, None, Stress::Faults)
 }

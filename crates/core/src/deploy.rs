@@ -82,7 +82,8 @@ pub struct DeployOptions {
     /// bytes with modeled fsync cost under the simulator; real files
     /// under the thread and socket runtimes). The deployment keeps the
     /// disks and reboots a replica from its durable state itself
-    /// ([`PbrDeployment::reboot`] and its twins).
+    /// ([`PbrDeployment::reboot`] and its twins), which catches up from a
+    /// peer's window (PBR's `cache_limit`; 4 096 SMR deliveries).
     pub durability: Option<DurabilityOptions>,
     /// SMR only: enable the lease-based read fast path on every replica
     /// and route clients' read-only (single-shard) first attempts directly
@@ -113,9 +114,6 @@ pub struct DurabilityOptions {
     /// Fsync latency: charged virtually per group commit under the
     /// simulator, borne for real under file-backed runtimes.
     pub fsync_cost: Duration,
-    /// SMR: recent-delivery cache entries a durable replica keeps so it
-    /// can serve suffix-only rejoins as a donor.
-    pub recent_limit: usize,
 }
 
 impl Default for DurabilityOptions {
@@ -123,7 +121,6 @@ impl Default for DurabilityOptions {
         DurabilityOptions {
             snapshot_every: 512,
             fsync_cost: Duration::from_micros(250),
-            recent_limit: 4_096,
         }
     }
 }
@@ -322,7 +319,7 @@ impl Recipe {
                     replica = replica.with_role(role.clone());
                 }
                 if let Some((dur, disk)) = durable {
-                    replica = replica.with_wal(disk, dur.snapshot_every, dur.recent_limit);
+                    replica = replica.with_wal(disk, dur.snapshot_every);
                 }
                 if let Some(lease) = &self.smr_leases {
                     let servers = self.route.servers().to_vec();
@@ -341,7 +338,7 @@ impl Recipe {
     /// process that recovers from its disk, and right after it gets the
     /// kick its policy needs — PBR's timer loop (the refetch handshake
     /// runs off heartbeats), or SMR's re-subscription (idempotent; the ack
-    /// carries the delivery frontier, which starts the delta fetch) and
+    /// carries the delivery frontier, which starts the catch-up fetch) and
     /// lease tick.
     fn reboot<R: Runtime + ?Sized>(&self, rt: &mut R, loc: Loc, at: VTime, tear: u64) {
         assert!(self.durability.is_some(), "a reboot needs a disk");
@@ -797,7 +794,7 @@ impl ReconfigHandle {
     /// is guaranteed to reach it), then CAS-broadcasts `AddReplica` until
     /// a configuration containing the joiner is adopted — the state
     /// transfer itself overlaps live traffic inside the replicas. Under
-    /// SMR the joiner drives its own snapshot fetch off the subscription
+    /// SMR the joiner drives its own image fetch off the subscription
     /// ack; membership *is* the subscriber set, so the add is complete
     /// once subscribed (use convergence checks, not `await_member`, to
     /// observe the catch-up). Returns `None` if the configuration change
@@ -1021,7 +1018,7 @@ impl ShardedDeployment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::{check_two_pc_atomicity, Event};
+    use crate::probe::{check_two_pc_atomicity, Event, TransferKind};
     use shadowdb_eventml::{Ctx, Msg};
     use shadowdb_tob::SUBOK_HEADER;
     use shadowdb_workloads::bank;
@@ -1223,13 +1220,15 @@ mod tests {
 
     /// SMR online add: a snapshot-joining replica subscribed mid-run
     /// fetches its snapshot off the subscription ack and converges to the
-    /// survivors' state with no client disruption.
+    /// survivors' state with no client disruption; the donor's answer is
+    /// in the log as a snapshot to the joiner.
     #[test]
     fn smr_add_replica_catches_up_online() {
         let mut sim = shadowdb_simnet::testing::default_net(12);
         let dbs: Arc<Mutex<Vec<Database>>> = Arc::new(Mutex::new(Vec::new()));
         let captured = dbs.clone();
-        let options = DeployOptions::new(
+        let probe = Probe::default();
+        let mut options = DeployOptions::new(
             2,
             |i| {
                 let mut g = bank::BankGen::new(100 + i as u64, 1_000);
@@ -1240,6 +1239,7 @@ mod tests {
                 captured.lock().push(db.clone());
             },
         );
+        options.probe = Some(probe.clone());
         let d = SmrDeployment::build(&mut sim, &options);
         let mut handle = d.reconfig(&mut sim);
         let mut ms = 5;
@@ -1248,11 +1248,16 @@ mod tests {
             ms += 5;
             assert!(ms < 60_000, "no progress before the add");
         }
-        handle
+        let joiner = handle
             .add_replica(&mut sim, Duration::from_secs(10))
             .expect("smr adds unconditionally");
         sim.run_until_quiescent(VTime::from_secs(1_200));
         assert_eq!(d.committed(), 80, "every transaction answered");
+        let joined = Event::Transfer {
+            to: joiner,
+            kind: TransferKind::Snapshot,
+        };
+        assert!(probe.events().contains(&joined), "the join is a snapshot");
         let dbs = dbs.lock();
         assert_eq!(dbs.len(), 4, "three originals plus the joiner");
         let sums: Vec<i64> = dbs

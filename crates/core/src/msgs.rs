@@ -22,20 +22,21 @@ pub const REPLY_HEADER: &str = "sdb/reply";
 pub const HEARTBEAT_HEADER: &str = "sdb/hb";
 /// A replica's periodic self-check timer: body `<config>`.
 pub const HB_TIMER_HEADER: &str = "sdb/hbtimer";
-/// Missing-transaction catch-up: body `<config, <elected_at, <start_index,
-/// [txn entries]>>>`; `elected_at` is the TOB seq that completed the
-/// sender's election (-1: none ran).
+/// Catch-up, the replica core's answer when its window reaches back:
+/// body `<start, [items]>`. PBR wraps it `<config, <elected_at, ·>>`,
+/// `elected_at` the TOB seq that completed the sender's election (-1:
+/// none ran); SMR sends it bare.
 pub const CATCHUP_HEADER: &str = "sdb/catchup";
-/// Snapshot chunk during state transfer: body `<config, <elected_at,
-/// chunk>>`, where `chunk` is the replica core's transfer format
-/// (`<chunk_index, <<total_chunks, executed>, data>>`, the first chunk's
-/// `data` carrying the state image's head alongside its rows).
+/// A snapshot chunk, the core's answer otherwise, in its transfer format
+/// `<chunk_index, <<total_chunks, frontier>, data>>` (the first chunk's
+/// `data` carries the image's head beside its rows); wrapped by PBR and
+/// bare under SMR, like [`CATCHUP_HEADER`].
 pub const SNAPSHOT_HEADER: &str = "sdb/snapshot";
 /// Backup → primary recovery acknowledgment: body `<config, from>`.
 pub const RECOVERY_ACK_HEADER: &str = "sdb/recack";
 /// A disk-recovered replica asks the primary for the suffix its WAL
 /// missed: body `<requester, executed>`. Answered with `CATCHUP` when
-/// the primary's cache reaches back far enough, else a full snapshot.
+/// the primary's window reaches back far enough, else a full snapshot.
 pub const REFETCH_HEADER: &str = "sdb/refetch";
 /// Stale-config NACK to a client: a replica that is not the primary of the
 /// current configuration answers a submission with its configuration so

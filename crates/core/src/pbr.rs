@@ -25,10 +25,12 @@
 //!    else the largest executed-transaction sequence number (ties →
 //!    smallest identifier) — at the same delivery at every member;
 //! 5. the new primary — first brought up by the highest report's member,
-//!    if it is a `Promote` target behind it — sends missing transactions
-//!    from its cache, or a full snapshot in ~50 KB batches when the cache
-//!    does not reach far enough, stamped with the stream seq its election
-//!    completed at (a member holds them until it has delivered that seq);
+//!    if it is a `Promote` target behind it — sends each member the
+//!    core's answer (`ReplicaCore::state_for`: the missing transactions
+//!    from its window of the last `cache_limit` executed, or a full
+//!    snapshot in ~50 KB batches when the window does not reach far
+//!    enough), stamped with the stream seq its election completed at (a
+//!    member holds them until it has delivered that seq);
 //! 6. backups acknowledge;
 //! 7. the primary resumes — immediately after the *first* acknowledgment
 //!    when overlapped state transfer is enabled (possible with ≥3
@@ -40,8 +42,8 @@ use crate::msgs::{
     HEARTBEAT_HEADER, RECOVERY_ACK_HEADER, REFETCH_HEADER, SNAPSHOT_HEADER, STALE_CONFIG_HEADER,
     SUBMIT_HEADER, SYNCED_HEADER, SYNC_HEADER,
 };
-use crate::probe::{Event, Probe, TransferKind};
-use crate::replica_core::{ReplicaCore, Seen};
+use crate::probe::{Event, Probe};
+use crate::replica_core::{Executed, ReplicaCore, Seen};
 use crate::shard::ShardRole;
 use shadowdb_eventml::process::HasherAdapter;
 use shadowdb_eventml::{cached_header, Ctx, Msg, Process, SendInstr, Value};
@@ -50,7 +52,7 @@ use shadowdb_sqldb::Database;
 use shadowdb_tob::{broadcast_msg, parse_deliver, parse_subok, Delivery, InOrderBuffer};
 use shadowdb_wal::Disk;
 use shadowdb_workloads::{TxnOutcome, TxnRequest};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
@@ -68,8 +70,9 @@ pub struct PbrOptions {
     /// Silence threshold after which a peer is suspected ("detection time
     /// is configurable"; Fig. 10(a) uses 10 s).
     pub detect_after: Duration,
-    /// Executed-transaction cache size for catch-up ("each replica only
-    /// caches a limited number of executed transactions").
+    /// How many executed transactions the replica core's window keeps to
+    /// catch a member up ("each replica only caches a limited number of
+    /// executed transactions"); a member further behind gets a snapshot.
     pub cache_limit: usize,
     /// State-transfer batch size in bytes (~50 KB in the paper).
     pub transfer_batch_bytes: usize,
@@ -140,17 +143,14 @@ struct Pending {
 #[derive(Clone)]
 pub struct PbrReplica {
     /// The replicated service: database, reply cache, executed counter,
-    /// 2PC engine, WAL, state transfer.
+    /// 2PC engine, WAL, the window of executed transactions, state
+    /// transfer.
     core: ReplicaCore,
     options: PbrOptions,
     config: ReplicaConfig,
     spares: Vec<Loc>,
     tob_servers: Vec<Loc>,
     mode: Mode,
-    /// Cache of executed transactions for catch-up; `log[0]` has index
-    /// `log_start`.
-    log: VecDeque<TxnEnvelope>,
-    log_start: i64,
     /// Primary: transactions awaiting backup acks, by index.
     pending: BTreeMap<i64, Pending>,
     /// Primary: backups currently participating in acknowledgments.
@@ -224,6 +224,7 @@ impl PbrReplica {
     ) -> PbrReplica {
         let mut core = ReplicaCore::new(db);
         core.set_transfer_batch_bytes(options.transfer_batch_bytes);
+        core.set_window_limit(options.cache_limit);
         PbrReplica {
             core,
             options,
@@ -231,8 +232,6 @@ impl PbrReplica {
             spares,
             tob_servers,
             mode: Mode::Normal,
-            log: VecDeque::new(),
-            log_start: 0,
             pending: BTreeMap::new(),
             active_backups: BTreeSet::new(),
             forward_buf: BTreeMap::new(),
@@ -313,7 +312,7 @@ impl PbrReplica {
     /// the location the context supplies: `tear` resolves the torn unsynced
     /// tail, the latest snapshot is installed, the logged suffix replayed,
     /// and the replica rejoins for whatever the disk missed (`sdb/refetch`:
-    /// catch-up only, unless the primary's cache no longer reaches back).
+    /// catch-up only, unless the primary's window no longer reaches back).
     pub fn rebooted(mut self, tear: u64) -> PbrReplica {
         self.reboot = Some(tear);
         self
@@ -331,7 +330,7 @@ impl PbrReplica {
             if let Some(c) = ReplicaConfig::from_value(header) {
                 self.config = c;
             }
-            self.log_start = self.core.executed();
+            self.core.restart_window(self.core.executed());
             snap_at = *idx;
         }
         for (_, body) in &rec.records {
@@ -428,18 +427,14 @@ impl PbrReplica {
     }
 
     /// What a PBR WAL record is: the executed envelope itself. The same
-    /// envelope enters the catch-up cache.
+    /// envelope enters the core's catch-up window.
     fn record_executed(&mut self, env: &TxnEnvelope) {
         if self.core.has_wal() {
             let body = Value::pair(Value::Int(WREC_TXN), env.to_value());
             self.wal_index += 1;
             self.core.wal_append(self.wal_index, &body);
         }
-        self.log.push_back(env.clone());
-        while self.log.len() > self.options.cache_limit {
-            self.log.pop_front();
-            self.log_start += 1;
-        }
+        self.core.remember(|| Executed::Txn(env.clone()));
     }
 
     // -- read-lease fast path ----------------------------------------------
@@ -863,9 +858,7 @@ impl PbrReplica {
         }
     }
 
-    /// Donor side of the rejoin handshake. Answer as the elector would:
-    /// replay from the cache when it reaches back far enough, else
-    /// stream a full snapshot.
+    /// Donor side of the rejoin handshake: answer as the elector would.
     fn on_refetch(&mut self, ctx: &Ctx, body: &Value, outs: &mut Vec<SendInstr>) {
         if self.mode != Mode::Normal || !self.is_primary(ctx.slf) {
             return;
@@ -877,46 +870,19 @@ impl PbrReplica {
         }
     }
 
-    /// Brings `to`, which has executed `behind` transactions, up to date:
-    /// replay the missing transactions from the cache when it reaches
-    /// back far enough (an already-caught-up requester gets an empty
-    /// catch-up — a no-op transfer that still completes the handshake),
-    /// else stream the full state image in ~50 KB chunks. Each message is
-    /// `<config, <elected_at, ...>>`: see [`PbrReplica::on_state`].
+    /// Brings `to`, which has executed `behind` transactions, up to date
+    /// with the core's answer (a requester already caught up gets an empty
+    /// catch-up, which still completes the handshake), each message
+    /// stamped `<config, <elected_at, ...>>`: see [`PbrReplica::on_state`].
+    /// The image's policy header is the config-chain position, which a
+    /// disk restore needs; a network joiner holds it from the TOB.
     fn send_state(&mut self, to: Loc, behind: i64, outs: &mut Vec<SendInstr>) {
-        let seq = Value::Int(self.config.seq);
-        let at = Value::Int(self.elected_at);
-        if behind >= self.log_start {
-            let missing: Vec<Value> = self
-                .log
-                .iter()
-                .skip((behind - self.log_start) as usize)
-                .map(TxnEnvelope::to_value)
-                .collect();
-            self.core.note(Event::Transfer {
-                to,
-                kind: TransferKind::Catchup,
-            });
-            let missing = Value::pair(Value::Int(behind), Value::list(missing));
-            let body = Value::pair(seq, Value::pair(at, missing));
-            outs.push(SendInstr::now(to, Msg::new(CATCHUP_HEADER, body)));
-        } else {
-            self.core.note(Event::Transfer {
-                to,
-                kind: TransferKind::Snapshot,
-            });
-            // The image's policy header is the config-chain position: a
-            // disk restore needs it; a network joiner already holds it
-            // from the TOB and checks only the seq wrapped around each
-            // chunk, which drops stragglers from older configurations.
-            let chunks = self
-                .core
-                .snapshot_chunks(self.core.executed(), self.config.to_value());
-            outs.extend(chunks.into_iter().map(|c| {
-                let body = Value::pair(seq.clone(), Value::pair(at.clone(), c));
-                SendInstr::now(to, Msg::new(SNAPSHOT_HEADER, body))
-            }));
-        }
+        let (header, bodies) = self.core.state_for(to, behind, self.config.to_value());
+        let (seq, at) = (Value::Int(self.config.seq), Value::Int(self.elected_at));
+        outs.extend(bodies.into_iter().map(|b| {
+            let body = Value::pair(seq.clone(), Value::pair(at.clone(), b));
+            SendInstr::now(to, Msg::new(header, body))
+        }));
     }
 
     /// Step 1–2 of the recovery procedure: stop, then broadcast a proposal.
@@ -1141,8 +1107,11 @@ impl PbrReplica {
             // From a configuration this replica has left, or a duplicate.
         } else if msg.header == cached_header!(CATCHUP_HEADER) {
             self.on_catchup(ctx, state, outs);
-        } else {
-            self.on_snapshot(ctx, state, outs);
+        } else if self.core.accept_chunk(state).is_some() {
+            // The image carries the donor's reply cache, `executed` and —
+            // in a sharded group — its 2PC state and emission counters, so
+            // this replica resumes exactly where the group is.
+            self.finish_recovery(ctx, outs);
         }
     }
 
@@ -1176,17 +1145,6 @@ impl PbrReplica {
             outs.push(self.ack(ctx.slf, self.core.executed()));
         }
         self.finish_recovery(ctx, outs);
-    }
-
-    fn on_snapshot(&mut self, ctx: &Ctx, chunk: &Value, outs: &mut Vec<SendInstr>) {
-        // The image carries the donor's reply cache, `executed` and — in a
-        // sharded group — its 2PC state and emission counters, so this
-        // replica resumes exactly where the group is.
-        if self.core.accept_chunk(chunk).is_some() {
-            self.log.clear();
-            self.log_start = self.core.executed();
-            self.finish_recovery(ctx, outs);
-        }
     }
 
     /// Step 6: acknowledge recovery to the primary and resume — or, at a

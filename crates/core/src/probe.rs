@@ -27,8 +27,8 @@ use std::sync::Arc;
 /// restart-from-disk misses only a suffix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TransferKind {
-    /// The donor replayed missing transactions from its cache (or, under
-    /// SMR, its recent-delivery cache).
+    /// The donor sent the missing transactions (under SMR, deliveries)
+    /// from its window of recently executed ones.
     Catchup,
     /// The donor streamed a full state snapshot.
     Snapshot,

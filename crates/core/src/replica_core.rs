@@ -5,10 +5,14 @@
 //! per-client-sequence-number duplicate suppression. [`ReplicaCore`] is
 //! that thing, once: the database handle, the reply cache, the executed
 //! counter, grouped apply, 2PC engine hosting, the write-ahead log's
-//! durability point and the acknowledgments parked behind it, and chunked
-//! state transfer. `pbr` and `smr` keep only their ordering policy (who
-//! orders, who replies, who may serve a fast read, what a WAL record is)
-//! and call into this module.
+//! durability point and the acknowledgments parked behind it, the bounded
+//! window of recently executed items ("each replica only caches a limited
+//! number of executed transactions", Sec. III-A), and the donor's answer
+//! to a peer that is behind: the items it missed, or else the state image
+//! in ~50 KB chunks. `pbr` and `smr` keep only their ordering policy (who
+//! orders and replies, who may serve a fast read, what a WAL record is,
+//! whom a lagging replica asks and when an answer applies) and call into
+//! this module.
 //!
 //! The core defines the **one state image** a replica is rebuilt from,
 //! whether it comes off the local disk or over the network:
@@ -27,9 +31,9 @@
 
 use crate::msgs::{
     lease_audit_msg, parse_stale_config, reply_msg, sql_to_value, value_to_sql, TxnEnvelope,
-    SYNCED_HEADER, SYNC_HEADER,
+    CATCHUP_HEADER, SNAPSHOT_HEADER, SYNCED_HEADER, SYNC_HEADER,
 };
-use crate::probe::{Event, Probe};
+use crate::probe::{Event, Probe, TransferKind};
 use crate::shard::{ShardRole, TwoPcEngine};
 use bytes::BytesMut;
 use shadowdb_eventml::codec::encode_pair_with_bytes;
@@ -39,7 +43,7 @@ use shadowdb_runtime::completion;
 use shadowdb_sqldb::{Database, RowBatch, Snapshot, SqlValue};
 use shadowdb_wal::{Disk, Recovered, Wal};
 use shadowdb_workloads::{apply_group, TxnId, TxnRequest};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Duration;
 
 /// How a request's client sequence number relates to the reply cache.
@@ -70,6 +74,25 @@ struct Assembly {
     id: (i64, i64),
     head: Option<Value>,
     chunks: BTreeMap<i64, bytes::Bytes>,
+}
+
+/// An executed item as the window keeps it: a delivery payload as it was
+/// delivered (SMR), or a transaction envelope in its typed form (PBR) —
+/// far smaller than its value tree — encoded only to catch a peer up.
+#[derive(Clone)]
+pub(crate) enum Executed {
+    Payload(Value),
+    Txn(TxnEnvelope),
+}
+
+/// The items a replica executed last, consecutive up to the policy's
+/// frontier `end` (PBR: the executed count; SMR: the delivery sequence).
+#[derive(Clone, Default)]
+struct Window {
+    end: i64,
+    items: VecDeque<Executed>,
+    /// At most this many items (0 keeps none).
+    limit: usize,
 }
 
 /// The service state and plumbing shared by every replica, whatever
@@ -117,6 +140,7 @@ pub(crate) struct ReplicaCore {
     /// State-transfer batch size in bytes (~50 KB in the paper).
     transfer_batch_bytes: usize,
     assembly: Assembly,
+    window: Window,
     /// The deployment's event log (observes state, is not state).
     probe: Option<Probe>,
     /// The model checker's lease-audit sink: every lease read is also
@@ -143,6 +167,7 @@ impl ReplicaCore {
             sync_scheduled: false,
             transfer_batch_bytes: 50_000,
             assembly: Assembly::default(),
+            window: Window::default(),
             probe: None,
             lease_audit: None,
         }
@@ -166,6 +191,12 @@ impl ReplicaCore {
     pub(crate) fn set_transfer_batch_bytes(&mut self, bytes: usize) {
         assert!(bytes > 0, "batches need at least one byte");
         self.transfer_batch_bytes = bytes;
+    }
+
+    /// Keeps the last `limit` executed items to catch peers up from
+    /// (0 keeps none, so every peer behind gets the image).
+    pub(crate) fn set_window_limit(&mut self, limit: usize) {
+        self.window.limit = limit;
     }
 
     pub(crate) fn db(&self) -> &Database {
@@ -632,15 +663,65 @@ impl ReplicaCore {
         }
     }
 
-    // -- chunked state transfer ----------------------------------------------
+    // -- state transfer ------------------------------------------------------
+
+    /// Records the item executed at the frontier, which moves one on; the
+    /// item is made only if the window keeps any.
+    pub(crate) fn remember(&mut self, item: impl FnOnce() -> Executed) {
+        let w = &mut self.window;
+        w.end += 1;
+        if w.limit > 0 {
+            w.items.push_back(item());
+            if w.items.len() > w.limit {
+                w.items.pop_front();
+            }
+        }
+    }
+
+    /// Empties the window and puts its frontier at `at`: the position of
+    /// a state image just installed.
+    pub(crate) fn restart_window(&mut self, at: i64) {
+        self.window.items.clear();
+        self.window.end = at;
+    }
+
+    /// The donor's answer to `to`, which has reached position `from`: when
+    /// the window reaches back to `from`, the catch-up body `<from,
+    /// [items]>` (empty for a peer already at the frontier) under
+    /// [`CATCHUP_HEADER`]; else the state image under `header`, cut into
+    /// chunks identified by the frontier, under [`SNAPSHOT_HEADER`].
+    /// Either way the transfer is recorded in the deployment's log.
+    pub(crate) fn state_for(
+        &mut self,
+        to: Loc,
+        from: i64,
+        header: Value,
+    ) -> (&'static str, Vec<Value>) {
+        let end = self.window.end;
+        let start = end - self.window.items.len() as i64;
+        let kind = match from >= start {
+            true => TransferKind::Catchup,
+            false => TransferKind::Snapshot,
+        };
+        self.note(Event::Transfer { to, kind });
+        if kind == TransferKind::Snapshot {
+            return (SNAPSHOT_HEADER, self.snapshot_chunks(end, header));
+        }
+        let missing = self.window.items.iter().skip((from - start) as usize);
+        let missing = Value::list(missing.map(|item| match item {
+            Executed::Payload(v) => v.clone(),
+            Executed::Txn(env) => env.to_value(),
+        }));
+        (CATCHUP_HEADER, vec![Value::pair(Value::Int(from), missing)])
+    }
 
     /// Cuts a full state image into transfer chunks of ~`transfer_batch_
     /// bytes` rows each, charging serialization cost per the engine
     /// profile. Chunk body: `<i, <<total, id>, data>>`, where `data` is
     /// the row bytes — and on the first chunk `<head, row bytes>`, so
     /// the non-row part travels once and arrival order is moot. `id` is
-    /// the donor's snapshot identity (see [`Assembly`]).
-    pub(crate) fn snapshot_chunks(&mut self, id: i64, header: Value) -> Vec<Value> {
+    /// the donor's snapshot identity (see [`Assembly`]): its frontier.
+    fn snapshot_chunks(&mut self, id: i64, header: Value) -> Vec<Value> {
         let snapshot = self.db.snapshot();
         let batches = snapshot.to_batches(self.transfer_batch_bytes);
         let costs = self.db.profile().costs;
@@ -675,8 +756,9 @@ impl ReplicaCore {
 
     /// Receives one transfer chunk. Once every chunk of one snapshot
     /// identity has arrived the image is installed (charging bulk-insert
-    /// cost) and its policy header returned; a durable replica then takes
-    /// a durable snapshot at its next sync.
+    /// cost), the window restarted at the donor's frontier, and the
+    /// image's policy header returned; a durable replica then takes a
+    /// durable snapshot at its next sync.
     pub(crate) fn accept_chunk(&mut self, body: &Value) -> Option<Value> {
         let (i, rest) = body.fst().zip(body.snd())?;
         let (meta, data) = rest.fst().zip(rest.snd())?;
@@ -720,6 +802,7 @@ impl ReplicaCore {
                 *through = NOTHING_DURABLE;
             }
         }
+        self.restart_window(id.1);
         self.assembly = Assembly::default();
         Some(header)
     }
@@ -766,6 +849,7 @@ impl Clone for ReplicaCore {
             sync_scheduled: self.sync_scheduled,
             transfer_batch_bytes: self.transfer_batch_bytes,
             assembly: self.assembly.clone(),
+            window: self.window.clone(),
             probe: self.probe.clone(),
             lease_audit: self.lease_audit,
         }
@@ -967,6 +1051,75 @@ mod tests {
         assert_eq!(grouped.seen(Loc::new(3), 3), Seen::Duplicate);
         assert_eq!(grouped.seen(Loc::new(3), 2), Seen::Stale);
         assert_eq!(grouped.seen(Loc::new(3), 4), Seen::Fresh);
+    }
+
+    /// The one transfer rule, for both policies: a window of limit 4 at
+    /// positions 10 and up answers a peer with exactly the items it
+    /// missed when it reaches back to the peer's position, and with the
+    /// image otherwise — including after an image install, which
+    /// restarts it empty at the image's position. Each answer is in the
+    /// log under its kind.
+    #[test]
+    fn the_window_answers_with_a_suffix_or_the_image() {
+        enum Want {
+            Suffix(Vec<i64>),
+            Image,
+        }
+        // (case, window limit, install an image at 20 first, from, answer)
+        let cases = [
+            (
+                "from at the start",
+                4,
+                false,
+                12,
+                Want::Suffix(vec![12, 13, 14, 15]),
+            ),
+            ("from one below the start", 4, false, 11, Want::Image),
+            ("no window", 0, false, 15, Want::Image),
+            ("below an installed image", 4, true, 15, Want::Image),
+        ];
+        let peer = Loc::new(7);
+        for (case, limit, install, from, want) in cases {
+            let probe = Probe::default();
+            let mut c = core(1);
+            c.observe(Some(probe.clone()), None);
+            c.set_window_limit(limit);
+            c.restart_window(10);
+            for p in 10..16 {
+                c.remember(|| Executed::Payload(Value::Int(p)));
+            }
+            if install {
+                let mut donor = core(1);
+                donor.restart_window(20);
+                for chunk in donor.snapshot_chunks(20, Value::Unit) {
+                    c.accept_chunk(&chunk);
+                }
+                assert_eq!(c.window.end, 20, "{case}: restarted at the image");
+            }
+            let frontier = c.window.end;
+            let (header, bodies) = c.state_for(peer, from, Value::Unit);
+            let kind = match want {
+                Want::Suffix(items) => {
+                    assert_eq!(header, CATCHUP_HEADER, "{case}");
+                    let items = Value::list(items.into_iter().map(Value::Int));
+                    assert_eq!(bodies, vec![Value::pair(Value::Int(from), items)], "{case}");
+                    TransferKind::Catchup
+                }
+                Want::Image => {
+                    assert_eq!(header, SNAPSHOT_HEADER, "{case}");
+                    let mut joiner = core(1);
+                    let installed = bodies.iter().filter_map(|b| joiner.accept_chunk(b));
+                    assert_eq!(installed.count(), 1, "{case}: the chunks make one image");
+                    assert_eq!(
+                        joiner.window.end, frontier,
+                        "{case}: identified by the frontier"
+                    );
+                    TransferKind::Snapshot
+                }
+            };
+            let recorded = Event::Transfer { to: peer, kind };
+            assert_eq!(probe.events(), vec![recorded], "{case}");
+        }
     }
 
     /// Chunks of different snapshot identities never mix: a chunk of

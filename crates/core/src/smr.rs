@@ -11,12 +11,19 @@
 //! replica is a reconfiguration broadcast: the request carries the
 //! sequence number of the last ordered transaction, and the new replica
 //! fetches the snapshot from the proposer.
+//!
+//! A replica that is behind — a joiner or one rebooted from its disk —
+//! sends a donor one request (`from = -1` asks for an image), and the
+//! donor sends back the core's answer (`ReplicaCore::state_for`) bare,
+//! under PBR's catch-up and snapshot headers. Only a durable replica keeps
+//! a window to answer from: its rebooted peers are the window's readers.
 
 use crate::msgs::{
-    reply_msg, TxnEnvelope, STALE_CONFIG_HEADER, SUBMIT_HEADER, SYNCED_HEADER, SYNC_HEADER,
+    reply_msg, TxnEnvelope, CATCHUP_HEADER, SNAPSHOT_HEADER, STALE_CONFIG_HEADER, SUBMIT_HEADER,
+    SYNCED_HEADER, SYNC_HEADER,
 };
-use crate::probe::{Event, Probe, TransferKind};
-use crate::replica_core::{ReplicaCore, Seen};
+use crate::probe::Probe;
+use crate::replica_core::{Executed, ReplicaCore, Seen};
 use crate::shard::ShardRole;
 use shadowdb_eventml::process::HasherAdapter;
 use shadowdb_eventml::{cached_header, Ctx, Msg, Process, SendInstr, Value};
@@ -25,29 +32,19 @@ use shadowdb_sqldb::Database;
 use shadowdb_tob::{broadcast_msg, parse_deliver, parse_subok, Delivery, InOrderBuffer};
 use shadowdb_wal::Disk;
 use shadowdb_workloads::TxnRequest;
-use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
-/// Request a snapshot from a replica: body `<requester>` or
-/// `<requester, min_seq>` (the donor defers until it has executed at
-/// least `min_seq` deliveries, so the snapshot can never undershoot the
-/// requester's subscription point).
-pub const FETCH_SNAPSHOT_HEADER: &str = "smr/fetchsnap";
-/// A snapshot chunk: body `<chunk, <<total, next_seq>, data>>` (the core's
-/// transfer format; the image's policy header is `next_seq`).
-pub const SNAPSHOT_CHUNK_HEADER: &str = "smr/snapchunk";
-/// Joiner-internal retry timer: if the snapshot has not landed (donor
+/// The one fetch: body `<requester, <from, min_seq>>`. The donor defers
+/// until it has executed `min_seq` deliveries, so its answer never
+/// undershoots the requester's subscription point.
+const FETCH_HEADER: &str = "smr/fetch";
+/// Joiner-internal retry timer: if the answer has not landed (donor
 /// crashed mid-stream), re-request from the next donor on the list.
 const JOIN_RETRY_HEADER: &str = "smr/joinretry";
-/// A disk-recovered replica asks a donor for the delivery suffix it
-/// missed: body `<requester, <from_seq, min_seq>>`. The donor answers
-/// from its recent-delivery cache when it reaches back to `from_seq`,
-/// else falls back to a full snapshot.
-const FETCH_DELTA_HEADER: &str = "smr/fetchdelta";
-/// The missed suffix: body `<from_seq, [payload...]>` (consecutive
-/// delivery payloads starting at `from_seq`).
-const DELTA_HEADER: &str = "smr/delta";
+/// The window a durable replica keeps to serve a rebooted peer's
+/// catch-up: its last this many deliveries.
+const REJOIN_WINDOW: usize = 4_096;
 /// Self-rearming renewal/claim tick for the read-lease plane.
 const LEASE_TIMER_HEADER: &str = "smr/leasetick";
 /// Tag of a lease marker ordered through the TOB:
@@ -131,7 +128,7 @@ fn parse_lease_marker(v: &Value) -> Option<(Loc, i64)> {
 pub struct SmrReplica {
     /// The replicated service: database, reply cache, executed counter,
     /// 2PC engine, WAL (one record per in-order delivery, keyed by its TOB
-    /// sequence number), state transfer.
+    /// sequence number), the window of recent deliveries, state transfer.
     core: ReplicaCore,
     incoming: InOrderBuffer,
     /// Snapshot-joining state: deliveries buffer inside `incoming` until
@@ -151,11 +148,6 @@ pub struct SmrReplica {
     /// Disk-recovered and waiting to fetch the delivery suffix the disk
     /// missed from a donor.
     rejoin: bool,
-    /// Recent in-order deliveries `(seq, payload)`, consecutive up to
-    /// `next_seq` — the donor-side cache for suffix-only rejoins.
-    recent: VecDeque<(i64, Value)>,
-    /// Bound on `recent` (0 disables the cache).
-    recent_limit: usize,
     /// Lease-based read fast path, when enabled.
     lease: Option<LeaseState>,
     /// Rebooted after a power loss: the first step recovers from the
@@ -175,8 +167,6 @@ impl SmrReplica {
             join_attempts: 0,
             group_scratch: Vec::new(),
             rejoin: false,
-            recent: VecDeque::new(),
-            recent_limit: 0,
             lease: None,
             reboot: None,
         }
@@ -226,39 +216,32 @@ impl SmrReplica {
         self
     }
 
-    /// Creates a replica that first fetches a snapshot from `donor` before
-    /// executing (a replica added by reconfiguration). The deployment must
-    /// route a [`FETCH_SNAPSHOT_HEADER`] request to the donor.
-    pub fn joining(db: Database) -> SmrReplica {
-        SmrReplica {
-            joining: true,
-            ..SmrReplica::new(db)
-        }
-    }
-
-    /// Creates a self-driven joiner: once the deployment subscribes it at
-    /// the broadcast service, the subscription ack triggers a snapshot
-    /// fetch from `donors[0]` with the ack's sequence as `min_seq` — the
-    /// donor defers until its execution reaches that point, so the
-    /// snapshot plus the subscribed deliveries form a gapless history. If
-    /// the snapshot does not land (donor crashed mid-stream), retries
-    /// rotate through `donors`.
+    /// Creates a joiner (a replica added by reconfiguration), which
+    /// executes nothing before a snapshot lands. Once the deployment
+    /// subscribes it at the broadcast service, the subscription ack
+    /// triggers an image fetch ([`SmrReplica::fetch_msg`]) from
+    /// `donors[0]` with the ack's sequence as `min_seq` — the donor defers
+    /// until its execution reaches that point, so the snapshot plus the
+    /// subscribed deliveries form a gapless history. If the snapshot does
+    /// not land (donor crashed mid-stream), retries rotate through
+    /// `donors`.
     pub fn joining_from(db: Database, donors: Vec<Loc>) -> SmrReplica {
         assert!(!donors.is_empty(), "a joiner needs at least one donor");
         SmrReplica {
+            joining: true,
             donors,
-            ..SmrReplica::joining(db)
+            ..SmrReplica::new(db)
         }
     }
 
     /// Attaches a write-ahead log: every in-order delivery is appended
     /// (keyed by its TOB sequence number) and synced at the replica's next
     /// `sdb/sync`, which its replies wait for, with a durable snapshot
-    /// every `snapshot_every` deliveries. Durable replicas also keep
-    /// `recent_limit` recent deliveries in memory so they can serve
-    /// suffix-only rejoins as donors.
-    pub fn with_wal(mut self, disk: Disk, snapshot_every: i64, recent_limit: usize) -> SmrReplica {
-        self.recent_limit = recent_limit;
+    /// every `snapshot_every` deliveries. A durable replica also keeps its
+    /// last 4 096 deliveries in the core's window, so it can catch up a
+    /// rebooted peer as a donor.
+    pub fn with_wal(mut self, disk: Disk, snapshot_every: i64) -> SmrReplica {
+        self.core.set_window_limit(REJOIN_WINDOW);
         // Deliveries are logged under their own sequence numbers, from 0.
         self.core.attach_wal(disk, snapshot_every, -1, -1);
         self
@@ -279,7 +262,7 @@ impl SmrReplica {
     /// tail, the latest snapshot is installed, the logged deliveries
     /// replayed, and the replica rejoins — the subscription ack tells it
     /// how far the group moved on, and `donors` serve the missed range from
-    /// their recent-delivery caches (a snapshot only if none reaches back).
+    /// their windows (a snapshot only if the window does not reach back).
     pub fn rebooted(mut self, donors: Vec<Loc>, tear: u64) -> SmrReplica {
         self.donors = donors;
         self.reboot = Some(tear);
@@ -294,10 +277,11 @@ impl SmrReplica {
         // repeats the frontier; the WAL index already implies it).
         let snap_at = rec.snapshot.as_ref().map_or(-1, |(idx, _)| *idx);
         self.incoming = InOrderBuffer::starting_at(snap_at + 1);
+        self.core.restart_window(snap_at + 1);
         // Replay the logged suffix through the normal execution path
         // (replies and 2PC sends are rendered and dropped; counters and
         // the reply cache advance exactly as they did pre-crash). The
-        // replay also refills `recent`, so a just-recovered replica can
+        // replay also refills the window, so a just-recovered replica can
         // itself serve as a donor.
         let mut discard = Vec::new();
         for (seq, payload) in &rec.records {
@@ -338,18 +322,12 @@ impl SmrReplica {
         }
     }
 
-    /// Builds the snapshot-fetch request sent to the donor replica.
-    pub fn fetch_snapshot_msg(requester: Loc) -> Msg {
-        Msg::new(FETCH_SNAPSHOT_HEADER, Value::Loc(requester))
-    }
-
-    /// A snapshot-fetch request the donor defers until it has executed at
-    /// least `min_seq` deliveries.
-    pub fn fetch_snapshot_after_msg(requester: Loc, min_seq: i64) -> Msg {
-        Msg::new(
-            FETCH_SNAPSHOT_HEADER,
-            Value::pair(Value::Loc(requester), Value::Int(min_seq)),
-        )
+    /// The request a replica that is behind sends a donor: the deliveries
+    /// from `from` on (`-1`: a state image), once the donor has executed
+    /// at least `min_seq` of them.
+    pub fn fetch_msg(requester: Loc, from: i64, min_seq: i64) -> Msg {
+        let range = Value::pair(Value::Int(from), Value::Int(min_seq));
+        Msg::new(FETCH_HEADER, Value::pair(Value::Loc(requester), range))
     }
 
     /// Overrides the state-transfer batch bound (~50 KB by default).
@@ -386,13 +364,8 @@ impl SmrReplica {
         for d in ready {
             // Durability first: the raw delivery stream is what the WAL
             // mirrors (replay re-runs dedup and 2PC identically), and the
-            // recent cache is what donors serve suffix rejoins from.
-            if self.recent_limit > 0 {
-                self.recent.push_back((d.seq, d.payload.clone()));
-                while self.recent.len() > self.recent_limit {
-                    self.recent.pop_front();
-                }
-            }
+            // window is what donors serve rebooted peers from.
+            self.core.remember(|| Executed::Payload(d.payload.clone()));
             self.core.wal_append(d.seq, &d.payload);
             if let Some((holder, send_us)) = parse_lease_marker(&d.payload) {
                 // Suppression is evaluated at each group's flush, so the
@@ -546,44 +519,39 @@ impl SmrReplica {
         });
     }
 
-    fn on_fetch_snapshot(&mut self, slf: Loc, body: &Value, outs: &mut Vec<SendInstr>) {
-        let (requester, min_seq) = match body.as_loc() {
-            Some(l) => (l, 0),
-            None => match (body.fst(), body.snd()) {
-                (Some(l), Some(s)) => match l.as_loc() {
-                    Some(l) => (l, s.int()),
-                    None => return,
-                },
-                _ => return,
-            },
-        };
-        if self.incoming.next_seq() < min_seq {
-            // Behind the requester's subscription point: a snapshot now
-            // would leave a delivery gap the joiner can never fill. Answer
-            // once execution has advanced past it.
+    /// Donor side of every fetch: answers `<requester, <from, min_seq>>`
+    /// with the core's catch-up or image, whose policy header and
+    /// identity are both the delivery frontier — the requester resumes the
+    /// stream exactly there.
+    fn on_fetch(&mut self, slf: Loc, body: &Value, outs: &mut Vec<SendInstr>) {
+        let (requester, rest) = body.unpair();
+        let (from, min_seq) = rest.unpair();
+        let next = self.incoming.next_seq();
+        if next < min_seq.int() {
+            // Behind the requester's subscription point: an answer now
+            // would leave a delivery gap it can never fill. Answer once
+            // execution has advanced past it.
             outs.push(SendInstr::after(
                 Duration::from_millis(10),
                 slf,
-                Msg::new(FETCH_SNAPSHOT_HEADER, body.clone()),
+                Msg::new(FETCH_HEADER, body.clone()),
             ));
             return;
         }
-        // The image's identity and policy header are both the delivery
-        // frontier: the joiner resumes the stream exactly there.
-        let next = self.incoming.next_seq();
-        let chunks = self.core.snapshot_chunks(next, Value::Int(next));
+        let requester = requester.loc();
+        let (header, bodies) = self.core.state_for(requester, from.int(), Value::Int(next));
         outs.extend(
-            chunks
+            bodies
                 .into_iter()
-                .map(|c| SendInstr::now(requester, Msg::new(SNAPSHOT_CHUNK_HEADER, c))),
+                .map(|b| SendInstr::now(requester, Msg::new(header, b))),
         );
     }
 
     /// Fires (or retries) the join request once the subscription point is
-    /// known — a snapshot fetch for a fresh joiner, the missed suffix
-    /// `[next_seq, sub_seq)` for a disk-recovered replica — rotating
-    /// through the donor list and re-arming the retry timer: a donor
-    /// crash mid-stream must not strand the joiner.
+    /// known — an image for a fresh joiner, the missed suffix `[next_seq,
+    /// sub_seq)` for a disk-recovered replica — rotating through the donor
+    /// list and re-arming the retry timer: a donor crash mid-stream must
+    /// not strand the joiner.
     fn kick_join(&mut self, slf: Loc, outs: &mut Vec<SendInstr>) {
         let Some(seq) = self.sub_seq else { return };
         if self.donors.is_empty() {
@@ -591,13 +559,12 @@ impl SmrReplica {
         }
         let donor = self.donors[(self.join_attempts as usize) % self.donors.len()];
         self.join_attempts += 1;
-        let request = if self.joining {
-            SmrReplica::fetch_snapshot_after_msg(slf, seq)
+        let from = if self.joining {
+            -1
         } else {
-            let range = Value::pair(Value::Int(self.incoming.next_seq()), Value::Int(seq));
-            Msg::new(FETCH_DELTA_HEADER, Value::pair(Value::Loc(slf), range))
+            self.incoming.next_seq()
         };
-        outs.push(SendInstr::now(donor, request));
+        outs.push(SendInstr::now(donor, SmrReplica::fetch_msg(slf, from, seq)));
         outs.push(SendInstr::after(
             Duration::from_secs(1),
             slf,
@@ -605,61 +572,12 @@ impl SmrReplica {
         ));
     }
 
-    /// Donor side of a suffix rejoin. Serve `[from, next_seq)` from the
-    /// recent-delivery cache when it reaches back to `from`; fall back to
-    /// a full snapshot otherwise. Like a snapshot fetch, the request is
-    /// deferred while this replica is behind the requester's subscription
-    /// point.
-    fn on_fetch_delta(&mut self, slf: Loc, body: &Value, outs: &mut Vec<SendInstr>) {
-        let (requester, rest) = body.unpair();
-        let (from, min_seq) = rest.unpair();
-        let (requester, from, min_seq) = (requester.loc(), from.int(), min_seq.int());
-        let next = self.incoming.next_seq();
-        if next < min_seq {
-            outs.push(SendInstr::after(
-                Duration::from_millis(10),
-                slf,
-                Msg::new(FETCH_DELTA_HEADER, body.clone()),
-            ));
-            return;
-        }
-        let cache_start = next - self.recent.len() as i64;
-        if from >= cache_start {
-            let payloads: Vec<Value> = self
-                .recent
-                .iter()
-                .filter(|(s, _)| *s >= from)
-                .map(|(_, p)| p.clone())
-                .collect();
-            self.core.note(Event::Transfer {
-                to: requester,
-                kind: TransferKind::Catchup,
-            });
-            outs.push(SendInstr::now(
-                requester,
-                Msg::new(
-                    DELTA_HEADER,
-                    Value::pair(Value::Int(from), Value::list(payloads)),
-                ),
-            ));
-        } else {
-            self.core.note(Event::Transfer {
-                to: requester,
-                kind: TransferKind::Snapshot,
-            });
-            self.on_fetch_snapshot(
-                slf,
-                &Value::pair(Value::Loc(requester), Value::Int(min_seq)),
-                outs,
-            );
-        }
-    }
-
     /// Receiver side of a suffix rejoin: feed the donor's payloads into
     /// the in-order buffer as synthetic deliveries and execute normally —
-    /// they are logged, cached, deduplicated, and answered exactly like
-    /// live traffic (duplicate replies are harmless; clients drop them).
-    fn on_delta(&mut self, slf: Loc, now: VTime, body: &Value, outs: &mut Vec<SendInstr>) {
+    /// they are logged, remembered, deduplicated, and answered exactly
+    /// like live traffic (duplicate replies are harmless; clients drop
+    /// them).
+    fn on_catchup(&mut self, slf: Loc, now: VTime, body: &Value, outs: &mut Vec<SendInstr>) {
         if !self.rejoin {
             return;
         }
@@ -700,9 +618,6 @@ impl SmrReplica {
         // Skip everything the snapshot already covers, then replay whatever
         // arrived while joining.
         let held = std::mem::replace(&mut self.incoming, InOrderBuffer::starting_at(next_seq));
-        // The cache must stay consecutive up to `next_seq`; pre-restore
-        // entries no longer are.
-        self.recent.clear();
         let mut ready = Vec::new();
         for d in held.into_pending() {
             ready.extend(self.incoming.offer(d));
@@ -811,14 +726,12 @@ impl Process for SmrReplica {
         }
         let first = out.len();
         let h = msg.header;
-        if h == cached_header!(FETCH_SNAPSHOT_HEADER) {
-            self.on_fetch_snapshot(ctx.slf, &msg.body, out);
-        } else if h == cached_header!(SNAPSHOT_CHUNK_HEADER) {
+        if h == cached_header!(FETCH_HEADER) {
+            self.on_fetch(ctx.slf, &msg.body, out);
+        } else if h == cached_header!(SNAPSHOT_HEADER) {
             self.on_snapshot_chunk(ctx.slf, ctx.now, &msg.body, out);
-        } else if h == cached_header!(FETCH_DELTA_HEADER) {
-            self.on_fetch_delta(ctx.slf, &msg.body, out);
-        } else if h == cached_header!(DELTA_HEADER) {
-            self.on_delta(ctx.slf, ctx.now, &msg.body, out);
+        } else if h == cached_header!(CATCHUP_HEADER) {
+            self.on_catchup(ctx.slf, ctx.now, &msg.body, out);
         } else if h == cached_header!(SUBMIT_HEADER) {
             self.on_submit(ctx, &msg.body, out);
         } else if h == cached_header!(SYNC_HEADER) {
@@ -845,11 +758,11 @@ impl Process for SmrReplica {
             // is a safe lower bound for the fetch).
             if (self.rejoin || self.joining) && self.sub_seq.is_none() {
                 self.sub_seq = Some(seq);
-                // A disk-recovered replica runs the delta handshake even
-                // when its disk already reaches the subscription point
-                // (the suffix is then empty): the donor's answer is the
-                // observable record that the rejoin took the suffix path,
-                // and feeding an empty delta completes the rejoin
+                // A disk-recovered replica runs the catch-up handshake
+                // even when its disk already reaches the subscription
+                // point (the suffix is then empty): the donor's answer is
+                // the observable record that the rejoin took the suffix
+                // path, and feeding an empty catch-up completes the rejoin
                 // immediately.
                 self.kick_join(ctx.slf, out);
             }
@@ -907,7 +820,7 @@ mod tests {
         let db = Database::new(EngineProfile::h2());
         bank::load(&db, 4).expect("bank loads");
         SmrReplica::new(db)
-            .with_wal(disk.clone(), 1_000, 16)
+            .with_wal(disk.clone(), 1_000)
             .with_read_leases(vec![TOB], 1, SmrLeaseOptions::default())
     }
 

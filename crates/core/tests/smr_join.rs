@@ -2,9 +2,9 @@
 //!
 //! "If a replica suspects another replica to have crashed, it creates a
 //! snapshot of its database and broadcasts a reconfiguration request …
-//! The new replica obtains the snapshot from the proposer." The joining
-//! replica buffers deliveries that race the snapshot and must end in
-//! exactly the state of the donors.
+//! The new replica obtains the snapshot from the proposer." Here the
+//! joiner is never subscribed: one fetch request (`from = -1`, an image)
+//! sent on its behalf is its whole state transfer.
 
 use parking_lot::Mutex;
 use shadowdb::deploy::{DeployOptions, SmrDeployment};
@@ -48,16 +48,10 @@ fn joining_replica_converges_with_donors() {
     }
     let join_db = Database::new(EngineProfile::innodb());
     let joiner_db = join_db.clone();
-    let joiner = sim.add_node(Box::new(SmrReplica::joining(join_db)));
-    // The joiner must also receive future deliveries: in a full
-    // reconfiguration the broadcast service's subscriber list is updated;
-    // here the donor simply forwards by re-delivering — we instead verify
-    // the snapshot semantics: ask the donor for its snapshot now…
-    sim.send_at(
-        sim.now(),
-        d.replicas[0],
-        SmrReplica::fetch_snapshot_msg(joiner),
-    );
+    let donor = d.replicas[0];
+    let joiner = sim.add_node(Box::new(SmrReplica::joining_from(join_db, vec![donor])));
+    // Ask the donor for its image now, while traffic flows…
+    sim.send_at(sim.now(), donor, SmrReplica::fetch_msg(joiner, -1, 0));
     sim.run_until_quiescent(VTime::from_secs(600));
     assert_eq!(d.committed(), 400);
 
@@ -88,11 +82,10 @@ fn joining_replica_converges_with_donors() {
     assert_eq!(joiner_db.table_len("accounts"), ACCOUNTS);
 }
 
-/// When the joiner is also wired in as a subscriber from the start, its
-/// buffered deliveries replay after the snapshot lands and it converges to
-/// the donors' exact final state.
+/// A joiner whose image is cut after the workload drained converges to
+/// the donor's exact final state.
 #[test]
-fn joiner_subscribed_from_start_replays_buffered_deliveries() {
+fn joiner_fetching_after_the_workload_equals_its_donor() {
     let mut sim = shadowdb_simnet::testing::default_net(9);
     let dbs: Arc<Mutex<Vec<Database>>> = Arc::new(Mutex::new(Vec::new()));
     let captured = dbs.clone();
@@ -113,33 +106,17 @@ fn joiner_subscribed_from_start_replays_buffered_deliveries() {
             },
         )
     };
-    // Build the deployment manually-ish: reuse SmrDeployment but with the
-    // joiner appended to the subscriber list via a custom build is not
-    // exposed; instead subscribe the joiner by placing it at the planned
-    // location and extending subscribers through the public API.
-    let d = {
-        // SmrDeployment subscribes only its own replicas; emulate the
-        // reconfigured subscription by rebuilding the TOB with the joiner
-        // included: simplest is to construct the deployment and then
-        // deliver to the joiner through replica forwarding — out of scope
-        // here, so instead start the joiner as a *fourth* subscriber by
-        // building everything through SmrDeployment with 3 replicas and
-        // independently snapshotting at quiescence.
-        SmrDeployment::build(&mut sim, &options)
-    };
+    let d = SmrDeployment::build(&mut sim, &options);
     let join_db = Database::new(EngineProfile::h2());
     let joiner_db = join_db.clone();
-    let added = sim.add_node(Box::new(SmrReplica::joining(join_db)));
+    let donor = d.replicas[1];
+    let added = sim.add_node(Box::new(SmrReplica::joining_from(join_db, vec![donor])));
     assert_eq!(added, joiner_loc);
     // Snapshot after everything committed: the joiner must equal the donors
     // exactly.
     sim.run_until_quiescent(VTime::from_secs(600));
     assert_eq!(d.committed(), 300);
-    sim.send_at(
-        sim.now(),
-        d.replicas[1],
-        SmrReplica::fetch_snapshot_msg(joiner_loc),
-    );
+    sim.send_at(sim.now(), donor, SmrReplica::fetch_msg(joiner_loc, -1, 0));
     sim.run_until_quiescent(VTime::from_secs(600));
 
     let donor_total = dbs.lock()[1]

@@ -1448,43 +1448,4 @@ mod tests {
         assert_eq!(names, ["arm", "early", "tick", "mid", "late"]);
         net.shutdown();
     }
-
-    #[cfg(target_os = "linux")]
-    fn os_thread_count() -> usize {
-        std::fs::read_dir("/proc/self/task")
-            .expect("procfs")
-            .count()
-    }
-
-    /// Shutdown joins every shard event loop — repeated nets must not leak
-    /// OS threads, even with timers and traffic in flight.
-    #[test]
-    #[cfg(target_os = "linux")]
-    fn repeated_nets_leak_no_threads() {
-        let before = os_thread_count();
-        for i in 0..10u64 {
-            let mut net = TcpNet::new();
-            let echo = net.add_node(echo_counter());
-            let timer = net.add_node(Box::new(FnProcess::new((), |_s, ctx: &Ctx, m: &Msg| {
-                // Arm a far-future timer so shutdown always has an
-                // in-flight delayed send to discard.
-                vec![SendInstr::after(
-                    Duration::from_secs(3600),
-                    ctx.slf,
-                    m.clone(),
-                )]
-            })));
-            let (port, rx) = TcpNet::port(&mut net);
-            net.send(timer, Msg::new("tick", Value::Int(i as i64)));
-            net.send(echo, Msg::new("ping", Value::Loc(port)));
-            let _ = rx.recv_timeout(Duration::from_secs(5));
-            net.shutdown();
-        }
-        let after = os_thread_count();
-        assert!(
-            after <= before,
-            "leaked {} threads across 10 nets",
-            after - before
-        );
-    }
 }
