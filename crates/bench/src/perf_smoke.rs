@@ -114,7 +114,6 @@ fn clk_runtime_msgs_per_sec() -> f64 {
     let hop = Duration::from_micros(1); // zero latency would never advance time
     let net = NetworkConfig {
         latency: Latency::Fixed(hop),
-        drop_probability: 0.0,
         faults: Default::default(),
     };
     let mut sim = SimBuilder::new(7).network(net).build();

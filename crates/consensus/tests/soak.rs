@@ -11,6 +11,7 @@ use shadowdb_consensus::{parse_decide, synod};
 use shadowdb_eventml::patterns::{MealyProcess, MealyState};
 use shadowdb_eventml::{Ctx, FnProcess, InterpretedProcess, Msg, Process, SendInstr, Value};
 use shadowdb_loe::{Loc, VTime};
+use shadowdb_runtime::{FaultPlan, LinkFault, LinkSel};
 use shadowdb_simnet::{Latency, NetworkConfig, SimBuilder};
 use std::collections::BTreeMap;
 use std::hash::Hasher;
@@ -39,13 +40,12 @@ fn index_of(command: &Value) -> i64 {
     command.unpair().1.unpair().1.int()
 }
 
-fn jittery(drop_probability: f64) -> NetworkConfig {
+fn jittery() -> NetworkConfig {
     NetworkConfig {
         latency: Latency::Jittered {
             base: Duration::from_micros(50),
             jitter: Duration::from_micros(800),
         },
-        drop_probability,
         faults: Default::default(),
     }
 }
@@ -57,10 +57,16 @@ fn jittery(drop_probability: f64) -> NetworkConfig {
 fn twothird_seven_members_with_loss() {
     for seed in 0..6 {
         let log: DecisionLog = Arc::new(Mutex::new(Vec::new()));
-        let mut sim = SimBuilder::new(500 + seed).network(jittery(0.10)).build();
         let learner_loc = Loc::new(0);
-        sim.add_node(learner(log.clone()));
         let members: Vec<Loc> = (1..8).map(Loc::new).collect();
+        // Background loss on every link between the run's locations.
+        let mut net = jittery();
+        let everyone: Vec<Loc> = (0..8).map(Loc::new).collect();
+        let all = LinkSel::Between(everyone.clone(), everyone);
+        let lossy = LinkFault::lossy(0.10);
+        net.faults = FaultPlan::new(seed).with_rule(all, VTime::ZERO, VTime::MAX, lossy);
+        let mut sim = SimBuilder::new(500 + seed).network(net).build();
+        sim.add_node(learner(log.clone()));
         let config = TwoThirdConfig::new(members.clone(), vec![learner_loc]).with_auto_adopt();
         let class = TwoThird::new(config).class();
         for m in &members {
@@ -111,7 +117,7 @@ fn twothird_seven_members_with_loss() {
 fn synod_with_competing_leaders_across_seeds() {
     for seed in 0..5 {
         let log: DecisionLog = Arc::new(Mutex::new(Vec::new()));
-        let mut sim = SimBuilder::new(900 + seed).network(jittery(0.0)).build();
+        let mut sim = SimBuilder::new(900 + seed).network(jittery()).build();
         let learner_loc = Loc::new(0);
         sim.add_node(learner(log.clone()));
         let config = synod::SynodConfig {
@@ -173,7 +179,7 @@ fn synod_with_competing_leaders_across_seeds() {
 #[test]
 fn synod_survives_minority_acceptor_crashes() {
     let log: DecisionLog = Arc::new(Mutex::new(Vec::new()));
-    let mut sim = SimBuilder::new(1234).network(jittery(0.0)).build();
+    let mut sim = SimBuilder::new(1234).network(jittery()).build();
     let learner_loc = Loc::new(0);
     sim.add_node(learner(log.clone()));
     let config = synod::SynodConfig {
@@ -228,7 +234,7 @@ fn synod_time_per_command_is_flat_over_a_long_run() {
     let mut ratios = Vec::new();
     for attempt in 0..3 {
         let log: DecisionLog = Arc::new(Mutex::new(Vec::new()));
-        let mut sim = SimBuilder::new(77 + attempt).network(jittery(0.0)).build();
+        let mut sim = SimBuilder::new(77 + attempt).network(jittery()).build();
         sim.add_node(learner(log.clone()));
         let config = synod::SynodConfig {
             replicas: vec![Loc::new(1)],
@@ -320,7 +326,6 @@ fn synod_state_is_bounded_over_a_long_run() {
     let mut sim = SimBuilder::new(5)
         .network(NetworkConfig {
             latency: Latency::Fixed(Duration::from_micros(100)),
-            drop_probability: 0.0,
             faults: Default::default(),
         })
         .build();

@@ -460,9 +460,10 @@ pub fn soak_sharded_reconfig_smr<R: Runtime + ?Sized>(
 /// a catch-up served to the rebooted `victim` (bounded by the soak's
 /// deadline, which only turns a rejoin that never happens into a failed
 /// check instead of a hang): the clients can finish before the last
-/// reboot's handshake completes — the refetch runs off the heartbeat
-/// timer, and on the real-time runtimes a loaded machine can slide the
-/// whole power cycle past the last answered transaction.
+/// reboot's fetch is answered — a PBR fetch that asks a backup first
+/// waits a heartbeat period for its retry, and on the real-time runtimes
+/// a loaded machine can slide the whole power cycle past the last
+/// answered transaction.
 fn await_catchup<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions, probe: &Probe, victim: Loc) {
     let caught_up = Event::Transfer {
         to: victim,

@@ -336,10 +336,9 @@ impl Recipe {
 
     /// Power-cycles the replica at `loc`: at `at` it comes back as the
     /// process that recovers from its disk, and right after it gets the
-    /// kick its policy needs — PBR's timer loop (the refetch handshake
-    /// runs off heartbeats), or SMR's re-subscription (idempotent; the ack
-    /// carries the delivery frontier, which starts the catch-up fetch) and
-    /// lease tick.
+    /// kick its policy needs — PBR's timer loop (its fetch opens at its
+    /// first step), or SMR's re-subscription, whose ack opens the fetch,
+    /// and lease tick.
     fn reboot<R: Runtime + ?Sized>(&self, rt: &mut R, loc: Loc, at: VTime, tear: u64) {
         assert!(self.durability.is_some(), "a reboot needs a disk");
         let i = self.replicas.borrow().iter().position(|r| *r == loc);
@@ -1018,7 +1017,7 @@ impl ShardedDeployment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::{check_two_pc_atomicity, Event, TransferKind};
+    use crate::probe::{check_catchup_only, check_two_pc_atomicity, Event, TransferKind};
     use shadowdb_eventml::{Ctx, Msg};
     use shadowdb_tob::SUBOK_HEADER;
     use shadowdb_workloads::bank;
@@ -1356,6 +1355,58 @@ mod tests {
             assert_eq!(fork.step(&ctx, &msg), sends);
             assert_eq!(fingerprint(&*original), fingerprint(&*fork));
         }
+    }
+
+    /// A rebooted PBR member asks its recovered configuration's members
+    /// one at a time, in order. Its disk logged the configuration as it was
+    /// adopted, before `Promote` reordered it, so the first member it asks
+    /// is a backup, which stays silent. One heartbeat period later the
+    /// retry asks the primary, and the member rejoins by catch-up.
+    #[test]
+    fn a_rebooted_backup_whose_first_ask_misses_the_primary_rejoins_by_catch_up() {
+        let mut sim = shadowdb_simnet::testing::default_net(15);
+        let probe = Probe::default();
+        let mut options = bank_options(2, 100);
+        options.active_replicas = 3;
+        options.durability = Some(DurabilityOptions::default());
+        options.probe = Some(probe.clone());
+        let pbr = PbrOptions::default();
+        let d = PbrDeployment::build(&mut sim, &options, pbr.clone());
+        let [first, victim, promoted] = d.replicas[..3] else {
+            unreachable!()
+        };
+        let mut handle = d.reconfig(&mut sim);
+        assert!(handle.promote(&mut sim, promoted, Duration::from_secs(10)));
+        let settled = handle.query_config(&mut sim, Duration::from_secs(10));
+        let members = settled.expect("a settled configuration").config.members;
+        assert_eq!(members, [promoted, first, victim], "elected out of order");
+
+        let reboot = sim.now() + Duration::from_millis(40);
+        sim.crash_at(sim.now() + Duration::from_millis(5), victim);
+        d.reboot(&mut sim, victim, reboot, 13);
+        let caught_up = Event::Transfer {
+            to: victim,
+            kind: TransferKind::Catchup,
+        };
+        let catch_ups = || probe.events().iter().filter(|e| **e == caught_up).count();
+        let before = catch_ups(); // the election after `Promote` caught it up
+        while catch_ups() == before {
+            sim.run_for(Duration::from_millis(1));
+            assert!(
+                sim.now() < reboot + Duration::from_secs(10),
+                "never rejoined"
+            );
+        }
+        let rejoined = sim.now().saturating_since(reboot);
+        assert!(
+            rejoined >= pbr.heartbeat_every,
+            "the first ask was answered"
+        );
+        assert!(
+            rejoined < pbr.heartbeat_every * 2,
+            "the retry was not: {rejoined:?}"
+        );
+        check_catchup_only(&probe.events(), victim).expect("rejoins by catch-up");
     }
 
     #[test]

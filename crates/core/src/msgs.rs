@@ -34,10 +34,13 @@ pub const CATCHUP_HEADER: &str = "sdb/catchup";
 pub const SNAPSHOT_HEADER: &str = "sdb/snapshot";
 /// Backup → primary recovery acknowledgment: body `<config, from>`.
 pub const RECOVERY_ACK_HEADER: &str = "sdb/recack";
-/// A disk-recovered replica asks the primary for the suffix its WAL
-/// missed: body `<requester, executed>`. Answered with `CATCHUP` when
-/// the primary's window reaches back far enough, else a full snapshot.
-pub const REFETCH_HEADER: &str = "sdb/refetch";
+/// A replica that is behind asks a donor for state ([`fetch_msg`]): body
+/// `<requester, <from, min>>`, `from = -1` an image, answered with a
+/// catch-up or snapshot once the donor has reached `min` (PBR sends 0).
+pub const FETCH_HEADER: &str = "sdb/fetch";
+/// A replica's retry timer for its open fetch, sent to itself (body
+/// unit): each firing asks the next donor.
+pub const FETCH_RETRY_HEADER: &str = "sdb/fetchretry";
 /// Stale-config NACK to a client: a replica that is not the primary of the
 /// current configuration answers a submission with its configuration so
 /// the client can chase the change. Body `<from, <cseq, config>>`.
@@ -408,6 +411,23 @@ pub fn parse_stale_config(msg: &Msg) -> Option<StaleConfig> {
         cseq: cseq.as_int()?,
         config: ReplicaConfig::from_value(config)?,
     })
+}
+
+/// Builds a fetch: `requester` asks for the state from `from` on (`-1`:
+/// an image), once the donor has reached `min`.
+pub fn fetch_msg(requester: Loc, from: i64, min: i64) -> Msg {
+    let range = Value::pair(Value::Int(from), Value::Int(min));
+    Msg::new(
+        cached_header!(FETCH_HEADER),
+        Value::pair(Value::Loc(requester), range),
+    )
+}
+
+/// Decodes a [`fetch_msg`] body into `(requester, from, min)`.
+pub(crate) fn parse_fetch(body: &Value) -> Option<(Loc, i64, i64)> {
+    let (requester, range) = body.fst().zip(body.snd())?;
+    let (from, min) = range.fst().zip(range.snd())?;
+    Some((requester.as_loc()?, from.as_int()?, min.as_int()?))
 }
 
 /// Builds a configuration-status query.

@@ -35,12 +35,16 @@
 //! 7. the primary resumes — immediately after the *first* acknowledgment
 //!    when overlapped state transfer is enabled (possible with ≥3
 //!    replicas), else after all of them.
+//!
+//! A replica rebooted from its disk fetches what it missed through the
+//! core, from its recovered configuration's members in turn, one more
+//! each heartbeat period; only the settled primary answers.
 
 use crate::msgs::{
-    config_reply_msg, reply_msg, stale_config_msg, ConfigCommand, ReplicaConfig, TxnEnvelope,
-    ACK_HEADER, CATCHUP_HEADER, CONFIG_QUERY_HEADER, FORWARD_HEADER, HB_TIMER_HEADER,
-    HEARTBEAT_HEADER, RECOVERY_ACK_HEADER, REFETCH_HEADER, SNAPSHOT_HEADER, STALE_CONFIG_HEADER,
-    SUBMIT_HEADER, SYNCED_HEADER, SYNC_HEADER,
+    config_reply_msg, parse_fetch, reply_msg, stale_config_msg, ConfigCommand, ReplicaConfig,
+    TxnEnvelope, ACK_HEADER, CATCHUP_HEADER, CONFIG_QUERY_HEADER, FETCH_HEADER, FETCH_RETRY_HEADER,
+    FORWARD_HEADER, HB_TIMER_HEADER, HEARTBEAT_HEADER, RECOVERY_ACK_HEADER, SNAPSHOT_HEADER,
+    STALE_CONFIG_HEADER, SUBMIT_HEADER, SYNCED_HEADER, SYNC_HEADER,
 };
 use crate::probe::{Event, Probe};
 use crate::replica_core::{Executed, ReplicaCore, Seen};
@@ -49,7 +53,7 @@ use shadowdb_eventml::process::HasherAdapter;
 use shadowdb_eventml::{cached_header, Ctx, Msg, Process, SendInstr, Value};
 use shadowdb_loe::{Loc, VTime};
 use shadowdb_sqldb::Database;
-use shadowdb_tob::{broadcast_msg, parse_deliver, parse_subok, Delivery, InOrderBuffer};
+use shadowdb_tob::{parse_deliver, parse_subok, Delivery, InOrderBuffer};
 use shadowdb_wal::Disk;
 use shadowdb_workloads::{TxnOutcome, TxnRequest};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -144,12 +148,11 @@ struct Pending {
 pub struct PbrReplica {
     /// The replicated service: database, reply cache, executed counter,
     /// 2PC engine, WAL, the window of executed transactions, state
-    /// transfer.
+    /// transfer, this replica's fetch and broadcast identity.
     core: ReplicaCore,
     options: PbrOptions,
     config: ReplicaConfig,
     spares: Vec<Loc>,
-    tob_servers: Vec<Loc>,
     mode: Mode,
     /// Primary: transactions awaiting backup acks, by index.
     pending: BTreeMap<i64, Pending>,
@@ -162,10 +165,9 @@ pub struct PbrReplica {
     hb_armed: bool,
     /// Reconfiguration machinery.
     tob_in: InOrderBuffer,
-    tob_msgid: i64,
     /// This replica's configuration broadcast (a proposal or a report)
-    /// the stream has not delivered yet: its msgid, and the send.
-    unordered: Option<(i64, SendInstr)>,
+    /// the stream has not delivered yet.
+    unordered: Option<SendInstr>,
     /// The reports the stream has delivered for the current configuration.
     election: BTreeMap<Loc, i64>,
     /// The stream seq whose delivery completed the current
@@ -189,9 +191,6 @@ pub struct PbrReplica {
     /// Monotone WAL record index (transactions and config adoptions share
     /// one sequence; `executed` alone cannot index config records).
     wal_index: i64,
-    /// Set by disk recovery: ask the group for the suffix the disk missed
-    /// (re-sent on the heartbeat timer until recovery completes).
-    need_refetch: bool,
     /// Primary: per-peer lease grants — the latest of our own heartbeat
     /// timestamps each member of the current configuration has echoed
     /// back. The lease holds while *every* other member's echo is fresh;
@@ -225,12 +224,12 @@ impl PbrReplica {
         let mut core = ReplicaCore::new(db);
         core.set_transfer_batch_bytes(options.transfer_batch_bytes);
         core.set_window_limit(options.cache_limit);
+        core.set_tob_servers(tob_servers);
         PbrReplica {
             core,
             options,
             config,
             spares,
-            tob_servers,
             mode: Mode::Normal,
             pending: BTreeMap::new(),
             active_backups: BTreeSet::new(),
@@ -238,7 +237,6 @@ impl PbrReplica {
             last_heard: HashMap::new(),
             hb_armed: false,
             tob_in: InOrderBuffer::new(),
-            tob_msgid: 0,
             unordered: None,
             election: BTreeMap::new(),
             elected_at: -1,
@@ -249,7 +247,6 @@ impl PbrReplica {
             probe_last: None,
             twopc_outbox: Vec::new(),
             wal_index: 0,
-            need_refetch: false,
             lease_echo: HashMap::new(),
             primary_ts: VTime::ZERO,
             lease_wait_until: VTime::ZERO,
@@ -311,8 +308,8 @@ impl PbrReplica {
     /// Its **first step** reads the disk back, at restart time and under
     /// the location the context supplies: `tear` resolves the torn unsynced
     /// tail, the latest snapshot is installed, the logged suffix replayed,
-    /// and the replica rejoins for whatever the disk missed (`sdb/refetch`:
-    /// catch-up only, unless the primary's window no longer reaches back).
+    /// and the replica fetches whatever the disk missed (catch-up only,
+    /// unless the primary's window no longer reaches back).
     pub fn rebooted(mut self, tear: u64) -> PbrReplica {
         self.reboot = Some(tear);
         self
@@ -320,9 +317,9 @@ impl PbrReplica {
 
     /// The recovery a [`PbrReplica::rebooted`] replica runs before
     /// handling its first message.
-    fn recover(&mut self, ctx: &Ctx, tear: u64) {
+    fn recover(&mut self, ctx: &Ctx, tear: u64, out: &mut Vec<SendInstr>) {
         let slf = ctx.slf;
-        let (disk, rec) = self.core.recover(tear);
+        let (disk, rec) = self.core.recover(tear, ctx.now);
         let mut snap_at = 0;
         if let Some((idx, header)) = &rec.snapshot {
             // The durable image's policy header is the replica's position
@@ -339,18 +336,15 @@ impl PbrReplica {
         self.wal_index = rec.high_index().max(0);
         self.core.resume_wal(disk, snap_at, self.wal_index);
         // The disk knows everything up to the crash; the group has moved
-        // on. Rejoin: re-anchor the TOB subscription and ask the primary
-        // for the missed suffix.
+        // on. Rejoin: re-anchor the TOB subscription and fetch the missed
+        // suffix from the members, whose primary answers.
         self.mode = Mode::Recovering;
         self.join_sync = true;
-        self.need_refetch = true;
-        // The broadcast service drops a `(source, msgid)` it has seen, so
-        // this incarnation must not count from 0 again. An incarnation
-        // proposes at most once per heartbeat tick, and not at its first
-        // step, so every msgid an earlier one used is below the clock (in
-        // µs) at which this one reads its disk. (The disk cannot bound
-        // them: the tail recording the last proposals may be what tore.)
-        self.tob_msgid = ctx.now.as_micros() as i64;
+        if self.config.contains(slf) {
+            let donors = self.config.members.iter().copied().filter(|m| *m != slf);
+            self.core.set_donors(donors, self.options.heartbeat_every);
+            self.core.fetch(slf, self.core.executed(), 0, out);
+        }
     }
 
     /// Replays one WAL record onto local state. Nothing is sent: 2PC
@@ -553,23 +547,12 @@ impl PbrReplica {
                 // this step (behind its sync, on a durable replica).
                 outs.extend(extra);
             } else {
-                outs.push(SendInstr::now(
-                    env.client,
-                    reply_msg(ctx.slf, env.cseq, committed, result),
-                ));
+                outs.extend(self.core.reply(ctx.slf, env.client));
             }
         } else {
             for b in self.config.backups() {
-                outs.push(SendInstr::now(
-                    *b,
-                    Msg::new(
-                        FORWARD_HEADER,
-                        Value::pair(
-                            Value::Int(self.config.seq),
-                            Value::pair(Value::Int(idx), env.to_value()),
-                        ),
-                    ),
-                ));
+                let forward = Value::pair(Value::Int(idx), env.to_value());
+                outs.push(self.in_config(*b, FORWARD_HEADER, forward));
             }
             let outcome = TxnOutcome {
                 committed,
@@ -609,12 +592,7 @@ impl PbrReplica {
         if self.pending.values().any(|p| p.env.client == env.client) {
             return;
         }
-        if let Some((last, committed, result)) = self.core.cached_reply(env.client) {
-            outs.push(SendInstr::now(
-                env.client,
-                reply_msg(ctx.slf, last, committed, result),
-            ));
-        }
+        outs.extend(self.core.reply(ctx.slf, env.client));
     }
 
     /// Re-emits whatever the group currently owes for `txnid`. If unacked
@@ -690,16 +668,15 @@ impl PbrReplica {
 
     /// This backup's acknowledgment of forward `idx` to the primary.
     fn ack(&self, slf: Loc, idx: i64) -> SendInstr {
-        SendInstr::now(
-            self.config.primary(),
-            Msg::new(
-                ACK_HEADER,
-                Value::pair(
-                    Value::Int(self.config.seq),
-                    Value::pair(Value::Int(idx), Value::Loc(slf)),
-                ),
-            ),
-        )
+        let ack = Value::pair(Value::Int(idx), Value::Loc(slf));
+        self.in_config(self.config.primary(), ACK_HEADER, ack)
+    }
+
+    /// A send to `to` within this replica's configuration: body
+    /// `<config, body>`.
+    fn in_config(&self, to: Loc, header: &'static str, body: Value) -> SendInstr {
+        let body = Value::pair(Value::Int(self.config.seq), body);
+        SendInstr::now(to, Msg::new(header, body))
     }
 
     fn on_ack(&mut self, ctx: &Ctx, body: &Value, outs: &mut Vec<SendInstr>) {
@@ -781,23 +758,12 @@ impl PbrReplica {
         };
         for m in &self.config.members {
             if *m != ctx.slf {
-                outs.push(SendInstr::now(
-                    *m,
-                    Msg::new(
-                        HEARTBEAT_HEADER,
-                        Value::pair(
-                            Value::Int(self.config.seq),
-                            Value::pair(Value::Loc(ctx.slf), Value::Int(ts)),
-                        ),
-                    ),
-                ));
+                let hb = Value::pair(Value::Loc(ctx.slf), Value::Int(ts));
+                outs.push(self.in_config(*m, HEARTBEAT_HEADER, hb));
             }
         }
         // A configuration broadcast the stream has not delivered: again.
-        outs.extend(self.unordered.as_ref().map(|u| u.1.clone()));
-        if self.need_refetch && self.mode == Mode::Recovering {
-            self.send_refetch(ctx, outs);
-        }
+        outs.extend(self.unordered.clone());
         if !matches!(self.mode, Mode::Normal | Mode::Recovering) {
             return; // a decision for this configuration is already pending
         }
@@ -838,35 +804,17 @@ impl PbrReplica {
         }
     }
 
-    /// Disk recovery's rejoin request: ask every peer for the suffix the
-    /// WAL missed (only the settled primary answers). Sent from the first
-    /// heartbeat tick after restart and re-sent every tick until a
-    /// catch-up (or snapshot, or a configuration change) resolves it —
-    /// the primary itself may still be recovering when the first ask
-    /// lands.
-    fn send_refetch(&mut self, ctx: &Ctx, outs: &mut Vec<SendInstr>) {
-        for m in self.config.members.clone() {
-            if m != ctx.slf {
-                outs.push(SendInstr::now(
-                    m,
-                    Msg::new(
-                        REFETCH_HEADER,
-                        Value::pair(Value::Loc(ctx.slf), Value::Int(self.core.executed())),
-                    ),
-                ));
-            }
-        }
-    }
-
-    /// Donor side of the rejoin handshake: answer as the elector would.
-    fn on_refetch(&mut self, ctx: &Ctx, body: &Value, outs: &mut Vec<SendInstr>) {
-        if self.mode != Mode::Normal || !self.is_primary(ctx.slf) {
+    /// Donor side of a rebooted member's fetch: only the settled primary
+    /// of a configuration containing the requester answers, as the
+    /// elector would. Everyone else stays silent and the requester's next
+    /// retry asks the next member — the primary may itself still be
+    /// recovering when the first ask lands.
+    fn on_fetch(&mut self, ctx: &Ctx, body: &Value, outs: &mut Vec<SendInstr>) {
+        let Some((to, from, _)) = parse_fetch(body) else {
             return;
-        }
-        let (from, behind) = body.unpair();
-        let (from, behind) = (from.loc(), behind.int());
-        if self.config.contains(from) {
-            self.send_state(from, behind, outs);
+        };
+        if self.mode == Mode::Normal && self.is_primary(ctx.slf) && self.config.contains(to) {
+            self.send_state(to, from, outs);
         }
     }
 
@@ -878,11 +826,9 @@ impl PbrReplica {
     /// disk restore needs; a network joiner holds it from the TOB.
     fn send_state(&mut self, to: Loc, behind: i64, outs: &mut Vec<SendInstr>) {
         let (header, bodies) = self.core.state_for(to, behind, self.config.to_value());
-        let (seq, at) = (Value::Int(self.config.seq), Value::Int(self.elected_at));
-        outs.extend(bodies.into_iter().map(|b| {
-            let body = Value::pair(seq.clone(), Value::pair(at.clone(), b));
-            SendInstr::now(to, Msg::new(header, body))
-        }));
+        for b in bodies {
+            outs.push(self.in_config(to, header, Value::pair(Value::Int(self.elected_at), b)));
+        }
     }
 
     /// Step 1–2 of the recovery procedure: stop, then broadcast a proposal.
@@ -918,11 +864,9 @@ impl PbrReplica {
     /// heartbeat timer re-sends it until the stream delivers it; the
     /// service drops the copies it has already seen.
     fn broadcast(&mut self, slf: Loc, payload: Value, outs: &mut Vec<SendInstr>) {
-        let server = self.tob_servers[(slf.index() as usize) % self.tob_servers.len()];
-        let send = SendInstr::now(server, broadcast_msg(slf, self.tob_msgid, payload));
+        let send = self.core.broadcast(slf, payload);
         outs.push(send.clone());
-        self.unordered = Some((self.tob_msgid, send));
-        self.tob_msgid += 1;
+        self.unordered = Some(send);
     }
 
     // -- recovery ------------------------------------------------------------
@@ -947,7 +891,9 @@ impl PbrReplica {
     }
 
     fn on_config_delivery(&mut self, ctx: &Ctx, d: &Delivery, outs: &mut Vec<SendInstr>) {
-        if d.client == ctx.slf && self.unordered.as_ref().is_some_and(|u| u.0 == d.msgid) {
+        // The broadcast body is `<source, <msgid, payload>>`.
+        let msgid = |u: &SendInstr| u.msg.body.snd().and_then(Value::fst)?.as_int();
+        if d.client == ctx.slf && self.unordered.as_ref().and_then(msgid) == Some(d.msgid) {
             self.unordered = None;
         }
         if let Some(report) = parse_report(&d.payload) {
@@ -1001,9 +947,9 @@ impl PbrReplica {
             self.wal_index += 1;
             self.core.wal_append(self.wal_index, &body);
         }
-        // An adopted configuration supersedes any in-flight refetch: the
+        // An adopted configuration supersedes an open fetch: the
         // election's own catch-up brings this replica up to date.
-        self.need_refetch = false;
+        self.core.fetched();
         self.pending.clear();
         self.forward_buf.clear();
         self.election.clear();
@@ -1097,11 +1043,12 @@ impl PbrReplica {
 
     /// Catch-up or a snapshot chunk, held until this replica's stream has
     /// delivered the seq its sender's election completed at: it has then
-    /// elected the same primary. A refetch answer (no election) is not.
+    /// elected the same primary. The answer to a fetch (no election) is
+    /// not.
     fn on_state(&mut self, ctx: &Ctx, msg: &Msg, outs: &mut Vec<SendInstr>) {
         let (cfg, rest) = msg.body.unpair();
         let (at, state) = rest.unpair();
-        if !self.need_refetch && at.int() >= self.tob_in.next_seq() {
+        if self.core.fetching().is_none() && at.int() >= self.tob_in.next_seq() {
             self.held.push(msg.clone());
         } else if cfg.int() != self.config.seq || self.mode != Mode::Recovering {
             // From a configuration this replica has left, or a duplicate.
@@ -1150,17 +1097,12 @@ impl PbrReplica {
     /// Step 6: acknowledge recovery to the primary and resume — or, at a
     /// `Promote` target the highest report's member just brought up, lead.
     fn finish_recovery(&mut self, ctx: &Ctx, outs: &mut Vec<SendInstr>) {
-        self.need_refetch = false;
+        self.core.fetched();
         if self.is_primary(ctx.slf) {
             return self.lead(ctx, outs);
         }
-        outs.push(SendInstr::now(
-            self.config.primary(),
-            Msg::new(
-                RECOVERY_ACK_HEADER,
-                Value::pair(Value::Int(self.config.seq), Value::Loc(ctx.slf)),
-            ),
-        ));
+        let primary = self.config.primary();
+        outs.push(self.in_config(primary, RECOVERY_ACK_HEADER, Value::Loc(ctx.slf)));
         self.mode = Mode::Normal;
         self.drain_forwards(ctx, outs);
     }
@@ -1234,13 +1176,13 @@ fn replicates_ahead(msg: &Msg) -> bool {
 impl PbrReplica {
     /// First-step initialization: learn our own identity from the context
     /// and, after a reboot, read the disk back under it.
-    fn ensure_init(&mut self, ctx: &Ctx) {
+    fn ensure_init(&mut self, ctx: &Ctx, out: &mut Vec<SendInstr>) {
         if self.hb_armed {
             return;
         }
         self.hb_armed = true;
         if let Some(tear) = self.reboot.take() {
-            self.recover(ctx, tear);
+            self.recover(ctx, tear, out);
         }
         if !self.config.contains(ctx.slf) {
             self.mode = Mode::Idle; // a spare, until a configuration adds us
@@ -1258,7 +1200,7 @@ impl PbrReplica {
 
 impl Process for PbrReplica {
     fn step_into(&mut self, ctx: &Ctx, msg: &Msg, out: &mut Vec<SendInstr>) {
-        self.ensure_init(ctx);
+        self.ensure_init(ctx, out);
         let first = out.len();
         let h = msg.header;
         if h == cached_header!(SUBMIT_HEADER) {
@@ -1288,8 +1230,10 @@ impl Process for PbrReplica {
             self.on_state(ctx, msg, out);
         } else if h == cached_header!(RECOVERY_ACK_HEADER) {
             self.on_recovery_ack(ctx, &msg.body);
-        } else if h == cached_header!(REFETCH_HEADER) {
-            self.on_refetch(ctx, &msg.body, out);
+        } else if h == cached_header!(FETCH_HEADER) {
+            self.on_fetch(ctx, &msg.body, out);
+        } else if h == cached_header!(FETCH_RETRY_HEADER) {
+            self.core.on_fetch_retry(ctx.slf, out);
         } else if h == cached_header!(CONFIG_QUERY_HEADER) {
             self.on_config_query(ctx, &msg.body, out);
         } else if h == cached_header!(STALE_CONFIG_HEADER) {
@@ -1317,7 +1261,8 @@ impl Process for PbrReplica {
     fn digest(&self, hasher: &mut dyn Hasher) {
         let mut h = HasherAdapter(hasher);
         (self.core.executed(), self.config.seq, self.mode).hash(&mut h);
-        (self.promote_pref, self.join_sync, self.need_refetch).hash(&mut h);
+        (self.promote_pref, self.join_sync).hash(&mut h);
+        self.core.digest_requests(&mut h);
         (self.tob_in.next_seq(), &self.election, &self.recovery_acks).hash(&mut h);
         self.core.twopc_seq().hash(&mut h);
     }

@@ -9,10 +9,12 @@
 //! window of recently executed items ("each replica only caches a limited
 //! number of executed transactions", Sec. III-A), and the donor's answer
 //! to a peer that is behind: the items it missed, or else the state image
-//! in ~50 KB chunks. `pbr` and `smr` keep only their ordering policy (who
-//! orders and replies, who may serve a fast read, what a WAL record is,
-//! whom a lagging replica asks and when an answer applies) and call into
-//! this module.
+//! in ~50 KB chunks — and the replica's own requests: the fetch it sends
+//! its donors in turn when it is behind, and its broadcast identity.
+//! `pbr` and `smr` keep only their ordering policy (who orders and
+//! replies, who may serve a fast read, what a WAL record is, when a
+//! lagging replica asks, who answers it and when an answer applies) and
+//! call into this module.
 //!
 //! The core defines the **one state image** a replica is rebuilt from,
 //! whether it comes off the local disk or over the network:
@@ -30,8 +32,8 @@
 //! the head once, with the first of the ~50 KB row chunks.
 
 use crate::msgs::{
-    lease_audit_msg, parse_stale_config, reply_msg, sql_to_value, value_to_sql, TxnEnvelope,
-    CATCHUP_HEADER, SNAPSHOT_HEADER, SYNCED_HEADER, SYNC_HEADER,
+    fetch_msg, lease_audit_msg, parse_stale_config, reply_msg, sql_to_value, value_to_sql,
+    TxnEnvelope, CATCHUP_HEADER, FETCH_RETRY_HEADER, SNAPSHOT_HEADER, SYNCED_HEADER, SYNC_HEADER,
 };
 use crate::probe::{Event, Probe, TransferKind};
 use crate::shard::{ShardRole, TwoPcEngine};
@@ -41,9 +43,11 @@ use shadowdb_eventml::{cached_header, Ctx, Msg, SendInstr, Value};
 use shadowdb_loe::{Loc, VTime};
 use shadowdb_runtime::completion;
 use shadowdb_sqldb::{Database, RowBatch, Snapshot, SqlValue};
+use shadowdb_tob::broadcast_msg;
 use shadowdb_wal::{Disk, Recovered, Wal};
 use shadowdb_workloads::{apply_group, TxnId, TxnRequest};
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
 /// How a request's client sequence number relates to the reply cache.
@@ -95,6 +99,19 @@ struct Window {
     limit: usize,
 }
 
+/// The fetch a replica that is behind sends: to one donor at a time, the
+/// next one each `every`, until an answer is accepted.
+#[derive(Clone, Default)]
+struct Fetch {
+    donors: Vec<Loc>,
+    every: Duration,
+    /// Requests sent so far; the next goes to `donors[asked % len]`.
+    asked: usize,
+    open: bool,
+    from: i64,
+    min: i64,
+}
+
 /// The service state and plumbing shared by every replica, whatever
 /// orders its transactions.
 pub(crate) struct ReplicaCore {
@@ -141,6 +158,11 @@ pub(crate) struct ReplicaCore {
     transfer_batch_bytes: usize,
     assembly: Assembly,
     window: Window,
+    fetch: Fetch,
+    /// The broadcast service's entry points, for this replica's own
+    /// broadcasts, and the msgid of the next one.
+    tob_servers: Vec<Loc>,
+    msgid: i64,
     /// The deployment's event log (observes state, is not state).
     probe: Option<Probe>,
     /// The model checker's lease-audit sink: every lease read is also
@@ -168,6 +190,9 @@ impl ReplicaCore {
             transfer_batch_bytes: 50_000,
             assembly: Assembly::default(),
             window: Window::default(),
+            fetch: Fetch::default(),
+            tob_servers: Vec::new(),
+            msgid: 0,
             probe: None,
             lease_audit: None,
         }
@@ -240,6 +265,15 @@ impl ReplicaCore {
         self.last_reply
             .get(&client)
             .map(|(cseq, committed, result)| (*cseq, *committed, result.as_slice()))
+    }
+
+    /// The cached answer to `client`'s last request, as `slf`'s reply.
+    pub(crate) fn reply(&self, slf: Loc, client: Loc) -> Option<SendInstr> {
+        let (cseq, committed, result) = self.cached_reply(client)?;
+        Some(SendInstr::now(
+            client,
+            reply_msg(slf, cseq, committed, result),
+        ))
     }
 
     /// Whether `env` is a 2PC protocol record this replica must step the
@@ -475,11 +509,25 @@ impl ReplicaCore {
     /// is the policy's to replay through its own execution path. The log
     /// comes back *detached* — the replay must not be logged again — so
     /// hand the disk to [`Self::resume_wal`] afterwards.
-    pub(crate) fn recover(&mut self, tear: u64) -> (Disk, Recovered) {
+    ///
+    /// It also restarts the broadcast count at `now` in µs plus 10^6 per
+    /// index the disk holds. The service drops a `(source, msgid)` it has
+    /// seen, so the count must clear every msgid an earlier incarnation
+    /// used, which neither term bounds alone: a torn tail may hold the last
+    /// broadcasts (an empty disk alone would restart at 0), and on a
+    /// virtual clock broadcasts can share an instant. Neither term shrinks
+    /// across reboots (only unsynced records tear), so each incarnation
+    /// starts above the last by the µs it ran plus 10^6 per index it made
+    /// durable — more than it broadcasts: one per heartbeat tick or
+    /// adoption (PBR), per lease tick or forwarded read (SMR), and an
+    /// ordered read is an index. It is never below `now` alone, nor below
+    /// `frontier × 10^6` alone.
+    pub(crate) fn recover(&mut self, tear: u64, now: VTime) -> (Disk, Recovered) {
         let wal = self.wal.take().expect("a rebooted replica has a disk");
         let disk = wal.disk().clone();
         disk.begin_recovery(tear);
         let mut rec = shadowdb_wal::recover(&disk);
+        self.msgid = now.as_micros() as i64 + (rec.high_index() + 1) * 1_000_000;
         rec.snapshot = rec
             .snapshot
             .and_then(|(idx, blob)| Some((idx, self.install_durable_blob(&blob)?)));
@@ -661,6 +709,68 @@ impl ReplicaCore {
         for (index, send) in std::mem::take(&mut self.parked) {
             self.gate(index, send, out);
         }
+    }
+
+    // -- this replica's own requests -----------------------------------------
+
+    pub(crate) fn set_tob_servers(&mut self, servers: Vec<Loc>) {
+        self.tob_servers = servers;
+    }
+
+    /// Broadcasts `payload` through the TOB under this replica's identity:
+    /// through its entry point `slf % servers` (which spreads a group over
+    /// the service), with its next msgid.
+    pub(crate) fn broadcast(&mut self, slf: Loc, payload: Value) -> SendInstr {
+        let server = self.tob_servers[slf.index() as usize % self.tob_servers.len()];
+        self.msgid += 1;
+        SendInstr::now(server, broadcast_msg(slf, self.msgid - 1, payload))
+    }
+
+    /// Sets whom [`Self::fetch`] asks, in turn from the first, and how long
+    /// it waits for an answer before it asks the next.
+    pub(crate) fn set_donors(&mut self, donors: impl IntoIterator<Item = Loc>, every: Duration) {
+        (self.fetch.donors, self.fetch.every) = (donors.into_iter().collect(), every);
+    }
+
+    /// Opens the fetch of the state from `from` on (`-1`: an image), to be
+    /// answered once a donor has reached `min` (once per incarnation: the
+    /// retry timer it arms keeps asking until [`Self::fetched`]).
+    pub(crate) fn fetch(&mut self, slf: Loc, from: i64, min: i64, out: &mut Vec<SendInstr>) {
+        let f = &mut self.fetch;
+        (f.from, f.min, f.open) = (from, min, !f.donors.is_empty());
+        self.on_fetch_retry(slf, out);
+    }
+
+    /// While the fetch is open, asks the next donor and re-arms the retry
+    /// timer ([`FETCH_RETRY_HEADER`]): a donor that crashed, or may not
+    /// answer, strands no one.
+    pub(crate) fn on_fetch_retry(&mut self, slf: Loc, out: &mut Vec<SendInstr>) {
+        let f = &mut self.fetch;
+        if f.open {
+            let donor = f.donors[f.asked % f.donors.len()];
+            f.asked += 1;
+            out.push(SendInstr::now(donor, fetch_msg(slf, f.from, f.min)));
+            let retry = Msg::new(cached_header!(FETCH_RETRY_HEADER), Value::Unit);
+            out.push(SendInstr::after(f.every, slf, retry));
+        }
+    }
+
+    /// Closes the fetch: an answer was accepted, or another path made it
+    /// moot. The retry timer lapses at its next firing.
+    pub(crate) fn fetched(&mut self) {
+        self.fetch.open = false;
+    }
+
+    /// The open fetch's `min`, if one is open.
+    pub(crate) fn fetching(&self) -> Option<i64> {
+        self.fetch.open.then_some(self.fetch.min)
+    }
+
+    /// Hashes the replica's own requests (fetch, broadcast count) into its
+    /// policy's digest.
+    pub(crate) fn digest_requests(&self, h: &mut impl Hasher) {
+        let f = &self.fetch;
+        (f.open, f.asked, f.from, f.min, self.msgid).hash(h);
     }
 
     // -- state transfer ------------------------------------------------------
@@ -850,6 +960,9 @@ impl Clone for ReplicaCore {
             transfer_batch_bytes: self.transfer_batch_bytes,
             assembly: self.assembly.clone(),
             window: self.window.clone(),
+            fetch: self.fetch.clone(),
+            tob_servers: self.tob_servers.clone(),
+            msgid: self.msgid,
             probe: self.probe.clone(),
             lease_audit: self.lease_audit,
         }
@@ -1120,6 +1233,44 @@ mod tests {
             let recorded = Event::Transfer { to: peer, kind };
             assert_eq!(probe.events(), vec![recorded], "{case}");
         }
+    }
+
+    /// The one fetch, for both policies: each firing of the retry timer
+    /// asks the next donor in turn and re-arms the timer; once an answer
+    /// is accepted, the next firing asks no one and the timer stops.
+    /// Without donors nothing is asked and no fetch opens.
+    #[test]
+    fn a_fetch_asks_its_donors_in_turn_until_answered() {
+        let slf = Loc::new(9);
+        let every = Duration::from_millis(250);
+        let mut c = core(1);
+        c.set_donors(vec![Loc::new(1), Loc::new(2), Loc::new(3)], every);
+        let mut out = Vec::new();
+        c.fetch(slf, 5, 7, &mut out);
+        assert_eq!(c.fetching(), Some(7));
+        let mut asked = Vec::new();
+        for _ in 0..5 {
+            let [ask, timer] = out.as_slice() else {
+                panic!("one ask and one timer: {out:?}")
+            };
+            assert_eq!(ask.msg, fetch_msg(slf, 5, 7));
+            asked.push(ask.dest.index());
+            assert_eq!((timer.dest, timer.delay), (slf, every));
+            assert_eq!(timer.msg.header.name(), FETCH_RETRY_HEADER);
+            out.clear();
+            c.on_fetch_retry(slf, &mut out);
+        }
+        assert_eq!(asked, [1, 2, 3, 1, 2]);
+        c.fetched();
+        assert_eq!(c.fetching(), None);
+        out.clear();
+        c.on_fetch_retry(slf, &mut out);
+        assert!(out.is_empty(), "an answered fetch re-arms nothing: {out:?}");
+
+        let mut alone = core(1);
+        alone.set_donors(Vec::new(), every);
+        alone.fetch(slf, 5, 0, &mut out);
+        assert!(out.is_empty() && alone.fetching().is_none());
     }
 
     /// Chunks of different snapshot identities never mix: a chunk of

@@ -13,14 +13,16 @@
 //! fetches the snapshot from the proposer.
 //!
 //! A replica that is behind — a joiner or one rebooted from its disk —
-//! sends a donor one request (`from = -1` asks for an image), and the
-//! donor sends back the core's answer (`ReplicaCore::state_for`) bare,
-//! under PBR's catch-up and snapshot headers. Only a durable replica keeps
-//! a window to answer from: its rebooted peers are the window's readers.
+//! opens the core's one fetch at its subscription ack (`from = -1` asks
+//! for an image, `min` is the ack's seq), asking its donors in turn, one
+//! more each second. A donor defers until it has executed `min`
+//! deliveries, then sends the core's answer (`ReplicaCore::state_for`)
+//! bare. Only a durable replica keeps a window to answer from: its
+//! rebooted peers are the window's readers.
 
 use crate::msgs::{
-    reply_msg, TxnEnvelope, CATCHUP_HEADER, SNAPSHOT_HEADER, STALE_CONFIG_HEADER, SUBMIT_HEADER,
-    SYNCED_HEADER, SYNC_HEADER,
+    parse_fetch, TxnEnvelope, CATCHUP_HEADER, FETCH_HEADER, FETCH_RETRY_HEADER, SNAPSHOT_HEADER,
+    STALE_CONFIG_HEADER, SUBMIT_HEADER, SYNCED_HEADER, SYNC_HEADER,
 };
 use crate::probe::Probe;
 use crate::replica_core::{Executed, ReplicaCore, Seen};
@@ -29,19 +31,14 @@ use shadowdb_eventml::process::HasherAdapter;
 use shadowdb_eventml::{cached_header, Ctx, Msg, Process, SendInstr, Value};
 use shadowdb_loe::{Loc, VTime};
 use shadowdb_sqldb::Database;
-use shadowdb_tob::{broadcast_msg, parse_deliver, parse_subok, Delivery, InOrderBuffer};
+use shadowdb_tob::{parse_deliver, parse_subok, Delivery, InOrderBuffer};
 use shadowdb_wal::Disk;
 use shadowdb_workloads::TxnRequest;
 use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
-/// The one fetch: body `<requester, <from, min_seq>>`. The donor defers
-/// until it has executed `min_seq` deliveries, so its answer never
-/// undershoots the requester's subscription point.
-const FETCH_HEADER: &str = "smr/fetch";
-/// Joiner-internal retry timer: if the answer has not landed (donor
-/// crashed mid-stream), re-request from the next donor on the list.
-const JOIN_RETRY_HEADER: &str = "smr/joinretry";
+/// How long a fetch waits for an answer before it asks the next donor.
+const FETCH_RETRY: Duration = Duration::from_secs(1);
 /// The window a durable replica keeps to serve a rebooted peer's
 /// catch-up: its last this many deliveries.
 const REJOIN_WINDOW: usize = 4_096;
@@ -89,9 +86,6 @@ impl Default for SmrLeaseOptions {
 #[derive(Clone)]
 struct LeaseState {
     opts: SmrLeaseOptions,
-    /// TOB entry points for this replica's own broadcasts (markers and
-    /// forwarded reads).
-    tob_servers: Vec<Loc>,
     /// Claim stagger rank: rank 0 claims a lapsed lease first, higher
     /// ranks wait `rank * renew_every` longer, so the group converges on
     /// a single claimant without a coordination round.
@@ -107,8 +101,6 @@ struct LeaseState {
     /// Holder-side wait-out: no fast reads before this. Covers the
     /// previous holder's entire window across a hand-off.
     fast_from: VTime,
-    /// msgid counter for this replica's own broadcasts.
-    msgid: i64,
 }
 
 /// Decodes a lease marker payload, if `v` is one (transaction envelopes
@@ -134,14 +126,6 @@ pub struct SmrReplica {
     /// Snapshot-joining state: deliveries buffer inside `incoming` until
     /// the snapshot establishes the starting sequence number.
     joining: bool,
-    /// Donor candidates for a self-driven join ([`SmrReplica::joining_from`]):
-    /// the subscription ack triggers the fetch, retries rotate through the
-    /// list so a donor crash mid-stream does not strand the joiner.
-    donors: Vec<Loc>,
-    /// The TOB subscription point, once acked — the fetch's `min_seq`.
-    sub_seq: Option<i64>,
-    /// Fetch attempts so far (indexes the donor rotation).
-    join_attempts: u64,
     /// Reusable envelope buffer for group apply (always empty between
     /// steps; excluded from digests).
     group_scratch: Vec<TxnEnvelope>,
@@ -162,9 +146,6 @@ impl SmrReplica {
             core: ReplicaCore::new(db),
             incoming: InOrderBuffer::new(),
             joining: false,
-            donors: Vec::new(),
-            sub_seq: None,
-            join_attempts: 0,
             group_scratch: Vec::new(),
             rejoin: false,
             lease: None,
@@ -187,15 +168,14 @@ impl SmrReplica {
         opts: SmrLeaseOptions,
     ) -> SmrReplica {
         assert!(!tob_servers.is_empty(), "leases need a TOB entry point");
+        self.core.set_tob_servers(tob_servers);
         self.lease = Some(LeaseState {
             opts,
-            tob_servers,
             claim_rank,
             holder: None,
             marker_send_us: 0,
             marker_deliv: None,
             fast_from: VTime::ZERO,
-            msgid: 0,
         });
         self
     }
@@ -217,21 +197,17 @@ impl SmrReplica {
     }
 
     /// Creates a joiner (a replica added by reconfiguration), which
-    /// executes nothing before a snapshot lands. Once the deployment
-    /// subscribes it at the broadcast service, the subscription ack
-    /// triggers an image fetch ([`SmrReplica::fetch_msg`]) from
-    /// `donors[0]` with the ack's sequence as `min_seq` — the donor defers
-    /// until its execution reaches that point, so the snapshot plus the
-    /// subscribed deliveries form a gapless history. If the snapshot does
-    /// not land (donor crashed mid-stream), retries rotate through
-    /// `donors`.
+    /// executes nothing before a snapshot lands. Its subscription ack opens
+    /// an image fetch ([`SmrReplica::fetch_msg`]) with the ack's sequence
+    /// as `min_seq` — the donor defers until its execution reaches that
+    /// point, so the snapshot plus the subscribed deliveries form a
+    /// gapless history — asking `donors` in turn until one answers.
     pub fn joining_from(db: Database, donors: Vec<Loc>) -> SmrReplica {
         assert!(!donors.is_empty(), "a joiner needs at least one donor");
-        SmrReplica {
-            joining: true,
-            donors,
-            ..SmrReplica::new(db)
-        }
+        let mut r = SmrReplica::new(db);
+        r.joining = true;
+        r.core.set_donors(donors, FETCH_RETRY);
+        r
     }
 
     /// Attaches a write-ahead log: every in-order delivery is appended
@@ -264,7 +240,7 @@ impl SmrReplica {
     /// how far the group moved on, and `donors` serve the missed range from
     /// their windows (a snapshot only if the window does not reach back).
     pub fn rebooted(mut self, donors: Vec<Loc>, tear: u64) -> SmrReplica {
-        self.donors = donors;
+        self.core.set_donors(donors, FETCH_RETRY);
         self.reboot = Some(tear);
         self
     }
@@ -272,7 +248,7 @@ impl SmrReplica {
     /// The recovery a [`SmrReplica::rebooted`] replica runs before
     /// handling its first message.
     fn recover(&mut self, ctx: &Ctx, tear: u64) {
-        let (disk, rec) = self.core.recover(tear);
+        let (disk, rec) = self.core.recover(tear, ctx.now);
         // Snapshots are taken at `next_seq - 1` (the image's policy header
         // repeats the frontier; the WAL index already implies it).
         let snap_at = rec.snapshot.as_ref().map_or(-1, |(idx, _)| *idx);
@@ -297,13 +273,6 @@ impl SmrReplica {
         let next = self.incoming.next_seq();
         self.core.resume_wal(disk, snap_at, next - 1);
         self.rejoin = true;
-        self.sub_seq = None;
-        if let Some(l) = self.lease.as_mut() {
-            // This replica's broadcast msgids must not collide with any it
-            // used before the crash (the service dedups per source);
-            // restart the counter well past anything plausibly used.
-            l.msgid = next.max(0).saturating_mul(1_000_000);
-        }
         self.reanchor_lease(ctx.now);
     }
 
@@ -322,12 +291,10 @@ impl SmrReplica {
         }
     }
 
-    /// The request a replica that is behind sends a donor: the deliveries
-    /// from `from` on (`-1`: a state image), once the donor has executed
-    /// at least `min_seq` of them.
+    /// The fetch of the deliveries from `from` on (`-1`: an image) once
+    /// the donor has executed `min_seq` ([`crate::msgs::fetch_msg`]).
     pub fn fetch_msg(requester: Loc, from: i64, min_seq: i64) -> Msg {
-        let range = Value::pair(Value::Int(from), Value::Int(min_seq));
-        Msg::new(FETCH_HEADER, Value::pair(Value::Loc(requester), range))
+        crate::msgs::fetch_msg(requester, from, min_seq)
     }
 
     /// Overrides the state-transfer batch bound (~50 KB by default).
@@ -395,7 +362,7 @@ impl SmrReplica {
             // covered).
             if self.core.seen(env.client, env.cseq) != Seen::Fresh {
                 if !self.replies_suppressed(slf, now) {
-                    outs.extend(self.cached_reply(slf, env.client));
+                    outs.extend(self.core.reply(slf, env.client));
                 }
                 continue;
             }
@@ -481,22 +448,9 @@ impl SmrReplica {
         if !self.replies_suppressed(slf, now) {
             // No client appears twice in a group, so each cache entry is
             // exactly this group's answer.
-            outs.extend(
-                group
-                    .iter()
-                    .filter_map(|e| self.cached_reply(slf, e.client)),
-            );
+            outs.extend(group.iter().filter_map(|e| self.core.reply(slf, e.client)));
         }
         group.clear();
-    }
-
-    /// The reply-cache answer for `client`'s last request, as a send.
-    fn cached_reply(&self, slf: Loc, client: Loc) -> Option<SendInstr> {
-        let (cseq, committed, result) = self.core.cached_reply(client)?;
-        Some(SendInstr::now(
-            client,
-            reply_msg(slf, cseq, committed, result),
-        ))
     }
 
     /// Steps the 2PC engine on an ordered record and emits the owed
@@ -523,53 +477,28 @@ impl SmrReplica {
     /// with the core's catch-up or image, whose policy header and
     /// identity are both the delivery frontier — the requester resumes the
     /// stream exactly there.
-    fn on_fetch(&mut self, slf: Loc, body: &Value, outs: &mut Vec<SendInstr>) {
-        let (requester, rest) = body.unpair();
-        let (from, min_seq) = rest.unpair();
+    fn on_fetch(&mut self, slf: Loc, msg: &Msg, outs: &mut Vec<SendInstr>) {
+        let Some((requester, from, min_seq)) = parse_fetch(&msg.body) else {
+            return;
+        };
         let next = self.incoming.next_seq();
-        if next < min_seq.int() {
+        if next < min_seq {
             // Behind the requester's subscription point: an answer now
             // would leave a delivery gap it can never fill. Answer once
             // execution has advanced past it.
             outs.push(SendInstr::after(
                 Duration::from_millis(10),
                 slf,
-                Msg::new(FETCH_HEADER, body.clone()),
+                msg.clone(),
             ));
             return;
         }
-        let requester = requester.loc();
-        let (header, bodies) = self.core.state_for(requester, from.int(), Value::Int(next));
+        let (header, bodies) = self.core.state_for(requester, from, Value::Int(next));
         outs.extend(
             bodies
                 .into_iter()
                 .map(|b| SendInstr::now(requester, Msg::new(header, b))),
         );
-    }
-
-    /// Fires (or retries) the join request once the subscription point is
-    /// known — an image for a fresh joiner, the missed suffix `[next_seq,
-    /// sub_seq)` for a disk-recovered replica — rotating through the donor
-    /// list and re-arming the retry timer: a donor crash mid-stream must
-    /// not strand the joiner.
-    fn kick_join(&mut self, slf: Loc, outs: &mut Vec<SendInstr>) {
-        let Some(seq) = self.sub_seq else { return };
-        if self.donors.is_empty() {
-            return;
-        }
-        let donor = self.donors[(self.join_attempts as usize) % self.donors.len()];
-        self.join_attempts += 1;
-        let from = if self.joining {
-            -1
-        } else {
-            self.incoming.next_seq()
-        };
-        outs.push(SendInstr::now(donor, SmrReplica::fetch_msg(slf, from, seq)));
-        outs.push(SendInstr::after(
-            Duration::from_secs(1),
-            slf,
-            Msg::new(JOIN_RETRY_HEADER, Value::Unit),
-        ));
     }
 
     /// Receiver side of a suffix rejoin: feed the donor's payloads into
@@ -595,9 +524,11 @@ impl SmrReplica {
             ready.extend(self.incoming.offer(d));
         }
         self.execute_deliveries(slf, Some(now), ready, outs);
-        if self.sub_seq.is_some_and(|s| self.incoming.next_seq() >= s) {
+        let next = self.incoming.next_seq();
+        if self.core.fetching().is_some_and(|min| next >= min) {
             // The suffix meets the live subscription: fully rejoined.
             self.rejoin = false;
+            self.core.fetched();
         }
     }
 
@@ -613,6 +544,7 @@ impl SmrReplica {
         };
         self.joining = false;
         self.rejoin = false;
+        self.core.fetched();
         // The image may cover a marker whose window is still running.
         self.reanchor_lease(now);
         // Skip everything the snapshot already covers, then replay whatever
@@ -658,18 +590,11 @@ impl SmrReplica {
                 }
             }
         }
-        let Some(l) = self.lease.as_mut() else {
-            // No lease plane, so no TOB route of our own: drop, and the
-            // client's broadcast resend covers the request.
-            return;
-        };
-        let server = l.tob_servers[ctx.slf.index() as usize % l.tob_servers.len()];
-        let msgid = l.msgid;
-        l.msgid += 1;
-        outs.push(SendInstr::now(
-            server,
-            broadcast_msg(ctx.slf, msgid, env.to_value()),
-        ));
+        // No lease plane, so no TOB route of our own: drop, and the
+        // client's broadcast resend covers the request.
+        if self.lease.is_some() {
+            outs.push(self.core.broadcast(ctx.slf, env.to_value()));
+        }
     }
 
     /// The renewal/claim tick. The holder re-broadcasts its marker each
@@ -687,7 +612,6 @@ impl SmrReplica {
         if self.joining || self.rejoin {
             return;
         }
-        let l = self.lease.as_ref().expect("checked above");
         let claim = match (l.holder, l.marker_deliv) {
             // This replica holds the lease: renew unconditionally (a
             // lapsed own lease re-claims through the same marker).
@@ -701,21 +625,13 @@ impl SmrReplica {
             // No live marker ever seen: rank-staggered initial claim.
             (_, None) => ctx.now >= VTime::ZERO + l.opts.renew_every * (l.claim_rank as u32),
         };
-        if !claim {
-            return;
+        if claim {
+            let marker = Value::pair(
+                Value::str(LEASE_MARKER_TAG),
+                Value::pair(Value::Loc(ctx.slf), Value::Int(ctx.now.as_micros() as i64)),
+            );
+            outs.push(self.core.broadcast(ctx.slf, marker));
         }
-        let l = self.lease.as_mut().expect("checked above");
-        let server = l.tob_servers[ctx.slf.index() as usize % l.tob_servers.len()];
-        let msgid = l.msgid;
-        l.msgid += 1;
-        let marker = Value::pair(
-            Value::str(LEASE_MARKER_TAG),
-            Value::pair(Value::Loc(ctx.slf), Value::Int(ctx.now.as_micros() as i64)),
-        );
-        outs.push(SendInstr::now(
-            server,
-            broadcast_msg(ctx.slf, msgid, marker),
-        ));
     }
 }
 
@@ -727,7 +643,7 @@ impl Process for SmrReplica {
         let first = out.len();
         let h = msg.header;
         if h == cached_header!(FETCH_HEADER) {
-            self.on_fetch(ctx.slf, &msg.body, out);
+            self.on_fetch(ctx.slf, msg, out);
         } else if h == cached_header!(SNAPSHOT_HEADER) {
             self.on_snapshot_chunk(ctx.slf, ctx.now, &msg.body, out);
         } else if h == cached_header!(CATCHUP_HEADER) {
@@ -745,10 +661,8 @@ impl Process for SmrReplica {
                 .on_synced(&msg.body, next - 1, || Value::Int(next), out);
         } else if h == cached_header!(LEASE_TIMER_HEADER) {
             self.on_lease_timer(ctx, out);
-        } else if h == cached_header!(JOIN_RETRY_HEADER) {
-            if self.joining || self.rejoin {
-                self.kick_join(ctx.slf, out);
-            }
+        } else if h == cached_header!(FETCH_RETRY_HEADER) {
+            self.core.on_fetch_retry(ctx.slf, out);
         } else if h == cached_header!(STALE_CONFIG_HEADER) {
             self.core.on_stale_config(msg);
         } else if let Some(seq) = parse_subok(msg) {
@@ -756,15 +670,19 @@ impl Process for SmrReplica {
             // ack wins (every broadcast server acks its own sequence, and
             // each covers all slots from its ack onward, so any single ack
             // is a safe lower bound for the fetch).
-            if (self.rejoin || self.joining) && self.sub_seq.is_none() {
-                self.sub_seq = Some(seq);
+            if (self.rejoin || self.joining) && self.core.fetching().is_none() {
                 // A disk-recovered replica runs the catch-up handshake
                 // even when its disk already reaches the subscription
                 // point (the suffix is then empty): the donor's answer is
                 // the observable record that the rejoin took the suffix
                 // path, and feeding an empty catch-up completes the rejoin
                 // immediately.
-                self.kick_join(ctx.slf, out);
+                let from = if self.joining {
+                    -1
+                } else {
+                    self.incoming.next_seq()
+                };
+                self.core.fetch(ctx.slf, from, seq, out);
             }
         } else if let Some(d) = parse_deliver(msg) {
             let ready = self.incoming.offer(d);
@@ -790,14 +708,15 @@ impl Process for SmrReplica {
 
     fn digest(&self, hasher: &mut dyn Hasher) {
         let mut h = HasherAdapter(hasher);
-        (self.core.executed(), self.joining, self.incoming.next_seq()).hash(&mut h);
-        (self.sub_seq, self.join_attempts, self.rejoin).hash(&mut h);
+        let next = self.incoming.next_seq();
+        (self.core.executed(), self.joining, self.rejoin, next).hash(&mut h);
+        self.core.digest_requests(&mut h);
         self.core.twopc_seq().hash(&mut h);
         if let Some(l) = &self.lease {
             // Replicated lease state only: the holder sequence and its
             // stamps are functions of the delivered TOB prefix; the local
             // receipt times (`marker_deliv`, `fast_from`) are not.
-            (l.holder, l.marker_send_us, l.msgid).hash(&mut h);
+            (l.holder, l.marker_send_us).hash(&mut h);
         }
     }
 }

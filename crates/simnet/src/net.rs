@@ -1,4 +1,4 @@
-//! Network models: latency, loss, and the fault plane.
+//! Network models: latency and the fault plane.
 //!
 //! Links are FIFO and (by default) reliable, matching the paper's system
 //! model: "The participants communicate over TCP channels, and we assume
@@ -53,13 +53,9 @@ pub struct NetworkConfig {
     /// Latency model for messages between distinct nodes. Self-sends are
     /// local (no network) and only incur their explicit delay.
     pub latency: Latency,
-    /// Probability that a message between distinct nodes is silently lost,
-    /// independent of any fault plan. Keep 0.0 for protocols that assume
-    /// TCP.
-    pub drop_probability: f64,
     /// The initial fault schedule (partitions, lossy windows, duplication,
-    /// delay spikes). Replaceable later via
-    /// `Runtime::install_fault_plan`.
+    /// delay spikes) — the one way a message is lost. Replaceable later
+    /// via `Runtime::install_fault_plan`.
     pub faults: FaultPlan,
 }
 
@@ -72,7 +68,6 @@ impl NetworkConfig {
                 base: Duration::from_micros(100),
                 jitter: Duration::from_micros(30),
             },
-            drop_probability: 0.0,
             faults: FaultPlan::default(),
         }
     }
@@ -81,7 +76,6 @@ impl NetworkConfig {
     pub fn instant() -> NetworkConfig {
         NetworkConfig {
             latency: Latency::Fixed(Duration::ZERO),
-            drop_probability: 0.0,
             faults: FaultPlan::default(),
         }
     }
@@ -94,13 +88,6 @@ impl NetworkConfig {
             .with_rule(LinkSel::Pair(a, b), start, end, LinkFault::partition())
             .with_rule(LinkSel::Pair(b, a), start, end, LinkFault::partition());
         self
-    }
-
-    /// Whether a message from `from` to `to` is lost to background random
-    /// loss (fault-plan drops are decided by the simulation, which owns
-    /// the per-link counters).
-    pub fn drops(&self, _from: Loc, _to: Loc, rng: &mut SmallRng) -> bool {
-        self.drop_probability > 0.0 && rng.gen_bool(self.drop_probability)
     }
 }
 
@@ -156,16 +143,5 @@ mod tests {
         assert!(!cut(0, 1, VTime::from_secs(2)));
         // Unrelated pair unaffected.
         assert!(!cut(0, 2, VTime::from_millis(1500)));
-    }
-
-    #[test]
-    fn drop_probability_drops_sometimes() {
-        let mut net = NetworkConfig::instant();
-        net.drop_probability = 0.5;
-        let mut r = rng();
-        let drops = (0..200)
-            .filter(|_| net.drops(Loc::new(0), Loc::new(1), &mut r))
-            .count();
-        assert!(drops > 50 && drops < 150, "drops={drops}");
     }
 }

@@ -58,8 +58,6 @@ struct NodeSlot {
 pub struct SimStats {
     /// Messages delivered to (and handled by) a node.
     pub delivered: u64,
-    /// Messages lost to background random loss.
-    pub dropped_net: u64,
     /// Messages addressed to a crashed node.
     pub dropped_down: u64,
     /// Crash events executed.
@@ -409,10 +407,6 @@ impl Simulation {
             );
             return;
         }
-        if self.network.drops(from, instr.dest, &mut self.rng) {
-            self.stats.dropped_net += 1;
-            return;
-        }
         // The fault plane: drop, duplicate, delay, or reorder per the
         // installed plan's windows.
         let mut extra = Duration::ZERO;
@@ -718,7 +712,6 @@ mod tests {
                     base: Duration::from_micros(100),
                     jitter: Duration::from_micros(500),
                 },
-                drop_probability: 0.0,
                 faults: FaultPlan::default(),
             })
             .build();
