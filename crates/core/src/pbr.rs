@@ -2,9 +2,14 @@
 //!
 //! Normal case, hand-written as in the paper: (i) the client sends `T` to
 //! the primary; (ii) the primary, on first reception, executes and commits
-//! `T` and forwards it to the backups; (iii) the backups execute, commit,
-//! and acknowledge; (iv) the primary replies to the client once *all*
-//! (recovered) backups acknowledged. Execution is sequential at every
+//! `T` and forwards its outcome and row effects to the backups
+//! ([`TxnRequest::Applied`]); (iii) the backups apply the effects, commit,
+//! and acknowledge — they never run `T` itself, so they need not execute
+//! deterministically; (iv) the primary replies to the client once *all*
+//! (recovered) backups acknowledged. The same applied form is what the
+//! catch-up window keeps and what the write-ahead log records; only a
+//! sharded group's 2PC records travel as themselves, and every member
+//! steps its protocol engine on them. Execution is sequential at every
 //! replica; duplicates are no-ops via per-client sequence numbers. With a
 //! write-ahead log attached, "commit" includes the fsync: a backup's ack
 //! and the primary's reply each wait for the `sdb/sync` that covers their
@@ -55,12 +60,13 @@ use shadowdb_loe::{Loc, VTime};
 use shadowdb_sqldb::Database;
 use shadowdb_tob::{parse_deliver, parse_subok, Delivery, InOrderBuffer};
 use shadowdb_wal::Disk;
-use shadowdb_workloads::{TxnOutcome, TxnRequest};
+use shadowdb_workloads::{Applied, TxnOutcome, TxnRequest};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
-/// Tag of a WAL record holding an executed transaction envelope.
+/// Tag of a WAL record holding an executed transaction as the group
+/// replicates it (an [`TxnRequest::Applied`] envelope, or a 2PC record).
 pub(crate) const WREC_TXN: i64 = 0;
 /// Tag of a WAL record holding an adopted configuration (the replica's
 /// position on the config chain must recover along with its data).
@@ -394,41 +400,67 @@ impl PbrReplica {
 
     /// Executes a run of transactions, group-applying consecutive plain
     /// requests under one engine commit, with per-transaction log and
-    /// reply-cache bookkeeping identical to sequential execution. In a
-    /// sharded deployment, 2PC records break the run and step the protocol
-    /// engine instead: the rendered sends land in the outbox and the
-    /// emission counters advance — at every member, so counters stay in
-    /// lockstep; non-primaries drop the rendered sends afterwards.
-    fn execute_txn_group(&mut self, slf: Loc, envs: &[TxnEnvelope]) {
+    /// reply-cache bookkeeping identical to sequential execution, and
+    /// returns each as the group replicates it. A client's request (at the
+    /// primary) becomes its outcome and effects, an
+    /// [`TxnRequest::Applied`] one (at a backup, in a catch-up or a
+    /// replay) is applied and stays itself. In a sharded deployment, 2PC
+    /// records break the run and step the protocol engine instead: the
+    /// rendered sends land in the outbox and the emission counters advance
+    /// — at every member, so counters stay in lockstep; non-primaries drop
+    /// the rendered sends afterwards.
+    fn execute_txn_group(&mut self, slf: Loc, envs: &[TxnEnvelope]) -> Vec<TxnEnvelope> {
+        let mut replicated = Vec::with_capacity(envs.len());
         let mut run_start = 0usize;
         for (i, env) in envs.iter().enumerate() {
             if self.core.is_twopc(env) {
-                self.apply_plain_run(&envs[run_start..i]);
+                self.apply_plain_run(&envs[run_start..i], &mut replicated);
                 run_start = i + 1;
                 let instrs = self.core.step_twopc(slf, env);
                 self.twopc_outbox.extend(instrs);
                 self.record_executed(env);
+                replicated.push(env.clone());
             }
         }
-        self.apply_plain_run(&envs[run_start..]);
+        self.apply_plain_run(&envs[run_start..], &mut replicated);
+        replicated
     }
 
-    fn apply_plain_run(&mut self, envs: &[TxnEnvelope]) {
-        self.core.apply_run(envs);
-        for env in envs {
-            self.record_executed(env);
+    fn apply_plain_run(&mut self, envs: &[TxnEnvelope], replicated: &mut Vec<TxnEnvelope>) {
+        let effects = self.core.apply_run(envs);
+        for (env, effects) in envs.iter().zip(effects) {
+            let applied = match env.txn {
+                TxnRequest::Applied(_) => env.clone(),
+                _ => {
+                    let (_, committed, result) = self
+                        .core
+                        .cached_reply(env.client)
+                        .expect("just executed this client's request");
+                    let txn = TxnRequest::Applied(Applied::new(committed, result, &effects));
+                    TxnEnvelope { txn, ..*env }
+                }
+            };
+            self.record_executed(&applied);
+            replicated.push(applied);
         }
     }
 
-    /// What a PBR WAL record is: the executed envelope itself. The same
-    /// envelope enters the core's catch-up window.
+    /// What a PBR WAL record is: the executed transaction as the group
+    /// replicates it. The same envelope enters the core's catch-up window,
+    /// its record in an allocation of its own.
     fn record_executed(&mut self, env: &TxnEnvelope) {
         if self.core.has_wal() {
             let body = Value::pair(Value::Int(WREC_TXN), env.to_value());
             self.wal_index += 1;
             self.core.wal_append(self.wal_index, &body);
         }
-        self.core.remember(|| Executed::Txn(env.clone()));
+        self.core.remember(|| {
+            let txn = match &env.txn {
+                TxnRequest::Applied(a) => TxnRequest::Applied(a.compact()),
+                other => other.clone(),
+            };
+            Executed::Txn(TxnEnvelope { txn, ..*env })
+        });
     }
 
     // -- read-lease fast path ----------------------------------------------
@@ -534,7 +566,7 @@ impl PbrReplica {
                 loc: ctx.slf,
             });
         }
-        self.execute_txn_group(ctx.slf, std::slice::from_ref(&env));
+        let replicated = self.execute_txn_group(ctx.slf, std::slice::from_ref(&env));
         let extra = std::mem::take(&mut self.twopc_outbox);
         let idx = self.core.executed();
         let (_, committed, result) = self
@@ -550,9 +582,10 @@ impl PbrReplica {
                 outs.extend(self.core.reply(ctx.slf, env.client));
             }
         } else {
+            let replicated = replicated.into_iter().next().expect("one executed");
+            let forward = Value::pair(Value::Int(idx), replicated.to_value());
             for b in self.config.backups() {
-                let forward = Value::pair(Value::Int(idx), env.to_value());
-                outs.push(self.in_config(*b, FORWARD_HEADER, forward));
+                outs.push(self.in_config(*b, FORWARD_HEADER, forward.clone()));
             }
             let outcome = TxnOutcome {
                 committed,
@@ -632,37 +665,30 @@ impl PbrReplica {
     }
 
     /// Applies buffered forwards in index order (a recovering backup
-    /// buffers them until its snapshot arrives). Consecutive forwards are
-    /// group-applied under one engine commit; a group breaks when a client
-    /// reappears, so per-client reply bookkeeping stays exact per cseq.
+    /// buffers them until its snapshot arrives), consecutive ones under
+    /// one engine commit. Each carries its outcome, so the reply cache is
+    /// exact per cseq however often a client recurs in the run.
     fn drain_forwards(&mut self, ctx: &Ctx, outs: &mut Vec<SendInstr>) {
         if self.mode != Mode::Normal {
             return;
         }
-        loop {
-            let mut batch: Vec<TxnEnvelope> = Vec::new();
-            loop {
-                let idx = self.core.executed() + 1 + batch.len() as i64;
-                let Some(env) = self.forward_buf.remove(&idx) else {
-                    break;
-                };
-                if batch.iter().any(|b| b.client == env.client) {
-                    self.forward_buf.insert(idx, env);
-                    break;
-                }
-                batch.push(env);
-            }
-            if batch.is_empty() {
-                return;
-            }
-            let first = self.core.executed() + 1;
-            self.execute_txn_group(ctx.slf, &batch);
-            // Backups advance the 2PC emission counters in lockstep but
-            // never send: emission is the (acked) primary's job.
-            self.twopc_outbox.clear();
-            for off in 0..batch.len() as i64 {
-                outs.push(self.ack(ctx.slf, first + off));
-            }
+        let mut batch: Vec<TxnEnvelope> = Vec::new();
+        while let Some(env) = self
+            .forward_buf
+            .remove(&(self.core.executed() + 1 + batch.len() as i64))
+        {
+            batch.push(env);
+        }
+        if batch.is_empty() {
+            return;
+        }
+        let first = self.core.executed() + 1;
+        self.execute_txn_group(ctx.slf, &batch);
+        // Backups advance the 2PC emission counters in lockstep but never
+        // send: emission is the (acked) primary's job.
+        self.twopc_outbox.clear();
+        for off in 0..batch.len() as i64 {
+            outs.push(self.ack(ctx.slf, first + off));
         }
     }
 

@@ -42,7 +42,7 @@ use shadowdb_eventml::codec::encode_pair_with_bytes;
 use shadowdb_eventml::{cached_header, Ctx, Msg, SendInstr, Value};
 use shadowdb_loe::{Loc, VTime};
 use shadowdb_runtime::completion;
-use shadowdb_sqldb::{Database, RowBatch, Snapshot, SqlValue};
+use shadowdb_sqldb::{Database, Effects, RowBatch, Snapshot, SqlValue};
 use shadowdb_tob::broadcast_msg;
 use shadowdb_wal::{Disk, Recovered, Wal};
 use shadowdb_workloads::{apply_group, TxnId, TxnRequest};
@@ -81,8 +81,9 @@ struct Assembly {
 }
 
 /// An executed item as the window keeps it: a delivery payload as it was
-/// delivered (SMR), or a transaction envelope in its typed form (PBR) —
-/// far smaller than its value tree — encoded only to catch a peer up.
+/// delivered (SMR), or a transaction as a PBR group replicates it — its
+/// outcome and effects, or a 2PC record — in its typed form, far smaller
+/// than its value tree, encoded only to catch a peer up.
 #[derive(Clone)]
 pub(crate) enum Executed {
     Payload(Value),
@@ -284,26 +285,33 @@ impl ReplicaCore {
 
     /// Executes a run of plain transactions under ONE engine transaction
     /// (one commit for the whole run), with per-transaction cost and
-    /// reply-cache bookkeeping identical to sequential execution. Replica
-    /// execution is single-threaded, so the grouped answers match
+    /// reply-cache bookkeeping identical to sequential execution, and
+    /// returns each transaction's effects (none for one that failed).
+    /// Replica execution is single-threaded, so the grouped answers match
     /// unbatched ones. Outcomes are read back through
     /// [`Self::cached_reply`]; a caller that replies per transaction must
     /// therefore not put one client twice in a run.
-    pub(crate) fn apply_run(&mut self, envs: &[TxnEnvelope]) {
+    pub(crate) fn apply_run(&mut self, envs: &[TxnEnvelope]) -> Vec<Effects> {
         if envs.is_empty() {
-            return;
+            return Vec::new();
         }
         let reqs: Vec<&TxnRequest> = envs.iter().map(|e| &e.txn).collect();
         let results = apply_group(&self.db, &reqs);
+        let mut effects = Vec::with_capacity(envs.len());
         for (env, res) in envs.iter().zip(results) {
-            let (committed, result, cost) = res
-                .map(|o| (o.committed, o.result, o.cost))
-                .unwrap_or_else(|e| (false, vec![SqlValue::Text(e.to_string())], Duration::ZERO));
+            let (committed, result, cost, fx) = res
+                .map(|(o, fx)| (o.committed, o.result, o.cost, fx))
+                .unwrap_or_else(|e| {
+                    let error = vec![SqlValue::Text(e.to_string())];
+                    (false, error, Duration::ZERO, Effects::default())
+                });
             self.step_cost += cost;
             self.executed += 1;
             self.last_reply
                 .insert(env.client, (env.cseq, committed, result));
+            effects.push(fx);
         }
+        effects
     }
 
     /// Steps the 2PC engine on an ordered record and renders the owed
@@ -932,14 +940,11 @@ fn adopt_shard_state(role: &ShardRole, state: &Value) -> Option<(Vec<i64>, TwoPc
 }
 
 impl Clone for ReplicaCore {
-    /// Deep-copies the database so the fork is independent (model
-    /// checking forks executions; `Database`'s own `Clone` shares state).
+    /// Forks the database so the copy is independent (model checking
+    /// forks executions; `Database`'s own `Clone` shares state).
     fn clone(&self) -> ReplicaCore {
-        let db = Database::new(self.db.profile().clone());
-        db.restore(&self.db.snapshot())
-            .expect("snapshot of a valid database restores");
         ReplicaCore {
-            db,
+            db: self.db.fork(),
             last_reply: self.last_reply.clone(),
             executed: self.executed,
             step_cost: self.step_cost,

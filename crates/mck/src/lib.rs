@@ -42,7 +42,8 @@
 use shadowdb_eventml::{Ctx, FxHasher, Msg, Process};
 use shadowdb_loe::{Loc, VTime};
 use shadowdb_runtime::{PortRx, Runtime};
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
@@ -62,7 +63,8 @@ pub struct Spec {
 pub struct Options {
     /// Maximum schedule length (delivery + fault actions).
     pub max_depth: usize,
-    /// Cap on distinct states visited; exceeded ⇒ exploration is truncated
+    /// Cap on expansions — distinct states visited plus states expanded
+    /// again from a shorter schedule; exceeded ⇒ exploration is truncated
     /// (reported in the outcome, never silent).
     pub max_states: usize,
     /// How many crash actions the adversary may take.
@@ -135,6 +137,9 @@ pub struct Outcome {
     pub truncated: bool,
     /// The maximum schedule depth reached.
     pub max_depth_reached: usize,
+    /// Expansions of a state already visited, reached again by a shorter
+    /// schedule. They count toward `max_states` with the distinct states.
+    pub reexpanded: usize,
 }
 
 struct Node {
@@ -220,7 +225,7 @@ fn run_dfs(
     invariant: impl Fn(&World) -> Result<(), String>,
 ) -> Outcome {
     let mut outcome = Outcome::default();
-    let mut visited: HashSet<u64> = HashSet::new();
+    let mut visited: HashMap<u64, usize> = HashMap::new();
     let mut schedule: Vec<Choice> = Vec::new();
     dfs(
         &root,
@@ -244,27 +249,37 @@ fn dfs(
     slot_locs: &[Loc],
     options: &Options,
     invariant: &impl Fn(&World) -> Result<(), String>,
-    visited: &mut HashSet<u64>,
+    visited: &mut HashMap<u64, usize>,
     schedule: &mut Vec<Choice>,
     outcome: &mut Outcome,
 ) {
     if outcome.violation.is_some() {
         return;
     }
-    let fp = node.fingerprint();
-    if !visited.insert(fp) {
-        return;
+    // A state is expanded again when reached by a shorter schedule than
+    // before: the depth cut below may have stopped its first expansion
+    // short of states the shorter schedule reaches within bounds.
+    let depth = schedule.len();
+    match visited.entry(node.fingerprint()) {
+        Entry::Occupied(seen) if *seen.get() <= depth => return,
+        Entry::Occupied(mut seen) => {
+            seen.insert(depth);
+            outcome.reexpanded += 1;
+        }
+        Entry::Vacant(slot) => {
+            slot.insert(depth);
+        }
     }
     outcome.states_visited = visited.len();
-    outcome.max_depth_reached = outcome.max_depth_reached.max(schedule.len());
-    if visited.len() > options.max_states {
+    outcome.max_depth_reached = outcome.max_depth_reached.max(depth);
+    if visited.len() + outcome.reexpanded > options.max_states {
         outcome.truncated = true;
         return;
     }
     let world = World {
         observations: node.observations.clone(),
         crashed: node.alive.iter().map(|a| !a).collect(),
-        depth: schedule.len(),
+        depth,
     };
     if let Err(message) = invariant(&world) {
         outcome.violation = Some(Violation {
@@ -273,7 +288,7 @@ fn dfs(
         });
         return;
     }
-    if schedule.len() >= options.max_depth {
+    if depth >= options.max_depth {
         if !node.inflight.is_empty() {
             outcome.truncated = true;
         }
@@ -290,7 +305,7 @@ fn dfs(
         let slot = map.get(dest.index() as usize).copied().flatten();
         if let Some(s) = slot {
             if next.alive[s] {
-                let ctx = Ctx::new(dest, VTime::from_micros(schedule.len() as u64));
+                let ctx = Ctx::new(dest, VTime::from_micros(depth as u64));
                 outputs.clear();
                 next.procs[s].step_into(&ctx, &msg, &mut outputs);
                 for instr in outputs.drain(..) {
@@ -480,6 +495,75 @@ impl Runtime for WorldBuilder {
 mod tests {
     use super::*;
     use shadowdb_eventml::{FnProcess, SendInstr, Value};
+
+    /// A state first reached near the depth bound must be expanded again
+    /// when a shorter schedule reaches it. Node 0 climbs to level 3 by
+    /// `a`, `a2`, `a3`, or — if `b` comes before `a` — by `b` alone; at
+    /// level 3 it starts a chain `c1`, `c2`, `c3` whose end reaches the
+    /// observer (the violation), but each link only re-sends itself until
+    /// `a` has been seen. The search delivers `a` first and meets the
+    /// shared state (level 3, `a` seen, `c1` in flight) at depth 4, too
+    /// deep to finish the chain within `max_depth` 5; through `b`, `a` it
+    /// meets it at depth 2, and only expanding it again finds the report.
+    #[test]
+    fn a_state_reached_again_by_a_shorter_schedule_is_expanded_again() {
+        let climber = FnProcess::new((0i64, false), |s: &mut (i64, bool), _c: &Ctx, m: &Msg| {
+            let to_me = |h: &str| vec![SendInstr::now(Loc::new(0), Msg::new(h, Value::Unit))];
+            let (level, seen_a) = s;
+            match m.header.name() {
+                "a" => {
+                    *seen_a = true;
+                    if *level > 0 {
+                        return vec![];
+                    }
+                    *level = 1;
+                    to_me("a2")
+                }
+                "a2" => {
+                    *level = 2;
+                    to_me("a3")
+                }
+                "b" if *level > 0 => vec![],
+                "a3" | "b" => {
+                    *level = 3;
+                    to_me("c1")
+                }
+                link if !*seen_a => to_me(link),
+                "c1" => to_me("c2"),
+                "c2" => to_me("c3"),
+                _ => vec![SendInstr::now(Loc::new(1), Msg::new("top", Value::Unit))],
+            }
+        });
+        let spec = Spec {
+            procs: vec![Box::new(climber)],
+            env: vec![Loc::new(1)],
+            init_msgs: vec![
+                (Loc::new(0), Msg::new("a", Value::Unit)),
+                (Loc::new(0), Msg::new("b", Value::Unit)),
+            ],
+        };
+        let options = Options {
+            max_depth: 5,
+            ..Options::default()
+        };
+        let outcome = explore(spec, options, |w| match w.observations.len() {
+            0 => Ok(()),
+            _ => Err("reached the top".into()),
+        });
+        let v = outcome
+            .violation
+            .expect("the shorter schedule reaches the top");
+        let path: Vec<String> = v
+            .schedule
+            .iter()
+            .map(|c| match c {
+                Choice::Deliver { header, .. } => header.clone(),
+                other => format!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(path, ["b", "a", "c1", "c2", "c3"]);
+        assert!(outcome.reexpanded > 0);
+    }
 
     /// Node 0 and node 1 both tell the observer (loc 2) their own id; the
     /// observer must never hear two different ids… which is false, so the

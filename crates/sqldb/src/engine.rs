@@ -23,17 +23,19 @@
 //! charged does not depend on the path: `point_read_us` per matched row,
 //! or `scan_row_us` per table row when the walk visits the whole table.
 
+use crate::effects::{encode_changes, Effects, TableChanges};
 use crate::expr::Expr;
 use crate::lock::{LockGranularity, LockManager, LockMode, Resource, TxnId};
 use crate::profile::EngineProfile;
-use crate::schema::TableSchema;
+use crate::schema::{DataType, TableSchema};
 use crate::snapshot::Snapshot;
 use crate::sql::{parse, parse_shape, shape, Aggregate, Projection, Statement};
 use crate::table::{AccessPath, RowId, Table};
 use crate::value::{Row, SharedRow, SqlValue};
 use crate::{Result, SqlError};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeSet, HashMap};
+use std::borrow::Cow;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -433,6 +435,44 @@ impl Database {
         Snapshot::from_tables(names.iter().map(|n| &tables[*n]))
     }
 
+    /// Applies effect sets in order under one transaction
+    /// ([`Transaction::apply_effects`]) and returns the virtual cost.
+    ///
+    /// # Errors
+    ///
+    /// As [`Transaction::apply_effects`]; nothing is applied then.
+    pub fn apply_effects<'a>(
+        &self,
+        sets: impl IntoIterator<Item = &'a Effects>,
+    ) -> Result<Duration> {
+        let mut txn = self.begin()?;
+        for fx in sets {
+            txn.apply_effects(fx)?;
+        }
+        let cost = txn.virtual_cost();
+        txn.commit()?;
+        Ok(cost)
+    }
+
+    /// An independent copy of this database: the same tables, indexes and
+    /// rows (rows are immutable and shared until either copy replaces
+    /// one) and shard scope, an empty lock table and plan cache: what a
+    /// forked execution (the model checker's) needs, without rebuilding
+    /// every table row by row the way [`Database::restore`] does.
+    pub fn fork(&self) -> Database {
+        let inner = &self.inner;
+        Database {
+            inner: Arc::new(Inner {
+                profile: inner.profile.clone(),
+                tables: RwLock::new(inner.tables.read().clone()),
+                locks: inner.locks.fork(),
+                next_txn: AtomicU64::new(inner.next_txn.load(Ordering::Relaxed)),
+                plans: Mutex::new(StmtCache::default()),
+                ddl_epoch: AtomicU64::new(inner.ddl_epoch.load(Ordering::Acquire)),
+            }),
+        }
+    }
+
     /// Restores the database from a snapshot, replacing all contents.
     ///
     /// # Errors
@@ -455,7 +495,8 @@ impl Database {
     }
 }
 
-/// One operation's undo record.
+/// One operation's undo record. A DDL record also keeps the statement's
+/// text, which is how DDL appears among a transaction's effects.
 enum Undo {
     Insert {
         table: String,
@@ -473,9 +514,16 @@ enum Undo {
     },
     CreateTable {
         table: String,
+        sql: String,
+    },
+    CreateIndex {
+        table: String,
+        name: String,
+        sql: String,
     },
     DropTable {
         dropped: Box<Table>,
+        sql: String,
     },
 }
 
@@ -633,11 +681,17 @@ impl Transaction {
                         t.update(rid, old)?;
                     }
                 }
-                Undo::CreateTable { table } => {
+                Undo::CreateTable { table, .. } => {
                     tables.remove(&table);
                     ddl = true;
                 }
-                Undo::DropTable { dropped } => {
+                Undo::CreateIndex { table, name, .. } => {
+                    if let Some(t) = tables.get_mut(&table) {
+                        t.drop_index(&name);
+                    }
+                    ddl = true;
+                }
+                Undo::DropTable { dropped, .. } => {
                     tables.insert(dropped.schema().name.clone(), *dropped);
                     ddl = true;
                 }
@@ -654,15 +708,20 @@ impl Transaction {
         self.virtual_us += us;
     }
 
-    fn lock_write(&mut self, table: &str, key: &[SqlValue]) -> Result<()> {
-        // A sharded database rejects writes to rows outside its slice of
-        // the keyspace regardless of lock granularity — this is the apply-
-        // time guard against misrouted transactions.
-        if !self.db.locks.admits(table, key) {
-            return Err(SqlError::Constraint(format!(
-                "row {key:?} of table {table} is outside this database's shard scope"
-            )));
+    /// A sharded database rejects writes to rows outside its slice of the
+    /// keyspace regardless of lock granularity — this is the apply-time
+    /// guard against misrouted transactions.
+    fn check_scope(&self, table: &str, key: &[SqlValue]) -> Result<()> {
+        if self.db.locks.admits(table, key) {
+            return Ok(());
         }
+        Err(SqlError::Constraint(format!(
+            "row {key:?} of table {table} is outside this database's shard scope"
+        )))
+    }
+
+    fn lock_write(&mut self, table: &str, key: &[SqlValue]) -> Result<()> {
+        self.check_scope(table, key)?;
         let res = match self.db.profile.granularity {
             LockGranularity::Table => Resource::Table(table.to_owned()),
             LockGranularity::Row => Resource::Row(table.to_owned(), key.to_vec()),
@@ -1014,8 +1073,9 @@ impl Transaction {
             )));
         }
         let name = schema.name.clone();
+        let sql = create_table_sql(&schema);
         tables.insert(name.clone(), Table::new(schema));
-        self.undo.push(Undo::CreateTable { table: name });
+        self.undo.push(Undo::CreateTable { table: name, sql });
         drop(tables);
         self.db.ddl_epoch.fetch_add(1, Ordering::Release);
         Ok(ResultSet::default())
@@ -1023,11 +1083,18 @@ impl Transaction {
 
     fn create_index(&mut self, name: &str, table: &str, columns: &[String]) -> Result<ResultSet> {
         self.charge(self.db.profile.costs.per_statement_us);
+        let table = table.to_lowercase();
         let mut tables = self.db.tables.write();
         let t = tables
-            .get_mut(&table.to_lowercase())
+            .get_mut(&table)
             .ok_or_else(|| SqlError::Unknown(format!("table {table}")))?;
         t.create_index(name, columns)?;
+        let sql = format!("CREATE INDEX {name} ON {table} ({})", columns.join(", "));
+        self.undo.push(Undo::CreateIndex {
+            table,
+            name: name.to_owned(),
+            sql,
+        });
         drop(tables);
         // Cached full-scan plans over this table must re-plan to pick the
         // new index up.
@@ -1057,6 +1124,7 @@ impl Transaction {
             .ok_or_else(|| SqlError::Unknown(format!("table {table}")))?;
         self.undo.push(Undo::DropTable {
             dropped: Box::new(t),
+            sql: format!("DROP TABLE {table}"),
         });
         drop(tables);
         self.db.ddl_epoch.fetch_add(1, Ordering::Release);
@@ -1189,6 +1257,209 @@ impl Transaction {
             ..ResultSet::default()
         })
     }
+}
+
+impl Transaction {
+    /// The net effects of everything this transaction did since savepoint
+    /// `sp` ([`crate::effects`]), read off the undo log and the rows as
+    /// they stand now — so take them before anything later in the
+    /// transaction writes those rows again.
+    pub fn effects_since(&self, sp: usize) -> Effects {
+        let log = &self.undo[sp.min(self.undo.len())..];
+        if log.is_empty() {
+            return Effects::default();
+        }
+        let mut ddl: Vec<&str> = Vec::new();
+        // A table created or dropped in the log starts afresh there: the
+        // row changes before its last such statement went with the
+        // incarnation the statement replaced.
+        let mut fresh_from: HashMap<&str, usize> = HashMap::new();
+        for (i, op) in log.iter().enumerate() {
+            match op {
+                Undo::CreateTable { table, sql } => {
+                    fresh_from.insert(table, i);
+                    ddl.push(sql);
+                }
+                Undo::DropTable { dropped, sql } => {
+                    fresh_from.insert(&dropped.schema().name, i);
+                    ddl.push(sql);
+                }
+                Undo::CreateIndex { sql, .. } => ddl.push(sql),
+                _ => {}
+            }
+        }
+        // Every touched row once, in log order (inserted rows thus in row
+        // id order), with its image from before the transaction — `None`
+        // for a row the transaction inserted.
+        let mut touched: Vec<(&str, RowId, Option<&SharedRow>)> = Vec::new();
+        let mut seen: HashSet<(&str, RowId)> = HashSet::new();
+        for (i, op) in log.iter().enumerate() {
+            let (table, rid, before) = match op {
+                Undo::Insert { table, rid } => (table.as_str(), *rid, None),
+                Undo::Delete { table, rid, row } => (table.as_str(), *rid, Some(row)),
+                Undo::Update { table, rid, old } => (table.as_str(), *rid, Some(old)),
+                _ => continue,
+            };
+            if fresh_from.get(table).is_some_and(|&f| i < f) {
+                continue;
+            }
+            if seen.insert((table, rid)) {
+                touched.push((table, rid, before));
+            }
+        }
+        let tables = self.db.tables.read();
+        let mut changes: Vec<TableChanges> = Vec::new();
+        for (name, rid, before) in touched {
+            let Some(t) = tables.get(name) else { continue };
+            let i = match changes.iter().position(|c| c.table == name) {
+                Some(i) => i,
+                None => {
+                    changes.push(TableChanges {
+                        table: name,
+                        primary_key: &t.schema().primary_key,
+                        changes: Vec::new(),
+                    });
+                    changes.len() - 1
+                }
+            };
+            changes[i].changes.push((before.map(|b| &**b), t.get(rid)));
+        }
+        encode_changes(&ddl, &changes)
+    }
+
+    /// Applies effects captured by [`Transaction::effects_since`] on a
+    /// database in the state they were captured from: DDL first, then per
+    /// table the deletes, re-keyed rows, updates and inserts, through the
+    /// table layer (indexes maintained, write locks taken, nothing
+    /// planned, read through a predicate or evaluated). Charges the
+    /// engine profile's per-statement cost per DDL statement and its
+    /// per-row write cost per row written.
+    ///
+    /// # Errors
+    ///
+    /// Malformed effects, or a database the effects do not fit (a deleted
+    /// or updated key that is absent, an inserted key that exists): the
+    /// transaction must then be rolled back.
+    pub fn apply_effects(&mut self, fx: &Effects) -> Result<()> {
+        if self.finished {
+            return Err(SqlError::TransactionClosed);
+        }
+        if fx.is_empty() {
+            return Ok(());
+        }
+        let set = fx.decode()?;
+        for sql in &set.ddl {
+            self.dispatch(&parse(sql)?, &[])?;
+        }
+        let write_us = self.db.profile.costs.write_us;
+        let db = self.db.clone();
+        for t in set.tables {
+            let name = t.table.as_str();
+            let pk = match db.tables.read().get(name) {
+                Some(tbl) => tbl.schema().primary_key.clone(),
+                None => return Err(SqlError::Unknown(format!("table {name}"))),
+            };
+            let key_of =
+                |row: &Row| -> Row { pk.iter().filter_map(|&i| row.get(i).cloned()).collect() };
+            let keys = t.deletes.iter().chain(t.rekeys.iter().map(|(k, _)| k));
+            let keys = keys
+                .chain(t.updates.iter().map(|(k, _)| k))
+                .map(Cow::Borrowed);
+            let new_keys = t.rekeys.iter().map(|(_, r)| r).chain(&t.inserts);
+            let keys = keys.chain(new_keys.map(|r| Cow::Owned(key_of(r))));
+            // A table-locking engine takes its one lock once; each key
+            // must still lie inside the shard scope.
+            let table_lock = self.db.profile.granularity == LockGranularity::Table;
+            for (i, key) in keys.enumerate() {
+                if table_lock && i > 0 {
+                    self.check_scope(name, &key)?;
+                } else {
+                    self.lock_write(name, &key)?;
+                }
+            }
+            self.charge(write_us * t.rows() as u64);
+            let mut tables = db.tables.write();
+            let tbl = tables.get_mut(name).expect("checked above");
+            let row_of = |tbl: &Table, key: &Row| {
+                tbl.lookup_pk(key).ok_or_else(|| {
+                    SqlError::Constraint(format!("effects name row {key:?} absent from {name}"))
+                })
+            };
+            for key in &t.deletes {
+                let rid = row_of(tbl, key)?;
+                let row = tbl.delete(rid).expect("an indexed row exists");
+                self.undo.push(Undo::Delete {
+                    table: t.table.clone(),
+                    rid,
+                    row,
+                });
+            }
+            // Two phases, so keys may trade places: every re-keyed row
+            // leaves, then each returns under its own row id.
+            let mut moved = Vec::with_capacity(t.rekeys.len());
+            for (key, row) in t.rekeys {
+                let rid = row_of(tbl, &key)?;
+                let old = tbl.delete(rid).expect("an indexed row exists");
+                self.undo.push(Undo::Delete {
+                    table: t.table.clone(),
+                    rid,
+                    row: old,
+                });
+                moved.push((rid, row));
+            }
+            for (rid, row) in moved {
+                tbl.restore(rid, row)?;
+                self.undo.push(Undo::Insert {
+                    table: t.table.clone(),
+                    rid,
+                });
+            }
+            for (key, cols) in t.updates {
+                let rid = row_of(tbl, &key)?;
+                let old = tbl.update_columns(rid, cols)?;
+                self.undo.push(Undo::Update {
+                    table: t.table.clone(),
+                    rid,
+                    old,
+                });
+            }
+            for row in t.inserts {
+                let rid = tbl.insert(row)?;
+                self.undo.push(Undo::Insert {
+                    table: t.table.clone(),
+                    rid,
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// `CREATE TABLE` text that parses back to `schema`.
+fn create_table_sql(schema: &TableSchema) -> String {
+    let cols: Vec<String> = schema
+        .columns
+        .iter()
+        .map(|c| {
+            let ty = match c.dtype {
+                DataType::Int => "INT",
+                DataType::Real => "REAL",
+                DataType::Text => "TEXT",
+            };
+            format!("{} {ty}", c.name)
+        })
+        .collect();
+    let pk: Vec<&str> = schema
+        .primary_key
+        .iter()
+        .map(|&i| schema.columns[i].name.as_str())
+        .collect();
+    format!(
+        "CREATE TABLE {} ({}, PRIMARY KEY ({}))",
+        schema.name,
+        cols.join(", "),
+        pk.join(", ")
+    )
 }
 
 impl Drop for Transaction {
@@ -1348,6 +1619,46 @@ mod tests {
             .execute("SELECT COUNT(*) FROM accounts WHERE id = 2")
             .unwrap();
         assert_eq!(r.rows[0][0], SqlValue::Int(1));
+    }
+
+    #[test]
+    fn rolling_back_a_create_index_drops_it() {
+        let db = bank();
+        let mut txn = db.begin().unwrap();
+        txn.execute("CREATE INDEX idx_owner ON accounts (owner)")
+            .unwrap();
+        txn.rollback().unwrap();
+        db.execute("SELECT id FROM accounts WHERE owner = 'o1'")
+            .unwrap();
+        let paths: Vec<String> = db
+            .cached_plans()
+            .into_iter()
+            .filter_map(|(_, p)| p)
+            .collect();
+        assert_eq!(paths, ["full scan"]);
+    }
+
+    #[test]
+    fn effects_carry_ddl_text_that_parses_back() {
+        let db = bank();
+        let mut txn = db.begin().unwrap();
+        txn.execute("CREATE TABLE t (a INT, b DECIMAL(4, 2), c VARCHAR(3), PRIMARY KEY (c, a))")
+            .unwrap();
+        txn.execute("CREATE INDEX t_b ON t (b, a)").unwrap();
+        txn.execute("DROP TABLE accounts").unwrap();
+        let fx = txn.effects_since(0);
+        txn.commit().unwrap();
+        let copy = bank();
+        copy.apply_effects([&fx]).unwrap();
+        assert!(copy.snapshot() == db.snapshot());
+        assert_eq!(
+            fx.decode().unwrap().ddl,
+            [
+                "CREATE TABLE t (a INT, b REAL, c TEXT, PRIMARY KEY (c, a))",
+                "CREATE INDEX t_b ON t (b, a)",
+                "DROP TABLE accounts",
+            ]
+        );
     }
 
     #[test]

@@ -42,6 +42,7 @@
 //! # Ok::<(), shadowdb_sqldb::SqlError>(())
 //! ```
 
+pub mod effects;
 pub mod engine;
 pub mod expr;
 pub mod lock;
@@ -52,6 +53,7 @@ pub mod sql;
 pub mod table;
 pub mod value;
 
+pub use effects::{EffectSet, Effects, TableEffects};
 pub use engine::{Database, PlanCacheStats, ResultSet, Transaction};
 pub use lock::{LockGranularity, ShardScope};
 pub use profile::EngineProfile;

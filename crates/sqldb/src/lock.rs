@@ -156,6 +156,14 @@ impl LockManager {
         *self.scope.lock() = Some(scope);
     }
 
+    /// An empty lock table under the same shard scope.
+    pub fn fork(&self) -> LockManager {
+        LockManager {
+            scope: Mutex::new(self.scope.lock().clone()),
+            ..LockManager::default()
+        }
+    }
+
     /// Whether a row of `table` keyed `key` is inside the shard scope
     /// (vacuously true when unscoped).
     pub fn admits(&self, table: &str, key: &[SqlValue]) -> bool {

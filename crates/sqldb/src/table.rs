@@ -214,6 +214,12 @@ impl Table {
         Ok(())
     }
 
+    /// Removes the secondary index `name`, if present (the undo of
+    /// [`Table::create_index`]).
+    pub fn drop_index(&mut self, name: &str) {
+        self.secondary.retain(|i| i.name != name);
+    }
+
     /// Inserts a row.
     ///
     /// # Errors
@@ -332,6 +338,53 @@ impl Table {
         }
         self.rows.insert(rid, new_row);
         Ok(old)
+    }
+
+    /// Sets columns of row `rid` to new values: an [`Table::update`] that
+    /// names only what changes. A row whose key and indexed columns keep
+    /// their values is replaced in one walk, leaving the indexes alone.
+    ///
+    /// # Errors
+    ///
+    /// As [`Table::update`], and for a column beyond the schema.
+    pub fn update_columns(
+        &mut self,
+        rid: RowId,
+        cols: Vec<(usize, SqlValue)>,
+    ) -> Result<SharedRow> {
+        for (c, v) in &cols {
+            let column =
+                self.schema.columns.get(*c).ok_or_else(|| {
+                    SqlError::Unknown(format!("column {c} of {}", self.schema.name))
+                })?;
+            if !column.dtype.admits(v) {
+                return Err(SqlError::Constraint(format!(
+                    "value {v} does not fit column {} of type {:?}",
+                    column.name, column.dtype
+                )));
+            }
+        }
+        let keyed = |c: usize| {
+            self.schema.primary_key.contains(&c)
+                || self.secondary.iter().any(|i| i.columns.contains(&c))
+        };
+        let slot = self
+            .rows
+            .get_mut(&rid)
+            .ok_or_else(|| SqlError::Unknown(format!("row id {rid}")))?;
+        let set = |row: &[SqlValue]| -> SharedRow {
+            let mut row = row.to_vec();
+            for (c, v) in &cols {
+                row[*c] = v.clone();
+            }
+            row.into()
+        };
+        if cols.iter().any(|(c, _)| keyed(*c)) {
+            let row = set(slot);
+            return self.update(rid, row);
+        }
+        let row = set(slot);
+        Ok(std::mem::replace(slot, row))
     }
 
     /// Looks up a row id by full primary key.

@@ -24,4 +24,4 @@ pub mod txn;
 
 pub use kv::{KvGen, KvOptions};
 pub use shard::{txnid_from_value, txnid_to_value, ShardMap, TwoPcRecord, TxnId};
-pub use txn::{apply_group, TxnOutcome, TxnRequest};
+pub use txn::{apply_group, Applied, TxnOutcome, TxnRequest};

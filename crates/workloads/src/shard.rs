@@ -77,8 +77,9 @@ impl ShardMap {
             TxnRequest::Tpcc(t) => self.tpcc_participants(t),
             // Raw SQL has no shard key: it pins to shard 0 by convention.
             TxnRequest::Sql(_) => vec![0],
-            // 2PC records are routed explicitly, never through this map.
-            TxnRequest::TwoPc(_) => vec![],
+            // 2PC records are routed explicitly, and applied effects are
+            // replicated within a group: neither goes through this map.
+            TxnRequest::TwoPc(_) | TxnRequest::Applied(_) => vec![],
         };
         ps.sort_unstable();
         ps.dedup();

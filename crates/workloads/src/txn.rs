@@ -1,8 +1,10 @@
 //! Transaction requests: typed stored procedures with a wire encoding.
 
 use crate::{bank, shard, tpcc};
+use bytes::{BufMut, Bytes, BytesMut};
 use shadowdb_eventml::Value;
-use shadowdb_sqldb::{Database, SqlError, SqlValue, Transaction};
+use shadowdb_sqldb::effects::{put_values, take_values};
+use shadowdb_sqldb::{Database, Effects, SqlError, SqlValue, Transaction};
 use std::time::Duration;
 
 /// A transaction submitted by a client: type plus parameters.
@@ -46,6 +48,72 @@ pub enum TxnRequest {
     /// logged, and replayed exactly like a client transaction. Only
     /// sharded deployments produce these.
     TwoPc(shard::TwoPcRecord),
+    /// A transaction another replica already executed: the outcome it
+    /// answered and the effects of its writes. Applying it writes the
+    /// effects ([`Transaction::apply_effects`]) and answers the same
+    /// outcome without running anything — what a primary-backup group's
+    /// primary hands its backups, its catch-up window and its log.
+    Applied(Applied),
+}
+
+/// What [`TxnRequest::Applied`] carries: whether the transaction committed,
+/// and one byte string holding the result it answered (in the effects'
+/// row encoding) followed by its [`Effects`]. The same bytes travel in a
+/// forward, sit in a catch-up window and fill a log record.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Applied {
+    committed: bool,
+    record: Bytes,
+    /// Where the effects start in `record`.
+    effects_at: usize,
+}
+
+impl Applied {
+    /// Records an executed transaction's outcome and effects.
+    pub fn new(committed: bool, result: &[SqlValue], effects: &Effects) -> Applied {
+        let mut buf = BytesMut::with_capacity(2 + 10 * result.len() + effects.bytes().len());
+        put_values(&mut buf, result);
+        let effects_at = buf.len();
+        buf.put_slice(effects.bytes());
+        Applied {
+            committed,
+            record: buf.freeze(),
+            effects_at,
+        }
+    }
+
+    /// The result the transaction answered.
+    pub fn result(&self) -> Vec<SqlValue> {
+        let mut head = &self.record[..self.effects_at];
+        take_values(&mut head).expect("checked when the record was made")
+    }
+
+    /// What the transaction wrote.
+    pub fn effects(&self) -> Effects {
+        Effects::from_bytes(self.record.slice(self.effects_at..))
+    }
+
+    /// This record in an allocation of its own: one received in a larger
+    /// frame no longer keeps the frame alive.
+    pub fn compact(&self) -> Applied {
+        Applied {
+            record: Bytes::copy_from_slice(&self.record),
+            ..*self
+        }
+    }
+
+    /// Re-reads a record from its bytes; `None` when the result does not
+    /// decode (the effects are checked when applied).
+    fn from_record(committed: bool, record: Bytes) -> Option<Applied> {
+        let mut rest: &[u8] = &record;
+        take_values(&mut rest).ok()?;
+        let effects_at = record.len() - rest.len();
+        Some(Applied {
+            committed,
+            record,
+            effects_at,
+        })
+    }
 }
 
 /// The outcome of executing a transaction.
@@ -177,6 +245,15 @@ impl TxnRequest {
                     cost: txn.virtual_cost() - start,
                 })
             }
+            TxnRequest::Applied(a) => {
+                let start = txn.virtual_cost();
+                txn.apply_effects(&a.effects())?;
+                Ok(TxnOutcome {
+                    committed: a.committed,
+                    result: a.result(),
+                    cost: txn.virtual_cost() - start,
+                })
+            }
             // A 2PC record reaching the plain execution path means the
             // deployment is not sharded; refuse it deterministically so
             // every replica answers alike.
@@ -211,6 +288,10 @@ impl TxnRequest {
                 Value::list(stmts.iter().map(|s| Value::str(s))),
             ),
             TxnRequest::TwoPc(r) => Value::pair(Value::str("2pc"), r.to_value()),
+            TxnRequest::Applied(a) => Value::pair(
+                Value::str("applied"),
+                Value::pair(Value::Bool(a.committed), Value::Bytes(a.record.clone())),
+            ),
         }
     }
 
@@ -232,6 +313,10 @@ impl TxnRequest {
             }),
             "tpcc" => tpcc::TpccTxn::from_value(body).map(TxnRequest::Tpcc),
             "2pc" => shard::TwoPcRecord::from_value(body).map(TxnRequest::TwoPc),
+            "applied" => {
+                let record = body.snd()?.as_bytes()?.clone();
+                Applied::from_record(body.fst()?.as_bool()?, record).map(TxnRequest::Applied)
+            }
             "sql" => {
                 let stmts: Option<Vec<String>> = body
                     .as_list()?
@@ -250,29 +335,41 @@ impl TxnRequest {
 /// request. Outcomes are reported per request, in delivery order, and are
 /// identical to unbatched execution: replica execution is sequential, so
 /// folding N deterministic transactions into one engine transaction
-/// cannot change what any of them reads.
+/// cannot change what any of them reads. Beside each outcome come the
+/// request's own effects ([`Effects`], taken as it finishes), which
+/// reproduce its writes on a copy of the database without running it.
 ///
 /// If the shared transaction dies on an infrastructure error, the group's
 /// partial work is rolled back and every request is re-applied in its own
 /// transaction, preserving exact unbatched semantics (including which
 /// request fails).
-pub fn apply_group(db: &Database, reqs: &[&TxnRequest]) -> Vec<Result<TxnOutcome, SqlError>> {
+pub fn apply_group(
+    db: &Database,
+    reqs: &[&TxnRequest],
+) -> Vec<Result<(TxnOutcome, Effects), SqlError>> {
     if reqs.len() > 1 {
         if let Some(outs) = try_apply_group(db, reqs) {
             return outs;
         }
     }
-    reqs.iter().map(|r| r.apply(db)).collect()
+    reqs.iter()
+        .map(|r| {
+            let mut txn = db.begin()?;
+            let out = r.apply_captured(&mut txn)?;
+            txn.commit()?;
+            Ok(out)
+        })
+        .collect()
 }
 
 fn try_apply_group(
     db: &Database,
     reqs: &[&TxnRequest],
-) -> Option<Vec<Result<TxnOutcome, SqlError>>> {
+) -> Option<Vec<Result<(TxnOutcome, Effects), SqlError>>> {
     let mut txn = db.begin().ok()?;
     let mut outs = Vec::with_capacity(reqs.len());
     for r in reqs {
-        match r.apply_in(&mut txn) {
+        match r.apply_captured(&mut txn) {
             Ok(out) => outs.push(Ok(out)),
             // Dropping the dead transaction rolls the whole group back;
             // the caller re-runs every request unbatched.
@@ -281,6 +378,20 @@ fn try_apply_group(
     }
     txn.commit().ok()?;
     Some(outs)
+}
+
+impl TxnRequest {
+    /// [`TxnRequest::apply_in`], plus the effects of what it did (an
+    /// [`TxnRequest::Applied`] request's are the ones it carries).
+    fn apply_captured(&self, txn: &mut Transaction) -> Result<(TxnOutcome, Effects), SqlError> {
+        let sp = txn.savepoint();
+        let out = self.apply_in(txn)?;
+        let effects = match self {
+            TxnRequest::Applied(a) => a.effects(),
+            _ => txn.effects_since(sp),
+        };
+        Ok((out, effects))
+    }
 }
 
 #[cfg(test)]
@@ -301,6 +412,11 @@ mod tests {
                 amount: 25,
             },
             TxnRequest::Sql(vec!["SELECT 1 FROM t".into(), "DELETE FROM t".into()]),
+            TxnRequest::Applied(Applied::new(
+                true,
+                &[SqlValue::Int(7), SqlValue::Text("x".into())],
+                &Effects::default(),
+            )),
         ];
         for r in reqs {
             assert_eq!(TxnRequest::from_value(&r.to_value()), Some(r));
@@ -361,7 +477,7 @@ mod tests {
         let refs: Vec<&TxnRequest> = reqs.iter().collect();
         let grouped: Vec<TxnOutcome> = apply_group(&group_db, &refs)
             .into_iter()
-            .map(Result::unwrap)
+            .map(|r| r.unwrap().0)
             .collect();
 
         // Per-transaction answers (including the mid-group abort) and the
@@ -400,7 +516,7 @@ mod tests {
         let refs: Vec<&TxnRequest> = reqs.iter().collect();
         let outs = apply_group(&db, &refs);
         for out in outs {
-            let out = out.unwrap();
+            let (out, _) = out.unwrap();
             assert!(out.cost.as_micros() > 0, "per-request cost attributed");
         }
     }
