@@ -29,6 +29,7 @@ use shadowdb_tob::{ExecutionMode, TobDeployment, TobOptions};
 use shadowdb_wal::Disk;
 use shadowdb_workloads::{ShardMap, TxnRequest};
 use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -335,26 +336,19 @@ impl Recipe {
     }
 
     /// Power-cycles the replica at `loc`: at `at` it comes back as the
-    /// process that recovers from its disk, and right after it gets the
-    /// kick its policy needs — PBR's timer loop (its fetch opens at its
-    /// first step), or SMR's re-subscription, whose ack opens the fetch,
-    /// and lease tick.
+    /// process that recovers from its disk and, right after, rejoins the
+    /// way a joiner does under either policy — subscribed anew at every
+    /// broadcast server, whose ack opens (or, under PBR, re-aims) its
+    /// fetch, and kicked.
     fn reboot<R: Runtime + ?Sized>(&self, rt: &mut R, loc: Loc, at: VTime, tear: u64) {
         assert!(self.durability.is_some(), "a reboot needs a disk");
         let i = self.replicas.borrow().iter().position(|r| *r == loc);
         let i = i.expect("reboot: not a replica of this group");
         rt.restart_at(at, loc, self.replica(i, Boot::Reboot(tear)));
-        let kick = at + REBOOT_KICK;
-        if self.pbr.is_some() {
-            rt.send_at(kick, loc, PbrReplica::start_msg());
-            return;
-        }
         for s in self.route.servers() {
-            rt.send_at(kick, *s, subscribe_msg(loc));
+            rt.send_at(at + REBOOT_KICK, *s, subscribe_msg(loc));
         }
-        if self.smr_leases.is_some() {
-            rt.send_at(kick, loc, SmrReplica::lease_start_msg());
-        }
+        self.kick(rt, loc, at + REBOOT_KICK);
     }
 
     /// Deploys a joiner into the serving group and starts its timers;
@@ -364,13 +358,18 @@ impl Recipe {
         let i = self.replicas.borrow().len();
         let loc = rt.add_node_late(self.replica(i, Boot::Join(donors)));
         self.replicas.borrow_mut().push(loc);
-        let now = rt.now();
-        if self.pbr.is_some() {
-            rt.send_at(now, loc, PbrReplica::start_msg());
-        } else if self.smr_leases.is_some() {
-            rt.send_at(now, loc, SmrReplica::lease_start_msg());
-        }
+        self.kick(rt, loc, rt.now());
         loc
+    }
+
+    /// Starts a reborn or joining replica's timers at `at`: PBR's
+    /// heartbeat loop (a reboot reads its disk there), or SMR's lease tick.
+    fn kick<R: Runtime + ?Sized>(&self, rt: &mut R, loc: Loc, at: VTime) {
+        if self.pbr.is_some() {
+            rt.send_at(at, loc, PbrReplica::start_msg());
+        } else if self.smr_leases.is_some() {
+            rt.send_at(at, loc, SmrReplica::lease_start_msg());
+        }
     }
 }
 
@@ -466,29 +465,12 @@ fn start<R: Runtime + ?Sized>(
     }
 }
 
-/// Builds an unsharded deployment in the paper's layout: clients first,
-/// then the one replica group.
-fn build_unsharded<R: Runtime + ?Sized>(
-    rt: &mut R,
-    options: &DeployOptions,
-    pbr: Option<&PbrOptions>,
-) -> (Clients, ShardGroup) {
-    assert_eq!(
-        options.shards, 1,
-        "the clients-first layout hosts one group; use ShardedDeployment"
-    );
-    let base = rt.node_count() + options.n_clients as u32;
-    let route = group_route(options, pbr.is_some(), base);
-    let clients = build_clients(rt, options, &Routes::single(route.clone()));
-    let group = build_group(rt, options, pbr, route, 0, None);
-    let starting: &[Loc] = if pbr.is_some() { &group.replicas } else { &[] };
-    start(rt, options, starting, &clients.0);
-    (clients, group)
-}
-
-/// A deployed primary-backup ShadowDB.
-pub struct PbrDeployment {
-    /// Replica locations: `[primary, backup, spare]`.
+/// A deployed unsharded ShadowDB under ordering policy `P` ([`Pbr`] or
+/// [`Smr`]), in the paper's layout: clients first, then the one replica
+/// group.
+pub struct Deployment<P> {
+    /// Replica locations: under PBR `[primary, backup, spare]`, under SMR
+    /// one per service machine.
     pub replicas: Vec<Loc>,
     /// Client locations.
     pub clients: Vec<Loc>,
@@ -500,7 +482,17 @@ pub struct PbrDeployment {
     /// unless the deployment was built with [`DeployOptions::durability`].
     pub disks: Vec<Disk>,
     recipe: Rc<Recipe>,
+    policy: PhantomData<P>,
 }
+
+/// Primary-backup replication, as a [`Deployment`]'s policy.
+pub struct Pbr;
+/// State machine replication, as a [`Deployment`]'s policy.
+pub struct Smr;
+/// A deployed primary-backup ShadowDB.
+pub type PbrDeployment = Deployment<Pbr>;
+/// A deployed state-machine-replicated ShadowDB.
+pub type SmrDeployment = Deployment<Smr>;
 
 impl PbrDeployment {
     /// Builds the deployment into `rt` and schedules the start messages.
@@ -511,14 +503,43 @@ impl PbrDeployment {
         options: &DeployOptions,
         pbr: PbrOptions,
     ) -> PbrDeployment {
-        let ((clients, stats), group) = build_unsharded(rt, options, Some(&pbr));
-        PbrDeployment {
+        Deployment::unsharded(rt, options, Some(&pbr))
+    }
+}
+
+impl SmrDeployment {
+    /// Builds the deployment into `rt` and schedules the start messages.
+    /// The paper runs the SMR broadcast service compiled (Lisp); the
+    /// default [`ExecutionMode::Compiled`] matches.
+    pub fn build<R: Runtime + ?Sized>(rt: &mut R, options: &DeployOptions) -> SmrDeployment {
+        Deployment::unsharded(rt, options, None)
+    }
+}
+
+impl<P> Deployment<P> {
+    fn unsharded<R: Runtime + ?Sized>(
+        rt: &mut R,
+        options: &DeployOptions,
+        pbr: Option<&PbrOptions>,
+    ) -> Deployment<P> {
+        assert_eq!(
+            options.shards, 1,
+            "the clients-first layout hosts one group; use ShardedDeployment"
+        );
+        let base = rt.node_count() + options.n_clients as u32;
+        let route = group_route(options, pbr.is_some(), base);
+        let (clients, stats) = build_clients(rt, options, &Routes::single(route.clone()));
+        let group = build_group(rt, options, pbr, route, 0, None);
+        let starting: &[Loc] = if pbr.is_some() { &group.replicas } else { &[] };
+        start(rt, options, starting, &clients);
+        Deployment {
             replicas: group.replicas,
             clients,
             stats,
             tob: group.tob,
             disks: group.disks,
             recipe: group.recipe,
+            policy: PhantomData,
         }
     }
 
@@ -530,7 +551,9 @@ impl PbrDeployment {
     /// A driver-side handle for reconfiguring this group online: add,
     /// remove, promote, and replace replicas while the deployment serves.
     /// Joiners are made as the deployment made its own replicas — same
-    /// options, loader, engine rotation, and every plane it runs.
+    /// options, loader, engine rotation, and every plane it runs. SMR
+    /// membership is the broadcast service's subscriber set: there is no
+    /// configuration command, and promotion is meaningless.
     pub fn reconfig<R: Runtime + ?Sized>(&self, rt: &mut R) -> ReconfigHandle {
         ReconfigHandle::new(rt, &self.recipe)
     }
@@ -545,85 +568,26 @@ impl PbrDeployment {
     }
 }
 
-/// A deployed state-machine-replicated ShadowDB.
-pub struct SmrDeployment {
-    /// Replica locations (one per service machine).
-    pub replicas: Vec<Loc>,
-    /// Client locations.
-    pub clients: Vec<Loc>,
-    /// Client measurement handles.
-    pub stats: Vec<Arc<Mutex<DbClientStats>>>,
-    /// The broadcast service underneath.
-    pub tob: TobDeployment,
-    /// One durable disk per replica (same order as `replicas`); empty
-    /// unless the deployment was built with [`DeployOptions::durability`].
-    pub disks: Vec<Disk>,
-    recipe: Rc<Recipe>,
-}
-
-impl SmrDeployment {
-    /// Builds the deployment into `rt` and schedules the start messages.
-    /// The paper runs the SMR broadcast service compiled (Lisp); the
-    /// default [`ExecutionMode::Compiled`] matches.
-    pub fn build<R: Runtime + ?Sized>(rt: &mut R, options: &DeployOptions) -> SmrDeployment {
-        let ((clients, stats), group) = build_unsharded(rt, options, None);
-        SmrDeployment {
-            replicas: group.replicas,
-            clients,
-            stats,
-            tob: group.tob,
-            disks: group.disks,
-            recipe: group.recipe,
-        }
-    }
-
-    /// Total committed transactions across clients.
-    pub fn committed(&self) -> usize {
-        self.stats.iter().map(|s| s.lock().committed()).sum()
-    }
-
-    /// A driver-side handle for reconfiguring this group online. SMR
-    /// membership is the broadcast service's subscriber set: adding a
-    /// replica subscribes a snapshot-joining node, removing one
-    /// unsubscribes it; there is no configuration command and promotion
-    /// is meaningless (every replica executes everything).
-    pub fn reconfig<R: Runtime + ?Sized>(&self, rt: &mut R) -> ReconfigHandle {
-        ReconfigHandle::new(rt, &self.recipe)
-    }
-
-    /// Power-cycles the replica at `loc`; see [`PbrDeployment::reboot`].
-    pub fn reboot<R: Runtime + ?Sized>(&self, rt: &mut R, loc: Loc, at: VTime, tear: u64) {
-        self.recipe.reboot(rt, loc, at, tear);
-    }
-}
-
 /// An unsharded deployment *is* shard 0 of 1: the same group, seen
 /// through the sharded deployment's fields (clients stay where the
 /// unsharded layout put them — first).
-macro_rules! into_one_group {
-    ($unsharded:ty) => {
-        impl From<$unsharded> for ShardedDeployment {
-            fn from(d: $unsharded) -> ShardedDeployment {
-                let (replicas, tob, disks, recipe) = (d.replicas, d.tob, d.disks, d.recipe);
-                let (map, clients, stats) = (ShardMap::new(1), d.clients, d.stats);
-                let groups = vec![ShardGroup {
-                    replicas,
-                    tob,
-                    disks,
-                    recipe,
-                }];
-                ShardedDeployment {
-                    map,
-                    groups,
-                    clients,
-                    stats,
-                }
-            }
+impl<P> From<Deployment<P>> for ShardedDeployment {
+    fn from(d: Deployment<P>) -> ShardedDeployment {
+        let (replicas, tob, disks, recipe) = (d.replicas, d.tob, d.disks, d.recipe);
+        let group = ShardGroup {
+            replicas,
+            tob,
+            disks,
+            recipe,
+        };
+        ShardedDeployment {
+            map: ShardMap::new(1),
+            groups: vec![group],
+            clients: d.clients,
+            stats: d.stats,
         }
-    };
+    }
 }
-into_one_group!(PbrDeployment);
-into_one_group!(SmrDeployment);
 
 /// How long each polling slice of a [`ReconfigHandle`] drives the runtime
 /// before draining replies.
@@ -1360,8 +1324,9 @@ mod tests {
     /// A rebooted PBR member asks its recovered configuration's members
     /// one at a time, in order. Its disk logged the configuration as it was
     /// adopted, before `Promote` reordered it, so the first member it asks
-    /// is a backup, which stays silent. One heartbeat period later the
-    /// retry asks the primary, and the member rejoins by catch-up.
+    /// is a backup, which stays silent. Its subscription's ack re-aims the
+    /// fetch at the next member, the primary, and the member rejoins by
+    /// catch-up within a heartbeat period.
     #[test]
     fn a_rebooted_backup_whose_first_ask_misses_the_primary_rejoins_by_catch_up() {
         let mut sim = shadowdb_simnet::testing::default_net(15);
@@ -1398,15 +1363,74 @@ mod tests {
             );
         }
         let rejoined = sim.now().saturating_since(reboot);
-        assert!(
-            rejoined >= pbr.heartbeat_every,
-            "the first ask was answered"
-        );
+        assert!(rejoined >= REBOOT_KICK, "rejoined before it was kicked");
         assert!(
             rejoined < pbr.heartbeat_every * 2,
             "the retry was not: {rejoined:?}"
         );
         check_catchup_only(&probe.events(), victim).expect("rejoins by catch-up");
+    }
+
+    /// A rebooted member takes the group's configuration from the answer
+    /// to its fetch, in elected order, not the order its disk logged at
+    /// adoption: its acknowledgments reach the primary `Promote` elected,
+    /// and every transaction commits. A member that trusted its disk sent
+    /// them to a backup, and 28 of 800 committed.
+    #[test]
+    fn a_rebooted_backup_acknowledges_the_elected_primary() {
+        let mut sim = shadowdb_simnet::testing::default_net(15);
+        let mut options = bank_options(2, 400);
+        options.active_replicas = 3;
+        options.durability = Some(DurabilityOptions::default());
+        let d = PbrDeployment::build(&mut sim, &options, PbrOptions::default());
+        let [_, victim, promoted] = d.replicas[..3] else {
+            unreachable!()
+        };
+        let mut handle = d.reconfig(&mut sim);
+        assert!(handle.promote(&mut sim, promoted, Duration::from_secs(10)));
+        let now = sim.now();
+        sim.crash_at(now + Duration::from_millis(5), victim);
+        d.reboot(&mut sim, victim, now + Duration::from_millis(40), 13);
+        sim.run_for(Duration::from_secs(60));
+        assert_eq!(d.committed(), 800, "every transaction answered");
+    }
+
+    /// A member rebooted once the stream has moved past its start
+    /// subscribes anew and is anchored by its fetch's answer, so it
+    /// delivers the next configuration command and reports: the election
+    /// that `Promote` starts completes, with it as a member. A member that
+    /// never re-subscribed delivered nothing more, and the election waited
+    /// for its report for ever.
+    #[test]
+    fn a_member_rebooted_after_a_reconfiguration_counts_in_the_next_election() {
+        let mut sim = shadowdb_simnet::testing::default_net(16);
+        let mut options = bank_options(2, 100);
+        options.active_replicas = 3;
+        options.durability = Some(DurabilityOptions::default());
+        let d = PbrDeployment::build(&mut sim, &options, PbrOptions::default());
+        let [first, rebooted, promoted] = d.replicas[..3] else {
+            unreachable!()
+        };
+        let mut handle = d.reconfig(&mut sim);
+        let second = Duration::from_secs(1);
+        assert!(
+            handle.promote(&mut sim, promoted, second * 10),
+            "reconfigured"
+        );
+        let now = sim.now();
+        sim.crash_at(now + Duration::from_millis(5), rebooted);
+        d.reboot(&mut sim, rebooted, now + Duration::from_millis(40), 13);
+        sim.run_for(second / 2);
+        assert!(handle.promote(&mut sim, first, second * 10), "promoted");
+        for m in [first, rebooted, promoted] {
+            assert!(
+                handle.await_member(&mut sim, m, second * 10),
+                "{m:?} settled"
+            );
+        }
+        let settled = handle.query_config(&mut sim, second * 10).expect("settled");
+        assert_eq!(settled.config.seq, 2, "two reconfigurations: {settled:?}");
+        assert_eq!(settled.config.primary(), first, "the promoted member leads");
     }
 
     #[test]

@@ -35,8 +35,9 @@ pub const SNAPSHOT_HEADER: &str = "sdb/snapshot";
 /// Backup → primary recovery acknowledgment: body `<config, from>`.
 pub const RECOVERY_ACK_HEADER: &str = "sdb/recack";
 /// A replica that is behind asks a donor for state ([`fetch_msg`]): body
-/// `<requester, <from, min>>`, `from = -1` an image, answered with a
-/// catch-up or snapshot once the donor has reached `min` (PBR sends 0).
+/// `<requester, <from, <min, nonce>>>`, `from = -1` an image, answered
+/// with a catch-up or snapshot once the donor's stream has reached `min`;
+/// `nonce` names the requester's incarnation, and PBR's answer echoes it.
 pub const FETCH_HEADER: &str = "sdb/fetch";
 /// A replica's retry timer for its open fetch, sent to itself (body
 /// unit): each firing asks the next donor.
@@ -413,21 +414,29 @@ pub fn parse_stale_config(msg: &Msg) -> Option<StaleConfig> {
     })
 }
 
-/// Builds a fetch: `requester` asks for the state from `from` on (`-1`:
-/// an image), once the donor has reached `min`.
-pub fn fetch_msg(requester: Loc, from: i64, min: i64) -> Msg {
-    let range = Value::pair(Value::Int(from), Value::Int(min));
+/// Builds a fetch: `requester`'s incarnation `nonce` asks for the state
+/// from `from` on (`-1`: an image), once the donor's stream has reached
+/// `min`.
+pub fn fetch_msg(requester: Loc, from: i64, min: i64, nonce: i64) -> Msg {
+    let range = Value::pair(Value::Int(min), Value::Int(nonce));
+    let range = Value::pair(Value::Int(from), range);
     Msg::new(
         cached_header!(FETCH_HEADER),
         Value::pair(Value::Loc(requester), range),
     )
 }
 
-/// Decodes a [`fetch_msg`] body into `(requester, from, min)`.
-pub(crate) fn parse_fetch(body: &Value) -> Option<(Loc, i64, i64)> {
+/// Decodes a [`fetch_msg`] body into `(requester, from, min, nonce)`.
+pub(crate) fn parse_fetch(body: &Value) -> Option<(Loc, i64, i64, i64)> {
     let (requester, range) = body.fst().zip(body.snd())?;
-    let (from, min) = range.fst().zip(range.snd())?;
-    Some((requester.as_loc()?, from.as_int()?, min.as_int()?))
+    let (from, range) = range.fst().zip(range.snd())?;
+    let (min, nonce) = range.fst().zip(range.snd())?;
+    Some((
+        requester.as_loc()?,
+        from.as_int()?,
+        min.as_int()?,
+        nonce.as_int()?,
+    ))
 }
 
 /// Builds a configuration-status query.

@@ -41,13 +41,17 @@
 //!    when overlapped state transfer is enabled (possible with ≥3
 //!    replicas), else after all of them.
 //!
-//! A replica rebooted from its disk fetches what it missed through the
-//! core, from its recovered configuration's members in turn, one more
-//! each heartbeat period; only the settled primary answers.
+//! A replica rebooted from its disk rejoins the way a joiner does: it
+//! subscribes anew, holding its stream until the answer to its fetch says
+//! where the stream starts, and takes the group's configuration, in
+//! elected order, from that answer. Its disk's configuration only names
+//! whom to ask, in turn, one more each heartbeat period. Only the settled
+//! primary answers: with the state a member missed, or the configuration
+//! alone to anyone else.
 
 use crate::msgs::{
-    config_reply_msg, parse_fetch, reply_msg, stale_config_msg, ConfigCommand, ReplicaConfig,
-    TxnEnvelope, ACK_HEADER, CATCHUP_HEADER, CONFIG_QUERY_HEADER, FETCH_HEADER, FETCH_RETRY_HEADER,
+    config_reply_msg, parse_fetch, stale_config_msg, ConfigCommand, ReplicaConfig, TxnEnvelope,
+    ACK_HEADER, CATCHUP_HEADER, CONFIG_QUERY_HEADER, FETCH_HEADER, FETCH_RETRY_HEADER,
     FORWARD_HEADER, HB_TIMER_HEADER, HEARTBEAT_HEADER, RECOVERY_ACK_HEADER, SNAPSHOT_HEADER,
     STALE_CONFIG_HEADER, SUBMIT_HEADER, SYNCED_HEADER, SYNC_HEADER,
 };
@@ -58,9 +62,9 @@ use shadowdb_eventml::process::HasherAdapter;
 use shadowdb_eventml::{cached_header, Ctx, Msg, Process, SendInstr, Value};
 use shadowdb_loe::{Loc, VTime};
 use shadowdb_sqldb::Database;
-use shadowdb_tob::{parse_deliver, parse_subok, Delivery, InOrderBuffer};
+use shadowdb_tob::{parse_deliver, parse_subok, Delivery};
 use shadowdb_wal::Disk;
-use shadowdb_workloads::{Applied, TxnOutcome, TxnRequest};
+use shadowdb_workloads::{Applied, TxnRequest};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::time::Duration;
@@ -134,18 +138,16 @@ enum Mode {
 #[derive(Clone)]
 struct Pending {
     env: TxnEnvelope,
-    outcome: TxnOutcome,
     waiting: BTreeSet<Loc>,
     /// WAL index of this transaction's own record: the entry is released
     /// only once the local log is durable through it, too.
     wal: i64,
-    /// Sends computed at execute time (2PC votes, decisions, replies to
-    /// other groups) that must not escape before the backups acknowledged:
-    /// they reflect state the group has not durably replicated yet.
+    /// Sends computed at execute time (the client's reply; for a 2PC
+    /// record, which answers through the protocol, votes, decisions and
+    /// replies to other groups) that must not escape before the backups
+    /// acknowledged: they reflect state the group has not durably
+    /// replicated yet.
     extra: Vec<SendInstr>,
-    /// Suppress the client reply on release (2PC records answer through
-    /// the protocol, not the reply path).
-    suppress_reply: bool,
 }
 
 /// A primary-backup ShadowDB replica: the PBR ordering policy over a
@@ -169,8 +171,6 @@ pub struct PbrReplica {
     /// Failure detection.
     last_heard: HashMap<Loc, VTime>,
     hb_armed: bool,
-    /// Reconfiguration machinery.
-    tob_in: InOrderBuffer,
     /// This replica's configuration broadcast (a proposal or a report)
     /// the stream has not delivered yet.
     unordered: Option<SendInstr>,
@@ -186,9 +186,6 @@ pub struct PbrReplica {
     /// The member the last `Promote` command elects; cleared by every
     /// other configuration adoption.
     promote_pref: Option<Loc>,
-    /// A joiner created mid-run awaits its first `tob/subok` to anchor
-    /// `tob_in` at the broadcast seq its dynamic subscription starts at.
-    join_sync: bool,
     /// Last configuration seq this replica reported to the probe.
     probe_last: Option<i64>,
     /// Sends rendered while executing 2PC records; the primary attaches
@@ -242,14 +239,12 @@ impl PbrReplica {
             forward_buf: BTreeMap::new(),
             last_heard: HashMap::new(),
             hb_armed: false,
-            tob_in: InOrderBuffer::new(),
             unordered: None,
             election: BTreeMap::new(),
             elected_at: -1,
             held: Vec::new(),
             recovery_acks: BTreeSet::new(),
             promote_pref: None,
-            join_sync: false,
             probe_last: None,
             twopc_outbox: Vec::new(),
             wal_index: 0,
@@ -267,19 +262,15 @@ impl PbrReplica {
     /// successor membership precisely so a joiner need not know the
     /// history it missed. The deployment must subscribe it at the TOB
     /// servers *before* broadcasting `AddReplica`, so the command that
-    /// names it is guaranteed to reach it.
+    /// names it is guaranteed to reach it; the stream is held until the
+    /// subscription's ack anchors it.
     pub fn joiner(db: Database, tob_servers: Vec<Loc>, options: PbrOptions) -> PbrReplica {
-        let mut r = PbrReplica::new(
-            db,
-            ReplicaConfig {
-                seq: -1,
-                members: Vec::new(),
-            },
-            Vec::new(),
-            tob_servers,
-            options,
-        );
-        r.join_sync = true;
+        let outside = ReplicaConfig {
+            seq: -1,
+            members: Vec::new(),
+        };
+        let mut r = PbrReplica::new(db, outside, Vec::new(), tob_servers, options);
+        r.core.subscribe(None);
         r
     }
 
@@ -314,8 +305,9 @@ impl PbrReplica {
     /// Its **first step** reads the disk back, at restart time and under
     /// the location the context supplies: `tear` resolves the torn unsynced
     /// tail, the latest snapshot is installed, the logged suffix replayed,
-    /// and the replica fetches whatever the disk missed (catch-up only,
-    /// unless the primary's window no longer reaches back).
+    /// and the replica fetches the group's configuration and whatever the
+    /// disk missed (catch-up only, unless the primary's window no longer
+    /// reaches back). The deployment subscribes it anew.
     pub fn rebooted(mut self, tear: u64) -> PbrReplica {
         self.reboot = Some(tear);
         self
@@ -342,15 +334,14 @@ impl PbrReplica {
         self.wal_index = rec.high_index().max(0);
         self.core.resume_wal(disk, snap_at, self.wal_index);
         // The disk knows everything up to the crash; the group has moved
-        // on. Rejoin: re-anchor the TOB subscription and fetch the missed
-        // suffix from the members, whose primary answers.
+        // on. Rejoin as a joiner does: the stream is held until the answer
+        // anchors it ([`PbrReplica::rejoin`]). Ask the disk configuration's
+        // members at once; the subscription's ack raises the fetch's `min`.
         self.mode = Mode::Recovering;
-        self.join_sync = true;
-        if self.config.contains(slf) {
-            let donors = self.config.members.iter().copied().filter(|m| *m != slf);
-            self.core.set_donors(donors, self.options.heartbeat_every);
-            self.core.fetch(slf, self.core.executed(), 0, out);
-        }
+        self.core.subscribe(None);
+        let donors = self.config.members.iter().copied().filter(|m| *m != slf);
+        self.core.set_donors(donors, self.options.heartbeat_every);
+        self.core.fetch(slf, self.core.executed(), 0, out);
     }
 
     /// Replays one WAL record onto local state. Nothing is sent: 2PC
@@ -449,11 +440,7 @@ impl PbrReplica {
     /// replicates it. The same envelope enters the core's catch-up window,
     /// its record in an allocation of its own.
     fn record_executed(&mut self, env: &TxnEnvelope) {
-        if self.core.has_wal() {
-            let body = Value::pair(Value::Int(WREC_TXN), env.to_value());
-            self.wal_index += 1;
-            self.core.wal_append(self.wal_index, &body);
-        }
+        self.log(WREC_TXN, || env.to_value());
         self.core.remember(|| {
             let txn = match &env.txn {
                 TxnRequest::Applied(a) => TxnRequest::Applied(a.compact()),
@@ -507,13 +494,9 @@ impl PbrReplica {
             // still being decided and a guess could point backwards.
             let settled = self.mode == Mode::Normal
                 || (self.mode == Mode::Idle && !self.config.members.is_empty());
-            if settled {
-                if let Some(env) = TxnEnvelope::from_value(body) {
-                    outs.push(SendInstr::now(
-                        env.client,
-                        stale_config_msg(ctx.slf, env.cseq, &self.config),
-                    ));
-                }
+            if let (true, Some(env)) = (settled, TxnEnvelope::from_value(body)) {
+                let nack = stale_config_msg(ctx.slf, env.cseq, &self.config);
+                outs.push(SendInstr::now(env.client, nack));
             }
             return;
         }
@@ -547,62 +530,45 @@ impl PbrReplica {
         // gate: under pipelined load the ordered read traffic itself
         // would otherwise keep `pending` occupied and the fast path
         // would never open.
-        if env.read_only && self.pending.values().all(|p| p.env.read_only) {
-            if let Some(until) = self.lease_until(ctx) {
-                if self
-                    .core
-                    .serve_lease_read(ctx, &env, self.config.seq, until, outs)
-                {
-                    return;
-                }
+        let gated = env.read_only && self.pending.values().all(|p| p.env.read_only);
+        if let Some(until) = self.lease_until(ctx).filter(|_| gated) {
+            if self
+                .core
+                .serve_lease_read(ctx, &env, self.config.seq, until, outs)
+            {
+                return;
             }
         }
         // This replica is about to execute a client transaction while
         // believing itself primary of the current configuration.
-        if self.probe_last != Some(self.config.seq) {
-            self.probe_last = Some(self.config.seq);
-            self.core.note(Event::Primary {
-                seq: self.config.seq,
-                loc: ctx.slf,
-            });
+        let seq = self.config.seq;
+        if self.probe_last.replace(seq) != Some(seq) {
+            self.core.note(Event::Primary { seq, loc: ctx.slf });
         }
         let replicated = self.execute_txn_group(ctx.slf, std::slice::from_ref(&env));
-        let extra = std::mem::take(&mut self.twopc_outbox);
+        let mut extra = std::mem::take(&mut self.twopc_outbox);
+        if !is_2pc {
+            extra.extend(self.core.reply(ctx.slf, env.client));
+        }
         let idx = self.core.executed();
-        let (_, committed, result) = self
-            .core
-            .cached_reply(env.client)
-            .expect("just executed this client's request");
         if self.active_backups.is_empty() {
-            if is_2pc {
-                // No backups to wait for: the engine's sends go out with
-                // this step (behind its sync, on a durable replica).
-                outs.extend(extra);
-            } else {
-                outs.extend(self.core.reply(ctx.slf, env.client));
-            }
+            // No backups to wait for: the answer goes out with this step
+            // (behind its sync, on a durable replica).
+            outs.extend(extra);
         } else {
             let replicated = replicated.into_iter().next().expect("one executed");
             let forward = Value::pair(Value::Int(idx), replicated.to_value());
             for b in self.config.backups() {
                 outs.push(self.in_config(*b, FORWARD_HEADER, forward.clone()));
             }
-            let outcome = TxnOutcome {
-                committed,
-                result: result.to_vec(),
-                cost: Duration::ZERO,
+            let (waiting, wal) = (self.active_backups.clone(), self.wal_index);
+            let pending = Pending {
+                env,
+                waiting,
+                wal,
+                extra,
             };
-            self.pending.insert(
-                idx,
-                Pending {
-                    env,
-                    outcome,
-                    waiting: self.active_backups.clone(),
-                    wal: self.wal_index,
-                    extra,
-                    suppress_reply: is_2pc,
-                },
-            );
+            self.pending.insert(idx, pending);
         }
     }
 
@@ -717,20 +683,10 @@ impl PbrReplica {
         // it as cumulative. This is what un-stalls a pending entry whose
         // per-index ack was lost to a power cycle: the rebooted backup's
         // catch-up ack names only its post-replay high-water mark.
-        let stalled: Vec<i64> = self
-            .pending
-            .range(..=idx)
-            .filter(|(_, p)| p.waiting.contains(&from))
-            .map(|(i, _)| *i)
-            .collect();
-        for i in stalled {
-            self.pending
-                .get_mut(&i)
-                .expect("present")
-                .waiting
-                .remove(&from);
+        for (_, p) in self.pending.range_mut(..=idx) {
+            p.waiting.remove(&from);
         }
-        self.release_pending(ctx.slf, outs);
+        self.release_pending(outs);
     }
 
     /// Releases every pending entry that all its backups acknowledged and
@@ -739,7 +695,7 @@ impl PbrReplica {
     /// hold (called when either may have changed: an ack, a sync), so the
     /// silence of `reply_duplicate` and the lease-read gate cover a
     /// transaction until a power cut here could no longer erase it.
-    fn release_pending(&mut self, slf: Loc, outs: &mut Vec<SendInstr>) {
+    fn release_pending(&mut self, outs: &mut Vec<SendInstr>) {
         let ready: Vec<i64> = self
             .pending
             .iter()
@@ -748,11 +704,6 @@ impl PbrReplica {
             .collect();
         for i in ready {
             let p = self.pending.remove(&i).expect("present");
-            if !p.suppress_reply {
-                let reply = reply_msg(slf, p.env.cseq, p.outcome.committed, &p.outcome.result);
-                self.core
-                    .gate(p.wal, SendInstr::now(p.env.client, reply), outs);
-            }
             for send in p.extra {
                 self.core.gate(p.wal, send, outs);
             }
@@ -762,12 +713,8 @@ impl PbrReplica {
     // -- failure detection --------------------------------------------------
 
     fn on_hb_timer(&mut self, ctx: &Ctx, outs: &mut Vec<SendInstr>) {
-        // Re-arm.
-        outs.push(SendInstr::after(
-            self.options.heartbeat_every,
-            ctx.slf,
-            Msg::new(HB_TIMER_HEADER, Value::Unit),
-        ));
+        let every = self.options.heartbeat_every;
+        outs.push(SendInstr::after(every, ctx.slf, Self::start_msg())); // re-arm
         if self.mode == Mode::Idle {
             return;
         }
@@ -793,19 +740,11 @@ impl PbrReplica {
         if !matches!(self.mode, Mode::Normal | Mode::Recovering) {
             return; // a decision for this configuration is already pending
         }
-        let suspects: Vec<Loc> = self
-            .config
-            .members
-            .iter()
-            .copied()
-            .filter(|m| {
-                *m != ctx.slf
-                    && ctx
-                        .now
-                        .saturating_since(*self.last_heard.get(m).unwrap_or(&VTime::ZERO))
-                        > self.options.detect_after
-            })
-            .collect();
+        let silent = |m: &Loc| {
+            let heard = self.last_heard.get(m).copied().unwrap_or(VTime::ZERO);
+            *m != ctx.slf && ctx.now.saturating_since(heard) > self.options.detect_after
+        };
+        let suspects: Vec<Loc> = self.config.members.iter().copied().filter(silent).collect();
         if !suspects.is_empty() {
             self.propose_reconfiguration(ctx, &suspects, outs);
         }
@@ -831,56 +770,57 @@ impl PbrReplica {
     }
 
     /// Donor side of a rebooted member's fetch: only the settled primary
-    /// of a configuration containing the requester answers, as the
-    /// elector would. Everyone else stays silent and the requester's next
-    /// retry asks the next member — the primary may itself still be
-    /// recovering when the first ask lands.
-    fn on_fetch(&mut self, ctx: &Ctx, body: &Value, outs: &mut Vec<SendInstr>) {
-        let Some((to, from, _)) = parse_fetch(body) else {
+    /// answers, as the elector would, once its stream has reached the
+    /// fetch's `min`, stamped `<at, <nonce, config>>`: its configuration
+    /// holds from its stream seq `at`, and `nonce` is the fetch's. A member
+    /// gets the state it missed, anyone else the configuration alone (an
+    /// empty catch-up). Everyone else stays silent and the requester's
+    /// next retry asks the next member.
+    fn on_fetch(&mut self, ctx: &Ctx, msg: &Msg, outs: &mut Vec<SendInstr>) {
+        let Some((to, from, min, nonce)) = parse_fetch(&msg.body) else {
             return;
         };
-        if self.mode == Mode::Normal && self.is_primary(ctx.slf) && self.config.contains(to) {
-            self.send_state(to, from, outs);
+        if self.mode != Mode::Normal
+            || !self.is_primary(ctx.slf)
+            || self.core.defer_fetch(ctx.slf, msg, min, outs)
+        {
+            return;
         }
+        let stamp = Value::pair(Value::Int(nonce), self.config.to_value());
+        let stamp = Value::pair(Value::Int(self.core.stream_next()), stamp);
+        if self.config.contains(to) {
+            return self.send_state(to, from, stamp, outs);
+        }
+        let alone = Value::pair(Value::Int(from), Value::list(Vec::new()));
+        outs.push(self.in_config(to, CATCHUP_HEADER, Value::pair(stamp, alone)));
     }
 
     /// Brings `to`, which has executed `behind` transactions, up to date
     /// with the core's answer (a requester already caught up gets an empty
     /// catch-up, which still completes the handshake), each message
-    /// stamped `<config, <elected_at, ...>>`: see [`PbrReplica::on_state`].
-    /// The image's policy header is the config-chain position, which a
-    /// disk restore needs; a network joiner holds it from the TOB.
-    fn send_state(&mut self, to: Loc, behind: i64, outs: &mut Vec<SendInstr>) {
+    /// stamped `<config, <stamp, ...>>` — the seq the election completed
+    /// at, or a fetch's answer: see [`PbrReplica::on_state`]. The image's
+    /// policy header is the config-chain position, which a disk restore
+    /// needs; a network joiner holds it from the TOB.
+    fn send_state(&mut self, to: Loc, behind: i64, stamp: Value, outs: &mut Vec<SendInstr>) {
         let (header, bodies) = self.core.state_for(to, behind, self.config.to_value());
         for b in bodies {
-            outs.push(self.in_config(to, header, Value::pair(Value::Int(self.elected_at), b)));
+            outs.push(self.in_config(to, header, Value::pair(stamp.clone(), b)));
         }
     }
 
     /// Step 1–2 of the recovery procedure: stop, then broadcast a proposal.
     fn propose_reconfiguration(&mut self, ctx: &Ctx, suspects: &[Loc], outs: &mut Vec<SendInstr>) {
         self.mode = Mode::Stopped;
-        let mut members: Vec<Loc> = self
-            .config
-            .members
-            .iter()
-            .copied()
-            .filter(|m| !suspects.contains(m))
+        let live = |m: &Loc| !suspects.contains(m);
+        let mut members: Vec<Loc> = self.config.members.iter().copied().filter(live).collect();
+        // Replace crashed members with spares, as far as there are any.
+        let spares = self.spares.iter().copied();
+        let spares = spares.filter(|s| live(s) && !members.contains(s));
+        let spares: Vec<Loc> = spares
+            .take(self.config.members.len() - members.len())
             .collect();
-        // Optionally replace crashed members with spares.
-        let candidates: Vec<Loc> = self
-            .spares
-            .iter()
-            .copied()
-            .filter(|s| !members.contains(s) && !suspects.contains(s))
-            .collect();
-        let mut candidates = candidates.into_iter();
-        while members.len() < self.config.members.len() {
-            match candidates.next() {
-                Some(s) => members.push(s),
-                None => break,
-            }
-        }
+        members.extend(spares);
         let proposal = ConfigCommand::NewConfig { members }.to_payload(self.config.seq);
         self.broadcast(ctx.slf, proposal, outs);
     }
@@ -897,19 +837,12 @@ impl PbrReplica {
 
     // -- recovery ------------------------------------------------------------
 
-    /// Steps 3–4: deliveries from the TOB (a `tob/deliver`, or those a
-    /// late subscription held back), handled in stream order; then the
-    /// held state they may have caught up with.
-    fn offer(
-        &mut self,
-        ctx: &Ctx,
-        ds: impl IntoIterator<Item = Delivery>,
-        outs: &mut Vec<SendInstr>,
-    ) {
-        for d in ds {
-            for d in self.tob_in.offer(d) {
-                self.on_config_delivery(ctx, &d, outs);
-            }
+    /// Steps 3–4: deliveries the stream released (a `tob/deliver`, or
+    /// those an anchor released), handled in stream order; then the held
+    /// state they may have caught up with.
+    fn deliver(&mut self, ctx: &Ctx, ready: Vec<Delivery>, outs: &mut Vec<SendInstr>) {
+        for d in ready {
+            self.on_config_delivery(ctx, &d, outs);
         }
         for m in std::mem::take(&mut self.held) {
             self.on_state(ctx, &m, outs);
@@ -943,36 +876,33 @@ impl PbrReplica {
             return;
         }
         self.promote_pref = cmd.preferred();
-        self.adopt_config(
-            ctx,
-            ReplicaConfig {
-                seq: old_seq + 1,
-                members: cmd.members().to_vec(),
-            },
-            outs,
-        );
+        let config = ReplicaConfig {
+            seq: old_seq + 1,
+            members: cmd.members().to_vec(),
+        };
+        self.adopt_config(ctx, config, outs);
     }
 
-    /// First acknowledgment of this replica's dynamic TOB subscription:
-    /// anchor the in-order buffer at the seq the subscription starts at
-    /// (the default buffer expects seq 0 and would wait forever for
-    /// history the service will never send a late subscriber).
-    fn on_subok(&mut self, ctx: &Ctx, seq: i64, outs: &mut Vec<SendInstr>) {
-        if !self.join_sync {
-            return; // later acks from the remaining servers re-confirm
+    /// Appends the record `<tag, record()>` to the write-ahead log, if
+    /// there is one.
+    fn log(&mut self, tag: i64, record: impl FnOnce() -> Value) {
+        if self.core.has_wal() {
+            self.wal_index += 1;
+            let body = Value::pair(Value::Int(tag), record());
+            self.core.wal_append(self.wal_index, &body);
         }
-        self.join_sync = false;
-        let old = std::mem::replace(&mut self.tob_in, InOrderBuffer::starting_at(seq));
-        self.offer(ctx, old.into_pending(), outs);
+    }
+
+    /// Adopts `config` and logs it (a disk's last configuration names whom
+    /// a reboot asks).
+    fn log_config(&mut self, config: ReplicaConfig) {
+        let record = config.to_value();
+        self.config = config;
+        self.log(WREC_CONFIG, || record);
     }
 
     fn adopt_config(&mut self, ctx: &Ctx, config: ReplicaConfig, outs: &mut Vec<SendInstr>) {
-        self.config = config;
-        if self.core.has_wal() {
-            let body = Value::pair(Value::Int(WREC_CONFIG), self.config.to_value());
-            self.wal_index += 1;
-            self.core.wal_append(self.wal_index, &body);
-        }
+        self.log_config(config);
         // An adopted configuration supersedes an open fetch: the
         // election's own catch-up brings this replica up to date.
         self.core.fetched();
@@ -987,9 +917,8 @@ impl PbrReplica {
         self.lease_echo.clear();
         self.primary_ts = VTime::ZERO;
         // Fresh grace period for the new membership.
-        for m in &self.config.members {
-            self.last_heard.insert(*m, ctx.now);
-        }
+        let heard = self.config.members.iter().map(|m| (*m, ctx.now));
+        self.last_heard.extend(heard);
         if !self.config.contains(ctx.slf) {
             self.mode = Mode::Idle;
             return;
@@ -1035,7 +964,7 @@ impl PbrReplica {
         } else if highest == ctx.slf && behind < top {
             // The `Promote` target is behind: bring it up before it leads,
             // or acknowledged transactions it never executed would be lost.
-            self.send_state(primary, behind, outs);
+            self.send_state(primary, behind, Value::Int(at), outs);
         }
     }
 
@@ -1044,7 +973,7 @@ impl PbrReplica {
     fn lead(&mut self, ctx: &Ctx, outs: &mut Vec<SendInstr>) {
         for b in self.config.backups().to_vec() {
             if let Some(&behind) = self.election.get(&b) {
-                self.send_state(b, behind, outs);
+                self.send_state(b, behind, Value::Int(self.elected_at), outs);
             }
         }
         if self.config.backups().is_empty() {
@@ -1067,15 +996,19 @@ impl PbrReplica {
         }
     }
 
-    /// Catch-up or a snapshot chunk, held until this replica's stream has
-    /// delivered the seq its sender's election completed at: it has then
-    /// elected the same primary. The answer to a fetch (no election) is
-    /// not.
+    /// Catch-up or a snapshot chunk. One stamped with the seq its sender's
+    /// election completed at is held until this replica's stream has
+    /// delivered that seq: it has then elected the same primary. One
+    /// answering this incarnation's fetch first puts the replica where the
+    /// answer says ([`PbrReplica::rejoin`]); any other answer is dropped.
     fn on_state(&mut self, ctx: &Ctx, msg: &Msg, outs: &mut Vec<SendInstr>) {
         let (cfg, rest) = msg.body.unpair();
-        let (at, state) = rest.unpair();
-        if self.core.fetching().is_none() && at.int() >= self.tob_in.next_seq() {
+        let (stamp, state) = rest.unpair();
+        let elected_at = stamp.as_int();
+        if elected_at.is_some_and(|at| !self.core.anchored() || at >= self.core.stream_next()) {
             self.held.push(msg.clone());
+        } else if elected_at.is_none() && !self.rejoin(ctx, stamp, outs) {
+            // An earlier incarnation's answer, or one the fetch is past.
         } else if cfg.int() != self.config.seq || self.mode != Mode::Recovering {
             // From a configuration this replica has left, or a duplicate.
         } else if msg.header == cached_header!(CATCHUP_HEADER) {
@@ -1088,20 +1021,44 @@ impl PbrReplica {
         }
     }
 
+    /// Whether `stamp` answers this incarnation's open fetch. The first
+    /// such answer puts the replica in the donor's configuration, in
+    /// elected order (a disk holds the order as adopted, before the
+    /// election), and anchors its stream where that configuration holds
+    /// from. A member then recovers from the answer's state; anyone else
+    /// is Idle.
+    fn rejoin(&mut self, ctx: &Ctx, stamp: &Value, outs: &mut Vec<SendInstr>) -> bool {
+        let (at, rest) = stamp.unpair();
+        let (nonce, config) = rest.unpair();
+        let config = ReplicaConfig::from_value(config);
+        let (Some(config), true) = (config, self.core.answers(nonce.int(), at.int())) else {
+            return false;
+        };
+        if self.core.anchored() {
+            return true; // a later chunk, or the answer to a retry
+        }
+        if config != self.config {
+            self.log_config(config);
+        }
+        let heard = self.config.members.iter().map(|m| (*m, ctx.now));
+        self.last_heard.extend(heard);
+        if !self.config.contains(ctx.slf) {
+            self.mode = Mode::Idle;
+            self.core.fetched();
+        }
+        let ready = self.core.anchor(at.int());
+        self.deliver(ctx, ready, outs);
+        true
+    }
+
     fn on_catchup(&mut self, ctx: &Ctx, body: &Value, outs: &mut Vec<SendInstr>) {
         let (start, txns) = body.unpair();
-        let start = start.int();
-        // Collect the run of missing transactions, then group-apply it
-        // under one engine commit (no replies are sent during catch-up, so
-        // repeated clients inside the run are fine).
-        let mut batch: Vec<TxnEnvelope> = Vec::new();
-        for (off, t) in txns.elems().iter().enumerate() {
-            if start + off as i64 == self.core.executed() + batch.len() as i64 {
-                if let Some(env) = TxnEnvelope::from_value(t) {
-                    batch.push(env);
-                }
-            }
-        }
+        // Group-apply the transactions this replica misses under one engine
+        // commit (no replies are sent during catch-up, so repeated clients
+        // inside the run are fine); a catch-up from beyond it applies none.
+        let skip = usize::try_from(self.core.executed() - start.int()).unwrap_or(usize::MAX);
+        let missing = txns.elems().iter().skip(skip);
+        let batch: Vec<TxnEnvelope> = missing.filter_map(TxnEnvelope::from_value).collect();
         if !batch.is_empty() {
             self.execute_txn_group(ctx.slf, &batch);
             // Catch-up replay advances 2PC counters without emitting.
@@ -1137,15 +1094,9 @@ impl PbrReplica {
     /// the chain (used by `ReconfigHandle` to CAS the next command and to
     /// poll convergence).
     fn on_config_query(&mut self, ctx: &Ctx, body: &Value, outs: &mut Vec<SendInstr>) {
-        outs.push(SendInstr::now(
-            body.loc(),
-            config_reply_msg(
-                ctx.slf,
-                &self.config,
-                self.core.executed(),
-                self.mode == Mode::Normal,
-            ),
-        ));
+        let normal = self.mode == Mode::Normal;
+        let report = config_reply_msg(ctx.slf, &self.config, self.core.executed(), normal);
+        outs.push(SendInstr::now(body.loc(), report));
     }
 
     /// Step 7: the primary resumes once the required backups acknowledged.
@@ -1215,9 +1166,8 @@ impl PbrReplica {
             return;
         }
         // Startup counts as hearing from everyone (grace period).
-        for m in self.config.members.clone() {
-            self.last_heard.entry(m).or_insert(ctx.now);
-        }
+        let heard = self.config.members.iter().map(|m| (*m, ctx.now));
+        self.last_heard.extend(heard);
         if self.is_primary(ctx.slf) {
             self.active_backups = self.config.backups().iter().copied().collect();
         }
@@ -1241,13 +1191,13 @@ impl Process for PbrReplica {
         } else if h == cached_header!(SYNC_HEADER) {
             self.core
                 .sync(self.wal_index, || self.config.to_value(), out);
-            self.release_pending(ctx.slf, out);
+            self.release_pending(out);
         } else if h == cached_header!(SYNCED_HEADER) {
             // Like an ack: what it releases was checked entry by entry.
             let config = &self.config;
             self.core
                 .on_synced(&msg.body, self.wal_index, || config.to_value(), out);
-            return self.release_pending(ctx.slf, out);
+            return self.release_pending(out);
         } else if h == cached_header!(HB_TIMER_HEADER) {
             self.on_hb_timer(ctx, out);
         } else if h == cached_header!(HEARTBEAT_HEADER) {
@@ -1257,7 +1207,7 @@ impl Process for PbrReplica {
         } else if h == cached_header!(RECOVERY_ACK_HEADER) {
             self.on_recovery_ack(ctx, &msg.body);
         } else if h == cached_header!(FETCH_HEADER) {
-            self.on_fetch(ctx, &msg.body, out);
+            self.on_fetch(ctx, msg, out);
         } else if h == cached_header!(FETCH_RETRY_HEADER) {
             self.core.on_fetch_retry(ctx.slf, out);
         } else if h == cached_header!(CONFIG_QUERY_HEADER) {
@@ -1265,9 +1215,11 @@ impl Process for PbrReplica {
         } else if h == cached_header!(STALE_CONFIG_HEADER) {
             self.core.on_stale_config(msg);
         } else if let Some(seq) = parse_subok(msg) {
-            self.on_subok(ctx, seq, out);
-        } else {
-            self.offer(ctx, parse_deliver(msg), out);
+            let ready = self.core.on_subok(ctx.slf, seq, self.core.executed(), out);
+            self.deliver(ctx, ready, out);
+        } else if let Some(d) = parse_deliver(msg) {
+            let ready = self.core.offer(d);
+            self.deliver(ctx, ready, out);
         }
         // Durability before visibility: whatever this step sent waits for
         // the sync that covers what the replica has logged — except the
@@ -1287,9 +1239,9 @@ impl Process for PbrReplica {
     fn digest(&self, hasher: &mut dyn Hasher) {
         let mut h = HasherAdapter(hasher);
         (self.core.executed(), self.config.seq, self.mode).hash(&mut h);
-        (self.promote_pref, self.join_sync).hash(&mut h);
+        self.promote_pref.hash(&mut h);
         self.core.digest_requests(&mut h);
-        (self.tob_in.next_seq(), &self.election, &self.recovery_acks).hash(&mut h);
+        (&self.election, &self.recovery_acks).hash(&mut h);
         self.core.twopc_seq().hash(&mut h);
     }
 }

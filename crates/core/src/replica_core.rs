@@ -9,12 +9,15 @@
 //! window of recently executed items ("each replica only caches a limited
 //! number of executed transactions", Sec. III-A), and the donor's answer
 //! to a peer that is behind: the items it missed, or else the state image
-//! in ~50 KB chunks — and the replica's own requests: the fetch it sends
-//! its donors in turn when it is behind, and its broadcast identity.
-//! `pbr` and `smr` keep only their ordering policy (who orders and
-//! replies, who may serve a fast read, what a WAL record is, when a
-//! lagging replica asks, who answers it and when an answer applies) and
-//! call into this module.
+//! in ~50 KB chunks — the replica's own requests: the fetch it sends its
+//! donors in turn when it is behind, and its broadcast identity — and its
+//! subscription to the group's ordered stream: the in-order buffer, held
+//! until an anchor says where the stream starts for a replica that joins
+//! or reboots, and the donor's wait until its stream has reached the point
+//! a fetch asks for. `pbr` and `smr` keep only their ordering policy (who
+//! orders and replies, who may serve a fast read, what a WAL record is,
+//! what a delivery does, who answers a fetch and when an answer applies)
+//! and call into this module.
 //!
 //! The core defines the **one state image** a replica is rebuilt from,
 //! whether it comes off the local disk or over the network:
@@ -43,7 +46,7 @@ use shadowdb_eventml::{cached_header, Ctx, Msg, SendInstr, Value};
 use shadowdb_loe::{Loc, VTime};
 use shadowdb_runtime::completion;
 use shadowdb_sqldb::{Database, Effects, RowBatch, Snapshot, SqlValue};
-use shadowdb_tob::broadcast_msg;
+use shadowdb_tob::{broadcast_msg, Delivery, InOrderBuffer};
 use shadowdb_wal::{Disk, Recovered, Wal};
 use shadowdb_workloads::{apply_group, TxnId, TxnRequest};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -111,12 +114,17 @@ struct Fetch {
     open: bool,
     from: i64,
     min: i64,
+    /// This incarnation's name on its requests: the broadcast count a
+    /// reboot restarted at ([`ReplicaCore::recover`]), 0 before any.
+    nonce: i64,
 }
 
 /// The service state and plumbing shared by every replica, whatever
-/// orders its transactions.
+/// orders its transactions. A clone is a fork, its disk included
+/// ([`Wal`]'s clone).
+#[derive(Clone)]
 pub(crate) struct ReplicaCore {
-    db: Database,
+    db: Db,
     /// client -> (last cseq, committed, results) for duplicate suppression.
     last_reply: HashMap<Loc, (i64, bool, Vec<SqlValue>)>,
     /// Number of transactions executed (PBR's election criterion).
@@ -160,6 +168,14 @@ pub(crate) struct ReplicaCore {
     assembly: Assembly,
     window: Window,
     fetch: Fetch,
+    /// The group's ordered stream as this replica consumes it, and whether
+    /// it knows where that stream starts (`anchored`); unanchored, the
+    /// buffer holds every delivery.
+    stream: InOrderBuffer,
+    anchored: bool,
+    /// Awaiting the first `tob/subok` of a subscription (a joiner, or a
+    /// replica rebooted from its disk).
+    subscribing: bool,
     /// The broadcast service's entry points, for this replica's own
     /// broadcasts, and the msgid of the next one.
     tob_servers: Vec<Loc>,
@@ -174,7 +190,7 @@ pub(crate) struct ReplicaCore {
 impl ReplicaCore {
     pub(crate) fn new(db: Database) -> ReplicaCore {
         ReplicaCore {
-            db,
+            db: Db(db),
             last_reply: HashMap::new(),
             executed: 0,
             step_cost: Duration::ZERO,
@@ -192,6 +208,9 @@ impl ReplicaCore {
             assembly: Assembly::default(),
             window: Window::default(),
             fetch: Fetch::default(),
+            stream: InOrderBuffer::new(),
+            anchored: true,
+            subscribing: false,
             tob_servers: Vec::new(),
             msgid: 0,
             probe: None,
@@ -518,7 +537,8 @@ impl ReplicaCore {
     /// comes back *detached* — the replay must not be logged again — so
     /// hand the disk to [`Self::resume_wal`] afterwards.
     ///
-    /// It also restarts the broadcast count at `now` in µs plus 10^6 per
+    /// It also restarts the broadcast count — and names the incarnation's
+    /// fetch with it — at `now` in µs plus 10^6 per
     /// index the disk holds. The service drops a `(source, msgid)` it has
     /// seen, so the count must clear every msgid an earlier incarnation
     /// used, which neither term bounds alone: a torn tail may hold the last
@@ -536,6 +556,7 @@ impl ReplicaCore {
         disk.begin_recovery(tear);
         let mut rec = shadowdb_wal::recover(&disk);
         self.msgid = now.as_micros() as i64 + (rec.high_index() + 1) * 1_000_000;
+        self.fetch.nonce = self.msgid;
         rec.snapshot = rec
             .snapshot
             .and_then(|(idx, blob)| Some((idx, self.install_durable_blob(&blob)?)));
@@ -757,7 +778,10 @@ impl ReplicaCore {
         if f.open {
             let donor = f.donors[f.asked % f.donors.len()];
             f.asked += 1;
-            out.push(SendInstr::now(donor, fetch_msg(slf, f.from, f.min)));
+            out.push(SendInstr::now(
+                donor,
+                fetch_msg(slf, f.from, f.min, f.nonce),
+            ));
             let retry = Msg::new(cached_header!(FETCH_RETRY_HEADER), Value::Unit);
             out.push(SendInstr::after(f.every, slf, retry));
         }
@@ -774,11 +798,108 @@ impl ReplicaCore {
         self.fetch.open.then_some(self.fetch.min)
     }
 
-    /// Hashes the replica's own requests (fetch, broadcast count) into its
-    /// policy's digest.
+    /// Whether an answer stamped with `nonce` and the donor's stream
+    /// position `at` answers the open fetch: it was asked by this
+    /// incarnation, and it leaves no gap below the subscription.
+    pub(crate) fn answers(&self, nonce: i64, at: i64) -> bool {
+        let f = &self.fetch;
+        f.open && nonce == f.nonce && at >= f.min
+    }
+
+    /// Hashes the replica's own requests (fetch, broadcast count) and its
+    /// place in the stream into its policy's digest.
     pub(crate) fn digest_requests(&self, h: &mut impl Hasher) {
         let f = &self.fetch;
         (f.open, f.asked, f.from, f.min, self.msgid).hash(h);
+        (self.stream.next_seq(), self.anchored, self.subscribing).hash(h);
+    }
+
+    // -- the stream subscription ---------------------------------------------
+
+    /// Subscribes anew (a joiner, or a reboot) until [`Self::on_subok`]:
+    /// the stream resumes at `Some(at)` (an SMR disk's frontier), or holds
+    /// every delivery until [`Self::anchor`].
+    pub(crate) fn subscribe(&mut self, at: Option<i64>) {
+        (self.subscribing, self.anchored) = (true, at.is_some());
+        self.stream = InOrderBuffer::starting_at(at.unwrap_or(0));
+    }
+
+    pub(crate) fn stream_next(&self) -> i64 {
+        self.stream.next_seq()
+    }
+
+    pub(crate) fn anchored(&self) -> bool {
+        self.anchored
+    }
+
+    /// Awaiting the subscription's ack, an anchor, or the fetch's answer.
+    pub(crate) fn rejoining(&self) -> bool {
+        self.subscribing || !self.anchored || self.fetch.open
+    }
+
+    /// One delivery, live or replayed: the run now in stream order, each
+    /// delivery once, and none while the stream is unanchored.
+    pub(crate) fn offer(&mut self, d: Delivery) -> Vec<Delivery> {
+        if !self.anchored {
+            self.stream.hold(d);
+            return Vec::new();
+        }
+        self.stream.offer(d)
+    }
+
+    /// Anchors the stream at `at`, the position of the state it came with:
+    /// what was held from `at` on is released in order, the rest dropped.
+    pub(crate) fn anchor(&mut self, at: i64) -> Vec<Delivery> {
+        let held = std::mem::replace(&mut self.stream, InOrderBuffer::starting_at(at));
+        self.anchored = true;
+        let held = held.into_pending().into_iter();
+        held.flat_map(|d| self.stream.offer(d)).collect()
+    }
+
+    /// The first ack of a subscription, at `seq`, the first delivery it
+    /// brings (any server's is a safe bound). A replica with donors opens
+    /// its fetch from `from` with `min = seq`; one that asked before the ack
+    /// (a PBR reboot) holds its stream until an answer at or past the ack
+    /// anchors it, unless one already did. A replica without donors (a PBR
+    /// joiner, whom the stream tells everything) anchors at the ack.
+    pub(crate) fn on_subok(
+        &mut self,
+        slf: Loc,
+        seq: i64,
+        from: i64,
+        out: &mut Vec<SendInstr>,
+    ) -> Vec<Delivery> {
+        let answered = self.fetch.asked > 0 && !self.fetch.open;
+        if !std::mem::take(&mut self.subscribing) || answered && self.stream.next_seq() >= seq {
+            return Vec::new(); // a later ack, or an answer already past it
+        }
+        if self.fetch.donors.is_empty() {
+            return self.anchor(seq.max(self.stream.next_seq()));
+        }
+        self.anchored &= self.fetch.asked == 0;
+        self.fetch(slf, from, seq, out);
+        Vec::new()
+    }
+
+    /// Donor side: whether the fetch `msg` must wait — asked again in 10 ms
+    /// — for this replica's stream to reach its `min`: an answer now would
+    /// leave the requester a gap its subscription never fills.
+    pub(crate) fn defer_fetch(
+        &self,
+        slf: Loc,
+        msg: &Msg,
+        min: i64,
+        out: &mut Vec<SendInstr>,
+    ) -> bool {
+        let defer = !self.anchored || self.stream.next_seq() < min;
+        if defer {
+            out.push(SendInstr::after(
+                Duration::from_millis(10),
+                slf,
+                msg.clone(),
+            ));
+        }
+        defer
     }
 
     // -- state transfer ------------------------------------------------------
@@ -939,38 +1060,20 @@ fn adopt_shard_state(role: &ShardRole, state: &Value) -> Option<(Vec<i64>, TwoPc
     (seqs.len() == role.map().shards()).then_some((seqs, engine))
 }
 
-impl Clone for ReplicaCore {
-    /// Forks the database so the copy is independent (model checking
-    /// forks executions; `Database`'s own `Clone` shares state).
-    fn clone(&self) -> ReplicaCore {
-        ReplicaCore {
-            db: self.db.fork(),
-            last_reply: self.last_reply.clone(),
-            executed: self.executed,
-            step_cost: self.step_cost,
-            role: self.role.clone(),
-            engine: self.engine.clone(),
-            twopc_seq: self.twopc_seq.clone(),
-            // The fork shares the original's disk: model checking never
-            // runs durable replicas, and a shared-append fork would
-            // corrupt the index sequence — reopening keeps the clone
-            // well-formed for read-only use.
-            wal: self.wal.as_ref().map(|w| Wal::open(w.disk().clone())),
-            syncing: self.syncing,
-            wal_snap_at: self.wal_snap_at,
-            snapshot_every: self.snapshot_every,
-            durable: self.durable,
-            parked: self.parked.clone(),
-            sync_scheduled: self.sync_scheduled,
-            transfer_batch_bytes: self.transfer_batch_bytes,
-            assembly: self.assembly.clone(),
-            window: self.window.clone(),
-            fetch: self.fetch.clone(),
-            tob_servers: self.tob_servers.clone(),
-            msgid: self.msgid,
-            probe: self.probe.clone(),
-            lease_audit: self.lease_audit,
-        }
+/// The replica's database, whose clone is a fork: model checking forks
+/// executions, and `Database`'s own `Clone` shares state.
+struct Db(Database);
+
+impl Clone for Db {
+    fn clone(&self) -> Db {
+        Db(self.0.fork())
+    }
+}
+
+impl std::ops::Deref for Db {
+    type Target = Database;
+    fn deref(&self) -> &Database {
+        &self.0
     }
 }
 
@@ -1258,7 +1361,7 @@ mod tests {
             let [ask, timer] = out.as_slice() else {
                 panic!("one ask and one timer: {out:?}")
             };
-            assert_eq!(ask.msg, fetch_msg(slf, 5, 7));
+            assert_eq!(ask.msg, fetch_msg(slf, 5, 7, 0));
             asked.push(ask.dest.index());
             assert_eq!((timer.dest, timer.delay), (slf, every));
             assert_eq!(timer.msg.header.name(), FETCH_RETRY_HEADER);

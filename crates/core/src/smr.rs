@@ -13,12 +13,12 @@
 //! fetches the snapshot from the proposer.
 //!
 //! A replica that is behind — a joiner or one rebooted from its disk —
-//! opens the core's one fetch at its subscription ack (`from = -1` asks
-//! for an image, `min` is the ack's seq), asking its donors in turn, one
-//! more each second. A donor defers until it has executed `min`
-//! deliveries, then sends the core's answer (`ReplicaCore::state_for`)
-//! bare. Only a durable replica keeps a window to answer from: its
-//! rebooted peers are the window's readers.
+//! subscribes through the core, whose first ack opens its fetch (`from =
+//! -1` asks for an image, `min` is the ack's seq), asking its donors in
+//! turn, one more each second. A donor's core defers until its stream has
+//! reached `min`; then it sends the core's answer (`ReplicaCore::
+//! state_for`) bare. Only a durable replica keeps a window to answer
+//! from: its rebooted peers are the window's readers.
 
 use crate::msgs::{
     parse_fetch, TxnEnvelope, CATCHUP_HEADER, FETCH_HEADER, FETCH_RETRY_HEADER, SNAPSHOT_HEADER,
@@ -31,7 +31,7 @@ use shadowdb_eventml::process::HasherAdapter;
 use shadowdb_eventml::{cached_header, Ctx, Msg, Process, SendInstr, Value};
 use shadowdb_loe::{Loc, VTime};
 use shadowdb_sqldb::Database;
-use shadowdb_tob::{parse_deliver, parse_subok, Delivery, InOrderBuffer};
+use shadowdb_tob::{parse_deliver, parse_subok, Delivery};
 use shadowdb_wal::Disk;
 use shadowdb_workloads::TxnRequest;
 use std::hash::{Hash, Hasher};
@@ -120,18 +120,12 @@ fn parse_lease_marker(v: &Value) -> Option<(Loc, i64)> {
 pub struct SmrReplica {
     /// The replicated service: database, reply cache, executed counter,
     /// 2PC engine, WAL (one record per in-order delivery, keyed by its TOB
-    /// sequence number), the window of recent deliveries, state transfer.
+    /// sequence number), the window of recent deliveries, state transfer,
+    /// the delivery stream.
     core: ReplicaCore,
-    incoming: InOrderBuffer,
-    /// Snapshot-joining state: deliveries buffer inside `incoming` until
-    /// the snapshot establishes the starting sequence number.
-    joining: bool,
     /// Reusable envelope buffer for group apply (always empty between
     /// steps; excluded from digests).
     group_scratch: Vec<TxnEnvelope>,
-    /// Disk-recovered and waiting to fetch the delivery suffix the disk
-    /// missed from a donor.
-    rejoin: bool,
     /// Lease-based read fast path, when enabled.
     lease: Option<LeaseState>,
     /// Rebooted after a power loss: the first step recovers from the
@@ -144,10 +138,7 @@ impl SmrReplica {
     pub fn new(db: Database) -> SmrReplica {
         SmrReplica {
             core: ReplicaCore::new(db),
-            incoming: InOrderBuffer::new(),
-            joining: false,
             group_scratch: Vec::new(),
-            rejoin: false,
             lease: None,
             reboot: None,
         }
@@ -197,15 +188,16 @@ impl SmrReplica {
     }
 
     /// Creates a joiner (a replica added by reconfiguration), which
-    /// executes nothing before a snapshot lands. Its subscription ack opens
-    /// an image fetch ([`SmrReplica::fetch_msg`]) with the ack's sequence
-    /// as `min_seq` — the donor defers until its execution reaches that
-    /// point, so the snapshot plus the subscribed deliveries form a
-    /// gapless history — asking `donors` in turn until one answers.
+    /// executes nothing before a snapshot lands: its stream is held until
+    /// the image anchors it. Its subscription ack opens an image fetch
+    /// ([`SmrReplica::fetch_msg`]) with the ack's sequence as `min_seq` —
+    /// the donor defers until its stream reaches that point, so the
+    /// snapshot plus the subscribed deliveries form a gapless history —
+    /// asking `donors` in turn until one answers.
     pub fn joining_from(db: Database, donors: Vec<Loc>) -> SmrReplica {
         assert!(!donors.is_empty(), "a joiner needs at least one donor");
         let mut r = SmrReplica::new(db);
-        r.joining = true;
+        r.core.subscribe(None);
         r.core.set_donors(donors, FETCH_RETRY);
         r
     }
@@ -252,27 +244,16 @@ impl SmrReplica {
         // Snapshots are taken at `next_seq - 1` (the image's policy header
         // repeats the frontier; the WAL index already implies it).
         let snap_at = rec.snapshot.as_ref().map_or(-1, |(idx, _)| *idx);
-        self.incoming = InOrderBuffer::starting_at(snap_at + 1);
+        self.core.subscribe(Some(snap_at + 1));
         self.core.restart_window(snap_at + 1);
         // Replay the logged suffix through the normal execution path
         // (replies and 2PC sends are rendered and dropped; counters and
         // the reply cache advance exactly as they did pre-crash). The
         // replay also refills the window, so a just-recovered replica can
         // itself serve as a donor.
-        let mut discard = Vec::new();
-        for (seq, payload) in &rec.records {
-            let d = Delivery {
-                seq: *seq,
-                client: ctx.slf,
-                msgid: 0,
-                payload: payload.clone(),
-            };
-            let ready = self.incoming.offer(d);
-            self.execute_deliveries(ctx.slf, None, ready, &mut discard);
-        }
-        let next = self.incoming.next_seq();
+        self.feed(ctx.slf, None, rec.records, &mut Vec::new());
+        let next = self.core.stream_next();
         self.core.resume_wal(disk, snap_at, next - 1);
-        self.rejoin = true;
         self.reanchor_lease(ctx.now);
     }
 
@@ -292,9 +273,9 @@ impl SmrReplica {
     }
 
     /// The fetch of the deliveries from `from` on (`-1`: an image) once
-    /// the donor has executed `min_seq` ([`crate::msgs::fetch_msg`]).
+    /// the donor's stream has reached `min_seq` ([`crate::msgs::fetch_msg`]).
     pub fn fetch_msg(requester: Loc, from: i64, min_seq: i64) -> Msg {
-        crate::msgs::fetch_msg(requester, from, min_seq)
+        crate::msgs::fetch_msg(requester, from, min_seq, 0)
     }
 
     /// Overrides the state-transfer batch bound (~50 KB by default).
@@ -478,62 +459,62 @@ impl SmrReplica {
     /// identity are both the delivery frontier — the requester resumes the
     /// stream exactly there.
     fn on_fetch(&mut self, slf: Loc, msg: &Msg, outs: &mut Vec<SendInstr>) {
-        let Some((requester, from, min_seq)) = parse_fetch(&msg.body) else {
+        let Some((requester, from, min_seq, _)) = parse_fetch(&msg.body) else {
             return;
         };
-        let next = self.incoming.next_seq();
-        if next < min_seq {
-            // Behind the requester's subscription point: an answer now
-            // would leave a delivery gap it can never fill. Answer once
-            // execution has advanced past it.
-            outs.push(SendInstr::after(
-                Duration::from_millis(10),
-                slf,
-                msg.clone(),
-            ));
+        if self.core.defer_fetch(slf, msg, min_seq, outs) {
             return;
         }
+        let next = self.core.stream_next();
         let (header, bodies) = self.core.state_for(requester, from, Value::Int(next));
-        outs.extend(
-            bodies
-                .into_iter()
-                .map(|b| SendInstr::now(requester, Msg::new(header, b))),
-        );
+        let to = |b| SendInstr::now(requester, Msg::new(header, b));
+        outs.extend(bodies.into_iter().map(to));
     }
 
-    /// Receiver side of a suffix rejoin: feed the donor's payloads into
-    /// the in-order buffer as synthetic deliveries and execute normally —
+    /// Feeds `(seq, payload)` items — a WAL replay, a donor's catch-up —
+    /// through the stream as deliveries and executes what they release:
     /// they are logged, remembered, deduplicated, and answered exactly
     /// like live traffic (duplicate replies are harmless; clients drop
     /// them).
+    fn feed<I>(&mut self, slf: Loc, now: Option<VTime>, items: I, outs: &mut Vec<SendInstr>)
+    where
+        I: IntoIterator<Item = (i64, Value)>,
+    {
+        let mut ready = Vec::new();
+        for (seq, payload) in items {
+            let (client, msgid) = (slf, 0);
+            ready.extend(self.core.offer(Delivery {
+                seq,
+                client,
+                msgid,
+                payload,
+            }));
+        }
+        self.execute_deliveries(slf, now, ready, outs);
+    }
+
+    /// Receiver side of a suffix rejoin: the donor's payloads, fed from
+    /// the position it answered for.
     fn on_catchup(&mut self, slf: Loc, now: VTime, body: &Value, outs: &mut Vec<SendInstr>) {
-        if !self.rejoin {
+        if self.core.fetching().is_none() {
             return;
         }
         let (from, list) = body.unpair();
-        let from = from.int();
-        let Some(items) = list.as_list() else { return };
-        let mut ready = Vec::new();
-        for (k, payload) in items.iter().enumerate() {
-            let d = Delivery {
-                seq: from + k as i64,
-                client: slf,
-                msgid: 0,
-                payload: payload.clone(),
-            };
-            ready.extend(self.incoming.offer(d));
-        }
-        self.execute_deliveries(slf, Some(now), ready, outs);
-        let next = self.incoming.next_seq();
-        if self.core.fetching().is_some_and(|min| next >= min) {
+        let items = list.elems().iter().enumerate();
+        let items = items.map(|(k, p)| (from.int() + k as i64, p.clone()));
+        self.feed(slf, Some(now), items, outs);
+        if self
+            .core
+            .fetching()
+            .is_some_and(|min| self.core.stream_next() >= min)
+        {
             // The suffix meets the live subscription: fully rejoined.
-            self.rejoin = false;
             self.core.fetched();
         }
     }
 
     fn on_snapshot_chunk(&mut self, slf: Loc, now: VTime, body: &Value, outs: &mut Vec<SendInstr>) {
-        if !self.joining && !self.rejoin {
+        if self.core.anchored() && self.core.fetching().is_none() {
             return;
         }
         // The image carries the donor's `executed`, reply cache and — in a
@@ -542,18 +523,12 @@ impl SmrReplica {
         let Some(next_seq) = self.core.accept_chunk(body).and_then(|h| h.as_int()) else {
             return;
         };
-        self.joining = false;
-        self.rejoin = false;
         self.core.fetched();
         // The image may cover a marker whose window is still running.
         self.reanchor_lease(now);
         // Skip everything the snapshot already covers, then replay whatever
         // arrived while joining.
-        let held = std::mem::replace(&mut self.incoming, InOrderBuffer::starting_at(next_seq));
-        let mut ready = Vec::new();
-        for d in held.into_pending() {
-            ready.extend(self.incoming.offer(d));
-        }
+        let ready = self.core.anchor(next_seq);
         self.execute_deliveries(slf, Some(now), ready, outs);
     }
 
@@ -580,7 +555,7 @@ impl SmrReplica {
         let Some(env) = TxnEnvelope::from_value(body) else {
             return;
         };
-        if env.read_only && !self.joining && !self.rejoin {
+        if env.read_only && !self.core.rejoining() {
             if let (Some(until), Some(l)) = (self.lease_until(ctx), &self.lease) {
                 if self
                     .core
@@ -609,7 +584,7 @@ impl SmrReplica {
             ctx.slf,
             Msg::new(LEASE_TIMER_HEADER, Value::Unit),
         ));
-        if self.joining || self.rejoin {
+        if self.core.rejoining() {
             return;
         }
         let claim = match (l.holder, l.marker_deliv) {
@@ -651,11 +626,11 @@ impl Process for SmrReplica {
         } else if h == cached_header!(SUBMIT_HEADER) {
             self.on_submit(ctx, &msg.body, out);
         } else if h == cached_header!(SYNC_HEADER) {
-            let next = self.incoming.next_seq();
+            let next = self.core.stream_next();
             self.core.sync(next - 1, || Value::Int(next), out);
         } else if h == cached_header!(SYNCED_HEADER) {
             // What it releases was checked entry by entry: no step gate.
-            let next = self.incoming.next_seq();
+            let next = self.core.stream_next();
             return self
                 .core
                 .on_synced(&msg.body, next - 1, || Value::Int(next), out);
@@ -666,35 +641,26 @@ impl Process for SmrReplica {
         } else if h == cached_header!(STALE_CONFIG_HEADER) {
             self.core.on_stale_config(msg);
         } else if let Some(seq) = parse_subok(msg) {
-            // The subscription ack pins the join's `min_seq`: the first
-            // ack wins (every broadcast server acks its own sequence, and
-            // each covers all slots from its ack onward, so any single ack
-            // is a safe lower bound for the fetch).
-            if (self.rejoin || self.joining) && self.core.fetching().is_none() {
-                // A disk-recovered replica runs the catch-up handshake
-                // even when its disk already reaches the subscription
-                // point (the suffix is then empty): the donor's answer is
-                // the observable record that the rejoin took the suffix
-                // path, and feeding an empty catch-up completes the rejoin
-                // immediately.
-                let from = if self.joining {
-                    -1
-                } else {
-                    self.incoming.next_seq()
-                };
-                self.core.fetch(ctx.slf, from, seq, out);
-            }
+            // A joiner asks for an image. A disk-recovered replica runs the
+            // catch-up handshake even when its disk already reaches the
+            // subscription point (the suffix is then empty): the donor's
+            // answer is the observable record that the rejoin took the
+            // suffix path, and an empty catch-up completes it at once.
+            let from = match self.core.anchored() {
+                true => self.core.stream_next(),
+                false => -1,
+            };
+            let ready = self.core.on_subok(ctx.slf, seq, from, out);
+            self.execute_deliveries(ctx.slf, Some(ctx.now), ready, out);
         } else if let Some(d) = parse_deliver(msg) {
-            let ready = self.incoming.offer(d);
-            if !self.joining {
-                self.execute_deliveries(ctx.slf, Some(ctx.now), ready, out);
-            }
+            let ready = self.core.offer(d);
+            self.execute_deliveries(ctx.slf, Some(ctx.now), ready, out);
         }
         // Durability before visibility: whatever this step sent — replies,
         // 2PC emissions, fast-path reads — waits for the sync that covers
         // every delivery logged so far. Nothing replicates ahead: the
         // broadcast service, not this replica, carries the records.
-        let last = self.incoming.next_seq() - 1;
+        let last = self.core.stream_next() - 1;
         self.core.gate_step(ctx.slf, last, first, out, |_| false);
     }
 
@@ -708,8 +674,7 @@ impl Process for SmrReplica {
 
     fn digest(&self, hasher: &mut dyn Hasher) {
         let mut h = HasherAdapter(hasher);
-        let next = self.incoming.next_seq();
-        (self.core.executed(), self.joining, self.rejoin, next).hash(&mut h);
+        self.core.executed().hash(&mut h);
         self.core.digest_requests(&mut h);
         self.core.twopc_seq().hash(&mut h);
         if let Some(l) = &self.lease {

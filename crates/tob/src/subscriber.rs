@@ -44,6 +44,13 @@ impl InOrderBuffer {
         self.next
     }
 
+    /// Keeps one received delivery without releasing anything: for a
+    /// subscriber that does not know yet where its stream starts (see
+    /// [`InOrderBuffer::starting_at`] and [`InOrderBuffer::into_pending`]).
+    pub fn hold(&mut self, d: Delivery) {
+        self.buffered.entry(d.seq).or_insert(d);
+    }
+
     /// Offers one received delivery; returns the (possibly empty) run of
     /// deliveries now ready, in sequence order, each exactly once.
     pub fn offer(&mut self, d: Delivery) -> Vec<Delivery> {

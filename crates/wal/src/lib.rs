@@ -555,6 +555,27 @@ impl Disk {
         }
     }
 
+    /// A copy whose future diverges from this disk's, as a forked
+    /// execution's must (the model checker forks replicas): a virtual
+    /// disk's bytes are copied, while any other disk is shared — there is
+    /// one platter, and only virtual disks are forked.
+    pub fn fork(&self) -> Disk {
+        let d = self.shared.state.lock();
+        if !matches!(d.backend, Backend::Mem) {
+            return self.clone();
+        }
+        let copy = Disk::new(
+            Backend::Mem,
+            d.synced.clone(),
+            d.snapshot.clone(),
+            d.fsync_cost,
+        );
+        let mut c = copy.shared.state.lock();
+        (c.trimmed, c.unsynced, c.syncs) = (d.trimmed, d.unsynced.clone(), d.syncs);
+        drop(c);
+        copy
+    }
+
     /// A purely in-memory disk with the given modeled fsync cost.
     pub fn in_memory(fsync_cost: Duration) -> Disk {
         Disk::open(&StorageMode::Virtual, "mem", fsync_cost)
@@ -872,7 +893,8 @@ fn walk(log: &[u8], mut visit: impl FnMut(i64, &Value, usize)) -> usize {
 static GENERATIONS: AtomicU64 = AtomicU64::new(1);
 
 /// The write-ahead log over a [`Disk`]: framed appends, group commit,
-/// snapshot install with log truncation.
+/// snapshot install with log truncation. A clone is a fork over
+/// [`Disk::fork`].
 pub struct Wal {
     disk: Disk,
     scratch: BytesMut,
@@ -883,6 +905,17 @@ pub struct Wal {
     frames: VecDeque<(i64, usize)>,
     /// Log offset of the first frame in `frames`.
     start: usize,
+}
+
+impl Clone for Wal {
+    fn clone(&self) -> Wal {
+        Wal {
+            disk: self.disk.fork(),
+            scratch: BytesMut::new(),
+            frames: self.frames.clone(),
+            ..*self
+        }
+    }
 }
 
 impl Wal {
@@ -1067,6 +1100,23 @@ mod tests {
 
     fn rec(i: i64) -> Value {
         Value::pair(Value::str("txn"), Value::Int(i * 100))
+    }
+
+    /// A forked log diverges from its original: what either appends and
+    /// syncs afterwards, the other's disk never shows.
+    #[test]
+    fn a_forked_virtual_log_diverges_from_its_original() {
+        let mut wal = Wal::open(Disk::in_memory(Duration::ZERO));
+        wal.append(0, &rec(0));
+        wal.commit();
+        wal.append(1, &rec(1));
+        let mut fork = wal.clone();
+        fork.commit();
+        wal.append(2, &rec(2));
+        wal.commit();
+        let got = |w: &Wal| recover(w.disk()).records;
+        assert_eq!(got(&fork), vec![(0, rec(0)), (1, rec(1))]);
+        assert_eq!(got(&wal), vec![(0, rec(0)), (1, rec(1)), (2, rec(2))]);
     }
 
     /// An image that renders `blob`.
