@@ -408,6 +408,28 @@ pub fn soak_reconfig_pbr<R: Runtime + ?Sized>(rt: &mut R, opts: &ChaosOptions) -
     soak(rt, opts, "reconfig-pbr", true, None, Stress::Replace)
 }
 
+/// Soaks a durable primary-backup deployment through power cycles of its
+/// backup and then a reconfiguration: once the nemesis has healed, the
+/// harness `Promote`s the rebooted member. The election that follows
+/// counts it — it cannot complete without the member's report — so the
+/// member must end up settled, as primary, in the new configuration, on
+/// top of the [`soak_pbr`] assertions. Needs
+/// [`NemesisProfile::PowerLoss`].
+pub fn soak_power_cycle_reconfig_pbr<R: Runtime + ?Sized>(
+    rt: &mut R,
+    opts: &ChaosOptions,
+) -> ChaosReport {
+    assert_eq!(opts.profile, NemesisProfile::PowerLoss, "a power cycle");
+    soak(
+        rt,
+        opts,
+        "power-cycle-reconfig-pbr",
+        true,
+        None,
+        Stress::Reelect,
+    )
+}
+
 /// Soaks a state-machine-replication deployment through an online
 /// replacement. SMR membership is the broadcast subscriber set, so the
 /// replace itself cannot fail — a joiner lost mid-fetch is just a dead
@@ -499,6 +521,9 @@ enum Stress {
     /// exactly the node whose lease must run out before a successor
     /// serves, while clients keep sending it reads.
     LeaseReads,
+    /// Power cycles of the PBR backup, then `Promote` of that rebooted
+    /// member once the nemesis has healed.
+    Reelect,
 }
 
 /// The one soak body, for every deployment shape: either ordering policy,
@@ -556,7 +581,7 @@ fn soak<R: Runtime + ?Sized>(
     let replicas = &d.groups[0].replicas;
     let victim = match (primary_backup, stress) {
         (_, Stress::LeaseReads) => replicas[0],
-        (true, Stress::Faults) if durable => replicas[1],
+        (true, Stress::Faults | Stress::Reelect) if durable => replicas[1],
         (true, Stress::Faults) => replicas[0],
         (true, Stress::Replace) if shards.is_some() => replicas[0],
         _ => replicas[replicas.len() - 1],
@@ -606,6 +631,22 @@ fn soak<R: Runtime + ?Sized>(
             // crash racing the command may leave it unadopted.
             handle.promote(rt, added, attempt);
         }
+    }
+    if stress == Stress::Reelect {
+        drive_until(rt, opts, epoch + opts.duration);
+        await_catchup(rt, opts, &probe, victim);
+        let attempt = opts.duration.max(opts.detect_after * 4);
+        let mut handle = d.reconfig_group(rt, 0);
+        let counted =
+            handle.promote(rt, victim, attempt) && handle.await_member(rt, victim, attempt);
+        let led = handle.query_config(rt, attempt).map(|r| r.config.primary());
+        assert!(
+            counted && led == Some(victim),
+            "{kind} soak: the rebooted member {victim:?} was not counted in the next \
+             election, which elected {led:?} (seed {}, {:?})",
+            opts.seed,
+            opts.profile
+        );
     }
     let answered = drive(rt, opts, &d.stats);
     if durable {

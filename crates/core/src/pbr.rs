@@ -1042,8 +1042,11 @@ impl PbrReplica {
         }
         let heard = self.config.members.iter().map(|m| (*m, ctx.now));
         self.last_heard.extend(heard);
-        if !self.config.contains(ctx.slf) {
-            self.mode = Mode::Idle;
+        self.mode = match self.config.contains(ctx.slf) {
+            true => Mode::Recovering,
+            false => Mode::Idle,
+        };
+        if self.mode == Mode::Idle {
             self.core.fetched();
         }
         let ready = self.core.anchor(at.int());

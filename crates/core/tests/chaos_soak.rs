@@ -14,9 +14,9 @@
 //! profile on the simulator (the opt-in long soak).
 
 use shadowdb::chaos::{
-    soak_pbr, soak_reads_pbr, soak_reads_smr, soak_reconfig_pbr, soak_reconfig_smr,
-    soak_sharded_pbr, soak_sharded_reconfig_pbr, soak_sharded_reconfig_smr, soak_sharded_smr,
-    soak_smr, ChaosOptions, ChaosReport,
+    soak_pbr, soak_power_cycle_reconfig_pbr, soak_reads_pbr, soak_reads_smr, soak_reconfig_pbr,
+    soak_reconfig_smr, soak_sharded_pbr, soak_sharded_reconfig_pbr, soak_sharded_reconfig_smr,
+    soak_sharded_smr, soak_smr, ChaosOptions, ChaosReport,
 };
 use shadowdb_runtime::NemesisProfile;
 use shadowdb_tcpnet::TcpNet;
@@ -206,6 +206,31 @@ fn tcpnet_durability_smr_power_loss() {
     opts.duration = Duration::from_millis(300);
     opts.txns_per_client = 100;
     let report = soak_smr(&mut net, &opts);
+    assert_eq!(report.committed, 200);
+    net.shutdown();
+}
+
+/// Power cycles, then a reconfiguration: the durable PBR group's backup
+/// loses power and reboots from its disk under the nemesis, and once it
+/// has healed the harness promotes that member. The harness asserts (by
+/// name: "the rebooted member … was not counted in the next election")
+/// that the election after the power cycles counted the rebooted member,
+/// which then leads; convergence, the history check and the catch-up-only
+/// rejoin hold across both.
+#[test]
+fn simnet_power_cycle_then_reconfig_pbr() {
+    let mut sim = shadowdb_simnet::testing::default_net(1_302);
+    let report = soak_power_cycle_reconfig_pbr(&mut sim, &sim_opts(33, NemesisProfile::PowerLoss));
+    assert_eq!(report.committed, 300);
+}
+
+#[test]
+fn tcpnet_power_cycle_then_reconfig_pbr() {
+    let mut net = TcpNet::builder().seeded(38).spawn();
+    let mut opts = live_opts(38, NemesisProfile::PowerLoss);
+    opts.duration = Duration::from_millis(300);
+    opts.txns_per_client = 100;
+    let report = soak_power_cycle_reconfig_pbr(&mut net, &opts);
     assert_eq!(report.committed, 200);
     net.shutdown();
 }
@@ -609,6 +634,10 @@ fn long_soak_seed_sweep() {
             &mut sim,
             &sim_read_opts_under(seed, NemesisProfile::PowerLoss),
         );
+        // Power cycles, then a reconfiguration that must count the
+        // rebooted member.
+        let mut sim = shadowdb_simnet::testing::default_net(seed * 71);
+        soak_power_cycle_reconfig_pbr(&mut sim, &opts);
         // Sharding × reconfiguration: CrashDuringTransfer needs a harness
         // that replaces a replica, so it too sits outside `ALL`. The PBR
         // leg also runs on real sockets, where the crashes land at

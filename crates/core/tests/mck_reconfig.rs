@@ -26,7 +26,7 @@
 //! full election+transfer handshake is deeper than the bound, but every
 //! partial-adoption state on the way is checked).
 
-use shadowdb::deploy::{DeployOptions, PbrDeployment, SmrDeployment};
+use shadowdb::deploy::{DeployOptions, DurabilityOptions, PbrDeployment, SmrDeployment};
 use shadowdb::diversity::DiversityPolicy;
 use shadowdb::msgs::{
     config_query_msg, parse_config_reply, parse_reply, submit_msg, ConfigCommand, TxnEnvelope,
@@ -344,6 +344,100 @@ fn mck_smr_joiner_state_matches_donors() {
     );
     eprintln!(
         "SMR joiner: explored {} states (truncated: {})",
+        outcome.states_visited, outcome.truncated
+    );
+}
+
+/// Configuration agreement over every observation in `w`: reports of one
+/// sequence name one membership, settled ones one primary, and the
+/// membership of each sequence is the one `expected` names.
+fn configs_agree(
+    w: &shadowdb_mck::World,
+    expected: &BTreeMap<i64, Vec<Loc>>,
+) -> Result<(), String> {
+    let mut by_seq: BTreeMap<i64, Option<Loc>> = BTreeMap::new();
+    for (_, _, msg) in &w.observations {
+        let Some(rep) = parse_config_reply(msg) else {
+            continue;
+        };
+        let seq = rep.config.seq;
+        if expected.get(&seq) != Some(&sorted(&rep.config.members)) {
+            return Err(format!(
+                "config {seq} has membership {:?}",
+                rep.config.members
+            ));
+        }
+        let primary = rep.normal.then(|| rep.config.primary());
+        match (by_seq.entry(seq).or_insert(primary), primary) {
+            (Some(a), Some(b)) if *a != b => {
+                return Err(format!("two primaries in config {seq}: {a:?} vs {b:?}"));
+            }
+            (settled, b) => *settled = settled.or(b),
+        }
+    }
+    Ok(())
+}
+
+/// The first world with a reboot: a durable group's backup comes back as
+/// a replica rebooted from its disk — the deployment's own reboot, swapped
+/// in before exploration — whose disk holds the deployed configuration,
+/// while a `Promote` that moves the group past it is in flight. Whether
+/// the command is delivered before or after the rebooted member's
+/// subscription starts, and whichever answer reaches it first, every
+/// reachable state keeps configuration agreement: the rebooted member
+/// reports only configurations the group holds, in the group's order once
+/// settled.
+#[test]
+fn mck_pbr_rebooted_member_config_agreement() {
+    let mut world = WorldBuilder::new();
+    let (client, _rx) = world.port();
+    let mut options = checker_options();
+    options.durability = Some(DurabilityOptions::default());
+    let d = PbrDeployment::build(&mut world, &options, PbrOptions::default());
+    let members = d.replicas[..options.active_replicas].to_vec();
+    let rebooted = members[1];
+    d.reboot(&mut world, rebooted, VTime::ZERO, 7);
+    let cmd = ConfigCommand::promote(&members, rebooted).expect("a member");
+    world.send_at(
+        VTime::ZERO,
+        d.tob.servers[0],
+        broadcast_msg(client, 100, cmd.to_payload(0)),
+    );
+    for r in &d.replicas {
+        world.send_at(VTime::ZERO, *r, config_query_msg(client));
+    }
+    // Both sequences hold the deployed membership; only the order moves.
+    let expected = BTreeMap::from([(0, sorted(&members)), (1, sorted(&members))]);
+
+    // Non-vacuity: some explored state has the rebooted member settled
+    // again, which it is only once an answer to its fetch placed it.
+    let rejoined = std::cell::Cell::new(false);
+    let outcome = world.explore(
+        Options {
+            max_depth: 14,
+            max_states: 20_000,
+            ..Options::default()
+        },
+        |w| {
+            let settled = |m: &shadowdb_eventml::Msg| {
+                parse_config_reply(m).is_some_and(|r| r.from == rebooted && r.normal)
+            };
+            rejoined.set(rejoined.get() || w.observations.iter().any(|(_, _, m)| settled(m)));
+            configs_agree(w, &expected)
+        },
+    );
+    assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
+    assert!(
+        rejoined.get(),
+        "no explored state has the rebooted member rejoined"
+    );
+    assert!(
+        outcome.states_visited > 100,
+        "the interleaving space should be non-trivial: {}",
+        outcome.states_visited
+    );
+    eprintln!(
+        "PBR rebooted member: explored {} states (truncated: {})",
         outcome.states_visited, outcome.truncated
     );
 }

@@ -24,6 +24,7 @@ use shadowdb_runtime::Runtime;
 use shadowdb_simnet::Simulation;
 use shadowdb_sqldb::{Database, SqlValue};
 use shadowdb_tob::{broadcast_msg, subscribe_msg};
+use shadowdb_workloads::tpcc::{self, TpccGen, TpccScale};
 use shadowdb_workloads::{bank, TxnRequest};
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -388,4 +389,54 @@ fn sharded_pbr_joiner_that_becomes_primary_keeps_cross_shard_commits_flowing() {
 #[test]
 fn sharded_pbr_promoted_joiner_keeps_cross_shard_commits_flowing() {
     replace_in_shard_under_cross_shard_load(Some(sharded_pbr_options()), 71, 400, Then::Promoted);
+}
+
+/// A joiner rebuilt from a TPC-C image has the donors' secondary indexes,
+/// so its customer-order reads walk `idx_orders_cust` instead of
+/// scanning `orders`.
+#[test]
+fn a_tpcc_image_joiner_has_the_secondary_indexes() {
+    let scale = TpccScale::small();
+    let dbs: Dbs = Arc::default();
+    let captured = dbs.clone();
+    let probe = Probe::default();
+    let mut options = DeployOptions::new(
+        2,
+        move |client| {
+            let mut g = TpccGen::new(client as u64, scale, client as u64 + 1);
+            (0..40).map(|_| TxnRequest::Tpcc(g.next_txn())).collect()
+        },
+        move |db| {
+            tpcc::load(db, &scale, 9).expect("loads");
+            captured.lock().push(db.clone());
+        },
+    );
+    options.probe = Some(probe.clone());
+    let mut sim = shadowdb_simnet::testing::default_net(21);
+    let d = SmrDeployment::build(&mut sim, &options);
+    run_for(&mut sim, Duration::from_millis(200));
+    let mut handle = d.reconfig(&mut sim);
+    let joiner = handle.add_replica(&mut sim, Duration::from_secs(10));
+    let joiner = joiner.expect("smr adds unconditionally");
+    sim.run_until_quiescent(VTime::from_secs(3_600));
+    let image = Event::Transfer {
+        to: joiner,
+        kind: TransferKind::Snapshot,
+    };
+    assert!(probe.events().contains(&image), "the join is an image");
+
+    let dbs = dbs.lock();
+    let joined = dbs.last().expect("the joiner's database");
+    let snapshot = joined.snapshot();
+    let mut indexes = snapshot.tables().iter().flat_map(|t| &t.indexes);
+    assert!(indexes.any(|(name, _)| name == "idx_orders_cust"));
+    let read = "SELECT o_id FROM orders WHERE o_w_id = 1 AND o_d_id = 1 AND o_c_id = 1";
+    joined.execute(read).expect("reads");
+    let shape = "SELECT o_id FROM orders WHERE o_w_id = ? AND o_d_id = ? AND o_c_id = ?";
+    let plans = joined.cached_plans();
+    let plan = plans
+        .iter()
+        .find(|(s, _)| s == shape)
+        .and_then(|(_, p)| p.as_deref());
+    assert_eq!(plan, Some("idx_orders_cust(=,=,=)"), "{plans:?}");
 }

@@ -486,6 +486,9 @@ impl Database {
             for row in &dump.rows {
                 t.insert(row.to_vec())?;
             }
+            for (name, columns) in &dump.indexes {
+                t.create_index(name, columns)?;
+            }
             tables.insert(dump.schema.name.clone(), t);
         }
         drop(tables);

@@ -11,7 +11,7 @@
 //! expensive in Fig. 10(b).
 
 use crate::schema::{Column, DataType, TableSchema};
-use crate::table::Table;
+use crate::table::{IndexDef, Table};
 use crate::value::{Row, SharedRow, SqlValue};
 use crate::{Result, SqlError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -22,6 +22,8 @@ use std::borrow::Borrow;
 pub struct TableDump {
     /// The table's schema.
     pub schema: TableSchema,
+    /// Its secondary indexes, rebuilt on restore.
+    pub indexes: Vec<IndexDef>,
     /// All rows, shared with the table they were taken from: the table
     /// replaces a row it writes, so these stay as they were.
     pub rows: Vec<SharedRow>,
@@ -40,6 +42,7 @@ impl Snapshot {
             tables: tables
                 .map(|t| TableDump {
                     schema: t.schema().clone(),
+                    indexes: t.index_defs(),
                     rows: t.shared_rows(),
                 })
                 .collect(),
@@ -58,14 +61,15 @@ impl Snapshot {
 
     /// Splits the snapshot into wire batches of at most `batch_bytes`
     /// serialized bytes each (plus one row — a batch always makes
-    /// progress). Schemas travel in the first batch that touches their
-    /// table.
+    /// progress). Schemas and index definitions travel in the first
+    /// batch that touches their table.
     pub fn to_batches(&self, batch_bytes: usize) -> Vec<RowBatch> {
         let mut batches = Vec::new();
         for dump in &self.tables {
             let mut current = RowBatch {
                 table: dump.schema.name.clone(),
                 schema: Some(dump.schema.clone()),
+                indexes: dump.indexes.clone(),
                 rows: Vec::new(),
             };
             let mut size = 0usize;
@@ -76,6 +80,7 @@ impl Snapshot {
                     current = RowBatch {
                         table: dump.schema.name.clone(),
                         schema: None,
+                        indexes: Vec::new(),
                         rows: Vec::new(),
                     };
                     size = 0;
@@ -103,7 +108,8 @@ impl Snapshot {
         for dump in &self.tables {
             let at = buf.len();
             buf.put_u32_le(0);
-            encode_batch(buf, &dump.schema.name, Some(&dump.schema), &dump.rows);
+            let schema = Some((&dump.schema, dump.indexes.as_slice()));
+            encode_batch(buf, &dump.schema.name, schema, &dump.rows);
             let len = (buf.len() - at - 4) as u32;
             buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
         }
@@ -139,6 +145,7 @@ impl Snapshot {
             if let Some(schema) = &b.schema {
                 snapshot.tables.push(TableDump {
                     schema: schema.clone(),
+                    indexes: b.indexes.clone(),
                     rows: Vec::new(),
                 });
             }
@@ -162,6 +169,8 @@ pub struct RowBatch {
     pub table: String,
     /// The table schema, present in the table's first batch.
     pub schema: Option<TableSchema>,
+    /// The table's secondary indexes, in its first batch.
+    pub indexes: Vec<IndexDef>,
     /// The rows.
     pub rows: Vec<Row>,
 }
@@ -170,7 +179,8 @@ impl RowBatch {
     /// Serializes the batch to wire bytes.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();
-        encode_batch(&mut buf, &self.table, self.schema.as_ref(), &self.rows);
+        let schema = self.schema.as_ref().map(|s| (s, self.indexes.as_slice()));
+        encode_batch(&mut buf, &self.table, schema, &self.rows);
         buf.freeze()
     }
 
@@ -181,11 +191,15 @@ impl RowBatch {
     /// Fails on truncated or malformed input.
     pub fn decode(mut buf: Bytes) -> Result<RowBatch> {
         let table = get_str(&mut buf)?;
-        let schema = if get_u8(&mut buf)? == 1 {
-            Some(decode_schema(&mut buf)?)
-        } else {
-            None
-        };
+        let flag = get_u8(&mut buf)?;
+        let schema = (flag > 0).then(|| decode_schema(&mut buf)).transpose()?;
+        let count = if flag == 2 { get_u16(&mut buf)? } else { 0 };
+        let mut indexes = Vec::with_capacity(count as usize);
+        for _ in 0..count {
+            let name = get_str(&mut buf)?;
+            let columns = (0..get_u16(&mut buf)?).map(|_| get_str(&mut buf));
+            indexes.push((name, columns.collect::<Result<_>>()?));
+        }
         let n = get_u32(&mut buf)? as usize;
         let mut rows = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
@@ -199,6 +213,7 @@ impl RowBatch {
         Ok(RowBatch {
             table,
             schema,
+            indexes,
             rows,
         })
     }
@@ -215,17 +230,28 @@ impl RowBatch {
 }
 
 /// Appends the wire form of one [`RowBatch`], from its parts, to `buf`.
+/// The flag before the schema is 0 without one, 1 for a schema alone and 2
+/// for a schema followed by index definitions, so a table without
+/// secondary indexes encodes as it always has.
 fn encode_batch(
     buf: &mut BytesMut,
     table: &str,
-    schema: Option<&TableSchema>,
+    schema: Option<(&TableSchema, &[IndexDef])>,
     rows: &[impl Borrow<[SqlValue]>],
 ) {
     put_str(buf, table);
     match schema {
-        Some(s) => {
-            buf.put_u8(1);
+        Some((s, indexes)) => {
+            buf.put_u8(if indexes.is_empty() { 1 } else { 2 });
             encode_schema(s, buf);
+            if !indexes.is_empty() {
+                buf.put_u16_le(indexes.len() as u16);
+            }
+            for (name, columns) in indexes {
+                put_str(buf, name);
+                buf.put_u16_le(columns.len() as u16);
+                columns.iter().for_each(|c| put_str(buf, c));
+            }
         }
         None => buf.put_u8(0),
     }
@@ -449,11 +475,49 @@ mod tests {
         assert_eq!(Snapshot::from_bytes(Bytes::new()).unwrap().row_count(), 0);
     }
 
+    /// A copy restored from a snapshot — the durable blob a reboot reads,
+    /// or the batches a joiner receives — has the original's secondary
+    /// indexes, so its reads plan as the original's do.
+    #[test]
+    fn a_restored_copy_keeps_its_secondary_indexes() {
+        let db = Database::new(EngineProfile::h2());
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, a INT, b INT)")
+            .unwrap();
+        db.execute("CREATE INDEX t_b ON t (b)").unwrap();
+        for i in 0..20 {
+            db.execute(&format!("INSERT INTO t VALUES ({i}, {i}, {})", i % 4))
+                .unwrap();
+        }
+        let snap = db.snapshot();
+        let blob = Snapshot::from_bytes(snap.to_bytes()).unwrap();
+        let wire: Vec<RowBatch> = snap
+            .to_batches(64)
+            .iter()
+            .map(|b| b.encode())
+            .map(RowBatch::decode)
+            .collect::<Result<_>>()
+            .unwrap();
+        for copy in [blob, Snapshot::from_batches(&wire).unwrap()] {
+            assert_eq!(copy, snap);
+            let dst = Database::new(EngineProfile::h2());
+            dst.restore(&copy).unwrap();
+            let r = dst.execute("SELECT a FROM t WHERE b = 3").unwrap();
+            assert_eq!(r.rows.len(), 5);
+            let plans: Vec<String> = dst
+                .cached_plans()
+                .into_iter()
+                .filter_map(|(_, p)| p)
+                .collect();
+            assert_eq!(plans, ["t_b(=)"]);
+        }
+    }
+
     #[test]
     fn orphan_batch_rejected() {
         let b = RowBatch {
             table: "ghost".into(),
             schema: None,
+            indexes: vec![],
             rows: vec![],
         };
         assert!(Snapshot::from_batches(&[b]).is_err());

@@ -140,6 +140,9 @@ impl KeyRange {
     }
 }
 
+/// A secondary index's definition: its name and its columns' names.
+pub type IndexDef = (String, Vec<String>);
+
 /// A secondary index over a subset of columns.
 #[derive(Clone, Debug)]
 pub struct SecondaryIndex {
@@ -212,6 +215,14 @@ impl Table {
         }
         self.secondary.push(idx);
         Ok(())
+    }
+
+    /// The secondary indexes' definitions: `(name, column names)` each, in
+    /// creation order — what [`Table::create_index`] rebuilds them from.
+    pub fn index_defs(&self) -> Vec<IndexDef> {
+        let name = |c: &usize| self.schema.columns[*c].name.clone();
+        let def = |i: &SecondaryIndex| (i.name.clone(), i.columns.iter().map(name).collect());
+        self.secondary.iter().map(def).collect()
     }
 
     /// Removes the secondary index `name`, if present (the undo of
