@@ -1433,6 +1433,42 @@ mod tests {
         assert_eq!(settled.config.primary(), first, "the promoted member leads");
     }
 
+    /// A backup rebooted once its primary is gone for good: no member
+    /// answers its fetch, but the spare, outside the group and settled,
+    /// answers with the configuration alone. That anchors the member, so it
+    /// delivers its own proposal to replace the primary, reports, and leads
+    /// with every transaction it acknowledged. Unanchored, it never saw its
+    /// proposal, and the spare replaced it too and led with its own empty
+    /// state.
+    #[test]
+    fn a_rebooted_member_whose_primary_is_gone_is_placed_by_the_spare() {
+        let mut sim = shadowdb_simnet::testing::default_net(17);
+        let pbr = PbrOptions {
+            detect_after: Duration::from_millis(500),
+            heartbeat_every: Duration::from_millis(100),
+            ..PbrOptions::default()
+        };
+        let mut options = bank_options(2, 100);
+        options.client_timeout = Duration::from_secs(2);
+        options.durability = Some(DurabilityOptions::default());
+        let d = PbrDeployment::build(&mut sim, &options, pbr);
+        let [primary, backup, spare] = d.replicas[..3] else {
+            unreachable!()
+        };
+        let mut handle = d.reconfig(&mut sim);
+        assert!(handle.promote(&mut sim, primary, Duration::from_secs(10)));
+        let now = sim.now();
+        sim.crash_at(now + Duration::from_millis(5), backup);
+        sim.crash_at(now + Duration::from_millis(10), primary);
+        d.reboot(&mut sim, backup, now + Duration::from_millis(40), 13);
+        sim.run_for(Duration::from_secs(120));
+        assert_eq!(d.committed(), 200, "every transaction answered");
+        let settled = handle.query_config(&mut sim, Duration::from_secs(1));
+        let settled = settled.expect("a settled configuration");
+        assert_eq!(settled.config.members, [backup, spare], "{settled:?}");
+        assert_eq!(settled.executed, 200, "the leader holds every transaction");
+    }
+
     #[test]
     fn pbr_backup_crash_recovers_with_spare() {
         let mut sim = shadowdb_simnet::testing::default_net(7);

@@ -42,12 +42,10 @@
 //!    replicas), else after all of them.
 //!
 //! A replica rebooted from its disk rejoins the way a joiner does: it
-//! subscribes anew, holding its stream until the answer to its fetch says
-//! where the stream starts, and takes the group's configuration, in
-//! elected order, from that answer. Its disk's configuration only names
-//! whom to ask, in turn, one more each heartbeat period. Only the settled
-//! primary answers: with the state a member missed, or the configuration
-//! alone to anyone else.
+//! subscribes anew and holds its stream until the answer to its fetch —
+//! from the settled primary, with the group's configuration in elected
+//! order — says where the stream starts. Its disk's configuration only
+//! names whom to ask, in turn, one more each heartbeat period.
 
 use crate::msgs::{
     config_reply_msg, parse_fetch, stale_config_msg, ConfigCommand, ReplicaConfig, TxnEnvelope,
@@ -336,11 +334,14 @@ impl PbrReplica {
         // The disk knows everything up to the crash; the group has moved
         // on. Rejoin as a joiner does: the stream is held until the answer
         // anchors it ([`PbrReplica::rejoin`]). Ask the disk configuration's
-        // members at once; the subscription's ack raises the fetch's `min`.
+        // members, then its spares, at once; the subscription's ack raises
+        // the fetch's `min`.
         self.mode = Mode::Recovering;
         self.core.subscribe(None);
-        let donors = self.config.members.iter().copied().filter(|m| *m != slf);
-        self.core.set_donors(donors, self.options.heartbeat_every);
+        let spares = self.spares.iter().filter(|s| !self.config.contains(**s));
+        let donors = self.config.members.iter().chain(spares).copied();
+        self.core
+            .set_donors(donors.filter(|m| *m != slf), self.options.heartbeat_every);
         self.core.fetch(slf, self.core.executed(), 0, out);
     }
 
@@ -638,17 +639,14 @@ impl PbrReplica {
         if self.mode != Mode::Normal {
             return;
         }
+        let first = self.core.executed() + 1;
         let mut batch: Vec<TxnEnvelope> = Vec::new();
-        while let Some(env) = self
-            .forward_buf
-            .remove(&(self.core.executed() + 1 + batch.len() as i64))
-        {
+        while let Some(env) = self.forward_buf.remove(&(first + batch.len() as i64)) {
             batch.push(env);
         }
         if batch.is_empty() {
             return;
         }
-        let first = self.core.executed() + 1;
         self.execute_txn_group(ctx.slf, &batch);
         // Backups advance the 2PC emission counters in lockstep but never
         // send: emission is the (acked) primary's job.
@@ -769,30 +767,32 @@ impl PbrReplica {
         }
     }
 
-    /// Donor side of a rebooted member's fetch: only the settled primary
-    /// answers, as the elector would, once its stream has reached the
-    /// fetch's `min`, stamped `<at, <nonce, config>>`: its configuration
-    /// holds from its stream seq `at`, and `nonce` is the fetch's. A member
-    /// gets the state it missed, anyone else the configuration alone (an
-    /// empty catch-up). Everyone else stays silent and the requester's
-    /// next retry asks the next member.
+    /// Donor side of a rebooted member's fetch: a replica whose
+    /// configuration is settled answers once its stream has reached `min`,
+    /// stamped `<at, <nonce, config>>` (its configuration holds from stream
+    /// seq `at`) — the primary with the state a member missed, anyone else
+    /// with the configuration alone (`()` for the state), which places the
+    /// requester but does not recover it: its next retry asks the next one.
     fn on_fetch(&mut self, ctx: &Ctx, msg: &Msg, outs: &mut Vec<SendInstr>) {
         let Some((to, from, min, nonce)) = parse_fetch(&msg.body) else {
             return;
         };
-        if self.mode != Mode::Normal
-            || !self.is_primary(ctx.slf)
-            || self.core.defer_fetch(ctx.slf, msg, min, outs)
-        {
+        // Settled: a Normal member, or a replica outside the group that
+        // holds the deployed configuration or has seen its election end.
+        let elected = self.config.seq == 0 || self.election.len() >= self.config.members.len();
+        let outside = self.mode == Mode::Idle && elected && !self.config.members.is_empty();
+        if self.mode != Mode::Normal && !outside {
             return;
+        }
+        if let Some(again) = self.core.defer_fetch(ctx.slf, msg, min) {
+            return outs.push(again);
         }
         let stamp = Value::pair(Value::Int(nonce), self.config.to_value());
         let stamp = Value::pair(Value::Int(self.core.stream_next()), stamp);
-        if self.config.contains(to) {
+        if self.mode == Mode::Normal && self.is_primary(ctx.slf) && self.config.contains(to) {
             return self.send_state(to, from, stamp, outs);
         }
-        let alone = Value::pair(Value::Int(from), Value::list(Vec::new()));
-        outs.push(self.in_config(to, CATCHUP_HEADER, Value::pair(stamp, alone)));
+        outs.push(self.in_config(to, CATCHUP_HEADER, Value::pair(stamp, Value::Unit)));
     }
 
     /// Brings `to`, which has executed `behind` transactions, up to date
@@ -893,12 +893,11 @@ impl PbrReplica {
         }
     }
 
-    /// Adopts `config` and logs it (a disk's last configuration names whom
-    /// a reboot asks).
+    /// Adopts `config` and logs it: a disk's last configuration names whom
+    /// a reboot asks.
     fn log_config(&mut self, config: ReplicaConfig) {
-        let record = config.to_value();
+        self.log(WREC_CONFIG, || config.to_value());
         self.config = config;
-        self.log(WREC_CONFIG, || record);
     }
 
     fn adopt_config(&mut self, ctx: &Ctx, config: ReplicaConfig, outs: &mut Vec<SendInstr>) {
@@ -1011,6 +1010,8 @@ impl PbrReplica {
             // An earlier incarnation's answer, or one the fetch is past.
         } else if cfg.int() != self.config.seq || self.mode != Mode::Recovering {
             // From a configuration this replica has left, or a duplicate.
+        } else if *state == Value::Unit {
+            // The configuration alone: the primary's answer recovers it.
         } else if msg.header == cached_header!(CATCHUP_HEADER) {
             self.on_catchup(ctx, state, outs);
         } else if self.core.accept_chunk(state).is_some() {
@@ -1022,11 +1023,9 @@ impl PbrReplica {
     }
 
     /// Whether `stamp` answers this incarnation's open fetch. The first
-    /// such answer puts the replica in the donor's configuration, in
-    /// elected order (a disk holds the order as adopted, before the
-    /// election), and anchors its stream where that configuration holds
-    /// from. A member then recovers from the answer's state; anyone else
-    /// is Idle.
+    /// answer puts the replica in the donor's configuration, in elected
+    /// order (a disk holds the order as adopted, before the election),
+    /// anchored where it holds from; a member then recovers from its state.
     fn rejoin(&mut self, ctx: &Ctx, stamp: &Value, outs: &mut Vec<SendInstr>) -> bool {
         let (at, rest) = stamp.unpair();
         let (nonce, config) = rest.unpair();
@@ -1042,11 +1041,9 @@ impl PbrReplica {
         }
         let heard = self.config.members.iter().map(|m| (*m, ctx.now));
         self.last_heard.extend(heard);
-        self.mode = match self.config.contains(ctx.slf) {
-            true => Mode::Recovering,
-            false => Mode::Idle,
-        };
-        if self.mode == Mode::Idle {
+        let member = self.config.contains(ctx.slf);
+        self.mode = if member { Mode::Recovering } else { Mode::Idle };
+        if !member {
             self.core.fetched();
         }
         let ready = self.core.anchor(at.int());
@@ -1110,11 +1107,9 @@ impl PbrReplica {
         }
         self.recovery_acks.insert(from.loc());
         self.active_backups.insert(from.loc());
-        let needed = if self.options.overlapped_transfer {
-            1
-        } else {
-            self.config.backups().len()
-        };
+        let overlapped = self.options.overlapped_transfer;
+        let all = self.config.backups().len();
+        let needed = if overlapped { 1 } else { all };
         if self.mode == Mode::Recovering && self.recovery_acks.len() >= needed {
             self.enter_normal_as_primary(ctx);
         }

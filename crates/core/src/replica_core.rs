@@ -881,25 +881,13 @@ impl ReplicaCore {
         Vec::new()
     }
 
-    /// Donor side: whether the fetch `msg` must wait — asked again in 10 ms
-    /// — for this replica's stream to reach its `min`: an answer now would
-    /// leave the requester a gap its subscription never fills.
-    pub(crate) fn defer_fetch(
-        &self,
-        slf: Loc,
-        msg: &Msg,
-        min: i64,
-        out: &mut Vec<SendInstr>,
-    ) -> bool {
-        let defer = !self.anchored || self.stream.next_seq() < min;
-        if defer {
-            out.push(SendInstr::after(
-                Duration::from_millis(10),
-                slf,
-                msg.clone(),
-            ));
-        }
-        defer
+    /// Donor side: the fetch `msg`, to be asked again in 10 ms, if it must
+    /// wait for this replica's stream to reach its `min`: an answer now
+    /// would leave the requester a gap its subscription never fills.
+    pub(crate) fn defer_fetch(&self, slf: Loc, msg: &Msg, min: i64) -> Option<SendInstr> {
+        let later = Duration::from_millis(10);
+        let wait = !self.anchored || self.stream.next_seq() < min;
+        wait.then(|| SendInstr::after(later, slf, msg.clone()))
     }
 
     // -- state transfer ------------------------------------------------------

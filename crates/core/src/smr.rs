@@ -462,8 +462,8 @@ impl SmrReplica {
         let Some((requester, from, min_seq, _)) = parse_fetch(&msg.body) else {
             return;
         };
-        if self.core.defer_fetch(slf, msg, min_seq, outs) {
-            return;
+        if let Some(again) = self.core.defer_fetch(slf, msg, min_seq) {
+            return outs.push(again);
         }
         let next = self.core.stream_next();
         let (header, bodies) = self.core.state_for(requester, from, Value::Int(next));
@@ -482,13 +482,13 @@ impl SmrReplica {
     {
         let mut ready = Vec::new();
         for (seq, payload) in items {
-            let (client, msgid) = (slf, 0);
-            ready.extend(self.core.offer(Delivery {
+            let d = Delivery {
                 seq,
-                client,
-                msgid,
+                client: slf,
+                msgid: 0,
                 payload,
-            }));
+            };
+            ready.extend(self.core.offer(d));
         }
         self.execute_deliveries(slf, now, ready, outs);
     }
@@ -503,11 +503,8 @@ impl SmrReplica {
         let items = list.elems().iter().enumerate();
         let items = items.map(|(k, p)| (from.int() + k as i64, p.clone()));
         self.feed(slf, Some(now), items, outs);
-        if self
-            .core
-            .fetching()
-            .is_some_and(|min| self.core.stream_next() >= min)
-        {
+        let next = self.core.stream_next();
+        if self.core.fetching().is_some_and(|min| next >= min) {
             // The suffix meets the live subscription: fully rejoined.
             self.core.fetched();
         }
