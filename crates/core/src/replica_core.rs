@@ -859,9 +859,10 @@ impl ReplicaCore {
     /// The first ack of a subscription, at `seq`, the first delivery it
     /// brings (any server's is a safe bound). A replica with donors opens
     /// its fetch from `from` with `min = seq`; one that asked before the ack
-    /// (a PBR reboot) holds its stream until an answer at or past the ack
-    /// anchors it, unless one already did. A replica without donors (a PBR
-    /// joiner, whom the stream tells everything) anchors at the ack.
+    /// (a PBR reboot) and was anchored below it by an answer holds its
+    /// stream again until an answer at or past the ack anchors it. A
+    /// replica without donors (a PBR joiner, whom the stream tells
+    /// everything) anchors at the ack.
     pub(crate) fn on_subok(
         &mut self,
         slf: Loc,
@@ -876,7 +877,7 @@ impl ReplicaCore {
         if self.fetch.donors.is_empty() {
             return self.anchor(seq.max(self.stream.next_seq()));
         }
-        self.anchored &= self.fetch.asked == 0;
+        self.anchored &= self.fetch.asked == 0 || self.stream.next_seq() >= seq;
         self.fetch(slf, from, seq, out);
         Vec::new()
     }
@@ -1367,6 +1368,66 @@ mod tests {
         alone.set_donors(Vec::new(), every);
         alone.fetch(slf, 5, 0, &mut out);
         assert!(out.is_empty() && alone.fetching().is_none());
+    }
+
+    /// The one subscription, for every kind of subscriber: at the first
+    /// ack a replica without donors anchors there; one with donors opens
+    /// its fetch with `min` = the ack's seq — an SMR reboot keeps the
+    /// anchor its disk gave it, a replica whose early answer anchored it
+    /// below the ack holds its stream again, one at or past the ack keeps
+    /// it; later acks change nothing.
+    #[test]
+    fn the_first_subscription_ack_anchors_or_opens_the_fetch() {
+        let slf = Loc::new(9);
+        let d = |seq| Delivery {
+            seq,
+            client: slf,
+            msgid: 0,
+            payload: Value::Int(seq),
+        };
+        let seqs = |ds: Vec<Delivery>| ds.iter().map(|d| d.seq).collect::<Vec<_>>();
+        let every = Duration::from_millis(100);
+        let mut out = Vec::new();
+
+        // A joiner without donors holds until its ack anchors it.
+        let mut joiner = core(1);
+        joiner.subscribe(None);
+        for seq in [3, 6, 7] {
+            assert!(joiner.offer(d(seq)).is_empty(), "held");
+        }
+        assert_eq!(seqs(joiner.on_subok(slf, 6, -1, &mut out)), [6, 7]);
+        assert!(out.is_empty() && !joiner.rejoining());
+        assert!(
+            joiner.on_subok(slf, 2, -1, &mut out).is_empty(),
+            "a later ack"
+        );
+        assert_eq!(seqs(joiner.offer(d(8))), [8]);
+
+        // A reboot resuming at its disk's frontier keeps it and fetches.
+        let mut smr = core(1);
+        smr.set_donors(vec![Loc::new(1)], every);
+        smr.subscribe(Some(4));
+        assert!(smr.on_subok(slf, 9, 4, &mut out).is_empty());
+        assert_eq!((smr.anchored(), smr.fetching()), (true, Some(9)));
+        assert_eq!(out[0].msg, fetch_msg(slf, 4, 9, 0));
+
+        // A fetch asked before the ack: an answer below the ack is undone,
+        // one at or past it stands.
+        for (anchor, kept) in [(None, false), (Some(5), false), (Some(9), true)] {
+            let mut pbr = core(1);
+            pbr.set_donors(vec![Loc::new(1), Loc::new(2)], every);
+            pbr.subscribe(None);
+            pbr.fetch(slf, 0, 0, &mut out);
+            if let Some(at) = anchor {
+                assert!(pbr.answers(0, at));
+                pbr.anchor(at);
+            }
+            out.clear();
+            assert!(pbr.on_subok(slf, 9, 0, &mut out).is_empty());
+            assert_eq!(pbr.anchored(), kept, "{anchor:?}");
+            assert_eq!(pbr.fetching(), Some(9), "re-aimed");
+            assert!(!pbr.answers(0, 8) && pbr.answers(0, 9) && !pbr.answers(1, 9));
+        }
     }
 
     /// Chunks of different snapshot identities never mix: a chunk of
