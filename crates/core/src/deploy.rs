@@ -1324,9 +1324,10 @@ mod tests {
     /// A rebooted PBR member asks its recovered configuration's members
     /// one at a time, in order. Its disk logged the configuration as it was
     /// adopted, before `Promote` reordered it, so the first member it asks
-    /// is a backup, which stays silent. Its subscription's ack re-aims the
-    /// fetch at the next member, the primary, and the member rejoins by
-    /// catch-up within a heartbeat period.
+    /// is a backup, which answers with the configuration alone. Its
+    /// subscription's ack re-aims the fetch at the next member, the
+    /// primary, and the member rejoins by catch-up within a heartbeat
+    /// period.
     #[test]
     fn a_rebooted_backup_whose_first_ask_misses_the_primary_rejoins_by_catch_up() {
         let mut sim = shadowdb_simnet::testing::default_net(15);
