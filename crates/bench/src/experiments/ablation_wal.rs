@@ -11,10 +11,12 @@
 //!   into one platter round trip per batch, which is the group-commit
 //!   claim `perf_smoke` gates at ≥5×.
 //! * **snapshot interval** — a fixed 4,096-record history snapshotted
-//!   every 16..1024 records, then recovered. The interval buys a
-//!   shorter replay (fewer records past the snapshot) at the price of
-//!   more snapshot writes during the run; the log bytes left on disk
-//!   and the wall-clock recovery scan shrink with it.
+//!   every 16..1024 records, then recovered by a fresh opening of the
+//!   disk. The interval buys a shorter replay (fewer records past the
+//!   snapshot) at the price of more snapshot writes during the run. The
+//!   log bytes left on disk count every segment file still there: a
+//!   checkpoint unlinks only segments wholly below its cut, so they
+//!   shrink with the interval by whole segments.
 //!
 //! Expected shape: commit throughput climbs roughly linearly with the
 //! batch until the append `write()` itself dominates (past ~64 the sync
@@ -56,10 +58,13 @@ pub fn commit_run(mode: &StorageMode, txns: usize, group: usize) -> (f64, u64) {
 }
 
 /// Runs a fixed-length history with a snapshot every `every`, then
-/// recovers the disk. Returns (snapshots taken, log bytes at recovery,
-/// records replayed past the snapshot, recovery micros).
+/// recovers the disk as a rebooted process does: a fresh opening reads
+/// the snapshot and every segment file still on disk. Returns (snapshots
+/// taken, log bytes at recovery, records replayed past the snapshot,
+/// recovery micros).
 fn snapshot_run(mode: &StorageMode, txns: usize, every: usize) -> (usize, usize, usize, f64) {
-    let disk = Disk::open(mode, &format!("snap-e{every}"), Duration::ZERO);
+    let name = format!("snap-e{every}");
+    let disk = Disk::open(mode, &name, Duration::ZERO);
     let mut wal = Wal::open(disk.clone());
     let body = record();
     // The snapshot blob models a small-bank dump: size-independent of
@@ -77,10 +82,14 @@ fn snapshot_run(mode: &StorageMode, txns: usize, every: usize) -> (usize, usize,
         }
     }
     wal.commit();
-    let log_bytes = disk.synced_len();
+    drop((wal, disk));
     let t = Instant::now();
+    let disk = Disk::open(mode, &name, Duration::ZERO);
     let rec = recover(&disk);
     let us = t.elapsed().as_secs_f64() * 1e6;
+    // The records in every segment the reopening read, those below the
+    // last snapshot's cut that share its segment included.
+    let log_bytes = disk.synced_len();
     assert_eq!(rec.high_index(), txns as i64 - 1, "recovery lost records");
     (snaps, log_bytes, rec.records.len(), us)
 }
@@ -135,6 +144,7 @@ pub fn report(out: &mut dyn Write) -> io::Result<()> {
          the append write itself dominates. The snapshot interval trades snapshot\n\
          writes during the run for replay work at recovery: the log suffix past\n\
          the last snapshot — what restart-from-disk must re-execute — shrinks\n\
-         linearly with the interval, as do the bytes recovery has to scan.",
+         linearly with the interval. The bytes recovery reads are whole segment\n\
+         files, from the one holding the last snapshot's cut on.",
     )
 }

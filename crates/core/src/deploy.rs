@@ -109,8 +109,11 @@ pub struct DeployOptions {
 /// Per-replica durable-storage settings.
 #[derive(Clone)]
 pub struct DurabilityOptions {
-    /// Take a durable snapshot (and truncate the log) every this many
-    /// WAL records.
+    /// The minimum spacing between durable snapshots, in WAL records. A
+    /// snapshot (which truncates the log) is taken once this many records
+    /// were logged since the last one *and* the log written since then is
+    /// at least as large as that snapshot, so recovery replays at most
+    /// about one image's worth of log.
     pub snapshot_every: i64,
     /// Fsync latency: charged virtually per group commit under the
     /// simulator, borne for real under file-backed runtimes.

@@ -291,8 +291,8 @@ impl PbrReplica {
     /// Attaches a write-ahead log: every executed transaction and adopted
     /// configuration is appended and synced at the replica's next
     /// `sdb/sync` (group commit), which its acknowledgments wait for, with
-    /// a durable snapshot (and log truncation) every `snapshot_every`
-    /// records.
+    /// a durable snapshot (and log truncation) at most every
+    /// `snapshot_every` records (see `ReplicaCore::sync`).
     pub fn with_wal(mut self, disk: Disk, snapshot_every: i64) -> PbrReplica {
         self.core.attach_wal(disk, snapshot_every, 0, 0);
         self

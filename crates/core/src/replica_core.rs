@@ -151,7 +151,7 @@ pub(crate) struct ReplicaCore {
     syncing: Option<i64>,
     /// WAL index the last durable snapshot covers (truncation point).
     wal_snap_at: i64,
-    /// Take a durable snapshot every this many WAL records.
+    /// Take a durable snapshot at most every this many WAL records.
     snapshot_every: i64,
     /// The log index through which the disk holds this replica's state:
     /// what a power cut cannot take back. `i64::MAX` without a log, so
@@ -509,10 +509,10 @@ impl ReplicaCore {
     // -- durability ----------------------------------------------------------
 
     /// Attaches a write-ahead log over `disk`, with a durable snapshot
-    /// (and log truncation) every `snapshot_every` records. `snap_at` is
-    /// the index the disk's snapshot covers and `durable` the highest
-    /// index the disk holds — both one below the policy's first record
-    /// index on an empty disk.
+    /// (and log truncation) at most every `snapshot_every` records.
+    /// `snap_at` is the index the disk's snapshot covers and `durable` the
+    /// highest index the disk holds — both one below the policy's first
+    /// record index on an empty disk.
     pub(crate) fn attach_wal(
         &mut self,
         disk: Disk,
@@ -640,10 +640,14 @@ impl ReplicaCore {
     /// The durability point, run on `sdb/sync`: one sync covers every
     /// record appended since the previous one (group commit — however
     /// many steps the runtime delivered in between, they cost one sync,
-    /// not one each). Every `snapshot_every` records, and after a network
-    /// image, the log is folded into a durable snapshot instead (which
-    /// truncates it). `last` is the newest log index; `header` renders the
-    /// policy header, only if a snapshot is actually taken.
+    /// not one each). After a network image, and once both `snapshot_every`
+    /// records were logged since the last snapshot and the log written
+    /// since then has outgrown that snapshot's image, the log is folded
+    /// into a durable snapshot instead (which truncates it): recovery then
+    /// replays at most about one image's worth of log, and a large table
+    /// is imaged only as often as its log's growth calls for. `last` is
+    /// the newest log index; `header` renders the policy header, only if a
+    /// snapshot is actually taken.
     ///
     /// A virtual disk syncs here, and everything parked behind the sync is
     /// released into `out`. A file-backed disk hands the sync to its
@@ -667,7 +671,9 @@ impl ReplicaCore {
             return;
         }
         let checkpoint = self.durable == NOTHING_DURABLE
-            || (last - self.wal_snap_at >= self.snapshot_every && !wal.disk().image_in_flight());
+            || (last - self.wal_snap_at >= self.snapshot_every
+                && wal.log_len() >= wal.disk().image_len()
+                && !wal.disk().image_in_flight());
         let off_thread = (checkpoint || wal.pending() > 0) && wal.disk().syncs_off_thread();
         let route = off_thread.then(completion::route).flatten();
         let image = checkpoint.then(|| {
@@ -1452,5 +1458,51 @@ mod tests {
         let installed: Vec<Value> = rest.iter().filter_map(|c| joiner.accept_chunk(c)).collect();
         assert_eq!(installed, vec![Value::Int(2)]);
         assert_eq!(state(&joiner), state(&donor));
+    }
+
+    /// `(index, image bytes, log bytes since the previous image)` of every
+    /// periodic image a replica over a `rows`-row bank takes in `records`
+    /// appends of about 90 bytes, one sync each, with `snapshot_every`
+    /// 512.
+    fn periodic_images(rows: usize, records: i64) -> Vec<(i64, usize, usize)> {
+        let db = Database::new(EngineProfile::h2());
+        bank::load(&db, rows).unwrap();
+        let mut c = ReplicaCore::new(db);
+        c.attach_wal(Disk::in_memory(Duration::ZERO), 512, 0, 0);
+        let body = Value::Bytes(bytes::Bytes::from(vec![7u8; 80]));
+        let mut taken = Vec::new();
+        for i in 1..=records {
+            c.wal_append(i, &body);
+            let log = c.wal.as_ref().unwrap().log_len();
+            c.sync(i, || Value::Unit, &mut Vec::new());
+            if c.wal_snap_at == i {
+                taken.push((i, c.wal.as_ref().unwrap().disk().image_len(), log));
+            }
+        }
+        taken
+    }
+
+    /// A periodic image waits for the log to outgrow the last one: a
+    /// 10 000-row replica takes its first at 512 records and its second
+    /// only at the first sync where the log written since is at least
+    /// as large as that first image, while a 64-row replica, whose image
+    /// is smaller than 512 records of log, still takes one every 512.
+    #[test]
+    fn a_periodic_image_waits_for_the_log_to_outgrow_the_last_one() {
+        let big = periodic_images(10_000, 6_000);
+        assert_eq!(big[0].0, 512);
+        let (first, (second, _, log)) = (big[0].1, big[1]);
+        assert!(
+            first > 512 * 100,
+            "a 10 000-row image outweighs 512 records"
+        );
+        assert!(log >= first, "the log outgrew the image");
+        assert!(log < first + 100, "the image came at the first such sync");
+        assert!(second > 2 * 512, "later than the record count alone asks");
+
+        let small = periodic_images(64, 2_048);
+        let at: Vec<i64> = small.iter().map(|t| t.0).collect();
+        assert_eq!(at, vec![512, 1_024, 1_536, 2_048]);
+        assert!(small.iter().all(|t| t.1 < t.2), "each image under its log");
     }
 }

@@ -204,8 +204,8 @@ impl SmrReplica {
 
     /// Attaches a write-ahead log: every in-order delivery is appended
     /// (keyed by its TOB sequence number) and synced at the replica's next
-    /// `sdb/sync`, which its replies wait for, with a durable snapshot
-    /// every `snapshot_every` deliveries. A durable replica also keeps its
+    /// `sdb/sync`, which its replies wait for, with a durable snapshot at
+    /// most every `snapshot_every` deliveries. A durable replica also keeps its
     /// last 4 096 deliveries in the core's window, so it can catch up a
     /// rebooted peer as a donor.
     pub fn with_wal(mut self, disk: Disk, snapshot_every: i64) -> SmrReplica {

@@ -3,10 +3,10 @@
 //! Replicas log every executed transaction here and hold its
 //! acknowledgment until the record is synced — one sync covers every
 //! record appended since the previous one (group commit) — take periodic
-//! snapshots, and truncate the log to the snapshot point. A replica
-//! restarted after power loss reconstructs its state from snapshot + log
-//! replay and rejoins the group by fetching only the suffix it missed — no
-//! full state transfer.
+//! snapshots, and drop the log below each snapshot. A replica restarted
+//! after power loss reconstructs its state from snapshot + log replay and
+//! rejoins the group by fetching only the suffix it missed — no full
+//! state transfer.
 //!
 //! # Record format
 //!
@@ -25,20 +25,41 @@
 //! ends the log there. It never panics and never sizes an allocation
 //! from a corrupt length prefix.
 //!
+//! # Segments
+//!
+//! On the file backend the log is a chain of segment files
+//! (`log-<id>.seg`, ids increasing), each [`SEGMENT`] bytes of zeros
+//! before the first record lands in it. Records are written over those
+//! zeros and never span two segments; a record that does not fit the
+//! current segment starts the next one (a record larger than a segment
+//! gets one of its own, grown to fit). Truncation is an `unlink` of
+//! every segment wholly below a snapshot's cut; no log byte is ever
+//! copied.
+//!
 //! # Syncs: inline, or handed to the disk's syncer
 //!
-//! A sync is one of two jobs: a *commit* (append the unsynced tail and
-//! fsync it) or a *checkpoint* (write a snapshot image, fsync, rename,
-//! install the log's suffix above it, sync the directory). [`Wal::commit`]
-//! and [`Wal::save_snapshot`] run the job on the caller's thread.
-//! [`Wal::hand_off`] and [`Wal::hand_off_checkpoint`] queue it instead:
-//! on the file backend each [`Disk`] has one syncer thread that runs its
-//! jobs in FIFO order over one log handle that stays open, and calls
-//! the job's `done` once the bytes are durable — a replica turns that
-//! into a message to itself (see `shadowdb_runtime::completion`). At most
-//! one job is in flight per disk; records appended meanwhile wait in the
-//! unsynced tail for the next one. Each [`Wal::open`] draws a fresh
-//! [`Wal::generation`], so a completion can name the log it belongs to.
+//! A sync is one of two jobs: a *commit* (write the unsynced tail into the
+//! current segment and `sync_data` it) or a *checkpoint* (a commit plus a
+//! snapshot image: render, write a tmp file, fsync, rename, sync the
+//! directory, then unlink the segments below the image's cut).
+//! [`Wal::commit`] and [`Wal::save_snapshot`] run the job on the caller's
+//! thread. [`Wal::hand_off`] and [`Wal::hand_off_checkpoint`] queue it
+//! instead: on the file backend each [`Disk`] has one syncer thread that
+//! runs its jobs in FIFO order and calls the job's `done` once the bytes
+//! are durable — a replica turns that into a message to itself (see
+//! `shadowdb_runtime::completion`). At most one job is in flight per disk;
+//! records appended meanwhile wait in the unsynced tail for the next one.
+//! Each [`Wal::open`] draws a fresh [`Wal::generation`], so a completion
+//! can name the log it belongs to.
+//!
+//! A second thread per disk, the image writer, runs at idle priority. It
+//! writes a checkpoint's image behind the commit that reported it, unlinks
+//! the segments the image made redundant, and prepares the *spare*: once
+//! the current segment is half full, the next one, zeroed, synced and
+//! recorded by a directory sync before the syncer needs it. A syncer that
+//! outruns its spare prepares the next segment itself, and an empty log
+//! gets its first segment when the disk is opened. No lock is held across file I/O: the syncer owns the
+//! current segment while it writes, and the image writer never touches it.
 //!
 //! # Crash model
 //!
@@ -53,6 +74,18 @@
 //! log. Everything whose completion was reported is stable; the torn
 //! region is only ever written after the last completed sync, which by
 //! the logging discipline contains no acked transaction.
+//!
+//! Reopening a file-backed disk ([`Disk::open`]) reads the snapshot, then
+//! each segment's valid prefix in id order. A segment whose bytes past
+//! that prefix are not all zeros — a torn record, a flipped bit, or a
+//! first record whose index does not follow the last one read — ends the
+//! log: its tail is zeroed and every later segment unlinked. A commit
+//! that moves to the next segment has synced its part in the previous
+//! one first, so a segment holds records only behind a whole
+//! predecessor. A spare that was half prepared at the cut, or skipped by
+//! the syncer's fallback, holds only zeros and reads as empty. Segments
+//! an installed image left behind (a cut between the rename and the
+//! unlink) hold records at or below its index, which recovery skips.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -74,10 +107,31 @@ use std::time::Duration;
 /// this is corruption, not data.
 pub const MAX_RECORD: usize = 16 * 1024 * 1024;
 
-const LOG_FILE: &str = "wal.log";
-const LOG_TMP: &str = "wal.tmp";
+/// Bytes in one log segment file.
+pub const SEGMENT: usize = 256 * 1024;
+
 const SNAP_FILE: &str = "snap.bin";
 const SNAP_TMP: &str = "snap.tmp";
+
+fn seg_path(dir: &Path, id: u64) -> PathBuf {
+    dir.join(format!("log-{id:08}.seg"))
+}
+
+/// The ids of the segment files in `dir`, ascending.
+fn seg_ids(dir: &Path) -> Vec<u64> {
+    let mut ids: Vec<u64> = std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter_map(|e| {
+            let name = e.file_name();
+            let id = name.to_str()?.strip_prefix("log-")?.strip_suffix(".seg")?;
+            id.parse().ok()
+        })
+        .collect();
+    ids.sort_unstable();
+    ids
+}
 
 /// FNV-1a, 32-bit: cheap corruption detection for log records (torn
 /// writes and bit rot, not adversaries).
@@ -99,21 +153,118 @@ enum Backend {
     /// so ([`Disk::complete_next`]). `early`: the broken double of
     /// [`Disk::report_at_hand_off`].
     Deferred { early: bool },
-    /// Real files under `dir`: commit is `write + sync_all`, snapshot
-    /// install is write-tmp + `sync_all` + atomic rename + directory sync.
-    File { dir: PathBuf },
+    /// Real files: a chain of log segments and a snapshot file. Commit is
+    /// `write + sync_data` into the current segment, snapshot install is
+    /// write-tmp + `sync_all` + atomic rename + directory sync.
+    File(Segments),
+}
+
+/// The file backend's log: where its segment files are and which one the
+/// commits write into.
+struct Segments {
+    dir: PathBuf,
+    /// `(id, log offset of its first byte)` of every segment the log
+    /// spans, oldest first: a segment's records run up to the next one's
+    /// start, and the last one takes the commits.
+    chain: VecDeque<(u64, usize)>,
+    /// The last segment's open file. Taken out by whoever writes the log
+    /// for as long as it writes.
+    open: Option<SegFile>,
+    spare: Spare,
+    /// Spare preparations asked of the image writer and not finished.
+    preparing: usize,
+}
+
+/// The segment after the current one.
+#[derive(Clone, Copy, PartialEq)]
+enum Spare {
+    None,
+    /// The image writer was asked to prepare this id.
+    Asked(u64),
+    /// Zeroed, synced and in the directory.
+    Ready(u64),
+}
+
+/// A segment open for commits.
+struct SegFile {
+    file: std::fs::File,
+    /// Bytes holding records, from the start of the file.
+    used: usize,
+    /// Bytes the file holds, records and zeros.
+    len: usize,
+}
+
+impl SegFile {
+    fn open(dir: &Path, id: u64, used: usize) -> std::io::Result<SegFile> {
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(seg_path(dir, id))?;
+        let len = file.metadata()?.len() as usize;
+        Ok(SegFile { file, used, len })
+    }
+
+    /// Writes `bytes` after the records and makes them durable. Within
+    /// the zeros the file already has, `sync_data` flushes the records
+    /// alone: the file's size and allocation stay as they were, and the
+    /// sync waits for no filesystem journal commit.
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        if bytes.is_empty() {
+            return Ok(());
+        }
+        self.file.write_all_at(bytes, self.used as u64)?;
+        self.used += bytes.len();
+        if self.used <= self.len {
+            return self.file.sync_data();
+        }
+        // A record longer than a segment grew the file.
+        self.len = self.used;
+        self.file.sync_all()
+    }
+}
+
+/// Zero bytes written per call when a file is filled with them.
+static ZEROS: [u8; 64 * 1024] = [0; 64 * 1024];
+
+/// Overwrites `file` with zeros from `from` to `to` and makes them
+/// durable, the file's size with them.
+fn zero_fill(file: &std::fs::File, mut from: usize, to: usize) -> std::io::Result<()> {
+    while from < to {
+        let n = (to - from).min(ZEROS.len());
+        file.write_all_at(&ZEROS[..n], from as u64)?;
+        from += n;
+    }
+    file.sync_all()
+}
+
+/// Creates segment `id` as [`SEGMENT`] zeros, synced and recorded in the
+/// directory.
+fn prepare_segment(dir: &Path, id: u64) -> std::io::Result<()> {
+    let file = std::fs::File::create(seg_path(dir, id))?;
+    zero_fill(&file, 0, SEGMENT)?;
+    sync_dir(dir)
+}
+
+/// Bytes of the frame at the head of `bytes`: its header and the payload
+/// its length prefix claims, or all of `bytes` when they end inside it (a
+/// torn tail).
+fn frame_len(bytes: &[u8]) -> usize {
+    if bytes.len() < 8 {
+        return bytes.len();
+    }
+    let len = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize;
+    (8 + len).min(bytes.len())
 }
 
 /// What one sync does.
 enum Work {
     /// Appends the in-flight bytes to the log and syncs them.
     Commit,
-    /// Installs a snapshot at `index`, rendered from `image`, and keeps
-    /// the log's bytes from offset `cut` on (see [`DiskInner::trimmed`]).
+    /// Installs a snapshot at `index`, rendered from `image`, and drops
+    /// the log below offset `cut` (see [`DiskInner::trimmed`]).
     /// `behind`: the in-flight tail is committed to the log first and the
     /// sync reports then, while the image is written behind it; otherwise
-    /// the snapshot stands in for the tail and the sync reports once it is
-    /// installed.
+    /// the snapshot is installed first — it stands in for the tail, which
+    /// it covers — and the sync reports once both are durable.
     Checkpoint {
         index: i64,
         cut: usize,
@@ -135,9 +286,14 @@ struct Job {
     done: Option<Done>,
 }
 
-/// A snapshot image written behind the commits: `(index, cut, image)` of
-/// a [`Work::Checkpoint`] whose tail is already in the log.
-type Behind = (i64, usize, Image);
+/// The image writer's work.
+enum Task {
+    /// `(index, cut, image)` of a [`Work::Checkpoint`] whose tail is
+    /// already in the log.
+    Image(i64, usize, Image),
+    /// Prepare this segment id as the spare.
+    Spare(u64),
+}
 
 struct DiskInner {
     backend: Backend,
@@ -158,7 +314,8 @@ struct DiskInner {
     snapshot: Option<(i64, Bytes)>,
     fsync_cost: Duration,
     syncs: u64,
-    /// A sync is in flight (at most one is).
+    /// A sync, or a repair of the log on a quiet disk, is running (at
+    /// most one is).
     busy: bool,
     /// A snapshot image is being written behind the commits (at most one
     /// is).
@@ -171,78 +328,63 @@ struct DiskInner {
 }
 
 impl DiskInner {
-    fn dir(&self) -> Option<PathBuf> {
-        match &self.backend {
-            Backend::File { dir } => Some(dir.clone()),
+    fn segments(&mut self) -> Option<&mut Segments> {
+        match &mut self.backend {
+            Backend::File(s) => Some(s),
             _ => None,
         }
     }
-}
 
-/// Zero bytes the file backend keeps written ahead of the log's end.
-const LOG_AHEAD: usize = 256 * 1024;
-static ZEROS: [u8; LOG_AHEAD] = [0; LOG_AHEAD];
-
-/// The open log file. Its length runs [`LOG_AHEAD`] zero bytes past the
-/// last record, so a commit overwrites blocks the file already has and
-/// `sync_data` flushes the records alone: the file's size and allocation
-/// stay as they were, and the sync waits for no filesystem journal
-/// commit. Recovery reads the zeros as the end of the log.
-struct LogFile {
-    file: std::fs::File,
-    /// Bytes the file holds, records and zeros.
-    len: usize,
-}
-
-impl LogFile {
-    fn open(dir: &Path) -> LogFile {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(dir.join(LOG_FILE))
-            .expect("wal log open");
-        let len = file.metadata().expect("wal log size").len() as usize;
-        LogFile { file, len }
+    /// Log offset one past the last synced byte.
+    fn end(&self) -> usize {
+        self.trimmed + self.synced.len()
     }
 
-    /// Writes `bytes` at log offset `at` and makes them durable.
-    fn commit(&mut self, at: usize, bytes: &[u8]) -> std::io::Result<()> {
-        self.file.write_all_at(bytes, at as u64)?;
-        let end = at + bytes.len();
-        if end <= self.len {
-            return self.file.sync_data();
-        }
-        // Past the zeros: write the next stretch of them, and sync the
-        // file's new size with the records.
-        self.file.write_all_at(&ZEROS, end as u64)?;
-        self.len = end + LOG_AHEAD;
-        self.file.sync_all()
+    /// Work the image writer owes: an image or a spare.
+    fn writer_owes(&self) -> bool {
+        let preparing = match &self.backend {
+            Backend::File(s) => s.preparing > 0,
+            _ => false,
+        };
+        self.imaging || preparing
     }
 }
 
 struct Shared {
-    /// The log file, kept open between commits and dropped whenever the
-    /// file is replaced. Whoever writes the log holds this lock for the
-    /// whole write — taken before `state`, never after it.
-    log: Mutex<Option<LogFile>>,
     state: Mutex<DiskInner>,
-    /// Signalled whenever a sync completes or an image is installed.
+    /// Signalled whenever a sync completes, an image is installed or a
+    /// spare prepared.
     changed: Condvar,
+    /// The image writer's queue, while it runs.
+    tasks: Mutex<Option<mpsc::Sender<Task>>>,
 }
 
 impl Shared {
-    /// Rewrites the whole log file from the synced bytes (recovery and
-    /// test paths, on a quiet disk; the hot commit path writes over the
-    /// zeros ahead of the log instead).
-    fn rewrite_log(&self, log: &mut Option<LogFile>, d: &DiskInner) {
-        if let Some(dir) = d.dir() {
-            *log = None;
-            let path = dir.join(LOG_FILE);
-            std::fs::write(&path, &d.synced).expect("wal log write");
-            if let Ok(f) = std::fs::File::open(&path) {
-                let _ = f.sync_all();
-            }
+    /// Queues `task` for the image writer; gives it back when there is
+    /// none.
+    fn ask(&self, task: Task) -> Result<(), Task> {
+        match &*self.tasks.lock() {
+            Some(tx) => tx.send(task).map_err(|e| e.0),
+            None => Err(task),
+        }
+    }
+
+    /// Once the current segment is half full, asks the image writer to
+    /// prepare the next one as the spare, unless one is asked for or
+    /// ready: early enough that the syncer finds it ready, and not before
+    /// a log needs it.
+    fn ask_spare(&self, d: &mut DiskInner) {
+        let Some(s) = d.segments() else { return };
+        let half_full = s.open.as_ref().is_some_and(|f| f.used >= SEGMENT / 2);
+        if s.spare != Spare::None || !half_full {
+            return;
+        }
+        let id = s.chain.back().map_or(0, |c| c.0) + 1;
+        s.spare = Spare::Asked(id);
+        s.preparing += 1;
+        if self.ask(Task::Spare(id)).is_err() {
+            s.spare = Spare::None;
+            s.preparing -= 1;
         }
     }
 }
@@ -250,10 +392,11 @@ impl Shared {
 /// Every file-backed disk open in the process, with its storage root.
 static FILE_DISKS: Mutex<Vec<(PathBuf, Weak<Shared>)>> = Mutex::new(Vec::new());
 
-/// Waits until no disk still open under `root` has a sync or a snapshot
-/// image in flight, or until its worker died. A substrate calls it before
-/// removing `root`, once nothing can hand its disks new work: a disk the
-/// harness keeps may still be writing there on its own threads.
+/// Waits until no disk still open under `root` has a sync, a snapshot
+/// image or a spare segment in flight, or until its worker died. A
+/// substrate calls it before removing `root`, once nothing can hand its
+/// disks new work: a disk the harness keeps may still be writing there on
+/// its own threads.
 pub fn settle_disks(root: &Path) {
     let open: Vec<Arc<Shared>> = FILE_DISKS
         .lock()
@@ -263,7 +406,7 @@ pub fn settle_disks(root: &Path) {
         .collect();
     for shared in open {
         let mut d = shared.state.lock();
-        while (d.busy || d.imaging) && !d.stopped {
+        while (d.busy || d.writer_owes()) && !d.stopped {
             shared.changed.wait(&mut d);
         }
     }
@@ -271,32 +414,119 @@ pub fn settle_disks(root: &Path) {
 
 /// Appends the in-flight bytes to the log and makes them durable.
 fn commit(shared: &Shared) {
-    let mut log = shared.log.lock();
-    let d = shared.state.lock();
-    let tail = d.in_flight.clone();
-    let (dir, at) = (d.dir(), d.synced.len());
-    drop(d);
-    if let Some(dir) = dir {
-        log.get_or_insert_with(|| LogFile::open(&dir))
-            .commit(at, &tail)
-            .expect("wal log append");
-    }
+    let (tail, at) = {
+        let d = shared.state.lock();
+        (d.in_flight.clone(), d.end())
+    };
+    write_log(shared, at, &tail).expect("wal log append");
     let mut d = shared.state.lock();
     d.synced.extend_from_slice(&tail);
     d.in_flight.clear();
 }
 
-/// Installs the snapshot `image` renders as covering `index`, then cuts
-/// the log at offset `cut`, keeping the bytes after it verbatim. With
-/// `with_tail` the in-flight bytes count as part of the log (a snapshot
-/// that stands in for the tail it covers).
-fn install(shared: &Shared, index: i64, cut: usize, image: Image, with_tail: bool) {
+/// Writes `bytes` — whole frames, but for a torn last one — to the file
+/// backend's segments at log offset `at`, a segment at a time: each part
+/// is synced before the next segment is written. Holds no lock while it
+/// writes: the current segment is out of the disk meanwhile.
+fn write_log(shared: &Shared, at: usize, bytes: &[u8]) -> std::io::Result<()> {
+    let mut seg = match shared.state.lock().segments() {
+        Some(s) => s.open.take(),
+        None => return Ok(()),
+    };
+    let (mut run, mut i) = (0, 0);
+    while i < bytes.len() {
+        let len = frame_len(&bytes[i..]);
+        // A frame goes into the open segment if it fits, or if it would
+        // be the segment's first (a record longer than a segment).
+        let fits = seg.as_ref().is_some_and(|s| {
+            let pending = s.used + (i - run);
+            pending == 0 || pending + len <= SEGMENT
+        });
+        if !fits {
+            if let Some(s) = seg.as_mut() {
+                s.write(&bytes[run..i])?;
+            }
+            seg = Some(next_segment(shared, at + i)?);
+            run = i;
+        }
+        i += len;
+    }
+    if let Some(s) = seg.as_mut() {
+        s.write(&bytes[run..])?;
+    }
+    let mut d = shared.state.lock();
+    if let Some(s) = d.segments() {
+        s.open = seg;
+    }
+    shared.ask_spare(&mut d);
+    Ok(())
+}
+
+/// Moves the log to a new segment starting at log offset `start`: the
+/// spare if it is ready, else one prepared here (skipping a spare still
+/// being prepared, which the image writer then removes).
+fn next_segment(shared: &Shared, start: usize) -> std::io::Result<SegFile> {
+    let (dir, id, ready) = {
+        let mut d = shared.state.lock();
+        let s = d.segments().expect("segments on the file backend");
+        let last = s.chain.back().map_or(0, |c| c.0);
+        let next = match s.spare {
+            Spare::Ready(id) => (id, true),
+            Spare::Asked(id) => (id + 1, false),
+            Spare::None => (last + 1, false),
+        };
+        s.spare = Spare::None;
+        (s.dir.clone(), next.0, next.1)
+    };
+    if !ready {
+        prepare_segment(&dir, id)?;
+    }
+    let file = SegFile::open(&dir, id, 0)?;
+    let mut d = shared.state.lock();
+    d.segments()
+        .expect("segments on the file backend")
+        .chain
+        .push_back((id, start));
+    Ok(file)
+}
+
+/// The image writer's half of a spare: prepares segment `id`, then offers
+/// it — or removes it, when the syncer moved past it meanwhile.
+fn prepare_spare(shared: &Shared, id: u64) {
+    let dir = {
+        let mut d = shared.state.lock();
+        d.segments()
+            .expect("spares on the file backend")
+            .dir
+            .clone()
+    };
+    prepare_segment(&dir, id).expect("wal spare segment");
+    let wanted = {
+        let mut d = shared.state.lock();
+        let s = d.segments().expect("spares on the file backend");
+        let wanted = s.spare == Spare::Asked(id);
+        if wanted {
+            s.spare = Spare::Ready(id);
+        }
+        wanted
+    };
+    if !wanted {
+        let _ = std::fs::remove_file(seg_path(&dir, id));
+    }
+    if let Some(s) = shared.state.lock().segments() {
+        s.preparing -= 1;
+    }
+    shared.changed.notify_all();
+}
+
+/// Installs the snapshot `image` renders as covering `index`, then drops
+/// the log below offset `cut`: the in-memory copy is trimmed, and every
+/// segment wholly below the cut unlinked. No log byte is copied.
+fn install(shared: &Shared, index: i64, cut: usize, image: Image) {
     let (dir, size) = {
-        let d = shared.state.lock();
-        (
-            d.dir(),
-            d.snapshot.as_ref().map_or(0, |(_, blob)| blob.len()),
-        )
+        let mut d = shared.state.lock();
+        let size = d.snapshot.as_ref().map_or(0, |(_, blob)| blob.len());
+        (d.segments().map(|s| s.dir.clone()), size)
     };
     // The file's bytes, rendered in place into one buffer sized like the
     // previous image; the in-memory blob is a view of the same buffer.
@@ -308,41 +538,58 @@ fn install(shared: &Shared, index: i64, cut: usize, image: Image, with_tail: boo
     let blob = file.slice(SNAP_HEAD..);
     if let Some(dir) = &dir {
         install_synced(dir, SNAP_TMP, SNAP_FILE, &[&file]).expect("snapshot install");
-        // Until the log is cut below, recovery skips the records the
-        // snapshot covers by index.
-        sync_dir(dir);
-    }
-    let mut log = shared.log.lock();
-    let mut d = shared.state.lock();
-    let mut keep = std::mem::take(&mut d.synced);
-    if with_tail {
-        keep.append(&mut d.in_flight);
-    }
-    keep.drain(..(cut - d.trimmed).min(keep.len()));
-    drop(d);
-    if let Some(dir) = &dir {
-        *log = None; // the rename replaces the file
-        install_synced(dir, LOG_TMP, LOG_FILE, &[&keep, &ZEROS]).expect("log install");
-        sync_dir(dir);
+        // Until the segments below the cut are unlinked, recovery skips
+        // the records the snapshot covers by index.
+        sync_dir(dir).expect("wal dir sync");
     }
     let mut d = shared.state.lock();
     d.snapshot = Some((index, blob));
-    d.synced = keep;
-    d.trimmed = cut;
+    // A snapshot standing in for the tail cuts past the synced log.
+    let n = cut.saturating_sub(d.trimmed).min(d.synced.len());
+    d.synced.drain(..n);
+    d.trimmed += n;
+    let mut dead = Vec::new();
+    if let Some(s) = d.segments() {
+        while s.chain.len() > 1 && s.chain[1].1 <= cut {
+            dead.extend(s.chain.pop_front().map(|c| c.0));
+        }
+    }
+    drop(d);
+    if let Some(dir) = &dir {
+        for id in dead {
+            let _ = std::fs::remove_file(seg_path(dir, id));
+        }
+    }
 }
 
-/// Makes renames inside `dir` durable: without this a power cut could
-/// bring back the old names over the new files.
-fn sync_dir(dir: &Path) {
-    std::fs::File::open(dir)
-        .and_then(|d| d.sync_all())
-        .expect("wal dir sync");
+/// Unlinks the segments `ids` and makes that durable.
+fn unlink_segments(dir: &Path, ids: &[u64]) -> std::io::Result<()> {
+    if ids.is_empty() {
+        return Ok(());
+    }
+    for &id in ids {
+        std::fs::remove_file(seg_path(dir, id))?;
+    }
+    sync_dir(dir)
+}
+
+/// Makes renames, creations and unlinks inside `dir` durable: without
+/// this a power cut could bring back the old names over the new files.
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    std::fs::File::open(dir).and_then(|d| d.sync_all())
 }
 
 /// Runs one sync to completion, then calls its `done`. A checkpoint's
-/// image goes to `behind` when the disk has an image writer, else it is
+/// image goes to the image writer when the disk has one, else it is
 /// written here, before the report.
-fn run(shared: &Shared, job: Job, behind: Option<&mpsc::Sender<Behind>>) {
+fn run(shared: &Shared, job: Job) {
+    let wait_for_image = || {
+        let mut d = shared.state.lock();
+        while d.imaging {
+            shared.changed.wait(&mut d);
+        }
+        d
+    };
     match job.work {
         Work::Commit => commit(shared),
         Work::Checkpoint {
@@ -352,29 +599,20 @@ fn run(shared: &Shared, job: Job, behind: Option<&mpsc::Sender<Behind>>) {
             behind: true,
         } => {
             commit(shared);
-            match behind {
-                Some(tx) => {
-                    let mut d = shared.state.lock();
-                    while d.imaging {
-                        shared.changed.wait(&mut d);
-                    }
-                    d.imaging = true;
-                    drop(d);
-                    tx.send((index, cut, image))
-                        .expect("wal image writer alive");
-                }
-                None => install(shared, index, cut, image, false),
+            wait_for_image().imaging = true;
+            if let Err(Task::Image(index, cut, image)) = shared.ask(Task::Image(index, cut, image))
+            {
+                install(shared, index, cut, image);
+                shared.state.lock().imaging = false;
             }
         }
         Work::Checkpoint {
             index, cut, image, ..
         } => {
-            let mut d = shared.state.lock();
-            while d.imaging {
-                shared.changed.wait(&mut d);
-            }
-            drop(d);
-            install(shared, index, cut, image, true);
+            drop(wait_for_image());
+            install(shared, index, cut, image);
+            // The tail is at or below `index`: recovery skips it.
+            commit(shared);
         }
     }
     let mut d = shared.state.lock();
@@ -389,17 +627,20 @@ fn run(shared: &Shared, job: Job, behind: Option<&mpsc::Sender<Behind>>) {
 
 /// The file backend's worker threads: the syncer runs the syncs handed
 /// off, in FIFO order; the image writer writes the snapshot images of
-/// checkpoints behind them, at idle priority. Dropping the last handle
-/// stops both after the work already queued.
+/// checkpoints behind them and prepares spare segments, at idle priority.
+/// Dropping the last handle stops both after the work already queued.
 struct Workers {
+    shared: Arc<Shared>,
     jobs: Option<mpsc::Sender<Job>>,
-    threads: Vec<JoinHandle<()>>,
+    syncer: Option<JoinHandle<()>>,
+    writer: Option<JoinHandle<()>>,
 }
 
 impl Workers {
     fn spawn(shared: &Arc<Shared>, name: &str) -> Workers {
         let (jobs, job_rx) = mpsc::channel::<Job>();
-        let (images, image_rx) = mpsc::channel::<Behind>();
+        let (tasks, task_rx) = mpsc::channel::<Task>();
+        *shared.tasks.lock() = Some(tasks);
         let spawn = |what: &str, body: Box<dyn FnOnce() + Send>| {
             let exit = Exit(shared.clone());
             std::thread::Builder::new()
@@ -416,7 +657,7 @@ impl Workers {
                 "sync",
                 Box::new(move || {
                     for job in job_rx {
-                        run(&shared, job, Some(&images));
+                        run(&shared, job);
                     }
                 }),
             )
@@ -427,17 +668,24 @@ impl Workers {
                 "image",
                 Box::new(move || {
                     run_at_idle_priority();
-                    for (index, cut, image) in image_rx {
-                        install(&shared, index, cut, image, false);
-                        shared.state.lock().imaging = false;
-                        shared.changed.notify_all();
+                    for task in task_rx {
+                        match task {
+                            Task::Image(index, cut, image) => {
+                                install(&shared, index, cut, image);
+                                shared.state.lock().imaging = false;
+                                shared.changed.notify_all();
+                            }
+                            Task::Spare(id) => prepare_spare(&shared, id),
+                        }
                     }
                 }),
             )
         };
         Workers {
+            shared: shared.clone(),
             jobs: Some(jobs),
-            threads: vec![syncer, writer],
+            syncer: Some(syncer),
+            writer: Some(writer),
         }
     }
 }
@@ -478,13 +726,18 @@ impl Drop for Exit {
 
 impl Drop for Workers {
     fn drop(&mut self) {
-        // The syncer exits first and drops the image writer's sender.
+        // The syncer finishes its queue first, handing the image writer
+        // what it owes; then the writer's queue closes.
         self.jobs.take();
-        for t in self.threads.drain(..) {
-            if t.thread().id() != std::thread::current().id() {
+        let me = std::thread::current().id();
+        let join = |t: Option<JoinHandle<()>>| {
+            if let Some(t) = t.filter(|t| t.thread().id() != me) {
                 let _ = t.join();
             }
-        }
+        };
+        join(self.syncer.take());
+        self.shared.tasks.lock().take();
+        join(self.writer.take());
     }
 }
 
@@ -499,24 +752,82 @@ pub struct Disk {
     workers: Option<Arc<Workers>>,
 }
 
+/// Reads `dir`'s segments back — the log's valid bytes and the segments
+/// they came from — (see the crate doc, *Crash model*),
+/// repairing the files: the first segment with anything but zeros past
+/// its valid prefix ends the log — every later segment is unlinked, then
+/// its tail zeroed, in that order, so a cut during the repair cannot
+/// leave a clean end in front of segments it was to remove — and the last
+/// segment is filled out to [`SEGMENT`] zeros if a cut left it short. A
+/// log without segments gets its first one here, so the first commit
+/// finds it prepared.
+fn read_segments(dir: &Path) -> std::io::Result<(Vec<u8>, Segments)> {
+    let mut synced = Vec::new();
+    let mut chain = VecDeque::new();
+    let mut last = i64::MIN;
+    let (mut used, mut dirty) = (0, false);
+    let ids = seg_ids(dir);
+    let mut ended = ids.len();
+    for (k, &id) in ids.iter().enumerate() {
+        let raw = std::fs::read(seg_path(dir, id))?;
+        let valid = walk(&raw, &mut last, |_, _, _| {});
+        chain.push_back((id, synced.len()));
+        synced.extend_from_slice(&raw[..valid]);
+        used = valid;
+        if raw[valid..].iter().any(|b| *b != 0) {
+            (ended, dirty) = (k + 1, true);
+            break;
+        }
+    }
+    unlink_segments(dir, &ids[ended..])?;
+    if chain.is_empty() {
+        prepare_segment(dir, 1)?;
+        chain.push_back((1, 0));
+    }
+    let open = match chain.back() {
+        Some(&(id, _)) => {
+            let seg = SegFile::open(dir, id, used)?;
+            let from = if dirty { used } else { seg.len };
+            if from < seg.len.max(SEGMENT) {
+                zero_fill(&seg.file, from, seg.len.max(SEGMENT))?;
+            }
+            Some(SegFile {
+                len: seg.len.max(SEGMENT),
+                ..seg
+            })
+        }
+        None => None,
+    };
+    let segments = Segments {
+        dir: dir.to_path_buf(),
+        chain,
+        open,
+        spare: Spare::None,
+        preparing: 0,
+    };
+    Ok((synced, segments))
+}
+
 impl Disk {
     /// Opens (or re-opens) the disk named `name` under the runtime's
     /// storage mode. `fsync_cost` is the modeled duration one sync charges
     /// on the virtual backend (the file backend pays real time instead,
-    /// and charges zero). A file-backed disk starts its syncer thread and
-    /// its image writer.
+    /// and charges zero). A file-backed disk reads its segments back (an
+    /// empty one prepares its first), and starts its syncer thread and its
+    /// image writer.
     pub fn open(mode: &StorageMode, name: &str, fsync_cost: Duration) -> Disk {
         match mode {
             StorageMode::Virtual => Disk::new(Backend::Mem, Vec::new(), None, fsync_cost),
             StorageMode::File { root } => {
                 let dir = root.join(name);
                 std::fs::create_dir_all(&dir).expect("wal dir");
-                let synced = std::fs::read(dir.join(LOG_FILE)).unwrap_or_default();
+                let (synced, segments) = read_segments(&dir).expect("wal log read");
                 let snapshot = std::fs::read(dir.join(SNAP_FILE))
                     .ok()
                     .and_then(|raw| decode_snapshot_file(&raw));
-                let mut disk = Disk::new(Backend::File { dir }, synced, snapshot, Duration::ZERO);
+                let mut disk = Disk::new(Backend::File(segments), synced, snapshot, Duration::ZERO);
                 disk.workers = Some(Arc::new(Workers::spawn(&disk.shared, name)));
+                disk.shared.ask_spare(&mut disk.shared.state.lock());
                 let mut disks = FILE_DISKS.lock();
                 disks.retain(|(_, d)| d.strong_count() > 0);
                 disks.push((root.clone(), Arc::downgrade(&disk.shared)));
@@ -547,9 +858,9 @@ impl Disk {
         };
         Disk {
             shared: Arc::new(Shared {
-                log: Mutex::new(None),
                 state: Mutex::new(inner),
                 changed: Condvar::new(),
+                tasks: Mutex::new(None),
             }),
             workers: None,
         }
@@ -608,7 +919,7 @@ impl Disk {
         let job = self.shared.state.lock().deferred.take();
         match job {
             Some(job) => {
-                run(&self.shared, job, None);
+                run(&self.shared, job);
                 true
             }
             None => false,
@@ -629,33 +940,49 @@ impl Disk {
         self.shared.state.lock().imaging
     }
 
-    /// The disk's locks once nothing is in flight: no sync, no image.
-    fn quiet(&self) -> (MutexGuard<'_, Option<LogFile>>, MutexGuard<'_, DiskInner>) {
+    /// Bytes of the installed snapshot's blob; 0 without one.
+    pub fn image_len(&self) -> usize {
+        let d = self.shared.state.lock();
+        d.snapshot.as_ref().map_or(0, |(_, blob)| blob.len())
+    }
+
+    /// The disk's state once no sync and no image is in flight — and,
+    /// with `spares`, no spare segment either — marked busy, so no sync
+    /// starts until the caller clears the mark. A worker that died owes
+    /// nothing more.
+    fn quiet(&self, spares: bool) -> MutexGuard<'_, DiskInner> {
+        let mut d = self.shared.state.lock();
         loop {
-            let log = self.shared.log.lock();
-            let mut d = self.shared.state.lock();
-            if !d.busy && !d.imaging {
-                return (log, d);
+            let owes = if spares { d.writer_owes() } else { d.imaging };
+            if !d.busy && (!owes || d.stopped) {
+                d.busy = true;
+                return d;
             }
             assert!(
                 d.deferred.is_none(),
                 "a deferred disk's sync completes through `complete_next`"
             );
-            drop(log);
             self.shared.changed.wait(&mut d);
         }
+    }
+
+    /// Runs `repair` on a quiet disk ([`Disk::quiet`], spares included) as
+    /// its only writer, then lets syncs run again.
+    fn repair(&self, repair: impl FnOnce(&Shared, MutexGuard<'_, DiskInner>)) {
+        repair(&self.shared, self.quiet(true));
+        self.shared.state.lock().busy = false;
+        self.shared.changed.notify_all();
     }
 
     /// Runs `work` on the calling thread, image included; returns the
     /// modeled cost.
     fn sync_inline(&self, work: Work) -> Duration {
         let cost = {
-            let (_log, mut d) = self.quiet();
+            let mut d = self.quiet(false);
             d.in_flight = std::mem::take(&mut d.unsynced);
-            d.busy = true;
             d.fsync_cost
         };
-        run(&self.shared, Job { work, done: None }, None);
+        run(&self.shared, Job { work, done: None });
         cost
     }
 
@@ -672,7 +999,7 @@ impl Disk {
             done: Some(done),
         };
         match &d.backend {
-            Backend::File { .. } => {
+            Backend::File(_) => {
                 drop(d);
                 let workers = self
                     .workers
@@ -694,7 +1021,7 @@ impl Disk {
             }
             Backend::Mem => {
                 drop(d);
-                run(&self.shared, job, None);
+                run(&self.shared, job);
             }
         }
     }
@@ -714,36 +1041,47 @@ impl Disk {
                 d.busy = false;
             }
         }
-        let (mut log, mut d) = self.quiet();
-        let mut tail = std::mem::take(&mut d.in_flight);
-        tail.append(&mut d.unsynced);
-        if tail.is_empty() {
-            return;
-        }
-        let h = mix64(seed);
-        let keep = (h % (tail.len() as u64 + 1)) as usize;
-        tail.truncate(keep);
-        // One run in four also flips a bit inside the kept prefix.
-        if keep > 0 && (h >> 32) & 3 == 0 {
-            let bit = ((h >> 34) % (keep as u64 * 8)) as usize;
-            tail[bit / 8] ^= 1 << (bit % 8);
-        }
-        d.synced.extend_from_slice(&tail);
-        self.shared.rewrite_log(&mut log, &d);
+        self.repair(|shared, mut d| {
+            let mut tail = std::mem::take(&mut d.in_flight);
+            tail.append(&mut d.unsynced);
+            if tail.is_empty() {
+                return;
+            }
+            let h = mix64(seed);
+            let keep = (h % (tail.len() as u64 + 1)) as usize;
+            tail.truncate(keep);
+            // One run in four also flips a bit inside the kept prefix.
+            if keep > 0 && (h >> 32) & 3 == 0 {
+                let bit = ((h >> 34) % (keep as u64 * 8)) as usize;
+                tail[bit / 8] ^= 1 << (bit % 8);
+            }
+            let at = d.end();
+            d.synced.extend_from_slice(&tail);
+            drop(d);
+            write_log(shared, at, &tail).expect("wal log tear");
+        });
     }
 
     /// Drops everything — the disk itself was lost (the amnesia restart
-    /// kind). Present so harnesses can model disk loss explicitly.
+    /// kind). Present so harnesses can model disk loss explicitly. On the
+    /// file backend every segment goes, and the snapshot.
     pub fn wipe(&self) {
-        let (mut log, mut d) = self.quiet();
-        d.synced.clear();
-        d.unsynced.clear();
-        d.snapshot = None;
-        *log = None;
-        if let Some(dir) = d.dir() {
-            let _ = std::fs::remove_file(dir.join(LOG_FILE));
+        self.repair(|_, mut d| {
+            d.synced.clear();
+            d.unsynced.clear();
+            d.trimmed = 0;
+            d.snapshot = None;
+            let Some(s) = d.segments() else { return };
+            s.chain.clear();
+            s.open = None;
+            s.spare = Spare::None;
+            let dir = s.dir.clone();
+            drop(d);
+            for id in seg_ids(&dir) {
+                let _ = std::fs::remove_file(seg_path(&dir, id));
+            }
             let _ = std::fs::remove_file(dir.join(SNAP_FILE));
-        }
+        });
     }
 
     /// Number of syncs completed (group-commit accounting).
@@ -751,28 +1089,71 @@ impl Disk {
         self.shared.state.lock().syncs
     }
 
-    /// Bytes in the synced log (test observability).
+    /// Bytes in the synced log, over every segment (test observability).
     pub fn synced_len(&self) -> usize {
         self.shared.state.lock().synced.len()
     }
 
-    /// Test hook: corrupt the synced log by truncating it to `len` bytes.
+    /// Test hook: corrupt the synced log by truncating it to `len` bytes
+    /// (the segment holding the cut is zeroed past it, later ones
+    /// unlinked).
     pub fn truncate_synced(&self, len: usize) {
-        let (mut log, mut d) = self.quiet();
-        let n = len.min(d.synced.len());
-        d.synced.truncate(n);
-        self.shared.rewrite_log(&mut log, &d);
+        self.repair(|shared, d| cut_log(shared, d, len));
     }
 
-    /// Test hook: flip one bit of the synced log.
+    /// Test hook: flip one bit of the synced log, in whichever segment
+    /// holds it.
     pub fn flip_bit(&self, bit: usize) {
-        let (mut log, mut d) = self.quiet();
-        if d.synced.is_empty() {
-            return;
-        }
-        let bit = bit % (d.synced.len() * 8);
-        d.synced[bit / 8] ^= 1 << (bit % 8);
-        self.shared.rewrite_log(&mut log, &d);
+        self.repair(|_, mut d| {
+            if d.synced.is_empty() {
+                return;
+            }
+            let bit = bit % (d.synced.len() * 8);
+            d.synced[bit / 8] ^= 1 << (bit % 8);
+            let (at, byte) = (d.trimmed + bit / 8, d.synced[bit / 8]);
+            let Some(s) = d.segments() else { return };
+            let &(id, start) = s
+                .chain
+                .iter()
+                .rev()
+                .find(|c| c.1 <= at)
+                .expect("a segment holds every synced byte");
+            let dir = s.dir.clone();
+            drop(d);
+            let file = std::fs::OpenOptions::new()
+                .write(true)
+                .open(seg_path(&dir, id))
+                .expect("wal segment open");
+            file.write_all_at(&[byte], (at - start) as u64)
+                .and_then(|_| file.sync_data())
+                .expect("wal bit flip");
+        });
+    }
+}
+
+/// Cuts the synced log back to its first `len` bytes, on a quiet disk:
+/// the segment holding the new end is zeroed from there, and every later
+/// one unlinked.
+fn cut_log(shared: &Shared, mut d: MutexGuard<'_, DiskInner>, len: usize) {
+    let len = len.min(d.synced.len());
+    d.synced.truncate(len);
+    let end = d.end();
+    let Some(s) = d.segments() else { return };
+    let mut dead = Vec::new();
+    while s.chain.back().is_some_and(|c| c.1 > end) {
+        dead.extend(s.chain.pop_back().map(|c| c.0));
+    }
+    let Some(&(id, start)) = s.chain.back() else {
+        return;
+    };
+    s.open = None;
+    let dir = s.dir.clone();
+    drop(d);
+    unlink_segments(&dir, &dead).expect("wal log cut");
+    let seg = SegFile::open(&dir, id, end - start).expect("wal segment open");
+    zero_fill(&seg.file, seg.used, seg.len).expect("wal log cut");
+    if let Some(s) = shared.state.lock().segments() {
+        s.open = Some(seg);
     }
 }
 
@@ -846,7 +1227,7 @@ impl Recovered {
 /// covered by the snapshot).
 pub fn scan_log(log: &[u8], floor: i64) -> Vec<(i64, Value)> {
     let mut out = Vec::new();
-    walk(log, |index, body, _| {
+    walk(log, &mut { i64::MIN }, |index, body, _| {
         if index > floor {
             out.push((index, body.clone()));
         }
@@ -854,12 +1235,12 @@ pub fn scan_log(log: &[u8], floor: i64) -> Vec<(i64, Value)> {
     out
 }
 
-/// Walks the longest valid record prefix of `log`, calling `visit` with
-/// each record's index, body and frame length; returns the prefix's byte
-/// length.
-fn walk(log: &[u8], mut visit: impl FnMut(i64, &Value, usize)) -> usize {
+/// Walks the longest valid record prefix of `log` whose indexes follow
+/// `last` (`i64::MIN`: any), calling `visit` with each record's index, body
+/// and frame length; returns the prefix's byte length and leaves `last` at
+/// its last index.
+fn walk(log: &[u8], last: &mut i64, mut visit: impl FnMut(i64, &Value, usize)) -> usize {
     let mut at = 0usize;
-    let mut last = i64::MIN;
     while log.len() - at >= 8 {
         let len = u32::from_le_bytes([log[at], log[at + 1], log[at + 2], log[at + 3]]) as usize;
         let sum = u32::from_le_bytes([log[at + 4], log[at + 5], log[at + 6], log[at + 7]]);
@@ -879,10 +1260,10 @@ fn walk(log: &[u8], mut visit: impl FnMut(i64, &Value, usize)) -> usize {
         }
         let Value::Pair(p) = &value else { break };
         let Value::Int(index) = p.0 else { break };
-        if index <= last && last != i64::MIN {
+        if index <= *last && *last != i64::MIN {
             break; // index regression: corruption that still decoded
         }
-        last = index;
+        *last = index;
         visit(index, &p.1, 8 + len);
         at += 8 + len;
     }
@@ -905,6 +1286,8 @@ pub struct Wal {
     frames: VecDeque<(i64, usize)>,
     /// Log offset of the first frame in `frames`.
     start: usize,
+    /// Bytes of the frames in `frames`: the log above the last cut.
+    above: usize,
 }
 
 impl Clone for Wal {
@@ -925,19 +1308,16 @@ impl Wal {
     /// next recovery scan.
     pub fn open(disk: Disk) -> Wal {
         let mut frames = VecDeque::new();
-        let start = {
+        let (valid, len, start) = {
             let d = disk.shared.state.lock();
-            let valid = walk(&d.synced, |index, _, len| frames.push_back((index, len)));
-            if valid < d.synced.len() {
-                drop(d);
-                let (mut log, mut d) = disk.quiet();
-                d.synced.truncate(valid);
-                disk.shared.rewrite_log(&mut log, &d);
-                d.trimmed
-            } else {
-                d.trimmed
-            }
+            let valid = walk(&d.synced, &mut { i64::MIN }, |index, _, len| {
+                frames.push_back((index, len))
+            });
+            (valid, d.synced.len(), d.trimmed)
         };
+        if valid < len {
+            disk.repair(|shared, d| cut_log(shared, d, valid));
+        }
         Wal {
             disk,
             scratch: BytesMut::new(),
@@ -945,6 +1325,7 @@ impl Wal {
             generation: GENERATIONS.fetch_add(1, Ordering::Relaxed),
             frames,
             start,
+            above: valid,
         }
     }
 
@@ -975,12 +1356,19 @@ impl Wal {
             .extend_from_slice(&checksum(&self.scratch).to_le_bytes());
         d.unsynced.extend_from_slice(&self.scratch);
         self.frames.push_back((index, 8 + self.scratch.len()));
+        self.above += 8 + self.scratch.len();
         self.pending += 1;
     }
 
     /// Records appended since the last sync was started.
     pub fn pending(&self) -> u64 {
         self.pending
+    }
+
+    /// Bytes of log appended above the last checkpoint's cut, synced or
+    /// not: what a recovery would replay on top of the snapshot.
+    pub fn log_len(&self) -> usize {
+        self.above
     }
 
     /// Group commit on the caller's thread: promotes the whole unsynced
@@ -1003,14 +1391,14 @@ impl Wal {
         self.disk.sync_off_thread(Work::Commit, Box::new(done));
     }
 
-    /// Installs a snapshot covering everything through `index` and
-    /// truncates the log to the records above it, kept byte for byte. The
+    /// Installs a snapshot covering everything through `index` and drops
+    /// the log below the records above it, which stay where they are. The
     /// snapshot stands in for the unsynced tail at or below `index`. On
     /// the file backend the snapshot lands via write-tmp + fsync + atomic
-    /// rename, then the log is rewritten the same way and the directory
-    /// synced — a crash between the two renames leaves the new snapshot
-    /// with stale low records, which recovery skips by index. Returns the
-    /// modeled cost (one sync).
+    /// rename and a directory sync, then the tail is committed behind it
+    /// and the segments below the cut are unlinked — a crash in between
+    /// leaves the new snapshot with stale low records, which recovery
+    /// skips by index. Returns the modeled cost (one sync).
     pub fn save_snapshot(&mut self, index: i64, blob: &Value) -> Duration {
         let blob = blob.clone();
         self.save_image(index, move |buf| encode_value(&blob, buf))
@@ -1042,11 +1430,11 @@ impl Wal {
     /// A checkpoint that never holds up a commit: the syncer commits the
     /// unsynced tail as [`Wal::hand_off`] does and calls `done` then; the
     /// snapshot through `index` is rendered from `image` and installed
-    /// behind it (on the file backend by a thread of its own, while later
-    /// syncs proceed), and the log truncated to the records above `index`.
-    /// At most one image is in flight per disk: a checkpoint handed off
-    /// while the previous image is still being written waits for it, on
-    /// the syncer — ask [`Disk::image_in_flight`] first.
+    /// behind it (on the file backend by the image writer, while later
+    /// syncs proceed), and the log below the records above `index`
+    /// dropped. At most one image is in flight per disk: a checkpoint
+    /// handed off while the previous image is still being written waits
+    /// for it, on the syncer — ask [`Disk::image_in_flight`] first.
     pub fn hand_off_checkpoint(
         &mut self,
         index: i64,
@@ -1066,6 +1454,7 @@ impl Wal {
                 break;
             }
             self.start += len;
+            self.above -= len;
             self.frames.pop_front();
         }
         self.pending = 0;
@@ -1235,7 +1624,7 @@ mod tests {
             [d.synced.as_slice(), d.unsynced.as_slice()].concat()
         };
         let mut lens = Vec::new();
-        walk(&log, |_, _, len| lens.push(len));
+        walk(&log, &mut { i64::MIN }, |_, _, len| lens.push(len));
         let cut: usize = lens[..15].iter().sum();
         wal.save_snapshot(14, &Value::str("state@14"));
         assert_eq!(
@@ -1324,24 +1713,58 @@ mod tests {
     }
 
     /// A substrate settles its storage root before removing it: that
-    /// waits for a sync in flight, and stops waiting once the worker that
-    /// owed the work died. Here the image writer panics (the expected
-    /// `snapshot install` message on stderr) because the directory was
-    /// removed under it.
+    /// waits for a sync in flight, for the spare segment the image writer
+    /// prepares, and for the segments a checkpoint unlinks — and stops
+    /// waiting once the worker that owed the work died. Here the image
+    /// writer panics (the expected `snapshot install` message on stderr)
+    /// because the directory was removed under it.
     #[test]
     fn settling_waits_for_work_in_flight_but_not_for_a_dead_worker() {
         let root = std::env::temp_dir().join(format!("shadowdb-wal-settle-{}", std::process::id()));
         let mode = StorageMode::File { root: root.clone() };
+        let dir = root.join("r1");
         let disk = Disk::open(&mode, "r1", Duration::ZERO);
         let mut wal = Wal::open(disk.clone());
         wal.append(0, &rec(0));
         wal.hand_off(|| {});
         settle_disks(&root);
         assert_eq!(disk.sync_count(), 1, "settled before the sync completed");
+        let lens = |ids: &[u64]| -> Vec<usize> {
+            ids.iter()
+                .map(|id| std::fs::metadata(seg_path(&dir, *id)).unwrap().len() as usize)
+                .collect()
+        };
+        assert_eq!(lens(&seg_ids(&dir)), vec![SEGMENT], "the first segment");
+
+        // Records of 40 KB: four fill the first segment past half, which
+        // asks for the spare; three more move into it, and a checkpoint
+        // through them leaves the first segment below its cut.
+        let big = |i: i64| Value::pair(Value::Int(i), Value::str(&"x".repeat(40_000)));
+        let (tx, rx) = mpsc::channel();
+        let commit = |wal: &mut Wal, range: std::ops::RangeInclusive<i64>| {
+            for i in range {
+                wal.append(i, &big(i));
+            }
+            let tx = tx.clone();
+            wal.hand_off(move || tx.send(()).unwrap());
+            rx.recv_timeout(Duration::from_secs(10)).expect("reported");
+        };
+        commit(&mut wal, 1..=4);
+        settle_disks(&root);
+        let ids = seg_ids(&dir);
+        assert_eq!(lens(&ids), vec![SEGMENT; 2], "settled before the spare");
+        commit(&mut wal, 5..=7);
+        wal.hand_off_checkpoint(7, image("state@7"), || {});
+        settle_disks(&root);
+        assert!(
+            !seg_path(&dir, ids[0]).exists(),
+            "settled before the unlink"
+        );
+        assert_eq!(seg_ids(&dir), vec![ids[1]]);
 
         std::fs::remove_dir_all(&root).unwrap();
-        wal.append(1, &rec(1));
-        wal.hand_off_checkpoint(1, image("state@1"), || {});
+        wal.append(8, &rec(8));
+        wal.hand_off_checkpoint(8, image("state@8"), || {});
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || {
             settle_disks(&root);
@@ -1377,39 +1800,42 @@ mod tests {
         let _ = std::fs::remove_dir_all(root);
     }
 
-    /// The log file runs zeros past its last record, and commits that
-    /// outgrow them extend it; a fresh open reads exactly the records, and
-    /// what the next opening commits lands behind them.
+    /// Each segment file is `SEGMENT` zeros before records land in it,
+    /// and records that outgrow one go on in the next; a fresh open reads
+    /// exactly the records, and what the next opening commits lands
+    /// behind them.
     #[test]
-    fn file_backend_log_keeps_zeros_ahead_and_reads_them_as_its_end() {
+    fn file_backend_segments_keep_zeros_ahead_and_read_them_as_their_end() {
         let root = std::env::temp_dir().join(format!("shadowdb-wal-ahead-{}", std::process::id()));
         let mode = StorageMode::File { root: root.clone() };
         let big = |i: i64| Value::pair(Value::Int(i), Value::str(&"x".repeat(4096)));
         let disk = Disk::open(&mode, "r1", Duration::ZERO);
         let mut wal = Wal::open(disk.clone());
-        for i in 0..200 {
+        for i in 0..600 {
             wal.append(i, &big(i));
-            wal.commit(); // 200 × 4 KB: past the zeros more than once
+            wal.commit(); // 600 × 4 KB: past more than one segment
         }
-        let file = root.join("r1").join(LOG_FILE);
-        let on_disk = std::fs::metadata(&file).unwrap().len() as usize;
-        assert!(
-            on_disk > disk.synced_len(),
-            "zeros ahead of the last record"
-        );
+        let dir = root.join("r1");
+        settle_disks(&root);
+        let ids = seg_ids(&dir);
+        assert!(ids.len() >= 3, "two segments filled, a spare ahead");
+        for id in &ids {
+            let len = std::fs::metadata(seg_path(&dir, *id)).unwrap().len() as usize;
+            assert_eq!(len, SEGMENT, "segment {id} is all there");
+        }
         drop((wal, disk));
         let disk = Disk::open(&mode, "r1", Duration::ZERO);
         assert_eq!(
             recover(&disk).records,
-            (0..200).map(|i| (i, big(i))).collect::<Vec<_>>()
+            (0..600).map(|i| (i, big(i))).collect::<Vec<_>>()
         );
         let mut wal = Wal::open(disk.clone());
-        wal.append(200, &rec(200));
+        wal.append(600, &rec(600));
         wal.commit();
         drop((wal, disk));
         let disk = Disk::open(&mode, "r1", Duration::ZERO);
-        assert_eq!(recover(&disk).high_index(), 200);
-        assert_eq!(recover(&disk).records.len(), 201);
+        assert_eq!(recover(&disk).high_index(), 600);
+        assert_eq!(recover(&disk).records.len(), 601);
         disk.wipe();
         drop(disk);
         let _ = std::fs::remove_dir_all(root);
