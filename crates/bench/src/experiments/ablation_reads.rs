@@ -29,7 +29,6 @@ use shadowdb::pbr::PbrOptions;
 use shadowdb::smr::SmrLeaseOptions;
 use shadowdb_workloads::{bank, KvGen, KvOptions};
 use std::io::{self, Write};
-use std::time::Duration;
 
 const ROWS: usize = 256;
 
@@ -66,14 +65,8 @@ pub fn run(seed: u64, load: &Load, pbr: bool, read_pct: u32, leases: bool) -> Po
         },
         |db| bank::load(db, ROWS).expect("bank loads"),
     );
-    let pbr = pbr.then(|| PbrOptions {
-        // Echo-granted leases renew off the heartbeat plane; a tight
-        // cadence keeps the first grant well before the workload drains.
-        heartbeat_every: Duration::from_millis(2),
-        read_leases: leases,
-        ..PbrOptions::default()
-    });
-    if pbr.is_none() && leases {
+    let pbr = pbr.then(PbrOptions::default);
+    if leases {
         options.smr_leases = Some(SmrLeaseOptions::default());
     }
     let stats = run_to_completion(seed, &options, pbr, None);

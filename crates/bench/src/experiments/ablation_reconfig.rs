@@ -125,7 +125,6 @@ fn run(batch_bytes: usize, live: usize) -> (f64, usize) {
         // Sec. III-A overlapped transfer: the group resumes once the
         // first backup recovers; the joiner catches up under live load.
         overlapped_transfer: true,
-        ..PbrOptions::default()
     };
     // Execute well past the cache limit so the join cannot replay the
     // log; with `live == 0`, drain the workload entirely first.

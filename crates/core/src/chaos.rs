@@ -516,7 +516,7 @@ enum Stress {
     Replace,
     /// The clients run a 95%-read mix instead of the bank scripts, with
     /// the lease read fast path on: leases of four heartbeats, renewed
-    /// every heartbeat under SMR. The victim is the lease holder — the PBR
+    /// every heartbeat. The victim is the lease holder — the PBR
     /// primary, SMR's rank-0 claimant — so the partition profiles cut
     /// exactly the node whose lease must run out before a successor
     /// serves, while clients keep sending it reads.
@@ -553,20 +553,15 @@ fn soak<R: Runtime + ?Sized>(
         snapshot_every: 64,
         ..DurabilityOptions::default()
     });
-    // Leases of four heartbeats: below failure detection, so a deposed
-    // holder has stopped serving by the time a successor can finish
-    // recovery.
-    let lease_duration = opts.heartbeat_every * 4;
-    dopts.smr_leases = (leases && !primary_backup).then(|| SmrLeaseOptions {
-        lease_duration,
+    // Leases of four heartbeats, renewed every heartbeat.
+    dopts.smr_leases = leases.then(|| SmrLeaseOptions {
+        lease_duration: opts.heartbeat_every * 4,
         renew_every: opts.heartbeat_every,
         ..SmrLeaseOptions::default()
     });
     let pbr = primary_backup.then(|| PbrOptions {
         heartbeat_every: opts.heartbeat_every,
         detect_after: opts.detect_after,
-        read_leases: leases,
-        lease_duration,
         ..PbrOptions::default()
     });
     // An unsharded deployment is its one group.

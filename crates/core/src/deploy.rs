@@ -12,6 +12,7 @@ use crate::client::{DbClient, DbClientStats};
 use crate::diversity::DiversityPolicy;
 use crate::msgs::{
     config_query_msg, parse_config_reply, ConfigCommand, ConfigReport, ReplicaConfig,
+    LEASE_TIMER_HEADER,
 };
 use crate::pbr::{PbrOptions, PbrReplica};
 use crate::probe::Probe;
@@ -19,7 +20,7 @@ use crate::route::{GroupRoute, Policy, Routes};
 use crate::shard::ShardRole;
 use crate::smr::{SmrLeaseOptions, SmrReplica};
 use parking_lot::Mutex;
-use shadowdb_eventml::{Process, Value};
+use shadowdb_eventml::{Msg, Process, Value};
 use shadowdb_loe::{Loc, VTime};
 use shadowdb_runtime::{PortRx, Runtime, StorageMode};
 use shadowdb_sqldb::Database;
@@ -86,10 +87,12 @@ pub struct DeployOptions {
     /// ([`PbrDeployment::reboot`] and its twins), which catches up from a
     /// peer's window (PBR's `cache_limit`; 4 096 SMR deliveries).
     pub durability: Option<DurabilityOptions>,
-    /// SMR only: enable the lease-based read fast path on every replica
-    /// and route clients' read-only (single-shard) first attempts directly
-    /// to the owning group's believed holder. PBR leases ride
-    /// [`PbrOptions`] instead.
+    /// The read lease, under either ordering policy: when set, every
+    /// replica runs the lease-based read fast path (`ReplicaCore`'s one
+    /// lease, its marker ordered through the group's stream). Under SMR
+    /// clients send read-only (single-shard) first attempts directly to
+    /// the owning group's believed holder; under PBR the holder is the
+    /// primary, whom clients address anyway.
     pub smr_leases: Option<SmrLeaseOptions>,
     /// Number of replica groups, each with its own broadcast service,
     /// partitioning one logical database by [`ShardMap`]. More than one
@@ -251,8 +254,8 @@ struct Recipe {
     pbr: Option<PbrOptions>,
     durability: Option<DurabilityOptions>,
     storage: StorageMode,
-    /// The SMR lease plane (`None` under PBR, whose leases ride `pbr`).
-    smr_leases: Option<SmrLeaseOptions>,
+    /// The read lease, under either policy.
+    leases: Option<SmrLeaseOptions>,
     /// The deployment's event log and lease-audit sink.
     probe: Option<Probe>,
     lease_audit: Option<Loc>,
@@ -308,6 +311,9 @@ impl Recipe {
                 if let Some((dur, disk)) = durable {
                     replica = replica.with_wal(disk, dur.snapshot_every);
                 }
+                if let Some(lease) = &self.leases {
+                    replica = replica.with_read_leases(lease.clone());
+                }
                 if let Boot::Reboot(tear) = boot {
                     replica = replica.rebooted(tear);
                 }
@@ -325,7 +331,7 @@ impl Recipe {
                 if let Some((dur, disk)) = durable {
                     replica = replica.with_wal(disk, dur.snapshot_every);
                 }
-                if let Some(lease) = &self.smr_leases {
+                if let Some(lease) = &self.leases {
                     let servers = self.route.servers().to_vec();
                     replica = replica.with_read_leases(servers, i as u64, lease.clone());
                 }
@@ -366,12 +372,18 @@ impl Recipe {
     }
 
     /// Starts a reborn or joining replica's timers at `at`: PBR's
-    /// heartbeat loop (a reboot reads its disk there), or SMR's lease tick.
+    /// heartbeat loop (a reboot reads its disk there), then the lease tick.
     fn kick<R: Runtime + ?Sized>(&self, rt: &mut R, loc: Loc, at: VTime) {
         if self.pbr.is_some() {
             rt.send_at(at, loc, PbrReplica::start_msg());
-        } else if self.smr_leases.is_some() {
-            rt.send_at(at, loc, SmrReplica::lease_start_msg());
+        }
+        self.start_lease(rt, loc, at);
+    }
+
+    /// Starts the lease's self-rearming tick at `loc`, if leases are on.
+    fn start_lease<R: Runtime + ?Sized>(&self, rt: &mut R, loc: Loc, at: VTime) {
+        if self.leases.is_some() {
+            rt.send_at(at, loc, Msg::new(LEASE_TIMER_HEADER, Value::Unit));
         }
     }
 }
@@ -403,7 +415,7 @@ fn build_group<R: Runtime + ?Sized>(
         pbr: pbr.cloned(),
         durability: options.durability.clone(),
         storage: rt.storage_mode(),
-        smr_leases: options.smr_leases.clone().filter(|_| pbr.is_none()),
+        leases: options.smr_leases.clone(),
         probe: options.probe.clone(),
         lease_audit: options.lease_audit,
         route,
@@ -415,10 +427,8 @@ fn build_group<R: Runtime + ?Sized>(
     for (i, r) in replicas.iter().enumerate() {
         assert_eq!(rt.add_node(recipe.replica(i, Boot::First)), *r);
     }
-    if recipe.smr_leases.is_some() {
-        for r in &replicas {
-            rt.send_at(VTime::ZERO, *r, SmrReplica::lease_start_msg());
-        }
+    for r in &replicas {
+        recipe.start_lease(rt, *r, VTime::ZERO);
     }
     let disks = recipe.disks.borrow().clone();
     ShardGroup {

@@ -14,14 +14,14 @@ pub const FORWARD_HEADER: &str = "sdb/forward";
 pub const ACK_HEADER: &str = "sdb/ack";
 /// Replica → client answer: body `<cseq, <committed, results>>`.
 pub const REPLY_HEADER: &str = "sdb/reply";
-/// Heartbeat between replicas: body `<config, <from, ts>>` where `ts` is
-/// the sender's local clock in microseconds when the sender is the primary
-/// (the lease grant timestamp) and, from a backup, the latest primary
-/// timestamp the backup has echoed back (0 when none) — see the read-lease
-/// protocol in `pbr`.
+/// Heartbeat between PBR replicas (failure detection only): body
+/// `<config, from>`.
 pub const HEARTBEAT_HEADER: &str = "sdb/hb";
 /// A replica's periodic self-check timer: body `<config>`.
 pub const HB_TIMER_HEADER: &str = "sdb/hbtimer";
+/// The read lease's renewal/claim tick, sent to itself every
+/// `renew_every` by a replica with leases enabled (body unit).
+pub const LEASE_TIMER_HEADER: &str = "sdb/leasetick";
 /// Catch-up, the replica core's answer when its window reaches back:
 /// body `<start, [items]>`. PBR wraps it `<config, <elected_at, ·>>`,
 /// `elected_at` the TOB seq that completed the sender's election (-1:

@@ -41,6 +41,14 @@
 //!    when overlapped state transfer is enabled (possible with ≥3
 //!    replicas), else after all of them.
 //!
+//! The read lease is the replica core's, as under SMR: with it on, a
+//! Normal primary broadcasts a marker through the group's stream every
+//! `renew_every` and serves reads locally under its own delivered marker.
+//! A delivered marker counts only if its holder leads the elected
+//! configuration at that stream position, and an elected primary enters
+//! Normal no earlier than `D` after the last marker that counted at it —
+//! a fact of the stream order, whatever `detect_after` is.
+//!
 //! A replica rebooted from its disk rejoins the way a joiner does: it
 //! subscribes anew and holds its stream until the answer to its fetch —
 //! from the settled primary, with the group's configuration in elected
@@ -50,11 +58,11 @@
 use crate::msgs::{
     config_reply_msg, parse_fetch, stale_config_msg, ConfigCommand, ReplicaConfig, TxnEnvelope,
     ACK_HEADER, CATCHUP_HEADER, CONFIG_QUERY_HEADER, FETCH_HEADER, FETCH_RETRY_HEADER,
-    FORWARD_HEADER, HB_TIMER_HEADER, HEARTBEAT_HEADER, RECOVERY_ACK_HEADER, SNAPSHOT_HEADER,
-    STALE_CONFIG_HEADER, SUBMIT_HEADER, SYNCED_HEADER, SYNC_HEADER,
+    FORWARD_HEADER, HB_TIMER_HEADER, HEARTBEAT_HEADER, LEASE_TIMER_HEADER, RECOVERY_ACK_HEADER,
+    SNAPSHOT_HEADER, STALE_CONFIG_HEADER, SUBMIT_HEADER, SYNCED_HEADER, SYNC_HEADER,
 };
 use crate::probe::{Event, Probe};
-use crate::replica_core::{Executed, ReplicaCore, Seen};
+use crate::replica_core::{parse_lease_marker, Executed, ReplicaCore, Seen, SmrLeaseOptions};
 use crate::shard::ShardRole;
 use shadowdb_eventml::process::HasherAdapter;
 use shadowdb_eventml::{cached_header, Ctx, Msg, Process, SendInstr, Value};
@@ -91,19 +99,6 @@ pub struct PbrOptions {
     /// Resume normal processing after the first recovered backup instead
     /// of all of them (Sec. III-A's overlapped state transfer).
     pub overlapped_transfer: bool,
-    /// Enable the lease-based read fast path: the primary answers
-    /// read-only transactions from local state, without forwarding, while
-    /// it provably holds the group's read lease. Off by default — the
-    /// seed's behavior is byte-identical with this unset.
-    pub read_leases: bool,
-    /// Lease length `D`. A grant echoed at primary-clock time `t` covers
-    /// fast reads until `t + D - lease_margin`; a promoted primary waits
-    /// `D + lease_margin` after finishing recovery before serving.
-    pub lease_duration: Duration,
-    /// Clock-error allowance subtracted from every lease and added to
-    /// every wait-out. Zero is sound on simnet (one virtual clock);
-    /// real-clock runtimes must set it to cover their worst-case skew.
-    pub lease_margin: Duration,
 }
 
 impl Default for PbrOptions {
@@ -114,9 +109,6 @@ impl Default for PbrOptions {
             cache_limit: 10_000,
             transfer_batch_bytes: 50_000,
             overlapped_transfer: false,
-            read_leases: false,
-            lease_duration: Duration::from_secs(4),
-            lease_margin: Duration::ZERO,
         }
     }
 }
@@ -175,7 +167,9 @@ pub struct PbrReplica {
     /// The reports the stream has delivered for the current configuration.
     election: BTreeMap<Loc, i64>,
     /// The stream seq whose delivery completed the current
-    /// configuration's election (-1: none has run).
+    /// configuration's election — for a member a fetch's answer placed,
+    /// the last seq that answer reflects — and -1 until then (the
+    /// deployed configuration, seq 0, needs no election).
     elected_at: i64,
     /// Catch-up and snapshot chunks stamped with an election seq this
     /// replica's stream has not delivered yet.
@@ -192,20 +186,6 @@ pub struct PbrReplica {
     /// Monotone WAL record index (transactions and config adoptions share
     /// one sequence; `executed` alone cannot index config records).
     wal_index: i64,
-    /// Primary: per-peer lease grants — the latest of our own heartbeat
-    /// timestamps each member of the current configuration has echoed
-    /// back. The lease holds while *every* other member's echo is fresh;
-    /// a peer that adopts a newer configuration stops echoing, so the
-    /// lease self-expires within `lease_duration` of any membership
-    /// change. Timing state: excluded from the digest, like `last_heard`.
-    lease_echo: HashMap<Loc, VTime>,
-    /// Backup: the latest primary heartbeat timestamp seen in the current
-    /// configuration — echoed back on our own heartbeats.
-    primary_ts: VTime,
-    /// No fast-path reads before this instant: a primary promoted by
-    /// recovery waits out the previous configuration's largest possible
-    /// outstanding lease.
-    lease_wait_until: VTime,
     /// Rebooted after a power loss: the first step recovers from the
     /// attached disk, tearing its unsynced tail from this seed.
     reboot: Option<u64>,
@@ -246,9 +226,6 @@ impl PbrReplica {
             probe_last: None,
             twopc_outbox: Vec::new(),
             wal_index: 0,
-            lease_echo: HashMap::new(),
-            primary_ts: VTime::ZERO,
-            lease_wait_until: VTime::ZERO,
             reboot: None,
         }
     }
@@ -277,6 +254,18 @@ impl PbrReplica {
     /// engine on the replicated execution path.
     pub fn with_role(mut self, role: ShardRole) -> PbrReplica {
         self.core.set_role(role);
+        self
+    }
+
+    /// Enables the lease-based read fast path: a Normal primary broadcasts
+    /// a marker through the group's stream every `renew_every` and, once
+    /// its own marker is delivered, answers read-only transactions from
+    /// local state without forwarding. A marker counts only if its holder
+    /// leads the elected configuration at its stream position, and a new
+    /// primary takes no submission while its predecessor's last marker is
+    /// fresh.
+    pub fn with_read_leases(mut self, opts: SmrLeaseOptions) -> PbrReplica {
+        self.core.enable_lease(opts);
         self
     }
 
@@ -451,40 +440,6 @@ impl PbrReplica {
         });
     }
 
-    // -- read-lease fast path ----------------------------------------------
-
-    /// If this replica currently holds the group's read lease, the
-    /// instant it expires; `None` when it may not serve fast-path reads.
-    ///
-    /// The lease holds iff every *other member of the configuration* has
-    /// echoed one of our grant timestamps within the last
-    /// `lease_duration - lease_margin`. Requiring all members (not just
-    /// the acknowledging backups) is what makes hand-off sound: any
-    /// reconfiguration excluding us is proposed by a member that stopped
-    /// hearing us `detect_after` ago, so its echo — which our lease
-    /// depends on — froze before the proposal, and the successor primary's
-    /// wait-out (anchored at its post-recovery Normal transition, which
-    /// follows every new member's adoption) strictly covers our expiry.
-    fn lease_until(&self, ctx: &Ctx) -> Option<VTime> {
-        let o = &self.options;
-        if !o.read_leases || self.mode != Mode::Normal || ctx.now < self.lease_wait_until {
-            return None;
-        }
-        let horizon = o.lease_duration.saturating_sub(o.lease_margin);
-        let mut until = ctx.now + horizon;
-        for m in &self.config.members {
-            if *m == ctx.slf {
-                continue;
-            }
-            let expiry = *self.lease_echo.get(m)? + horizon;
-            if ctx.now >= expiry {
-                return None;
-            }
-            until = until.min(expiry);
-        }
-        Some(until)
-    }
-
     // -- normal case -------------------------------------------------------
 
     fn on_submit(&mut self, ctx: &Ctx, body: &Value, outs: &mut Vec<SendInstr>) {
@@ -518,7 +473,7 @@ impl PbrReplica {
             _ => {}
         }
         // Lease-protected read fast path: answer from local state, no
-        // forwarding, no ack round. Three gates beyond the lease itself:
+        // forwarding, no ack round. Two gates beyond the lease itself:
         // the client's read-only claim, re-checked by the core (which
         // refuses anything that isn't a lockless SELECT — a mis-flagged
         // transaction falls through to ordered execution);
@@ -532,13 +487,8 @@ impl PbrReplica {
         // would otherwise keep `pending` occupied and the fast path
         // would never open.
         let gated = env.read_only && self.pending.values().all(|p| p.env.read_only);
-        if let Some(until) = self.lease_until(ctx).filter(|_| gated) {
-            if self
-                .core
-                .serve_lease_read(ctx, &env, self.config.seq, until, outs)
-            {
-                return;
-            }
+        if gated && self.core.serve_fast_read(ctx, &env, outs) {
+            return;
         }
         // This replica is about to execute a client transaction while
         // believing itself primary of the current configuration.
@@ -716,25 +666,17 @@ impl PbrReplica {
         if self.mode == Mode::Idle {
             return;
         }
-        // The heartbeat's timestamp drives the read lease: a settled
-        // primary stamps its own clock (a grant request), everyone else
-        // echoes the latest primary timestamp they saw in this
-        // configuration (a grant). Members that adopt a newer
-        // configuration send under the new seq, which the old primary
-        // ignores — leases die within `lease_duration` of any change.
-        let ts = if self.is_primary(ctx.slf) && self.mode == Mode::Normal {
-            ctx.now.as_micros() as i64
-        } else {
-            self.primary_ts.as_micros() as i64
-        };
         for m in &self.config.members {
             if *m != ctx.slf {
-                let hb = Value::pair(Value::Loc(ctx.slf), Value::Int(ts));
-                outs.push(self.in_config(*m, HEARTBEAT_HEADER, hb));
+                outs.push(self.in_config(*m, HEARTBEAT_HEADER, Value::Loc(ctx.slf)));
             }
         }
         // A configuration broadcast the stream has not delivered: again.
         outs.extend(self.unordered.clone());
+        // A recovered primary held back by its predecessor's lease: again.
+        if self.mode == Mode::Recovering && self.recovered(ctx.slf) {
+            self.enter_normal_as_primary(ctx);
+        }
         if !matches!(self.mode, Mode::Normal | Mode::Recovering) {
             return; // a decision for this configuration is already pending
         }
@@ -749,22 +691,8 @@ impl PbrReplica {
     }
 
     fn on_heartbeat(&mut self, ctx: &Ctx, body: &Value) {
-        let (cfg, rest) = body.unpair();
-        let (from, ts) = rest.unpair();
-        let from = from.loc();
-        self.last_heard.insert(from, ctx.now);
-        if cfg.int() != self.config.seq || ts.int() <= 0 {
-            return; // lease traffic is per-configuration; 0 carries no grant
-        }
-        let ts = VTime::from_micros(ts.int() as u64);
-        if self.is_primary(ctx.slf) {
-            // A member echoed one of our grant timestamps back.
-            let e = self.lease_echo.entry(from).or_insert(VTime::ZERO);
-            *e = (*e).max(ts);
-        } else if from == self.config.primary() {
-            // Record the primary's grant timestamp for our next echo.
-            self.primary_ts = self.primary_ts.max(ts);
-        }
+        let (_, from) = body.unpair();
+        self.last_heard.insert(from.loc(), ctx.now);
     }
 
     /// Donor side of a rebooted member's fetch: a replica whose
@@ -779,8 +707,7 @@ impl PbrReplica {
         };
         // Settled: a Normal member, or a replica outside the group that
         // holds the deployed configuration or has seen its election end.
-        let elected = self.config.seq == 0 || self.election.len() >= self.config.members.len();
-        let outside = self.mode == Mode::Idle && elected && !self.config.members.is_empty();
+        let outside = self.mode == Mode::Idle && self.elected() && !self.config.members.is_empty();
         if self.mode != Mode::Normal && !outside {
             return;
         }
@@ -855,6 +782,15 @@ impl PbrReplica {
         if d.client == ctx.slf && self.unordered.as_ref().and_then(msgid) == Some(d.msgid) {
             self.unordered = None;
         }
+        if let Some((holder, send_us)) = parse_lease_marker(&d.payload) {
+            // Only the elected primary's markers count: one delivered
+            // behind the command that deposed its holder installs nothing.
+            if self.elected() && self.config.members.first() == Some(&holder) {
+                self.core
+                    .install_marker(ctx.slf, Some(ctx.now), holder, send_us);
+            }
+            return;
+        }
         if let Some(report) = parse_report(&d.payload) {
             return self.on_report(ctx, d.seq, report, outs);
         }
@@ -908,13 +844,10 @@ impl PbrReplica {
         self.pending.clear();
         self.forward_buf.clear();
         self.election.clear();
+        self.elected_at = -1;
         self.recovery_acks.clear();
         self.active_backups.clear();
         self.core.abandon_transfer();
-        // Grants and echoes are per-configuration: from here on our
-        // heartbeats carry the new seq, so the old primary's lease starves.
-        self.lease_echo.clear();
-        self.primary_ts = VTime::ZERO;
         // Fresh grace period for the new membership.
         let heard = self.config.members.iter().map(|m| (*m, ctx.now));
         self.last_heard.extend(heard);
@@ -980,19 +913,36 @@ impl PbrReplica {
         }
     }
 
-    /// The post-recovery Normal transition of a (possibly new) primary:
-    /// before serving any fast-path read in this configuration, wait out
-    /// the largest lease the previous configuration's primary could still
-    /// be holding. Every new member has adopted the new configuration by
-    /// now (adoption precedes the election reports and recovery acks that
-    /// got us here), so any echo feeding an old lease froze before this
-    /// instant: `lease_duration + lease_margin` from here covers it.
+    /// The post-recovery Normal transition of a (possibly new) primary,
+    /// no earlier than its predecessor's lease has run out: while the last
+    /// marker that counted here, delivered at `t`, names someone else, the
+    /// deposed holder may serve reads until `t + D` at the latest, so this
+    /// primary takes no submission before then. The heartbeat tick tries
+    /// again.
     fn enter_normal_as_primary(&mut self, ctx: &Ctx) {
-        self.mode = Mode::Normal;
-        if self.options.read_leases {
-            self.lease_wait_until =
-                ctx.now + self.options.lease_duration + self.options.lease_margin;
+        if !self.core.replies_suppressed(ctx.slf, Some(ctx.now)) {
+            self.mode = Mode::Normal;
         }
+    }
+
+    /// Whether the current configuration's primary is decided: the
+    /// deployed one, or one elected in (or, for a member a fetch's answer
+    /// placed, before) this replica's stream.
+    fn elected(&self) -> bool {
+        self.config.seq == 0 || self.elected_at >= 0
+    }
+
+    /// Whether this replica is the elected primary, placed in its stream,
+    /// and the backups it needs have acknowledged recovery (all of them,
+    /// or one with overlapped state transfer): step 7 may resume.
+    fn recovered(&self, slf: Loc) -> bool {
+        let all = self.config.backups().len();
+        let needed = match self.options.overlapped_transfer {
+            true => all.min(1),
+            false => all,
+        };
+        let acked = self.recovery_acks.len() >= needed;
+        self.elected() && self.is_primary(slf) && !self.core.rejoining() && acked
     }
 
     /// Catch-up or a snapshot chunk. One stamped with the seq its sender's
@@ -1039,6 +989,7 @@ impl PbrReplica {
         if config != self.config {
             self.log_config(config);
         }
+        self.elected_at = at.int() - 1;
         let heard = self.config.members.iter().map(|m| (*m, ctx.now));
         self.last_heard.extend(heard);
         let member = self.config.contains(ctx.slf);
@@ -1046,7 +997,7 @@ impl PbrReplica {
         if !member {
             self.core.fetched();
         }
-        let ready = self.core.anchor(at.int());
+        let ready = self.core.anchor(at.int(), ctx.now);
         self.deliver(ctx, ready, outs);
         true
     }
@@ -1107,10 +1058,7 @@ impl PbrReplica {
         }
         self.recovery_acks.insert(from.loc());
         self.active_backups.insert(from.loc());
-        let overlapped = self.options.overlapped_transfer;
-        let all = self.config.backups().len();
-        let needed = if overlapped { 1 } else { all };
-        if self.mode == Mode::Recovering && self.recovery_acks.len() >= needed {
+        if self.mode == Mode::Recovering && self.recovered(ctx.slf) {
             self.enter_normal_as_primary(ctx);
         }
     }
@@ -1200,6 +1148,10 @@ impl Process for PbrReplica {
             self.on_hb_timer(ctx, out);
         } else if h == cached_header!(HEARTBEAT_HEADER) {
             self.on_heartbeat(ctx, &msg.body);
+        } else if h == cached_header!(LEASE_TIMER_HEADER) {
+            // Only a Normal primary claims; it renews at every tick.
+            let primary = self.mode == Mode::Normal && self.is_primary(ctx.slf);
+            self.core.on_lease_tick(ctx, primary.then_some(0), out);
         } else if h == cached_header!(CATCHUP_HEADER) || h == cached_header!(SNAPSHOT_HEADER) {
             self.on_state(ctx, msg, out);
         } else if h == cached_header!(RECOVERY_ACK_HEADER) {
@@ -1213,7 +1165,7 @@ impl Process for PbrReplica {
         } else if h == cached_header!(STALE_CONFIG_HEADER) {
             self.core.on_stale_config(msg);
         } else if let Some(seq) = parse_subok(msg) {
-            let ready = self.core.on_subok(ctx.slf, seq, self.core.executed(), out);
+            let ready = self.core.on_subok(ctx, seq, self.core.executed(), out);
             self.deliver(ctx, ready, out);
         } else if let Some(d) = parse_deliver(msg) {
             let ready = self.core.offer(d);
@@ -1241,5 +1193,140 @@ impl Process for PbrReplica {
         self.core.digest_requests(&mut h);
         (&self.election, &self.recovery_acks).hash(&mut h);
         self.core.twopc_seq().hash(&mut h);
+        self.core.digest_lease(&mut h);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::msgs::{config_query_msg, parse_config_reply, submit_msg, REPLY_HEADER};
+    use crate::replica_core::LEASE_MARKER_TAG;
+    use shadowdb_sqldb::EngineProfile;
+    use shadowdb_tob::DELIVER_HEADER;
+    use shadowdb_workloads::bank;
+
+    const A: Loc = Loc::new(1);
+    const B: Loc = Loc::new(2);
+    const TOB: Loc = Loc::new(9);
+    const CLIENT: Loc = Loc::new(20);
+
+    /// A lease replica of the deployed configuration `members`.
+    fn replica(members: &[Loc], opts: SmrLeaseOptions) -> PbrReplica {
+        let db = Database::new(EngineProfile::h2());
+        bank::load(&db, 4).expect("bank loads");
+        let config = ReplicaConfig::initial(members.to_vec());
+        let options = PbrOptions::default();
+        PbrReplica::new(db, config, Vec::new(), vec![TOB], options).with_read_leases(opts)
+    }
+
+    fn deliver(seq: i64, payload: Value) -> Msg {
+        let rest = Value::pair(Value::Loc(TOB), Value::pair(Value::Int(0), payload));
+        Msg::new(DELIVER_HEADER, Value::pair(Value::Int(seq), rest))
+    }
+
+    fn marker(holder: Loc, sent: VTime) -> Value {
+        let stamp = Value::Int(sent.as_micros() as i64);
+        Value::pair(
+            Value::str(LEASE_MARKER_TAG),
+            Value::pair(Value::Loc(holder), stamp),
+        )
+    }
+
+    /// Whether `r`, stepped as `slf` at `at`, reports itself Normal.
+    fn normal(r: &mut PbrReplica, slf: Loc, at: VTime) -> bool {
+        let outs = r.step(&Ctx::new(slf, at), &config_query_msg(CLIENT));
+        parse_config_reply(&outs[0].msg).expect("a report").normal
+    }
+
+    /// Submits a read to `r` as `slf` at `at`: whether the client got an
+    /// answer in that step (a fast read; an ordered one waits for acks).
+    fn read_answered(r: &mut PbrReplica, slf: Loc, at: VTime, cseq: i64) -> bool {
+        let env = TxnEnvelope::new(CLIENT, cseq, TxnRequest::BankRead { account: 0 });
+        let outs = r.step(&Ctx::new(slf, at), &submit_msg(&env));
+        outs.iter().any(|s| s.msg.header.name() == REPLY_HEADER)
+    }
+
+    /// The successor of a holder whose marker counted at `t` takes no
+    /// submission before `t + D`, however early its election ends; its
+    /// heartbeat tick lets it in at that instant.
+    #[test]
+    fn a_successor_waits_out_its_predecessors_last_marker() {
+        let opts = SmrLeaseOptions::default();
+        let t = VTime::from_secs(1);
+        let mut b = replica(&[A, B], opts.clone());
+        b.step(&Ctx::new(B, t), &deliver(0, marker(A, t)));
+        let depose = ConfigCommand::NewConfig { members: vec![B] }.to_payload(0);
+        b.step(&Ctx::new(B, t), &deliver(1, depose));
+        let elected = t + Duration::from_millis(10);
+        b.step(&Ctx::new(B, elected), &deliver(2, report_payload(1, B, 0)));
+        assert_eq!(b.config().primary(), B, "elected at once");
+        assert!(!normal(&mut b, B, elected));
+        let lapse = t + opts.lease_duration;
+        let before = t + (opts.lease_duration - Duration::from_micros(1));
+        b.step(&Ctx::new(B, before), &PbrReplica::start_msg());
+        assert!(!normal(&mut b, B, before), "the old marker is still fresh");
+        b.step(&Ctx::new(B, lapse), &PbrReplica::start_msg());
+        assert!(
+            normal(&mut b, B, lapse),
+            "the tick lets it in once it lapsed"
+        );
+    }
+
+    /// A marker the stream delivers behind the command that deposed its
+    /// holder installs nothing: neither after a command that drops the
+    /// holder, nor after a `Promote` that keeps it first in the adopted
+    /// order until the election picks someone else. The successor then
+    /// waits for no one.
+    #[test]
+    fn a_late_marker_of_a_deposed_holder_installs_nothing() {
+        let t = VTime::from_secs(1);
+        let dropped = ConfigCommand::NewConfig { members: vec![B] };
+        let promoted = ConfigCommand::Promote {
+            loc: B,
+            members: vec![A, B],
+        };
+        for (cmd, members) in [(dropped, vec![B]), (promoted, vec![A, B])] {
+            let mut b = replica(&[A, B], SmrLeaseOptions::default());
+            b.step(&Ctx::new(B, t), &deliver(0, cmd.to_payload(0)));
+            b.step(&Ctx::new(B, t), &deliver(1, marker(A, t)));
+            for (k, m) in members.iter().enumerate() {
+                let report = report_payload(1, *m, 0);
+                b.step(&Ctx::new(B, t), &deliver(2 + k as i64, report));
+            }
+            if members.len() > 1 {
+                let ack = Value::pair(Value::Int(1), Value::Loc(A));
+                b.step(&Ctx::new(B, t), &Msg::new(RECOVERY_ACK_HEADER, ack));
+            }
+            assert_eq!(b.config().primary(), B);
+            assert!(normal(&mut b, B, t), "{cmd:?}: nothing to wait out");
+        }
+    }
+
+    /// The holder serves only under its own delivered marker, and only
+    /// until `send_ts + D - margin`: markers it keeps sending but never
+    /// sees delivered extend nothing.
+    #[test]
+    fn a_holder_whose_markers_stop_arriving_stops_at_its_last_ones_end() {
+        let opts = SmrLeaseOptions {
+            lease_margin: Duration::from_millis(100),
+            ..SmrLeaseOptions::default()
+        };
+        let t = VTime::from_secs(1);
+        let mut a = replica(&[A, B], opts.clone());
+        assert!(!read_answered(&mut a, A, t, 0), "no marker delivered yet");
+        a.step(&Ctx::new(A, t), &deliver(0, marker(A, t)));
+        assert!(read_answered(&mut a, A, t, 1));
+        for s in 2..5 {
+            let outs = a.step(
+                &Ctx::new(A, VTime::from_secs(s)),
+                &Msg::new(LEASE_TIMER_HEADER, Value::Unit),
+            );
+            assert!(outs.iter().any(|o| o.dest == TOB), "a renewal goes out");
+        }
+        let window = opts.lease_duration - opts.lease_margin;
+        let (end, last) = (t + window, t + (window - Duration::from_micros(1)));
+        assert!(read_answered(&mut a, A, last, 2));
+        assert!(!read_answered(&mut a, A, end, 3));
     }
 }

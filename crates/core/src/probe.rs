@@ -42,8 +42,8 @@ pub enum Event {
     /// configuration `seq` (recorded once per replica and configuration).
     Primary { seq: i64, loc: Loc },
     /// `loc` served a read on the lease fast path at `served_us`, under
-    /// the lease of configuration (PBR) or term (SMR) `term`, valid until
-    /// `until_us`.
+    /// the lease its marker stamped `term` (µs on the holder's clock)
+    /// granted, valid until `until_us`.
     LeaseRead {
         term: i64,
         loc: Loc,

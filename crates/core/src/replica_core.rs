@@ -14,10 +14,13 @@
 //! subscription to the group's ordered stream: the in-order buffer, held
 //! until an anchor says where the stream starts for a replica that joins
 //! or reboots, and the donor's wait until its stream has reached the point
-//! a fetch asks for. `pbr` and `smr` keep only their ordering policy (who
-//! orders and replies, who may serve a fast read, what a WAL record is,
-//! what a delivery does, who answers a fetch and when an answer applies)
-//! and call into this module.
+//! a fetch asks for — and the one read lease: a marker ordered through
+//! that stream names the holder, which serves reads locally while every
+//! other replica acknowledges nothing. `pbr` and `smr` keep only their
+//! ordering policy (who orders and replies, who may claim the lease and
+//! which delivered markers count, what a WAL record is, what a delivery
+//! does, who answers a fetch and when an answer applies) and call into
+//! this module.
 //!
 //! The core defines the **one state image** a replica is rebuilt from,
 //! whether it comes off the local disk or over the network:
@@ -36,7 +39,8 @@
 
 use crate::msgs::{
     fetch_msg, lease_audit_msg, parse_stale_config, reply_msg, sql_to_value, value_to_sql,
-    TxnEnvelope, CATCHUP_HEADER, FETCH_RETRY_HEADER, SNAPSHOT_HEADER, SYNCED_HEADER, SYNC_HEADER,
+    TxnEnvelope, CATCHUP_HEADER, FETCH_RETRY_HEADER, LEASE_TIMER_HEADER, SNAPSHOT_HEADER,
+    SYNCED_HEADER, SYNC_HEADER,
 };
 use crate::probe::{Event, Probe, TransferKind};
 use crate::shard::{ShardRole, TwoPcEngine};
@@ -69,6 +73,75 @@ pub(crate) enum Seen {
 /// gates open and the next sync takes a durable snapshot regardless of the
 /// interval — the disk never shows a log with a gap in it.
 const NOTHING_DURABLE: i64 = i64::MIN;
+
+/// Tag of a lease marker ordered through the group's stream:
+/// `<"lease!", <holder, send_ts_us>>`. Markers ride the ordinary delivery
+/// stream, so every replica observes the same holder sequence at the same
+/// positions.
+pub(crate) const LEASE_MARKER_TAG: &str = "lease!";
+
+/// Tuning for the read-lease fast path, under either ordering policy. The
+/// ordered stream remains the write path; a marker ordered through it
+/// names one replica (the holder) whose database provably reflects every
+/// acknowledged write, because every *other* replica acknowledges nothing
+/// while the marker is fresh — during the lease only the holder
+/// acknowledges, and anything the holder acknowledged it has executed.
+/// (Under PBR only a primary acknowledges: a new one starts only once its
+/// predecessor's last marker is stale.)
+#[derive(Clone, Debug)]
+pub struct SmrLeaseOptions {
+    /// Lease length `D`: a marker delivered at local time `t` suppresses
+    /// a non-holder's replies until `t + D`, while the holder's fast
+    /// window ends at `send_ts + D - margin` on its own clock. Delivery
+    /// follows the send, so the suppression horizon dominates the fast
+    /// window at every non-holder.
+    pub lease_duration: Duration,
+    /// Clock-*rate* safety margin subtracted from the holder's window
+    /// (virtual clocks are exact, so simulation runs keep this zero).
+    pub lease_margin: Duration,
+    /// Holder renewal period, also the unit of SMR's claim stagger; `D/4`
+    /// keeps the lease continuously covered with slack for TOB latency.
+    pub renew_every: Duration,
+}
+
+impl Default for SmrLeaseOptions {
+    fn default() -> SmrLeaseOptions {
+        SmrLeaseOptions {
+            lease_duration: Duration::from_secs(4),
+            lease_margin: Duration::ZERO,
+            renew_every: Duration::from_secs(1),
+        }
+    }
+}
+
+/// The read lease of one replica (present iff leases are enabled).
+#[derive(Clone)]
+struct Lease {
+    opts: SmrLeaseOptions,
+    /// Holder named by the latest marker that counted.
+    holder: Option<Loc>,
+    /// The holder's clock (µs) stamped into that marker.
+    marker_send_us: i64,
+    /// Local delivery time of that marker. `None` means the marker was
+    /// WAL-replayed: its receipt time is unknown, so it anchors no live
+    /// suppression window (see [`ReplicaCore::reanchor_lease`]).
+    marker_deliv: Option<VTime>,
+    /// Holder-side wait-out: no fast reads before this. Covers the
+    /// previous holder's entire window across a hand-off.
+    fast_from: VTime,
+}
+
+/// Decodes a lease marker payload, if `v` is one (transaction envelopes
+/// lead with a `Loc`, configuration commands and reports with other
+/// tags, so the string tag is unambiguous).
+pub(crate) fn parse_lease_marker(v: &Value) -> Option<(Loc, i64)> {
+    let (tag, rest) = v.fst().zip(v.snd())?;
+    if tag.as_str()? != LEASE_MARKER_TAG {
+        return None;
+    }
+    let (holder, ts) = rest.fst().zip(rest.snd())?;
+    Some((holder.as_loc()?, ts.as_int()?))
+}
 
 /// A snapshot being reassembled from transfer chunks.
 #[derive(Clone, Default)]
@@ -185,6 +258,8 @@ pub(crate) struct ReplicaCore {
     /// The model checker's lease-audit sink: every lease read is also
     /// announced to it as a message, which forks with the execution.
     lease_audit: Option<Loc>,
+    /// The read lease, when enabled.
+    lease: Option<Lease>,
 }
 
 impl ReplicaCore {
@@ -215,6 +290,7 @@ impl ReplicaCore {
             msgid: 0,
             probe: None,
             lease_audit: None,
+            lease: None,
         }
     }
 
@@ -380,19 +456,130 @@ impl ReplicaCore {
         }
     }
 
-    /// Answers `env` from local state on the lease-protected fast path,
-    /// recording the served read (lease `term`, valid to `until`) with the
-    /// deployment's observers. Refuses (returns false) anything that is
-    /// not a lockless SELECT — the client's read-only flag is advisory,
-    /// and a mis-flagged transaction falls through to ordered execution.
-    pub(crate) fn serve_lease_read(
+    // -- the read lease ------------------------------------------------------
+
+    /// Enables the read lease. The policy supplies who may claim it
+    /// ([`Self::on_lease_tick`]) and which delivered markers count
+    /// ([`Self::install_marker`]); everything else is here.
+    pub(crate) fn enable_lease(&mut self, opts: SmrLeaseOptions) {
+        self.lease = Some(Lease {
+            opts,
+            holder: None,
+            marker_send_us: 0,
+            marker_deliv: None,
+            fast_from: VTime::ZERO,
+        });
+    }
+
+    pub(crate) fn has_lease(&self) -> bool {
+        self.lease.is_some()
+    }
+
+    /// Installs the holder named by a marker that counted, delivered (or
+    /// replayed: `now` is `None`) at this replica. The stream totally
+    /// orders markers, so every replica steps through the same holder
+    /// sequence at the same positions; only the *local* timestamps
+    /// anchoring suppression and the hand-off wait-out differ per replica.
+    pub(crate) fn install_marker(
+        &mut self,
+        slf: Loc,
+        now: Option<VTime>,
+        holder: Loc,
+        send_us: i64,
+    ) {
+        let Some(l) = self.lease.as_mut() else {
+            return;
+        };
+        if holder == slf && l.holder != Some(slf) {
+            let virgin = l.holder.is_none() && l.marker_send_us == 0 && l.marker_deliv.is_none();
+            l.fast_from = if virgin {
+                // No lease has ever existed: nothing to outwait.
+                now.unwrap_or(VTime::ZERO)
+            } else {
+                // A hand-off: outwait the previous window entirely. It
+                // ends no later than D after this replica received the
+                // previous marker (delivery follows the send); when that
+                // receipt time is unknown (WAL replay, post-recovery),
+                // anchor on this marker's own delivery, which is no
+                // earlier.
+                l.marker_deliv.or(now).unwrap_or(VTime::ZERO) + l.opts.lease_duration
+            };
+        }
+        // A renewal (self -> self) keeps `fast_from`: any write another
+        // replica acknowledged between the markers was acknowledged only
+        // after *its* suppression window lapsed, i.e. after this lease's
+        // own end — so it linearizes after every fast read served here.
+        l.holder = Some(holder);
+        l.marker_send_us = send_us;
+        l.marker_deliv = now;
+    }
+
+    /// Whether this replica must acknowledge nothing right now: a marker
+    /// naming someone else is still fresh. While every non-holder stays
+    /// silent, the first answer a client can observe comes from the
+    /// holder — which therefore has executed everything it acknowledged,
+    /// the invariant the fast read path rests on. `now` is `None` during
+    /// a WAL replay, which renders and discards all sends.
+    pub(crate) fn replies_suppressed(&self, slf: Loc, now: Option<VTime>) -> bool {
+        let (Some(l), Some(now)) = (&self.lease, now) else {
+            return false;
+        };
+        if l.holder == Some(slf) {
+            return false;
+        }
+        match l.marker_deliv {
+            Some(t) => now < t + l.opts.lease_duration,
+            None => false,
+        }
+    }
+
+    /// Re-anchors the lease after adopting state this replica did not
+    /// watch being ordered — a WAL replay after a reboot, an image or a
+    /// stream position a joiner or a rebooted member was placed at.
+    /// Markers inside that state carry no receipt time, and any of them
+    /// may name a holder whose window is still running. Forget the holder
+    /// identity and start suppression at `now`: for one lease length this
+    /// replica neither serves fast reads nor acknowledges anything, which
+    /// covers every window granted by a marker sent before `now`
+    /// (suppressing too long is always safe).
+    pub(crate) fn reanchor_lease(&mut self, now: VTime) {
+        if let Some(l) = self.lease.as_mut() {
+            l.holder = None;
+            l.marker_deliv = Some(now);
+        }
+    }
+
+    /// The holder's remaining fast window, if this replica may serve a
+    /// fast read right now: it is placed in its stream, holds the lease
+    /// under its own delivered marker, is past the hand-off wait-out, and
+    /// within `send_ts + D - margin` of that marker.
+    fn lease_until(&self, ctx: &Ctx) -> Option<VTime> {
+        let l = self.lease.as_ref()?;
+        if self.rejoining() || l.holder != Some(ctx.slf) || ctx.now < l.fast_from {
+            return None;
+        }
+        let horizon = l.opts.lease_duration.saturating_sub(l.opts.lease_margin);
+        let until = VTime::from_micros(l.marker_send_us as u64) + horizon;
+        (ctx.now < until).then_some(until)
+    }
+
+    /// Answers `env` from local state on the lease-protected fast path if
+    /// this replica holds the lease right now, recording the served read
+    /// (lease term: the marker's stamp, valid to its window's end) with
+    /// the deployment's observers. Refuses (returns false) without the
+    /// lease, and anything that is not a lockless SELECT — the client's
+    /// read-only flag is advisory, and a mis-flagged transaction falls
+    /// through to ordered execution.
+    pub(crate) fn serve_fast_read(
         &mut self,
         ctx: &Ctx,
         env: &TxnEnvelope,
-        term: i64,
-        until: VTime,
         outs: &mut Vec<SendInstr>,
     ) -> bool {
+        let (Some(until), Some(l)) = (self.lease_until(ctx), &self.lease) else {
+            return false;
+        };
+        let term = l.marker_send_us;
         let Some(out) = env.txn.apply_read_only(&self.db) else {
             return false;
         };
@@ -415,6 +602,54 @@ impl ReplicaCore {
             reply_msg(ctx.slf, env.cseq, out.committed, &out.result),
         ));
         true
+    }
+
+    /// The renewal/claim tick, re-armed every `renew_every`. `rank` is
+    /// the policy's word on claiming: `None` when this replica may not
+    /// claim now, else its stagger rank. The holder re-broadcasts its
+    /// marker each tick (a lapsed own lease re-claims through the same
+    /// marker); anyone else claims once the lease has lapsed and `rank`
+    /// more periods have run out. Races are safe — the stream totally
+    /// orders markers and the policy decides which count — the stagger
+    /// only keeps the common case down to one claimant.
+    pub(crate) fn on_lease_tick(
+        &mut self,
+        ctx: &Ctx,
+        rank: Option<u64>,
+        outs: &mut Vec<SendInstr>,
+    ) {
+        let Some(l) = &self.lease else { return };
+        let tick = Msg::new(cached_header!(LEASE_TIMER_HEADER), Value::Unit);
+        outs.push(SendInstr::after(l.opts.renew_every, ctx.slf, tick));
+        let Some(rank) = rank.filter(|_| !self.rejoining()) else {
+            return;
+        };
+        let claim = match (l.holder, l.marker_deliv) {
+            (Some(h), _) if h == ctx.slf => true,
+            (_, Some(deliv)) => {
+                let lapse = deliv + l.opts.lease_duration;
+                ctx.now >= lapse + l.opts.renew_every * (rank as u32)
+            }
+            // No live marker ever seen: rank-staggered initial claim.
+            (_, None) => ctx.now >= VTime::ZERO + l.opts.renew_every * (rank as u32),
+        };
+        if claim {
+            let marker = Value::pair(
+                Value::str(LEASE_MARKER_TAG),
+                Value::pair(Value::Loc(ctx.slf), Value::Int(ctx.now.as_micros() as i64)),
+            );
+            outs.push(self.broadcast(ctx.slf, marker));
+        }
+    }
+
+    /// Hashes the replicated lease state into the policy's digest: the
+    /// holder sequence and its stamps are functions of the delivered
+    /// prefix; the local receipt times (`marker_deliv`, `fast_from`) are
+    /// not.
+    pub(crate) fn digest_lease(&self, h: &mut impl Hasher) {
+        if let Some(l) = &self.lease {
+            (l.holder, l.marker_send_us).hash(h);
+        }
     }
 
     // -- the state image -----------------------------------------------------
@@ -546,8 +781,8 @@ impl ReplicaCore {
     /// virtual clock broadcasts can share an instant. Neither term shrinks
     /// across reboots (only unsynced records tear), so each incarnation
     /// starts above the last by the µs it ran plus 10^6 per index it made
-    /// durable — more than it broadcasts: one per heartbeat tick or
-    /// adoption (PBR), per lease tick or forwarded read (SMR), and an
+    /// durable — more than it broadcasts: one per lease tick, per
+    /// heartbeat tick or adoption (PBR), per forwarded read (SMR), and an
     /// ordered read is an index. It is never below `now` alone, nor below
     /// `frontier × 10^6` alone.
     pub(crate) fn recover(&mut self, tear: u64, now: VTime) -> (Disk, Recovered) {
@@ -853,11 +1088,14 @@ impl ReplicaCore {
         self.stream.offer(d)
     }
 
-    /// Anchors the stream at `at`, the position of the state it came with:
-    /// what was held from `at` on is released in order, the rest dropped.
-    pub(crate) fn anchor(&mut self, at: i64) -> Vec<Delivery> {
+    /// Anchors the stream at `at`, the position of the state it came with,
+    /// at local time `now`: what was held from `at` on is released in
+    /// order, the rest dropped. The lease re-anchors with it: the markers
+    /// ordered below `at` were never seen here.
+    pub(crate) fn anchor(&mut self, at: i64, now: VTime) -> Vec<Delivery> {
         let held = std::mem::replace(&mut self.stream, InOrderBuffer::starting_at(at));
         self.anchored = true;
+        self.reanchor_lease(now);
         let held = held.into_pending().into_iter();
         held.flat_map(|d| self.stream.offer(d)).collect()
     }
@@ -871,7 +1109,7 @@ impl ReplicaCore {
     /// everything) anchors at the ack.
     pub(crate) fn on_subok(
         &mut self,
-        slf: Loc,
+        ctx: &Ctx,
         seq: i64,
         from: i64,
         out: &mut Vec<SendInstr>,
@@ -881,10 +1119,10 @@ impl ReplicaCore {
             return Vec::new(); // a later ack, or an answer already past it
         }
         if self.fetch.donors.is_empty() {
-            return self.anchor(seq.max(self.stream.next_seq()));
+            return self.anchor(seq.max(self.stream.next_seq()), ctx.now);
         }
         self.anchored &= self.fetch.asked == 0 || self.stream.next_seq() >= seq;
-        self.fetch(slf, from, seq, out);
+        self.fetch(ctx.slf, from, seq, out);
         Vec::new()
     }
 
@@ -1385,6 +1623,7 @@ mod tests {
     #[test]
     fn the_first_subscription_ack_anchors_or_opens_the_fetch() {
         let slf = Loc::new(9);
+        let ctx = Ctx::new(slf, VTime::ZERO);
         let d = |seq| Delivery {
             seq,
             client: slf,
@@ -1401,10 +1640,10 @@ mod tests {
         for seq in [3, 6, 7] {
             assert!(joiner.offer(d(seq)).is_empty(), "held");
         }
-        assert_eq!(seqs(joiner.on_subok(slf, 6, -1, &mut out)), [6, 7]);
+        assert_eq!(seqs(joiner.on_subok(&ctx, 6, -1, &mut out)), [6, 7]);
         assert!(out.is_empty() && !joiner.rejoining());
         assert!(
-            joiner.on_subok(slf, 2, -1, &mut out).is_empty(),
+            joiner.on_subok(&ctx, 2, -1, &mut out).is_empty(),
             "a later ack"
         );
         assert_eq!(seqs(joiner.offer(d(8))), [8]);
@@ -1413,7 +1652,7 @@ mod tests {
         let mut smr = core(1);
         smr.set_donors(vec![Loc::new(1)], every);
         smr.subscribe(Some(4));
-        assert!(smr.on_subok(slf, 9, 4, &mut out).is_empty());
+        assert!(smr.on_subok(&ctx, 9, 4, &mut out).is_empty());
         assert_eq!((smr.anchored(), smr.fetching()), (true, Some(9)));
         assert_eq!(out[0].msg, fetch_msg(slf, 4, 9, 0));
 
@@ -1426,10 +1665,10 @@ mod tests {
             pbr.fetch(slf, 0, 0, &mut out);
             if let Some(at) = anchor {
                 assert!(pbr.answers(0, at));
-                pbr.anchor(at);
+                pbr.anchor(at, VTime::ZERO);
             }
             out.clear();
-            assert!(pbr.on_subok(slf, 9, 0, &mut out).is_empty());
+            assert!(pbr.on_subok(&ctx, 9, 0, &mut out).is_empty());
             assert_eq!(pbr.anchored(), kept, "{anchor:?}");
             assert_eq!(pbr.fetching(), Some(9), "re-aimed");
             assert!(!pbr.answers(0, 8) && pbr.answers(0, 9) && !pbr.answers(1, 9));

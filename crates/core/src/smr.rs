@@ -21,11 +21,12 @@
 //! from: its rebooted peers are the window's readers.
 
 use crate::msgs::{
-    parse_fetch, TxnEnvelope, CATCHUP_HEADER, FETCH_HEADER, FETCH_RETRY_HEADER, SNAPSHOT_HEADER,
-    STALE_CONFIG_HEADER, SUBMIT_HEADER, SYNCED_HEADER, SYNC_HEADER,
+    parse_fetch, TxnEnvelope, CATCHUP_HEADER, FETCH_HEADER, FETCH_RETRY_HEADER, LEASE_TIMER_HEADER,
+    SNAPSHOT_HEADER, STALE_CONFIG_HEADER, SUBMIT_HEADER, SYNCED_HEADER, SYNC_HEADER,
 };
 use crate::probe::Probe;
-use crate::replica_core::{Executed, ReplicaCore, Seen};
+pub use crate::replica_core::SmrLeaseOptions;
+use crate::replica_core::{parse_lease_marker, Executed, ReplicaCore, Seen};
 use crate::shard::ShardRole;
 use shadowdb_eventml::process::HasherAdapter;
 use shadowdb_eventml::{cached_header, Ctx, Msg, Process, SendInstr, Value};
@@ -42,77 +43,6 @@ const FETCH_RETRY: Duration = Duration::from_secs(1);
 /// The window a durable replica keeps to serve a rebooted peer's
 /// catch-up: its last this many deliveries.
 const REJOIN_WINDOW: usize = 4_096;
-/// Self-rearming renewal/claim tick for the read-lease plane.
-const LEASE_TIMER_HEADER: &str = "smr/leasetick";
-/// Tag of a lease marker ordered through the TOB:
-/// `<"lease!", <holder, send_ts_us>>`. Markers ride the ordinary delivery
-/// stream (and the WAL with it), so every replica observes the same
-/// holder sequence at the same slots.
-const LEASE_MARKER_TAG: &str = "lease!";
-
-/// Tuning for the SMR read-lease fast path. The TOB remains the write
-/// path; a marker ordered through it elects one replica (the holder)
-/// whose database provably reflects every acknowledged write, because
-/// every *other* replica suppresses client replies while the marker is
-/// fresh — during the lease only the holder acknowledges, and anything
-/// the holder acknowledged it has executed.
-#[derive(Clone, Debug)]
-pub struct SmrLeaseOptions {
-    /// Lease length `D`: a marker delivered at local time `t` suppresses
-    /// a non-holder's replies until `t + D`, while the holder's fast
-    /// window ends at `send_ts + D - margin` on its own clock. Delivery
-    /// follows the send, so the suppression horizon dominates the fast
-    /// window at every non-holder.
-    pub lease_duration: Duration,
-    /// Clock-*rate* safety margin subtracted from the holder's window
-    /// (virtual clocks are exact, so simulation runs keep this zero).
-    pub lease_margin: Duration,
-    /// Holder renewal period, also the unit of the claim stagger; `D/4`
-    /// keeps the lease continuously covered with slack for TOB latency.
-    pub renew_every: Duration,
-}
-
-impl Default for SmrLeaseOptions {
-    fn default() -> SmrLeaseOptions {
-        SmrLeaseOptions {
-            lease_duration: Duration::from_secs(4),
-            lease_margin: Duration::ZERO,
-            renew_every: Duration::from_secs(1),
-        }
-    }
-}
-
-/// The read-lease plane of one replica (present iff leases are enabled).
-#[derive(Clone)]
-struct LeaseState {
-    opts: SmrLeaseOptions,
-    /// Claim stagger rank: rank 0 claims a lapsed lease first, higher
-    /// ranks wait `rank * renew_every` longer, so the group converges on
-    /// a single claimant without a coordination round.
-    claim_rank: u64,
-    /// Holder named by the latest executed marker.
-    holder: Option<Loc>,
-    /// The holder's clock (µs) stamped into that marker.
-    marker_send_us: i64,
-    /// Local delivery time of that marker. `None` means the marker was
-    /// WAL-replayed: its receipt time is unknown, so it anchors no live
-    /// suppression window (see [`SmrReplica::reanchor_lease`]).
-    marker_deliv: Option<VTime>,
-    /// Holder-side wait-out: no fast reads before this. Covers the
-    /// previous holder's entire window across a hand-off.
-    fast_from: VTime,
-}
-
-/// Decodes a lease marker payload, if `v` is one (transaction envelopes
-/// lead with a `Loc`, so the string tag is unambiguous).
-fn parse_lease_marker(v: &Value) -> Option<(Loc, i64)> {
-    let (tag, rest) = v.fst().zip(v.snd())?;
-    if tag.as_str()? != LEASE_MARKER_TAG {
-        return None;
-    }
-    let (holder, ts) = rest.fst().zip(rest.snd())?;
-    Some((holder.as_loc()?, ts.as_int()?))
-}
 
 /// An SMR ShadowDB replica: a broadcast-service subscriber executing every
 /// delivered transaction — the SMR ordering policy over a [`ReplicaCore`].
@@ -126,8 +56,11 @@ pub struct SmrReplica {
     /// Reusable envelope buffer for group apply (always empty between
     /// steps; excluded from digests).
     group_scratch: Vec<TxnEnvelope>,
-    /// Lease-based read fast path, when enabled.
-    lease: Option<LeaseState>,
+    /// Stagger rank of this replica's lease claims: rank 0 claims a
+    /// lapsed lease first, higher ranks wait `rank * renew_every` longer,
+    /// so the group converges on a single claimant without a
+    /// coordination round.
+    claim_rank: u64,
     /// Rebooted after a power loss: the first step recovers from the
     /// attached disk, tearing its unsynced tail from this seed.
     reboot: Option<u64>,
@@ -139,7 +72,7 @@ impl SmrReplica {
         SmrReplica {
             core: ReplicaCore::new(db),
             group_scratch: Vec::new(),
-            lease: None,
+            claim_rank: 0,
             reboot: None,
         }
     }
@@ -147,11 +80,11 @@ impl SmrReplica {
     /// Enables the lease-based read fast path: markers broadcast through
     /// `tob_servers` elect a holder that answers read-only transactions
     /// from its local database without a broadcast round. `claim_rank`
-    /// staggers lapse claims (rank 0 moves first). A replica that adopts
-    /// state it did not watch being ordered — a reboot's WAL replay, a
-    /// joiner's snapshot — re-anchors the plane itself
-    /// ([`SmrReplica::reanchor_lease`]), so the builder steps chain in any
-    /// order.
+    /// staggers lapse claims (rank 0 moves first), and every delivered
+    /// marker counts. A replica that adopts state it did not watch being
+    /// ordered — a reboot's WAL replay, a joiner's snapshot — re-anchors
+    /// the lease itself (the core's `reanchor_lease`), so the builder
+    /// steps chain in any order.
     pub fn with_read_leases(
         mut self,
         tob_servers: Vec<Loc>,
@@ -160,21 +93,9 @@ impl SmrReplica {
     ) -> SmrReplica {
         assert!(!tob_servers.is_empty(), "leases need a TOB entry point");
         self.core.set_tob_servers(tob_servers);
-        self.lease = Some(LeaseState {
-            opts,
-            claim_rank,
-            holder: None,
-            marker_send_us: 0,
-            marker_deliv: None,
-            fast_from: VTime::ZERO,
-        });
+        self.core.enable_lease(opts);
+        self.claim_rank = claim_rank;
         self
-    }
-
-    /// The message that starts the renewal/claim tick; the deployment
-    /// sends it once at boot to every lease-enabled replica.
-    pub fn lease_start_msg() -> Msg {
-        Msg::new(LEASE_TIMER_HEADER, Value::Unit)
     }
 
     /// Places this replica's group inside a sharded deployment: its shard,
@@ -254,22 +175,7 @@ impl SmrReplica {
         self.feed(ctx.slf, None, rec.records, &mut Vec::new());
         let next = self.core.stream_next();
         self.core.resume_wal(disk, snap_at, next - 1);
-        self.reanchor_lease(ctx.now);
-    }
-
-    /// Re-anchors the lease plane after adopting state this replica did
-    /// not watch being ordered — a WAL replay after a reboot, a snapshot
-    /// installed by a joiner. Markers inside that state carry no receipt
-    /// time, and any of them may name a holder whose window is still
-    /// running. Forget the holder identity and start suppression at `now`:
-    /// for one lease length this replica neither serves fast reads nor
-    /// acknowledges writes, which covers every window granted by a marker
-    /// sent before `now` (suppressing too long is always safe).
-    fn reanchor_lease(&mut self, now: VTime) {
-        if let Some(l) = self.lease.as_mut() {
-            l.holder = None;
-            l.marker_deliv = Some(now);
-        }
+        self.core.reanchor_lease(ctx.now);
     }
 
     /// The fetch of the deliveries from `from` on (`-1`: an image) once
@@ -320,7 +226,7 @@ impl SmrReplica {
                 // envelopes before the marker must answer under the old
                 // holder, those after it under the new one.
                 self.flush_group(slf, now, &mut group, outs);
-                self.execute_lease_marker(slf, now, holder, send_us);
+                self.core.install_marker(slf, now, holder, send_us);
                 continue;
             }
             let Some(env) = TxnEnvelope::from_value(&d.payload) else {
@@ -342,7 +248,7 @@ impl SmrReplica {
             // deliveries filtered by the InOrderBuffer already; both are
             // covered).
             if self.core.seen(env.client, env.cseq) != Seen::Fresh {
-                if !self.replies_suppressed(slf, now) {
+                if !self.core.replies_suppressed(slf, now) {
                     outs.extend(self.core.reply(slf, env.client));
                 }
                 continue;
@@ -351,63 +257,6 @@ impl SmrReplica {
         }
         self.flush_group(slf, now, &mut group, outs);
         self.group_scratch = group;
-    }
-
-    /// Installs the holder named by a marker delivered (or replayed) at
-    /// this replica. The TOB totally orders markers, so every replica
-    /// steps through the same holder sequence at the same slots; only
-    /// the *local* timestamps anchoring suppression and the hand-off
-    /// wait-out differ per replica.
-    fn execute_lease_marker(&mut self, slf: Loc, now: Option<VTime>, holder: Loc, send_us: i64) {
-        let Some(l) = self.lease.as_mut() else {
-            return;
-        };
-        if holder == slf && l.holder != Some(slf) {
-            let virgin = l.holder.is_none() && l.marker_send_us == 0 && l.marker_deliv.is_none();
-            l.fast_from = if virgin {
-                // No lease has ever existed: nothing to outwait.
-                now.unwrap_or(VTime::ZERO)
-            } else {
-                // A hand-off: outwait the previous window entirely. It
-                // ends no later than D after this replica received the
-                // previous marker (delivery follows the send); when that
-                // receipt time is unknown (WAL replay, post-recovery),
-                // anchor on this marker's own delivery, which is no
-                // earlier.
-                l.marker_deliv.or(now).unwrap_or(VTime::ZERO) + l.opts.lease_duration
-            };
-        }
-        // A renewal (self -> self) keeps `fast_from`: any write another
-        // replica acknowledged between the markers was acknowledged only
-        // after *its* suppression window lapsed, i.e. after this lease's
-        // own end — so it linearizes after every fast read served here.
-        l.holder = Some(holder);
-        l.marker_send_us = send_us;
-        l.marker_deliv = now;
-    }
-
-    /// Whether this replica must withhold client replies right now: a
-    /// marker naming someone else is still fresh. While every non-holder
-    /// stays silent, the first answer a client can observe comes from the
-    /// holder — which therefore has executed everything it acknowledged,
-    /// the invariant the fast read path rests on. Protocol traffic (2PC
-    /// records) is never suppressed.
-    fn replies_suppressed(&self, slf: Loc, now: Option<VTime>) -> bool {
-        let Some(l) = &self.lease else {
-            return false;
-        };
-        // WAL replay renders and discards all sends; suppression state is
-        // irrelevant there.
-        let Some(now) = now else {
-            return false;
-        };
-        if l.holder == Some(slf) {
-            return false;
-        }
-        match l.marker_deliv {
-            Some(t) => now < t + l.opts.lease_duration,
-            None => false,
-        }
     }
 
     /// Applies `group` as one engine transaction and emits replies in
@@ -426,7 +275,7 @@ impl SmrReplica {
         // A suppressed reply is not lost: the reply cache advanced, so the
         // client's resend is answered the moment suppression lapses (or
         // by the holder meanwhile).
-        if !self.replies_suppressed(slf, now) {
+        if !self.core.replies_suppressed(slf, now) {
             // No client appears twice in a group, so each cache entry is
             // exactly this group's answer.
             outs.extend(group.iter().filter_map(|e| self.core.reply(slf, e.client)));
@@ -521,25 +370,11 @@ impl SmrReplica {
             return;
         };
         self.core.fetched();
-        // The image may cover a marker whose window is still running.
-        self.reanchor_lease(now);
         // Skip everything the snapshot already covers, then replay whatever
-        // arrived while joining.
-        let ready = self.core.anchor(next_seq);
+        // arrived while joining; the image may cover a marker whose window
+        // is still running, so the lease re-anchors here.
+        let ready = self.core.anchor(next_seq, now);
         self.execute_deliveries(slf, Some(now), ready, outs);
-    }
-
-    /// The holder's remaining fast window, if this replica may serve a
-    /// fast read right now: it is the holder, past the hand-off wait-out,
-    /// and within `send_ts + D - margin` of its own marker.
-    fn lease_until(&self, ctx: &Ctx) -> Option<VTime> {
-        let l = self.lease.as_ref()?;
-        if l.holder != Some(ctx.slf) || ctx.now < l.fast_from {
-            return None;
-        }
-        let horizon = l.opts.lease_duration.saturating_sub(l.opts.lease_margin);
-        let until = VTime::from_micros(l.marker_send_us as u64) + horizon;
-        (ctx.now < until).then_some(until)
     }
 
     /// A transaction submitted *directly* to this replica (not through the
@@ -552,57 +387,13 @@ impl SmrReplica {
         let Some(env) = TxnEnvelope::from_value(body) else {
             return;
         };
-        if env.read_only && !self.core.rejoining() {
-            if let (Some(until), Some(l)) = (self.lease_until(ctx), &self.lease) {
-                if self
-                    .core
-                    .serve_lease_read(ctx, &env, l.marker_send_us, until, outs)
-                {
-                    return;
-                }
-            }
-        }
-        // No lease plane, so no TOB route of our own: drop, and the
-        // client's broadcast resend covers the request.
-        if self.lease.is_some() {
-            outs.push(self.core.broadcast(ctx.slf, env.to_value()));
-        }
-    }
-
-    /// The renewal/claim tick. The holder re-broadcasts its marker each
-    /// tick; a replica observing a lapsed (or absent) lease claims it
-    /// after its rank-staggered patience runs out. Races are safe — the
-    /// TOB totally orders markers and the latest one wins everywhere —
-    /// the stagger only keeps the common case down to one claimant.
-    fn on_lease_timer(&mut self, ctx: &Ctx, outs: &mut Vec<SendInstr>) {
-        let Some(l) = &self.lease else { return };
-        outs.push(SendInstr::after(
-            l.opts.renew_every,
-            ctx.slf,
-            Msg::new(LEASE_TIMER_HEADER, Value::Unit),
-        ));
-        if self.core.rejoining() {
+        if env.read_only && self.core.serve_fast_read(ctx, &env, outs) {
             return;
         }
-        let claim = match (l.holder, l.marker_deliv) {
-            // This replica holds the lease: renew unconditionally (a
-            // lapsed own lease re-claims through the same marker).
-            (Some(h), _) if h == ctx.slf => true,
-            // Someone else holds it: claim only once it has lapsed and
-            // this replica's stagger rank has run out.
-            (_, Some(deliv)) => {
-                let lapse = deliv + l.opts.lease_duration;
-                ctx.now >= lapse + l.opts.renew_every * (l.claim_rank as u32)
-            }
-            // No live marker ever seen: rank-staggered initial claim.
-            (_, None) => ctx.now >= VTime::ZERO + l.opts.renew_every * (l.claim_rank as u32),
-        };
-        if claim {
-            let marker = Value::pair(
-                Value::str(LEASE_MARKER_TAG),
-                Value::pair(Value::Loc(ctx.slf), Value::Int(ctx.now.as_micros() as i64)),
-            );
-            outs.push(self.core.broadcast(ctx.slf, marker));
+        // No lease, so no TOB route of our own: drop, and the client's
+        // broadcast resend covers the request.
+        if self.core.has_lease() {
+            outs.push(self.core.broadcast(ctx.slf, env.to_value()));
         }
     }
 }
@@ -632,7 +423,8 @@ impl Process for SmrReplica {
                 .core
                 .on_synced(&msg.body, next - 1, || Value::Int(next), out);
         } else if h == cached_header!(LEASE_TIMER_HEADER) {
-            self.on_lease_timer(ctx, out);
+            // Any replica may claim, rank-staggered; every marker counts.
+            self.core.on_lease_tick(ctx, Some(self.claim_rank), out);
         } else if h == cached_header!(FETCH_RETRY_HEADER) {
             self.core.on_fetch_retry(ctx.slf, out);
         } else if h == cached_header!(STALE_CONFIG_HEADER) {
@@ -647,7 +439,7 @@ impl Process for SmrReplica {
                 true => self.core.stream_next(),
                 false => -1,
             };
-            let ready = self.core.on_subok(ctx.slf, seq, from, out);
+            let ready = self.core.on_subok(ctx, seq, from, out);
             self.execute_deliveries(ctx.slf, Some(ctx.now), ready, out);
         } else if let Some(d) = parse_deliver(msg) {
             let ready = self.core.offer(d);
@@ -674,12 +466,7 @@ impl Process for SmrReplica {
         self.core.executed().hash(&mut h);
         self.core.digest_requests(&mut h);
         self.core.twopc_seq().hash(&mut h);
-        if let Some(l) = &self.lease {
-            // Replicated lease state only: the holder sequence and its
-            // stamps are functions of the delivered TOB prefix; the local
-            // receipt times (`marker_deliv`, `fast_from`) are not.
-            (l.holder, l.marker_send_us).hash(&mut h);
-        }
+        self.core.digest_lease(&mut h);
     }
 }
 
@@ -687,6 +474,7 @@ impl Process for SmrReplica {
 mod tests {
     use super::*;
     use crate::msgs::REPLY_HEADER;
+    use crate::replica_core::LEASE_MARKER_TAG;
     use shadowdb_sqldb::EngineProfile;
     use shadowdb_tob::DELIVER_HEADER;
     use shadowdb_workloads::bank;

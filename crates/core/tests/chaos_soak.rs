@@ -349,12 +349,12 @@ fn tcpnet_reconfig_smr_crash_during_transfer() {
 /// whole history — which catches any read served after the holder's
 /// lease should have expired — and, on the event log, that fast reads
 /// were actually served and no two holders' intervals ever overlapped.
-/// Simulator sizing for the read soaks. Leases are 4 × heartbeat, and a
-/// PBR lease needs roughly two heartbeat periods to go fresh (grant out,
-/// echo back on the backup's own next tick) — so the cadence is tight
-/// and the workload long enough that most reads land in the granted
-/// regime, with the nemesis window compressed to put the partition in
-/// the middle of the run rather than after it.
+/// Simulator sizing for the read soaks. Leases are 4 × heartbeat,
+/// renewed every heartbeat, and a lease is live once its holder's first
+/// marker has come back through the stream — so the cadence is tight and
+/// the workload long enough that most reads land in the leased regime,
+/// with the nemesis window compressed to put the partition in the middle
+/// of the run rather than after it.
 fn sim_read_opts(seed: u64) -> ChaosOptions {
     sim_read_opts_under(seed, NemesisProfile::StalePrimaryReads)
 }
@@ -373,6 +373,20 @@ fn sim_read_opts_under(seed: u64, profile: NemesisProfile) -> ChaosOptions {
 fn simnet_reads_pbr_stale_primary() {
     let mut sim = shadowdb_simnet::testing::default_net(1_600);
     let report = soak_reads_pbr(&mut sim, &sim_read_opts(51));
+    assert_eq!(report.committed, 1_200);
+}
+
+/// The PBR read soak with failure detection faster than the lease: 12 ms
+/// against a 20 ms lease, so a successor can finish its election while
+/// the deposed holder's last marker is still fresh, and only its wait-out
+/// of that marker — a fact of the stream order, not of `detect_after` —
+/// keeps the two holders apart.
+#[test]
+fn simnet_reads_pbr_detect_below_lease() {
+    let mut sim = shadowdb_simnet::testing::default_net(1_600);
+    let mut opts = sim_read_opts(51);
+    opts.detect_after = Duration::from_millis(12);
+    let report = soak_reads_pbr(&mut sim, &opts);
     assert_eq!(report.committed, 1_200);
 }
 
@@ -398,11 +412,11 @@ fn simnet_reads_smr_power_loss() {
 }
 
 /// Real-runtime sizing for the read soaks: a tight heartbeat so leases
-/// (4 × heartbeat) go fresh within the first few round trips — the
-/// workload must overlap the lease-granted regime, not finish before the
-/// first echo — and enough transactions to keep reads flowing while
-/// faults land. On loopback TCP the first grant-and-echo takes about
-/// 20 ms, roughly what 100 transactions per client last; 1 000 outlast
+/// (4 × heartbeat, renewed every heartbeat) go live within the first few
+/// round trips — the workload must overlap the leased regime, not finish
+/// before the first marker is delivered — and enough transactions to
+/// keep reads flowing while faults land. 100 transactions per client
+/// last about as long as the first round on loopback TCP; 1 000 outlast
 /// it several times over.
 fn live_read_opts(seed: u64) -> ChaosOptions {
     let mut o = live_opts(seed, NemesisProfile::StalePrimaryReads);

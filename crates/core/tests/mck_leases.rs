@@ -10,7 +10,7 @@
 //! branches. Each path's audits decode to the same `Event::LeaseRead`
 //! rows a probe records, and the one `probe::check_lease_intervals_
 //! disjoint` judges them. The invariant over every explored interleaving
-//! of heartbeats, echoes, markers, and reads: **no two replicas ever
+//! of heartbeats, lease ticks, markers, and reads: **no two replicas ever
 //! serve fast-path reads under overlapping lease intervals** — not merely
 //! per configuration; a successor's wait-out must keep even
 //! cross-configuration intervals disjoint — and a replica that is not the
@@ -62,29 +62,32 @@ fn assert_no_violation(outcome: &Outcome) {
     }
 }
 
-/// PBR: reads land on the primary, a backup, and the spare while grant
-/// and echo heartbeats interleave every possible way. Only the primary
-/// may ever emit an audit, and — within each explored path — all audit
-/// intervals from distinct replicas stay disjoint.
+/// PBR: reads land on the primary and a backup while the primary's lease
+/// markers, every replica's lease tick and the heartbeats interleave
+/// every possible way. Only the primary may ever emit an audit, and —
+/// within each explored path — all audit intervals from distinct replicas
+/// stay disjoint.
 #[test]
 fn mck_pbr_no_overlapping_lease_reads() {
     let mut world = WorldBuilder::new();
     let (client, _rx) = world.port();
     let (audit_sink, _arx) = world.port();
     let pbr = PbrOptions {
-        // Microsecond cadence so grants, echoes, and the lease window all
-        // fit inside the explored depth.
         heartbeat_every: Duration::from_micros(2),
-        read_leases: true,
-        lease_duration: Duration::from_micros(200),
         ..PbrOptions::default()
     };
-    let d = PbrDeployment::build(&mut world, &checker_options(audit_sink), pbr);
+    let mut options = checker_options(audit_sink);
+    options.smr_leases = Some(SmrLeaseOptions {
+        lease_duration: Duration::from_micros(200),
+        renew_every: Duration::from_micros(3),
+        ..SmrLeaseOptions::default()
+    });
+    let d = PbrDeployment::build(&mut world, &options, pbr);
 
-    // Read-only submissions to the primary (may serve fast once echoed)
-    // and the backup (must never). The checker abstracts `send_at` times
+    // Read-only submissions to the primary (may serve fast once its
+    // marker is delivered) and the backup (must never). The checker abstracts `send_at` times
     // away — both are in flight from the root, so the explorer tries the
-    // read before, between, and after every grant/echo delivery.
+    // read before, between, and after every marker delivery.
     for (cseq, &target) in d.replicas.iter().take(2).enumerate() {
         let env = TxnEnvelope::new(client, cseq as i64, TxnRequest::BankRead { account: 0 });
         world.send_at(VTime::from_micros(8), target, submit_msg(&env));
@@ -97,10 +100,12 @@ fn mck_pbr_no_overlapping_lease_reads() {
             // Shallow-and-wide beats deep-and-narrow here: the explorer is
             // a DFS, and timer re-arms give the leftmost spine unbounded
             // fresh states — a deep bound burns the whole state budget
-            // inside one timer-storm subtree before the grant → echo →
-            // read ordering is ever scheduled. The full chain needs only
-            // ~7 deliveries, so a tight depth forces breadth.
-            max_depth: 14,
+            // inside one timer-storm subtree before the tick → marker →
+            // TOB order → marker delivery → read ordering is ever
+            // scheduled (at depth 14 this budget ends with no fast read).
+            // The full chain needs about ten deliveries, so a tight depth
+            // forces breadth.
+            max_depth: 13,
             max_states: 400_000,
             ..Options::default()
         },

@@ -67,13 +67,12 @@ fn pbr_read_leases_serve_fast_reads_and_stay_linearizable() {
     let mut sim = shadowdb_simnet::testing::default_net(21);
     let probe = Probe::default();
     let pbr = PbrOptions {
-        read_leases: true,
-        // Tight heartbeats so echoes go fresh while clients are still
-        // submitting; the default 1 s cadence outlives this short mix.
         heartbeat_every: Duration::from_millis(10),
         ..PbrOptions::default()
     };
-    let d = PbrDeployment::build(&mut sim, &kv_options(&probe), pbr);
+    let mut options = kv_options(&probe);
+    options.smr_leases = Some(SmrLeaseOptions::default());
+    let d = PbrDeployment::build(&mut sim, &options, pbr);
     sim.run_until_quiescent(VTime::from_secs(300));
     assert_eq!(d.committed(), CLIENTS * TXNS_EACH, "every txn answered");
     assert!(
