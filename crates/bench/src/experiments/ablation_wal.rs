@@ -25,10 +25,12 @@
 //! snapshot count during the run is inversely proportional to it.
 
 use crate::output;
+use shadowdb_eventml::codec::encode_value;
 use shadowdb_eventml::Value;
 use shadowdb_runtime::StorageMode;
 use shadowdb_wal::{recover, Disk, Wal};
 use std::io::{self, Write};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// A bank transaction's framed apply record is ~100 bytes.
@@ -77,7 +79,10 @@ fn snapshot_run(mode: &StorageMode, txns: usize, every: usize) -> (usize, usize,
             wal.commit();
         }
         if (i + 1) % every == 0 {
-            wal.save_snapshot(i as i64, &blob);
+            let (blob, (tx, rx)) = (blob.clone(), mpsc::channel());
+            let image = move |buf: &mut _| encode_value(&blob, buf);
+            wal.hand_off_snapshot(i as i64, image, move |_| tx.send(()).expect("waiting"));
+            rx.recv().expect("the syncer reports");
             snaps += 1;
         }
     }

@@ -420,7 +420,8 @@ fn reconfig_catchup_ms() -> f64 {
 /// transaction: `ablation_wal`'s commit run, the same 2 000 bank-sized
 /// records appended to a file-backed log, once committing every append
 /// (the naive durable design) and once committing at 64-record group
-/// boundaries (what the replicas do — one fsync per batch of arrivals). The
+/// boundaries (what the replicas do — one fsync per batch of arrivals),
+/// each commit handed to the disk's syncer and waited for. The
 /// leg reports the grouped rate and asserts the tentpole claim directly:
 /// group commit must be at least 5× the per-transaction-fsync rate. The
 /// ratio is host-independent to first order — both runs pay the same

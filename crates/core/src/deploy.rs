@@ -118,8 +118,9 @@ pub struct DurabilityOptions {
     /// at least as large as that snapshot, so recovery replays at most
     /// about one image's worth of log.
     pub snapshot_every: i64,
-    /// Fsync latency: charged virtually per group commit under the
-    /// simulator, borne for real under file-backed runtimes.
+    /// Fsync latency: under the simulator, how long after a replica hands
+    /// a sync off its `sdb/synced` arrives (the replica's CPU is not
+    /// held meanwhile); borne for real under file-backed runtimes.
     pub fsync_cost: Duration,
 }
 

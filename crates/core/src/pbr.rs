@@ -1135,9 +1135,7 @@ impl Process for PbrReplica {
             // would make every reply wait out the *next* sync as well.
             return self.on_ack(ctx, &msg.body, out);
         } else if h == cached_header!(SYNC_HEADER) {
-            self.core
-                .sync(self.wal_index, || self.config.to_value(), out);
-            self.release_pending(out);
+            self.core.sync(self.wal_index, || self.config.to_value());
         } else if h == cached_header!(SYNCED_HEADER) {
             // Like an ack: what it releases was checked entry by entry.
             let config = &self.config;

@@ -202,7 +202,7 @@ pub(crate) struct ReplicaCore {
     last_reply: HashMap<Loc, (i64, bool, Vec<SqlValue>)>,
     /// Number of transactions executed (PBR's election criterion).
     executed: i64,
-    /// Deferred CPU cost (transaction execution, snapshot work, fsyncs).
+    /// Deferred CPU cost (transaction execution, snapshot work).
     step_cost: Duration,
     /// Sharded deployments: this group's place in the shard map.
     role: Option<ShardRole>,
@@ -218,8 +218,8 @@ pub(crate) struct ReplicaCore {
     /// its execution. Appends stay unsynced until the replica's next
     /// `sdb/sync` ([`Self::sync`]), which covers all of them at once.
     wal: Option<Wal>,
-    /// The sync handed to the disk's syncer and not yet reported
-    /// (`sdb/synced`): the index it makes durable — [`NOTHING_DURABLE`]
+    /// The sync handed to the disk and not yet reported (`sdb/synced`):
+    /// the index it makes durable — [`NOTHING_DURABLE`]
     /// once a network image voided it. At most one is in flight.
     syncing: Option<i64>,
     /// WAL index the last durable snapshot covers (truncation point).
@@ -884,22 +884,17 @@ impl ReplicaCore {
     /// the newest log index; `header` renders the policy header, only if a
     /// snapshot is actually taken.
     ///
-    /// A virtual disk syncs here, and everything parked behind the sync is
-    /// released into `out`. A file-backed disk hands the sync to its
-    /// syncer thread instead — the unsynced tail, plus the state captured
-    /// here at `last` for a snapshot — and the replica keeps executing;
-    /// the release waits for the `sdb/synced` the syncer posts back
-    /// ([`Self::on_synced`]). A periodic snapshot is written behind the
-    /// tail's commit, so it holds up no acknowledgment, and one falling due
-    /// while the previous image is still being written waits for a later
-    /// sync. While a sync is in flight this is a no-op: its completion
-    /// starts the next one.
-    pub(crate) fn sync(
-        &mut self,
-        last: i64,
-        header: impl FnOnce() -> Value,
-        out: &mut Vec<SendInstr>,
-    ) {
+    /// The sync is handed to the disk — the unsynced tail, plus the state
+    /// captured here at `last` for a snapshot — and the replica keeps
+    /// executing; the release waits for the `sdb/synced` the disk posts
+    /// back through the stepping loop's completion route
+    /// ([`Self::on_synced`]), after the real fsync on the file backend and
+    /// the modeled one on a virtual disk. A periodic snapshot is written
+    /// behind the tail's commit, so it holds up no acknowledgment, and one
+    /// falling due while the previous image is still being written waits
+    /// for a later sync. With nothing to write, or while a sync is in
+    /// flight, this is a no-op: the completion starts the next one.
+    pub(crate) fn sync(&mut self, last: i64, header: impl FnOnce() -> Value) {
         self.sync_scheduled = false;
         let Some(wal) = &self.wal else { return };
         if self.syncing.is_some() {
@@ -909,8 +904,11 @@ impl ReplicaCore {
             || (last - self.wal_snap_at >= self.snapshot_every
                 && wal.log_len() >= wal.disk().image_len()
                 && !wal.disk().image_in_flight());
-        let off_thread = (checkpoint || wal.pending() > 0) && wal.disk().syncs_off_thread();
-        let route = off_thread.then(completion::route).flatten();
+        if !checkpoint && wal.pending() == 0 {
+            return;
+        }
+        let route =
+            completion::route().expect("a durable replica steps inside `completion::stepping`");
         let image = checkpoint.then(|| {
             let rows = self.db.snapshot();
             let scan = self.db.profile().costs.scan_row_us * rows.row_count() as u64;
@@ -919,17 +917,9 @@ impl ReplicaCore {
             self.durable_image(header(), rows)
         });
         let wal = self.wal.as_mut().expect("checked above");
-        let Some(route) = route else {
-            // Zero when nothing was appended since the last sync.
-            self.step_cost += match image {
-                Some(image) => wal.save_image(last, image),
-                None => wal.commit(),
-            };
-            return self.durable_through(last, out);
-        };
         let done = {
             let body = Value::pair(Value::Int(wal.generation() as i64), Value::Int(last));
-            move || route.post(Msg::new(cached_header!(SYNCED_HEADER), body))
+            move |after| route.post(after, Msg::new(cached_header!(SYNCED_HEADER), body))
         };
         match image {
             // The log has a gap below a network image: only the snapshot
@@ -943,14 +933,13 @@ impl ReplicaCore {
         self.syncing = Some(last);
     }
 
-    /// Handles `sdb/synced <generation, through>`, the syncer's report
-    /// that the sync [`Self::sync`] handed off is durable: the only place
-    /// such a sync advances `durable` and releases what was parked behind
-    /// it. A report for another opening of the log (an earlier
-    /// incarnation's) is ignored. Records appended while the sync was in
-    /// flight go straight into the next one. The release is checked entry
-    /// by entry, so the caller must not gate this step's sends behind
-    /// `last` again.
+    /// Handles `sdb/synced <generation, through>`, the disk's report that
+    /// the sync [`Self::sync`] handed off is durable: the only place a
+    /// sync advances `durable` and releases the sends parked behind it. A
+    /// report for another opening of the log (an earlier incarnation's) is
+    /// ignored. Records appended while the sync was in flight go straight
+    /// into the next one. The release is checked entry by entry, so the
+    /// caller must not gate this step's sends behind `last` again.
     pub(crate) fn on_synced(
         &mut self,
         body: &Value,
@@ -966,18 +955,12 @@ impl ReplicaCore {
         let Some(through) = self.syncing.take() else {
             return;
         };
-        self.durable_through(through.max(self.durable), out);
-        if !self.is_durable(last) {
-            self.sync(last, header, out);
-        }
-    }
-
-    /// The disk now holds everything through `index`: releases the sends
-    /// parked behind it into `out`.
-    fn durable_through(&mut self, index: i64, out: &mut Vec<SendInstr>) {
-        self.durable = index;
+        self.durable = through.max(self.durable);
         for (index, send) in std::mem::take(&mut self.parked) {
             self.gate(index, send, out);
+        }
+        if !self.is_durable(last) {
+            self.sync(last, header);
         }
     }
 
@@ -1315,8 +1298,10 @@ mod tests {
     use super::*;
     use crate::route::{GroupRoute, Policy, Routes};
     use proptest::prelude::*;
+    use shadowdb_runtime::completion::Collected;
     use shadowdb_sqldb::EngineProfile;
     use shadowdb_workloads::{bank, ShardMap, TwoPcRecord};
+    use std::sync::Arc;
 
     /// A core over shard 0 of a `shards`-way bank (sharded iff `shards > 1`).
     fn core(shards: usize) -> ReplicaCore {
@@ -1709,11 +1694,16 @@ mod tests {
         let mut c = ReplicaCore::new(db);
         c.attach_wal(Disk::in_memory(Duration::ZERO), 512, 0, 0);
         let body = Value::Bytes(bytes::Bytes::from(vec![7u8; 80]));
+        let posted = Arc::new(Collected::default());
+        completion::install_sink(posted.clone());
         let mut taken = Vec::new();
         for i in 1..=records {
             c.wal_append(i, &body);
             let log = c.wal.as_ref().unwrap().log_len();
-            c.sync(i, || Value::Unit, &mut Vec::new());
+            completion::stepping(Loc::new(0), 0, || c.sync(i, || Value::Unit));
+            for (.., synced) in posted.take() {
+                c.on_synced(&synced.body, i, || Value::Unit, &mut Vec::new());
+            }
             if c.wal_snap_at == i {
                 taken.push((i, c.wal.as_ref().unwrap().disk().image_len(), log));
             }

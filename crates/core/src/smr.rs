@@ -415,7 +415,7 @@ impl Process for SmrReplica {
             self.on_submit(ctx, &msg.body, out);
         } else if h == cached_header!(SYNC_HEADER) {
             let next = self.core.stream_next();
-            self.core.sync(next - 1, || Value::Int(next), out);
+            self.core.sync(next - 1, || Value::Int(next));
         } else if h == cached_header!(SYNCED_HEADER) {
             // What it releases was checked entry by entry: no step gate.
             let next = self.core.stream_next();
@@ -475,9 +475,11 @@ mod tests {
     use super::*;
     use crate::msgs::REPLY_HEADER;
     use crate::replica_core::LEASE_MARKER_TAG;
+    use shadowdb_runtime::completion::{self, Collected};
     use shadowdb_sqldb::EngineProfile;
     use shadowdb_tob::DELIVER_HEADER;
     use shadowdb_workloads::bank;
+    use std::sync::Arc;
 
     const TOB: Loc = Loc::new(9);
     const SLF: Loc = Loc::new(1);
@@ -506,13 +508,20 @@ mod tests {
         TxnEnvelope::new(CLIENT, cseq, txn).to_value()
     }
 
-    /// Steps `r` on `msg` and then on the `sdb/sync` it scheduled, if any;
-    /// returns how many client replies left.
+    /// Steps `r` on `msg`, then on the `sdb/sync` it scheduled, if any,
+    /// and on the `sdb/synced` its disk reported; returns how many client
+    /// replies left.
     fn replies(r: &mut SmrReplica, at: VTime, msg: &Msg) -> usize {
         let ctx = Ctx::new(SLF, at);
-        let mut outs = r.step(&ctx, msg);
+        let posted = Arc::new(Collected::default());
+        completion::install_sink(posted.clone());
+        let mut step = |msg: &Msg| completion::stepping(SLF, 0, || r.step(&ctx, msg));
+        let mut outs = step(msg);
         if outs.iter().any(|s| s.msg.header.name() == SYNC_HEADER) {
-            outs.extend(r.step(&ctx, &Msg::new(SYNC_HEADER, Value::Unit)));
+            outs.extend(step(&Msg::new(SYNC_HEADER, Value::Unit)));
+            for (.., synced) in posted.take() {
+                outs.extend(step(&synced));
+            }
         }
         let reply = |s: &&SendInstr| s.msg.header.name() == REPLY_HEADER;
         outs.iter().filter(reply).count()

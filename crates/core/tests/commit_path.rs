@@ -24,16 +24,15 @@
 //! that reports at hand-off instead of at completion the observer must
 //! fail too.
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use shadowdb::msgs::{
     parse_reply, submit_msg, ReplicaConfig, TxnEnvelope, ACK_HEADER, FORWARD_HEADER, REPLY_HEADER,
-    SYNC_HEADER,
+    SYNCED_HEADER, SYNC_HEADER,
 };
 use shadowdb::pbr::{PbrOptions, PbrReplica};
 use shadowdb_eventml::{Ctx, Msg, Process, SendInstr, Value};
 use shadowdb_loe::{Loc, VTime};
-use shadowdb_runtime::completion::{self, CompletionSink};
+use shadowdb_runtime::completion::{self, Collected};
 use shadowdb_sqldb::{Database, EngineProfile};
 use shadowdb_wal::{recover, Disk};
 use shadowdb_workloads::{bank, TxnRequest};
@@ -81,17 +80,6 @@ fn replica(disk: &Disk, snapshot_every: i64) -> PbrReplica {
         .with_wal(disk.clone(), snapshot_every)
 }
 
-/// Completions the disks posted, `(location, incarnation, message)`, as a
-/// runtime's command channel would hold them.
-#[derive(Default)]
-struct Posted(Mutex<Vec<(Loc, u64, Msg)>>);
-
-impl CompletionSink for Posted {
-    fn post(&self, loc: Loc, epoch: u64, msg: Msg) {
-        self.0.lock().push((loc, epoch, msg));
-    }
-}
-
 /// The pair, their disks, and the wires between them.
 struct World {
     replicas: [PbrReplica; 2],
@@ -105,8 +93,11 @@ struct World {
     inbox: [VecDeque<Msg>; 2],
     /// The completion sink installed on this thread, and each replica's
     /// incarnation: a completion for a dead one is dropped.
-    posted: Arc<Posted>,
+    posted: Arc<Collected>,
     incarnation: [u64; 2],
+    /// The disks are virtual: each reports its sync at hand-off, and
+    /// [`World::sync`] delivers that report with the sync.
+    virtual_disks: bool,
     /// Per client: the last submission sent and its sequence number.
     submitted: Vec<Option<(i64, Msg)>>,
     /// `(client, cseq)` → execution index, read off the primary's forwards.
@@ -119,20 +110,23 @@ struct World {
 }
 
 impl World {
-    /// The pair over virtual disks, which sync inside `sdb/sync`.
+    /// The pair over virtual disks: a sync is durable at hand-off, and its
+    /// `sdb/synced` is delivered with it (time stands still here).
     fn new(snapshot_every: i64) -> World {
-        World::over(snapshot_every, || Disk::in_memory(Duration::ZERO))
+        World::over(snapshot_every, true, || Disk::in_memory(Duration::ZERO))
     }
 
     /// The pair over deferred disks: each sync completes when the test
     /// calls [`World::complete`].
     fn deferred(snapshot_every: i64) -> World {
-        World::over(snapshot_every, || Disk::in_memory_deferred(Duration::ZERO))
+        World::over(snapshot_every, false, || {
+            Disk::in_memory_deferred(Duration::ZERO)
+        })
     }
 
-    fn over(snapshot_every: i64, disk: impl Fn() -> Disk) -> World {
+    fn over(snapshot_every: i64, virtual_disks: bool, disk: impl Fn() -> Disk) -> World {
         let disks = [disk(), disk()];
-        let posted = Arc::new(Posted::default());
+        let posted = Arc::new(Collected::default());
         completion::install_sink(posted.clone());
         World {
             replicas: [PRIMARY, BACKUP].map(|i| replica(&disks[i], snapshot_every)),
@@ -142,6 +136,7 @@ impl World {
             inbox: [VecDeque::new(), VecDeque::new()],
             posted,
             incarnation: [1, 1],
+            virtual_disks,
             submitted: vec![None; CLIENTS],
             index_of: HashMap::new(),
             answered: vec![-1; CLIENTS],
@@ -243,7 +238,7 @@ impl World {
     /// Moves what the disks reported into the inboxes of the incarnations
     /// that handed the syncs off, dropping reports for dead ones.
     fn collect_completions(&mut self) {
-        for (loc, epoch, msg) in self.posted.0.lock().drain(..) {
+        for (loc, epoch, _, msg) in self.posted.take() {
             let who = loc.index() as usize;
             if epoch == self.incarnation[who] {
                 self.inbox[who].push_back(msg);
@@ -259,12 +254,20 @@ impl World {
     }
 
     /// Delivers `who`'s scheduled `sdb/sync` — or, when none is scheduled,
-    /// a stray one (a previous incarnation's can outlive a restart).
+    /// a stray one (a previous incarnation's can outlive a restart). Over
+    /// virtual disks the `sdb/synced` a step's hand-off posted follows at
+    /// once, with the next sync it may hand off.
     fn sync(&mut self, who: usize) -> Result<(), Violation> {
         let msg = self.inbox[who]
             .pop_front()
             .unwrap_or_else(|| Msg::new(SYNC_HEADER, Value::Unit));
-        self.step(who, &msg)
+        self.step(who, &msg)?;
+        let reported = |m: &Msg| m.header.name() == SYNCED_HEADER;
+        while self.virtual_disks && self.inbox[who].back().is_some_and(reported) {
+            let synced = self.inbox[who].pop_back().expect("a report");
+            self.step(who, &synced)?;
+        }
+        Ok(())
     }
 
     /// The backup loses power: its process, its self-sends and the frames

@@ -15,12 +15,17 @@ use parking_lot::Mutex;
 use shadowdb::chaos::mixed_txns;
 use shadowdb::client::{DbClient, DbClientStats};
 use shadowdb::deploy::{DeployOptions, DurabilityOptions, PbrDeployment, SmrDeployment};
+use shadowdb::msgs::{TxnEnvelope, ACK_HEADER, SYNCED_HEADER};
 use shadowdb::pbr::PbrOptions;
 use shadowdb::probe::{check_catchup_only, Event, Probe, TransferKind};
 use shadowdb::serializability::check_bank_history_concurrent;
+use shadowdb_eventml::Msg;
 use shadowdb_loe::{Loc, VTime};
 use shadowdb_runtime::Runtime;
+use shadowdb_simnet::{NetworkConfig, SimBuilder, Simulation};
+use shadowdb_wal::Disk;
 use shadowdb_workloads::{bank, TxnRequest};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -198,4 +203,178 @@ fn pbr_joiner_power_cycle_rejoins_from_its_own_disk() {
     assert_converged(&mut sim, &scripts, &d.stats);
     assert!(handle.await_member(&mut sim, joiner, minute));
     check_catchup_only(&probe.events()[rebooted..], joiner).expect("rejoined by catch-up");
+}
+
+/// A simulation that records every delivery, so a test can count the
+/// `sdb/synced` steps and follow an acknowledgment to the step that sent
+/// it.
+fn traced_net(seed: u64) -> Simulation {
+    SimBuilder::new(seed)
+        .network(NetworkConfig::lan())
+        .capture_trace(true)
+        .build()
+}
+
+/// Options with no periodic snapshot, so every record a disk took stays
+/// in its log and can be looked up by transaction.
+fn unsnapshotted(scripts: Vec<Vec<TxnRequest>>, probe: &Probe) -> DeployOptions {
+    let mut o = options(scripts, probe);
+    o.durability = Some(DurabilityOptions {
+        snapshot_every: i64::MAX,
+        ..DurabilityOptions::default()
+    });
+    o
+}
+
+/// The `(client, cseq)` of every transaction record on `disk`: a PBR
+/// record is `<tag, envelope>`, an SMR one the delivered envelope itself.
+fn logged(disk: &Disk) -> HashSet<(Loc, i64)> {
+    shadowdb_wal::recover(disk)
+        .records
+        .iter()
+        .filter_map(|(_, body)| {
+            TxnEnvelope::from_value(body).or_else(|| TxnEnvelope::from_value(body.snd()?))
+        })
+        .map(|env| (env.client, env.cseq))
+        .collect()
+}
+
+/// Runs the workload to its end, 5 ms at a time. After each slice, every
+/// transaction a client has been answered must be on `at_least` of
+/// `disks`, and in the end every transaction is answered.
+fn run_checking_disks(
+    sim: &mut Simulation,
+    clients: &[Loc],
+    stats: &[Arc<Mutex<DbClientStats>>],
+    disks: &[Disk],
+    at_least: usize,
+) {
+    let deadline = sim.now() + Duration::from_secs(120);
+    loop {
+        sim.run_for(Duration::from_millis(5));
+        let on_disk: Vec<HashSet<(Loc, i64)>> = disks.iter().map(logged).collect();
+        let mut answered = 0;
+        for (client, s) in clients.iter().zip(stats) {
+            let n = s.lock().completed.len();
+            answered += n;
+            for cseq in 0..n as i64 {
+                let holders = on_disk
+                    .iter()
+                    .filter(|d| d.contains(&(*client, cseq)))
+                    .count();
+                assert!(
+                    holders >= at_least,
+                    "{client:?}'s transaction {cseq} was answered from {holders} disks"
+                );
+            }
+        }
+        if answered == CLIENTS * TXNS {
+            return;
+        }
+        assert!(
+            sim.now() < deadline,
+            "did not converge: {answered} answered"
+        );
+    }
+}
+
+/// The `sdb/synced` steps `loc` took.
+fn synced_steps(sim: &Simulation, loc: Loc) -> usize {
+    let trace = sim.trace().expect("traced");
+    trace
+        .at(loc)
+        .filter(|e| e.msg().header.name() == SYNCED_HEADER)
+        .count()
+}
+
+/// The simulator runs the release path the file backend ships: every
+/// acknowledgment a durable PBR member sends waits for the `sdb/synced`
+/// its disk posts after the modeled fsync, and the primary answers a
+/// transaction only once the record is on every member's disk.
+#[test]
+fn pbr_members_release_acknowledgments_through_sdb_synced() {
+    let mut sim = traced_net(3_131);
+    let scripts = scripts(93);
+    let options = unsnapshotted(scripts, &Probe::default());
+    let members = options.active_replicas;
+    let d = PbrDeployment::build(&mut sim, &options, pbr_options(256));
+    start_clients(&mut sim, &d.clients);
+    run_checking_disks(&mut sim, &d.clients, &d.stats, &d.disks[..members], members);
+    for r in &d.replicas[..members] {
+        assert!(
+            synced_steps(&sim, *r) > 0,
+            "{r:?} never stepped on `sdb/synced`"
+        );
+    }
+}
+
+/// The same under SMR, where each replica answers after its own sync: an
+/// answered transaction is on at least one disk.
+#[test]
+fn smr_replicas_release_replies_through_sdb_synced() {
+    let mut sim = traced_net(3_232);
+    let scripts = scripts(94);
+    let d = SmrDeployment::build(&mut sim, &unsnapshotted(scripts, &Probe::default()));
+    start_clients(&mut sim, &d.clients);
+    run_checking_disks(&mut sim, &d.clients, &d.stats, &d.disks, 1);
+    for r in &d.replicas {
+        assert!(
+            synced_steps(&sim, *r) > 0,
+            "{r:?} never stepped on `sdb/synced`"
+        );
+    }
+}
+
+/// A completion is for the incarnation that handed the sync off. The
+/// backup loses power inside a sync's modeled fsync and is back before
+/// the sync would have reported: the simulator still delivers the old
+/// incarnation's `sdb/synced` at its time, and drops it there, by
+/// incarnation, as tcpnet does. The new incarnation's first ack leaves
+/// no earlier than its own first `sdb/synced`.
+#[test]
+fn a_completion_posted_before_a_restart_releases_nothing() {
+    let mut sim = traced_net(7_575);
+    let probe = Probe::default();
+    let scripts = scripts(96);
+    let mut options = options(scripts.clone(), &probe);
+    let fsync = Duration::from_millis(10);
+    options.durability = Some(DurabilityOptions {
+        snapshot_every: SNAPSHOT_EVERY,
+        fsync_cost: fsync,
+    });
+    let d = PbrDeployment::build(&mut sim, &options, pbr_options(256));
+    let (victim, disk) = (d.replicas[1], d.disks[1].clone());
+    start_clients(&mut sim, &d.clients);
+    // A virtual disk takes the bytes at hand-off and reports `fsync`
+    // later: the first sync the backup hands off is in that window now.
+    while disk.sync_count() == 0 {
+        sim.run_for(Duration::from_micros(100));
+    }
+    let reboot = sim.now() + fsync / 2;
+    sim.crash_at(sim.now(), victim);
+    d.reboot(&mut sim, victim, reboot, 9);
+    assert_converged(&mut sim, &scripts, &d.stats);
+    assert_eq!(
+        sim.stats().dropped_stale,
+        1,
+        "the dead incarnation's completion was posted, and dropped"
+    );
+
+    let trace = sim.trace().expect("traced");
+    let after_reboot = |e: &&shadowdb_loe::Event<Msg>| e.time() >= reboot;
+    let first_synced = trace
+        .at(victim)
+        .filter(after_reboot)
+        .find(|e| e.msg().header.name() == SYNCED_HEADER)
+        .expect("the new incarnation synced");
+    let first_ack = trace
+        .iter()
+        .filter(after_reboot)
+        .find(|e| e.sender() == Some(victim) && e.msg().header.name() == ACK_HEADER)
+        .expect("the new incarnation acknowledged");
+    let sent_by = first_ack.cause().expect("an ack is sent");
+    assert!(
+        sent_by == first_synced.id() || trace.happens_before(first_synced.id(), sent_by),
+        "the first ack left before the new incarnation's first sync reported"
+    );
 }

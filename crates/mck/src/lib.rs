@@ -11,6 +11,8 @@
 //!
 //! Timers need no special treatment: a delayed self-send is just an
 //! in-flight message, and exploring all delivery orders covers all timings.
+//! Nor do completions (see [`shadowdb_runtime::completion`]): what a
+//! step's disk reports is one more in-flight message to the stepped node.
 //!
 //! # Example
 //!
@@ -41,10 +43,12 @@
 
 use shadowdb_eventml::{Ctx, FxHasher, Msg, Process};
 use shadowdb_loe::{Loc, VTime};
+use shadowdb_runtime::completion::{self, Collected};
 use shadowdb_runtime::{PortRx, Runtime};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The initial configuration of a checking run.
@@ -227,6 +231,8 @@ fn run_dfs(
     let mut outcome = Outcome::default();
     let mut visited: HashMap<u64, usize> = HashMap::new();
     let mut schedule: Vec<Choice> = Vec::new();
+    let posted = Arc::new(Collected::default());
+    completion::install_sink(posted.clone());
     dfs(
         &root,
         &env,
@@ -234,6 +240,7 @@ fn run_dfs(
         &slot_locs,
         &options,
         &invariant,
+        &posted,
         &mut visited,
         &mut schedule,
         &mut outcome,
@@ -249,6 +256,7 @@ fn dfs(
     slot_locs: &[Loc],
     options: &Options,
     invariant: &impl Fn(&World) -> Result<(), String>,
+    posted: &Collected,
     visited: &mut HashMap<u64, usize>,
     schedule: &mut Vec<Choice>,
     outcome: &mut Outcome,
@@ -307,13 +315,18 @@ fn dfs(
             if next.alive[s] {
                 let ctx = Ctx::new(dest, VTime::from_micros(depth as u64));
                 outputs.clear();
-                next.procs[s].step_into(&ctx, &msg, &mut outputs);
+                // No node restarts during exploration: one incarnation each.
+                let proc = &mut next.procs[s];
+                completion::stepping(dest, 0, || proc.step_into(&ctx, &msg, &mut outputs));
                 for instr in outputs.drain(..) {
                     if env.contains(&instr.dest) {
                         next.observations.push((instr.dest, dest, instr.msg));
                     } else {
                         next.inflight.push((instr.dest, dest, instr.msg));
                     }
+                }
+                for (loc, _, _, msg) in posted.take() {
+                    next.inflight.push((loc, loc, msg));
                 }
             }
         }
@@ -323,7 +336,7 @@ fn dfs(
             header: msg.header.name().to_owned(),
         });
         dfs(
-            &next, env, map, slot_locs, options, invariant, visited, schedule, outcome,
+            &next, env, map, slot_locs, options, invariant, posted, visited, schedule, outcome,
         );
         schedule.pop();
         if outcome.violation.is_some() {
@@ -342,7 +355,7 @@ fn dfs(
             next.crash_budget -= 1;
             schedule.push(Choice::Crash(slot_locs[s]));
             dfs(
-                &next, env, map, slot_locs, options, invariant, visited, schedule, outcome,
+                &next, env, map, slot_locs, options, invariant, posted, visited, schedule, outcome,
             );
             schedule.pop();
             if outcome.violation.is_some() {
@@ -362,7 +375,7 @@ fn dfs(
                 header: msg.header.name().to_owned(),
             });
             dfs(
-                &next, env, map, slot_locs, options, invariant, visited, schedule, outcome,
+                &next, env, map, slot_locs, options, invariant, posted, visited, schedule, outcome,
             );
             schedule.pop();
             if outcome.violation.is_some() {

@@ -51,13 +51,13 @@ pub use fault::{
 /// plane is: replicas write through `shadowdb-wal` regardless of the
 /// runtime, and this mode only selects the backing store. The simulator
 /// (and the model checker) report [`StorageMode::Virtual`] — bytes held
-/// in memory with fsync as a modeled CPU cost, surviving crashes because
-/// the harness keeps the disk handle across restart. The real-time
-/// runtimes report [`StorageMode::File`] with a per-instance scratch
-/// root, so commits pay an actual `write + fsync` and restarted replicas
-/// re-read actual files. A file-backed disk syncs on a thread of its own,
-/// so a runtime that reports `File` also carries the syncer's completions
-/// back into the replica that handed the work off ([`completion`]).
+/// in memory, each sync reported after a modeled fsync time, surviving
+/// crashes because the harness keeps the disk handle across restart. The
+/// real-time runtimes report [`StorageMode::File`] with a per-instance
+/// scratch root, so commits pay an actual `write + fsync` on a syncer
+/// thread and restarted replicas re-read actual files. Either way every
+/// runtime carries the disk's completions back into the replica that
+/// handed the work off ([`completion`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StorageMode {
     /// In-memory storage with modeled sync cost (simulated substrates).

@@ -5,10 +5,12 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use shadowdb_eventml::{Ctx, Msg, Process};
 use shadowdb_loe::{EventId, EventOrder, Loc, VTime};
+use shadowdb_runtime::completion::{self, Collected};
 use shadowdb_runtime::fault::{FaultPlan, LinkVerdict};
 use shadowdb_runtime::{CostModel, ZeroCost};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
 use std::time::Duration;
 
 enum Action {
@@ -17,9 +19,24 @@ enum Action {
         msg: Msg,
         cause: Option<EventId>,
         sender: Option<Loc>,
+        /// A completion: delivered only to this incarnation of `dest`.
+        epoch: Option<u64>,
     },
     Crash(Loc),
     Restart(Loc, Box<dyn Process>),
+}
+
+impl Action {
+    /// `msg` for whichever incarnation of `dest` runs when it arrives.
+    fn deliver(dest: Loc, msg: Msg, cause: Option<EventId>, sender: Option<Loc>) -> Action {
+        Action::Deliver {
+            dest,
+            msg,
+            cause,
+            sender,
+            epoch: None,
+        }
+    }
 }
 
 struct Item {
@@ -48,6 +65,8 @@ impl Ord for Item {
 struct NodeSlot {
     process: Box<dyn Process>,
     up: bool,
+    /// Restarts so far: names the incarnation a completion is for.
+    epoch: u64,
     /// Index of the machine whose CPU this node's work occupies.
     machine: usize,
     handled: u64,
@@ -60,6 +79,8 @@ pub struct SimStats {
     pub delivered: u64,
     /// Messages addressed to a crashed node.
     pub dropped_down: u64,
+    /// Completions posted by an incarnation that has since restarted.
+    pub dropped_stale: u64,
     /// Crash events executed.
     pub crashes: u64,
     /// Messages lost to the fault plan (partitions, lossy windows).
@@ -128,6 +149,7 @@ impl SimBuilder {
             },
             stats: SimStats::default(),
             outbuf: Vec::new(),
+            completions: Arc::default(),
         }
     }
 }
@@ -157,22 +179,17 @@ pub struct Simulation {
     /// by [`Simulation::execute`], so the delivery hot path allocates
     /// nothing once the buffer has grown to the working-set size.
     outbuf: Vec<shadowdb_eventml::SendInstr>,
+    /// What a step's disk posted ([`shadowdb_runtime::completion`]),
+    /// delivered `after` the step's CPU work into the incarnation stepped.
+    completions: Arc<Collected>,
 }
 
 impl Simulation {
     /// Adds a node hosting `process` on its own machine; returns its
     /// location.
     pub fn add_node(&mut self, process: Box<dyn Process>) -> Loc {
-        let loc = Loc::new(self.nodes.len() as u32);
-        let machine = self.machines.len();
         self.machines.push(VTime::ZERO);
-        self.nodes.push(NodeSlot {
-            process,
-            up: true,
-            machine,
-            handled: 0,
-        });
-        loc
+        self.place(process, self.machines.len() - 1)
     }
 
     /// Adds a node hosting `process` on the *same machine* as `peer`: the
@@ -185,14 +202,19 @@ impl Simulation {
     /// Panics if `peer` is not a known node.
     pub fn add_node_colocated(&mut self, process: Box<dyn Process>, peer: Loc) -> Loc {
         let machine = self.nodes[peer.index() as usize].machine;
-        let loc = Loc::new(self.nodes.len() as u32);
+        self.place(process, machine)
+    }
+
+    /// Hosts `process` at the next location, on `machine`.
+    fn place(&mut self, process: Box<dyn Process>, machine: usize) -> Loc {
         self.nodes.push(NodeSlot {
             process,
             up: true,
+            epoch: 0,
             machine,
             handled: 0,
         });
-        loc
+        Loc::new(self.nodes.len() as u32 - 1)
     }
 
     /// The current virtual time.
@@ -240,15 +262,7 @@ impl Simulation {
     /// network model).
     pub fn send_at(&mut self, time: VTime, dest: Loc, msg: Msg) {
         let time = time.max(self.now);
-        self.push(
-            time,
-            Action::Deliver {
-                dest,
-                msg,
-                cause: None,
-                sender: None,
-            },
-        );
+        self.push(time, Action::deliver(dest, msg, None, None));
     }
 
     /// Schedules a crash of `loc` at `time`.
@@ -276,15 +290,7 @@ impl Simulation {
     /// [`Simulation::run_until`], the clock is *not* advanced to the
     /// limit when the queue drains earlier).
     pub fn run_until_quiescent(&mut self, limit: VTime) -> VTime {
-        loop {
-            let due = matches!(self.queue.peek(), Some(Reverse(i)) if i.time <= limit);
-            if !due {
-                break;
-            }
-            let Reverse(item) = self.queue.pop().expect("peeked a due item");
-            self.now = self.now.max(item.time);
-            self.execute(item);
-        }
+        self.run_due(limit);
         // Include CPU work still draining after the last message (e.g. a
         // bulk insert charged by the final state-transfer chunk).
         let busy = self.machines.iter().copied().max().unwrap_or(VTime::ZERO);
@@ -295,8 +301,16 @@ impl Simulation {
     /// Executes all items scheduled at or before `deadline`, then advances
     /// the clock to `deadline`.
     pub fn run_until(&mut self, deadline: VTime) {
+        self.run_due(deadline);
+        self.now = self.now.max(deadline);
+    }
+
+    /// Executes every item scheduled at or before `limit`, with this
+    /// simulation's completion sink installed on the thread.
+    fn run_due(&mut self, limit: VTime) {
+        completion::install_sink(self.completions.clone());
         loop {
-            let due = matches!(self.queue.peek(), Some(Reverse(i)) if i.time <= deadline);
+            let due = matches!(self.queue.peek(), Some(Reverse(i)) if i.time <= limit);
             if !due {
                 break;
             }
@@ -304,7 +318,6 @@ impl Simulation {
             self.now = self.now.max(item.time);
             self.execute(item);
         }
-        self.now = self.now.max(deadline);
     }
 
     fn execute(&mut self, item: Item) {
@@ -322,6 +335,7 @@ impl Simulation {
                 if let Some(slot) = self.nodes.get_mut(loc.index() as usize) {
                     slot.process = process;
                     slot.up = true;
+                    slot.epoch += 1;
                 }
             }
             Action::Deliver {
@@ -329,6 +343,7 @@ impl Simulation {
                 msg,
                 cause,
                 sender,
+                epoch,
             } => {
                 let idx = dest.index() as usize;
                 if idx >= self.nodes.len() {
@@ -344,6 +359,10 @@ impl Simulation {
                     self.stats.dropped_down += 1;
                     return;
                 }
+                if epoch.is_some_and(|e| e != self.nodes[idx].epoch) {
+                    self.stats.dropped_stale += 1;
+                    return;
+                }
                 // CPU model: if the node's machine is busy, the message
                 // waits for the CPU.
                 let machine = self.nodes[idx].machine;
@@ -356,6 +375,7 @@ impl Simulation {
                             msg,
                             cause,
                             sender,
+                            epoch,
                         },
                     );
                     return;
@@ -371,16 +391,29 @@ impl Simulation {
                 let ctx = Ctx::new(dest, start);
                 let mut outbuf = std::mem::take(&mut self.outbuf);
                 outbuf.clear();
-                self.nodes[idx].process.step_into(&ctx, &msg, &mut outbuf);
+                let node = &mut self.nodes[idx];
+                completion::stepping(dest, node.epoch, || {
+                    node.process.step_into(&ctx, &msg, &mut outbuf)
+                });
                 // Charge both the model cost and whatever the process
                 // itself consumed (e.g. transaction execution).
-                let step_cost = self.nodes[idx].process.take_step_cost();
+                let step_cost = node.process.take_step_cost();
                 let leave = start + cost + step_cost;
                 self.machines[machine] = leave;
                 for instr in outbuf.drain(..) {
                     self.route(dest, leave, instr, event);
                 }
                 self.outbuf = outbuf;
+                for (loc, epoch, after, msg) in self.completions.take() {
+                    let completion = Action::Deliver {
+                        dest: loc,
+                        msg,
+                        cause: event,
+                        sender: Some(loc),
+                        epoch: Some(epoch),
+                    };
+                    self.push(leave + after, completion);
+                }
             }
         }
     }
@@ -396,15 +429,8 @@ impl Simulation {
         let depart = leave + instr.delay;
         if instr.dest == from {
             // Local (timer) delivery: no network.
-            self.push(
-                depart,
-                Action::Deliver {
-                    dest: instr.dest,
-                    msg: instr.msg,
-                    cause,
-                    sender: Some(from),
-                },
-            );
+            let local = Action::deliver(instr.dest, instr.msg, cause, Some(from));
+            self.push(depart, local);
             return;
         }
         // The fault plane: drop, duplicate, delay, or reorder per the
@@ -480,15 +506,7 @@ impl Simulation {
             arrival = arrival.max(*last);
             *last = arrival;
         }
-        self.push(
-            arrival,
-            Action::Deliver {
-                dest,
-                msg,
-                cause,
-                sender: Some(from),
-            },
-        );
+        self.push(arrival, Action::deliver(dest, msg, cause, Some(from)));
     }
 
     /// Replaces the active fault schedule (the network's initial plan is
@@ -839,6 +857,36 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..30).collect::<Vec<i64>>(), "nothing lost");
         assert_ne!(*seen, sorted, "jitter inside the window reorders");
+    }
+
+    /// A completion posted in a step arrives its delay after the step,
+    /// into the incarnation that posted it; posted by one that has since
+    /// restarted, it is dropped.
+    #[test]
+    fn a_completion_reaches_only_the_incarnation_that_posted_it() {
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let node = |incarnation: i64| {
+            let seen = seen.clone();
+            Box::new(FnProcess::new((), move |_s, ctx: &Ctx, m: &Msg| {
+                match m.header.name() {
+                    "work" => completion::route().expect("a routing loop").post(
+                        Duration::from_millis(5),
+                        Msg::new("done", Value::Int(incarnation)),
+                    ),
+                    _ => seen.lock().push((ctx.now, incarnation, m.body.int())),
+                }
+                vec![]
+            })) as Box<dyn Process>
+        };
+        let mut sim = SimBuilder::new(1).build();
+        let a = sim.add_node(node(1));
+        sim.send_at(VTime::ZERO, a, Msg::new("work", Value::Unit));
+        sim.send_at(VTime::from_millis(10), a, Msg::new("work", Value::Unit));
+        sim.crash_at(VTime::from_millis(11), a);
+        sim.restart_at(VTime::from_millis(12), a, node(2));
+        sim.run_until_quiescent(VTime::from_secs(1));
+        assert_eq!(*seen.lock(), vec![(VTime::from_millis(5), 1, 1)]);
+        assert_eq!(sim.stats().dropped_stale, 1);
     }
 
     #[test]

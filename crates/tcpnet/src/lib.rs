@@ -878,9 +878,11 @@ mod tests {
             routes.lock().pop().expect("route handed out")
         };
         let post = |route: Route, id: i64| {
-            std::thread::spawn(move || route.post(Msg::new("done", Value::Int(id))))
-                .join()
-                .unwrap();
+            std::thread::spawn(move || {
+                route.post(Duration::ZERO, Msg::new("done", Value::Int(id)))
+            })
+            .join()
+            .unwrap();
         };
 
         post(grab(), 7);

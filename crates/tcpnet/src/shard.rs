@@ -98,18 +98,9 @@ pub enum ShardCmd {
         /// Where decoded messages land.
         tx: Sender<Msg>,
     },
-    /// Put a driver's action on the shard's heap, due at the instant.
+    /// Put a driver's action, or a completion, on the shard's heap, due
+    /// at the instant.
     At(Instant, TimerDue),
-    /// Deliver `msg` into `loc`'s inbox if incarnation `epoch` still runs
-    /// there (a completion of work the process handed off).
-    Complete {
-        /// The location's index.
-        loc: u32,
-        /// The incarnation that handed the work off.
-        epoch: u64,
-        /// The completion message.
-        msg: Msg,
-    },
     /// Exit the shard thread.
     Shutdown,
 }
@@ -119,7 +110,8 @@ pub enum ShardCmd {
 pub enum TimerDue {
     /// A delayed send armed by a hosted process, held at the sender until
     /// due (Fig. 4's "period of time the process must wait before
-    /// sending"). Fires only into the incarnation that armed it.
+    /// sending"), or a completion of work it handed off. Fires only into
+    /// the incarnation that armed it.
     Timer {
         origin: u32,
         epoch: u64,
@@ -155,14 +147,18 @@ impl ShardHandle {
     }
 }
 
-/// A shard's own handle, as the completion sink of the steps it runs.
+/// A shard's own handle, as the completion sink of the steps it runs: a
+/// completion is a timer of the incarnation that handed the work off,
+/// into its own inbox, due once the time left has passed.
 impl CompletionSink for ShardHandle {
-    fn post(&self, loc: Loc, epoch: u64, msg: Msg) {
-        self.send(ShardCmd::Complete {
-            loc: loc.index(),
+    fn post(&self, loc: Loc, epoch: u64, after: Duration, msg: Msg) {
+        let timer = TimerDue::Timer {
+            origin: loc.index(),
             epoch,
+            dest: loc,
             msg,
-        });
+        };
+        self.send(ShardCmd::At(Instant::now() + after, timer));
     }
 }
 
@@ -372,13 +368,6 @@ impl Shard {
                 self.ports.insert(loc, tx);
             }
             ShardCmd::At(at, due) => self.schedule(at, due),
-            ShardCmd::Complete { loc, epoch, msg } => {
-                if let Some(host) = self.hosts.get_mut(&loc) {
-                    if host.epoch == epoch {
-                        host.inbox.push_back(msg);
-                    }
-                }
-            }
             ShardCmd::Shutdown => self.stop = true,
         }
     }

@@ -36,21 +36,25 @@
 //! every segment wholly below a snapshot's cut; no log byte is ever
 //! copied.
 //!
-//! # Syncs: inline, or handed to the disk's syncer
+//! # Syncs: handed off, reported back
 //!
 //! A sync is one of two jobs: a *commit* (write the unsynced tail into the
 //! current segment and `sync_data` it) or a *checkpoint* (a commit plus a
 //! snapshot image: render, write a tmp file, fsync, rename, sync the
-//! directory, then unlink the segments below the image's cut).
-//! [`Wal::commit`] and [`Wal::save_snapshot`] run the job on the caller's
-//! thread. [`Wal::hand_off`] and [`Wal::hand_off_checkpoint`] queue it
-//! instead: on the file backend each [`Disk`] has one syncer thread that
-//! runs its jobs in FIFO order and calls the job's `done` once the bytes
-//! are durable — a replica turns that into a message to itself (see
-//! `shadowdb_runtime::completion`). At most one job is in flight per disk;
-//! records appended meanwhile wait in the unsynced tail for the next one.
-//! Each [`Wal::open`] draws a fresh [`Wal::generation`], so a completion
-//! can name the log it belongs to.
+//! directory, then unlink the segments below the image's cut). The caller
+//! never runs one: [`Wal::hand_off`], [`Wal::hand_off_checkpoint`] and
+//! [`Wal::hand_off_snapshot`] queue it, and the job's `done` is called
+//! with the modeled time the sync still takes — a replica turns that into
+//! a message to itself, delivered that much later (see
+//! `shadowdb_runtime::completion`); a harness that can wait calls
+//! [`Wal::commit`], a hand-off that blocks until the report. On the file
+//! backend each [`Disk`] has one syncer thread that runs its jobs in FIFO
+//! order and reports once the bytes are durable, with nothing left to
+//! wait; a virtual disk runs the job at hand-off and reports its modeled
+//! fsync cost. At most one job is in flight per disk; records appended
+//! meanwhile wait in the unsynced tail for the next one. Each
+//! [`Wal::open`] draws a fresh [`Wal::generation`], so a completion can
+//! name the log it belongs to.
 //!
 //! A second thread per disk, the image writer, runs at idle priority. It
 //! writes a checkpoint's image behind the commit that reported it, unlinks
@@ -66,8 +70,9 @@
 //! A [`Disk`] outlives the process that writes it (the harness holds a
 //! handle across crash/restart). Appends land in an *unsynced tail*; a
 //! sync moves it *in flight*, and only the job's completion moves it into
-//! the synced log (a real `write + fsync` on the file backend, a modeled
-//! [`Duration`] cost on the virtual one). Power loss may persist any
+//! the synced log (a real `write + fsync` on the file backend; on the
+//! virtual one at hand-off, while the report waits out the modeled
+//! [`Duration`]). Power loss may persist any
 //! prefix of what is in flight or unsynced — possibly mid-record,
 //! possibly with a flipped bit — which [`Disk::begin_recovery`] emulates
 //! deterministically from a seed before the restarted replica reads the
@@ -145,9 +150,10 @@ fn checksum(bytes: &[u8]) -> u32 {
 }
 
 enum Backend {
-    /// Virtual storage: bytes held in memory, fsync a modeled cost. The
-    /// simulator's runtime returns this mode; the "disk" survives crashes
-    /// because the harness keeps the [`Disk`] handle across restart.
+    /// Virtual storage: bytes held in memory, synced at hand-off, and the
+    /// report delayed by a modeled fsync cost. The simulator's runtime
+    /// returns this mode; the "disk" survives crashes because the harness
+    /// keeps the [`Disk`] handle across restart.
     Mem,
     /// In memory, but a handed-off sync completes only when the test says
     /// so ([`Disk::complete_next`]). `early`: the broken double of
@@ -277,13 +283,14 @@ enum Work {
 /// the buffer — on whichever thread writes it.
 type Image = Box<dyn FnOnce(&mut BytesMut) + Send>;
 
-/// What to call once a handed-off sync is durable.
-type Done = Box<dyn FnOnce() + Send>;
+/// What to call once a handed-off sync is durable, with the modeled time
+/// the sync still takes.
+type Done = Box<dyn FnOnce(Duration) + Send>;
 
 /// A sync and what to call once it is durable.
 struct Job {
     work: Work,
-    done: Option<Done>,
+    done: Done,
 }
 
 /// The image writer's work.
@@ -618,11 +625,10 @@ fn run(shared: &Shared, job: Job) {
     let mut d = shared.state.lock();
     d.syncs += 1;
     d.busy = false;
+    let after = d.fsync_cost;
     drop(d);
     shared.changed.notify_all();
-    if let Some(done) = job.done {
-        done();
-    }
+    (job.done)(after);
 }
 
 /// The file backend's worker threads: the syncer runs the syncs handed
@@ -810,9 +816,9 @@ fn read_segments(dir: &Path) -> std::io::Result<(Vec<u8>, Segments)> {
 
 impl Disk {
     /// Opens (or re-opens) the disk named `name` under the runtime's
-    /// storage mode. `fsync_cost` is the modeled duration one sync charges
-    /// on the virtual backend (the file backend pays real time instead,
-    /// and charges zero). A file-backed disk reads its segments back (an
+    /// storage mode. `fsync_cost` is the modeled time a virtual disk
+    /// reports each sync to take (the file backend pays real time instead,
+    /// and reports zero). A file-backed disk reads its segments back (an
     /// empty one prepares its first), and starts its syncer thread and its
     /// image writer.
     pub fn open(mode: &StorageMode, name: &str, fsync_cost: Duration) -> Disk {
@@ -894,7 +900,7 @@ impl Disk {
 
     /// An in-memory disk whose handed-off syncs complete only when the
     /// test calls [`Disk::complete_next`] — late, after further appends,
-    /// or never before a power cut. Inline syncs complete at once.
+    /// or never before a power cut.
     pub fn in_memory_deferred(fsync_cost: Duration) -> Disk {
         Disk::new(
             Backend::Deferred { early: false },
@@ -926,13 +932,6 @@ impl Disk {
         }
     }
 
-    /// Whether handed-off syncs complete later, off the caller's thread
-    /// (the file backend, and deferred test disks). A virtual disk always
-    /// syncs inline.
-    pub fn syncs_off_thread(&self) -> bool {
-        !matches!(self.shared.state.lock().backend, Backend::Mem)
-    }
-
     /// Whether a checkpoint's image is still being written behind the
     /// commits. A checkpoint handed off meanwhile would hold up the syncer
     /// until it is done, and every commit behind that one.
@@ -946,58 +945,34 @@ impl Disk {
         d.snapshot.as_ref().map_or(0, |(_, blob)| blob.len())
     }
 
-    /// The disk's state once no sync and no image is in flight — and,
-    /// with `spares`, no spare segment either — marked busy, so no sync
-    /// starts until the caller clears the mark. A worker that died owes
-    /// nothing more.
-    fn quiet(&self, spares: bool) -> MutexGuard<'_, DiskInner> {
+    /// Runs `repair` as the disk's only writer — once no sync, no image
+    /// and no spare segment is in flight, or the worker that owed one died
+    /// — then lets syncs run again.
+    fn repair(&self, repair: impl FnOnce(&Shared, MutexGuard<'_, DiskInner>)) {
         let mut d = self.shared.state.lock();
-        loop {
-            let owes = if spares { d.writer_owes() } else { d.imaging };
-            if !d.busy && (!owes || d.stopped) {
-                d.busy = true;
-                return d;
-            }
+        while d.busy || (d.writer_owes() && !d.stopped) {
             assert!(
                 d.deferred.is_none(),
                 "a deferred disk's sync completes through `complete_next`"
             );
             self.shared.changed.wait(&mut d);
         }
-    }
-
-    /// Runs `repair` on a quiet disk ([`Disk::quiet`], spares included) as
-    /// its only writer, then lets syncs run again.
-    fn repair(&self, repair: impl FnOnce(&Shared, MutexGuard<'_, DiskInner>)) {
-        repair(&self.shared, self.quiet(true));
+        d.busy = true;
+        repair(&self.shared, d);
         self.shared.state.lock().busy = false;
         self.shared.changed.notify_all();
     }
 
-    /// Runs `work` on the calling thread, image included; returns the
-    /// modeled cost.
-    fn sync_inline(&self, work: Work) -> Duration {
-        let cost = {
-            let mut d = self.quiet(false);
-            d.in_flight = std::mem::take(&mut d.unsynced);
-            d.fsync_cost
-        };
-        run(&self.shared, Job { work, done: None });
-        cost
-    }
-
     /// Queues `work` — the whole unsynced tail goes in flight with it;
-    /// `done` runs once it is durable. The caller starts the next sync
-    /// only after `done`, so this never waits.
-    fn sync_off_thread(&self, work: Work, done: Done) {
+    /// `done` runs once it is durable: on the syncer thread, when the test
+    /// says so on a deferred disk, or here on a virtual one. The caller
+    /// starts the next sync only after `done`, so this never waits.
+    fn sync(&self, work: Work, done: Done) {
         let mut d = self.shared.state.lock();
         assert!(!d.busy, "one sync in flight per disk");
         d.in_flight = std::mem::take(&mut d.unsynced);
         d.busy = true;
-        let mut job = Job {
-            work,
-            done: Some(done),
-        };
+        let mut job = Job { work, done };
         match &d.backend {
             Backend::File(_) => {
                 drop(d);
@@ -1012,11 +987,12 @@ impl Disk {
                 jobs.send(job).expect("wal syncer alive");
             }
             Backend::Deferred { early } => {
-                let early = early.then(|| job.done.take()).flatten();
+                let early = early.then(|| std::mem::replace(&mut job.done, Box::new(|_| {})));
+                let after = d.fsync_cost;
                 d.deferred = Some(job);
                 drop(d);
                 if let Some(done) = early {
-                    done();
+                    done(after);
                 }
             }
             Backend::Mem => {
@@ -1371,60 +1347,48 @@ impl Wal {
         self.above
     }
 
-    /// Group commit on the caller's thread: promotes the whole unsynced
-    /// tail with one sync and returns the modeled cost to charge (zero
-    /// when nothing was pending, and always zero on the file backend,
-    /// which pays in real time).
+    /// Group commit for a caller that can wait — a harness, where a
+    /// replica hands off and keeps executing: hands the unsynced tail off
+    /// ([`Wal::hand_off`]) and blocks until the disk reports it durable.
+    /// Returns the modeled time the disk reported: zero when nothing was
+    /// pending, and always on the file backend. Not on a deferred disk,
+    /// whose syncs complete only when the test says.
     pub fn commit(&mut self) -> Duration {
         if self.pending == 0 {
             return Duration::ZERO;
         }
+        let (tx, rx) = mpsc::channel();
+        self.hand_off(move |after| {
+            let _ = tx.send(after);
+        });
+        rx.recv().expect("the disk reports")
+    }
+
+    /// Group commit: hands the whole unsynced tail to the disk, which
+    /// calls `done` once it is durable. One sync is in flight per disk —
+    /// start the next after `done`.
+    pub fn hand_off(&mut self, done: impl FnOnce(Duration) + Send + 'static) {
         self.pending = 0;
-        self.disk.sync_inline(Work::Commit)
+        self.disk.sync(Work::Commit, Box::new(done));
     }
 
-    /// Group commit off the caller's thread: hands the whole unsynced tail
-    /// to the disk's syncer, which calls `done` once it is durable. One
-    /// sync is in flight per disk — start the next after `done`.
-    pub fn hand_off(&mut self, done: impl FnOnce() + Send + 'static) {
-        self.pending = 0;
-        self.disk.sync_off_thread(Work::Commit, Box::new(done));
-    }
-
-    /// Installs a snapshot covering everything through `index` and drops
-    /// the log below the records above it, which stay where they are. The
-    /// snapshot stands in for the unsynced tail at or below `index`. On
-    /// the file backend the snapshot lands via write-tmp + fsync + atomic
-    /// rename and a directory sync, then the tail is committed behind it
-    /// and the segments below the cut are unlinked — a crash in between
-    /// leaves the new snapshot with stale low records, which recovery
-    /// skips by index. Returns the modeled cost (one sync).
-    pub fn save_snapshot(&mut self, index: i64, blob: &Value) -> Duration {
-        let blob = blob.clone();
-        self.save_image(index, move |buf| encode_value(&blob, buf))
-    }
-
-    /// [`Wal::save_snapshot`] of the blob `image` renders (it appends the
-    /// encoding of the blob value).
-    pub fn save_image(
-        &mut self,
-        index: i64,
-        image: impl FnOnce(&mut BytesMut) + Send + 'static,
-    ) -> Duration {
-        let work = self.checkpoint(index, Box::new(image), false);
-        self.disk.sync_inline(work)
-    }
-
-    /// [`Wal::save_image`] off the caller's thread: the syncer renders the
-    /// image, writes and installs it, then calls `done`.
+    /// Installs a snapshot covering everything through `index`, rendered
+    /// from `image` (it appends the encoding of the blob value), and drops
+    /// the log below the records above it, which stay where they are; then
+    /// calls `done`. The snapshot stands in for the unsynced tail at or
+    /// below `index`. On the file backend the snapshot lands via
+    /// write-tmp + fsync + atomic rename and a directory sync, then the
+    /// tail is committed behind it and the segments below the cut are
+    /// unlinked — a crash in between leaves the new snapshot with stale
+    /// low records, which recovery skips by index.
     pub fn hand_off_snapshot(
         &mut self,
         index: i64,
         image: impl FnOnce(&mut BytesMut) + Send + 'static,
-        done: impl FnOnce() + Send + 'static,
+        done: impl FnOnce(Duration) + Send + 'static,
     ) {
         let work = self.checkpoint(index, Box::new(image), false);
-        self.disk.sync_off_thread(work, Box::new(done));
+        self.disk.sync(work, Box::new(done));
     }
 
     /// A checkpoint that never holds up a commit: the syncer commits the
@@ -1439,10 +1403,10 @@ impl Wal {
         &mut self,
         index: i64,
         image: impl FnOnce(&mut BytesMut) + Send + 'static,
-        done: impl FnOnce() + Send + 'static,
+        done: impl FnOnce(Duration) + Send + 'static,
     ) {
         let work = self.checkpoint(index, Box::new(image), true);
-        self.disk.sync_off_thread(work, Box::new(done));
+        self.disk.sync(work, Box::new(done));
     }
 
     /// A checkpoint at `index`: the log's records through `index` are
@@ -1511,6 +1475,14 @@ mod tests {
     /// An image that renders `blob`.
     fn image(blob: &'static str) -> impl FnOnce(&mut BytesMut) + Send {
         move |buf| encode_value(&Value::str(blob), buf)
+    }
+
+    /// Hands off a snapshot of `blob` through `index`, installed ahead of
+    /// the unsynced tail, and waits for its report.
+    fn snapshot(wal: &mut Wal, index: i64, blob: &'static str) {
+        let (tx, rx) = mpsc::channel();
+        wal.hand_off_snapshot(index, image(blob), move |_| tx.send(()).unwrap());
+        rx.recv_timeout(Duration::from_secs(10)).expect("reported");
     }
 
     #[test]
@@ -1598,7 +1570,7 @@ mod tests {
         }
         wal.commit();
         let before = disk.synced_len();
-        wal.save_snapshot(14, &Value::str("state@14"));
+        snapshot(&mut wal, 14, "state@14");
         assert!(disk.synced_len() < before, "log truncated");
         let got = recover(&disk);
         assert_eq!(got.snapshot, Some((14, Value::str("state@14"))));
@@ -1626,7 +1598,7 @@ mod tests {
         let mut lens = Vec::new();
         walk(&log, &mut { i64::MIN }, |_, _, len| lens.push(len));
         let cut: usize = lens[..15].iter().sum();
-        wal.save_snapshot(14, &Value::str("state@14"));
+        snapshot(&mut wal, 14, "state@14");
         assert_eq!(
             disk.shared.state.lock().synced,
             log[cut..],
@@ -1650,7 +1622,7 @@ mod tests {
         let reported = Arc::new(AtomicU64::new(0));
         let report = |n: u64| {
             let reported = reported.clone();
-            move || reported.store(n, Ordering::SeqCst)
+            move |_| reported.store(n, Ordering::SeqCst)
         };
         for i in 0..5 {
             wal.append(i, &rec(i));
@@ -1672,7 +1644,8 @@ mod tests {
         wal.append(6, &rec(6));
         assert!(disk.complete_next());
         assert_eq!(reported.load(Ordering::SeqCst), 2);
-        wal.commit();
+        wal.hand_off(report(3));
+        assert!(disk.complete_next());
         let got = recover(&disk);
         assert_eq!(got.snapshot, Some((5, Value::str("state@5"))));
         assert_eq!(got.records, vec![(6, rec(6))]);
@@ -1686,14 +1659,13 @@ mod tests {
         let root = std::env::temp_dir().join(format!("shadowdb-wal-off-{}", std::process::id()));
         let mode = StorageMode::File { root: root.clone() };
         let disk = Disk::open(&mode, "r1", Duration::ZERO);
-        assert!(disk.syncs_off_thread());
         let mut wal = Wal::open(disk.clone());
         let (tx, rx) = mpsc::channel();
         let caller = std::thread::current().id();
         for i in 0..8 {
             wal.append(i, &rec(i));
             let tx = tx.clone();
-            let done = move || tx.send(std::thread::current().id()).unwrap();
+            let done = move |_| tx.send(std::thread::current().id()).unwrap();
             if i == 5 {
                 wal.hand_off_checkpoint(i, image("state@5"), done);
             } else {
@@ -1726,7 +1698,7 @@ mod tests {
         let disk = Disk::open(&mode, "r1", Duration::ZERO);
         let mut wal = Wal::open(disk.clone());
         wal.append(0, &rec(0));
-        wal.hand_off(|| {});
+        wal.hand_off(|_| {});
         settle_disks(&root);
         assert_eq!(disk.sync_count(), 1, "settled before the sync completed");
         let lens = |ids: &[u64]| -> Vec<usize> {
@@ -1746,7 +1718,7 @@ mod tests {
                 wal.append(i, &big(i));
             }
             let tx = tx.clone();
-            wal.hand_off(move || tx.send(()).unwrap());
+            wal.hand_off(move |_| tx.send(()).unwrap());
             rx.recv_timeout(Duration::from_secs(10)).expect("reported");
         };
         commit(&mut wal, 1..=4);
@@ -1754,7 +1726,7 @@ mod tests {
         let ids = seg_ids(&dir);
         assert_eq!(lens(&ids), vec![SEGMENT; 2], "settled before the spare");
         commit(&mut wal, 5..=7);
-        wal.hand_off_checkpoint(7, image("state@7"), || {});
+        wal.hand_off_checkpoint(7, image("state@7"), |_| {});
         settle_disks(&root);
         assert!(
             !seg_path(&dir, ids[0]).exists(),
@@ -1764,7 +1736,7 @@ mod tests {
 
         std::fs::remove_dir_all(&root).unwrap();
         wal.append(8, &rec(8));
-        wal.hand_off_checkpoint(8, image("state@8"), || {});
+        wal.hand_off_checkpoint(8, image("state@8"), |_| {});
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || {
             settle_disks(&root);
@@ -1786,7 +1758,7 @@ mod tests {
                 wal.append(i, &rec(i));
             }
             wal.commit();
-            wal.save_snapshot(3, &Value::str("state@3"));
+            snapshot(&mut wal, 3, "state@3");
             wal.append(8, &rec(8));
             wal.commit();
         }

@@ -46,6 +46,16 @@ fn body(i: i64) -> Value {
     )
 }
 
+/// Hands off a snapshot of `blob` through `index`, installed ahead of the
+/// unsynced tail, and waits until the disk reports it durable.
+fn snapshot(wal: &mut Wal, index: i64, blob: &str) {
+    let blob = Value::str(blob);
+    let (tx, rx) = mpsc::channel();
+    let image = move |buf: &mut _| shadowdb_eventml::codec::encode_value(&blob, buf);
+    wal.hand_off_snapshot(index, image, move |_| tx.send(()).unwrap());
+    rx.recv_timeout(Duration::from_secs(10)).expect("reported");
+}
+
 /// A disk with `n` committed records (indexes `0..n`), plus each
 /// record's end offset in the log (frames are variable-size: varint
 /// ints and growing strings).
@@ -175,7 +185,7 @@ proptest! {
         }
         wal.commit();
         let snap_at = (before - 1) as i64;
-        wal.save_snapshot(snap_at, &Value::str("state-blob"));
+        snapshot(&mut wal, snap_at, "state-blob");
         for i in before..before + after {
             wal.append(i as i64, &body(i as i64));
         }
@@ -239,11 +249,11 @@ fn power_cut_mid_hand_off(
     };
     append(&mut wal, reported);
     let f = first.clone();
-    wal.hand_off(move || f.store(true, Ordering::SeqCst));
+    wal.hand_off(move |_| f.store(true, Ordering::SeqCst));
     assert!(disk.complete_next() && first.load(Ordering::SeqCst));
     append(&mut wal, in_flight);
     let l = late.clone();
-    wal.hand_off(move || l.store(true, Ordering::SeqCst));
+    wal.hand_off(move |_| l.store(true, Ordering::SeqCst));
     append(&mut wal, unsynced);
     disk.begin_recovery(seed);
     (disk, late)
@@ -405,7 +415,7 @@ fn an_image_renamed_before_the_segments_below_it_are_unlinked() {
     let mut wal = Wal::open(disk.clone());
     append_and_commit(&mut wal, 0..14); // three segments
     let before = files.contents();
-    wal.save_snapshot(9, &Value::str("state@9"));
+    snapshot(&mut wal, 9, "state@9");
     drop((wal, disk));
     let mut restored = 0;
     for (path, bytes) in before {
@@ -461,7 +471,7 @@ fn a_power_cut_after_a_fallback_switch() {
         for i in range {
             wal.append(i, &big(i));
             let tx = tx.clone();
-            wal.hand_off(move || tx.send(()).unwrap());
+            wal.hand_off(move |_| tx.send(()).unwrap());
             rx.recv_timeout(Duration::from_secs(10)).expect("reported");
         }
     };
@@ -478,7 +488,7 @@ fn a_power_cut_after_a_fallback_switch() {
             held.recv().unwrap();
             shadowdb_eventml::codec::encode_value(&Value::str("state@5"), buf);
         },
-        move || done.send(()).unwrap(),
+        move |_| done.send(()).unwrap(),
     );
     rx.recv_timeout(Duration::from_secs(10))
         .expect("checkpoint reported");
@@ -514,7 +524,7 @@ fn a_wiped_file_disk_reopens_empty() {
     let disk = files.open();
     let mut wal = Wal::open(disk.clone());
     append_and_commit(&mut wal, 0..14);
-    wal.save_snapshot(3, &Value::str("state@3"));
+    snapshot(&mut wal, 3, "state@3");
     disk.wipe();
     assert_eq!(recover(&disk), Recovered::default());
     drop((wal, disk));
