@@ -30,17 +30,20 @@ use shadowdb::deploy::{DeployOptions, DurabilityOptions, PbrDeployment, SmrDeplo
 use shadowdb::diversity::DiversityPolicy;
 use shadowdb::msgs::{
     config_query_msg, parse_config_reply, parse_reply, submit_msg, ConfigCommand, TxnEnvelope,
+    SYNCED_HEADER,
 };
 use shadowdb::pbr::{PbrOptions, PbrReplica};
 use shadowdb::smr::SmrReplica;
+use shadowdb_eventml::{Ctx, Msg, Process, SendInstr, Value};
 use shadowdb_loe::{Loc, VTime};
 use shadowdb_mck::{Options, WorldBuilder};
-use shadowdb_runtime::Runtime;
+use shadowdb_runtime::{PortRx, Runtime};
 use shadowdb_sqldb::SqlValue;
 use shadowdb_tob::deploy::BackendKind;
 use shadowdb_tob::{broadcast_msg, subscribe_msg};
 use shadowdb_workloads::{bank, TxnRequest};
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 const ACCOUNTS: usize = 4;
 
@@ -439,5 +442,169 @@ fn mck_pbr_rebooted_member_config_agreement() {
     eprintln!(
         "PBR rebooted member: explored {} states (truncated: {})",
         outcome.states_visited, outcome.truncated
+    );
+}
+
+/// Hosts every replica of a deployment behind a [`Probe`]: a step on
+/// `sdb/synced` that sends anything — the sends the completed sync
+/// released — also tells `port`, so the explored states that follow such
+/// a release are those whose observations hold a `probe/released`.
+struct Probed<'w> {
+    world: &'w mut WorldBuilder,
+    port: Loc,
+}
+
+#[derive(Clone)]
+struct Probe {
+    inner: Box<dyn Process>,
+    port: Loc,
+}
+
+const RELEASED: &str = "probe/released";
+
+impl Process for Probe {
+    fn step_into(&mut self, ctx: &Ctx, msg: &Msg, out: &mut Vec<SendInstr>) {
+        let first = out.len();
+        self.inner.step_into(ctx, msg, out);
+        let released = out[first..].iter().any(|s| s.dest != ctx.slf);
+        if msg.header.name() == SYNCED_HEADER && released {
+            out.push(SendInstr::now(self.port, Msg::new(RELEASED, Value::Unit)));
+        }
+    }
+
+    fn halted(&self) -> bool {
+        self.inner.halted()
+    }
+
+    fn take_step_cost(&mut self) -> Duration {
+        self.inner.take_step_cost()
+    }
+
+    fn clone_box(&self) -> Box<dyn Process> {
+        Box::new(self.clone())
+    }
+
+    fn digest(&self, hasher: &mut dyn std::hash::Hasher) {
+        self.inner.digest(hasher);
+    }
+}
+
+impl Probed<'_> {
+    fn probe(&self, inner: Box<dyn Process>) -> Box<dyn Process> {
+        Box::new(Probe {
+            inner,
+            port: self.port,
+        })
+    }
+}
+
+impl Runtime for Probed<'_> {
+    fn add_node(&mut self, process: Box<dyn Process>) -> Loc {
+        let process = self.probe(process);
+        self.world.add_node(process)
+    }
+
+    fn node_count(&self) -> u32 {
+        self.world.node_count()
+    }
+
+    fn now(&self) -> VTime {
+        self.world.now()
+    }
+
+    fn send_at(&mut self, at: VTime, dest: Loc, msg: Msg) {
+        self.world.send_at(at, dest, msg);
+    }
+
+    fn crash_at(&mut self, at: VTime, loc: Loc) {
+        self.world.crash_at(at, loc);
+    }
+
+    fn restart_at(&mut self, at: VTime, loc: Loc, process: Box<dyn Process>) {
+        let process = self.probe(process);
+        self.world.restart_at(at, loc, process);
+    }
+
+    fn port(&mut self) -> (Loc, PortRx) {
+        self.world.port()
+    }
+
+    fn run_for(&mut self, duration: Duration) {
+        self.world.run_for(duration);
+    }
+}
+
+/// A deposit through a durable PBR group, at the rebooted-member world's
+/// budget and depth. Each member logs the deposit, and what it sends
+/// after logging waits for the `sdb/synced` that reports the log
+/// durable. In every reachable state each answer the client got is the
+/// deposit's, committed, and came after such a release. Non-vacuity:
+/// explored states follow a release, and some hold the answer.
+#[test]
+fn mck_pbr_durable_acknowledgments_wait_for_sdb_synced() {
+    let mut world = WorldBuilder::new();
+    let (client, _rx) = world.port();
+    let mut options = checker_options();
+    options.durability = Some(DurabilityOptions::default());
+    let d = PbrDeployment::build(
+        &mut Probed {
+            world: &mut world,
+            port: client,
+        },
+        &options,
+        PbrOptions::default(),
+    );
+    let env = TxnEnvelope::new(
+        client,
+        0,
+        TxnRequest::BankDeposit {
+            account: 0,
+            amount: 5,
+        },
+    );
+    world.send_at(VTime::ZERO, d.replicas[0], submit_msg(&env));
+
+    let (after_release, answered) = (std::cell::Cell::new(0usize), std::cell::Cell::new(0usize));
+    let outcome = world.explore(
+        Options {
+            max_depth: 14,
+            max_states: 20_000,
+            ..Options::default()
+        },
+        |w| {
+            let released = w
+                .observations
+                .iter()
+                .any(|(_, _, m)| m.header.name() == RELEASED);
+            after_release.set(after_release.get() + usize::from(released));
+            for (_, _, msg) in &w.observations {
+                if let Some(reply) = parse_reply(msg) {
+                    if reply.cseq != 0 || !reply.committed {
+                        return Err(format!(
+                            "unexpected answer: cseq {} committed {}",
+                            reply.cseq, reply.committed
+                        ));
+                    }
+                    if !released {
+                        return Err("an answer before any sync released a send".into());
+                    }
+                    answered.set(answered.get() + 1);
+                }
+            }
+            Ok(())
+        },
+    );
+    assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
+    assert!(
+        after_release.get() > 0,
+        "no explored state follows an sdb/synced that released a send"
+    );
+    assert!(answered.get() > 0, "no explored state holds the answer");
+    eprintln!(
+        "PBR durable deposit: explored {} states (truncated: {}), {} after a release, {} answered",
+        outcome.states_visited,
+        outcome.truncated,
+        after_release.get(),
+        answered.get()
     );
 }

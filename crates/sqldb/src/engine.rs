@@ -375,7 +375,8 @@ impl Database {
 
     /// Bulk-inserts rows directly (loader fast path; bypasses SQL parsing
     /// and locking — callers must have exclusive use of the database, as
-    /// during initial load or state transfer).
+    /// during initial load or state transfer). The indexes' new entries
+    /// are built in bulk ([`Table::insert_rows`]).
     ///
     /// # Errors
     ///
@@ -385,12 +386,7 @@ impl Database {
         let t = tables
             .get_mut(&table.to_lowercase())
             .ok_or_else(|| SqlError::Unknown(format!("table {table}")))?;
-        let mut n = 0;
-        for row in rows {
-            t.insert(row)?;
-            n += 1;
-        }
-        Ok(n)
+        t.insert_rows(rows)
     }
 
     /// Executes a single read-only `SELECT` without touching the lock
@@ -473,7 +469,8 @@ impl Database {
         }
     }
 
-    /// Restores the database from a snapshot, replacing all contents.
+    /// Restores the database from a snapshot, replacing all contents. The
+    /// tables share the snapshot's rows and build their indexes in bulk.
     ///
     /// # Errors
     ///
@@ -483,9 +480,7 @@ impl Database {
         tables.clear();
         for dump in snapshot.tables() {
             let mut t = Table::new(dump.schema.clone());
-            for row in &dump.rows {
-                t.insert(row.to_vec())?;
-            }
+            t.insert_rows(dump.rows.iter().cloned())?;
             for (name, columns) in &dump.indexes {
                 t.create_index(name, columns)?;
             }

@@ -1,11 +1,14 @@
-//! Table storage: row heap plus B-tree indexes.
+//! Table storage: a row slab plus B-tree indexes.
 
 use crate::expr::{CmpOp, Expr};
 use crate::schema::TableSchema;
 use crate::value::{Row, SharedRow, SqlValue};
 use crate::{Result, SqlError};
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Bound;
 
 /// Identifies a row within its table for the lifetime of the table.
 pub type RowId = u64;
@@ -93,6 +96,60 @@ pub struct Walk {
     pub exact: bool,
 }
 
+/// An index key: the values of an index's columns, in key order. A
+/// one-column key is held inline and a wider one in one exact-size boxed
+/// slice, so a key allocates nothing beyond its values' own text. Keys
+/// order as their value slices do, lexicographically, so the values of a
+/// key's leading columns bound a contiguous range of keys.
+#[derive(Clone, Debug)]
+enum Key {
+    One(SqlValue),
+    Many(Box<[SqlValue]>),
+}
+
+impl Key {
+    /// The key of `row` over the columns `cols`.
+    fn of(row: &[SqlValue], cols: &[usize]) -> Key {
+        match cols {
+            [c] => Key::One(row[*c].clone()),
+            _ => Key::Many(cols.iter().map(|&c| row[c].clone()).collect()),
+        }
+    }
+
+    fn values(&self) -> &[SqlValue] {
+        match self {
+            Key::One(v) => std::slice::from_ref(v),
+            Key::Many(vs) => vs,
+        }
+    }
+}
+
+impl Borrow<[SqlValue]> for Key {
+    fn borrow(&self) -> &[SqlValue] {
+        self.values()
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.values() == other.values()
+    }
+}
+
+impl Eq for Key {}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Key) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Key {
+    fn cmp(&self, other: &Key) -> Ordering {
+        self.values().cmp(other.values())
+    }
+}
+
 /// An index range with its keys bound.
 struct KeyRange {
     eq: Vec<SqlValue>,
@@ -106,7 +163,8 @@ impl KeyRange {
         self.eq.iter().chain(bounds).any(SqlValue::is_null)
     }
 
-    fn contains(&self, key: &[SqlValue]) -> bool {
+    fn contains(&self, key: &Key) -> bool {
+        let key = key.values();
         let next = key.get(self.eq.len());
         key.starts_with(&self.eq)
             && self
@@ -119,24 +177,29 @@ impl KeyRange {
                 .is_none_or(|hi| next.is_some_and(|v| v <= hi))
     }
 
-    /// The entries of `map` in range, in key order. Keys sharing the
-    /// prefix are contiguous and sorted by the next column, so the walk
-    /// starts at the lower bound and stops at the first key past the range.
-    fn walk<'m, V>(&'m self, map: &'m BTreeMap<Vec<SqlValue>, V>) -> impl Iterator<Item = &'m V> {
+    /// The values no key in range sorts below: the prefix, then the
+    /// lower bound.
+    fn start(&self) -> Vec<SqlValue> {
         let mut start = self.eq.clone();
         start.extend(self.lower.clone());
-        map.range(start..)
-            .take_while(|(k, _)| self.contains(k))
-            .map(|(_, v)| v)
+        start
     }
 
-    /// Whether the range holds every entry of a non-empty `map`: its first
-    /// and last keys, since a range is contiguous.
-    fn spans<V>(&self, map: &BTreeMap<Vec<SqlValue>, V>) -> bool {
-        match (map.first_key_value(), map.last_key_value()) {
-            (Some((first, _)), Some((last, _))) => self.contains(first) && self.contains(last),
-            _ => false,
-        }
+    /// The row ids of `entries` — an index's entries from [`Self::start`]
+    /// on, in key order — that lie in range. Keys sharing the prefix are
+    /// contiguous and sorted by the next column, so the walk stops at the
+    /// first key past the range.
+    fn walk<'m>(&self, entries: impl Iterator<Item = (&'m Key, RowId)>) -> Vec<RowId> {
+        entries
+            .take_while(|(k, _)| self.contains(k))
+            .map(|(_, rid)| rid)
+            .collect()
+    }
+
+    /// Whether the range holds every entry of a non-empty index whose
+    /// first and last keys are `ends`, since a range is contiguous.
+    fn spans(&self, ends: Option<(&Key, &Key)>) -> bool {
+        ends.is_some_and(|(first, last)| self.contains(first) && self.contains(last))
     }
 }
 
@@ -150,20 +213,35 @@ pub struct SecondaryIndex {
     pub name: String,
     /// Indexed column positions, in key order.
     pub columns: Vec<usize>,
-    /// key -> row ids (non-unique).
-    map: BTreeMap<Vec<SqlValue>, BTreeSet<RowId>>,
+    /// (key, row id) per row: non-unique keys, each key's rows in row-id
+    /// order.
+    entries: BTreeSet<(Key, RowId)>,
 }
 
-/// A table: schema, heap, primary-key index, secondary indexes.
+impl SecondaryIndex {
+    fn entry(&self, rid: RowId, row: &[SqlValue]) -> (Key, RowId) {
+        (Key::of(row, &self.columns), rid)
+    }
+}
+
+/// A table: its schema, its rows, a primary-key index and any secondary
+/// indexes.
 ///
-/// Heap rows are immutable and shared: a write replaces the row, so a
+/// The rows live in one dense slab indexed by row id. Ids are handed out
+/// in increasing order and never reused, so heap order is row-id order;
+/// a deleted row leaves a hole (16 bytes), and holes at the end are
+/// dropped. Every index maps a key — held inline for one column — to row
+/// ids; [`Table::insert_rows`] and [`Table::create_index`] build their
+/// entries in bulk, which leaves the B-tree nodes full.
+///
+/// Rows are immutable and shared: a write replaces the row, so a
 /// snapshot holds the rows it saw for the cost of one reference each.
 #[derive(Clone, Debug)]
 pub struct Table {
     schema: TableSchema,
-    rows: BTreeMap<RowId, SharedRow>,
+    rows: Vec<Option<SharedRow>>,
     next_rowid: RowId,
-    pk: BTreeMap<Vec<SqlValue>, RowId>,
+    pk: BTreeMap<Key, RowId>,
     secondary: Vec<SecondaryIndex>,
 }
 
@@ -172,7 +250,7 @@ impl Table {
     pub fn new(schema: TableSchema) -> Table {
         Table {
             schema,
-            rows: BTreeMap::new(),
+            rows: Vec::new(),
             next_rowid: 0,
             pk: BTreeMap::new(),
             secondary: Vec::new(),
@@ -186,12 +264,12 @@ impl Table {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.pk.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.pk.is_empty()
     }
 
     /// Adds a secondary index over `columns`, indexing existing rows.
@@ -207,12 +285,10 @@ impl Table {
         let mut idx = SecondaryIndex {
             name: name.to_owned(),
             columns: cols?,
-            map: BTreeMap::new(),
+            entries: BTreeSet::new(),
         };
-        for (&rid, row) in &self.rows {
-            let key: Vec<SqlValue> = idx.columns.iter().map(|&c| row[c].clone()).collect();
-            idx.map.entry(key).or_default().insert(rid);
-        }
+        let entries = self.iter().map(|(rid, row)| idx.entry(rid, row)).collect();
+        idx.entries = entries;
         self.secondary.push(idx);
         Ok(())
     }
@@ -231,6 +307,29 @@ impl Table {
         self.secondary.retain(|i| i.name != name);
     }
 
+    fn duplicate_key(&self, key: &[SqlValue]) -> SqlError {
+        SqlError::Constraint(format!(
+            "duplicate primary key {key:?} in {}",
+            self.schema.name
+        ))
+    }
+
+    /// Stores `row` in slot `rid` of the slab, which must be free.
+    fn put(&mut self, rid: RowId, row: SharedRow) {
+        let i = rid as usize;
+        if i >= self.rows.len() {
+            self.rows.resize(i + 1, None);
+        }
+        self.rows[i] = Some(row);
+    }
+
+    /// Drops the holes at the end of the slab.
+    fn pop_holes(&mut self) {
+        while self.rows.last().is_some_and(Option::is_none) {
+            self.rows.pop();
+        }
+    }
+
     /// Inserts a row.
     ///
     /// # Errors
@@ -238,27 +337,80 @@ impl Table {
     /// Fails on arity/type mismatch or duplicate primary key.
     pub fn insert(&mut self, row: Row) -> Result<RowId> {
         self.schema.check_row(&row)?;
-        let key = self.schema.key_of(&row);
+        let key = Key::of(&row, &self.schema.primary_key);
         if self.pk.contains_key(&key) {
-            return Err(SqlError::Constraint(format!(
-                "duplicate primary key {key:?} in {}",
-                self.schema.name
-            )));
+            return Err(self.duplicate_key(key.values()));
         }
         let rid = self.next_rowid;
         self.next_rowid += 1;
         for idx in &mut self.secondary {
-            let ikey: Vec<SqlValue> = idx.columns.iter().map(|&c| row[c].clone()).collect();
-            idx.map.entry(ikey).or_default().insert(rid);
+            idx.entries.insert(idx.entry(rid, &row));
         }
         self.pk.insert(key, rid);
-        self.rows.insert(rid, row.into());
+        self.put(rid, row.into());
         Ok(rid)
+    }
+
+    /// Inserts rows in order, as many [`Table::insert`]s would, but
+    /// builds their index entries in bulk: sorted, then merged into each
+    /// index in one pass, which leaves the B-tree nodes full where
+    /// one-by-one inserts leave them about half full. Rows already
+    /// shared (a snapshot's) are stored without a copy. Returns the
+    /// number of rows inserted.
+    ///
+    /// # Errors
+    ///
+    /// As [`Table::insert`], for the first row that fails; the rows
+    /// before it stay inserted.
+    pub fn insert_rows<R: Into<SharedRow>>(
+        &mut self,
+        rows: impl IntoIterator<Item = R>,
+    ) -> Result<usize> {
+        let rows = rows.into_iter();
+        let first = self.next_rowid;
+        self.rows.reserve(rows.size_hint().0);
+        let mut keys: Vec<(Key, RowId)> = Vec::with_capacity(rows.size_hint().0);
+        let mut failed = None;
+        for row in rows {
+            let row = row.into();
+            if let Err(e) = self.schema.check_row(&row) {
+                failed = Some(e);
+                break;
+            }
+            keys.push((Key::of(&row, &self.schema.primary_key), self.next_rowid));
+            self.put(self.next_rowid, row);
+            self.next_rowid += 1;
+        }
+        keys.sort_unstable();
+        // The first row whose key the table or an earlier row holds fails:
+        // it and the rows after it leave again.
+        let taken = keys.iter().filter(|(k, _)| self.pk.contains_key(k));
+        let repeated = keys.windows(2).filter(|w| w[0].0 == w[1].0).map(|w| &w[1]);
+        if let Some((key, rid)) = taken.chain(repeated).min_by_key(|(_, rid)| *rid).cloned() {
+            failed = Some(self.duplicate_key(key.values()));
+            keys.retain(|(_, r)| *r < rid);
+            self.rows.truncate(rid as usize);
+            self.pop_holes();
+            self.next_rowid = rid;
+        }
+        for idx in &mut self.secondary {
+            let rows = &self.rows;
+            let row = |rid: RowId| rows[rid as usize].as_deref().expect("a fresh row");
+            let fresh = first..self.next_rowid;
+            let mut built = fresh.map(|rid| idx.entry(rid, row(rid))).collect();
+            idx.entries.append(&mut built);
+        }
+        let inserted = keys.len();
+        self.pk.append(&mut keys.into_iter().collect());
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(inserted),
+        }
     }
 
     /// Fetches a row by id.
     pub fn get(&self, rid: RowId) -> Option<&[SqlValue]> {
-        self.rows.get(&rid).map(|r| &**r)
+        self.rows.get(rid as usize)?.as_deref()
     }
 
     /// Re-inserts a previously deleted row under its *original* id (the
@@ -272,39 +424,34 @@ impl Table {
     pub fn restore(&mut self, rid: RowId, row: impl Into<SharedRow>) -> Result<()> {
         let row = row.into();
         self.schema.check_row(&row)?;
-        if self.rows.contains_key(&rid) {
+        if self.get(rid).is_some() {
             return Err(SqlError::Constraint(format!(
                 "row id {rid} already occupied"
             )));
         }
-        let key = self.schema.key_of(&row);
+        let key = Key::of(&row, &self.schema.primary_key);
         if self.pk.contains_key(&key) {
             return Err(SqlError::Constraint(format!(
-                "duplicate primary key {key:?}"
+                "duplicate primary key {:?}",
+                key.values()
             )));
         }
         for idx in &mut self.secondary {
-            let ikey: Vec<SqlValue> = idx.columns.iter().map(|c| row[*c].clone()).collect();
-            idx.map.entry(ikey).or_default().insert(rid);
+            idx.entries.insert(idx.entry(rid, &row));
         }
         self.pk.insert(key, rid);
-        self.rows.insert(rid, row);
+        self.put(rid, row);
         self.next_rowid = self.next_rowid.max(rid + 1);
         Ok(())
     }
 
     /// Deletes a row by id, returning it.
     pub fn delete(&mut self, rid: RowId) -> Option<SharedRow> {
-        let row = self.rows.remove(&rid)?;
-        self.pk.remove(&self.schema.key_of(&row));
+        let row = self.rows.get_mut(rid as usize)?.take()?;
+        self.pop_holes();
+        self.pk.remove(&Key::of(&row, &self.schema.primary_key));
         for idx in &mut self.secondary {
-            let ikey: Vec<SqlValue> = idx.columns.iter().map(|&c| row[c].clone()).collect();
-            if let Some(set) = idx.map.get_mut(&ikey) {
-                set.remove(&rid);
-                if set.is_empty() {
-                    idx.map.remove(&ikey);
-                }
-            }
+            idx.entries.remove(&idx.entry(rid, &row));
         }
         Some(row)
     }
@@ -320,40 +467,36 @@ impl Table {
         self.schema.check_row(&new_row)?;
         let old = self
             .rows
-            .get(&rid)
-            .cloned()
+            .get(rid as usize)
+            .and_then(Option::as_deref)
             .ok_or_else(|| SqlError::Unknown(format!("row id {rid}")))?;
-        let old_key = self.schema.key_of(&old);
-        let new_key = self.schema.key_of(&new_row);
+        let old_key = Key::of(old, &self.schema.primary_key);
+        let new_key = Key::of(&new_row, &self.schema.primary_key);
         if new_key != old_key {
             if self.pk.contains_key(&new_key) {
                 return Err(SqlError::Constraint(format!(
-                    "update collides on primary key {new_key:?}"
+                    "update collides on primary key {:?}",
+                    new_key.values()
                 )));
             }
             self.pk.remove(&old_key);
             self.pk.insert(new_key, rid);
         }
         for idx in &mut self.secondary {
-            let old_ikey: Vec<SqlValue> = idx.columns.iter().map(|&c| old[c].clone()).collect();
-            let new_ikey: Vec<SqlValue> = idx.columns.iter().map(|&c| new_row[c].clone()).collect();
-            if old_ikey != new_ikey {
-                if let Some(set) = idx.map.get_mut(&old_ikey) {
-                    set.remove(&rid);
-                    if set.is_empty() {
-                        idx.map.remove(&old_ikey);
-                    }
-                }
-                idx.map.entry(new_ikey).or_default().insert(rid);
+            let old_entry = idx.entry(rid, old);
+            let new_entry = idx.entry(rid, &new_row);
+            if old_entry != new_entry {
+                idx.entries.remove(&old_entry);
+                idx.entries.insert(new_entry);
             }
         }
-        self.rows.insert(rid, new_row);
-        Ok(old)
+        let slot = self.rows[rid as usize].as_mut().expect("a live row");
+        Ok(std::mem::replace(slot, new_row))
     }
 
     /// Sets columns of row `rid` to new values: an [`Table::update`] that
     /// names only what changes. A row whose key and indexed columns keep
-    /// their values is replaced in one walk, leaving the indexes alone.
+    /// their values is replaced in one step, leaving the indexes alone.
     ///
     /// # Errors
     ///
@@ -379,23 +522,20 @@ impl Table {
             self.schema.primary_key.contains(&c)
                 || self.secondary.iter().any(|i| i.columns.contains(&c))
         };
+        let keyed = cols.iter().any(|(c, _)| keyed(*c));
         let slot = self
             .rows
-            .get_mut(&rid)
+            .get_mut(rid as usize)
+            .and_then(Option::as_mut)
             .ok_or_else(|| SqlError::Unknown(format!("row id {rid}")))?;
-        let set = |row: &[SqlValue]| -> SharedRow {
-            let mut row = row.to_vec();
-            for (c, v) in &cols {
-                row[*c] = v.clone();
-            }
-            row.into()
-        };
-        if cols.iter().any(|(c, _)| keyed(*c)) {
-            let row = set(slot);
+        let mut row = slot.to_vec();
+        for (c, v) in cols {
+            row[c] = v;
+        }
+        if keyed {
             return self.update(rid, row);
         }
-        let row = set(slot);
-        Ok(std::mem::replace(slot, row))
+        Ok(std::mem::replace(slot, row.into()))
     }
 
     /// Looks up a row id by full primary key.
@@ -494,7 +634,7 @@ impl Table {
         } = path
         else {
             return Ok(Walk {
-                rids: self.rows.keys().copied().collect(),
+                rids: self.iter().map(|(rid, _)| rid).collect(),
                 whole_table: true,
                 exact: false,
             });
@@ -506,40 +646,50 @@ impl Table {
             upper: upper.as_ref().map(eval).transpose()?,
         };
         let exact = *exact && !keys.has_null();
-        Ok(match index {
-            IndexName::Primary => Walk {
-                rids: keys.walk(&self.pk).copied().collect(),
-                whole_table: keys.spans(&self.pk),
-                exact,
-            },
+        let start = keys.start();
+        let (rids, whole_table) = match index {
+            IndexName::Primary => {
+                let from = (Bound::Included(start.as_slice()), Bound::Unbounded);
+                let entries = self.pk.range::<[SqlValue], _>(from);
+                let ends = self.pk.first_key_value().zip(self.pk.last_key_value());
+                (
+                    keys.walk(entries.map(|(k, &rid)| (k, rid))),
+                    keys.spans(ends.map(|((first, _), (last, _))| (first, last))),
+                )
+            }
             IndexName::Secondary(name) => match self.secondary.iter().find(|i| &i.name == name) {
-                Some(i) => Walk {
-                    rids: keys.walk(&i.map).flatten().copied().collect(),
-                    whole_table: keys.spans(&i.map),
-                    exact,
-                },
-                None => Walk {
-                    rids: Vec::new(),
-                    whole_table: false,
-                    exact,
-                },
+                Some(i) => {
+                    let entries = i.entries.range((Key::Many(start.into()), 0)..);
+                    let ends = i.entries.first().zip(i.entries.last());
+                    (
+                        keys.walk(entries.map(|(k, rid)| (k, *rid))),
+                        keys.spans(ends.map(|((first, _), (last, _))| (first, last))),
+                    )
+                }
+                None => (Vec::new(), false),
             },
+        };
+        Ok(Walk {
+            rids,
+            whole_table,
+            exact,
         })
     }
 
     /// Iterates over `(row id, row)` pairs in heap order.
     pub fn iter(&self) -> impl Iterator<Item = (RowId, &[SqlValue])> {
-        self.rows.iter().map(|(rid, row)| (*rid, &**row))
+        let rows = self.rows.iter().enumerate();
+        rows.filter_map(|(i, row)| Some((i as RowId, row.as_deref()?)))
     }
 
     /// The rows in heap order, shared rather than copied.
     pub(crate) fn shared_rows(&self) -> Vec<SharedRow> {
-        self.rows.values().cloned().collect()
+        self.rows.iter().flatten().cloned().collect()
     }
 
     /// Approximate total data size in bytes.
     pub fn byte_size(&self) -> usize {
-        self.rows.values().map(|r| self.schema.row_bytes(r)).sum()
+        self.iter().map(|(_, r)| self.schema.row_bytes(r)).sum()
     }
 }
 
