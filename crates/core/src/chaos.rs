@@ -28,7 +28,10 @@
 //!   primaries), so the legs that exist to exercise one also require
 //!   evidence: the lease-read legs must serve fast reads, the sharded legs
 //!   must run cross-shard commits. A failed check prints the log's last
-//!   [`crate::probe::TAIL`] events.
+//!   [`crate::probe::TAIL`] events;
+//! * **Equal states (SMR)** — every replica still up, in each group,
+//!   ends with the same accounts: each one executes every delivery, so a
+//!   replica that missed some must have fetched them.
 //!
 //! Crashes are applied as scheduled, and a plan's durable restarts
 //! (`RestartDurable`, the power-loss profile, which also gives the
@@ -55,6 +58,7 @@ use parking_lot::Mutex;
 use shadowdb_loe::{Loc, VTime};
 use shadowdb_runtime::fault::mix64;
 use shadowdb_runtime::{FaultTopology, Nemesis, NemesisProfile, NodeFaultKind, Runtime};
+use shadowdb_sqldb::Database;
 use shadowdb_workloads::{bank, KvGen, KvOptions, TxnRequest};
 use std::sync::Arc;
 use std::time::Duration;
@@ -221,7 +225,8 @@ fn deploy_options(
 /// donor the incumbent that will stream its snapshot. Crashes are applied
 /// as scheduled; each durable restart of the victim is handed to `reboot`
 /// — the deployment's own reboot call — with its instant and a fresh tear
-/// seed; amnesiac restarts are skipped (see the module docs).
+/// seed; amnesiac restarts are skipped (see the module docs). Also
+/// returns the nodes the plan leaves down: crashed last, not rebooted.
 fn arm_nemesis<R: Runtime + ?Sized>(
     rt: &mut R,
     opts: &ChaosOptions,
@@ -230,7 +235,7 @@ fn arm_nemesis<R: Runtime + ?Sized>(
     groups: Vec<Vec<Loc>>,
     reconfig: Option<(Loc, Loc)>,
     reboot: impl Fn(&mut R, VTime, u64),
-) -> VTime {
+) -> (VTime, Vec<Loc>) {
     // Core = every node that is not a client. (Sharded deployments lay
     // clients out *last*, unsharded ones first; membership, not position,
     // decides.)
@@ -262,11 +267,52 @@ fn arm_nemesis<R: Runtime + ?Sized>(
             NodeFaultKind::Restart => {}
         }
     }
+    let last = |loc: Loc| {
+        plan.node_faults
+            .iter()
+            .filter(|f| f.loc == loc)
+            .max_by_key(|f| f.at)
+    };
+    let mut down: Vec<Loc> = plan.node_faults.iter().map(|f| f.loc).collect();
+    down.retain(|l| last(*l).is_some_and(|f| f.kind != NodeFaultKind::RestartDurable));
     rt.install_fault_plan(plan);
     for cl in clients {
         rt.send_at(epoch, *cl, DbClient::start_msg());
     }
-    epoch
+    (epoch, down)
+}
+
+/// Σ(id·balance) over a database's accounts: equal states, equal sums.
+fn checksum(db: &Database) -> i64 {
+    let rows = db
+        .execute("SELECT id, balance FROM accounts")
+        .expect("accounts");
+    let int = |v: &shadowdb_sqldb::SqlValue| v.as_int().expect("an integer");
+    rows.rows.iter().map(|r| int(&r[0]) * int(&r[1])).sum()
+}
+
+/// Runs the runtime until the `replicas`' databases agree on every
+/// account, or the deadline passes, and fails the soak if they do not.
+fn assert_states_agree<R: Runtime + ?Sized>(
+    rt: &mut R,
+    opts: &ChaosOptions,
+    kind: &str,
+    replicas: &[(Loc, Database)],
+) {
+    let sums =
+        || -> Vec<(Loc, i64)> { replicas.iter().map(|(l, db)| (*l, checksum(db))).collect() };
+    let deadline = rt.now() + opts.deadline;
+    let mut now = sums();
+    while now.iter().any(|s| s.1 != now[0].1) && rt.now() < deadline {
+        rt.run_for(Duration::from_millis(20));
+        now = sums();
+    }
+    assert!(
+        now.iter().all(|s| s.1 == now[0].1),
+        "{kind} soak: the replicas' final states differ, Σ(id·balance) {now:?} (seed {}, {:?})",
+        opts.seed,
+        opts.profile
+    );
 }
 
 /// Runs the runtime in slices until every transaction is answered or the
@@ -590,7 +636,7 @@ fn soak<R: Runtime + ?Sized>(
         .map(|_| (Loc::new(rt.node_count()), replicas[0]));
     let groups = shard_groups(&d.groups);
     let reboot = |rt: &mut R, at, tear| d.reboot(rt, victim, at, tear);
-    let epoch = arm_nemesis(rt, opts, victim, &d.clients, groups, reconfig, reboot);
+    let (epoch, down) = arm_nemesis(rt, opts, victim, &d.clients, groups, reconfig, reboot);
     if let Some(handle) = handle.as_mut() {
         // Start the replacement at ~0.10 of the nemesis window (the
         // CrashDuringTransfer joiner-crash window opens at 0.15, so the
@@ -648,6 +694,15 @@ fn soak<R: Runtime + ?Sized>(
         await_catchup(rt, opts, &probe, victim);
     }
     let committed = assert_history(opts, kind, answered, &scripts, &d.stats);
+    if !primary_backup {
+        // A replaced SMR replica left its group; the joiner took its place.
+        let left = (stress == Stress::Replace).then_some(victim);
+        for g in &d.groups {
+            let mut up = g.databases();
+            up.retain(|(l, _)| !down.contains(l) && Some(*l) != left);
+            assert_states_agree(rt, opts, kind, &up);
+        }
+    }
 
     let events = probe.events();
     let fail =

@@ -223,6 +223,18 @@ impl ShardGroup {
     pub fn route(&self) -> &GroupRoute {
         &self.recipe.route
     }
+
+    /// Every replica the group ever had, joiners included, with the
+    /// database its latest incarnation runs on: where a harness compares
+    /// the replicas' states.
+    pub(crate) fn databases(&self) -> Vec<(Loc, Database)> {
+        let replicas = self.recipe.replicas.borrow();
+        replicas
+            .iter()
+            .copied()
+            .zip(self.recipe.dbs.borrow().clone())
+            .collect()
+    }
 }
 
 /// How a replica built by a [`Recipe`] comes into the world.
@@ -271,6 +283,8 @@ struct Recipe {
     /// their slot (and their disk).
     replicas: RefCell<Vec<Loc>>,
     disks: RefCell<Vec<Disk>>,
+    /// Every replica's database, by index: the latest incarnation's.
+    dbs: RefCell<Vec<Database>>,
 }
 
 impl Recipe {
@@ -278,6 +292,12 @@ impl Recipe {
     fn replica(&self, i: usize, boot: Boot) -> Box<dyn Process> {
         let db = self.diversity.database(i);
         (self.loader)(self.shard, &db);
+        let mut dbs = self.dbs.borrow_mut();
+        match dbs.get_mut(i) {
+            Some(latest) => *latest = db.clone(),
+            None => dbs.push(db.clone()),
+        }
+        drop(dbs);
         // Replica `i`'s disk is opened the first time it is built.
         let durable = self.durability.as_ref().map(|dur| {
             let mut disks = self.disks.borrow_mut();
@@ -321,9 +341,12 @@ impl Recipe {
                 Box::new(replica)
             }
             None => {
-                let mut replica = match &boot {
-                    Boot::Join(donors) => SmrReplica::joining_from(db, donors.clone()),
-                    _ => SmrReplica::new(db),
+                // A replica that is behind fetches from its peers.
+                let peers = replicas.iter().copied().filter(|r| *r != replicas[i]);
+                let mut replica = match boot {
+                    Boot::Join(donors) => SmrReplica::joining_from(db, donors),
+                    Boot::Reboot(tear) => SmrReplica::new(db).rebooted(peers.collect(), tear),
+                    Boot::First => SmrReplica::new(db).with_donors(peers.collect()),
                 }
                 .with_observers(self.probe.clone(), self.lease_audit);
                 if let Some(role) = &self.role {
@@ -335,10 +358,6 @@ impl Recipe {
                 if let Some(lease) = &self.leases {
                     let servers = self.route.servers().to_vec();
                     replica = replica.with_read_leases(servers, i as u64, lease.clone());
-                }
-                if let Boot::Reboot(tear) = boot {
-                    let donors = replicas.iter().copied().filter(|r| *r != replicas[i]);
-                    replica = replica.rebooted(donors.collect(), tear);
                 }
                 Box::new(replica)
             }
@@ -424,6 +443,7 @@ fn build_group<R: Runtime + ?Sized>(
         deployed: replicas.len(),
         replicas: RefCell::new(replicas.clone()),
         disks: RefCell::new(Vec::new()),
+        dbs: RefCell::new(Vec::new()),
     });
     for (i, r) in replicas.iter().enumerate() {
         assert_eq!(rt.add_node(recipe.replica(i, Boot::First)), *r);

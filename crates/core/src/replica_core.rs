@@ -249,6 +249,11 @@ pub(crate) struct ReplicaCore {
     /// Awaiting the first `tob/subok` of a subscription (a joiner, or a
     /// replica rebooted from its disk).
     subscribing: bool,
+    /// A gap the stream stalls behind: the stream's next seq then, when
+    /// it was first seen, and whether a check is armed. Not in the digest:
+    /// it acts only once half a fetch period has passed, and the model
+    /// checker's clock moves a microsecond per step.
+    gap: Option<(i64, VTime, bool)>,
     /// The broadcast service's entry points, for this replica's own
     /// broadcasts, and the msgid of the next one.
     tob_servers: Vec<Loc>,
@@ -286,6 +291,7 @@ impl ReplicaCore {
             stream: InOrderBuffer::new(),
             anchored: true,
             subscribing: false,
+            gap: None,
             tob_servers: Vec::new(),
             msgid: 0,
             probe: None,
@@ -1107,6 +1113,40 @@ impl ReplicaCore {
         self.anchored &= self.fetch.asked == 0 || self.stream.next_seq() >= seq;
         self.fetch(ctx.slf, from, seq, out);
         Vec::new()
+    }
+
+    /// Catches the stream up past a gap — deliveries held behind one that
+    /// never came (a partition dropped it): once the gap has lasted one
+    /// fetch period, opens the fetch from the stream's next seq, to be
+    /// answered from the first held one on. A gap still open half a period
+    /// after it opened arms a retry timer for the full period, so the
+    /// check runs though no further delivery comes; gaps without faults
+    /// close far sooner (the saturated SMR rows of `fig9a` hold them for
+    /// up to 13 ms of virtual time), so they arm nothing. Only for a
+    /// replica with donors that is not rejoining anyway; run at the end of
+    /// each step.
+    pub(crate) fn check_gap(&mut self, slf: Loc, now: VTime, out: &mut Vec<SendInstr>) {
+        let idle = !self.rejoining() && !self.fetch.donors.is_empty();
+        let Some(first) = self.stream.first_held().filter(|_| idle) else {
+            self.gap = None;
+            return;
+        };
+        let next = self.stream.next_seq();
+        let (since, armed) = match self.gap {
+            Some((at, since, armed)) if at == next => (since, armed),
+            _ => (now, false),
+        };
+        let waited = now.saturating_since(since);
+        if waited >= self.fetch.every {
+            self.gap = None;
+            return self.fetch(slf, next, first, out);
+        }
+        let arm = waited >= self.fetch.every / 2;
+        if arm && !armed {
+            let check = Msg::new(cached_header!(FETCH_RETRY_HEADER), Value::Unit);
+            out.push(SendInstr::after(self.fetch.every - waited, slf, check));
+        }
+        self.gap = Some((next, since, armed || arm));
     }
 
     /// Donor side: the fetch `msg`, to be asked again in 10 ms, if it must

@@ -123,6 +123,14 @@ impl SmrReplica {
         r
     }
 
+    /// Names the peers this replica fetches from when its stream stalls
+    /// behind a gap — deliveries it missed, say to a partition — for one
+    /// fetch period (`ReplicaCore::check_gap`).
+    pub(crate) fn with_donors(mut self, donors: Vec<Loc>) -> SmrReplica {
+        self.core.set_donors(donors, FETCH_RETRY);
+        self
+    }
+
     /// Attaches a write-ahead log: every in-order delivery is appended
     /// (keyed by its TOB sequence number) and synced at the replica's next
     /// `sdb/sync`, which its replies wait for, with a durable snapshot at
@@ -153,9 +161,8 @@ impl SmrReplica {
     /// how far the group moved on, and `donors` serve the missed range from
     /// their windows (a snapshot only if the window does not reach back).
     pub fn rebooted(mut self, donors: Vec<Loc>, tear: u64) -> SmrReplica {
-        self.core.set_donors(donors, FETCH_RETRY);
         self.reboot = Some(tear);
-        self
+        self.with_donors(donors)
     }
 
     /// The recovery a [`SmrReplica::rebooted`] replica runs before
@@ -451,6 +458,8 @@ impl Process for SmrReplica {
         // broadcast service, not this replica, carries the records.
         let last = self.core.stream_next() - 1;
         self.core.gate_step(ctx.slf, last, first, out, |_| false);
+        // A fetch for deliveries the stream missed vouches for nothing.
+        self.core.check_gap(ctx.slf, ctx.now, out);
     }
 
     fn take_step_cost(&mut self) -> Duration {
@@ -525,6 +534,37 @@ mod tests {
         }
         let reply = |s: &&SendInstr| s.msg.header.name() == REPLY_HEADER;
         outs.iter().filter(reply).count()
+    }
+
+    /// A replica whose stream stalls behind a gap — delivery 1 never came
+    /// — executes nothing past it, and once the gap has lasted half a
+    /// fetch period it arms a check for one fetch period after the gap
+    /// opened. The check asks a donor for the deliveries from 1 on, once
+    /// the donor has reached the first one held (2); its catch-up fills
+    /// the gap and leaves the buffer empty.
+    #[test]
+    fn a_gap_in_the_stream_is_fetched_after_one_fetch_period() {
+        let db = Database::new(EngineProfile::h2());
+        bank::load(&db, 4).expect("bank loads");
+        let donor = Loc::new(0);
+        let mut r = SmrReplica::new(db).with_donors(vec![donor]);
+        let step =
+            |r: &mut SmrReplica, ms, msg: &Msg| r.step(&Ctx::new(SLF, VTime::from_millis(ms)), msg);
+        assert_eq!(step(&mut r, 0, &deliver(0, deposit(0))).len(), 1, "a reply");
+        assert!(step(&mut r, 1, &deliver(2, deposit(2))).is_empty(), "held");
+        let check = Msg::new(FETCH_RETRY_HEADER, Value::Unit);
+        assert!(step(&mut r, 400, &deliver(3, deposit(3))).is_empty());
+        let armed = SendInstr::after(Duration::from_millis(399), SLF, check.clone());
+        assert_eq!(step(&mut r, 602, &deliver(4, deposit(4))), vec![armed]);
+        let fetch = SendInstr::now(donor, crate::msgs::fetch_msg(SLF, 1, 2, 0));
+        assert!(step(&mut r, 1_001, &check).contains(&fetch));
+        let catchup = Value::pair(Value::Int(1), Value::list([deposit(1)]));
+        let outs = step(&mut r, 1_002, &Msg::new(CATCHUP_HEADER, catchup));
+        let reply = |s: &&SendInstr| s.msg.header.name() == REPLY_HEADER;
+        assert_eq!(outs.iter().filter(reply).count(), 4);
+        assert_eq!((r.executed(), r.core.stream_next()), (5, 5));
+        assert!(!r.core.rejoining(), "the fetch closed");
+        assert_eq!(step(&mut r, 1_003, &deliver(5, deposit(5))).len(), 1);
     }
 
     /// Durability × leases, pinned: a marker the WAL replays carries no

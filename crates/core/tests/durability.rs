@@ -14,16 +14,20 @@
 use parking_lot::Mutex;
 use shadowdb::chaos::mixed_txns;
 use shadowdb::client::{DbClient, DbClientStats};
-use shadowdb::deploy::{DeployOptions, DurabilityOptions, PbrDeployment, SmrDeployment};
+use shadowdb::deploy::{
+    DeployOptions, Deployment, DurabilityOptions, PbrDeployment, SmrDeployment,
+};
 use shadowdb::msgs::{TxnEnvelope, ACK_HEADER, SYNCED_HEADER};
 use shadowdb::pbr::PbrOptions;
 use shadowdb::probe::{check_catchup_only, Event, Probe, TransferKind};
 use shadowdb::serializability::check_bank_history_concurrent;
+use shadowdb_eventml::codec::encode_value;
 use shadowdb_eventml::Msg;
+use shadowdb_eventml::Value;
 use shadowdb_loe::{Loc, VTime};
-use shadowdb_runtime::Runtime;
+use shadowdb_runtime::{Runtime, StorageMode};
 use shadowdb_simnet::{NetworkConfig, SimBuilder, Simulation};
-use shadowdb_wal::Disk;
+use shadowdb_wal::{Disk, Wal, SEGMENT};
 use shadowdb_workloads::{bank, TxnRequest};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -377,4 +381,119 @@ fn a_completion_posted_before_a_restart_releases_nothing() {
         sent_by == first_synced.id() || trace.happens_before(first_synced.id(), sent_by),
         "the first ack left before the new incarnation's first sync reported"
     );
+}
+
+/// A file-backed disk handle recovers what its files hold: a synced
+/// segment file cut short behind the handle's back — by `std::fs`, not
+/// through the disk — loses the records past the cut to the next recovery
+/// through the same handle, as it would to a fresh opening.
+#[test]
+fn a_file_backed_handle_recovers_what_its_files_hold() {
+    let root = StorageMode::fresh_file_root("durability-files");
+    let disk = Disk::open(
+        &StorageMode::File { root: root.clone() },
+        "r",
+        Duration::ZERO,
+    );
+    let mut wal = Wal::open(disk.clone());
+    let record = |i: i64| Value::pair(Value::Int(i), Value::str("a committed transaction"));
+    for i in 0..10 {
+        wal.append(i, &record(i));
+    }
+    wal.commit();
+    drop(wal);
+    let frame = disk.synced_len() / 10;
+    let segment = std::fs::OpenOptions::new()
+        .write(true)
+        .open(root.join("r").join("log-00000001.seg"))
+        .expect("the first segment");
+    segment.set_len(4 * frame as u64 + 3).expect("cut short");
+    disk.begin_recovery(0);
+    let recovered = shadowdb_wal::recover(&disk).records;
+    assert_eq!(
+        recovered,
+        (0..4).map(|i| (i, record(i))).collect::<Vec<_>>()
+    );
+    drop(disk);
+    shadowdb_wal::settle_disks(&root);
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// The bytes `records` take in a log: each one's frame header and the
+/// encoding of `<index, body>`.
+fn framed_len(records: &[(i64, Value)]) -> usize {
+    let mut buf = bytes::BytesMut::new();
+    for (i, body) in records {
+        encode_value(&Value::pair(Value::Int(*i), body.clone()), &mut buf);
+    }
+    buf.len() + 8 * records.len()
+}
+
+/// Transactions per client in a run whose log outgrows a segment.
+const LONG: usize = 3_000;
+
+/// Unsnapshotted options for `LONG` transactions per client.
+fn long_run(probe: &Probe) -> DeployOptions {
+    let scripts: Vec<Vec<TxnRequest>> = (0..CLIENTS)
+        .map(|i| mixed_txns(4_000 + i as u64, LONG, ROWS))
+        .collect();
+    unsnapshotted(scripts, probe)
+}
+
+/// A durable reboot whose log spans two segments or more: replica `i`'s
+/// disk holds no snapshot, and its log outgrew one [`SEGMENT`] before the
+/// power went. What it recovers is every record the disk held — the
+/// records read back fill the synced log byte for byte, before the reboot
+/// and after it — and it rejoins by catch-up.
+fn reboot_recovers_a_log_over_segments<P>(
+    sim: &mut Simulation,
+    d: &Deployment<P>,
+    i: usize,
+    probe: &Probe,
+) {
+    let (victim, disk) = (d.replicas[i], d.disks[i].clone());
+    start_clients(sim, &d.clients);
+    let deadline = sim.now() + Duration::from_secs(120);
+    while disk.synced_len() <= SEGMENT {
+        assert!(sim.now() < deadline, "the log never outgrew a segment");
+        sim.run_for(Duration::from_millis(5));
+    }
+    sim.crash_at(sim.now(), victim);
+    sim.run_for(Duration::from_millis(1));
+    let held = shadowdb_wal::recover(&disk).records;
+    assert_eq!(
+        framed_len(&held),
+        disk.synced_len(),
+        "read every synced byte"
+    );
+    d.reboot(sim, victim, sim.now() + Duration::from_millis(80), 9);
+    while d.committed() < CLIENTS * LONG {
+        assert!(sim.now() < deadline, "did not converge: {}", d.committed());
+        sim.run_for(Duration::from_millis(50));
+    }
+    let after = shadowdb_wal::recover(&disk).records;
+    assert_eq!(
+        after[..held.len()],
+        held[..],
+        "the reboot kept every record"
+    );
+    assert_eq!(framed_len(&after), disk.synced_len());
+    check_catchup_only(&probe.events(), victim).expect("rejoined by catch-up");
+}
+
+#[test]
+fn pbr_reboot_recovers_a_log_over_two_segments() {
+    let mut sim = shadowdb_simnet::testing::default_net(8_181);
+    let probe = Probe::default();
+    let d = PbrDeployment::build(&mut sim, &long_run(&probe), pbr_options(4_096));
+    reboot_recovers_a_log_over_segments(&mut sim, &d, 1, &probe);
+}
+
+#[test]
+fn smr_reboot_recovers_a_log_over_two_segments() {
+    let mut sim = shadowdb_simnet::testing::default_net(8_282);
+    let probe = Probe::default();
+    let d = SmrDeployment::build(&mut sim, &long_run(&probe));
+    let last = d.replicas.len() - 1;
+    reboot_recovers_a_log_over_segments(&mut sim, &d, last, &probe);
 }

@@ -4,12 +4,15 @@
 //! snapshot of its database and broadcasts a reconfiguration request …
 //! The new replica obtains the snapshot from the proposer." Here the
 //! joiner is never subscribed: one fetch request (`from = -1`, an image)
-//! sent on its behalf is its whole state transfer.
+//! sent on its behalf is its whole state transfer. A deployed replica
+//! that missed deliveries fetches them the same way.
 
 use parking_lot::Mutex;
 use shadowdb::deploy::{DeployOptions, SmrDeployment};
+use shadowdb::probe::{Event, Probe};
 use shadowdb::smr::SmrReplica;
 use shadowdb_loe::VTime;
+use shadowdb_runtime::fault::{FaultPlan, LinkFault, LinkSel};
 use shadowdb_sqldb::{Database, EngineProfile};
 use shadowdb_workloads::bank;
 use std::sync::Arc;
@@ -134,5 +137,57 @@ fn joiner_fetching_after_the_workload_equals_its_donor() {
     assert_eq!(
         joined_total, donor_total,
         "joiner converged to the donor state"
+    );
+}
+
+/// Σ(id·balance) over the accounts: equal states, equal sums.
+fn checksum(db: &Database) -> i64 {
+    let rows = db
+        .execute("SELECT id, balance FROM accounts")
+        .expect("reads");
+    let int = |v: &shadowdb_sqldb::SqlValue| v.as_int().expect("int");
+    rows.rows.iter().map(|r| int(&r[0]) * int(&r[1])).sum()
+}
+
+/// A deployed replica cut off for 60 ms mid-run misses the deliveries
+/// ordered meanwhile, and its stream holds every later one behind that
+/// gap. Once the gap has lasted a fetch period it fetches what it missed
+/// from a peer: every replica ends with the same accounts, and the
+/// transfer to it is in the probe.
+#[test]
+fn an_isolated_replica_catches_up_on_the_deliveries_it_missed() {
+    let mut sim = shadowdb_simnet::testing::default_net(12);
+    let dbs: Arc<Mutex<Vec<Database>>> = Arc::new(Mutex::new(Vec::new()));
+    let captured = dbs.clone();
+    let probe = Probe::default();
+    let mut options = DeployOptions::new(
+        2,
+        |client| {
+            let mut g = bank::BankGen::new(100 + client as u64, 1_000);
+            (0..200).map(|_| g.next_txn()).collect()
+        },
+        move |db| {
+            bank::load(db, 1_000).expect("loads");
+            captured.lock().push(db.clone());
+        },
+    );
+    options.probe = Some(probe.clone());
+    let d = SmrDeployment::build(&mut sim, &options);
+    let lagging = d.replicas[2];
+    let (from, to) = (VTime::from_millis(30), VTime::from_millis(90));
+    let cut = LinkFault::partition();
+    sim.install_fault_plan(FaultPlan::new(12).with_rule(LinkSel::Isolate(lagging), from, to, cut));
+    sim.run_until_quiescent(VTime::from_secs(600));
+    assert_eq!(d.committed(), 400);
+    let sums: Vec<i64> = dbs.lock().iter().map(checksum).collect();
+    assert_eq!(sums.len(), 3);
+    assert!(
+        sums.iter().all(|s| *s == sums[0]),
+        "replica states differ: {sums:?}"
+    );
+    let fetched = |e: &Event| matches!(e, Event::Transfer { to, .. } if *to == lagging);
+    assert!(
+        probe.events().iter().any(fetched),
+        "no transfer to the lagging replica"
     );
 }

@@ -44,6 +44,12 @@ impl InOrderBuffer {
         self.next
     }
 
+    /// The lowest sequence number held behind a gap, if any: a delivery
+    /// received while an earlier one is still missing.
+    pub fn first_held(&self) -> Option<i64> {
+        self.buffered.keys().next().copied()
+    }
+
     /// Keeps one received delivery without releasing anything: for a
     /// subscriber that does not know yet where its stream starts (see
     /// [`InOrderBuffer::starting_at`] and [`InOrderBuffer::into_pending`]).

@@ -27,14 +27,15 @@
 //!
 //! # Segments
 //!
-//! On the file backend the log is a chain of segment files
-//! (`log-<id>.seg`, ids increasing), each [`SEGMENT`] bytes of zeros
-//! before the first record lands in it. Records are written over those
-//! zeros and never span two segments; a record that does not fit the
-//! current segment starts the next one (a record larger than a segment
-//! gets one of its own, grown to fit). Truncation is an `unlink` of
-//! every segment wholly below a snapshot's cut; no log byte is ever
-//! copied.
+//! The log is a chain of segments (ids increasing), each [`SEGMENT`]
+//! bytes of zeros before the first record lands in it: files
+//! (`log-<id>.seg`) under [`StorageMode::File`], in memory under
+//! [`StorageMode::Virtual`] (each segment's written bytes, its zeros
+//! implied). Records are written over those zeros and never span two
+//! segments; a record that does not fit the current segment starts the
+//! next one (a record larger than a segment gets one of its own, grown to
+//! fit). Truncation drops every segment wholly below a snapshot's cut: no
+//! log byte is ever copied, and one reader reads the chain on both stores.
 //!
 //! # Syncs: handed off, reported back
 //!
@@ -56,41 +57,45 @@
 //! [`Wal::open`] draws a fresh [`Wal::generation`], so a completion can
 //! name the log it belongs to.
 //!
-//! A second thread per disk, the image writer, runs at idle priority. It
-//! writes a checkpoint's image behind the commit that reported it, unlinks
-//! the segments the image made redundant, and prepares the *spare*: once
-//! the current segment is half full, the next one, zeroed, synced and
-//! recorded by a directory sync before the syncer needs it. A syncer that
-//! outruns its spare prepares the next segment itself, and an empty log
-//! gets its first segment when the disk is opened. No lock is held across file I/O: the syncer owns the
-//! current segment while it writes, and the image writer never touches it.
+//! A second thread per file-backed disk, the image writer, runs at idle
+//! priority. It writes a checkpoint's image behind the commit that
+//! reported it, unlinks the segments the image made redundant, and
+//! prepares the *spare*: once the current segment is half full, the next
+//! one, zeroed, synced and recorded by a directory sync before the syncer
+//! needs it. A syncer that outruns its spare prepares the next segment
+//! itself, and an empty log gets its first segment when the disk is
+//! opened. Neither worker holds a lock across file I/O: the syncer owns
+//! the current segment while it writes, and the image writer never
+//! touches it; a reading of the log holds the disk's lock, up to the
+//! last completed write.
 //!
 //! # Crash model
 //!
 //! A [`Disk`] outlives the process that writes it (the harness holds a
 //! handle across crash/restart). Appends land in an *unsynced tail*; a
-//! sync moves it *in flight*, and only the job's completion moves it into
-//! the synced log (a real `write + fsync` on the file backend; on the
+//! sync moves it *in flight*, and only the job's completion makes it part
+//! of the synced log (a real `write + fsync` on the file backend; on the
 //! virtual one at hand-off, while the report waits out the modeled
-//! [`Duration`]). Power loss may persist any
-//! prefix of what is in flight or unsynced — possibly mid-record,
-//! possibly with a flipped bit — which [`Disk::begin_recovery`] emulates
-//! deterministically from a seed before the restarted replica reads the
-//! log. Everything whose completion was reported is stable; the torn
-//! region is only ever written after the last completed sync, which by
-//! the logging discipline contains no acked transaction.
+//! [`Duration`]). Power loss may persist any prefix of what is in flight
+//! or unsynced — possibly mid-record, possibly with a flipped bit — which
+//! [`Disk::begin_recovery`] emulates deterministically from a seed by
+//! writing that prefix into the segments before the restarted replica
+//! reads the log. Everything whose completion was reported is stable;
+//! the torn region is only ever written after the last completed sync,
+//! which by the logging discipline contains no acked transaction.
 //!
-//! Reopening a file-backed disk ([`Disk::open`]) reads the snapshot, then
-//! each segment's valid prefix in id order. A segment whose bytes past
-//! that prefix are not all zeros — a torn record, a flipped bit, or a
-//! first record whose index does not follow the last one read — ends the
-//! log: its tail is zeroed and every later segment unlinked. A commit
-//! that moves to the next segment has synced its part in the previous
-//! one first, so a segment holds records only behind a whole
-//! predecessor. A spare that was half prepared at the cut, or skipped by
-//! the syncer's fallback, holds only zeros and reads as empty. Segments
-//! an installed image left behind (a cut between the rename and the
-//! unlink) hold records at or below its index, which recovery skips.
+//! A rebooted replica reads its log back from the segments, through the
+//! same handle or a fresh [`Disk::open`]: each one's valid prefix in id
+//! order. A segment whose bytes past that prefix are not all zeros — a
+//! torn record, a flipped bit, or a first record whose index does not
+//! follow the last one read — ends the log, and opening the log zeroes
+//! it there and drops every later segment. A commit that moves to the
+//! next segment has synced its part in the previous one first, so a
+//! segment holds records only behind a whole predecessor. A spare half
+//! prepared at the cut, or skipped by the syncer's fallback, holds only
+//! zeros and reads as empty. Segments an installed image left behind (a
+//! cut between the rename and the unlink) hold records at or below its
+//! index, which recovery skips.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -98,7 +103,8 @@ use shadowdb_eventml::codec::{decode_value, encode_value};
 use shadowdb_eventml::Value;
 use shadowdb_runtime::fault::mix64;
 use shadowdb_runtime::StorageMode;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
+use std::fs::File;
 use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
@@ -112,7 +118,7 @@ use std::time::Duration;
 /// this is corruption, not data.
 pub const MAX_RECORD: usize = 16 * 1024 * 1024;
 
-/// Bytes in one log segment file.
+/// Bytes in one log segment.
 pub const SEGMENT: usize = 256 * 1024;
 
 const SNAP_FILE: &str = "snap.bin";
@@ -122,20 +128,8 @@ fn seg_path(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("log-{id:08}.seg"))
 }
 
-/// The ids of the segment files in `dir`, ascending.
-fn seg_ids(dir: &Path) -> Vec<u64> {
-    let mut ids: Vec<u64> = std::fs::read_dir(dir)
-        .into_iter()
-        .flatten()
-        .flatten()
-        .filter_map(|e| {
-            let name = e.file_name();
-            let id = name.to_str()?.strip_prefix("log-")?.strip_suffix(".seg")?;
-            id.parse().ok()
-        })
-        .collect();
-    ids.sort_unstable();
-    ids
+fn open_segment(dir: &Path, id: u64) -> std::io::Result<File> {
+    File::options().write(true).open(seg_path(dir, id))
 }
 
 /// FNV-1a, 32-bit: cheap corruption detection for log records (torn
@@ -149,36 +143,171 @@ fn checksum(bytes: &[u8]) -> u32 {
     h
 }
 
+/// How a disk runs its syncs.
 enum Backend {
-    /// Virtual storage: bytes held in memory, synced at hand-off, and the
-    /// report delayed by a modeled fsync cost. The simulator's runtime
-    /// returns this mode; the "disk" survives crashes because the harness
-    /// keeps the [`Disk`] handle across restart.
+    /// At hand-off, reporting a modeled fsync cost. The simulator's
+    /// runtime returns this mode; the "disk" survives crashes because the
+    /// harness keeps the [`Disk`] handle across restart.
     Mem,
     /// In memory, but a handed-off sync completes only when the test says
     /// so ([`Disk::complete_next`]). `early`: the broken double of
     /// [`Disk::report_at_hand_off`].
     Deferred { early: bool },
-    /// Real files: a chain of log segments and a snapshot file. Commit is
-    /// `write + sync_data` into the current segment, snapshot install is
-    /// write-tmp + `sync_all` + atomic rename + directory sync.
-    File(Segments),
+    /// On the disk's syncer thread, over segment files and a snapshot
+    /// file. Commit is `write + sync_data` into the current segment,
+    /// snapshot install is write-tmp + `sync_all` + atomic rename +
+    /// directory sync.
+    File,
 }
 
-/// The file backend's log: where its segment files are and which one the
-/// commits write into.
-struct Segments {
-    dir: PathBuf,
+/// Where the segments are kept. A clone shares them.
+#[derive(Clone)]
+enum Store {
+    /// `log-<id>.seg` files in this directory.
+    Files(PathBuf),
+    /// Each segment's written bytes, by id; the rest of the segment is
+    /// zeros.
+    Mem(Arc<Mutex<BTreeMap<u64, Vec<u8>>>>),
+}
+
+impl Store {
+    /// The segment ids, ascending.
+    fn ids(&self) -> Vec<u64> {
+        let Store::Files(dir) = self else {
+            return self.mem().keys().copied().collect();
+        };
+        let mut ids: Vec<u64> = std::fs::read_dir(dir)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .filter_map(|e| {
+                let name = e.file_name();
+                let id = name.to_str()?.strip_prefix("log-")?.strip_suffix(".seg")?;
+                id.parse().ok()
+            })
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    fn mem(&self) -> MutexGuard<'_, BTreeMap<u64, Vec<u8>>> {
+        match self {
+            Store::Mem(m) => m.lock(),
+            Store::Files(_) => unreachable!("a file store keeps no bytes in memory"),
+        }
+    }
+
+    /// Segment `id`'s bytes, as far as they were written (a file's zeros
+    /// included). One removed meanwhile — a spare the syncer skipped —
+    /// reads as empty.
+    fn read(&self, id: u64) -> std::io::Result<Vec<u8>> {
+        match self {
+            Store::Files(dir) => match std::fs::read(seg_path(dir, id)) {
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+                read => read,
+            },
+            Store::Mem(_) => Ok(self.mem().get(&id).cloned().unwrap_or_default()),
+        }
+    }
+
+    /// Creates segment `id` as [`SEGMENT`] zeros (a file: synced and
+    /// recorded in the directory).
+    fn create(&self, id: u64) -> std::io::Result<()> {
+        let Store::Files(dir) = self else {
+            self.mem().insert(id, Vec::new());
+            return Ok(());
+        };
+        let file = File::create(seg_path(dir, id))?;
+        zero_fill(&file, 0, SEGMENT)?;
+        sync_dir(dir)
+    }
+
+    /// Writes `bytes` at offset `at` of segment `id` and makes them
+    /// durable. Within the zeros a file already has, `sync_data` flushes
+    /// the bytes alone: the file's allocation stays as it was, and the
+    /// sync waits for no filesystem journal commit.
+    fn write(&self, id: u64, at: usize, bytes: &[u8]) -> std::io::Result<()> {
+        let Store::Files(dir) = self else {
+            let mut segments = self.mem();
+            let segment = segments.entry(id).or_default();
+            segment.resize(segment.len().max(at + bytes.len()), 0);
+            segment[at..at + bytes.len()].copy_from_slice(bytes);
+            return Ok(());
+        };
+        let file = open_segment(dir, id)?;
+        file.write_all_at(bytes, at as u64)?;
+        file.sync_data()
+    }
+
+    /// Zeroes segment `id` from `from` on, durably — on files up to
+    /// [`SEGMENT`] bytes at least, so a file a cut left short is filled
+    /// out (`from` past the file's end: only that).
+    fn zero(&self, id: u64, from: usize) -> std::io::Result<()> {
+        let Store::Files(dir) = self else {
+            self.mem().entry(id).or_default().truncate(from);
+            return Ok(());
+        };
+        let file = open_segment(dir, id)?;
+        let len = file.metadata()?.len() as usize;
+        zero_fill(&file, from.min(len), len.max(SEGMENT))
+    }
+
+    /// Drops the segments `ids` (on files, durably).
+    fn remove(&self, ids: &[u64]) -> std::io::Result<()> {
+        let Store::Files(dir) = self else {
+            ids.iter().for_each(|id| drop(self.mem().remove(id)));
+            return Ok(());
+        };
+        if ids.is_empty() {
+            return Ok(());
+        }
+        for &id in ids {
+            std::fs::remove_file(seg_path(dir, id))?;
+        }
+        sync_dir(dir)
+    }
+}
+
+/// The log: a chain of segments in a store.
+struct Log {
+    store: Store,
     /// `(id, log offset of its first byte)` of every segment the log
     /// spans, oldest first: a segment's records run up to the next one's
     /// start, and the last one takes the commits.
     chain: VecDeque<(u64, usize)>,
-    /// The last segment's open file. Taken out by whoever writes the log
-    /// for as long as it writes.
-    open: Option<SegFile>,
+    /// Log offset one past the last byte written.
+    end: usize,
     spare: Spare,
     /// Spare preparations asked of the image writer and not finished.
     preparing: usize,
+}
+
+impl Log {
+    /// Log offset of the first byte the chain holds.
+    fn start(&self) -> usize {
+        self.chain.front().map_or(0, |c| c.1)
+    }
+
+    /// The log's valid bytes, from the chain's first segment on, as its
+    /// store holds them ([`read_log`]).
+    fn read(&self) -> std::io::Result<Vec<u8>> {
+        let first = self.chain.front().copied().unwrap_or((0, 0));
+        read_log(&self.store, first, self.end).map(|f| f.0)
+    }
+
+    /// A copy whose future diverges from this log's: a memory store's
+    /// bytes are copied.
+    fn fork(&self) -> Log {
+        let store = match &self.store {
+            Store::Mem(m) => Store::Mem(Arc::new(Mutex::new(m.lock().clone()))),
+            files => files.clone(),
+        };
+        Log {
+            store,
+            chain: self.chain.clone(),
+            ..*self
+        }
+    }
 }
 
 /// The segment after the current one.
@@ -191,63 +320,18 @@ enum Spare {
     Ready(u64),
 }
 
-/// A segment open for commits.
-struct SegFile {
-    file: std::fs::File,
-    /// Bytes holding records, from the start of the file.
-    used: usize,
-    /// Bytes the file holds, records and zeros.
-    len: usize,
-}
-
-impl SegFile {
-    fn open(dir: &Path, id: u64, used: usize) -> std::io::Result<SegFile> {
-        let file = std::fs::OpenOptions::new()
-            .write(true)
-            .open(seg_path(dir, id))?;
-        let len = file.metadata()?.len() as usize;
-        Ok(SegFile { file, used, len })
-    }
-
-    /// Writes `bytes` after the records and makes them durable. Within
-    /// the zeros the file already has, `sync_data` flushes the records
-    /// alone: the file's size and allocation stay as they were, and the
-    /// sync waits for no filesystem journal commit.
-    fn write(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        if bytes.is_empty() {
-            return Ok(());
-        }
-        self.file.write_all_at(bytes, self.used as u64)?;
-        self.used += bytes.len();
-        if self.used <= self.len {
-            return self.file.sync_data();
-        }
-        // A record longer than a segment grew the file.
-        self.len = self.used;
-        self.file.sync_all()
-    }
-}
-
 /// Zero bytes written per call when a file is filled with them.
 static ZEROS: [u8; 64 * 1024] = [0; 64 * 1024];
 
 /// Overwrites `file` with zeros from `from` to `to` and makes them
 /// durable, the file's size with them.
-fn zero_fill(file: &std::fs::File, mut from: usize, to: usize) -> std::io::Result<()> {
+fn zero_fill(file: &File, mut from: usize, to: usize) -> std::io::Result<()> {
     while from < to {
         let n = (to - from).min(ZEROS.len());
         file.write_all_at(&ZEROS[..n], from as u64)?;
         from += n;
     }
     file.sync_all()
-}
-
-/// Creates segment `id` as [`SEGMENT`] zeros, synced and recorded in the
-/// directory.
-fn prepare_segment(dir: &Path, id: u64) -> std::io::Result<()> {
-    let file = std::fs::File::create(seg_path(dir, id))?;
-    zero_fill(&file, 0, SEGMENT)?;
-    sync_dir(dir)
 }
 
 /// Bytes of the frame at the head of `bytes`: its header and the payload
@@ -266,7 +350,7 @@ enum Work {
     /// Appends the in-flight bytes to the log and syncs them.
     Commit,
     /// Installs a snapshot at `index`, rendered from `image`, and drops
-    /// the log below offset `cut` (see [`DiskInner::trimmed`]).
+    /// the segments wholly below log offset `cut`.
     /// `behind`: the in-flight tail is committed to the log first and the
     /// sync reports then, while the image is written behind it; otherwise
     /// the snapshot is installed first — it stands in for the tail, which
@@ -304,16 +388,10 @@ enum Task {
 
 struct DiskInner {
     backend: Backend,
-    /// Synced log bytes (the file backend mirrors these on disk; the
-    /// in-memory copy keeps recovery reads uniform across backends).
-    synced: Vec<u8>,
-    /// Bytes dropped off the front of the log by checkpoints so far: log
-    /// offset `trimmed` is `synced[0]`. Checkpoint cuts are log offsets,
-    /// so one taken while an earlier image is still being written stays
-    /// valid after that image trims the log.
-    trimmed: usize,
-    /// Handed to a sync that has not completed: log bytes after `synced`,
-    /// as tearable as `unsynced`.
+    /// The synced log, and torn bytes a power cut left behind it.
+    log: Log,
+    /// Handed to a sync that has not completed: log bytes after the
+    /// synced ones, as tearable as `unsynced`.
     in_flight: Vec<u8>,
     /// Appended but not yet handed to a sync: the log's tail.
     unsynced: Vec<u8>,
@@ -335,25 +413,9 @@ struct DiskInner {
 }
 
 impl DiskInner {
-    fn segments(&mut self) -> Option<&mut Segments> {
-        match &mut self.backend {
-            Backend::File(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Log offset one past the last synced byte.
-    fn end(&self) -> usize {
-        self.trimmed + self.synced.len()
-    }
-
     /// Work the image writer owes: an image or a spare.
     fn writer_owes(&self) -> bool {
-        let preparing = match &self.backend {
-            Backend::File(s) => s.preparing > 0,
-            _ => false,
-        };
-        self.imaging || preparing
+        self.imaging || self.log.preparing > 0
     }
 }
 
@@ -376,13 +438,13 @@ impl Shared {
         }
     }
 
-    /// Once the current segment is half full, asks the image writer to
-    /// prepare the next one as the spare, unless one is asked for or
-    /// ready: early enough that the syncer finds it ready, and not before
-    /// a log needs it.
+    /// Once the current segment is half full, asks the image writer (a
+    /// file-backed disk's) to prepare the next one as the spare, unless
+    /// one is asked for or ready: early enough that the syncer finds it
+    /// ready, and not before a log needs it.
     fn ask_spare(&self, d: &mut DiskInner) {
-        let Some(s) = d.segments() else { return };
-        let half_full = s.open.as_ref().is_some_and(|f| f.used >= SEGMENT / 2);
+        let s = &mut d.log;
+        let half_full = s.chain.back().is_some_and(|c| s.end - c.1 >= SEGMENT / 2);
         if s.spare != Spare::None || !half_full {
             return;
         }
@@ -423,48 +485,44 @@ pub fn settle_disks(root: &Path) {
 fn commit(shared: &Shared) {
     let (tail, at) = {
         let d = shared.state.lock();
-        (d.in_flight.clone(), d.end())
+        (d.in_flight.clone(), d.log.end)
     };
     write_log(shared, at, &tail).expect("wal log append");
-    let mut d = shared.state.lock();
-    d.synced.extend_from_slice(&tail);
-    d.in_flight.clear();
+    shared.state.lock().in_flight.clear();
 }
 
-/// Writes `bytes` — whole frames, but for a torn last one — to the file
-/// backend's segments at log offset `at`, a segment at a time: each part
-/// is synced before the next segment is written. Holds no lock while it
-/// writes: the current segment is out of the disk meanwhile.
+/// Writes `bytes` — whole frames, but for a torn last one — to the
+/// segments at log offset `at`, the log's end, a segment at a time: each
+/// part is synced before the next segment is written. Holds no lock while
+/// it writes.
 fn write_log(shared: &Shared, at: usize, bytes: &[u8]) -> std::io::Result<()> {
-    let mut seg = match shared.state.lock().segments() {
-        Some(s) => s.open.take(),
-        None => return Ok(()),
+    let (store, mut seg) = {
+        let d = shared.state.lock();
+        (d.log.store.clone(), d.log.chain.back().copied())
     };
     let (mut run, mut i) = (0, 0);
     while i < bytes.len() {
         let len = frame_len(&bytes[i..]);
-        // A frame goes into the open segment if it fits, or if it would
+        // A frame goes into the last segment if it fits, or if it would
         // be the segment's first (a record longer than a segment).
-        let fits = seg.as_ref().is_some_and(|s| {
-            let pending = s.used + (i - run);
-            pending == 0 || pending + len <= SEGMENT
+        let fits = seg.is_some_and(|(_, start)| {
+            let used = at + i - start;
+            used == 0 || used + len <= SEGMENT
         });
         if !fits {
-            if let Some(s) = seg.as_mut() {
-                s.write(&bytes[run..i])?;
+            if let Some((id, start)) = seg {
+                store.write(id, at + run - start, &bytes[run..i])?;
             }
             seg = Some(next_segment(shared, at + i)?);
             run = i;
         }
         i += len;
     }
-    if let Some(s) = seg.as_mut() {
-        s.write(&bytes[run..])?;
+    if let Some((id, start)) = seg.filter(|_| run < bytes.len()) {
+        store.write(id, at + run - start, &bytes[run..])?;
     }
     let mut d = shared.state.lock();
-    if let Some(s) = d.segments() {
-        s.open = seg;
-    }
+    d.log.end = at + bytes.len();
     shared.ask_spare(&mut d);
     Ok(())
 }
@@ -472,68 +530,51 @@ fn write_log(shared: &Shared, at: usize, bytes: &[u8]) -> std::io::Result<()> {
 /// Moves the log to a new segment starting at log offset `start`: the
 /// spare if it is ready, else one prepared here (skipping a spare still
 /// being prepared, which the image writer then removes).
-fn next_segment(shared: &Shared, start: usize) -> std::io::Result<SegFile> {
-    let (dir, id, ready) = {
+fn next_segment(shared: &Shared, start: usize) -> std::io::Result<(u64, usize)> {
+    let (store, id, ready) = {
         let mut d = shared.state.lock();
-        let s = d.segments().expect("segments on the file backend");
+        let s = &mut d.log;
         let last = s.chain.back().map_or(0, |c| c.0);
-        let next = match s.spare {
+        let (id, ready) = match s.spare {
             Spare::Ready(id) => (id, true),
             Spare::Asked(id) => (id + 1, false),
             Spare::None => (last + 1, false),
         };
         s.spare = Spare::None;
-        (s.dir.clone(), next.0, next.1)
+        (s.store.clone(), id, ready)
     };
     if !ready {
-        prepare_segment(&dir, id)?;
+        store.create(id)?;
     }
-    let file = SegFile::open(&dir, id, 0)?;
-    let mut d = shared.state.lock();
-    d.segments()
-        .expect("segments on the file backend")
-        .chain
-        .push_back((id, start));
-    Ok(file)
+    shared.state.lock().log.chain.push_back((id, start));
+    Ok((id, start))
 }
 
 /// The image writer's half of a spare: prepares segment `id`, then offers
 /// it — or removes it, when the syncer moved past it meanwhile.
 fn prepare_spare(shared: &Shared, id: u64) {
-    let dir = {
-        let mut d = shared.state.lock();
-        d.segments()
-            .expect("spares on the file backend")
-            .dir
-            .clone()
-    };
-    prepare_segment(&dir, id).expect("wal spare segment");
-    let wanted = {
-        let mut d = shared.state.lock();
-        let s = d.segments().expect("spares on the file backend");
-        let wanted = s.spare == Spare::Asked(id);
-        if wanted {
-            s.spare = Spare::Ready(id);
-        }
-        wanted
-    };
+    let store = shared.state.lock().log.store.clone();
+    store.create(id).expect("wal spare segment");
+    let mut d = shared.state.lock();
+    let wanted = d.log.spare == Spare::Asked(id);
+    if wanted {
+        d.log.spare = Spare::Ready(id);
+    }
+    drop(d);
     if !wanted {
-        let _ = std::fs::remove_file(seg_path(&dir, id));
+        let _ = store.remove(&[id]);
     }
-    if let Some(s) = shared.state.lock().segments() {
-        s.preparing -= 1;
-    }
+    shared.state.lock().log.preparing -= 1;
     shared.changed.notify_all();
 }
 
 /// Installs the snapshot `image` renders as covering `index`, then drops
-/// the log below offset `cut`: the in-memory copy is trimmed, and every
-/// segment wholly below the cut unlinked. No log byte is copied.
+/// every segment wholly below log offset `cut`. No log byte is copied.
 fn install(shared: &Shared, index: i64, cut: usize, image: Image) {
-    let (dir, size) = {
-        let mut d = shared.state.lock();
+    let (store, size) = {
+        let d = shared.state.lock();
         let size = d.snapshot.as_ref().map_or(0, |(_, blob)| blob.len());
-        (d.segments().map(|s| s.dir.clone()), size)
+        (d.log.store.clone(), size)
     };
     // The file's bytes, rendered in place into one buffer sized like the
     // previous image; the in-memory blob is a view of the same buffer.
@@ -543,7 +584,7 @@ fn install(shared: &Shared, index: i64, cut: usize, image: Image) {
     seal_snapshot_file(index, &mut file);
     let file = file.freeze();
     let blob = file.slice(SNAP_HEAD..);
-    if let Some(dir) = &dir {
+    if let Store::Files(dir) = &store {
         install_synced(dir, SNAP_TMP, SNAP_FILE, &[&file]).expect("snapshot install");
         // Until the segments below the cut are unlinked, recovery skips
         // the records the snapshot covers by index.
@@ -551,39 +592,19 @@ fn install(shared: &Shared, index: i64, cut: usize, image: Image) {
     }
     let mut d = shared.state.lock();
     d.snapshot = Some((index, blob));
-    // A snapshot standing in for the tail cuts past the synced log.
-    let n = cut.saturating_sub(d.trimmed).min(d.synced.len());
-    d.synced.drain(..n);
-    d.trimmed += n;
+    let chain = &mut d.log.chain;
     let mut dead = Vec::new();
-    if let Some(s) = d.segments() {
-        while s.chain.len() > 1 && s.chain[1].1 <= cut {
-            dead.extend(s.chain.pop_front().map(|c| c.0));
-        }
+    while chain.len() > 1 && chain[1].1 <= cut {
+        dead.extend(chain.pop_front().map(|c| c.0));
     }
     drop(d);
-    if let Some(dir) = &dir {
-        for id in dead {
-            let _ = std::fs::remove_file(seg_path(dir, id));
-        }
-    }
-}
-
-/// Unlinks the segments `ids` and makes that durable.
-fn unlink_segments(dir: &Path, ids: &[u64]) -> std::io::Result<()> {
-    if ids.is_empty() {
-        return Ok(());
-    }
-    for &id in ids {
-        std::fs::remove_file(seg_path(dir, id))?;
-    }
-    sync_dir(dir)
+    let _ = store.remove(&dead);
 }
 
 /// Makes renames, creations and unlinks inside `dir` durable: without
 /// this a power cut could bring back the old names over the new files.
 fn sync_dir(dir: &Path) -> std::io::Result<()> {
-    std::fs::File::open(dir).and_then(|d| d.sync_all())
+    File::open(dir).and_then(|d| d.sync_all())
 }
 
 /// Runs one sync to completion, then calls its `done`. A checkpoint's
@@ -758,104 +779,103 @@ pub struct Disk {
     workers: Option<Arc<Workers>>,
 }
 
-/// Reads `dir`'s segments back — the log's valid bytes and the segments
-/// they came from — (see the crate doc, *Crash model*),
-/// repairing the files: the first segment with anything but zeros past
-/// its valid prefix ends the log — every later segment is unlinked, then
-/// its tail zeroed, in that order, so a cut during the repair cannot
-/// leave a clean end in front of segments it was to remove — and the last
-/// segment is filled out to [`SEGMENT`] zeros if a cut left it short. A
-/// log without segments gets its first one here, so the first commit
-/// finds it prepared.
-fn read_segments(dir: &Path) -> std::io::Result<(Vec<u8>, Segments)> {
-    let mut synced = Vec::new();
-    let mut chain = VecDeque::new();
-    let mut last = i64::MIN;
-    let (mut used, mut dirty) = (0, false);
-    let ids = seg_ids(dir);
-    let mut ended = ids.len();
-    for (k, &id) in ids.iter().enumerate() {
-        let raw = std::fs::read(seg_path(dir, id))?;
-        let valid = walk(&raw, &mut last, |_, _, _| {});
-        chain.push_back((id, synced.len()));
-        synced.extend_from_slice(&raw[..valid]);
-        used = valid;
+/// The one reader of the log: the valid prefix of each segment `store`
+/// holds from id `first` on, in id order (see the crate doc, *Crash
+/// model*), the first at log offset `start`, up to the first segment with
+/// anything but zeros past its valid prefix, and no byte at or past log
+/// offset `end` — a write still in flight lies there. Returns the bytes,
+/// the chain they came from, and whether such a segment, torn, ended it.
+type Found = (Vec<u8>, VecDeque<(u64, usize)>, bool);
+fn read_log(store: &Store, (first, start): (u64, usize), end: usize) -> std::io::Result<Found> {
+    let (mut bytes, mut chain, mut last) = (Vec::new(), VecDeque::new(), i64::MIN);
+    for id in store.ids().into_iter().filter(|id| *id >= first) {
+        let raw = store.read(id)?;
+        let raw = &raw[..raw.len().min(end - start - bytes.len())];
+        let valid = walk(raw, &mut last, |_, _, _| {});
+        chain.push_back((id, start + bytes.len()));
+        bytes.extend_from_slice(&raw[..valid]);
         if raw[valid..].iter().any(|b| *b != 0) {
-            (ended, dirty) = (k + 1, true);
-            break;
+            return Ok((bytes, chain, true));
         }
     }
-    unlink_segments(dir, &ids[ended..])?;
-    if chain.is_empty() {
-        prepare_segment(dir, 1)?;
-        chain.push_back((1, 0));
-    }
-    let open = match chain.back() {
-        Some(&(id, _)) => {
-            let seg = SegFile::open(dir, id, used)?;
-            let from = if dirty { used } else { seg.len };
-            if from < seg.len.max(SEGMENT) {
-                zero_fill(&seg.file, from, seg.len.max(SEGMENT))?;
-            }
-            Some(SegFile {
-                len: seg.len.max(SEGMENT),
-                ..seg
-            })
+    Ok((bytes, chain, false))
+}
+
+/// Reads a log back from `store` as [`read_log`] does, as a fresh opening
+/// finds it, and repairs it there: the segments beyond its end are
+/// dropped, then the last one's tail is zeroed, in that order, so a cut
+/// during the repair cannot leave a clean end in front of segments it was
+/// to remove; and the last segment is filled out to [`SEGMENT`] zeros if a
+/// cut left it short. A log without segments gets its first one here, so
+/// the first commit finds it prepared.
+fn load(store: Store) -> std::io::Result<Log> {
+    let (bytes, mut chain, torn) = read_log(&store, (0, 0), usize::MAX)?;
+    let end = bytes.len();
+    match chain.back() {
+        Some(&(id, first)) => {
+            let beyond: Vec<u64> = store.ids().into_iter().filter(|i| *i > id).collect();
+            store.remove(&beyond)?;
+            // Past the end of a log that is not torn there are only zeros.
+            store.zero(id, if torn { end - first } else { usize::MAX })?;
         }
-        None => None,
-    };
-    let segments = Segments {
-        dir: dir.to_path_buf(),
+        None => {
+            store.create(1)?;
+            chain.push_back((1, 0));
+        }
+    }
+    Ok(Log {
+        store,
         chain,
-        open,
+        end,
         spare: Spare::None,
         preparing: 0,
-    };
-    Ok((synced, segments))
+    })
 }
 
 impl Disk {
     /// Opens (or re-opens) the disk named `name` under the runtime's
-    /// storage mode. `fsync_cost` is the modeled time a virtual disk
-    /// reports each sync to take (the file backend pays real time instead,
-    /// and reports zero). A file-backed disk reads its segments back (an
+    /// storage mode: a segment chain in files under the storage root, or
+    /// in memory. `fsync_cost` is the modeled time a virtual disk reports
+    /// each sync to take (the file backend pays real time instead, and
+    /// reports zero). A file-backed disk reads its segments back (an
     /// empty one prepares its first), and starts its syncer thread and its
     /// image writer.
     pub fn open(mode: &StorageMode, name: &str, fsync_cost: Duration) -> Disk {
-        match mode {
-            StorageMode::Virtual => Disk::new(Backend::Mem, Vec::new(), None, fsync_cost),
-            StorageMode::File { root } => {
-                let dir = root.join(name);
-                std::fs::create_dir_all(&dir).expect("wal dir");
-                let (synced, segments) = read_segments(&dir).expect("wal log read");
-                let snapshot = std::fs::read(dir.join(SNAP_FILE))
-                    .ok()
-                    .and_then(|raw| decode_snapshot_file(&raw));
-                let mut disk = Disk::new(Backend::File(segments), synced, snapshot, Duration::ZERO);
-                disk.workers = Some(Arc::new(Workers::spawn(&disk.shared, name)));
-                disk.shared.ask_spare(&mut disk.shared.state.lock());
-                let mut disks = FILE_DISKS.lock();
-                disks.retain(|(_, d)| d.strong_count() > 0);
-                disks.push((root.clone(), Arc::downgrade(&disk.shared)));
-                disk
-            }
-        }
+        let StorageMode::File { root } = mode else {
+            return Disk::new(
+                Backend::Mem,
+                Store::Mem(Default::default()),
+                None,
+                fsync_cost,
+            );
+        };
+        let dir = root.join(name);
+        std::fs::create_dir_all(&dir).expect("wal dir");
+        let snapshot = std::fs::read(dir.join(SNAP_FILE))
+            .ok()
+            .and_then(|raw| decode_snapshot_file(&raw));
+        let mut disk = Disk::new(Backend::File, Store::Files(dir), snapshot, Duration::ZERO);
+        disk.workers = Some(Arc::new(Workers::spawn(&disk.shared, name)));
+        disk.shared.ask_spare(&mut disk.shared.state.lock());
+        let mut disks = FILE_DISKS.lock();
+        disks.retain(|(_, d)| d.strong_count() > 0);
+        disks.push((root.clone(), Arc::downgrade(&disk.shared)));
+        disk
     }
 
-    fn new(
-        backend: Backend,
-        synced: Vec<u8>,
-        snapshot: Option<(i64, Bytes)>,
-        fsync_cost: Duration,
-    ) -> Disk {
+    /// A disk over the log `store` holds, repaired ([`load`]).
+    fn new(backend: Backend, store: Store, snap: Option<(i64, Bytes)>, cost: Duration) -> Disk {
+        Disk::over(backend, load(store).expect("wal log read"), snap, cost)
+    }
+
+    fn over(backend: Backend, log: Log, snap: Option<(i64, Bytes)>, cost: Duration) -> Disk {
         let inner = DiskInner {
             backend,
-            synced,
-            trimmed: 0,
+            log,
             in_flight: Vec::new(),
             unsynced: Vec::new(),
-            snapshot,
-            fsync_cost,
+            snapshot: snap,
+            fsync_cost: cost,
             syncs: 0,
             busy: false,
             imaging: false,
@@ -881,14 +901,9 @@ impl Disk {
         if !matches!(d.backend, Backend::Mem) {
             return self.clone();
         }
-        let copy = Disk::new(
-            Backend::Mem,
-            d.synced.clone(),
-            d.snapshot.clone(),
-            d.fsync_cost,
-        );
+        let copy = Disk::over(Backend::Mem, d.log.fork(), d.snapshot.clone(), d.fsync_cost);
         let mut c = copy.shared.state.lock();
-        (c.trimmed, c.unsynced, c.syncs) = (d.trimmed, d.unsynced.clone(), d.syncs);
+        (c.unsynced, c.syncs) = (d.unsynced.clone(), d.syncs);
         drop(c);
         copy
     }
@@ -902,12 +917,8 @@ impl Disk {
     /// test calls [`Disk::complete_next`] — late, after further appends,
     /// or never before a power cut.
     pub fn in_memory_deferred(fsync_cost: Duration) -> Disk {
-        Disk::new(
-            Backend::Deferred { early: false },
-            Vec::new(),
-            None,
-            fsync_cost,
-        )
+        let store = Store::Mem(Default::default());
+        Disk::new(Backend::Deferred { early: false }, store, None, fsync_cost)
     }
 
     /// Test double of a broken syncer, for a deferred disk: every
@@ -974,7 +985,7 @@ impl Disk {
         d.busy = true;
         let mut job = Job { work, done };
         match &d.backend {
-            Backend::File(_) => {
+            Backend::File => {
                 drop(d);
                 let workers = self
                     .workers
@@ -1005,11 +1016,12 @@ impl Disk {
     /// Emulates the effect of the power loss that preceded this restart:
     /// any prefix of what was in flight or unsynced — chosen
     /// deterministically from `seed`, possibly mid-record, possibly with
-    /// one flipped bit — may have reached the platter; the rest is gone.
-    /// Work still running on the disk's threads finishes first (so the cut
-    /// sees a quiet disk); a deferred sync the test never completed is cut
-    /// off and never reports. Idempotent once the tail is consumed:
-    /// calling again with no new appends is a no-op.
+    /// one flipped bit — may have reached the platter, and is written into
+    /// the segments; the rest is gone. Work still running on the disk's
+    /// threads finishes first (so the cut sees a quiet disk); a deferred
+    /// sync the test never completed is cut off and never reports.
+    /// Idempotent once the tail is consumed: calling again with no new
+    /// appends is a no-op.
     pub fn begin_recovery(&self, seed: u64) {
         {
             let mut d = self.shared.state.lock();
@@ -1031,32 +1043,27 @@ impl Disk {
                 let bit = ((h >> 34) % (keep as u64 * 8)) as usize;
                 tail[bit / 8] ^= 1 << (bit % 8);
             }
-            let at = d.end();
-            d.synced.extend_from_slice(&tail);
+            let at = d.log.end;
             drop(d);
             write_log(shared, at, &tail).expect("wal log tear");
         });
     }
 
     /// Drops everything — the disk itself was lost (the amnesia restart
-    /// kind). Present so harnesses can model disk loss explicitly. On the
-    /// file backend every segment goes, and the snapshot.
+    /// kind). Present so harnesses can model disk loss explicitly: every
+    /// segment goes, and the snapshot.
     pub fn wipe(&self) {
         self.repair(|_, mut d| {
-            d.synced.clear();
             d.unsynced.clear();
-            d.trimmed = 0;
             d.snapshot = None;
-            let Some(s) = d.segments() else { return };
-            s.chain.clear();
-            s.open = None;
-            s.spare = Spare::None;
-            let dir = s.dir.clone();
+            let s = &mut d.log;
+            (s.chain, s.end, s.spare) = (VecDeque::new(), 0, Spare::None);
+            let store = s.store.clone();
             drop(d);
-            for id in seg_ids(&dir) {
-                let _ = std::fs::remove_file(seg_path(&dir, id));
+            let _ = store.remove(&store.ids());
+            if let Store::Files(dir) = &store {
+                let _ = std::fs::remove_file(dir.join(SNAP_FILE));
             }
-            let _ = std::fs::remove_file(dir.join(SNAP_FILE));
         });
     }
 
@@ -1067,69 +1074,48 @@ impl Disk {
 
     /// Bytes in the synced log, over every segment (test observability).
     pub fn synced_len(&self) -> usize {
-        self.shared.state.lock().synced.len()
+        let d = self.shared.state.lock();
+        d.log.end - d.log.start()
     }
 
-    /// Test hook: corrupt the synced log by truncating it to `len` bytes
-    /// (the segment holding the cut is zeroed past it, later ones
-    /// unlinked).
+    /// Cuts the synced log back to its first `len` bytes, on a quiet disk:
+    /// the segment holding the new end is zeroed from there, and every
+    /// later one dropped. [`Wal::open`] cuts off a torn tail with it, and
+    /// a test corrupts the log.
     pub fn truncate_synced(&self, len: usize) {
-        self.repair(|shared, d| cut_log(shared, d, len));
+        self.repair(|_, mut d| {
+            let s = &mut d.log;
+            s.end = (s.start() + len).min(s.end);
+            let mut dead = Vec::new();
+            while s.chain.len() > 1 && s.chain.back().is_some_and(|c| c.1 > s.end) {
+                dead.extend(s.chain.pop_back().map(|c| c.0));
+            }
+            let Some(&(id, start)) = s.chain.back() else {
+                return;
+            };
+            let (store, at) = (s.store.clone(), s.end - start);
+            drop(d);
+            store.remove(&dead).expect("wal log cut");
+            store.zero(id, at).expect("wal log cut");
+        });
     }
 
     /// Test hook: flip one bit of the synced log, in whichever segment
     /// holds it.
     pub fn flip_bit(&self, bit: usize) {
-        self.repair(|_, mut d| {
-            if d.synced.is_empty() {
+        self.repair(|_, d| {
+            let (start, len) = (d.log.start(), d.log.end - d.log.start());
+            let Some(bit) = (len > 0).then(|| bit % (len * 8)) else {
                 return;
-            }
-            let bit = bit % (d.synced.len() * 8);
-            d.synced[bit / 8] ^= 1 << (bit % 8);
-            let (at, byte) = (d.trimmed + bit / 8, d.synced[bit / 8]);
-            let Some(s) = d.segments() else { return };
-            let &(id, start) = s
-                .chain
-                .iter()
-                .rev()
-                .find(|c| c.1 <= at)
-                .expect("a segment holds every synced byte");
-            let dir = s.dir.clone();
+            };
+            let at = start + bit / 8;
+            let seg = d.log.chain.iter().rev().find(|c| c.1 <= at);
+            let (id, at) = seg.map(|c| (c.0, at - c.1)).expect("a segment holds it");
+            let store = d.log.store.clone();
             drop(d);
-            let file = std::fs::OpenOptions::new()
-                .write(true)
-                .open(seg_path(&dir, id))
-                .expect("wal segment open");
-            file.write_all_at(&[byte], (at - start) as u64)
-                .and_then(|_| file.sync_data())
-                .expect("wal bit flip");
+            let byte = store.read(id).expect("wal segment read")[at] ^ 1 << (bit % 8);
+            store.write(id, at, &[byte]).expect("wal bit flip");
         });
-    }
-}
-
-/// Cuts the synced log back to its first `len` bytes, on a quiet disk:
-/// the segment holding the new end is zeroed from there, and every later
-/// one unlinked.
-fn cut_log(shared: &Shared, mut d: MutexGuard<'_, DiskInner>, len: usize) {
-    let len = len.min(d.synced.len());
-    d.synced.truncate(len);
-    let end = d.end();
-    let Some(s) = d.segments() else { return };
-    let mut dead = Vec::new();
-    while s.chain.back().is_some_and(|c| c.1 > end) {
-        dead.extend(s.chain.pop_back().map(|c| c.0));
-    }
-    let Some(&(id, start)) = s.chain.back() else {
-        return;
-    };
-    s.open = None;
-    let dir = s.dir.clone();
-    drop(d);
-    unlink_segments(&dir, &dead).expect("wal log cut");
-    let seg = SegFile::open(&dir, id, end - start).expect("wal segment open");
-    zero_fill(&seg.file, seg.used, seg.len).expect("wal log cut");
-    if let Some(s) = shared.state.lock().segments() {
-        s.open = Some(seg);
     }
 }
 
@@ -1137,7 +1123,7 @@ fn cut_log(shared: &Shared, mut d: MutexGuard<'_, DiskInner>, len: usize) {
 /// file over `dir/name`: whichever name a crash leaves behind holds whole,
 /// synced contents — never a renamed-but-empty file.
 fn install_synced(dir: &Path, tmp: &str, name: &str, parts: &[&[u8]]) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(dir.join(tmp))?;
+    let mut f = File::create(dir.join(tmp))?;
     for bytes in parts {
         f.write_all(bytes)?;
     }
@@ -1257,8 +1243,9 @@ pub struct Wal {
     scratch: BytesMut,
     pending: u64,
     generation: u64,
-    /// `(index, frame length)` of every record in the log, oldest first:
-    /// where a checkpoint cuts, without decoding a record.
+    /// `(index, frame length)` of every record in the log above the
+    /// snapshot, oldest first: where a checkpoint cuts, without decoding
+    /// a record.
     frames: VecDeque<(i64, usize)>,
     /// Log offset of the first frame in `frames`.
     start: usize,
@@ -1278,30 +1265,39 @@ impl Clone for Wal {
 }
 
 impl Wal {
-    /// Opens a log over the disk, cutting the synced log back to its valid
-    /// prefix first: whatever a power cut tore must not stay *inside* the
-    /// log, or every record appended behind it would be invisible to the
-    /// next recovery scan.
+    /// Opens a log over the disk, reading it back from its segments and
+    /// cutting it back to its valid prefix first: whatever a power cut
+    /// tore must not stay *inside* the log, or every record appended
+    /// behind it would be invisible to the next recovery scan.
     pub fn open(disk: Disk) -> Wal {
-        let mut frames = VecDeque::new();
-        let (valid, len, start) = {
+        let (log, mut start, floor, end) = {
             let d = disk.shared.state.lock();
-            let valid = walk(&d.synced, &mut { i64::MIN }, |index, _, len| {
-                frames.push_back((index, len))
-            });
-            (valid, d.synced.len(), d.trimmed)
+            let floor = d.snapshot.as_ref().map_or(i64::MIN, |s| s.0);
+            (
+                d.log.read().expect("wal log read"),
+                d.log.start(),
+                floor,
+                d.log.end,
+            )
         };
-        if valid < len {
-            disk.repair(|shared, d| cut_log(shared, d, valid));
+        if start + log.len() < end {
+            disk.truncate_synced(log.len());
         }
+        let mut frames = VecDeque::new();
+        walk(&log, &mut { i64::MIN }, |index, _, len| {
+            match index > floor {
+                true => frames.push_back((index, len)),
+                false => start += len,
+            }
+        });
         Wal {
             disk,
             scratch: BytesMut::new(),
             pending: 0,
             generation: GENERATIONS.fetch_add(1, Ordering::Relaxed),
+            above: frames.iter().map(|f| f.1).sum(),
             frames,
             start,
-            above: valid,
         }
     }
 
@@ -1431,10 +1427,11 @@ impl Wal {
     }
 }
 
-/// Reads a disk back into snapshot + valid log suffix. Read-only and
-/// total: corrupt snapshots fall back to `None`, corrupt logs to their
-/// longest valid prefix. Call [`Disk::begin_recovery`] first after a
-/// modeled power loss so the torn tail is resolved.
+/// Reads a disk back into snapshot + valid log suffix, from the segments
+/// themselves. Read-only and total: corrupt snapshots fall back to
+/// `None`, corrupt logs to their longest valid prefix. Call
+/// [`Disk::begin_recovery`] first after a modeled power loss so the torn
+/// tail is resolved.
 pub fn recover(disk: &Disk) -> Recovered {
     let d = disk.shared.state.lock();
     let snapshot = d.snapshot.as_ref().and_then(|(index, blob)| {
@@ -1443,13 +1440,18 @@ pub fn recover(disk: &Disk) -> Recovered {
         view.is_empty().then_some((*index, value))
     });
     let floor = snapshot.as_ref().map(|(i, _)| *i).unwrap_or(i64::MIN);
-    let records = scan_log(&d.synced, floor);
+    let records = scan_log(&d.log.read().unwrap_or_default(), floor);
     Recovered { snapshot, records }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The segment ids in `dir`, ascending.
+    fn seg_ids(dir: &Path) -> Vec<u64> {
+        Store::Files(dir.to_path_buf()).ids()
+    }
 
     fn rec(i: i64) -> Value {
         Value::pair(Value::str("txn"), Value::Int(i * 100))
@@ -1561,12 +1563,19 @@ mod tests {
         }
     }
 
+    /// A record of about 40 KB: six fill a segment.
+    fn big(i: i64) -> Value {
+        Value::pair(Value::Int(i), Value::str(&"x".repeat(40_000)))
+    }
+
+    /// A checkpoint drops the segments wholly below its cut, in memory as
+    /// on files, and recovery resumes past the snapshot.
     #[test]
     fn snapshot_truncates_and_recovery_resumes_past_it() {
         let disk = Disk::in_memory(Duration::ZERO);
         let mut wal = Wal::open(disk.clone());
         for i in 0..20 {
-            wal.append(i, &rec(i));
+            wal.append(i, &big(i));
         }
         wal.commit();
         let before = disk.synced_len();
@@ -1576,6 +1585,12 @@ mod tests {
         assert_eq!(got.snapshot, Some((14, Value::str("state@14"))));
         let idx: Vec<i64> = got.records.iter().map(|(i, _)| *i).collect();
         assert_eq!(idx, vec![15, 16, 17, 18, 19]);
+    }
+
+    /// The log bytes a reading of `disk`'s segments finds.
+    fn segments(disk: &Disk) -> Vec<u8> {
+        let d = disk.shared.state.lock();
+        d.log.read().unwrap()
     }
 
     /// A checkpoint keeps the records above its index byte for byte —
@@ -1591,19 +1606,12 @@ mod tests {
         wal.commit();
         wal.append(18, &rec(18));
         wal.append(19, &rec(19));
-        let log = {
-            let d = disk.shared.state.lock();
-            [d.synced.as_slice(), d.unsynced.as_slice()].concat()
-        };
+        let log = [segments(&disk), disk.shared.state.lock().unsynced.clone()].concat();
         let mut lens = Vec::new();
         walk(&log, &mut { i64::MIN }, |_, _, len| lens.push(len));
         let cut: usize = lens[..15].iter().sum();
         snapshot(&mut wal, 14, "state@14");
-        assert_eq!(
-            disk.shared.state.lock().synced,
-            log[cut..],
-            "suffix kept verbatim"
-        );
+        assert_eq!(segments(&disk)[cut..], log[cut..], "suffix kept verbatim");
         let got = recover(&disk);
         assert_eq!(got.snapshot, Some((14, Value::str("state@14"))));
         assert_eq!(
