@@ -33,15 +33,13 @@
 //!   ends with the same accounts: each one executes every delivery, so a
 //!   replica that missed some must have fetched them.
 //!
-//! Crashes are applied as scheduled, and a plan's durable restarts
+//! Crashes are applied as scheduled, and a plan's restarts
 //! (`RestartDurable`, the power-loss profile, which also gives the
 //! deployment its disks) go through the deployment's own reboot call,
 //! which brings the replica back from its disk and kicks it into
-//! rejoining. Only the amnesiac `Restart` is skipped: a replica
-//! restarted with neither state nor disk would rejoin in the initial
-//! configuration with an empty database, which the protocols support only
-//! through the reconfiguration path (a spare, a joiner), not amnesiac
-//! resurrection.
+//! rejoining — the one way back from a crash. A replica with neither
+//! state nor disk joins only through the reconfiguration path (a spare,
+//! a joiner), never under its old identity.
 
 use crate::client::{DbClient, DbClientStats};
 use crate::deploy::{
@@ -223,10 +221,10 @@ fn deploy_options(
 /// joiner may be a location that does not exist yet (plans address by
 /// location, so the schedule is expressible before the node is), the
 /// donor the incumbent that will stream its snapshot. Crashes are applied
-/// as scheduled; each durable restart of the victim is handed to `reboot`
-/// — the deployment's own reboot call — with its instant and a fresh tear
-/// seed; amnesiac restarts are skipped (see the module docs). Also
-/// returns the nodes the plan leaves down: crashed last, not rebooted.
+/// as scheduled; each restart of the victim is handed to `reboot` — the
+/// deployment's own reboot call — with its instant and a fresh tear seed.
+/// Also returns the nodes the plan leaves down: crashed last, not
+/// rebooted.
 fn arm_nemesis<R: Runtime + ?Sized>(
     rt: &mut R,
     opts: &ChaosOptions,
@@ -264,7 +262,6 @@ fn arm_nemesis<R: Runtime + ?Sized>(
                 reboots += 1;
                 reboot(rt, f.at, mix64(opts.seed ^ reboots));
             }
-            NodeFaultKind::Restart => {}
         }
     }
     let last = |loc: Loc| {

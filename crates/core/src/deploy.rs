@@ -84,8 +84,10 @@ pub struct DeployOptions {
     /// bytes with modeled fsync cost under the simulator; real files
     /// under the thread and socket runtimes). The deployment keeps the
     /// disks and reboots a replica from its durable state itself
-    /// ([`PbrDeployment::reboot`] and its twins), which catches up from a
-    /// peer's window (PBR's `cache_limit`; 4 096 SMR deliveries).
+    /// ([`Deployment::reboot`], [`ShardedDeployment::reboot`]): the
+    /// rebooted replica reads its disk
+    /// in its first step and catches up from a peer's window (PBR's
+    /// `cache_limit`; 4 096 SMR deliveries).
     pub durability: Option<DurabilityOptions>,
     /// The read lease, under either ordering policy: when set, every
     /// replica runs the lease-based read fast path (`ReplicaCore`'s one
@@ -298,18 +300,8 @@ impl Recipe {
             None => dbs.push(db.clone()),
         }
         drop(dbs);
-        // Replica `i`'s disk is opened the first time it is built.
-        let durable = self.durability.as_ref().map(|dur| {
-            let mut disks = self.disks.borrow_mut();
-            if i == disks.len() {
-                let name = match i < self.deployed {
-                    true => format!("replica-{}", self.shard * self.deployed + i),
-                    false => format!("joiner-{}-{i}", self.shard),
-                };
-                disks.push(Disk::open(&self.storage, &name, dur.fsync_cost));
-            }
-            (dur, disks[i].clone())
-        });
+        // The replica reads nothing here: its first step opens the disk.
+        let durable = (self.durability.as_ref()).map(|dur| (dur, self.disks.borrow()[i].clone()));
         let replicas = self.replicas.borrow();
         match &self.pbr {
             Some(pbr) => {
@@ -364,6 +356,18 @@ impl Recipe {
         }
     }
 
+    /// Opens the disk of replica `i`, a deploy-time one or the next
+    /// joiner, with the machine it runs on: before the replica is built.
+    fn open_disk(&self, i: usize) {
+        let Some(dur) = &self.durability else { return };
+        let name = match i < self.deployed {
+            true => format!("replica-{}", self.shard * self.deployed + i),
+            false => format!("joiner-{}-{i}", self.shard),
+        };
+        let disk = Disk::open(&self.storage, &name, dur.fsync_cost);
+        self.disks.borrow_mut().push(disk);
+    }
+
     /// Power-cycles the replica at `loc`: at `at` it comes back as the
     /// process that recovers from its disk and, right after, rejoins the
     /// way a joiner does under either policy — subscribed anew at every
@@ -385,6 +389,7 @@ impl Recipe {
     /// [`ReconfigHandle`]'s part.
     fn join<R: Runtime + ?Sized>(&self, rt: &mut R, donors: Vec<Loc>) -> Loc {
         let i = self.replicas.borrow().len();
+        self.open_disk(i);
         let loc = rt.add_node_late(self.replica(i, Boot::Join(donors)));
         self.replicas.borrow_mut().push(loc);
         self.kick(rt, loc, rt.now());
@@ -446,6 +451,7 @@ fn build_group<R: Runtime + ?Sized>(
         dbs: RefCell::new(Vec::new()),
     });
     for (i, r) in replicas.iter().enumerate() {
+        recipe.open_disk(i);
         assert_eq!(rt.add_node(recipe.replica(i, Boot::First)), *r);
     }
     for r in &replicas {
@@ -1317,21 +1323,27 @@ mod tests {
     }
 
     /// Recovery is lazy — a rebooted replica reads its disk in its first
-    /// step — and lazy recovery is fork-safe: a clone taken before that
-    /// step recovers the same state from the same disk and answers the
-    /// same message with the same sends.
+    /// step, not when it is built, so it recovers what its group logged
+    /// in between — and lazy recovery is fork-safe: a clone taken before
+    /// that step recovers the same state from the same disk and answers
+    /// the same message with the same sends.
     #[test]
     fn a_rebooted_replica_forks_before_its_first_step() {
+        use crate::msgs::{parse_fetch, FETCH_HEADER};
         use shadowdb_eventml::process::fingerprint;
+        use shadowdb_simnet::Simulation;
+        /// Runs `sim` until `disk` holds an index above `index`.
+        fn log_past(sim: &mut Simulation, disk: &Disk, index: i64) {
+            while shadowdb_wal::recover(disk).high_index() <= index {
+                sim.run_for(Duration::from_millis(5));
+                assert!(sim.now() < VTime::from_secs(60), "no progress to recover");
+            }
+        }
         let engines = Arc::default();
         let options = durable_trio_options(&engines);
         let mut sim = shadowdb_simnet::testing::default_net(14);
         let pbr = PbrDeployment::build(&mut sim, &options, PbrOptions::default());
         let smr = SmrDeployment::build(&mut sim, &options);
-        while pbr.committed().min(smr.committed()) < 10 {
-            sim.run_for(Duration::from_millis(5));
-            assert!(sim.now() < VTime::from_secs(60), "no progress to recover");
-        }
         let forks = [
             (&pbr.recipe, pbr.replicas[1], PbrReplica::start_msg()),
             (
@@ -1342,7 +1354,12 @@ mod tests {
         ];
         for (recipe, loc, msg) in forks {
             let i = recipe.replicas.borrow().iter().position(|r| *r == loc);
-            let mut original = recipe.replica(i.expect("deployed"), Boot::Reboot(9));
+            let i = i.expect("deployed");
+            let disk = recipe.disks.borrow()[i].clone();
+            log_past(&mut sim, &disk, 9);
+            let mut original = recipe.replica(i, Boot::Reboot(9));
+            // The group logs more between the reboot's build and first step.
+            log_past(&mut sim, &disk, shadowdb_wal::recover(&disk).high_index());
             let mut fork = original.clone_box();
             assert_eq!(fingerprint(&*original), fingerprint(&*fork));
             let unstepped = fingerprint(&*original);
@@ -1350,6 +1367,16 @@ mod tests {
             let sends = original.step(&ctx, &msg);
             assert!(!sends.is_empty(), "the reboot's kick starts the rejoin");
             assert_ne!(fingerprint(&*original), unstepped, "the disk was read");
+            // The fetch is named after the highest index the step read.
+            let high = shadowdb_wal::recover(&disk).high_index();
+            let fetch = sends.iter().find(|s| s.msg.header.name() == FETCH_HEADER);
+            let nonce = fetch.and_then(|s| parse_fetch(&s.msg.body)).map(|f| f.3);
+            let at_step = ctx.now.as_micros() as i64 + (high + 1) * 1_000_000;
+            assert_eq!(
+                nonce,
+                Some(at_step),
+                "recovered what the disk held at the step"
+            );
             assert_eq!(fork.step(&ctx, &msg), sends);
             assert_eq!(fingerprint(&*original), fingerprint(&*fork));
         }

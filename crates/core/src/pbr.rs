@@ -69,7 +69,7 @@ use shadowdb_eventml::{cached_header, Ctx, Msg, Process, SendInstr, Value};
 use shadowdb_loe::{Loc, VTime};
 use shadowdb_sqldb::Database;
 use shadowdb_tob::{parse_deliver, parse_subok, Delivery};
-use shadowdb_wal::Disk;
+use shadowdb_wal::{Disk, Recovered};
 use shadowdb_workloads::{Applied, TxnRequest};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
@@ -186,9 +186,6 @@ pub struct PbrReplica {
     /// Monotone WAL record index (transactions and config adoptions share
     /// one sequence; `executed` alone cannot index config records).
     wal_index: i64,
-    /// Rebooted after a power loss: the first step recovers from the
-    /// attached disk, tearing its unsynced tail from this seed.
-    reboot: Option<u64>,
 }
 
 impl PbrReplica {
@@ -226,7 +223,6 @@ impl PbrReplica {
             probe_last: None,
             twopc_outbox: Vec::new(),
             wal_index: 0,
-            reboot: None,
         }
     }
 
@@ -283,7 +279,7 @@ impl PbrReplica {
     /// a durable snapshot (and log truncation) at most every
     /// `snapshot_every` records (see `ReplicaCore::sync`).
     pub fn with_wal(mut self, disk: Disk, snapshot_every: i64) -> PbrReplica {
-        self.core.attach_wal(disk, snapshot_every, 0, 0);
+        self.core.attach_wal(disk, snapshot_every, 0);
         self
     }
 
@@ -296,30 +292,26 @@ impl PbrReplica {
     /// disk missed (catch-up only, unless the primary's window no longer
     /// reaches back). The deployment subscribes it anew.
     pub fn rebooted(mut self, tear: u64) -> PbrReplica {
-        self.reboot = Some(tear);
+        self.core.set_reboot(tear);
         self
     }
 
     /// The recovery a [`PbrReplica::rebooted`] replica runs before
-    /// handling its first message.
-    fn recover(&mut self, ctx: &Ctx, tear: u64, out: &mut Vec<SendInstr>) {
-        let slf = ctx.slf;
-        let (disk, rec) = self.core.recover(tear, ctx.now);
-        let mut snap_at = 0;
-        if let Some((idx, header)) = &rec.snapshot {
+    /// handling its first message, on what the core read off its disk
+    /// (`ReplicaCore::first_step`); returns the newest log index.
+    fn recover(&mut self, slf: Loc, rec: Recovered, out: &mut Vec<SendInstr>) -> i64 {
+        if let Some((_, header)) = &rec.snapshot {
             // The durable image's policy header is the replica's position
             // on the config chain.
             if let Some(c) = ReplicaConfig::from_value(header) {
                 self.config = c;
             }
             self.core.restart_window(self.core.executed());
-            snap_at = *idx;
         }
         for (_, body) in &rec.records {
             self.replay_record(slf, body);
         }
         self.wal_index = rec.high_index().max(0);
-        self.core.resume_wal(disk, snap_at, self.wal_index);
         // The disk knows everything up to the crash; the group has moved
         // on. Rejoin as a joiner does: the stream is held until the answer
         // anchors it ([`PbrReplica::rejoin`]). Ask the disk configuration's
@@ -332,6 +324,7 @@ impl PbrReplica {
         self.core
             .set_donors(donors.filter(|m| *m != slf), self.options.heartbeat_every);
         self.core.fetch(slf, self.core.executed(), 0, out);
+        self.wal_index
     }
 
     /// Replays one WAL record onto local state. Nothing is sent: 2PC
@@ -1098,15 +1091,14 @@ fn replicates_ahead(msg: &Msg) -> bool {
 
 impl PbrReplica {
     /// First-step initialization: learn our own identity from the context
-    /// and, after a reboot, read the disk back under it.
+    /// and open the log — after a reboot, read the disk back under it.
     fn ensure_init(&mut self, ctx: &Ctx, out: &mut Vec<SendInstr>) {
         if self.hb_armed {
             return;
         }
         self.hb_armed = true;
-        if let Some(tear) = self.reboot.take() {
-            self.recover(ctx, tear, out);
-        }
+        let recover = |r: &mut PbrReplica, rec| r.recover(ctx.slf, rec, out);
+        ReplicaCore::first_step(self, |r| &mut r.core, ctx.now, recover);
         if !self.config.contains(ctx.slf) {
             self.mode = Mode::Idle; // a spare, until a configuration adds us
             return;

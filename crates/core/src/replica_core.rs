@@ -188,7 +188,7 @@ struct Fetch {
     from: i64,
     min: i64,
     /// This incarnation's name on its requests: the broadcast count a
-    /// reboot restarted at ([`ReplicaCore::recover`]), 0 before any.
+    /// reboot restarted at ([`ReplicaCore::first_step`]), 0 before any.
     nonce: i64,
 }
 
@@ -215,9 +215,15 @@ pub(crate) struct ReplicaCore {
     /// own location.
     twopc_seq: Vec<i64>,
     /// Durability plane: the write-ahead log, when this replica persists
-    /// its execution. Appends stay unsynced until the replica's next
-    /// `sdb/sync` ([`Self::sync`]), which covers all of them at once.
+    /// its execution, opened by the first step on the disk the builder
+    /// attached (`disk` until then). Appends stay unsynced until the
+    /// replica's next `sdb/sync` ([`Self::sync`]), which covers all of
+    /// them at once.
     wal: Option<Wal>,
+    disk: Option<Shut>,
+    /// Rebooted after a power loss: the first step tears the disk's
+    /// unsynced tail from this seed and recovers from what remains.
+    reboot: Option<u64>,
     /// The sync handed to the disk and not yet reported (`sdb/synced`):
     /// the index it makes durable — [`NOTHING_DURABLE`]
     /// once a network image voided it. At most one is in flight.
@@ -278,6 +284,8 @@ impl ReplicaCore {
             engine: None,
             twopc_seq: Vec::new(),
             wal: None,
+            disk: None,
+            reboot: None,
             syncing: None,
             wal_snap_at: 0,
             snapshot_every: i64::MAX,
@@ -750,36 +758,35 @@ impl ReplicaCore {
     // -- durability ----------------------------------------------------------
 
     /// Attaches a write-ahead log over `disk`, with a durable snapshot
-    /// (and log truncation) at most every `snapshot_every` records.
-    /// `snap_at` is the index the disk's snapshot covers and `durable` the
-    /// highest index the disk holds — both one below the policy's first
-    /// record index on an empty disk.
-    pub(crate) fn attach_wal(
-        &mut self,
-        disk: Disk,
-        snapshot_every: i64,
-        snap_at: i64,
-        durable: i64,
-    ) {
+    /// (and log truncation) at most every `snapshot_every` records;
+    /// `floor` is one below the policy's first record index. Nothing is
+    /// read here: the first step opens the log ([`Self::first_step`]).
+    pub(crate) fn attach_wal(&mut self, disk: Disk, snapshot_every: i64, floor: i64) {
         self.snapshot_every = snapshot_every.max(1);
-        self.wal_snap_at = snap_at;
-        self.durable = durable;
-        self.syncing = None;
-        self.wal = Some(Wal::open(disk));
+        (self.wal_snap_at, self.durable) = (floor, floor);
+        self.disk = Some(Shut(disk));
     }
 
-    /// The first step of a rebooted replica: resolves what the power loss
-    /// tore off the attached disk's unsynced tail (`tear` seeds
-    /// [`Disk::begin_recovery`], which first lets a sync the previous
-    /// incarnation handed off finish), reads the disk back and installs the
-    /// latest durable image, if any. In the returned recovery the
-    /// snapshot's blob is replaced by its policy header; the logged suffix
-    /// is the policy's to replay through its own execution path. The log
-    /// comes back *detached* — the replay must not be logged again — so
-    /// hand the disk to [`Self::resume_wal`] afterwards.
+    /// Marks the replica as rebooted after a power loss, onto the disk
+    /// [`Self::attach_wal`] attaches; `tear` resolves its torn tail.
+    pub(crate) fn set_reboot(&mut self, tear: u64) {
+        self.reboot = Some(tear);
+    }
+
+    /// The first-step hook of both policies, a no-op at every later step:
+    /// opens the log on the attached disk. After a reboot it first
+    /// resolves what the power loss tore off the disk's unsynced tail
+    /// (`tear` seeds [`Disk::begin_recovery`], which first lets a sync the
+    /// previous incarnation handed off finish), then reads the segment
+    /// chain once ([`Wal::recover`]), installs the latest durable image,
+    /// if any, and hands the rest to the policy's `recover`: the recovery,
+    /// with the snapshot's blob replaced by its policy header, whose
+    /// logged suffix the policy replays through its own execution path.
+    /// The log is attached only after that — the replay must not be
+    /// logged again — as durable through the index `recover` returns.
     ///
-    /// It also restarts the broadcast count — and names the incarnation's
-    /// fetch with it — at `now` in µs plus 10^6 per
+    /// A reboot also restarts the broadcast count — and names the
+    /// incarnation's fetch with it — at `now` in µs plus 10^6 per
     /// index the disk holds. The service drops a `(source, msgid)` it has
     /// seen, so the count must clear every msgid an earlier incarnation
     /// used, which neither term bounds alone: a torn tail may hold the last
@@ -791,23 +798,34 @@ impl ReplicaCore {
     /// heartbeat tick or adoption (PBR), per forwarded read (SMR), and an
     /// ordered read is an index. It is never below `now` alone, nor below
     /// `frontier × 10^6` alone.
-    pub(crate) fn recover(&mut self, tear: u64, now: VTime) -> (Disk, Recovered) {
-        let wal = self.wal.take().expect("a rebooted replica has a disk");
-        let disk = wal.disk().clone();
+    pub(crate) fn first_step<P>(
+        policy: &mut P,
+        core: fn(&mut P) -> &mut ReplicaCore,
+        now: VTime,
+        recover: impl FnOnce(&mut P, Recovered) -> i64,
+    ) {
+        let c = core(policy);
+        let Some(Shut(disk)) = c.disk.take() else {
+            assert!(c.reboot.is_none(), "a rebooted replica has a disk");
+            return;
+        };
+        let Some(tear) = c.reboot.take() else {
+            c.wal = Some(Wal::open(disk));
+            return;
+        };
         disk.begin_recovery(tear);
-        let mut rec = shadowdb_wal::recover(&disk);
-        self.msgid = now.as_micros() as i64 + (rec.high_index() + 1) * 1_000_000;
-        self.fetch.nonce = self.msgid;
+        let (wal, mut rec) = Wal::recover(disk);
+        c.msgid = now.as_micros() as i64 + (rec.high_index() + 1) * 1_000_000;
+        c.fetch.nonce = c.msgid;
         rec.snapshot = rec
             .snapshot
-            .and_then(|(idx, blob)| Some((idx, self.install_durable_blob(&blob)?)));
-        (disk, rec)
-    }
-
-    /// Re-attaches the log after [`Self::recover`]'s replay, at the
-    /// positions the disk was found to hold.
-    pub(crate) fn resume_wal(&mut self, disk: Disk, snap_at: i64, durable: i64) {
-        self.attach_wal(disk, self.snapshot_every, snap_at, durable);
+            .and_then(|(idx, blob)| Some((idx, c.install_durable_blob(&blob)?)));
+        if let Some((idx, _)) = &rec.snapshot {
+            c.wal_snap_at = *idx;
+        }
+        let durable = recover(policy, rec);
+        let c = core(policy);
+        (c.durable, c.wal) = (durable, Some(wal));
     }
 
     /// Whether this replica persists its execution (policies skip building
@@ -1316,6 +1334,16 @@ fn adopt_shard_state(role: &ShardRole, state: &Value) -> Option<(Vec<i64>, TwoPc
     (seqs.len() == role.map().shards()).then_some((seqs, engine))
 }
 
+/// A disk no log is open on yet, whose clone is a fork, as a [`Wal`]'s
+/// is.
+struct Shut(Disk);
+
+impl Clone for Shut {
+    fn clone(&self) -> Shut {
+        Shut(self.0.fork())
+    }
+}
+
 /// The replica's database, whose clone is a fork: model checking forks
 /// executions, and `Database`'s own `Clone` shares state.
 struct Db(Database);
@@ -1732,7 +1760,8 @@ mod tests {
         let db = Database::new(EngineProfile::h2());
         bank::load(&db, rows).unwrap();
         let mut c = ReplicaCore::new(db);
-        c.attach_wal(Disk::in_memory(Duration::ZERO), 512, 0, 0);
+        c.attach_wal(Disk::in_memory(Duration::ZERO), 512, 0);
+        ReplicaCore::first_step(&mut c, |c| c, VTime::ZERO, |_, _| unreachable!());
         let body = Value::Bytes(bytes::Bytes::from(vec![7u8; 80]));
         let posted = Arc::new(Collected::default());
         completion::install_sink(posted.clone());

@@ -33,7 +33,7 @@ use shadowdb_eventml::{cached_header, Ctx, Msg, Process, SendInstr, Value};
 use shadowdb_loe::{Loc, VTime};
 use shadowdb_sqldb::Database;
 use shadowdb_tob::{parse_deliver, parse_subok, Delivery};
-use shadowdb_wal::Disk;
+use shadowdb_wal::{Disk, Recovered};
 use shadowdb_workloads::TxnRequest;
 use std::hash::{Hash, Hasher};
 use std::time::Duration;
@@ -61,9 +61,6 @@ pub struct SmrReplica {
     /// so the group converges on a single claimant without a
     /// coordination round.
     claim_rank: u64,
-    /// Rebooted after a power loss: the first step recovers from the
-    /// attached disk, tearing its unsynced tail from this seed.
-    reboot: Option<u64>,
 }
 
 impl SmrReplica {
@@ -73,7 +70,6 @@ impl SmrReplica {
             core: ReplicaCore::new(db),
             group_scratch: Vec::new(),
             claim_rank: 0,
-            reboot: None,
         }
     }
 
@@ -140,7 +136,7 @@ impl SmrReplica {
     pub fn with_wal(mut self, disk: Disk, snapshot_every: i64) -> SmrReplica {
         self.core.set_window_limit(REJOIN_WINDOW);
         // Deliveries are logged under their own sequence numbers, from 0.
-        self.core.attach_wal(disk, snapshot_every, -1, -1);
+        self.core.attach_wal(disk, snapshot_every, -1);
         self
     }
 
@@ -161,14 +157,14 @@ impl SmrReplica {
     /// how far the group moved on, and `donors` serve the missed range from
     /// their windows (a snapshot only if the window does not reach back).
     pub fn rebooted(mut self, donors: Vec<Loc>, tear: u64) -> SmrReplica {
-        self.reboot = Some(tear);
+        self.core.set_reboot(tear);
         self.with_donors(donors)
     }
 
     /// The recovery a [`SmrReplica::rebooted`] replica runs before
-    /// handling its first message.
-    fn recover(&mut self, ctx: &Ctx, tear: u64) {
-        let (disk, rec) = self.core.recover(tear, ctx.now);
+    /// handling its first message, on what the core read off its disk
+    /// (`ReplicaCore::first_step`); returns the last delivery it holds.
+    fn recover(&mut self, ctx: &Ctx, rec: Recovered) -> i64 {
         // Snapshots are taken at `next_seq - 1` (the image's policy header
         // repeats the frontier; the WAL index already implies it).
         let snap_at = rec.snapshot.as_ref().map_or(-1, |(idx, _)| *idx);
@@ -180,9 +176,8 @@ impl SmrReplica {
         // replay also refills the window, so a just-recovered replica can
         // itself serve as a donor.
         self.feed(ctx.slf, None, rec.records, &mut Vec::new());
-        let next = self.core.stream_next();
-        self.core.resume_wal(disk, snap_at, next - 1);
         self.core.reanchor_lease(ctx.now);
+        self.core.stream_next() - 1
     }
 
     /// The fetch of the deliveries from `from` on (`-1`: an image) once
@@ -407,9 +402,8 @@ impl SmrReplica {
 
 impl Process for SmrReplica {
     fn step_into(&mut self, ctx: &Ctx, msg: &Msg, out: &mut Vec<SendInstr>) {
-        if let Some(tear) = self.reboot.take() {
-            self.recover(ctx, tear);
-        }
+        let recover = |r: &mut SmrReplica, rec| r.recover(ctx, rec);
+        ReplicaCore::first_step(self, |r| &mut r.core, ctx.now, recover);
         let first = out.len();
         let h = msg.header;
         if h == cached_header!(FETCH_HEADER) {

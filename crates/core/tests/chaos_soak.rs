@@ -635,13 +635,9 @@ fn long_soak_seed_sweep() {
             let mut sim = shadowdb_simnet::testing::default_net(seed * 43 + i as u64);
             soak_sharded_smr(&mut sim, &sim_opts(seed, profile), 2);
         }
-        // PowerLoss needs a durable deployment, so it sits outside `ALL`:
-        // sweep its sharded and lease legs per seed here.
+        // `ALL` sweeps PowerLoss's plain and sharded legs above; its lease
+        // and reconfiguration legs run here.
         let opts = sim_opts(seed, NemesisProfile::PowerLoss);
-        let mut sim = shadowdb_simnet::testing::default_net(seed * 47);
-        soak_sharded_pbr(&mut sim, &opts, 2);
-        let mut sim = shadowdb_simnet::testing::default_net(seed * 53);
-        soak_sharded_smr(&mut sim, &opts, 2);
         // Durability × leases: the holder is what loses power.
         let mut sim = shadowdb_simnet::testing::default_net(seed * 59);
         soak_reads_smr(

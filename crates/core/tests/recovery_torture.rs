@@ -168,11 +168,12 @@ mod election_safety_props {
 
     use super::{ACCOUNTS, CLIENTS, TXNS};
     use proptest::prelude::*;
-    use shadowdb::deploy::{DeployOptions, PbrDeployment};
+    use shadowdb::deploy::{DeployOptions, DurabilityOptions, PbrDeployment};
     use shadowdb::pbr::PbrOptions;
     use shadowdb::probe::{check_one_primary_per_seq, Probe};
     use shadowdb_loe::{Loc, VTime};
-    use shadowdb_runtime::{schedule_node_faults, FaultTopology, Nemesis, NemesisProfile};
+    use shadowdb_runtime::fault::mix64;
+    use shadowdb_runtime::{FaultTopology, Nemesis, NemesisProfile, NodeFaultKind};
     use shadowdb_workloads::bank;
     use std::time::Duration;
 
@@ -189,9 +190,12 @@ mod election_safety_props {
             let duration = Duration::from_millis(duration_ms);
             let probe = Probe::default();
             let mut sim = shadowdb_simnet::testing::default_net(seed ^ 0x5eed);
+            // A profile that restarts its victim reboots it from its disk.
+            let durable = profile == NemesisProfile::PowerLoss;
             let options = DeployOptions {
                 client_timeout: Duration::from_millis(400),
                 probe: Some(probe.clone()),
+                durability: durable.then(DurabilityOptions::default),
                 ..DeployOptions::new(
                     CLIENTS,
                     |client| {
@@ -216,7 +220,14 @@ mod election_safety_props {
                 donor: None,
             };
             let plan = Nemesis::new(seed, profile, duration).plan(&topo);
-            schedule_node_faults(&mut sim, &plan, |_, _| None);
+            for (n, f) in plan.node_faults.iter().enumerate() {
+                match f.kind {
+                    NodeFaultKind::Crash => sim.crash_at(f.at, f.loc),
+                    NodeFaultKind::RestartDurable => {
+                        d.reboot(&mut sim, f.loc, f.at, mix64(seed ^ n as u64))
+                    }
+                }
+            }
             sim.install_fault_plan(plan);
             // Run well past the heal point; the property is about what was
             // *observed*, not convergence (the chaos soaks assert that).

@@ -183,13 +183,10 @@ impl FaultRule {
 pub enum NodeFaultKind {
     /// Crash-stop: volatile state lost, deliveries dropped.
     Crash,
-    /// Restart with a fresh process (the runtime's driver supplies it).
-    /// Models disk loss: the replacement starts amnesiac.
-    Restart,
     /// Restart from durable storage: volatile state is lost but the
-    /// node's disk survives, so the driver's factory may hand back a
-    /// process that recovers from its WAL + snapshot. Models power
-    /// loss / reboot rather than machine replacement.
+    /// node's disk survives, and the process it comes back as recovers
+    /// from its WAL + snapshot. Models power loss / reboot, the one way
+    /// back from a crash.
     RestartDurable,
 }
 
@@ -274,16 +271,6 @@ impl FaultPlan {
             at,
             loc,
             kind: NodeFaultKind::Crash,
-        });
-        self
-    }
-
-    /// Adds a node restart at `at`.
-    pub fn with_restart(mut self, at: VTime, loc: Loc) -> Self {
-        self.node_faults.push(NodeFault {
-            at,
-            loc,
-            kind: NodeFaultKind::Restart,
         });
         self
     }
@@ -430,9 +417,7 @@ impl FaultPlan {
         for f in &self.node_faults {
             fold(match f.kind {
                 NodeFaultKind::Crash => 6,
-                NodeFaultKind::Restart => 7,
-                // New tag: plans without durable restarts keep the exact
-                // digests (and bytes) they had before the kind existed.
+                // Tag 7 was the amnesiac restart's: a plan keeps its digest.
                 NodeFaultKind::RestartDurable => 8,
             });
             fold(f.at.as_micros());
@@ -491,10 +476,10 @@ pub enum NemesisProfile {
     DelaySpikes,
     /// Crash the victim once, no restart (the group reconfigures on).
     CrashVictim,
-    /// Repeated crash/restart of the victim.
-    CrashRestartStorm,
-    /// Partition + lossy clients + a delay spike, interleaved.
-    Mixed,
+    /// Partition + lossy clients + a delay spike, interleaved. (A
+    /// profile's discriminant seeds its schedule: 4 was a removed
+    /// profile's, and every later one keeps its plans.)
+    Mixed = 5,
     /// Crash the victim — pointed at a shard's primary by sharded
     /// harnesses — in the middle of the run, while cross-shard commits
     /// are in flight. The group must fail over and finish (or abort)
@@ -512,10 +497,9 @@ pub enum NemesisProfile {
     /// must catch up from its own WAL + snapshot plus a short network
     /// suffix, not a full state transfer. The kill lands whenever the
     /// schedule says, including mid-fsync: whatever was appended but not
-    /// yet synced becomes a torn tail the recovery scan must survive.
-    /// Deliberately NOT in [`NemesisProfile::ALL`]: it only makes sense
-    /// against a harness that supplies a durable restart factory (the
-    /// generic soaks restart amnesiac processes).
+    /// yet synced becomes a torn tail the recovery scan must survive. In
+    /// [`NemesisProfile::ALL`]: a harness that runs it gives the
+    /// deployment disks and sends each restart through its reboot.
     PowerLoss,
     /// Lease-read stress: partition the victim — pointed at the current
     /// lease holder (the PBR primary, or the rank-0 SMR claimant) — from
@@ -541,15 +525,17 @@ pub enum NemesisProfile {
 
 impl NemesisProfile {
     /// Every generic profile, for seed sweeps over static-membership
-    /// deployments ([`NemesisProfile::CrashDuringTransfer`] and
-    /// [`NemesisProfile::PowerLoss`] are excluded — they require a
-    /// reconfiguration-driving or durable-restart-capable harness).
+    /// deployments ([`NemesisProfile::StalePrimaryReads`] and
+    /// [`NemesisProfile::CrashDuringTransfer`] are excluded — they require
+    /// a lease-reading or reconfiguration-driving harness). A sweep runs
+    /// [`NemesisProfile::PowerLoss`] over a durable deployment, rebooting
+    /// its victim from its disk.
     pub const ALL: [NemesisProfile; 8] = [
         NemesisProfile::PartitionVictim,
         NemesisProfile::LossyClientLinks,
         NemesisProfile::DelaySpikes,
         NemesisProfile::CrashVictim,
-        NemesisProfile::CrashRestartStorm,
+        NemesisProfile::PowerLoss,
         NemesisProfile::Mixed,
         NemesisProfile::ShardPrimaryCrash,
         NemesisProfile::CoordinatorPartition,
@@ -652,20 +638,6 @@ impl Nemesis {
             }
             NemesisProfile::CrashVictim => {
                 plan = plan.with_crash(VTime::ZERO + s.frac_of(d, 0.15, 0.40), topo.victim);
-            }
-            NemesisProfile::CrashRestartStorm => {
-                let rounds = 2 + s.next() % 3;
-                let deadline = VTime::ZERO + d.mul_f64(0.85);
-                let mut at = start_of(&mut s, d);
-                for _ in 0..rounds {
-                    let down = s.frac_of(d, 0.03, 0.10);
-                    if at + down > deadline {
-                        break;
-                    }
-                    plan = plan.with_crash(at, topo.victim);
-                    plan = plan.with_restart(at + down, topo.victim);
-                    at = at + down + s.frac_of(d, 0.05, 0.12);
-                }
             }
             NemesisProfile::ShardPrimaryCrash => {
                 // Later than CrashVictim's window: the workload is in full
@@ -824,7 +796,6 @@ mod tests {
     #[test]
     fn one_group_plans_as_no_groups() {
         let profiles = NemesisProfile::ALL.into_iter().chain([
-            NemesisProfile::PowerLoss,
             NemesisProfile::StalePrimaryReads,
             NemesisProfile::CrashDuringTransfer,
         ]);
@@ -1039,17 +1010,15 @@ mod tests {
         }
     }
 
+    /// Digests are stable: a power-loss and a crash plan keep these.
     #[test]
-    fn durable_restart_digests_differently_but_leaves_old_plans_alone() {
-        let at = VTime::from_secs(1);
-        let amnesiac = FaultPlan::new(9).with_restart(at, Loc::new(2));
-        let durable = FaultPlan::new(9).with_durable_restart(at, Loc::new(2));
-        assert_ne!(amnesiac.digest(), durable.digest());
-        // Schedules that never use the new kind are untouched: same
-        // bytes, same digest as before the variant existed.
-        let again = FaultPlan::new(9).with_restart(at, Loc::new(2));
-        assert_eq!(amnesiac, again);
-        assert_eq!(amnesiac.digest(), again.digest());
+    fn plans_keep_their_digests() {
+        let digest = |profile| {
+            let nemesis = Nemesis::new(42, profile, Duration::from_secs(10));
+            nemesis.plan(&topo()).digest()
+        };
+        assert_eq!(digest(NemesisProfile::PowerLoss), 0x89f1_53dd_5029_e41a);
+        assert_eq!(digest(NemesisProfile::CrashVictim), 0xc482_68a0_4ab8_f0b6);
     }
 
     #[test]

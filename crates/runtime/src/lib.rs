@@ -285,10 +285,11 @@ pub trait Runtime {
 
     /// Installs the link-fault schedule of a [`FaultPlan`]: subsequent
     /// node-to-node deliveries consult the plan's windows. Node events in
-    /// the plan are *not* applied here — use [`schedule_node_faults`],
-    /// which needs a process factory for restarts. Substrates without a
-    /// network model (the model checker, whose adversary already explores
-    /// reorderings) ignore this — the default.
+    /// the plan are *not* applied here: the harness applies them — crashes
+    /// through [`Runtime::crash_at`], each restart as its deployment's
+    /// reboot from disk. Substrates without a network model (the model
+    /// checker, whose adversary already explores reorderings) ignore this
+    /// — the default.
     fn install_fault_plan(&mut self, plan: FaultPlan) {
         drop(plan);
     }
@@ -304,29 +305,6 @@ pub trait Runtime {
     /// real-time runtimes override with a file root.
     fn storage_mode(&self) -> StorageMode {
         StorageMode::Virtual
-    }
-}
-
-/// Applies a plan's node crash/restart events to a runtime. `factory`
-/// builds the process a restart comes back as, given the restart kind:
-/// for [`NodeFaultKind::Restart`] a fresh amnesiac process (the disk was
-/// lost with the machine), for [`NodeFaultKind::RestartDurable`] a
-/// process that recovers from its surviving disk (reboot after power
-/// loss). Return `None` to skip that restart.
-pub fn schedule_node_faults<R: Runtime + ?Sized>(
-    rt: &mut R,
-    plan: &FaultPlan,
-    mut factory: impl FnMut(Loc, NodeFaultKind) -> Option<Box<dyn Process>>,
-) {
-    for f in &plan.node_faults {
-        match f.kind {
-            NodeFaultKind::Crash => rt.crash_at(f.at, f.loc),
-            NodeFaultKind::Restart | NodeFaultKind::RestartDurable => {
-                if let Some(p) = factory(f.loc, f.kind) {
-                    rt.restart_at(f.at, f.loc, p);
-                }
-            }
-        }
     }
 }
 

@@ -53,9 +53,9 @@
 //! order and reports once the bytes are durable, with nothing left to
 //! wait; a virtual disk runs the job at hand-off and reports its modeled
 //! fsync cost. At most one job is in flight per disk; records appended
-//! meanwhile wait in the unsynced tail for the next one. Each
-//! [`Wal::open`] draws a fresh [`Wal::generation`], so a completion can
-//! name the log it belongs to.
+//! meanwhile wait in the unsynced tail for the next one. Each opening of
+//! a log ([`Wal::open`], [`Wal::recover`]) takes the disk's next
+//! [`Wal::generation`], so a completion can name the log it belongs to.
 //!
 //! A second thread per file-backed disk, the image writer, runs at idle
 //! priority. It writes a checkpoint's image behind the commit that
@@ -85,8 +85,9 @@
 //! which by the logging discipline contains no acked transaction.
 //!
 //! A rebooted replica reads its log back from the segments, through the
-//! same handle or a fresh [`Disk::open`]: each one's valid prefix in id
-//! order. A segment whose bytes past that prefix are not all zeros — a
+//! same handle or a fresh [`Disk::open`], once: [`Wal::recover`] opens the
+//! log and returns what it holds from one walk of each segment's valid
+//! prefix, in id order. A segment whose bytes past that prefix are not all zeros — a
 //! torn record, a flipped bit, or a first record whose index does not
 //! follow the last one read — ends the log, and opening the log zeroes
 //! it there and drops every later segment. A commit that moves to the
@@ -108,7 +109,6 @@ use std::fs::File;
 use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -410,6 +410,8 @@ struct DiskInner {
     stopped: bool,
     /// A deferred disk's in-flight sync, waiting for the test.
     deferred: Option<Job>,
+    /// Logs opened on this disk so far: the last one's generation.
+    openings: u64,
 }
 
 impl DiskInner {
@@ -881,6 +883,7 @@ impl Disk {
             imaging: false,
             stopped: false,
             deferred: None,
+            openings: 0,
         };
         Disk {
             shared: Arc::new(Shared {
@@ -903,7 +906,7 @@ impl Disk {
         }
         let copy = Disk::over(Backend::Mem, d.log.fork(), d.snapshot.clone(), d.fsync_cost);
         let mut c = copy.shared.state.lock();
-        (c.unsynced, c.syncs) = (d.unsynced.clone(), d.syncs);
+        (c.unsynced, c.syncs, c.openings) = (d.unsynced.clone(), d.syncs, d.openings);
         drop(c);
         copy
     }
@@ -1080,7 +1083,7 @@ impl Disk {
 
     /// Cuts the synced log back to its first `len` bytes, on a quiet disk:
     /// the segment holding the new end is zeroed from there, and every
-    /// later one dropped. [`Wal::open`] cuts off a torn tail with it, and
+    /// later one dropped. Opening a log cuts off a torn tail with it, and
     /// a test corrupts the log.
     pub fn truncate_synced(&self, len: usize) {
         self.repair(|_, mut d| {
@@ -1182,25 +1185,12 @@ impl Recovered {
     }
 }
 
-/// Scans log bytes for the longest valid record prefix. Total on
-/// arbitrary input: stops (never panics) at the first truncated frame,
-/// checksum mismatch, codec error, malformed payload shape, or
-/// non-increasing index. Records at or below `floor` are skipped (already
-/// covered by the snapshot).
-pub fn scan_log(log: &[u8], floor: i64) -> Vec<(i64, Value)> {
-    let mut out = Vec::new();
-    walk(log, &mut { i64::MIN }, |index, body, _| {
-        if index > floor {
-            out.push((index, body.clone()));
-        }
-    });
-    out
-}
-
 /// Walks the longest valid record prefix of `log` whose indexes follow
 /// `last` (`i64::MIN`: any), calling `visit` with each record's index, body
 /// and frame length; returns the prefix's byte length and leaves `last` at
-/// its last index.
+/// its last index. Total on arbitrary input: stops (never panics) at the
+/// first truncated frame, checksum mismatch, codec error, malformed
+/// payload shape, or non-increasing index.
 fn walk(log: &[u8], last: &mut i64, mut visit: impl FnMut(i64, &Value, usize)) -> usize {
     let mut at = 0usize;
     while log.len() - at >= 8 {
@@ -1231,9 +1221,6 @@ fn walk(log: &[u8], last: &mut i64, mut visit: impl FnMut(i64, &Value, usize)) -
     }
     at
 }
-
-/// Source of [`Wal::generation`]: unique per `Wal::open` in the process.
-static GENERATIONS: AtomicU64 = AtomicU64::new(1);
 
 /// The write-ahead log over a [`Disk`]: framed appends, group commit,
 /// snapshot install with log truncation. A clone is a fork over
@@ -1270,35 +1257,55 @@ impl Wal {
     /// tore must not stay *inside* the log, or every record appended
     /// behind it would be invisible to the next recovery scan.
     pub fn open(disk: Disk) -> Wal {
-        let (log, mut start, floor, end) = {
-            let d = disk.shared.state.lock();
-            let floor = d.snapshot.as_ref().map_or(i64::MIN, |s| s.0);
-            (
-                d.log.read().expect("wal log read"),
-                d.log.start(),
-                floor,
-                d.log.end,
-            )
-        };
+        Wal::read_back(disk, |_, _| {}).0
+    }
+
+    /// Opens the log as [`Wal::open`] does and returns, from the same one
+    /// walk of its segments, what it holds — what [`recover`] would read
+    /// (call [`Disk::begin_recovery`] first after a modeled power loss).
+    pub fn recover(disk: Disk) -> (Wal, Recovered) {
+        let mut records = Vec::new();
+        let (wal, snapshot) = Wal::read_back(disk, |index, body| {
+            records.push((index, body.clone()));
+        });
+        let snapshot = snapshot.and_then(decode_snapshot);
+        (wal, Recovered { snapshot, records })
+    }
+
+    /// The one opening of a log: reads it back, cuts it to its valid
+    /// prefix, and calls `visit` with each record above the snapshot.
+    /// Returns the log and the disk's snapshot, still encoded.
+    fn read_back(disk: Disk, mut visit: impl FnMut(i64, &Value)) -> (Wal, Option<(i64, Bytes)>) {
+        let mut d = disk.shared.state.lock();
+        d.openings += 1;
+        let log = d.log.read().expect("wal log read");
+        let (mut start, end, generation) = (d.log.start(), d.log.end, d.openings);
+        let snapshot = d.snapshot.clone();
+        drop(d);
         if start + log.len() < end {
             disk.truncate_synced(log.len());
         }
+        let floor = snapshot.as_ref().map_or(i64::MIN, |s| s.0);
         let mut frames = VecDeque::new();
-        walk(&log, &mut { i64::MIN }, |index, _, len| {
+        walk(&log, &mut { i64::MIN }, |index, body, len| {
             match index > floor {
-                true => frames.push_back((index, len)),
+                true => {
+                    visit(index, body);
+                    frames.push_back((index, len));
+                }
                 false => start += len,
             }
         });
-        Wal {
+        let wal = Wal {
             disk,
             scratch: BytesMut::new(),
             pending: 0,
-            generation: GENERATIONS.fetch_add(1, Ordering::Relaxed),
+            generation,
             above: frames.iter().map(|f| f.1).sum(),
             frames,
             start,
-        }
+        };
+        (wal, snapshot)
     }
 
     /// The underlying disk handle.
@@ -1306,9 +1313,9 @@ impl Wal {
         &self.disk
     }
 
-    /// This log's generation: distinct for every [`Wal::open`], so a
-    /// completion reported for an earlier opening of the same disk can be
-    /// told apart.
+    /// This log's generation: distinct for every opening of the same disk
+    /// (a fork of a virtual disk counts on from the original's), so a
+    /// completion reported for an earlier opening can be told apart.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -1434,19 +1441,27 @@ impl Wal {
 /// tail is resolved.
 pub fn recover(disk: &Disk) -> Recovered {
     let d = disk.shared.state.lock();
-    let snapshot = d.snapshot.as_ref().and_then(|(index, blob)| {
-        let mut view = blob.clone();
-        let value = decode_value(&mut view).ok()?;
-        view.is_empty().then_some((*index, value))
+    let floor = d.snapshot.as_ref().map_or(i64::MIN, |s| s.0);
+    let (log, mut records) = (d.log.read().unwrap_or_default(), Vec::new());
+    walk(&log, &mut { i64::MIN }, |index, body, _| {
+        if index > floor {
+            records.push((index, body.clone()));
+        }
     });
-    let floor = snapshot.as_ref().map(|(i, _)| *i).unwrap_or(i64::MIN);
-    let records = scan_log(&d.log.read().unwrap_or_default(), floor);
+    let snapshot = d.snapshot.clone().and_then(decode_snapshot);
     Recovered { snapshot, records }
+}
+
+/// A snapshot's blob as the value it encodes; `None` if it does not.
+fn decode_snapshot((index, mut blob): (i64, Bytes)) -> Option<(i64, Value)> {
+    let value = decode_value(&mut blob).ok()?;
+    blob.is_empty().then_some((index, value))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// The segment ids in `dir`, ascending.
     fn seg_ids(dir: &Path) -> Vec<u64> {
